@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race morphdebug vet morphlint lint-baseline bench serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: build test race morphdebug vet morphlint lint-baseline bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,23 @@ lint-baseline: bin/morphlint
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# The engine's three kernels — counter-line codec, line MAC, secmem
+# read/write — as go-test benchmarks: the before/after rows of a change to
+# any of them are this command on each commit.
+perf-engine:
+	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC' -benchmem -count 5 \
+		./internal/secmem ./internal/counters ./internal/mac
+
+# Ten seconds of each fuzz target over the counter-line codec: the decoders
+# face attacker-controlled bytes, and the encoders are hand-packed words that
+# must agree with the bit-serial reference on every input.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@for target in $$($(GO) test -list '^Fuzz' ./internal/counters | grep '^Fuzz'); do \
+		echo "fuzz $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/counters || exit 1; \
+	done
 
 bin/morphserve: $(shell find cmd/morphserve internal/server internal/shard internal/wire internal/secmem internal/tenant -name '*.go' -not -name '*_test.go' 2>/dev/null)
 	$(GO) build -o bin/morphserve ./cmd/morphserve

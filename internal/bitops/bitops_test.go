@@ -1,6 +1,7 @@
 package bitops
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,8 +9,34 @@ import (
 	"github.com/securemem/morphtree/internal/invariant"
 )
 
+// serialWrite is the bit-at-a-time packer the word-wise Writer replaced,
+// kept as the oracle: it ORs the low width bits of v into buf at bit pos,
+// MSB-first, and returns the next position.
+func serialWrite(buf []byte, pos int, v uint64, width int) int {
+	for i := width - 1; i >= 0; i-- {
+		if (v>>uint(i))&1 != 0 {
+			buf[pos/8] |= 1 << uint(7-pos%8)
+		}
+		pos++
+	}
+	return pos
+}
+
+// serialRead is serialWrite's inverse.
+func serialRead(buf []byte, pos, width int) uint64 {
+	var v uint64
+	for i := 0; i < width; i++ {
+		v <<= 1
+		if buf[(pos+i)/8]&(1<<uint(7-(pos+i)%8)) != 0 {
+			v |= 1
+		}
+	}
+	return v
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
-	w := NewWriter(64)
+	buf := make([]byte, 16)
+	w := NewWriter(buf)
 	w.WriteBits(0x1FFFFFFFFFFFFFF, 57) // 57-bit all-ones
 	w.WriteBits(0x2A, 7)
 	w.WriteBits(0, 12)
@@ -17,7 +44,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if w.Pos() != 57+7+12+32 {
 		t.Fatalf("pos = %d", w.Pos())
 	}
-	r := NewReader(w.Bytes())
+	w.WriteBits(0, 20) // complete the second word so it is committed
+	r := NewReader(buf)
 	if got := r.ReadBits(57); got != 0x1FFFFFFFFFFFFFF {
 		t.Errorf("57-bit field = %#x", got)
 	}
@@ -30,64 +58,76 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got := r.ReadBits(32); got != 0xDEADBEEF {
 		t.Errorf("32-bit field = %#x", got)
 	}
+	if r.Pos() != 57+7+12+32 {
+		t.Fatalf("read pos = %d", r.Pos())
+	}
 }
 
 func TestMSBFirstLayout(t *testing.T) {
-	// Writing a single 1-bit must set the MSB of byte 0.
-	w := NewWriter(2)
+	// A single 1-bit must set the MSB of byte 0.
+	buf := make([]byte, WordBytes)
+	w := NewWriter(buf)
 	w.WriteBits(1, 1)
-	if w.Bytes()[0] != 0x80 {
-		t.Fatalf("byte 0 = %#x, want 0x80", w.Bytes()[0])
+	w.WriteBits(0, 63)
+	if buf[0] != 0x80 {
+		t.Fatalf("byte 0 = %#x, want 0x80", buf[0])
 	}
 	// A 4-bit value 0xF after 4 zero bits lands in the low nibble of byte 0.
-	w = NewWriter(2)
+	w = NewWriter(buf)
 	w.WriteBits(0, 4)
 	w.WriteBits(0xF, 4)
-	if w.Bytes()[0] != 0x0F {
-		t.Fatalf("byte 0 = %#x, want 0x0F", w.Bytes()[0])
+	w.WriteBits(0, 56)
+	if buf[0] != 0x0F {
+		t.Fatalf("byte 0 = %#x, want 0x0F", buf[0])
 	}
 }
 
-func TestCrossByteBoundary(t *testing.T) {
-	w := NewWriter(3)
-	w.WriteBits(0x3, 3)   // 011
-	w.WriteBits(0x1FF, 9) // crosses byte 0 -> byte 1
-	w.WriteBits(0xAB, 8)
-	r := NewReader(w.Bytes())
-	if got := r.ReadBits(3); got != 0x3 {
-		t.Errorf("field 1 = %#x", got)
+func TestCrossWordBoundary(t *testing.T) {
+	buf := make([]byte, 16)
+	w := NewWriter(buf)
+	w.WriteBits(0x3, 3)               // 011
+	w.WriteBits(0x1FF, 9)             // crosses byte 0 -> byte 1
+	w.WriteBits(0, 50)                // two bits short of the word
+	w.WriteBits(0xAB, 8)              // straddles word 0 -> word 1
+	w.WriteBits(0x3FFFFFFFFFFFFF, 58) // fills word 1 exactly
+	if w.Pos() != 128 {
+		t.Fatalf("pos = %d", w.Pos())
 	}
-	if got := r.ReadBits(9); got != 0x1FF {
-		t.Errorf("field 2 = %#x", got)
-	}
-	if got := r.ReadBits(8); got != 0xAB {
-		t.Errorf("field 3 = %#x", got)
+	r := NewReader(buf)
+	for _, f := range []struct {
+		want  uint64
+		width int
+	}{{0x3, 3}, {0x1FF, 9}, {0, 50}, {0xAB, 8}, {0x3FFFFFFFFFFFFF, 58}} {
+		if got := r.ReadBits(f.width); got != f.want {
+			t.Errorf("%d-bit field = %#x, want %#x", f.width, got, f.want)
+		}
 	}
 }
 
-func TestSkip(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xAA, 8)
-	w.WriteBits(0x55, 8)
-	r := NewReader(w.Bytes())
-	r.Skip(8)
-	if got := r.ReadBits(8); got != 0x55 {
-		t.Fatalf("after skip = %#x", got)
-	}
-	if r.Pos() != 16 {
-		t.Fatalf("pos = %d", r.Pos())
+func TestWriterOverwritesStaleBytes(t *testing.T) {
+	// The Writer commits whole words, so a reused buffer needs no zeroing.
+	buf := bytes.Repeat([]byte{0xFF}, WordBytes)
+	w := NewWriter(buf)
+	w.WriteBits(0, 32)
+	w.WriteBits(1, 32)
+	if want := []byte{0, 0, 0, 0, 0, 0, 0, 1}; !bytes.Equal(buf, want) {
+		t.Fatalf("buf = %x, want %x", buf, want)
 	}
 }
 
 func TestWidthZero(t *testing.T) {
-	w := NewWriter(1)
+	buf := make([]byte, WordBytes)
+	w := NewWriter(buf)
 	w.WriteBits(0, 0)
 	if w.Pos() != 0 {
 		t.Fatalf("zero-width write moved position")
 	}
-	r := NewReader(w.Bytes())
+	r := NewReader(buf)
 	if got := r.ReadBits(0); got != 0 {
 		t.Fatalf("zero-width read = %d", got)
+	}
+	if r.Pos() != 0 {
+		t.Fatalf("zero-width read moved position")
 	}
 }
 
@@ -97,10 +137,11 @@ func TestWriteOverflowPanics(t *testing.T) {
 			t.Fatal("expected panic on buffer overflow")
 		}
 	}()
-	w := NewWriter(1)
-	// Non-zero bits so the out-of-buffer store trips the runtime bounds
-	// check even without morphdebug assertions.
-	w.WriteBits(0x1FF, 9)
+	w := NewWriter(make([]byte, WordBytes))
+	w.WriteBits(0, 64)
+	// The second word has nowhere to go: its commit trips the runtime
+	// bounds check even without morphdebug assertions.
+	w.WriteBits(1, 64)
 }
 
 func TestValueTooWidePanics(t *testing.T) {
@@ -112,7 +153,7 @@ func TestValueTooWidePanics(t *testing.T) {
 			t.Fatal("expected panic on oversized value")
 		}
 	}()
-	w := NewWriter(8)
+	w := NewWriter(make([]byte, WordBytes))
 	w.WriteBits(256, 8)
 }
 
@@ -122,62 +163,69 @@ func TestReadOverflowPanics(t *testing.T) {
 			t.Fatal("expected panic on read overflow")
 		}
 	}()
-	r := NewReader([]byte{0})
-	r.ReadBits(9)
+	r := NewReader(make([]byte, WordBytes))
+	r.ReadBits(64)
+	r.ReadBits(1)
 }
 
-func TestPopCount64(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		want int
-	}{
-		{0, 0}, {1, 1}, {0xFF, 8}, {1 << 63, 1}, {^uint64(0), 64}, {0xA5A5, 8},
-	}
-	for _, c := range cases {
-		if got := PopCount64(c.v); got != c.want {
-			t.Errorf("PopCount64(%#x) = %d, want %d", c.v, got, c.want)
+// randomFields draws a field sequence that fills exactly words 64-bit words.
+func randomFields(rng *rand.Rand, words int) (vals []uint64, widths []int) {
+	for total := 0; total < words*WordBits; {
+		width := rng.Intn(WordBits + 1)
+		if rng.Intn(4) == 0 {
+			width = rng.Intn(8) // dense runs of narrow fields, as in a counter line
 		}
+		if total+width > words*WordBits {
+			width = words*WordBits - total
+		}
+		v := rng.Uint64()
+		if width < WordBits {
+			v &= 1<<uint(width) - 1
+		}
+		vals, widths = append(vals, v), append(widths, width)
+		total += width
 	}
+	return vals, widths
 }
 
-// Property: any sequence of (value, width) fields round-trips exactly.
-func TestQuickFieldRoundTrip(t *testing.T) {
+// Property: the word-wise Writer produces exactly the bytes the bit-serial
+// packer does, and the word-wise Reader recovers exactly the fields the
+// bit-serial reader does, for any field sequence.
+func TestQuickMatchesBitSerial(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(20)
-		type field struct {
-			v     uint64
-			width int
-		}
-		fields := make([]field, 0, n)
-		total := 0
-		for i := 0; i < n; i++ {
-			width := 1 + rng.Intn(64)
-			if total+width > 512 {
-				break
+		words := 1 + rng.Intn(8)
+		vals, widths := randomFields(rng, words)
+		want := make([]byte, words*WordBytes)
+		got := bytes.Repeat([]byte{0xA5}, words*WordBytes)
+		w := NewWriter(got)
+		pos := 0
+		for i, v := range vals {
+			w.WriteBits(v, widths[i])
+			pos = serialWrite(want, pos, v, widths[i])
+			if w.Pos() != pos {
+				return false
 			}
-			var v uint64
-			if width == 64 {
-				v = rng.Uint64()
-			} else {
-				v = rng.Uint64() & ((1 << uint(width)) - 1)
+		}
+		if !bytes.Equal(got, want) {
+			return false
+		}
+		// Read arbitrary bytes back under the same widths.
+		rng.Read(got)
+		r := NewReader(got)
+		pos = 0
+		for _, width := range widths {
+			if r.ReadBits(width) != serialRead(got, pos, width) {
+				return false
 			}
-			fields = append(fields, field{v, width})
-			total += width
-		}
-		w := NewWriter(64)
-		for _, fl := range fields {
-			w.WriteBits(fl.v, fl.width)
-		}
-		r := NewReader(w.Bytes())
-		for _, fl := range fields {
-			if r.ReadBits(fl.width) != fl.v {
+			pos += width
+			if r.Pos() != pos {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,6 +54,10 @@ type Block interface {
 	// Value returns the effective counter value of slot i, the value fed
 	// (with the line address) into the block cipher.
 	Value(i int) uint64
+	// Values stores Value(i) into dst[i] for every slot; dst holds at
+	// least Arity() elements. It is the bulk form an engine snapshots a
+	// line with before an increment that may overflow.
+	Values(dst []uint64)
 	// Increment advances counter i by one write and reports side effects.
 	Increment(i int) Event
 	// NonZero returns the number of non-zero minor counters.
@@ -64,6 +68,9 @@ type Block interface {
 	SetMAC(uint64)
 	// Encode packs the block into its exact 64-byte hardware layout.
 	Encode() []byte
+	// EncodeTo is Encode into the first LineBytes bytes of dst, every one
+	// of which it overwrites; it allocates nothing.
+	EncodeTo(dst []byte)
 	// FormatName names the current representation (for stats/debug).
 	FormatName() string
 }

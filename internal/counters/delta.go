@@ -1,8 +1,7 @@
 package counters
 
 import (
-	"fmt"
-
+	"github.com/securemem/morphtree/internal/bitops"
 	"github.com/securemem/morphtree/internal/invariant"
 )
 
@@ -110,35 +109,37 @@ func (d *Delta) Increment(i int) Event {
 	return Event{Overflow: true, Reencrypt: DeltaArity}
 }
 
-// Encode implements Block.
-func (d *Delta) Encode() []byte {
-	w := newLineWriter()
-	w.WriteBits(d.base, fullMajorBits)
-	for _, v := range d.deltas {
-		w.WriteBits(uint64(v), deltaBits)
+// Values implements Block.
+func (d *Delta) Values(dst []uint64) {
+	for i, v := range d.deltas {
+		dst[i] = d.base + uint64(v)
 	}
-	padZeros(w, deltaPadBits) // unused field
+}
+
+// Encode implements Block.
+func (d *Delta) Encode() []byte { return encodeLine(d) }
+
+// EncodeTo implements Block.
+func (d *Delta) EncodeTo(dst []byte) {
+	w := bitops.NewWriter(dst[:LineBytes])
+	w.WriteBits(d.base, fullMajorBits)
+	writeFields(&w, d.deltas[:], deltaBits)
+	writeZeros(&w, deltaPadBits) // unused field
 	w.WriteBits(d.mac, macBits)
 	invariant.Assertf(w.Pos() == LineBits, "counters: delta layout packed %d bits", w.Pos())
-	return w.Bytes()
 }
 
 // DecodeDelta unpacks a delta-encoded line.
 func DecodeDelta(buf []byte) (*Delta, error) {
 	if len(buf) != LineBytes {
-		return nil, fmt.Errorf("counters: delta line is %d bytes, want %d", len(buf), LineBytes)
+		return nil, lineErrorf(FaultLength, "delta line is %d bytes, want %d", len(buf), LineBytes)
 	}
-	r := newLineReader(buf)
+	r := bitops.NewReader(buf)
 	d := NewDelta()
 	d.base = r.ReadBits(fullMajorBits)
-	for i := range d.deltas {
-		d.deltas[i] = uint32(r.ReadBits(deltaBits))
-		if d.deltas[i] != 0 {
-			d.nonzero++
-		}
-	}
-	if r.ReadBits(deltaPadBits) != 0 {
-		return nil, fmt.Errorf("counters: non-canonical delta line (non-zero padding)")
+	d.nonzero = readFields(&r, d.deltas[:], deltaBits)
+	if !readZeros(&r, deltaPadBits) {
+		return nil, lineErrorf(FaultPadding, "non-canonical delta line (non-zero padding)")
 	}
 	d.mac = r.ReadBits(macBits)
 	return d, nil

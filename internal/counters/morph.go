@@ -63,6 +63,9 @@ func ZCCSize(nonzero int) int {
 	}
 }
 
+// zccMax is the largest value a size-bit ZCC counter can hold.
+func zccMax(size int) uint16 { return uint16(1<<uint(size) - 1) }
+
 // zccMajorBits is the major-counter width in the ZCC and uniform layouts.
 const zccMajorBits = 57
 
@@ -87,9 +90,12 @@ type Morph struct {
 	format   Format
 	// major is the 57-bit major counter in ZCC/uniform, or the 49-bit
 	// high part (paper's Major Counter) in MCR.
-	major   uint64
-	base    [2]uint32 // 7-bit bases, valid in FormatMCR
-	minors  [MorphArity]uint32
+	major uint64
+	base  [2]uint32 // 7-bit bases, valid in FormatMCR
+	// minors are 16 bits because no format gives a counter more (ZCC's
+	// widest is 16); at 128 to a line their width is most of the size of a
+	// decoded block, which every cold tree walk allocates.
+	minors  [MorphArity]uint16
 	nonzero int
 	mac     uint64
 }
@@ -125,9 +131,27 @@ func (m *Morph) FormatName() string { return m.format.String() }
 func (m *Morph) Value(i int) uint64 {
 	switch m.format {
 	case FormatMCR:
-		return (m.major<<7 | uint64(m.base[i/morphSetSize])) + uint64(m.minors[i])
+		return (m.major<<mcrBaseBits | uint64(m.base[i/morphSetSize])) + uint64(m.minors[i])
 	default:
 		return m.major + uint64(m.minors[i])
+	}
+}
+
+// Values implements Block.
+func (m *Morph) Values(dst []uint64) {
+	dst = dst[:MorphArity]
+	if m.format != FormatMCR {
+		for i, v := range m.minors {
+			dst[i] = m.major + uint64(v)
+		}
+		return
+	}
+	for set, base := range m.base {
+		origin := m.major<<mcrBaseBits | uint64(base)
+		lo := set * morphSetSize
+		for i, v := range m.minors[lo : lo+morphSetSize] {
+			dst[lo+i] = origin + uint64(v)
+		}
 	}
 }
 
@@ -155,7 +179,7 @@ func (m *Morph) incrementZCC(i int) Event {
 			return m.leaveZCC(i)
 		}
 		newSize := ZCCSize(newNZ)
-		if newSize < size && m.largest() > uint32(1)<<uint(newSize)-1 {
+		if newSize < size && m.largest() > zccMax(newSize) {
 			// An existing value cannot be represented at the
 			// smaller width: handled as an overflow.
 			return m.resetAll(i)
@@ -167,7 +191,7 @@ func (m *Morph) incrementZCC(i int) Event {
 		}
 		return Event{}
 	}
-	if m.minors[i] == uint32(1)<<uint(size)-1 {
+	if m.minors[i] == zccMax(size) {
 		return m.resetAll(i)
 	}
 	m.minors[i]++
@@ -186,7 +210,7 @@ func (m *Morph) leaveZCC(i int) Event {
 		m.format = FormatMCR
 		low := uint32(m.major & mcrBaseMax)
 		m.base[0], m.base[1] = low, low
-		m.major >>= 7
+		m.major >>= mcrBaseBits
 	} else {
 		m.format = FormatUniform
 	}
@@ -234,7 +258,7 @@ func (m *Morph) incrementMCR(i int) Event {
 		if uint64(m.base[set])+uint64(minV) > mcrBaseMax {
 			return m.resetMCR(i)
 		}
-		m.base[set] += minV
+		m.base[set] += uint32(minV)
 		for j := lo; j < hi; j++ {
 			if m.minors[j] == minV {
 				m.nonzero-- // this minor rebases to zero
@@ -252,7 +276,7 @@ func (m *Morph) incrementMCR(i int) Event {
 	if uint64(m.base[set])+uint64(maxV)+1 > mcrBaseMax {
 		return m.resetMCR(i)
 	}
-	m.base[set] += maxV + 1
+	m.base[set] += uint32(maxV) + 1
 	for j := lo; j < hi; j++ {
 		if m.minors[j] != 0 {
 			m.nonzero--
@@ -268,7 +292,7 @@ func (m *Morph) incrementMCR(i int) Event {
 // advances by two (so (major+2)<<7 clears every prior (major||base)+minor),
 // and the line returns to ZCC (Section IV-2).
 func (m *Morph) resetMCR(i int) Event {
-	m.major = (m.major + 2) << 7
+	m.major = (m.major + 2) << mcrBaseBits
 	m.format = FormatZCC
 	m.base[0], m.base[1] = 0, 0
 	for j := range m.minors {
@@ -295,8 +319,8 @@ func (m *Morph) resetAll(i int) Event {
 }
 
 // largest returns the maximum minor counter value in the line.
-func (m *Morph) largest() uint32 {
-	var max uint32
+func (m *Morph) largest() uint16 {
+	var max uint16
 	for _, v := range m.minors {
 		if v > max {
 			max = v

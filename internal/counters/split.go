@@ -53,6 +53,14 @@ func (s *Split) Value(i int) uint64 {
 	return s.major<<uint(s.minorBits) | s.minors[i]
 }
 
+// Values implements Block.
+func (s *Split) Values(dst []uint64) {
+	hi := s.major << uint(s.minorBits)
+	for i, v := range s.minors {
+		dst[i] = hi | v
+	}
+}
+
 // Increment implements Block. When minor i saturates, the major counter is
 // incremented and all minors reset (a full overflow): every child's
 // effective value jumps to the new major||0 (or major||1 for the written

@@ -105,17 +105,21 @@ func (w *Walker) SpecAt(level int) counters.Spec {
 // the expected parent counter value, returning a *MismatchError on any
 // disagreement. This is the per-link step of the tree walk.
 //
+// A line's MAC covers its own encoding with the MAC field zeroed. The
+// decoders accept only canonical encodings, so for a line that decodes that
+// is the raw line with its last word masked: there is no need to re-encode
+// the block to find out what was signed.
+//
 //morph:hotpath
 func (w *Walker) DecodeVerify(level int, idx uint64, raw []byte, parentValue uint64) (counters.Block, error) {
 	blk, err := w.SpecAt(level).Decode(raw)
 	if err != nil {
 		return nil, &MismatchError{Level: level, Index: idx, Reason: fmt.Sprintf("undecodable line: %v", err)}
 	}
-	stored := blk.MAC()
-	blk.SetMAC(0)
-	want := w.keyer.Counter(blk.Encode(), parentValue, level, idx)
-	blk.SetMAC(stored)
-	if stored != want {
+	var signed [LineBytes]byte
+	copy(signed[:], raw)
+	counters.SetLineMAC(signed[:], 0)
+	if blk.MAC() != w.keyer.Counter(signed[:], parentValue, level, idx) {
 		return nil, &MismatchError{Level: level, Index: idx, Reason: "MAC mismatch"}
 	}
 	return blk, nil

@@ -74,6 +74,36 @@ func (m *Memory) dataKeyer(dom *Domain) *mac.Keyer {
 	return dom.keyer
 }
 
+// readTenant and writeTenant are read and write plus the per-tenant traffic
+// accounting. The accounting sits out here because its map is created on a
+// tenant's first op and the two hot paths allocate nothing they do not hand
+// back or store. Called with m.mu held.
+func (m *Memory) readTenant(addr uint64, dom *Domain) ([]byte, error) {
+	line, err := m.read(addr, dom)
+	if err == nil && dom != nil {
+		m.countTenant(dom, TenantOps{Reads: 1})
+	}
+	return line, err
+}
+
+func (m *Memory) writeTenant(addr uint64, line []byte, dom *Domain) error {
+	err := m.write(addr, line, dom)
+	if err == nil && dom != nil {
+		m.countTenant(dom, TenantOps{Writes: 1})
+	}
+	return err
+}
+
+func (m *Memory) countTenant(dom *Domain, ops TenantOps) {
+	if m.stats.Tenants == nil {
+		m.stats.Tenants = make(map[string]TenantOps)
+	}
+	t := m.stats.Tenants[dom.name]
+	t.Reads += ops.Reads
+	t.Writes += ops.Writes
+	m.stats.Tenants[dom.name] = t
+}
+
 // ReadDomain is Read routed through a tenant key domain: the data-line MAC
 // is checked and the ciphertext decrypted under dom's keys, so a line last
 // written by any other domain — another tenant's, or the engine default —
@@ -83,11 +113,11 @@ func (m *Memory) ReadDomain(dom *Domain, addr uint64) ([]byte, error) {
 	if !m.instrumented {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.read(addr, dom)
+		return m.readTenant(addr, dom)
 	}
 	start := time.Now()
 	wait := m.lockTimed(start)
-	line, err := m.read(addr, dom)
+	line, err := m.readTenant(addr, dom)
 	m.mu.Unlock()
 	m.ins.LockWait.Record(wait)
 	m.ins.ReadLatency.Record(time.Since(start))
@@ -102,11 +132,11 @@ func (m *Memory) WriteDomain(dom *Domain, addr uint64, line []byte) error {
 	if !m.instrumented {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.write(addr, line, dom)
+		return m.writeTenant(addr, line, dom)
 	}
 	start := time.Now()
 	wait := m.lockTimed(start)
-	err := m.write(addr, line, dom)
+	err := m.writeTenant(addr, line, dom)
 	m.mu.Unlock()
 	m.ins.LockWait.Record(wait)
 	m.ins.WriteLatency.Record(time.Since(start))

@@ -13,6 +13,7 @@
 package secmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -191,6 +192,14 @@ type Memory struct {
 	// Memory suffices and the steady-state increment path allocates
 	// nothing (the //morph:hotpath contract).
 	snapScratch [][]uint64
+	// lineBuf is where a line about to be stored is built — a sealed
+	// counter line, a fresh ciphertext — and plainBuf the plaintext an
+	// overflow re-encryption carries between its two pads. Everything that
+	// touches them runs under mu and is done with them before the next
+	// use, so one of each serves the whole engine and the write path
+	// allocates only what the store retains.
+	lineBuf  [LineBytes]byte
+	plainBuf [LineBytes]byte
 	// Dirty-line epoch stamps for incremental checkpoints (see dirty.go):
 	// flat per-line arrays so the write path pays one slice store. Epoch 0
 	// means never written; stamps >= dirtyFloor are dirty.
@@ -416,6 +425,7 @@ func (m *Memory) lockTimed(start time.Time) time.Duration {
 	return time.Since(start)
 }
 
+//morph:hotpath
 func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	if err := m.checkAddr(addr); err != nil {
 		return err
@@ -433,26 +443,33 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 		return err
 	}
 	ctr := blk.Value(slot)
-	ct := make([]byte, LineBytes)
+	ct := m.lineBuf[:]
 	if err := m.dataCipher(dom).XOR(ct, line, addr, ctr); err != nil {
 		return err
 	}
-	m.store.data[d] = ct
+	putLine(m.store.data, d, ct)
 	m.store.dataMAC[d] = m.dataKeyer(dom).Data(ct, ctr, addr)
 	m.dirtyData[d] = m.dirtyCur
 	if dom == nil {
 		delete(m.domains, d)
 	} else {
 		m.domains[d] = dom
-		if m.stats.Tenants == nil {
-			m.stats.Tenants = make(map[string]TenantOps)
-		}
-		t := m.stats.Tenants[dom.name]
-		t.Writes++
-		m.stats.Tenants[dom.name] = t
 	}
 	m.stats.Writes++
 	return nil
+}
+
+// putLine makes lines[idx] hold a copy of line. A slot that already holds a
+// line is overwritten in place: the engine never hands out a stored buffer
+// (the Store accessors, Prove, Save and CollectDirty all copy), so nothing
+// outside the lock can be looking at it. Only a line's first write
+// allocates.
+func putLine(lines map[uint64][]byte, idx uint64, line []byte) {
+	if cur, ok := lines[idx]; ok && len(cur) == len(line) {
+		copy(cur, line)
+		return
+	}
+	lines[idx] = bytes.Clone(line)
 }
 
 // Read fetches, verifies and decrypts the 64-byte line at a line-aligned
@@ -474,6 +491,7 @@ func (m *Memory) Read(addr uint64) ([]byte, error) {
 	return line, err
 }
 
+//morph:hotpath
 func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	if err := m.checkAddr(addr); err != nil {
 		return nil, err
@@ -488,8 +506,8 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	ct, ok := m.store.data[d]
 	if !ok {
 		if ctr == 0 {
-			m.countRead(dom)
-			return make([]byte, LineBytes), nil
+			m.stats.Reads++
+			return bytes.Clone(zeroLine[:]), nil
 		}
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "written line missing from memory"}
 	}
@@ -507,28 +525,18 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	} else if dom.keyer.Data(ct, ctr, addr) != storedMAC {
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch"}
 	}
-	pt := make([]byte, LineBytes)
-	if err := m.dataCipher(dom).XOR(pt, ct, addr, ctr); err != nil {
+	// The caller owns what Read returns, so the one allocation of a warm
+	// read is this copy, decrypted where it lies.
+	pt := bytes.Clone(ct)
+	if err := m.dataCipher(dom).XOR(pt, pt, addr, ctr); err != nil {
 		return nil, err
 	}
-	m.countRead(dom)
+	m.stats.Reads++
 	return pt, nil
 }
 
-// countRead bumps the read counters, attributing domain-routed reads to
-// their tenant. Called with m.mu held.
-func (m *Memory) countRead(dom *Domain) {
-	m.stats.Reads++
-	if dom == nil {
-		return
-	}
-	if m.stats.Tenants == nil {
-		m.stats.Tenants = make(map[string]TenantOps)
-	}
-	t := m.stats.Tenants[dom.name]
-	t.Reads++
-	m.stats.Tenants[dom.name] = t
-}
+// zeroLine is what a never-written line reads as.
+var zeroLine [LineBytes]byte
 
 // bump increments the counter protecting child `slot` of line `idx` at
 // `level`, propagating the update to the root and handling overflows by
@@ -541,9 +549,7 @@ func (m *Memory) bump(level int, idx uint64, slot int) error {
 		return err
 	}
 	snapshot := m.snapScratch[level][:blk.Arity()]
-	for i := range snapshot {
-		snapshot[i] = blk.Value(i)
-	}
+	blk.Values(snapshot)
 	ev := blk.Increment(slot)
 	m.stats.Increments[level]++
 	if ev.Overflow {
@@ -619,7 +625,7 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 	cipher := m.dataCipher(dom)
 	keyer := m.dataKeyer(dom)
 	addr := d * LineBytes
-	pt := make([]byte, LineBytes)
+	pt := m.plainBuf[:]
 	if ct, ok := m.store.data[d]; ok {
 		storedMAC, ok := m.store.dataMAC[d]
 		if !ok || keyer.Data(ct, oldCtr, addr) != storedMAC {
@@ -630,12 +636,14 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 		}
 	} else if oldCtr != 0 {
 		return &IntegrityError{Level: -1, Index: d, Reason: "written line missing during re-encryption"}
+	} else {
+		clear(pt)
 	}
-	ct := make([]byte, LineBytes)
+	ct := m.lineBuf[:]
 	if err := cipher.XOR(ct, pt, addr, newCtr); err != nil {
 		return err
 	}
-	m.store.data[d] = ct
+	putLine(m.store.data, d, ct)
 	m.store.dataMAC[d] = keyer.Data(ct, newCtr, addr)
 	m.dirtyData[d] = m.dirtyCur
 	return nil
@@ -646,7 +654,7 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 func (m *Memory) remacChild(level int, idx uint64, oldParent, newParent uint64) error {
 	blk, ok := m.trusted[level][idx]
 	if !ok {
-		raw, present := m.store.CounterLine(level, idx)
+		raw, present := m.store.levels[level][idx]
 		if !present {
 			// Never-written child: materialize a fresh block so its
 			// now non-zero parent counter stays consistent.
@@ -660,7 +668,8 @@ func (m *Memory) remacChild(level int, idx uint64, oldParent, newParent uint64) 
 		}
 		m.trusted[level][idx] = blk
 	}
-	return m.sealBlock(level, idx, blk, newParent)
+	m.sealBlock(level, idx, blk, newParent)
+	return nil
 }
 
 // trustedBlock returns a verified counter block, fetching and MAC-checking
@@ -680,7 +689,7 @@ func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 		return nil, err
 	}
 	pv := pblk.Value(pslot)
-	raw, ok := m.store.CounterLine(level, idx)
+	raw, ok := m.store.levels[level][idx]
 	if !ok {
 		if pv != 0 {
 			return nil, &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
@@ -726,6 +735,8 @@ func integrityFromMismatch(err error) error {
 
 // storeBlock seals a block with its parent's current counter value and
 // writes it to untrusted storage. The root never leaves the chip.
+//
+//morph:hotpath
 func (m *Memory) storeBlock(level int, idx uint64, blk counters.Block) error {
 	if level == m.geom.RootLevel() {
 		return nil
@@ -735,17 +746,24 @@ func (m *Memory) storeBlock(level int, idx uint64, blk counters.Block) error {
 	if err != nil {
 		return err
 	}
-	return m.sealBlock(level, idx, blk, pblk.Value(pslot))
+	m.sealBlock(level, idx, blk, pblk.Value(pslot))
+	return nil
 }
 
-// sealBlock computes a block's MAC under parentValue and persists it.
-func (m *Memory) sealBlock(level int, idx uint64, blk counters.Block, parentValue uint64) error {
+// sealBlock computes a block's MAC under parentValue and persists it. The
+// block is encoded once, with a zero MAC field — those are the bytes the MAC
+// covers — and the MAC is then written into the line's last word.
+//
+//morph:hotpath
+func (m *Memory) sealBlock(level int, idx uint64, blk counters.Block, parentValue uint64) {
+	line := m.lineBuf[:]
 	blk.SetMAC(0)
-	sealed := m.keyer.Counter(blk.Encode(), parentValue, level, idx)
+	blk.EncodeTo(line)
+	sealed := m.keyer.Counter(line, parentValue, level, idx)
 	blk.SetMAC(sealed)
-	m.store.levels[level][idx] = blk.Encode()
+	counters.SetLineMAC(line, sealed)
+	putLine(m.store.levels[level], idx, line)
 	m.dirtyCtr[level][idx] = m.dirtyCur
-	return nil
 }
 
 // ReadAt reads len(p) bytes starting at an arbitrary offset, crossing line
@@ -812,14 +830,14 @@ func (m *Memory) Prove(addr uint64) (line []byte, lineMAC uint64, chain [][]byte
 	}
 	d := addr / LineBytes
 	if ct, ok := m.store.data[d]; ok {
-		line = append([]byte(nil), ct...)
+		line = bytes.Clone(ct)
 		lineMAC = m.store.dataMAC[d]
 	}
 	chain = make([][]byte, m.geom.RootLevel())
 	idx, _ := m.geom.EncSlot(d)
 	for level := 0; level < m.geom.RootLevel(); level++ {
-		if raw, ok := m.store.CounterLine(level, idx); ok {
-			chain[level] = append([]byte(nil), raw...)
+		if raw, ok := m.store.levels[level][idx]; ok {
+			chain[level] = bytes.Clone(raw)
 		}
 		idx, _ = m.geom.ParentSlot(level, idx)
 	}
@@ -843,7 +861,7 @@ func (m *Memory) VerifyAll() error {
 	for d := range m.store.data {
 		// Verify each line under the domain that owns it, so a store
 		// holding several tenants' lines still verifies end to end.
-		if _, err := m.read(d*LineBytes, m.domains[d]); err != nil {
+		if _, err := m.readTenant(d*LineBytes, m.domains[d]); err != nil {
 			return err
 		}
 	}

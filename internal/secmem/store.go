@@ -27,10 +27,13 @@ func newStore(numLevels int) *Store {
 	return s
 }
 
-// DataLine returns the stored ciphertext of a data line, if present.
+// DataLine returns a copy of the stored ciphertext of a data line, if
+// present. It is a copy because the engine overwrites stored lines in place:
+// what an adversary captured must stay what it was when captured, whatever
+// is written afterwards.
 func (s *Store) DataLine(idx uint64) ([]byte, bool) {
 	ct, ok := s.data[idx]
-	return ct, ok
+	return bytes.Clone(ct), ok
 }
 
 // SetDataLine overwrites a data line's ciphertext (adversary interface).
@@ -47,11 +50,11 @@ func (s *Store) DataMAC(idx uint64) (uint64, bool) {
 // SetDataMAC overwrites a data line's MAC (adversary interface).
 func (s *Store) SetDataMAC(idx uint64, m uint64) { s.dataMAC[idx] = m }
 
-// CounterLine returns the stored encoding of a counter line at a level
-// (0 = encryption counters, 1.. = tree levels).
+// CounterLine returns a copy (see DataLine) of the stored encoding of a
+// counter line at a level (0 = encryption counters, 1.. = tree levels).
 func (s *Store) CounterLine(level int, idx uint64) ([]byte, bool) {
 	raw, ok := s.levels[level][idx]
-	return raw, ok
+	return bytes.Clone(raw), ok
 }
 
 // SetCounterLine overwrites a counter line (adversary interface).
