@@ -142,6 +142,8 @@ func (m *Memory) ApplyMigrated(shardIdx int, recs []wal.Record) error {
 		return fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
 	c := m.commits[shardIdx]
+	c.syncMu.Lock() // guards synced, which SyncedLSNs reads from the puller
+	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range recs {

@@ -10,9 +10,11 @@ import (
 
 // The engine's allocation contract, as counts: a warm read allocates the
 // plaintext it returns and nothing else; a write allocates only what the
-// store retains, which for a line written before is nothing. morphlint's
-// hotalloc checks the same functions statically but cannot see into
-// bytes.Clone, the one allocation they are allowed; this pins the number.
+// store retains, which for a line written before is nothing; and writing
+// dirty counter blocks back, once their lines exist in the store, allocates
+// nothing either. morphlint's hotalloc checks the same functions statically
+// but cannot see into bytes.Clone, the one allocation they are allowed; this
+// pins the number.
 func TestHotPathAllocations(t *testing.T) {
 	if racedetect.Enabled || invariant.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
@@ -54,8 +56,27 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Errorf("Write to a resident line allocates %v times, want 0", n)
 	}
 
+	// Write-back: one write into each of the span's 32 counter blocks, then
+	// all 32 (and the level-1 block above them) sealed and stored over the
+	// lines the last write-back left. Store is the full write-back that
+	// drops nothing from the cache.
+	blocks := span / morph.Arity
+	if n := testing.AllocsPerRun(50, func() {
+		for b := 0; b < blocks; b++ {
+			if err := m.Write(uint64(b*morph.Arity)*LineBytes, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Store()
+	}); n != 0 {
+		t.Errorf("writing and writing back %d resident counter blocks allocates %v times, want 0", blocks, n)
+	}
+	if st := m.Stats(); st.Increments[1] < uint64(50*blocks) {
+		t.Fatalf("%d level-1 increments: the write-backs being counted did not happen", st.Increments[1])
+	}
+
 	// First writes: the store keeps a new ciphertext (and, once per 128
-	// lines, a new counter line and its decoded block).
+	// lines, a new decoded counter block; its line is stored at write-back).
 	fresh := uint64(span)
 	if n := testing.AllocsPerRun(500, func() {
 		if err := m.Write(fresh*LineBytes, line); err != nil {

@@ -42,6 +42,30 @@ func BenchmarkWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkWriteBack is the other half of a write's cost, the half that moved
+// off the write path: each iteration rewrites the 128 lines of one leaf
+// counter block and then flushes, which seals and stores that block and the
+// level-1 block above it — what a write used to do 128 times over. The
+// geometry is the benchmark's: two counter levels under the root.
+func BenchmarkWriteBack(b *testing.B) {
+	morph := counters.MorphSpec(true)
+	m, err := New(Config{MemoryBytes: 32 << 20, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := make([]byte, LineBytes)
+	b.ReportAllocs()
+	b.SetBytes(int64(morph.Arity) * LineBytes)
+	for i := 0; i < b.N; i++ {
+		for d := 0; d < morph.Arity; d++ {
+			if err := m.Write(uint64(d)*LineBytes, l); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m.FlushMetadataCache()
+	}
+}
+
 func BenchmarkReadWarm(b *testing.B) {
 	m := benchMemory(b, counters.MorphSpec(true), []counters.Spec{counters.MorphSpec(true)})
 	l := make([]byte, LineBytes)

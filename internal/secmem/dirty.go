@@ -20,7 +20,7 @@ import "fmt"
 // DirtyLine is one modified line captured by CollectDirty: Level -1 is a
 // data line (Line = ciphertext, MAC set), levels 0..root-1 are stored
 // counter lines, and Level == root is the on-chip root's encoding (always
-// included — it changes on every write and anchors verification).
+// included — it anchors verification).
 type DirtyLine struct {
 	Level int32
 	Index uint64
@@ -51,6 +51,9 @@ func (m *Memory) initDirty() {
 func (m *Memory) CollectDirty(fn func(DirtyLine)) uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Dirty counter blocks are written back first (see Store), so the cut
+	// holds sealed lines only and the root that anchors them.
+	_ = m.settle(0)
 	cut := m.dirtyCur
 	m.dirtyCur++
 	fn(DirtyLine{Level: int32(m.geom.RootLevel()), Line: m.root.Encode()})
@@ -88,6 +91,7 @@ func (m *Memory) CommitDirty(cut uint32) {
 func (m *Memory) ResetDirty() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_ = m.settle(0) // a no-op after the snapshot's own write-back
 	m.dirtyCur++
 	m.dirtyFloor = m.dirtyCur
 }
@@ -98,6 +102,7 @@ func (m *Memory) ResetDirty() {
 func (m *Memory) DirtyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_ = m.settle(0) // as CollectDirty will
 	n := 0
 	for _, stamps := range m.dirtyCtr {
 		for _, s := range stamps {
@@ -123,6 +128,9 @@ func (m *Memory) DirtyCount() int {
 func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.settle(0); err != nil {
+		return err
+	}
 	switch {
 	case level == int32(m.geom.RootLevel()):
 		if len(line) != LineBytes {
@@ -133,7 +141,7 @@ func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64
 			return fmt.Errorf("secmem: delta root: %w", err)
 		}
 		m.root = blk
-		m.flushMetadataCache()
+		return m.flushMetadataCache()
 	case level == -1:
 		if idx >= m.geom.DataLines {
 			return fmt.Errorf("secmem: delta data line %d beyond capacity %d", idx, m.geom.DataLines)

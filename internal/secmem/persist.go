@@ -25,6 +25,9 @@ const (
 func (m *Memory) Save(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if err := m.settle(0); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(persistMagic); err != nil {
 		return fmt.Errorf("secmem: save: %w", err)
@@ -130,6 +133,7 @@ func (m *Memory) CommitRestore(st *Staged) {
 	m.store = fresh.store
 	m.root = fresh.root
 	m.trusted = fresh.trusted
+	m.wb = fresh.wb // blocks dirty in the replaced state are dropped with it
 	m.dirtyData = fresh.dirtyData
 	m.dirtyCtr = fresh.dirtyCtr
 	m.dirtyCur = fresh.dirtyCur

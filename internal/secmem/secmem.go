@@ -10,6 +10,19 @@
 // overflows by re-encrypting the affected children, and propagate updates
 // to the root. The performance simulator (internal/sim) models the same
 // machinery's timing; this package proves its security behavior.
+//
+// The cache of verified counter blocks is write-back, like the paper's
+// metadata cache: a write increments its leaf counter in the cache and marks
+// the block dirty; a write-back increments the parent's counter for the block
+// (dirtying the parent in turn), seals the block under that new value and
+// stores it. Invariant: every stored counter line is sealed under its parent's
+// current cached value for that slot, or its block is cached and dirty. Reads
+// and cold fetches consult cached values only, so verification stays exact.
+// Every dirty block is written back before a stored line or the root can be
+// seen or a cached block dropped (FlushMetadataCache, VerifyAll, Save,
+// CollectDirty, DirtyCount, Prove, RootEncoding, Store, ApplyDeltaLine), and
+// oldest first while more than dirtyBlockBound are dirty. So for l >= 1,
+// Stats.Increments[l] counts write-backs of level l-1: tree-line writes.
 package secmem
 
 import (
@@ -21,6 +34,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/aesctr"
 	"github.com/securemem/morphtree/internal/counters"
+	"github.com/securemem/morphtree/internal/invariant"
 	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
@@ -29,6 +43,11 @@ import (
 
 // LineBytes is the cacheline granularity of the engine.
 const LineBytes = 64
+
+// dirtyBlockBound is how many cached counter blocks may await write-back: the
+// paper's 128 KB metadata cache, in 64-byte lines. It bounds the stall a
+// full write-back adds to a checkpoint, whatever the memory size.
+const dirtyBlockBound = 128 << 10 / LineBytes
 
 // Config describes a secure-memory instance.
 type Config struct {
@@ -187,7 +206,7 @@ type Memory struct {
 	// and VerifyAll reseal every line under the keys that own it.
 	domains map[uint64]*Domain
 	// snapScratch[level] is bump's pre-counter-values scratch, sized to
-	// the level's arity at New. bump recurses parent-ward, so each level
+	// the level's arity at New. Arities differ by level, so each level
 	// needs its own buffer; all of bump runs under mu, so one set per
 	// Memory suffices and the steady-state increment path allocates
 	// nothing (the //morph:hotpath contract).
@@ -207,6 +226,27 @@ type Memory struct {
 	dirtyCtr   [][]uint32
 	dirtyCur   uint32
 	dirtyFloor uint32
+	// wb is the counter cache's write-back state; write evicts while more
+	// than wbBound blocks are dirty (a field only so a test can shrink it).
+	wb      writeBackState
+	wbBound int
+}
+
+// blockRef names a counter block below the root.
+type blockRef struct {
+	level int
+	idx   uint64
+}
+
+// writeBackState tracks the cached counter blocks whose stored line is stale
+// ("dirty" in the paper's sense, not the checkpoint stamps'): pending flags
+// them per level and index, and ring holds them oldest first, n of them from
+// head. err is the first write-back failure; the engine fails stop on it.
+type writeBackState struct {
+	pending [][]bool
+	ring    []blockRef
+	head, n int
+	err     error
 }
 
 // Instrument attaches obs instruments to the engine. It must be called
@@ -272,6 +312,12 @@ func New(cfg Config) (*Memory, error) {
 		m.snapScratch[i] = make([]uint64, cfg.specAt(i).Arity)
 	}
 	m.initDirty()
+	m.wbBound = dirtyBlockBound
+	m.wb.ring = make([]blockRef, dirtyBlockBound+1)
+	m.wb.pending = make([][]bool, geom.RootLevel())
+	for lvl := range m.wb.pending {
+		m.wb.pending[lvl] = make([]bool, geom.LevelEntries(lvl))
+	}
 	m.ins.Shard = -1
 	return m, nil
 }
@@ -291,8 +337,16 @@ func (c Config) specAt(level int) counters.Spec {
 // Geometry exposes the metadata layout.
 func (m *Memory) Geometry() *tree.Geometry { return m.geom }
 
-// Store exposes the untrusted backing store (the adversary's view).
-func (m *Memory) Store() *Store { return m.store }
+// Store exposes the untrusted backing store (the adversary's view), with
+// every dirty counter block written back first: what an adversary sees is
+// sealed state. A line dirtied later is overwritten at its write-back,
+// whatever was done to its stale stored copy.
+func (m *Memory) Store() *Store {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_ = m.settle(0) // a failure is kept in wb.err and fails every later op
+	return m.store
+}
 
 // Clone returns a deep copy of s: the per-level slices are reallocated, so
 // mutating the copy (or the original, under the engine's lock) never aliases
@@ -356,19 +410,24 @@ func (m *Memory) Stats() Stats {
 	return m.stats.Clone()
 }
 
-// FlushMetadataCache drops every verified counter line below the root, so
-// subsequent accesses re-fetch and re-verify from untrusted storage. Attack
-// simulations use this to model a cold metadata cache.
+// FlushMetadataCache writes back every dirty counter line and drops every
+// verified one below the root, so subsequent accesses re-fetch and re-verify
+// from untrusted storage. Attack simulations use this to model a cold
+// metadata cache.
 func (m *Memory) FlushMetadataCache() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushMetadataCache()
+	_ = m.flushMetadataCache() // see Store
 }
 
-func (m *Memory) flushMetadataCache() {
+func (m *Memory) flushMetadataCache() error {
+	if err := m.settle(0); err != nil {
+		return err
+	}
 	for i := range m.trusted {
 		m.trusted[i] = make(map[uint64]counters.Block)
 	}
+	return nil
 }
 
 // Path returns the (level, index) verification chain for a data line, from
@@ -396,7 +455,8 @@ func (m *Memory) checkAddr(addr uint64) error {
 }
 
 // Write encrypts and stores a 64-byte line at a line-aligned address,
-// incrementing its counter and updating the integrity tree to the root.
+// incrementing its counter in the cache; the tree above it moves when the
+// counter line is written back.
 func (m *Memory) Write(addr uint64, line []byte) error {
 	if !m.instrumented {
 		m.mu.Lock()
@@ -433,13 +493,16 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	if len(line) != LineBytes {
 		return fmt.Errorf("secmem: line must be %d bytes, got %d", LineBytes, len(line))
 	}
+	if m.wb.err != nil {
+		return m.wb.err
+	}
 	d := addr / LineBytes
 	eb, slot := m.geom.EncSlot(d)
-	if err := m.bump(0, eb, slot); err != nil {
+	blk, err := m.bump(0, eb, slot)
+	if err != nil {
 		return err
 	}
-	blk, err := m.trustedBlock(0, eb)
-	if err != nil {
+	if err := m.settle(m.wbBound); err != nil {
 		return err
 	}
 	ctr := blk.Value(slot)
@@ -496,6 +559,9 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	if err := m.checkAddr(addr); err != nil {
 		return nil, err
 	}
+	if m.wb.err != nil {
+		return nil, m.wb.err
+	}
 	d := addr / LineBytes
 	eb, slot := m.geom.EncSlot(d)
 	blk, err := m.trustedBlock(0, eb)
@@ -539,14 +605,15 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 var zeroLine [LineBytes]byte
 
 // bump increments the counter protecting child `slot` of line `idx` at
-// `level`, propagating the update to the root and handling overflows by
-// refreshing (re-encrypting or re-MACing) the affected children.
+// `level` in the cache, handling an overflow by refreshing (re-encrypting or
+// re-MACing) the affected children, and leaves the block dirty: its stored
+// line and its parent's counter for it move at write-back.
 //
 //morph:hotpath
-func (m *Memory) bump(level int, idx uint64, slot int) error {
+func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 	blk, err := m.trustedBlock(level, idx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	snapshot := m.snapScratch[level][:blk.Arity()]
 	blk.Values(snapshot)
@@ -567,20 +634,78 @@ func (m *Memory) bump(level int, idx uint64, slot int) error {
 		m.stats.FormatSwitches[level]++
 		m.ins.Tracer.Emit(obs.KindFormatSwitch, m.ins.Shard, uint64(level), idx, 0)
 	}
-	if level < m.geom.RootLevel() {
-		parent, pslot := m.geom.ParentSlot(level, idx)
-		if err := m.bump(level+1, parent, pslot); err != nil {
-			return err
-		}
+	if level < m.geom.RootLevel() && !m.wb.pending[level][idx] {
+		m.wb.pending[level][idx] = true
+		m.wb.ring[(m.wb.head+m.wb.n)%len(m.wb.ring)] = blockRef{level, idx}
+		m.wb.n++
 	}
 	if ev.Overflow {
 		// Overflow refresh retains new ciphertexts, so its allocations are
 		// inherent; it is the paper's amortized-rare slow path (DESIGN 13).
 		if err := m.refreshChildren(level, idx, blk, snapshot, slot); err != nil { //morphlint:allow hotalloc -- retains new ciphertexts; allocation is inherent
-			return err
+			return nil, err
 		}
 	}
-	return m.storeBlock(level, idx, blk)
+	return blk, nil
+}
+
+// writeBack makes a dirty block's stored line current: it increments the
+// parent's counter for the block — the paper's tree-line write, which leaves
+// the parent dirty in turn; the root never leaves the chip — then seals the
+// block under that new value and stores it.
+//
+//morph:hotpath
+func (m *Memory) writeBack(level int, idx uint64) error {
+	parent, pslot := m.geom.ParentSlot(level, idx)
+	pblk, err := m.bump(level+1, parent, pslot)
+	if err != nil {
+		return err
+	}
+	m.sealBlock(level, idx, m.trusted[level][idx], pblk.Value(pslot))
+	m.wb.pending[level][idx] = false
+	return nil
+}
+
+// settle writes dirty blocks back, oldest first, until at most keep remain;
+// a parent dirtied on the way queues behind its children. A write-back fails
+// only on an integrity violation (a tampered sibling met while an overflow is
+// refreshed) and not every caller can return one, so the engine fails stop:
+// the error is kept and every later operation returns it.
+//
+//morph:hotpath
+func (m *Memory) settle(keep int) error {
+	var wrote []blockRef // morphdebug builds only
+	for m.wb.err == nil && m.wb.n > keep {
+		ref := m.wb.ring[m.wb.head]
+		m.wb.head = (m.wb.head + 1) % len(m.wb.ring)
+		m.wb.n--
+		m.wb.err = m.writeBack(ref.level, ref.idx)
+		if invariant.Enabled {
+			wrote = append(wrote, ref)
+		}
+	}
+	if m.wb.err == nil {
+		m.assertSealed(wrote) //morphlint:allow hotalloc -- wrote is nil unless assertions are compiled in
+	}
+	return m.wb.err
+}
+
+// assertSealed checks the write-back invariant on the lines a settle wrote,
+// which no adversary has touched since: each still verifies under its
+// parent's cached value now, whatever later write-backs did to the parent,
+// unless it is dirty again.
+func (m *Memory) assertSealed(wrote []blockRef) {
+	for _, ref := range wrote {
+		if m.wb.pending[ref.level][ref.idx] {
+			continue
+		}
+		parent, pslot := m.geom.ParentSlot(ref.level, ref.idx)
+		pblk, err := m.trustedBlock(ref.level+1, parent)
+		if err == nil {
+			_, err = m.walker.DecodeVerify(ref.level, ref.idx, m.store.levels[ref.level][ref.idx], pblk.Value(pslot))
+		}
+		invariant.Assertf(err == nil, "secmem: level-%d line %d is not sealed under its parent after its write-back: %v", ref.level, ref.idx, err)
+	}
 }
 
 // refreshChildren re-encrypts (level 0) or re-MACs (level >= 1) every child
@@ -599,6 +724,9 @@ func (m *Memory) refreshChildren(level int, idx uint64, blk counters.Block, snap
 		child := idx*arity + uint64(i)
 		if i == skip || child >= childEntries || blk.Value(i) == snapshot[i] {
 			continue
+		}
+		if level > 0 && m.wb.pending[level-1][child] {
+			continue // its write-back seals it under the value the parent has then
 		}
 		if level == 0 {
 			if err := m.reencryptData(child, snapshot[i], blk.Value(i)); err != nil {
@@ -655,16 +783,19 @@ func (m *Memory) remacChild(level int, idx uint64, oldParent, newParent uint64) 
 	blk, ok := m.trusted[level][idx]
 	if !ok {
 		raw, present := m.store.levels[level][idx]
-		if !present {
-			// Never-written child: materialize a fresh block so its
-			// now non-zero parent counter stays consistent.
-			blk = m.cfg.specAt(level).New()
-		} else {
+		switch {
+		case present:
 			var err error
 			blk, err = m.decodeAndVerify(level, idx, raw, oldParent)
 			if err != nil {
 				return err
 			}
+		case oldParent != 0:
+			return &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
+		default:
+			// Never-written child: materialize a fresh block so its
+			// now non-zero parent counter stays consistent.
+			blk = m.cfg.specAt(level).New()
 		}
 		m.trusted[level][idx] = blk
 	}
@@ -731,23 +862,6 @@ func integrityFromMismatch(err error) error {
 		return &IntegrityError{Level: me.Level, Index: me.Index, Reason: me.Reason}
 	}
 	return err
-}
-
-// storeBlock seals a block with its parent's current counter value and
-// writes it to untrusted storage. The root never leaves the chip.
-//
-//morph:hotpath
-func (m *Memory) storeBlock(level int, idx uint64, blk counters.Block) error {
-	if level == m.geom.RootLevel() {
-		return nil
-	}
-	parent, pslot := m.geom.ParentSlot(level, idx)
-	pblk, err := m.trustedBlock(level+1, parent)
-	if err != nil {
-		return err
-	}
-	m.sealBlock(level, idx, blk, pblk.Value(pslot))
-	return nil
 }
 
 // sealBlock computes a block's MAC under parentValue and persists it. The
@@ -828,6 +942,9 @@ func (m *Memory) Prove(addr uint64) (line []byte, lineMAC uint64, chain [][]byte
 	if err := m.checkAddr(addr); err != nil {
 		return nil, 0, nil, nil, err
 	}
+	if err := m.settle(0); err != nil {
+		return nil, 0, nil, nil, err
+	}
 	d := addr / LineBytes
 	if ct, ok := m.store.data[d]; ok {
 		line = bytes.Clone(ct)
@@ -849,6 +966,7 @@ func (m *Memory) Prove(addr uint64) (line []byte, lineMAC uint64, chain [][]byte
 func (m *Memory) RootEncoding() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	_ = m.settle(0) // see Store
 	return m.root.Encode()
 }
 
@@ -857,7 +975,9 @@ func (m *Memory) RootEncoding() []byte {
 func (m *Memory) VerifyAll() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.flushMetadataCache()
+	if err := m.flushMetadataCache(); err != nil {
+		return err
+	}
 	for d := range m.store.data {
 		// Verify each line under the domain that owns it, so a store
 		// holding several tenants' lines still verifies end to end.

@@ -462,10 +462,22 @@ func TestStatsShape(t *testing.T) {
 	if st.Writes != 1 {
 		t.Fatalf("writes = %d", st.Writes)
 	}
-	// Write-through propagation: one increment at every level.
+	// Write-back propagation: the write increments the leaf counter only;
+	// the levels above move when the lines below them are written back.
+	for lvl := 0; lvl <= m.Geometry().RootLevel(); lvl++ {
+		want := uint64(0)
+		if lvl == 0 {
+			want = 1
+		}
+		if st.Increments[lvl] != want {
+			t.Fatalf("level %d increments before write-back = %d, want %d", lvl, st.Increments[lvl], want)
+		}
+	}
+	m.FlushMetadataCache()
+	st = m.Stats()
 	for lvl := 0; lvl <= m.Geometry().RootLevel(); lvl++ {
 		if st.Increments[lvl] != 1 {
-			t.Fatalf("level %d increments = %d, want 1", lvl, st.Increments[lvl])
+			t.Fatalf("level %d increments after write-back = %d, want 1", lvl, st.Increments[lvl])
 		}
 	}
 	// Stats must be a copy.
