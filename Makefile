@@ -35,20 +35,25 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # The engine's three kernels — counter-line codec, line MAC, secmem
-# read/write — as go-test benchmarks: the before/after rows of a change to
+# read/write — and its store (a sharded prefill, a sparse dirty collection, a
+# cache flush) as go-test benchmarks: the before/after rows of a change to
 # any of them are this command on each commit.
 perf-engine:
-	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC' -benchmem -count 5 \
+	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache' -benchmem -count 5 \
 		./internal/secmem ./internal/counters ./internal/mac
+	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 
-# Ten seconds of each fuzz target over the counter-line codec: the decoders
+# Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that
-# must agree with the bit-serial reference on every input.
+# must agree with the bit-serial reference on every input — and over the
+# store's line table against the map model it replaced.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for target in $$($(GO) test -list '^Fuzz' ./internal/counters | grep '^Fuzz'); do \
-		echo "fuzz $$target"; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/counters || exit 1; \
+	@for pkg in ./internal/counters ./internal/secmem; do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
 	done
 
 bin/morphserve: $(shell find cmd/morphserve internal/server internal/shard internal/wire internal/secmem internal/tenant -name '*.go' -not -name '*_test.go' 2>/dev/null)
@@ -79,8 +84,8 @@ crash-smoke: bin/morphcrash
 # Incremental-checkpoint smoke test, race-built: the delta/compaction
 # crash windows and delta tamper probe, crash recovery measured at two
 # state sizes (failing if the delta path's replay scales with total
-# history instead of the dirty tail, or the wall-clock win at a small
-# dirty fraction drops below 5x), and the background-checkpointer
+# history instead of the dirty tail, or is slower than full replay at a
+# small dirty fraction), and the background-checkpointer
 # write-p99 stall gate.
 ckpt-smoke:
 	$(GO) build -race -o bin/morphcrash.race ./cmd/morphcrash

@@ -272,6 +272,14 @@ type Memory struct {
 	sigMu sync.Mutex
 	sigCh chan struct{}
 
+	// The SyncInterval flusher sleeps until a write journals a record it
+	// has not synced: unsynced is set by the first such write, which also
+	// rings wake (one slot; nil under the other policies). flushCycles
+	// counts the flusher's wake-ups.
+	unsynced    atomic.Bool
+	wake        chan struct{}
+	flushCycles atomic.Uint64
+
 	closed atomic.Bool
 	stopc  chan struct{}
 	wg     sync.WaitGroup
@@ -434,6 +442,12 @@ func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 	}
 	applyErr := m.sh.Write(addr, line)
 	c.mu.Unlock()
+	if m.wake != nil && !m.unsynced.Load() && m.unsynced.CompareAndSwap(false, true) {
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
 	if applyErr != nil {
 		// The record is journaled but the engine refused it (which, with
 		// address and length validated above, means live-state tampering).
@@ -534,23 +548,42 @@ func (c *committer) appendAuditLocked(m *Memory) error {
 	return nil
 }
 
-// flusher is the SyncInterval background goroutine.
+// startFlusher starts the SyncInterval background goroutine.
+func (m *Memory) startFlusher() {
+	m.stopc = make(chan struct{})
+	m.wake = make(chan struct{}, 1)
+	m.wg.Add(1)
+	go m.flusher()
+}
+
+// flusher parks until a write rings wake, syncs Interval later — so a write
+// is durable within Interval plus one fsync, as under a ticker — and parks
+// again: an idle store costs no wake-ups. unsynced is cleared before the LSNs
+// are read, so a write that finds it still set was journaled before this
+// cycle reads its shard and is covered by it; one that finds it clear rings.
 func (m *Memory) flusher() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.Interval)
-	defer t.Stop()
 	for {
 		select {
 		case <-m.stopc:
 			return
+		case <-m.wake:
+		}
+		m.flushCycles.Add(1)
+		t := time.NewTimer(m.cfg.Interval)
+		select {
+		case <-m.stopc:
+			t.Stop()
+			return
 		case <-t.C:
-			for _, c := range m.commits {
-				c.mu.Lock()
-				lsn := c.lsn
-				c.mu.Unlock()
-				if err := c.syncTo(m, lsn); err != nil {
-					m.setBgErr(err)
-				}
+		}
+		m.unsynced.Store(false)
+		for _, c := range m.commits {
+			c.mu.Lock()
+			lsn := c.lsn
+			c.mu.Unlock()
+			if err := c.syncTo(m, lsn); err != nil {
+				m.setBgErr(err)
 			}
 		}
 	}

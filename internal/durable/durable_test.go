@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
@@ -551,4 +552,41 @@ func TestSnapshotPathNames(t *testing.T) {
 		t.Fatal("parseSeq accepted garbage")
 	}
 	_ = fmt.Sprintf
+}
+
+// The interval flusher parks while nothing is journaled — an idle store makes
+// no wake-ups, where a 2 ms ticker made fifty in this time — and a write
+// still becomes durable within the interval plus an fsync.
+func TestIntervalFlusherIdlesAndStillSyncs(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 1<<13)
+	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: 2 * time.Millisecond})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	time.Sleep(100 * time.Millisecond)
+	if n := m.flushCycles.Load(); n != 0 {
+		t.Fatalf("idle for 100ms: the flusher woke %d times, want 0", n)
+	}
+	durable := m.DurableSignal()
+	idx, lsn, err := m.WriteLSN(3*LineBytes, fill(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-durable:
+	case <-time.After(5 * time.Second): // the bound is 2ms plus an fsync; this is a hang guard
+		t.Fatal("a write under SyncInterval was never synced")
+	}
+	if got := m.SyncedLSNs()[idx]; got < lsn {
+		t.Fatalf("shard %d synced to LSN %d after the durable signal, the write is LSN %d", idx, got, lsn)
+	}
+	if n := m.flushCycles.Load(); n != 1 {
+		t.Fatalf("one write: the flusher woke %d times, want 1", n)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := m.flushCycles.Load(); n != 1 {
+		t.Fatalf("idle again: the flusher woke %d times in all, want still 1", n)
+	}
 }

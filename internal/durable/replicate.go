@@ -327,9 +327,7 @@ func InstallSnapshot(shcfg shard.Config, cfg Config, blob io.Reader, marks []uin
 	}
 	m.checkpoints.Add(1)
 	if cfg.Sync == SyncInterval {
-		m.stopc = make(chan struct{})
-		m.wg.Add(1)
-		go m.flusher()
+		m.startFlusher()
 	}
 	return m, nil
 }

@@ -627,9 +627,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	}
 
 	if cfg.Sync == SyncInterval {
-		m.stopc = make(chan struct{})
-		m.wg.Add(1)
-		go m.flusher()
+		m.startFlusher()
 	}
 	info.Elapsed = time.Since(start)
 	m.recoveryUS.Store(uint64(info.Elapsed.Microseconds()))

@@ -10,9 +10,8 @@ import (
 
 // The engine's allocation contract, as counts: a warm read allocates the
 // plaintext it returns and nothing else; a write allocates only what the
-// store retains, which for a line written before is nothing; and writing
-// dirty counter blocks back, once their lines exist in the store, allocates
-// nothing either. morphlint's hotalloc checks the same functions statically
+// store retains, which is a chunk on a page's first write and otherwise
+// nothing; and writing dirty counter blocks back allocates nothing either. morphlint's hotalloc checks the same functions statically
 // but cannot see into bytes.Clone, the one allocation they are allowed; this
 // pins the number.
 func TestHotPathAllocations(t *testing.T) {
@@ -75,15 +74,32 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Fatalf("%d level-1 increments: the write-backs being counted did not happen", st.Increments[1])
 	}
 
-	// First writes: the store keeps a new ciphertext (and, once per 128
-	// lines, a new decoded counter block; its line is stored at write-back).
-	fresh := uint64(span)
-	if n := testing.AllocsPerRun(500, func() {
-		if err := m.Write(fresh*LineBytes, line); err != nil {
+	// First writes into a new page allocate its chunk and nothing else; the
+	// other 63 lines of the page then cost nothing. The measured writes go to
+	// odd pages whose even neighbours are written first, so the counter block
+	// the two share (and the directory above them) already exists.
+	page := uint64(span / chunkLines)
+	for p := page; p < page+2*502; p += 2 {
+		if err := m.Write(p*chunkLines*LineBytes, line); err != nil {
 			t.Fatal(err)
 		}
-		fresh++
-	}); n > 3 {
-		t.Errorf("first Write of a line allocates %v times, want at most 3", n)
+	}
+	page++
+	if n := testing.AllocsPerRun(500, func() {
+		if err := m.Write(page*chunkLines*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+		page += 2
+	}); n != 1 {
+		t.Errorf("first Write into a new page allocates %v times, want exactly 1 (its chunk)", n)
+	}
+	fresh := uint64(span+1) * LineBytes // the second line of a page written above
+	if n := testing.AllocsPerRun(60, func() {
+		if err := m.Write(fresh, line); err != nil {
+			t.Fatal(err)
+		}
+		fresh += LineBytes
+	}); n != 0 {
+		t.Errorf("first Write of a line in a resident page allocates %v times, want 0", n)
 	}
 }

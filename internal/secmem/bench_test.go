@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"github.com/securemem/morphtree/internal/counters"
 )
@@ -176,4 +177,75 @@ func (b *writerBuffer) Read(p []byte) (int, error) {
 	n := copy(p, b.data[b.pos:])
 	b.pos += n
 	return n, nil
+}
+
+// BenchmarkCollectDirtySparse is a checkpoint's view of a large, mostly idle
+// engine: 1 GiB protected, 1 000 lines (and their counter lines) dirty. Both
+// calls used to scan a stamp per line of capacity; now they visit the chunks
+// that hold something and skip those untouched since the last collection.
+func BenchmarkCollectDirtySparse(b *testing.B) {
+	morph := counters.MorphSpec(true)
+	m, err := New(Config{MemoryBytes: 1 << 30, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := make([]byte, LineBytes)
+	const dirty, stride = 1000, 16411 // a prime number of lines: every write its own page
+	for i := uint64(0); i < dirty; i++ {
+		if err := m.Write(i*stride*LineBytes, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("CollectDirty", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			m.CollectDirty(func(DirtyLine) { n++ }) // never committed: the same lines every time
+			if n < dirty {
+				b.Fatalf("collected %d lines, want at least %d", n, dirty)
+			}
+		}
+	})
+	b.Run("DirtyCount", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if n := m.DirtyCount(); n < dirty {
+				b.Fatalf("%d lines dirty, want at least %d", n, dirty)
+			}
+		}
+	})
+}
+
+// BenchmarkFlushMetadataCache is a full cold pass over the benchmark's span:
+// 256 counter blocks fetched and verified into the cache, then dropped. The
+// flush-ns metric is the drop alone — clearing the chunks that cached
+// something, where there used to be a new map per level and the old ones left
+// to the collector.
+func BenchmarkFlushMetadataCache(b *testing.B) {
+	morph := counters.MorphSpec(true)
+	m, err := New(Config{MemoryBytes: 32 << 20, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := make([]byte, LineBytes)
+	const span = 1 << 15
+	for d := uint64(0); d < span; d++ {
+		if err := m.Write(d*LineBytes, l); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.FlushMetadataCache()
+	var flushing time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for d := uint64(0); d < span; d += uint64(morph.Arity) {
+			if _, err := m.Read(d * LineBytes); err != nil {
+				b.Fatal(err)
+			}
+		}
+		start := time.Now()
+		m.FlushMetadataCache()
+		flushing += time.Since(start)
+	}
+	b.ReportMetric(float64(flushing.Nanoseconds())/float64(b.N), "flush-ns")
 }

@@ -139,7 +139,7 @@ func TestReplayedWritesMatchParentSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine, theirs := m.Store(), parent.Store()
+	mine, theirs := modelOf(m.Store()), modelOf(parent.Store())
 	if len(mine.data) != len(theirs.data) || len(mine.levels[0]) != len(theirs.levels[0]) {
 		t.Fatalf("%d data and %d counter lines stored, parent stored %d and %d",
 			len(mine.data), len(mine.levels[0]), len(theirs.data), len(theirs.levels[0]))

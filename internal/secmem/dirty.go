@@ -1,14 +1,17 @@
 package secmem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // Dirty-line tracking: every store mutation stamps the line with the
 // engine's current dirty epoch, so an incremental checkpoint can collect
-// exactly the lines modified since the last committed collection. The
-// stamps are preallocated flat arrays indexed by line number — the write
-// path cost is one slice store, no allocation, no branch on a map — which
-// keeps the //morph:hotpath contract intact (see internal/ckpt and
-// DESIGN.md §17).
+// exactly the lines modified since the last committed collection. A stamp
+// lives in its line's chunk, which also keeps the newest of its 64: a write
+// pays two stores into a chunk it is writing anyway, and a collection skips
+// every chunk untouched since the last one, so its work scales with the
+// dirty state, not the capacity (see internal/ckpt and DESIGN.md §17).
 //
 // The protocol is two-phase so a failed checkpoint never loses dirt:
 // CollectDirty snapshots the dirty set under the engine lock and advances
@@ -16,6 +19,9 @@ import "fmt"
 // collection), but the floor only moves when CommitDirty confirms the
 // delta reached stable storage. A crash or write error between the two
 // re-collects the same lines next time.
+
+// firstEpoch is a new engine's dirty epoch: a line stamped 0 is always clean.
+const firstEpoch uint32 = 1
 
 // DirtyLine is one modified line captured by CollectDirty: Level -1 is a
 // data line (Line = ciphertext, MAC set), levels 0..root-1 are stored
@@ -26,18 +32,6 @@ type DirtyLine struct {
 	Index uint64
 	Line  []byte
 	MAC   uint64
-}
-
-// initDirty sizes the stamp arrays from the geometry. Epoch 0 means
-// never-written (clean); the live epoch starts at 1.
-func (m *Memory) initDirty() {
-	m.dirtyData = make([]uint32, m.geom.DataLines)
-	m.dirtyCtr = make([][]uint32, m.geom.RootLevel())
-	for lvl := range m.dirtyCtr {
-		m.dirtyCtr[lvl] = make([]uint32, m.geom.LevelEntries(lvl))
-	}
-	m.dirtyCur = 1
-	m.dirtyFloor = 1
 }
 
 // CollectDirty captures a copy of every line modified since the last
@@ -57,22 +51,14 @@ func (m *Memory) CollectDirty(fn func(DirtyLine)) uint32 {
 	cut := m.dirtyCur
 	m.dirtyCur++
 	fn(DirtyLine{Level: int32(m.geom.RootLevel()), Line: m.root.Encode()})
-	for lvl, stamps := range m.dirtyCtr {
-		for idx, s := range stamps {
-			if s < m.dirtyFloor {
-				continue
-			}
-			raw := m.store.levels[lvl][uint64(idx)]
-			fn(DirtyLine{Level: int32(lvl), Index: uint64(idx), Line: append([]byte(nil), raw...)})
-		}
+	for lvl, level := range m.store.levels {
+		level.dirty(m.dirtyFloor, func(idx uint64, c *chunk[ctrExt], i uint64) {
+			fn(DirtyLine{Level: int32(lvl), Index: idx, Line: bytes.Clone(c.get(i))})
+		})
 	}
-	for idx, s := range m.dirtyData {
-		if s < m.dirtyFloor {
-			continue
-		}
-		d := uint64(idx)
-		fn(DirtyLine{Level: -1, Index: d, Line: append([]byte(nil), m.store.data[d]...), MAC: m.store.dataMAC[d]})
-	}
+	m.store.data.dirty(m.dirtyFloor, func(d uint64, c *chunk[dataExt], i uint64) {
+		fn(DirtyLine{Level: -1, Index: d, Line: bytes.Clone(c.get(i)), MAC: c.ext.mac[i]})
+	})
 	return cut
 }
 
@@ -104,17 +90,9 @@ func (m *Memory) DirtyCount() int {
 	defer m.mu.Unlock()
 	_ = m.settle(0) // as CollectDirty will
 	n := 0
-	for _, stamps := range m.dirtyCtr {
-		for _, s := range stamps {
-			if s >= m.dirtyFloor {
-				n++
-			}
-		}
-	}
-	for _, s := range m.dirtyData {
-		if s >= m.dirtyFloor {
-			n++
-		}
+	m.store.data.dirty(m.dirtyFloor, func(uint64, *chunk[dataExt], uint64) { n++ })
+	for _, level := range m.store.levels {
+		level.dirty(m.dirtyFloor, func(uint64, *chunk[ctrExt], uint64) { n++ })
 	}
 	return n
 }
@@ -131,11 +109,11 @@ func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64
 	if err := m.settle(0); err != nil {
 		return err
 	}
+	if len(line) != LineBytes {
+		return fmt.Errorf("secmem: delta level-%d line is %d bytes, want %d", level, len(line), LineBytes)
+	}
 	switch {
 	case level == int32(m.geom.RootLevel()):
-		if len(line) != LineBytes {
-			return fmt.Errorf("secmem: delta root line is %d bytes, want %d", len(line), LineBytes)
-		}
 		blk, err := m.cfg.specAt(m.geom.RootLevel()).Decode(line)
 		if err != nil {
 			return fmt.Errorf("secmem: delta root: %w", err)
@@ -146,17 +124,14 @@ func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64
 		if idx >= m.geom.DataLines {
 			return fmt.Errorf("secmem: delta data line %d beyond capacity %d", idx, m.geom.DataLines)
 		}
-		if len(line) != LineBytes {
-			return fmt.Errorf("secmem: delta data line is %d bytes, want %d", len(line), LineBytes)
-		}
-		m.store.data[idx] = append([]byte(nil), line...)
-		m.store.dataMAC[idx] = mac
+		m.store.SetDataLine(idx, line)
+		m.store.SetDataMAC(idx, mac)
 	case level >= 0 && int(level) < m.geom.RootLevel():
 		if idx >= m.geom.LevelEntries(int(level)) {
 			return fmt.Errorf("secmem: delta level-%d line %d beyond level size %d", level, idx, m.geom.LevelEntries(int(level)))
 		}
-		m.store.levels[level][idx] = append([]byte(nil), line...)
-		delete(m.trusted[level], idx)
+		m.store.SetCounterLine(int(level), idx, line)
+		m.store.levels[level].at(idx).ext.blk[idx%chunkLines] = nil
 	default:
 		return fmt.Errorf("secmem: delta line level %d out of range", level)
 	}

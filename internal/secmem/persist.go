@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Persistence: Save serializes a secure memory's complete state — the
@@ -51,24 +50,15 @@ func (m *Memory) Save(w io.Writer) error {
 		return err
 	}
 	for _, level := range m.store.levels {
-		if err := writeLineMap(bw, level); err != nil {
+		if err := level.save(bw, noTail); err != nil {
 			return err
 		}
 	}
 	// Data lines with their MACs.
-	if err := writeU64(bw, uint64(len(m.store.data))); err != nil {
+	if err := m.store.data.save(bw, func(c *chunk[dataExt], i uint64) error {
+		return writeU64(bw, c.ext.mac[i])
+	}); err != nil {
 		return err
-	}
-	for _, idx := range sortedKeys(m.store.data) {
-		if err := writeU64(bw, idx); err != nil {
-			return err
-		}
-		if _, err := bw.Write(m.store.data[idx]); err != nil {
-			return fmt.Errorf("secmem: save data: %w", err)
-		}
-		if err := writeU64(bw, m.store.dataMAC[idx]); err != nil {
-			return err
-		}
 	}
 	return bw.Flush()
 }
@@ -81,7 +71,7 @@ func Load(cfg Config, r io.Reader) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.restoreInto(r); err != nil {
+	if err := m.restoreInto(r, 0); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -117,14 +107,14 @@ func (m *Memory) StageRestore(r io.Reader) (*Staged, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fresh.restoreInto(r); err != nil {
+	if err := fresh.restoreInto(r, firstEpoch); err != nil {
 		return nil, err
 	}
 	return &Staged{fresh: fresh}, nil
 }
 
-// CommitRestore atomically adopts staged state. Every adopted line is
-// stamped dirty: installed state is not covered by this engine's local
+// CommitRestore atomically adopts staged state. Every adopted line was
+// staged dirty: installed state is not covered by this engine's local
 // checkpoint chain, so the next incremental checkpoint must capture it in
 // full (a post-install full snapshot resets the stamps as usual).
 func (m *Memory) CommitRestore(st *Staged) {
@@ -132,26 +122,15 @@ func (m *Memory) CommitRestore(st *Staged) {
 	m.mu.Lock()
 	m.store = fresh.store
 	m.root = fresh.root
-	m.trusted = fresh.trusted
-	m.wb = fresh.wb // blocks dirty in the replaced state are dropped with it
-	m.dirtyData = fresh.dirtyData
-	m.dirtyCtr = fresh.dirtyCtr
+	m.wb = fresh.wb // blocks cached or dirty in the replaced state are dropped with it
 	m.dirtyCur = fresh.dirtyCur
 	m.dirtyFloor = fresh.dirtyFloor
-	for idx := range m.store.data {
-		m.dirtyData[idx] = m.dirtyCur
-	}
-	for lvl, level := range m.store.levels {
-		for idx := range level {
-			m.dirtyCtr[lvl][idx] = m.dirtyCur
-		}
-	}
 	m.mu.Unlock()
 }
 
-// restoreInto decodes a Save stream into m's store, root, and trusted
-// cache. Callers must own m exclusively (a fresh engine not yet shared).
-func (m *Memory) restoreInto(r io.Reader) error {
+// restoreInto decodes a Save stream into m's store and root, every line
+// stamped stamp (0 = clean). Callers must own m exclusively (a fresh engine).
+func (m *Memory) restoreInto(r io.Reader, stamp uint32) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(persistMagic))
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != persistMagic {
@@ -195,34 +174,15 @@ func (m *Memory) restoreInto(r io.Reader) error {
 	if numLevels != uint64(len(m.store.levels)) {
 		return fmt.Errorf("secmem: load: %d levels, want %d", numLevels, len(m.store.levels))
 	}
-	for lvl := range m.store.levels {
-		entries, err := readLineMap(br)
-		if err != nil {
+	for lvl, level := range m.store.levels {
+		if err := level.load(br, m.geom.LevelEntries(lvl), stamp, noTail); err != nil {
 			return err
 		}
-		m.store.levels[lvl] = entries
 	}
-	numData, err := readU64(br)
-	if err != nil {
+	return m.store.data.load(br, m.geom.DataLines, stamp, func(c *chunk[dataExt], i uint64) (err error) {
+		c.ext.mac[i], err = readU64(br)
 		return err
-	}
-	for i := uint64(0); i < numData; i++ {
-		idx, err := readU64(br)
-		if err != nil {
-			return err
-		}
-		line := make([]byte, LineBytes)
-		if _, err := io.ReadFull(br, line); err != nil {
-			return fmt.Errorf("secmem: load data: %w", err)
-		}
-		mac, err := readU64(br)
-		if err != nil {
-			return err
-		}
-		m.store.data[idx] = line
-		m.store.dataMAC[idx] = mac
-	}
-	return nil
+	})
 }
 
 // configFingerprint names the counter organization (keys excluded).
@@ -234,53 +194,54 @@ func (m *Memory) configFingerprint() string {
 	return fmt.Sprintf("%s@%d", fp, m.keyer.Width())
 }
 
-func writeLineMap(w io.Writer, lines map[uint64][]byte) error {
-	if err := writeU64(w, uint64(len(lines))); err != nil {
+// save writes how many lines t stores, then each in index order as its index,
+// its bytes and whatever tail adds (a data line's MAC).
+func (t table[X]) save(w io.Writer, tail func(c *chunk[X], i uint64) error) error {
+	n := uint64(0)
+	_ = t.stored(func(uint64, *chunk[X], uint64) error { n++; return nil })
+	if err := writeU64(w, n); err != nil {
 		return err
 	}
-	keys := make([]uint64, 0, len(lines))
-	for k := range lines {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if err := writeU64(w, k); err != nil {
+	return t.stored(func(idx uint64, c *chunk[X], i uint64) error {
+		if err := writeU64(w, idx); err != nil {
 			return err
 		}
-		if _, err := w.Write(lines[k]); err != nil {
+		if _, err := w.Write(c.line[i][:]); err != nil {
 			return fmt.Errorf("secmem: save line: %w", err)
+		}
+		return tail(c, i)
+	})
+}
+
+// noTail is save's and load's tail for counter lines, which are all line.
+func noTail(*chunk[ctrExt], uint64) error { return nil }
+
+// load reads what save wrote into t, which holds entries lines, stamping each
+// with a dirty epoch. An index beyond the table is an error: input is untrusted.
+func (t table[X]) load(r io.Reader, entries uint64, stamp uint32, tail func(c *chunk[X], i uint64) error) error {
+	n, err := readU64(r)
+	if err != nil {
+		return err
+	}
+	for ; n > 0; n-- {
+		idx, err := readU64(r)
+		if err != nil {
+			return err
+		}
+		if idx >= entries {
+			return fmt.Errorf("secmem: load: line %d beyond the %d its level holds", idx, entries)
+		}
+		c, i := t.grow(idx), idx%chunkLines
+		if _, err := io.ReadFull(r, c.line[i][:]); err != nil {
+			return fmt.Errorf("secmem: load line: %w", err)
+		}
+		c.has |= 1 << i
+		c.mark(i, stamp)
+		if err := tail(c, i); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-func readLineMap(r io.Reader) (map[uint64][]byte, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[uint64][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
-		line := make([]byte, LineBytes)
-		if _, err := io.ReadFull(r, line); err != nil {
-			return nil, fmt.Errorf("secmem: load line: %w", err)
-		}
-		out[k] = line
-	}
-	return out, nil
-}
-
-func sortedKeys(m map[uint64][]byte) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 func writeU64(w io.Writer, v uint64) error {

@@ -23,6 +23,12 @@
 // CollectDirty, DirtyCount, Prove, RootEncoding, Store, ApplyDeltaLine), and
 // oldest first while more than dirtyBlockBound are dirty. So for l >= 1,
 // Stats.Increments[l] counts write-backs of level l-1: tree-line writes.
+//
+// The store (store.go) keeps lines in paged tables, 64 consecutive lines to a
+// chunk — for data one 4 KB page, the span of one MCR counter set — with their
+// MACs and dirty stamps and, for counter lines, the cached verified block
+// beside them: an access indexes where it used to hash a map, and work on the
+// store scales with the chunks touched, not with the capacity.
 package secmem
 
 import (
@@ -197,37 +203,25 @@ type Memory struct {
 	ins          Instrumentation
 	instrumented bool
 
-	mu      sync.Mutex
-	trusted []map[uint64]counters.Block // per level below root
-	root    counters.Block
-	stats   Stats
-	// domains tags each data line with the key domain that last wrote it
-	// (absent = the engine's default domain), so overflow re-encryption
-	// and VerifyAll reseal every line under the keys that own it.
-	domains map[uint64]*Domain
+	mu    sync.Mutex
+	root  counters.Block
+	stats Stats
 	// snapScratch[level] is bump's pre-counter-values scratch, sized to
 	// the level's arity at New. Arities differ by level, so each level
 	// needs its own buffer; all of bump runs under mu, so one set per
 	// Memory suffices and the steady-state increment path allocates
 	// nothing (the //morph:hotpath contract).
 	snapScratch [][]uint64
-	// lineBuf is where a line about to be stored is built — a sealed
-	// counter line, a fresh ciphertext — and plainBuf the plaintext an
-	// overflow re-encryption carries between its two pads. Everything that
-	// touches them runs under mu and is done with them before the next
-	// use, so one of each serves the whole engine and the write path
-	// allocates only what the store retains.
-	lineBuf  [LineBytes]byte
+	// plainBuf is the plaintext an overflow re-encryption carries between
+	// its two pads; lines are otherwise built where the store keeps them, so
+	// the write path allocates only a page's chunk, on its first write.
 	plainBuf [LineBytes]byte
-	// Dirty-line epoch stamps for incremental checkpoints (see dirty.go):
-	// flat per-line arrays so the write path pays one slice store. Epoch 0
-	// means never written; stamps >= dirtyFloor are dirty.
-	dirtyData  []uint32
-	dirtyCtr   [][]uint32
+	// Dirty epochs for incremental checkpoints (see dirty.go): a stored line
+	// is stamped dirtyCur; stamps >= dirtyFloor are dirty.
 	dirtyCur   uint32
 	dirtyFloor uint32
-	// wb is the counter cache's write-back state; write evicts while more
-	// than wbBound blocks are dirty (a field only so a test can shrink it).
+	// wb is the counter cache's state; write evicts while more than wbBound
+	// blocks are dirty (a field only so a test can shrink it).
 	wb      writeBackState
 	wbBound int
 }
@@ -238,12 +232,15 @@ type blockRef struct {
 	idx   uint64
 }
 
-// writeBackState tracks the cached counter blocks whose stored line is stale
-// ("dirty" in the paper's sense, not the checkpoint stamps'): pending flags
-// them per level and index, and ring holds them oldest first, n of them from
-// head. err is the first write-back failure; the engine fails stop on it.
+// writeBackState tracks the cache of verified counter blocks, which live in
+// the store's chunks beside their lines: cached lists the chunks that hold
+// any, so dropping the cache costs what was cached, not a level. Of those
+// whose stored line is stale ("dirty" in the paper's sense, not the checkpoint
+// stamps') the chunk's pending bit flags each, and ring holds them oldest
+// first, n of them from head. err is the first write-back failure; the engine
+// fails stop on it.
 type writeBackState struct {
-	pending [][]bool
+	cached  []*chunk[ctrExt]
 	ring    []blockRef
 	head, n int
 	err     error
@@ -288,18 +285,13 @@ func New(cfg Config) (*Memory, error) {
 		return nil, err
 	}
 	m := &Memory{
-		cfg:     cfg,
-		geom:    geom,
-		cipher:  cipher,
-		keyer:   keyer,
-		walker:  walker,
-		store:   newStore(geom.RootLevel()),
-		trusted: make([]map[uint64]counters.Block, geom.RootLevel()),
-		root:    cfg.specAt(geom.RootLevel()).New(),
-		domains: make(map[uint64]*Domain),
-	}
-	for i := range m.trusted {
-		m.trusted[i] = make(map[uint64]counters.Block)
+		cfg:    cfg,
+		geom:   geom,
+		cipher: cipher,
+		keyer:  keyer,
+		walker: walker,
+		store:  newStore(geom),
+		root:   cfg.specAt(geom.RootLevel()).New(),
 	}
 	levels := geom.RootLevel() + 1
 	m.stats.Increments = make([]uint64, levels)
@@ -311,13 +303,9 @@ func New(cfg Config) (*Memory, error) {
 	for i := 0; i < levels; i++ {
 		m.snapScratch[i] = make([]uint64, cfg.specAt(i).Arity)
 	}
-	m.initDirty()
+	m.dirtyCur, m.dirtyFloor = firstEpoch, firstEpoch
 	m.wbBound = dirtyBlockBound
 	m.wb.ring = make([]blockRef, dirtyBlockBound+1)
-	m.wb.pending = make([][]bool, geom.RootLevel())
-	for lvl := range m.wb.pending {
-		m.wb.pending[lvl] = make([]bool, geom.LevelEntries(lvl))
-	}
 	m.ins.Shard = -1
 	return m, nil
 }
@@ -424,9 +412,10 @@ func (m *Memory) flushMetadataCache() error {
 	if err := m.settle(0); err != nil {
 		return err
 	}
-	for i := range m.trusted {
-		m.trusted[i] = make(map[uint64]counters.Block)
+	for _, c := range m.wb.cached {
+		c.ext.blk, c.ext.listed = [chunkLines]counters.Block{}, false
 	}
+	m.wb.cached = m.wb.cached[:0]
 	return nil
 }
 
@@ -506,33 +495,37 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 		return err
 	}
 	ctr := blk.Value(slot)
-	ct := m.lineBuf[:]
+	c, i := m.store.data.grow(d), d%chunkLines //morphlint:allow hotalloc -- a page's first write allocates its chunk
+	ct := c.line[i][:]
 	if err := m.dataCipher(dom).XOR(ct, line, addr, ctr); err != nil {
 		return err
 	}
-	putLine(m.store.data, d, ct)
-	m.store.dataMAC[d] = m.dataKeyer(dom).Data(ct, ctr, addr)
-	m.dirtyData[d] = m.dirtyCur
-	if dom == nil {
-		delete(m.domains, d)
-	} else {
-		m.domains[d] = dom
-	}
+	m.sealData(c, i, m.dataKeyer(dom).Data(ct, ctr, addr), dom) //morphlint:allow hotalloc -- a tenant's first write into a page allocates its domain tags
 	m.stats.Writes++
 	return nil
 }
 
-// putLine makes lines[idx] hold a copy of line. A slot that already holds a
-// line is overwritten in place: the engine never hands out a stored buffer
-// (the Store accessors, Prove, Save and CollectDirty all copy), so nothing
-// outside the lock can be looking at it. Only a line's first write
-// allocates.
-func putLine(lines map[uint64][]byte, idx uint64, line []byte) {
-	if cur, ok := lines[idx]; ok && len(cur) == len(line) {
-		copy(cur, line)
-		return
+// sealData records the MAC and owner of data line i of c, whose ciphertext
+// was just built where it is stored: the engine hands out only copies of a
+// stored buffer, so nothing outside the lock can be looking at it.
+func (m *Memory) sealData(c *chunk[dataExt], i uint64, lineMAC uint64, dom *Domain) {
+	c.has |= 1 << i
+	c.ext.mac[i] = lineMAC
+	c.mark(i, m.dirtyCur)
+	if dom != nil && c.ext.dom == nil {
+		c.ext.dom = new([chunkLines]*Domain)
 	}
-	lines[idx] = bytes.Clone(line)
+	if c.ext.dom != nil {
+		c.ext.dom[i] = dom
+	}
+}
+
+// lineDomain returns the key domain that last wrote data line i of c.
+func lineDomain(c *chunk[dataExt], i uint64) *Domain {
+	if c == nil || c.ext.dom == nil {
+		return nil
+	}
+	return c.ext.dom[i]
 }
 
 // Read fetches, verifies and decrypts the 64-byte line at a line-aligned
@@ -569,18 +562,16 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 		return nil, err
 	}
 	ctr := blk.Value(slot)
-	ct, ok := m.store.data[d]
-	if !ok {
+	c, i := m.store.data.at(d), d%chunkLines
+	ct := c.get(i)
+	if ct == nil {
 		if ctr == 0 {
 			m.stats.Reads++
 			return bytes.Clone(zeroLine[:]), nil
 		}
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "written line missing from memory"}
 	}
-	storedMAC, ok := m.store.dataMAC[d]
-	if !ok {
-		return nil, &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch"}
-	}
+	storedMAC := c.ext.mac[i]
 	// The MAC is checked under the *requester's* domain key, so a line
 	// last sealed by any other domain fails closed right here: the
 	// cross-tenant isolation guarantee is a MAC mismatch, not an ACL.
@@ -634,10 +625,13 @@ func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 		m.stats.FormatSwitches[level]++
 		m.ins.Tracer.Emit(obs.KindFormatSwitch, m.ins.Shard, uint64(level), idx, 0)
 	}
-	if level < m.geom.RootLevel() && !m.wb.pending[level][idx] {
-		m.wb.pending[level][idx] = true
-		m.wb.ring[(m.wb.head+m.wb.n)%len(m.wb.ring)] = blockRef{level, idx}
-		m.wb.n++
+	if level < m.geom.RootLevel() {
+		// blk is cached, so its chunk exists.
+		if c, bit := m.store.levels[level].at(idx), uint64(1)<<(idx%chunkLines); c.ext.pending&bit == 0 {
+			c.ext.pending |= bit
+			m.wb.ring[(m.wb.head+m.wb.n)%len(m.wb.ring)] = blockRef{level, idx}
+			m.wb.n++
+		}
 	}
 	if ev.Overflow {
 		// Overflow refresh retains new ciphertexts, so its allocations are
@@ -661,9 +655,15 @@ func (m *Memory) writeBack(level int, idx uint64) error {
 	if err != nil {
 		return err
 	}
-	m.sealBlock(level, idx, m.trusted[level][idx], pblk.Value(pslot))
-	m.wb.pending[level][idx] = false
+	m.sealBlock(level, idx, pblk.Value(pslot))
+	m.store.levels[level].at(idx).ext.pending &^= 1 << (idx % chunkLines)
 	return nil
+}
+
+// pending reports whether a counter block is cached and awaiting write-back.
+func (m *Memory) pending(level int, idx uint64) bool {
+	c := m.store.levels[level].at(idx)
+	return c != nil && c.ext.pending>>(idx%chunkLines)&1 != 0
 }
 
 // settle writes dirty blocks back, oldest first, until at most keep remain;
@@ -696,13 +696,13 @@ func (m *Memory) settle(keep int) error {
 // unless it is dirty again.
 func (m *Memory) assertSealed(wrote []blockRef) {
 	for _, ref := range wrote {
-		if m.wb.pending[ref.level][ref.idx] {
+		if m.pending(ref.level, ref.idx) {
 			continue
 		}
 		parent, pslot := m.geom.ParentSlot(ref.level, ref.idx)
 		pblk, err := m.trustedBlock(ref.level+1, parent)
 		if err == nil {
-			_, err = m.walker.DecodeVerify(ref.level, ref.idx, m.store.levels[ref.level][ref.idx], pblk.Value(pslot))
+			_, err = m.walker.DecodeVerify(ref.level, ref.idx, m.store.levels[ref.level].at(ref.idx).get(ref.idx%chunkLines), pblk.Value(pslot))
 		}
 		invariant.Assertf(err == nil, "secmem: level-%d line %d is not sealed under its parent after its write-back: %v", ref.level, ref.idx, err)
 	}
@@ -725,7 +725,7 @@ func (m *Memory) refreshChildren(level int, idx uint64, blk counters.Block, snap
 		if i == skip || child >= childEntries || blk.Value(i) == snapshot[i] {
 			continue
 		}
-		if level > 0 && m.wb.pending[level-1][child] {
+		if level > 0 && m.pending(level-1, child) {
 			continue // its write-back seals it under the value the parent has then
 		}
 		if level == 0 {
@@ -749,14 +749,14 @@ func (m *Memory) refreshChildren(level int, idx uint64, blk counters.Block, snap
 // ciphertext, so an overflow triggered by one tenant never silently
 // re-keys a neighbor's data.
 func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
-	dom := m.domains[d]
+	c, i := m.store.data.at(d), d%chunkLines
+	dom := lineDomain(c, i)
 	cipher := m.dataCipher(dom)
 	keyer := m.dataKeyer(dom)
 	addr := d * LineBytes
 	pt := m.plainBuf[:]
-	if ct, ok := m.store.data[d]; ok {
-		storedMAC, ok := m.store.dataMAC[d]
-		if !ok || keyer.Data(ct, oldCtr, addr) != storedMAC {
+	if ct := c.get(i); ct != nil {
+		if keyer.Data(ct, oldCtr, addr) != c.ext.mac[i] {
 			return &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch during re-encryption"}
 		}
 		if err := cipher.XOR(pt, ct, addr, oldCtr); err != nil {
@@ -766,41 +766,50 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 		return &IntegrityError{Level: -1, Index: d, Reason: "written line missing during re-encryption"}
 	} else {
 		clear(pt)
+		c = m.store.data.grow(d)
 	}
-	ct := m.lineBuf[:]
+	ct := c.line[i][:]
 	if err := cipher.XOR(ct, pt, addr, newCtr); err != nil {
 		return err
 	}
-	putLine(m.store.data, d, ct)
-	m.store.dataMAC[d] = keyer.Data(ct, newCtr, addr)
-	m.dirtyData[d] = m.dirtyCur
+	m.sealData(c, i, keyer.Data(ct, newCtr, addr), dom)
 	return nil
 }
 
 // remacChild recomputes a counter line's MAC after its parent counter
 // changed in an overflow (the line's content is unchanged).
 func (m *Memory) remacChild(level int, idx uint64, oldParent, newParent uint64) error {
-	blk, ok := m.trusted[level][idx]
-	if !ok {
-		raw, present := m.store.levels[level][idx]
-		switch {
-		case present:
-			var err error
-			blk, err = m.decodeAndVerify(level, idx, raw, oldParent)
-			if err != nil {
-				return err
-			}
-		case oldParent != 0:
-			return &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
-		default:
-			// Never-written child: materialize a fresh block so its
-			// now non-zero parent counter stays consistent.
-			blk = m.cfg.specAt(level).New()
+	c, i := m.store.levels[level].at(idx), idx%chunkLines
+	if c == nil || c.ext.blk[i] == nil {
+		if _, err := m.fetchBlock(level, idx, c.get(i), oldParent); err != nil {
+			return err
 		}
-		m.trusted[level][idx] = blk
 	}
-	m.sealBlock(level, idx, blk, newParent)
+	m.sealBlock(level, idx, newParent)
 	return nil
+}
+
+// fetchBlock decodes a counter line's stored bytes, verified under its parent's
+// counter for it (which must be zero for a line never stored: that one starts
+// fresh), and caches the block beside the line, its chunk listed for the flush.
+func (m *Memory) fetchBlock(level int, idx uint64, raw []byte, parentValue uint64) (blk counters.Block, err error) {
+	switch {
+	case raw != nil:
+		if blk, err = m.decodeAndVerify(level, idx, raw, parentValue); err != nil {
+			return nil, err
+		}
+	case parentValue != 0:
+		return nil, &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
+	default:
+		blk = m.cfg.specAt(level).New()
+	}
+	c := m.store.levels[level].grow(idx)
+	c.ext.blk[idx%chunkLines] = blk
+	if !c.ext.listed {
+		c.ext.listed = true
+		m.wb.cached = append(m.wb.cached, c)
+	}
+	return blk, nil
 }
 
 // trustedBlock returns a verified counter block, fetching and MAC-checking
@@ -811,29 +820,20 @@ func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 	if level == m.geom.RootLevel() {
 		return m.root, nil
 	}
-	if blk, ok := m.trusted[level][idx]; ok {
-		return blk, nil
+	c, i := m.store.levels[level].at(idx), idx%chunkLines
+	if c != nil && c.ext.blk[i] != nil {
+		return c.ext.blk[i], nil
 	}
 	parent, pslot := m.geom.ParentSlot(level, idx)
 	pblk, err := m.trustedBlock(level+1, parent)
 	if err != nil {
 		return nil, err
 	}
-	pv := pblk.Value(pslot)
-	raw, ok := m.store.levels[level][idx]
-	if !ok {
-		if pv != 0 {
-			return nil, &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
-		}
-		blk := m.cfg.specAt(level).New()
-		m.trusted[level][idx] = blk
-		return blk, nil
+	raw := c.get(i)
+	blk, err := m.fetchBlock(level, idx, raw, pblk.Value(pslot)) //morphlint:allow hotalloc -- a fetch allocates what it caches: the block, and a never-stored line's chunk
+	if err != nil || raw == nil {
+		return blk, err
 	}
-	blk, err := m.decodeAndVerify(level, idx, raw, pv)
-	if err != nil {
-		return nil, err
-	}
-	m.trusted[level][idx] = blk
 	m.stats.VerifiedFetches++
 	m.ins.Tracer.Emit(obs.KindTreeWalk, m.ins.Shard, uint64(level), idx, 0)
 	return blk, nil
@@ -864,20 +864,21 @@ func integrityFromMismatch(err error) error {
 	return err
 }
 
-// sealBlock computes a block's MAC under parentValue and persists it. The
-// block is encoded once, with a zero MAC field — those are the bytes the MAC
-// covers — and the MAC is then written into the line's last word.
+// sealBlock computes a cached block's MAC under parentValue and persists it.
+// The block is encoded once, over its stored line, with a zero MAC field — the
+// bytes the MAC covers — and the MAC is then written into the line's last word.
 //
 //morph:hotpath
-func (m *Memory) sealBlock(level int, idx uint64, blk counters.Block, parentValue uint64) {
-	line := m.lineBuf[:]
+func (m *Memory) sealBlock(level int, idx uint64, parentValue uint64) {
+	c, i := m.store.levels[level].at(idx), idx%chunkLines
+	blk, line := c.ext.blk[i], c.line[i][:]
 	blk.SetMAC(0)
 	blk.EncodeTo(line)
 	sealed := m.keyer.Counter(line, parentValue, level, idx)
 	blk.SetMAC(sealed)
 	counters.SetLineMAC(line, sealed)
-	putLine(m.store.levels[level], idx, line)
-	m.dirtyCtr[level][idx] = m.dirtyCur
+	c.has |= 1 << i
+	c.mark(i, m.dirtyCur)
 }
 
 // ReadAt reads len(p) bytes starting at an arbitrary offset, crossing line
@@ -946,16 +947,12 @@ func (m *Memory) Prove(addr uint64) (line []byte, lineMAC uint64, chain [][]byte
 		return nil, 0, nil, nil, err
 	}
 	d := addr / LineBytes
-	if ct, ok := m.store.data[d]; ok {
-		line = bytes.Clone(ct)
-		lineMAC = m.store.dataMAC[d]
-	}
+	line, _ = m.store.DataLine(d)
+	lineMAC, _ = m.store.DataMAC(d)
 	chain = make([][]byte, m.geom.RootLevel())
 	idx, _ := m.geom.EncSlot(d)
 	for level := 0; level < m.geom.RootLevel(); level++ {
-		if raw, ok := m.store.levels[level][idx]; ok {
-			chain[level] = bytes.Clone(raw)
-		}
+		chain[level], _ = m.store.CounterLine(level, idx)
 		idx, _ = m.geom.ParentSlot(level, idx)
 	}
 	return line, lineMAC, chain, m.root.Encode(), nil
@@ -971,19 +968,18 @@ func (m *Memory) RootEncoding() []byte {
 }
 
 // VerifyAll re-verifies every written data line from a cold metadata cache,
-// returning the first integrity error found (nil if the memory is intact).
+// in address order, returning the first integrity error found (nil if the
+// memory is intact).
 func (m *Memory) VerifyAll() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.flushMetadataCache(); err != nil {
 		return err
 	}
-	for d := range m.store.data {
+	return m.store.data.stored(func(d uint64, c *chunk[dataExt], i uint64) error {
 		// Verify each line under the domain that owns it, so a store
 		// holding several tenants' lines still verifies end to end.
-		if _, err := m.readTenant(d*LineBytes, m.domains[d]); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := m.readTenant(d*LineBytes, lineDomain(c, i))
+		return err
+	})
 }

@@ -1,28 +1,185 @@
 package secmem
 
-import "bytes"
+import (
+	"bytes"
+	"math/bits"
 
-// Store is the untrusted off-chip memory: data cachelines, their MACs, and
-// every integrity-tree level except the on-chip root. Nothing here is
-// trusted — the engine verifies everything it reads back. The mutation
-// methods double as the adversary interface for attack simulations: they
-// model an attacker with physical access to the DIMM.
-type Store struct {
-	data    map[uint64][]byte // data line index -> ciphertext
-	dataMAC map[uint64]uint64 // data line index -> MAC (ECC-chip resident)
-	levels  []map[uint64][]byte
+	"github.com/securemem/morphtree/internal/counters"
+	"github.com/securemem/morphtree/internal/tree"
+)
+
+const (
+	// chunkLines is how many consecutive lines a chunk of the store holds: for
+	// data one 4 KB page, which is one MCR counter set and half of what a
+	// MorphCtr-128 line covers — the unit of the paper's locality argument.
+	chunkLines = 64
+	// dirChunks is how many chunks a directory of a table spans (2 MB of
+	// lines): an empty table costs 8 bytes per 2 MB it could hold.
+	dirChunks = 512
+)
+
+// chunk is chunkLines consecutive lines of one table, with what the engine
+// keeps per line next to them. Pointers come first so the collector reads
+// only the head of a chunk.
+type chunk[X any] struct {
+	ext    X
+	has    uint64             // bit i: line[i] is stored
+	newest uint32             // the latest of stamp
+	stamp  [chunkLines]uint32 // dirty epoch of each line's last store (dirty.go); 0 = never
+	line   [chunkLines][LineBytes]byte
 }
 
-// newStore allocates storage for numLevels counter levels (level 0 =
-// encryption counters; the root level is not stored off-chip).
-func newStore(numLevels int) *Store {
-	s := &Store{
-		data:    make(map[uint64][]byte),
-		dataMAC: make(map[uint64]uint64),
-		levels:  make([]map[uint64][]byte, numLevels),
+// dataExt is what a data line has besides its ciphertext: its MAC (ECC-chip
+// resident, so there when the line is) and the key domain that last wrote it
+// (nil = the engine's default; the array exists only in pages a tenant has
+// written), so overflow re-encryption and VerifyAll reseal every line under
+// the keys that own it.
+type dataExt struct {
+	dom *[chunkLines]*Domain
+	mac [chunkLines]uint64
+}
+
+// ctrExt is the engine's side of a counter line: blk[i] is the verified
+// decoded block while it is cached, pending flags it as awaiting write-back
+// (its stored line is stale), and listed says the chunk is in wb.cached.
+type ctrExt struct {
+	blk     [chunkLines]counters.Block
+	pending uint64
+	listed  bool
+}
+
+// get returns line i as stored, not a copy, or nil if there is none.
+func (c *chunk[X]) get(i uint64) []byte {
+	if c == nil || c.has>>i&1 == 0 {
+		return nil
 	}
-	for i := range s.levels {
-		s.levels[i] = make(map[uint64][]byte)
+	return c.line[i][:]
+}
+
+// mark stamps line i with the current dirty epoch, which never decreases.
+func (c *chunk[X]) mark(i uint64, epoch uint32) {
+	c.stamp[i], c.newest = epoch, epoch
+}
+
+// table is a two-level radix of chunks: line idx lives in chunk idx/chunkLines,
+// two indexed loads away. A directory or chunk exists once something in it does.
+type table[X any] struct {
+	dirs []*[dirChunks]*chunk[X]
+}
+
+func newTable[X any](entries uint64) table[X] {
+	return table[X]{dirs: make([]*[dirChunks]*chunk[X], (entries-1)/(chunkLines*dirChunks)+1)}
+}
+
+// at returns the chunk holding line idx, nil if there is none (yet, or ever).
+func (t table[X]) at(idx uint64) *chunk[X] {
+	n := idx / chunkLines
+	if d := n / dirChunks; d < uint64(len(t.dirs)) && t.dirs[d] != nil {
+		return t.dirs[d][n%dirChunks]
+	}
+	return nil
+}
+
+// grow is at, allocating the chunk if there is none. idx is within the table.
+func (t table[X]) grow(idx uint64) *chunk[X] {
+	n := idx / chunkLines
+	dir := t.dirs[n/dirChunks]
+	if dir == nil {
+		dir = new([dirChunks]*chunk[X])
+		t.dirs[n/dirChunks] = dir
+	}
+	if dir[n%dirChunks] == nil {
+		dir[n%dirChunks] = new(chunk[X])
+	}
+	return dir[n%dirChunks]
+}
+
+// chunks calls fn on every chunk in index order with the index of its first
+// line, stopping at the first error.
+func (t table[X]) chunks(fn func(base uint64, c *chunk[X]) error) error {
+	for d, dir := range t.dirs {
+		if dir == nil {
+			continue
+		}
+		for n, c := range dir {
+			if c == nil {
+				continue
+			}
+			if err := fn((uint64(d)*dirChunks+uint64(n))*chunkLines, c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// stored calls fn on every stored line (line i of c) in index order, stopping
+// at the first error.
+func (t table[X]) stored(fn func(idx uint64, c *chunk[X], i uint64) error) error {
+	return t.chunks(func(base uint64, c *chunk[X]) error {
+		for b := c.has; b != 0; b &= b - 1 {
+			i := uint64(bits.TrailingZeros64(b))
+			if err := fn(base+i, c, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// dirty calls fn on every line stamped at floor or later, in index order. A
+// chunk whose newest stamp is older is skipped whole, so the work is the
+// chunks touched, not the table's capacity.
+func (t table[X]) dirty(floor uint32, fn func(idx uint64, c *chunk[X], i uint64)) {
+	_ = t.chunks(func(base uint64, c *chunk[X]) error {
+		if c.newest < floor {
+			return nil
+		}
+		for i, s := range c.stamp {
+			if s >= floor {
+				fn(base+uint64(i), c, uint64(i))
+			}
+		}
+		return nil
+	})
+}
+
+// set stores a copy of raw, a whole line, as line idx, or removes the line if
+// !ok.
+func (t table[X]) set(idx uint64, raw []byte, ok bool) {
+	if i := idx % chunkLines; ok {
+		c := t.grow(idx)
+		c.line[i], c.has = [LineBytes]byte(raw), c.has|1<<i
+	} else if c := t.at(idx); c != nil {
+		c.has &^= 1 << i
+	}
+}
+
+// flip flips one bit of stored line idx and reports whether the line existed.
+func (t table[X]) flip(idx uint64, byteOff int, bit uint) bool {
+	raw := t.at(idx).get(idx % chunkLines)
+	if raw == nil {
+		return false
+	}
+	raw[byteOff%len(raw)] ^= 1 << (bit % 8)
+	return true
+}
+
+// Store is the untrusted off-chip memory: data cachelines, their MACs, and
+// every integrity-tree level except the on-chip root, each a paged table.
+// Nothing here is trusted — the engine verifies everything it reads back (and
+// keeps what it verified in ctrExt, which no method below touches). The
+// mutation methods double as the adversary interface for attack simulations:
+// they model an attacker with physical access to the DIMM.
+type Store struct {
+	data   table[dataExt]
+	levels []table[ctrExt] // level 0 = encryption counters; the root is not stored off-chip
+}
+
+func newStore(geom *tree.Geometry) *Store {
+	s := &Store{data: newTable[dataExt](geom.DataLines), levels: make([]table[ctrExt], geom.RootLevel())}
+	for l := range s.levels {
+		s.levels[l] = newTable[ctrExt](geom.LevelEntries(l))
 	}
 	return s
 }
@@ -32,34 +189,35 @@ func newStore(numLevels int) *Store {
 // what an adversary captured must stay what it was when captured, whatever
 // is written afterwards.
 func (s *Store) DataLine(idx uint64) ([]byte, bool) {
-	ct, ok := s.data[idx]
-	return bytes.Clone(ct), ok
+	raw := s.data.at(idx).get(idx % chunkLines)
+	return bytes.Clone(raw), raw != nil
 }
 
 // SetDataLine overwrites a data line's ciphertext (adversary interface).
-func (s *Store) SetDataLine(idx uint64, ct []byte) {
-	s.data[idx] = bytes.Clone(ct)
-}
+func (s *Store) SetDataLine(idx uint64, ct []byte) { s.data.set(idx, ct, true) }
 
-// DataMAC returns the stored MAC of a data line.
+// DataMAC returns the stored MAC of a data line, if the line is present.
 func (s *Store) DataMAC(idx uint64) (uint64, bool) {
-	m, ok := s.dataMAC[idx]
-	return m, ok
+	if c, i := s.data.at(idx), idx%chunkLines; c.get(i) != nil {
+		return c.ext.mac[i], true
+	}
+	return 0, false
 }
 
-// SetDataMAC overwrites a data line's MAC (adversary interface).
-func (s *Store) SetDataMAC(idx uint64, m uint64) { s.dataMAC[idx] = m }
+// SetDataMAC overwrites a data line's MAC (adversary interface). The MAC of
+// a line that is not stored shows once the line is.
+func (s *Store) SetDataMAC(idx uint64, m uint64) { s.data.grow(idx).ext.mac[idx%chunkLines] = m }
 
 // CounterLine returns a copy (see DataLine) of the stored encoding of a
 // counter line at a level (0 = encryption counters, 1.. = tree levels).
 func (s *Store) CounterLine(level int, idx uint64) ([]byte, bool) {
-	raw, ok := s.levels[level][idx]
-	return bytes.Clone(raw), ok
+	raw := s.levels[level].at(idx).get(idx % chunkLines)
+	return bytes.Clone(raw), raw != nil
 }
 
 // SetCounterLine overwrites a counter line (adversary interface).
 func (s *Store) SetCounterLine(level int, idx uint64, raw []byte) {
-	s.levels[level][idx] = bytes.Clone(raw)
+	s.levels[level].set(idx, raw, true)
 }
 
 // StoredLevels returns how many counter levels live off-chip.
@@ -73,7 +231,6 @@ type Tuple struct {
 	data     []byte
 	dataOK   bool
 	mac      uint64
-	macOK    bool
 	counters []counterSnapshot
 }
 
@@ -89,18 +246,11 @@ type counterSnapshot struct {
 // path. chain lists (level, index) pairs, typically from Memory.Path.
 func (s *Store) Snapshot(dataIdx uint64, chain [][2]uint64) Tuple {
 	t := Tuple{dataIdx: dataIdx}
-	if ct, ok := s.data[dataIdx]; ok {
-		t.data, t.dataOK = bytes.Clone(ct), true
-	}
-	if m, ok := s.dataMAC[dataIdx]; ok {
-		t.mac, t.macOK = m, true
-	}
+	t.data, t.dataOK = s.DataLine(dataIdx)
+	t.mac, _ = s.DataMAC(dataIdx)
 	for _, c := range chain {
-		level, idx := int(c[0]), c[1]
-		cs := counterSnapshot{level: level, idx: idx}
-		if raw, ok := s.levels[level][idx]; ok {
-			cs.raw, cs.ok = bytes.Clone(raw), true
-		}
+		cs := counterSnapshot{level: int(c[0]), idx: c[1]}
+		cs.raw, cs.ok = s.CounterLine(cs.level, cs.idx)
 		t.counters = append(t.counters, cs)
 	}
 	return t
@@ -108,44 +258,22 @@ func (s *Store) Snapshot(dataIdx uint64, chain [][2]uint64) Tuple {
 
 // Replay writes a previously captured tuple back into the store — the
 // classic replay attack of substituting a stale but self-consistent
-// {data, MAC, counter} set.
+// {data, MAC, counter} set. What the tuple found absent is removed.
 func (s *Store) Replay(t Tuple) {
-	if t.dataOK {
-		s.data[t.dataIdx] = bytes.Clone(t.data)
-	} else {
-		delete(s.data, t.dataIdx)
-	}
-	if t.macOK {
-		s.dataMAC[t.dataIdx] = t.mac
-	} else {
-		delete(s.dataMAC, t.dataIdx)
-	}
+	s.data.set(t.dataIdx, t.data, t.dataOK)
+	s.SetDataMAC(t.dataIdx, t.mac)
 	for _, cs := range t.counters {
-		if cs.ok {
-			s.levels[cs.level][cs.idx] = bytes.Clone(cs.raw)
-		} else {
-			delete(s.levels[cs.level], cs.idx)
-		}
+		s.levels[cs.level].set(cs.idx, cs.raw, cs.ok)
 	}
 }
 
 // FlipBit flips one bit of a stored data line (adversary interface).
 // It reports whether the line existed.
 func (s *Store) FlipBit(dataIdx uint64, byteOff int, bit uint) bool {
-	ct, ok := s.data[dataIdx]
-	if !ok {
-		return false
-	}
-	ct[byteOff%len(ct)] ^= 1 << (bit % 8)
-	return true
+	return s.data.flip(dataIdx, byteOff, bit)
 }
 
 // FlipCounterBit flips one bit of a stored counter line.
 func (s *Store) FlipCounterBit(level int, idx uint64, byteOff int, bit uint) bool {
-	raw, ok := s.levels[level][idx]
-	if !ok {
-		return false
-	}
-	raw[byteOff%len(raw)] ^= 1 << (bit % 8)
-	return true
+	return s.levels[level].flip(idx, byteOff, bit)
 }

@@ -25,30 +25,31 @@ func checkWriteBackInvariant(t *testing.T, m *Memory) {
 	defer m.mu.Unlock()
 	root := m.geom.RootLevel()
 	for level := root - 1; level >= 0; level-- {
-		for idx, raw := range m.store.levels[level] {
-			if m.wb.pending[level][idx] {
-				if _, cached := m.trusted[level][idx]; !cached {
+		_ = m.store.levels[level].stored(func(idx uint64, c *chunk[ctrExt], i uint64) error {
+			if m.pending(level, idx) {
+				if c.ext.blk[i] == nil {
 					t.Fatalf("level-%d line %d is dirty but not cached", level, idx)
 				}
-				continue
+				return nil
 			}
 			parent, pslot := m.geom.ParentSlot(level, idx)
 			pblk := m.root
 			if level+1 < root {
-				var cached bool
-				if pblk, cached = m.trusted[level+1][parent]; !cached {
+				pc := m.store.levels[level+1].at(parent)
+				if pblk = pc.ext.blk[parent%chunkLines]; pblk == nil {
 					// Not cached, so not dirty: its stored line is current
 					// (and was itself checked one level up).
 					var err error
-					if pblk, err = m.cfg.specAt(level + 1).Decode(m.store.levels[level+1][parent]); err != nil {
+					if pblk, err = m.cfg.specAt(level + 1).Decode(pc.get(parent % chunkLines)); err != nil {
 						t.Fatalf("level-%d line %d: parent undecodable: %v", level, idx, err)
 					}
 				}
 			}
-			if _, err := m.walker.DecodeVerify(level, idx, raw, pblk.Value(pslot)); err != nil {
+			if _, err := m.walker.DecodeVerify(level, idx, c.line[i][:], pblk.Value(pslot)); err != nil {
 				t.Fatalf("level-%d line %d is clean but not sealed under its parent's cached value: %v", level, idx, err)
 			}
-		}
+			return nil
+		})
 	}
 }
 
@@ -284,15 +285,16 @@ func TestEvictionIsOldestFirst(t *testing.T) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.wb.pending[0][0] || m.wb.pending[0][1] || !m.wb.pending[0][2] || !m.wb.pending[1][0] || m.wb.n != 2 {
-		t.Fatalf("dirty after three writes at bound 2: level 0 %v, level 1 %v, %d queued", m.wb.pending[0][:3], m.wb.pending[1][:1], m.wb.n)
+	if m.pending(0, 0) || m.pending(0, 1) || !m.pending(0, 2) || !m.pending(1, 0) || m.wb.n != 2 {
+		t.Fatalf("dirty after three writes at bound 2: level 0 %b, level 1 %b, %d queued",
+			m.store.levels[0].at(0).ext.pending, m.store.levels[1].at(0).ext.pending, m.wb.n)
 	}
 	for b := uint64(0); b < 3; b++ {
-		if _, stored := m.store.levels[0][b]; stored != (b < 2) {
+		if _, stored := m.store.CounterLine(0, b); stored != (b < 2) {
 			t.Fatalf("counter line %d stored: %v", b, stored)
 		}
 	}
-	if _, stored := m.store.levels[1][0]; stored {
+	if _, stored := m.store.CounterLine(1, 0); stored {
 		t.Fatal("the level-1 line is dirty and was never written back, yet it is stored")
 	}
 	if m.stats.Increments[1] != 2 || m.stats.Increments[2] != 0 {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -53,5 +54,38 @@ func BenchmarkShardScaling(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// BenchmarkPrefill is the morphbench set-up phase as a go-test row: 32 768
+// first writes into a fresh two-shard 64 MiB store from two goroutines, each
+// owning every other pair of lines as the benchmark's callers do. What it
+// times is the store growing — a chunk per 64 lines per shard — on top of the
+// one MAC and one pad a write costs anyway.
+func BenchmarkPrefill(b *testing.B) {
+	const span, callers, shards = 1 << 15, 2, 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := mustNew(b, testConfig(b, shards, 64<<20, "morph128"))
+		b.StartTimer()
+		var wg sync.WaitGroup
+		for c := uint64(0); c < callers; c++ {
+			wg.Add(1)
+			go func(c uint64) {
+				defer wg.Done()
+				line := fill(c, 1)
+				for d := uint64(0); d < span; d++ {
+					if d/shards%callers != c {
+						continue
+					}
+					if err := s.Write(d*LineBytes, line); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
 	}
 }
