@@ -35,21 +35,23 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # The engine's three kernels — counter-line codec, line MAC, secmem
-# read/write — and its store (a sharded prefill, a sparse dirty collection, a
-# cache flush) as go-test benchmarks: the before/after rows of a change to
-# any of them are this command on each commit.
+# read/write — its store (a sharded prefill, a sparse dirty collection, a
+# cache flush) and the WAL that journals it (a record sealed and appended, a
+# segment replayed) as go-test benchmarks: the before/after rows of a change
+# to any of them are this command on each commit.
 perf-engine:
-	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache' -benchmem -count 5 \
-		./internal/secmem ./internal/counters ./internal/mac
+	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
+		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that
-# must agree with the bit-serial reference on every input — and over the
-# store's line table against the map model it replaced.
+# must agree with the bit-serial reference on every input — over the store's
+# line table against the map model it replaced, over the MAC against
+# crypto/hmac, and over the WAL's two decoders.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

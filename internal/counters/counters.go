@@ -60,6 +60,12 @@ type Block interface {
 	Values(dst []uint64)
 	// Increment advances counter i by one write and reports side effects.
 	Increment(i int) Event
+	// CopyFrom makes the block an exact copy of src, which must be a block
+	// of the same organization (the same Spec made both); it allocates
+	// nothing. It is how an engine keeps an increment's pre-image without
+	// decoding it: copy the line into a spare block, increment, and only if
+	// that overflowed ask the copy for the Values every slot had before.
+	CopyFrom(src Block)
 	// NonZero returns the number of non-zero minor counters.
 	NonZero() int
 	// MAC returns the 64-bit MAC field co-located in the line.

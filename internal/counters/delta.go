@@ -65,6 +65,9 @@ func (d *Delta) FormatName() string { return "delta" }
 // Value implements Block: base + delta.
 func (d *Delta) Value(i int) uint64 { return d.base + uint64(d.deltas[i]) }
 
+// CopyFrom implements Block.
+func (d *Delta) CopyFrom(src Block) { *d = *src.(*Delta) }
+
 // Increment implements Block.
 func (d *Delta) Increment(i int) Event {
 	if d.deltas[i] != deltaMax {

@@ -155,6 +155,9 @@ func (m *Morph) Values(dst []uint64) {
 	}
 }
 
+// CopyFrom implements Block.
+func (m *Morph) CopyFrom(src Block) { *m = *src.(*Morph) }
+
 // Increment implements Block.
 func (m *Morph) Increment(i int) Event {
 	switch m.format {

@@ -61,6 +61,19 @@ func (s *Split) Values(dst []uint64) {
 	}
 }
 
+// CopyFrom implements Block. The minors are copied into the receiver's own
+// slice, so the two blocks share nothing afterwards.
+func (s *Split) CopyFrom(src Block) {
+	o := src.(*Split)
+	if o.arity != s.arity {
+		panic(invariant.Violationf("counters: SC-%d block copied from an SC-%d block", s.arity, o.arity))
+	}
+	minors := s.minors
+	copy(minors, o.minors)
+	*s = *o
+	s.minors = minors
+}
+
 // Increment implements Block. When minor i saturates, the major counter is
 // incremented and all minors reset (a full overflow): every child's
 // effective value jumps to the new major||0 (or major||1 for the written

@@ -517,14 +517,7 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 // class of mutation even though deterministic replay of the write records
 // regenerates them. Called with c.mu held.
 func (c *committer) appendAuditLocked(m *Memory) error {
-	st := c.eng.Stats()
-	var ov, rb uint64
-	for _, v := range st.Overflows {
-		ov += v
-	}
-	for _, v := range st.Rebases {
-		rb += v
-	}
+	ov, rb := c.eng.OverflowRebaseTotals()
 	if ov > c.auditedOv {
 		rec := wal.Record{Kind: wal.KindOverflow, LSN: c.lsn + 1, Count: ov - c.auditedOv}
 		if err := c.log.Append(rec); err != nil {

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/invariant"
+	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
@@ -588,5 +590,45 @@ func TestIntervalFlusherIdlesAndStillSyncs(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n := m.flushCycles.Load(); n != 1 {
 		t.Fatalf("idle again: the flusher woke %d times in all, want still 1", n)
+	}
+}
+
+// Under SyncAlways every write is a whole sync cycle — append, apply, the
+// audit check, flush, fsync — and the flusher runs the same cycle hundreds of
+// times a second on every shard. While nothing overflows, so no audit record
+// is journaled, none of it allocates: the WAL seals the frame in place and the
+// audit check reads two totals, not a clone of the engine's statistics.
+func TestSyncCycleWithoutAuditDoesNotAllocate(t *testing.T) {
+	if racedetect.Enabled || invariant.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
+	}
+	m, _ := mustOpen(t, testShardConfig(t, 1, 1<<16), Config{Dir: t.TempDir(), Sync: SyncAlways})
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	// Sixteen lines of one page: their counters stay 16 bits wide in ZCC, so
+	// rewriting them overflows nothing for longer than this test runs.
+	const lines = 16
+	line := fill(1, 2)
+	var next uint64
+	write := func() {
+		if err := m.Write(next%lines*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < lines; i++ {
+		write()
+	}
+	before := m.Durability()
+	if n := testing.AllocsPerRun(200, write); n != 0 {
+		t.Errorf("a SyncAlways write — one whole sync cycle — allocates %v times, want 0", n)
+	}
+	after := m.Durability()
+	if after.Fsyncs-before.Fsyncs < 200 || after.AuditRecords != before.AuditRecords {
+		t.Fatalf("%d fsyncs and %d audit records over 201 writes: the cycles being counted were not audit-free sync cycles",
+			after.Fsyncs-before.Fsyncs, after.AuditRecords-before.AuditRecords)
 	}
 }

@@ -120,14 +120,7 @@ func (m *Memory) InstallShardStream(shardIdx int, r io.Reader, mark uint64) erro
 	c.ringStart = 0
 	// Audit baselines resume from the installed engine's totals so the
 	// next audit record counts only post-install events.
-	st := c.eng.Stats()
-	c.auditedOv, c.auditedRb = 0, 0
-	for _, v := range st.Overflows {
-		c.auditedOv += v
-	}
-	for _, v := range st.Rebases {
-		c.auditedRb += v
-	}
+	c.auditedOv, c.auditedRb = c.eng.OverflowRebaseTotals()
 	return nil
 }
 

@@ -572,13 +572,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 			c.synced = winfo.LastLSN
 			// Audit baselines resume from the engine's replayed totals so
 			// post-recovery audits count only new events.
-			st := c.eng.Stats()
-			for _, v := range st.Overflows {
-				c.auditedOv += v
-			}
-			for _, v := range st.Rebases {
-				c.auditedRb += v
-			}
+			c.auditedOv, c.auditedRb = c.eng.OverflowRebaseTotals()
 			info.TornTails[i] = winfo.TornTail
 		}
 		info.AppliedLSN = make([]uint64, len(m.commits))

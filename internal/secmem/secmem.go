@@ -206,12 +206,14 @@ type Memory struct {
 	mu    sync.Mutex
 	root  counters.Block
 	stats Stats
-	// snapScratch[level] is bump's pre-counter-values scratch, sized to
-	// the level's arity at New. Arities differ by level, so each level
-	// needs its own buffer; all of bump runs under mu, so one set per
-	// Memory suffices and the steady-state increment path allocates
-	// nothing (the //morph:hotpath contract).
-	snapScratch [][]uint64
+	// spare[level] is a block of the level's organization that bump copies a
+	// line into before incrementing it, and preValues is where the copy's
+	// values are decoded if the increment overflowed. Organizations differ by
+	// level, so each needs its own spare; no bump runs inside another and all
+	// run under mu, so one set per Memory suffices and the increment path
+	// allocates nothing (the //morph:hotpath contract).
+	spare     []counters.Block
+	preValues []uint64
 	// plainBuf is the plaintext an overflow re-encryption carries between
 	// its two pads; lines are otherwise built where the store keeps them, so
 	// the write path allocates only a page's chunk, on its first write.
@@ -299,9 +301,13 @@ func New(cfg Config) (*Memory, error) {
 	m.stats.Rebases = make([]uint64, levels)
 	m.stats.SetResets = make([]uint64, levels)
 	m.stats.FormatSwitches = make([]uint64, levels)
-	m.snapScratch = make([][]uint64, levels)
-	for i := 0; i < levels; i++ {
-		m.snapScratch[i] = make([]uint64, cfg.specAt(i).Arity)
+	m.spare = make([]counters.Block, levels)
+	for i := range m.spare {
+		spec := cfg.specAt(i)
+		m.spare[i] = spec.New()
+		if spec.Arity > len(m.preValues) {
+			m.preValues = make([]uint64, spec.Arity)
+		}
 	}
 	m.dirtyCur, m.dirtyFloor = firstEpoch, firstEpoch
 	m.wbBound = dirtyBlockBound
@@ -396,6 +402,20 @@ func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats.Clone()
+}
+
+// OverflowRebaseTotals returns the overflows and the rebases counted so far,
+// each summed over the counter levels — what the durability layer's audit
+// records carry — without the copy of everything else that Stats makes. It
+// allocates nothing.
+func (m *Memory) OverflowRebaseTotals() (overflows, rebases uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for l, v := range m.stats.Overflows {
+		overflows += v
+		rebases += m.stats.Rebases[l]
+	}
+	return overflows, rebases
 }
 
 // FlushMetadataCache writes back every dirty counter line and drops every
@@ -600,14 +620,20 @@ var zeroLine [LineBytes]byte
 // re-MACing) the affected children, and leaves the block dirty: its stored
 // line and its parent's counter for it move at write-back.
 //
+// An overflow has to know what every sibling's value was before it. Overflows
+// are what the paper's formats make rare, so the increment does not pay for
+// one in advance: the block is copied as it is, and the copy is decoded only
+// if Increment says it overflowed. Nothing here predicts the overflow — the
+// format logic that decides it exists once, in Increment.
+//
 //morph:hotpath
 func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 	blk, err := m.trustedBlock(level, idx)
 	if err != nil {
 		return nil, err
 	}
-	snapshot := m.snapScratch[level][:blk.Arity()]
-	blk.Values(snapshot)
+	pre := m.spare[level]
+	pre.CopyFrom(blk)
 	ev := blk.Increment(slot)
 	m.stats.Increments[level]++
 	if ev.Overflow {
@@ -636,6 +662,8 @@ func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 	if ev.Overflow {
 		// Overflow refresh retains new ciphertexts, so its allocations are
 		// inherent; it is the paper's amortized-rare slow path (DESIGN 13).
+		snapshot := m.preValues[:pre.Arity()]
+		pre.Values(snapshot)
 		if err := m.refreshChildren(level, idx, blk, snapshot, slot); err != nil { //morphlint:allow hotalloc -- retains new ciphertexts; allocation is inherent
 			return nil, err
 		}

@@ -39,8 +39,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"github.com/securemem/morphtree/internal/aesctr"
+	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -106,6 +108,22 @@ func (e *TornTailError) Error() string {
 	return fmt.Sprintf("wal: torn tail in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
+// FrameError reports a replication batch whose framing is damaged: a frame
+// cut short, a length no record has, or a CRC that does not match. A batch
+// arrives whole over an authenticated transport, so unlike a segment's torn
+// tail this is never tolerated; unlike a *secmem.IntegrityError it says
+// nothing about the key, only that the bytes are not a run of frames.
+type FrameError struct {
+	// Offset is where in the batch the damaged frame starts.
+	Offset int
+	Reason string
+}
+
+// Error implements error.
+func (e *FrameError) Error() string {
+	return fmt.Sprintf("wal: batch frame at offset %d: %s", e.Offset, e.Reason)
+}
+
 // Options configure a log's sealing keys.
 type Options struct {
 	// Key seals record payloads and MACs frames. It is derived per
@@ -116,12 +134,13 @@ type Options struct {
 	Key []byte
 }
 
-// keys derives the independent encryption and authentication subkeys from
-// an Options key (never using one key for both primitives).
+// keys are the independent encryption and authentication subkeys derived
+// from an Options key (never using one key for both primitives). The record
+// MAC is the engine's pre-keyed mac.Keyer at full width: the first eight
+// bytes of HMAC-SHA256 over the body prefix, as every segment on disk has it.
 type keys struct {
 	cipher *aesctr.Cipher
-	//morph:secret
-	macKey []byte
+	mac    *mac.Keyer
 }
 
 func deriveKeys(opt Options) (keys, error) {
@@ -137,14 +156,52 @@ func deriveKeys(opt Options) (keys, error) {
 	if err != nil {
 		return keys{}, fmt.Errorf("wal: derive enc key: %w", err)
 	}
-	return keys{cipher: cipher, macKey: sub("morphtree/wal/mac")}, nil
+	keyer, err := mac.New(sub("morphtree/wal/mac"), mac.Width64)
+	if err != nil {
+		return keys{}, fmt.Errorf("wal: derive mac key: %w", err)
+	}
+	return keys{cipher: cipher, mac: keyer}, nil
 }
 
-// mac computes the truncated keyed MAC over a body prefix.
-func (k keys) mac(body []byte) uint64 {
-	h := hmac.New(sha256.New, k.macKey)
-	h.Write(body)
-	return binary.LittleEndian.Uint64(h.Sum(nil))
+// frameBytes returns the size of r's frame, or an error if r cannot be
+// journaled.
+func frameBytes(r Record) (int, error) {
+	switch r.Kind {
+	case KindWrite:
+		if len(r.Line) != secmem.LineBytes {
+			return 0, fmt.Errorf("wal: write record line is %d bytes, want %d", len(r.Line), secmem.LineBytes)
+		}
+		return WriteFrameBytes, nil
+	case KindOverflow, KindRebase:
+		return AuditFrameBytes, nil
+	default:
+		return 0, fmt.Errorf("wal: unknown record kind %#x", r.Kind)
+	}
+}
+
+// seal builds r's frame where it lies: frame is exactly frameBytes(r) long,
+// and the header, the fields, the sealed payload, the MAC and the CRC are
+// each written to their place in it.
+//
+//morph:hotpath
+func (k keys) seal(frame []byte, r Record) error {
+	body := frame[frameHdrBytes:]
+	macOff := len(body) - macBytes
+	body[0] = r.Kind
+	binary.LittleEndian.PutUint64(body[1:], r.LSN)
+	binary.LittleEndian.PutUint64(body[9:], r.Addr)
+	binary.LittleEndian.PutUint64(body[17:], r.Count)
+	if r.Kind == KindWrite {
+		// Seal the line: the pad is bound to the LSN, unique within the
+		// segment key's lifetime.
+		if err := k.cipher.XOR(body[recFixedBytes:macOff], r.Line, r.LSN, 0); err != nil {
+			return fmt.Errorf("wal: seal record %d: %w", r.LSN, err)
+		}
+	}
+	binary.LittleEndian.PutUint64(body[macOff:], k.mac.Raw(body[:macOff]))
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
+	return nil
 }
 
 // Codec seals and opens records in the WAL frame format without a backing
@@ -166,24 +223,26 @@ func NewCodec(opt Options) (*Codec, error) {
 }
 
 // AppendRecord appends r's sealed frame (header + body) to dst and returns
-// the extended slice.
+// the extended slice. The frame is sealed in dst itself, so appending to a
+// slice with room allocates nothing.
 func (c *Codec) AppendRecord(dst []byte, r Record) ([]byte, error) {
-	body, err := encodeBody(c.keys, r)
+	n, err := frameBytes(r)
 	if err != nil {
 		return dst, err
 	}
-	var hdr [frameHdrBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...), nil
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	if err := c.keys.seal(dst[off:], r); err != nil {
+		return dst[:off], err
+	}
+	return dst, nil
 }
 
 // DecodeAll decodes every frame in p, calling fn for each record in order.
 // firstLSN anchors the contiguity check exactly as in file replay. Unlike
 // file replay there is no torn-tail tolerance: p arrived length-delimited
 // over an authenticated transport, so any framing damage is corruption and
-// returns an error rather than a tolerated tail. Returns the number of
+// returns a *FrameError rather than a tolerated tail. Returns the number of
 // records decoded.
 func (c *Codec) DecodeAll(p []byte, firstLSN uint64, fn func(Record) error) (int, error) {
 	next := firstLSN
@@ -192,18 +251,18 @@ func (c *Codec) DecodeAll(p []byte, firstLSN uint64, fn func(Record) error) (int
 	for off < len(p) {
 		rest := p[off:]
 		if len(rest) < frameHdrBytes {
-			return n, fmt.Errorf("wal: batch frame header cut short: %d trailing bytes", len(rest))
+			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("header cut short: %d trailing bytes", len(rest))}
 		}
 		bl := binary.LittleEndian.Uint32(rest[0:])
 		if bl < recFixedBytes+macBytes || bl > maxBody {
-			return n, fmt.Errorf("wal: batch frame length %d outside [%d, %d]", bl, recFixedBytes+macBytes, maxBody)
+			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("length %d outside [%d, %d]", bl, recFixedBytes+macBytes, maxBody)}
 		}
 		if len(rest) < frameHdrBytes+int(bl) {
-			return n, fmt.Errorf("wal: batch frame body cut short: %d of %d bytes", len(rest)-frameHdrBytes, bl)
+			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("body cut short: %d of %d bytes", len(rest)-frameHdrBytes, bl)}
 		}
 		body := rest[frameHdrBytes : frameHdrBytes+int(bl)]
 		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(rest[4:]); got != want {
-			return n, fmt.Errorf("wal: batch frame CRC %#x, want %#x", got, want)
+			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("CRC %#x, want %#x", got, want)}
 		}
 		rec, err := decodeBody(c.keys, body, "replication batch", next)
 		if err != nil {
@@ -227,6 +286,9 @@ type Log struct {
 	keys keys
 	f    *os.File
 	bw   *bufio.Writer
+	// frame is where Append seals a record before handing it to bw in one
+	// write; the largest frame is a write record's.
+	frame [WriteFrameBytes]byte
 	// appended counts records accepted into the buffer since open.
 	appended uint64
 }
@@ -268,52 +330,22 @@ func (l *Log) Appended() uint64 { return l.appended }
 
 // Append buffers one record's frame. The record is NOT durable until Sync
 // returns; it is not even visible to a re-open until Flush.
+//
+//morph:hotpath
 func (l *Log) Append(r Record) error {
-	body, err := encodeBody(l.keys, r)
+	n, err := frameBytes(r)
 	if err != nil {
 		return err
 	}
-	var hdr [frameHdrBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	if _, err := l.bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wal: append %s: %w", l.path, err)
+	frame := l.frame[:n]
+	if err := l.keys.seal(frame, r); err != nil {
+		return err
 	}
-	if _, err := l.bw.Write(body); err != nil {
+	if _, err := l.bw.Write(frame); err != nil {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
 	l.appended++
 	return nil
-}
-
-// encodeBody serializes and seals a record body (payload encrypted, MAC
-// appended).
-func encodeBody(k keys, r Record) ([]byte, error) {
-	var payload []byte
-	switch r.Kind {
-	case KindWrite:
-		if len(r.Line) != secmem.LineBytes {
-			return nil, fmt.Errorf("wal: write record line is %d bytes, want %d", len(r.Line), secmem.LineBytes)
-		}
-		payload = make([]byte, secmem.LineBytes)
-		// Seal the line: the pad is bound to the LSN, unique within the
-		// segment key's lifetime.
-		if err := k.cipher.XOR(payload, r.Line, r.LSN, 0); err != nil {
-			return nil, fmt.Errorf("wal: seal record %d: %w", r.LSN, err)
-		}
-	case KindOverflow, KindRebase:
-		// No payload.
-	default:
-		return nil, fmt.Errorf("wal: unknown record kind %#x", r.Kind)
-	}
-	body := make([]byte, recFixedBytes+len(payload)+macBytes)
-	body[0] = r.Kind
-	binary.LittleEndian.PutUint64(body[1:], r.LSN)
-	binary.LittleEndian.PutUint64(body[9:], r.Addr)
-	binary.LittleEndian.PutUint64(body[17:], r.Count)
-	copy(body[recFixedBytes:], payload)
-	binary.LittleEndian.PutUint64(body[len(body)-macBytes:], k.mac(body[:len(body)-macBytes]))
-	return body, nil
 }
 
 // Flush pushes buffered frames to the OS. Data still sits in the page
@@ -492,7 +524,7 @@ func replayRange(path string, opt Options, firstLSN, fromLSN uint64, repair bool
 func decodeBody(k keys, body []byte, path string, wantLSN uint64) (Record, error) {
 	macOff := len(body) - macBytes
 	got := binary.LittleEndian.Uint64(body[macOff:])
-	want := k.mac(body[:macOff])
+	want := k.mac.Raw(body[:macOff])
 	rec := Record{
 		Kind:  body[0],
 		LSN:   binary.LittleEndian.Uint64(body[1:]),
