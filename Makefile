@@ -35,23 +35,27 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # The engine's three kernels — counter-line codec, line MAC, secmem
-# read/write — its store (a sharded prefill, a sparse dirty collection, a
-# cache flush) and the WAL that journals it (a record sealed and appended, a
-# segment replayed) as go-test benchmarks: the before/after rows of a change
-# to any of them are this command on each commit.
+# read/write — its store (a sharded prefill, a sparse dirty cut, a cache
+# flush), the WAL that journals it (a record sealed and appended, a segment
+# replayed) and the delta checkpoint cut from it under a writer as go-test
+# benchmarks: the before/after rows of a change to any of them are this
+# command on each commit.
 perf-engine:
 	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
 		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
+	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
 
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that
 # must agree with the bit-serial reference on every input — over the store's
 # line table against the map model it replaced, over the MAC against
-# crypto/hmac, and over the WAL's two decoders.
+# crypto/hmac, over the WAL's two decoders, and over the checkpoint stream and
+# the delta segments inside it, whose counts and lengths are read before the
+# MAC that covers them.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

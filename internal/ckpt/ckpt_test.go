@@ -46,7 +46,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func streamBytes(t *testing.T, context string, payload []byte) []byte {
+func streamBytes(t testing.TB, context string, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf, testKey, context)
@@ -101,6 +101,20 @@ func TestStreamFailsClosed(t *testing.T) {
 	}
 }
 
+// lineShard is a DeltaShard over lines already in hand, one record an emit.
+type lineShard []secmem.DirtyLine
+
+func (s lineShard) N() int { return len(s) }
+
+func (s lineShard) Drain(emit func([]byte) error) error {
+	for _, d := range s {
+		if err := emit(d.AppendRecord(nil)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func TestDeltaFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	hdr := DeltaHeader{
@@ -108,7 +122,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 		CoveredLSN:    []uint64{10, 20},
 		CoveredWrites: []uint64{9, 18},
 	}
-	lines := [][]secmem.DirtyLine{
+	lines := []lineShard{
 		{
 			{Level: -1, Index: 3, Line: bytes.Repeat([]byte{1}, 64), MAC: 0xDEAD},
 			{Level: 0, Index: 7, Line: bytes.Repeat([]byte{2}, 64)},

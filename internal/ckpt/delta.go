@@ -23,7 +23,20 @@ import (
 //	nshards × (u64 coveredLSN, u64 coveredWrites) |
 //	nshards × ( u64 nlines |
 //	            nlines × (i32 level | u64 index | u32 len | line | u64 mac) )
-const deltaLineMax = 4096 // sanity cap on a single line's length field
+//
+// A line's record is secmem.DirtyLine.AppendRecord's; a shard's records are in
+// no particular order (applying them commutes: a line is in a delta once).
+const (
+	deltaLineMax   = 4096          // sanity cap on a single line's length field
+	deltaRecordMin = 4 + 8 + 4 + 8 // a record of an empty line
+)
+
+// DeltaShard is one shard's share of a delta being written: N line records,
+// which Drain hands to emit encoded, a few at a time. *secmem.Cut is one.
+type DeltaShard interface {
+	N() int
+	Drain(emit func(records []byte) error) error
+}
 
 // DeltaHeader describes a delta segment's position and coverage.
 type DeltaHeader struct {
@@ -45,11 +58,12 @@ func deltaContext(seq, base uint64) string {
 const HibernateContext = "morphtree/ckpt/hibernate"
 
 // WriteDelta persists a delta segment at path via temp file, fsync, and
-// atomic rename (the caller fsyncs the directory). lines holds each
-// shard's dirty capture; key should be a role-derived delta key.
-func WriteDelta(path string, key []byte, hdr DeltaHeader, lines [][]secmem.DirtyLine) error {
-	if len(hdr.CoveredLSN) != len(lines) || len(hdr.CoveredWrites) != len(lines) {
-		return fmt.Errorf("ckpt: delta header covers %d shards, have %d", len(hdr.CoveredLSN), len(lines))
+// atomic rename (the caller fsyncs the directory). Each shard's lines are
+// streamed from its Drain, in turn, so the delta is never in memory; key
+// should be a role-derived delta key.
+func WriteDelta[S DeltaShard](path string, key []byte, hdr DeltaHeader, shards []S) error {
+	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
+		return fmt.Errorf("ckpt: delta header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
 	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -69,23 +83,18 @@ func WriteDelta(path string, key []byte, hdr DeltaHeader, lines [][]secmem.Dirty
 		}
 		writeU64(hdr.Seq)
 		writeU64(hdr.Base)
-		writeU64(uint64(len(lines)))
-		for i := range lines {
+		writeU64(uint64(len(shards)))
+		for i := range shards {
 			writeU64(hdr.CoveredLSN[i])
 			writeU64(hdr.CoveredWrites[i])
 		}
-		for _, sh := range lines {
-			writeU64(uint64(len(sh)))
-			for _, d := range sh {
-				var lvl [4]byte
-				binary.LittleEndian.PutUint32(lvl[:], uint32(d.Level))
-				bw.Write(lvl[:])
-				writeU64(d.Index)
-				var ln [4]byte
-				binary.LittleEndian.PutUint32(ln[:], uint32(len(d.Line)))
-				bw.Write(ln[:])
-				bw.Write(d.Line)
-				writeU64(d.MAC)
+		for _, sh := range shards {
+			writeU64(uint64(sh.N()))
+			if err := sh.Drain(func(records []byte) error {
+				_, err := bw.Write(records)
+				return err
+			}); err != nil {
+				return err
 			}
 		}
 		if err := bw.Flush(); err != nil {
@@ -123,6 +132,10 @@ func ReadDelta(path string, key []byte, seq, base uint64) (DeltaHeader, [][]secm
 		return hdr, nil, fmt.Errorf("ckpt: read delta: %w", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return hdr, nil, fmt.Errorf("ckpt: read delta: %w", err)
+	}
 	sr, err := NewStreamReader(f, key, deltaContext(seq, base))
 	if err != nil {
 		return hdr, nil, err
@@ -158,7 +171,9 @@ func ReadDelta(path string, key []byte, seq, base uint64) (DeltaHeader, [][]secm
 	if err != nil {
 		return hdr, nil, err
 	}
-	if nsh == 0 || nsh > 1<<16 {
+	// Counts are not authenticated yet — the MAC trailer comes last — so each
+	// is believed only as far as the file has room for what it announces.
+	if nsh == 0 || nsh > 1<<16 || nsh > uint64(st.Size())/16 {
 		return hdr, nil, bad(fmt.Sprintf("unreasonable shard count %d", nsh))
 	}
 	hdr.CoveredLSN = make([]uint64, nsh)
@@ -177,8 +192,8 @@ func ReadDelta(path string, key []byte, seq, base uint64) (DeltaHeader, [][]secm
 		if err != nil {
 			return hdr, nil, err
 		}
-		if n > 1<<32 {
-			return hdr, nil, bad(fmt.Sprintf("unreasonable line count %d", n))
+		if n > uint64(st.Size())/deltaRecordMin {
+			return hdr, nil, bad(fmt.Sprintf("%d lines in a file of %d bytes", n, st.Size()))
 		}
 		sh := make([]secmem.DirtyLine, 0, n)
 		for j := uint64(0); j < n; j++ {

@@ -17,13 +17,18 @@ import (
 // base snapshot's epoch, and recovery replays base + delta chain + the
 // segment tail past the chain's covered LSN.
 //
-// The stall budget is the point: writers are frozen only while the dirty
-// lines are copied in memory (copy-on-checkpoint); the WAL fsync that
-// makes the covered prefix durable rides the ordinary group-commit path,
-// and all delta file I/O happens outside every shard lock. A crash at any
-// point leaves either no delta (a .tmp recovery sweeps) or a complete,
-// authenticated one; the dirty floor only advances after the rename, so a
-// failed cut re-collects the same lines next time.
+// Nothing is frozen and nothing is copied. A shard's locks are held only
+// while its cut begins — its covered LSN is read and its dirty lines are
+// counted — and one shard at a time, because recovery replays each shard's
+// tail from that shard's own covered LSN and never relates two shards'
+// positions. The lines are then streamed into the delta file from the live
+// store, a chunk at a time, while writers carry on; a line about to be
+// overwritten before it is streamed is set aside by its writer (secmem.Cut).
+// The WAL fsync that makes the covered prefix durable rides the ordinary
+// group-commit path. A crash at any point leaves either no delta (a .tmp
+// recovery sweeps) or a complete, authenticated one; the dirty floor only
+// advances after the rename, and a failure anywhere aborts every cut, so the
+// next one takes the same lines again.
 func (m *Memory) CheckpointDelta() error {
 	if m.closed.Load() {
 		return fmt.Errorf("durable: delta checkpoint after Close")
@@ -34,44 +39,24 @@ func (m *Memory) CheckpointDelta() error {
 
 	covered := make([]uint64, len(m.commits))
 	coveredWrites := make([]uint64, len(m.commits))
-	cuts := make([]uint32, len(m.commits))
-	lines := make([][]secmem.DirtyLine, len(m.commits))
-
-	// Freeze: sync locks then append locks, matching syncTo's ordering.
-	// Only the in-memory dirty copy happens inside; every lock is released
-	// before the group-commit fsyncs and file I/O below.
-	for _, c := range m.commits {
-		c.syncMu.Lock()
-	}
-	for _, c := range m.commits {
-		c.mu.Lock()
-	}
-	var ferr error
-	for i, c := range m.commits {
-		if !m.cfg.NoAudit {
-			if ferr = c.appendAuditLocked(m); ferr != nil {
-				break
-			}
+	cuts := make([]*secmem.Cut, 0, len(m.commits))
+	defer func() {
+		for _, cut := range cuts {
+			cut.Abort() // does nothing to a committed cut
 		}
-		covered[i] = c.lsn
-		coveredWrites[i] = c.writes
-		sh := lines[i]
-		cuts[i] = c.eng.CollectDirty(func(d secmem.DirtyLine) { sh = append(sh, d) })
-		lines[i] = sh
-	}
-	for i := len(m.commits) - 1; i >= 0; i-- {
-		m.commits[i].mu.Unlock()
-	}
-	for i := len(m.commits) - 1; i >= 0; i-- {
-		m.commits[i].syncMu.Unlock()
-	}
-	if ferr != nil {
-		return ferr
+	}()
+	for i, c := range m.commits {
+		cut, lsn, writes, err := c.beginCut(m)
+		if err != nil {
+			return err
+		}
+		cuts = append(cuts, cut)
+		covered[i], coveredWrites[i] = lsn, writes
 	}
 
 	// The delta claims coverage up to covered[i]; fsync that prefix so a
 	// post-crash segment never ends below it (replay past the chain needs
-	// a contiguous tail). This is a plain group commit — no freeze.
+	// a contiguous tail). This is a plain group commit.
 	for i, c := range m.commits {
 		if err := c.syncTo(m, covered[i]); err != nil {
 			return err
@@ -82,7 +67,7 @@ func (m *Memory) CheckpointDelta() error {
 	newSeq := oldSeq + 1
 	hdr := ckpt.DeltaHeader{Seq: newSeq, Base: oldSeq, CoveredLSN: covered, CoveredWrites: coveredWrites}
 	path := ckpt.DeltaPath(m.cfg.Dir, newSeq, oldSeq)
-	if err := ckpt.WriteDelta(path, deltaKey(m.shcfg.Mem.Key), hdr, lines); err != nil {
+	if err := ckpt.WriteDelta(path, deltaKey(m.shcfg.Mem.Key), hdr, cuts); err != nil {
 		return err
 	}
 	if err := wal.SyncDir(m.cfg.Dir); err != nil {
@@ -91,9 +76,9 @@ func (m *Memory) CheckpointDelta() error {
 
 	// The delta is durable: commit the dirty floor and advance the epoch.
 	var total uint64
-	for i, c := range m.commits {
-		c.eng.CommitDirty(cuts[i])
-		total += uint64(len(lines[i]))
+	for _, cut := range cuts {
+		cut.Commit()
+		total += uint64(cut.N())
 	}
 	m.seq.Store(newSeq)
 	m.deltaCkpts.Add(1)
@@ -108,4 +93,21 @@ func (m *Memory) CheckpointDelta() error {
 	m.deltaLat.Record(dur)
 	m.tracer.Emit(obs.KindDeltaCkpt, -1, newSeq, total, dur)
 	return firstErr
+}
+
+// beginCut opens a cut of the shard's engine and returns the journal position
+// it holds exactly: both are taken under the shard's locks (sync, then append,
+// syncTo's order), and no other shard's.
+func (c *committer) beginCut(m *Memory) (cut *secmem.Cut, lsn, writes uint64, err error) {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !m.cfg.NoAudit {
+		if err := c.appendAuditLocked(m); err != nil {
+			return nil, 0, 0, err
+		}
+	}
+	cut, err = c.eng.BeginCut()
+	return cut, c.lsn, c.writes, err
 }

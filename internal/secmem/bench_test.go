@@ -180,9 +180,9 @@ func (b *writerBuffer) Read(p []byte) (int, error) {
 }
 
 // BenchmarkCollectDirtySparse is a checkpoint's view of a large, mostly idle
-// engine: 1 GiB protected, 1 000 lines (and their counter lines) dirty. Both
-// calls used to scan a stamp per line of capacity; now they visit the chunks
-// that hold something and skip those untouched since the last collection.
+// engine: 1 GiB protected, 1 000 lines (and their counter lines) dirty. A cut
+// and a count used to scan a stamp per line of capacity; now they visit the
+// chunks that hold something and skip those untouched since the last cut.
 func BenchmarkCollectDirtySparse(b *testing.B) {
 	morph := counters.MorphSpec(true)
 	m, err := New(Config{MemoryBytes: 1 << 30, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
@@ -196,14 +196,17 @@ func BenchmarkCollectDirtySparse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("CollectDirty", func(b *testing.B) {
+	b.Run("Cut", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			n := 0
-			m.CollectDirty(func(DirtyLine) { n++ }) // never committed: the same lines every time
-			if n < dirty {
-				b.Fatalf("collected %d lines, want at least %d", n, dirty)
+			cut, err := m.BeginCut()
+			if err == nil {
+				err = cut.Drain(func([]byte) error { return nil })
 			}
+			if err != nil || cut.N() < dirty {
+				b.Fatalf("a cut of %d lines, want at least %d: %v", cut.N(), dirty, err)
+			}
+			cut.Abort() // never committed: the same lines every time
 		}
 	})
 	b.Run("DirtyCount", func(b *testing.B) {

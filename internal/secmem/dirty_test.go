@@ -5,12 +5,6 @@ import (
 	"testing"
 )
 
-func collectAll(m *Memory) (uint32, []DirtyLine) {
-	var out []DirtyLine
-	cut := m.CollectDirty(func(d DirtyLine) { out = append(out, d) })
-	return cut, out
-}
-
 func TestDirtyCollectCommitCycle(t *testing.T) {
 	cfg := configs(1 << 20)["MorphCtr-128"]
 	m := mustNew(t, cfg)
@@ -19,11 +13,11 @@ func TestDirtyCollectCommitCycle(t *testing.T) {
 	if n := m.DirtyCount(); n != 0 {
 		t.Fatalf("fresh engine dirty count = %d, want 0", n)
 	}
-	cut, lines := collectAll(m)
+	cut, lines := drainCut(t, m)
 	if len(lines) != 1 || lines[0].Level != int32(m.geom.RootLevel()) {
 		t.Fatalf("fresh collection = %d lines, want root only", len(lines))
 	}
-	m.CommitDirty(cut)
+	cut.Commit()
 
 	// A handful of writes dirty exactly those data lines plus ancestors.
 	for i := uint64(0); i < 8; i++ {
@@ -34,7 +28,7 @@ func TestDirtyCollectCommitCycle(t *testing.T) {
 	if n := m.DirtyCount(); n == 0 {
 		t.Fatal("writes left dirty count at 0")
 	}
-	cut, lines = collectAll(m)
+	cut, lines = drainCut(t, m)
 	var data, ctr int
 	for _, d := range lines {
 		switch {
@@ -52,20 +46,22 @@ func TestDirtyCollectCommitCycle(t *testing.T) {
 	}
 
 	// Without commit, the same dirt is re-collected (failed persist path).
-	_, again := collectAll(m)
+	cut.Abort()
+	cut, again := drainCut(t, m)
 	if len(again) != len(lines) {
 		t.Fatalf("uncommitted re-collection = %d lines, want %d", len(again), len(lines))
 	}
 
 	// After commit, the set drains to root-only.
-	m.CommitDirty(cut)
+	cut.Commit()
 	if n := m.DirtyCount(); n != 0 {
 		t.Fatalf("post-commit dirty count = %d, want 0", n)
 	}
-	_, drained := collectAll(m)
+	cut, drained := drainCut(t, m)
 	if len(drained) != 1 {
 		t.Fatalf("post-commit collection = %d lines, want root only", len(drained))
 	}
+	cut.Abort()
 }
 
 func TestDirtyWriteDuringCollectLandsInNextCut(t *testing.T) {
@@ -74,14 +70,14 @@ func TestDirtyWriteDuringCollectLandsInNextCut(t *testing.T) {
 	if err := m.Write(0, line(1)); err != nil {
 		t.Fatal(err)
 	}
-	cut, _ := collectAll(m)
+	cut, _ := drainCut(t, m)
 	// Write after the cut: stamped at the advanced epoch, so committing
 	// the old cut must not mark it clean.
 	if err := m.Write(64, line(2)); err != nil {
 		t.Fatal(err)
 	}
-	m.CommitDirty(cut)
-	_, next := collectAll(m)
+	cut.Commit()
+	_, next := drainCut(t, m)
 	found := false
 	for _, d := range next {
 		if d.Level == -1 && d.Index == 1 {
@@ -131,7 +127,7 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_, delta := collectAll(m)
+			_, delta := drainCut(t, m)
 
 			stale, err := Load(cfg, &base)
 			if err != nil {

@@ -155,8 +155,9 @@ func modelOf(s *Store) *mapStore {
 // mapEngine is the rest of what the engine kept per line before the table:
 // the map store plus one dirty stamp per line of capacity, in flat arrays
 // sized at construction and scanned end to end by every collection. Its
-// save, collect and dirtyCount are the old Save, CollectDirty and DirtyCount
-// bodies, so the table's bytes and orders can be held against them.
+// save, collect and dirtyCount are the map store's Save, CollectDirty (the
+// freeze a cut replaced) and DirtyCount bodies, so the table's bytes and
+// orders can be held against them.
 type mapEngine struct {
 	*mapStore
 	dirtyData  []uint32
@@ -206,7 +207,7 @@ func sortedKeys(m map[uint64][]byte) []uint64 {
 	return keys
 }
 
-// collect is the old CollectDirty after its root line: a scan of every stamp.
+// collect is the map store's CollectDirty after its root line: a scan of every stamp.
 func (e *mapEngine) collect(fn func(DirtyLine)) uint32 {
 	cut := e.cur
 	e.cur++

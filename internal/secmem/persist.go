@@ -125,6 +125,7 @@ func (m *Memory) CommitRestore(st *Staged) {
 	m.wb = fresh.wb // blocks cached or dirty in the replaced state are dropped with it
 	m.dirtyCur = fresh.dirtyCur
 	m.dirtyFloor = fresh.dirtyFloor
+	m.cut = nil // an open cut was of the replaced state: its drain fails
 	m.mu.Unlock()
 }
 

@@ -20,7 +20,7 @@
 // and cold fetches consult cached values only, so verification stays exact.
 // Every dirty block is written back before a stored line or the root can be
 // seen or a cached block dropped (FlushMetadataCache, VerifyAll, Save,
-// CollectDirty, DirtyCount, Prove, RootEncoding, Store, ApplyDeltaLine), and
+// BeginCut, DirtyCount, Prove, RootEncoding, Store, ApplyDeltaLine), and
 // oldest first while more than dirtyBlockBound are dirty. So for l >= 1,
 // Stats.Increments[l] counts write-backs of level l-1: tree-line writes.
 //
@@ -219,9 +219,10 @@ type Memory struct {
 	// the write path allocates only a page's chunk, on its first write.
 	plainBuf [LineBytes]byte
 	// Dirty epochs for incremental checkpoints (see dirty.go): a stored line
-	// is stamped dirtyCur; stamps >= dirtyFloor are dirty.
+	// is stamped dirtyCur; stamps >= dirtyFloor are dirty; cut is the open cut.
 	dirtyCur   uint32
 	dirtyFloor uint32
+	cut        *Cut
 	// wb is the counter cache's state; write evicts while more than wbBound
 	// blocks are dirty (a field only so a test can shrink it).
 	wb      writeBackState
@@ -516,6 +517,9 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	}
 	ctr := blk.Value(slot)
 	c, i := m.store.data.grow(d), d%chunkLines //morphlint:allow hotalloc -- a page's first write allocates its chunk
+	if m.cut != nil {
+		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
+	}
 	ct := c.line[i][:]
 	if err := m.dataCipher(dom).XOR(ct, line, addr, ctr); err != nil {
 		return err
@@ -796,6 +800,9 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 		clear(pt)
 		c = m.store.data.grow(d)
 	}
+	if m.cut != nil {
+		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
+	}
 	ct := c.line[i][:]
 	if err := cipher.XOR(ct, pt, addr, newCtr); err != nil {
 		return err
@@ -899,6 +906,9 @@ func integrityFromMismatch(err error) error {
 //morph:hotpath
 func (m *Memory) sealBlock(level int, idx uint64, parentValue uint64) {
 	c, i := m.store.levels[level].at(idx), idx%chunkLines
+	if m.cut != nil {
+		m.cut.keep(c.stamp[i], DirtyLine{Level: int32(level), Index: idx, Line: c.get(i)})
+	}
 	blk, line := c.ext.blk[i], c.line[i][:]
 	blk.SetMAC(0)
 	blk.EncodeTo(line)

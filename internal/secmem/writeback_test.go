@@ -99,14 +99,13 @@ func (e *diffEngine) saveLoad() {
 // verify end to end on its own.
 func (e *diffEngine) shipDelta() {
 	e.t.Helper()
-	var lines []DirtyLine
-	cut := e.m.CollectDirty(func(d DirtyLine) { lines = append(lines, d) })
+	cut, lines := drainCut(e.t, e.m)
 	for _, d := range lines {
 		if err := e.replica.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
 			e.t.Fatal(err)
 		}
 	}
-	e.m.CommitDirty(cut)
+	cut.Commit()
 	if err := e.replica.VerifyAll(); err != nil {
 		e.t.Fatalf("replica after delta: %v", err)
 	}
