@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race morphdebug vet morphlint lint-baseline bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: build test race morphdebug vet morphlint lint-baseline loc bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ morphlint: bin/morphlint
 lint-baseline: bin/morphlint
 	bin/morphlint -baseline lint.baseline -write-baseline ./...
 
+# Non-test Go lines per package, one line each, and their sum: the figure a
+# change that claims to remove code reports before and after.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.ImportPath}}' ./... | while read dir pkg; do \
+		echo "$$(find $$dir -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l) $$pkg"; \
+	done | awk '{ n += $$1; printf "%7d %s\n", $$1, $$2 } END { printf "%7d total\n", n }'
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
@@ -50,12 +57,13 @@ perf-engine:
 # face attacker-controlled bytes, and the encoders are hand-packed words that
 # must agree with the bit-serial reference on every input — over the store's
 # line table against the map model it replaced, over the MAC against
-# crypto/hmac, over the WAL's two decoders, and over the checkpoint stream and
-# the delta segments inside it, whose counts and lengths are read before the
-# MAC that covers them.
+# crypto/hmac, over the WAL's two decoders, over the checkpoint stream and
+# the state streams inside it, whose counts and lengths are read before the
+# MAC that covers them, and over secmem.Load and shard.Load, whose Save streams
+# no MAC covers at all.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
@@ -70,11 +78,12 @@ bin/morphload: $(shell find cmd/morphload internal/wire internal/secmem internal
 
 # Loopback smoke test of the serving layer: morphload drives a local
 # morphserve, verifies integrity end to end (including an injected tamper),
-# and writes BENCH_serve.json.
+# and writes bin/BENCH_serve.json (every smoke's report goes under bin/, which
+# is ignored: a three-second run is a pass/fail gate, not a number to keep).
 serve-smoke: bin/morphserve bin/morphload
 	bin/morphserve -addr 127.0.0.1:7443 -shards 4 -org morph128 -tamper & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7443 -clients 8 -duration 3s -tamper -out BENCH_serve.json; \
+	bin/morphload -addr 127.0.0.1:7443 -clients 8 -duration 3s -tamper -out bin/BENCH_serve.json; \
 	STATUS=$$?; kill $$SERVE_PID; exit $$STATUS
 
 bin/morphcrash: $(shell find cmd/morphcrash internal/durable internal/wal internal/shard internal/secmem -name '*.go' -not -name '*_test.go' 2>/dev/null)
@@ -85,7 +94,7 @@ bin/morphcrash: $(shell find cmd/morphcrash internal/durable internal/wal intern
 # against a shadow model. The full matrix is `bin/morphcrash` with
 # defaults; this keeps CI fast.
 crash-smoke: bin/morphcrash
-	bin/morphcrash -points 9 -writes 300 -out BENCH_durable.json
+	bin/morphcrash -points 9 -writes 300 -out bin/BENCH_durable.json
 
 # Incremental-checkpoint smoke test, race-built: the delta/compaction
 # crash windows and delta tamper probe, crash recovery measured at two
@@ -95,7 +104,7 @@ crash-smoke: bin/morphcrash
 # write-p99 stall gate.
 ckpt-smoke:
 	$(GO) build -race -o bin/morphcrash.race ./cmd/morphcrash
-	bin/morphcrash.race -points 16 -writes 300 -out BENCH_durable.json
+	bin/morphcrash.race -points 16 -writes 300 -out bin/BENCH_durable.json
 
 bin/morphchaos: $(shell find cmd/morphchaos internal/fault internal/server internal/shard internal/wire internal/secmem internal/cluster internal/durable internal/obs -name '*.go' -not -name '*_test.go' 2>/dev/null)
 	$(GO) build -race -o bin/morphchaos ./cmd/morphchaos
@@ -105,7 +114,7 @@ bin/morphchaos: $(shell find cmd/morphchaos internal/fault internal/server inter
 # acknowledged writes and zero spurious integrity errors. The full matrix
 # is `bin/morphchaos` with defaults; this keeps CI fast.
 chaos-smoke: bin/morphchaos
-	bin/morphchaos -smoke -out BENCH_fault.json
+	bin/morphchaos -smoke -out bin/BENCH_fault.json
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
 # cluster (primary + two replicas) with a node killed mid-load, followed
@@ -114,22 +123,22 @@ chaos-smoke: bin/morphchaos
 # replication lag percentiles. The full matrix is `bin/morphchaos
 # -cluster` with defaults; this keeps CI fast.
 cluster-smoke: bin/morphchaos
-	bin/morphchaos -cluster -smoke -out BENCH_cluster.json
+	bin/morphchaos -cluster -smoke -out bin/BENCH_cluster.json
 
 bin/morphscope: $(shell find cmd/morphscope internal/obs internal/wire -name '*.go' -not -name '*_test.go' 2>/dev/null)
 	$(GO) build -o bin/morphscope ./cmd/morphscope
 
 # Observability smoke test: a race-built morphserve with the admin plane
 # on, morphload driving it (with live -report lines), morphscope polling
-# per-op quantiles and event rates into BENCH_obs.json, then a -check
+# per-op quantiles and event rates into bin/BENCH_obs.json, then a -check
 # probe asserting the telemetry is live (healthz, op samples, events).
 obs-smoke: bin/morphload bin/morphscope
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	bin/morphserve.race -addr 127.0.0.1:7543 -admin 127.0.0.1:7544 -shards 4 -org morph128 & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7543 -clients 4 -duration 5s -report 2s -out BENCH_obs_load.json & \
+	bin/morphload -addr 127.0.0.1:7543 -clients 4 -duration 5s -report 2s -out bin/BENCH_obs_load.json & \
 	LOAD_PID=$$!; sleep 1; \
-	bin/morphscope -admin 127.0.0.1:7544 -interval 1s -samples 3 -json BENCH_obs.json; \
+	bin/morphscope -admin 127.0.0.1:7544 -interval 1s -samples 3 -json bin/BENCH_obs.json; \
 	SCOPE=$$?; wait $$LOAD_PID; LOAD=$$?; \
 	bin/morphscope -admin 127.0.0.1:7544 -check; CHECK=$$?; \
 	kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; \
@@ -140,7 +149,7 @@ bin/morphaudit: $(shell find cmd/morphaudit internal/wire internal/proof -name '
 
 # Verified-read smoke test: a race-built morphserve publishes signed epoch
 # roots; morphload -audit interleaves client-verified PROOF reads with
-# plain ones and reports the overhead in BENCH_serve.json; morphaudit then
+# plain ones and reports the overhead in bin/BENCH_serve.json; morphaudit then
 # passes a clean audit, must exit 1 when a backing-store byte is flipped
 # (spot verification), and must exit 1 again when the transparency log is
 # forged through the demo /rootz/tamper endpoint (equivocation).
@@ -149,7 +158,7 @@ proof-smoke: bin/morphload bin/morphaudit
 	rm -f bin/audit.state
 	bin/morphserve.race -addr 127.0.0.1:7643 -admin 127.0.0.1:7644 -shards 4 -org morph128 -tamper & \
 	SERVE_PID=$$!; sleep 1; STATUS=0; \
-	bin/morphload -addr 127.0.0.1:7643 -clients 4 -duration 3s -audit -out BENCH_serve.json || STATUS=1; \
+	bin/morphload -addr 127.0.0.1:7643 -clients 4 -duration 3s -audit -out bin/BENCH_serve.json || STATUS=1; \
 	bin/morphaudit -addr 127.0.0.1:7643 -once -state bin/audit.state || STATUS=1; \
 	bin/morphload -addr 127.0.0.1:7643 -clients 1 -duration 1s -writes 1 -tamper -out bin/tamper_load.json || STATUS=1; \
 	bin/morphaudit -addr 127.0.0.1:7643 -once -state bin/audit.state; RC=$$?; \
@@ -164,13 +173,13 @@ proof-smoke: bin/morphload bin/morphaudit
 # and against a greedy rate-capped aggressor. Passes only if the victim's
 # p99 stays under 2x its solo baseline while the aggressor is shed, and a
 # cross-tenant read is denied with a typed integrity error. Writes
-# BENCH_tenant.json.
+# bin/BENCH_tenant.json.
 tenant-smoke: bin/morphload
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	printf '[{"id":"victim","secret":"vs","weight":4},{"id":"greedy","secret":"gs","weight":1,"ops_per_sec":400,"max_inflight":8}]\n' > bin/tenants.json
 	bin/morphserve.race -addr 127.0.0.1:7743 -shards 4 -org morph128 -tenants bin/tenants.json & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json -out BENCH_tenant.json; \
+	bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json -out bin/BENCH_tenant.json; \
 	STATUS=$$?; kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; exit $$STATUS
 
 verify: build vet morphlint morphdebug race

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -101,18 +102,33 @@ func TestStreamFailsClosed(t *testing.T) {
 	}
 }
 
-// lineShard is a DeltaShard over lines already in hand, one record an emit.
+// lineShard is a DeltaShard over lines already in hand.
 type lineShard []secmem.DirtyLine
 
-func (s lineShard) N() int { return len(s) }
-
-func (s lineShard) Drain(emit func([]byte) error) error {
+func (s lineShard) WriteRecords(w io.Writer) error {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(len(s)))
 	for _, d := range s {
-		if err := emit(d.AppendRecord(nil)); err != nil {
-			return err
-		}
+		out = d.AppendRecord(out)
 	}
-	return nil
+	_, err := w.Write(out)
+	return err
+}
+
+// readDelta reads the state stream at path the way every caller does, its
+// records through secmem.ReadRecords, and keeps the lines.
+func readDelta(path string, seq, base uint64) (DeltaHeader, [][]secmem.DirtyLine, error) {
+	var lines [][]secmem.DirtyLine
+	hdr, err := ReadDelta(path, testKey, seq, base, func(_ DeltaHeader, shard int, r io.Reader) error {
+		lines = append(lines, nil)
+		return secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error {
+			for _, d := range batch {
+				d.Line = bytes.Clone(d.Line)
+				lines[shard] = append(lines[shard], d)
+			}
+			return nil
+		})
+	})
+	return hdr, lines, err
 }
 
 func TestDeltaFileRoundTrip(t *testing.T) {
@@ -135,7 +151,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err := WriteDelta(path, testKey, hdr, lines); err != nil {
 		t.Fatal(err)
 	}
-	got, gotLines, err := ReadDelta(path, testKey, 5, 4)
+	got, gotLines, err := readDelta(path, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +171,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err := os.Rename(path, moved); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReadDelta(moved, testKey, 6, 5)
+	_, _, err = readDelta(moved, 6, 5)
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("renamed delta: got %v, want IntegrityError", err)
@@ -173,7 +189,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ReadDelta(path, testKey, 5, 4)
+	_, _, err = readDelta(path, 5, 4)
 	if !errors.As(err, &ie) {
 		t.Fatalf("tampered delta: got %v, want IntegrityError", err)
 	}

@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"github.com/securemem/morphtree/internal/secmem"
 )
 
-// Delta segment: one incremental checkpoint, chained to the epoch it was
-// cut against. The payload travels inside the authenticated stream codec
-// (CRC-framed, whole-file HMAC'd) under a context string that embeds both
-// its own epoch and its base — a delta renamed to a different position in
-// the chain fails authentication, exactly like a WAL segment moved across
-// epochs.
+// State stream: the one shape engine state crosses a disk or a network in
+// (DESIGN.md, "State stream"). A delta segment — one incremental checkpoint,
+// chained to the epoch it was cut against — a full snapshot (a delta against
+// nothing: base 0) and a replica's bootstrap blob (snapshot 1, its coverage
+// the marks it resumes at) are all this payload inside the authenticated
+// stream codec (CRC-framed, whole-stream HMAC'd) under a context string that
+// embeds both its own epoch and its base — a file renamed to a different
+// position in the chain fails authentication, exactly like a WAL segment
+// moved across epochs.
 //
 // Payload layout (inside the stream, integers little-endian):
 //
@@ -24,27 +25,24 @@ import (
 //	nshards × ( u64 nlines |
 //	            nlines × (i32 level | u64 index | u32 len | line | u64 mac) )
 //
-// A line's record is secmem.DirtyLine.AppendRecord's; a shard's records are in
-// no particular order (applying them commutes: a line is in a delta once).
-const (
-	deltaLineMax   = 4096          // sanity cap on a single line's length field
-	deltaRecordMin = 4 + 8 + 4 + 8 // a record of an empty line
-)
+// A shard's share — count and records — is written by a DeltaShard and read by
+// secmem.ReadRecords; its records are in no particular order (applying them
+// commutes: a line is in a stream once).
 
-// DeltaShard is one shard's share of a delta being written: N line records,
-// which Drain hands to emit encoded, a few at a time. *secmem.Cut is one.
+// DeltaShard is one shard's share of a state stream being written: the count
+// of its line records, then the records. *secmem.Cut is one (the lines stamped
+// since the last checkpoint), *secmem.Memory another (every stored line).
 type DeltaShard interface {
-	N() int
-	Drain(emit func(records []byte) error) error
+	WriteRecords(w io.Writer) error
 }
 
-// DeltaHeader describes a delta segment's position and coverage.
+// DeltaHeader describes a state stream's position and coverage.
 type DeltaHeader struct {
-	// Seq is this delta's epoch; Base is the epoch it was cut against
-	// (the previous full snapshot or delta in the chain).
+	// Seq is this stream's epoch; Base is the epoch it was cut against (the
+	// previous full snapshot or delta in the chain), 0 for a full image.
 	Seq, Base uint64
 	// CoveredLSN / CoveredWrites are the per-shard journal positions the
-	// chain up to and including this delta covers; recovery replays the
+	// chain up to and including this stream covers; recovery replays the
 	// WAL tail from CoveredLSN+1.
 	CoveredLSN, CoveredWrites []uint64
 }
@@ -57,177 +55,138 @@ func deltaContext(seq, base uint64) string {
 // migration shipping.
 const HibernateContext = "morphtree/ckpt/hibernate"
 
-// WriteDelta persists a delta segment at path via temp file, fsync, and
-// atomic rename (the caller fsyncs the directory). Each shard's lines are
-// streamed from its Drain, in turn, so the delta is never in memory; key
-// should be a role-derived delta key.
-func WriteDelta[S DeltaShard](path string, key []byte, hdr DeltaHeader, shards []S) error {
+// WriteState writes a state stream to w: the header, then each shard's share
+// in turn, streamed from its WriteRecords so the state is never in memory
+// twice; key should be a role-derived key.
+func WriteState[S DeltaShard](w io.Writer, key []byte, hdr DeltaHeader, shards []S) error {
 	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
-		return fmt.Errorf("ckpt: delta header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
+		return fmt.Errorf("ckpt: state header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
 	}
+	sw, err := NewStreamWriter(w, key, deltaContext(hdr.Seq, hdr.Base))
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(sw)
+	head := binary.LittleEndian.AppendUint64(nil, hdr.Seq)
+	head = binary.LittleEndian.AppendUint64(head, hdr.Base)
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(shards)))
+	for i := range shards {
+		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
+		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredWrites[i])
+	}
+	bw.Write(head)
+	for _, sh := range shards {
+		if err := sh.WriteRecords(bw); err != nil {
+			return err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return sw.Close()
+}
+
+// WriteFile lands what write writes at path via temp file, fsync, and atomic
+// rename (the caller fsyncs the directory): a crash leaves the whole file
+// under its name, or a .tmp recovery sweeps.
+func WriteFile(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return fmt.Errorf("ckpt: delta: %w", err)
+		return fmt.Errorf("ckpt: %w", err)
 	}
-	werr := func() error {
-		sw, err := NewStreamWriter(f, key, deltaContext(hdr.Seq, hdr.Base))
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(sw)
-		writeU64 := func(v uint64) {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			bw.Write(b[:])
-		}
-		writeU64(hdr.Seq)
-		writeU64(hdr.Base)
-		writeU64(uint64(len(shards)))
-		for i := range shards {
-			writeU64(hdr.CoveredLSN[i])
-			writeU64(hdr.CoveredWrites[i])
-		}
-		for _, sh := range shards {
-			writeU64(uint64(sh.N()))
-			if err := sh.Drain(func(records []byte) error {
-				_, err := bw.Write(records)
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if werr != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("ckpt: delta %s: %w", tmp, werr)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("ckpt: delta %s: %w", tmp, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		_ = os.Remove(tmp)
-		return fmt.Errorf("ckpt: delta rename: %w", err)
+		return fmt.Errorf("ckpt: write %s: %w", tmp, err)
 	}
 	return nil
 }
 
-// ReadDelta authenticates and decodes the delta segment at path. seq and
-// base come from the file name; the authenticated payload must embed the
-// same values (the stream context already binds them into the MAC, so a
-// mismatch here means a bug, but it is checked all the same).
-func ReadDelta(path string, key []byte, seq, base uint64) (DeltaHeader, [][]secmem.DirtyLine, error) {
+// WriteDelta persists a state stream at path: WriteState through WriteFile.
+func WriteDelta[S DeltaShard](path string, key []byte, hdr DeltaHeader, shards []S) error {
+	return WriteFile(path, func(w io.Writer) error { return WriteState(w, key, hdr, shards) })
+}
+
+// ReadState authenticates the state stream in r, size bytes long, and hands
+// apply each shard's share in turn: a reader placed at the shard's count,
+// which apply must read to the end of the shard's records
+// (secmem.ReadRecords). seq and base are where the caller found the stream —
+// a file's name, a bootstrap's fixed position; the stream context binds them
+// into the MAC, and the payload must embed the same values. The MAC trailer
+// comes last, so apply sees bytes nothing has authenticated yet: what it
+// builds may be served only once ReadState has returned nil. A payload that
+// does not decode, or an error of apply's, is reported as it is if the stream
+// then authenticates — it is sound and does not fit — and as the stream's
+// *secmem.IntegrityError if not: damage explains it.
+func ReadState(r io.Reader, size int64, key []byte, seq, base uint64, apply func(hdr DeltaHeader, shard int, records io.Reader) error) (DeltaHeader, error) {
 	var hdr DeltaHeader
+	sr, err := NewStreamReader(r, key, deltaContext(seq, base))
+	if err != nil {
+		return hdr, err
+	}
+	br := bufio.NewReader(sr)
+	err = func() error {
+		var head [24]byte
+		if _, err := io.ReadFull(br, head[:]); err != nil {
+			return fmt.Errorf("ckpt: state stream %d←%d: header: %w", seq, base, err)
+		}
+		hdr.Seq, hdr.Base = binary.LittleEndian.Uint64(head[0:]), binary.LittleEndian.Uint64(head[8:])
+		if hdr.Seq != seq || hdr.Base != base {
+			return fmt.Errorf("ckpt: state stream %d←%d embeds chain position %d←%d", seq, base, hdr.Seq, hdr.Base)
+		}
+		// Counts are not authenticated yet, so each is believed only as far
+		// as the input has room for what it announces.
+		nsh := binary.LittleEndian.Uint64(head[16:])
+		if nsh == 0 || nsh > 1<<16 || nsh > uint64(size)/16 {
+			return fmt.Errorf("ckpt: state stream %d←%d: unreasonable shard count %d", seq, base, nsh)
+		}
+		hdr.CoveredLSN = make([]uint64, nsh)
+		hdr.CoveredWrites = make([]uint64, nsh)
+		for i := range hdr.CoveredLSN {
+			if _, err := io.ReadFull(br, head[:16]); err != nil {
+				return fmt.Errorf("ckpt: state stream %d←%d: coverage: %w", seq, base, err)
+			}
+			hdr.CoveredLSN[i], hdr.CoveredWrites[i] = binary.LittleEndian.Uint64(head[0:]), binary.LittleEndian.Uint64(head[8:])
+		}
+		for i := 0; i < int(nsh); i++ {
+			if err := apply(hdr, i, br); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	// The MAC trailer sits after the payload: verify it before the caller
+	// trusts anything decoded or applied above.
+	if derr := sr.Drain(); derr != nil {
+		return hdr, derr
+	}
+	return hdr, err
+}
+
+// ReadDelta is ReadState over the file at path.
+func ReadDelta(path string, key []byte, seq, base uint64, apply func(hdr DeltaHeader, shard int, records io.Reader) error) (DeltaHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return hdr, nil, fmt.Errorf("ckpt: read delta: %w", err)
+		return DeltaHeader{}, fmt.Errorf("ckpt: read state: %w", err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return hdr, nil, fmt.Errorf("ckpt: read delta: %w", err)
+		return DeltaHeader{}, fmt.Errorf("ckpt: read state: %w", err)
 	}
-	sr, err := NewStreamReader(f, key, deltaContext(seq, base))
+	hdr, err := ReadState(f, st.Size(), key, seq, base, apply)
 	if err != nil {
-		return hdr, nil, err
+		return hdr, fmt.Errorf("%s: %w", path, err)
 	}
-	br := bufio.NewReader(sr)
-	bad := func(reason string) error {
-		return &secmem.IntegrityError{Level: -1, Index: seq, Reason: "delta " + path + ": " + reason}
-	}
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, bad("payload truncated")
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	readU32 := func() (uint32, error) {
-		var b [4]byte
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, bad("payload truncated")
-		}
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
-	if hdr.Seq, err = readU64(); err != nil {
-		return hdr, nil, err
-	}
-	if hdr.Base, err = readU64(); err != nil {
-		return hdr, nil, err
-	}
-	if hdr.Seq != seq || hdr.Base != base {
-		return hdr, nil, bad(fmt.Sprintf("embedded chain position %d←%d does not match name %d←%d", hdr.Seq, hdr.Base, seq, base))
-	}
-	nsh, err := readU64()
-	if err != nil {
-		return hdr, nil, err
-	}
-	// Counts are not authenticated yet — the MAC trailer comes last — so each
-	// is believed only as far as the file has room for what it announces.
-	if nsh == 0 || nsh > 1<<16 || nsh > uint64(st.Size())/16 {
-		return hdr, nil, bad(fmt.Sprintf("unreasonable shard count %d", nsh))
-	}
-	hdr.CoveredLSN = make([]uint64, nsh)
-	hdr.CoveredWrites = make([]uint64, nsh)
-	for i := range hdr.CoveredLSN {
-		if hdr.CoveredLSN[i], err = readU64(); err != nil {
-			return hdr, nil, err
-		}
-		if hdr.CoveredWrites[i], err = readU64(); err != nil {
-			return hdr, nil, err
-		}
-	}
-	lines := make([][]secmem.DirtyLine, nsh)
-	for i := range lines {
-		n, err := readU64()
-		if err != nil {
-			return hdr, nil, err
-		}
-		if n > uint64(st.Size())/deltaRecordMin {
-			return hdr, nil, bad(fmt.Sprintf("%d lines in a file of %d bytes", n, st.Size()))
-		}
-		sh := make([]secmem.DirtyLine, 0, n)
-		for j := uint64(0); j < n; j++ {
-			lvl, err := readU32()
-			if err != nil {
-				return hdr, nil, err
-			}
-			idx, err := readU64()
-			if err != nil {
-				return hdr, nil, err
-			}
-			ln, err := readU32()
-			if err != nil {
-				return hdr, nil, err
-			}
-			if ln > deltaLineMax {
-				return hdr, nil, bad(fmt.Sprintf("line length %d exceeds limit", ln))
-			}
-			line := make([]byte, ln)
-			if _, err := io.ReadFull(br, line); err != nil {
-				return hdr, nil, bad("payload truncated")
-			}
-			mac, err := readU64()
-			if err != nil {
-				return hdr, nil, err
-			}
-			sh = append(sh, secmem.DirtyLine{Level: int32(lvl), Index: idx, Line: line, MAC: mac})
-		}
-		lines[i] = sh
-	}
-	// The MAC trailer sits after the payload; drain to verify it before
-	// trusting anything decoded above.
-	if err := sr.Drain(); err != nil {
-		return hdr, nil, err
-	}
-	return hdr, lines, nil
+	return hdr, nil
 }

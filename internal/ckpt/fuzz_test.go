@@ -136,7 +136,7 @@ func TestReadDeltaBoundsUnauthenticatedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var err error
-	if got := allocatedBy(func() { _, _, err = ReadDelta(path, testKey, 5, 4) }); got > allocBound(0) {
+	if got := allocatedBy(func() { _, _, err = readDelta(path, 5, 4) }); got > allocBound(0) {
 		t.Errorf("ReadDelta allocated %d bytes for a count nothing had authenticated", got)
 	}
 	var ie *secmem.IntegrityError
@@ -145,12 +145,30 @@ func TestReadDeltaBoundsUnauthenticatedCounts(t *testing.T) {
 	}
 }
 
-// checkTyped fails unless err is nil or an *secmem.IntegrityError.
-func checkTyped(t *testing.T, err error) {
+// authentic reports whether stream is a whole stream under the test's key
+// and context: its frames check and its MAC verifies.
+func authentic(stream []byte) bool {
+	sr, err := NewStreamReader(bytes.NewReader(stream), testKey, fuzzContext)
+	return err == nil && sr.Drain() == nil
+}
+
+// checkTyped holds err, what reading stream returned, to the error contract:
+// a stream that does not authenticate is an *secmem.IntegrityError, unless it
+// does not even open with this container's header, which is a
+// *secmem.VersionError; only a stream that authenticates may fail any other
+// way (its payload does not decode), and it never fails as tampering.
+func checkTyped(t *testing.T, err error, stream []byte) {
 	t.Helper()
 	var ie *secmem.IntegrityError
-	if err != nil && !errors.As(err, &ie) {
-		t.Fatalf("untyped error: %v", err)
+	var ve *secmem.VersionError
+	switch ours := len(stream) >= secmem.HeaderBytes && secmem.CheckHeader(stream, streamMagic, streamVersion) == nil; {
+	case err == nil:
+	case errors.As(err, &ve):
+		if ours || len(stream) < secmem.HeaderBytes+2 {
+			t.Fatalf("a stream that opens with this container's header, or with none: %v", err)
+		}
+	case errors.As(err, &ie) == authentic(stream):
+		t.Fatalf("the stream authenticates: %v, and reading it failed with: %v", authentic(stream), err)
 	}
 }
 
@@ -183,7 +201,7 @@ func FuzzStreamReader(f *testing.F) {
 		}); got > allocBound(len(stream)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(stream), got)
 		}
-		checkTyped(t, err)
+		checkTyped(t, err, stream)
 		switch {
 		case mode%3 == 2 && err == nil:
 			t.Fatal("a damaged stream decoded")
@@ -216,10 +234,10 @@ func FuzzReadDelta(f *testing.F) {
 		var hdr DeltaHeader
 		var lines [][]secmem.DirtyLine
 		var err error
-		if n := allocatedBy(func() { hdr, lines, err = ReadDelta(path, testKey, 5, 4) }); n > allocBound(len(file)) {
+		if n := allocatedBy(func() { hdr, lines, err = readDelta(path, 5, 4) }); n > allocBound(len(file)) {
 			t.Fatalf("reading a delta of %d bytes allocated %d", len(file), n)
 		}
-		checkTyped(t, err)
+		checkTyped(t, err, file)
 		if mode%3 == 2 && err == nil {
 			t.Fatal("a damaged delta was read")
 		}

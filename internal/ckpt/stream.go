@@ -1,13 +1,15 @@
-// Package ckpt (morphckpt) is the incremental-checkpoint layer under
-// internal/durable: a streaming authenticated codec (hibernate/restore and
-// migration shipping), a delta-segment format chaining incremental
-// checkpoints to a base epoch, chain resolution for recovery and the
-// stale-epoch sweep, and a background checkpoint runner. It knows nothing
-// about WALs or committers — durable composes it.
+// Package ckpt (morphckpt) is the checkpoint layer under internal/durable: a
+// streaming authenticated codec, the state stream that travels in it (full
+// snapshots, the delta segments chained to them, a replica's bootstrap; a
+// migrated shard is one shard's share of it), chain resolution for recovery
+// and the stale-epoch sweep, and a background checkpoint runner. It knows
+// nothing about WALs or committers — durable composes it.
 //
 // Everything here fails closed the same way the rest of the tree does:
 // framing damage, MAC mismatch, or role confusion (a stream decoded under
-// the wrong context) surfaces as *secmem.IntegrityError.
+// the wrong context) surfaces as *secmem.IntegrityError. The one exception is
+// the twelve bytes that say what the rest is: input that opens with another
+// container's header, or another version's, is a *secmem.VersionError.
 package ckpt
 
 import (
@@ -73,9 +75,7 @@ func NewStreamWriter(w io.Writer, key []byte, context string) (*StreamWriter, er
 		return nil, fmt.Errorf("ckpt: stream context must be 1..1024 bytes, got %d", len(context))
 	}
 	sw := &StreamWriter{w: w, mac: hmac.New(sha256.New, key), context: context}
-	hdr := make([]byte, 0, len(streamMagic)+10+len(context))
-	hdr = append(hdr, streamMagic...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, streamVersion)
+	hdr := secmem.AppendHeader(make([]byte, 0, secmem.HeaderBytes+2+len(context)), streamMagic, streamVersion)
 	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(context)))
 	hdr = append(hdr, context...)
 	if err := sw.emit(hdr); err != nil {
@@ -161,7 +161,6 @@ func (sw *StreamWriter) Close() error {
 // *secmem.IntegrityError.
 type StreamReader struct {
 	r       *bufio.Reader
-	raw     io.Reader
 	mac     hash.Hash
 	context string
 	frame   []byte
@@ -170,23 +169,22 @@ type StreamReader struct {
 	err     error
 }
 
-// NewStreamReader consumes and verifies the stream header. The context
-// must match the writer's: a mismatch means the stream is being decoded
-// under the wrong role and is rejected as tampering.
+// NewStreamReader consumes and verifies the stream header. Input that is not
+// this container at this version is a *secmem.VersionError (a file from
+// before the state stream, say). The context must match the writer's: a
+// mismatch means the stream is being decoded under the wrong role and is
+// rejected as tampering.
 func NewStreamReader(r io.Reader, key []byte, context string) (*StreamReader, error) {
-	sr := &StreamReader{r: bufio.NewReader(r), raw: r, mac: hmac.New(sha256.New, key), context: context}
-	hdr := make([]byte, len(streamMagic)+10)
+	sr := &StreamReader{r: bufio.NewReader(r), mac: hmac.New(sha256.New, key), context: context}
+	hdr := make([]byte, secmem.HeaderBytes+2)
 	if _, err := io.ReadFull(sr.r, hdr); err != nil {
 		return nil, tamper(context, "header truncated")
 	}
 	sr.mac.Write(hdr)
-	if string(hdr[:len(streamMagic)]) != streamMagic {
-		return nil, tamper(context, "bad magic")
+	if err := secmem.CheckHeader(hdr, streamMagic, streamVersion); err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint64(hdr[len(streamMagic):]); v != streamVersion {
-		return nil, tamper(context, fmt.Sprintf("unsupported version %d", v))
-	}
-	clen := int(binary.LittleEndian.Uint16(hdr[len(streamMagic)+8:]))
+	clen := int(binary.LittleEndian.Uint16(hdr[secmem.HeaderBytes:]))
 	ctx := make([]byte, clen)
 	if _, err := io.ReadFull(sr.r, ctx); err != nil {
 		return nil, tamper(context, "context truncated")

@@ -182,7 +182,8 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 	return resp, progress, nil
 }
 
-// snapshotResponse freezes the memory and ships its full state.
+// snapshotResponse freezes the memory and ships its full state: the
+// authenticated state stream the follower lands as its snapshot 1.
 func (n *Node) snapshotResponse(mem *durable.Memory, epoch uint64) (*wire.ReplicateResponse, error) {
 	var buf bytes.Buffer
 	snapMarks, err := mem.SaveMarks(&buf)

@@ -240,15 +240,13 @@ func (n *Node) touchLease(resp *wire.ReplicateResponse) {
 }
 
 // installSnapshot replaces the node's durable state with the leader's
-// full-state blob: the old memory is closed, the data directory is
-// re-bootstrapped, and replication resumes at exactly the snapshot's
-// marks.
+// full-state blob: once the blob authenticates and covers the marks it came
+// with, the old memory is closed, the data directory is re-bootstrapped, and
+// replication resumes at exactly the snapshot's marks. A blob that is refused
+// changes nothing.
 func (n *Node) installSnapshot(old *durable.Memory, resp *wire.ReplicateResponse) error {
 	n.logf("cluster: %s bootstrapping from snapshot (%d bytes, marks %v)", n.cfg.Self, len(resp.Snapshot), resp.SnapMarks)
-	if err := old.Close(); err != nil {
-		n.logf("cluster: %s closing pre-bootstrap state: %v", n.cfg.Self, err)
-	}
-	fresh, err := durable.InstallSnapshot(n.shcfg, n.dcfg, bytes.NewReader(resp.Snapshot), resp.SnapMarks)
+	fresh, err := old.InstallSnapshot(bytes.NewReader(resp.Snapshot), resp.SnapMarks)
 	if err != nil {
 		return fmt.Errorf("cluster: install snapshot: %w", err)
 	}

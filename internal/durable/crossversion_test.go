@@ -2,13 +2,18 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/secmem"
 )
 
 // testdata/parent_dir is a data directory written by the commit before the
@@ -18,6 +23,14 @@ import (
 // WAL tail, then closed. parent_dir.json says which lines it holds and how
 // often each was written. Recovery decodes and re-verifies sealed lines from
 // all three file kinds, so it exercises every format the rewrite touched.
+//
+// Its snapshot is in the container ("MDSS", version 1) that went when every
+// serialisation of the engine became the state stream: Open answers it with a
+// *secmem.VersionError and leaves the directory alone. The sealed lines in it
+// are still this engine's lines, so v1Snapshot walks them out, they are
+// written back as a snapshot of today, and recovery — that snapshot, the
+// parent's own delta and WAL segments — goes on as it did. testdata/v2_dir is
+// the same history written whole by the commit that made the change.
 
 func parentDirLine(d uint64, v int) []byte {
 	line := make([]byte, LineBytes)
@@ -27,27 +40,75 @@ func parentDirLine(d uint64, v int) []byte {
 	return line
 }
 
-func TestParentDataDirectoryRecovers(t *testing.T) {
+// recordShard is a ckpt.DeltaShard over lines already in hand.
+type recordShard []secmem.DirtyLine
+
+func (s recordShard) WriteRecords(w io.Writer) error {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(len(s)))
+	for _, d := range s {
+		out = d.AppendRecord(out)
+	}
+	_, err := w.Write(out)
+	return err
+}
+
+// v1Snapshot walks a version-1 snapshot file — "MDSS" around a version-1
+// shard.Save ("MTSH") around one version-1 secmem.Save ("MTSM") a shard —
+// into its coverage and each shard's records. The fixture is trusted: nothing
+// is validated, and the file MAC that ends it is not looked at.
+func v1Snapshot(blob []byte) (hdr ckpt.DeltaHeader, shards []recordShard) {
+	u64 := func() uint64 { v := binary.LittleEndian.Uint64(blob); blob = blob[8:]; return v }
+	take := func(n uint64) []byte { b := blob[:n]; blob = blob[n:]; return b }
+	take(4 + 8) // "MDSS", 1
+	hdr.Seq = u64()
+	for n := u64(); n > 0; n-- {
+		hdr.CoveredLSN, hdr.CoveredWrites = append(hdr.CoveredLSN, u64()), append(hdr.CoveredWrites, u64())
+	}
+	take(4 + 8 + 8 + 8) // "MTSH", 1, shards, capacity
+	for range hdr.CoveredLSN {
+		take(8 + 4 + 8 + 8) // the blob's length; "MTSM", 1, capacity
+		take(u64())         // the organization's fingerprint
+		root := take(LineBytes)
+		levels := u64()
+		lines := recordShard{{Level: int32(levels), Line: root}}
+		for lvl := uint64(0); lvl < levels; lvl++ {
+			for n := u64(); n > 0; n-- {
+				lines = append(lines, secmem.DirtyLine{Level: int32(lvl), Index: u64(), Line: take(LineBytes)})
+			}
+		}
+		for n := u64(); n > 0; n-- {
+			lines = append(lines, secmem.DirtyLine{Level: -1, Index: u64(), Line: take(LineBytes), MAC: u64()})
+		}
+		shards = append(shards, lines)
+	}
+	return hdr, shards
+}
+
+type dirManifest struct {
+	MemoryBytes uint64         `json:"memory_bytes"`
+	Shards      int            `json:"shards"`
+	Versions    map[string]int `json:"versions"`
+}
+
+// copyFixtureDir copies a fixture directory (recovery rewrites the one it is
+// given) and reads the manifest both of them share: they hold one history.
+func copyFixtureDir(t *testing.T, from string) (string, dirManifest) {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/parent_dir.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man struct {
-		MemoryBytes uint64         `json:"memory_bytes"`
-		Shards      int            `json:"shards"`
-		Versions    map[string]int `json:"versions"`
-	}
+	var man dirManifest
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
-	// Recovery rewrites the directory; work on a copy.
 	dir := t.TempDir()
-	entries, err := os.ReadDir("testdata/parent_dir")
+	entries, err := os.ReadDir(from)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join("testdata/parent_dir", e.Name()))
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,9 +116,49 @@ func TestParentDataDirectoryRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir, man
+}
 
+func TestParentDataDirectoryRecovers(t *testing.T) {
+	dir, man := copyFixtureDir(t, "testdata/parent_dir")
 	shcfg := testShardConfig(t, man.Shards, man.MemoryBytes)
-	m, info := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, VerifyAll: true})
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Open(shcfg, Config{Dir: dir, Sync: SyncAlways})
+	var ve *secmem.VersionError
+	if !errors.As(err, &ve) || ve.Magic != "MDSS" || ve.Version != 1 {
+		t.Fatalf("Open of a directory with a version-1 snapshot returned %v, want a *secmem.VersionError naming it", err)
+	}
+	if after, err := os.ReadDir(dir); err != nil || len(after) != len(before) {
+		t.Fatalf("a refused directory went from %d files to %d (%v)", len(before), len(after), err)
+	}
+	old, err := os.ReadFile(SnapshotPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, shards := v1Snapshot(old)
+	if err := ckpt.WriteDelta(SnapshotPath(dir, 2), deltaKey(testKey), hdr, shards); err != nil {
+		t.Fatal(err)
+	}
+	recoverFixtureDir(t, dir, man)
+}
+
+// TestV2DataDirectoryRecovers holds the formats of a data directory to the
+// one the commit that introduced the state stream wrote.
+func TestV2DataDirectoryRecovers(t *testing.T) {
+	dir, man := copyFixtureDir(t, "testdata/v2_dir")
+	recoverFixtureDir(t, dir, man)
+}
+
+// recoverFixtureDir recovers a copy of a fixture directory — full snapshot 2,
+// delta 3 and a WAL tail on both shards — reads it back against the manifest
+// and goes on using it.
+func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
+	t.Helper()
+	shcfg := testShardConfig(t, man.Shards, man.MemoryBytes)
+	m, info := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone, VerifyAll: true})
 	if info.Fresh || info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedWrites == 0 {
 		t.Fatalf("recovery = %+v, want snapshot 2 + one delta + a replayed WAL tail", info)
 	}
@@ -76,7 +177,7 @@ func TestParentDataDirectoryRecovers(t *testing.T) {
 				t.Fatalf("line %d: %v", d, err)
 			}
 			if !bytes.Equal(got, parentDirLine(d, v)) {
-				t.Fatalf("line %d reads back wrong from the parent's directory", d)
+				t.Fatalf("line %d reads back wrong from the fixture directory", d)
 			}
 		}
 		if err := m.VerifyAll(); err != nil {
@@ -85,13 +186,25 @@ func TestParentDataDirectoryRecovers(t *testing.T) {
 	}
 	check(m)
 
-	// It is a live store: write on, checkpoint both ways, reopen.
-	for d := uint64(0); d < 8; d++ {
+	// It is a live store: write on — line 7, the history's hot line, until a
+	// counter the fixture's commit sealed overflows — checkpoint both ways,
+	// reopen.
+	write := func(d uint64) {
+		t.Helper()
 		key := strconv.FormatUint(d, 10)
 		man.Versions[key]++
 		if err := m.Write(d*LineBytes, parentDirLine(d, man.Versions[key])); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for d := uint64(0); d < 8; d++ {
+		write(d)
+	}
+	for i, before := 0, m.Stats().Overflows[0]; m.Stats().Overflows[0] == before; i++ {
+		if i == 1<<16 {
+			t.Fatal("65 536 writes to one line overflowed no counter")
+		}
+		write(7)
 	}
 	if err := m.CheckpointDelta(); err != nil {
 		t.Fatal(err)
@@ -145,6 +258,35 @@ func goldenDeltaRound(r int) []uint64 {
 	return ds
 }
 
+// keepRecords reads one engine's share of a state stream with the decoder
+// every reader uses, secmem.ReadRecords, and keeps the lines.
+func keepRecords(r io.Reader) (lines []secmem.DirtyLine, err error) {
+	err = secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error {
+		for _, d := range batch {
+			d.Line = bytes.Clone(d.Line)
+			lines = append(lines, d)
+		}
+		return nil
+	})
+	return lines, err
+}
+
+// keepShards is a ReadState callback that keeps every shard's lines in into.
+func keepShards(into *[][]secmem.DirtyLine) func(ckpt.DeltaHeader, int, io.Reader) error {
+	return func(_ ckpt.DeltaHeader, _ int, r io.Reader) error {
+		lines, err := keepRecords(r)
+		*into = append(*into, lines)
+		return err
+	}
+}
+
+// readDeltaLines reads a state stream file the way Open does and keeps the lines.
+func readDeltaLines(path string, key []byte, seq, base uint64) (ckpt.DeltaHeader, [][]secmem.DirtyLine, error) {
+	var lines [][]secmem.DirtyLine
+	hdr, err := ckpt.ReadDelta(path, key, seq, base, keepShards(&lines))
+	return hdr, lines, err
+}
+
 func TestGoldenDeltasReproduce(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 4<<20)
@@ -174,7 +316,7 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: %d bytes written, not the parent's %d byte for byte", name, len(got), len(want))
 		}
-		hdr, lines, err := ckpt.ReadDelta(filepath.Join("testdata/golden_deltas", name), deltaKey(testKey), seq, seq-1)
+		hdr, lines, err := readDeltaLines(filepath.Join("testdata/golden_deltas", name), deltaKey(testKey), seq, seq-1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,5 +326,92 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 	}
 	if st := m.Stats(); st.Overflows[0] == 0 {
 		t.Fatal("the history did not overflow a counter")
+	}
+}
+
+// TestOneDecoderReadsEveryImage: engine state used to leave a process five
+// ways, each with a decoder of its own. It is one record stream now, so one
+// function — secmem.ReadRecords — must read an engine's share out of all five
+// successors, and read the same lines: secmem.Save, shard.Save (the wire's
+// SNAPSHOT), a snapshot file, a migration spill and a replica's bootstrap blob.
+func TestOneDecoderReadsEveryImage(t *testing.T) {
+	dir := t.TempDir()
+	shcfg := testShardConfig(t, 2, 1<<20)
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
+	defer m.Close()
+	for i := uint64(0); i < 300; i++ {
+		d := i * 37 % 4096
+		if err := m.Write(d*LineBytes, parentDirLine(d, int(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(r io.Reader) []secmem.DirtyLine {
+		t.Helper()
+		lines, err := keepRecords(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines
+	}
+	skip := func(r io.Reader, n int64) io.Reader {
+		t.Helper()
+		if _, err := io.CopyN(io.Discard, r, n); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	_, want, err := readDeltaLines(SnapshotPath(dir, 2), deltaKey(testKey), 2, 0) // the snapshot file
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want[0]) < 150 || len(want[1]) < 150 {
+		t.Fatalf("the snapshot file holds %d and %d lines", len(want[0]), len(want[1]))
+	}
+	images := map[string][][]secmem.DirtyLine{}
+
+	var save bytes.Buffer
+	if err := m.Sharded().Shard(0).Save(&save); err != nil {
+		t.Fatal(err)
+	}
+	images["secmem.Save"] = [][]secmem.DirtyLine{decode(skip(&save, secmem.HeaderBytes)), want[1]}
+
+	var wire bytes.Buffer
+	if err := m.Save(&wire); err != nil {
+		t.Fatal(err)
+	}
+	skip(&wire, secmem.HeaderBytes+16)
+	images["shard.Save"] = [][]secmem.DirtyLine{decode(&wire), decode(&wire)}
+
+	var spill bytes.Buffer
+	if _, err := m.SaveShardStream(1, &spill); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := ckpt.NewStreamReader(&spill, hibernateKey(testKey), ckpt.HibernateContext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images["migration spill"] = [][]secmem.DirtyLine{want[0], decode(skip(sr, secmem.HeaderBytes))}
+	if err := sr.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	var blob bytes.Buffer
+	if _, err := m.SaveMarks(&blob); err != nil {
+		t.Fatal(err)
+	}
+	var boot [][]secmem.DirtyLine
+	if _, err := ckpt.ReadState(bytes.NewReader(blob.Bytes()), int64(blob.Len()), deltaKey(testKey), 1, 0, keepShards(&boot)); err != nil {
+		t.Fatal(err)
+	}
+	images["bootstrap blob"] = boot
+
+	for name, got := range images {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d and %d lines decoded, not the %d and %d of the snapshot file", name, len(got[0]), len(got[1]), len(want[0]), len(want[1]))
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/shard"
 )
 
 // TestDeltaCutUnderWriters cuts deltas back to back while a writer on every
@@ -28,30 +29,7 @@ func TestDeltaCutUnderWriters(t *testing.T) {
 	shcfg := testShardConfig(t, shards, 4<<20)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 
-	shadow := make([]map[uint64]uint64, shards) // per writer: address → the seq of its last acknowledged write
-	var writers sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		shadow[s] = map[uint64]uint64{}
-		writers.Add(1)
-		go func(s int) {
-			defer writers.Done()
-			rng := rand.New(rand.NewSource(int64(s)))
-			for seq := uint64(1); seq <= writes; seq++ {
-				local := uint64(rng.Intn(512)) // eight pages of the shard
-				if rng.Intn(4) == 0 {
-					local = 3
-				}
-				addr := (local*shards + uint64(s)) * LineBytes
-				if err := m.Write(addr, fill(addr, seq)); err != nil {
-					t.Error(err)
-					return
-				}
-				shadow[s][addr] = seq
-			}
-		}(s)
-	}
-	written := make(chan struct{})
-	go func() { writers.Wait(); close(written) }()
+	shadow, written := startWriters(t, m, shards, writes, nil)
 
 	cuts, failed := 0, false
 	for running := true; running; {
@@ -108,9 +86,53 @@ func TestDeltaCutUnderWriters(t *testing.T) {
 	if info.DeltasApplied != cuts {
 		t.Fatalf("recovery applied %d deltas, %d were cut", info.DeltasApplied, cuts)
 	}
+	checkShadow(t, re, shadow)
+}
+
+// startWriters starts a writer on every shard of m, each overwriting a few
+// pages of its shard, writes times or until stop closes — a hot line among
+// them, so sets overflow and re-encrypt — and returns each writer's shadow
+// (address → the seq of its last acknowledged write; read it once written is
+// closed) and written.
+func startWriters(t *testing.T, m *Memory, shards, writes uint64, stop chan struct{}) (shadow []map[uint64]uint64, written chan struct{}) {
+	shadow = make([]map[uint64]uint64, shards)
+	var writers sync.WaitGroup
+	for s := uint64(0); s < shards; s++ {
+		shadow[s] = map[uint64]uint64{}
+		writers.Add(1)
+		go func(s uint64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(s)))
+			for seq := uint64(1); seq <= writes; seq++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				local := uint64(rng.Intn(512)) // eight pages of the shard
+				if rng.Intn(4) == 0 {
+					local = 3
+				}
+				addr := (local*shards + s) * LineBytes
+				if err := m.Write(addr, fill(addr, seq)); err != nil {
+					t.Error(err)
+					return
+				}
+				shadow[s][addr] = seq
+			}
+		}(s)
+	}
+	written = make(chan struct{})
+	go func() { writers.Wait(); close(written) }()
+	return shadow, written
+}
+
+// checkShadow reads every writer's last acknowledged write back from m.
+func checkShadow(t *testing.T, m *Memory, shadow []map[uint64]uint64) {
+	t.Helper()
 	for s := range shadow {
 		for addr, seq := range shadow[s] {
-			got, err := re.Read(addr)
+			got, err := m.Read(addr)
 			if err != nil {
 				t.Fatalf("read %#x after recovery: %v", addr, err)
 			}
@@ -119,6 +141,93 @@ func TestDeltaCutUnderWriters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestImagesUnderWritersAndCuts takes full images every way there is while
+// the writers write and deltas are cut back to back: the wire's SNAPSHOT
+// (Save) and a migration's spill (SaveShardStream) hold no checkpoint lock and
+// meet cuts open and draining; a full Checkpoint freezes the shards in the
+// middle of it all. Every image must load and verify; then the Memory is
+// abandoned, not closed, and recovery — from the full checkpoint, whatever
+// deltas followed it and the WAL tail — must read every acknowledged write
+// back.
+func TestImagesUnderWritersAndCuts(t *testing.T) {
+	const shards = 2
+	dir := t.TempDir()
+	shcfg := testShardConfig(t, shards, 4<<20)
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
+	recip, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer recip.Close()
+	stop := make(chan struct{})
+	shadow, written := startWriters(t, m, shards, 1<<20, stop)
+
+	cutting := make(chan struct{})
+	go func() {
+		defer close(cutting)
+		for i := 0; ; i++ {
+			select {
+			case <-written:
+				return
+			default:
+			}
+			cut := m.CheckpointDelta
+			if i == 4 {
+				cut = m.Checkpoint
+			}
+			if err := cut(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	images := 0
+	for running := true; running && !t.Failed(); images++ {
+		select {
+		case <-written:
+			running = false // one more of each, with nothing writing
+		default:
+			if st := m.Durability(); st.Checkpoints >= 2 && st.DeltaCheckpoints >= 8 && images >= 8 {
+				close(stop)
+				<-written
+			}
+		}
+		var image, spill bytes.Buffer
+		if err := m.Save(&image); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := shard.Load(shcfg, &image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loaded.VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+		s := images % shards
+		mark, err := m.SaveShardStream(s, &spill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recip.InstallShardStream(s, &spill, mark); err != nil {
+			t.Fatal(err)
+		}
+		if err := recip.Sharded().Shard(s).VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-cutting
+	if t.Failed() {
+		return
+	}
+	// Crash: m is dropped as it is. Its files stay open until the test ends.
+	re, info, err := Open(shcfg, Config{Dir: dir, Sync: SyncAlways, VerifyAll: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if info.SnapshotSeq < 6 {
+		t.Fatalf("recovery started from snapshot %d, not from the full checkpoint cut under the writers", info.SnapshotSeq)
+	}
+	checkShadow(t, re, shadow)
 }
 
 // BenchmarkDeltaCut is the benchmark's periodic checkpoint as a go-test row: a

@@ -9,7 +9,14 @@
 // Layout of a data directory (seq is a monotonically increasing epoch):
 //
 //	snapshot.<seq>        atomic full-state snapshot (temp-file + rename)
+//	delta.<seq>.<base>    the lines modified since epoch <base> (delta.go)
 //	wal.<seq>-<shard>     shard's journal of mutations since snapshot <seq>
+//
+// A snapshot and a delta are the same file — a state stream in
+// internal/ckpt's authenticated container, of every stored line or of the
+// lines stamped since the base — written and read by the same calls; a
+// replica's bootstrap blob is a snapshot 1 that has not landed yet
+// (replicate.go) and a migrated shard one shard's share of one (migrate.go).
 //
 // Invariants the checkpoint sequence maintains:
 //
@@ -237,8 +244,6 @@ type Memory struct {
 	shcfg shard.Config
 	sh    *shard.Sharded
 
-	snapKey []byte
-
 	// Observability instruments (nil-safe; immutable after Open).
 	fsyncLat  *obs.Histogram // wal.fsync.latency
 	batchHist *obs.Histogram // wal.group_commit.batch (records per fsync)
@@ -295,14 +300,9 @@ func walKey(master []byte, shardIdx int, seq uint64) []byte {
 	return h.Sum(nil)
 }
 
-func snapshotKey(master []byte) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/snapshot")
-	return h.Sum(nil)
-}
-
-// deltaKey authenticates delta segments; the ckpt stream context binds
-// each file to its exact chain position on top of this role key.
+// deltaKey authenticates state streams at rest and on their way to a replica
+// — snapshots, delta segments, bootstrap blobs; the ckpt stream context binds
+// each to its exact chain position on top of this role key.
 func deltaKey(master []byte) []byte {
 	h := hmac.New(sha256.New, master)
 	fmt.Fprintf(h, "morphtree/delta")
@@ -348,7 +348,8 @@ func (m *Memory) VerifyAll() error { return m.sh.VerifyAll() }
 func (m *Memory) Stats() secmem.Stats { return m.sh.Stats() }
 
 // Save streams the current state in shard.Save format (the wire SNAPSHOT
-// op; unrelated to the on-disk snapshot files).
+// op): the payload of an on-disk snapshot file behind a plain header, not
+// authenticated and not frozen across shards.
 func (m *Memory) Save(w io.Writer) error { return m.sh.Save(w) }
 
 // FlipDataBit forwards the adversary interface (wire TAMPER op).
@@ -510,6 +511,22 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 	m.fsyncs.Add(1)
 	m.signalDurable()
 	return batch, fsyncDur, nil
+}
+
+// fsyncLocked makes the shard's whole journal durable where it stands, outside
+// the group-commit path. Called with c.syncMu and c.mu held.
+func (c *committer) fsyncLocked(m *Memory) error {
+	if err := c.log.Flush(); err != nil {
+		return err
+	}
+	if err := c.log.Fsync(); err != nil {
+		return err
+	}
+	if c.lsn > c.synced {
+		m.fsyncs.Add(1)
+	}
+	c.synced = c.lsn
+	return nil
 }
 
 // appendAuditLocked journals the overflow re-encryption and rebase events

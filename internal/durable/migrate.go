@@ -54,16 +54,9 @@ func (m *Memory) SaveShardStream(shardIdx int, w io.Writer) (uint64, error) {
 	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.log.Flush(); err != nil {
+	if err := c.fsyncLocked(m); err != nil {
 		return 0, err
 	}
-	if err := c.log.Fsync(); err != nil {
-		return 0, err
-	}
-	if c.lsn > c.synced {
-		m.fsyncs.Add(1)
-	}
-	c.synced = c.lsn
 	mark := c.lsn
 	sw, err := ckpt.NewStreamWriter(w, hibernateKey(m.shcfg.Mem.Key), ckpt.HibernateContext)
 	if err != nil {
@@ -168,16 +161,9 @@ func (m *Memory) FenceShard(shardIdx int) (uint64, error) {
 	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.log.Flush(); err != nil {
+	if err := c.fsyncLocked(m); err != nil {
 		return 0, err
 	}
-	if err := c.log.Fsync(); err != nil {
-		return 0, err
-	}
-	if c.lsn > c.synced {
-		m.fsyncs.Add(1)
-	}
-	c.synced = c.lsn
 	c.fenced = true
 	return c.lsn, nil
 }

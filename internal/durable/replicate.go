@@ -1,15 +1,17 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/secmem"
-	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
 )
 
@@ -223,70 +225,57 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 }
 
 // SaveMarks freezes the memory, flushes every journaled record durable, and
-// streams the full state in shard.Save format to w, returning the per-shard
-// LSN vector the blob covers. A cold or diverged follower bootstraps from
-// exactly this pair via InstallSnapshot.
+// streams the full state to w as the state stream a follower lands as its
+// snapshot 1 — authenticated like a snapshot file, its coverage header the
+// per-shard LSN vector it covers, which is also returned. A cold or diverged
+// follower bootstraps from exactly this pair via InstallSnapshot.
 func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
 	if m.closed.Load() {
 		return nil, fmt.Errorf("durable: save after Close")
 	}
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
-	for _, c := range m.commits {
-		c.syncMu.Lock()
-	}
-	for _, c := range m.commits {
-		c.mu.Lock()
-	}
-	defer func() {
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].mu.Unlock()
-		}
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].syncMu.Unlock()
-		}
-	}()
+	defer m.freeze()()
 	marks := make([]uint64, len(m.commits))
 	for i, c := range m.commits {
-		if err := c.log.Flush(); err != nil {
+		if err := c.fsyncLocked(m); err != nil {
 			return nil, err
 		}
-		if err := c.log.Fsync(); err != nil {
-			return nil, err
-		}
-		if c.lsn > c.synced {
-			m.fsyncs.Add(1)
-		}
-		c.synced = c.lsn
 		marks[i] = c.lsn
 	}
-	if err := m.sh.Save(w); err != nil {
+	hdr := ckpt.DeltaHeader{Seq: 1, CoveredLSN: marks, CoveredWrites: make([]uint64, len(marks))}
+	if err := ckpt.WriteState(w, deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
 		return nil, err
 	}
 	return marks, nil
 }
 
-// InstallSnapshot bootstraps cfg.Dir from a SaveMarks pair: the directory's
-// prior durable state (if any) is discarded, the blob becomes snapshot 1
-// with marks as its covered-LSN vector, and fresh segments are created so
-// replication resumes at exactly marks. The per-shard write counters
-// restart at zero (they feed stats, not recovery). Returns the opened
-// memory.
-func InstallSnapshot(shcfg shard.Config, cfg Config, blob io.Reader, marks []uint64) (*Memory, error) {
-	cfg = cfg.withDefaults()
-	if len(marks) != shcfg.Shards {
-		return nil, fmt.Errorf("durable: install snapshot: %d marks for %d shards", len(marks), shcfg.Shards)
-	}
-	sh, err := shard.Load(shcfg, blob)
+// InstallSnapshot replaces m, state and data directory, with a SaveMarks pair,
+// and returns the memory recovered from it. The blob is authenticated and
+// decoded whole, and its coverage header held to marks (which came beside it,
+// unauthenticated), before anything is touched: a refused blob leaves m open
+// and serving. Then m is closed, its directory's durable state discarded, the
+// blob landed as snapshot 1 and Open recovers from it like from any other, so
+// replication resumes at exactly marks. The per-shard write counters restart
+// at zero (they feed stats, not recovery).
+func (m *Memory) InstallSnapshot(blob io.Reader, marks []uint64) (*Memory, error) {
+	raw, err := io.ReadAll(blob)
 	if err != nil {
 		return nil, fmt.Errorf("durable: install snapshot: %w", err)
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	entries, err := os.ReadDir(cfg.Dir)
+	hdr, err := ckpt.ReadState(bytes.NewReader(raw), int64(len(raw)), deltaKey(m.shcfg.Mem.Key), 1, 0, func(_ ckpt.DeltaHeader, _ int, r io.Reader) error {
+		return secmem.ReadRecords(r, func([]secmem.DirtyLine) error { return nil })
+	})
 	if err != nil {
-		return nil, fmt.Errorf("durable: scan %s: %w", cfg.Dir, err)
+		return nil, fmt.Errorf("durable: install snapshot: %w", err)
+	}
+	if len(marks) != len(m.commits) || !slices.Equal(hdr.CoveredLSN, marks) {
+		return nil, fmt.Errorf("durable: install snapshot: the blob covers %v, it came with marks %v for %d shards", hdr.CoveredLSN, marks, len(m.commits))
+	}
+	_ = m.Close() // what a failed flush loses is being discarded
+	entries, err := os.ReadDir(m.cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("durable: scan %s: %w", m.cfg.Dir, err)
 	}
 	for _, e := range entries {
 		name := e.Name()
@@ -294,40 +283,16 @@ func InstallSnapshot(shcfg shard.Config, cfg Config, blob io.Reader, marks []uin
 		if !known && !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
-		if err := os.Remove(filepath.Join(cfg.Dir, name)); err != nil {
+		if err := os.Remove(filepath.Join(m.cfg.Dir, name)); err != nil {
 			return nil, fmt.Errorf("durable: discard %s: %w", name, err)
 		}
 	}
-	m := &Memory{
-		cfg:       cfg,
-		shcfg:     shcfg,
-		snapKey:   snapshotKey(shcfg.Mem.Key),
-		fsyncLat:  cfg.Obs.Histogram("wal.fsync.latency"),
-		batchHist: cfg.Obs.Histogram("wal.group_commit.batch"),
-		ckptLat:   cfg.Obs.Histogram("durable.checkpoint.latency"),
-		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
-		tracer:    cfg.Tracer,
-	}
-	m.sh = sh
-	m.seq.Store(1)
-	m.segSeq.Store(1)
-	m.initCommitters(marks, make([]uint64, shcfg.Shards))
-	if err := m.writeSnapshot(1, marks, make([]uint64, shcfg.Shards)); err != nil {
+	if err := ckpt.WriteFile(SnapshotPath(m.cfg.Dir, 1), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	for i, c := range m.commits {
-		l, err := wal.Create(SegmentPath(cfg.Dir, 1, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, 1)})
-		if err != nil {
-			return nil, err
-		}
-		c.log = l
-	}
-	if err := wal.SyncDir(cfg.Dir); err != nil {
-		return nil, err
-	}
-	m.checkpoints.Add(1)
-	if cfg.Sync == SyncInterval {
-		m.startFlusher()
-	}
-	return m, nil
+	fresh, _, err := Open(m.shcfg, m.cfg)
+	return fresh, err
 }

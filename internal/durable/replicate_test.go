@@ -2,8 +2,16 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
 )
 
@@ -223,7 +231,8 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := InstallSnapshot(shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true}, &blob, marks)
+	cold, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	r, err := cold.InstallSnapshot(&blob, marks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,5 +336,127 @@ func TestApplyReplicatedAuditRecords(t *testing.T) {
 	}
 	if marks := r.SyncedLSNs(); marks[0] != 3 {
 		t.Fatalf("watermark %d, want 3", marks[0])
+	}
+}
+
+// lengthBomb is the reply that killed a replica: a version-1 shard.Save
+// stream for shcfg's layout, 44 bytes of it, whose first shard announces a
+// blob of 2^62 bytes. Nothing authenticated a bootstrap blob then, and
+// shard.Load sized a slice from the length.
+func lengthBomb(shcfg shard.Config) []byte {
+	b := append([]byte("MTSH"), make([]byte, 40)...)
+	binary.LittleEndian.PutUint64(b[4:], 1)
+	binary.LittleEndian.PutUint64(b[12:], uint64(shcfg.Shards))
+	binary.LittleEndian.PutUint64(b[20:], shcfg.Mem.MemoryBytes)
+	binary.LittleEndian.PutUint64(b[28:], 1<<62)
+	return b
+}
+
+// repairCRCs recomputes the CRC of every frame of an authenticated stream,
+// as an adversary would after an edit: only the MAC trailer is beyond them.
+func repairCRCs(stream []byte) {
+	off := 14 + int(binary.LittleEndian.Uint16(stream[12:]))
+	for off+4 <= len(stream) {
+		n := int(binary.LittleEndian.Uint32(stream[off:]))
+		if n == 0 || off+4+n+4 > len(stream) {
+			return
+		}
+		binary.LittleEndian.PutUint32(stream[off+4+n:], crc32.Checksum(stream[off+4:off+4+n], crc32.MakeTable(crc32.Castagnoli)))
+		off += 4 + n + 4
+	}
+}
+
+// TestInstallSnapshotRefusesWhatDoesNotAuthenticate: a bootstrap blob is the
+// one thing a replica takes from whatever answers as its leader and lands on
+// its own disk. Whatever is wrong with one — it is not a state stream at all,
+// it is cut short, edited, made for another role, or does not cover the marks
+// it came with — the replica says so with the right type, allocates nothing to
+// speak of, and goes on serving from a directory nothing has touched.
+func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 64<<10)
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	defer func() { _ = p.Close() }()
+	for i := uint64(0); i < 40; i++ {
+		if err := p.Write(i*LineBytes, fill(i*LineBytes, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var blob, spill bytes.Buffer
+	marks, err := p.SaveMarks(&blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SaveShardStream(0, &spill); err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(blob.Bytes())
+	flipped[len(flipped)/2] ^= 0x10
+	repairCRCs(flipped)
+	ahead := append([]uint64(nil), marks...)
+	ahead[1]++
+
+	dir := t.TempDir()
+	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	defer func() { _ = r.Close() }()
+	if err := r.Write(0, fill(0, 77)); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return strings.Join(names, " ")
+	}
+	before := listing()
+	for _, tc := range []struct {
+		name    string
+		blob    []byte
+		marks   []uint64
+		version bool // want *secmem.VersionError
+		tamper  bool // want *secmem.IntegrityError
+	}{
+		{name: "the 44-byte version-1 stream", blob: lengthBomb(shcfg), marks: marks, version: true},
+		{name: "truncated", blob: blob.Bytes()[:blob.Len()-40], marks: marks, tamper: true},
+		{name: "bit-flipped, CRCs repaired", blob: flipped, marks: marks, tamper: true},
+		{name: "a migration spill: another role's key and context", blob: spill.Bytes(), marks: marks, tamper: true},
+		{name: "marks ahead of the coverage header", blob: blob.Bytes(), marks: ahead},
+		{name: "marks for another shard count", blob: blob.Bytes(), marks: marks[:1]},
+	} {
+		var was, is runtime.MemStats
+		runtime.ReadMemStats(&was)
+		_, err := r.InstallSnapshot(bytes.NewReader(tc.blob), tc.marks)
+		runtime.ReadMemStats(&is)
+		if got := is.TotalAlloc - was.TotalAlloc; got > 1<<20+16*uint64(len(tc.blob)) {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.blob), got)
+		}
+		var ve *secmem.VersionError
+		if err == nil || errors.As(err, &ve) != tc.version || isIntegrityError(err) != tc.tamper {
+			t.Fatalf("%s: InstallSnapshot returned %v", tc.name, err)
+		}
+		if got, err := r.Read(0); err != nil || !bytes.Equal(got, fill(0, 77)) {
+			t.Fatalf("%s: the replica no longer serves what it held: %v", tc.name, err)
+		}
+	}
+	if err := r.Write(LineBytes, fill(LineBytes, 78)); err != nil {
+		t.Fatalf("the replica takes no write after refusing: %v", err)
+	}
+	if after := listing(); after != before {
+		t.Fatalf("refused blobs changed the data directory from [%s] to [%s]", before, after)
+	}
+	fresh, err := r.InstallSnapshot(&blob, marks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fresh.Close() }()
+	if got, err := fresh.Read(39 * LineBytes); err != nil || !bytes.Equal(got, fill(39*LineBytes, 5)) {
+		t.Fatalf("the blob that authenticates did not install: %v", err)
+	}
+	if err := fresh.VerifyAll(); err != nil {
+		t.Fatal(err)
 	}
 }

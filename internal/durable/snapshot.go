@@ -1,11 +1,6 @@
 package durable
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -19,24 +14,6 @@ import (
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
-)
-
-// Snapshot file format (integers little-endian):
-//
-//	magic "MDSS" | u64 version | u64 seq | u64 nshards |
-//	nshards × (u64 coveredLSN, u64 coveredWrites) |
-//	shard.Save blob | 32-byte HMAC-SHA256 over everything before it
-//
-// The trailing keyed MAC authenticates the whole file — including the
-// on-chip root the shard blob carries and the coverage header replay
-// starts from — so any at-rest edit fails recovery with an
-// *secmem.IntegrityError. (Substituting an entire older, self-consistent
-// {snapshot, WAL} directory is rollback, which needs the root anchored in
-// trusted storage and is documented out of scope; see DESIGN.md §10.)
-const (
-	snapMagic   = "MDSS"
-	snapVersion = 1
-	snapMACLen  = sha256.Size
 )
 
 // SnapshotPath names epoch seq's snapshot file.
@@ -72,116 +49,34 @@ func parseSeq(name string) (seq uint64, shardIdx int, isSnap bool, ok bool) {
 	return 0, 0, false, false
 }
 
-// writeSnapshot captures the engine state as snapshot.<seq> via temp file,
-// fsync, atomic rename, and directory fsync. Callers hold every shard's
-// locks, so the state is frozen for the duration.
-func (m *Memory) writeSnapshot(seq uint64, covered, coveredWrites []uint64) error {
-	final := SnapshotPath(m.cfg.Dir, seq)
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: snapshot: %w", err)
+// A snapshot file is a state stream (internal/ckpt, DESIGN.md "State stream")
+// cut against nothing: every shard's full image behind the coverage header
+// replay starts from, written and read by the calls that write and read a
+// delta segment, under the same role key and a context that binds its epoch
+// and base 0. The stream's keyed MAC authenticates the whole file — including
+// the on-chip roots it carries — so any at-rest edit fails recovery with an
+// *secmem.IntegrityError. (Substituting an entire older, self-consistent
+// {snapshot, WAL} directory is rollback, which needs the root anchored in
+// trusted storage and is documented out of scope; see DESIGN.md §10.)
+
+// engines lists the shards' engines, each a ckpt.DeltaShard: its full image.
+func (m *Memory) engines() []*secmem.Memory {
+	engs := make([]*secmem.Memory, m.sh.NumShards())
+	for i := range engs {
+		engs[i] = m.sh.Shard(i)
 	}
-	h := hmac.New(sha256.New, m.snapKey)
-	bw := bufio.NewWriter(io.MultiWriter(f, h))
-	werr := func() error {
-		if _, err := bw.WriteString(snapMagic); err != nil {
-			return err
-		}
-		var hdr [24]byte
-		binary.LittleEndian.PutUint64(hdr[0:], snapVersion)
-		binary.LittleEndian.PutUint64(hdr[8:], seq)
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(len(covered)))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var pos [16]byte
-		for i := range covered {
-			binary.LittleEndian.PutUint64(pos[0:], covered[i])
-			binary.LittleEndian.PutUint64(pos[8:], coveredWrites[i])
-			if _, err := bw.Write(pos[:]); err != nil {
-				return err
-			}
-		}
-		if err := m.sh.Save(bw); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		if _, err := f.Write(h.Sum(nil)); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if werr != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot %s: %w", tmp, werr)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("durable: snapshot rename: %w", err)
-	}
-	return wal.SyncDir(m.cfg.Dir)
+	return engs
 }
 
-// readSnapshot authenticates and loads snapshot.<seq>. Rename atomicity
-// means a named snapshot is complete, so any malformation or MAC mismatch
-// is at-rest tampering, reported as *secmem.IntegrityError.
-func readSnapshot(path string, seq uint64, snapKey []byte, shcfg shard.Config) (*shard.Sharded, []uint64, []uint64, error) {
-	tamper := func(reason string) error {
-		return &secmem.IntegrityError{Level: -1, Index: seq, Reason: "snapshot " + path + ": " + reason}
+// writeImage captures the engine state as snapshot.<seq> via temp file,
+// fsync, atomic rename, and directory fsync. Callers hold every shard's
+// locks, so the state is frozen for the duration.
+func (m *Memory) writeImage(seq uint64, covered, coveredWrites []uint64) error {
+	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: covered, CoveredWrites: coveredWrites}
+	if err := ckpt.WriteDelta(SnapshotPath(m.cfg.Dir, seq), deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
+		return err
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	minLen := len(snapMagic) + 24 + snapMACLen
-	if len(data) < minLen {
-		return nil, nil, nil, tamper(fmt.Sprintf("%d bytes, shorter than any valid snapshot", len(data)))
-	}
-	body, macGot := data[:len(data)-snapMACLen], data[len(data)-snapMACLen:]
-	h := hmac.New(sha256.New, snapKey)
-	h.Write(body)
-	if !hmac.Equal(h.Sum(nil), macGot) {
-		return nil, nil, nil, tamper("file MAC mismatch (at-rest tampering)")
-	}
-	if string(body[:len(snapMagic)]) != snapMagic {
-		return nil, nil, nil, tamper("bad magic")
-	}
-	body = body[len(snapMagic):]
-	if v := binary.LittleEndian.Uint64(body[0:]); v != snapVersion {
-		return nil, nil, nil, tamper(fmt.Sprintf("unsupported version %d", v))
-	}
-	if s := binary.LittleEndian.Uint64(body[8:]); s != seq {
-		return nil, nil, nil, tamper(fmt.Sprintf("embedded seq %d does not match filename seq %d", s, seq))
-	}
-	n := binary.LittleEndian.Uint64(body[16:])
-	if n != uint64(shcfg.Shards) {
-		// The HMAC already verified, so this is an operator config
-		// mismatch, not tampering.
-		return nil, nil, nil, &shard.MismatchError{Field: "shards", Stream: n, Config: uint64(shcfg.Shards)}
-	}
-	body = body[24:]
-	if uint64(len(body)) < n*16 {
-		return nil, nil, nil, tamper("coverage table cut short")
-	}
-	covered := make([]uint64, n)
-	coveredWrites := make([]uint64, n)
-	for i := range covered {
-		covered[i] = binary.LittleEndian.Uint64(body[i*16:])
-		coveredWrites[i] = binary.LittleEndian.Uint64(body[i*16+8:])
-	}
-	sh, err := shard.Load(shcfg, bytes.NewReader(body[n*16:]))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("durable: snapshot %s: %w", path, err)
-	}
-	return sh, covered, coveredWrites, nil
+	return wal.SyncDir(m.cfg.Dir)
 }
 
 // Checkpoint freezes writers, captures an atomic snapshot of the full
@@ -199,6 +94,26 @@ func (m *Memory) Checkpoint() error {
 	return err
 }
 
+// freeze takes every shard's locks — sync locks first, then append locks,
+// matching syncTo's ordering — and returns what releases them: the state and
+// the journals stand still in between.
+func (m *Memory) freeze() (thaw func()) {
+	for _, c := range m.commits {
+		c.syncMu.Lock()
+	}
+	for _, c := range m.commits {
+		c.mu.Lock()
+	}
+	return func() {
+		for i := len(m.commits) - 1; i >= 0; i-- {
+			m.commits[i].mu.Unlock()
+		}
+		for i := len(m.commits) - 1; i >= 0; i-- {
+			m.commits[i].syncMu.Unlock()
+		}
+	}
+}
+
 func (m *Memory) checkpoint() error {
 	if m.closed.Load() {
 		return fmt.Errorf("durable: checkpoint after Close")
@@ -207,22 +122,7 @@ func (m *Memory) checkpoint() error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
 
-	// Freeze every shard: sync locks first, then append locks, matching
-	// syncTo's ordering.
-	for _, c := range m.commits {
-		c.syncMu.Lock()
-	}
-	for _, c := range m.commits {
-		c.mu.Lock()
-	}
-	defer func() {
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].mu.Unlock()
-		}
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].syncMu.Unlock()
-		}
-	}()
+	defer m.freeze()()
 
 	covered := make([]uint64, len(m.commits))
 	coveredWrites := make([]uint64, len(m.commits))
@@ -257,7 +157,7 @@ func (m *Memory) checkpoint() error {
 		newLogs[i] = nl
 	}
 
-	if err := m.writeSnapshot(newSeq, covered, coveredWrites); err != nil {
+	if err := m.writeImage(newSeq, covered, coveredWrites); err != nil {
 		for _, l := range newLogs {
 			_ = l.Close()
 			_ = os.Remove(l.Path())
@@ -376,8 +276,12 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 
 // Open recovers (or bootstraps) a durable memory from cfg.Dir:
 //
-//  1. Delete leftover temp files; find the highest-numbered snapshot.
-//  2. Authenticate and load it (tampering → *secmem.IntegrityError).
+//  1. Delete leftover temp files; find the newest epoch, full or delta, and
+//     the chain from a full snapshot up to it (an empty directory is first
+//     given snapshot 1, an empty image, so recovery always starts from one).
+//  2. Authenticate and apply the snapshot and each delta of the chain, the
+//     same way (tampering → *secmem.IntegrityError, a file from before the
+//     state stream → *secmem.VersionError).
 //  3. Replay each shard's WAL segment on top, truncating crash-torn tails
 //     (recorded as typed TornTailErrors in the RecoveryInfo) and failing
 //     closed on MAC or sequence violations.
@@ -398,7 +302,6 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	snaps := make(map[uint64]bool)
 	deltaEntries := make(map[uint64]ckpt.Entry)
 	var head uint64
-	haveSnap := false
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
@@ -411,29 +314,23 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 		if s, b, ok := ckpt.ParseDeltaName(name); ok {
 			deltaEntries[s] = ckpt.Entry{Seq: s, Base: b}
-			if s > head {
-				head = s
-			}
+			head = max(head, s)
 			continue
 		}
 		if seq, _, isSnap, ok := parseSeq(name); ok && isSnap {
 			snaps[seq] = true
-			haveSnap = true
-			if seq > head {
-				head = seq
-			}
+			head = max(head, seq)
 		}
 	}
-	if !haveSnap && len(deltaEntries) > 0 {
-		// Deltas with no snapshot at all: every chain is broken.
-		_, _, err := ckpt.ResolveChain(head, snaps, deltaEntries)
+
+	sh, err := shard.New(shcfg)
+	if err != nil {
 		return nil, nil, err
 	}
-
 	m := &Memory{
-		cfg:     cfg,
-		shcfg:   shcfg,
-		snapKey: snapshotKey(shcfg.Mem.Key),
+		cfg:   cfg,
+		shcfg: shcfg,
+		sh:    sh,
 		// Nil-safe: a nil registry hands out nil instruments whose
 		// methods no-op, so the uninstrumented path stays branch-free.
 		fsyncLat:  cfg.Obs.Histogram("wal.fsync.latency"),
@@ -442,182 +339,151 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
 		tracer:    cfg.Tracer,
 	}
-	info := &RecoveryInfo{}
-
-	if !haveSnap {
+	info := &RecoveryInfo{Fresh: head == 0}
+	if info.Fresh {
 		// Fresh directory: bootstrap epoch 1 so recovery always starts
-		// from a snapshot.
-		sh, err := shard.New(shcfg)
-		if err != nil {
+		// from a snapshot — this one, read back like any other.
+		if err := m.writeImage(1, make([]uint64, shcfg.Shards), make([]uint64, shcfg.Shards)); err != nil {
 			return nil, nil, err
 		}
-		m.sh = sh
-		m.seq.Store(1)
-		m.segSeq.Store(1)
-		m.initCommitters(nil, nil)
-		if err := m.writeSnapshot(1, make([]uint64, shcfg.Shards), make([]uint64, shcfg.Shards)); err != nil {
-			return nil, nil, err
-		}
-		for i, c := range m.commits {
-			l, err := wal.Create(SegmentPath(cfg.Dir, 1, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, 1)})
-			if err != nil {
-				return nil, nil, err
-			}
-			c.log = l
-		}
-		if err := wal.SyncDir(cfg.Dir); err != nil {
-			return nil, nil, err
-		}
+		snaps[1], head = true, 1
 		m.checkpoints.Add(1)
-		info.Fresh = true
-		info.SnapshotSeq = 1
-		info.CoveredLSN = make([]uint64, shcfg.Shards)
-		info.CoveredWrites = make([]uint64, shcfg.Shards)
-		info.AppliedLSN = make([]uint64, shcfg.Shards)
-		info.AppliedWrites = make([]uint64, shcfg.Shards)
-		info.TornTails = make([]*wal.TornTailError, shcfg.Shards)
-	} else {
-		// Resolve the recovery head: the newest epoch, full or delta. A
-		// delta head must chain down to a full snapshot — a broken link
-		// fails recovery with a typed *ckpt.ChainError, never a silent
-		// fallback to an older epoch (the missing link means acknowledged
-		// state existed that checkpoints alone can no longer rebuild).
-		baseSeq, chain, err := ckpt.ResolveChain(head, snaps, deltaEntries)
-		if err != nil {
-			return nil, nil, err
+	}
+
+	// Resolve the recovery head: the newest epoch, full or delta. A delta
+	// head must chain down to a full snapshot — a broken link fails recovery
+	// with a typed *ckpt.ChainError, never a silent fallback to an older
+	// epoch (the missing link means acknowledged state existed that
+	// checkpoints alone can no longer rebuild).
+	baseSeq, chain, err := ckpt.ResolveChain(head, snaps, deltaEntries)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The base is the chain's first link: a state stream cut against nothing.
+	// baseCovered anchors the segment replay (segments belong to the base
+	// epoch); covered advances to the chain head's watermark.
+	var baseCovered, covered, coveredWrites, replayedAddrs []uint64
+	for _, ent := range append([]ckpt.Entry{{Seq: baseSeq}}, chain...) {
+		path := SnapshotPath(cfg.Dir, ent.Seq)
+		if ent.Base != 0 {
+			path = ckpt.DeltaPath(cfg.Dir, ent.Seq, ent.Base)
 		}
-		sh, covered, coveredWrites, err := readSnapshot(SnapshotPath(cfg.Dir, baseSeq), baseSeq, m.snapKey, shcfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		// baseCovered anchors the segment replay (segments belong to the
-		// base epoch); covered advances to the chain head's watermark.
-		baseCovered := append([]uint64(nil), covered...)
-		var replayedAddrs []uint64
-		dKey := deltaKey(shcfg.Mem.Key)
-		for _, ent := range chain {
-			hdr, dlines, err := ckpt.ReadDelta(ckpt.DeltaPath(cfg.Dir, ent.Seq, ent.Base), dKey, ent.Seq, ent.Base)
-			if err != nil {
-				return nil, nil, err
+		hdr, err := ckpt.ReadDelta(path, deltaKey(shcfg.Mem.Key), ent.Seq, ent.Base, func(hdr ckpt.DeltaHeader, i int, r io.Reader) error {
+			if n := len(hdr.CoveredLSN); n != shcfg.Shards {
+				// Reported only if the stream authenticates, so this is an
+				// operator config mismatch, not tampering.
+				return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(shcfg.Shards)}
 			}
-			if len(dlines) != shcfg.Shards {
-				return nil, nil, &shard.MismatchError{Field: "shards", Stream: uint64(len(dlines)), Config: uint64(shcfg.Shards)}
-			}
-			for i, shLines := range dlines {
-				eng := sh.Shard(i)
-				for _, d := range shLines {
-					if err := eng.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
-						return nil, nil, err
+			return secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error {
+				if ent.Base != 0 {
+					info.DeltaLines += len(batch)
+					for _, d := range batch {
+						if d.Level == -1 {
+							// A delta's data lines join the sample-verify pool below.
+							replayedAddrs = append(replayedAddrs, (d.Index*uint64(shcfg.Shards)+uint64(i))*LineBytes)
+						}
 					}
-					if d.Level == -1 {
-						// Data lines join the sample-verify pool below.
-						replayedAddrs = append(replayedAddrs, (d.Index*uint64(shcfg.Shards)+uint64(i))*LineBytes)
-					}
-					info.DeltaLines++
 				}
-			}
-			covered = hdr.CoveredLSN
-			coveredWrites = hdr.CoveredWrites
+				return sh.Shard(i).Apply(batch, 0)
+			})
+		})
+		if err != nil {
+			return nil, nil, fmt.Errorf("durable: %w", err)
+		}
+		if covered, coveredWrites = hdr.CoveredLSN, hdr.CoveredWrites; ent.Base == 0 {
+			baseCovered = covered
+		} else {
 			info.DeltasApplied++
 		}
-		m.sh = sh
-		m.seq.Store(head)
-		m.segSeq.Store(baseSeq)
-		m.initCommitters(covered, coveredWrites)
-		for i, c := range m.commits {
-			c.baseLSN = baseCovered[i]
-		}
-		info.SnapshotSeq = baseSeq
-		info.CoveredLSN = append([]uint64(nil), covered...)
-		info.CoveredWrites = append([]uint64(nil), coveredWrites...)
-		info.TornTails = make([]*wal.TornTailError, shcfg.Shards)
+	}
+	m.seq.Store(head)
+	m.segSeq.Store(baseSeq)
+	m.initCommitters(covered, coveredWrites)
+	info.SnapshotSeq = baseSeq
+	info.CoveredLSN = append([]uint64(nil), covered...)
+	info.CoveredWrites = append([]uint64(nil), coveredWrites...)
+	info.TornTails = make([]*wal.TornTailError, shcfg.Shards)
 
-		for i, c := range m.commits {
-			path := SegmentPath(cfg.Dir, baseSeq, i)
-			// ReplayedRecords/Writes count only the delivered tail past the
-			// chain's watermark — the work recovery actually redid — not the
-			// validated-but-skipped prefix the deltas already cover.
-			winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)}, baseCovered[i]+1, covered[i]+1, true, func(r wal.Record) error {
-				info.ReplayedRecords++
-				if r.Kind != wal.KindWrite {
-					return nil
-				}
-				j, _, err := sh.Locate(r.Addr)
-				if err != nil {
-					return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-						Reason: fmt.Sprintf("wal record address %#x invalid: %v", r.Addr, err)}
-				}
-				if j != i {
-					return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-						Reason: fmt.Sprintf("wal record for shard %d found in shard %d's segment", j, i)}
-				}
-				if err := sh.Write(r.Addr, r.Line); err != nil {
-					return err
-				}
-				c.writes++
-				info.ReplayedWrites++
-				replayedAddrs = append(replayedAddrs, r.Addr)
+	for i, c := range m.commits {
+		c.baseLSN = baseCovered[i]
+		path := SegmentPath(cfg.Dir, baseSeq, i)
+		// ReplayedRecords/Writes count only the delivered tail past the
+		// chain's watermark — the work recovery actually redid — not the
+		// validated-but-skipped prefix the deltas already cover.
+		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)}, baseCovered[i]+1, covered[i]+1, true, func(r wal.Record) error {
+			info.ReplayedRecords++
+			if r.Kind != wal.KindWrite {
 				return nil
-			})
+			}
+			j, _, err := sh.Locate(r.Addr)
 			if err != nil {
-				return nil, nil, err
+				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+					Reason: fmt.Sprintf("wal record address %#x invalid: %v", r.Addr, err)}
 			}
-			// The delta cut fsyncs its covered prefix, so a surviving
-			// segment never ends below the chain's watermark; the max
-			// guards an empty tail all the same.
-			if winfo.LastLSN < covered[i] {
-				winfo.LastLSN = covered[i]
+			if j != i {
+				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+					Reason: fmt.Sprintf("wal record for shard %d found in shard %d's segment", j, i)}
 			}
-			c.lsn = winfo.LastLSN
-			c.synced = winfo.LastLSN
-			// Audit baselines resume from the engine's replayed totals so
-			// post-recovery audits count only new events.
-			c.auditedOv, c.auditedRb = c.eng.OverflowRebaseTotals()
-			info.TornTails[i] = winfo.TornTail
-		}
-		info.AppliedLSN = make([]uint64, len(m.commits))
-		info.AppliedWrites = make([]uint64, len(m.commits))
-		for i, c := range m.commits {
-			info.AppliedLSN[i] = c.lsn
-			info.AppliedWrites[i] = c.writes
-		}
-
-		// Sample-verify replayed lines through the integrity tree: every
-		// line read here re-verifies its whole MAC chain up to the
-		// on-chip root, so a consistent-looking but tampered snapshot or
-		// WAL fails closed before the memory serves a single request.
-		if k := cfg.VerifySample; k > 0 && len(replayedAddrs) > 0 {
-			step := 1
-			if len(replayedAddrs) > k {
-				step = len(replayedAddrs) / k
+			if err := sh.Write(r.Addr, r.Line); err != nil {
+				return err
 			}
-			for i := 0; i < len(replayedAddrs) && info.SampleVerified < k; i += step {
-				if _, err := sh.Read(replayedAddrs[i]); err != nil {
-					return nil, nil, err
-				}
-				info.SampleVerified++
-			}
-		}
-		if cfg.VerifyAll {
-			if err := sh.VerifyAll(); err != nil {
-				return nil, nil, err
-			}
-		}
-
-		// Retire stale files (next-epoch segments a crash mid-checkpoint
-		// abandoned, orphan deltas whose base was compacted away, epochs
-		// past the retention floor), then reopen the base epoch's
-		// segments for append.
-		if err := m.removeEpochsBelow(head); err != nil {
+			c.writes++
+			info.ReplayedWrites++
+			replayedAddrs = append(replayedAddrs, r.Addr)
+			return nil
+		})
+		if err != nil {
 			return nil, nil, err
 		}
-		for i, c := range m.commits {
-			l, err := wal.Open(SegmentPath(cfg.Dir, baseSeq, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)})
-			if err != nil {
+		// The delta cut fsyncs its covered prefix, so a surviving
+		// segment never ends below the chain's watermark; the max
+		// guards an empty tail all the same.
+		c.lsn = max(winfo.LastLSN, covered[i])
+		c.synced = c.lsn
+		// Audit baselines resume from the engine's replayed totals so
+		// post-recovery audits count only new events.
+		c.auditedOv, c.auditedRb = c.eng.OverflowRebaseTotals()
+		info.TornTails[i] = winfo.TornTail
+		info.AppliedLSN = append(info.AppliedLSN, c.lsn)
+		info.AppliedWrites = append(info.AppliedWrites, c.writes)
+	}
+
+	// Sample-verify replayed lines through the integrity tree: every
+	// line read here re-verifies its whole MAC chain up to the
+	// on-chip root, so a consistent-looking but tampered snapshot or
+	// WAL fails closed before the memory serves a single request.
+	if k := cfg.VerifySample; k > 0 && len(replayedAddrs) > 0 {
+		step := max(1, len(replayedAddrs)/k)
+		for i := 0; i < len(replayedAddrs) && info.SampleVerified < k; i += step {
+			if _, err := sh.Read(replayedAddrs[i]); err != nil {
 				return nil, nil, err
 			}
-			c.log = l
+			info.SampleVerified++
 		}
+	}
+	if cfg.VerifyAll {
+		if err := sh.VerifyAll(); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	// Retire stale files (next-epoch segments a crash mid-checkpoint
+	// abandoned, orphan deltas whose base was compacted away, epochs
+	// past the retention floor), then reopen the base epoch's
+	// segments for append — creating them in a directory that has only its
+	// snapshot yet, which is why the directory is synced after.
+	if err := m.removeEpochsBelow(head); err != nil {
+		return nil, nil, err
+	}
+	for i, c := range m.commits {
+		l, err := wal.Open(SegmentPath(cfg.Dir, baseSeq, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)})
+		if err != nil {
+			return nil, nil, err
+		}
+		c.log = l
+	}
+	if err := wal.SyncDir(cfg.Dir); err != nil {
+		return nil, nil, err
 	}
 
 	if cfg.Sync == SyncInterval {
@@ -644,4 +510,3 @@ func (m *Memory) initCommitters(covered, coveredWrites []uint64) {
 		m.commits[i] = c
 	}
 }
-

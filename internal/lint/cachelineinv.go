@@ -8,7 +8,7 @@ import (
 )
 
 // CachelineInv flags hard-coded cacheline-layout literals (64, 128, 512) in
-// executable code of the layout-bearing packages (counters, tree, bmt).
+// executable code of the layout-bearing packages (counters, tree).
 //
 // The paper's layouts hang off three magic numbers: 64-byte counter lines,
 // 512 bits per line, and 128 counters per MorphCtr line (Figures 8 and 13).
@@ -27,7 +27,7 @@ var CachelineInv = &analysis.Analyzer{
 var layoutLiterals = map[string]bool{"64": true, "128": true, "512": true}
 
 func runCachelineInv(pass *analysis.Pass) error {
-	if !analysis.PkgNamed(pass.Pkg, "counters", "tree", "bmt") {
+	if !analysis.PkgNamed(pass.Pkg, "counters", "tree") {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {

@@ -8,7 +8,7 @@ import (
 )
 
 // ErrDiscard flags statements that silently discard an error returned by
-// the verification-bearing packages (counters, mac, secmem, bmt, aesctr),
+// the verification-bearing packages (counters, mac, secmem, aesctr),
 // the durability-bearing ones (wal, durable), the fault-injection layer
 // (fault), or the observability plane (obs).
 //
@@ -39,7 +39,7 @@ var ErrDiscard = &analysis.Analyzer{
 // cluster joined with morphcluster: a dropped Replicate/Promote/Follow
 // error silently loses a replication batch or treats a refused promotion
 // as a completed failover.
-var watchedPkgs = []string{"counters", "mac", "secmem", "bmt", "aesctr", "wal", "durable", "fault", "obs", "server", "shard", "proof", "tenant", "cluster"}
+var watchedPkgs = []string{"counters", "mac", "secmem", "aesctr", "wal", "durable", "fault", "obs", "server", "shard", "proof", "tenant", "cluster"}
 
 func runErrDiscard(pass *analysis.Pass) error {
 	pass.Inspect(func(n ast.Node) bool {

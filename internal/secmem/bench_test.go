@@ -1,6 +1,7 @@
 package secmem
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"testing"
@@ -132,6 +133,27 @@ func BenchmarkSave(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := m.Save(discard{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoad is BenchmarkSave's way back: the same 4 096-line image into a
+// new engine.
+func BenchmarkLoad(b *testing.B) {
+	m := benchMemory(b, counters.MorphSpec(true), []counters.Spec{counters.MorphSpec(true)})
+	l := make([]byte, LineBytes)
+	for i := uint64(0); i < 4096; i++ {
+		m.Write(i*64%(1<<20), l)
+	}
+	var image bytes.Buffer
+	if err := m.Save(&image); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(m.cfg, bytes.NewReader(image.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,9 @@ package secmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"strconv"
 	"testing"
@@ -13,9 +15,12 @@ import (
 // testdata/parent_save.bin is a Save stream written by the commit before the
 // word-wise codec, seal-once and the pre-keyed MAC (how:
 // internal/counters/testdata/README.md); parent_save.json says which lines
-// it holds and how often each was written. No format version moved, so that
-// commit's state must load here — and this commit's state there, which the
-// byte-for-byte comparison below stands in for.
+// it holds and how often each was written. Its container, version 1 of "MTSM",
+// went when every serialisation of the engine became the state stream: Load
+// answers it with a *VersionError. The sealed lines in it are still this
+// engine's lines, so v1Records walks them out and they go in the way every
+// line now does. testdata/v2_save.bin is the same history saved by the commit
+// that made the change, and loads.
 
 type stateManifest struct {
 	MemoryBytes uint64         `json:"memory_bytes"`
@@ -54,14 +59,44 @@ func readParentSave(t *testing.T) ([]byte, stateManifest) {
 	return blob, man
 }
 
-func TestParentSaveLoadsAndVerifies(t *testing.T) {
-	blob, man := readParentSave(t)
-	m, err := Load(parentConfig(man.MemoryBytes), bytes.NewReader(blob))
-	if err != nil {
+// v1Records walks a version-1 Save stream into the records of a full image.
+// The fixture is trusted: nothing is validated.
+func v1Records(blob []byte) []DirtyLine {
+	u64 := func() uint64 { v := binary.LittleEndian.Uint64(blob); blob = blob[8:]; return v }
+	take := func(n uint64) []byte { b := blob[:n]; blob = blob[n:]; return b }
+	take(4) // "MTSM"
+	u64()   // 1
+	lines := []DirtyLine{{Level: configLevel, Index: u64(), Line: take(u64())}}
+	root := take(LineBytes)
+	levels := u64()
+	lines = append(lines, DirtyLine{Level: int32(levels), Line: root})
+	for lvl := uint64(0); lvl < levels; lvl++ {
+		for n := u64(); n > 0; n-- {
+			lines = append(lines, DirtyLine{Level: int32(lvl), Index: u64(), Line: take(LineBytes)})
+		}
+	}
+	for n := u64(); n > 0; n-- {
+		lines = append(lines, DirtyLine{Level: -1, Index: u64(), Line: take(LineBytes), MAC: u64()})
+	}
+	return lines
+}
+
+// loadV1 is what Load did with a version-1 stream, through Apply.
+func loadV1(t *testing.T, cfg Config, blob []byte) *Memory {
+	t.Helper()
+	m := mustNew(t, cfg)
+	if err := m.Apply(v1Records(blob), 0); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// checkFixtureState reads a fixture's state back against its manifest and
+// then writes on it, through an overflow of a line the fixture's commit sealed.
+func checkFixtureState(t *testing.T, m *Memory, man stateManifest) {
+	t.Helper()
 	if err := m.VerifyAll(); err != nil {
-		t.Fatalf("parent state fails verification: %v", err)
+		t.Fatalf("the fixture's state fails verification: %v", err)
 	}
 	for key, v := range man.Versions {
 		d, err := strconv.ParseUint(key, 10, 64)
@@ -73,31 +108,59 @@ func TestParentSaveLoadsAndVerifies(t *testing.T) {
 			t.Fatalf("line %d: %v", d, err)
 		}
 		if !bytes.Equal(got, stateLine(d, v)) {
-			t.Fatalf("line %d reads back wrong after loading the parent's state", d)
+			t.Fatalf("line %d reads back wrong from the fixture's state", d)
 		}
 	}
-	// The loaded state is live: it takes writes (through an overflow of
-	// the parent-sealed MCR line) and stays consistent.
+	before := m.Stats().Overflows[0]
 	for i := 0; i < 40; i++ {
 		if err := m.Write(5*LineBytes, stateLine(5, 100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.VerifyAll(); err != nil {
-		t.Fatalf("after writes on parent state: %v", err)
+	if m.Stats().Overflows[0] == before {
+		t.Fatal("forty writes to one line of the fixture's MCR block did not overflow it")
 	}
-	// And nothing was re-encoded differently on the way through.
-	m2, err := Load(parentConfig(man.MemoryBytes), bytes.NewReader(blob))
+	if err := m.VerifyAll(); err != nil {
+		t.Fatalf("after writes on the fixture's state: %v", err)
+	}
+}
+
+func TestParentSaveLoadsAndVerifies(t *testing.T) {
+	blob, man := readParentSave(t)
+	cfg := parentConfig(man.MemoryBytes)
+	_, err := Load(cfg, bytes.NewReader(blob))
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Magic != persistMagic || ve.Version != 1 {
+		t.Fatalf("Load of a version-1 Save stream returned %v, want a *VersionError naming it", err)
+	}
+	if _, err := mustNew(t, cfg).StageRestore(bytes.NewReader(blob)); !errors.As(err, &ve) {
+		t.Fatalf("StageRestore of a version-1 Save stream returned %v, want a *VersionError", err)
+	}
+	checkFixtureState(t, loadV1(t, cfg, blob), man)
+}
+
+// TestV2SaveLoadsAndVerifies holds this format to the fixture the commit that
+// introduced it wrote: it loads, verifies, takes writes, and Load then Save
+// is the identity.
+func TestV2SaveLoadsAndVerifies(t *testing.T) {
+	_, man := readParentSave(t) // the same history
+	blob, err := os.ReadFile("testdata/v2_save.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parentConfig(man.MemoryBytes)
+	m, err := Load(cfg, bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var again bytes.Buffer
-	if err := m2.Save(&again); err != nil {
+	if err := m.Save(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), blob) {
-		t.Fatal("Load then Save of the parent's stream is not the parent's stream")
+		t.Fatal("Load then Save of the fixture is not the fixture")
 	}
+	checkFixtureState(t, m, man)
 }
 
 // The generator's write sequence, run on this commit, must leave what the
@@ -135,10 +198,7 @@ func TestReplayedWritesMatchParentSave(t *testing.T) {
 			t.Fatalf("replay wrote line %d %d times, manifest says %d", d, v, man.Versions[strconv.FormatUint(d, 10)])
 		}
 	}
-	parent, err := Load(parentConfig(man.MemoryBytes), bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
+	parent := loadV1(t, parentConfig(man.MemoryBytes), blob)
 	mine, theirs := modelOf(m.Store()), modelOf(parent.Store())
 	if len(mine.data) != len(theirs.data) || len(mine.levels[0]) != len(theirs.levels[0]) {
 		t.Fatalf("%d data and %d counter lines stored, parent stored %d and %d",

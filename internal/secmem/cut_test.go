@@ -2,7 +2,6 @@ package secmem
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -44,21 +43,32 @@ func (m *Memory) CommitDirty(cut uint32) {
 	}
 }
 
-// decodeRecords is the inverse of DirtyLine.AppendRecord over a run of records.
+// dirty calls fn on every line stamped at floor or later, in index order: what
+// the freeze walked (the store's own walk is dirty.go's picker now).
+func (t table[X]) dirty(floor uint32, fn func(idx uint64, c *chunk[X], i uint64)) {
+	_ = t.chunks(func(base uint64, c *chunk[X]) error {
+		if c.newest < floor {
+			return nil
+		}
+		for i, s := range c.stamp {
+			if s >= floor {
+				fn(base+uint64(i), c, uint64(i))
+			}
+		}
+		return nil
+	})
+}
+
+// decodeRecords reads a run of records back with the stream's own decoder.
 func decodeRecords(t testing.TB, rec []byte) []DirtyLine {
 	t.Helper()
 	var lines []DirtyLine
-	for len(rec) > 0 {
-		if len(rec) < 24 || uint64(len(rec))-24 < uint64(binary.LittleEndian.Uint32(rec[12:])) {
-			t.Fatalf("%d bytes of records end inside a record", len(rec))
+	for r := bytes.NewReader(rec); r.Len() > 0; {
+		d, err := readRecord(r, new([recordBytes]byte))
+		if err != nil {
+			t.Fatalf("%d bytes of records end inside a record: %v", len(rec), err)
 		}
-		d := DirtyLine{Level: int32(binary.LittleEndian.Uint32(rec)), Index: binary.LittleEndian.Uint64(rec[4:])}
-		n := binary.LittleEndian.Uint32(rec[12:])
-		if n > 0 {
-			d.Line = bytes.Clone(rec[16 : 16+n])
-		}
-		d.MAC = binary.LittleEndian.Uint64(rec[16+n:])
-		lines, rec = append(lines, d), rec[24+n:]
+		lines = append(lines, d)
 	}
 	return lines
 }
@@ -257,4 +267,76 @@ func TestCutLifecycle(t *testing.T) {
 		t.Fatalf("the cut after an aborted one holds %d lines, want the root, the line and its %d counter lines", len(lines), m.geom.RootLevel())
 	}
 	next.Commit()
+}
+
+// TestSaveDuringDrainingCut takes full images of an engine while a cut of it
+// is open and part drained and a writer keeps overwriting lines of both, hot
+// ones that overflow among them: Save shares the cut's walker and its record,
+// not its slot. Every image must load and verify, and the cut must still emit
+// exactly the lines it counted.
+func TestSaveDuringDrainingCut(t *testing.T) {
+	cfg := morphConfig(4 << 20)
+	m := mustNew(t, cfg)
+	m.wbBound = 4
+	for d := uint64(0); d < 4096; d++ {
+		if err := m.Write(d*LineBytes, line(byte(d))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(19))
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d := uint64(rng.Intn(8192))
+			if i%3 == 0 {
+				d = 5
+			}
+			if err := m.Write(d*LineBytes, line(byte(i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	cut, err := m.BeginCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	emits, emitted, images := 0, 0, 0
+	err = cut.Drain(func(rec []byte) error {
+		emitted += len(decodeRecords(t, rec))
+		if emits++; emits%16 != 1 {
+			return nil
+		}
+		var image bytes.Buffer
+		if err := m.Save(&image); err != nil {
+			return err
+		}
+		loaded, err := Load(cfg, &image)
+		if err != nil {
+			return err
+		}
+		images++
+		return loaded.VerifyAll()
+	})
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != cut.N() || images < 3 {
+		t.Fatalf("the cut counted %d lines and emitted %d, with %d images taken while it drained", cut.N(), emitted, images)
+	}
+	cut.Commit()
+	if st := m.Stats(); st.Overflows[0] == 0 {
+		t.Fatal("the writer overflowed no counter")
+	}
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 }

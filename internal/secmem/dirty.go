@@ -3,6 +3,8 @@ package secmem
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math/bits"
 )
 
 // Dirty-line tracking: every store mutation stamps the line with the
@@ -21,14 +23,19 @@ import (
 // hides it from the walker. So every line of the cut is emitted exactly once,
 // the count taken first is the count emitted, and a cut holds in memory only
 // the lines overwritten while it drains. The floor moves only at Commit.
+//
+// The walk and the record it emits are also how a full image leaves the
+// engine (WriteRecords in persist.go): the same walker over the stored lines
+// instead of the stamped ones, to completion under one hold of the lock.
 
 // firstEpoch is a new engine's dirty epoch: a line stamped 0 is always clean.
 const firstEpoch uint32 = 1
 
-// DirtyLine is one line of a delta segment: Level -1 is a data line (Line =
+// DirtyLine is one line of a state stream: Level -1 is a data line (Line =
 // ciphertext, MAC set), levels 0..root-1 are stored counter lines, and Level
-// == root is the on-chip root's encoding (always there, and first — it
-// anchors verification).
+// == root is the on-chip root's encoding (always there, and ahead of the
+// lines — it anchors verification). A full image opens with one more,
+// configLevel, naming the organization it was taken from (see WriteRecords).
 type DirtyLine struct {
 	Level int32
 	Index uint64
@@ -36,8 +43,15 @@ type DirtyLine struct {
 	MAC   uint64
 }
 
-// AppendRecord appends d as a delta record, the layout internal/ckpt
-// documents and reads: i32 level | u64 index | u32 len | line | u64 mac.
+const (
+	recordHead    = 4 + 8 + 4                  // level, index, len
+	recordBytes   = recordHead + LineBytes + 8 // a cacheline's record
+	recordLineMax = 4096                       // sanity cap on a record's length field
+	batchLines    = 512                        // records ReadRecords hands over at a time
+)
+
+// AppendRecord appends d as a record of a state stream:
+// i32 level | u64 index | u32 len | line | u64 mac, integers little-endian.
 func (d DirtyLine) AppendRecord(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Level))
 	buf = binary.LittleEndian.AppendUint64(buf, d.Index)
@@ -46,17 +60,175 @@ func (d DirtyLine) AppendRecord(buf []byte) []byte {
 	return binary.LittleEndian.AppendUint64(buf, d.MAC)
 }
 
+// readRecord is AppendRecord's inverse: it reads one record from r through
+// room, which the record's line then aliases unless it is longer than a
+// cacheline (a full image's first record may be).
+func readRecord(r io.Reader, room *[recordBytes]byte) (d DirtyLine, err error) {
+	if _, err := io.ReadFull(r, room[:recordHead]); err != nil {
+		return d, err
+	}
+	d.Level, d.Index = int32(binary.LittleEndian.Uint32(room[:])), binary.LittleEndian.Uint64(room[4:])
+	n := binary.LittleEndian.Uint32(room[12:])
+	if n > recordLineMax {
+		return d, fmt.Errorf("secmem: record line length %d exceeds %d", n, recordLineMax)
+	}
+	body := room[recordHead:]
+	if n > LineBytes {
+		body = make([]byte, n+8)
+	}
+	if _, err := io.ReadFull(r, body[:n+8]); err != nil {
+		return d, unexpectedEOF(err)
+	}
+	if d.MAC = binary.LittleEndian.Uint64(body[n:]); n > 0 {
+		d.Line = body[:n:n]
+	}
+	return d, nil
+}
+
+// unexpectedEOF is err, or io.ErrUnexpectedEOF where err says the input
+// merely ended: inside a record or a count, it ended early.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ReadRecords reads one engine's share of a state stream — a u64 count, then
+// that many records — and hands fn the records a batch at a time. The batch
+// is reused: fn must not keep it or its lines. Nothing has authenticated the
+// count, so nothing larger than a batch is sized by it: a count the input
+// cannot honour ends in io.ErrUnexpectedEOF (or in whatever the reader makes
+// of its own end).
+func ReadRecords(r io.Reader, fn func(batch []DirtyLine) error) error {
+	var count [8]byte
+	if _, err := io.ReadFull(r, count[:]); err != nil {
+		return fmt.Errorf("secmem: record count: %w", unexpectedEOF(err))
+	}
+	n := binary.LittleEndian.Uint64(count[:])
+	batch := make([]DirtyLine, 0, min(n, batchLines))
+	room := make([][recordBytes]byte, cap(batch))
+	for n > 0 {
+		batch = batch[:0]
+		for ; n > 0 && len(batch) < cap(batch); n-- {
+			d, err := readRecord(r, &room[len(batch)])
+			if err != nil {
+				return fmt.Errorf("secmem: record: %w", unexpectedEOF(err))
+			}
+			batch = append(batch, d)
+		}
+		if err := fn(batch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// picker says which lines of a chunk a walk takes, as a bit a line, from the
+// chunk's stored bits, its newest stamp and its stamps.
+type picker func(has uint64, newest uint32, stamp *[chunkLines]uint32) uint64
+
+// stored picks the lines a chunk holds: a full image.
+func stored(has uint64, _ uint32, _ *[chunkLines]uint32) uint64 { return has }
+
+// stamped picks the lines stamped in [floor, epoch], stored or not: a delta.
+func stamped(floor, epoch uint32) picker {
+	return func(_ uint64, newest uint32, stamp *[chunkLines]uint32) (take uint64) {
+		if newest < floor {
+			return 0
+		}
+		for i, s := range stamp {
+			if s >= floor && s <= epoch {
+				take |= 1 << i
+			}
+		}
+		return take
+	}
+}
+
+// count is how many lines of s pick takes.
+func (s *Store) count(pick picker) (n int) {
+	for _, level := range s.levels {
+		_ = level.chunks(func(_ uint64, c *chunk[ctrExt]) error {
+			n += bits.OnesCount64(pick(c.has, c.newest, &c.stamp))
+			return nil
+		})
+	}
+	_ = s.data.chunks(func(_ uint64, c *chunk[dataExt]) error {
+		n += bits.OnesCount64(pick(c.has, c.newest, &c.stamp))
+		return nil
+	})
+	return n
+}
+
+// walker is a place in the store's one order: the counter levels in turn,
+// then the data, each by index. It has taken every line below chunk next of
+// table tbl.
+type walker struct {
+	tbl  int
+	next uint64
+}
+
+// step appends the records of the next chunk that holds lines pick takes and
+// moves the walker past it; n is how many, and done says no table is left.
+func (w *walker) step(s *Store, pick picker, out []byte) (_ []byte, n int, done bool) {
+	switch {
+	case w.tbl < len(s.levels):
+		out, n = takeNext(w, pick, out, int32(w.tbl), s.levels[w.tbl], nil)
+	case w.tbl == len(s.levels):
+		out, n = takeNext(w, pick, out, -1, s.data, func(ch *chunk[dataExt]) *[chunkLines]uint64 { return &ch.ext.mac })
+	default:
+		done = true
+	}
+	return out, n, done
+}
+
+// takeNext moves the walker along t, its current table, to the next chunk
+// that holds lines pick takes and appends a record for each (with no bytes if
+// the line is stamped but the adversary interface removed it). It looks at a
+// directory's worth of slots at most, so one hold of the lock is bounded
+// whatever the capacity.
+func takeNext[X any](w *walker, pick picker, out []byte, level int32, t table[X], macs func(*chunk[X]) *[chunkLines]uint64) ([]byte, int) {
+	for budget := dirChunks; budget > 0; budget-- {
+		d := w.next / dirChunks
+		if d >= uint64(len(t.dirs)) {
+			w.tbl, w.next = w.tbl+1, 0
+			break
+		}
+		if t.dirs[d] == nil {
+			w.next = (d + 1) * dirChunks
+			continue
+		}
+		ch, base := t.dirs[d][w.next%dirChunks], w.next*chunkLines
+		w.next++
+		if ch == nil {
+			continue
+		}
+		take := pick(ch.has, ch.newest, &ch.stamp)
+		for b := take; b != 0; b &= b - 1 {
+			i := uint64(bits.TrailingZeros64(b))
+			line := DirtyLine{Level: level, Index: base + i, Line: ch.get(i)}
+			if macs != nil {
+				line.MAC = macs(ch)[i]
+			}
+			out = line.AppendRecord(out)
+		}
+		if take != 0 {
+			return out, bits.OnesCount64(take)
+		}
+	}
+	return out, 0
+}
+
 // Cut is an incremental checkpoint of one engine in progress; see BeginCut.
 type Cut struct {
 	m            *Memory
 	floor, epoch uint32 // the cut is the lines stamped in [floor, epoch] when it began
+	pick         picker // stamped(floor, epoch)
 	n            int    // how many that was, the root included
-	// The walker has taken every line of the cut below chunk next of table
-	// tbl; the tables are the counter levels in order, then the data.
-	tbl   int
-	next  uint64
-	saved []byte // the side log: the root, then lines overwritten ahead of the walker
-	taken int    // records made so far, by the walker and into the side log
+	walker              // where the drain has got to
+	saved        []byte // the side log: the root, then lines overwritten ahead of the walker
+	taken        int    // records made so far, by the walker and into the side log
 }
 
 // BeginCut opens a cut of every line modified since the last committed cut,
@@ -73,19 +245,24 @@ func (m *Memory) BeginCut() (*Cut, error) {
 	if err := m.settle(0); err != nil {
 		return nil, err
 	}
-	root := DirtyLine{Level: int32(m.geom.RootLevel()), Line: m.root.Encode()}
-	m.cut = &Cut{m: m, floor: m.dirtyFloor, epoch: m.dirtyCur, n: 1 + m.dirtyCount(), saved: root.AppendRecord(nil), taken: 1}
+	pick := stamped(m.dirtyFloor, m.dirtyCur)
+	m.cut = &Cut{m: m, floor: m.dirtyFloor, epoch: m.dirtyCur, pick: pick, n: 1 + m.store.count(pick), saved: m.rootRecord(nil), taken: 1}
 	m.dirtyCur++
 	return m.cut, nil
+}
+
+// rootRecord appends the on-chip root's record.
+func (m *Memory) rootRecord(buf []byte) []byte {
+	return DirtyLine{Level: int32(m.geom.RootLevel()), Line: m.root.Encode()}.AppendRecord(buf)
 }
 
 // N is how many records Drain emits.
 func (c *Cut) N() int { return c.n }
 
-// Drain hands emit the cut's N lines as delta records, a chunk's worth at a
-// time: the root, then the counter levels and the data in index order, each
-// chunk behind whatever the side log took since the last. The engine lock is
-// never held across emit. An emit error, or the cut's closing, ends the drain.
+// Drain hands emit the cut's N lines as records, a chunk's worth at a time:
+// the root, then the counter levels and the data in index order, each chunk
+// behind whatever the side log took since the last. The engine lock is never
+// held across emit. An emit error, or the cut's closing, ends the drain.
 func (c *Cut) Drain(emit func(records []byte) error) error {
 	var out []byte
 	taken := 0
@@ -96,7 +273,9 @@ func (c *Cut) Drain(emit func(records []byte) error) error {
 			return fmt.Errorf("secmem: cut closed while it drained")
 		}
 		out, c.saved = c.saved, out[:0]
-		out, done = c.step(out)
+		var n int
+		out, n, done = c.step(c.m.store, c.pick, out)
+		c.taken += n
 		taken = c.taken
 		c.m.mu.Unlock()
 		if err := emit(out); err != nil {
@@ -109,53 +288,16 @@ func (c *Cut) Drain(emit func(records []byte) error) error {
 	return nil
 }
 
-// step appends the records of the next chunk that holds lines of the cut and
-// moves the walker past it; done says no table is left.
-func (c *Cut) step(out []byte) (_ []byte, done bool) {
-	switch s := c.m.store; {
-	case c.tbl < len(s.levels):
-		return takeNext(c, out, int32(c.tbl), s.levels[c.tbl], nil), false
-	case c.tbl == len(s.levels):
-		return takeNext(c, out, -1, s.data, func(ch *chunk[dataExt]) *[chunkLines]uint64 { return &ch.ext.mac }), false
+// WriteRecords writes the cut as one engine's share of a state stream, the
+// count and then the records Drain emits (what ReadRecords reads).
+func (c *Cut) WriteRecords(w io.Writer) error {
+	if _, err := w.Write(binary.LittleEndian.AppendUint64(nil, uint64(c.n))); err != nil {
+		return err
 	}
-	return out, true
-}
-
-// takeNext moves the walker along t, its current table, to the next chunk
-// that may hold lines of the cut and appends a record for each that is (with
-// no bytes, as in the freeze this replaced, if the adversary interface removed
-// it). It looks at a directory's worth of slots at most, so one hold of the
-// lock is bounded whatever the capacity.
-func takeNext[X any](c *Cut, out []byte, level int32, t table[X], macs func(*chunk[X]) *[chunkLines]uint64) []byte {
-	for budget := dirChunks; budget > 0; budget-- {
-		d := c.next / dirChunks
-		if d >= uint64(len(t.dirs)) {
-			c.tbl, c.next = c.tbl+1, 0
-			break
-		}
-		if t.dirs[d] == nil {
-			c.next = (d + 1) * dirChunks
-			continue
-		}
-		ch, base := t.dirs[d][c.next%dirChunks], c.next*chunkLines
-		c.next++
-		if ch == nil || ch.newest < c.floor {
-			continue
-		}
-		for i := uint64(0); i < chunkLines; i++ {
-			if s := ch.stamp[i]; s < c.floor || s > c.epoch {
-				continue
-			}
-			line := DirtyLine{Level: level, Index: base + i, Line: ch.get(i)}
-			if macs != nil {
-				line.MAC = macs(ch)[i]
-			}
-			c.taken++
-			out = line.AppendRecord(out)
-		}
-		break
-	}
-	return out
+	return c.Drain(func(records []byte) error {
+		_, err := w.Write(records)
+		return err
+	})
 }
 
 // keep is called with a cut open before a stored line, last stamped stamp, is
@@ -204,55 +346,5 @@ func (m *Memory) DirtyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	_ = m.settle(0) // as BeginCut will
-	return m.dirtyCount()
-}
-
-func (m *Memory) dirtyCount() int {
-	n := 0
-	m.store.data.dirty(m.dirtyFloor, func(uint64, *chunk[dataExt], uint64) { n++ })
-	for _, level := range m.store.levels {
-		level.dirty(m.dirtyFloor, func(uint64, *chunk[ctrExt], uint64) { n++ })
-	}
-	return n
-}
-
-// ApplyDeltaLine installs one line from an authenticated delta segment
-// into the store, bypassing the journal: recovery replays deltas onto a
-// loaded base snapshot before the WAL tail. The applied line keeps its
-// clean stamp (the delta chain already covers it), and any cached trusted
-// block for the line is invalidated so later reads re-verify against the
-// applied bytes.
-func (m *Memory) ApplyDeltaLine(level int32, idx uint64, line []byte, mac uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.settle(0); err != nil {
-		return err
-	}
-	if len(line) != LineBytes {
-		return fmt.Errorf("secmem: delta level-%d line is %d bytes, want %d", level, len(line), LineBytes)
-	}
-	switch {
-	case level == int32(m.geom.RootLevel()):
-		blk, err := m.cfg.specAt(m.geom.RootLevel()).Decode(line)
-		if err != nil {
-			return fmt.Errorf("secmem: delta root: %w", err)
-		}
-		m.root = blk
-		return m.flushMetadataCache()
-	case level == -1:
-		if idx >= m.geom.DataLines {
-			return fmt.Errorf("secmem: delta data line %d beyond capacity %d", idx, m.geom.DataLines)
-		}
-		m.store.SetDataLine(idx, line)
-		m.store.SetDataMAC(idx, mac)
-	case level >= 0 && int(level) < m.geom.RootLevel():
-		if idx >= m.geom.LevelEntries(int(level)) {
-			return fmt.Errorf("secmem: delta level-%d line %d beyond level size %d", level, idx, m.geom.LevelEntries(int(level)))
-		}
-		m.store.SetCounterLine(int(level), idx, line)
-		m.store.levels[level].at(idx).ext.blk[idx%chunkLines] = nil
-	default:
-		return fmt.Errorf("secmem: delta line level %d out of range", level)
-	}
-	return nil
+	return m.store.count(stamped(m.dirtyFloor, m.dirtyCur))
 }

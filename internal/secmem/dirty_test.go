@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -133,10 +134,8 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range delta {
-				if err := stale.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
-					t.Fatal(err)
-				}
+			if err := stale.Apply(delta, 0); err != nil {
+				t.Fatal(err)
 			}
 			for i := uint64(0); i < 96; i++ {
 				addr := i * 64 * 3 % (1 << 20) &^ 63
@@ -156,18 +155,37 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 	}
 }
 
+// (Apply is what ApplyDeltaLine, a line at a time, used to be; the test keeps
+// its name.)
 func TestApplyDeltaLineRejectsBadInput(t *testing.T) {
 	cfg := configs(1 << 20)["MorphCtr-128"]
 	m := mustNew(t, cfg)
-	if err := m.ApplyDeltaLine(-1, 1<<40, make([]byte, LineBytes), 0); err == nil {
-		t.Fatal("out-of-range data index accepted")
+	whole := make([]byte, LineBytes)
+	for name, d := range map[string]DirtyLine{
+		"out-of-range data index":    {Level: -1, Index: 1 << 40, Line: whole},
+		"out-of-range counter index": {Level: 0, Index: 1 << 40, Line: whole},
+		"short data line":            {Level: -1, Line: make([]byte, 3)},
+		"line with no bytes":         {Level: -1},
+		"bogus level":                {Level: 99, Line: whole},
+		"another capacity":           {Level: configLevel, Index: 2 << 20, Line: []byte(m.configFingerprint())},
+		"another organization":       {Level: configLevel, Index: 1 << 20, Line: []byte("SC-64/SC-64@56")},
+	} {
+		if err := m.Apply([]DirtyLine{d}, 0); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	if err := m.ApplyDeltaLine(-1, 0, make([]byte, 3), 0); err == nil {
-		t.Fatal("short data line accepted")
+	if err := m.Apply([]DirtyLine{{Level: configLevel, Index: 1 << 20, Line: []byte(m.configFingerprint())}}, 0); err != nil {
+		t.Fatalf("the engine's own configuration refused: %v", err)
 	}
-	if err := m.ApplyDeltaLine(99, 0, make([]byte, LineBytes), 0); err == nil {
-		t.Fatal("bogus level accepted")
+}
+
+// restore stages a Save stream and adopts it, as a migration's install does.
+func restore(m *Memory, r io.Reader) error {
+	st, err := m.StageRestore(r)
+	if err == nil {
+		m.CommitRestore(st)
 	}
+	return err
 }
 
 func TestRestoreSwapsStateAtomically(t *testing.T) {
@@ -187,7 +205,7 @@ func TestRestoreSwapsStateAtomically(t *testing.T) {
 	if err := recip.Write(0, line(7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := recip.Restore(&buf); err != nil {
+	if err := restore(recip, &buf); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 32; i++ {
@@ -205,7 +223,7 @@ func TestRestoreSwapsStateAtomically(t *testing.T) {
 	}
 
 	// A malformed stream must leave live state untouched.
-	if err := recip.Restore(bytes.NewReader([]byte("garbage"))); err == nil {
+	if err := restore(recip, bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("garbage restore accepted")
 	}
 	got, err := recip.Read(64)

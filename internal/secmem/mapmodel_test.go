@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 )
 
@@ -175,27 +176,25 @@ func newMapEngine(m *Memory) *mapEngine {
 	return e
 }
 
-// save is the old Save: m supplies the header and root, the maps the lines.
+// save is Save over the maps: m supplies the header, the configuration and
+// the root, the maps every stored line, in the store's one order.
 func (e *mapEngine) save(m *Memory, w *bytes.Buffer) {
-	w.WriteString(persistMagic)
-	writeU64(w, persistVersion)
-	writeU64(w, m.cfg.MemoryBytes)
-	writeString(w, m.configFingerprint())
-	w.Write(m.root.Encode())
-	writeU64(w, uint64(len(e.levels)))
+	n := 2 + len(e.data)
 	for _, level := range e.levels {
-		writeU64(w, uint64(len(level)))
+		n += len(level)
+	}
+	out := binary.LittleEndian.AppendUint64(AppendHeader(nil, persistMagic, persistVersion), uint64(n))
+	out = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(out)
+	out = m.rootRecord(out)
+	for lvl, level := range e.levels {
 		for _, k := range sortedKeys(level) {
-			writeU64(w, k)
-			w.Write(level[k])
+			out = DirtyLine{Level: int32(lvl), Index: k, Line: level[k]}.AppendRecord(out)
 		}
 	}
-	writeU64(w, uint64(len(e.data)))
 	for _, idx := range sortedKeys(e.data) {
-		writeU64(w, idx)
-		w.Write(e.data[idx])
-		writeU64(w, e.dataMAC[idx])
+		out = DirtyLine{Level: -1, Index: idx, Line: e.data[idx], MAC: e.dataMAC[idx]}.AppendRecord(out)
 	}
+	w.Write(out)
 }
 
 func sortedKeys(m map[uint64][]byte) []uint64 {

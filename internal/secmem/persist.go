@@ -7,60 +7,100 @@ import (
 	"io"
 )
 
-// Persistence: Save serializes a secure memory's complete state — the
-// untrusted store (ciphertexts, MACs, counter lines) plus the on-chip root
-// — so it can be reloaded later with Load. The root line must travel
-// through a trusted channel in a real deployment (it is the anchor all
-// verification hangs from); everything else is self-protecting, so a
-// tampered save file surfaces as an *IntegrityError on first read after
-// loading.
+// Persistence. Engine state leaves a process in one shape, the state stream
+// (DESIGN.md, "State stream"): per engine a u64 count and that many records
+// (DirtyLine.AppendRecord), the on-chip root among them as the record at the
+// root level. A delta checkpoint writes the records of the lines stamped since
+// the last one (Cut, dirty.go); everything else — Save here, shard.Save, the
+// durable layer's snapshot files, a migrated shard, a replica's bootstrap — is
+// a full image: WriteRecords, every stored line behind a record naming the
+// organization and the root. ReadRecords and Apply are the one way back in.
+//
+// Save is the bare image behind a twelve-byte header. The root it carries
+// must travel through a trusted channel in a real deployment (it is the
+// anchor all verification hangs from); everything else is self-protecting, so
+// a tampered save file surfaces as an *IntegrityError on first read after
+// loading. The streams that cross a disk or a network travel inside
+// internal/ckpt's authenticated container instead.
 
 const (
 	persistMagic   = "MTSM"
-	persistVersion = 1
+	persistVersion = 2
+
+	// HeaderBytes is the length of the header every container of this
+	// repository opens with: a four-byte magic and a u64 version.
+	HeaderBytes = 12
+
+	// configLevel is the level of a full image's first record: Index is the
+	// capacity in bytes and Line the organization's fingerprint.
+	configLevel int32 = -2
 )
 
-// Save writes the memory's state to w.
+// VersionError reports input whose header names another container, or another
+// version of the one expected: nothing after the header can be read, so
+// nothing was. Files written before a format's version moved fail with it,
+// never with an *IntegrityError.
+type VersionError struct {
+	// Magic and Version are what the input's header says.
+	Magic   string
+	Version uint64
+	// Want and WantVersion are what the reader reads.
+	Want        string
+	WantVersion uint64
+}
+
+// Error implements error.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("secmem: input is %q version %d, this build reads %q version %d", e.Magic, e.Version, e.Want, e.WantVersion)
+}
+
+// AppendHeader appends a container header: magic, then the version.
+func AppendHeader(buf []byte, magic string, version uint64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, magic...), version)
+}
+
+// CheckHeader checks HeaderBytes of input against the container expected and
+// returns a *VersionError if they name anything else.
+func CheckHeader(head []byte, magic string, version uint64) error {
+	if got, v := string(head[:len(magic)]), binary.LittleEndian.Uint64(head[len(magic):]); got != magic || v != version {
+		return &VersionError{Magic: got, Version: v, Want: magic, WantVersion: version}
+	}
+	return nil
+}
+
+// Save writes the memory's state to w: the header, then a full image.
 func (m *Memory) Save(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(AppendHeader(nil, persistMagic, persistVersion)); err != nil {
+		return fmt.Errorf("secmem: save: %w", err)
+	}
+	if err := m.WriteRecords(bw); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// WriteRecords writes a full image of the engine as its share of a state
+// stream: the count, a record naming the capacity and the organization (so a
+// misconfigured reader fails on a comparison, not on a MAC), the root, and
+// every stored line in the order a cut walks them, all under one hold of the
+// lock. It neither needs nor disturbs an open cut.
+func (m *Memory) WriteRecords(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.settle(0); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(persistMagic); err != nil {
-		return fmt.Errorf("secmem: save: %w", err)
-	}
-	if err := writeU64(bw, persistVersion); err != nil {
-		return err
-	}
-	if err := writeU64(bw, m.cfg.MemoryBytes); err != nil {
-		return err
-	}
-	if err := writeString(bw, m.configFingerprint()); err != nil {
-		return err
-	}
-	// Root line (trusted; callers must protect the save file's
-	// confidentiality/integrity out of band for it to stay an anchor).
-	if _, err := bw.Write(m.root.Encode()); err != nil {
-		return fmt.Errorf("secmem: save root: %w", err)
-	}
-	// Counter levels.
-	if err := writeU64(bw, uint64(len(m.store.levels))); err != nil {
-		return err
-	}
-	for _, level := range m.store.levels {
-		if err := level.save(bw, noTail); err != nil {
-			return err
+	out := binary.LittleEndian.AppendUint64(nil, uint64(2+m.store.count(stored)))
+	out = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(out)
+	out = m.rootRecord(out)
+	var wk walker
+	for done := false; !done; out, _, done = wk.step(m.store, stored, out[:0]) {
+		if _, err := w.Write(out); err != nil {
+			return fmt.Errorf("secmem: save: %w", err)
 		}
 	}
-	// Data lines with their MACs.
-	if err := m.store.data.save(bw, func(c *chunk[dataExt], i uint64) error {
-		return writeU64(bw, c.ext.mac[i])
-	}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }
 
 // Load reconstructs a secure memory from r. cfg must describe the same
@@ -77,31 +117,17 @@ func Load(cfg Config, r io.Reader) (*Memory, error) {
 	return m, nil
 }
 
-// Restore replaces this engine's live state with a Save stream, atomically
-// under the engine lock: concurrent readers see either the old state or
-// the new one, never a mix. The stream is decoded into a staging engine
-// first, so a malformed stream leaves the live state untouched. Activity
-// stats and registered key domains are kept (both derive from config and
-// operation counts, not from the shipped state). Live shard migration
-// installs streamed donor state through this.
-func (m *Memory) Restore(r io.Reader) error {
-	st, err := m.StageRestore(r)
-	if err != nil {
-		return err
-	}
-	m.CommitRestore(st)
-	return nil
-}
-
 // Staged is decoded state not yet adopted; see StageRestore.
 type Staged struct {
 	fresh *Memory
 }
 
 // StageRestore decodes a Save stream into a staging engine without
-// touching live state. Callers that read from an authenticated transport
-// verify the stream trailer between StageRestore and CommitRestore, so a
-// forged stream is rejected before anything is adopted.
+// touching live state, so a malformed stream leaves it as it was. Callers
+// that read from an authenticated transport verify the stream trailer
+// between StageRestore and CommitRestore, so a forged stream is rejected
+// before anything is adopted. Live shard migration installs streamed donor
+// state through the pair.
 func (m *Memory) StageRestore(r io.Reader) (*Staged, error) {
 	fresh, err := New(m.cfg)
 	if err != nil {
@@ -113,7 +139,10 @@ func (m *Memory) StageRestore(r io.Reader) (*Staged, error) {
 	return &Staged{fresh: fresh}, nil
 }
 
-// CommitRestore atomically adopts staged state. Every adopted line was
+// CommitRestore adopts staged state atomically under the engine lock:
+// concurrent readers see either the old state or the new one, never a mix.
+// Activity stats and registered key domains are kept (both derive from config
+// and operation counts, not from the shipped state). Every adopted line was
 // staged dirty: installed state is not covered by this engine's local
 // checkpoint chain, so the next incremental checkpoint must capture it in
 // full (a post-install full snapshot resets the stamps as usual).
@@ -133,57 +162,77 @@ func (m *Memory) CommitRestore(st *Staged) {
 // stamped stamp (0 = clean). Callers must own m exclusively (a fresh engine).
 func (m *Memory) restoreInto(r io.Reader, stamp uint32) error {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != persistMagic {
-		return fmt.Errorf("secmem: load: bad magic")
+	var head [HeaderBytes]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return fmt.Errorf("secmem: load: header: %w", unexpectedEOF(err))
 	}
-	version, err := readU64(br)
-	if err != nil {
+	if err := CheckHeader(head[:], persistMagic, persistVersion); err != nil {
 		return err
 	}
-	if version != persistVersion {
-		return fmt.Errorf("secmem: load: unsupported version %d", version)
-	}
-	memBytes, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	if memBytes != m.cfg.MemoryBytes {
-		return fmt.Errorf("secmem: load: capacity %d does not match config %d", memBytes, m.cfg.MemoryBytes)
-	}
-	fp, err := readString(br)
-	if err != nil {
-		return err
-	}
-	if fp != m.configFingerprint() {
-		return fmt.Errorf("secmem: load: organization %q does not match config %q", fp, m.configFingerprint())
-	}
-	rootRaw := make([]byte, LineBytes)
-	if _, err := io.ReadFull(br, rootRaw); err != nil {
-		return fmt.Errorf("secmem: load root: %w", err)
-	}
-	root, err := m.cfg.specAt(m.geom.RootLevel()).Decode(rootRaw)
-	if err != nil {
-		return fmt.Errorf("secmem: load root: %w", err)
-	}
-	m.root = root
+	return m.ApplyRecords(br, stamp)
+}
 
-	numLevels, err := readU64(br)
-	if err != nil {
+// ApplyRecords reads one engine's share of a state stream from r (see
+// ReadRecords) and installs it, a batch at a time (see Apply).
+func (m *Memory) ApplyRecords(r io.Reader, stamp uint32) error {
+	return ReadRecords(r, func(batch []DirtyLine) error { return m.Apply(batch, stamp) })
+}
+
+// Apply installs a batch of a state stream's lines into the store under one
+// hold of the lock, bypassing the journal, each stamped stamp: 0 for a line a
+// checkpoint chain already covers (recovery, Load), the current epoch for one
+// the next cut must take (a migrated shard). m must be out of service — a
+// fresh or staging engine, or one being recovered — and the stream
+// authenticated before m serves: what a line holds is checked only when it is
+// read. Verified blocks cached from the lines replaced are dropped.
+func (m *Memory) Apply(batch []DirtyLine, stamp uint32) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.flushMetadataCache(); err != nil {
 		return err
 	}
-	if numLevels != uint64(len(m.store.levels)) {
-		return fmt.Errorf("secmem: load: %d levels, want %d", numLevels, len(m.store.levels))
-	}
-	for lvl, level := range m.store.levels {
-		if err := level.load(br, m.geom.LevelEntries(lvl), stamp, noTail); err != nil {
-			return err
+	root := int32(m.geom.RootLevel())
+	for _, d := range batch {
+		switch {
+		case d.Level == configLevel:
+			if fp := m.configFingerprint(); d.Index != m.cfg.MemoryBytes || string(d.Line) != fp {
+				return fmt.Errorf("secmem: load: state of %q over %d bytes does not match config %q over %d", d.Line, d.Index, fp, m.cfg.MemoryBytes)
+			}
+		case len(d.Line) != LineBytes:
+			return fmt.Errorf("secmem: load: level-%d line %d is %d bytes, want %d", d.Level, d.Index, len(d.Line), LineBytes)
+		case d.Level == root:
+			blk, err := m.cfg.specAt(int(root)).Decode(d.Line)
+			if err != nil {
+				return fmt.Errorf("secmem: load root: %w", err)
+			}
+			m.root = blk
+		case d.Level == -1:
+			c, err := put(m.store.data, m.geom.DataLines, d, stamp)
+			if err != nil {
+				return err
+			}
+			c.ext.mac[d.Index%chunkLines] = d.MAC
+		case d.Level >= 0 && d.Level < root:
+			if _, err := put(m.store.levels[d.Level], m.geom.LevelEntries(int(d.Level)), d, stamp); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("secmem: load: line level %d out of range", d.Level)
 		}
 	}
-	return m.store.data.load(br, m.geom.DataLines, stamp, func(c *chunk[dataExt], i uint64) (err error) {
-		c.ext.mac[i], err = readU64(br)
-		return err
-	})
+	return nil
+}
+
+// put stores d's line in t, which holds entries lines, stamped stamp. An
+// index beyond the table is an error: input is untrusted.
+func put[X any](t table[X], entries uint64, d DirtyLine, stamp uint32) (*chunk[X], error) {
+	if d.Index >= entries {
+		return nil, fmt.Errorf("secmem: load: level-%d line %d beyond the %d its level holds", d.Level, d.Index, entries)
+	}
+	c, i := t.grow(d.Index), d.Index%chunkLines
+	c.line[i], c.has = [LineBytes]byte(d.Line), c.has|1<<i
+	c.stamp[i], c.newest = stamp, max(c.newest, stamp)
+	return c, nil
 }
 
 // configFingerprint names the counter organization (keys excluded).
@@ -193,96 +242,4 @@ func (m *Memory) configFingerprint() string {
 		fp += "/" + s.Name
 	}
 	return fmt.Sprintf("%s@%d", fp, m.keyer.Width())
-}
-
-// save writes how many lines t stores, then each in index order as its index,
-// its bytes and whatever tail adds (a data line's MAC).
-func (t table[X]) save(w io.Writer, tail func(c *chunk[X], i uint64) error) error {
-	n := uint64(0)
-	_ = t.stored(func(uint64, *chunk[X], uint64) error { n++; return nil })
-	if err := writeU64(w, n); err != nil {
-		return err
-	}
-	return t.stored(func(idx uint64, c *chunk[X], i uint64) error {
-		if err := writeU64(w, idx); err != nil {
-			return err
-		}
-		if _, err := w.Write(c.line[i][:]); err != nil {
-			return fmt.Errorf("secmem: save line: %w", err)
-		}
-		return tail(c, i)
-	})
-}
-
-// noTail is save's and load's tail for counter lines, which are all line.
-func noTail(*chunk[ctrExt], uint64) error { return nil }
-
-// load reads what save wrote into t, which holds entries lines, stamping each
-// with a dirty epoch. An index beyond the table is an error: input is untrusted.
-func (t table[X]) load(r io.Reader, entries uint64, stamp uint32, tail func(c *chunk[X], i uint64) error) error {
-	n, err := readU64(r)
-	if err != nil {
-		return err
-	}
-	for ; n > 0; n-- {
-		idx, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		if idx >= entries {
-			return fmt.Errorf("secmem: load: line %d beyond the %d its level holds", idx, entries)
-		}
-		c, i := t.grow(idx), idx%chunkLines
-		if _, err := io.ReadFull(r, c.line[i][:]); err != nil {
-			return fmt.Errorf("secmem: load line: %w", err)
-		}
-		c.has |= 1 << i
-		c.mark(i, stamp)
-		if err := tail(c, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	if _, err := w.Write(buf[:]); err != nil {
-		return fmt.Errorf("secmem: save: %w", err)
-	}
-	return nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("secmem: load: %w", err)
-	}
-	return binary.LittleEndian.Uint64(buf[:]), nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU64(w, uint64(len(s))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, s); err != nil {
-		return fmt.Errorf("secmem: save: %w", err)
-	}
-	return nil
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU64(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("secmem: load: fingerprint length %d unreasonable", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("secmem: load: %w", err)
-	}
-	return string(buf), nil
 }

@@ -2,7 +2,9 @@ package secmem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/counters"
@@ -158,4 +160,68 @@ func TestSaveDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("Save is not deterministic")
 	}
+}
+
+// FuzzLoad feeds Load raw bytes (mode 0) and a valid Save stream with the
+// bytes spliced over it at an offset (mode 1): a Save stream is not
+// authenticated, so every count and length in it is the input's word. Whatever
+// comes back is an error or a state — its Save is a fixed point of Load then
+// Save, and it verifies or fails verification as tampering, nothing else — and
+// nothing is allocated on a number's say-so: an engine of this geometry with
+// every chunk it can hold, and a small multiple of the input.
+func FuzzLoad(f *testing.F) {
+	cfg := morphConfig(64 << 10)
+	m := mustNew(f, cfg)
+	for i := uint64(0); i < 48; i++ {
+		if err := m.Write(i*21%1024*LineBytes, line(byte(i))); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var valid bytes.Buffer
+	if err := m.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	bomb := binary.LittleEndian.AppendUint64(AppendHeader(nil, persistMagic, persistVersion), 1<<62)
+	f.Add(append(bomb, make([]byte, 24)...), uint8(0), uint32(0)) // 44 bytes: a count of 2^62 and room for no record
+	f.Add(append(AppendHeader(nil, persistMagic, 1), make([]byte, 32)...), uint8(0), uint32(0))
+	f.Add(valid.Bytes(), uint8(0), uint32(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, uint8(1), uint32(HeaderBytes+8+12)) // the first record's length
+	f.Add([]byte{0x40}, uint8(1), uint32(1000))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, at uint32) {
+		input := data
+		if mode%2 == 1 {
+			input = bytes.Clone(valid.Bytes())
+			copy(input[int(at)%len(input):], data)
+		}
+		var loaded *Memory
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		loaded, err = Load(cfg, bytes.NewReader(input))
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20+16*uint64(len(input)) {
+			t.Fatalf("loading %d bytes allocated %d", len(input), got)
+		}
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := loaded.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Load(cfg, bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("what Load accepted does not load once saved: %v", err)
+		}
+		if err := again.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("Save of a loaded state is not a fixed point of Load then Save")
+		}
+		var ie *IntegrityError
+		if err := loaded.VerifyAll(); err != nil && !errors.As(err, &ie) {
+			t.Fatalf("a loaded state fails verification with something other than tampering: %v", err)
+		}
+	})
 }

@@ -20,7 +20,7 @@
 // and cold fetches consult cached values only, so verification stays exact.
 // Every dirty block is written back before a stored line or the root can be
 // seen or a cached block dropped (FlushMetadataCache, VerifyAll, Save,
-// BeginCut, DirtyCount, Prove, RootEncoding, Store, ApplyDeltaLine), and
+// BeginCut, DirtyCount, Prove, RootEncoding, Store, Apply), and
 // oldest first while more than dirtyBlockBound are dirty. So for l >= 1,
 // Stats.Increments[l] counts write-backs of level l-1: tree-line writes.
 //

@@ -51,7 +51,7 @@ func configs(memBytes uint64) map[string]Config {
 	}
 }
 
-func mustNew(t *testing.T, cfg Config) *Memory {
+func mustNew(t testing.TB, cfg Config) *Memory {
 	t.Helper()
 	m, err := New(cfg)
 	if err != nil {

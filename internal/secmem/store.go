@@ -127,23 +127,6 @@ func (t table[X]) stored(fn func(idx uint64, c *chunk[X], i uint64) error) error
 	})
 }
 
-// dirty calls fn on every line stamped at floor or later, in index order. A
-// chunk whose newest stamp is older is skipped whole, so the work is the
-// chunks touched, not the table's capacity.
-func (t table[X]) dirty(floor uint32, fn func(idx uint64, c *chunk[X], i uint64)) {
-	_ = t.chunks(func(base uint64, c *chunk[X]) error {
-		if c.newest < floor {
-			return nil
-		}
-		for i, s := range c.stamp {
-			if s >= floor {
-				fn(base+uint64(i), c, uint64(i))
-			}
-		}
-		return nil
-	})
-}
-
 // set stores a copy of raw, a whole line, as line idx, or removes the line if
 // !ok.
 func (t table[X]) set(idx uint64, raw []byte, ok bool) {

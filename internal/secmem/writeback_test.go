@@ -100,10 +100,8 @@ func (e *diffEngine) saveLoad() {
 func (e *diffEngine) shipDelta() {
 	e.t.Helper()
 	cut, lines := drainCut(e.t, e.m)
-	for _, d := range lines {
-		if err := e.replica.ApplyDeltaLine(d.Level, d.Index, d.Line, d.MAC); err != nil {
-			e.t.Fatal(err)
-		}
+	if err := e.replica.Apply(lines, 0); err != nil {
+		e.t.Fatal(err)
 	}
 	cut.Commit()
 	if err := e.replica.VerifyAll(); err != nil {

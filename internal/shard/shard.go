@@ -12,7 +12,7 @@
 package shard
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -377,7 +377,7 @@ func (s *Sharded) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 
 const (
 	saveMagic   = "MTSH"
-	saveVersion = 1
+	saveVersion = 2
 )
 
 // MismatchError reports a Save stream whose embedded layout disagrees with
@@ -386,8 +386,7 @@ const (
 // mismatch is rejected with this typed error before any state is built;
 // callers distinguish operator misconfiguration from stream corruption.
 type MismatchError struct {
-	// Field names the disagreeing layout parameter: "version", "shards",
-	// or "capacity".
+	// Field names the disagreeing layout parameter: "shards" or "capacity".
 	Field string
 	// Stream is the value embedded in the Save stream.
 	Stream uint64
@@ -400,82 +399,54 @@ func (e *MismatchError) Error() string {
 	return fmt.Sprintf("shard: load: stream %s %d does not match config %s %d", e.Field, e.Stream, e.Field, e.Config)
 }
 
-// Save serializes every shard's state (via secmem's persistence format,
-// each blob length-prefixed so streams stay delimited) plus the shard
-// layout, for the wire SNAPSHOT op.
+// Save serializes the shard layout and then every shard's full image, the
+// state stream's payload (secmem.WriteRecords; shard i's share follows shard
+// i-1's, nothing between them), for the wire SNAPSHOT op. Each shard is
+// written under one hold of its own lock.
 func (s *Sharded) Save(w io.Writer) error {
-	if _, err := io.WriteString(w, saveMagic); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	var hdr [24]byte
-	binary.LittleEndian.PutUint64(hdr[0:], saveVersion)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(s.cfg.Shards))
-	binary.LittleEndian.PutUint64(hdr[16:], s.cfg.Mem.MemoryBytes)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	var buf bytes.Buffer
+	hdr := secmem.AppendHeader(nil, saveMagic, saveVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.cfg.Shards))
+	hdr = binary.LittleEndian.AppendUint64(hdr, s.cfg.Mem.MemoryBytes)
+	bw := bufio.NewWriter(w)
+	bw.Write(hdr)
 	for i, m := range s.shards {
-		buf.Reset()
-		if err := m.Save(&buf); err != nil {
+		if err := m.WriteRecords(bw); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(buf.Len()))
-		if _, err := w.Write(n[:]); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("shard: save: %w", err)
-		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("shard: save: %w", err)
 	}
 	return nil
 }
 
 // Load reconstructs a sharded memory from a Save stream. cfg must describe
 // the same layout (shard count, capacity, counter organization, master key)
-// the state was saved under.
+// the state was saved under. A stream of another version is a
+// *secmem.VersionError.
 func Load(cfg Config, r io.Reader) (*Sharded, error) {
-	magic := make([]byte, len(saveMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != saveMagic {
-		return nil, fmt.Errorf("shard: load: bad magic")
+	br := bufio.NewReader(r)
+	var hdr [secmem.HeaderBytes + 16]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("shard: load: header: %w", err)
 	}
-	var hdr [24]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("shard: load: %w", err)
+	if err := secmem.CheckHeader(hdr[:], saveMagic, saveVersion); err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint64(hdr[0:]); v != saveVersion {
-		return nil, &MismatchError{Field: "version", Stream: v, Config: saveVersion}
-	}
-	if n := binary.LittleEndian.Uint64(hdr[8:]); n != uint64(cfg.Shards) {
+	if n := binary.LittleEndian.Uint64(hdr[secmem.HeaderBytes:]); n != uint64(cfg.Shards) {
 		return nil, &MismatchError{Field: "shards", Stream: n, Config: uint64(cfg.Shards)}
 	}
-	if mb := binary.LittleEndian.Uint64(hdr[16:]); mb != cfg.Mem.MemoryBytes {
+	if mb := binary.LittleEndian.Uint64(hdr[secmem.HeaderBytes+8:]); mb != cfg.Mem.MemoryBytes {
 		return nil, &MismatchError{Field: "capacity", Stream: mb, Config: cfg.Mem.MemoryBytes}
 	}
-	s := &Sharded{cfg: cfg, shards: make([]*secmem.Memory, cfg.Shards)}
-	for i := range s.shards {
-		var n [8]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return nil, fmt.Errorf("shard: load: %w", err)
-		}
-		blob := make([]byte, binary.LittleEndian.Uint64(n[:]))
-		if _, err := io.ReadFull(r, blob); err != nil {
-			return nil, fmt.Errorf("shard %d: load: %w", i, err)
-		}
-		sub := cfg.Mem
-		sub.MemoryBytes = cfg.Mem.MemoryBytes / uint64(cfg.Shards)
-		key, err := deriveKey(cfg.Mem.Key, i)
-		if err != nil {
-			return nil, err
-		}
-		sub.Key = key
-		m, err := secmem.Load(sub, bytes.NewReader(blob))
-		if err != nil {
+	s, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, m := range s.shards {
+		if err := m.ApplyRecords(br, 0); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		cfg.instrument(m, i)
-		s.shards[i] = m
 	}
 	return s, nil
 }

@@ -155,11 +155,14 @@ type ReplicateResponse struct {
 	// Batches holds one sealed wal.Codec frame run per shard (nil/empty =
 	// nothing new). Empty when Snapshot is set.
 	Batches [][]byte
-	// Snapshot, when non-nil, is a full-state blob (shard.Save format)
-	// covering SnapMarks; the follower must discard its local state and
-	// InstallSnapshot instead of applying batches.
+	// Snapshot, when non-nil, is a full-state blob covering SnapMarks: the
+	// authenticated state stream a snapshot file holds (durable.SaveMarks).
+	// The follower must discard its local state and InstallSnapshot instead
+	// of applying batches.
 	Snapshot []byte
-	// SnapMarks is the per-shard LSN vector Snapshot covers.
+	// SnapMarks is the per-shard LSN vector Snapshot covers. The blob's own
+	// header says the same under its MAC; a follower refuses a pair that
+	// disagrees.
 	SnapMarks []uint64
 }
 

@@ -33,7 +33,9 @@ const (
 	OpVerify byte = 0x03
 	// OpStats returns the aggregated shard stats as JSON.
 	OpStats byte = 0x04
-	// OpSnapshot returns the full persisted state (shard.Save format).
+	// OpSnapshot returns the full persisted state in shard.Save format: the
+	// layout, then every shard's share of a state stream (DESIGN.md, "State
+	// stream"), unauthenticated — the lines in it protect themselves.
 	OpSnapshot byte = 0x05
 	// OpTamper flips a stored ciphertext bit at a u64 address (adversary
 	// interface; servers only honor it when started with tampering
