@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race morphdebug vet morphlint lint-baseline loc bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: FORCE build test race morphdebug vet fmt morphlint lint-baseline loc bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,22 @@ morphdebug:
 vet:
 	$(GO) vet ./...
 
-bin/morphlint: $(shell find cmd/morphlint internal/analysis internal/lint -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
-	$(GO) build -o bin/morphlint ./cmd/morphlint
+# gofmt -l prints the files it would rewrite; a name is a failure. testdata
+# holds analyzer fixtures that are the way they are on purpose.
+fmt:
+	@unformatted="$$(gofmt -l . | grep -v /testdata/)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
+
+# The binaries the targets below run, rebuilt every time: go's build cache
+# is the dependency tracker, and a prerequisite list kept by hand goes stale
+# and runs an old binary. morphchaos is always race-built.
+bin/morphlint bin/morphserve bin/morphload bin/morphcrash bin/morphscope bin/morphaudit: FORCE
+	$(GO) build -o $@ ./cmd/$(@F)
+
+bin/morphchaos: FORCE
+	$(GO) build -race -o $@ ./cmd/morphchaos
+
+FORCE:
 
 # Full eight-analyzer suite with the checked-in baseline enforced: new
 # findings fail, baselined ones are reported as suppressed.
@@ -70,31 +84,23 @@ fuzz-smoke:
 		done; \
 	done
 
-bin/morphserve: $(shell find cmd/morphserve internal/server internal/shard internal/wire internal/secmem internal/tenant -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -o bin/morphserve ./cmd/morphserve
-
-bin/morphload: $(shell find cmd/morphload internal/wire internal/secmem internal/tenant -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -o bin/morphload ./cmd/morphload
-
 # Loopback smoke test of the serving layer: morphload drives a local
-# morphserve, verifies integrity end to end (including an injected tamper),
-# and writes bin/BENCH_serve.json (every smoke's report goes under bin/, which
-# is ignored: a three-second run is a pass/fail gate, not a number to keep).
+# morphserve and verifies integrity end to end (including an injected
+# tamper). A smoke is a pass/fail gate — its exit status — and writes no
+# report: a three-second run is not a number to keep (bench/morphbench
+# measures).
 serve-smoke: bin/morphserve bin/morphload
 	bin/morphserve -addr 127.0.0.1:7443 -shards 4 -org morph128 -tamper & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7443 -clients 8 -duration 3s -tamper -out bin/BENCH_serve.json; \
+	bin/morphload -addr 127.0.0.1:7443 -clients 8 -duration 3s -tamper; \
 	STATUS=$$?; kill $$SERVE_PID; exit $$STATUS
-
-bin/morphcrash: $(shell find cmd/morphcrash internal/durable internal/wal internal/shard internal/secmem -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -o bin/morphcrash ./cmd/morphcrash
 
 # Reduced crash-injection matrix: kill-point surgery on the WAL, the
 # snapshot rename, and the epoch truncation, each recovered and checked
 # against a shadow model. The full matrix is `bin/morphcrash` with
 # defaults; this keeps CI fast.
 crash-smoke: bin/morphcrash
-	bin/morphcrash -points 9 -writes 300 -out bin/BENCH_durable.json
+	bin/morphcrash -points 9 -writes 300
 
 # Incremental-checkpoint smoke test, race-built: the delta/compaction
 # crash windows and delta tamper probe, crash recovery measured at two
@@ -104,29 +110,23 @@ crash-smoke: bin/morphcrash
 # write-p99 stall gate.
 ckpt-smoke:
 	$(GO) build -race -o bin/morphcrash.race ./cmd/morphcrash
-	bin/morphcrash.race -points 16 -writes 300 -out bin/BENCH_durable.json
-
-bin/morphchaos: $(shell find cmd/morphchaos internal/fault internal/server internal/shard internal/wire internal/secmem internal/cluster internal/durable internal/obs -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -race -o bin/morphchaos ./cmd/morphchaos
+	bin/morphcrash.race -points 16 -writes 300
 
 # Reduced seeded fault matrix under the race detector: client-proxy-server
 # through cuts, stalls, and admission sheds, asserting zero lost
 # acknowledged writes and zero spurious integrity errors. The full matrix
 # is `bin/morphchaos` with defaults; this keeps CI fast.
 chaos-smoke: bin/morphchaos
-	bin/morphchaos -smoke -out bin/BENCH_fault.json
+	bin/morphchaos -smoke
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
 # cluster (primary + two replicas) with a node killed mid-load, followed
 # by a lease-expiry failover. Asserts zero lost acknowledged writes and
-# zero spurious integrity errors, and writes failover latency plus
+# zero spurious integrity errors, and prints failover latency plus
 # replication lag percentiles. The full matrix is `bin/morphchaos
 # -cluster` with defaults; this keeps CI fast.
 cluster-smoke: bin/morphchaos
-	bin/morphchaos -cluster -smoke -out bin/BENCH_cluster.json
-
-bin/morphscope: $(shell find cmd/morphscope internal/obs internal/wire -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -o bin/morphscope ./cmd/morphscope
+	bin/morphchaos -cluster -smoke
 
 # Observability smoke test: a race-built morphserve with the admin plane
 # on, morphload driving it (with live -report lines), morphscope polling
@@ -136,7 +136,7 @@ obs-smoke: bin/morphload bin/morphscope
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	bin/morphserve.race -addr 127.0.0.1:7543 -admin 127.0.0.1:7544 -shards 4 -org morph128 & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7543 -clients 4 -duration 5s -report 2s -out bin/BENCH_obs_load.json & \
+	bin/morphload -addr 127.0.0.1:7543 -clients 4 -duration 5s -report 2s & \
 	LOAD_PID=$$!; sleep 1; \
 	bin/morphscope -admin 127.0.0.1:7544 -interval 1s -samples 3 -json bin/BENCH_obs.json; \
 	SCOPE=$$?; wait $$LOAD_PID; LOAD=$$?; \
@@ -144,12 +144,9 @@ obs-smoke: bin/morphload bin/morphscope
 	kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; \
 	exit $$(( SCOPE + LOAD + CHECK ))
 
-bin/morphaudit: $(shell find cmd/morphaudit internal/wire internal/proof -name '*.go' -not -name '*_test.go' 2>/dev/null)
-	$(GO) build -o bin/morphaudit ./cmd/morphaudit
-
 # Verified-read smoke test: a race-built morphserve publishes signed epoch
 # roots; morphload -audit interleaves client-verified PROOF reads with
-# plain ones and reports the overhead in bin/BENCH_serve.json; morphaudit then
+# plain ones and prints the overhead; morphaudit then
 # passes a clean audit, must exit 1 when a backing-store byte is flipped
 # (spot verification), and must exit 1 again when the transparency log is
 # forged through the demo /rootz/tamper endpoint (equivocation).
@@ -158,9 +155,9 @@ proof-smoke: bin/morphload bin/morphaudit
 	rm -f bin/audit.state
 	bin/morphserve.race -addr 127.0.0.1:7643 -admin 127.0.0.1:7644 -shards 4 -org morph128 -tamper & \
 	SERVE_PID=$$!; sleep 1; STATUS=0; \
-	bin/morphload -addr 127.0.0.1:7643 -clients 4 -duration 3s -audit -out bin/BENCH_serve.json || STATUS=1; \
+	bin/morphload -addr 127.0.0.1:7643 -clients 4 -duration 3s -audit || STATUS=1; \
 	bin/morphaudit -addr 127.0.0.1:7643 -once -state bin/audit.state || STATUS=1; \
-	bin/morphload -addr 127.0.0.1:7643 -clients 1 -duration 1s -writes 1 -tamper -out bin/tamper_load.json || STATUS=1; \
+	bin/morphload -addr 127.0.0.1:7643 -clients 1 -duration 1s -writes 1 -tamper || STATUS=1; \
 	bin/morphaudit -addr 127.0.0.1:7643 -once -state bin/audit.state; RC=$$?; \
 	if [ $$RC -ne 1 ]; then echo "proof-smoke: tampered store: want exit 1, got $$RC"; STATUS=1; fi; \
 	curl -fsS -X POST http://127.0.0.1:7644/rootz/tamper || STATUS=1; \
@@ -172,17 +169,16 @@ proof-smoke: bin/morphload bin/morphaudit
 # key domains and quotas, then morphload -mix runs the protected victim solo
 # and against a greedy rate-capped aggressor. Passes only if the victim's
 # p99 stays under 2x its solo baseline while the aggressor is shed, and a
-# cross-tenant read is denied with a typed integrity error. Writes
-# bin/BENCH_tenant.json.
+# cross-tenant read is denied with a typed integrity error.
 tenant-smoke: bin/morphload
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	printf '[{"id":"victim","secret":"vs","weight":4},{"id":"greedy","secret":"gs","weight":1,"ops_per_sec":400,"max_inflight":8}]\n' > bin/tenants.json
 	bin/morphserve.race -addr 127.0.0.1:7743 -shards 4 -org morph128 -tenants bin/tenants.json & \
 	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json -out bin/BENCH_tenant.json; \
+	bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json; \
 	STATUS=$$?; kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; exit $$STATUS
 
-verify: build vet morphlint morphdebug race
+verify: build fmt vet morphlint morphdebug race
 
 clean:
 	rm -rf bin

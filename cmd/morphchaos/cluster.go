@@ -25,7 +25,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math/rand"
@@ -90,7 +89,7 @@ func clusterMatrix(smoke bool) []clusterScenario {
 	}
 }
 
-// clusterRunResult is one row of BENCH_cluster.json.
+// clusterRunResult is one row of the -out report.
 type clusterRunResult struct {
 	Name string `json:"name"`
 	Seed int64  `json:"seed"`
@@ -157,20 +156,14 @@ func runClusterMode(seed int64, smoke bool, out string) {
 	rep.ReplLagP50 = percentileU(lags, 0.50)
 	rep.ReplLagMax = percentileU(lags, 1.00)
 
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("morphchaos: %v", err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		log.Fatalf("morphchaos: %v", err)
-	}
+	writeReport(out, rep)
 	verdict := "PASS"
 	if !rep.Pass {
 		verdict = "FAIL"
 	}
-	fmt.Printf("morphchaos: cluster %s in %v — failover p50 %.1fms p99 %.1fms, repl lag p50 %d max %d records (%s)\n",
+	fmt.Printf("morphchaos: cluster %s in %v — failover p50 %.1fms p99 %.1fms, repl lag p50 %d max %d records\n",
 		verdict, time.Since(start).Round(time.Millisecond),
-		rep.FailoverP50MS, rep.FailoverP99MS, rep.ReplLagP50, rep.ReplLagMax, out)
+		rep.FailoverP50MS, rep.FailoverP99MS, rep.ReplLagP50, rep.ReplLagMax)
 	if !rep.Pass {
 		os.Exit(1)
 	}
@@ -227,7 +220,7 @@ func startChaosNode(shcfg shard.Config, dir string, mutate func(*cluster.Config)
 		_ = ln.Close()
 		return nil, err
 	}
-	srv := server.New(n, server.Config{Cluster: n})
+	srv := server.New(n, server.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

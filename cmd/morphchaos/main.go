@@ -16,9 +16,9 @@
 //
 // Usage:
 //
-//	morphchaos                     # full matrix, writes BENCH_fault.json
+//	morphchaos                     # full matrix; the exit status is the result
 //	morphchaos -smoke              # reduced matrix for CI (use with -race builds)
-//	morphchaos -seed 7 -out f.json
+//	morphchaos -seed 7 -out f.json # also write every row as JSON
 package main
 
 import (
@@ -83,12 +83,12 @@ func matrix(seed int64, smoke bool) []scenario {
 			prof:    fault.Profile{Seed: seed, ChunkBytes: 3},
 			clients: 4, ops: 120},
 		{name: "cuts", // every conn dies a few frames in; offsets sweep a frame both ways
-			prof:     fault.Profile{Seed: seed, CutEvery: 1, CutBase: 310, CutCycle: 77},
-			clients:  4, ops: 200,
+			prof:    fault.Profile{Seed: seed, CutEvery: 1, CutBase: 310, CutCycle: 77},
+			clients: 4, ops: 200,
 			wantCuts: true},
 		{name: "stalls", // reads freeze past the client deadline: timeout + poison path
-			prof:       fault.Profile{Seed: seed, StallEvery: 2, StallAfter: 150, StallFor: 400 * time.Millisecond},
-			clients:    4, ops: 80, timeout: 150 * time.Millisecond,
+			prof:    fault.Profile{Seed: seed, StallEvery: 2, StallAfter: 150, StallFor: 400 * time.Millisecond},
+			clients: 4, ops: 80, timeout: 150 * time.Millisecond,
 			wantStalls: true},
 		{name: "shed", // admission control under 8x oversubscription of one slow slot
 			clients: 8, ops: 60, maxInflight: 1, shedWait: -1,
@@ -116,7 +116,7 @@ func matrix(seed int64, smoke bool) []scenario {
 	return reduced
 }
 
-// scenarioResult is one row of BENCH_fault.json.
+// scenarioResult is one row of the -out report.
 type scenarioResult struct {
 	Name    string `json:"name"`
 	Clients int    `json:"clients"`
@@ -150,16 +150,10 @@ type report struct {
 func main() {
 	seed := flag.Int64("seed", 1, "fault-matrix seed; a failing run replays with the same seed")
 	smoke := flag.Bool("smoke", false, "reduced matrix for CI")
-	clusterMode := flag.Bool("cluster", false, "node-kill matrix against a 3-node replication cluster (writes BENCH_cluster.json by default)")
-	out := flag.String("out", "", "report file (default BENCH_fault.json, or BENCH_cluster.json with -cluster)")
+	clusterMode := flag.Bool("cluster", false, "node-kill matrix against a 3-node replication cluster")
+	out := flag.String("out", "", "JSON report path (empty = no report, only the printed rows and the exit status)")
 	flag.Parse()
 
-	if *out == "" {
-		*out = "BENCH_fault.json"
-		if *clusterMode {
-			*out = "BENCH_cluster.json"
-		}
-	}
 	if *clusterMode {
 		runClusterMode(*seed, *smoke, *out)
 		return
@@ -185,21 +179,29 @@ func main() {
 			res.Proxy.Cuts, res.Proxy.Stalls, status)
 	}
 
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("morphchaos: %v", err)
-	}
-	if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
-		log.Fatalf("morphchaos: %v", err)
-	}
+	writeReport(*out, rep)
 	verdict := "PASS"
 	if !rep.Pass {
 		verdict = "FAIL"
 	}
-	fmt.Printf("morphchaos: %s in %v — 0 lost acked writes and 0 spurious integrity errors required (%s)\n",
-		verdict, time.Since(start).Round(time.Millisecond), *out)
+	fmt.Printf("morphchaos: %s in %v — 0 lost acked writes and 0 spurious integrity errors required\n",
+		verdict, time.Since(start).Round(time.Millisecond))
 	if !rep.Pass {
 		os.Exit(1)
+	}
+}
+
+// writeReport writes rep to out as JSON, when a path was given.
+func writeReport(out string, rep any) {
+	if out == "" {
+		return
+	}
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		log.Fatalf("morphchaos: %v", err)
+	}
+	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+		log.Fatalf("morphchaos: %v", err)
 	}
 }
 
@@ -408,7 +410,6 @@ func (w *workerResult) record(err error) {
 	}
 	w.finalFailures++
 }
-
 
 // slowEngine holds each data op inside the engine for delay, so a tiny
 // MaxInflight reliably saturates and the admission gate must shed.

@@ -1,11 +1,14 @@
-// Command morphload is a closed-loop load generator for morphserve: N
-// client goroutines drive concurrent READ/WRITE traffic over the wire
-// protocol, each verifying its own read-back contents against what it
-// wrote, and the run ends with a report of throughput, latency
-// percentiles, verified-integrity counts, resilience counters (retries,
-// reconnects, sheds absorbed), and the server's aggregated engine stats
-// (the paper's overflow / rebase / re-encryption metrics), written to a
-// JSON file.
+// Command morphload is the smokes' traffic generator and integrity gate for
+// morphserve: N client goroutines drive concurrent READ/WRITE traffic over
+// the wire protocol, each verifying its own read-back contents against what
+// it wrote, and the run ends with a verdict — verified-integrity counts,
+// resilience counters (retries, reconnects, sheds absorbed), and the
+// server's aggregated engine stats (the paper's overflow / rebase /
+// re-encryption metrics) — as the exit status, one printed line and, with
+// -out, a JSON file. It does not measure the service: throughput and
+// latency are bench/morphbench's (the serve_read workload). What it times is
+// what it gates on or nothing else reports: -audit's proof overhead, -mix's
+// victim p99, -report's live line.
 //
 // Clients are wire.ResilientClients: transient faults — resets, stalls,
 // BUSY sheds from admission control — are retried with backoff instead
@@ -16,7 +19,7 @@
 //
 // Usage:
 //
-//	morphload -addr 127.0.0.1:7443 -clients 8 -duration 5s -out BENCH_serve.json
+//	morphload -addr 127.0.0.1:7443 -clients 8 -duration 5s -out load.json
 //	morphload -tamper    # also inject a tamper and require fail-closed detection
 package main
 
@@ -32,7 +35,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,9 +53,9 @@ type clientResult struct {
 	mismatches      uint64 // silent corruption: wrong contents, no error
 	integrityErrors uint64 // *secmem.IntegrityError during normal traffic
 	otherErrors     uint64
-	proofReads      uint64 // reads done as client-verified PROOF fetches
-	proofFailures   uint64 // proofs that failed client-side verification
-	latencies       []time.Duration
+	proofReads      uint64          // reads done as client-verified PROOF fetches
+	proofFailures   uint64          // proofs that failed client-side verification
+	latencies       []time.Duration // every op (-mix gates on the victim's p99)
 	readLats        []time.Duration // plain READ only (overhead baseline)
 	proofLats       []time.Duration // PROOF fetch + client-side verify
 	firstErr        error
@@ -69,7 +71,7 @@ type auditSetup struct {
 	pub    ed25519.PublicKey
 }
 
-// report is the BENCH_serve.json schema.
+// report is the -out file's schema.
 type report struct {
 	Addr          string  `json:"addr"`
 	Clients       int     `json:"clients"`
@@ -77,12 +79,9 @@ type report struct {
 	SpanBytes     uint64  `json:"span_bytes"`
 	WriteFraction float64 `json:"write_fraction"`
 
-	Ops           uint64  `json:"ops"`
-	Reads         uint64  `json:"reads"`
-	Writes        uint64  `json:"writes"`
-	ThroughputOps float64 `json:"throughput_ops_s"`
-
-	LatencyUS map[string]float64 `json:"latency_us"`
+	Ops    uint64 `json:"ops"`
+	Reads  uint64 `json:"reads"`
+	Writes uint64 `json:"writes"`
 
 	VerifiedReads   uint64 `json:"verified_reads"`
 	Mismatches      uint64 `json:"read_mismatches"`
@@ -129,9 +128,9 @@ func main() {
 	org := flag.String("org", "morph128", "server's counter organization (used with -audit)")
 	mem := flag.Uint64("mem", 4<<20, "server's protected capacity in bytes (used with -audit)")
 	keyHex := flag.String("key", "", "AES master key in hex (used with -audit; default is the fixed demo key)")
-	out := flag.String("out", "BENCH_serve.json", "report file")
+	out := flag.String("out", "", "JSON report path (empty = no report, only the printed line and the exit status)")
 	reportEvery := flag.Duration("report", 0, "periodic one-line progress interval during the load phase (0 disables): qps, p50/p99, retries, sheds from live obs counters")
-	mix := flag.String("mix", "", "adversarial multi-tenant mode: path to the server's -tenants config; runs a solo victim baseline then victim vs greedy aggressor concurrently and writes a BENCH_tenant.json-style report to -out")
+	mix := flag.String("mix", "", "adversarial multi-tenant mode: path to the server's -tenants config; runs a solo victim baseline then victim vs greedy aggressor concurrently, and reports the isolation verdict")
 	victimID := flag.String("victim", "victim", "with -mix: tenant id of the protected small tenant")
 	aggressorID := flag.String("aggressor", "greedy", "with -mix: tenant id of the greedy tenant")
 	flag.Parse()
@@ -233,13 +232,12 @@ func main() {
 		DurationSec:   duration.Seconds(),
 		SpanBytes:     *span,
 		WriteFraction: *writeFrac,
-		LatencyUS:     map[string]float64{},
 	}
 	rep.Audit = *audit
 	if *audit {
 		rep.AuditEvery = *auditEvery
 	}
-	var all, plainReads, proofReads []time.Duration
+	var plainReads, proofReads []time.Duration
 	for c := range results {
 		r := &results[c]
 		rep.Reads += r.reads
@@ -253,7 +251,6 @@ func main() {
 		rep.Retries += r.net.Retries
 		rep.Reconnects += r.net.Reconnects
 		rep.Sheds += r.net.Sheds
-		all = append(all, r.latencies...)
 		plainReads = append(plainReads, r.readLats...)
 		proofReads = append(proofReads, r.proofLats...)
 		if r.firstErr != nil {
@@ -261,27 +258,11 @@ func main() {
 		}
 	}
 	rep.Ops = rep.Reads + rep.Writes
-	rep.ThroughputOps = float64(rep.Ops) / duration.Seconds()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	for _, p := range []struct {
-		name string
-		q    float64
-	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}, {"max", 1.0}} {
-		rep.LatencyUS[p.name] = float64(percentile(all, p.q)) / float64(time.Microsecond)
-	}
 	if *audit {
-		rep.ProofLatencyUS = map[string]float64{}
-		rep.ProofOverheadX = map[string]float64{}
-		sort.Slice(plainReads, func(i, j int) bool { return plainReads[i] < plainReads[j] })
-		sort.Slice(proofReads, func(i, j int) bool { return proofReads[i] < proofReads[j] })
-		for _, p := range []struct {
-			name string
-			q    float64
-		}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-			pd := percentile(proofReads, p.q)
-			rep.ProofLatencyUS[p.name] = float64(pd) / float64(time.Microsecond)
-			if rd := percentile(plainReads, p.q); rd > 0 {
-				rep.ProofOverheadX[p.name] = float64(pd) / float64(rd)
+		rep.ProofLatencyUS, rep.ProofOverheadX = latencyUS(proofReads), map[string]float64{}
+		for name, plain := range latencyUS(plainReads) {
+			if plain > 0 {
+				rep.ProofOverheadX[name] = rep.ProofLatencyUS[name] / plain
 			}
 		}
 	}
@@ -311,8 +292,8 @@ func main() {
 	if err := writeReport(*out, rep); err != nil {
 		log.Fatalf("morphload: %v", err)
 	}
-	fmt.Printf("morphload: %d ops in %.1fs (%.0f ops/s), p50=%.0fus p99=%.0fus; %d verified reads, %d mismatches, %d integrity errors, %d retries, %d reconnects, %d sheds, verify_ok=%v",
-		rep.Ops, rep.DurationSec, rep.ThroughputOps, rep.LatencyUS["p50"], rep.LatencyUS["p99"],
+	fmt.Printf("morphload: %d ops in %.1fs; %d verified reads, %d mismatches, %d integrity errors, %d retries, %d reconnects, %d sheds, verify_ok=%v",
+		rep.Ops, rep.DurationSec,
 		rep.VerifiedReads, rep.Mismatches, rep.IntegrityErrors, rep.Retries, rep.Reconnects, rep.Sheds, rep.VerifyOK)
 	if rep.TamperAttempted {
 		fmt.Printf(", tamper_detected=%v", rep.TamperDetected)
@@ -549,7 +530,11 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-func writeReport(path string, rep report) error {
+// writeReport writes rep to path as JSON, when a path was given.
+func writeReport(path string, rep any) error {
+	if path == "" {
+		return nil
+	}
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -33,7 +32,7 @@ type mixConfig struct {
 	out         string
 }
 
-// mixReport is the BENCH_tenant.json schema: did weighted fair admission
+// mixReport is -mix's -out schema: did weighted fair admission
 // protect the small tenant's tail latency while the greedy tenant was
 // shed, and did key-domain separation deny the cross-tenant read.
 type mixReport struct {
@@ -170,11 +169,7 @@ func runMix(cfg mixConfig) {
 		rep.CrossTenantDenied &&
 		rep.VictimMismatches == 0 && rep.VictimIntegrityErrors == 0
 
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatalf("morphload: -mix: %v", err)
-	}
-	if err := os.WriteFile(cfg.out, append(b, '\n'), 0o644); err != nil {
+	if err := writeReport(cfg.out, rep); err != nil {
 		log.Fatalf("morphload: -mix: %v", err)
 	}
 	fmt.Printf("morphload: mix: victim p99 solo=%.0fus mixed=%.0fus (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, cross_tenant_denied=%v, mix_ok=%v\n",

@@ -52,6 +52,29 @@ import (
 	"github.com/securemem/morphtree/internal/tenant"
 )
 
+// The optional surfaces the server finds on an engine by type assertion,
+// pinned here where the engines are chosen: without these, deleting a method
+// — (*cluster.Node).Flush, say — still compiles and silently turns the
+// shutdown flush off.
+var (
+	_ server.Durable      = (*durable.Memory)(nil)
+	_ server.Durable      = (*cluster.Node)(nil)
+	_ server.ClusterNode  = (*cluster.Node)(nil)
+	_ server.Prover       = (*shard.Sharded)(nil)
+	_ server.Prover       = (*durable.Memory)(nil)
+	_ server.Prover       = (*cluster.Node)(nil)
+	_ server.DomainEngine = (*shard.Sharded)(nil)
+)
+
+// store is what morphserve asks of a durable engine besides serving it: the
+// background checkpointer's target, the shutdown report and the close.
+// *durable.Memory and *cluster.Node are the two.
+type store interface {
+	ckpt.Target
+	Durability() durable.Stats
+	Close() error
+}
+
 func main() {
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
@@ -63,7 +86,30 @@ func main() {
 	if err := o.validate(); err != nil {
 		log.Fatalf("morphserve: %v", err)
 	}
+	ln, err := net.Listen("tcp", o.addr)
+	if err != nil {
+		log.Fatalf("morphserve: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+	go func() {
+		sig := <-sigc
+		log.Printf("morphserve: %v: draining", sig)
+		cancel()
+	}()
+	if err := serve(ctx, o, ln); err != nil {
+		log.Fatalf("morphserve: %v", err)
+	}
+}
 
+// serve runs the service the validated options describe on ln until ctx is
+// cancelled, then drains: connections first, then the background
+// checkpointer, then the final checkpoint and the close — so nothing is
+// written to the data directory after the store is closed. The listener is
+// the caller's because a cluster node must know its advertised address
+// before it opens, and a test wants a port of the kernel's choosing.
+func serve(ctx context.Context, o *options, ln net.Listener) error {
 	n := o.shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -99,38 +145,30 @@ func main() {
 	}
 	authority, err := proof.NewAuthority(seed)
 	if err != nil {
-		log.Fatalf("morphserve: -sign-seed: %v", err)
+		return fmt.Errorf("-sign-seed: %w", err)
 	}
 
 	var treg *tenant.Registry
 	if o.tenants != "" {
-		r, err := tenant.LoadConfig(o.tenants)
-		if err != nil {
-			log.Fatalf("morphserve: -tenants: %v", err)
+		if treg, err = tenant.LoadConfig(o.tenants); err != nil {
+			return fmt.Errorf("-tenants: %w", err)
 		}
-		treg = r
 	}
 
-	// A cluster node must know its advertised address before Open, so the
-	// listener is created ahead of the engine in every mode.
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		log.Fatalf("morphserve: %v", err)
-	}
-
-	// eng is the serving surface; dm is non-nil in durable mode, cn in
-	// cluster mode (a cluster node is durable by construction).
+	// eng is the serving surface; st is the same value in durable mode, and
+	// cn in cluster mode (a cluster node is durable by construction).
 	var eng server.Engine
-	var dm *durable.Memory
+	var st store
 	var cn *cluster.Node
 	dcfg := durable.Config{Dir: o.dataDir, Sync: o.sync, KeepEpochs: o.keepEpochs, Obs: reg, Tracer: tracer}
+	durability := "volatile"
 	switch {
 	case o.cluster:
 		self := o.clusterSelf
 		if self == "" {
 			self = ln.Addr().String()
 		}
-		node, err := cluster.Open(shcfg, dcfg, cluster.Config{
+		cn, err = cluster.Open(shcfg, dcfg, cluster.Config{
 			Self:        self,
 			Peers:       o.peers,
 			Primary:     o.clusterJoin == "",
@@ -143,20 +181,24 @@ func main() {
 			Tracer:      tracer,
 		})
 		if err != nil {
-			log.Fatalf("morphserve: -cluster open %s: %v", o.dataDir, err)
+			return fmt.Errorf("-cluster open %s: %w", o.dataDir, err)
 		}
-		node.RegisterMetrics(reg)
-		ri := node.Route()
+		cn.RegisterMetrics(reg)
+		ri := cn.Route()
 		log.Printf("morphserve: cluster node %s: role %s, epoch %d, leader %q, peers %v",
 			self, ri.Role, ri.Epoch, ri.Leader, o.peers)
-		cn = node
-		eng = node
+		// Unblock writes waiting for replica acks so the drain does not ride
+		// out AckTimeout.
+		stopHalt := context.AfterFunc(ctx, cn.Halt)
+		defer stopHalt()
+		eng, st = cn, cn
+		durability = fmt.Sprintf("cluster (%s, fsync=%s, lease=%v, ack=%d, delta-every=%v)", o.dataDir, o.fsyncMode, o.clusterLease, o.clusterAck, o.deltaEvery)
 	case o.dataDir != "":
-		m, info, err := durable.Open(shcfg, dcfg)
+		dm, info, err := durable.Open(shcfg, dcfg)
 		if err != nil {
 			// A recovery-time integrity error means the files were
 			// tampered with, not torn: refuse to serve.
-			log.Fatalf("morphserve: open %s: %v", o.dataDir, err)
+			return fmt.Errorf("open %s: %w", o.dataDir, err)
 		}
 		if info.Fresh {
 			log.Printf("morphserve: %s: fresh store, snapshot seq %d", o.dataDir, info.SnapshotSeq)
@@ -165,72 +207,30 @@ func main() {
 				o.dataDir, info.SnapshotSeq, info.DeltasApplied, info.ReplayedRecords, info.ReplayedWrites,
 				info.TornTailCount(), info.SampleVerified, info.Elapsed.Round(time.Millisecond))
 		}
-		m.RegisterMetrics(reg)
-		dm = m
-		eng = m
+		dm.RegisterMetrics(reg)
+		eng, st = dm, dm
+		durability = fmt.Sprintf("durable (%s, fsync=%s, snapshot-every=%v, delta-every=%v)", o.dataDir, o.fsyncMode, o.snapEvery, o.deltaEvery)
 	default:
 		sh, err := shard.New(shcfg)
 		if err != nil {
-			log.Fatalf("morphserve: %v", err)
+			return err
 		}
 		if treg != nil {
 			if err := sh.RegisterTenants(treg.IDs()); err != nil {
-				log.Fatalf("morphserve: -tenants: %v", err)
+				return fmt.Errorf("-tenants: %w", err)
 			}
 		}
 		sh.RegisterMetrics(reg)
 		eng = sh
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigc
-		log.Printf("morphserve: %v: draining", sig)
-		if cn != nil {
-			// Unblock writes waiting for replica acks so the drain does
-			// not ride out AckTimeout.
-			cn.Halt()
-		}
-		cancel()
-	}()
-
-	// Background incremental checkpointer: cuts dirty-line deltas on the
-	// -delta-every cadence and compacts the chain into a full snapshot
-	// when it grows too long. Group commits never stall behind it — the
-	// delta cut copies dirty lines in memory and does its file I/O outside
-	// every shard lock.
-	if o.deltaEvery > 0 {
-		var target ckpt.Target
-		switch {
-		case cn != nil:
-			target = cn
-		case dm != nil:
-			target = dm
-		}
-		if target != nil {
-			runner := ckpt.NewRunner(target, o.deltaEvery, 0, func(err error) {
-				log.Printf("morphserve: background checkpoint: %v", err)
-			})
-			defer runner.Stop()
-		}
-	}
-
-	durability := "volatile"
-	switch {
-	case cn != nil:
-		durability = fmt.Sprintf("cluster (%s, fsync=%s, lease=%v, ack=%d, delta-every=%v)", o.dataDir, o.fsyncMode, o.clusterLease, o.clusterAck, o.deltaEvery)
-	case dm != nil:
-		durability = fmt.Sprintf("durable (%s, fsync=%s, snapshot-every=%v, delta-every=%v)", o.dataDir, o.fsyncMode, o.snapEvery, o.deltaEvery)
-	}
 	if treg != nil {
 		fmt.Printf("morphserve: multi-tenant: %d tenants %v (HELLO required, per-tenant key domains + quotas)\n",
 			len(treg.IDs()), treg.IDs())
 	}
 	fmt.Printf("morphserve: %s, %d shards, %d MiB, key %s, root log %s, listening on %s (tamper=%v, %s)\n",
 		o.org, n, o.mem>>20, obs.KeyDesc(o.key), authority.KeyDesc(), ln.Addr(), o.tamper, durability)
-	cfg := server.Config{
+	srv := server.New(eng, server.Config{
 		MaxConns:     o.maxConns,
 		MaxInflight:  o.maxInflight,
 		ShedWait:     o.shedWait,
@@ -243,18 +243,11 @@ func main() {
 		Obs:          reg,
 		Tracer:       tracer,
 		Tenants:      treg,
-	}
-	if dm != nil || cn != nil {
-		cfg.SnapshotEvery = o.snapEvery
-	}
-	if cn != nil {
-		cfg.Cluster = cn
-	}
-	srv := server.New(eng, cfg)
+	})
 	if o.admin != "" {
 		aln, err := net.Listen("tcp", o.admin)
 		if err != nil {
-			log.Fatalf("morphserve: admin listen: %v", err)
+			return fmt.Errorf("admin listen: %w", err)
 		}
 		fmt.Printf("morphserve: admin telemetry on http://%s (/metricz /tracez /healthz /rootz /debug/pprof)\n", aln.Addr())
 		plane := &obs.Plane{
@@ -273,37 +266,45 @@ func main() {
 			}
 		}()
 	}
+
+	// The background checkpointer: a full snapshot every -snapshot-every, a
+	// delta of the dirty lines every -delta-every, compacted into a full
+	// snapshot when the chain grows too long. It starts only now, after
+	// server.New has registered the hook every checkpoint fires, and stops
+	// before the store's last checkpoint and its close.
+	var runner *ckpt.Runner
+	if st != nil {
+		runner = ckpt.NewRunner(st, o.deltaEvery, o.snapEvery, 0, func(err error) {
+			log.Printf("morphserve: background checkpoint: %v", err)
+		})
+	}
 	err = srv.Serve(ctx, ln)
-	if err != nil && ctx.Err() == nil {
-		log.Fatalf("morphserve: %v", err)
+	if ctx.Err() != nil {
+		err = nil // the drain that was asked for
 	}
-	if cn != nil {
-		d := cn.Durability()
-		if err := cn.Close(); err != nil {
-			log.Printf("morphserve: close cluster node: %v", err)
+	if st != nil {
+		runner.Stop()
+		if cn == nil {
+			// Serve already flushed the WAL; cut a final checkpoint so the
+			// next start replays nothing, then release the segment files.
+			if err := st.Checkpoint(); err != nil {
+				log.Printf("morphserve: final checkpoint: %v", err)
+			}
 		}
-		fmt.Printf("morphserve: durability: %d WAL appends, %d fsyncs, %d audit records, %d checkpoints, %d deltas, %d compactions\n",
-			d.Appends, d.Fsyncs, d.AuditRecords, d.Checkpoints, d.DeltaCheckpoints, d.Compactions)
-	}
-	if dm != nil {
-		// Serve already flushed the WAL; cut a final checkpoint so the
-		// next start replays nothing, then release the segment files.
-		if err := dm.Checkpoint(); err != nil {
-			log.Printf("morphserve: final checkpoint: %v", err)
-		}
-		if err := dm.Close(); err != nil {
+		if err := st.Close(); err != nil {
 			log.Printf("morphserve: close store: %v", err)
 		}
-		d := dm.Durability()
+		d := st.Durability()
 		fmt.Printf("morphserve: durability: %d WAL appends, %d fsyncs, %d audit records, %d checkpoints, %d deltas, %d compactions\n",
 			d.Appends, d.Fsyncs, d.AuditRecords, d.Checkpoints, d.DeltaCheckpoints, d.Compactions)
 	}
-	st := eng.Stats()
+	stats := eng.Stats()
 	fmt.Printf("morphserve: served %d reads, %d writes, %d verified fetches; overflows %v, rebases %v, re-encryptions %d\n",
-		st.Reads, st.Writes, st.VerifiedFetches, st.Overflows, st.Rebases, st.Reencryptions)
+		stats.Reads, stats.Writes, stats.VerifiedFetches, stats.Overflows, stats.Rebases, stats.Reencryptions)
 	ns := srv.NetStats()
 	fmt.Printf("morphserve: admission: %d conns accepted, %d rejected at the cap, %d requests shed, %d quota-shed, %d pings, %d slow-loris drops\n",
 		ns.Accepted, ns.Rejected, ns.Shed, ns.QuotaShed, ns.Pings, ns.SlowLoris)
+	return err
 }
 
 // rootzHandler serves the transparency log's operator view: the signing

@@ -258,7 +258,7 @@ func (f *fakeTarget) DeltaChainLen() int     { return int(f.chain.Load()) }
 
 func TestRunnerCompactsChain(t *testing.T) {
 	ft := &fakeTarget{}
-	r := NewRunner(ft, time.Millisecond, 3, nil)
+	r := NewRunner(ft, time.Millisecond, 0, 3, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for ft.fulls.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -272,4 +272,30 @@ func TestRunnerCompactsChain(t *testing.T) {
 	}
 	// Stop is idempotent.
 	r.Stop()
+}
+
+// TestRunnerSnapshotCadence: the snapshot cadence cuts full checkpoints on
+// its own — with the delta cadence off no delta is ever cut — and alongside
+// a delta cadence whose chain never reaches the compaction threshold.
+func TestRunnerSnapshotCadence(t *testing.T) {
+	for _, deltaEvery := range []time.Duration{0, time.Millisecond} {
+		ft := &fakeTarget{}
+		r := NewRunner(ft, deltaEvery, 2*time.Millisecond, 1<<30, nil)
+		deadline := time.Now().Add(5 * time.Second)
+		for (ft.fulls.Load() < 2 || (deltaEvery > 0 && ft.deltas.Load() == 0)) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		r.Stop()
+		fulls, deltas := ft.fulls.Load(), ft.deltas.Load()
+		if fulls < 2 {
+			t.Fatalf("delta cadence %v: %d full checkpoints from the snapshot cadence, want >= 2", deltaEvery, fulls)
+		}
+		if (deltaEvery > 0) != (deltas > 0) {
+			t.Fatalf("delta cadence %v: %d deltas cut", deltaEvery, deltas)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if ft.fulls.Load() != fulls || ft.deltas.Load() != deltas {
+			t.Fatalf("delta cadence %v: checkpoints cut after Stop returned", deltaEvery)
+		}
+	}
 }

@@ -319,15 +319,14 @@ func (n *Node) Close() error {
 // closing the store. A serving stack should Halt before draining its
 // server — handlers blocked in waitAck exit promptly instead of riding
 // out AckTimeout with no replica left to poll — and Close after the
-// drain. Close implies Halt.
+// drain. Close implies Halt, and every call returns only once the puller has
+// exited, so a Close that overlaps a Halt does not close the store under it.
 func (n *Node) Halt() {
 	n.mu.Lock()
-	if n.halted {
-		n.mu.Unlock()
-		return
+	if !n.halted {
+		n.halted = true
+		close(n.stopc)
 	}
-	n.halted = true
-	close(n.stopc)
 	cl := n.pullCl
 	n.pullCl = nil
 	n.mu.Unlock()

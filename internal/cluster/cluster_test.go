@@ -85,7 +85,7 @@ func startNode(t *testing.T, shcfg shard.Config, dcfg durable.Config, mutate fun
 		_ = ln.Close()
 		t.Fatal(err)
 	}
-	srv := server.New(n, server.Config{Cluster: n, ReadTimeout: 2 * time.Second})
+	srv := server.New(n, server.Config{ReadTimeout: 2 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {

@@ -102,6 +102,12 @@ func copyFixtureDir(t *testing.T, from string) (string, dirManifest) {
 	if err := json.Unmarshal(raw, &man); err != nil {
 		t.Fatal(err)
 	}
+	return copyDir(t, from), man
+}
+
+// copyDir copies a data directory's files into a new temporary one.
+func copyDir(t *testing.T, from string) string {
+	t.Helper()
 	dir := t.TempDir()
 	entries, err := os.ReadDir(from)
 	if err != nil {
@@ -116,7 +122,7 @@ func copyFixtureDir(t *testing.T, from string) (string, dirManifest) {
 			t.Fatal(err)
 		}
 	}
-	return dir, man
+	return dir
 }
 
 func TestParentDataDirectoryRecovers(t *testing.T) {

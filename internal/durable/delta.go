@@ -29,17 +29,25 @@ import (
 // recovery sweeps) or a complete, authenticated one; the dirty floor only
 // advances after the rename, and a failure anywhere aborts every cut, so the
 // next one takes the same lines again.
+//
+// An idle store cuts nothing: when no shard has a line modified since the
+// last checkpoint — every cut holds its root alone — there is no file, the
+// epoch stays and the cuts are aborted, so a background cadence costs a store
+// nobody writes to a count of its chunks and no I/O.
 func (m *Memory) CheckpointDelta() error {
-	if m.closed.Load() {
-		return fmt.Errorf("durable: delta checkpoint after Close")
-	}
 	start := time.Now()
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
+	// Under ckptMu, which Close holds while it closes the journals: a cut
+	// that waited out a Close must not write behind it.
+	if m.closed.Load() {
+		return fmt.Errorf("durable: delta checkpoint after Close")
+	}
 
 	covered := make([]uint64, len(m.commits))
 	coveredWrites := make([]uint64, len(m.commits))
 	cuts := make([]*secmem.Cut, 0, len(m.commits))
+	idle := true
 	defer func() {
 		for _, cut := range cuts {
 			cut.Abort() // does nothing to a committed cut
@@ -52,6 +60,10 @@ func (m *Memory) CheckpointDelta() error {
 		}
 		cuts = append(cuts, cut)
 		covered[i], coveredWrites[i] = lsn, writes
+		idle = idle && cut.N() == 1
+	}
+	if idle {
+		return nil
 	}
 
 	// The delta claims coverage up to covered[i]; fsync that prefix so a

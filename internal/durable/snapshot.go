@@ -115,12 +115,13 @@ func (m *Memory) freeze() (thaw func()) {
 }
 
 func (m *Memory) checkpoint() error {
-	if m.closed.Load() {
-		return fmt.Errorf("durable: checkpoint after Close")
-	}
 	start := time.Now()
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
+	// Under ckptMu, as in CheckpointDelta.
+	if m.closed.Load() {
+		return fmt.Errorf("durable: checkpoint after Close")
+	}
 
 	defer m.freeze()()
 

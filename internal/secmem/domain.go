@@ -138,6 +138,8 @@ func (m *Memory) WriteDomain(dom *Domain, addr uint64, line []byte) error {
 	wait := m.lockTimed(start)
 	err := m.writeTenant(addr, line, dom)
 	m.mu.Unlock()
+	// Histogram records stay off the lock hold path: only the hot
+	// section between Lock and Unlock serializes other writers.
 	m.ins.LockWait.Record(wait)
 	m.ins.WriteLatency.Record(time.Since(start))
 	return err

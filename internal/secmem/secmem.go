@@ -467,22 +467,7 @@ func (m *Memory) checkAddr(addr uint64) error {
 // Write encrypts and stores a 64-byte line at a line-aligned address,
 // incrementing its counter in the cache; the tree above it moves when the
 // counter line is written back.
-func (m *Memory) Write(addr uint64, line []byte) error {
-	if !m.instrumented {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.write(addr, line, nil)
-	}
-	start := time.Now()
-	wait := m.lockTimed(start)
-	err := m.write(addr, line, nil)
-	m.mu.Unlock()
-	// Histogram records stay off the lock hold path: only the hot
-	// section between Lock and Unlock serializes other writers.
-	m.ins.LockWait.Record(wait)
-	m.ins.WriteLatency.Record(time.Since(start))
-	return err
-}
+func (m *Memory) Write(addr uint64, line []byte) error { return m.WriteDomain(nil, addr, line) }
 
 // lockTimed acquires the engine lock and returns the time spent waiting
 // for it. The uncontended TryLock fast path avoids a clock read, keeping
@@ -556,20 +541,7 @@ func lineDomain(c *chunk[dataExt], i uint64) *Domain {
 // address. Never-written lines read as zeros. Any inconsistency between the
 // stored {data, MAC, counters} and the protected state returns an
 // *IntegrityError.
-func (m *Memory) Read(addr uint64) ([]byte, error) {
-	if !m.instrumented {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.read(addr, nil)
-	}
-	start := time.Now()
-	wait := m.lockTimed(start)
-	line, err := m.read(addr, nil)
-	m.mu.Unlock()
-	m.ins.LockWait.Record(wait)
-	m.ins.ReadLatency.Record(time.Since(start))
-	return line, err
-}
+func (m *Memory) Read(addr uint64) ([]byte, error) { return m.ReadDomain(nil, addr) }
 
 //morph:hotpath
 func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/wire"
 )
@@ -171,16 +172,15 @@ func TestIdleConnOutlivesFrameTimeout(t *testing.T) {
 }
 
 // TestShutdownRacesPeriodicCheckpoint: ctx cancel + the drain-path Flush
-// racing a snapshotLoop tick (and in-flight writes) must be clean — no
-// data race under -race, no error, and the store must reopen intact.
+// racing a background checkpointer's tick (and in-flight writes) must be
+// clean — no data race under -race, no error, and the store must reopen
+// intact.
 func TestShutdownRacesPeriodicCheckpoint(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
 		dir := t.TempDir()
 		m, _ := openDurable(t, dir, 2, 1<<13, durable.Config{Sync: durable.SyncNone})
-		addr, shutdown := startServer(t, m, Config{
-			SnapshotEvery: time.Millisecond,
-			Logf:          t.Logf,
-		})
+		addr, shutdown := startServer(t, m, Config{Logf: t.Logf})
+		r := ckpt.NewRunner(m, 0, time.Millisecond, 0, func(err error) { t.Errorf("iter %d: periodic checkpoint: %v", iter, err) })
 
 		cl, err := wire.Dial(addr, 5*time.Second)
 		if err != nil {
@@ -201,6 +201,7 @@ func TestShutdownRacesPeriodicCheckpoint(t *testing.T) {
 		// Give the ticker a chance to be mid-checkpoint, then pull the rug.
 		time.Sleep(time.Duration(1+iter) * time.Millisecond)
 		shutdown()
+		r.Stop()
 		_ = cl.Close()
 		wg.Wait()
 		if err := m.Close(); err != nil {

@@ -6,10 +6,11 @@ import (
 	"github.com/securemem/morphtree/internal/wire"
 )
 
-// ClusterNode is the optional surface behind the cluster control ops
-// (OpRoute, OpReplicate, OpPromote, OpFollow). *cluster.Node implements
-// it; the interface lives here (in wire types) so the server package
-// never imports the cluster package.
+// ClusterNode is the optional engine surface behind the cluster control ops
+// (OpRoute, OpReplicate, OpPromote, OpFollow, OpMigrate). *cluster.Node
+// implements it — the same value whose data ops follow its role gating; the
+// interface lives here (in wire types) so the server package never imports
+// the cluster package.
 //
 // All four ops are served without an admission slot and without a tenant
 // binding, like OpPing: replication and failover must not be shed by
@@ -43,7 +44,7 @@ func isClusterOp(op byte) bool {
 // handleCluster serves one cluster control op. Non-cluster servers
 // answer a plain error for all four.
 func (s *Server) handleCluster(op byte, payload []byte) (byte, []byte) {
-	cn := s.cfg.Cluster
+	cn := s.cluster
 	if cn == nil {
 		return wire.StatusError, []byte(fmt.Sprintf("%s: this server is not a cluster node (start with -cluster)", wire.OpName(op)))
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
@@ -163,17 +164,16 @@ func TestGracefulShutdownFlushes(t *testing.T) {
 	}
 }
 
-// TestPeriodicSnapshotTicker: SnapshotEvery cuts background checkpoints
-// while the server runs.
+// TestPeriodicSnapshotTicker: the background checkpointer's snapshot cadence
+// cuts checkpoints while the server runs.
 func TestPeriodicSnapshotTicker(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openDurable(t, dir, 2, 1<<13, durable.Config{Sync: durable.SyncAlways})
-	addr, shutdown := startServer(t, m, Config{
-		SnapshotEvery: 20 * time.Millisecond,
-		Logf:          t.Logf,
-	})
+	addr, shutdown := startServer(t, m, Config{Logf: t.Logf})
+	r := ckpt.NewRunner(m, 0, 20*time.Millisecond, 0, func(err error) { t.Errorf("periodic checkpoint: %v", err) })
 	defer func() {
 		shutdown()
+		r.Stop()
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}

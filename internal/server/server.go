@@ -4,9 +4,9 @@
 // typed StatusBusy answers, per-frame read/write deadlines with
 // slow-loris hardening, a gate-bypassing PING health check, and graceful
 // shutdown driven by a context. The engine is an interface so the same
-// server runs over a bare shard.Sharded or a durable.Memory; when the
-// engine supports checkpoints the server can also cut them on a timer
-// and on request.
+// server runs over a bare shard.Sharded, a durable.Memory or a
+// cluster.Node; when the engine is Durable the server also cuts
+// checkpoints on request and flushes its journal as it drains.
 //
 // The server is deliberately fail-closed and crash-free: every malformed
 // frame, unknown opcode, or engine error becomes a typed response frame
@@ -36,9 +36,12 @@ import (
 	"github.com/securemem/morphtree/internal/wire"
 )
 
-// Engine is the secure-memory surface the server requires. Both
-// *shard.Sharded (volatile) and *durable.Memory (crash-consistent)
-// implement it.
+// Engine is the secure-memory surface the server requires. *shard.Sharded
+// (volatile), *durable.Memory (crash-consistent) and *cluster.Node
+// (replicated) implement it. The method set is frozen at these six: the
+// benchmark defines its own engines against it, so whatever else an engine
+// can do is an optional surface — Durable, Prover, DomainEngine,
+// ClusterNode — that New looks for once.
 type Engine interface {
 	Read(addr uint64) ([]byte, error)
 	Write(addr uint64, line []byte) error
@@ -48,19 +51,18 @@ type Engine interface {
 	FlipDataBit(addr uint64, byteOff int, bit uint) bool
 }
 
-// Checkpointer is the optional engine surface behind OpCheckpoint and the
-// SnapshotEvery ticker: cutting a durable snapshot and reporting its
-// sequence number. *durable.Memory implements it; *shard.Sharded does not,
+// Durable is the optional surface of an engine with a journal and
+// checkpoints. OpCheckpoint cuts a snapshot and reports its sequence number;
+// Serve forces buffered WAL appends to stable storage after the last
+// connection drains; and OnCheckpoint tells the server when a checkpoint was
+// cut, by whomever, so each epoch's root lands in the transparency log.
+// *durable.Memory and *cluster.Node implement it; *shard.Sharded does not,
 // and checkpoint requests against it fail with a StatusError.
-type Checkpointer interface {
+type Durable interface {
 	Checkpoint() error
 	Seq() uint64
-}
-
-// Flusher is the optional engine surface for graceful shutdown: forcing
-// buffered WAL appends to stable storage after the last connection drains.
-type Flusher interface {
 	Flush() error
+	OnCheckpoint(fn func(seq uint64))
 }
 
 // Prover is the optional engine surface behind OpProof and the
@@ -71,13 +73,6 @@ type Flusher interface {
 type Prover interface {
 	Prove(addr uint64) (*proof.Proof, error)
 	RootDigests() []proof.Digest
-}
-
-// checkpointNotifier is the optional engine surface for learning when a
-// durable checkpoint was cut, so each checkpoint epoch's root lands in the
-// transparency log. *durable.Memory implements it.
-type checkpointNotifier interface {
-	OnCheckpoint(fn func(seq uint64))
 }
 
 // DomainEngine is the optional engine surface behind multi-tenant serving:
@@ -120,12 +115,8 @@ type Config struct {
 	// AllowTamper enables the OpTamper adversary op. Off by default;
 	// only demos and tests that show fail-closed detection turn it on.
 	AllowTamper bool
-	// SnapshotEvery, when nonzero and the engine is a Checkpointer,
-	// cuts a background checkpoint at that period for the lifetime of
-	// Serve, bounding recovery replay work to one period's writes.
-	SnapshotEvery time.Duration
-	// Logf, when set, receives background-activity reports (periodic
-	// checkpoints, shutdown flush failures). Nil discards them.
+	// Logf, when set, receives background-activity reports (published
+	// roots, shutdown flush failures). Nil discards them.
 	Logf func(format string, args ...any)
 	// Authority, when non-nil and the engine is a Prover, turns on the
 	// verifiable-read surface: OpProof responses carry its live root
@@ -145,18 +136,9 @@ type Config struct {
 	// Tenants, when non-nil, turns on multi-tenant serving: connections
 	// must bind a tenant with HELLO before any data op, reads and writes
 	// route through the tenant's key domain (the engine must implement
-	// DomainEngine), and admission runs through Sched instead of the
-	// MaxInflight semaphore.
+	// DomainEngine), and the admission gate enforces each tenant's quotas
+	// and weight inside the MaxInflight bound, answering StatusQuota.
 	Tenants *tenant.Registry
-	// Sched is the weighted fair admission scheduler for tenant mode;
-	// required when Tenants is set. Its capacity replaces MaxInflight as
-	// the global concurrency bound.
-	Sched *tenant.Scheduler
-	// Cluster, when non-nil, turns on the cluster control ops (OpRoute,
-	// OpReplicate, OpPromote, OpFollow), served without admission slots
-	// or tenant bindings — see ClusterNode. The engine should be the same
-	// *cluster.Node so data ops follow its role gating.
-	Cluster ClusterNode
 }
 
 func (c Config) withDefaults() Config {
@@ -211,28 +193,31 @@ type NetStats struct {
 type Server struct {
 	eng Engine
 	cfg Config
-	// sem is the admission gate: one slot per concurrently executing
-	// engine request.
-	sem chan struct{}
+	// sched is the admission gate: MaxInflight slots shared by the
+	// configured tenants, or held by the one anonymous tenant when there are
+	// none.
+	sched *tenant.Scheduler
 	// opLat holds the per-opcode latency histogram for every opcode the
 	// protocol defines; all nil when Config.Obs is nil. Indexed by the
 	// opcode byte so dispatch never takes a map lookup or lock.
 	opLat [256]*obs.Histogram
 	// inflight mirrors the admission gate's occupancy as a gauge.
 	inflight *obs.Gauge
-	// prover is the engine's optional proof surface (nil when the engine
-	// cannot prove or no Authority is configured).
-	prover Prover
+	// The engine's optional surfaces, resolved once in New; each is nil when
+	// the engine lacks it. prover is also nil without an Authority, and
+	// domEng outside tenant mode.
+	durable Durable
+	cluster ClusterNode
+	prover  Prover
+	domEng  DomainEngine
 	// Proof-path instruments (nil-safe when Config.Obs is nil).
 	proofLat     *obs.Histogram // proof.build.latency
 	epochGauge   *obs.Gauge     // proof.epoch (current transparency-log size)
 	proofsServed *obs.Counter   // proof.served
 	proofsFailed *obs.Counter   // proof.failed
 
-	// domEng is the engine's optional tenant key-domain surface (nil in
-	// single-tenant mode); tenantIdx maps tenant ids to stable indices
-	// for trace-event payloads. Both immutable after New.
-	domEng    DomainEngine
+	// tenantIdx maps tenant ids to stable indices for trace-event payloads
+	// (nil in single-tenant mode). Immutable after New.
 	tenantIdx map[string]uint64
 
 	accepted  atomic.Uint64
@@ -246,25 +231,27 @@ type Server struct {
 	conns map[net.Conn]struct{}
 }
 
-// New constructs a server over an engine (a *shard.Sharded or a
-// *durable.Memory).
+// New constructs a server over an engine (a *shard.Sharded, a
+// *durable.Memory or a *cluster.Node).
 func New(eng Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Tenants != nil && cfg.Sched == nil {
-		// Tenant mode with no explicit scheduler: build one with the
-		// server's own admission envelope, so -tenants alone upgrades the
-		// MaxInflight semaphore to weighted fair admission.
-		cfg.Sched = invariant.Must(tenant.NewScheduler(cfg.Tenants, tenant.SchedConfig{
-			Capacity: cfg.MaxInflight,
-			ShedWait: cfg.ShedWait,
-		}))
+	table := cfg.Tenants
+	if table == nil {
+		table = tenant.Anonymous()
 	}
 	s := &Server{
-		eng:   eng,
-		cfg:   cfg,
-		sem:   make(chan struct{}, cfg.MaxInflight),
+		eng: eng,
+		cfg: cfg,
+		// Cannot fail: NewScheduler checks the capacity, which withDefaults
+		// made positive, and nothing else.
+		sched: invariant.Must(tenant.NewScheduler(table, tenant.SchedConfig{
+			Capacity: cfg.MaxInflight,
+			ShedWait: cfg.ShedWait,
+		})),
 		conns: make(map[net.Conn]struct{}),
 	}
+	s.durable, _ = eng.(Durable)
+	s.cluster, _ = eng.(ClusterNode)
 	if cfg.Tenants != nil {
 		s.domEng, _ = eng.(DomainEngine)
 		s.tenantIdx = make(map[string]uint64)
@@ -296,13 +283,12 @@ func New(eng Engine, cfg Config) *Server {
 			emit("server.pings", ns.Pings)
 			emit("server.slow_loris", ns.SlowLoris)
 		})
-		if cfg.Sched != nil {
-			cfg.Sched.RegisterMetrics(cfg.Obs)
+		if cfg.Tenants != nil {
+			s.sched.RegisterMetrics(cfg.Obs)
 		}
 	}
 	if cfg.Authority != nil {
-		if pr, ok := eng.(Prover); ok {
-			s.prover = pr
+		if s.prover, _ = eng.(Prover); s.prover != nil {
 			if cfg.Obs != nil {
 				s.proofLat = cfg.Obs.Histogram("proof.build.latency")
 				s.epochGauge = cfg.Obs.Gauge("proof.epoch")
@@ -313,8 +299,8 @@ func New(eng Engine, cfg Config) *Server {
 			// state, so an auditor has a root to verify against before the
 			// first checkpoint ever fires.
 			s.publishRoot()
-			if cn, ok := eng.(checkpointNotifier); ok {
-				cn.OnCheckpoint(func(uint64) { s.publishRoot() })
+			if s.durable != nil {
+				s.durable.OnCheckpoint(func(uint64) { s.publishRoot() })
 			}
 		}
 	}
@@ -359,27 +345,15 @@ func (s *Server) logf(format string, args ...any) {
 // goroutines to drain. It always returns a non-nil error: ctx.Err() on
 // shutdown, or the accept failure.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-ctx.Done():
-		case <-stop:
-		}
+	// Cancellation closes the listener, which ends the accept loop below.
+	shut := func() {
 		_ = ln.Close()
 		s.closeAll()
-	}()
-
-	if ck, ok := s.eng.(Checkpointer); ok && s.cfg.SnapshotEvery > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.snapshotLoop(ctx, stop, ck)
-		}()
 	}
+	stopShut := context.AfterFunc(ctx, shut)
+	defer stopShut()
 
+	var wg sync.WaitGroup
 	var serveErr error
 	for {
 		conn, err := ln.Accept()
@@ -404,40 +378,19 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 			s.serveConn(conn)
 		}()
 	}
-	close(stop)
+	// Again, or after a failed accept for the first time: a connection accepted
+	// as the context ended is tracked by now, whatever the hook saw.
+	shut()
 	wg.Wait()
 	// Every connection has drained; if the engine buffers WAL appends,
 	// push them to stable storage so a graceful shutdown loses nothing.
-	if fl, ok := s.eng.(Flusher); ok {
-		if err := fl.Flush(); err != nil {
+	if s.durable != nil {
+		if err := s.durable.Flush(); err != nil {
 			s.logf("server: shutdown flush: %v", err)
 			return errors.Join(serveErr, fmt.Errorf("server: shutdown flush: %w", err))
 		}
 	}
 	return serveErr
-}
-
-// snapshotLoop cuts periodic checkpoints until shutdown. A failing
-// checkpoint is reported and retried next period: the WAL still holds
-// every acknowledged write, so durability is not at risk, only replay
-// length.
-func (s *Server) snapshotLoop(ctx context.Context, stop <-chan struct{}, ck Checkpointer) {
-	t := time.NewTicker(s.cfg.SnapshotEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-stop:
-			return
-		case <-t.C:
-			if err := ck.Checkpoint(); err != nil {
-				s.logf("server: periodic checkpoint: %v", err)
-				continue
-			}
-			s.logf("server: checkpoint cut, snapshot seq %d", ck.Seq())
-		}
-	}
 }
 
 // track registers a connection, enforcing MaxConns. It reports whether the
@@ -536,8 +489,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // connState is the per-connection protocol state: the tenant the
-// connection bound with HELLO (empty until then). Only the connection's
-// own goroutine touches it.
+// connection bound with HELLO (empty until then, which on a server without
+// tenants names the anonymous one). Only the connection's own goroutine
+// touches it.
 type connState struct {
 	tenant string
 }
@@ -546,11 +500,12 @@ type connState struct {
 // the gate: liveness must be observable while the server sheds load, or
 // health checks would report a busy server as dead. HELLO also bypasses
 // it — binding a tenant is connection setup, and shedding it would
-// deadlock the client against its own quota. Everything else waits up to
-// ShedWait for an in-flight slot and is shed with StatusBusy — a promise
-// that the request was not executed — when none frees; in tenant mode the
-// wait runs through the weighted fair scheduler instead, and quota sheds
-// answer StatusQuota.
+// deadlock the client against its own quota. Everything else takes a slot
+// from the scheduler, waiting up to ShedWait for one, and is shed — a
+// promise that the request was not executed — when none frees: with
+// StatusBusy on a server without tenants, whose one anonymous tenant has no
+// quota to exceed, and with StatusQuota naming the exhausted resource
+// (capacity included) in tenant mode.
 func (s *Server) dispatch(cs *connState, op byte, payload []byte) (byte, []byte) {
 	if op == wire.OpPing {
 		s.pings.Add(1)
@@ -565,31 +520,16 @@ func (s *Server) dispatch(cs *connState, op byte, payload []byte) (byte, []byte)
 		// traffic is not tenant traffic).
 		return s.handleCluster(op, payload)
 	}
-	if s.cfg.Tenants != nil {
-		if cs.tenant == "" {
-			return wire.StatusError, []byte("hello required: this server is multi-tenant")
-		}
-		if err := s.cfg.Sched.Acquire(context.Background(), cs.tenant, len(payload)); err != nil {
-			return s.quotaReply(cs, op, err)
-		}
-		defer s.cfg.Sched.Release(cs.tenant)
-		return s.execute(cs, op, payload)
+	if s.cfg.Tenants != nil && cs.tenant == "" {
+		return wire.StatusError, []byte("hello required: this server is multi-tenant")
 	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		if s.cfg.ShedWait <= 0 {
+	if err := s.sched.Acquire(context.Background(), cs.tenant, len(payload)); err != nil {
+		if s.cfg.Tenants == nil {
 			return s.shedReply(op)
 		}
-		t := time.NewTimer(s.cfg.ShedWait)
-		select {
-		case s.sem <- struct{}{}:
-			t.Stop()
-		case <-t.C:
-			return s.shedReply(op)
-		}
+		return s.quotaReply(cs, op, err)
 	}
-	defer func() { <-s.sem }()
+	defer s.sched.Release(cs.tenant)
 	return s.execute(cs, op, payload)
 }
 
@@ -727,14 +667,13 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 		return wire.StatusOK, nil
 
 	case wire.OpCheckpoint:
-		ck, ok := s.eng.(Checkpointer)
-		if !ok {
+		if s.durable == nil {
 			return wire.StatusError, []byte("checkpoint: server has no durable store (start with -data-dir)")
 		}
-		if err := ck.Checkpoint(); err != nil {
+		if err := s.durable.Checkpoint(); err != nil {
 			return wire.EncodeError(err)
 		}
-		return wire.StatusOK, wire.EncodeAddr(ck.Seq())
+		return wire.StatusOK, wire.EncodeAddr(s.durable.Seq())
 
 	case wire.OpObs:
 		if s.cfg.Obs == nil {

@@ -11,8 +11,8 @@ import (
 
 // SchedConfig tunes the admission scheduler.
 type SchedConfig struct {
-	// Capacity is the global concurrent-admission limit the tenants
-	// share — the generalization of server.Config.MaxInflight.
+	// Capacity is the global concurrent-admission limit the tenants share
+	// (server.Config.MaxInflight).
 	Capacity int
 	// ShedWait bounds how long an operation may queue for a capacity
 	// slot before it is shed with a *QuotaError (resource "capacity").
@@ -143,7 +143,9 @@ func (s *Scheduler) Acquire(ctx context.Context, id string, bytes int) error {
 		s.mu.Unlock()
 		return fmt.Errorf("tenant: unknown tenant %q", id)
 	}
-	s.refill(st, s.cfg.Now())
+	if st.spec.OpsPerSec > 0 || st.spec.BytesPerSec > 0 {
+		s.refill(st, s.cfg.Now()) // a tenant without a rate never reads the clock
+	}
 	if st.spec.OpsPerSec > 0 && st.opTokens < 1 {
 		st.shedOps++
 		s.mu.Unlock()

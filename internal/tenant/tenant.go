@@ -1,7 +1,8 @@
 // Package tenant is the multi-tenant isolation layer: a registry of tenant
-// identities (authentication secret, scheduling weight, quota spec) and a
-// weighted fair admission scheduler that generalizes the server's single
-// MaxInflight semaphore into per-tenant accounting.
+// identities (authentication secret, scheduling weight, quota spec) and the
+// weighted fair admission scheduler every served operation passes — the
+// server's only admission gate, run over the Anonymous table when no tenants
+// are configured.
 //
 // The design follows the paper's core lesson — metadata overhead must be
 // managed per workload — translated to serving: every tenant gets its own
@@ -103,6 +104,14 @@ func NewRegistry(specs []Spec) (*Registry, error) {
 	}
 	sort.Strings(r.ids)
 	return r, nil
+}
+
+// Anonymous is the table of a server with no tenants configured: one tenant
+// of weight 1 with no quotas, so the scheduler's capacity is its only limit,
+// under the empty id — which NewRegistry refuses, so no configured table
+// holds it and a connection that has not said HELLO matches no real tenant.
+func Anonymous() *Registry {
+	return &Registry{specs: map[string]Spec{"": {Weight: 1}}, ids: []string{""}}
 }
 
 // LoadConfig reads a tenant table from a JSON file: an array of Spec
