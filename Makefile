@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE build test race morphdebug vet fmt morphlint lint-baseline loc bench perf-engine fuzz-smoke serve-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: FORCE build test race morphdebug vet fmt morphlint escapes lint-baseline loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,12 @@ FORCE:
 morphlint: bin/morphlint
 	bin/morphlint -baseline lint.baseline ./...
 
+# What hotalloc cannot see: the compiler's own account (-gcflags=-m) of the
+# packages that annotate a //morph:hotpath function. A "moved to heap" inside
+# one fails unless its line carries //morphlint:allow hotalloc.
+escapes: bin/morphlint
+	bin/morphlint -escapes ./...
+
 # Refresh lint.baseline from the current findings. Every entry kept here
 # must be justified in DESIGN.md section 13.
 lint-baseline: bin/morphlint
@@ -73,11 +79,12 @@ perf-engine:
 # line table against the map model it replaced, over the MAC against
 # crypto/hmac, over the WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
-# MAC that covers them, and over secmem.Load and shard.Load, whose Save streams
-# no MAC covers at all.
+# MAC that covers them, over secmem.Load and shard.Load, whose Save streams
+# no MAC covers at all, and over the wire's frame reader, whose length prefix
+# arrives before any authentication does.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
@@ -94,6 +101,27 @@ serve-smoke: bin/morphserve bin/morphload
 	SERVE_PID=$$!; sleep 1; \
 	bin/morphload -addr 127.0.0.1:7443 -clients 8 -duration 3s -tamper; \
 	STATUS=$$?; kill $$SERVE_PID; exit $$STATUS
+
+# The served store's footprint claim as a count: a default five-second
+# morphload run against a morphserve started with GODEBUG=gctrace=1 must end
+# with no collection on the child's stderr when the store is volatile, and at
+# most one when it journals and cuts a delta a second. A served op that
+# allocates again — 68 bytes of it was eight collections in this run — shows
+# here before it shows in peak_rss_mb. Leaves nothing outside bin/.
+gc-smoke: bin/morphserve bin/morphload
+	@rm -rf bin/gc-smoke && mkdir -p bin/gc-smoke; STATUS=0; \
+	run() { \
+		GODEBUG=gctrace=1 bin/morphserve -addr 127.0.0.1:$$2 -shards 2 -mem 67108864 $$4 2> bin/gc-smoke/$$1.stderr & \
+		SERVE_PID=$$!; sleep 1; \
+		bin/morphload -addr 127.0.0.1:$$2 || STATUS=1; \
+		kill $$SERVE_PID; wait $$SERVE_PID; \
+		GCS=$$(grep -c '^gc [0-9]* @' bin/gc-smoke/$$1.stderr); \
+		echo "gc-smoke: $$1: $$GCS collections, want at most $$3"; \
+		if [ $$GCS -gt $$3 ]; then grep '^gc ' bin/gc-smoke/$$1.stderr; STATUS=1; fi; \
+	}; \
+	run volatile 7843 0 ""; \
+	run durable 7844 1 "-data-dir bin/gc-smoke/data -fsync interval -delta-every 1s"; \
+	exit $$STATUS
 
 # Reduced crash-injection matrix: kill-point surgery on the WAL, the
 # snapshot rename, and the epoch truncation, each recovered and checked

@@ -13,6 +13,7 @@
 //	morphlint -json ./...                        # diagnostics as JSON on stdout
 //	morphlint -baseline lint.baseline ./...      # suppress known findings
 //	morphlint -baseline lint.baseline -write-baseline ./...  # regenerate
+//	morphlint -escapes ./...                     # what the compiler moves to the heap in //morph:hotpath functions
 //
 // morphlint speaks the `go vet -vettool` protocol (see
 // internal/analysis/unitchecker.go), so the go command handles package
@@ -59,6 +60,17 @@ func main() {
 		switch {
 		case arg == "-json":
 			opts.JSON = true
+		case arg == "-escapes":
+			// Not a vet pass: it asks the compiler, not the syntax.
+			n, err := analysis.RunEscapes(".", args, os.Stderr)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "morphlint: -escapes: %v\n", err)
+				os.Exit(1)
+			}
+			if n > 0 {
+				os.Exit(2)
+			}
+			return
 		case arg == "-write-baseline":
 			opts.WriteBaseline = true
 		case arg == "-baseline":

@@ -55,8 +55,12 @@ import (
 // The optional surfaces the server finds on an engine by type assertion,
 // pinned here where the engines are chosen: without these, deleting a method
 // — (*cluster.Node).Flush, say — still compiles and silently turns the
-// shutdown flush off.
+// shutdown flush off, and a lost AppendRead turns every served read back into
+// a read that allocates.
 var (
+	_ server.AppendReader = (*shard.Sharded)(nil)
+	_ server.AppendReader = (*durable.Memory)(nil)
+	_ server.AppendReader = (*cluster.Node)(nil)
 	_ server.Durable      = (*durable.Memory)(nil)
 	_ server.Durable      = (*cluster.Node)(nil)
 	_ server.ClusterNode  = (*cluster.Node)(nil)

@@ -101,12 +101,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // allowed reports whether a directive suppresses this analyzer at pos.
 func (p *Pass) allowed(pos token.Pos) bool {
-	if p.allow == nil {
-		return false
-	}
 	position := p.Fset.Position(pos)
-	for _, line := range []int{position.Line, position.Line - 1} {
-		if names := p.allow[fmt.Sprintf("%s:%d", position.Filename, line)]; names[p.Analyzer.Name] || names["all"] {
+	return allowedAt(p.allow, position.Filename, position.Line, p.Analyzer.Name)
+}
+
+// allowedAt reports whether file's line, or the one above it, carries a
+// `//morphlint:allow` directive naming the analyzer (or "all"); allow is
+// collectDirectives' map.
+func allowedAt(allow map[string]map[string]bool, file string, line int, analyzer string) bool {
+	for _, l := range []int{line, line - 1} {
+		if names := allow[fmt.Sprintf("%s:%d", file, l)]; names[analyzer] || names["all"] {
 			return true
 		}
 	}

@@ -148,7 +148,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 		},
 	}
 	path := DeltaPath(dir, 5, 4)
-	if err := WriteDelta(path, testKey, hdr, lines); err != nil {
+	if err := WriteDelta(new(StreamWriter), path, testKey, hdr, lines); err != nil {
 		t.Fatal(err)
 	}
 	got, gotLines, err := readDelta(path, 5, 4)

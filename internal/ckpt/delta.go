@@ -55,18 +55,17 @@ func deltaContext(seq, base uint64) string {
 // migration shipping.
 const HibernateContext = "morphtree/ckpt/hibernate"
 
-// WriteState writes a state stream to w: the header, then each shard's share
-// in turn, streamed from its WriteRecords so the state is never in memory
-// twice; key should be a role-derived key.
-func WriteState[S DeltaShard](w io.Writer, key []byte, hdr DeltaHeader, shards []S) error {
+// WriteState writes a state stream to w through sw, which it resets (pass
+// new(StreamWriter), or the one kept from the last stream): the header, then
+// each shard's share in turn, streamed from its WriteRecords so the state is
+// never in memory twice; key should be a role-derived key.
+func WriteState[S DeltaShard](sw *StreamWriter, w io.Writer, key []byte, hdr DeltaHeader, shards []S) error {
 	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
 		return fmt.Errorf("ckpt: state header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
 	}
-	sw, err := NewStreamWriter(w, key, deltaContext(hdr.Seq, hdr.Base))
-	if err != nil {
+	if err := sw.Reset(w, key, deltaContext(hdr.Seq, hdr.Base)); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(sw)
 	head := binary.LittleEndian.AppendUint64(nil, hdr.Seq)
 	head = binary.LittleEndian.AppendUint64(head, hdr.Base)
 	head = binary.LittleEndian.AppendUint64(head, uint64(len(shards)))
@@ -74,14 +73,13 @@ func WriteState[S DeltaShard](w io.Writer, key []byte, hdr DeltaHeader, shards [
 		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
 		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredWrites[i])
 	}
-	bw.Write(head)
+	if _, err := sw.Write(head); err != nil {
+		return err
+	}
 	for _, sh := range shards {
-		if err := sh.WriteRecords(bw); err != nil {
+		if err := sh.WriteRecords(sw); err != nil {
 			return err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
 	}
 	return sw.Close()
 }
@@ -113,8 +111,8 @@ func WriteFile(path string, write func(w io.Writer) error) error {
 }
 
 // WriteDelta persists a state stream at path: WriteState through WriteFile.
-func WriteDelta[S DeltaShard](path string, key []byte, hdr DeltaHeader, shards []S) error {
-	return WriteFile(path, func(w io.Writer) error { return WriteState(w, key, hdr, shards) })
+func WriteDelta[S DeltaShard](sw *StreamWriter, path string, key []byte, hdr DeltaHeader, shards []S) error {
+	return WriteFile(path, func(w io.Writer) error { return WriteState(sw, w, key, hdr, shards) })
 }
 
 // ReadState authenticates the state stream in r, size bytes long, and hands

@@ -55,7 +55,7 @@ func goldenDelta(t testing.TB) (DeltaHeader, []lineShard) {
 func deltaFile(t testing.TB, hdr DeltaHeader, shards []lineShard) []byte {
 	t.Helper()
 	path := DeltaPath(t.TempDir(), hdr.Seq, hdr.Base)
-	if err := WriteDelta(path, testKey, hdr, shards); err != nil {
+	if err := WriteDelta(new(StreamWriter), path, testKey, hdr, shards); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -251,7 +251,7 @@ func FuzzReadDelta(f *testing.F) {
 		for i := range lines {
 			shards[i] = lines[i]
 		}
-		if err := WriteDelta(again, testKey, hdr, shards); err != nil {
+		if err := WriteDelta(new(StreamWriter), again, testKey, hdr, shards); err != nil {
 			t.Fatal(err)
 		}
 		raw, err := os.ReadFile(again)

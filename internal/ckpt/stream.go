@@ -71,17 +71,25 @@ type StreamWriter struct {
 
 // NewStreamWriter writes the stream header and returns the framing writer.
 func NewStreamWriter(w io.Writer, key []byte, context string) (*StreamWriter, error) {
-	if len(context) == 0 || len(context) > 1<<10 {
-		return nil, fmt.Errorf("ckpt: stream context must be 1..1024 bytes, got %d", len(context))
-	}
-	sw := &StreamWriter{w: w, mac: hmac.New(sha256.New, key), context: context}
-	hdr := secmem.AppendHeader(make([]byte, 0, secmem.HeaderBytes+2+len(context)), streamMagic, streamVersion)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(context)))
-	hdr = append(hdr, context...)
-	if err := sw.emit(hdr); err != nil {
+	sw := new(StreamWriter)
+	if err := sw.Reset(w, key, context); err != nil {
 		return nil, err
 	}
 	return sw, nil
+}
+
+// Reset starts a new stream on w, whatever sw wrote before: an owner that
+// writes one stream after another (a delta every few seconds) keeps the
+// writer, and its 64 KiB frame buffer, instead of leaving one a stream to the
+// collector. The zero StreamWriter is ready for it.
+func (sw *StreamWriter) Reset(w io.Writer, key []byte, context string) error {
+	if len(context) == 0 || len(context) > 1<<10 {
+		return fmt.Errorf("ckpt: stream context must be 1..1024 bytes, got %d", len(context))
+	}
+	sw.w, sw.mac, sw.context, sw.n, sw.closed = w, hmac.New(sha256.New, key), context, 0, false
+	hdr := secmem.AppendHeader(sw.buf[:0], streamMagic, streamVersion)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(context)))
+	return sw.emit(append(hdr, context...))
 }
 
 // emit writes raw bytes to both the sink and the MAC.

@@ -375,7 +375,11 @@ func (n *Node) codec(epoch uint64, shardIdx int) (*wal.Codec, error) {
 // primary for most shards, the recipient for a migrated-in one; elsewhere
 // it answers the moved redirect (naming the shard's new home when the
 // shard was migrated away).
-func (n *Node) Read(addr uint64) ([]byte, error) {
+func (n *Node) Read(addr uint64) ([]byte, error) { return n.AppendRead(nil, addr) }
+
+// AppendRead is Read appended to dst (durable.Memory.AppendRead); a moved
+// redirect, like any error, returns nil.
+func (n *Node) AppendRead(dst []byte, addr uint64) ([]byte, error) {
 	n.mu.Lock()
 	mem := n.mem
 	if err := n.routeShardLocked(n.shardFor(mem, addr)); err != nil {
@@ -383,7 +387,7 @@ func (n *Node) Read(addr uint64) ([]byte, error) {
 		return nil, err
 	}
 	n.mu.Unlock()
-	return mem.Read(addr)
+	return mem.AppendRead(dst, addr)
 }
 
 // Write journals a line write on the node that serves the line's shard.

@@ -145,7 +145,7 @@ func TestParentDataDirectoryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr, shards := v1Snapshot(old)
-	if err := ckpt.WriteDelta(SnapshotPath(dir, 2), deltaKey(testKey), hdr, shards); err != nil {
+	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), SnapshotPath(dir, 2), deltaKey(testKey), hdr, shards); err != nil {
 		t.Fatal(err)
 	}
 	recoverFixtureDir(t, dir, man)

@@ -79,7 +79,7 @@ func (m *Memory) CheckpointDelta() error {
 	newSeq := oldSeq + 1
 	hdr := ckpt.DeltaHeader{Seq: newSeq, Base: oldSeq, CoveredLSN: covered, CoveredWrites: coveredWrites}
 	path := ckpt.DeltaPath(m.cfg.Dir, newSeq, oldSeq)
-	if err := ckpt.WriteDelta(path, deltaKey(m.shcfg.Mem.Key), hdr, cuts); err != nil {
+	if err := ckpt.WriteDelta(&m.deltaSW, path, deltaKey(m.shcfg.Mem.Key), hdr, cuts); err != nil {
 		return err
 	}
 	if err := wal.SyncDir(m.cfg.Dir); err != nil {

@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
@@ -252,7 +253,11 @@ type Memory struct {
 	tracer    *obs.Tracer
 
 	ckptMu sync.Mutex // serializes Checkpoint / CheckpointDelta / Flush / Close
-	seq    atomic.Uint64
+	// deltaSW is the stream writer every delta is cut through, under ckptMu:
+	// a cut every few seconds reuses its frame buffer. Snapshots are rare
+	// and take a new one.
+	deltaSW ckpt.StreamWriter
+	seq     atomic.Uint64
 	// segSeq is the epoch of the live WAL segments — the full snapshot
 	// the current delta chain is based on. seq == segSeq means no deltas
 	// are outstanding.
@@ -339,7 +344,12 @@ func (m *Memory) NumShards() int { return len(m.commits) }
 func (m *Memory) MemoryBytes() uint64 { return m.sh.MemoryBytes() }
 
 // Read verifies and decrypts the line at a line-aligned global address.
-func (m *Memory) Read(addr uint64) ([]byte, error) { return m.sh.Read(addr) }
+func (m *Memory) Read(addr uint64) ([]byte, error) { return m.AppendRead(nil, addr) }
+
+// AppendRead is Read appended to dst (shard.Sharded.AppendRead).
+func (m *Memory) AppendRead(dst []byte, addr uint64) ([]byte, error) {
+	return m.sh.AppendRead(dst, addr)
+}
 
 // VerifyAll re-verifies every written line in every shard.
 func (m *Memory) VerifyAll() error { return m.sh.VerifyAll() }
@@ -571,8 +581,11 @@ func (m *Memory) startFlusher() {
 // again: an idle store costs no wake-ups. unsynced is cleared before the LSNs
 // are read, so a write that finds it still set was journaled before this
 // cycle reads its shard and is covered by it; one that finds it clear rings.
+// The goroutine has one timer for its life — a new one per 2 ms cycle was most
+// of what a durable server under load left for the collector.
 func (m *Memory) flusher() {
 	defer m.wg.Done()
+	var t *time.Timer
 	for {
 		select {
 		case <-m.stopc:
@@ -580,7 +593,11 @@ func (m *Memory) flusher() {
 		case <-m.wake:
 		}
 		m.flushCycles.Add(1)
-		t := time.NewTimer(m.cfg.Interval)
+		if t == nil {
+			t = time.NewTimer(m.cfg.Interval)
+		} else {
+			t.Reset(m.cfg.Interval) // its last tick was received below: t.C is empty
+		}
 		select {
 		case <-m.stopc:
 			t.Stop()

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -590,6 +591,39 @@ func TestIntervalFlusherIdlesAndStillSyncs(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n := m.flushCycles.Load(); n != 1 {
 		t.Fatalf("idle again: the flusher woke %d times in all, want still 1", n)
+	}
+}
+
+// A flush cycle under load leaves nothing for the collector: the flusher has
+// one timer for its life, where a timer a cycle was three allocations every
+// 2 ms for as long as writes kept coming.
+func TestIntervalFlusherCyclesDoNotAllocate(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	shcfg := testShardConfig(t, 2, 1<<13)
+	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: time.Millisecond, NoAudit: true})
+	defer m.Close()
+	line := fill(3, 1)
+	cycle := func() {
+		want := m.flushCycles.Load() + 1
+		if err := m.Write(3*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+		for m.flushCycles.Load() < want || m.unsynced.Load() {
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	cycle() // the line's chunk, the timer, this goroutine's sleep timer
+	const cycles = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= cycles {
+		t.Fatalf("%d flush cycles allocated %d times: something is made new every cycle", cycles, n)
 	}
 }
 

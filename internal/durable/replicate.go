@@ -244,7 +244,7 @@ func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
 		marks[i] = c.lsn
 	}
 	hdr := ckpt.DeltaHeader{Seq: 1, CoveredLSN: marks, CoveredWrites: make([]uint64, len(marks))}
-	if err := ckpt.WriteState(w, deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
+	if err := ckpt.WriteState(new(ckpt.StreamWriter), w, deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
 		return nil, err
 	}
 	return marks, nil

@@ -73,7 +73,7 @@ func (m *Memory) engines() []*secmem.Memory {
 // locks, so the state is frozen for the duration.
 func (m *Memory) writeImage(seq uint64, covered, coveredWrites []uint64) error {
 	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: covered, CoveredWrites: coveredWrites}
-	if err := ckpt.WriteDelta(SnapshotPath(m.cfg.Dir, seq), deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
+	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), SnapshotPath(m.cfg.Dir, seq), deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
 		return err
 	}
 	return wal.SyncDir(m.cfg.Dir)

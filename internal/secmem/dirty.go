@@ -228,6 +228,7 @@ type Cut struct {
 	n            int    // how many that was, the root included
 	walker              // where the drain has got to
 	saved        []byte // the side log: the root, then lines overwritten ahead of the walker
+	out          []byte // what the drain last emitted; the two swap, and are the engine's again at close
 	taken        int    // records made so far, by the walker and into the side log
 }
 
@@ -246,7 +247,8 @@ func (m *Memory) BeginCut() (*Cut, error) {
 		return nil, err
 	}
 	pick := stamped(m.dirtyFloor, m.dirtyCur)
-	m.cut = &Cut{m: m, floor: m.dirtyFloor, epoch: m.dirtyCur, pick: pick, n: 1 + m.store.count(pick), saved: m.rootRecord(nil), taken: 1}
+	m.cut = &Cut{m: m, floor: m.dirtyFloor, epoch: m.dirtyCur, pick: pick, n: 1 + m.store.count(pick), saved: m.rootRecord(m.cutBufs[0][:0]), out: m.cutBufs[1], taken: 1}
+	m.cutBufs = [2][]byte{} // the cut's until close hands them back
 	m.dirtyCur++
 	return m.cut, nil
 }
@@ -264,7 +266,6 @@ func (c *Cut) N() int { return c.n }
 // behind whatever the side log took since the last. The engine lock is never
 // held across emit. An emit error, or the cut's closing, ends the drain.
 func (c *Cut) Drain(emit func(records []byte) error) error {
-	var out []byte
 	taken := 0
 	for done := false; !done; {
 		c.m.mu.Lock()
@@ -272,13 +273,13 @@ func (c *Cut) Drain(emit func(records []byte) error) error {
 			c.m.mu.Unlock()
 			return fmt.Errorf("secmem: cut closed while it drained")
 		}
-		out, c.saved = c.saved, out[:0]
+		c.out, c.saved = c.saved, c.out[:0]
 		var n int
-		out, n, done = c.step(c.m.store, c.pick, out)
+		c.out, n, done = c.step(c.m.store, c.pick, c.out)
 		c.taken += n
 		taken = c.taken
 		c.m.mu.Unlock()
-		if err := emit(out); err != nil {
+		if err := emit(c.out); err != nil {
 			return err
 		}
 	}
@@ -326,6 +327,7 @@ func (c *Cut) close(floor uint32) {
 	defer c.m.mu.Unlock()
 	if c.m.cut == c {
 		c.m.cut, c.m.dirtyFloor = nil, max(c.m.dirtyFloor, floor)
+		c.m.cutBufs = [2][]byte{c.saved, c.out}
 	}
 }
 

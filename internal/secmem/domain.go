@@ -78,8 +78,8 @@ func (m *Memory) dataKeyer(dom *Domain) *mac.Keyer {
 // accounting. The accounting sits out here because its map is created on a
 // tenant's first op and the two hot paths allocate nothing they do not hand
 // back or store. Called with m.mu held.
-func (m *Memory) readTenant(addr uint64, dom *Domain) ([]byte, error) {
-	line, err := m.read(addr, dom)
+func (m *Memory) readTenant(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
+	line, err := m.read(dst, addr, dom)
 	if err == nil && dom != nil {
 		m.countTenant(dom, TenantOps{Reads: 1})
 	}
@@ -104,20 +104,21 @@ func (m *Memory) countTenant(dom *Domain, ops TenantOps) {
 	m.stats.Tenants[dom.name] = t
 }
 
-// ReadDomain is Read routed through a tenant key domain: the data-line MAC
-// is checked and the ciphertext decrypted under dom's keys, so a line last
+// ReadDomain is AppendRead routed through a tenant key domain: the data-line
+// MAC is checked and the ciphertext decrypted under dom's keys, so a line last
 // written by any other domain — another tenant's, or the engine default —
 // fails closed with an *IntegrityError instead of decrypting to garbage.
-// A nil dom is the engine's default domain (plain Read).
-func (m *Memory) ReadDomain(dom *Domain, addr uint64) ([]byte, error) {
+// A nil dom is the engine's default domain (plain AppendRead); a nil dst
+// returns a fresh slice, as Read does.
+func (m *Memory) ReadDomain(dst []byte, dom *Domain, addr uint64) ([]byte, error) {
 	if !m.instrumented {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.readTenant(addr, dom)
+		return m.readTenant(dst, addr, dom)
 	}
 	start := time.Now()
 	wait := m.lockTimed(start)
-	line, err := m.readTenant(addr, dom)
+	line, err := m.readTenant(dst, addr, dom)
 	m.mu.Unlock()
 	m.ins.LockWait.Record(wait)
 	m.ins.ReadLatency.Record(time.Since(start))

@@ -64,14 +64,14 @@ func TestDomainIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := m.ReadDomain(a, addr)
+	got, err := m.ReadDomain(nil, a, addr)
 	if err != nil {
 		t.Fatalf("owner read: %v", err)
 	}
 	if !bytes.Equal(got, line) {
 		t.Fatal("owner read returned wrong contents")
 	}
-	if _, err := m.ReadDomain(b, addr); err == nil {
+	if _, err := m.ReadDomain(nil, b, addr); err == nil {
 		t.Fatal("cross-tenant read succeeded")
 	} else {
 		wantIntegrity(t, err)
@@ -90,10 +90,10 @@ func TestDomainIsolation(t *testing.T) {
 	if err := m.WriteDomain(b, addr, line); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ReadDomain(a, addr); err == nil {
+	if _, err := m.ReadDomain(nil, a, addr); err == nil {
 		t.Fatal("A read B's line after reclaim")
 	}
-	if _, err := m.ReadDomain(b, addr); err != nil {
+	if _, err := m.ReadDomain(nil, b, addr); err != nil {
 		t.Fatalf("B read own line: %v", err)
 	}
 }
@@ -117,7 +117,7 @@ func TestDomainDefaultWriteReclaims(t *testing.T) {
 	if _, err := m.Read(addr); err != nil {
 		t.Fatalf("default read after reclaim: %v", err)
 	}
-	if _, err := m.ReadDomain(a, addr); err == nil {
+	if _, err := m.ReadDomain(nil, a, addr); err == nil {
 		t.Fatal("domain read succeeded after default-domain reclaim")
 	}
 }
@@ -180,7 +180,7 @@ func TestDomainOverflowReencrypt(t *testing.T) {
 		var got []byte
 		var err error
 		if dom != nil {
-			got, err = m.ReadDomain(dom, addr)
+			got, err = m.ReadDomain(nil, dom, addr)
 		} else {
 			got, err = m.Read(addr)
 		}
@@ -192,7 +192,7 @@ func TestDomainOverflowReencrypt(t *testing.T) {
 		}
 		// And cross-domain still fails.
 		if dom == a {
-			if _, err := m.ReadDomain(b, addr); err == nil {
+			if _, err := m.ReadDomain(nil, b, addr); err == nil {
 				t.Fatalf("line %d readable cross-tenant after re-encryption", i)
 			}
 		}
@@ -256,7 +256,7 @@ func TestStatsCloneMergeConcurrent(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if _, err := m.ReadDomain(dom, addr); err != nil {
+				if _, err := m.ReadDomain(nil, dom, addr); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}

@@ -32,9 +32,9 @@
 package secmem
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -219,10 +219,12 @@ type Memory struct {
 	// the write path allocates only a page's chunk, on its first write.
 	plainBuf [LineBytes]byte
 	// Dirty epochs for incremental checkpoints (see dirty.go): a stored line
-	// is stamped dirtyCur; stamps >= dirtyFloor are dirty; cut is the open cut.
+	// is stamped dirtyCur; stamps >= dirtyFloor are dirty; cut is the open cut,
+	// and cutBufs its two record buffers, kept from the last one.
 	dirtyCur   uint32
 	dirtyFloor uint32
 	cut        *Cut
+	cutBufs    [2][]byte
 	// wb is the counter cache's state; write evicts while more than wbBound
 	// blocks are dirty (a field only so a test can shrink it).
 	wb      writeBackState
@@ -540,11 +542,20 @@ func lineDomain(c *chunk[dataExt], i uint64) *Domain {
 // Read fetches, verifies and decrypts the 64-byte line at a line-aligned
 // address. Never-written lines read as zeros. Any inconsistency between the
 // stored {data, MAC, counters} and the protected state returns an
-// *IntegrityError.
-func (m *Memory) Read(addr uint64) ([]byte, error) { return m.ReadDomain(nil, addr) }
+// *IntegrityError. The caller owns the fresh slice it returns.
+func (m *Memory) Read(addr uint64) ([]byte, error) { return m.AppendRead(nil, addr) }
+
+// AppendRead is Read into the caller's buffer: the verified plaintext is
+// appended to dst and the extended slice returned, so a caller that reuses
+// its buffer reads without allocating. Nothing is written into dst until the
+// tree walk and the MAC have verified the line, and on any error the result
+// is nil and dst[:len(dst)] is as it was.
+func (m *Memory) AppendRead(dst []byte, addr uint64) ([]byte, error) {
+	return m.ReadDomain(dst, nil, addr)
+}
 
 //morph:hotpath
-func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
+func (m *Memory) read(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
 	if err := m.checkAddr(addr); err != nil {
 		return nil, err
 	}
@@ -563,7 +574,7 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	if ct == nil {
 		if ctr == 0 {
 			m.stats.Reads++
-			return bytes.Clone(zeroLine[:]), nil
+			return append(dst, zeroLine[:]...), nil
 		}
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "written line missing from memory"}
 	}
@@ -578,14 +589,16 @@ func (m *Memory) read(addr uint64, dom *Domain) ([]byte, error) {
 	} else if dom.keyer.Data(ct, ctr, addr) != storedMAC {
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch"}
 	}
-	// The caller owns what Read returns, so the one allocation of a warm
-	// read is this copy, decrypted where it lies.
-	pt := bytes.Clone(ct)
-	if err := m.dataCipher(dom).XOR(pt, pt, addr, ctr); err != nil {
+	// Verified: only now is dst touched, and the plaintext is decrypted where
+	// it lands. Growing a nil dst is the one allocation of a warm Read; a
+	// caller that passes its own buffer back pays none.
+	n := len(dst)
+	dst = slices.Grow(dst, LineBytes)[:n+LineBytes]
+	if err := m.dataCipher(dom).XOR(dst[n:], ct, addr, ctr); err != nil {
 		return nil, err
 	}
 	m.stats.Reads++
-	return pt, nil
+	return dst, nil
 }
 
 // zeroLine is what a never-written line reads as.
@@ -898,7 +911,7 @@ func (m *Memory) ReadAt(p []byte, off uint64) error {
 	defer m.mu.Unlock()
 	for len(p) > 0 {
 		base := off &^ (LineBytes - 1)
-		line, err := m.read(base, nil)
+		line, err := m.read(nil, base, nil)
 		if err != nil {
 			return err
 		}
@@ -920,7 +933,7 @@ func (m *Memory) WriteAt(p []byte, off uint64) error {
 		if off == base && len(p) >= LineBytes {
 			line = p[:LineBytes]
 		} else {
-			cur, err := m.read(base, nil)
+			cur, err := m.read(nil, base, nil)
 			if err != nil {
 				return err
 			}
@@ -986,10 +999,11 @@ func (m *Memory) VerifyAll() error {
 	if err := m.flushMetadataCache(); err != nil {
 		return err
 	}
-	return m.store.data.stored(func(d uint64, c *chunk[dataExt], i uint64) error {
+	var line []byte // every line is decrypted into the one buffer
+	return m.store.data.stored(func(d uint64, c *chunk[dataExt], i uint64) (err error) {
 		// Verify each line under the domain that owns it, so a store
 		// holding several tenants' lines still verifies end to end.
-		_, err := m.readTenant(d*LineBytes, lineDomain(c, i))
+		line, err = m.readTenant(line[:0], d*LineBytes, lineDomain(c, i))
 		return err
 	})
 }

@@ -40,8 +40,8 @@ import (
 // (volatile), *durable.Memory (crash-consistent) and *cluster.Node
 // (replicated) implement it. The method set is frozen at these six: the
 // benchmark defines its own engines against it, so whatever else an engine
-// can do is an optional surface — Durable, Prover, DomainEngine,
-// ClusterNode — that New looks for once.
+// can do is an optional surface — AppendReader, Durable, Prover,
+// DomainEngine, ClusterNode — that New looks for once.
 type Engine interface {
 	Read(addr uint64) ([]byte, error)
 	Write(addr uint64, line []byte) error
@@ -49,6 +49,27 @@ type Engine interface {
 	Stats() secmem.Stats
 	Save(w io.Writer) error
 	FlipDataBit(addr uint64, byteOff int, bit uint) bool
+}
+
+// AppendReader is the optional engine surface behind a served READ that
+// allocates nothing: the verified line is appended to a buffer the connection
+// owns instead of returned in a fresh slice (secmem.Memory.AppendRead: dst is
+// untouched until the line has verified, and an error returns nil). All three
+// real engines implement it. Engine cannot carry the method — its six are
+// frozen — so an engine without it is served through its Read and one copy.
+type AppendReader interface {
+	AppendRead(dst []byte, addr uint64) ([]byte, error)
+}
+
+// readCopier is the AppendReader of an engine that has only Engine.Read.
+type readCopier struct{ eng Engine }
+
+func (r readCopier) AppendRead(dst []byte, addr uint64) ([]byte, error) {
+	line, err := r.eng.Read(addr)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, line...), nil
 }
 
 // Durable is the optional surface of an engine with a journal and
@@ -76,11 +97,12 @@ type Prover interface {
 }
 
 // DomainEngine is the optional engine surface behind multi-tenant serving:
-// reads and writes routed through a tenant's key domain, so a line sealed
-// by one tenant fails closed (*secmem.IntegrityError) under any other
-// tenant's keys. *shard.Sharded implements it after RegisterTenants.
+// reads (appended to dst, as AppendReader's) and writes routed through a
+// tenant's key domain, so a line sealed by one tenant fails closed
+// (*secmem.IntegrityError) under any other tenant's keys. *shard.Sharded
+// implements it after RegisterTenants.
 type DomainEngine interface {
-	TenantRead(id string, addr uint64) ([]byte, error)
+	TenantRead(dst []byte, id string, addr uint64) ([]byte, error)
 	TenantWrite(id string, addr uint64, line []byte) error
 }
 
@@ -204,8 +226,10 @@ type Server struct {
 	// inflight mirrors the admission gate's occupancy as a gauge.
 	inflight *obs.Gauge
 	// The engine's optional surfaces, resolved once in New; each is nil when
-	// the engine lacks it. prover is also nil without an Authority, and
-	// domEng outside tenant mode.
+	// the engine lacks it, except reader, which falls back to a copy of
+	// Engine.Read. prover is also nil without an Authority, and domEng
+	// outside tenant mode.
+	reader  AppendReader
 	durable Durable
 	cluster ClusterNode
 	prover  Prover
@@ -249,6 +273,9 @@ func New(eng Engine, cfg Config) *Server {
 			ShedWait: cfg.ShedWait,
 		})),
 		conns: make(map[net.Conn]struct{}),
+	}
+	if s.reader, _ = eng.(AppendReader); s.reader == nil {
+		s.reader = readCopier{eng}
 	}
 	s.durable, _ = eng.(Durable)
 	s.cluster, _ = eng.(ClusterNode)
@@ -440,8 +467,12 @@ func (s *Server) reject(conn net.Conn) {
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	// Frame buffers are per connection and reused across requests: the
-	// steady-state request loop allocates neither on read nor on write.
+	// The frame buffers, the reader's length scratch and the line a READ is
+	// answered from (connState) are per connection and reused across
+	// requests: once they have grown to a request's size, a served read or
+	// write allocates nothing between the socket and the engine
+	// (TestServedOpsDoNotAllocate; `make escapes` for what the compiler
+	// moves to the heap unasked).
 	fr := wire.NewFrameReader(br)
 	fw := wire.NewFrameWriter(bw)
 	cs := &connState{}
@@ -490,10 +521,12 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // connState is the per-connection protocol state: the tenant the
 // connection bound with HELLO (empty until then, which on a server without
-// tenants names the anonymous one). Only the connection's own goroutine
-// touches it.
+// tenants names the anonymous one) and the line a READ's response frame is
+// written from — the body handle returns aliases it until the connection's
+// next request. Only the connection's own goroutine touches it.
 type connState struct {
 	tenant string
+	line   [secmem.LineBytes]byte
 }
 
 // dispatch applies admission control and routes to handle. Pings bypass
@@ -606,9 +639,9 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 			if s.domEng == nil {
 				return wire.StatusError, []byte("read: engine has no tenant key domains")
 			}
-			line, err = s.domEng.TenantRead(cs.tenant, addr)
+			line, err = s.domEng.TenantRead(cs.line[:0], cs.tenant, addr)
 		} else {
-			line, err = s.eng.Read(addr)
+			line, err = s.reader.AppendRead(cs.line[:0], addr)
 		}
 		if err != nil {
 			return wire.EncodeError(err)

@@ -153,13 +153,18 @@ func (s *Sharded) ShardOf(addr uint64) (int, error) {
 // adversary interface attack tests tamper through.
 func (s *Sharded) Shard(i int) *secmem.Memory { return s.shards[i] }
 
-// Read verifies and decrypts the line at a line-aligned global address.
-func (s *Sharded) Read(addr uint64) ([]byte, error) {
+// Read verifies and decrypts the line at a line-aligned global address into
+// a fresh slice the caller owns.
+func (s *Sharded) Read(addr uint64) ([]byte, error) { return s.AppendRead(nil, addr) }
+
+// AppendRead is Read appended to dst (secmem.Memory.AppendRead): nothing is
+// written before the line has verified, and an error returns nil.
+func (s *Sharded) AppendRead(dst []byte, addr uint64) ([]byte, error) {
 	idx, local, err := s.locate(addr)
 	if err != nil {
 		return nil, err
 	}
-	return s.shards[idx].Read(local)
+	return s.shards[idx].AppendRead(dst, local)
 }
 
 // Write encrypts and stores a 64-byte line at a line-aligned global address.
@@ -215,11 +220,11 @@ func (s *Sharded) tenantDomain(id string, idx int) (*secmem.Domain, error) {
 	return doms[idx], nil
 }
 
-// TenantRead is Read routed through tenant id's key domain. A line last
+// TenantRead is AppendRead routed through tenant id's key domain. A line last
 // written by a different tenant (or via the default-domain Write) fails
 // closed with a *secmem.IntegrityError — cross-tenant isolation is
 // enforced by key separation, not access-control bookkeeping.
-func (s *Sharded) TenantRead(id string, addr uint64) ([]byte, error) {
+func (s *Sharded) TenantRead(dst []byte, id string, addr uint64) ([]byte, error) {
 	idx, local, err := s.locate(addr)
 	if err != nil {
 		return nil, err
@@ -228,7 +233,7 @@ func (s *Sharded) TenantRead(id string, addr uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.shards[idx].ReadDomain(dom, local)
+	return s.shards[idx].ReadDomain(dst, dom, local)
 }
 
 // TenantWrite is Write routed through tenant id's key domain.

@@ -29,14 +29,14 @@ func TestTenantRouting(t *testing.T) {
 		if err := s.TenantWrite("alpha", addr, line); err != nil {
 			t.Fatalf("shard %d write: %v", i, err)
 		}
-		got, err := s.TenantRead("alpha", addr)
+		got, err := s.TenantRead(nil, "alpha", addr)
 		if err != nil {
 			t.Fatalf("shard %d owner read: %v", i, err)
 		}
 		if !bytes.Equal(got, line) {
 			t.Fatalf("shard %d wrong contents", i)
 		}
-		_, err = s.TenantRead("beta", addr)
+		_, err = s.TenantRead(nil, "beta", addr)
 		var ie *secmem.IntegrityError
 		if !errors.As(err, &ie) {
 			t.Fatalf("shard %d cross-tenant read = %v, want *IntegrityError", i, err)
@@ -47,7 +47,7 @@ func TestTenantRouting(t *testing.T) {
 		}
 	}
 
-	if _, err := s.TenantRead("nobody", 0); err == nil {
+	if _, err := s.TenantRead(nil, "nobody", 0); err == nil {
 		t.Fatal("unknown tenant read succeeded")
 	}
 	if err := s.TenantWrite("nobody", 0, make([]byte, secmem.LineBytes)); err == nil {
@@ -74,7 +74,7 @@ func TestTenantMetrics(t *testing.T) {
 		if err := s.TenantWrite("alpha", i*secmem.LineBytes, line); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.TenantRead("alpha", i*secmem.LineBytes); err != nil {
+		if _, err := s.TenantRead(nil, "alpha", i*secmem.LineBytes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestTenantKeyDomainsDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, other := range ids {
-			_, err := s.TenantRead(other, 0)
+			_, err := s.TenantRead(nil, other, 0)
 			if other == id && err != nil {
 				t.Fatalf("owner %s read: %v", other, err)
 			}

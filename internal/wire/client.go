@@ -33,7 +33,9 @@ type Client struct {
 	fw *FrameWriter
 	fr *FrameReader
 	// req is the reused request-payload scratch: one buffer serves every
-	// call, so the steady-state request path allocates nothing.
+	// call, and fw and fr reuse theirs, so a steady-state round trip
+	// allocates nothing — a Write costs 0, a Read the one copy it returns
+	// (TestClientAllocations).
 	req []byte
 	// poisoned records the first transport error; once set, the stream's
 	// framing can no longer be trusted and every call fails fast.

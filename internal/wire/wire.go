@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 )
 
 // Request opcodes.
@@ -183,7 +182,8 @@ const (
 
 // MaxBody caps a frame's body length. Snapshots of large memories are the
 // biggest legitimate frames; anything over this is treated as a hostile or
-// corrupt length prefix before any allocation happens.
+// corrupt length prefix before any allocation happens, and anything under it
+// is allocated only as its bytes arrive (FrameReader.ReadFrame).
 const MaxBody = 64 << 20
 
 // lenBytes is the size of the frame length prefix.
@@ -208,10 +208,21 @@ type RemoteError struct {
 // Error implements error.
 func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
+// scratchKeep is the largest scratch buffer a FrameWriter or FrameReader holds
+// on to between frames. Requests and line responses are under a hundred
+// bytes; the one large frame of a connection's life (a snapshot, a replica's
+// bootstrap) must not pin its megabytes until the connection closes.
+const scratchKeep = 64 << 10
+
+// growFloor is the least a FrameReader's body buffer grows to when the frame
+// is at least that long: what the bufio.Reader under it may already hold.
+const growFloor = 4 << 10
+
 // FrameWriter frames messages onto one stream, reusing a single scratch
 // buffer across frames so the steady-state write path allocates nothing
-// after warm-up (ROADMAP item 1's B/op goal for the wire layer). Not safe
-// for concurrent use; callers serialize per connection.
+// after warm-up (ROADMAP item 1's B/op goal for the wire layer). A scratch
+// that a frame grew past scratchKeep is dropped once the frame is written.
+// Not safe for concurrent use; callers serialize per connection.
 type FrameWriter struct {
 	w   io.Writer
 	buf []byte
@@ -235,18 +246,28 @@ func (fw *FrameWriter) WriteFrame(tag byte, payload []byte) error {
 	fw.buf = append(fw.buf[:0], 0, 0, 0, 0, tag)
 	binary.BigEndian.PutUint32(fw.buf, uint32(len(payload)+1))
 	fw.buf = append(fw.buf, payload...)
-	if _, err := fw.w.Write(fw.buf); err != nil {
+	_, err := fw.w.Write(fw.buf)
+	if cap(fw.buf) > scratchKeep {
+		fw.buf = nil
+	}
+	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
 
 // FrameReader reads frames from one stream, reusing a single body buffer
-// across frames. The payload returned by ReadFrame aliases that buffer and
-// is valid only until the next ReadFrame call; callers that retain it must
-// copy. Not safe for concurrent use.
+// (and the length prefix's four bytes) across frames. The payload returned
+// by ReadFrame aliases that buffer and is valid only until the next
+// ReadFrame call; callers that retain it must copy. A buffer that a frame
+// grew past scratchKeep is dropped at that next call. Not safe for
+// concurrent use.
 type FrameReader struct {
-	r   io.Reader
+	r io.Reader
+	// hdr lives here, not in ReadFrame: a local handed to an io.Reader
+	// escapes, and four bytes a frame is still a heap that has to be
+	// collected.
+	hdr [lenBytes]byte
 	buf []byte
 }
 
@@ -257,33 +278,45 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // ReadFrame reads one frame and returns its tag byte and payload. A clean
 // close at a frame boundary returns io.EOF; a close or error mid-frame
-// returns ErrTruncated; a length prefix over MaxBody returns ErrOversized
-// without growing the buffer to the claimed size. The payload aliases the
-// reader's scratch buffer; see FrameReader.
+// returns ErrTruncated; a length prefix over MaxBody returns ErrOversized.
+// The length prefix is a claim nobody has authenticated, so it never sizes
+// an allocation on its own: a body the buffer cannot hold yet is read in
+// steps, the buffer doubling only as bytes arrive, so what a peer makes the
+// reader allocate is at most growFloor or twice what it has actually sent.
+// The payload aliases the reader's scratch buffer; see FrameReader.
 //
 //morph:hotpath
 func (fr *FrameReader) ReadFrame() (tag byte, payload []byte, err error) {
-	var hdr [lenBytes]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if cap(fr.buf) > scratchKeep {
+		fr.buf = nil
+	}
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: reading length: %v", ErrTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n == 0 {
 		return 0, nil, ErrEmptyFrame
 	}
 	if n > MaxBody {
 		return 0, nil, fmt.Errorf("%w: body %d > %d", ErrOversized, n, MaxBody)
 	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = slices.Grow(fr.buf[:0], int(n))
+	body := fr.buf[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			grown := make([]byte, len(body), min(n, max(2*len(body), growFloor))) //morphlint:allow hotalloc -- a frame longer than any before it grows the scratch
+			copy(grown, body)
+			body = grown
+		}
+		end := min(n, cap(body))
+		if _, err := io.ReadFull(fr.r, body[len(body):end]); err != nil {
+			return 0, nil, fmt.Errorf("%w: reading %d-byte body: %v", ErrTruncated, n, err)
+		}
+		body = body[:end]
 	}
-	body := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, body); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading %d-byte body: %v", ErrTruncated, n, err)
-	}
+	fr.buf = body
 	return body[0], body[1:], nil
 }
 
