@@ -26,12 +26,12 @@ fmt:
 
 # The binaries the targets below run, rebuilt every time: go's build cache
 # is the dependency tracker, and a prerequisite list kept by hand goes stale
-# and runs an old binary. morphchaos is always race-built.
-bin/morphlint bin/morphserve bin/morphload bin/morphcrash bin/morphscope bin/morphaudit: FORCE
+# and runs an old binary. bin/morphcheck.race is the race-built harness.
+bin/morphlint bin/morphserve bin/morphload bin/morphcheck bin/morphscope bin/morphaudit: FORCE
 	$(GO) build -o $@ ./cmd/$(@F)
 
-bin/morphchaos: FORCE
-	$(GO) build -race -o $@ ./cmd/morphchaos
+bin/morphcheck.race: FORCE
+	$(GO) build -race -o $@ ./cmd/morphcheck
 
 FORCE:
 
@@ -123,38 +123,44 @@ gc-smoke: bin/morphserve bin/morphload
 	run durable 7844 1 "-data-dir bin/gc-smoke/data -fsync interval -delta-every 1s"; \
 	exit $$STATUS
 
+# The four harness smokes are cmd/morphcheck's three subcommands (one shadow
+# model, internal/oracle, under all of them). Each matrix runs once per build
+# flavour: race-built as a binary, here (ckpt-smoke, chaos-smoke,
+# cluster-smoke); not race-built in-process under `go test ./cmd/morphcheck`
+# (TestSmokeMatrices, which skips itself when race-built, so `go test -race
+# ./...` does not run them a second time). crash-smoke is the one binary run
+# that is not race-built: it is the command line's own smoke.
+
 # Reduced crash-injection matrix: kill-point surgery on the WAL, the
-# snapshot rename, and the epoch truncation, each recovered and checked
-# against a shadow model. The full matrix is `bin/morphcrash` with
-# defaults; this keeps CI fast.
-crash-smoke: bin/morphcrash
-	bin/morphcrash -points 9 -writes 300
+# snapshot rename, and the epoch truncation, each recovered and audited
+# against the journal prefix that survived. The full matrix is
+# `bin/morphcheck crash` with defaults; this keeps CI fast.
+crash-smoke: bin/morphcheck
+	bin/morphcheck crash -points 9 -writes 300
 
 # Incremental-checkpoint smoke test, race-built: the delta/compaction
-# crash windows and delta tamper probe, crash recovery measured at two
-# state sizes (failing if the delta path's replay scales with total
-# history instead of the dirty tail, or is slower than full replay at a
-# small dirty fraction), and the background-checkpointer
-# write-p99 stall gate.
-ckpt-smoke:
-	$(GO) build -race -o bin/morphcrash.race ./cmd/morphcrash
-	bin/morphcrash.race -points 16 -writes 300
+# crash windows and delta tamper probe, crash recovery at two state sizes
+# (failing if the delta path's replay scales with total history instead of
+# the dirty tail, or is slower than full replay at a small dirty fraction),
+# and the background-checkpointer write-p99 stall gate.
+ckpt-smoke: bin/morphcheck.race
+	bin/morphcheck.race crash -points 16 -writes 300
 
 # Reduced seeded fault matrix under the race detector: client-proxy-server
 # through cuts, stalls, and admission sheds, asserting zero lost
 # acknowledged writes and zero spurious integrity errors. The full matrix
-# is `bin/morphchaos` with defaults; this keeps CI fast.
-chaos-smoke: bin/morphchaos
-	bin/morphchaos -smoke
+# is `bin/morphcheck chaos` with defaults; this keeps CI fast.
+chaos-smoke: bin/morphcheck.race
+	bin/morphcheck.race chaos -smoke
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
 # cluster (primary + two replicas) with a node killed mid-load, followed
-# by a lease-expiry failover. Asserts zero lost acknowledged writes and
-# zero spurious integrity errors, and prints failover latency plus
-# replication lag percentiles. The full matrix is `bin/morphchaos
-# -cluster` with defaults; this keeps CI fast.
-cluster-smoke: bin/morphchaos
-	bin/morphchaos -cluster -smoke
+# by a lease-expiry failover and a live shard migration whose donor is
+# killed. Asserts zero lost acknowledged writes and zero spurious integrity
+# errors, and prints each run's failover latency. The full matrix is
+# `bin/morphcheck cluster` with defaults; this keeps CI fast.
+cluster-smoke: bin/morphcheck.race
+	bin/morphcheck.race cluster -smoke
 
 # Observability smoke test: a race-built morphserve with the admin plane
 # on, morphload driving it (with live -report lines), morphscope polling

@@ -1,13 +1,3 @@
-// Command treegeom prints integrity-tree geometry: per-level sizes, tree
-// height, and storage overheads (Figures 1 and 17, Table III) for any
-// memory capacity and counter organization.
-//
-// Usage:
-//
-//	treegeom                       # the paper's four designs at 16GB
-//	treegeom -mem 64               # same designs at 64GB
-//	treegeom -enc 128 -tree 128    # a custom uniform design
-//	treegeom -enc 64 -tree 32,16   # a custom variable-arity schedule
 package main
 
 import (
@@ -20,11 +10,20 @@ import (
 	"github.com/securemem/morphtree/internal/tree"
 )
 
-func main() {
-	memGB := flag.Uint64("mem", 16, "protected memory capacity in GB")
-	enc := flag.Int("enc", 0, "encryption-counter arity for a custom design (0 = show the paper's designs)")
-	treeArities := flag.String("tree", "", "comma-separated tree arity schedule for a custom design")
-	flag.Parse()
+// geomMain is `experiments geom`: integrity-tree geometry — per-level sizes,
+// tree height, and storage overheads (Figures 1 and 17, Table III) — for any
+// memory capacity and counter organization.
+//
+//	experiments geom                       # the paper's four designs at 16GB
+//	experiments geom -mem 64               # same designs at 64GB
+//	experiments geom -enc 128 -tree 128    # a custom uniform design
+//	experiments geom -enc 64 -tree 32,16   # a custom variable-arity schedule
+func geomMain(args []string) {
+	fs := flag.NewFlagSet("experiments geom", flag.ExitOnError)
+	memGB := fs.Uint64("mem", 16, "protected memory capacity in GB")
+	enc := fs.Int("enc", 0, "encryption-counter arity for a custom design (0 = show the paper's designs)")
+	treeArities := fs.String("tree", "", "comma-separated tree arity schedule for a custom design")
+	fs.Parse(args) //morphlint:allow errdiscard ExitOnError: Parse exits instead of returning
 
 	memBytes := *memGB << 30
 	if *enc != 0 || *treeArities != "" {
@@ -44,13 +43,13 @@ func main() {
 
 func parseArities(s string) ([]int, error) {
 	if s == "" {
-		return nil, fmt.Errorf("treegeom: -tree is required for a custom design")
+		return nil, fmt.Errorf("experiments geom: -tree is required for a custom design")
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, fmt.Errorf("treegeom: bad arity %q", part)
+			return nil, fmt.Errorf("experiments geom: bad arity %q", part)
 		}
 		out = append(out, v)
 	}

@@ -9,6 +9,11 @@
 //	experiments               # run everything
 //	experiments -exp fig15    # one experiment
 //	experiments -fast         # smaller runs (CI-friendly)
+//
+// Two subcommands look at one thing instead of a whole figure:
+//
+//	experiments sim -config morph -workload mcf   # one simulation (sim.go)
+//	experiments geom -mem 64                      # tree geometry (geom.go)
 package main
 
 import (
@@ -27,6 +32,16 @@ var experimentOrder = []string{
 }
 
 func main() {
+	if len(os.Args) > 1 {
+		switch os.Args[1] {
+		case "sim":
+			simMain(os.Args[2:])
+			return
+		case "geom":
+			geomMain(os.Args[2:])
+			return
+		}
+	}
 	exp := flag.String("exp", "all", "experiment to run: all, or one of "+strings.Join(experimentOrder, ","))
 	fast := flag.Bool("fast", false, "use shorter runs (less stable averages)")
 	warm := flag.Uint64("warm", 0, "override warmup accesses per core")

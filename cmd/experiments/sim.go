@@ -1,12 +1,3 @@
-// Command morphsim runs one workload under one secure-memory configuration
-// and reports the paper's metrics: IPC, memory-traffic breakdown, metadata
-// cache behavior, counter overflows, and energy.
-//
-// Usage:
-//
-//	morphsim -config morph -workload mcf
-//	morphsim -config vault -workload mix1 -measure 1000000
-//	morphsim -list
 package main
 
 import (
@@ -19,15 +10,23 @@ import (
 	"github.com/securemem/morphtree/internal/workloads"
 )
 
-func main() {
-	config := flag.String("config", "morph", "system preset: "+strings.Join(sim.Presets(), ", "))
-	workload := flag.String("workload", "mcf", "Table II benchmark, or mix1..mix6")
-	warm := flag.Uint64("warm", 0, "warmup accesses per core (0 = default)")
-	measure := flag.Uint64("measure", 0, "measured accesses per core (0 = default)")
-	scale := flag.Float64("scale", 0, "footprint scale (0 = default)")
-	seed := flag.Uint64("seed", 1, "trace generator seed")
-	list := flag.Bool("list", false, "list workloads and presets, then exit")
-	flag.Parse()
+// simMain is `experiments sim`: one workload under one secure-memory
+// configuration, reporting the paper's metrics — IPC, memory-traffic
+// breakdown, metadata cache behavior, counter overflows, and energy.
+//
+//	experiments sim -config morph -workload mcf
+//	experiments sim -config vault -workload mix1 -measure 1000000
+//	experiments sim -list
+func simMain(args []string) {
+	fs := flag.NewFlagSet("experiments sim", flag.ExitOnError)
+	config := fs.String("config", "morph", "system preset: "+strings.Join(sim.Presets(), ", "))
+	workload := fs.String("workload", "mcf", "Table II benchmark, or mix1..mix6")
+	warm := fs.Uint64("warm", 0, "warmup accesses per core (0 = default)")
+	measure := fs.Uint64("measure", 0, "measured accesses per core (0 = default)")
+	scale := fs.Float64("scale", 0, "footprint scale (0 = default)")
+	seed := fs.Uint64("seed", 1, "trace generator seed")
+	list := fs.Bool("list", false, "list workloads and presets, then exit")
+	fs.Parse(args) //morphlint:allow errdiscard ExitOnError: Parse exits instead of returning
 
 	if *list {
 		fmt.Println("presets: " + strings.Join(sim.Presets(), ", "))
@@ -72,7 +71,7 @@ func findWorkload(name string) (workloads.Workload, error) {
 			return w, nil
 		}
 	}
-	return workloads.Workload{}, fmt.Errorf("morphsim: unknown workload %q (see -list)", name)
+	return workloads.Workload{}, fmt.Errorf("experiments sim: unknown workload %q (see -list)", name)
 }
 
 func report(r *sim.Result) {

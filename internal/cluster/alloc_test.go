@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 )
@@ -19,7 +20,7 @@ func TestPrimaryAllocations(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true; c.AckReplicas = 1 })
 	startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Leader = p.addr })
-	line := fill(0, 1)
+	line := oracle.Fill(0, 1)
 	for d := uint64(0); d < 16; d++ {
 		if err := p.node.Write(d*secmem.LineBytes, line); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/wire"
 )
@@ -53,10 +54,10 @@ func TestMigrateShardRouting(t *testing.T) {
 	defer cl.Close()
 	const lines = 16
 	for i := uint64(0); i < lines; i++ {
-		if err := cl.Write(shard1Addr(i), fill(shard1Addr(i), i)); err != nil {
+		if err := cl.Write(shard1Addr(i), oracle.Fill(shard1Addr(i), i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Write(shard0Addr(i), fill(shard0Addr(i), i)); err != nil {
+		if err := cl.Write(shard0Addr(i), oracle.Fill(shard0Addr(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,12 +73,12 @@ func TestMigrateShardRouting(t *testing.T) {
 	if !errors.As(err, &me) || me.Leader != r.addr {
 		t.Fatalf("donor read of migrated shard: got %v, want MovedError to %s", err, r.addr)
 	}
-	err = p.node.Write(shard1Addr(3), fill(shard1Addr(3), 99))
+	err = p.node.Write(shard1Addr(3), oracle.Fill(shard1Addr(3), 99))
 	if !errors.As(err, &me) || me.Leader != r.addr {
 		t.Fatalf("donor write to migrated shard: got %v, want MovedError to %s", err, r.addr)
 	}
 	// Donor still serves the other shard.
-	if err := p.node.Write(shard0Addr(3), fill(shard0Addr(3), 99)); err != nil {
+	if err := p.node.Write(shard0Addr(3), oracle.Fill(shard0Addr(3), 99)); err != nil {
 		t.Fatalf("donor write to retained shard: %v", err)
 	}
 
@@ -87,7 +88,7 @@ func TestMigrateShardRouting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recipient read %#x: %v", shard1Addr(i), err)
 		}
-		if string(got) != string(fill(shard1Addr(i), i)) {
+		if string(got) != string(oracle.Fill(shard1Addr(i), i)) {
 			t.Fatalf("line %#x diverged across migration", shard1Addr(i))
 		}
 	}
@@ -96,7 +97,7 @@ func TestMigrateShardRouting(t *testing.T) {
 	}
 	// Writes to the migrated shard ack on the recipient, and its verified
 	// tree stays honest.
-	if err := r.node.Write(shard1Addr(5), fill(shard1Addr(5), 100)); err != nil {
+	if err := r.node.Write(shard1Addr(5), oracle.Fill(shard1Addr(5), 100)); err != nil {
 		t.Fatalf("recipient write: %v", err)
 	}
 	if err := r.node.VerifyAll(); err != nil {
@@ -160,7 +161,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 			default:
 			}
 			addr := shard1Addr(seq % lines)
-			if err := rc.Write(addr, fill(addr, seq)); err != nil {
+			if err := rc.Write(addr, oracle.Fill(addr, seq)); err != nil {
 				mu.Lock()
 				loadErr = err
 				mu.Unlock()
@@ -198,7 +199,7 @@ func TestMigrateUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("acked line %#x lost: %v", addr, err)
 		}
-		if string(got) != string(fill(addr, seq)) {
+		if string(got) != string(oracle.Fill(addr, seq)) {
 			t.Fatalf("acked line %#x has unexpected content after migration", addr)
 		}
 	}
@@ -221,7 +222,7 @@ func TestMigrateAbortUnfences(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Write(shard1Addr(1), fill(shard1Addr(1), 1)); err != nil {
+	if err := cl.Write(shard1Addr(1), oracle.Fill(shard1Addr(1), 1)); err != nil {
 		t.Fatal(err)
 	}
 	begin, err := cl.Migrate(&wire.MigrateRequest{
@@ -239,7 +240,7 @@ func TestMigrateAbortUnfences(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.node.Write(shard1Addr(1), fill(shard1Addr(1), 2)); err == nil {
+	if err := p.node.Write(shard1Addr(1), oracle.Fill(shard1Addr(1), 2)); err == nil {
 		t.Fatal("write to cut-over shard succeeded on donor")
 	}
 	if _, err := cl.Migrate(&wire.MigrateRequest{
@@ -247,10 +248,10 @@ func TestMigrateAbortUnfences(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.node.Write(shard1Addr(1), fill(shard1Addr(1), 3)); err != nil {
+	if err := p.node.Write(shard1Addr(1), oracle.Fill(shard1Addr(1), 3)); err != nil {
 		t.Fatalf("write after abort: %v", err)
 	}
-	if got, err := p.node.Read(shard1Addr(1)); err != nil || string(got) != string(fill(shard1Addr(1), 3)) {
+	if got, err := p.node.Read(shard1Addr(1)); err != nil || string(got) != string(oracle.Fill(shard1Addr(1), 3)) {
 		t.Fatalf("post-abort read: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/shard"
 )
 
@@ -42,6 +43,12 @@ func TestDeltaCutUnderWriters(t *testing.T) {
 			// A non-empty directory where the delta is renamed to: the file
 			// is drained, written and synced, and then the cut fails.
 			failed = true
+			// A delta of a store nobody wrote to since the last one cuts
+			// nothing and so cannot fail; on a loaded machine the writers may
+			// not have got a write in. This line is no writer's.
+			if err := m.Write(1000*shards*LineBytes, oracle.Fill(0, 1)); err != nil {
+				t.Fatal(err)
+			}
 			block := ckpt.DeltaPath(dir, m.Seq()+1, m.Seq())
 			if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
 				t.Fatal(err)
@@ -117,7 +124,7 @@ func startWriters(t *testing.T, m *Memory, shards, writes uint64, stop chan stru
 					local = 3
 				}
 				addr := (local*shards + s) * LineBytes
-				if err := m.Write(addr, fill(addr, seq)); err != nil {
+				if err := m.Write(addr, oracle.Fill(addr, seq)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -139,7 +146,7 @@ func checkShadow(t *testing.T, m *Memory, shadow []map[uint64]uint64) {
 			if err != nil {
 				t.Fatalf("read %#x after recovery: %v", addr, err)
 			}
-			if !bytes.Equal(got, fill(addr, seq)) {
+			if !bytes.Equal(got, oracle.Fill(addr, seq)) {
 				t.Fatalf("line %#x of shard %d does not read back its last acknowledged write", addr, s)
 			}
 		}
@@ -167,15 +174,17 @@ func TestImagesUnderWritersAndCuts(t *testing.T) {
 	cutting := make(chan struct{})
 	go func() {
 		defer close(cutting)
-		for i := 0; ; i++ {
+		for full := false; ; {
 			select {
 			case <-written:
 				return
 			default:
 			}
+			// The full checkpoint goes after four deltas that cut something
+			// (a call that finds nothing written cuts nothing): epoch 6.
 			cut := m.CheckpointDelta
-			if i == 4 {
-				cut = m.Checkpoint
+			if !full && m.Durability().DeltaCheckpoints >= 4 {
+				cut, full = m.Checkpoint, true
 			}
 			if err := cut(); err != nil {
 				t.Error(err)
@@ -243,7 +252,7 @@ func BenchmarkDeltaCut(b *testing.B) {
 	const span, shards = 1 << 15, 2
 	m, _ := mustOpen(b, testShardConfig(b, shards, 64<<20), Config{Dir: b.TempDir(), Sync: SyncNone})
 	defer m.Close()
-	line := fill(0, 1)
+	line := oracle.Fill(0, 1)
 	stalls := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

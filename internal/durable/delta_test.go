@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -19,7 +20,7 @@ func writeSome(t *testing.T, m *Memory, seed, n uint64) []uint64 {
 	addrs := make([]uint64, 0, n)
 	for i := uint64(0); i < n; i++ {
 		addr := (seed*131 + i*7) % (m.MemoryBytes() / LineBytes) * LineBytes
-		if err := m.Write(addr, fill(addr, seed+i)); err != nil {
+		if err := m.Write(addr, oracle.Fill(addr, seed+i)); err != nil {
 			t.Fatal(err)
 		}
 		addrs = append(addrs, addr)
@@ -130,7 +131,7 @@ func TestDeltaRecoveryMatchesFullReplay(t *testing.T) {
 	for round := uint64(0); round < 3; round++ {
 		for i := uint64(0); i < 25; i++ {
 			addr := (round*97 + i*13) % (ma.MemoryBytes() / LineBytes) * LineBytes
-			line := fill(addr, round*100+i)
+			line := oracle.Fill(addr, round*100+i)
 			if err := ma.Write(addr, line); err != nil {
 				t.Fatal(err)
 			}
@@ -414,19 +415,19 @@ func TestFenceShardRejectsWrites(t *testing.T) {
 	if !found0 || !found1 {
 		t.Fatal("addresses did not cover both shards")
 	}
-	err = m.Write(a0, fill(a0, 99))
+	err = m.Write(a0, oracle.Fill(a0, 99))
 	var fe *ShardFencedError
 	if !errors.As(err, &fe) || fe.Shard != 0 {
 		t.Fatalf("write to fenced shard: got %v, want *ShardFencedError{0}", err)
 	}
-	if err := m.Write(a1, fill(a1, 99)); err != nil {
+	if err := m.Write(a1, oracle.Fill(a1, 99)); err != nil {
 		t.Fatalf("write to unfenced shard: %v", err)
 	}
 	if final == 0 {
 		t.Fatal("fence returned zero final LSN")
 	}
 	m.UnfenceShard(0)
-	if err := m.Write(a0, fill(a0, 100)); err != nil {
+	if err := m.Write(a0, oracle.Fill(a0, 100)); err != nil {
 		t.Fatalf("write after unfence: %v", err)
 	}
 }

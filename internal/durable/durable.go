@@ -329,19 +329,12 @@ func (m *Memory) Sharded() *shard.Sharded { return m.sh }
 // Seq returns the current checkpoint epoch (full or delta).
 func (m *Memory) Seq() uint64 { return m.seq.Load() }
 
-// SegSeq returns the epoch of the live WAL segments — the base snapshot
-// of the current delta chain.
-func (m *Memory) SegSeq() uint64 { return m.segSeq.Load() }
-
 // DeltaChainLen reports how many delta checkpoints sit atop the current
 // base snapshot (the ckpt.Runner compacts once this passes its threshold).
 func (m *Memory) DeltaChainLen() int { return int(m.seq.Load() - m.segSeq.Load()) }
 
 // NumShards returns the shard count.
 func (m *Memory) NumShards() int { return len(m.commits) }
-
-// MemoryBytes returns the total protected capacity.
-func (m *Memory) MemoryBytes() uint64 { return m.sh.MemoryBytes() }
 
 // Read verifies and decrypts the line at a line-aligned global address.
 func (m *Memory) Read(addr uint64) ([]byte, error) { return m.AppendRead(nil, addr) }

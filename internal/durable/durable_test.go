@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/invariant"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
@@ -49,15 +50,6 @@ func mustOpen(t testing.TB, shcfg shard.Config, cfg Config) (*Memory, *RecoveryI
 	return m, info
 }
 
-func fill(addr, seq uint64) []byte {
-	line := make([]byte, LineBytes)
-	for i := 0; i < LineBytes; i += 16 {
-		binary.LittleEndian.PutUint64(line[i:], addr^seq)
-		binary.LittleEndian.PutUint64(line[i+8:], seq*0x9e3779b97f4a7c15+uint64(i))
-	}
-	return line
-}
-
 func TestFreshOpenWriteReopen(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 1<<13)
@@ -67,7 +59,7 @@ func TestFreshOpenWriteReopen(t *testing.T) {
 	}
 	const writes = 64
 	for i := uint64(0); i < writes; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 1)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +94,7 @@ func TestFreshOpenWriteReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(i, 1)) {
+		if !bytes.Equal(got, oracle.Fill(i, 1)) {
 			t.Fatalf("line %d mismatch after recovery", i)
 		}
 	}
@@ -116,7 +108,7 @@ func TestCheckpointRotatesEpochs(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
 	for i := uint64(0); i < 32; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 2)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +131,7 @@ func TestCheckpointRotatesEpochs(t *testing.T) {
 
 	// More writes after the checkpoint land in epoch 2's WAL.
 	for i := uint64(32); i < 48; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 2)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +156,7 @@ func TestCheckpointRotatesEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(i, 2)) {
+		if !bytes.Equal(got, oracle.Fill(i, 2)) {
 			t.Fatalf("line %d mismatch after checkpointed recovery", i)
 		}
 	}
@@ -189,7 +181,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < writesPerWork; i++ {
 				addr := (uint64(w*writesPerWork+i) * LineBytes) % m.MemoryBytes()
-				if err := m.Write(addr, fill(addr, uint64(w))); err != nil {
+				if err := m.Write(addr, oracle.Fill(addr, uint64(w))); err != nil {
 					errc <- err
 					return
 				}
@@ -235,7 +227,7 @@ func TestSyncIntervalAndNoneFlushOnClose(t *testing.T) {
 			shcfg := testShardConfig(t, 2, 1<<13)
 			m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: pol})
 			for i := uint64(0); i < 24; i++ {
-				if err := m.Write(i*LineBytes, fill(i, 5)); err != nil {
+				if err := m.Write(i*LineBytes, oracle.Fill(i, 5)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -261,7 +253,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
 	const writes = 10
 	for i := uint64(0); i < writes; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 7)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,7 +283,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(i, 7)) {
+		if !bytes.Equal(got, oracle.Fill(i, 7)) {
 			t.Fatalf("line %d mismatch after torn-tail recovery", i)
 		}
 	}
@@ -306,7 +298,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 		}
 	}
 	// And the memory accepts new writes after repair.
-	if err := m2.Write(7*LineBytes, fill(7, 8)); err != nil {
+	if err := m2.Write(7*LineBytes, oracle.Fill(7, 8)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -316,7 +308,7 @@ func TestTamperedSnapshotIsIntegrityError(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
 	for i := uint64(0); i < 16; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 9)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 9)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -364,7 +356,7 @@ func TestTamperedWALIsIntegrityError(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 1<<12)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
 	for i := uint64(0); i < 8; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 11)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 11)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,7 +379,7 @@ func TestRecoveryCleansStaleEpochs(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
 	for i := uint64(0); i < 16; i++ {
-		if err := m.Write(i*LineBytes, fill(i, 13)); err != nil {
+		if err := m.Write(i*LineBytes, oracle.Fill(i, 13)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,7 +432,7 @@ func TestAuditRecordsJournalOverflowsAndRebases(t *testing.T) {
 	nlines := m.MemoryBytes() / LineBytes
 	for round := uint64(0); round < rounds; round++ {
 		for i := uint64(0); i < nlines; i++ {
-			if err := m.Write(i*LineBytes, fill(i, round)); err != nil {
+			if err := m.Write(i*LineBytes, oracle.Fill(i, round)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -482,7 +474,7 @@ func TestAuditRecordsJournalOverflowsAndRebases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(i, rounds-1)) {
+		if !bytes.Equal(got, oracle.Fill(i, rounds-1)) {
 			t.Fatalf("line %d content lost through audited replay", i)
 		}
 	}
@@ -498,7 +490,7 @@ func TestUseAfterClose(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if err := m.Write(0, fill(0, 1)); err == nil {
+	if err := m.Write(0, oracle.Fill(0, 1)); err == nil {
 		t.Fatal("write after close succeeded")
 	}
 	if err := m.Checkpoint(); err == nil {
@@ -573,7 +565,7 @@ func TestIntervalFlusherIdlesAndStillSyncs(t *testing.T) {
 		t.Fatalf("idle for 100ms: the flusher woke %d times, want 0", n)
 	}
 	durable := m.DurableSignal()
-	idx, lsn, err := m.WriteLSN(3*LineBytes, fill(3, 1))
+	idx, lsn, err := m.WriteLSN(3*LineBytes, oracle.Fill(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +596,7 @@ func TestIntervalFlusherCyclesDoNotAllocate(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: time.Millisecond, NoAudit: true})
 	defer m.Close()
-	line := fill(3, 1)
+	line := oracle.Fill(3, 1)
 	cycle := func() {
 		want := m.flushCycles.Load() + 1
 		if err := m.Write(3*LineBytes, line); err != nil {
@@ -645,7 +637,7 @@ func TestSyncCycleWithoutAuditDoesNotAllocate(t *testing.T) {
 	// Sixteen lines of one page: their counters stay 16 bits wide in ZCC, so
 	// rewriting them overflows nothing for longer than this test runs.
 	const lines = 16
-	line := fill(1, 2)
+	line := oracle.Fill(1, 2)
 	var next uint64
 	write := func() {
 		if err := m.Write(next%lines*LineBytes, line); err != nil {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/securemem/morphtree/internal/oracle"
 )
 
 // TestIdleStoreCutsNoDelta: a delta checkpoint of a store nobody wrote to
@@ -103,7 +105,7 @@ func TestCloseRacesCheckpoints(t *testing.T) {
 			for i := 0; ; i++ {
 				// Something to cut each time, until Close refuses the write.
 				addr := uint64(g*16+i%16) * LineBytes
-				if err := m.Write(addr, fill(addr, uint64(i))); err != nil {
+				if err := m.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
 					return
 				}
 				if err := cut(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
@@ -62,7 +63,7 @@ func TestReplicationRoundTripViaRing(t *testing.T) {
 	const n = 40
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, uint64(i))); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +82,7 @@ func TestReplicationRoundTripViaRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(addr, uint64(i))) {
+		if !bytes.Equal(got, oracle.Fill(addr, uint64(i))) {
 			t.Fatalf("replica line %#x diverged", addr)
 		}
 	}
@@ -100,7 +101,7 @@ func TestReplicationFileFallback(t *testing.T) {
 	const n = 12
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 7)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +130,7 @@ func TestReplicationCursorBehindCheckpoint(t *testing.T) {
 	defer func() { _ = p.Close() }()
 	for i := 0; i < 8; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 1)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +153,7 @@ func TestApplyReplicatedRejectsGap(t *testing.T) {
 	p, r := replPair(t, 1, 64)
 	for i := 0; i < 3; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 2)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -180,7 +181,7 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	const n = 20
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 3)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +204,7 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	// More primary writes, then resume streaming into the restarted replica.
 	for i := n; i < n+6; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 3)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +223,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	const n = 30
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 4)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +247,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	// Suffix after the snapshot streams incrementally.
 	for i := n; i < n+10; i++ {
 		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, fill(addr, 4)); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,7 +258,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(addr, 4)) {
+		if !bytes.Equal(got, oracle.Fill(addr, 4)) {
 			t.Fatalf("line %#x diverged after bootstrap+stream", addr)
 		}
 	}
@@ -276,7 +277,7 @@ func TestRingEviction(t *testing.T) {
 	const n = 25
 	for i := 0; i < n; i++ {
 		addr := uint64(i%8) * LineBytes
-		if err := p.Write(addr, fill(addr, uint64(i))); err != nil {
+		if err := p.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +313,7 @@ func TestDurableSignalFires(t *testing.T) {
 	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
 	defer func() { _ = p.Close() }()
 	ch := p.DurableSignal()
-	if err := p.Write(0, fill(0, 1)); err != nil {
+	if err := p.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -327,7 +328,7 @@ func TestDurableSignalFires(t *testing.T) {
 func TestApplyReplicatedAuditRecords(t *testing.T) {
 	_, r := replPair(t, 1, 64)
 	recs := []wal.Record{
-		{Kind: wal.KindWrite, LSN: 1, Addr: 0, Line: fill(0, 9)},
+		{Kind: wal.KindWrite, LSN: 1, Addr: 0, Line: oracle.Fill(0, 9)},
 		{Kind: wal.KindOverflow, LSN: 2, Count: 3},
 		{Kind: wal.KindRebase, LSN: 3, Count: 1},
 	}
@@ -377,7 +378,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
 	defer func() { _ = p.Close() }()
 	for i := uint64(0); i < 40; i++ {
-		if err := p.Write(i*LineBytes, fill(i*LineBytes, 5)); err != nil {
+		if err := p.Write(i*LineBytes, oracle.Fill(i*LineBytes, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +399,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
 	defer func() { _ = r.Close() }()
-	if err := r.Write(0, fill(0, 77)); err != nil {
+	if err := r.Write(0, oracle.Fill(0, 77)); err != nil {
 		t.Fatal(err)
 	}
 	listing := func() string {
@@ -438,11 +439,11 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 		if err == nil || errors.As(err, &ve) != tc.version || isIntegrityError(err) != tc.tamper {
 			t.Fatalf("%s: InstallSnapshot returned %v", tc.name, err)
 		}
-		if got, err := r.Read(0); err != nil || !bytes.Equal(got, fill(0, 77)) {
+		if got, err := r.Read(0); err != nil || !bytes.Equal(got, oracle.Fill(0, 77)) {
 			t.Fatalf("%s: the replica no longer serves what it held: %v", tc.name, err)
 		}
 	}
-	if err := r.Write(LineBytes, fill(LineBytes, 78)); err != nil {
+	if err := r.Write(LineBytes, oracle.Fill(LineBytes, 78)); err != nil {
 		t.Fatalf("the replica takes no write after refusing: %v", err)
 	}
 	if after := listing(); after != before {
@@ -453,7 +454,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = fresh.Close() }()
-	if got, err := fresh.Read(39 * LineBytes); err != nil || !bytes.Equal(got, fill(39*LineBytes, 5)) {
+	if got, err := fresh.Read(39 * LineBytes); err != nil || !bytes.Equal(got, oracle.Fill(39*LineBytes, 5)) {
 		t.Fatalf("the blob that authenticates did not install: %v", err)
 	}
 	if err := fresh.VerifyAll(); err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
@@ -162,7 +163,7 @@ func TestIdleConnOutlivesFrameTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Write(0, fill(0, 1)); err != nil {
+	if err := cl.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(200 * time.Millisecond) // idle well past FrameTimeout
@@ -193,7 +194,7 @@ func TestShutdownRacesPeriodicCheckpoint(t *testing.T) {
 			// Keep writes in flight across the cancel; errors after the
 			// drain starts are expected.
 			for i := uint64(0); ; i++ {
-				if err := cl.Write((i%32)*durable.LineBytes, fill(i, 9)); err != nil {
+				if err := cl.Write((i%32)*durable.LineBytes, oracle.Fill(i, 9)); err != nil {
 					return
 				}
 			}

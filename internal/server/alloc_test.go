@@ -10,6 +10,7 @@ import (
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/invariant"
 	"github.com/securemem/morphtree/internal/obs"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/tenant"
@@ -80,7 +81,7 @@ func TestServedOpsDoNotAllocate(t *testing.T) {
 			}
 			var d uint64
 			next := func() uint64 { d = (d + 7) % lines; return d * secmem.LineBytes }
-			line := fill(0, 2) // made once: fill allocates what it returns
+			line := oracle.Fill(0, 2) // made once: fill allocates what it returns
 			write := func() {
 				if req, err = wire.AppendWrite(req[:0], next(), line); err != nil {
 					t.Fatal(err)
@@ -122,7 +123,7 @@ func (s *sixMethodEngine) FlipDataBit(uint64, int, uint) bool { return false }
 
 func TestSixMethodEngineStillServesReads(t *testing.T) {
 	eng := &sixMethodEngine{}
-	copy(eng.line[:], fill(0x40, 9))
+	copy(eng.line[:], oracle.Fill(0x40, 9))
 	addr, shutdown := startServer(t, eng, Config{})
 	defer shutdown()
 	c, err := wire.Dial(addr, 5*time.Second)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wire"
@@ -76,7 +77,7 @@ func TestCheckpointOpEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 16; i++ {
-		if err := c.Write(i*durable.LineBytes, fill(i, 3)); err != nil {
+		if err := c.Write(i*durable.LineBytes, oracle.Fill(i, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +89,7 @@ func TestCheckpointOpEndToEnd(t *testing.T) {
 		t.Fatalf("forced checkpoint seq = %d, want 2", seq)
 	}
 	for i := uint64(16); i < 24; i++ {
-		if err := c.Write(i*durable.LineBytes, fill(i, 3)); err != nil {
+		if err := c.Write(i*durable.LineBytes, oracle.Fill(i, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +112,7 @@ func TestCheckpointOpEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(i, 3)) {
+		if !bytes.Equal(got, oracle.Fill(i, 3)) {
 			t.Fatalf("line %d mismatch after recovery", i)
 		}
 	}
@@ -130,7 +131,7 @@ func TestGracefulShutdownFlushes(t *testing.T) {
 	}
 	const writes = 20
 	for i := uint64(0); i < writes; i++ {
-		if err := c.Write(i*durable.LineBytes, fill(i, 4)); err != nil {
+		if err := c.Write(i*durable.LineBytes, oracle.Fill(i, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func TestPeriodicSnapshotTicker(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("snapshot seq still %d after 10s of 20ms ticks", m.Seq())
 		}
-		if err := c.Write((i%64)*durable.LineBytes, fill(i, 6)); err != nil {
+		if err := c.Write((i%64)*durable.LineBytes, oracle.Fill(i, 6)); err != nil {
 			t.Fatal(err)
 		}
 	}

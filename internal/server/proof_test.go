@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/wire"
@@ -57,7 +58,7 @@ func TestProofOpEndToEnd(t *testing.T) {
 	cfg := testShardConfig(t, 2, memSize)
 	params := proof.Params{MemoryBytes: memSize, Shards: 2, Enc: cfg.Mem.Enc, Tree: cfg.Mem.Tree}
 	const victim = 5 * secmem.LineBytes
-	want := fill(victim, 1)
+	want := oracle.Fill(victim, 1)
 	if err := c.Write(victim, want); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestCheckpointPublishesEpoch(t *testing.T) {
 	}
 
 	for i := uint64(0); i < 3; i++ {
-		if err := c.Write(i*secmem.LineBytes, fill(i, i)); err != nil {
+		if err := c.Write(i*secmem.LineBytes, oracle.Fill(i, i)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Checkpoint(); err != nil {

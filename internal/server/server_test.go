@@ -3,13 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wire"
@@ -63,15 +63,6 @@ func startServer(t *testing.T, sh Engine, cfg Config) (string, func()) {
 	}
 }
 
-func fill(addr, seq uint64) []byte {
-	line := make([]byte, secmem.LineBytes)
-	for i := 0; i < secmem.LineBytes; i += 16 {
-		binary.LittleEndian.PutUint64(line[i:], addr^seq)
-		binary.LittleEndian.PutUint64(line[i+8:], seq*0x9e3779b97f4a7c15+uint64(i))
-	}
-	return line
-}
-
 // TestEndToEnd is the serving layer's core test: a server over 4 shards,
 // 8 concurrent clients doing verified read/write traffic, aggregated stats
 // over the wire, snapshot/restore, per-shard fail-closed tamper detection,
@@ -104,7 +95,7 @@ func TestEndToEnd(t *testing.T) {
 			base := uint64(c) * chunk * secmem.LineBytes
 			for i := 0; i < ops; i++ {
 				a := base + uint64(i%int(chunk))*secmem.LineBytes
-				want := fill(a, uint64(i))
+				want := oracle.Fill(a, uint64(i))
 				if err := cl.Write(a, want); err != nil {
 					t.Errorf("client %d write: %v", c, err)
 					return
@@ -233,7 +224,7 @@ func TestUnknownOpcodeKeepsConnectionUsable(t *testing.T) {
 		t.Fatalf("unknown opcode error not typed: %q", body)
 	}
 	// Same connection must still serve a real request.
-	payload, err := wire.EncodeWrite(0, fill(0, 1))
+	payload, err := wire.AppendWrite(nil, 0, oracle.Fill(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +298,10 @@ func TestConnectionLimit(t *testing.T) {
 	}
 	defer c2.Close()
 	// Make sure both are admitted before over-subscribing.
-	if err := c1.Write(0, fill(0, 1)); err != nil {
+	if err := c1.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Write(secmem.LineBytes, fill(secmem.LineBytes, 1)); err != nil {
+	if err := c2.Write(secmem.LineBytes, oracle.Fill(secmem.LineBytes, 1)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/obs"
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/tenant"
 	"github.com/securemem/morphtree/internal/wire"
@@ -121,7 +122,7 @@ func TestTenantEndToEnd(t *testing.T) {
 	if err := cl.Hello("alpha", "alpha-secret"); err != nil {
 		t.Fatalf("hello: %v", err)
 	}
-	line := fill(0, 42)
+	line := oracle.Fill(0, 42)
 	if err := cl.Write(0, line); err != nil {
 		t.Fatalf("tenant write: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestTenantEndToEnd(t *testing.T) {
 		t.Fatalf("cross-tenant read = %v (%T), want *secmem.IntegrityError", err, err)
 	}
 	// beta's own traffic at another address is unaffected.
-	if err := cl2.Write(secmem.LineBytes, fill(secmem.LineBytes, 7)); err != nil {
+	if err := cl2.Write(secmem.LineBytes, oracle.Fill(secmem.LineBytes, 7)); err != nil {
 		t.Fatalf("beta write: %v", err)
 	}
 	if _, err := cl2.Read(secmem.LineBytes); err != nil {
@@ -173,7 +174,7 @@ func TestHelloSingleTenant(t *testing.T) {
 	}
 	defer cl.Close()
 	wantRemote(t, cl.Hello("alpha", "alpha-secret"), "single-tenant")
-	if err := cl.Write(0, fill(0, 1)); err != nil {
+	if err := cl.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatalf("unbound write on single-tenant server: %v", err)
 	}
 }
@@ -211,7 +212,7 @@ func TestTenantQuotaShed(t *testing.T) {
 	}
 	// Burst is one second of a 1 op/s rate: the first op passes, an
 	// immediate second op finds an empty bucket.
-	if err := cl.Write(0, fill(0, 1)); err != nil {
+	if err := cl.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatalf("first op: %v", err)
 	}
 	var qe *tenant.QuotaError
@@ -284,7 +285,7 @@ func TestResilientClientTenant(t *testing.T) {
 		TenantID: "slow", TenantSecret: "ss",
 	})
 	defer cl.Close()
-	line := fill(0, 9)
+	line := oracle.Fill(0, 9)
 	// Far more ops than the burst: success requires absorbing quota sheds
 	// via retry, not just luck.
 	for i := 0; i < 30; i++ {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/securemem/morphtree/internal/oracle"
 )
 
 // BenchmarkShardScaling measures aggregate write throughput under parallel
@@ -21,7 +23,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				line := fill(0, 1)
+				line := oracle.Fill(0, 1)
 				for pb.Next() {
 					i := next.Add(1)
 					addr := (i % lines) * LineBytes
@@ -37,7 +39,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			s := mustNew(b, testConfig(b, n, memBytes, "morph128"))
 			const warm = 1 << 10
 			for i := uint64(0); i < warm; i++ {
-				if err := s.Write(i*LineBytes, fill(i, 1)); err != nil {
+				if err := s.Write(i*LineBytes, oracle.Fill(i, 1)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +76,7 @@ func BenchmarkPrefill(b *testing.B) {
 			wg.Add(1)
 			go func(c uint64) {
 				defer wg.Done()
-				line := fill(c, 1)
+				line := oracle.Fill(c, 1)
 				for d := uint64(0); d < span; d++ {
 					if d/shards%callers != c {
 						continue

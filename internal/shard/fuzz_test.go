@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -62,7 +63,7 @@ func FuzzLoad(f *testing.F) {
 	cfg := testConfig(f, 2, 1<<14, "morph128")
 	s := mustNew(f, cfg)
 	for i := uint64(0); i < 48; i++ {
-		if err := s.Write(i*5%256*LineBytes, fill(i, i)); err != nil {
+		if err := s.Write(i*5%256*LineBytes, oracle.Fill(i, i)); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/securemem/morphtree/internal/obs"
+	"github.com/securemem/morphtree/internal/oracle"
 )
 
 // TestInstrumentedShards wires a registry and tracer through Config and
@@ -21,7 +22,7 @@ func TestInstrumentedShards(t *testing.T) {
 	const writes = 256
 	for i := 0; i < writes; i++ {
 		addr := uint64(i) * LineBytes
-		if err := s.Write(addr, fill(addr, 1)); err != nil {
+		if err := s.Write(addr, oracle.Fill(addr, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func TestInstrumentedShards(t *testing.T) {
 func TestLoadPreservesInstrumentation(t *testing.T) {
 	cfg := testConfig(t, 2, 1<<14, "sc64")
 	s := mustNew(t, cfg)
-	if err := s.Write(0, fill(0, 1)); err != nil {
+	if err := s.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

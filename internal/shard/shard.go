@@ -143,12 +143,6 @@ func (s *Sharded) NumShards() int { return s.cfg.Shards }
 // MemoryBytes returns the total protected capacity.
 func (s *Sharded) MemoryBytes() uint64 { return s.cfg.Mem.MemoryBytes }
 
-// ShardOf returns which shard serves a line-aligned address.
-func (s *Sharded) ShardOf(addr uint64) (int, error) {
-	idx, _, err := s.locate(addr)
-	return idx, err
-}
-
 // Shard exposes shard i's engine — primarily its untrusted Store, the
 // adversary interface attack tests tamper through.
 func (s *Sharded) Shard(i int) *secmem.Memory { return s.shards[i] }
@@ -200,15 +194,6 @@ func (s *Sharded) RegisterTenants(ids []string) error {
 	}
 	s.tenants = tenants
 	return nil
-}
-
-// Tenants returns the registered tenant ids (nil when single-tenant).
-func (s *Sharded) Tenants() []string {
-	ids := make([]string, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // tenantDomain resolves tenant id's key domain on shard idx.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -38,22 +39,12 @@ func mustNew(t testing.TB, cfg Config) *Sharded {
 	return s
 }
 
-// fill produces a deterministic 64-byte line for an address and sequence.
-func fill(addr, seq uint64) []byte {
-	line := make([]byte, LineBytes)
-	for i := 0; i < LineBytes; i += 16 {
-		binary.LittleEndian.PutUint64(line[i:], addr^seq)
-		binary.LittleEndian.PutUint64(line[i+8:], seq*0x9e3779b97f4a7c15+uint64(i))
-	}
-	return line
-}
-
 func TestRoundTripAcrossShardCounts(t *testing.T) {
 	const memBytes = 1 << 14
 	for _, n := range []int{1, 2, 4, 8} {
 		s := mustNew(t, testConfig(t, n, memBytes, "morph128"))
 		for addr := uint64(0); addr < memBytes; addr += LineBytes {
-			if err := s.Write(addr, fill(addr, 1)); err != nil {
+			if err := s.Write(addr, oracle.Fill(addr, 1)); err != nil {
 				t.Fatalf("shards=%d write %#x: %v", n, addr, err)
 			}
 		}
@@ -62,7 +53,7 @@ func TestRoundTripAcrossShardCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shards=%d read %#x: %v", n, addr, err)
 			}
-			if !bytes.Equal(got, fill(addr, 1)) {
+			if !bytes.Equal(got, oracle.Fill(addr, 1)) {
 				t.Fatalf("shards=%d addr %#x: content mismatch", n, addr)
 			}
 		}
@@ -77,14 +68,14 @@ func TestInterleavingSpreadsLines(t *testing.T) {
 	s := mustNew(t, testConfig(t, n, 1<<14, "sc64"))
 	for addr := uint64(0); addr < 1<<14; addr += LineBytes {
 		want := int(addr / LineBytes % n)
-		got, err := s.ShardOf(addr)
+		got, _, err := s.Locate(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
 			t.Fatalf("addr %#x: shard %d, want %d", addr, got, want)
 		}
-		if err := s.Write(addr, fill(addr, 7)); err != nil {
+		if err := s.Write(addr, oracle.Fill(addr, 7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +100,7 @@ func TestBadGeometryAndAddresses(t *testing.T) {
 		t.Fatal("bad master key accepted")
 	}
 	s := mustNew(t, testConfig(t, 2, 1<<14, "sc64"))
-	if err := s.Write(13, fill(0, 0)); err == nil {
+	if err := s.Write(13, oracle.Fill(0, 0)); err == nil {
 		t.Fatal("unaligned address accepted")
 	}
 	if _, err := s.Read(1 << 20); err == nil {
@@ -122,7 +113,7 @@ func TestBadGeometryAndAddresses(t *testing.T) {
 // actually separates the shards' crypto domains.
 func TestShardKeysDiffer(t *testing.T) {
 	s := mustNew(t, testConfig(t, 2, 1<<14, "sc64"))
-	line := fill(0x40, 3)
+	line := oracle.Fill(0x40, 3)
 	// Global lines 0 and 1 land at local line 0 of shards 0 and 1.
 	if err := s.Write(0, line); err != nil {
 		t.Fatal(err)
@@ -147,7 +138,7 @@ func TestTamperFailsClosedPerShard(t *testing.T) {
 	const n = 4
 	s := mustNew(t, testConfig(t, n, 1<<14, "morph128"))
 	for addr := uint64(0); addr < n*8*LineBytes; addr += LineBytes {
-		if err := s.Write(addr, fill(addr, 2)); err != nil {
+		if err := s.Write(addr, oracle.Fill(addr, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +159,7 @@ func TestTamperFailsClosedPerShard(t *testing.T) {
 		if err != nil {
 			t.Fatalf("untampered addr %#x failed: %v", addr, err)
 		}
-		if !bytes.Equal(got, fill(addr, 2)) {
+		if !bytes.Equal(got, oracle.Fill(addr, 2)) {
 			t.Fatalf("untampered addr %#x: content mismatch", addr)
 		}
 	}
@@ -179,7 +170,7 @@ func TestAggregateStats(t *testing.T) {
 	s := mustNew(t, testConfig(t, n, 1<<14, "morph128"))
 	const writes = 64
 	for i := 0; i < writes; i++ {
-		if err := s.Write(uint64(i)*LineBytes, fill(uint64(i), 1)); err != nil {
+		if err := s.Write(uint64(i)*LineBytes, oracle.Fill(uint64(i), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +199,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := testConfig(t, 4, 1<<14, "morph128")
 	s := mustNew(t, cfg)
 	for i := 0; i < 128; i++ {
-		if err := s.Write(uint64(i)*LineBytes, fill(uint64(i), 9)); err != nil {
+		if err := s.Write(uint64(i)*LineBytes, oracle.Fill(uint64(i), 9)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +219,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fill(uint64(i), 9)) {
+		if !bytes.Equal(got, oracle.Fill(uint64(i), 9)) {
 			t.Fatalf("line %d: content mismatch after reload", i)
 		}
 	}
@@ -248,7 +239,7 @@ func TestLoadLayoutMismatchIsTyped(t *testing.T) {
 	cfg := testConfig(t, 4, 1<<14, "morph128")
 	s := mustNew(t, cfg)
 	for i := 0; i < 32; i++ {
-		if err := s.Write(uint64(i)*LineBytes, fill(uint64(i), 3)); err != nil {
+		if err := s.Write(uint64(i)*LineBytes, oracle.Fill(uint64(i), 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +299,7 @@ func TestConcurrentClients(t *testing.T) {
 			base := uint64(c) * chunk * LineBytes
 			for i := 0; i < opsPerClient; i++ {
 				addr := base + uint64(i%int(chunk))*LineBytes
-				if err := s.Write(addr, fill(addr, uint64(i))); err != nil {
+				if err := s.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
 					t.Errorf("client %d write: %v", c, err)
 					return
 				}
@@ -317,7 +308,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Errorf("client %d read: %v", c, err)
 					return
 				}
-				if !bytes.Equal(got, fill(addr, uint64(i))) {
+				if !bytes.Equal(got, oracle.Fill(addr, uint64(i))) {
 					t.Errorf("client %d: content mismatch at %#x", c, addr)
 					return
 				}

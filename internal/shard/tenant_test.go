@@ -18,8 +18,8 @@ func TestTenantRouting(t *testing.T) {
 	if err := s.RegisterTenants([]string{"alpha", "beta"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Tenants(); len(got) != 2 {
-		t.Fatalf("Tenants() = %v", got)
+	if len(s.tenants) != 2 {
+		t.Fatalf("registered tenants = %v", s.tenants)
 	}
 
 	// One line per shard: striped addresses land on different shards.

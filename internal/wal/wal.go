@@ -289,8 +289,6 @@ type Log struct {
 	// frame is where Append seals a record before handing it to bw in one
 	// write; the largest frame is a write record's.
 	frame [WriteFrameBytes]byte
-	// appended counts records accepted into the buffer since open.
-	appended uint64
 }
 
 // Create creates a fresh segment at path, failing if it already exists
@@ -325,9 +323,6 @@ func Open(path string, opt Options) (*Log, error) {
 // Path returns the segment's file path.
 func (l *Log) Path() string { return l.path }
 
-// Appended returns how many records this writer has accepted since open.
-func (l *Log) Appended() uint64 { return l.appended }
-
 // Append buffers one record's frame. The record is NOT durable until Sync
 // returns; it is not even visible to a re-open until Flush.
 //
@@ -344,7 +339,6 @@ func (l *Log) Append(r Record) error {
 	if _, err := l.bw.Write(frame); err != nil {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
-	l.appended++
 	return nil
 }
 

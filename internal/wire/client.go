@@ -67,14 +67,6 @@ func NewClient(conn net.Conn, timeout time.Duration) *Client {
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Poisoned reports whether an earlier transport error made this client
-// refuse further use of its connection.
-func (c *Client) Poisoned() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.poisoned != nil
-}
-
 // poison marks the connection unusable and returns err. Must be called
 // with c.mu held. The connection is closed eagerly so a server-side slot
 // frees immediately instead of waiting for the peer's idle deadline.

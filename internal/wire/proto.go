@@ -52,12 +52,6 @@ func AppendWrite(dst []byte, addr uint64, line []byte) ([]byte, error) {
 	return append(AppendAddr(dst, addr), line...), nil
 }
 
-// EncodeWrite encodes an OpWrite payload into a fresh slice (the one-shot
-// form; hot paths use AppendWrite with a reused buffer).
-func EncodeWrite(addr uint64, line []byte) ([]byte, error) {
-	return AppendWrite(make([]byte, 0, addrBytes+secmem.LineBytes), addr, line)
-}
-
 // DecodeWrite decodes an OpWrite payload. The returned line aliases p.
 //
 //morph:hotpath

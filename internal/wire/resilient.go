@@ -40,7 +40,7 @@ type ResilientConfig struct {
 	// after transport errors. The protocol has no request IDs, so a write
 	// whose connection died mid-round-trip may or may not have been
 	// applied; retrying re-applies it. That is only safe when the caller
-	// knows re-applying is harmless (morphload and morphchaos rewrite
+	// knows re-applying is harmless (morphload and morphcheck rewrite
 	// the same content, so it is). Busy sheds and failed dials are always
 	// retried — the server promises those requests had no effect.
 	RetryWrites bool
@@ -138,14 +138,6 @@ func NewResilient(cfg ResilientConfig) *ResilientClient {
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		target:      target,
 	}
-}
-
-// Target returns the address the next dial will go to: the configured
-// address until a redirect or seed rotation moves it.
-func (r *ResilientClient) Target() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.target
 }
 
 // Counters returns a snapshot of the resilience counters.
@@ -538,30 +530,4 @@ func (r *ResilientClient) Route() (*RouteInfo, error) {
 		return err
 	})
 	return ri, err
-}
-
-// ReadCtx is Read bounded by a context: cancellation is honored between
-// attempts and during backoff sleeps.
-func (r *ResilientClient) ReadCtx(ctx context.Context, addr uint64) ([]byte, error) {
-	var line []byte
-	err := r.do(ctx, true, "READ", func(cl *Client) error {
-		var err error
-		line, err = cl.Read(addr)
-		return err
-	})
-	return line, err
-}
-
-// WriteCtx is Write bounded by a context: cancellation is honored between
-// attempts and during backoff sleeps.
-func (r *ResilientClient) WriteCtx(ctx context.Context, addr uint64, line []byte) error {
-	return r.do(ctx, r.cfg.RetryWrites, "WRITE", func(cl *Client) error {
-		return cl.Write(addr, line)
-	})
-}
-
-// PingCtx is Ping bounded by a context: cancellation is honored between
-// attempts and during backoff sleeps.
-func (r *ResilientClient) PingCtx(ctx context.Context) error {
-	return r.do(ctx, true, "PING", func(cl *Client) error { return cl.Ping() })
 }

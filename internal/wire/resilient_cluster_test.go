@@ -39,7 +39,7 @@ func TestResilientBackoffHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- r.PingCtx(ctx) }()
+	go func() { done <- r.do(ctx, true, "PING", func(cl *Client) error { return cl.Ping() }) }()
 	time.Sleep(50 * time.Millisecond) // let the op reach its first backoff
 	start := time.Now()
 	cancel()
@@ -52,7 +52,7 @@ func TestResilientBackoffHonorsContext(t *testing.T) {
 			t.Fatalf("cancel took %v to unblock the backoff", d)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PingCtx still blocked after cancel: backoff sleep ignores the context")
+		t.Fatal("ping still blocked after cancel: backoff sleep ignores the context")
 	}
 }
 
@@ -72,7 +72,8 @@ func TestResilientCtxCanceledBeforeAttempt(t *testing.T) {
 	defer r.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := r.WriteCtx(ctx, 0, make([]byte, secmem.LineBytes)); !errors.Is(err, context.Canceled) {
+	err := r.do(ctx, true, "WRITE", func(cl *Client) error { return cl.Write(0, make([]byte, secmem.LineBytes)) })
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	mu.Lock()

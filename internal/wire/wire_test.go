@@ -151,7 +151,7 @@ func TestAddrAndWriteCodecs(t *testing.T) {
 		t.Fatal("short address payload accepted")
 	}
 	line := bytes.Repeat([]byte{0xab}, secmem.LineBytes)
-	p, err := EncodeWrite(0x80, line)
+	p, err := AppendWrite(nil, 0x80, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestAddrAndWriteCodecs(t *testing.T) {
 	if _, _, err := DecodeWrite(p[:20]); err == nil {
 		t.Fatal("short write payload accepted")
 	}
-	if _, err := EncodeWrite(0, []byte("short")); err == nil {
+	if _, err := AppendWrite(nil, 0, []byte("short")); err == nil {
 		t.Fatal("short line accepted")
 	}
 }
