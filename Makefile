@@ -80,8 +80,10 @@ perf-engine:
 # crypto/hmac, over the WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load and shard.Load, whose Save streams
-# no MAC covers at all, and over the wire's frame reader, whose length prefix
-# arrives before any authentication does.
+# no MAC covers at all, over the wire's frame reader, whose length prefix
+# arrives before any authentication does, and over the OpReplicate and
+# OpMigrate payload codecs (FuzzReplicateCodec, FuzzMigrateCodec), the one
+# path a shard's records take between nodes.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \

@@ -51,10 +51,6 @@ func deltaContext(seq, base uint64) string {
 	return fmt.Sprintf("morphtree/ckpt/delta/%d/%d", seq, base)
 }
 
-// HibernateContext is the stream context for whole-shard hibernate /
-// migration shipping.
-const HibernateContext = "morphtree/ckpt/hibernate"
-
 // WriteState writes a state stream to w through sw, which it resets (pass
 // new(StreamWriter), or the one kept from the last stream): the header, then
 // each shard's share in turn, streamed from its WriteRecords so the state is

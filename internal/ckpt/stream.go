@@ -1,7 +1,7 @@
 // Package ckpt (morphckpt) is the checkpoint layer under internal/durable: a
 // streaming authenticated codec, the state stream that travels in it (full
-// snapshots, the delta segments chained to them, a replica's bootstrap; a
-// migrated shard is one shard's share of it), chain resolution for recovery
+// snapshots, the delta segments chained to them, a replica's bootstrap),
+// chain resolution for recovery
 // and the stale-epoch sweep, and a background checkpoint runner. It knows
 // nothing about WALs or committers — durable composes it.
 //
@@ -34,8 +34,8 @@ import (
 // Each frame is CRC-framed so corruption is localized and detected before
 // buffering unbounded garbage; the trailing keyed MAC authenticates the
 // whole stream (including the header, so version/context are covered).
-// The context string binds the key to a role — a hibernate stream cannot
-// be replayed as a delta segment even under the same master key.
+// The context string binds the key to a role and a chain position — a delta
+// segment cannot be replayed as another even under the same master key.
 const (
 	streamMagic   = "MCST"
 	streamVersion = 1

@@ -78,7 +78,8 @@ type Config struct {
 	// 0 acks on local durability alone.
 	AckReplicas int
 	// AckTimeout bounds how long a write waits for replication cover
-	// before failing with an AckTimeoutError (default 2s).
+	// before failing with an AckTimeoutError, and each wait of a migration
+	// recipient for its own journal to reach the donor's (default 2s).
 	AckTimeout time.Duration
 	// PollWait is how long the primary holds an empty replication poll
 	// open waiting for new durable records (default 250ms).
@@ -164,8 +165,7 @@ type Node struct {
 	onCkpt      func(seq uint64)
 
 	// Live shard migration state (see migrate.go).
-	migOut     *migState      // donor: spill being served
-	migIn      *migState      // recipient: shard being installed (puller skips it)
+	migIn      bool           // recipient: a MigrateRun is in progress
 	migratedTo map[int]string // donor: shard -> its new home, post-cutover
 	owned      map[int]bool   // recipient: migrated-in shards this node serves
 

@@ -3,66 +3,32 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/obs"
-	"github.com/securemem/morphtree/internal/wal"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
 // Live shard migration: the primary (donor) hands one shard to a replica
-// (recipient) while serving load. The recipient drives the protocol —
-// the control plane only sends it MigrateRun naming the donor:
+// (recipient) while serving load. The recipient already journals the shard
+// through replication, so the hand-off is all there is to it. The control
+// plane sends the recipient MigrateRun naming the donor, and the recipient:
 //
-//	Begin    donor freezes the shard briefly, spills its authenticated
-//	         state to a local file, answers (mark, size)
-//	Chunk*   recipient streams the spill down in bounded chunks
-//	install  recipient verifies the whole stream and adopts it at mark
-//	Tail*    recipient applies sealed WAL records past its cursor while
-//	         the donor keeps serving writes
-//	Cutover  donor fences the shard: writes start answering the MOVED
-//	         redirect naming the recipient; answers the final LSN
-//	Tail*    recipient drains the last records up to the final LSN
-//	ckpt     recipient cuts a full local checkpoint — the migrated shard
-//	         is now durable on its own disks — and starts serving it
+//	catch up  reads the donor's synced mark for the shard (OpRoute) and
+//	          waits until its own puller covers it
+//	Cutover   donor fences the shard: writes start answering the MOVED
+//	          redirect naming the recipient; answers the final LSN
+//	drain     waits until its puller covers the final LSN
+//	own       marks the shard owned and starts serving it
 //
-// A crash or error anywhere before the recipient's checkpoint aborts the
-// migration: the donor unfences on Abort (or keeps serving after its own
-// restart, since fencing is in-memory), and the recipient re-bootstraps
-// its possibly half-installed state from the leader. No acknowledged
-// write is lost in either direction — writes acked by the donor are in
-// its journal and ship through Tail; writes acked by the recipient only
-// begin after its cut-over checkpoint made the shard durable locally.
-
-// migChunkBytes is the spill transfer chunk size.
-const migChunkBytes = 256 << 10
-
-// migSpillName names the donor's local spill file for a shard.
-func migSpillName(shard uint32) string {
-	return fmt.Sprintf("migrate.spill.%04d", shard)
-}
-
-// migState tracks one side of an in-flight migration on a node.
-type migState struct {
-	shard     int
-	spillPath string // donor: local spill file
-	mark      uint64 // donor: LSN the spill covers
-	size      uint64 // donor: spill byte size
-}
-
-// MigratedError reports a data op that touched a shard this node does not
-// serve anymore (donor side, post-cutover) or does not serve yet.
-type MigratedError struct {
-	Shard int
-	To    string
-}
-
-func (e *MigratedError) Error() string {
-	return fmt.Sprintf("cluster: shard %d migrated to %s", e.Shard, e.To)
-}
+// Every wait is on the recipient's own DurableSignal, bounded by AckTimeout.
+// A failure anywhere sends the donor Abort (unfence, forget the new home) and
+// leaves the recipient what it was, a replica: nothing was installed, so
+// nothing is undone. No acknowledged write is lost in either direction —
+// writes acked by the donor are in its journal up to the final LSN, which
+// the recipient journaled and fsynced (ApplyReplicated) before owning the
+// shard; writes acked by the recipient begin only after that.
 
 // Migrate serves the donor-side phases (and Run, the recipient-side
 // kick). Donor phases follow replication's epoch discipline: a higher
@@ -91,116 +57,12 @@ func (n *Node) Migrate(req *wire.MigrateRequest) (*wire.MigrateResponse, error) 
 		return nil, fmt.Errorf("cluster: migrate shard %d, node has %d shards", req.Shard, mem.NumShards())
 	}
 	switch req.Phase {
-	case wire.MigrateBegin:
-		return n.migrateBegin(mem, epoch, req)
-	case wire.MigrateChunk:
-		return n.migrateChunk(epoch, req)
-	case wire.MigrateTail:
-		return n.migrateTail(mem, epoch, req)
 	case wire.MigrateCutover:
 		return n.migrateCutover(mem, epoch, req)
 	case wire.MigrateAbort:
 		return n.migrateAbort(mem, epoch, req)
 	}
-	return nil, fmt.Errorf("cluster: unknown migrate phase %#x", req.Phase)
-}
-
-// migrateBegin spills the shard to a local file. The freeze lasts only as
-// long as the local sequential write; clients see one long write-latency
-// blip on that shard, not a stall.
-func (n *Node) migrateBegin(mem *durable.Memory, epoch uint64, req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
-	n.mu.Lock()
-	if n.migOut != nil && n.migOut.shard != int(req.Shard) {
-		err := fmt.Errorf("cluster: migration of shard %d already in flight", n.migOut.shard)
-		n.mu.Unlock()
-		return nil, err
-	}
-	n.mu.Unlock()
-
-	path := filepath.Join(n.dcfg.Dir, migSpillName(req.Shard))
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: create spill: %w", err)
-	}
-	mark, err := mem.SaveShardStream(int(req.Shard), f)
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(path)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(path)
-		return nil, fmt.Errorf("cluster: close spill: %w", err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	n.mu.Lock()
-	n.migOut = &migState{shard: int(req.Shard), spillPath: path, mark: mark, size: uint64(st.Size())}
-	n.mu.Unlock()
-	n.cfg.Tracer.Emit(obs.KindMigrateBegin, int32(req.Shard), mark, uint64(st.Size()), 0)
-	n.logf("cluster: %s migration of shard %d to %s began (mark %d, spill %d bytes)",
-		n.cfg.Self, req.Shard, req.Node, mark, st.Size())
-	return &wire.MigrateResponse{Epoch: epoch, Mark: mark, Size: uint64(st.Size())}, nil
-}
-
-// migrateChunk serves spill bytes [Cursor, Cursor+migChunkBytes).
-func (n *Node) migrateChunk(epoch uint64, req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
-	n.mu.Lock()
-	mig := n.migOut
-	n.mu.Unlock()
-	if mig == nil || mig.shard != int(req.Shard) {
-		return nil, fmt.Errorf("cluster: no migration in flight for shard %d", req.Shard)
-	}
-	f, err := os.Open(mig.spillPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if req.Cursor > mig.size {
-		return nil, fmt.Errorf("cluster: spill cursor %d past size %d", req.Cursor, mig.size)
-	}
-	want := mig.size - req.Cursor
-	if want > migChunkBytes {
-		want = migChunkBytes
-	}
-	buf := make([]byte, want)
-	if _, err := f.ReadAt(buf, int64(req.Cursor)); err != nil && want > 0 {
-		return nil, fmt.Errorf("cluster: read spill at %d: %w", req.Cursor, err)
-	}
-	return &wire.MigrateResponse{
-		Epoch: epoch, Mark: mig.mark, Size: mig.size,
-		Data: buf, Done: req.Cursor+want == mig.size,
-	}, nil
-}
-
-// migrateTail serves sealed WAL records past the recipient's cursor,
-// exactly like a replication batch for one shard.
-func (n *Node) migrateTail(mem *durable.Memory, epoch uint64, req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
-	max := int(req.Max)
-	if max <= 0 || max > n.cfg.BatchRecords {
-		max = n.cfg.BatchRecords
-	}
-	recs, ok, err := mem.ReadRecords(int(req.Shard), req.Cursor, max)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("cluster: migration tail cursor %d predates retained history", req.Cursor)
-	}
-	codec, err := n.codec(epoch, int(req.Shard))
-	if err != nil {
-		return nil, err
-	}
-	var batch []byte
-	for _, rec := range recs {
-		if batch, err = codec.AppendRecord(batch, rec); err != nil {
-			return nil, err
-		}
-	}
-	done := len(recs) < max
-	return &wire.MigrateResponse{Epoch: epoch, Data: batch, Done: done}, nil
+	return nil, fmt.Errorf("cluster: unknown migrate phase %s", wire.MigratePhaseName(req.Phase))
 }
 
 // migrateCutover fences the shard and records its new home. From here on
@@ -220,27 +82,17 @@ func (n *Node) migrateCutover(mem *durable.Memory, epoch uint64, req *wire.Migra
 		n.migratedTo = map[int]string{}
 	}
 	n.migratedTo[int(req.Shard)] = req.Node
-	mig := n.migOut
-	n.migOut = nil
 	n.mu.Unlock()
-	if mig != nil {
-		_ = os.Remove(mig.spillPath)
-	}
 	n.cfg.Tracer.Emit(obs.KindMigrateCutover, int32(req.Shard), final, 0, 0)
 	n.logf("cluster: %s cut shard %d over to %s (final LSN %d)", n.cfg.Self, req.Shard, req.Node, final)
 	return &wire.MigrateResponse{Epoch: epoch, Mark: final}, nil
 }
 
-// migrateAbort discards the spill and unfences the shard.
+// migrateAbort unfences the shard and forgets its new home.
 func (n *Node) migrateAbort(mem *durable.Memory, epoch uint64, req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
 	n.mu.Lock()
-	mig := n.migOut
-	n.migOut = nil
 	delete(n.migratedTo, int(req.Shard))
 	n.mu.Unlock()
-	if mig != nil {
-		_ = os.Remove(mig.spillPath)
-	}
 	mem.UnfenceShard(int(req.Shard))
 	n.logf("cluster: %s migration of shard %d aborted by %s", n.cfg.Self, req.Shard, req.Node)
 	return &wire.MigrateResponse{Epoch: epoch}, nil
@@ -248,7 +100,8 @@ func (n *Node) migrateAbort(mem *durable.Memory, epoch uint64, req *wire.Migrate
 
 // migrateRun is the recipient-side kick: migrate req.Shard in from
 // req.Donor. Runs synchronously; the OK response means the shard is
-// installed, durable locally, and being served here.
+// journaled here through the donor's final LSN and served here, and
+// carries that LSN.
 func (n *Node) migrateRun(req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
 	if req.Donor == "" {
 		return nil, fmt.Errorf("cluster: migrate run needs a donor address")
@@ -259,169 +112,97 @@ func (n *Node) migrateRun(req *wire.MigrateRequest) (*wire.MigrateResponse, erro
 		n.mu.Unlock()
 		return nil, err
 	}
-	if n.migIn != nil {
-		err := fmt.Errorf("cluster: already migrating shard %d in", n.migIn.shard)
+	if n.migIn {
 		n.mu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("cluster: a migration is already running here")
 	}
 	if n.bootstrap {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("cluster: migrate refused: node needs a snapshot bootstrap first")
 	}
-	// The puller skips this shard's batches from here: replicated applies
-	// racing the install would corrupt the adopted state.
-	n.migIn = &migState{shard: int(req.Shard)}
-	mem := n.mem
+	if shards := n.mem.NumShards(); int(req.Shard) >= shards {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("cluster: migrate shard %d, node has %d shards", req.Shard, shards)
+	}
+	n.migIn = true
 	epoch := n.epoch
 	n.mu.Unlock()
 
-	err := n.migrateFrom(mem, epoch, req.Donor, int(req.Shard))
+	final, err := n.migrateFrom(epoch, req.Donor, int(req.Shard))
 	if err != nil {
-		// Best-effort donor abort, then re-bootstrap: the install may have
-		// half-landed, so local state for the shard is suspect until the
-		// leader re-seeds it.
+		// The shard is still the donor's: unfence it there. Here nothing
+		// changed — the records pulled so far are a replica's records.
 		n.abortDonor(req.Donor, epoch, req.Shard)
-		n.mu.Lock()
-		n.migIn = nil
-		n.bootstrap = true
-		n.mu.Unlock()
-		return nil, err
 	}
 	n.mu.Lock()
-	if n.owned == nil {
-		n.owned = map[int]bool{}
+	n.migIn = false
+	if err == nil {
+		if n.owned == nil {
+			n.owned = map[int]bool{}
+		}
+		n.owned[int(req.Shard)] = true
 	}
-	n.owned[int(req.Shard)] = true
-	n.migIn = nil
 	n.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	n.cMigrations.Inc()
-	return &wire.MigrateResponse{Epoch: epoch, Mark: mem.AppliedLSNs()[req.Shard]}, nil
+	return &wire.MigrateResponse{Epoch: epoch, Mark: final}, nil
 }
 
-// migrateFrom drives the donor-side phases from the recipient.
-func (n *Node) migrateFrom(mem *durable.Memory, epoch uint64, donor string, shard int) error {
+// migrateFrom catches up with the donor, cuts it over and drains to its
+// final LSN, which it returns.
+func (n *Node) migrateFrom(epoch uint64, donor string, shard int) (uint64, error) {
 	start := time.Now()
 	cl, err := wire.Dial(donor, n.cfg.DialTimeout)
 	if err != nil {
-		return fmt.Errorf("cluster: dial donor: %w", err)
+		return 0, fmt.Errorf("cluster: dial donor: %w", err)
 	}
 	defer cl.Close()
-
-	begin, err := cl.Migrate(&wire.MigrateRequest{
-		Phase: wire.MigrateBegin, Epoch: epoch, Shard: uint32(shard), Node: n.cfg.Self,
-	})
+	ri, err := cl.Route()
 	if err != nil {
-		return fmt.Errorf("cluster: migrate begin: %w", err)
+		return 0, fmt.Errorf("cluster: donor route: %w", err)
 	}
-
-	// Stream the spill to a local file, then install from it. The spill is
-	// authenticated end-to-end by the ckpt codec; a corrupted or truncated
-	// transfer fails the install before any state is adopted.
-	spill, err := os.CreateTemp(n.dcfg.Dir, "migrate.recv.*")
-	if err != nil {
-		return err
+	if ri.Epoch != epoch || shard >= len(ri.Marks) {
+		return 0, fmt.Errorf("cluster: donor %s is at epoch %d with %d shards, migration of shard %d is at epoch %d", donor, ri.Epoch, len(ri.Marks), shard, epoch)
 	}
-	spillPath := spill.Name()
-	defer os.Remove(spillPath)
-	var off uint64
-	for off < begin.Size {
-		chunk, err := cl.Migrate(&wire.MigrateRequest{
-			Phase: wire.MigrateChunk, Epoch: epoch, Shard: uint32(shard),
-			Node: n.cfg.Self, Cursor: off,
-		})
-		if err != nil {
-			_ = spill.Close()
-			return fmt.Errorf("cluster: migrate chunk at %d: %w", off, err)
-		}
-		if len(chunk.Data) == 0 {
-			_ = spill.Close()
-			return fmt.Errorf("cluster: empty spill chunk at %d of %d", off, begin.Size)
-		}
-		if _, err := spill.Write(chunk.Data); err != nil {
-			_ = spill.Close()
-			return err
-		}
-		off += uint64(len(chunk.Data))
-	}
-	if _, err := spill.Seek(0, 0); err != nil {
-		_ = spill.Close()
-		return err
-	}
-	if err := mem.InstallShardStream(shard, spill, begin.Mark); err != nil {
-		_ = spill.Close()
-		return fmt.Errorf("cluster: install shard stream: %w", err)
-	}
-	_ = spill.Close()
-	_ = os.Remove(spillPath)
-
-	// Catch up the live tail, cut over once close, then drain to the
-	// donor's final LSN.
-	cursor, err := n.pullTail(cl, mem, epoch, shard, begin.Mark, 0)
-	if err != nil {
-		return err
+	if err := n.awaitSynced(shard, ri.Marks[shard]); err != nil {
+		return 0, err
 	}
 	cut, err := cl.Migrate(&wire.MigrateRequest{
 		Phase: wire.MigrateCutover, Epoch: epoch, Shard: uint32(shard), Node: n.cfg.Self,
 	})
 	if err != nil {
-		return fmt.Errorf("cluster: migrate cutover: %w", err)
+		return 0, fmt.Errorf("cluster: migrate cutover: %w", err)
 	}
-	if _, err := n.pullTail(cl, mem, epoch, shard, cursor, cut.Mark); err != nil {
-		return err
-	}
-	if got := mem.AppliedLSNs()[shard]; got != cut.Mark {
-		return fmt.Errorf("cluster: drained to LSN %d, donor cut at %d", got, cut.Mark)
-	}
-
-	// Cut-over checkpoint: one atomic epoch advance makes the whole
-	// installed shard durable on local disks. Acked writes from here on
-	// are this node's responsibility.
-	if err := mem.Checkpoint(); err != nil {
-		return fmt.Errorf("cluster: cut-over checkpoint: %w", err)
+	if err := n.awaitSynced(shard, cut.Mark); err != nil {
+		return 0, err
 	}
 	n.cfg.Tracer.Emit(obs.KindMigrateCutover, int32(shard), cut.Mark, 1, time.Since(start))
 	n.logf("cluster: %s now serves shard %d (migrated from %s in %v)", n.cfg.Self, shard, donor, time.Since(start))
-	return nil
+	return cut.Mark, nil
 }
 
-// pullTail applies sealed tail batches until the donor reports the cursor
-// exhausted (and, when final > 0, the cursor reaches final). Returns the
-// cursor reached.
-func (n *Node) pullTail(cl *wire.Client, mem *durable.Memory, epoch uint64, shard int, cursor, final uint64) (uint64, error) {
+// awaitSynced waits until this node's journal holds shard's records through
+// lsn. The puller lands them through ApplyReplicated, whose fsync closes the
+// DurableSignal channel, so each wake-up is a record made durable; the wait
+// gives up after AckTimeout.
+func (n *Node) awaitSynced(shard int, lsn uint64) error {
+	timer := time.NewTimer(n.cfg.AckTimeout)
+	defer timer.Stop()
 	for {
-		resp, err := cl.Migrate(&wire.MigrateRequest{
-			Phase: wire.MigrateTail, Epoch: epoch, Shard: uint32(shard),
-			Node: n.cfg.Self, Cursor: cursor, Max: uint32(n.cfg.BatchRecords),
-		})
-		if err != nil {
-			return cursor, fmt.Errorf("cluster: migrate tail at %d: %w", cursor, err)
+		mem := n.memory()
+		sig := mem.DurableSignal()
+		have := mem.SyncedLSNs()[shard]
+		if have >= lsn {
+			return nil
 		}
-		if len(resp.Data) > 0 {
-			codec, err := n.codec(epoch, shard)
-			if err != nil {
-				return cursor, err
-			}
-			recs := make([]wal.Record, 0, n.cfg.BatchRecords)
-			if _, err := codec.DecodeAll(resp.Data, cursor+1, func(r wal.Record) error {
-				recs = append(recs, r)
-				return nil
-			}); err != nil {
-				return cursor, fmt.Errorf("cluster: tail batch: %w", err)
-			}
-			n.cfg.Tracer.Emit(obs.KindMigrateTail, int32(shard), uint64(len(recs)), cursor, 0)
-			if err := mem.ApplyMigrated(shard, recs); err != nil {
-				return cursor, err
-			}
-			cursor = recs[len(recs)-1].LSN
-		}
-		if final > 0 && cursor >= final {
-			return cursor, nil
-		}
-		if resp.Done && (final == 0 || cursor >= final) {
-			return cursor, nil
-		}
-		if resp.Done && len(resp.Data) == 0 && final > 0 {
-			return cursor, fmt.Errorf("cluster: tail dried up at LSN %d below final %d", cursor, final)
+		select {
+		case <-sig:
+		case <-timer.C:
+			return fmt.Errorf("cluster: shard %d journaled to LSN %d, not %d, after %v", shard, have, lsn, n.cfg.AckTimeout)
+		case <-n.stopc:
+			return fmt.Errorf("cluster: node closed while migrating shard %d in", shard)
 		}
 	}
 }

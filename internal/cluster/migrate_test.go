@@ -1,13 +1,17 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/server"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
@@ -211,8 +215,8 @@ func TestMigrateUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMigrateAbortUnfences: a migration that begins but aborts leaves the
-// donor serving the shard as if nothing happened.
+// TestMigrateAbortUnfences: a migration that cuts over but aborts leaves
+// the donor serving the shard as if nothing happened.
 func TestMigrateAbortUnfences(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
@@ -225,20 +229,15 @@ func TestMigrateAbortUnfences(t *testing.T) {
 	if err := cl.Write(shard1Addr(1), oracle.Fill(shard1Addr(1), 1)); err != nil {
 		t.Fatal(err)
 	}
-	begin, err := cl.Migrate(&wire.MigrateRequest{
-		Phase: wire.MigrateBegin, Epoch: 1, Shard: 1, Node: "recipient:1",
+	// Cut over, then abort: the donor must unfence and forget the route.
+	cut, err := cl.Migrate(&wire.MigrateRequest{
+		Phase: wire.MigrateCutover, Epoch: 1, Shard: 1, Node: "recipient:1",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if begin.Size == 0 || begin.Mark == 0 {
-		t.Fatalf("begin = %+v", begin)
-	}
-	// Cut over, then abort: the donor must unfence and forget the route.
-	if _, err := cl.Migrate(&wire.MigrateRequest{
-		Phase: wire.MigrateCutover, Epoch: 1, Shard: 1, Node: "recipient:1",
-	}); err != nil {
-		t.Fatal(err)
+	if cut.Mark == 0 {
+		t.Fatalf("cutover = %+v, want the final LSN of a written shard", cut)
 	}
 	if err := p.node.Write(shard1Addr(1), oracle.Fill(shard1Addr(1), 2)); err == nil {
 		t.Fatal("write to cut-over shard succeeded on donor")
@@ -254,6 +253,9 @@ func TestMigrateAbortUnfences(t *testing.T) {
 	if got, err := p.node.Read(shard1Addr(1)); err != nil || string(got) != string(oracle.Fill(shard1Addr(1), 3)) {
 		t.Fatalf("post-abort read: %v", err)
 	}
+	if ri := p.node.Route(); ri.ShardNodes[1] != 0 {
+		t.Fatalf("route after abort = %+v, want every shard on the donor", ri)
+	}
 }
 
 // TestMigrateEpochDiscipline: donor-side phases follow the replication
@@ -267,16 +269,103 @@ func TestMigrateEpochDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	_, err = cl.Migrate(&wire.MigrateRequest{Phase: wire.MigrateBegin, Epoch: 4, Shard: 0, Node: "x:1"})
+	_, err = cl.Migrate(&wire.MigrateRequest{Phase: wire.MigrateCutover, Epoch: 4, Shard: 0, Node: "x:1"})
 	var me *wire.MovedError
 	if !errors.As(err, &me) {
-		t.Fatalf("stale-epoch begin: got %v, want MovedError", err)
+		t.Fatalf("stale-epoch cutover: got %v, want MovedError", err)
 	}
-	_, err = cl.Migrate(&wire.MigrateRequest{Phase: wire.MigrateBegin, Epoch: 7, Shard: 0, Node: "x:1"})
+	if err := p.node.Write(shard0Addr(1), oracle.Fill(shard0Addr(1), 1)); err != nil {
+		t.Fatalf("a refused cutover fenced the shard: %v", err)
+	}
+	_, err = cl.Migrate(&wire.MigrateRequest{Phase: wire.MigrateCutover, Epoch: 7, Shard: 0, Node: "x:1"})
 	if !errors.As(err, &me) || me.Epoch != 7 {
-		t.Fatalf("future-epoch begin: got %v, want fencing MovedError at 7", err)
+		t.Fatalf("future-epoch cutover: got %v, want fencing MovedError at 7", err)
 	}
 	if ri := p.node.Route(); ri.Role != RoleFenced {
 		t.Fatalf("donor role after future-epoch migrate = %s, want fenced", ri.Role)
+	}
+}
+
+// cutoverLost is a donor whose connection dies after it fenced the shard:
+// Cutover takes effect and its answer never arrives.
+type cutoverLost struct{ *Node }
+
+func (d cutoverLost) Migrate(req *wire.MigrateRequest) (*wire.MigrateResponse, error) {
+	resp, err := d.Node.Migrate(req)
+	if err == nil && req.Phase == wire.MigrateCutover {
+		return nil, errors.New("donor closed mid-run")
+	}
+	return resp, err
+}
+
+// TestFailedMigrationLeavesAReplica: a migration that fails after the donor
+// fenced the shard aborts it — the donor serves the shard again — and leaves
+// the recipient the replica it was: no snapshot bootstrap, the shard's
+// writes still replicate to it, and the next migration goes through.
+func TestFailedMigrationLeavesAReplica(t *testing.T) {
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+	reg := obs.NewRegistry()
+	r := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Leader = p.addr; c.Obs = reg })
+
+	// The same donor, reached through a connection that drops Cutover's answer.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = server.New(cutoverLost{p.node}, server.Config{ReadTimeout: 2 * time.Second}).Serve(ctx, ln)
+	}()
+	defer func() { cancel(); <-served }()
+
+	seq := uint64(0)
+	replicated := func() {
+		t.Helper()
+		seq++
+		if err := p.node.Write(shard1Addr(seq), oracle.Fill(shard1Addr(seq), seq)); err != nil {
+			t.Fatalf("write %d at the primary: %v", seq, err)
+		}
+		want := p.node.memory().SyncedLSNs()[1]
+		waitFor(t, "the recipient to journal the primary's shard-1 writes", func() bool {
+			return r.node.memory().SyncedLSNs()[1] >= want
+		})
+		if got, err := r.node.memory().Read(shard1Addr(seq)); err != nil || string(got) != string(oracle.Fill(shard1Addr(seq), seq)) {
+			t.Fatalf("write %d did not replicate: %v", seq, err)
+		}
+	}
+	replicated()
+
+	cl, err := wire.Dial(r.addr, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Migrate(&wire.MigrateRequest{
+		Phase: wire.MigrateRun, Epoch: 1, Shard: 1, Donor: ln.Addr().String(),
+	}); err == nil {
+		t.Fatal("a migration whose cutover answer was lost succeeded")
+	}
+
+	// Abort reached the donor: it takes the shard's writes and routes the
+	// shard to itself.
+	if ri := p.node.Route(); ri.ShardNodes[1] != 0 {
+		t.Fatalf("donor route after the failed migration = %+v", ri)
+	}
+	// Two rounds: the poll in flight when the run failed cannot answer both.
+	replicated()
+	replicated()
+	if n := reg.Counter("cluster.bootstraps").Value(); n != 0 {
+		t.Fatalf("the failed migration cost the recipient %d snapshot bootstraps", n)
+	}
+	if ri := r.node.Route(); ri.Role != RoleReplica {
+		t.Fatalf("recipient role after the failed migration = %s", ri.Role)
+	}
+
+	runMigration(t, r.addr, p.addr, 1)
+	if got, err := r.node.Read(shard1Addr(seq)); err != nil || string(got) != string(oracle.Fill(shard1Addr(seq), seq)) {
+		t.Fatalf("the recipient does not serve the shard after the next migration: %v", err)
 	}
 }

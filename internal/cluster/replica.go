@@ -153,15 +153,11 @@ func (n *Node) pollLeader() (bool, error) {
 }
 
 // applyResponse installs a snapshot or applies the per-shard batches.
-// Batches for a shard being migrated in (or already owned) are skipped: a
-// replicated apply racing the install would corrupt the adopted state, and
-// an owned shard's journal answers to this node alone.
+// Batches for a shard migrated in are skipped: an owned shard's journal
+// answers to this node alone.
 func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, resp *wire.ReplicateResponse) (bool, error) {
 	n.mu.Lock()
-	skip := make(map[int]bool, len(n.owned)+1)
-	if n.migIn != nil {
-		skip[n.migIn.shard] = true
-	}
+	skip := make(map[int]bool, len(n.owned))
 	for s := range n.owned {
 		skip[s] = true
 	}

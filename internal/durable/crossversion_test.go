@@ -337,9 +337,9 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 
 // TestOneDecoderReadsEveryImage: engine state used to leave a process five
 // ways, each with a decoder of its own. It is one record stream now, so one
-// function — secmem.ReadRecords — must read an engine's share out of all five
-// successors, and read the same lines: secmem.Save, shard.Save (the wire's
-// SNAPSHOT), a snapshot file, a migration spill and a replica's bootstrap blob.
+// function — secmem.ReadRecords — must read an engine's share out of every
+// full image, and read the same lines: secmem.Save, shard.Save (the wire's
+// SNAPSHOT), a snapshot file and a replica's bootstrap blob.
 func TestOneDecoderReadsEveryImage(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 1<<20)
@@ -391,19 +391,6 @@ func TestOneDecoderReadsEveryImage(t *testing.T) {
 	}
 	skip(&wire, secmem.HeaderBytes+16)
 	images["shard.Save"] = [][]secmem.DirtyLine{decode(&wire), decode(&wire)}
-
-	var spill bytes.Buffer
-	if _, err := m.SaveShardStream(1, &spill); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := ckpt.NewStreamReader(&spill, hibernateKey(testKey), ckpt.HibernateContext)
-	if err != nil {
-		t.Fatal(err)
-	}
-	images["migration spill"] = [][]secmem.DirtyLine{want[0], decode(skip(sr, secmem.HeaderBytes))}
-	if err := sr.Drain(); err != nil {
-		t.Fatal(err)
-	}
 
 	var blob bytes.Buffer
 	if _, err := m.SaveMarks(&blob); err != nil {

@@ -387,6 +387,31 @@ func TestDirtyFloorSurvivesFailedDelta(t *testing.T) {
 	verifyAddrs(t, m, re, addrs)
 }
 
+// TestFenceShardSignalsDurable: the fence's fsync moves the durable mark, so
+// it must wake a follower's long poll the way a group commit does — a
+// migration's recipient drains the fenced tail on that wake-up, not when the
+// poll times out.
+func TestFenceShardSignalsDurable(t *testing.T) {
+	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer m.Close()
+	if err := m.Write(0, oracle.Fill(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	sig := m.DurableSignal()
+	final, err := m.FenceShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sig:
+	default:
+		t.Fatal("FenceShard made a record durable without closing the DurableSignal channel")
+	}
+	if got := m.SyncedLSNs()[0]; got != final {
+		t.Fatalf("synced mark %d after the fence, want the final LSN %d", got, final)
+	}
+}
+
 func TestFenceShardRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 1<<13)
@@ -429,102 +454,6 @@ func TestFenceShardRejectsWrites(t *testing.T) {
 	m.UnfenceShard(0)
 	if err := m.Write(a0, oracle.Fill(a0, 100)); err != nil {
 		t.Fatalf("write after unfence: %v", err)
-	}
-}
-
-func TestShardStreamMigration(t *testing.T) {
-	// Donor → recipient shard ship: spill, install, tail, and the
-	// cut-over checkpoint; recipient state must match the donor exactly.
-	shcfg := testShardConfig(t, 2, 1<<13)
-	donor, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 4096})
-	defer donor.Close()
-	recip, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
-	defer recip.Close()
-	addrs := writeSome(t, donor, 1, 40)
-
-	var spill bytes.Buffer
-	mark, err := donor.SaveShardStream(1, &spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mark == 0 {
-		t.Fatal("zero mark")
-	}
-
-	// A forged stream must be rejected without touching the recipient.
-	forged := append([]byte(nil), spill.Bytes()...)
-	forged[len(forged)-1] ^= 0x01
-	if err := recip.InstallShardStream(1, bytes.NewReader(forged), mark); err == nil {
-		t.Fatal("forged stream installed")
-	}
-
-	if err := recip.InstallShardStream(1, bytes.NewReader(spill.Bytes()), mark); err != nil {
-		t.Fatal(err)
-	}
-
-	// Donor keeps writing; ship the tail.
-	addrs = append(addrs, writeSome(t, donor, 2, 20)...)
-	final, err := donor.FenceShard(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		recs, ok, err := donor.ReadRecords(1, recip.AppliedLSNs()[1], 64)
-		if err != nil || !ok {
-			t.Fatalf("tail read: ok=%v err=%v", ok, err)
-		}
-		if len(recs) == 0 {
-			break
-		}
-		if err := recip.ApplyMigrated(1, recs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := recip.AppliedLSNs()[1]; got != final {
-		t.Fatalf("recipient caught up to %d, want %d", got, final)
-	}
-	// Cut-over: the recipient makes the migrated shard durable.
-	if err := recip.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, addr := range addrs {
-		idx, _, err := donor.Sharded().Locate(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx != 1 {
-			continue
-		}
-		want, err := donor.Read(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := recip.Read(addr)
-		if err != nil {
-			t.Fatalf("recipient read %#x: %v", addr, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("line %#x mismatch after migration", addr)
-		}
-	}
-	// And it survives a restart on the recipient's own files.
-	if err := recip.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, _, err := Open(shcfg, Config{Dir: recip.cfg.Dir, Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	for _, addr := range addrs {
-		if idx, _, _ := donor.Sharded().Locate(addr); idx != 1 {
-			continue
-		}
-		want, _ := donor.Read(addr)
-		got, err := re.Read(addr)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("migrated line %#x lost across recipient restart: %v", addr, err)
-		}
 	}
 }
 

@@ -16,7 +16,7 @@
 // internal/ckpt's authenticated container, of every stored line or of the
 // lines stamped since the base — written and read by the same calls; a
 // replica's bootstrap blob is a snapshot 1 that has not landed yet
-// (replicate.go) and a migrated shard one shard's share of one (migrate.go).
+// (replicate.go).
 //
 // Invariants the checkpoint sequence maintains:
 //
@@ -314,13 +314,6 @@ func deltaKey(master []byte) []byte {
 	return h.Sum(nil)
 }
 
-// hibernateKey authenticates streamed hibernate/migration state.
-func hibernateKey(master []byte) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/hibernate")
-	return h.Sum(nil)
-}
-
 // Sharded exposes the underlying engine (tests and the crash harness reach
 // the adversary interface through it). Mutations made directly on it bypass
 // the journal.
@@ -517,7 +510,8 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 }
 
 // fsyncLocked makes the shard's whole journal durable where it stands, outside
-// the group-commit path. Called with c.syncMu and c.mu held.
+// the group-commit path, and wakes DurableSignal's waiters when that moved
+// the mark. Called with c.syncMu and c.mu held.
 func (c *committer) fsyncLocked(m *Memory) error {
 	if err := c.log.Flush(); err != nil {
 		return err
@@ -526,9 +520,10 @@ func (c *committer) fsyncLocked(m *Memory) error {
 		return err
 	}
 	if c.lsn > c.synced {
+		c.synced = c.lsn
 		m.fsyncs.Add(1)
+		m.signalDurable()
 	}
-	c.synced = c.lsn
 	return nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
@@ -382,12 +383,13 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var blob, spill bytes.Buffer
+	var blob, other bytes.Buffer
 	marks, err := p.SaveMarks(&blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.SaveShardStream(0, &spill); err != nil {
+	hdr := ckpt.DeltaHeader{Seq: 2, Base: 1, CoveredLSN: marks, CoveredWrites: make([]uint64, len(marks))}
+	if err := ckpt.WriteState(new(ckpt.StreamWriter), &other, walKey(testKey, 0, 1), hdr, p.engines()); err != nil {
 		t.Fatal(err)
 	}
 	flipped := bytes.Clone(blob.Bytes())
@@ -424,7 +426,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 		{name: "the 44-byte version-1 stream", blob: lengthBomb(shcfg), marks: marks, version: true},
 		{name: "truncated", blob: blob.Bytes()[:blob.Len()-40], marks: marks, tamper: true},
 		{name: "bit-flipped, CRCs repaired", blob: flipped, marks: marks, tamper: true},
-		{name: "a migration spill: another role's key and context", blob: spill.Bytes(), marks: marks, tamper: true},
+		{name: "a delta stream: another role's key and context", blob: other.Bytes(), marks: marks, tamper: true},
 		{name: "marks ahead of the coverage header", blob: blob.Bytes(), marks: ahead},
 		{name: "marks for another shard count", blob: blob.Bytes(), marks: marks[:1]},
 	} {

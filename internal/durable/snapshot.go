@@ -385,7 +385,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 						}
 					}
 				}
-				return sh.Shard(i).Apply(batch, 0)
+				return sh.Shard(i).Apply(batch)
 			})
 		})
 		if err != nil {

@@ -36,8 +36,6 @@ const (
 	KindFence                      // A=observed epoch, B=local epoch (step-down)
 	KindReroute                    // A=fencing epoch, B=1 if leader known
 	KindDeltaCkpt                  // A=new epoch, B=dirty lines captured, Dur=cut latency
-	KindMigrateBegin               // A=shard, B=state bytes spilled
-	KindMigrateTail                // A=shard, B=tail records applied
 	KindMigrateCutover             // A=shard, B=final LSN, Dur=total migration time
 	numKinds
 )
@@ -47,8 +45,7 @@ var kindNames = [numKinds]string{
 	"format_switch", "cache_evict", "wal_fsync", "snapshot", "shed",
 	"reconnect", "retry", "proof_build", "root_publish",
 	"tenant_bind", "quota_shed", "repl_batch", "promote", "fence",
-	"reroute", "delta_ckpt", "migrate_begin", "migrate_tail",
-	"migrate_cutover",
+	"reroute", "delta_ckpt", "migrate_cutover",
 }
 
 // String returns the snake_case kind name.

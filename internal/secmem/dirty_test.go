@@ -2,7 +2,6 @@ package secmem
 
 import (
 	"bytes"
-	"io"
 	"testing"
 )
 
@@ -134,7 +133,7 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := stale.Apply(delta, 0); err != nil {
+			if err := stale.Apply(delta); err != nil {
 				t.Fatal(err)
 			}
 			for i := uint64(0); i < 96; i++ {
@@ -170,64 +169,11 @@ func TestApplyDeltaLineRejectsBadInput(t *testing.T) {
 		"another capacity":           {Level: configLevel, Index: 2 << 20, Line: []byte(m.configFingerprint())},
 		"another organization":       {Level: configLevel, Index: 1 << 20, Line: []byte("SC-64/SC-64@56")},
 	} {
-		if err := m.Apply([]DirtyLine{d}, 0); err == nil {
+		if err := m.Apply([]DirtyLine{d}); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
-	if err := m.Apply([]DirtyLine{{Level: configLevel, Index: 1 << 20, Line: []byte(m.configFingerprint())}}, 0); err != nil {
+	if err := m.Apply([]DirtyLine{{Level: configLevel, Index: 1 << 20, Line: []byte(m.configFingerprint())}}); err != nil {
 		t.Fatalf("the engine's own configuration refused: %v", err)
-	}
-}
-
-// restore stages a Save stream and adopts it, as a migration's install does.
-func restore(m *Memory, r io.Reader) error {
-	st, err := m.StageRestore(r)
-	if err == nil {
-		m.CommitRestore(st)
-	}
-	return err
-}
-
-func TestRestoreSwapsStateAtomically(t *testing.T) {
-	cfg := configs(1 << 20)["MorphCtr-128"]
-	donor := mustNew(t, cfg)
-	for i := uint64(0); i < 32; i++ {
-		if err := donor.Write(i*64, line(byte(i+100))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := donor.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	recip := mustNew(t, cfg)
-	if err := recip.Write(0, line(7)); err != nil {
-		t.Fatal(err)
-	}
-	if err := restore(recip, &buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 32; i++ {
-		got, err := recip.Read(i * 64)
-		if err != nil {
-			t.Fatalf("read after restore: %v", err)
-		}
-		if !bytes.Equal(got, line(byte(i+100))) {
-			t.Fatalf("line %d mismatch after restore", i)
-		}
-	}
-	// Restored engine stays writable and verifying.
-	if err := recip.Write(64, line(42)); err != nil {
-		t.Fatal(err)
-	}
-
-	// A malformed stream must leave live state untouched.
-	if err := restore(recip, bytes.NewReader([]byte("garbage"))); err == nil {
-		t.Fatal("garbage restore accepted")
-	}
-	got, err := recip.Read(64)
-	if err != nil || !bytes.Equal(got, line(42)) {
-		t.Fatalf("live state damaged by failed restore: %v", err)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // (DirtyLine.AppendRecord), the on-chip root among them as the record at the
 // root level. A delta checkpoint writes the records of the lines stamped since
 // the last one (Cut, dirty.go); everything else — Save here, shard.Save, the
-// durable layer's snapshot files, a migrated shard, a replica's bootstrap — is
-// a full image: WriteRecords, every stored line behind a record naming the
-// organization and the root. ReadRecords and Apply are the one way back in.
+// durable layer's snapshot files, a replica's bootstrap — is a full image:
+// WriteRecords, every stored line behind a record naming the organization and
+// the root. ReadRecords and Apply are the one way back in.
 //
 // Save is the bare image behind a twelve-byte header. The root it carries
 // must travel through a trusted channel in a real deployment (it is the
@@ -111,81 +111,33 @@ func Load(cfg Config, r io.Reader) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.restoreInto(r, 0); err != nil {
+	br := bufio.NewReader(r)
+	var head [HeaderBytes]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return nil, fmt.Errorf("secmem: load: header: %w", unexpectedEOF(err))
+	}
+	if err := CheckHeader(head[:], persistMagic, persistVersion); err != nil {
+		return nil, err
+	}
+	if err := m.ApplyRecords(br); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Staged is decoded state not yet adopted; see StageRestore.
-type Staged struct {
-	fresh *Memory
-}
-
-// StageRestore decodes a Save stream into a staging engine without
-// touching live state, so a malformed stream leaves it as it was. Callers
-// that read from an authenticated transport verify the stream trailer
-// between StageRestore and CommitRestore, so a forged stream is rejected
-// before anything is adopted. Live shard migration installs streamed donor
-// state through the pair.
-func (m *Memory) StageRestore(r io.Reader) (*Staged, error) {
-	fresh, err := New(m.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := fresh.restoreInto(r, firstEpoch); err != nil {
-		return nil, err
-	}
-	return &Staged{fresh: fresh}, nil
-}
-
-// CommitRestore adopts staged state atomically under the engine lock:
-// concurrent readers see either the old state or the new one, never a mix.
-// Activity stats and registered key domains are kept (both derive from config
-// and operation counts, not from the shipped state). Every adopted line was
-// staged dirty: installed state is not covered by this engine's local
-// checkpoint chain, so the next incremental checkpoint must capture it in
-// full (a post-install full snapshot resets the stamps as usual).
-func (m *Memory) CommitRestore(st *Staged) {
-	fresh := st.fresh
-	m.mu.Lock()
-	m.store = fresh.store
-	m.root = fresh.root
-	m.wb = fresh.wb // blocks cached or dirty in the replaced state are dropped with it
-	m.dirtyCur = fresh.dirtyCur
-	m.dirtyFloor = fresh.dirtyFloor
-	m.cut = nil // an open cut was of the replaced state: its drain fails
-	m.mu.Unlock()
-}
-
-// restoreInto decodes a Save stream into m's store and root, every line
-// stamped stamp (0 = clean). Callers must own m exclusively (a fresh engine).
-func (m *Memory) restoreInto(r io.Reader, stamp uint32) error {
-	br := bufio.NewReader(r)
-	var head [HeaderBytes]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return fmt.Errorf("secmem: load: header: %w", unexpectedEOF(err))
-	}
-	if err := CheckHeader(head[:], persistMagic, persistVersion); err != nil {
-		return err
-	}
-	return m.ApplyRecords(br, stamp)
-}
-
 // ApplyRecords reads one engine's share of a state stream from r (see
 // ReadRecords) and installs it, a batch at a time (see Apply).
-func (m *Memory) ApplyRecords(r io.Reader, stamp uint32) error {
-	return ReadRecords(r, func(batch []DirtyLine) error { return m.Apply(batch, stamp) })
+func (m *Memory) ApplyRecords(r io.Reader) error {
+	return ReadRecords(r, m.Apply)
 }
 
 // Apply installs a batch of a state stream's lines into the store under one
-// hold of the lock, bypassing the journal, each stamped stamp: 0 for a line a
-// checkpoint chain already covers (recovery, Load), the current epoch for one
-// the next cut must take (a migrated shard). m must be out of service — a
-// fresh or staging engine, or one being recovered — and the stream
-// authenticated before m serves: what a line holds is checked only when it is
-// read. Verified blocks cached from the lines replaced are dropped.
-func (m *Memory) Apply(batch []DirtyLine, stamp uint32) error {
+// hold of the lock, bypassing the journal, each stamped clean: a checkpoint
+// chain already covers it (recovery, Load). m must be out of service — a
+// fresh engine, or one being recovered — and the stream authenticated before
+// m serves: what a line holds is checked only when it is read. Verified
+// blocks cached from the lines replaced are dropped.
+func (m *Memory) Apply(batch []DirtyLine) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.flushMetadataCache(); err != nil {
@@ -207,13 +159,13 @@ func (m *Memory) Apply(batch []DirtyLine, stamp uint32) error {
 			}
 			m.root = blk
 		case d.Level == -1:
-			c, err := put(m.store.data, m.geom.DataLines, d, stamp)
+			c, err := put(m.store.data, m.geom.DataLines, d)
 			if err != nil {
 				return err
 			}
 			c.ext.mac[d.Index%chunkLines] = d.MAC
 		case d.Level >= 0 && d.Level < root:
-			if _, err := put(m.store.levels[d.Level], m.geom.LevelEntries(int(d.Level)), d, stamp); err != nil {
+			if _, err := put(m.store.levels[d.Level], m.geom.LevelEntries(int(d.Level)), d); err != nil {
 				return err
 			}
 		default:
@@ -223,15 +175,15 @@ func (m *Memory) Apply(batch []DirtyLine, stamp uint32) error {
 	return nil
 }
 
-// put stores d's line in t, which holds entries lines, stamped stamp. An
+// put stores d's line in t, which holds entries lines, stamped clean. An
 // index beyond the table is an error: input is untrusted.
-func put[X any](t table[X], entries uint64, d DirtyLine, stamp uint32) (*chunk[X], error) {
+func put[X any](t table[X], entries uint64, d DirtyLine) (*chunk[X], error) {
 	if d.Index >= entries {
 		return nil, fmt.Errorf("secmem: load: level-%d line %d beyond the %d its level holds", d.Level, d.Index, entries)
 	}
 	c, i := t.grow(d.Index), d.Index%chunkLines
 	c.line[i], c.has = [LineBytes]byte(d.Line), c.has|1<<i
-	c.stamp[i], c.newest = stamp, max(c.newest, stamp)
+	c.stamp[i] = 0
 	return c, nil
 }
 

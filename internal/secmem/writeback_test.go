@@ -100,7 +100,7 @@ func (e *diffEngine) saveLoad() {
 func (e *diffEngine) shipDelta() {
 	e.t.Helper()
 	cut, lines := drainCut(e.t, e.m)
-	if err := e.replica.Apply(lines, 0); err != nil {
+	if err := e.replica.Apply(lines); err != nil {
 		e.t.Fatal(err)
 	}
 	cut.Commit()

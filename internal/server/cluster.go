@@ -12,7 +12,7 @@ import (
 // interface lives here (in wire types) so the server package never imports
 // the cluster package.
 //
-// All four ops are served without an admission slot and without a tenant
+// All five ops are served without an admission slot and without a tenant
 // binding, like OpPing: replication and failover must not be shed by
 // client load — a primary too busy to stream its WAL would stall every
 // follower exactly when durability matters most.

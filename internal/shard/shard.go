@@ -434,7 +434,7 @@ func Load(cfg Config, r io.Reader) (*Sharded, error) {
 		return nil, err
 	}
 	for i, m := range s.shards {
-		if err := m.ApplyRecords(br, 0); err != nil {
+		if err := m.ApplyRecords(br); err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

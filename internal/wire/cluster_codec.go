@@ -114,26 +114,28 @@ func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 // DecodeReplicateRequest decodes an OpReplicate request payload.
 func DecodeReplicateRequest(p []byte) (*ReplicateRequest, error) {
 	if len(p) < replReqFixed {
-		return nil, fmt.Errorf("wire: replicate request is %d bytes, want >= %d", len(p), replReqFixed)
+		return nil, fmt.Errorf("%w: replicate request is %d bytes, want >= %d", ErrMalformed, len(p), replReqFixed)
 	}
-	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p)}
-	r.Bootstrap = p[8]&1 != 0
+	if p[8] > 1 {
+		return nil, fmt.Errorf("%w: replicate request flags %#x", ErrMalformed, p[8])
+	}
+	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p), Bootstrap: p[8] == 1}
 	nodeLen := int(binary.BigEndian.Uint16(p[9:]))
 	if nodeLen > maxNodeAddr {
-		return nil, fmt.Errorf("wire: node address %d bytes, max %d", nodeLen, maxNodeAddr)
+		return nil, fmt.Errorf("%w: node address %d bytes, max %d", ErrMalformed, nodeLen, maxNodeAddr)
 	}
 	p = p[11:]
 	if len(p) < nodeLen+4 {
-		return nil, fmt.Errorf("wire: replicate request cut short in node address")
+		return nil, fmt.Errorf("%w: replicate request cut short in node address", ErrMalformed)
 	}
 	r.Node = string(p[:nodeLen])
 	n := binary.BigEndian.Uint32(p[nodeLen:])
 	if n > maxClusterShards {
-		return nil, fmt.Errorf("wire: %d shard marks, max %d", n, maxClusterShards)
+		return nil, fmt.Errorf("%w: %d shard marks, max %d", ErrMalformed, n, maxClusterShards)
 	}
 	p = p[nodeLen+4:]
 	if uint64(len(p)) != uint64(n)*8 {
-		return nil, fmt.Errorf("wire: replicate request marks are %d bytes, want %d", len(p), n*8)
+		return nil, fmt.Errorf("%w: replicate request marks are %d bytes, want %d", ErrMalformed, len(p), n*8)
 	}
 	r.Marks = make([]uint64, n)
 	for i := range r.Marks {
@@ -219,17 +221,20 @@ func EncodeReplicateResponse(r *ReplicateResponse) ([]byte, error) {
 // slices are fresh copies, safe to retain.
 func DecodeReplicateResponse(p []byte) (*ReplicateResponse, error) {
 	if len(p) < replRespFixed {
-		return nil, fmt.Errorf("wire: replicate response is %d bytes, want >= %d", len(p), replRespFixed)
+		return nil, fmt.Errorf("%w: replicate response is %d bytes, want >= %d", ErrMalformed, len(p), replRespFixed)
+	}
+	if p[8] > 1 {
+		return nil, fmt.Errorf("%w: replicate response flags %#x", ErrMalformed, p[8])
 	}
 	r := &ReplicateResponse{Epoch: binary.BigEndian.Uint64(p)}
-	snapshot := p[8]&1 != 0
+	snapshot := p[8] == 1
 	n := binary.BigEndian.Uint32(p[9:])
 	if n > maxClusterShards {
-		return nil, fmt.Errorf("wire: %d shard marks, max %d", n, maxClusterShards)
+		return nil, fmt.Errorf("%w: %d shard marks, max %d", ErrMalformed, n, maxClusterShards)
 	}
 	p = p[replRespFixed:]
 	if uint64(len(p)) < uint64(n)*8 {
-		return nil, fmt.Errorf("wire: replicate response cut short in marks")
+		return nil, fmt.Errorf("%w: replicate response cut short in marks", ErrMalformed)
 	}
 	r.Marks = make([]uint64, n)
 	for i := range r.Marks {
@@ -238,24 +243,24 @@ func DecodeReplicateResponse(p []byte) (*ReplicateResponse, error) {
 	p = p[n*8:]
 	if snapshot {
 		if uint64(len(p)) < uint64(n)*8 {
-			return nil, fmt.Errorf("wire: replicate response cut short in snapshot marks")
+			return nil, fmt.Errorf("%w: replicate response cut short in snapshot marks", ErrMalformed)
 		}
 		r.SnapMarks = make([]uint64, n)
 		for i := range r.SnapMarks {
 			r.SnapMarks[i] = binary.BigEndian.Uint64(p[i*8:])
 		}
-		r.Snapshot = append([]byte(nil), p[n*8:]...)
+		r.Snapshot = append([]byte{}, p[n*8:]...) // non-nil even when empty: the flag said snapshot
 		return r, nil
 	}
 	r.Batches = make([][]byte, n)
 	for i := range r.Batches {
 		if len(p) < 4 {
-			return nil, fmt.Errorf("wire: replicate response cut short in batch %d length", i)
+			return nil, fmt.Errorf("%w: replicate response cut short in batch %d length", ErrMalformed, i)
 		}
 		bl := binary.BigEndian.Uint32(p)
 		p = p[4:]
 		if uint64(len(p)) < uint64(bl) {
-			return nil, fmt.Errorf("wire: replicate response cut short in batch %d body", i)
+			return nil, fmt.Errorf("%w: replicate response cut short in batch %d body", ErrMalformed, i)
 		}
 		if bl > 0 {
 			r.Batches[i] = append([]byte(nil), p[:bl]...)
@@ -263,7 +268,7 @@ func DecodeReplicateResponse(p []byte) (*ReplicateResponse, error) {
 		p = p[bl:]
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("wire: replicate response has %d trailing bytes", len(p))
+		return nil, fmt.Errorf("%w: replicate response has %d trailing bytes", ErrMalformed, len(p))
 	}
 	return r, nil
 }

@@ -7,28 +7,17 @@ import (
 
 // Payload codec for OpMigrate, the live shard migration op. One opcode
 // carries the whole protocol; a phase byte selects the message. The
-// recipient drives the donor-side phases (Begin/Chunk/Tail/Cutover/Abort);
-// the control plane kicks the recipient with Run.
-//
-// The shard state itself crosses the wire as an opaque authenticated
-// stream (the ckpt codec, keyed off the shared master key), and tail
-// records as sealed wal.Codec frames under the epoch-bound replication
-// key — this layer only moves bytes, exactly like the replication path.
+// control plane kicks the recipient with Run; the recipient, already a
+// replica of the donor, sends it Cutover (or Abort). The shard's records
+// themselves travel through OpReplicate, never here.
 
-// Migration phases.
+// Migration phases. 1–3 named the spill and tail phases of an older
+// protocol; they are not reused.
 const (
-	// MigrateBegin asks the donor to spill Shard and answer its mark (the
-	// LSN the spill covers) and the spill's byte size.
-	MigrateBegin byte = 1
-	// MigrateChunk fetches spill bytes [Cursor, Cursor+chunk) for Shard.
-	MigrateChunk byte = 2
-	// MigrateTail fetches up to Max sealed WAL records for Shard with
-	// LSN > Cursor.
-	MigrateTail byte = 3
 	// MigrateCutover fences Shard on the donor (writes start answering
 	// the MOVED redirect naming Node) and answers the final LSN.
 	MigrateCutover byte = 4
-	// MigrateAbort discards the donor's spill and unfences Shard.
+	// MigrateAbort unfences Shard on the donor and forgets its new home.
 	MigrateAbort byte = 5
 	// MigrateRun asks the receiving node to migrate Shard in from Donor.
 	// This is the one phase served by the recipient, and the only one the
@@ -38,9 +27,6 @@ const (
 
 // migratePhaseNames maps phases to names for errors and traces.
 var migratePhaseNames = map[byte]string{
-	MigrateBegin:   "begin",
-	MigrateChunk:   "chunk",
-	MigrateTail:    "tail",
 	MigrateCutover: "cutover",
 	MigrateAbort:   "abort",
 	MigrateRun:     "run",
@@ -56,7 +42,7 @@ func MigratePhaseName(ph byte) string {
 
 // MigrateRequest is one OpMigrate message.
 type MigrateRequest struct {
-	// Phase selects the message (MigrateBegin..MigrateRun).
+	// Phase selects the message (MigrateCutover, MigrateAbort, MigrateRun).
 	Phase byte
 	// Epoch is the sender's fencing epoch. Donor-side phases are refused
 	// (with the MOVED redirect) on a mismatch, like replication polls.
@@ -66,20 +52,14 @@ type MigrateRequest struct {
 	// Node is the sender's advertised address. On Cutover it is the
 	// address the donor's redirects will name as the shard's new home.
 	Node string
-	// Cursor is the spill byte offset (Chunk) or the LSN tail records
-	// must follow (Tail). Unused elsewhere.
-	Cursor uint64
-	// Max caps the records in a Tail response. Unused elsewhere.
-	Max uint32
 	// Donor is the address to migrate from (Run only).
 	Donor string
 }
 
-const migReqFixed = 1 + 8 + 4 + 2 + 8 + 4 + 2 // phase+epoch+shard+nodeLen+cursor+max+donorLen
+const migReqFixed = 1 + 8 + 4 + 2 + 2 // phase+epoch+shard+nodeLen+donorLen
 
 // EncodeMigrateRequest encodes an OpMigrate request payload:
-// | u8 phase | u64 epoch | u32 shard | u16 nodeLen | node |
-// | u64 cursor | u32 max | u16 donorLen | donor |
+// | u8 phase | u64 epoch | u32 shard | u16 nodeLen | node | u16 donorLen | donor |
 func EncodeMigrateRequest(r *MigrateRequest) ([]byte, error) {
 	if len(r.Node) > maxNodeAddr {
 		return nil, fmt.Errorf("wire: node address %d bytes, max %d", len(r.Node), maxNodeAddr)
@@ -93,101 +73,66 @@ func EncodeMigrateRequest(r *MigrateRequest) ([]byte, error) {
 	p = binary.BigEndian.AppendUint32(p, r.Shard)
 	p = binary.BigEndian.AppendUint16(p, uint16(len(r.Node)))
 	p = append(p, r.Node...)
-	p = binary.BigEndian.AppendUint64(p, r.Cursor)
-	p = binary.BigEndian.AppendUint32(p, r.Max)
 	p = binary.BigEndian.AppendUint16(p, uint16(len(r.Donor)))
 	return append(p, r.Donor...), nil
 }
 
-// DecodeMigrateRequest decodes an OpMigrate request payload.
+// DecodeMigrateRequest decodes an OpMigrate request payload. Every length
+// must account for the payload exactly, so the older layout, which carried
+// a cursor and a record cap between the two addresses, is refused.
 func DecodeMigrateRequest(p []byte) (*MigrateRequest, error) {
 	if len(p) < migReqFixed {
-		return nil, fmt.Errorf("wire: migrate request is %d bytes, want >= %d", len(p), migReqFixed)
+		return nil, fmt.Errorf("%w: migrate request is %d bytes, want >= %d", ErrMalformed, len(p), migReqFixed)
 	}
 	r := &MigrateRequest{Phase: p[0]}
 	r.Epoch = binary.BigEndian.Uint64(p[1:])
 	r.Shard = binary.BigEndian.Uint32(p[9:])
 	nodeLen := int(binary.BigEndian.Uint16(p[13:]))
 	if nodeLen > maxNodeAddr {
-		return nil, fmt.Errorf("wire: node address %d bytes, max %d", nodeLen, maxNodeAddr)
+		return nil, fmt.Errorf("%w: node address %d bytes, max %d", ErrMalformed, nodeLen, maxNodeAddr)
 	}
 	p = p[15:]
-	if len(p) < nodeLen+14 {
-		return nil, fmt.Errorf("wire: migrate request cut short in node address")
+	if len(p) < nodeLen+2 {
+		return nil, fmt.Errorf("%w: migrate request cut short in node address", ErrMalformed)
 	}
 	r.Node = string(p[:nodeLen])
-	p = p[nodeLen:]
-	r.Cursor = binary.BigEndian.Uint64(p)
-	r.Max = binary.BigEndian.Uint32(p[8:])
-	donorLen := int(binary.BigEndian.Uint16(p[12:]))
+	donorLen := int(binary.BigEndian.Uint16(p[nodeLen:]))
 	if donorLen > maxNodeAddr {
-		return nil, fmt.Errorf("wire: donor address %d bytes, max %d", donorLen, maxNodeAddr)
+		return nil, fmt.Errorf("%w: donor address %d bytes, max %d", ErrMalformed, donorLen, maxNodeAddr)
 	}
-	p = p[14:]
+	p = p[nodeLen+2:]
 	if len(p) != donorLen {
-		return nil, fmt.Errorf("wire: migrate request donor is %d bytes, want %d", len(p), donorLen)
+		return nil, fmt.Errorf("%w: migrate request donor is %d bytes, want %d", ErrMalformed, len(p), donorLen)
 	}
 	r.Donor = string(p)
 	return r, nil
 }
 
-// MigrateResponse answers one OpMigrate message. Which fields are
-// meaningful depends on the request phase.
+// MigrateResponse answers one OpMigrate message.
 type MigrateResponse struct {
 	// Epoch is the responder's fencing epoch.
 	Epoch uint64
-	// Mark is the LSN the spill covers (Begin) or the donor's final LSN
-	// for the shard (Cutover).
+	// Mark is the donor's final LSN for the shard (Cutover), or the LSN
+	// the recipient took the shard over at (Run).
 	Mark uint64
-	// Size is the spill's total byte size (Begin).
-	Size uint64
-	// Data is a run of spill bytes (Chunk) or a sealed record batch
-	// (Tail). Empty on an exhausted tail.
-	Data []byte
-	// Done reports an exhausted cursor: the last Chunk of the spill, or a
-	// Tail that delivered every record the donor has.
-	Done bool
 }
 
-const migRespFixed = 8 + 8 + 8 + 1 + 4 // epoch+mark+size+flags+dataLen
+const migRespBytes = 8 + 8 // epoch+mark
 
 // EncodeMigrateResponse encodes an OpMigrate OK payload:
-// | u64 epoch | u64 mark | u64 size | u8 flags | u32 dataLen | data |
+// | u64 epoch | u64 mark |
 func EncodeMigrateResponse(r *MigrateResponse) ([]byte, error) {
-	p := make([]byte, 0, migRespFixed+len(r.Data))
+	p := make([]byte, 0, migRespBytes)
 	p = binary.BigEndian.AppendUint64(p, r.Epoch)
-	p = binary.BigEndian.AppendUint64(p, r.Mark)
-	p = binary.BigEndian.AppendUint64(p, r.Size)
-	var flags byte
-	if r.Done {
-		flags |= 1
-	}
-	p = append(p, flags)
-	p = binary.BigEndian.AppendUint32(p, uint32(len(r.Data)))
-	return append(p, r.Data...), nil
+	return binary.BigEndian.AppendUint64(p, r.Mark), nil
 }
 
-// DecodeMigrateResponse decodes an OpMigrate OK payload. Data is a fresh
-// copy, safe to retain.
+// DecodeMigrateResponse decodes an OpMigrate OK payload.
 func DecodeMigrateResponse(p []byte) (*MigrateResponse, error) {
-	if len(p) < migRespFixed {
-		return nil, fmt.Errorf("wire: migrate response is %d bytes, want >= %d", len(p), migRespFixed)
+	if len(p) != migRespBytes {
+		return nil, fmt.Errorf("%w: migrate response is %d bytes, want %d", ErrMalformed, len(p), migRespBytes)
 	}
-	r := &MigrateResponse{
-		Epoch: binary.BigEndian.Uint64(p),
-		Mark:  binary.BigEndian.Uint64(p[8:]),
-		Size:  binary.BigEndian.Uint64(p[16:]),
-		Done:  p[24]&1 != 0,
-	}
-	n := binary.BigEndian.Uint32(p[25:])
-	p = p[migRespFixed:]
-	if uint64(len(p)) != uint64(n) {
-		return nil, fmt.Errorf("wire: migrate response data is %d bytes, want %d", len(p), n)
-	}
-	if n > 0 {
-		r.Data = append([]byte(nil), p...)
-	}
-	return r, nil
+	return &MigrateResponse{Epoch: binary.BigEndian.Uint64(p), Mark: binary.BigEndian.Uint64(p[8:])}, nil
 }
 
 // Migrate performs one OpMigrate round trip.

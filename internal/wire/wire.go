@@ -107,12 +107,11 @@ const (
 	OpFollow byte = 0x11
 	// OpMigrate drives live shard migration (an encoded MigrateRequest /
 	// MigrateResponse). The control plane sends MigrateRun to the recipient,
-	// which then issues the donor-side phases against the current primary:
-	// Begin (donor spills the shard and reports its mark), Chunk (stream the
-	// spill), Tail (WAL records past the recipient's cursor), Cutover (donor
-	// fences the shard and reports the final LSN), Abort (donor discards the
-	// spill and unfences). Served without an admission slot: a migration
-	// must not be shed by the client load it is trying to relieve.
+	// a replica that already pulls the shard through OpReplicate; it sends
+	// the current primary Cutover (donor fences the shard and reports the
+	// final LSN) once caught up, or Abort (donor unfences) on failure. Served
+	// without an admission slot: a migration must not be shed by the client
+	// load it is trying to relieve.
 	OpMigrate byte = 0x12
 )
 
@@ -197,6 +196,9 @@ var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	// ErrEmptyFrame reports a zero-length body (no opcode/status byte).
 	ErrEmptyFrame = errors.New("wire: empty frame body")
+	// ErrMalformed reports a cluster-op payload (OpReplicate, OpMigrate)
+	// whose lengths or flags do not account for its bytes exactly.
+	ErrMalformed = errors.New("wire: malformed payload")
 )
 
 // RemoteError is a non-integrity failure reported by the peer
