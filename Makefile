@@ -81,9 +81,9 @@ perf-engine:
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load and shard.Load, whose Save streams
 # no MAC covers at all, over the wire's frame reader, whose length prefix
-# arrives before any authentication does, and over the OpReplicate and
-# OpMigrate payload codecs (FuzzReplicateCodec, FuzzMigrateCodec), the one
-# path a shard's records take between nodes.
+# arrives before any authentication does, and over the OpReplicate payload
+# codec (FuzzReplicateCodec), the one path a shard's records take between
+# nodes.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \
@@ -157,9 +157,9 @@ chaos-smoke: bin/morphcheck.race
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
 # cluster (primary + two replicas) with a node killed mid-load, followed
-# by a lease-expiry failover and a live shard migration whose donor is
-# killed. Asserts zero lost acknowledged writes and zero spurious integrity
-# errors, and prints each run's failover latency. The full matrix is
+# by a lease-expiry failover when the primary was the one killed. Asserts
+# zero lost acknowledged writes and zero spurious integrity errors, and
+# prints each run's failover latency. The full matrix is
 # `bin/morphcheck cluster` with defaults; this keeps CI fast.
 cluster-smoke: bin/morphcheck.race
 	bin/morphcheck.race cluster -smoke

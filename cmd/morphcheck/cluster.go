@@ -29,12 +29,6 @@ import (
 // writes acked before the kill survive it, clients fail over via dial errors
 // and MOVED redirects, a lagging candidate catches up from a donor before
 // leading, and none of the churn ever surfaces as an integrity alarm.
-//
-// migrate_kill_donor adds live shard migration to the churn: with clients
-// hammering one shard, that shard is migrated to a replica mid-load, the donor
-// (the primary) is killed after cut-over, and the control plane must promote
-// the recipient — its marks on the migrated shard are the highest, because
-// after cut-over it is the shard's only journal.
 
 const (
 	clusterShards  = 2
@@ -44,16 +38,6 @@ const (
 	probeLine      = uint64(chaosMem - lineBytes) // reserved for the prober
 	workerLines    = 256                          // per worker, away from the probe line
 	clusterClients = 2
-
-	// Migration scenario geometry: the load targets only the migrated shard
-	// (shard 1 of 2: odd line indices), because the resilient client
-	// re-targets wholly on MOVED — mixed-shard traffic would just measure
-	// redirect ping-pong. 2 workers x 128 odd lines = lines 1..511, clear of
-	// the prober's line 1023 (also odd, so the prober rides the migration
-	// too).
-	migrateShard       = 1
-	migrateWorkerLines = 128
-	migrateAt          = 100 * time.Millisecond
 )
 
 // clusterScenario is one cell of the node-kill matrix; each runs `seeds` times
@@ -63,7 +47,6 @@ type clusterScenario struct {
 	seeds       int
 	killPrimary bool // false = kill a replica instead
 	latency     bool // route client traffic to the primary through a latency proxy
-	migrate     bool // migrate a shard to a replica mid-load before the kill
 }
 
 func clusterMatrix(smoke bool) []clusterScenario {
@@ -71,14 +54,12 @@ func clusterMatrix(smoke bool) []clusterScenario {
 		return []clusterScenario{
 			{name: "kill_replica", seeds: 1},
 			{name: "kill_primary", seeds: 2, killPrimary: true},
-			{name: "migrate_kill_donor", seeds: 1, killPrimary: true, migrate: true},
 		}
 	}
 	return []clusterScenario{
 		{name: "kill_replica", seeds: 2},
 		{name: "kill_primary", seeds: 4, killPrimary: true},
 		{name: "kill_primary_latency", seeds: 2, killPrimary: true, latency: true},
-		{name: "migrate_kill_donor", seeds: 2, killPrimary: true, migrate: true},
 	}
 }
 
@@ -219,13 +200,7 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 	var wg sync.WaitGroup
 	for c := 0; c < clusterClients; c++ {
 		base := uint64(c) * workerLines * lineBytes
-		lines := uint64(workerLines)
 		addrOf := func(i uint64) uint64 { return base + i*lineBytes }
-		if sc.migrate {
-			off := uint64(c) * migrateWorkerLines
-			lines = migrateWorkerLines
-			addrOf = func(i uint64) uint64 { return (2*(off+i) + 1) * lineBytes }
-		}
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
@@ -239,7 +214,7 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 				Seed:        seed + int64(c),
 			})
 			defer cl.Close()
-			histories[c], nets[c] = worker(cl, rand.New(rand.NewSource(seed+int64(c)*7919)), lines, addrOf, running)
+			histories[c], nets[c] = worker(cl, rand.New(rand.NewSource(seed+int64(c)*7919)), workerLines, addrOf, running)
 		}(c)
 	}
 	wg.Add(1)
@@ -255,20 +230,6 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 		histories[clusterClients], succAt = prober(cl, running)
 	}()
 	endLoad := func() { close(stop); wg.Wait() }
-
-	// For the migration scenario: let load land, then ship the hot shard to
-	// the first replica while the writes keep coming. The kill below then
-	// takes out the donor, and failover MUST land on the recipient — after
-	// cut-over its journal is the only copy of the shard's acked tail, which
-	// is exactly what makes its marks the highest.
-	recipient := replicas[0]
-	if sc.migrate {
-		time.Sleep(migrateAt)
-		if err := runLiveMigration(recipient.addr, p.addr, migrateShard); err != nil {
-			endLoad()
-			return "", nil, fmt.Errorf("live migration: %w", err)
-		}
-	}
 
 	// The kill, and (for primary kills) the failover control plane.
 	target := replicas[1]
@@ -302,30 +263,11 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 
 	// Audit on the final primary over a clean connection.
 	final := currentPrimary(nodes)
-	switch {
-	case final == nil:
+	if final == nil {
 		return text, errors.New("no primary survived the run"), nil
-	case sc.migrate && final != recipient:
-		// Anyone else leading the migrated shard would silently serve its
-		// stale pre-cut-over copy.
-		return text, fmt.Errorf("failover promoted %s, not the migrated shard's recipient %s", final.addr, recipient.addr), nil
 	}
 	audit, verify := readBack(final.addr, seed-2, histories)
 	return text, gate(load, audit, verify), nil
-}
-
-// runLiveMigration asks recipient to pull shard from donor — the same
-// control-plane call an operator rebalancing the cluster would make.
-func runLiveMigration(recipient, donor string, shard uint32) error {
-	cl, err := wire.Dial(recipient, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	_, err = cl.Migrate(&wire.MigrateRequest{
-		Phase: wire.MigrateRun, Epoch: 1, Shard: shard, Donor: donor,
-	})
-	return err
 }
 
 // prober writes its reserved line as fast as failures allow, one attempt per

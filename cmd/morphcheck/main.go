@@ -10,14 +10,13 @@
 //	                    matrix: cuts, stalls, chopped frames, admission sheds
 //	                    (chaos.go)
 //	morphcheck cluster  a three-node loopback cluster with a node killed
-//	                    mid-load, lease-expiry failover and a live shard
-//	                    migration (cluster.go)
+//	                    mid-load and lease-expiry failover (cluster.go)
 //
 // All three defend the same two claims. The paper's: nothing but tampering
 // ever raises *secmem.IntegrityError, and tampering always does. Ours: no
-// acknowledged write is lost across a crash, a fault, a failover or a
-// migration. The oracle says what a line may hold; the subcommands only
-// decide what happens to the system between the write and the read-back.
+// acknowledged write is lost across a crash, a fault or a failover. The
+// oracle says what a line may hold; the subcommands only decide what happens
+// to the system between the write and the read-back.
 //
 // Every schedule derives from -seed, so a failing row names the run that
 // reproduces it. A row is printed as it completes; a failing row goes to

@@ -159,7 +159,7 @@ var engineCounters = []string{
 	"secmem.format_switches", "secmem.reencryptions", "secmem.verified_fetches",
 	"durable.fsyncs", "durable.checkpoints",
 	"durable.ckpt.deltas", "durable.ckpt.compactions", "durable.ckpt.chain",
-	"durable.recovery_us", "cluster.migrations",
+	"durable.recovery_us",
 	"server.accepted", "server.shed",
 }
 

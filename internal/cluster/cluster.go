@@ -78,8 +78,7 @@ type Config struct {
 	// 0 acks on local durability alone.
 	AckReplicas int
 	// AckTimeout bounds how long a write waits for replication cover
-	// before failing with an AckTimeoutError, and each wait of a migration
-	// recipient for its own journal to reach the donor's (default 2s).
+	// before failing with an AckTimeoutError (default 2s).
 	AckTimeout time.Duration
 	// PollWait is how long the primary holds an empty replication poll
 	// open waiting for new durable records (default 250ms).
@@ -148,7 +147,6 @@ type Node struct {
 	cFences     *obs.Counter
 	cPromotes   *obs.Counter
 	cBootstraps *obs.Counter
-	cMigrations *obs.Counter
 	gLag        *obs.Gauge
 
 	mu          sync.Mutex
@@ -163,11 +161,6 @@ type Node struct {
 	pullCl      *wire.Client  // replica's connection to the leader
 	pullAddr    string        // address pullCl is dialed to
 	onCkpt      func(seq uint64)
-
-	// Live shard migration state (see migrate.go).
-	migIn      bool           // recipient: a MigrateRun is in progress
-	migratedTo map[int]string // donor: shard -> its new home, post-cutover
-	owned      map[int]bool   // recipient: migrated-in shards this node serves
 
 	stopc  chan struct{}
 	wg     sync.WaitGroup
@@ -216,7 +209,6 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		cFences:     cfg.Obs.Counter("cluster.fences"),
 		cPromotes:   cfg.Obs.Counter("cluster.promotes"),
 		cBootstraps: cfg.Obs.Counter("cluster.bootstraps"),
-		cMigrations: cfg.Obs.Counter("cluster.migrations"),
 		gLag:        cfg.Obs.Gauge("cluster.repl.lag"),
 		mem:         mem,
 		role:        RoleReplica,
@@ -371,46 +363,43 @@ func (n *Node) codec(epoch uint64, shardIdx int) (*wal.Codec, error) {
 
 // --- server.Engine surface -------------------------------------------
 
-// Read serves a line read on the node that serves the line's shard — the
-// primary for most shards, the recipient for a migrated-in one; elsewhere
-// it answers the moved redirect (naming the shard's new home when the
-// shard was migrated away).
+// primary returns the memory and epoch a data op runs against, or the moved
+// redirect when this node is not the primary: the primary is every shard's
+// one writer, and the only node that serves data ops.
+func (n *Node) primary() (*durable.Memory, uint64, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.role != RolePrimary {
+		return nil, 0, n.movedLocked()
+	}
+	return n.mem, n.epoch, nil
+}
+
+// Read serves a line read on the primary; elsewhere it answers the moved
+// redirect.
 func (n *Node) Read(addr uint64) ([]byte, error) { return n.AppendRead(nil, addr) }
 
 // AppendRead is Read appended to dst (durable.Memory.AppendRead); a moved
 // redirect, like any error, returns nil.
 func (n *Node) AppendRead(dst []byte, addr uint64) ([]byte, error) {
-	n.mu.Lock()
-	mem := n.mem
-	if err := n.routeShardLocked(n.shardFor(mem, addr)); err != nil {
-		n.mu.Unlock()
+	mem, _, err := n.primary()
+	if err != nil {
 		return nil, err
 	}
-	n.mu.Unlock()
 	return mem.AppendRead(dst, addr)
 }
 
-// Write journals a line write on the node that serves the line's shard.
-// On the primary it waits for the configured replication cover before
-// acknowledging; on a migration recipient the owned shard acks on local
-// durability (its journal is the shard's only authority). Elsewhere it
-// answers the moved redirect.
+// Write journals a line write on the primary and waits for the configured
+// replication cover before acknowledging; elsewhere it answers the moved
+// redirect.
 func (n *Node) Write(addr uint64, line []byte) error {
-	n.mu.Lock()
-	mem := n.mem
-	if err := n.routeShardLocked(n.shardFor(mem, addr)); err != nil {
-		n.mu.Unlock()
+	mem, epoch, err := n.primary()
+	if err != nil {
 		return err
 	}
-	epoch := n.epoch
-	primary := n.role == RolePrimary
-	n.mu.Unlock()
 	shardIdx, lsn, err := mem.WriteLSN(addr, line)
 	if err != nil {
-		return n.translateFenced(err)
-	}
-	if !primary {
-		return nil
+		return err
 	}
 	return n.waitAck(epoch, shardIdx, lsn)
 }
@@ -426,16 +415,13 @@ func (n *Node) Stats() secmem.Stats { return n.memory().Stats() }
 // Save streams the local engine state (any role).
 func (n *Node) Save(w io.Writer) error { return n.memory().Save(w) }
 
-// FlipDataBit is the adversary interface (tamper testing); served by
-// whichever node serves the line's shard, refused (false) elsewhere.
+// FlipDataBit is the adversary interface (tamper testing); served by the
+// primary, refused (false) elsewhere.
 func (n *Node) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
-	n.mu.Lock()
-	mem := n.mem
-	if err := n.routeShardLocked(n.shardFor(mem, addr)); err != nil {
-		n.mu.Unlock()
+	mem, _, err := n.primary()
+	if err != nil {
 		return false
 	}
-	n.mu.Unlock()
 	return mem.FlipDataBit(addr, byteOff, bit)
 }
 

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -601,6 +603,70 @@ func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 	var re *wire.RemoteError
 	if _, err := cl.Replicate(&wire.ReplicateRequest{Epoch: 1, Marks: []uint64{0}}); !errors.As(err, &re) {
 		t.Fatalf("replicate err = %v, want RemoteError", err)
+	}
+}
+
+// TestRetiredOpcodesAreUnknown: the two retired opcodes — 0x12, which was
+// OpMigrate, and 0x05, which was OpSnapshot — are unknown opcodes to a
+// primary. A Cutover frame in their last layout, at the primary's own epoch
+// and naming an address nobody serves, neither changes the node's route nor
+// points the shard's writers anywhere: the next write to that shard
+// acknowledges on the primary.
+func TestRetiredOpcodesAreUnknown(t *testing.T) {
+	const (
+		opMigrate  = 0x12 // retired OpMigrate
+		opSnapshot = 0x05 // retired OpSnapshot
+		cutover    = 4    // OpMigrate's Cutover phase
+		bogus      = "127.0.0.1:1"
+	)
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+	before := p.node.Route()
+
+	// | u8 phase | u64 epoch | u32 shard | u16 nodeLen | node | u16 donorLen |
+	cut := []byte{cutover}
+	cut = binary.BigEndian.AppendUint64(cut, before.Epoch)
+	cut = binary.BigEndian.AppendUint32(cut, 0)
+	cut = binary.BigEndian.AppendUint16(cut, uint16(len(bogus)))
+	cut = append(cut, bogus...)
+	cut = binary.BigEndian.AppendUint16(cut, 0)
+
+	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		op      byte
+		payload []byte
+	}{{opMigrate, cut}, {opSnapshot, nil}} {
+		if err := wire.WriteFrame(conn, f.op, f.payload); err != nil {
+			t.Fatal(err)
+		}
+		status, body, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re *wire.RemoteError
+		if err := wire.DecodeError(status, body); !errors.As(err, &re) || !strings.Contains(re.Msg, fmt.Sprintf("unknown opcode %#x", f.op)) {
+			t.Fatalf("opcode %#x answered status %#x (%d bytes), want a remote error naming the unknown opcode", f.op, status, len(body))
+		}
+	}
+
+	after := p.node.Route()
+	if after.Role != before.Role || after.Epoch != before.Epoch || after.Leader != before.Leader {
+		t.Fatalf("route moved from %s/%d/%s to %s/%d/%s", before.Role, before.Epoch, before.Leader, after.Role, after.Epoch, after.Leader)
+	}
+	cl, err := wire.Dial(p.addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Write(0, oracle.Fill(0, 1)); err != nil {
+		t.Fatalf("write to shard 0 after the retired cutover: %v", err)
 	}
 }
 

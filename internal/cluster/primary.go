@@ -253,28 +253,5 @@ func (n *Node) Route() *wire.RouteInfo {
 		}
 		ri.LeaseRemainingMS = remaining.Milliseconds()
 	}
-	// Full replication: every shard is served by the leader, Nodes[0]
-	// whenever it is known — except shards migrated to another node,
-	// which the map points at their new home.
-	if len(ri.Nodes) > 0 && ri.Nodes[0].Role == RolePrimary {
-		ri.ShardNodes = make([]int, len(marks))
-		for shard, to := range n.migratedTo {
-			if shard < 0 || shard >= len(ri.ShardNodes) {
-				continue
-			}
-			idx := -1
-			for i, node := range ri.Nodes {
-				if node.Addr == to {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				idx = len(ri.Nodes)
-				ri.Nodes = append(ri.Nodes, wire.RouteNode{Addr: to, Role: RoleReplica})
-			}
-			ri.ShardNodes[shard] = idx
-		}
-	}
 	return ri
 }

@@ -153,22 +153,8 @@ func (n *Node) pollLeader() (bool, error) {
 }
 
 // applyResponse installs a snapshot or applies the per-shard batches.
-// Batches for a shard migrated in are skipped: an owned shard's journal
-// answers to this node alone.
 func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, resp *wire.ReplicateResponse) (bool, error) {
-	n.mu.Lock()
-	skip := make(map[int]bool, len(n.owned))
-	for s := range n.owned {
-		skip[s] = true
-	}
-	n.mu.Unlock()
 	if resp.Snapshot != nil {
-		if len(skip) > 0 {
-			// A full bootstrap would wipe the migrated shard — the only
-			// copy of its acked writes. Fail loudly; the migration (or an
-			// operator) must resolve this, not a silent data loss.
-			return false, fmt.Errorf("cluster: refusing snapshot bootstrap while serving migrated shards %v", keys(skip))
-		}
 		if err := n.installSnapshot(mem, resp); err != nil {
 			return false, err
 		}
@@ -177,7 +163,7 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 	}
 	progress := false
 	for i, batch := range resp.Batches {
-		if len(batch) == 0 || skip[i] {
+		if len(batch) == 0 {
 			continue
 		}
 		codec, err := n.codec(epoch, i)
@@ -202,15 +188,6 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 	}
 	n.touchLease(resp)
 	return progress, nil
-}
-
-// keys lists a set's members (error messages).
-func keys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }
 
 func (n *Node) pullAddrSnapshot() string {

@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -387,73 +388,27 @@ func TestDirtyFloorSurvivesFailedDelta(t *testing.T) {
 	verifyAddrs(t, m, re, addrs)
 }
 
-// TestFenceShardSignalsDurable: the fence's fsync moves the durable mark, so
-// it must wake a follower's long poll the way a group commit does — a
-// migration's recipient drains the fenced tail on that wake-up, not when the
-// poll times out.
-func TestFenceShardSignalsDurable(t *testing.T) {
+// TestSaveMarksSignalsDurable: the bootstrap blob's fsync moves the durable
+// mark, so it must wake a follower's long poll the way a group commit does,
+// not leave it waiting for the poll to time out.
+func TestSaveMarksSignalsDurable(t *testing.T) {
 	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: t.TempDir(), Sync: SyncNone})
 	defer m.Close()
 	if err := m.Write(0, oracle.Fill(0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	sig := m.DurableSignal()
-	final, err := m.FenceShard(0)
+	marks, err := m.SaveMarks(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case <-sig:
 	default:
-		t.Fatal("FenceShard made a record durable without closing the DurableSignal channel")
+		t.Fatal("SaveMarks made a record durable without closing the DurableSignal channel")
 	}
-	if got := m.SyncedLSNs()[0]; got != final {
-		t.Fatalf("synced mark %d after the fence, want the final LSN %d", got, final)
-	}
-}
-
-func TestFenceShardRejectsWrites(t *testing.T) {
-	dir := t.TempDir()
-	shcfg := testShardConfig(t, 2, 1<<13)
-	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
-	defer m.Close()
-	addrs := writeSome(t, m, 1, 8)
-	final, err := m.FenceShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find an address on shard 0 and one on shard 1.
-	var a0, a1 uint64
-	found0, found1 := false, false
-	for _, addr := range addrs {
-		idx, _, err := m.Sharded().Locate(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx == 0 && !found0 {
-			a0, found0 = addr, true
-		}
-		if idx == 1 && !found1 {
-			a1, found1 = addr, true
-		}
-	}
-	if !found0 || !found1 {
-		t.Fatal("addresses did not cover both shards")
-	}
-	err = m.Write(a0, oracle.Fill(a0, 99))
-	var fe *ShardFencedError
-	if !errors.As(err, &fe) || fe.Shard != 0 {
-		t.Fatalf("write to fenced shard: got %v, want *ShardFencedError{0}", err)
-	}
-	if err := m.Write(a1, oracle.Fill(a1, 99)); err != nil {
-		t.Fatalf("write to unfenced shard: %v", err)
-	}
-	if final == 0 {
-		t.Fatal("fence returned zero final LSN")
-	}
-	m.UnfenceShard(0)
-	if err := m.Write(a0, oracle.Fill(a0, 100)); err != nil {
-		t.Fatalf("write after unfence: %v", err)
+	if got := m.SyncedLSNs()[0]; got != marks[0] || got == 0 {
+		t.Fatalf("synced mark %d after SaveMarks, want its mark %d", got, marks[0])
 	}
 }
 

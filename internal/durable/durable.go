@@ -228,9 +228,6 @@ type committer struct {
 	// ring[0]'s LSN; LSNs in the ring are contiguous). Guarded by mu.
 	ring      []wal.Record
 	ringStart uint64
-	// fenced rejects new writes after a migration cut-over handed this
-	// shard to another node (guarded by mu).
-	fenced bool
 
 	syncMu sync.Mutex // guards synced and the fsync itself
 	synced uint64     // last LSN known durable
@@ -420,10 +417,6 @@ func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 	}
 	c := m.commits[idx]
 	c.mu.Lock()
-	if c.fenced {
-		c.mu.Unlock()
-		return idx, 0, &ShardFencedError{Shard: idx}
-	}
 	lsn := c.lsn + 1
 	rec := wal.Record{Kind: wal.KindWrite, LSN: lsn, Addr: addr, Line: line}
 	if err := c.log.Append(rec); err != nil {

@@ -30,6 +30,8 @@ func (s *stubEngine) FlipDataBit(uint64, int, uint) bool { return false }
 // needed Config.Cluster set to the same node — every caller did — and
 // answered "not a cluster node" without; the node is now found like every
 // other surface, and the zero Config answers what Config{Cluster: node} did.
+// Its body has since dropped "shard_nodes", a map that always named the
+// leader once live shard migration was gone.
 func TestCapabilityAnswers(t *testing.T) {
 	dm, _ := openDurable(t, t.TempDir(), 2, 1<<13, durable.Config{})
 	defer dm.Close()
@@ -50,7 +52,7 @@ func TestCapabilityAnswers(t *testing.T) {
 		noProver     = "proof: server has no proving engine or signing authority"
 		noCluster    = "route: this server is not a cluster node (start with -cluster)"
 		singleTenant = "hello: this server is single-tenant"
-		route        = `{"epoch":1,"self":"self:1","role":"primary","leader":"self:1","nodes":[{"addr":"self:1","role":"primary"}],"shard_nodes":[0,0],"marks":[0,0],"lease_remaining_ms":-1}`
+		route        = `{"epoch":1,"self":"self:1","role":"primary","leader":"self:1","nodes":[{"addr":"self:1","role":"primary"}],"marks":[0,0],"lease_remaining_ms":-1}`
 	)
 	ops := []struct {
 		op      byte

@@ -7,12 +7,12 @@ import (
 )
 
 // ClusterNode is the optional engine surface behind the cluster control ops
-// (OpRoute, OpReplicate, OpPromote, OpFollow, OpMigrate). *cluster.Node
+// (OpRoute, OpReplicate, OpPromote, OpFollow). *cluster.Node
 // implements it — the same value whose data ops follow its role gating; the
 // interface lives here (in wire types) so the server package never imports
 // the cluster package.
 //
-// All five ops are served without an admission slot and without a tenant
+// All four ops are served without an admission slot and without a tenant
 // binding, like OpPing: replication and failover must not be shed by
 // client load — a primary too busy to stream its WAL would stall every
 // follower exactly when durability matters most.
@@ -27,15 +27,12 @@ type ClusterNode interface {
 	Promote(newEpoch uint64, minMarks []uint64) (*wire.RouteInfo, error)
 	// Follow redirects the node to a leader at an epoch.
 	Follow(epoch uint64, leader string) error
-	// Migrate serves one live-shard-migration phase (donor-side phases on
-	// the primary, Run on a recipient replica).
-	Migrate(req *wire.MigrateRequest) (*wire.MigrateResponse, error)
 }
 
 // isClusterOp reports whether op is one of the cluster control opcodes.
 func isClusterOp(op byte) bool {
 	switch op {
-	case wire.OpRoute, wire.OpReplicate, wire.OpPromote, wire.OpFollow, wire.OpMigrate:
+	case wire.OpRoute, wire.OpReplicate, wire.OpPromote, wire.OpFollow:
 		return true
 	}
 	return false
@@ -95,21 +92,6 @@ func (s *Server) handleCluster(op byte, payload []byte) (byte, []byte) {
 			return wire.EncodeError(err)
 		}
 		return wire.StatusOK, nil
-
-	case wire.OpMigrate:
-		req, err := wire.DecodeMigrateRequest(payload)
-		if err != nil {
-			return wire.EncodeError(err)
-		}
-		resp, err := cn.Migrate(req)
-		if err != nil {
-			return wire.EncodeError(err)
-		}
-		body, err := wire.EncodeMigrateResponse(resp)
-		if err != nil {
-			return wire.EncodeError(err)
-		}
-		return wire.StatusOK, body
 	}
 	return wire.StatusError, []byte(fmt.Sprintf("unknown cluster opcode %#x", op))
 }

@@ -17,7 +17,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -289,7 +288,7 @@ func New(eng Engine, cfg Config) *Server {
 	if cfg.Obs != nil {
 		for _, op := range []byte{
 			wire.OpRead, wire.OpWrite, wire.OpVerify, wire.OpStats,
-			wire.OpSnapshot, wire.OpTamper, wire.OpCheckpoint, wire.OpObs,
+			wire.OpTamper, wire.OpCheckpoint, wire.OpObs,
 			wire.OpProof, wire.OpRoot, wire.OpRootRange, wire.OpHello,
 		} {
 			s.opLat[op] = cfg.Obs.Histogram("server.op." + wire.OpName(op) + ".latency")
@@ -678,13 +677,6 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 			return wire.EncodeError(err)
 		}
 		return wire.StatusOK, body
-
-	case wire.OpSnapshot:
-		var buf bytes.Buffer
-		if err := s.eng.Save(&buf); err != nil {
-			return wire.EncodeError(err)
-		}
-		return wire.StatusOK, buf.Bytes()
 
 	case wire.OpTamper:
 		if !s.cfg.AllowTamper {

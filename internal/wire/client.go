@@ -166,18 +166,6 @@ func (c *Client) Stats() (secmem.Stats, error) {
 	return DecodeStats(body)
 }
 
-// Snapshot fetches the server's full persisted state (shard.Save format).
-// The returned bytes are a fresh copy, safe to retain.
-func (c *Client) Snapshot() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpSnapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), body...), nil
-}
-
 // Checkpoint forces the server to cut a durable checkpoint (atomic
 // snapshot + WAL truncation) and returns the new snapshot sequence
 // number. Servers running without a data directory answer *RemoteError.

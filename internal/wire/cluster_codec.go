@@ -32,9 +32,6 @@ type RouteInfo struct {
 	// Nodes lists the known cluster members (on a primary: itself plus
 	// every follower currently polling it).
 	Nodes []RouteNode `json:"nodes"`
-	// ShardNodes maps shard index -> index into Nodes of the node serving
-	// it. With full replication every entry names the leader.
-	ShardNodes []int `json:"shard_nodes,omitempty"`
 	// Marks is the responder's own per-shard durable LSN vector.
 	Marks []uint64 `json:"marks"`
 	// LeaseRemainingMS is how much of the leader lease is left from this

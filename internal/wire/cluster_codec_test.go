@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -165,7 +167,6 @@ func TestRouteInfoRoundTrip(t *testing.T) {
 		Role:             "primary",
 		Leader:           "a:1",
 		Nodes:            []RouteNode{{Addr: "a:1", Role: "primary"}, {Addr: "b:2", Role: "replica"}},
-		ShardNodes:       []int{0, 0},
 		Marks:            []uint64{11, 12},
 		LeaseRemainingMS: -1,
 	}
@@ -193,4 +194,46 @@ func TestClusterOpNames(t *testing.T) {
 			t.Fatalf("OpName(%#x) = %q, want %q", op, got, want)
 		}
 	}
+}
+
+// checkCodec holds a cluster-op decoder to the invariant on bytes from
+// anyone: ErrMalformed, or a value that encodes back to exactly the bytes it
+// was decoded from — and never more memory than the bytes account for.
+func checkCodec[T any](t *testing.T, p []byte, decode func([]byte) (T, error), encode func(T) ([]byte, error)) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := decode(p)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20+16*uint64(len(p)) {
+		t.Fatalf("decoding %d bytes allocated %d", len(p), got)
+	}
+	if err != nil {
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		return
+	}
+	again, err := encode(v)
+	if err != nil || !bytes.Equal(again, p) {
+		t.Fatalf("%x decoded to %+v, which encodes to %x (%v)", p, v, again, err)
+	}
+}
+
+// FuzzReplicateCodec runs both OpReplicate decoders over the same bytes.
+func FuzzReplicateCodec(f *testing.F) {
+	req, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 7, Node: "r:1", Marks: []uint64{0, 42}, Bootstrap: true})
+	batches, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 3, Marks: []uint64{10, 0}, Batches: [][]byte{[]byte("frames"), nil}})
+	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Snapshot: []byte("blob"), SnapMarks: []uint64{5}})
+	for _, p := range [][]byte{req, batches, snap} {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+	}
+	hostile := bytes.Clone(batches)
+	binary.BigEndian.PutUint32(hostile[9:], maxClusterShards) // a shard count nothing backs
+	f.Add(hostile)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		checkCodec(t, p, DecodeReplicateRequest, EncodeReplicateRequest)
+		checkCodec(t, p, DecodeReplicateResponse, EncodeReplicateResponse)
+	})
 }

@@ -444,17 +444,6 @@ func (r *ResilientClient) Ping() error {
 	return r.do(context.Background(), true, "PING", func(cl *Client) error { return cl.Ping() })
 }
 
-// Snapshot fetches the server's full persisted state. Idempotent.
-func (r *ResilientClient) Snapshot() ([]byte, error) {
-	var snap []byte
-	err := r.do(context.Background(), true, "SNAPSHOT", func(cl *Client) error {
-		var err error
-		snap, err = cl.Snapshot()
-		return err
-	})
-	return snap, err
-}
-
 // Checkpoint forces a durable checkpoint. Idempotent: cutting an extra
 // checkpoint after an ambiguous outcome only shortens replay.
 func (r *ResilientClient) Checkpoint() (uint64, error) {

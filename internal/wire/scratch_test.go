@@ -47,11 +47,11 @@ func TestLargeFrameRoundTripsAndReleasesScratch(t *testing.T) {
 	var stream bytes.Buffer
 	fw := NewFrameWriter(&stream)
 	fr := NewFrameReader(iotest.HalfReader(&stream))
-	if err := fw.WriteFrame(OpSnapshot, big); err != nil {
+	if err := fw.WriteFrame(OpReplicate, big); err != nil {
 		t.Fatal(err)
 	}
 	tag, got, err := fr.ReadFrame()
-	if err != nil || tag != OpSnapshot || !bytes.Equal(got, big) {
+	if err != nil || tag != OpReplicate || !bytes.Equal(got, big) {
 		t.Fatalf("1 MiB frame: tag %#x, %d bytes, err %v; payload intact: %v", tag, len(got), err, bytes.Equal(got, big))
 	}
 	if err := fw.WriteFrame(OpWrite, small); err != nil {

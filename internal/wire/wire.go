@@ -32,10 +32,7 @@ const (
 	OpVerify byte = 0x03
 	// OpStats returns the aggregated shard stats as JSON.
 	OpStats byte = 0x04
-	// OpSnapshot returns the full persisted state in shard.Save format: the
-	// layout, then every shard's share of a state stream (DESIGN.md, "State
-	// stream"), unauthenticated — the lines in it protect themselves.
-	OpSnapshot byte = 0x05
+	// 0x05 was OpSnapshot (retired; never reuse it).
 	// OpTamper flips a stored ciphertext bit at a u64 address (adversary
 	// interface; servers only honor it when started with tampering
 	// enabled). Used to demonstrate fail-closed detection end to end.
@@ -89,7 +86,7 @@ const (
 	OpReplicate byte = 0x0E
 	// OpRoute returns the answering node's view of the cluster as JSON
 	// (RouteInfo): role, fencing epoch, leader address, known peers, the
-	// shard→node map, and the node's own durable watermarks. Clients use it
+	// and the node's own durable watermarks. Clients use it
 	// to find the primary; the control plane uses it to pick a promotion
 	// candidate. Served without an admission slot.
 	OpRoute byte = 0x0F
@@ -105,14 +102,7 @@ const (
 	// payload is the epoch and leader address. A primary receiving a higher
 	// epoch steps down (fencing). Served without an admission slot.
 	OpFollow byte = 0x11
-	// OpMigrate drives live shard migration (an encoded MigrateRequest /
-	// MigrateResponse). The control plane sends MigrateRun to the recipient,
-	// a replica that already pulls the shard through OpReplicate; it sends
-	// the current primary Cutover (donor fences the shard and reports the
-	// final LSN) once caught up, or Abort (donor unfences) on failure. Served
-	// without an admission slot: a migration must not be shed by the client
-	// load it is trying to relieve.
-	OpMigrate byte = 0x12
+	// 0x12 was OpMigrate (retired; never reuse it).
 )
 
 // opNames maps opcodes to the names used in per-op metric keys
@@ -122,7 +112,6 @@ var opNames = map[byte]string{
 	OpWrite:      "write",
 	OpVerify:     "verify",
 	OpStats:      "stats",
-	OpSnapshot:   "snapshot",
 	OpTamper:     "tamper",
 	OpCheckpoint: "checkpoint",
 	OpPing:       "ping",
@@ -135,7 +124,6 @@ var opNames = map[byte]string{
 	OpRoute:      "route",
 	OpPromote:    "promote",
 	OpFollow:     "follow",
-	OpMigrate:    "migrate",
 }
 
 // OpName returns the lowercase name of an opcode, or "op_%02x" for
@@ -179,10 +167,11 @@ const (
 	StatusMoved byte = 0x05
 )
 
-// MaxBody caps a frame's body length. Snapshots of large memories are the
-// biggest legitimate frames; anything over this is treated as a hostile or
-// corrupt length prefix before any allocation happens, and anything under it
-// is allocated only as its bytes arrive (FrameReader.ReadFrame).
+// MaxBody caps a frame's body length. A replica's snapshot bootstrap of a
+// large memory is the biggest legitimate frame; anything over this is
+// treated as a hostile or corrupt length prefix before any allocation
+// happens, and anything under it is allocated only as its bytes arrive
+// (FrameReader.ReadFrame).
 const MaxBody = 64 << 20
 
 // lenBytes is the size of the frame length prefix.
@@ -196,8 +185,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	// ErrEmptyFrame reports a zero-length body (no opcode/status byte).
 	ErrEmptyFrame = errors.New("wire: empty frame body")
-	// ErrMalformed reports a cluster-op payload (OpReplicate, OpMigrate)
-	// whose lengths or flags do not account for its bytes exactly.
+	// ErrMalformed reports an OpReplicate payload whose lengths or flags do
+	// not account for its bytes exactly.
 	ErrMalformed = errors.New("wire: malformed payload")
 )
 
@@ -212,7 +201,7 @@ func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
 // scratchKeep is the largest scratch buffer a FrameWriter or FrameReader holds
 // on to between frames. Requests and line responses are under a hundred
-// bytes; the one large frame of a connection's life (a snapshot, a replica's
+// bytes; the one large frame of a connection's life (a replica's snapshot
 // bootstrap) must not pin its megabytes until the connection closes.
 const scratchKeep = 64 << 10
 
