@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE build test race morphdebug vet fmt morphlint escapes lint-baseline loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: FORCE build test race morphdebug vet fmt morphlint escapes loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -35,21 +35,16 @@ bin/morphcheck.race: FORCE
 
 FORCE:
 
-# Full eight-analyzer suite with the checked-in baseline enforced: new
-# findings fail, baselined ones are reported as suppressed.
+# Full eight-analyzer suite: any finding fails. One that is right on purpose
+# carries //morphlint:allow <analyzer> -- reason on its line.
 morphlint: bin/morphlint
-	bin/morphlint -baseline lint.baseline ./...
+	bin/morphlint ./...
 
 # What hotalloc cannot see: the compiler's own account (-gcflags=-m) of the
 # packages that annotate a //morph:hotpath function. A "moved to heap" inside
 # one fails unless its line carries //morphlint:allow hotalloc.
 escapes: bin/morphlint
 	bin/morphlint -escapes ./...
-
-# Refresh lint.baseline from the current findings. Every entry kept here
-# must be justified in DESIGN.md section 13.
-lint-baseline: bin/morphlint
-	bin/morphlint -baseline lint.baseline -write-baseline ./...
 
 # Non-test Go lines per package, one line each, and their sum: the figure a
 # change that claims to remove code reports before and after.
@@ -79,14 +74,13 @@ perf-engine:
 # line table against the map model it replaced, over the MAC against
 # crypto/hmac, over the WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
-# MAC that covers them, over secmem.Load and shard.Load, whose Save streams
-# no MAC covers at all, over the wire's frame reader, whose length prefix
-# arrives before any authentication does, and over the OpReplicate payload
-# codec (FuzzReplicateCodec), the one path a shard's records take between
-# nodes.
+# MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
+# all, over the wire's frame reader, whose length prefix arrives before any
+# authentication does, and over the OpReplicate payload codec
+# (FuzzReplicateCodec), the one path a shard's records take between nodes.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/shard ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -101,9 +101,10 @@ func crashPoints(points int) []int {
 }
 
 // newCrashRun builds the reference store: writes acknowledged writes from
-// seed, journaled. NoAudit keeps every WAL frame at the fixed write size,
-// which makes the surviving-record count at a cut offset arithmetic rather
-// than a re-parse of the file under test. The caller removes c.work.
+// seed, journaled. The WAL journals writes only, so every frame is the fixed
+// write size, which makes the surviving-record count at a cut offset
+// arithmetic rather than a re-parse of the file under test. The caller
+// removes c.work.
 func newCrashRun(shcfg shard.Config, writes int, seed int64) (*crashRun, error) {
 	work, err := os.MkdirTemp("", "morphcheck-crash-*")
 	if err != nil {
@@ -116,7 +117,7 @@ func newCrashRun(shcfg shard.Config, writes int, seed int64) (*crashRun, error) 
 		journal: oracle.NewJournal(shcfg.Shards),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	m, _, err := durable.Open(shcfg, durable.Config{Dir: c.master, Sync: durable.SyncAlways, NoAudit: true})
+	m, _, err := durable.Open(shcfg, durable.Config{Dir: c.master, Sync: durable.SyncAlways})
 	if err == nil {
 		err = c.write(m, c.journal, writes)
 		if cerr := m.Close(); err == nil {
@@ -257,7 +258,7 @@ func cutAppend(c *crashRun, dir string, j *oracle.Journal, _ int) (recovery, err
 		return recovery{}, err
 	}
 	cut := c.rng.Int63n(st.Size() + 1)
-	// Fixed-size frames (NoAudit) make the survivor count arithmetic.
+	// Fixed-size frames make the survivor count arithmetic.
 	keep[victim] = int(cut / wal.WriteFrameBytes)
 	want := recovery{
 		detail: fmt.Sprintf("shard %d cut at byte %d/%d", victim, cut, st.Size()),
@@ -383,7 +384,7 @@ func (c *crashRun) checkpointThenResurrect(dir string, files []string) error {
 
 // checkpoint opens dir, cuts a full checkpoint and closes.
 func (c *crashRun) checkpoint(dir string) error {
-	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir, NoAudit: true})
+	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir})
 	if err != nil {
 		return err
 	}
@@ -404,7 +405,7 @@ func (c *crashRun) buildDeltaStore(dir string, extra, tail int) (*oracle.Journal
 	if err := cloneDir(c.master, dir); err != nil {
 		return nil, err
 	}
-	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir, Sync: durable.SyncAlways, NoAudit: true})
+	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir, Sync: durable.SyncAlways})
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +519,7 @@ func (c *crashRun) recoveryCurve(rows *rows, seed int64) error {
 		bulk := int(nlines) * 8
 		run := func(name string, delta bool) (replayed int, elapsed time.Duration, err error) {
 			dir := filepath.Join(c.work, fmt.Sprintf("curve-%d-%s", mem, name))
-			m, _, err := durable.Open(shcfg, durable.Config{Dir: dir, Sync: durable.SyncNone, NoAudit: true})
+			m, _, err := durable.Open(shcfg, durable.Config{Dir: dir, Sync: durable.SyncNone})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -539,7 +540,7 @@ func (c *crashRun) recoveryCurve(rows *rows, seed int64) error {
 			if err := m.Close(); err != nil {
 				return 0, 0, err
 			}
-			m2, info, err := durable.Open(shcfg, durable.Config{Dir: dir, NoAudit: true})
+			m2, info, err := durable.Open(shcfg, durable.Config{Dir: dir})
 			if err != nil {
 				return 0, 0, fmt.Errorf("curve recovery (%s, %d bytes): %w", name, mem, err)
 			}
@@ -581,7 +582,7 @@ func (c *crashRun) stallGate(seed int64) (text string, fail error) {
 	const stallBudget = time.Millisecond
 	run := func(name string, withCkpt bool) (p99 time.Duration, deltas uint64, err error) {
 		m, _, err := durable.Open(c.shcfg, durable.Config{
-			Dir: filepath.Join(c.work, "stall-"+name), Sync: durable.SyncInterval, NoAudit: true})
+			Dir: filepath.Join(c.work, "stall-"+name), Sync: durable.SyncInterval})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -10,17 +10,14 @@
 //	go build -o morphlint ./cmd/morphlint
 //	go vet -vettool=./morphlint ./...            # as a vet tool
 //
-//	morphlint -json ./...                        # diagnostics as JSON on stdout
-//	morphlint -baseline lint.baseline ./...      # suppress known findings
-//	morphlint -baseline lint.baseline -write-baseline ./...  # regenerate
 //	morphlint -escapes ./...                     # what the compiler moves to the heap in //morph:hotpath functions
 //
 // morphlint speaks the `go vet -vettool` protocol (see
 // internal/analysis/unitchecker.go), so the go command handles package
 // loading, export data, fact-file plumbing and caching; results are
-// identical either way. The -json/-baseline flags are handled in the
-// standalone parent process only — vet callback units never see them.
-// Findings are suppressed line-by-line with a justified directive:
+// identical either way. Standalone, it exits 1 on a tool or build failure
+// and 2 on findings. Findings are suppressed line-by-line with a justified
+// directive:
 //
 //	//morphlint:allow <analyzer> -- reason
 package main
@@ -51,42 +48,22 @@ func main() {
 		}
 	}
 
-	// Direct invocation: parse morphlint's own flags, then let go vet
-	// drive this same binary.
-	var opts analysis.StandaloneOptions
-	for len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		arg := args[0]
-		args = args[1:]
-		switch {
-		case arg == "-json":
-			opts.JSON = true
-		case arg == "-escapes":
-			// Not a vet pass: it asks the compiler, not the syntax.
-			n, err := analysis.RunEscapes(".", args, os.Stderr)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "morphlint: -escapes: %v\n", err)
-				os.Exit(1)
-			}
-			if n > 0 {
-				os.Exit(2)
-			}
-			return
-		case arg == "-write-baseline":
-			opts.WriteBaseline = true
-		case arg == "-baseline":
-			if len(args) == 0 {
-				fmt.Fprintln(os.Stderr, "morphlint: -baseline requires a file argument")
-				os.Exit(1)
-			}
-			opts.BaselinePath = args[0]
-			args = args[1:]
-		case strings.HasPrefix(arg, "-baseline="):
-			opts.BaselinePath = strings.TrimPrefix(arg, "-baseline=")
-		default:
-			fmt.Fprintf(os.Stderr, "morphlint: unknown flag %s\n", arg)
+	// Direct invocation: let go vet drive this same binary, unless -escapes
+	// asks the compiler instead.
+	if len(args) > 0 && strings.HasPrefix(args[0], "-") {
+		if args[0] != "-escapes" {
+			fmt.Fprintf(os.Stderr, "morphlint: unknown flag %s\n", args[0])
 			os.Exit(1)
 		}
+		n, err := analysis.RunEscapes(".", args[1:], os.Stderr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "morphlint: -escapes: %v\n", err)
+			os.Exit(1)
+		}
+		if n > 0 {
+			os.Exit(2)
+		}
+		return
 	}
-	opts.Patterns = args
-	os.Exit(analysis.RunStandalone(opts))
+	os.Exit(analysis.RunStandalone(args))
 }

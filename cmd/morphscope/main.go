@@ -1,14 +1,13 @@
 // Command morphscope is a live telemetry poller for morphserve: it scrapes
-// the admin plane's /metricz and /tracez (or, with -addr, the wire OBS op)
-// on an interval and prints per-op throughput and latency quantiles, event
-// rates, and the engine's counter-organization activity (overflows,
-// rebases, format switches) as interval deltas.
+// the admin plane's /metricz and /tracez on an interval and prints per-op
+// throughput and latency quantiles, event rates, and the engine's
+// counter-organization activity (overflows, rebases, format switches) as
+// interval deltas.
 //
 // Usage:
 //
 //	morphscope -admin 127.0.0.1:7544                   # poll forever
 //	morphscope -admin 127.0.0.1:7544 -samples 3 -json BENCH_obs.json
-//	morphscope -addr 127.0.0.1:7443                    # wire OBS op, no HTTP
 //	morphscope -admin 127.0.0.1:7544 -check            # health probe, exit 1 on failure
 //
 // Quantiles are computed from the server's mergeable histogram buckets:
@@ -30,23 +29,13 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/obs"
-	"github.com/securemem/morphtree/internal/wire"
 )
 
-// source is where snapshots come from: the admin HTTP plane (metrics +
-// trace) or the wire protocol's OBS op (metrics only).
-type source interface {
-	metrics() (obs.Snapshot, error)
-	trace() (obs.TraceSnapshot, bool, error) // ok=false when unsupported
-	name() string
-}
-
+// httpSource is where snapshots come from: the admin HTTP plane at base.
 type httpSource struct {
 	base   string
 	client *http.Client
 }
-
-func (s *httpSource) name() string { return s.base }
 
 func (s *httpSource) get(path string) ([]byte, error) {
 	resp, err := s.client.Get(s.base + path)
@@ -72,32 +61,12 @@ func (s *httpSource) metrics() (obs.Snapshot, error) {
 	return obs.DecodeSnapshot(body)
 }
 
-func (s *httpSource) trace() (obs.TraceSnapshot, bool, error) {
+func (s *httpSource) trace() (obs.TraceSnapshot, error) {
 	body, err := s.get("/tracez")
 	if err != nil {
-		return obs.TraceSnapshot{}, true, err
+		return obs.TraceSnapshot{}, err
 	}
-	ts, err := obs.DecodeTraceSnapshot(body)
-	return ts, true, err
-}
-
-type wireSource struct {
-	cl   *wire.ResilientClient
-	addr string
-}
-
-func (s *wireSource) name() string { return s.addr + " (wire OBS)" }
-
-func (s *wireSource) metrics() (obs.Snapshot, error) {
-	body, err := s.cl.Obs()
-	if err != nil {
-		return obs.Snapshot{}, err
-	}
-	return obs.DecodeSnapshot(body)
-}
-
-func (s *wireSource) trace() (obs.TraceSnapshot, bool, error) {
-	return obs.TraceSnapshot{}, false, nil
+	return obs.DecodeTraceSnapshot(body)
 }
 
 // opRow is one per-op line of the table and of the -json report.
@@ -163,7 +132,7 @@ var engineCounters = []string{
 	"server.accepted", "server.shed",
 }
 
-func printSample(w io.Writer, n int, prev, cur obs.Snapshot, pt, ct obs.TraceSnapshot, haveTrace bool, interval time.Duration) []opRow {
+func printSample(w io.Writer, n int, prev, cur obs.Snapshot, pt, ct obs.TraceSnapshot, interval time.Duration) []opRow {
 	rows := opRows(prev, cur, interval)
 	fmt.Fprintf(w, "--- sample %d @ %s ---\n", n, time.Now().Format("15:04:05"))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -193,34 +162,29 @@ func printSample(w io.Writer, n int, prev, cur obs.Snapshot, pt, ct obs.TraceSna
 		sort.Strings(shards)
 		fmt.Fprintf(w, "shard writes: %s\n", strings.Join(shards, " "))
 	}
-	if haveTrace {
-		var evs []string
-		for kind, v := range ct.Counts {
-			if d := v - pt.Counts[kind]; d > 0 {
-				evs = append(evs, fmt.Sprintf("%s=%.0f/s", kind, float64(d)/interval.Seconds()))
-			}
+	var evs []string
+	for kind, v := range ct.Counts {
+		if d := v - pt.Counts[kind]; d > 0 {
+			evs = append(evs, fmt.Sprintf("%s=%.0f/s", kind, float64(d)/interval.Seconds()))
 		}
-		sort.Strings(evs)
-		if len(evs) > 0 {
-			fmt.Fprintf(w, "events: %s (dropped %d)\n", strings.Join(evs, " "), ct.Dropped)
-		}
+	}
+	sort.Strings(evs)
+	if len(evs) > 0 {
+		fmt.Fprintf(w, "events: %s (dropped %d)\n", strings.Join(evs, " "), ct.Dropped)
 	}
 	return rows
 }
 
 // check probes the telemetry plane and exits nonzero unless the server is
-// healthy and visibly doing work: /healthz answers 200 (HTTP source),
-// metrics decode with at least one op sample, and the tracer (if
-// reachable) has emitted events.
-func check(src source) error {
-	if hs, ok := src.(*httpSource); ok {
-		body, err := hs.get("/healthz")
-		if err != nil {
-			return fmt.Errorf("healthz: %w", err)
-		}
-		if got := strings.TrimSpace(string(body)); got != "ok" {
-			return fmt.Errorf("healthz: body %q, want ok", got)
-		}
+// healthy and visibly doing work: /healthz answers 200, metrics decode with
+// at least one op sample, and the tracer has emitted events.
+func check(src *httpSource) error {
+	body, err := src.get("/healthz")
+	if err != nil {
+		return fmt.Errorf("healthz: %w", err)
+	}
+	if got := strings.TrimSpace(string(body)); got != "ok" {
+		return fmt.Errorf("healthz: body %q, want ok", got)
 	}
 	snap, err := src.metrics()
 	if err != nil {
@@ -235,20 +199,18 @@ func check(src source) error {
 	if opSamples == 0 {
 		return fmt.Errorf("metrics: no per-op latency samples recorded")
 	}
-	if ts, ok, err := src.trace(); ok {
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		if ts.Emitted == 0 {
-			return fmt.Errorf("trace: no events emitted")
-		}
+	ts, err := src.trace()
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if ts.Emitted == 0 {
+		return fmt.Errorf("trace: no events emitted")
 	}
 	return nil
 }
 
 func main() {
 	admin := flag.String("admin", "", "morphserve admin plane address or URL (polls /metricz and /tracez)")
-	addr := flag.String("addr", "", "morphserve wire address (fallback: polls the OBS op; no trace data)")
 	interval := flag.Duration("interval", time.Second, "poll interval")
 	samples := flag.Int("samples", 0, "number of samples to take (0 = until interrupted)")
 	jsonOut := flag.String("json", "", "write the final sample's table + cumulative counters as JSON to this file")
@@ -256,37 +218,32 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	flag.Parse()
 
-	var src source
-	switch {
-	case *admin != "":
-		base := *admin
-		if !strings.Contains(base, "://") {
-			base = "http://" + base
-		}
-		src = &httpSource{base: strings.TrimRight(base, "/"), client: &http.Client{Timeout: *timeout}}
-	case *addr != "":
-		src = &wireSource{addr: *addr, cl: wire.NewResilient(wire.ResilientConfig{Addr: *addr, Timeout: *timeout})}
-	default:
-		log.Fatal("morphscope: one of -admin or -addr is required")
+	if *admin == "" {
+		log.Fatal("morphscope: -admin is required")
 	}
+	base := *admin
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	src := &httpSource{base: strings.TrimRight(base, "/"), client: &http.Client{Timeout: *timeout}}
 
 	if *doCheck {
 		if err := check(src); err != nil {
-			log.Fatalf("morphscope: check %s: %v", src.name(), err)
+			log.Fatalf("morphscope: check %s: %v", src.base, err)
 		}
-		fmt.Printf("morphscope: %s healthy, telemetry live\n", src.name())
+		fmt.Printf("morphscope: %s healthy, telemetry live\n", src.base)
 		return
 	}
 
 	prev, err := src.metrics()
 	if err != nil {
-		log.Fatalf("morphscope: %s: %v", src.name(), err)
+		log.Fatalf("morphscope: %s: %v", src.base, err)
 	}
-	pt, haveTrace, err := src.trace()
-	if haveTrace && err != nil {
-		log.Fatalf("morphscope: %s: %v", src.name(), err)
+	pt, err := src.trace()
+	if err != nil {
+		log.Fatalf("morphscope: %s: %v", src.base, err)
 	}
-	fmt.Printf("morphscope: polling %s every %v\n", src.name(), *interval)
+	fmt.Printf("morphscope: polling %s every %v\n", src.base, *interval)
 
 	var lastRows []opRow
 	var lastSnap obs.Snapshot
@@ -297,27 +254,25 @@ func main() {
 		time.Sleep(*interval)
 		cur, err := src.metrics()
 		if err != nil {
-			log.Fatalf("morphscope: %s: %v", src.name(), err)
+			log.Fatalf("morphscope: %s: %v", src.base, err)
 		}
-		var ct obs.TraceSnapshot
-		if haveTrace {
-			if ct, _, err = src.trace(); err != nil {
-				log.Fatalf("morphscope: %s: %v", src.name(), err)
-			}
-			lastEvents = map[string]float64{}
-			for kind, v := range ct.Counts {
-				lastEvents[kind] = float64(v-pt.Counts[kind]) / interval.Seconds()
-			}
+		ct, err := src.trace()
+		if err != nil {
+			log.Fatalf("morphscope: %s: %v", src.base, err)
+		}
+		lastEvents = map[string]float64{}
+		for kind, v := range ct.Counts {
+			lastEvents[kind] = float64(v-pt.Counts[kind]) / interval.Seconds()
 		}
 		taken++
-		lastRows = printSample(os.Stdout, taken, prev, cur, pt, ct, haveTrace, *interval)
+		lastRows = printSample(os.Stdout, taken, prev, cur, pt, ct, *interval)
 		lastSnap, lastTrace = cur, ct
 		prev, pt = cur, ct
 	}
 
 	if *jsonOut != "" {
 		rep := jsonReport{
-			Source:    src.name(),
+			Source:    src.base,
 			IntervalS: interval.Seconds(),
 			Samples:   taken,
 			Ops:       lastRows,

@@ -82,7 +82,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.deltaEvery, "delta-every", 0, "background incremental-checkpoint interval with -data-dir (0 disables); deltas persist only dirty lines and compact to a full snapshot when the chain grows")
 	fs.IntVar(&o.keepEpochs, "keep-epochs", 0, "checkpoint epochs to retain past the newest with -data-dir (0 = newest only; delta chains always keep their base)")
 	fs.StringVar(&o.tenants, "tenants", "", "tenant config file (JSON array of specs); enables multi-tenant mode: HELLO-bound connections, per-tenant key domains, weighted fair admission")
-	fs.StringVar(&o.admin, "admin", "", "admin telemetry listen address serving /metricz /tracez /healthz /rootz and pprof (empty = disabled; also enables the wire OBS op)")
+	fs.StringVar(&o.admin, "admin", "", "admin telemetry listen address serving /metricz /tracez /healthz /rootz and pprof (empty = disabled)")
 	fs.IntVar(&o.traceBuf, "trace-buf", 4096, "event trace ring capacity with -admin")
 	fs.StringVar(&o.signSeed, "sign-seed", "", "transparency-log Ed25519 signing seed in hex (32 bytes; default derives one from the master key)")
 	fs.BoolVar(&o.cluster, "cluster", false, "serve as a replication cluster node (requires -data-dir)")

@@ -1,7 +1,7 @@
 // Command morphserve runs a sharded secure-memory service: N independent
 // secmem engines behind a TCP wire protocol (READ / WRITE / VERIFY / STATS
-// / SNAPSHOT / CHECKPOINT frames), with the counter organization selectable
-// among the designs the paper evaluates.
+// / CHECKPOINT frames, among others), with the counter organization
+// selectable among the designs the paper evaluates.
 //
 // Usage:
 //
@@ -299,8 +299,8 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 			log.Printf("morphserve: close store: %v", err)
 		}
 		d := st.Durability()
-		fmt.Printf("morphserve: durability: %d WAL appends, %d fsyncs, %d audit records, %d checkpoints, %d deltas, %d compactions\n",
-			d.Appends, d.Fsyncs, d.AuditRecords, d.Checkpoints, d.DeltaCheckpoints, d.Compactions)
+		fmt.Printf("morphserve: durability: %d WAL appends, %d fsyncs, %d checkpoints, %d deltas, %d compactions\n",
+			d.Appends, d.Fsyncs, d.Checkpoints, d.DeltaCheckpoints, d.Compactions)
 	}
 	stats := eng.Stats()
 	fmt.Printf("morphserve: served %d reads, %d writes, %d verified fetches; overflows %v, rebases %v, re-encryptions %d\n",

@@ -14,8 +14,8 @@
 //   - Unitchecker implements the `go vet -vettool` JSON protocol, so the
 //     go command loads, type-checks and caches packages — and carries
 //     fact files between dependent units (unitchecker.go).
-//   - Standalone re-executes the tool under `go vet`, then post-processes
-//     diagnostics (baseline filtering, JSON output) (standalone.go).
+//   - Standalone re-executes the tool under `go vet`, then sorts findings
+//     from build failures for the exit code (standalone.go).
 //   - analysistest runs analyzers over testdata fixtures with `// want`
 //     expectations, analyzing fixture dependencies first so facts flow
 //     (analysistest/).

@@ -3,77 +3,40 @@ package analysis
 // Standalone invocation (`morphlint ./...`): the tool re-executes itself
 // through `go vet -vettool=<self>`, letting the go command do package
 // loading, export-data compilation, fact-file plumbing and caching, then
-// post-processes the captured diagnostics in this parent process:
-//
-//   - baseline filtering (-baseline): known findings listed in a checked-in
-//     file are suppressed so pre-existing debt burns down without blocking
-//     CI, while anything new still fails the run;
-//   - machine-readable output (-json): diagnostics as a JSON array on
-//     stdout for editor and CI integration;
-//   - baseline (re)generation (-write-baseline).
-//
-// Doing the filtering here — rather than inside the per-unit vet callback —
-// keeps unit processes byte-identical regardless of flags, so the go
-// command's vet result cache stays valid across flag changes.
+// sorts what vet printed in this parent process: findings, reported with
+// their paths made relative, from everything else, which is a build or tool
+// failure. A finding is suppressed only where it occurs, by a justified
+// //morphlint:allow directive, so unit processes see no flags and the go
+// command's vet result cache stays valid.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 )
 
-// StandaloneOptions configures a direct (non-vet-callback) run.
-type StandaloneOptions struct {
-	// Patterns are package patterns for go vet; defaults to ./...
-	Patterns []string
-	// JSON emits diagnostics as a JSON array on stdout instead of
-	// file:line:col lines on stderr.
-	JSON bool
-	// BaselinePath names a baseline file of known findings to suppress.
-	// Empty means no baseline. A missing file is treated as empty.
-	BaselinePath string
-	// WriteBaseline rewrites BaselinePath with the current findings
-	// (exit 0) instead of reporting them.
-	WriteBaseline bool
-}
-
-// JSONDiagnostic is the machine-readable form of one finding.
-type JSONDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // diagLine matches the unitchecker's stderr format:
 // path:line:col: message [analyzer]
-var diagLine = regexp.MustCompile(`^(.+?):(\d+):(\d+): (.+) \[([A-Za-z0-9_]+)\]$`)
+var diagLine = regexp.MustCompile(`^(.+?):\d+:\d+: .+ \[[A-Za-z0-9_]+\]$`)
 
 // RunStandalone handles direct invocation by re-executing the tool through
-// `go vet -vettool=<self>` and post-processing its diagnostics. Returns a
-// process exit code: 0 clean, 1 tool/build failure, 2 findings remain
-// after baseline filtering.
-func RunStandalone(opts StandaloneOptions) int {
+// `go vet -vettool=<self>` over patterns (default ./...) and reporting its
+// diagnostics on stderr. Returns a process exit code: 0 clean, 1 tool/build
+// failure, 2 findings.
+func RunStandalone(patterns []string) int {
 	self, err := os.Executable()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "morphlint: cannot locate own executable: %v\n", err)
 		return 1
 	}
-	patterns := opts.Patterns
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	args := append([]string{"vet", "-vettool=" + self}, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + self}, patterns...)...)
 	var stderr bytes.Buffer
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = &stderr
@@ -90,48 +53,12 @@ func RunStandalone(opts StandaloneOptions) int {
 		}
 		return 1
 	}
-	if runErr != nil {
-		if ee, ok := runErr.(*exec.ExitError); ok && len(diags) > 0 {
-			_ = ee // findings produced the non-zero exit; handled below
-		} else {
-			fmt.Fprintf(os.Stderr, "morphlint: go vet: %v\n", runErr)
-			return 1
-		}
+	if runErr != nil && len(diags) == 0 {
+		fmt.Fprintf(os.Stderr, "morphlint: go vet: %v\n", runErr)
+		return 1
 	}
-
-	if opts.WriteBaseline {
-		if opts.BaselinePath == "" {
-			fmt.Fprintln(os.Stderr, "morphlint: -write-baseline requires -baseline <file>")
-			return 1
-		}
-		if err := writeBaseline(opts.BaselinePath, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "morphlint: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "morphlint: wrote %d baseline entries to %s\n", len(diags), opts.BaselinePath)
-		return 0
-	}
-
-	if opts.BaselinePath != "" {
-		baseline, err := readBaseline(opts.BaselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "morphlint: %v\n", err)
-			return 1
-		}
-		diags = filterBaselined(diags, baseline)
-	}
-
-	if opts.JSON {
-		out, err := json.MarshalIndent(diags, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "morphlint: %v\n", err)
-			return 1
-		}
-		fmt.Println(string(out))
-	} else {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s [%s]\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		return 2
@@ -139,15 +66,13 @@ func RunStandalone(opts StandaloneOptions) int {
 	return 0
 }
 
-// parseVetOutput splits go vet stderr into parsed diagnostics and
-// everything else. Package group headers ("# pkg") are dropped: they only
-// annotate the diagnostics that follow.
-func parseVetOutput(out string) (diags []JSONDiagnostic, other []string) {
+// parseVetOutput splits go vet stderr into diagnostics, each with an absolute
+// path under the working directory made relative, and everything else.
+// Package group headers ("# pkg") are dropped: they only annotate the
+// diagnostics that follow.
+func parseVetOutput(out string) (diags, other []string) {
 	cwd, _ := os.Getwd()
-	sc := bufio.NewScanner(strings.NewReader(out))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(out, "\n") {
 		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "# ") {
 			continue
 		}
@@ -156,86 +81,13 @@ func parseVetOutput(out string) (diags []JSONDiagnostic, other []string) {
 			other = append(other, line)
 			continue
 		}
-		lineNo, _ := strconv.Atoi(m[2])
-		colNo, _ := strconv.Atoi(m[3])
 		file := m[1]
 		if cwd != "" && filepath.IsAbs(file) {
 			if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
 				file = filepath.ToSlash(rel)
 			}
 		}
-		diags = append(diags, JSONDiagnostic{
-			File:     file,
-			Line:     lineNo,
-			Col:      colNo,
-			Message:  m[4],
-			Analyzer: m[5],
-		})
+		diags = append(diags, file+line[len(m[1]):])
 	}
 	return diags, other
-}
-
-// Baseline format: one entry per line, `file<TAB>message [analyzer]`.
-// Entries deliberately omit line/column numbers so unrelated edits higher
-// in a file do not invalidate them; an entry suppresses every identical
-// (file, message) finding.
-
-// baselineKey is the identity of a finding for baseline matching.
-func baselineKey(d JSONDiagnostic) string {
-	return d.File + "\t" + d.Message + " [" + d.Analyzer + "]"
-}
-
-// readBaseline loads baseline entries; a missing file is an empty baseline.
-func readBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]bool{}, nil
-		}
-		return nil, err
-	}
-	entries := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" || strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
-		}
-		entries[line] = true
-	}
-	return entries, nil
-}
-
-// filterBaselined drops diagnostics whose key appears in the baseline.
-func filterBaselined(diags []JSONDiagnostic, baseline map[string]bool) []JSONDiagnostic {
-	var out []JSONDiagnostic
-	for _, d := range diags {
-		if baseline[baselineKey(d)] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
-// writeBaseline rewrites the baseline file from the current findings,
-// sorted and deduplicated.
-func writeBaseline(path string, diags []JSONDiagnostic) error {
-	seen := make(map[string]bool)
-	var keys []string
-	for _, d := range diags {
-		k := baselineKey(d)
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var buf bytes.Buffer
-	buf.WriteString("# morphlint baseline: known findings suppressed by -baseline.\n")
-	buf.WriteString("# Format: file<TAB>message [analyzer]; line numbers omitted on purpose.\n")
-	buf.WriteString("# Regenerate with: bin/morphlint -baseline <this file> -write-baseline ./...\n")
-	for _, k := range keys {
-		buf.WriteString(k)
-		buf.WriteByte('\n')
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }

@@ -11,7 +11,7 @@
 //     WAL frames re-sealed under an epoch-bound key — the follower's
 //     decoder enforces integrity and LSN contiguity exactly as crash
 //     recovery does.
-//   - A follower journals the primary's records verbatim (NoAudit), so
+//   - A follower journals the primary's records verbatim, so
 //     its own recovered per-shard LSN vector IS its replication cursor.
 //     A follower crash resumes streaming from whatever its local WAL
 //     proves durable, with no separate cursor state to corrupt.
@@ -31,7 +31,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -179,10 +178,7 @@ type meta struct {
 const metaFile = "cluster.META"
 
 // Open recovers (or creates) the node's durable state and starts its
-// replication machinery. Cluster nodes always run with NoAudit — a
-// follower must journal the primary's record sequence byte-for-byte, and
-// a primary injecting local audit records would fork the LSN space its
-// followers mirror. ReplHistory defaults to 4096 records per shard.
+// replication machinery. ReplHistory defaults to 4096 records per shard.
 func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
@@ -191,7 +187,6 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 	if !cfg.Primary && cfg.Leader == "" {
 		return nil, fmt.Errorf("cluster: replica needs Config.Leader")
 	}
-	dcfg.NoAudit = true
 	if dcfg.ReplHistory == 0 {
 		dcfg.ReplHistory = 4096
 	}
@@ -411,9 +406,6 @@ func (n *Node) VerifyAll() error { return n.memory().VerifyAll() }
 
 // Stats returns the local engine stats (any role).
 func (n *Node) Stats() secmem.Stats { return n.memory().Stats() }
-
-// Save streams the local engine state (any role).
-func (n *Node) Save(w io.Writer) error { return n.memory().Save(w) }
 
 // FlipDataBit is the adversary interface (tamper testing); served by the
 // primary, refused (false) elsewhere.

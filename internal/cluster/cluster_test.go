@@ -606,9 +606,9 @@ func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodesAreUnknown: the two retired opcodes — 0x12, which was
-// OpMigrate, and 0x05, which was OpSnapshot — are unknown opcodes to a
-// primary. A Cutover frame in their last layout, at the primary's own epoch
+// TestRetiredOpcodesAreUnknown: the three retired opcodes — 0x12, which was
+// OpMigrate, 0x05, which was OpSnapshot, and 0x09, which was OpObs — are
+// unknown opcodes to a primary. A Cutover frame in their last layout, at the primary's own epoch
 // and naming an address nobody serves, neither changes the node's route nor
 // points the shard's writers anywhere: the next write to that shard
 // acknowledges on the primary.
@@ -616,6 +616,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	const (
 		opMigrate  = 0x12 // retired OpMigrate
 		opSnapshot = 0x05 // retired OpSnapshot
+		opObs      = 0x09 // retired OpObs
 		cutover    = 4    // OpMigrate's Cutover phase
 		bogus      = "127.0.0.1:1"
 	)
@@ -642,7 +643,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	for _, f := range []struct {
 		op      byte
 		payload []byte
-	}{{opMigrate, cut}, {opSnapshot, nil}} {
+	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}} {
 		if err := wire.WriteFrame(conn, f.op, f.payload); err != nil {
 			t.Fatal(err)
 		}

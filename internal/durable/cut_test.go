@@ -12,6 +12,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/oracle"
+	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 )
 
@@ -154,12 +155,12 @@ func checkShadow(t *testing.T, m *Memory, shadow []map[uint64]uint64) {
 }
 
 // TestImagesUnderWritersAndCuts takes full images while the writers write and
-// deltas are cut back to back: the wire's SNAPSHOT (Save) holds no checkpoint
-// lock and meets cuts open and draining; a full Checkpoint freezes the shards
-// in the middle of it all. Every image must load and verify; then the Memory
-// is abandoned, not closed, and recovery — from the full checkpoint, whatever
-// deltas followed it and the WAL tail — must read every acknowledged write
-// back.
+// deltas are cut back to back: an engine's full image (WriteRecords, what
+// secmem.Save writes) holds no checkpoint lock and meets cuts open and
+// draining; a full Checkpoint freezes the shards in the middle of it all.
+// Every image must load and verify; then the Memory is abandoned, not closed,
+// and recovery — from the full checkpoint, whatever deltas followed it and the
+// WAL tail — must read every acknowledged write back.
 func TestImagesUnderWritersAndCuts(t *testing.T) {
 	const shards = 2
 	dir := t.TempDir()
@@ -200,13 +201,18 @@ func TestImagesUnderWritersAndCuts(t *testing.T) {
 				<-written
 			}
 		}
-		var image bytes.Buffer
-		if err := m.Save(&image); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := shard.Load(shcfg, &image)
+		loaded, err := shard.New(shcfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i := 0; i < shards; i++ {
+			var image bytes.Buffer
+			if err := m.Sharded().Shard(i).WriteRecords(&image); err != nil {
+				t.Fatal(err)
+			}
+			if err := secmem.ReadRecords(&image, loaded.Shard(i).Apply); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := loaded.VerifyAll(); err != nil {
 			t.Fatal(err)

@@ -54,7 +54,7 @@ func (m *Memory) CheckpointDelta() error {
 		}
 	}()
 	for i, c := range m.commits {
-		cut, lsn, writes, err := c.beginCut(m)
+		cut, lsn, writes, err := c.beginCut()
 		if err != nil {
 			return err
 		}
@@ -110,16 +110,11 @@ func (m *Memory) CheckpointDelta() error {
 // beginCut opens a cut of the shard's engine and returns the journal position
 // it holds exactly: both are taken under the shard's locks (sync, then append,
 // syncTo's order), and no other shard's.
-func (c *committer) beginCut(m *Memory) (cut *secmem.Cut, lsn, writes uint64, err error) {
+func (c *committer) beginCut() (cut *secmem.Cut, lsn, writes uint64, err error) {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !m.cfg.NoAudit {
-		if err := c.appendAuditLocked(m); err != nil {
-			return nil, 0, 0, err
-		}
-	}
 	cut, err = c.eng.BeginCut()
 	return cut, c.lsn, c.writes, err
 }

@@ -44,7 +44,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,13 +115,6 @@ type Config struct {
 	// VerifyAll makes recovery re-verify every written line in every
 	// shard (bounded-recovery-time tradeoff: thorough but O(state)).
 	VerifyAll bool
-	// NoAudit suppresses the overflow/rebase audit records normally
-	// journaled at each group-commit flush. Crash harnesses set it so WAL
-	// segments contain only fixed-size write frames. Cluster replicas also
-	// run with it so their record sequence stays byte-identical to the
-	// primary's stream (a replica injecting its own audit records would
-	// fork the LSN space).
-	NoAudit bool
 	// ReplHistory, when positive, keeps an in-memory ring of the last N
 	// records per shard so a replication cursor can be served without
 	// re-reading the segment file. 0 disables the ring (ReadRecords then
@@ -160,8 +152,6 @@ type Stats struct {
 	// Fsyncs is the number of WAL fsyncs issued; Appends/Fsyncs is the
 	// group-commit batching factor.
 	Fsyncs uint64
-	// AuditRecords counts overflow/rebase audit records journaled.
-	AuditRecords uint64
 	// Checkpoints counts snapshots taken (including the bootstrap one).
 	Checkpoints uint64
 	// DeltaCheckpoints counts incremental delta checkpoints cut.
@@ -218,8 +208,6 @@ type committer struct {
 	log    *wal.Log
 	lsn    uint64 // last assigned LSN (cumulative across segments)
 	writes uint64 // cumulative write records (journal prefix index)
-	// audit baselines: totals already journaled as audit records
-	auditedOv, auditedRb uint64
 	// baseLSN is the LSN the current segment starts after (the covered LSN
 	// of the snapshot that opened this epoch); the replication cursor's
 	// file fallback anchors ReplayRange at baseLSN+1.
@@ -263,14 +251,13 @@ type Memory struct {
 
 	commits []*committer
 
-	appends      atomic.Uint64
-	fsyncs       atomic.Uint64
-	auditRecords atomic.Uint64
-	checkpoints  atomic.Uint64
-	deltaCkpts   atomic.Uint64
-	compactions  atomic.Uint64
-	deltaBytes   atomic.Uint64
-	recoveryUS   atomic.Uint64 // last recovery duration, microseconds
+	appends     atomic.Uint64
+	fsyncs      atomic.Uint64
+	checkpoints atomic.Uint64
+	deltaCkpts  atomic.Uint64
+	compactions atomic.Uint64
+	deltaBytes  atomic.Uint64
+	recoveryUS  atomic.Uint64 // last recovery duration, microseconds
 
 	bgErrMu sync.Mutex
 	bgErr   error // first background-flusher failure, surfaced on Flush/Close
@@ -340,11 +327,6 @@ func (m *Memory) VerifyAll() error { return m.sh.VerifyAll() }
 // Stats returns the engine's aggregated activity counters.
 func (m *Memory) Stats() secmem.Stats { return m.sh.Stats() }
 
-// Save streams the current state in shard.Save format (the wire SNAPSHOT
-// op): the payload of an on-disk snapshot file behind a plain header, not
-// authenticated and not frozen across shards.
-func (m *Memory) Save(w io.Writer) error { return m.sh.Save(w) }
-
 // FlipDataBit forwards the adversary interface (wire TAMPER op).
 func (m *Memory) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 	return m.sh.FlipDataBit(addr, byteOff, bit)
@@ -364,14 +346,13 @@ func (m *Memory) OnCheckpoint(fn func(seq uint64)) { m.onCkpt = fn }
 
 // RegisterMetrics registers pull-time collectors on reg: the underlying
 // engine's shard/secmem collector plus the durability counters
-// (durable.appends / fsyncs / audit_records / checkpoints and the current
-// snapshot epoch durable.seq). Nil registries are a no-op.
+// (durable.appends / fsyncs / checkpoints and the current snapshot epoch
+// durable.seq). Nil registries are a no-op.
 func (m *Memory) RegisterMetrics(reg *obs.Registry) {
 	m.sh.RegisterMetrics(reg)
 	reg.RegisterCollector(func(emit func(string, uint64)) {
 		emit("durable.appends", m.appends.Load())
 		emit("durable.fsyncs", m.fsyncs.Load())
-		emit("durable.audit_records", m.auditRecords.Load())
 		emit("durable.checkpoints", m.checkpoints.Load())
 		emit("durable.seq", m.seq.Load())
 		emit("durable.ckpt.deltas", m.deltaCkpts.Load())
@@ -387,7 +368,6 @@ func (m *Memory) Durability() Stats {
 	return Stats{
 		Appends:          m.appends.Load(),
 		Fsyncs:           m.fsyncs.Load(),
-		AuditRecords:     m.auditRecords.Load(),
 		Checkpoints:      m.checkpoints.Load(),
 		DeltaCheckpoints: m.deltaCkpts.Load(),
 		Compactions:      m.compactions.Load(),
@@ -478,12 +458,6 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 		return 0, 0, nil
 	}
 	c.mu.Lock()
-	if !m.cfg.NoAudit {
-		if err := c.appendAuditLocked(m); err != nil {
-			c.mu.Unlock()
-			return 0, 0, err
-		}
-	}
 	target := c.lsn
 	err = c.log.Flush()
 	c.mu.Unlock()
@@ -516,35 +490,6 @@ func (c *committer) fsyncLocked(m *Memory) error {
 		c.synced = c.lsn
 		m.fsyncs.Add(1)
 		m.signalDurable()
-	}
-	return nil
-}
-
-// appendAuditLocked journals the overflow re-encryption and rebase events
-// the engine performed since the last audit record, so the WAL names every
-// class of mutation even though deterministic replay of the write records
-// regenerates them. Called with c.mu held.
-func (c *committer) appendAuditLocked(m *Memory) error {
-	ov, rb := c.eng.OverflowRebaseTotals()
-	if ov > c.auditedOv {
-		rec := wal.Record{Kind: wal.KindOverflow, LSN: c.lsn + 1, Count: ov - c.auditedOv}
-		if err := c.log.Append(rec); err != nil {
-			return err
-		}
-		c.lsn++
-		c.auditedOv = ov
-		m.auditRecords.Add(1)
-		c.pushRingLocked(rec, m.cfg.ReplHistory)
-	}
-	if rb > c.auditedRb {
-		rec := wal.Record{Kind: wal.KindRebase, LSN: c.lsn + 1, Count: rb - c.auditedRb}
-		if err := c.log.Append(rec); err != nil {
-			return err
-		}
-		c.lsn++
-		c.auditedRb = rb
-		m.auditRecords.Add(1)
-		c.pushRingLocked(rec, m.cfg.ReplHistory)
 	}
 	return nil
 }

@@ -250,7 +250,7 @@ func TestSyncIntervalAndNoneFlushOnClose(t *testing.T) {
 func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 1, 1<<12)
-	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 	const writes = 10
 	for i := uint64(0); i < writes; i++ {
 		if err := m.Write(i*LineBytes, oracle.Fill(i, 7)); err != nil {
@@ -354,7 +354,7 @@ func flipWalFrame(t *testing.T, path string, frame int) {
 func TestTamperedWALIsIntegrityError(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 1, 1<<12)
-	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 	for i := uint64(0); i < 8; i++ {
 		if err := m.Write(i*LineBytes, oracle.Fill(i, 11)); err != nil {
 			t.Fatal(err)
@@ -422,7 +422,11 @@ func TestRecoveryCleansStaleEpochs(t *testing.T) {
 	}
 }
 
-func TestAuditRecordsJournalOverflowsAndRebases(t *testing.T) {
+// TestSegmentJournalsWritesOnly: a standalone store's segment holds one record
+// per write and nothing else, however many overflows and rebases the writes
+// caused — replaying the writes regenerates every one of them — across group
+// commits and a delta cut alike, and it replays back to every line.
+func TestSegmentJournalsWritesOnly(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 1, 1<<12)
 	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
@@ -436,38 +440,43 @@ func TestAuditRecordsJournalOverflowsAndRebases(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		commit := m.Flush
+		if round == rounds/2 {
+			commit = m.CheckpointDelta
+		}
+		if err := commit(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := m.Stats()
 	var events uint64
-	for _, v := range st.Overflows {
-		events += v
-	}
-	for _, v := range st.Rebases {
-		events += v
+	for l := range st.Overflows {
+		events += st.Overflows[l] + st.Rebases[l]
 	}
 	if events == 0 {
 		t.Fatal("uniform sweep workload produced no overflow/rebase events")
 	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Durability().AuditRecords == 0 {
-		t.Fatalf("engine reported %d overflow/rebase events but no audit records were journaled", events)
-	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The audited WAL (writes + audit records interleaved) must replay.
+	kinds := map[byte]int{}
+	if _, err := wal.Replay(SegmentPath(dir, 1, 0), wal.Options{Key: walKey(shcfg.Mem.Key, 0, 1)}, 1, false, func(r wal.Record) error {
+		kinds[r.Kind]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(rounds * nlines); len(kinds) != 1 || kinds[wal.KindWrite] != want {
+		t.Fatalf("after %d overflow/rebase events the segment holds %v records by kind, want %d writes and nothing else", events, kinds, want)
+	}
 	m2, info := mustOpen(t, shcfg, Config{Dir: dir})
 	defer func() {
 		if err := m2.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	wantWrites := int(rounds * nlines)
-	if info.ReplayedWrites != wantWrites || info.ReplayedRecords <= wantWrites {
-		t.Fatalf("replayed %d records / %d writes, want >%d records incl. audits and %d writes",
-			info.ReplayedRecords, info.ReplayedWrites, wantWrites, wantWrites)
+	if info.ReplayedWrites == 0 || info.ReplayedRecords != info.ReplayedWrites {
+		t.Fatalf("replayed %d records / %d writes past the delta, want the same non-zero count", info.ReplayedRecords, info.ReplayedWrites)
 	}
 	for i := uint64(0); i < nlines; i++ {
 		got, err := m2.Read(i * LineBytes)
@@ -475,7 +484,7 @@ func TestAuditRecordsJournalOverflowsAndRebases(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, oracle.Fill(i, rounds-1)) {
-			t.Fatalf("line %d content lost through audited replay", i)
+			t.Fatalf("line %d content lost through replay", i)
 		}
 	}
 }
@@ -594,7 +603,7 @@ func TestIntervalFlusherCyclesDoNotAllocate(t *testing.T) {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	shcfg := testShardConfig(t, 2, 1<<13)
-	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: time.Millisecond, NoAudit: true})
+	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: time.Millisecond})
 	defer m.Close()
 	line := oracle.Fill(3, 1)
 	cycle := func() {
@@ -619,11 +628,9 @@ func TestIntervalFlusherCyclesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// Under SyncAlways every write is a whole sync cycle — append, apply, the
-// audit check, flush, fsync — and the flusher runs the same cycle hundreds of
-// times a second on every shard. While nothing overflows, so no audit record
-// is journaled, none of it allocates: the WAL seals the frame in place and the
-// audit check reads two totals, not a clone of the engine's statistics.
+// Under SyncAlways every write is a whole sync cycle — append, apply, flush,
+// fsync — and the flusher runs the same cycle hundreds of times a second on
+// every shard. None of it allocates: the WAL seals the frame in place.
 func TestSyncCycleWithoutAuditDoesNotAllocate(t *testing.T) {
 	if racedetect.Enabled || invariant.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
@@ -653,8 +660,7 @@ func TestSyncCycleWithoutAuditDoesNotAllocate(t *testing.T) {
 		t.Errorf("a SyncAlways write — one whole sync cycle — allocates %v times, want 0", n)
 	}
 	after := m.Durability()
-	if after.Fsyncs-before.Fsyncs < 200 || after.AuditRecords != before.AuditRecords {
-		t.Fatalf("%d fsyncs and %d audit records over 201 writes: the cycles being counted were not audit-free sync cycles",
-			after.Fsyncs-before.Fsyncs, after.AuditRecords-before.AuditRecords)
+	if after.Fsyncs-before.Fsyncs < 200 {
+		t.Fatalf("%d fsyncs over 201 writes: the cycles being counted were not sync cycles", after.Fsyncs-before.Fsyncs)
 	}
 }

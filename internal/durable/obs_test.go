@@ -47,9 +47,9 @@ func TestObsInstrumentation(t *testing.T) {
 		t.Fatalf("batch samples = %d, want %d", bh.Count, st.Fsyncs)
 	}
 	// Every record made durable is counted in exactly one batch: the sum
-	// of batch sizes equals appends + audit records.
-	if bh.Sum != st.Appends+st.AuditRecords {
-		t.Fatalf("batch sum = %d, want appends %d + audits %d", bh.Sum, st.Appends, st.AuditRecords)
+	// of batch sizes equals the appends.
+	if bh.Sum != st.Appends {
+		t.Fatalf("batch sum = %d, want appends %d", bh.Sum, st.Appends)
 	}
 	if got := tr.Count(obs.KindWALFsync); got != st.Fsyncs {
 		t.Fatalf("WALFsync events = %d, want %d", got, st.Fsyncs)
@@ -106,7 +106,7 @@ func TestObsGroupCommitBatches(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	shcfg := testShardConfig(t, 1, 1<<12)
-	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true, Obs: reg})
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, Obs: reg})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)

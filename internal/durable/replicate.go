@@ -164,17 +164,13 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 // (re-sealed under this node's segment keys), applies the writes to the
 // engine, and group-commits the batch durable. Records must continue the
 // shard's LSN sequence exactly; a gap is a replication-protocol violation,
-// not tampering, and is reported as a plain error. The memory must run with
-// NoAudit so the local sequence never diverges from the primary's stream.
+// not tampering, and is reported as a plain error.
 func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 	if m.closed.Load() {
 		return fmt.Errorf("durable: apply after Close")
 	}
 	if shardIdx < 0 || shardIdx >= len(m.commits) {
 		return fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
-	}
-	if !m.cfg.NoAudit {
-		return fmt.Errorf("durable: ApplyReplicated requires NoAudit (local audit records would fork the replicated LSN space)")
 	}
 	if len(recs) == 0 {
 		return nil
@@ -205,18 +201,15 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 		}
 		c.lsn = r.LSN
 		c.pushRingLocked(r, m.cfg.ReplHistory)
-		switch r.Kind {
-		case wal.KindWrite:
+		// The overflow/rebase audit records a primary of an earlier version
+		// journaled ride along verbatim and apply as no-ops, as in recovery.
+		if r.Kind == wal.KindWrite {
 			c.writes++
 			if err := m.sh.Write(r.Addr, r.Line); err != nil {
 				c.mu.Unlock()
 				return err
 			}
 			m.appends.Add(1)
-		default:
-			// Audit records journal verbatim and apply as no-ops, exactly
-			// like recovery replay.
-			m.auditRecords.Add(1)
 		}
 	}
 	last := c.lsn

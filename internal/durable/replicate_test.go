@@ -18,12 +18,12 @@ import (
 )
 
 // replPair opens a primary (with a replication ring) and a cold replica
-// (NoAudit, own dir) over the same shard geometry.
+// (own dir) over the same shard geometry.
 func replPair(t *testing.T, shards int, ringCap int) (*Memory, *Memory) {
 	t.Helper()
 	shcfg := testShardConfig(t, shards, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap, NoAudit: true})
-	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap})
+	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap})
 	t.Cleanup(func() { _ = p.Close(); _ = r.Close() })
 	return p, r
 }
@@ -96,8 +96,8 @@ func TestReplicationRoundTripViaRing(t *testing.T) {
 // the wal.ReplayRange path over the live segment.
 func TestReplicationFileFallback(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
-	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
+	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	defer func() { _ = p.Close(); _ = r.Close() }()
 	const n = 12
 	for i := 0; i < n; i++ {
@@ -127,7 +127,7 @@ func TestReplicationFileFallback(t *testing.T) {
 // bootstrap), never silently skip records.
 func TestReplicationCursorBehindCheckpoint(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	defer func() { _ = p.Close() }()
 	for i := 0; i < 8; i++ {
 		addr := uint64(i) * LineBytes
@@ -175,10 +175,10 @@ func TestApplyReplicatedRejectsGap(t *testing.T) {
 // exactly where it stopped.
 func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 256, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 256})
 	defer func() { _ = p.Close() }()
 	rdir := t.TempDir()
-	r, _ := mustOpen(t, shcfg, Config{Dir: rdir, Sync: SyncAlways, NoAudit: true})
+	r, _ := mustOpen(t, shcfg, Config{Dir: rdir, Sync: SyncAlways})
 	const n = 20
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
@@ -191,7 +191,7 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, info := mustOpen(t, shcfg, Config{Dir: rdir, Sync: SyncAlways, NoAudit: true})
+	r2, info := mustOpen(t, shcfg, Config{Dir: rdir, Sync: SyncAlways})
 	defer func() { _ = r2.Close() }()
 	after := r2.SyncedLSNs()
 	for i := range before {
@@ -219,7 +219,7 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 // SaveMarks blob and then streams the suffix.
 func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 8, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 8})
 	defer func() { _ = p.Close() }()
 	const n = 30
 	for i := 0; i < n; i++ {
@@ -233,7 +233,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	cold, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	r, err := cold.InstallSnapshot(&blob, marks)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
 // still deliver everything.
 func TestRingEviction(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 4, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 4})
 	defer func() { _ = p.Close() }()
 	const n = 25
 	for i := 0; i < n; i++ {
@@ -311,7 +311,7 @@ func TestRingEviction(t *testing.T) {
 // durable.
 func TestDurableSignalFires(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	defer func() { _ = p.Close() }()
 	ch := p.DurableSignal()
 	if err := p.Write(0, oracle.Fill(0, 1)); err != nil {
@@ -376,7 +376,7 @@ func repairCRCs(stream []byte) {
 // speak of, and goes on serving from a directory nothing has touched.
 func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, NoAudit: true})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	defer func() { _ = p.Close() }()
 	for i := uint64(0); i < 40; i++ {
 		if err := p.Write(i*LineBytes, oracle.Fill(i*LineBytes, 5)); err != nil {
@@ -399,7 +399,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	ahead[1]++
 
 	dir := t.TempDir()
-	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, NoAudit: true})
+	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 	defer func() { _ = r.Close() }()
 	if err := r.Write(0, oracle.Fill(0, 77)); err != nil {
 		t.Fatal(err)

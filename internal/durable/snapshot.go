@@ -128,11 +128,6 @@ func (m *Memory) checkpoint() error {
 	covered := make([]uint64, len(m.commits))
 	coveredWrites := make([]uint64, len(m.commits))
 	for i, c := range m.commits {
-		if !m.cfg.NoAudit {
-			if err := c.appendAuditLocked(m); err != nil {
-				return err
-			}
-		}
 		covered[i] = c.lsn
 		coveredWrites[i] = c.writes
 	}
@@ -441,9 +436,6 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		// guards an empty tail all the same.
 		c.lsn = max(winfo.LastLSN, covered[i])
 		c.synced = c.lsn
-		// Audit baselines resume from the engine's replayed totals so
-		// post-recovery audits count only new events.
-		c.auditedOv, c.auditedRb = c.eng.OverflowRebaseTotals()
 		info.TornTails[i] = winfo.TornTail
 		info.AppliedLSN = append(info.AppliedLSN, c.lsn)
 		info.AppliedWrites = append(info.AppliedWrites, c.writes)

@@ -272,7 +272,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// Encode marshals the snapshot as JSON (the /metricz and wire OBS body).
+// Encode marshals the snapshot as JSON (the /metricz body).
 func (s Snapshot) Encode() ([]byte, error) {
 	b, err := json.Marshal(s)
 	if err != nil {
@@ -281,7 +281,7 @@ func (s Snapshot) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeSnapshot unmarshals a /metricz or wire OBS body.
+// DecodeSnapshot unmarshals a /metricz body.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {

@@ -11,8 +11,8 @@ import (
 // (DESIGN.md, "State stream"): per engine a u64 count and that many records
 // (DirtyLine.AppendRecord), the on-chip root among them as the record at the
 // root level. A delta checkpoint writes the records of the lines stamped since
-// the last one (Cut, dirty.go); everything else — Save here, shard.Save, the
-// durable layer's snapshot files, a replica's bootstrap — is a full image:
+// the last one (Cut, dirty.go); everything else — Save here, the durable
+// layer's snapshot files, a replica's bootstrap — is a full image:
 // WriteRecords, every stored line behind a record naming the organization and
 // the root. ReadRecords and Apply are the one way back in.
 //
@@ -119,16 +119,10 @@ func Load(cfg Config, r io.Reader) (*Memory, error) {
 	if err := CheckHeader(head[:], persistMagic, persistVersion); err != nil {
 		return nil, err
 	}
-	if err := m.ApplyRecords(br); err != nil {
+	if err := ReadRecords(br, m.Apply); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ApplyRecords reads one engine's share of a state stream from r (see
-// ReadRecords) and installs it, a batch at a time (see Apply).
-func (m *Memory) ApplyRecords(r io.Reader) error {
-	return ReadRecords(r, m.Apply)
 }
 
 // Apply installs a batch of a state stream's lines into the store under one

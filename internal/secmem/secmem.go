@@ -407,20 +407,6 @@ func (m *Memory) Stats() Stats {
 	return m.stats.Clone()
 }
 
-// OverflowRebaseTotals returns the overflows and the rebases counted so far,
-// each summed over the counter levels — what the durability layer's audit
-// records carry — without the copy of everything else that Stats makes. It
-// allocates nothing.
-func (m *Memory) OverflowRebaseTotals() (overflows, rebases uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for l, v := range m.stats.Overflows {
-		overflows += v
-		rebases += m.stats.Rebases[l]
-	}
-	return overflows, rebases
-}
-
 // FlushMetadataCache writes back every dirty counter line and drops every
 // verified one below the root, so subsequent accesses re-fetch and re-verify
 // from untrusted storage. Attack simulations use this to model a cold

@@ -109,9 +109,9 @@ func TestServedOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// sixMethodEngine is an engine with Engine's six methods and nothing else,
-// spelled like the benchmark's stubEngine: New finds no AppendReader on it
-// and must serve its reads through Read, byte for byte.
+// sixMethodEngine is an engine with Engine's five methods plus Save and
+// nothing else, spelled like the benchmark's stubEngine: New finds no
+// AppendReader on it and must serve its reads through Read, byte for byte.
 type sixMethodEngine struct{ line [secmem.LineBytes]byte }
 
 func (s *sixMethodEngine) Read(uint64) ([]byte, error)        { return s.line[:], nil }

@@ -11,9 +11,10 @@ import (
 	"github.com/securemem/morphtree/internal/wire"
 )
 
-// stubEngine is an engine with Engine's six methods and nothing else, spelled
-// as the benchmark's is (bench/morphbench/ladder.go): if this stops
-// satisfying Engine, so does that.
+// stubEngine is an engine spelled as the benchmark's is
+// (bench/morphbench/ladder.go) — Engine's five methods, Save, which Engine no
+// longer asks for, and nothing else: if this stops satisfying Engine, so does
+// that.
 type stubEngine struct{ line [secmem.LineBytes]byte }
 
 func (s *stubEngine) Read(uint64) ([]byte, error)        { return s.line[:], nil }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -10,8 +9,8 @@ import (
 )
 
 // TestObsInstrumentation drives an instrumented server end to end and
-// checks per-op histograms, the admission collector, request trace
-// events, and the OpObs protocol endpoint.
+// checks per-op histograms, the admission collector and request trace
+// events in the registry's snapshot, the body /metricz serves.
 func TestObsInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1024)
@@ -41,15 +40,7 @@ func TestObsInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// OpObs returns the registry snapshot over the wire, no HTTP needed.
-	body, err := cl.Obs()
-	if err != nil {
-		t.Fatalf("OpObs: %v", err)
-	}
-	snap, err := obs.DecodeSnapshot(body)
-	if err != nil {
-		t.Fatalf("decode OpObs body: %v", err)
-	}
+	snap := reg.Snapshot()
 	if got := snap.Histograms["server.op.write.latency"].Count; got != writes {
 		t.Fatalf("write op samples = %d, want %d", got, writes)
 	}
@@ -65,10 +56,9 @@ func TestObsInstrumentation(t *testing.T) {
 	if snap.Counters["server.pings"] != 1 {
 		t.Fatalf("pings = %d, want 1", snap.Counters["server.pings"])
 	}
-	// The snapshot is cut while the OpObs request itself holds the only
-	// in-flight slot, so the gauge reads exactly 1.
-	if g, ok := snap.Gauges["server.inflight"]; !ok || g != 1 {
-		t.Fatalf("inflight gauge = %d (present=%v), want 1 during the OBS request", g, ok)
+	// The client is sequential and every request has been answered.
+	if g, ok := snap.Gauges["server.inflight"]; !ok || g != 0 {
+		t.Fatalf("inflight gauge = %d (present=%v), want 0 between requests", g, ok)
 	}
 
 	// Request lifecycle events: starts and ends must pair up (pings
@@ -77,10 +67,8 @@ func TestObsInstrumentation(t *testing.T) {
 	if starts != ends {
 		t.Fatalf("req starts %d != ends %d", starts, ends)
 	}
-	// writes + reads + the OpObs request itself at minimum; the snapshot
-	// raced none since the client is sequential.
-	if starts < writes+reads+1 {
-		t.Fatalf("traced requests = %d, want >= %d", starts, writes+reads+1)
+	if starts != writes+reads {
+		t.Fatalf("traced requests = %d, want %d", starts, writes+reads)
 	}
 	var sawEndWithDur bool
 	for _, ev := range tr.Events() {
@@ -93,8 +81,8 @@ func TestObsInstrumentation(t *testing.T) {
 	}
 }
 
-// TestObsDisabled checks an uninstrumented server still answers OpObs
-// with a typed remote error and runs requests exactly as before.
+// TestObsDisabled checks an uninstrumented server runs requests exactly as
+// before: no registry, no tracer, nothing to record into.
 func TestObsDisabled(t *testing.T) {
 	sh := testShards(t, 1, 1<<14)
 	addr, shutdown := startServer(t, sh, Config{})
@@ -108,12 +96,7 @@ func TestObsDisabled(t *testing.T) {
 	if err := cl.Write(0, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Obs(); err == nil {
-		t.Fatal("OpObs succeeded without a registry")
-	} else {
-		var re *wire.RemoteError
-		if !errors.As(err, &re) {
-			t.Fatalf("OpObs error = %v, want *wire.RemoteError", err)
-		}
+	if _, err := cl.Read(0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,7 +37,7 @@ import (
 
 // Engine is the secure-memory surface the server requires. *shard.Sharded
 // (volatile), *durable.Memory (crash-consistent) and *cluster.Node
-// (replicated) implement it. The method set is frozen at these six: the
+// (replicated) implement it. The method set may shrink, never grow: the
 // benchmark defines its own engines against it, so whatever else an engine
 // can do is an optional surface — AppendReader, Durable, Prover,
 // DomainEngine, ClusterNode — that New looks for once.
@@ -46,7 +46,6 @@ type Engine interface {
 	Write(addr uint64, line []byte) error
 	VerifyAll() error
 	Stats() secmem.Stats
-	Save(w io.Writer) error
 	FlipDataBit(addr uint64, byteOff int, bit uint) bool
 }
 
@@ -54,8 +53,8 @@ type Engine interface {
 // allocates nothing: the verified line is appended to a buffer the connection
 // owns instead of returned in a fresh slice (secmem.Memory.AppendRead: dst is
 // untouched until the line has verified, and an error returns nil). All three
-// real engines implement it. Engine cannot carry the method — its six are
-// frozen — so an engine without it is served through its Read and one copy.
+// real engines implement it. Engine cannot carry the method — it may not
+// grow — so an engine without it is served through its Read and one copy.
 type AppendReader interface {
 	AppendRead(dst []byte, addr uint64) ([]byte, error)
 }
@@ -148,8 +147,7 @@ type Config struct {
 	// Obs, when non-nil, turns on request instrumentation: per-op latency
 	// histograms (server.op.<name>.latency), a server.inflight gauge,
 	// effective admission-limit gauges (server.limit.*), a pull-time
-	// collector for the admission counters, and the OpObs protocol
-	// endpoint serving the registry's snapshot.
+	// collector for the admission counters.
 	Obs *obs.Registry
 	// Tracer, when non-nil, receives ReqStart/ReqEnd/Shed events (plus
 	// TenantBind/QuotaShed in tenant mode).
@@ -288,7 +286,7 @@ func New(eng Engine, cfg Config) *Server {
 	if cfg.Obs != nil {
 		for _, op := range []byte{
 			wire.OpRead, wire.OpWrite, wire.OpVerify, wire.OpStats,
-			wire.OpTamper, wire.OpCheckpoint, wire.OpObs,
+			wire.OpTamper, wire.OpCheckpoint,
 			wire.OpProof, wire.OpRoot, wire.OpRootRange, wire.OpHello,
 		} {
 			s.opLat[op] = cfg.Obs.Histogram("server.op." + wire.OpName(op) + ".latency")
@@ -672,7 +670,13 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 		return wire.StatusOK, nil
 
 	case wire.OpStats:
-		body, err := wire.EncodeStats(s.eng.Stats())
+		st := s.eng.Stats()
+		if cs.tenant != "" {
+			// A bound tenant sees its own row of the tenant table and no
+			// other, as /metricz?tenant= shows it only its own counters.
+			st.Tenants = map[string]secmem.TenantOps{cs.tenant: st.Tenants[cs.tenant]}
+		}
+		body, err := wire.EncodeStats(st)
 		if err != nil {
 			return wire.EncodeError(err)
 		}
@@ -699,16 +703,6 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 			return wire.EncodeError(err)
 		}
 		return wire.StatusOK, wire.EncodeAddr(s.durable.Seq())
-
-	case wire.OpObs:
-		if s.cfg.Obs == nil {
-			return wire.StatusError, []byte("obs: server has no metrics registry (start with -admin)")
-		}
-		body, err := s.cfg.Obs.Snapshot().Encode()
-		if err != nil {
-			return wire.EncodeError(err)
-		}
-		return wire.StatusOK, body
 
 	case wire.OpProof:
 		if s.prover == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -307,5 +308,89 @@ func TestResilientClientTenant(t *testing.T) {
 	defer bad.Close()
 	if _, err := bad.Read(0); err == nil {
 		t.Fatal("read with bad tenant credentials succeeded")
+	}
+}
+
+// TestTenantStatsShowOnlyTheBoundTenant: a bound tenant's STATS carries its
+// own row of the tenant table and no other tenant's id or traffic, as
+// /metricz?tenant= scopes the counters it serves.
+func TestTenantStatsShowOnlyTheBoundTenant(t *testing.T) {
+	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
+		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+	})
+	defer shutdown()
+	bound := func(id, secret string) *wire.Client {
+		cl, err := wire.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		if err := cl.Hello(id, secret); err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	alpha, beta := bound("alpha", "alpha-secret"), bound("beta", "beta-secret")
+	if err := alpha.Write(0, oracle.Fill(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := beta.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, leaked := st.Tenants["alpha"]; leaked || len(st.Tenants) != 1 {
+		t.Fatalf("beta's STATS tenant table = %v, want beta's row only", st.Tenants)
+	}
+	if st, err = alpha.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Tenants["alpha"].Writes; got != 1 || len(st.Tenants) != 1 {
+		t.Fatalf("alpha's STATS tenant table = %v, want alpha's row with 1 write", st.Tenants)
+	}
+}
+
+// TestRetiredObsOpcodeIsUnknown: 0x09, which was OpObs and handed any bound
+// tenant the whole registry — every other tenant's tenant.<id>.* counters
+// among it — is an unknown opcode even to a server that has a registry.
+func TestRetiredObsOpcodeIsUnknown(t *testing.T) {
+	const opObs = 0x09 // retired OpObs
+	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
+		Obs:         obs.NewRegistry(),
+		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+	})
+	defer shutdown()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	hello, err := wire.AppendHello(nil, "beta", tenant.HelloToken("beta-secret", "beta"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(op byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		if err := wire.WriteFrame(conn, op, payload); err != nil {
+			t.Fatal(err)
+		}
+		status, body, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status, body
+	}
+	if status, body := roundTrip(wire.OpHello, hello); status != wire.StatusOK {
+		t.Fatalf("hello answered status %#x: %s", status, body)
+	}
+	status, body := roundTrip(opObs, nil)
+	if bytes.Contains(body, []byte("tenant.alpha.")) {
+		t.Fatalf("opcode %#x handed beta alpha's counters (%d bytes)", opObs, len(body))
+	}
+	var re *wire.RemoteError
+	if err := wire.DecodeError(status, body); !errors.As(err, &re) || !strings.Contains(re.Msg, fmt.Sprintf("unknown opcode %#x", opObs)) {
+		t.Fatalf("opcode %#x answered status %#x (%d bytes), want a remote error naming the unknown opcode", opObs, status, len(body))
 	}
 }

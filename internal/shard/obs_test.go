@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/obs"
@@ -51,33 +50,5 @@ func TestInstrumentedShards(t *testing.T) {
 	}
 	if _, ok := snap.Counters["secmem.l0.full_resets"]; !ok {
 		t.Fatalf("per-level breakdown missing: %v", snap.CounterNames())
-	}
-}
-
-// TestLoadPreservesInstrumentation checks a Load-reconstructed sharded
-// memory records into the config's instruments like a fresh one.
-func TestLoadPreservesInstrumentation(t *testing.T) {
-	cfg := testConfig(t, 2, 1<<14, "sc64")
-	s := mustNew(t, cfg)
-	if err := s.Write(0, oracle.Fill(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Obs = obs.NewRegistry()
-	cfg.Tracer = obs.NewTracer(64)
-	loaded, err := Load(cfg, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loaded.Read(0); err != nil {
-		t.Fatal(err)
-	}
-	snap := cfg.Obs.Snapshot()
-	if snap.Histograms["secmem.read.latency"].Count == 0 {
-		t.Fatal("loaded engines not instrumented")
 	}
 }

@@ -12,10 +12,7 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/obs"
@@ -365,20 +362,15 @@ func (s *Sharded) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 	return s.shards[idx].Store().FlipBit(local/LineBytes, byteOff, bit)
 }
 
-const (
-	saveMagic   = "MTSH"
-	saveVersion = 2
-)
-
-// MismatchError reports a Save stream whose embedded layout disagrees with
-// the Config passed to Load. Loading such a stream anyway would deal lines
-// to the wrong shards (every address maps through d % Shards), so the
-// mismatch is rejected with this typed error before any state is built;
-// callers distinguish operator misconfiguration from stream corruption.
+// MismatchError reports a state stream whose shard layout disagrees with the
+// Config it is recovered under. Installing it anyway would deal lines to the
+// wrong shards (every address maps through d % Shards), so the mismatch is
+// rejected with this typed error before any state is built; callers
+// distinguish operator misconfiguration from stream corruption.
 type MismatchError struct {
-	// Field names the disagreeing layout parameter: "shards" or "capacity".
+	// Field names the disagreeing layout parameter ("shards").
 	Field string
-	// Stream is the value embedded in the Save stream.
+	// Stream is the value the stream carries.
 	Stream uint64
 	// Config is the value the caller's Config describes.
 	Config uint64
@@ -387,58 +379,6 @@ type MismatchError struct {
 // Error implements error.
 func (e *MismatchError) Error() string {
 	return fmt.Sprintf("shard: load: stream %s %d does not match config %s %d", e.Field, e.Stream, e.Field, e.Config)
-}
-
-// Save serializes the shard layout and then every shard's full image, the
-// state stream's payload (secmem.WriteRecords; shard i's share follows shard
-// i-1's, nothing between them), for the wire SNAPSHOT op. Each shard is
-// written under one hold of its own lock.
-func (s *Sharded) Save(w io.Writer) error {
-	hdr := secmem.AppendHeader(nil, saveMagic, saveVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(s.cfg.Shards))
-	hdr = binary.LittleEndian.AppendUint64(hdr, s.cfg.Mem.MemoryBytes)
-	bw := bufio.NewWriter(w)
-	bw.Write(hdr)
-	for i, m := range s.shards {
-		if err := m.WriteRecords(bw); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("shard: save: %w", err)
-	}
-	return nil
-}
-
-// Load reconstructs a sharded memory from a Save stream. cfg must describe
-// the same layout (shard count, capacity, counter organization, master key)
-// the state was saved under. A stream of another version is a
-// *secmem.VersionError.
-func Load(cfg Config, r io.Reader) (*Sharded, error) {
-	br := bufio.NewReader(r)
-	var hdr [secmem.HeaderBytes + 16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("shard: load: header: %w", err)
-	}
-	if err := secmem.CheckHeader(hdr[:], saveMagic, saveVersion); err != nil {
-		return nil, err
-	}
-	if n := binary.LittleEndian.Uint64(hdr[secmem.HeaderBytes:]); n != uint64(cfg.Shards) {
-		return nil, &MismatchError{Field: "shards", Stream: n, Config: uint64(cfg.Shards)}
-	}
-	if mb := binary.LittleEndian.Uint64(hdr[secmem.HeaderBytes+8:]); mb != cfg.Mem.MemoryBytes {
-		return nil, &MismatchError{Field: "capacity", Stream: mb, Config: cfg.Mem.MemoryBytes}
-	}
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range s.shards {
-		if err := m.ApplyRecords(br); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return s, nil
 }
 
 // Organization maps a counter-organization name to its encryption and tree

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -192,92 +191,6 @@ func TestAggregateStats(t *testing.T) {
 	}
 	if len(agg.Increments) == 0 || agg.Increments[0] != writes {
 		t.Fatalf("aggregate level-0 increments = %v, want %d", agg.Increments, writes)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	cfg := testConfig(t, 4, 1<<14, "morph128")
-	s := mustNew(t, cfg)
-	for i := 0; i < 128; i++ {
-		if err := s.Write(uint64(i)*LineBytes, oracle.Fill(uint64(i), 9)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.VerifyAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 128; i++ {
-		got, err := restored.Read(uint64(i) * LineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, oracle.Fill(uint64(i), 9)) {
-			t.Fatalf("line %d: content mismatch after reload", i)
-		}
-	}
-	// Wrong layout must be rejected up front.
-	bad := cfg
-	bad.Shards = 2
-	if _, err := Load(bad, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("load with wrong shard count accepted")
-	}
-}
-
-// TestLoadLayoutMismatchIsTyped is the regression test for shard count /
-// capacity disagreement between a Save stream and the Load config: the
-// stream must be rejected with a *MismatchError naming the field, never
-// loaded with lines dealt to the wrong shards.
-func TestLoadLayoutMismatchIsTyped(t *testing.T) {
-	cfg := testConfig(t, 4, 1<<14, "morph128")
-	s := mustNew(t, cfg)
-	for i := 0; i < 32; i++ {
-		if err := s.Write(uint64(i)*LineBytes, oracle.Fill(uint64(i), 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		field  string
-		stream uint64
-		config uint64
-	}{
-		{"shards", func(c *Config) { c.Shards = 2 }, "shards", 4, 2},
-		{"capacity", func(c *Config) { c.Mem.MemoryBytes = 1 << 13 }, "capacity", 1 << 14, 1 << 13},
-	}
-	for _, tc := range cases {
-		bad := cfg
-		tc.mutate(&bad)
-		_, err := Load(bad, bytes.NewReader(buf.Bytes()))
-		var me *MismatchError
-		if !errors.As(err, &me) {
-			t.Fatalf("%s: Load returned %v, want *MismatchError", tc.name, err)
-		}
-		if me.Field != tc.field || me.Stream != tc.stream || me.Config != tc.config {
-			t.Fatalf("%s: mismatch = %+v, want field %q stream %d config %d", tc.name, me, tc.field, tc.stream, tc.config)
-		}
-	}
-
-	// Another version is typed too, as what every container's reader returns.
-	bad := append([]byte{}, buf.Bytes()...)
-	binary.LittleEndian.PutUint64(bad[len(saveMagic):], 1)
-	_, err := Load(cfg, bytes.NewReader(bad))
-	var ve *secmem.VersionError
-	if !errors.As(err, &ve) || ve.Magic != saveMagic || ve.Version != 1 {
-		t.Fatalf("version 1: Load returned %v, want a *secmem.VersionError naming it", err)
 	}
 }
 

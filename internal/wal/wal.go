@@ -52,13 +52,13 @@ const (
 	// line-aligned address, Line the 64-byte plaintext (sealed on disk).
 	KindWrite byte = 0x01
 	// KindOverflow is an audit record: Count counter-overflow
-	// re-encryption events occurred since the previous audit record.
-	// Replay skips it; the WAL keeps it so the journal names every class
-	// of mutation (write, overflow re-encryption, rebase), not just the
-	// logical writes that subsume them under deterministic replay.
+	// re-encryption events occurred since the previous audit record. The
+	// store journals writes only — replaying them regenerates every such
+	// event — but segments of earlier versions hold audit records, so the
+	// decoder still reads them and replay skips them.
 	KindOverflow byte = 0x02
-	// KindRebase is an audit record: Count morphable-counter rebase
-	// events since the previous audit record.
+	// KindRebase is an audit record, read like KindOverflow: Count
+	// morphable-counter rebase events since the previous audit record.
 	KindRebase byte = 0x03
 )
 

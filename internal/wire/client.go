@@ -209,20 +209,6 @@ func (c *Client) Ping() error {
 	return err
 }
 
-// Obs fetches the server's obs registry snapshot as raw JSON (the same
-// body /metricz serves; decode with obs.DecodeSnapshot). Servers running
-// without a registry answer *RemoteError. The returned bytes are a fresh
-// copy, safe to retain.
-func (c *Client) Obs() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpObs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), body...), nil
-}
-
 // Proof fetches the verifiable-read witness for a line-aligned address.
 // The returned proof is fully decoded into fresh allocations, safe to
 // retain; verify it with proof.Proof.Verify. Servers without a prover

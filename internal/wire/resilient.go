@@ -497,17 +497,6 @@ func (r *ResilientClient) RootRange(from, to uint64) (*proof.RangeResult, error)
 	return rr, err
 }
 
-// Obs fetches the server's obs registry snapshot as raw JSON. Idempotent.
-func (r *ResilientClient) Obs() ([]byte, error) {
-	var body []byte
-	err := r.do(context.Background(), true, "OBS", func(cl *Client) error {
-		var err error
-		body, err = cl.Obs()
-		return err
-	})
-	return body, err
-}
-
 // Route fetches the answering node's cluster view. Idempotent, served by
 // every role (replicas answer too), so it works for leader discovery and
 // for control planes surveying survivors after a node loss.

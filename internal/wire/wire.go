@@ -48,11 +48,7 @@ const (
 	// (shedding) server still proves it is alive — liveness and capacity
 	// are separate questions.
 	OpPing byte = 0x08
-	// OpObs returns the server's obs registry snapshot as JSON (the same
-	// body /metricz serves), so protocol-only deployments can pull live
-	// telemetry without the admin HTTP plane. Servers without a registry
-	// answer StatusError.
-	OpObs byte = 0x09
+	// 0x09 was OpObs (retired; never reuse it).
 	// OpProof is the verifiable read: payload is a u64 address; the OK
 	// response is an encoded proof.Proof — the ciphertext, its MAC, the
 	// counter line at every tree level on its path, the shard roots, and
@@ -85,10 +81,10 @@ const (
 	// StatusError.
 	OpReplicate byte = 0x0E
 	// OpRoute returns the answering node's view of the cluster as JSON
-	// (RouteInfo): role, fencing epoch, leader address, known peers, the
-	// and the node's own durable watermarks. Clients use it
-	// to find the primary; the control plane uses it to pick a promotion
-	// candidate. Served without an admission slot.
+	// (RouteInfo): role, fencing epoch, leader address, known peers and the
+	// node's own durable watermarks. Clients use it to find the primary; the
+	// control plane uses it to pick a promotion candidate. Served without an
+	// admission slot.
 	OpRoute byte = 0x0F
 	// OpPromote asks a replica to become primary at a new fencing epoch:
 	// payload is the epoch plus the minimum per-shard LSN vector the
@@ -115,7 +111,6 @@ var opNames = map[byte]string{
 	OpTamper:     "tamper",
 	OpCheckpoint: "checkpoint",
 	OpPing:       "ping",
-	OpObs:        "obs",
 	OpProof:      "proof",
 	OpRoot:       "root",
 	OpRootRange:  "root_range",
