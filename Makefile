@@ -76,11 +76,13 @@ perf-engine:
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
 # all, over the wire's frame reader, whose length prefix arrives before any
-# authentication does, and over the OpReplicate payload codec
-# (FuzzReplicateCodec), the one path a shard's records take between nodes.
+# authentication does, over the OpReplicate payload codec
+# (FuzzReplicateCodec), the one path a shard's records take between nodes,
+# and over morphserve's admin request-head parser (FuzzAdminRequest), which
+# reads whatever reaches the -admin port before anything routes on it.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./cmd/morphserve; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

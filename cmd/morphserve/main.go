@@ -27,14 +27,11 @@ package main
 
 import (
 	"context"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -254,16 +251,7 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 			return fmt.Errorf("admin listen: %w", err)
 		}
 		fmt.Printf("morphserve: admin telemetry on http://%s (/metricz /tracez /healthz /rootz /debug/pprof)\n", aln.Addr())
-		plane := &obs.Plane{
-			Registry: reg,
-			Tracer:   tracer,
-			Extra:    map[string]http.HandlerFunc{"/rootz": rootzHandler(authority)},
-		}
-		if o.tamper {
-			// Adversary interface matching the wire TAMPER op: forge the
-			// log's first entry so auditors can demonstrate detection.
-			plane.Extra["/rootz/tamper"] = rootzTamperHandler(authority)
-		}
+		plane := &adminPlane{reg: reg, tracer: tracer, auth: authority, tamper: o.tamper}
 		go func() {
 			if err := plane.Serve(ctx, aln); err != nil {
 				log.Printf("morphserve: admin plane: %v", err)
@@ -309,70 +297,4 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	fmt.Printf("morphserve: admission: %d conns accepted, %d rejected at the cap, %d requests shed, %d quota-shed, %d pings, %d slow-loris drops\n",
 		ns.Accepted, ns.Rejected, ns.Shed, ns.QuotaShed, ns.Pings, ns.SlowLoris)
 	return err
-}
-
-// rootzHandler serves the transparency log's operator view: the signing
-// key, the signed head, and every epoch entry as JSON.
-func rootzHandler(a *proof.Authority) http.HandlerFunc {
-	type entryJSON struct {
-		Epoch uint64 `json:"epoch"`
-		Root  string `json:"root"`
-		Prev  string `json:"prev"`
-		Sig   string `json:"sig"`
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		head := a.Head()
-		size := a.Size()
-		entries, err := a.Entries(0, size)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		out := struct {
-			Pub         string      `json:"pub"`
-			HeadSize    uint64      `json:"head_size"`
-			HeadHash    string      `json:"head_hash"`
-			HeadSig     string      `json:"head_sig"`
-			Unpublished uint64      `json:"unpublished"`
-			Entries     []entryJSON `json:"entries"`
-		}{
-			Pub:         hex.EncodeToString(a.Public()),
-			HeadSize:    head.Size,
-			HeadHash:    hex.EncodeToString(head.Hash[:]),
-			HeadSig:     hex.EncodeToString(head.Sig),
-			Unpublished: a.Unpublished(),
-		}
-		for _, e := range entries {
-			out.Entries = append(out.Entries, entryJSON{
-				Epoch: e.Epoch,
-				Root:  hex.EncodeToString(e.Root[:]),
-				Prev:  hex.EncodeToString(e.Prev[:]),
-				Sig:   hex.EncodeToString(e.Sig),
-			})
-		}
-		body, err := json.Marshal(out)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(body)
-	}
-}
-
-// rootzTamperHandler forges the log's first entry in place — the
-// split-view attack morphaudit exists to catch. Mounted only with -tamper.
-func rootzTamperHandler(a *proof.Authority) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		if !a.TamperEntry(1) {
-			http.Error(w, "log has no entries to tamper", http.StatusConflict)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("forged epoch 1 root in transparency log\n"))
-	}
 }

@@ -1,4 +1,5 @@
-// Package buildsmoke_test compiles every binary under cmd/ and examples/.
+// Package buildsmoke_test compiles every binary under cmd/ and examples/,
+// and keeps what they link in check.
 // Those packages are mostly excluded from unit testing (they are thin mains
 // over the internal packages), so without this check a refactor can break
 // them silently until someone runs the tool by hand.
@@ -9,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -63,5 +65,42 @@ func TestBinariesBuild(t *testing.T) {
 				t.Errorf("go build %s failed: %v\n%s", pkg, err, msg)
 			}
 		})
+	}
+}
+
+// TestNoListenerOrProfilerInTheEngine: the binaries' footprint is mostly
+// what they link. morphserve answers its admin plane without net/http, so
+// it must not carry HTTP/2, TLS and x509 (about 4 MB of its text and
+// rodata when it did); and the engine packages every binary links must not
+// pull in a listener or profiler of their own.
+func TestNoListenerOrProfilerInTheEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go list in -short mode")
+	}
+	root := repoRoot(t)
+	for _, c := range []struct {
+		pkg       string
+		forbidden []string
+	}{
+		{"./cmd/morphserve", []string{"net/http", "crypto/tls", "crypto/x509"}},
+		{"./internal/secmem", []string{"runtime/pprof", "runtime/trace", "net/url"}},
+		{"./internal/server", []string{"runtime/pprof", "runtime/trace", "net/url"}},
+		{"./internal/shard", []string{"runtime/pprof", "runtime/trace", "net/url"}},
+	} {
+		cmd := exec.Command("go", "list", "-deps", c.pkg)
+		cmd.Dir = root
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", c.pkg, err)
+		}
+		deps := map[string]bool{}
+		for _, d := range strings.Fields(string(out)) {
+			deps[d] = true
+		}
+		for _, f := range c.forbidden {
+			if deps[f] {
+				t.Errorf("%s links %s", c.pkg, f)
+			}
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 // persisted state, a dropped WAL Sync/Close or snapshot error
 // acknowledges a write that was never made durable, a dropped fault
 // setup error runs a chaos scenario with no faults injected — a harness
-// that silently proves nothing — and a dropped obs Encode/Serve error is
-// a telemetry plane that died or served garbage without anyone noticing. Calls whose error result is consumed by
+// that silently proves nothing — and a dropped obs Encode error is a
+// telemetry plane that served garbage without anyone noticing. Calls whose error result is consumed by
 // nothing — a bare expression statement, or a call hidden behind
 // go/defer — are reported. An explicit `_ =` assignment remains available
 // for the rare deliberate discard, and stays visible in review.

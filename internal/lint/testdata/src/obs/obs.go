@@ -10,8 +10,8 @@ func Encode() ([]byte, error) { return nil, nil }
 // DecodeSnapshot mirrors the poller-side decoder.
 func DecodeSnapshot(b []byte) (int, error) { return len(b), nil }
 
-// Serve mirrors Plane.Serve: a dropped error is an admin plane that died
-// without anyone noticing.
+// Serve stands for an obs call whose only result is an error, the form
+// go and defer hide a dropped one behind.
 func Serve() error { return nil }
 
 func bad() {
