@@ -76,8 +76,9 @@ perf-engine:
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
 # all, over the wire's frame reader, whose length prefix arrives before any
-# authentication does, over the OpReplicate payload codec
-# (FuzzReplicateCodec), the one path a shard's records take between nodes,
+# authentication does, over the cluster control payload codecs
+# (FuzzReplicateCodec: OpReplicate, the one path a shard's records take
+# between nodes, OpPromote and OpFollow),
 # and over morphserve's admin request-head parser (FuzzAdminRequest), which
 # reads whatever reaches the -admin port before anything routes on it.
 FUZZTIME ?= 10s

@@ -113,13 +113,13 @@ func TestMetricz(t *testing.T) {
 
 func TestTracez(t *testing.T) {
 	tr := obs.NewTracer(64)
-	tr.Emit(obs.KindOverflow, 2, 1, 64, 0)
+	tr.Emit(obs.KindWALFsync, 2, 1, 0, 0)
 	base := startPlane(t, &adminPlane{tracer: tr})
 	snap, err := obs.DecodeTraceSnapshot(expect(t, "GET", base+"/tracez", 200, appJSON))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if snap.Emitted != 1 || snap.Counts["overflow"] != 1 {
+	if snap.Emitted != 1 || snap.Counts["wal_fsync"] != 1 {
 		t.Fatalf("trace snapshot: %+v", snap)
 	}
 }

@@ -125,15 +125,14 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 		},
 	}
 
-	// One registry + tracer instruments every layer when -admin is set; a
-	// nil registry keeps the whole stack on its uninstrumented fast path.
+	// One registry + tracer instruments the serving, durable and cluster
+	// layers when -admin is set; the engine's Stats reach the registry through
+	// RegisterMetrics. A nil registry keeps the stack uninstrumented.
 	var reg *obs.Registry
 	var tracer *obs.Tracer
 	if o.admin != "" {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(o.traceBuf)
-		shcfg.Obs = reg
-		shcfg.Tracer = tracer
 	}
 
 	// The signing authority behind OpProof attestations and the epoch-root

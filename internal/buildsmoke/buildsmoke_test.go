@@ -71,19 +71,22 @@ func TestBinariesBuild(t *testing.T) {
 // TestNoListenerOrProfilerInTheEngine: the binaries' footprint is mostly
 // what they link. morphserve answers its admin plane without net/http, so
 // it must not carry HTTP/2, TLS and x509 (about 4 MB of its text and
-// rodata when it did); and the engine packages every binary links must not
-// pull in a listener or profiler of their own.
+// rodata when it did); the engine packages every binary links must not
+// pull in a listener or profiler of their own; and the paper's mechanism
+// (secmem, cache) reports through its Stats, not through telemetry.
 func TestNoListenerOrProfilerInTheEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go list in -short mode")
 	}
 	root := repoRoot(t)
+	const obs = "github.com/securemem/morphtree/internal/obs"
 	for _, c := range []struct {
 		pkg       string
 		forbidden []string
 	}{
 		{"./cmd/morphserve", []string{"net/http", "crypto/tls", "crypto/x509"}},
-		{"./internal/secmem", []string{"runtime/pprof", "runtime/trace", "net/url"}},
+		{"./internal/secmem", []string{"runtime/pprof", "runtime/trace", "net/url", obs}},
+		{"./internal/cache", []string{obs}},
 		{"./internal/server", []string{"runtime/pprof", "runtime/trace", "net/url"}},
 		{"./internal/shard", []string{"runtime/pprof", "runtime/trace", "net/url"}},
 	} {

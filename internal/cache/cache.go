@@ -7,8 +7,6 @@ package cache
 import (
 	"fmt"
 	"sync"
-
-	"github.com/securemem/morphtree/internal/obs"
 )
 
 // Victim describes a line evicted to make room for an insertion.
@@ -53,29 +51,11 @@ type Cache struct {
 	lineBytes uint64
 	numSets   uint64
 	ways      int
-	// tracer is immutable after Instrument, which must run before the
-	// cache is shared between goroutines.
-	tracer *obs.Tracer
 
 	mu    sync.Mutex
 	sets  []way // numSets * ways, row-major
 	clock uint64
 	stats Stats
-}
-
-// Instrument exposes the cache's stats as pull-time counters under the
-// given name prefix (e.g. "cache.meta") and, when tr is non-nil, emits a
-// CacheEvict trace event per eviction. Call before concurrent use; nil
-// arguments are no-ops.
-func (c *Cache) Instrument(name string, reg *obs.Registry, tr *obs.Tracer) {
-	c.tracer = tr
-	reg.RegisterCollector(func(emit func(string, uint64)) {
-		s := c.Stats()
-		emit(name+".hits", s.Hits)
-		emit(name+".misses", s.Misses)
-		emit(name+".evictions", s.Evictions)
-		emit(name+".dirty_evictions", s.DirtyEvictions)
-	})
 }
 
 // New constructs a cache of sizeBytes capacity with the given associativity
@@ -209,11 +189,6 @@ func (c *Cache) fill(addr uint64, dirty bool, lowPriority bool) (Victim, bool) {
 		if lru.dirty {
 			c.stats.DirtyEvictions++
 		}
-		var dirtyBit uint64
-		if lru.dirty {
-			dirtyBit = 1
-		}
-		c.tracer.Emit(obs.KindCacheEvict, -1, victim.Addr, dirtyBit, 0)
 	}
 	used := c.clock
 	if lowPriority {

@@ -13,10 +13,7 @@ func TestObsInstrumentation(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(1024)
-	shcfg := testShardConfig(t, 2, 1<<13)
-	shcfg.Obs = reg
-	shcfg.Tracer = tr
-	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, Obs: reg, Tracer: tr})
+	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: dir, Sync: SyncAlways, Obs: reg, Tracer: tr})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)

@@ -31,10 +31,10 @@ import (
 // Lock/RLock/TryLock calls acquire, Unlock/RUnlock release (a deferred
 // unlock releases at return), and calls to summarized functions import
 // their LockSetFact — what they acquire, and what they still hold when
-// they return (the lockTimed pattern). Acquiring B with A held adds edge
-// A→B. Each package exports its merged graph (its own edges plus its
-// imports') as a package fact; a cycle is reported at every edge this
-// package contributes to it.
+// they return (a helper that locks for its caller). Acquiring B with A
+// held adds edge A→B. Each package exports its merged graph (its own
+// edges plus its imports') as a package fact; a cycle is reported at
+// every edge this package contributes to it.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc:  "cross-package lock-acquisition graph must stay acyclic (deadlock candidates)",

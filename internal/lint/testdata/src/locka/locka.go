@@ -22,8 +22,8 @@ func LockEngine(e *Engine) {
 	e.mu.Unlock()
 }
 
-// HoldEngine acquires the engine lock and returns holding it (the
-// lockTimed pattern); pair with ReleaseEngine.
+// HoldEngine acquires the engine lock and returns holding it, locking
+// for its caller; pair with ReleaseEngine.
 func HoldEngine(e *Engine) {
 	e.mu.Lock()
 }

@@ -14,7 +14,7 @@ func lockC(c *C) {
 	c.mu.Unlock()
 }
 
-// lockB acquires B's lock and returns holding it (the lockTimed pattern):
+// lockB acquires B's lock and returns holding it, locking for its caller:
 // the caller's held set grows through HoldsOnReturn.
 func lockB(b *B) {
 	b.mu.Lock()

@@ -1,107 +1,15 @@
-// Instrumentation overhead benchmarks. The external test package breaks
-// the obs <- secmem import direction so the benchmark can drive the real
-// secure-memory write path bare and instrumented and compare:
-//
-//	go test -bench 'SecmemWrite' -benchtime 2s ./internal/obs/
-//
-// The acceptance budget is ≤5% on BenchmarkSecmemWrite/instrumented vs
-// /bare; the micro-benchmarks below it show why — a histogram record or
-// trace emit is tens of nanoseconds against a multi-microsecond
-// AES-and-MAC write path.
+// The raw cost of each instrument, for the overhead budget ledger: a
+// histogram record or trace emit is tens of nanoseconds. The budget itself
+// (≤5 % on a served op) is measured where instrumentation runs, by
+// BenchmarkServedOp in internal/server.
 package obs_test
 
 import (
 	"testing"
 	"time"
 
-	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/obs"
-	"github.com/securemem/morphtree/internal/secmem"
 )
-
-var benchKey = []byte("0123456789abcdef")
-
-func benchMemory(b *testing.B, instrument bool) *secmem.Memory {
-	b.Helper()
-	spec := counters.MorphSpec(true)
-	m, err := secmem.New(secmem.Config{
-		MemoryBytes: 1 << 20,
-		Enc:         spec,
-		Tree:        []counters.Spec{spec},
-		Key:         benchKey,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if instrument {
-		reg := obs.NewRegistry()
-		m.Instrument(secmem.Instrumentation{
-			WriteLatency: reg.Histogram("secmem.write.latency"),
-			ReadLatency:  reg.Histogram("secmem.read.latency"),
-			LockWait:     reg.Histogram("secmem.lock_wait"),
-			Tracer:       obs.NewTracer(4096),
-			Shard:        0,
-		})
-	}
-	return m
-}
-
-// BenchmarkSecmemWrite compares the secure-memory write path bare vs fully
-// instrumented (two histograms + lock-wait + tracer). The ratio of the two
-// ns/op figures is the instrumentation overhead the ISSUE budgets at ≤5%.
-func BenchmarkSecmemWrite(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		instrument bool
-	}{
-		{"bare", false},
-		{"instrumented", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := benchMemory(b, mode.instrument)
-			line := make([]byte, secmem.LineBytes)
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				addr := uint64(i) * 64 % (1 << 20)
-				if err := m.Write(addr, line); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(secmem.LineBytes)
-		})
-	}
-}
-
-func BenchmarkSecmemReadWarm(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		instrument bool
-	}{
-		{"bare", false},
-		{"instrumented", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			m := benchMemory(b, mode.instrument)
-			line := make([]byte, secmem.LineBytes)
-			for i := uint64(0); i < 1024; i++ {
-				if err := m.Write(i*64, line); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Read(uint64(i) % 1024 * 64); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(secmem.LineBytes)
-		})
-	}
-}
-
-// The raw cost of each instrument, for the overhead budget ledger.
 
 func BenchmarkHistogramRecord(b *testing.B) {
 	reg := obs.NewRegistry()
@@ -149,7 +57,7 @@ func BenchmarkTracerEmit(b *testing.B) {
 	tr := obs.NewTracer(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Emit(obs.KindTreeWalk, 0, uint64(i), 0, 0)
+		tr.Emit(obs.KindReqEnd, -1, uint64(i), 0, 0)
 	}
 }
 
@@ -160,6 +68,6 @@ func BenchmarkNilInstruments(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(time.Duration(i))
-		tr.Emit(obs.KindTreeWalk, 0, 0, 0, 0)
+		tr.Emit(obs.KindReqEnd, -1, 0, 0, 0)
 	}
 }

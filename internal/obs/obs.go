@@ -1,7 +1,7 @@
 // Package obs is the live observability plane for the secure-memory
 // serving stack: a metrics registry (sharded atomic counters, gauges, and
-// log-linear latency histograms), a lock-light ring-buffer event tracer,
-// and an HTTP admin plane serving JSON snapshots of both.
+// log-linear latency histograms) and a lock-light ring-buffer event tracer,
+// with the JSON snapshots of both that morphserve's admin plane serves.
 //
 // The package is built for hot paths. Every instrument is nil-safe — a
 // method on a nil *Counter, *Gauge, *Histogram, *Tracer, or *Registry is a
@@ -13,9 +13,10 @@
 // lines), and the tracer drops events rather than ever blocking a writer.
 //
 // The paper's evaluation (Figs. 7-13) is all event accounting — overflow
-// rates, tree-walk counts, metadata-cache behavior; this package makes the
-// same accounting continuously observable on a running morphserve instead
-// of only at process exit.
+// rates, tree-walk counts, metadata-cache behavior. The engine keeps that
+// account in secmem.Stats and does not import this package; a pull-time
+// Collector turns it into counters at each Snapshot, so it is continuously
+// observable on a running morphserve instead of only at process exit.
 package obs
 
 import (

@@ -69,11 +69,11 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)
 	}
 	var tr *Tracer
-	tr.Emit(KindOverflow, 0, 1, 2, 3)
+	tr.Emit(KindReplBatch, 0, 1, 2, 3)
 	if got := tr.Events(); got != nil {
 		t.Fatalf("nil tracer events = %v, want nil", got)
 	}
-	if tr.Count(KindOverflow) != 0 {
+	if tr.Count(KindReplBatch) != 0 {
 		t.Fatal("nil tracer count non-zero")
 	}
 }

@@ -15,33 +15,26 @@ type Kind uint8
 // Lifecycle event kinds. The A/B payload fields carry kind-specific
 // detail; Dur carries a duration in nanoseconds where one applies.
 const (
-	KindReqStart     Kind = iota // A=opcode
-	KindReqEnd                   // A=opcode, B=status, Dur=latency
-	KindTreeWalk                 // A=level, B=node index (verified fetch)
-	KindOverflow                 // A=level, B=blocks re-encrypted
-	KindRebase                   // A=level, B=node index
-	KindFormatSwitch             // A=level, B=node index (representation/ZCC width change)
-	KindCacheEvict               // A=victim address, B=1 if dirty
-	KindWALFsync                 // A=batch size (writers covered), Dur=fsync latency
-	KindSnapshot                 // A=LSN, Dur=checkpoint latency
-	KindShed                     // A=opcode (request shed by admission control)
-	KindReconnect                // A=attempt number
-	KindRetry                    // A=attempt number, B=1 if shed-triggered
-	KindProofBuild               // A=address, B=chain lines present, Dur=build latency
-	KindRootPublish              // A=epoch, B=log size (transparency-log append)
-	KindTenantBind               // A=tenant index (connection bound by HELLO)
-	KindQuotaShed                // A=opcode, B=tenant index (request shed by quota)
-	KindReplBatch                // A=shard, B=records applied, Dur=apply latency
-	KindPromote                  // A=new fencing epoch, Dur=catch-up latency
-	KindFence                    // A=observed epoch, B=local epoch (step-down)
-	KindReroute                  // A=fencing epoch, B=1 if leader known
-	KindDeltaCkpt                // A=new epoch, B=dirty lines captured, Dur=cut latency
+	KindReqEnd      Kind = iota // A=opcode, B=status, Dur=latency (started at Time-Dur)
+	KindWALFsync                // A=batch size (writers covered), Dur=fsync latency
+	KindSnapshot                // A=LSN, Dur=checkpoint latency
+	KindShed                    // A=opcode (request shed by admission control)
+	KindReconnect               // A=attempt number
+	KindRetry                   // A=attempt number, B=1 if shed-triggered
+	KindProofBuild              // A=address, B=chain lines present, Dur=build latency
+	KindRootPublish             // A=epoch, B=log size (transparency-log append)
+	KindTenantBind              // A=tenant index (connection bound by HELLO)
+	KindQuotaShed               // A=opcode, B=tenant index (request shed by quota)
+	KindReplBatch               // A=shard, B=records applied, Dur=apply latency
+	KindPromote                 // A=new fencing epoch, Dur=catch-up latency
+	KindFence                   // A=observed epoch, B=local epoch (step-down)
+	KindReroute                 // A=fencing epoch, B=1 if leader known
+	KindDeltaCkpt               // A=new epoch, B=dirty lines captured, Dur=cut latency
 	numKinds
 )
 
 var kindNames = [numKinds]string{
-	"req_start", "req_end", "tree_walk", "overflow", "rebase",
-	"format_switch", "cache_evict", "wal_fsync", "snapshot", "shed",
+	"req_end", "wal_fsync", "snapshot", "shed",
 	"reconnect", "retry", "proof_build", "root_publish",
 	"tenant_bind", "quota_shed", "repl_batch", "promote", "fence",
 	"reroute", "delta_ckpt",

@@ -8,13 +8,13 @@ import (
 
 func TestTracerBasics(t *testing.T) {
 	tr := NewTracer(64)
-	tr.Emit(KindOverflow, 3, 2, 64, 0)
+	tr.Emit(KindReplBatch, 3, 2, 64, 0)
 	tr.Emit(KindReqEnd, -1, 0x02, 0, 150*time.Microsecond)
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))
 	}
-	if evs[0].Kind != KindOverflow || evs[0].Shard != 3 || evs[0].A != 2 || evs[0].B != 64 {
+	if evs[0].Kind != KindReplBatch || evs[0].Shard != 3 || evs[0].A != 2 || evs[0].B != 64 {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
 	if evs[1].Seq <= evs[0].Seq {
@@ -23,7 +23,7 @@ func TestTracerBasics(t *testing.T) {
 	if evs[1].Dur != int64(150*time.Microsecond) {
 		t.Fatalf("dur = %d", evs[1].Dur)
 	}
-	if tr.Count(KindOverflow) != 1 || tr.Count(KindReqEnd) != 1 || tr.Count(KindShed) != 0 {
+	if tr.Count(KindReplBatch) != 1 || tr.Count(KindReqEnd) != 1 || tr.Count(KindShed) != 0 {
 		t.Fatal("per-kind counts wrong")
 	}
 }
@@ -32,7 +32,7 @@ func TestTracerDropOldest(t *testing.T) {
 	tr := NewTracer(16)
 	const emitted = 100
 	for i := 0; i < emitted; i++ {
-		tr.Emit(KindTreeWalk, 0, uint64(i), 0, 0)
+		tr.Emit(KindReqEnd, -1, uint64(i), 0, 0)
 	}
 	evs := tr.Events()
 	if len(evs) != 16 {
@@ -44,8 +44,8 @@ func TestTracerDropOldest(t *testing.T) {
 			t.Fatalf("event %d: seq %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if tr.Count(KindTreeWalk) != emitted {
-		t.Fatalf("lifetime count = %d, want %d (must survive overwrite)", tr.Count(KindTreeWalk), emitted)
+	if tr.Count(KindReqEnd) != emitted {
+		t.Fatalf("lifetime count = %d, want %d (must survive overwrite)", tr.Count(KindReqEnd), emitted)
 	}
 }
 

@@ -2,7 +2,6 @@ package secmem
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/securemem/morphtree/internal/aesctr"
 	"github.com/securemem/morphtree/internal/mac"
@@ -111,18 +110,9 @@ func (m *Memory) countTenant(dom *Domain, ops TenantOps) {
 // A nil dom is the engine's default domain (plain AppendRead); a nil dst
 // returns a fresh slice, as Read does.
 func (m *Memory) ReadDomain(dst []byte, dom *Domain, addr uint64) ([]byte, error) {
-	if !m.instrumented {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.readTenant(dst, addr, dom)
-	}
-	start := time.Now()
-	wait := m.lockTimed(start)
-	line, err := m.readTenant(dst, addr, dom)
-	m.mu.Unlock()
-	m.ins.LockWait.Record(wait)
-	m.ins.ReadLatency.Record(time.Since(start))
-	return line, err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.readTenant(dst, addr, dom)
 }
 
 // WriteDomain is Write routed through a tenant key domain: the line is
@@ -130,18 +120,7 @@ func (m *Memory) ReadDomain(dst []byte, dom *Domain, addr uint64) ([]byte, error
 // dom, so overflow re-encryption and VerifyAll keep using the right keys.
 // A nil dom is the engine's default domain (plain Write).
 func (m *Memory) WriteDomain(dom *Domain, addr uint64, line []byte) error {
-	if !m.instrumented {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.writeTenant(addr, line, dom)
-	}
-	start := time.Now()
-	wait := m.lockTimed(start)
-	err := m.writeTenant(addr, line, dom)
-	m.mu.Unlock()
-	// Histogram records stay off the lock hold path: only the hot
-	// section between Lock and Unlock serializes other writers.
-	m.ins.LockWait.Record(wait)
-	m.ins.WriteLatency.Record(time.Since(start))
-	return err
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.writeTenant(addr, line, dom)
 }

@@ -36,13 +36,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"github.com/securemem/morphtree/internal/aesctr"
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/invariant"
 	"github.com/securemem/morphtree/internal/mac"
-	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/tree"
 )
@@ -167,25 +165,6 @@ func (s Stats) OverflowsByLevel() []LevelOverflow {
 	return out
 }
 
-// Instrumentation wires optional obs instruments into an engine. Every
-// field may be nil (obs instruments are nil-safe), so partial wiring is
-// fine. Latency histograms are recorded outside the engine lock; trace
-// events are emitted from inside it, which the tracer's never-blocking
-// Emit makes safe.
-type Instrumentation struct {
-	// WriteLatency and ReadLatency observe full Write/Read durations,
-	// including lock wait.
-	WriteLatency *obs.Histogram
-	ReadLatency  *obs.Histogram
-	// LockWait observes time spent queueing on the engine lock — the
-	// contention signal for the sharding layer.
-	LockWait *obs.Histogram
-	// Tracer receives TreeWalk/Overflow/Rebase/FormatSwitch events.
-	Tracer *obs.Tracer
-	// Shard tags this engine's trace events (-1 when unsharded).
-	Shard int32
-}
-
 // Memory is a functional secure memory. All methods are safe for
 // concurrent use; operations serialize on an internal lock, matching the
 // single memory controller the engine models.
@@ -197,11 +176,6 @@ type Memory struct {
 	keyer  *mac.Keyer
 	walker *proof.Walker
 	store  *Store
-
-	// ins must be set (via Instrument) before any concurrent use; after
-	// that it is read-only, so it lives outside the lock's shadow.
-	ins          Instrumentation
-	instrumented bool
 
 	mu    sync.Mutex
 	root  counters.Block
@@ -249,14 +223,6 @@ type writeBackState struct {
 	ring    []blockRef
 	head, n int
 	err     error
-}
-
-// Instrument attaches obs instruments to the engine. It must be called
-// before the memory is shared between goroutines.
-func (m *Memory) Instrument(ins Instrumentation) {
-	m.ins = ins
-	m.instrumented = ins.WriteLatency != nil || ins.ReadLatency != nil ||
-		ins.LockWait != nil || ins.Tracer != nil
 }
 
 // New constructs a secure memory. All counters start at zero and all lines
@@ -315,7 +281,6 @@ func New(cfg Config) (*Memory, error) {
 	m.dirtyCur, m.dirtyFloor = firstEpoch, firstEpoch
 	m.wbBound = dirtyBlockBound
 	m.wb.ring = make([]blockRef, dirtyBlockBound+1)
-	m.ins.Shard = -1
 	return m, nil
 }
 
@@ -456,17 +421,6 @@ func (m *Memory) checkAddr(addr uint64) error {
 // incrementing its counter in the cache; the tree above it moves when the
 // counter line is written back.
 func (m *Memory) Write(addr uint64, line []byte) error { return m.WriteDomain(nil, addr, line) }
-
-// lockTimed acquires the engine lock and returns the time spent waiting
-// for it. The uncontended TryLock fast path avoids a clock read, keeping
-// the instrumentation overhead on the hot path to two timestamps per op.
-func (m *Memory) lockTimed(start time.Time) time.Duration {
-	if m.mu.TryLock() {
-		return 0
-	}
-	m.mu.Lock()
-	return time.Since(start)
-}
 
 //morph:hotpath
 func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
@@ -616,15 +570,12 @@ func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 		if ev.Reencrypt < blk.Arity() {
 			m.stats.SetResets[level]++
 		}
-		m.ins.Tracer.Emit(obs.KindOverflow, m.ins.Shard, uint64(level), uint64(ev.Reencrypt), 0)
 	}
 	if ev.Rebased {
 		m.stats.Rebases[level]++
-		m.ins.Tracer.Emit(obs.KindRebase, m.ins.Shard, uint64(level), idx, 0)
 	}
 	if ev.FormatSwitch {
 		m.stats.FormatSwitches[level]++
-		m.ins.Tracer.Emit(obs.KindFormatSwitch, m.ins.Shard, uint64(level), idx, 0)
 	}
 	if level < m.geom.RootLevel() {
 		// blk is cached, so its chunk exists.
@@ -841,7 +792,6 @@ func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 		return blk, err
 	}
 	m.stats.VerifiedFetches++
-	m.ins.Tracer.Emit(obs.KindTreeWalk, m.ins.Shard, uint64(level), idx, 0)
 	return blk, nil
 }
 

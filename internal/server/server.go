@@ -570,7 +570,6 @@ func (s *Server) execute(cs *connState, op byte, payload []byte) (byte, []byte) 
 		return s.handle(cs, op, payload)
 	}
 	s.inflight.Add(1)
-	s.cfg.Tracer.Emit(obs.KindReqStart, -1, uint64(op), 0, 0)
 	start := time.Now()
 	status, body := s.handle(cs, op, payload)
 	dur := time.Since(start)

@@ -17,7 +17,7 @@ import (
 
 var testKey = []byte("0123456789abcdef")
 
-func testShards(t *testing.T, n int, memBytes uint64) *shard.Sharded {
+func testShards(t testing.TB, n int, memBytes uint64) *shard.Sharded {
 	t.Helper()
 	enc, tree, err := shard.Organization("morph128")
 	if err != nil {

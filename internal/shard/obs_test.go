@@ -7,16 +7,12 @@ import (
 	"github.com/securemem/morphtree/internal/oracle"
 )
 
-// TestInstrumentedShards wires a registry and tracer through Config and
-// checks: all shards share the latency histograms, trace events carry
-// distinct shard tags, and the RegisterMetrics collector exposes totals,
-// the per-level overflow breakdown, and per-shard counts.
+// TestInstrumentedShards checks the RegisterMetrics collector exposes
+// totals, the per-level overflow breakdown, and per-shard counts.
 func TestInstrumentedShards(t *testing.T) {
-	cfg := testConfig(t, 4, 1<<16, "morph128")
-	cfg.Obs = obs.NewRegistry()
-	cfg.Tracer = obs.NewTracer(4096)
-	s := mustNew(t, cfg)
-	s.RegisterMetrics(cfg.Obs)
+	s := mustNew(t, testConfig(t, 4, 1<<16, "morph128"))
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
 
 	const writes = 256
 	for i := 0; i < writes; i++ {
@@ -31,13 +27,7 @@ func TestInstrumentedShards(t *testing.T) {
 		}
 	}
 
-	snap := cfg.Obs.Snapshot()
-	if got := snap.Histograms["secmem.write.latency"].Count; got != writes {
-		t.Fatalf("write latency samples = %d, want %d (all shards share one histogram)", got, writes)
-	}
-	if got := snap.Histograms["secmem.read.latency"].Count; got != 64 {
-		t.Fatalf("read latency samples = %d, want 64", got)
-	}
+	snap := reg.Snapshot()
 	if snap.Counters["secmem.writes"] != writes {
 		t.Fatalf("collector secmem.writes = %d, want %d", snap.Counters["secmem.writes"], writes)
 	}

@@ -32,14 +32,6 @@ type Config struct {
 	// whole cachelines; Key is the master key each shard's sub-key is
 	// derived from.
 	Mem secmem.Config
-	// Obs, when non-nil, instruments every engine: all shards record into
-	// shared secmem.write.latency / secmem.read.latency / secmem.lock_wait
-	// histograms (histograms merge across recorders, so one stream covers
-	// the fleet while trace events stay shard-tagged).
-	Obs *obs.Registry
-	// Tracer, when non-nil, receives each engine's tree-walk, overflow,
-	// rebase and format-switch events tagged with its shard index.
-	Tracer *obs.Tracer
 }
 
 // Sharded interleaves line addresses across independent secmem engines.
@@ -80,24 +72,9 @@ func New(cfg Config) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		cfg.instrument(m, i)
 		s.shards[i] = m
 	}
 	return s, nil
-}
-
-// instrument wires engine i into the shared obs instruments, if any.
-func (c Config) instrument(m *secmem.Memory, i int) {
-	if c.Obs == nil && c.Tracer == nil {
-		return
-	}
-	m.Instrument(secmem.Instrumentation{
-		WriteLatency: c.Obs.Histogram("secmem.write.latency"),
-		ReadLatency:  c.Obs.Histogram("secmem.read.latency"),
-		LockWait:     c.Obs.Histogram("secmem.lock_wait"),
-		Tracer:       c.Tracer,
-		Shard:        int32(i),
-	})
 }
 
 // deriveKey derives shard i's sub-key from the master key, preserving the

@@ -61,10 +61,8 @@ func TestTenantRouting(t *testing.T) {
 // TestTenantMetrics checks the per-tenant traffic collector: reads and
 // writes aggregate across shards under the tenant.<id>. namespace.
 func TestTenantMetrics(t *testing.T) {
-	cfg := testConfig(t, 2, 1<<15, "morph128")
 	reg := obs.NewRegistry()
-	cfg.Obs = reg
-	s := mustNew(t, cfg)
+	s := mustNew(t, testConfig(t, 2, 1<<15, "morph128"))
 	if err := s.RegisterTenants([]string{"alpha"}); err != nil {
 		t.Fatal(err)
 	}

@@ -288,16 +288,16 @@ func EncodePromote(newEpoch uint64, minMarks []uint64) ([]byte, error) {
 // DecodePromote decodes an OpPromote payload.
 func DecodePromote(p []byte) (newEpoch uint64, minMarks []uint64, err error) {
 	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("wire: promote payload is %d bytes, want >= 12", len(p))
+		return 0, nil, fmt.Errorf("%w: promote payload is %d bytes, want >= 12", ErrMalformed, len(p))
 	}
 	newEpoch = binary.BigEndian.Uint64(p)
 	n := binary.BigEndian.Uint32(p[8:])
 	if n > maxClusterShards {
-		return 0, nil, fmt.Errorf("wire: %d shard marks, max %d", n, maxClusterShards)
+		return 0, nil, fmt.Errorf("%w: %d shard marks, max %d", ErrMalformed, n, maxClusterShards)
 	}
 	p = p[12:]
 	if uint64(len(p)) != uint64(n)*8 {
-		return 0, nil, fmt.Errorf("wire: promote marks are %d bytes, want %d", len(p), n*8)
+		return 0, nil, fmt.Errorf("%w: promote marks are %d bytes, want %d", ErrMalformed, len(p), n*8)
 	}
 	minMarks = make([]uint64, n)
 	for i := range minMarks {
@@ -321,15 +321,15 @@ func EncodeFollow(epoch uint64, leader string) ([]byte, error) {
 // DecodeFollow decodes an OpFollow payload.
 func DecodeFollow(p []byte) (epoch uint64, leader string, err error) {
 	if len(p) < 10 {
-		return 0, "", fmt.Errorf("wire: follow payload is %d bytes, want >= 10", len(p))
+		return 0, "", fmt.Errorf("%w: follow payload is %d bytes, want >= 10", ErrMalformed, len(p))
 	}
 	epoch = binary.BigEndian.Uint64(p)
 	n := int(binary.BigEndian.Uint16(p[8:]))
 	if n > maxNodeAddr {
-		return 0, "", fmt.Errorf("wire: leader address %d bytes, max %d", n, maxNodeAddr)
+		return 0, "", fmt.Errorf("%w: leader address %d bytes, max %d", ErrMalformed, n, maxNodeAddr)
 	}
 	if len(p) != 10+n {
-		return 0, "", fmt.Errorf("wire: follow payload is %d bytes, want %d", len(p), 10+n)
+		return 0, "", fmt.Errorf("%w: follow payload is %d bytes, want %d", ErrMalformed, len(p), 10+n)
 	}
 	return epoch, string(p[10:]), nil
 }

@@ -220,12 +220,27 @@ func checkCodec[T any](t *testing.T, p []byte, decode func([]byte) (T, error), e
 	}
 }
 
-// FuzzReplicateCodec runs both OpReplicate decoders over the same bytes.
+// promote and follow are the OpPromote and OpFollow payloads as one value,
+// so their decoders fit checkCodec.
+type promote struct {
+	epoch uint64
+	marks []uint64
+}
+
+type follow struct {
+	epoch  uint64
+	leader string
+}
+
+// FuzzReplicateCodec runs every cluster control decoder — both OpReplicate
+// ones, OpPromote's and OpFollow's — over the same bytes.
 func FuzzReplicateCodec(f *testing.F) {
 	req, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 7, Node: "r:1", Marks: []uint64{0, 42}, Bootstrap: true})
 	batches, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 3, Marks: []uint64{10, 0}, Batches: [][]byte{[]byte("frames"), nil}})
 	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Snapshot: []byte("blob"), SnapMarks: []uint64{5}})
-	for _, p := range [][]byte{req, batches, snap} {
+	prom, _ := EncodePromote(4, []uint64{8, 9})
+	fol, _ := EncodeFollow(4, "a:1")
+	for _, p := range [][]byte{req, batches, snap, prom, fol} {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
 	}
@@ -235,5 +250,13 @@ func FuzzReplicateCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		checkCodec(t, p, DecodeReplicateRequest, EncodeReplicateRequest)
 		checkCodec(t, p, DecodeReplicateResponse, EncodeReplicateResponse)
+		checkCodec(t, p, func(p []byte) (promote, error) {
+			epoch, marks, err := DecodePromote(p)
+			return promote{epoch, marks}, err
+		}, func(v promote) ([]byte, error) { return EncodePromote(v.epoch, v.marks) })
+		checkCodec(t, p, func(p []byte) (follow, error) {
+			epoch, leader, err := DecodeFollow(p)
+			return follow{epoch, leader}, err
+		}, func(v follow) ([]byte, error) { return EncodeFollow(v.epoch, v.leader) })
 	})
 }
