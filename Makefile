@@ -78,7 +78,9 @@ perf-engine:
 # all, over the wire's frame reader, whose length prefix arrives before any
 # authentication does, over the cluster control payload codecs
 # (FuzzReplicateCodec: OpReplicate, the one path a shard's records take
-# between nodes, OpPromote and OpFollow),
+# between nodes, OpPromote and OpFollow), over the request decoders a
+# server runs before anything checks the request (FuzzRequestCodec: the
+# address, WRITE, ROOT_RANGE and HELLO payloads, and ROUTE's reply),
 # and over morphserve's admin request-head parser (FuzzAdminRequest), which
 # reads whatever reaches the -admin port before anything routes on it.
 FUZZTIME ?= 10s

@@ -85,7 +85,7 @@ func main() {
 	}
 	params := proof.Params{MemoryBytes: *mem, Shards: *shards, Enc: enc, Tree: tree}
 
-	cl := wire.NewResilient(wire.ResilientConfig{Addr: *addr, Timeout: *timeout, Logf: log.Printf})
+	cl := wire.NewResilient(wire.ResilientConfig{Addrs: []string{*addr}, Timeout: *timeout, Logf: log.Printf})
 	defer cl.Close()
 
 	a := &auditor{cl: cl, statePath: *statePath, params: params, key: key, spot: *spot, span: *span}
@@ -120,7 +120,7 @@ func inconsistent(format string, args ...any) error {
 }
 
 type auditor struct {
-	cl        *wire.ResilientClient
+	cl        *wire.Client
 	statePath string
 	params    proof.Params
 	key       []byte

@@ -148,7 +148,7 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 		go func(c int) {
 			defer wg.Done()
 			cl := wire.NewResilient(wire.ResilientConfig{
-				Addr:        proxy.Addr().String(),
+				Addrs:       []string{proxy.Addr().String()},
 				Timeout:     timeout,
 				MaxAttempts: 10,
 				BaseBackoff: 2 * time.Millisecond,
@@ -192,7 +192,7 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 // worker's own history, while more says so. An op that fails after the retry
 // budget is counted and the loop keeps going — liveness through faults is part
 // of the contract. A quarantined line is only read.
-func worker(cl *wire.ResilientClient, rng *rand.Rand, lines uint64, addrOf func(uint64) uint64, more func() bool) (*oracle.History, wire.ResilientStats) {
+func worker(cl *wire.Client, rng *rand.Rand, lines uint64, addrOf func(uint64) uint64, more func() bool) (*oracle.History, wire.ResilientStats) {
 	h := oracle.New(oracle.Zeros)
 	for more() {
 		a := addrOf(uint64(rng.Int63n(int64(lines))))
@@ -225,7 +225,7 @@ func tally(histories []*oracle.History, nets []wire.ResilientStats) (load oracle
 // no proxy, no faults: what is actually in the secure memory? — and has the
 // server re-verify its whole tree.
 func readBack(addr string, seed int64, histories []*oracle.History) (audit oracle.Tally, verify error) {
-	direct := wire.NewResilient(wire.ResilientConfig{Addr: addr, Timeout: 10 * time.Second, Seed: seed})
+	direct := wire.NewResilient(wire.ResilientConfig{Addrs: []string{addr}, Timeout: 10 * time.Second, Seed: seed})
 	defer direct.Close()
 	for _, h := range histories {
 		audit.Add(h.Audit(direct.Read))

@@ -274,7 +274,7 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 // write; the gap in its acknowledgment times around a kill is the failover
 // time. It has one line and so cannot quarantine it: it keeps invoking, and
 // its history admits the last acknowledgment and every failed attempt.
-func prober(cl *wire.ResilientClient, more func() bool) (*oracle.History, []time.Time) {
+func prober(cl *wire.Client, more func() bool) (*oracle.History, []time.Time) {
 	h := oracle.New(oracle.Zeros)
 	var succAt []time.Time
 	for more() {

@@ -8,7 +8,7 @@
 // serve_read workload). What it times is what it gates on or nothing else
 // reports: -audit's proof overhead, -mix's victim p99, -report's live line.
 //
-// Clients are wire.ResilientClients: transient faults — resets, stalls, BUSY
+// Clients are built by wire.NewResilient: transient faults — resets, stalls, BUSY
 // sheds from admission control — are retried with backoff instead of killing
 // the closed loop, and a write whose outcome a fault left unknown is
 // indeterminate in the history, so read-back verification accepts either the
@@ -122,9 +122,8 @@ func run(o options, out io.Writer) error {
 		return runMix(o, out)
 	}
 
-	// Live instruments shared by every client: op latencies plus the
-	// resilience counters the wire layer mirrors (wire.retries / sheds /
-	// reconnects). The -report ticker deltas them for interval rates.
+	// Live op latencies shared by every client. The -report ticker deltas
+	// them, and the clients' own resilience counters, for interval rates.
 	reg := obs.NewRegistry()
 	ins := loadInstruments{
 		readLat:  reg.Histogram("load.read.latency"),
@@ -147,23 +146,23 @@ func run(o options, out io.Writer) error {
 	results := make([]clientResult, o.clients)
 	linesPerClient := o.span / lineBytes / uint64(o.clients)
 	deadline := time.Now().Add(o.duration)
+	clients := make([]*wire.Client, o.clients)
 	var wg sync.WaitGroup
-	for c := 0; c < o.clients; c++ {
+	for c := range clients {
+		clients[c] = wire.NewResilient(wire.ResilientConfig{
+			Addrs:       []string{o.addr},
+			Timeout:     o.timeout,
+			MaxAttempts: o.retries,
+			RetryWrites: o.retryWrites,
+			Seed:        o.seed + int64(c),
+		})
 		wg.Add(1)
-		go func(c int) {
+		go func(c int, cl *wire.Client) {
 			defer wg.Done()
-			cl := wire.NewResilient(wire.ResilientConfig{
-				Addr:        o.addr,
-				Timeout:     o.timeout,
-				MaxAttempts: o.retries,
-				RetryWrites: o.retryWrites,
-				Seed:        o.seed + int64(c),
-				Obs:         reg,
-			})
 			defer cl.Close()
 			results[c] = runClient(cl, deadline, rand.New(rand.NewSource(o.seed+int64(c))),
 				uint64(c)*linesPerClient*lineBytes, linesPerClient, o.writeFrac, ins, as, false)
-		}(c)
+		}(c, clients[c])
 	}
 	stopRep := make(chan struct{})
 	var repWG sync.WaitGroup
@@ -171,7 +170,7 @@ func run(o options, out io.Writer) error {
 		repWG.Add(1)
 		go func() {
 			defer repWG.Done()
-			progressReporter(out, reg, o.reportEvery, stopRep)
+			progressReporter(out, reg, clients, o.reportEvery, stopRep)
 		}()
 	}
 	wg.Wait()
@@ -188,7 +187,7 @@ func run(o options, out io.Writer) error {
 
 	// Control connection: server-side full verification, then the tamper.
 	ctl := wire.NewResilient(wire.ResilientConfig{
-		Addr: o.addr, Timeout: o.timeout, MaxAttempts: o.retries, Seed: o.seed - 1,
+		Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries, Seed: o.seed - 1,
 	})
 	defer ctl.Close()
 	verifyErr := ctl.Verify()
@@ -272,7 +271,7 @@ func newAuditSetup(o options) (*auditSetup, error) {
 	if err != nil {
 		return nil, err
 	}
-	boot := wire.NewResilient(wire.ResilientConfig{Addr: o.addr, Timeout: o.timeout, MaxAttempts: o.retries, Seed: o.seed - 2})
+	boot := wire.NewResilient(wire.ResilientConfig{Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries, Seed: o.seed - 2})
 	defer boot.Close()
 	ri, err := boot.Root()
 	if err != nil {
@@ -294,18 +293,19 @@ type loadInstruments struct {
 }
 
 // progressReporter prints one line per tick with interval (not cumulative)
-// rates, computed by delta-ing registry snapshots.
-func progressReporter(out io.Writer, reg *obs.Registry, every time.Duration, stop <-chan struct{}) {
+// rates, computed by delta-ing registry snapshots and the clients' summed
+// resilience counters.
+func progressReporter(out io.Writer, reg *obs.Registry, clients []*wire.Client, every time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	start := time.Now()
-	prev := reg.Snapshot()
+	prev, prevNet := reg.Snapshot(), absorbed(clients)
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			cur := reg.Snapshot()
+			cur, net := reg.Snapshot(), absorbed(clients)
 			rd := cur.Histograms["load.read.latency"].Delta(prev.Histograms["load.read.latency"])
 			wd := cur.Histograms["load.write.latency"].Delta(prev.Histograms["load.write.latency"])
 			all := rd
@@ -315,12 +315,19 @@ func progressReporter(out io.Writer, reg *obs.Registry, every time.Duration, sto
 				time.Since(start).Seconds(),
 				float64(all.Count)/secs, float64(rd.Count)/secs, float64(wd.Count)/secs,
 				time.Duration(all.P50).Round(time.Microsecond), time.Duration(all.P99).Round(time.Microsecond),
-				cur.Counters["wire.retries"]-prev.Counters["wire.retries"],
-				cur.Counters["wire.sheds"]-prev.Counters["wire.sheds"],
-				cur.Counters["wire.reconnects"]-prev.Counters["wire.reconnects"])
-			prev = cur
+				net.Retries-prevNet.Retries, net.Sheds-prevNet.Sheds, net.Reconnects-prevNet.Reconnects)
+			prev, prevNet = cur, net
 		}
 	}
+}
+
+// absorbed sums what the clients' retry policies have absorbed so far.
+func absorbed(clients []*wire.Client) wire.ResilientStats {
+	var sum clientResult
+	for _, cl := range clients {
+		sum.add(&clientResult{net: cl.Counters()})
+	}
+	return sum.net
 }
 
 // runClient is one closed-loop worker: pick a random owned line, write the
@@ -333,7 +340,7 @@ func progressReporter(out io.Writer, reg *obs.Registry, every time.Duration, sto
 // tenant mix mode needs this: under per-tenant key domains an untouched
 // line still belongs to the default domain, so reading it before claiming
 // it with a write is (correctly) denied as an integrity violation.
-func runClient(cl *wire.ResilientClient, deadline time.Time, rng *rand.Rand, base uint64, lines uint64, writeFrac float64, ins loadInstruments, as *auditSetup, writeFirst bool) clientResult {
+func runClient(cl *wire.Client, deadline time.Time, rng *rand.Rand, base uint64, lines uint64, writeFrac float64, ins loadInstruments, as *auditSetup, writeFirst bool) clientResult {
 	var res clientResult
 	h := oracle.New(oracle.Unknown)
 	timed := func(hist *obs.Histogram, lats *[]time.Duration, op func() error) {
@@ -398,7 +405,7 @@ func runClient(cl *wire.ResilientClient, deadline time.Time, rng *rand.Rand, bas
 // claimed shard count is adopted per call (the attestation binds it:
 // lying about it changes every digest), so auditSetup stays immutable and
 // race-free across workers.
-func proofRead(cl *wire.ResilientClient, addr uint64, as *auditSetup) ([]byte, error) {
+func proofRead(cl *wire.Client, addr uint64, as *auditSetup) ([]byte, error) {
 	p, err := cl.Proof(addr)
 	if err != nil {
 		return nil, err
@@ -414,7 +421,7 @@ func proofRead(cl *wire.ResilientClient, addr uint64, as *auditSetup) ([]byte, e
 // wire TAMPER op, and requires the following read to fail closed with a
 // typed IntegrityError. It runs after VERIFY so verify_ok reflects the
 // untampered memory.
-func injectTamper(ctl *wire.ResilientClient) bool {
+func injectTamper(ctl *wire.Client) bool {
 	const victim = 0
 	if err := ctl.Write(victim, oracle.Fill(victim, 0xA11CE)); err != nil {
 		log.Printf("morphload: tamper setup write: %v", err)

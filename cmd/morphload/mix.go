@@ -106,7 +106,7 @@ func runTenantPhase(o options, spec tenant.Spec, base uint64, linesPer uint64, d
 		go func(c int) {
 			defer wg.Done()
 			cl := wire.NewResilient(wire.ResilientConfig{
-				Addr:         o.addr,
+				Addrs:        []string{o.addr},
 				Timeout:      o.timeout,
 				MaxAttempts:  o.retries,
 				RetryWrites:  o.retryWrites,
@@ -133,7 +133,7 @@ func runTenantPhase(o options, spec tenant.Spec, base uint64, linesPer uint64, d
 func crossTenantProbe(o options, vSpec, aSpec tenant.Spec) (bool, error) {
 	const probeAddr = 0 // victim solo partition
 	vc := wire.NewResilient(wire.ResilientConfig{
-		Addr: o.addr, Timeout: o.timeout, MaxAttempts: o.retries,
+		Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries,
 		Seed: o.seed - 3, TenantID: vSpec.ID, TenantSecret: vSpec.Secret,
 	})
 	defer vc.Close()
@@ -141,7 +141,7 @@ func crossTenantProbe(o options, vSpec, aSpec tenant.Spec) (bool, error) {
 		return false, fmt.Errorf("victim probe write: %w", err)
 	}
 	ac := wire.NewResilient(wire.ResilientConfig{
-		Addr: o.addr, Timeout: o.timeout, MaxAttempts: o.retries,
+		Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries,
 		Seed: o.seed - 4, TenantID: aSpec.ID, TenantSecret: aSpec.Secret,
 	})
 	defer ac.Close()

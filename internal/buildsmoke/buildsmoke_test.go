@@ -73,7 +73,8 @@ func TestBinariesBuild(t *testing.T) {
 // it must not carry HTTP/2, TLS and x509 (about 4 MB of its text and
 // rodata when it did); the engine packages every binary links must not
 // pull in a listener or profiler of their own; and the paper's mechanism
-// (secmem, cache) reports through its Stats, not through telemetry.
+// (secmem, cache) reports through its Stats, not through telemetry, as the
+// wire client reports through its Counters.
 func TestNoListenerOrProfilerInTheEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go list in -short mode")
@@ -89,6 +90,7 @@ func TestNoListenerOrProfilerInTheEngine(t *testing.T) {
 		{"./internal/cache", []string{obs}},
 		{"./internal/server", []string{"runtime/pprof", "runtime/trace", "net/url"}},
 		{"./internal/shard", []string{"runtime/pprof", "runtime/trace", "net/url"}},
+		{"./internal/wire", []string{obs}},
 	} {
 		cmd := exec.Command("go", "list", "-deps", c.pkg)
 		cmd.Dir = root

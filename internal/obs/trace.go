@@ -19,8 +19,6 @@ const (
 	KindWALFsync                // A=batch size (writers covered), Dur=fsync latency
 	KindSnapshot                // A=LSN, Dur=checkpoint latency
 	KindShed                    // A=opcode (request shed by admission control)
-	KindReconnect               // A=attempt number
-	KindRetry                   // A=attempt number, B=1 if shed-triggered
 	KindProofBuild              // A=address, B=chain lines present, Dur=build latency
 	KindRootPublish             // A=epoch, B=log size (transparency-log append)
 	KindTenantBind              // A=tenant index (connection bound by HELLO)
@@ -28,16 +26,15 @@ const (
 	KindReplBatch               // A=shard, B=records applied, Dur=apply latency
 	KindPromote                 // A=new fencing epoch, Dur=catch-up latency
 	KindFence                   // A=observed epoch, B=local epoch (step-down)
-	KindReroute                 // A=fencing epoch, B=1 if leader known
 	KindDeltaCkpt               // A=new epoch, B=dirty lines captured, Dur=cut latency
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"req_end", "wal_fsync", "snapshot", "shed",
-	"reconnect", "retry", "proof_build", "root_publish",
+	"proof_build", "root_publish",
 	"tenant_bind", "quota_shed", "repl_batch", "promote", "fence",
-	"reroute", "delta_ckpt",
+	"delta_ckpt",
 }
 
 // String returns the snake_case kind name.

@@ -308,7 +308,7 @@ func New(eng Engine, cfg Config) *Server {
 			emit("server.slow_loris", ns.SlowLoris)
 		})
 		if cfg.Tenants != nil {
-			s.sched.RegisterMetrics(cfg.Obs)
+			cfg.Obs.RegisterCollector(s.sched.Collect)
 		}
 	}
 	if cfg.Authority != nil {

@@ -269,9 +269,10 @@ func TestNetStatsLimits(t *testing.T) {
 }
 
 // TestResilientClientTenant exercises the client side of tenant binding:
-// a ResilientClient configured with tenant credentials HELLOs after every
+// a resilient client configured with tenant credentials HELLOs after every
 // dial, retries quota sheds with backoff, and succeeds once the bucket
-// refills.
+// refills; with a wrong secret its first op fails on the refused HELLO,
+// which is a verdict, not a dial failure to retry.
 func TestResilientClientTenant(t *testing.T) {
 	reg := tenantRegistry(t,
 		tenant.Spec{ID: "slow", Secret: "ss", OpsPerSec: 20},
@@ -282,7 +283,7 @@ func TestResilientClientTenant(t *testing.T) {
 	})
 	defer shutdown()
 	cl := wire.NewResilient(wire.ResilientConfig{
-		Addr: addr, Timeout: 5 * time.Second, MaxAttempts: 20,
+		Addrs: []string{addr}, Timeout: 5 * time.Second, MaxAttempts: 20,
 		TenantID: "slow", TenantSecret: "ss",
 	})
 	defer cl.Close()
@@ -300,14 +301,20 @@ func TestResilientClientTenant(t *testing.T) {
 	if cl.Counters().Sheds == 0 {
 		t.Fatal("resilient client absorbed no sheds at 20 ops/s burst 20 over 31 ops")
 	}
-	// Bad credentials: every dial fails its HELLO, so ops error out.
+	// Bad credentials, default attempt budget: the server refuses the
+	// HELLO, and the op fails on its first attempt with that verdict.
 	bad := wire.NewResilient(wire.ResilientConfig{
-		Addr: addr, Timeout: time.Second, MaxAttempts: 2,
+		Addrs: []string{addr}, Timeout: time.Second,
 		TenantID: "slow", TenantSecret: "wrong",
 	})
 	defer bad.Close()
-	if _, err := bad.Read(0); err == nil {
-		t.Fatal("read with bad tenant credentials succeeded")
+	_, err := bad.Read(0)
+	var re *wire.RemoteError
+	if !errors.As(err, &re) {
+		t.Fatalf("read with bad tenant credentials: %v, want *wire.RemoteError in the chain", err)
+	}
+	if st := bad.Counters(); st.Retries != 0 || st.Failures != 1 {
+		t.Fatalf("counters = %+v, want 0 retries, 1 failure: a refused HELLO is not retried", st)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"github.com/securemem/morphtree/internal/obs"
 )
 
 // SchedConfig tunes the admission scheduler.
@@ -319,27 +317,26 @@ func (s *Scheduler) Snapshot() []TenantSnapshot {
 // Capacity returns the global concurrent-admission limit.
 func (s *Scheduler) Capacity() int { return s.cfg.Capacity }
 
-// RegisterMetrics registers a pull-time collector exposing per-tenant
-// admission counters under the tenant.<id>. prefix (the same namespace
-// the shard layer uses for per-tenant engine traffic, so
+// Collect is a pull-time metrics collector (an obs.Collector): it emits
+// per-tenant admission counters under the tenant.<id>. prefix (the same
+// namespace the shard layer uses for per-tenant engine traffic, so
 // /metricz?tenant=<id> slices both) plus the scheduler-wide capacity
-// gauge. Nil registries are a no-op.
-func (s *Scheduler) RegisterMetrics(reg *obs.Registry) {
-	reg.RegisterCollector(func(emit func(string, uint64)) {
-		var inflight uint64
-		for _, t := range s.Snapshot() {
-			prefix := "tenant." + t.ID + "."
-			emit(prefix+"granted", t.Granted)
-			emit(prefix+"inflight", uint64(t.Inflight))
-			emit(prefix+"queued", uint64(t.Queued))
-			emit(prefix+"shed.ops", t.ShedOps)
-			emit(prefix+"shed.bytes", t.ShedBytes)
-			emit(prefix+"shed.inflight", t.ShedInflight)
-			emit(prefix+"shed.wait", t.ShedWait)
-			emit(prefix+"shed.total", t.Sheds())
-			inflight += uint64(t.Inflight)
-		}
-		emit("sched.capacity", uint64(s.Capacity()))
-		emit("sched.inflight", inflight)
-	})
+// gauge. The package leaves the registry to its caller, so the wire
+// client, which imports it for HELLO and quota errors, links no telemetry.
+func (s *Scheduler) Collect(emit func(name string, value uint64)) {
+	var inflight uint64
+	for _, t := range s.Snapshot() {
+		prefix := "tenant." + t.ID + "."
+		emit(prefix+"granted", t.Granted)
+		emit(prefix+"inflight", uint64(t.Inflight))
+		emit(prefix+"queued", uint64(t.Queued))
+		emit(prefix+"shed.ops", t.ShedOps)
+		emit(prefix+"shed.bytes", t.ShedBytes)
+		emit(prefix+"shed.inflight", t.ShedInflight)
+		emit(prefix+"shed.wait", t.ShedWait)
+		emit(prefix+"shed.total", t.Sheds())
+		inflight += uint64(t.Inflight)
+	}
+	emit("sched.capacity", uint64(s.Capacity()))
+	emit("sched.inflight", inflight)
 }

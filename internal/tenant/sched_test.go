@@ -332,7 +332,7 @@ func TestRegisterMetrics(t *testing.T) {
 	s := mustScheduler(t, []Spec{{ID: "a", Secret: "s", OpsPerSec: 1}},
 		SchedConfig{Capacity: 3})
 	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg)
+	reg.RegisterCollector(s.Collect)
 	ctx := context.Background()
 	if err := s.Acquire(ctx, "a", 0); err != nil {
 		t.Fatal(err)

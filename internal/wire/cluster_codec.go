@@ -59,7 +59,7 @@ func EncodeRouteInfo(r *RouteInfo) ([]byte, error) {
 func DecodeRouteInfo(p []byte) (*RouteInfo, error) {
 	var r RouteInfo
 	if err := json.Unmarshal(p, &r); err != nil {
-		return nil, fmt.Errorf("wire: decode route: %w", err)
+		return nil, fmt.Errorf("%w: route: %v", ErrMalformed, err)
 	}
 	return &r, nil
 }
@@ -332,60 +332,4 @@ func DecodeFollow(p []byte) (epoch uint64, leader string, err error) {
 		return 0, "", fmt.Errorf("%w: follow payload is %d bytes, want %d", ErrMalformed, len(p), 10+n)
 	}
 	return epoch, string(p[10:]), nil
-}
-
-// Route fetches the answering node's cluster view. Non-cluster servers
-// answer *RemoteError.
-func (c *Client) Route() (*RouteInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpRoute, nil)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRouteInfo(body)
-}
-
-// Replicate performs one replication poll. The response is fully decoded
-// into fresh allocations, safe to retain.
-func (c *Client) Replicate(req *ReplicateRequest) (*ReplicateResponse, error) {
-	p, err := EncodeReplicateRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpReplicate, p)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeReplicateResponse(body)
-}
-
-// Promote asks the node to become primary at newEpoch once its WAL tail
-// covers minMarks, returning its post-promotion cluster view.
-func (c *Client) Promote(newEpoch uint64, minMarks []uint64) (*RouteInfo, error) {
-	p, err := EncodePromote(newEpoch, minMarks)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, err := c.roundTrip(OpPromote, p)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRouteInfo(body)
-}
-
-// Follow redirects the node to follow leader at epoch.
-func (c *Client) Follow(epoch uint64, leader string) error {
-	p, err := EncodeFollow(epoch, leader)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err = c.roundTrip(OpFollow, p)
-	return err
 }

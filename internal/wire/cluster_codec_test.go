@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/tenant"
 )
 
 func TestReplicateRequestRoundTrip(t *testing.T) {
@@ -196,7 +199,7 @@ func TestClusterOpNames(t *testing.T) {
 	}
 }
 
-// checkCodec holds a cluster-op decoder to the invariant on bytes from
+// checkCodec holds a payload decoder to the invariant on bytes from
 // anyone: ErrMalformed, or a value that encodes back to exactly the bytes it
 // was decoded from — and never more memory than the bytes account for.
 func checkCodec[T any](t *testing.T, p []byte, decode func([]byte) (T, error), encode func(T) ([]byte, error)) {
@@ -258,5 +261,62 @@ func FuzzReplicateCodec(f *testing.F) {
 			epoch, leader, err := DecodeFollow(p)
 			return follow{epoch, leader}, err
 		}, func(v follow) ([]byte, error) { return EncodeFollow(v.epoch, v.leader) })
+	})
+}
+
+// writeReq, rootRange and hello are the OpWrite, OpRootRange and OpHello
+// payloads as one value, so their decoders fit checkCodec.
+type writeReq struct {
+	addr uint64
+	line []byte
+}
+
+type rootRange struct{ from, to uint64 }
+
+type hello struct {
+	id    string
+	token []byte
+}
+
+// FuzzRequestCodec runs the request decoders a server applies to bytes
+// from anyone — READ/TAMPER/PROOF's address, WRITE's, ROOT_RANGE's and
+// HELLO's — and ROUTE's reply decoder over the same bytes.
+func FuzzRequestCodec(f *testing.F) {
+	write, _ := AppendWrite(nil, 0x40, bytes.Repeat([]byte{0xAB}, secmem.LineBytes))
+	hi, _ := AppendHello(nil, "alpha", [tenant.TokenLen]byte{1, 2, 3})
+	route, _ := EncodeRouteInfo(&RouteInfo{Epoch: 2, Self: "a:1", Role: "primary", Leader: "a:1",
+		Nodes: []RouteNode{{Addr: "a:1", Role: "primary"}}, Marks: []uint64{7}, LeaseRemainingMS: -1})
+	for _, p := range [][]byte{EncodeAddr(0x40), write, AppendRootRange(nil, 1, 9), hi, route} {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		checkCodec(t, p, DecodeAddr, func(a uint64) ([]byte, error) { return EncodeAddr(a), nil })
+		checkCodec(t, p, func(p []byte) (writeReq, error) {
+			addr, line, err := DecodeWrite(p)
+			return writeReq{addr, line}, err
+		}, func(v writeReq) ([]byte, error) { return AppendWrite(nil, v.addr, v.line) })
+		checkCodec(t, p, func(p []byte) (rootRange, error) {
+			from, to, err := DecodeRootRange(p)
+			return rootRange{from, to}, err
+		}, func(v rootRange) ([]byte, error) { return AppendRootRange(nil, v.from, v.to), nil })
+		checkCodec(t, p, func(p []byte) (hello, error) {
+			id, token, err := DecodeHello(p)
+			return hello{id, token}, err
+		}, func(v hello) ([]byte, error) { return AppendHello(nil, v.id, [tenant.TokenLen]byte(v.token)) })
+		// JSON spells one value many ways, so ROUTE's decoder is held to
+		// the invariant on the spelling it encodes back to.
+		ri, err := DecodeRouteInfo(p)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		canon, err := EncodeRouteInfo(ri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCodec(t, canon, DecodeRouteInfo, EncodeRouteInfo)
 	})
 }

@@ -10,10 +10,10 @@ func (c *Client) Poisoned() bool {
 	return c.poisoned != nil
 }
 
-// Target returns the address the next dial will go to: the configured
-// address until a redirect or seed rotation moves it.
-func (r *ResilientClient) Target() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.target
+// Target returns the address a resilient client's next dial goes to: the
+// first configured address until a redirect or seed rotation moves it.
+func (c *Client) Target() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.retry.target
 }

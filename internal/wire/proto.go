@@ -36,7 +36,7 @@ func EncodeAddr(addr uint64) []byte {
 //morph:hotpath
 func DecodeAddr(p []byte) (uint64, error) {
 	if len(p) != addrBytes {
-		return 0, fmt.Errorf("wire: address payload is %d bytes, want %d", len(p), addrBytes)
+		return 0, fmt.Errorf("%w: address payload is %d bytes, want %d", ErrMalformed, len(p), addrBytes)
 	}
 	return binary.BigEndian.Uint64(p), nil
 }
@@ -57,7 +57,7 @@ func AppendWrite(dst []byte, addr uint64, line []byte) ([]byte, error) {
 //morph:hotpath
 func DecodeWrite(p []byte) (uint64, []byte, error) {
 	if len(p) != addrBytes+secmem.LineBytes {
-		return 0, nil, fmt.Errorf("wire: write payload is %d bytes, want %d", len(p), addrBytes+secmem.LineBytes)
+		return 0, nil, fmt.Errorf("%w: write payload is %d bytes, want %d", ErrMalformed, len(p), addrBytes+secmem.LineBytes)
 	}
 	return binary.BigEndian.Uint64(p), p[addrBytes:], nil
 }
@@ -72,7 +72,7 @@ func AppendRootRange(dst []byte, from, to uint64) []byte {
 // DecodeRootRange decodes an OpRootRange payload.
 func DecodeRootRange(p []byte) (from, to uint64, err error) {
 	if len(p) != 2*addrBytes {
-		return 0, 0, fmt.Errorf("wire: root-range payload is %d bytes, want %d", len(p), 2*addrBytes)
+		return 0, 0, fmt.Errorf("%w: root-range payload is %d bytes, want %d", ErrMalformed, len(p), 2*addrBytes)
 	}
 	return binary.BigEndian.Uint64(p), binary.BigEndian.Uint64(p[addrBytes:]), nil
 }
@@ -94,11 +94,11 @@ func AppendHello(dst []byte, id string, token [tenant.TokenLen]byte) ([]byte, er
 // aliases p.
 func DecodeHello(p []byte) (id string, token []byte, err error) {
 	if len(p) < 1 {
-		return "", nil, fmt.Errorf("wire: hello payload is empty")
+		return "", nil, fmt.Errorf("%w: hello payload is empty", ErrMalformed)
 	}
 	n := int(p[0])
 	if n == 0 || len(p) != 1+n+tenant.TokenLen {
-		return "", nil, fmt.Errorf("wire: hello payload is %d bytes, want %d", len(p), 1+n+tenant.TokenLen)
+		return "", nil, fmt.Errorf("%w: hello payload is %d bytes, want %d", ErrMalformed, len(p), 1+n+tenant.TokenLen)
 	}
 	return string(p[1 : 1+n]), p[1+n:], nil
 }

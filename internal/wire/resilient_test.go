@@ -42,9 +42,9 @@ func flakyServer(t *testing.T, handler func(i int, conn net.Conn)) (string, func
 	}
 }
 
-func testResilient(addr string, retryWrites bool) *ResilientClient {
+func testResilient(addr string, retryWrites bool) *Client {
 	return NewResilient(ResilientConfig{
-		Addr:        addr,
+		Addrs:       []string{addr},
 		Timeout:     2 * time.Second,
 		MaxAttempts: 5,
 		BaseBackoff: time.Millisecond,

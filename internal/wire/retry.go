@@ -14,8 +14,8 @@ import (
 // request definitely did not happen" (BusyError), which mean "the
 // transport died and the outcome is unknown" (poisoned / truncated /
 // net errors), and which are verdicts that must never be retried
-// (IntegrityError, RemoteError). ResilientClient's retry policy is
-// built entirely on this classification.
+// (IntegrityError, RemoteError). NewResilient's retry policy is built
+// entirely on this classification.
 
 // BusyError is a StatusBusy response: the server shed the request under
 // overload before executing any of it. Always safe to retry after

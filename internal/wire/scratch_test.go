@@ -168,21 +168,7 @@ func TestClientAllocations(t *testing.T) {
 	go func() {
 		defer close(served)
 		defer far.Close()
-		fr, fw := NewFrameReader(far), NewFrameWriter(far)
-		var line [secmem.LineBytes]byte
-		for {
-			op, _, err := fr.ReadFrame()
-			if err != nil {
-				return
-			}
-			var body []byte
-			if op == OpRead {
-				body = line[:]
-			}
-			if fw.WriteFrame(StatusOK, body) != nil {
-				return
-			}
-		}
+		serveLines(far)
 	}()
 	cl := NewClient(near, 0)
 	line := make([]byte, secmem.LineBytes)
@@ -202,4 +188,48 @@ func TestClientAllocations(t *testing.T) {
 	}
 	cl.Close()
 	<-served
+
+	// The same two ops through NewResilient over a loopback listener: the
+	// retry policy costs nothing on an op that succeeds.
+	addr, stop := flakyServer(t, func(_ int, conn net.Conn) { serveLines(conn) })
+	defer stop()
+	rc := NewResilient(ResilientConfig{Addrs: []string{addr}})
+	defer rc.Close()
+	if err := rc.Ping(); err != nil { // the dial, outside the counted runs
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := rc.Write(0x40, line); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("resilient Client.Write allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := rc.Read(0x40); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("resilient Client.Read allocates %v times, want exactly 1 (the returned line)", n)
+	}
+}
+
+// serveLines answers every request on conn with OK, a zero line for a
+// read, allocating nothing itself.
+func serveLines(conn net.Conn) {
+	fr, fw := NewFrameReader(conn), NewFrameWriter(conn)
+	var line [secmem.LineBytes]byte
+	for {
+		op, _, err := fr.ReadFrame()
+		if err != nil {
+			return
+		}
+		var body []byte
+		if op == OpRead {
+			body = line[:]
+		}
+		if fw.WriteFrame(StatusOK, body) != nil {
+			return
+		}
+	}
 }

@@ -180,8 +180,8 @@ var (
 	ErrTruncated = errors.New("wire: truncated frame")
 	// ErrEmptyFrame reports a zero-length body (no opcode/status byte).
 	ErrEmptyFrame = errors.New("wire: empty frame body")
-	// ErrMalformed reports a cluster control payload whose lengths or flags
-	// do not account for its bytes exactly.
+	// ErrMalformed reports a request or cluster control payload whose
+	// lengths or flags do not account for its bytes exactly.
 	ErrMalformed = errors.New("wire: malformed payload")
 )
 
