@@ -60,13 +60,15 @@ bench:
 # read/write — its store (a sharded prefill, a sparse dirty cut, a cache
 # flush), the WAL that journals it (a record sealed and appended, a segment
 # replayed) and the delta checkpoint cut from it under a writer as go-test
-# benchmarks: the before/after rows of a change to any of them are this
-# command on each commit.
+# benchmarks, and the store's resident bytes per stored line
+# (TestStoreFootprint) beside the prefill's B/op: the before/after rows of a
+# change to any of them are this command on each commit.
 perf-engine:
 	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
 		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
+	$(GO) test -run 'TestStoreFootprint' -v ./internal/secmem | grep 'resident bytes'
 
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that

@@ -11,12 +11,12 @@ import (
 // The engine's allocation contract, as counts: a warm Read allocates the
 // plaintext it returns and nothing else, and the same read appended to a
 // buffer the caller reuses allocates nothing; a write allocates only what the
-// store retains, which is a chunk on a page's first write and otherwise
-// nothing; and writing dirty counter blocks back allocates nothing either.
-// morphlint's hotalloc checks the same functions statically but does not
-// count append or slices.Grow, the one allocation they are allowed, and `make
-// escapes` sees only what the compiler moves to the heap; this pins the
-// number.
+// store retains, which is a chunk on a page's first write (its lines and its
+// metadata, two objects) and otherwise nothing; and writing dirty counter
+// blocks back allocates nothing either. morphlint's hotalloc checks the same
+// functions statically but does not count append or slices.Grow, the one
+// allocation they are allowed, and `make escapes` sees only what the compiler
+// moves to the heap; this pins the number.
 func TestHotPathAllocations(t *testing.T) {
 	if racedetect.Enabled || invariant.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
@@ -85,10 +85,11 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Fatalf("%d level-1 increments: the write-backs being counted did not happen", st.Increments[1])
 	}
 
-	// First writes into a new page allocate its chunk and nothing else; the
-	// other 63 lines of the page then cost nothing. The measured writes go to
-	// odd pages whose even neighbours are written first, so the counter block
-	// the two share (and the directory above them) already exists.
+	// First writes into a new page allocate its chunk (the 4 KiB line block
+	// and the metadata beside it) and nothing else; the other 63 lines of the
+	// page then cost nothing. The measured writes go to odd pages whose even
+	// neighbours are written first, so the counter block the two share (and
+	// the directory above them) already exists.
 	page := uint64(span / chunkLines)
 	for p := page; p < page+2*502; p += 2 {
 		if err := m.Write(p*chunkLines*LineBytes, line); err != nil {
@@ -101,8 +102,8 @@ func TestHotPathAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		page += 2
-	}); n != 1 {
-		t.Errorf("first Write into a new page allocates %v times, want exactly 1 (its chunk)", n)
+	}); n != 2 {
+		t.Errorf("first Write into a new page allocates %v times, want exactly 2 (its chunk's line block and metadata)", n)
 	}
 	fresh := uint64(span+1) * LineBytes // the second line of a page written above
 	if n := testing.AllocsPerRun(60, func() {

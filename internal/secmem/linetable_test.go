@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/racedetect"
 )
 
@@ -265,39 +267,72 @@ func heapAfter(fn func()) uint64 {
 	return after.HeapAlloc - before.HeapAlloc
 }
 
-// The store's resident cost per stored line, everything counted (chunks,
-// directories, counter chunks, cached blocks): a dense span pays a chunk per
-// 64 lines, 84 B a line in the allocator's 5 376-byte class against ~200 B in
-// the maps; the worst case, one line per page, pays the whole chunk.
+// The store's resident cost per stored line, everything counted (chunks and
+// their line blocks, directories, counter chunks, cached blocks): a dense span
+// pays a data chunk per 64 lines, 4 096 + 896 bytes, so about 82 B a line
+// against ~200 B in the maps; the worst case, one line per page, pays the
+// whole chunk and its share of the counter chunks. SC-64 has a four-level tree
+// and twice MorphCtr-128's counter lines per data line.
 func TestStoreFootprint(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("heap sizes mean nothing under the race detector")
 	}
 	const lines = 1 << 15
-	var m *Memory
-	perLine := func(stride uint64) float64 {
-		grew := heapAfter(func() {
-			m = mustNew(t, morphConfig(256<<20))
-			for d := uint64(0); d < lines; d++ {
-				if err := m.Write(d*stride*LineBytes, line(byte(d))); err != nil {
-					t.Fatal(err)
+	for _, org := range []struct {
+		name          string
+		cfg           Config
+		dense, sparse float64 // at most, bytes per stored line
+	}{
+		{"MorphCtr-128", morphConfig(256 << 20), 84, 5.2 * 1024},
+		{"SC-64", Config{MemoryBytes: 256 << 20, Enc: counters.SplitSpec(64), Tree: []counters.Spec{counters.SplitSpec(64)}, Key: testKey}, 92, 5.5 * 1024},
+	} {
+		var m *Memory
+		perLine := func(stride uint64) float64 {
+			grew := heapAfter(func() {
+				m = mustNew(t, org.cfg)
+				for d := uint64(0); d < lines; d++ {
+					if err := m.Write(d*stride*LineBytes, line(byte(d))); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			m.Store() // write back, so every counter line is stored too
-		})
-		return float64(grew) / lines
+				m.Store() // write back, so every counter line is stored too
+			})
+			return float64(grew) / lines
+		}
+		if dense := perLine(1); dense > org.dense {
+			t.Errorf("%s, dense span: %.1f resident bytes per stored line, want at most %.0f", org.name, dense, org.dense)
+		} else {
+			t.Logf("%s, dense span: %.1f resident bytes per stored line", org.name, dense)
+		}
+		if sparse := perLine(chunkLines); sparse > org.sparse {
+			t.Errorf("%s, one line per page: %.0f resident bytes per stored line, want at most %.1f KiB", org.name, sparse, org.sparse/1024)
+		} else {
+			t.Logf("%s, one line per page: %.0f resident bytes per stored line", org.name, sparse)
+		}
+		runtime.KeepAlive(m)
 	}
-	if dense := perLine(1); dense > 90 {
-		t.Errorf("dense span: %.1f resident bytes per stored line, want at most 90", dense)
-	} else {
-		t.Logf("dense span: %.1f resident bytes per stored line", dense)
+}
+
+// The store's two kinds of chunk and their line block, each against the Go
+// allocator size class it is laid out to fill (runtime/sizeclasses.go): 896
+// bytes for a data chunk, 1 408 for a counter chunk, 4 096 for the lines. A
+// field that pushes one past its class costs every page a whole class step,
+// which TestStoreFootprint would show only as a drift in a heap figure.
+func TestStoreObjectsFitTheirClasses(t *testing.T) {
+	for _, o := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"data chunk", unsafe.Sizeof(chunk[dataExt]{}), 896},
+		{"counter chunk", unsafe.Sizeof(chunk[ctrExt]{}), 1408},
+	} {
+		if o.size > o.max {
+			t.Errorf("%s: %d bytes, over its %d-byte size class", o.name, o.size, o.max)
+		}
 	}
-	if sparse := perLine(chunkLines); sparse > 5.5*1024 {
-		t.Errorf("one line per page: %.0f resident bytes per stored line, want at most 5.5 KiB", sparse)
-	} else {
-		t.Logf("one line per page: %.0f resident bytes per stored line", sparse)
+	if n := unsafe.Sizeof([chunkLines][LineBytes]byte{}); n != 4096 {
+		t.Errorf("line block: %d bytes, want exactly 4 096 (the size class it fills)", n)
 	}
-	runtime.KeepAlive(m)
 }
 
 // New allocates nothing per line of capacity: 64 GiB costs its directories,

@@ -160,6 +160,50 @@ func TestTenantEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTenantCannotOverwrite is the other half of key-domain isolation: a
+// tenant that cannot read its neighbour's line must not be able to replace
+// it either. The victim writes a line and has the ack; the aggressor writes
+// the same address under its own key domain; the victim must read back its
+// own value, not an IntegrityError nobody tampered to cause.
+func TestTenantCannotOverwrite(t *testing.T) {
+	t.Skip("ROADMAP 13(b): a key domain is a per-line tag, not an owned range")
+	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
+		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
+		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+	})
+	defer shutdown()
+
+	bound := func(id, secret string) *wire.Client {
+		cl, err := wire.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Hello(id, secret); err != nil {
+			cl.Close()
+			t.Fatalf("hello %s: %v", id, err)
+		}
+		return cl
+	}
+	victim := bound("alpha", "alpha-secret")
+	defer victim.Close()
+	aggressor := bound("beta", "beta-secret")
+	defer aggressor.Close()
+
+	const at = 2 * secmem.LineBytes
+	mine := oracle.Fill(at, 1)
+	if err := victim.Write(at, mine); err != nil {
+		t.Fatalf("victim write: %v", err)
+	}
+	_ = aggressor.Write(at, oracle.Fill(at, 2)) // refused or not, the victim's line must survive
+	got, err := victim.Read(at)
+	if err != nil {
+		t.Fatalf("victim reads back its acknowledged line: %v", err)
+	}
+	if !bytes.Equal(got, mine) {
+		t.Fatal("victim reads back a line it did not write")
+	}
+}
+
 // TestHelloSingleTenant pins the compatibility edge: a server without a
 // tenant registry refuses HELLO, and plain ops keep working unbound.
 func TestHelloSingleTenant(t *testing.T) {
