@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE build test race morphdebug vet fmt morphlint escapes loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: FORCE build test race morphdebug vet fmt morphlint loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -35,16 +35,10 @@ bin/morphcheck.race: FORCE
 
 FORCE:
 
-# Full eight-analyzer suite: any finding fails. One that is right on purpose
+# Full seven-analyzer suite: any finding fails. One that is right on purpose
 # carries //morphlint:allow <analyzer> -- reason on its line.
 morphlint: bin/morphlint
 	bin/morphlint ./...
-
-# What hotalloc cannot see: the compiler's own account (-gcflags=-m) of the
-# packages that annotate a //morph:hotpath function. A "moved to heap" inside
-# one fails unless its line carries //morphlint:allow hotalloc.
-escapes: bin/morphlint
-	bin/morphlint -escapes ./...
 
 # Non-test Go lines per package, one line each, and their sum: the figure a
 # change that claims to remove code reports before and after.

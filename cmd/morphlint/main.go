@@ -1,16 +1,14 @@
-// Command morphlint is the repository's static-analysis suite: eight
+// Command morphlint is the repository's static-analysis suite: seven
 // analyzers enforcing secure-memory invariants the compiler cannot see
-// (see DESIGN.md "Checked invariants" and §13), three of them
-// interprocedural — facts about key material, allocation behavior and
-// lock acquisition flow between packages through the vet fact channel.
+// (see DESIGN.md "Checked invariants" and §13), two of them
+// interprocedural — facts about key material and lock acquisition flow
+// between packages through the vet fact channel.
 //
 // Usage:
 //
 //	go run ./cmd/morphlint ./...                 # standalone (re-execs go vet)
 //	go build -o morphlint ./cmd/morphlint
 //	go vet -vettool=./morphlint ./...            # as a vet tool
-//
-//	morphlint -escapes ./...                     # what the compiler moves to the heap in //morph:hotpath functions
 //
 // morphlint speaks the `go vet -vettool` protocol (see
 // internal/analysis/unitchecker.go), so the go command handles package
@@ -48,22 +46,10 @@ func main() {
 		}
 	}
 
-	// Direct invocation: let go vet drive this same binary, unless -escapes
-	// asks the compiler instead.
+	// Direct invocation: let go vet drive this same binary.
 	if len(args) > 0 && strings.HasPrefix(args[0], "-") {
-		if args[0] != "-escapes" {
-			fmt.Fprintf(os.Stderr, "morphlint: unknown flag %s\n", args[0])
-			os.Exit(1)
-		}
-		n, err := analysis.RunEscapes(".", args[1:], os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "morphlint: -escapes: %v\n", err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			os.Exit(2)
-		}
-		return
+		fmt.Fprintf(os.Stderr, "morphlint: unknown flag %s\n", args[0])
+		os.Exit(1)
 	}
 	os.Exit(analysis.RunStandalone(args))
 }

@@ -99,18 +99,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// allowed reports whether a directive suppresses this analyzer at pos.
+// allowed reports whether pos's line, or the one above it, carries a
+// `//morphlint:allow` directive naming this analyzer (or "all").
 func (p *Pass) allowed(pos token.Pos) bool {
 	position := p.Fset.Position(pos)
-	return allowedAt(p.allow, position.Filename, position.Line, p.Analyzer.Name)
-}
-
-// allowedAt reports whether file's line, or the one above it, carries a
-// `//morphlint:allow` directive naming the analyzer (or "all"); allow is
-// collectDirectives' map.
-func allowedAt(allow map[string]map[string]bool, file string, line int, analyzer string) bool {
-	for _, l := range []int{line, line - 1} {
-		if names := allow[fmt.Sprintf("%s:%d", file, l)]; names[analyzer] || names["all"] {
+	for _, l := range []int{position.Line, position.Line - 1} {
+		if names := p.allow[fmt.Sprintf("%s:%d", position.Filename, l)]; names[p.Analyzer.Name] || names["all"] {
 			return true
 		}
 	}
@@ -158,13 +152,12 @@ const directivePrefix = "morphlint:allow"
 // morphDirectivePrefix introduces an annotation directive. The full form
 // is `//morph:<name> [-- reason]` in a declaration's doc comment, on the
 // annotated line, or on the line directly above it. The framework
-// recognizes three names:
+// recognizes two names:
 //
 //	//morph:secret   this field/variable holds key material, or this
 //	                 function returns it (keytaint sources)
 //	//morph:sealed   this function or call site is part of the sealed
 //	                 path; key material may flow into its writes
-//	//morph:hotpath  this function must stay allocation-free (hotalloc)
 const morphDirectivePrefix = "morph:"
 
 // HasDirective reports whether a comment group (typically a declaration's

@@ -7,9 +7,11 @@ package lint
 import "github.com/securemem/morphtree/internal/analysis"
 
 // Analyzers returns the full morphlint suite in reporting order. The
-// first five are intra-package AST checks; keytaint, hotalloc and
-// lockorder are interprocedural, exchanging facts across package
-// boundaries through the analysis fact store (internal/analysis/facts.go).
+// first five are intra-package AST checks; keytaint and lockorder are
+// interprocedural, exchanging facts across package boundaries through the
+// analysis fact store (internal/analysis/facts.go). The hot path's
+// allocation contract is not among them: the testing.AllocsPerRun pins
+// state it (DESIGN §13, "The allocation contract").
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		CachelineInv,
@@ -18,7 +20,6 @@ func Analyzers() []*analysis.Analyzer {
 		PanicPolicy,
 		LockHeld,
 		KeyTaint,
-		HotAlloc,
 		LockOrder,
 	}
 }

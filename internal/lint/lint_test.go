@@ -30,10 +30,6 @@ func TestKeyTaint(t *testing.T) {
 	analysistest.Run(t, "testdata", KeyTaint, "keymat", "keyuse", "signer")
 }
 
-func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "testdata", HotAlloc, "hot", "hotuse")
-}
-
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", LockOrder, "locks", "locka", "lockb")
 }

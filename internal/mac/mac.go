@@ -184,8 +184,6 @@ func (k *Keyer) Raw(msg []byte) uint64 { return k.hmac(nil, msg) }
 
 // compute is HMAC-SHA256(key, domain || addr || counter || content),
 // truncated.
-//
-//morph:hotpath
 func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
 	var header [headerBytes]byte
 	binary.LittleEndian.PutUint64(header[0:], domain)
@@ -197,8 +195,6 @@ func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
 // hmac is HMAC-SHA256 over header || content from the saved states, truncated:
 // SHA-256(opad || SHA-256(ipad || message)) with both key blocks already
 // hashed.
-//
-//morph:hotpath
 func (k *Keyer) hmac(header, content []byte) uint64 {
 	pooled := scratches.Get()
 	s := pooled.(*scratch)

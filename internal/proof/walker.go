@@ -109,8 +109,6 @@ func (w *Walker) SpecAt(level int) counters.Spec {
 // decoders accept only canonical encodings, so for a line that decodes that
 // is the raw line with its last word masked: there is no need to re-encode
 // the block to find out what was signed.
-//
-//morph:hotpath
 func (w *Walker) DecodeVerify(level int, idx uint64, raw []byte, parentValue uint64) (counters.Block, error) {
 	blk, err := w.SpecAt(level).Decode(raw)
 	if err != nil {
@@ -127,8 +125,6 @@ func (w *Walker) DecodeVerify(level int, idx uint64, raw []byte, parentValue uin
 
 // VerifyData checks a data line's MAC under its encryption counter and
 // line-local address, returning a *MismatchError on disagreement.
-//
-//morph:hotpath
 func (w *Walker) VerifyData(ciphertext []byte, counter, addr, storedMAC uint64) error {
 	if w.keyer.Data(ciphertext, counter, addr) != storedMAC {
 		return &MismatchError{Level: -1, Index: addr / LineBytes, Reason: "MAC mismatch"}

@@ -13,10 +13,10 @@ import (
 // buffer the caller reuses allocates nothing; a write allocates only what the
 // store retains, which is a chunk on a page's first write (its lines and its
 // metadata, two objects) and otherwise nothing; and writing dirty counter
-// blocks back allocates nothing either. morphlint's hotalloc checks the same
-// functions statically but does not count append or slices.Grow, the one
-// allocation they are allowed, and `make escapes` sees only what the compiler
-// moves to the heap; this pins the number.
+// blocks back allocates nothing either. A cold fetch allocates the blocks it
+// caches, and an overflow's re-encryption of resident lines nothing. These
+// counts are the only statement of the contract (DESIGN §13): no lint
+// checks it, so an allocation anywhere on these paths must show here.
 func TestHotPathAllocations(t *testing.T) {
 	if racedetect.Enabled || invariant.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
@@ -113,5 +113,49 @@ func TestHotPathAllocations(t *testing.T) {
 		fresh += LineBytes
 	}); n != 0 {
 		t.Errorf("first Write of a line in a resident page allocates %v times, want 0", n)
+	}
+
+	// A cold verified fetch: after a flush every read walks the tree again,
+	// decoding and MAC-checking one block per counter level below the root,
+	// and caches each. Those blocks are all it allocates.
+	if n := testing.AllocsPerRun(100, func() {
+		m.FlushMetadataCache()
+		if _, err := m.AppendRead(buf, next()); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("AppendRead after a metadata-cache flush allocates %v times, want exactly 2 (one block per counter level below the root)", n)
+	}
+
+	// Overflows: a line written over and over runs its minor counter out,
+	// and each overflow re-encrypts the siblings whose values moved. From a
+	// block written once through, like the span, the line overflows on its
+	// 8th write and every 7th after, sixteen times, until the block switches
+	// format and has room. So each run hammers one line of a block of its
+	// own, whose siblings are all resident and rewritten where they are
+	// stored, and an allocation per overflow is at least one per run.
+	const runs = 20
+	block := uint64(morph.Arity)
+	base := uint64(1 << 19) // lines: past every page written above
+	for d := base; d < base+(runs+1)*block; d++ {
+		if err := m.Write(d*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := m.Stats()
+	hot := base
+	if n := testing.AllocsPerRun(runs, func() {
+		for range 200 {
+			if err := m.Write(hot*LineBytes, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hot += block
+	}); n != 0 {
+		t.Errorf("writes that overflow a resident counter line allocate %v times a run, want 0", n)
+	}
+	if st := m.Stats(); st.Overflows[0]-before.Overflows[0] < runs+1 || st.Reencryptions == before.Reencryptions {
+		t.Fatalf("%d overflows and %d re-encryptions in %d runs: not every run overflowed",
+			st.Overflows[0]-before.Overflows[0], st.Reencryptions-before.Reencryptions, runs+1)
 	}
 }

@@ -185,7 +185,7 @@ type Memory struct {
 	// values are decoded if the increment overflowed. Organizations differ by
 	// level, so each needs its own spare; no bump runs inside another and all
 	// run under mu, so one set per Memory suffices and the increment path
-	// allocates nothing (the //morph:hotpath contract).
+	// allocates nothing (TestHotPathAllocations).
 	spare     []counters.Block
 	preValues []uint64
 	// plainBuf is the plaintext an overflow re-encryption carries between
@@ -422,7 +422,6 @@ func (m *Memory) checkAddr(addr uint64) error {
 // counter line is written back.
 func (m *Memory) Write(addr uint64, line []byte) error { return m.WriteDomain(nil, addr, line) }
 
-//morph:hotpath
 func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	if err := m.checkAddr(addr); err != nil {
 		return err
@@ -443,7 +442,7 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 		return err
 	}
 	ctr := blk.Value(slot)
-	c, i := m.store.data.grow(d), d%chunkLines //morphlint:allow hotalloc -- a page's first write allocates its chunk
+	c, i := m.store.data.grow(d), d%chunkLines
 	if m.cut != nil {
 		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
 	}
@@ -451,7 +450,7 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	if err := m.dataCipher(dom).XOR(ct, line, addr, ctr); err != nil {
 		return err
 	}
-	m.sealData(c, i, m.dataKeyer(dom).Data(ct, ctr, addr), dom) //morphlint:allow hotalloc -- a tenant's first write into a page allocates its domain tags
+	m.sealData(c, i, m.dataKeyer(dom).Data(ct, ctr, addr), dom)
 	m.stats.Writes++
 	return nil
 }
@@ -494,7 +493,6 @@ func (m *Memory) AppendRead(dst []byte, addr uint64) ([]byte, error) {
 	return m.ReadDomain(dst, nil, addr)
 }
 
-//morph:hotpath
 func (m *Memory) read(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
 	if err := m.checkAddr(addr); err != nil {
 		return nil, err
@@ -554,8 +552,6 @@ var zeroLine [LineBytes]byte
 // one in advance: the block is copied as it is, and the copy is decoded only
 // if Increment says it overflowed. Nothing here predicts the overflow — the
 // format logic that decides it exists once, in Increment.
-//
-//morph:hotpath
 func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 	blk, err := m.trustedBlock(level, idx)
 	if err != nil {
@@ -586,11 +582,12 @@ func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 		}
 	}
 	if ev.Overflow {
-		// Overflow refresh retains new ciphertexts, so its allocations are
-		// inherent; it is the paper's amortized-rare slow path (DESIGN 13).
+		// The refresh rewrites resident children where they are stored; it
+		// allocates only what a first write or a cold fetch of a child would
+		// (TestHotPathAllocations).
 		snapshot := m.preValues[:pre.Arity()]
 		pre.Values(snapshot)
-		if err := m.refreshChildren(level, idx, blk, snapshot, slot); err != nil { //morphlint:allow hotalloc -- retains new ciphertexts; allocation is inherent
+		if err := m.refreshChildren(level, idx, blk, snapshot, slot); err != nil {
 			return nil, err
 		}
 	}
@@ -601,8 +598,6 @@ func (m *Memory) bump(level int, idx uint64, slot int) (counters.Block, error) {
 // parent's counter for the block — the paper's tree-line write, which leaves
 // the parent dirty in turn; the root never leaves the chip — then seals the
 // block under that new value and stores it.
-//
-//morph:hotpath
 func (m *Memory) writeBack(level int, idx uint64) error {
 	parent, pslot := m.geom.ParentSlot(level, idx)
 	pblk, err := m.bump(level+1, parent, pslot)
@@ -625,8 +620,6 @@ func (m *Memory) pending(level int, idx uint64) bool {
 // only on an integrity violation (a tampered sibling met while an overflow is
 // refreshed) and not every caller can return one, so the engine fails stop:
 // the error is kept and every later operation returns it.
-//
-//morph:hotpath
 func (m *Memory) settle(keep int) error {
 	var wrote []blockRef // morphdebug builds only
 	for m.wb.err == nil && m.wb.n > keep {
@@ -639,7 +632,7 @@ func (m *Memory) settle(keep int) error {
 		}
 	}
 	if m.wb.err == nil {
-		m.assertSealed(wrote) //morphlint:allow hotalloc -- wrote is nil unless assertions are compiled in
+		m.assertSealed(wrote)
 	}
 	return m.wb.err
 }
@@ -771,8 +764,6 @@ func (m *Memory) fetchBlock(level int, idx uint64, raw []byte, parentValue uint6
 
 // trustedBlock returns a verified counter block, fetching and MAC-checking
 // it from untrusted storage if it is not already in the trusted cache.
-//
-//morph:hotpath
 func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 	if level == m.geom.RootLevel() {
 		return m.root, nil
@@ -787,7 +778,7 @@ func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 		return nil, err
 	}
 	raw := c.get(i)
-	blk, err := m.fetchBlock(level, idx, raw, pblk.Value(pslot)) //morphlint:allow hotalloc -- a fetch allocates what it caches: the block, and a never-stored line's chunk
+	blk, err := m.fetchBlock(level, idx, raw, pblk.Value(pslot))
 	if err != nil || raw == nil {
 		return blk, err
 	}
@@ -799,8 +790,6 @@ func (m *Memory) trustedBlock(level int, idx uint64) (counters.Block, error) {
 // the expected parent counter value. The actual walk logic lives in
 // proof.Walker so client-side verifiers run the identical code; this
 // wrapper only converts the walker's typed mismatch into the engine's.
-//
-//morph:hotpath
 func (m *Memory) decodeAndVerify(level int, idx uint64, raw []byte, parentValue uint64) (counters.Block, error) {
 	blk, err := m.walker.DecodeVerify(level, idx, raw, parentValue)
 	if err != nil {
@@ -823,8 +812,6 @@ func integrityFromMismatch(err error) error {
 // sealBlock computes a cached block's MAC under parentValue and persists it.
 // The block is encoded once, over its stored line, with a zero MAC field — the
 // bytes the MAC covers — and the MAC is then written into the line's last word.
-//
-//morph:hotpath
 func (m *Memory) sealBlock(level int, idx uint64, parentValue uint64) {
 	c, i := m.store.levels[level].at(idx), idx%chunkLines
 	if m.cut != nil {

@@ -468,8 +468,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// answered from (connState) are per connection and reused across
 	// requests: once they have grown to a request's size, a served read or
 	// write allocates nothing between the socket and the engine
-	// (TestServedOpsDoNotAllocate; `make escapes` for what the compiler
-	// moves to the heap unasked).
+	// (TestServedOpsDoNotAllocate).
 	fr := wire.NewFrameReader(br)
 	fw := wire.NewFrameWriter(bw)
 	cs := &connState{}

@@ -182,8 +182,6 @@ func frameBytes(r Record) (int, error) {
 // seal builds r's frame where it lies: frame is exactly frameBytes(r) long,
 // and the header, the fields, the sealed payload, the MAC and the CRC are
 // each written to their place in it.
-//
-//morph:hotpath
 func (k keys) seal(frame []byte, r Record) error {
 	body := frame[frameHdrBytes:]
 	macOff := len(body) - macBytes
@@ -325,8 +323,6 @@ func (l *Log) Path() string { return l.path }
 
 // Append buffers one record's frame. The record is NOT durable until Sync
 // returns; it is not even visible to a re-open until Flush.
-//
-//morph:hotpath
 func (l *Log) Append(r Record) error {
 	n, err := frameBytes(r)
 	if err != nil {

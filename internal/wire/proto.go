@@ -19,8 +19,6 @@ const addrBytes = 8
 // AppendAddr appends an OpRead / OpTamper payload to dst and returns the
 // extended slice: the zero-allocation form for callers that reuse a
 // request buffer across calls.
-//
-//morph:hotpath
 func AppendAddr(dst []byte, addr uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, addr)
 }
@@ -32,8 +30,6 @@ func EncodeAddr(addr uint64) []byte {
 }
 
 // DecodeAddr decodes an OpRead / OpTamper payload.
-//
-//morph:hotpath
 func DecodeAddr(p []byte) (uint64, error) {
 	if len(p) != addrBytes {
 		return 0, fmt.Errorf("%w: address payload is %d bytes, want %d", ErrMalformed, len(p), addrBytes)
@@ -43,8 +39,6 @@ func DecodeAddr(p []byte) (uint64, error) {
 
 // AppendWrite appends an OpWrite payload — address followed by the line —
 // to dst and returns the extended slice.
-//
-//morph:hotpath
 func AppendWrite(dst []byte, addr uint64, line []byte) ([]byte, error) {
 	if len(line) != secmem.LineBytes {
 		return dst, fmt.Errorf("wire: line is %d bytes, want %d", len(line), secmem.LineBytes)
@@ -53,8 +47,6 @@ func AppendWrite(dst []byte, addr uint64, line []byte) ([]byte, error) {
 }
 
 // DecodeWrite decodes an OpWrite payload. The returned line aliases p.
-//
-//morph:hotpath
 func DecodeWrite(p []byte) (uint64, []byte, error) {
 	if len(p) != addrBytes+secmem.LineBytes {
 		return 0, nil, fmt.Errorf("%w: write payload is %d bytes, want %d", ErrMalformed, len(p), addrBytes+secmem.LineBytes)

@@ -223,8 +223,6 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 // status) followed by payload. The frame is assembled in the reused
 // scratch buffer and written with a single Write, so a framed message is
 // never split across two writes to the underlying stream.
-//
-//morph:hotpath
 func (fw *FrameWriter) WriteFrame(tag byte, payload []byte) error {
 	if len(payload)+1 > MaxBody {
 		return fmt.Errorf("%w: body %d > %d", ErrOversized, len(payload)+1, MaxBody)
@@ -270,8 +268,6 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // steps, the buffer doubling only as bytes arrive, so what a peer makes the
 // reader allocate is at most growFloor or twice what it has actually sent.
 // The payload aliases the reader's scratch buffer; see FrameReader.
-//
-//morph:hotpath
 func (fr *FrameReader) ReadFrame() (tag byte, payload []byte, err error) {
 	if cap(fr.buf) > scratchKeep {
 		fr.buf = nil
@@ -292,7 +288,7 @@ func (fr *FrameReader) ReadFrame() (tag byte, payload []byte, err error) {
 	body := fr.buf[:0]
 	for len(body) < n {
 		if len(body) == cap(body) {
-			grown := make([]byte, len(body), min(n, max(2*len(body), growFloor))) //morphlint:allow hotalloc -- a frame longer than any before it grows the scratch
+			grown := make([]byte, len(body), min(n, max(2*len(body), growFloor)))
 			copy(grown, body)
 			body = grown
 		}
