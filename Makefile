@@ -197,10 +197,12 @@ proof-smoke: bin/morphload bin/morphaudit
 	kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; exit $$STATUS
 
 # Multi-tenant isolation smoke test: a race-built morphserve with per-tenant
-# key domains and quotas, then morphload -mix runs the protected victim solo
-# and against a greedy rate-capped aggressor. Passes only if the victim's
-# p99 stays under 2x its solo baseline while the aggressor is shed, and a
-# cross-tenant read is denied with a typed integrity error.
+# address ranges, key domains and quotas, then morphload -mix runs the
+# protected victim solo and against a greedy rate-capped aggressor. Passes
+# only if the victim's p99 stays under 2x its solo baseline while the
+# aggressor is shed, the victim reads back its line 0 after the aggressor
+# wrote its own line 0, and the aggressor's first address past its range is
+# refused with a typed error that is not an integrity error.
 tenant-smoke: bin/morphload
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	printf '[{"id":"victim","secret":"vs","weight":4},{"id":"greedy","secret":"gs","weight":1,"ops_per_sec":400,"max_inflight":8}]\n' > bin/tenants.json

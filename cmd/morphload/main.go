@@ -161,7 +161,7 @@ func run(o options, out io.Writer) error {
 			defer wg.Done()
 			defer cl.Close()
 			results[c] = runClient(cl, deadline, rand.New(rand.NewSource(o.seed+int64(c))),
-				uint64(c)*linesPerClient*lineBytes, linesPerClient, o.writeFrac, ins, as, false)
+				uint64(c)*linesPerClient*lineBytes, linesPerClient, o.writeFrac, ins, as)
 		}(c, clients[c])
 	}
 	stopRep := make(chan struct{})
@@ -335,12 +335,7 @@ func absorbed(clients []*wire.Client) wire.ResilientStats {
 // until the deadline. The resilient client absorbs transient faults; an op
 // that still fails after its retry budget is counted and the loop keeps going.
 // A line with an indeterminate write is quarantined — only read from then on.
-//
-// writeFirst makes a worker write each line before ever reading it. The
-// tenant mix mode needs this: under per-tenant key domains an untouched
-// line still belongs to the default domain, so reading it before claiming
-// it with a write is (correctly) denied as an integrity violation.
-func runClient(cl *wire.Client, deadline time.Time, rng *rand.Rand, base uint64, lines uint64, writeFrac float64, ins loadInstruments, as *auditSetup, writeFirst bool) clientResult {
+func runClient(cl *wire.Client, deadline time.Time, rng *rand.Rand, base uint64, lines uint64, writeFrac float64, ins loadInstruments, as *auditSetup) clientResult {
 	var res clientResult
 	h := oracle.New(oracle.Unknown)
 	timed := func(hist *obs.Histogram, lats *[]time.Duration, op func() error) {
@@ -358,12 +353,8 @@ func runClient(cl *wire.Client, deadline time.Time, rng *rand.Rand, base uint64,
 	}
 	for time.Now().Before(deadline) {
 		a := base + uint64(rng.Int63n(int64(lines)))*lineBytes
-		writeIt := rng.Float64() < writeFrac
-		if writeFirst && h.Acked(a) == 0 {
-			writeIt = true
-		}
 		switch {
-		case writeIt && h.Writable(a):
+		case rng.Float64() < writeFrac && h.Writable(a):
 			seq, line := h.Invoke(a)
 			timed(ins.writeLat, nil, func() error {
 				err := cl.Write(a, line)

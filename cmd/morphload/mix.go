@@ -6,21 +6,22 @@ import (
 	"io"
 	"log"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
 	"github.com/securemem/morphtree/internal/oracle"
-	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/tenant"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
 // runMix drives the adversarial tenant mix (-mix): a solo victim baseline
-// phase, then the victim and a greedy aggressor concurrently on disjoint
-// address partitions, then a cross-tenant read probe. It fails if isolation
+// phase, then the victim and a greedy aggressor concurrently, then a write
+// probe and a range probe (writeProbe, rangeProbe). It fails if isolation
 // did: the victim's p99 degraded 2x or more, the aggressor was never shed, the
-// victim read anything its history does not admit, or the cross-tenant read
-// was not denied.
+// victim read anything its history does not admit, the aggressor's write to
+// its own line 0 changed the victim's line 0, or an address past the
+// aggressor's range was not refused with a typed, non-integrity error.
 func runMix(o options, out io.Writer) error {
 	reg, err := tenant.LoadConfig(o.mix)
 	if err != nil {
@@ -35,10 +36,11 @@ func runMix(o options, out io.Writer) error {
 		return fmt.Errorf("-mix: aggressor tenant %q not in %s", o.aggressor, o.mix)
 	}
 
-	// Disjoint partitions, so read-back verification stays exact per phase:
-	// victim solo gets [0, span/4), victim mixed gets [span/4, span/2), the
-	// aggressor gets [span/2, span). Separate victim partitions per phase
-	// keep phase 2's fresh write-set tracking honest.
+	// A bound tenant's addresses are relative to its own range, so the two
+	// tenants never share a line. The victim's phases still take disjoint
+	// partitions — solo [0, span/4), mixed [span/4, span/2) — which keeps
+	// phase 2's fresh write-set tracking honest; the aggressor takes
+	// [span/2, span) of its range.
 	quarterLines := o.span / 4 / lineBytes
 	halfLines := o.span / 2 / lineBytes
 	if quarterLines < uint64(o.clients) {
@@ -74,20 +76,25 @@ func runMix(o options, out io.Writer) error {
 	victim := solo.Tally
 	victim.Add(mixed.Tally)
 
-	// Phase 3: cross-tenant probe — the victim writes a line, the
-	// aggressor's connection reads the same address. The line's MAC is
-	// bound to the victim's key domain, so the aggressor must get a typed
-	// IntegrityError, the same fail-closed answer tampering gets.
-	denied, perr := crossTenantProbe(o, vSpec, aSpec)
-	if perr != nil {
-		log.Printf("morphload: mix: cross-tenant probe: %v", perr)
+	// Phase 3: the probes.
+	vc, ac := tenantClient(o, vSpec, -3), tenantClient(o, aSpec, -4)
+	defer vc.Close()
+	defer ac.Close()
+	held, err := writeProbe(vc, ac)
+	if err != nil {
+		log.Printf("morphload: mix: write probe: %v", err)
 	}
+	size, err := rangeProbe(ac)
+	if err != nil {
+		log.Printf("morphload: mix: range probe: %v", err)
+	}
+	refused := err == nil
 
-	mixOK := degradation < 2.0 && aggr.net.Sheds > 0 && denied &&
+	mixOK := degradation < 2.0 && aggr.net.Sheds > 0 && held && refused &&
 		victim.Mismatches() == 0 && victim.SpuriousIntegrity == 0
-	fmt.Fprintf(out, "morphload: mix: victim p99 solo=%.0fus mixed=%.0fus (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, cross_tenant_denied=%v, mix_ok=%v\n",
+	fmt.Fprintf(out, "morphload: mix: victim p99 solo=%.0fus mixed=%.0fus (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, victim_line_held=%v, past_range_refused=%v (range %#x), mix_ok=%v\n",
 		us(soloP99), us(mixP99), degradation,
-		aggr.Reads+aggr.Writes, aggr.net.Sheds, mixed.net.Sheds, denied, mixOK)
+		aggr.Reads+aggr.Writes, aggr.net.Sheds, mixed.net.Sheds, held, refused, size, mixOK)
 	if !mixOK {
 		return errors.New("tenant isolation gate failed")
 	}
@@ -105,18 +112,10 @@ func runTenantPhase(o options, spec tenant.Spec, base uint64, linesPer uint64, d
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl := wire.NewResilient(wire.ResilientConfig{
-				Addrs:        []string{o.addr},
-				Timeout:      o.timeout,
-				MaxAttempts:  o.retries,
-				RetryWrites:  o.retryWrites,
-				Seed:         o.seed + seedOff + int64(c),
-				TenantID:     spec.ID,
-				TenantSecret: spec.Secret,
-			})
+			cl := tenantClient(o, spec, seedOff+int64(c))
 			defer cl.Close()
 			results[c] = runClient(cl, deadline, rand.New(rand.NewSource(o.seed+seedOff+int64(c))),
-				base+uint64(c)*linesPer*lineBytes, linesPer, o.writeFrac, loadInstruments{}, nil, true)
+				base+uint64(c)*linesPer*lineBytes, linesPer, o.writeFrac, loadInstruments{}, nil)
 		}(c)
 	}
 	wg.Wait()
@@ -127,28 +126,67 @@ func runTenantPhase(o options, spec tenant.Spec, base uint64, linesPer uint64, d
 	return sum
 }
 
-// crossTenantProbe writes a line as the victim and reads the same address
-// over an aggressor-bound connection, reporting whether the read was
-// denied with a typed *secmem.IntegrityError.
-func crossTenantProbe(o options, vSpec, aSpec tenant.Spec) (bool, error) {
-	const probeAddr = 0 // victim solo partition
-	vc := wire.NewResilient(wire.ResilientConfig{
-		Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries,
-		Seed: o.seed - 3, TenantID: vSpec.ID, TenantSecret: vSpec.Secret,
+// tenantClient is a resilient client bound to one tenant, seeded at o.seed
+// + seedOff.
+func tenantClient(o options, spec tenant.Spec, seedOff int64) *wire.Client {
+	return wire.NewResilient(wire.ResilientConfig{
+		Addrs:        []string{o.addr},
+		Timeout:      o.timeout,
+		MaxAttempts:  o.retries,
+		RetryWrites:  o.retryWrites,
+		Seed:         o.seed + seedOff,
+		TenantID:     spec.ID,
+		TenantSecret: spec.Secret,
 	})
-	defer vc.Close()
-	if err := vc.Write(probeAddr, oracle.Fill(probeAddr, 0xC0FFEE)); err != nil {
-		return false, fmt.Errorf("victim probe write: %w", err)
+}
+
+// writeProbe has the victim write its line 0 and hold the ack, the
+// aggressor write its own line 0, and the victim read its line back. It
+// reports whether the history admits what the victim read.
+func writeProbe(vc, ac *wire.Client) (bool, error) {
+	h := oracle.New(oracle.Unknown)
+	seq, line := h.Invoke(0)
+	err := vc.Write(0, line)
+	h.Settle(0, seq, err)
+	if err != nil {
+		return false, fmt.Errorf("victim write: %w", err)
 	}
-	ac := wire.NewResilient(wire.ResilientConfig{
-		Addrs: []string{o.addr}, Timeout: o.timeout, MaxAttempts: o.retries,
-		Seed: o.seed - 4, TenantID: aSpec.ID, TenantSecret: aSpec.Secret,
-	})
-	defer ac.Close()
-	_, err := ac.Read(probeAddr)
-	var ie *secmem.IntegrityError
-	if errors.As(err, &ie) {
-		return true, nil
+	if err := ac.Write(0, oracle.Fill(0, seq+1)); err != nil {
+		return false, fmt.Errorf("aggressor write: %w", err)
 	}
-	return false, fmt.Errorf("cross-tenant read returned %v, want *secmem.IntegrityError", err)
+	got, err := vc.Read(0)
+	h.Observe(0, got, err)
+	if h.Verified != 1 {
+		return false, fmt.Errorf("victim reads back its acknowledged line 0: %v (%s)", err, h.Tally)
+	}
+	return true, nil
+}
+
+// rangeProbe finds where the aggressor's range ends, the first address its
+// reads are refused at, by bisection between its line 0, which writeProbe
+// wrote, and 2^63. A refusal must be a typed *wire.RemoteError, and the one
+// at the boundary must say it is the range's (not, say, the capacity's); an
+// integrity error (nothing was tampered with) or any other failure fails the
+// probe.
+func rangeProbe(ac *wire.Client) (size uint64, err error) {
+	const top = 1 << 63 / lineBytes
+	lo, hi := uint64(0), uint64(top) // lines: lo served, hi refused
+	var at *wire.RemoteError         // hi's refusal
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		_, err := ac.Read(mid * lineBytes)
+		var re *wire.RemoteError
+		switch {
+		case err == nil:
+			lo = mid
+		case errors.As(err, &re):
+			hi, at = mid, re
+		default:
+			return 0, fmt.Errorf("read %#x: %w", mid*lineBytes, err)
+		}
+	}
+	if hi == top || !strings.Contains(at.Msg, "outside its range") {
+		return 0, fmt.Errorf("line %d is the first refused, with %v: not a range's end", hi, at)
+	}
+	return hi * lineBytes, nil
 }

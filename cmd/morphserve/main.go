@@ -64,7 +64,7 @@ var (
 	_ server.Prover       = (*shard.Sharded)(nil)
 	_ server.Prover       = (*durable.Memory)(nil)
 	_ server.Prover       = (*cluster.Node)(nil)
-	_ server.DomainEngine = (*shard.Sharded)(nil)
+	_ server.TenantRanger = (*shard.Sharded)(nil)
 )
 
 // store is what morphserve asks of a durable engine besides serving it: the
@@ -225,7 +225,7 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	}
 
 	if treg != nil {
-		fmt.Printf("morphserve: multi-tenant: %d tenants %v (HELLO required, per-tenant key domains + quotas)\n",
+		fmt.Printf("morphserve: multi-tenant: %d tenants %v (HELLO required, per-tenant address ranges, key domains + quotas)\n",
 			len(treg.IDs()), treg.IDs())
 	}
 	fmt.Printf("morphserve: %s, %d shards, %d MiB, key %s, root log %s, listening on %s (tamper=%v, %s)\n",

@@ -193,14 +193,6 @@ func (h *History) Writable(addr uint64) bool {
 	return l == nil || len(l.maybe) == 0
 }
 
-// Acked returns the last acknowledged sequence of addr, 0 if none.
-func (h *History) Acked(addr uint64) uint64 {
-	if l := h.lines[addr]; l != nil {
-		return l.acked
-	}
-	return 0
-}
-
 // Invoke starts a write: the next sequence of addr and the line to send. A
 // caller that cannot quarantine (a prober with one line) may invoke on an
 // unwritable line: the last acknowledgment and every failed attempt stay

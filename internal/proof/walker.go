@@ -153,10 +153,10 @@ func DeriveShardKey(master []byte, i int) ([]byte, error) {
 // DeriveTenantKey derives tenant id's key-domain sub-key from an engine
 // key with HMAC-SHA256(engineKey, "morphtree/tenant/<id>"), truncated to
 // the engine key's AES length. Layered over DeriveShardKey it gives each
-// (shard, tenant) pair an independent data-line key domain: tenant data is
-// sealed under a key no other tenant's reads can reproduce, so a
-// cross-tenant read fails closed as a MAC mismatch even though every
-// tenant shares the same physical store and integrity tree. It lives here,
+// (shard, tenant) pair an independent data-line key domain: the lines of a
+// tenant's range are sealed under a key no other tenant's can reproduce, so
+// a line moved between ranges fails closed as a MAC mismatch even though
+// every tenant shares the same physical store and integrity tree. It lives here,
 // next to DeriveShardKey, so client-side verifiers holding the master key
 // can reproduce the full two-step derivation without importing the serving
 // stack.

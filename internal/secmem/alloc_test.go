@@ -158,4 +158,34 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Fatalf("%d overflows and %d re-encryptions in %d runs: not every run overflowed",
 			st.Overflows[0]-before.Overflows[0], st.Reencryptions-before.Reencryptions, runs+1)
 	}
+
+	// Inside a tenant's range a write and a read take the same path under
+	// the tenant's keys, and count into the row its table made: nothing more
+	// to allocate, its first operation included.
+	tm, err := New(Config{MemoryBytes: 64 << 20, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.SetTenants([]TenantRange{{ID: "alpha", Lo: block, Hi: block + span}}); err != nil {
+		t.Fatal(err)
+	}
+	for d := block; d < block+span; d += chunkLines { // every page resident
+		if err := tm.Write(d*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(500, func() {
+		addr := block*LineBytes + next()
+		if err := tm.Write(addr, line); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tm.AppendRead(buf, addr); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a write and a read in a tenant's range allocate %v times a run, want 0", n)
+	}
+	if ops := tm.Stats().Tenants["alpha"]; ops.Reads < 500 || ops.Writes < 500 {
+		t.Fatalf("alpha's row counts %+v: the runs did not land in its range", ops)
+	}
 }

@@ -12,54 +12,43 @@ import (
 // its own already in it.
 
 // TestAppendReadMatchesRead drives a seeded op stream hot enough to overflow
-// and re-encrypt, half of it through a tenant domain, and reads every line
-// both ways.
+// and re-encrypt, half of it in a tenant's range, and reads every line both
+// ways.
 func TestAppendReadMatchesRead(t *testing.T) {
 	for name, cfg := range configs(1 << 20) {
 		t.Run(name, func(t *testing.T) {
 			m := mustNew(t, cfg)
-			dom, err := m.NewDomain("alpha")
-			if err != nil {
+			arity := uint64(m.Geometry().EncArity)
+			if err := m.SetTenants([]TenantRange{{ID: "alpha", Lo: arity, Hi: 2 * arity}}); err != nil {
 				t.Fatal(err)
 			}
-			owner := func(d uint64) *Domain {
-				if d%2 == 1 {
-					return dom
-				}
-				return nil
-			}
-			const lines = 96 // under one 128-ary counter line, so minors overflow soon
+			const lines = 48 // of each counter block, so minors overflow soon
 			rng := rand.New(rand.NewSource(23))
 			prefix := []byte("caller's")
 			buf := make([]byte, 0, len(prefix)+LineBytes)
 			content := make([]byte, LineBytes)
-			// Every line has an owner before the stream starts: an overflow
-			// materializes a never-written sibling under the default domain,
-			// and a tenant's read of that fails closed, as it should.
-			for d := uint64(0); d < lines; d++ {
-				if err := m.WriteDomain(owner(d), d*LineBytes, content); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for op := 0; op < 10000; op++ {
 				// Zipf-ish: a quarter of the ops hammer four lines.
 				d := uint64(rng.Intn(lines))
 				if rng.Intn(4) == 0 {
 					d = uint64(rng.Intn(4))
 				}
+				if rng.Intn(2) == 0 {
+					d += arity // alpha's
+				}
 				addr := d * LineBytes
 				if rng.Intn(3) != 0 {
 					rng.Read(content)
-					if err := m.WriteDomain(owner(d), addr, content); err != nil {
+					if err := m.Write(addr, content); err != nil {
 						t.Fatalf("op %d: write line %d: %v", op, d, err)
 					}
 					continue
 				}
-				want, err := m.ReadDomain(nil, owner(d), addr)
+				want, err := m.Read(addr)
 				if err != nil {
 					t.Fatalf("op %d: Read line %d: %v", op, d, err)
 				}
-				got, err := m.ReadDomain(append(buf[:0], prefix...), owner(d), addr)
+				got, err := m.AppendRead(append(buf[:0], prefix...), addr)
 				if err != nil {
 					t.Fatalf("op %d: AppendRead line %d: %v", op, d, err)
 				}
@@ -70,8 +59,9 @@ func TestAppendReadMatchesRead(t *testing.T) {
 					t.Fatalf("op %d: AppendRead left a buffer with room for the line", op)
 				}
 			}
-			if st := m.Stats(); st.Reencryptions == 0 {
-				t.Fatalf("the stream re-encrypted nothing (%d overflows): it did not reach the path it is for", st.Overflows[0])
+			if st := m.Stats(); st.Reencryptions == 0 || st.Tenants["alpha"].Writes == 0 {
+				t.Fatalf("the stream re-encrypted %d lines in %d overflows and wrote %d of alpha's: it did not reach the paths it is for",
+					st.Reencryptions, st.Overflows[0], st.Tenants["alpha"].Writes)
 			}
 		})
 	}

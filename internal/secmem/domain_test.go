@@ -28,180 +28,224 @@ func wantIntegrity(t *testing.T, err error) *IntegrityError {
 	return ie
 }
 
-func TestNewDomainValidation(t *testing.T) {
-	m := mustNew(t, morphConfig(1<<14))
-	if _, err := m.NewDomain(""); err == nil {
-		t.Fatal("empty domain id accepted")
-	}
-	d, err := m.NewDomain("alpha")
-	if err != nil {
+// block is the lines one MorphCtr-128 encryption-counter line covers: the
+// unit a tenant range is made of.
+const block = 128
+
+// withTenants is a MorphCtr-128 engine of memBytes with table installed.
+func withTenants(t *testing.T, memBytes uint64, table ...TenantRange) *Memory {
+	t.Helper()
+	m := mustNew(t, morphConfig(memBytes))
+	if err := m.SetTenants(table); err != nil {
 		t.Fatal(err)
 	}
-	if d.Name() != "alpha" {
-		t.Fatalf("Name() = %q", d.Name())
-	}
+	return m
 }
 
-// TestDomainIsolation is the key-separation property end to end in the
-// engine: a line written under tenant A's domain reads back only under A.
-// Under B's domain — or the engine's default domain — the stored MAC was
-// computed with a different key, so the read fails closed with a typed
-// IntegrityError, exactly as tampering would.
-func TestDomainIsolation(t *testing.T) {
-	m := mustNew(t, morphConfig(1<<14))
-	a, err := m.NewDomain("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.NewDomain("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := []byte(nil)
-	line = append(line, bytes.Repeat([]byte{0xA1}, LineBytes)...)
-	const addr = 3 * LineBytes
-	if err := m.WriteDomain(a, addr, line); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := m.ReadDomain(nil, a, addr)
-	if err != nil {
-		t.Fatalf("owner read: %v", err)
-	}
-	if !bytes.Equal(got, line) {
-		t.Fatal("owner read returned wrong contents")
-	}
-	if _, err := m.ReadDomain(nil, b, addr); err == nil {
-		t.Fatal("cross-tenant read succeeded")
-	} else {
-		wantIntegrity(t, err)
-	}
-	if _, err := m.Read(addr); err == nil {
-		t.Fatal("default-domain read of tenant line succeeded")
-	} else {
-		wantIntegrity(t, err)
-	}
-
-	// Untouched lines still belong to the default domain.
-	if _, err := m.Read(addr + LineBytes); err != nil {
-		t.Fatalf("default read of untouched line: %v", err)
-	}
-	// Same line under B for good measure: B's own write claims it.
-	if err := m.WriteDomain(b, addr, line); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ReadDomain(nil, a, addr); err == nil {
-		t.Fatal("A read B's line after reclaim")
-	}
-	if _, err := m.ReadDomain(nil, b, addr); err != nil {
-		t.Fatalf("B read own line: %v", err)
-	}
-}
-
-// TestDomainDefaultWriteReclaims verifies a default-domain write clears a
-// line's tenant tag: ownership follows the last writer.
-func TestDomainDefaultWriteReclaims(t *testing.T) {
-	m := mustNew(t, morphConfig(1<<14))
-	a, err := m.NewDomain("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := bytes.Repeat([]byte{0x5C}, LineBytes)
-	const addr = 0
-	if err := m.WriteDomain(a, addr, line); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(addr, line); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Read(addr); err != nil {
-		t.Fatalf("default read after reclaim: %v", err)
-	}
-	if _, err := m.ReadDomain(nil, a, addr); err == nil {
-		t.Fatal("domain read succeeded after default-domain reclaim")
-	}
-}
-
-// TestDomainOverflowReencrypt drives a mixed default/tenant write pattern
-// hard enough to overflow counters, forcing block re-encryption sweeps
-// over lines owned by different domains. Every line must remain readable
-// only under its owning domain afterwards — an overflow in one tenant's
-// block must never reseal a neighbor's line under the wrong key — and the
-// whole-tree audit must still pass.
-func TestDomainOverflowReencrypt(t *testing.T) {
-	m := mustNew(t, morphConfig(1<<14))
-	a, err := m.NewDomain("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.NewDomain("beta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := func(i uint64) *Domain {
-		switch i % 3 {
-		case 0:
-			return a
-		case 1:
-			return b
-		default:
-			return nil // default domain, interleaved in the same blocks
+func TestSetTenantsValidation(t *testing.T) {
+	m := mustNew(t, morphConfig(1<<15)) // 512 lines, four counter blocks
+	for name, table := range map[string][]TenantRange{
+		"empty id":     {{ID: "", Lo: 0, Hi: block}},
+		"empty range":  {{ID: "a", Lo: block, Hi: block}},
+		"unaligned lo": {{ID: "a", Lo: 1, Hi: block}},
+		"unaligned hi": {{ID: "a", Lo: 0, Hi: block + 64}},
+		"overlapping":  {{ID: "a", Lo: 0, Hi: 2 * block}, {ID: "b", Lo: block, Hi: 3 * block}},
+		"unsorted":     {{ID: "a", Lo: 2 * block, Hi: 3 * block}, {ID: "b", Lo: 0, Hi: block}},
+		"past the end": {{ID: "a", Lo: 3 * block, Hi: 5 * block}},
+	} {
+		if err := m.SetTenants(table); err == nil {
+			t.Errorf("%s: table %v accepted", name, table)
 		}
 	}
-	lineFor := func(i, seq uint64) []byte {
-		l := bytes.Repeat([]byte{byte(i)}, LineBytes)
+	if err := m.SetTenants([]TenantRange{{ID: "a", Lo: 0, Hi: block}, {ID: "b", Lo: 3 * block, Hi: 4 * block}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); len(st.Tenants) != 2 || st.Tenants["a"] != (TenantOps{}) || st.Tenants["b"] != (TenantOps{}) {
+		t.Fatalf("Stats.Tenants after install = %v, want a zero row for a and for b", st.Tenants)
+	}
+}
+
+// TestDomainIsolation is key separation in the engine: a line's keys follow
+// its range. Three engines under one key run the same writes, so every
+// counter agrees, and differ only in who owns lines [0, 128): alpha, beta, or
+// nobody. A line there is sealed three different ways, and moved — ciphertext
+// and MAC — into either other engine, it fails closed with a typed
+// IntegrityError, exactly as tampering would. A line outside the range is
+// sealed the same way in all three. Within each engine a plain Write and Read
+// of the line round-trip.
+func TestDomainIsolation(t *testing.T) {
+	engines := map[string]*Memory{
+		"alpha":  withTenants(t, 1<<15, TenantRange{ID: "alpha", Lo: 0, Hi: block}),
+		"beta":   withTenants(t, 1<<15, TenantRange{ID: "beta", Lo: 0, Hi: block}),
+		"engine": mustNew(t, morphConfig(1<<15)),
+	}
+	const in, out = 3, 2*block + 3
+	for name, m := range engines {
+		for _, d := range []uint64{in, out} {
+			if err := m.Write(d*LineBytes, line(0xA1)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := m.Read(d * LineBytes); err != nil || !bytes.Equal(got, line(0xA1)) {
+				t.Fatalf("%s: line %d reads back %x, %v", name, d, got, err)
+			}
+		}
+	}
+	for owner, m := range engines {
+		ct, _ := m.Store().DataLine(in)
+		tag, _ := m.Store().DataMAC(in)
+		for other, o := range engines {
+			oct, _ := o.Store().DataLine(in)
+			if other == owner {
+				continue
+			}
+			if bytes.Equal(ct, oct) {
+				t.Errorf("line %d sealed alike under %s and %s", in, owner, other)
+			}
+			spliced := mustNew(t, morphConfig(1<<15))
+			if other != "engine" {
+				if err := spliced.SetTenants([]TenantRange{{ID: other, Lo: 0, Hi: block}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := spliced.Write(in*LineBytes, line(0xA1)); err != nil {
+				t.Fatal(err)
+			}
+			spliced.Store().SetDataLine(in, ct)
+			spliced.Store().SetDataMAC(in, tag)
+			if _, err := spliced.Read(in * LineBytes); err == nil {
+				t.Errorf("%s's line verified under %s's keys", owner, other)
+			} else {
+				wantIntegrity(t, err)
+			}
+		}
+	}
+	a, _ := engines["alpha"].Store().DataLine(out)
+	e, _ := engines["engine"].Store().DataLine(out)
+	if !bytes.Equal(a, e) {
+		t.Errorf("line %d, outside every range, is sealed differently with a tenant table", out)
+	}
+}
+
+// A tenant's never-written line reads as zeros after an overflow in its
+// block has materialized it: the overflow seals it under the keys of the
+// range it is in, not the engine's own.
+func TestTenantUntouchedLineReadsZerosAfterOverflow(t *testing.T) {
+	m := withTenants(t, 1<<15, TenantRange{ID: "alpha", Lo: 0, Hi: block})
+	for m.Stats().Reencryptions == 0 {
+		if err := m.Write(0, line(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := m.Store().DataLine(1); !ok {
+		t.Fatal("the overflow did not materialize line 1")
+	}
+	got, err := m.Read(LineBytes)
+	if err != nil {
+		t.Fatalf("alpha's untouched line 1 after an overflow: %v", err)
+	}
+	if !bytes.Equal(got, make([]byte, LineBytes)) {
+		t.Fatalf("alpha's untouched line 1 reads %x, want zeros", got)
+	}
+}
+
+// An overflow stays inside the tenant that caused it. The aggressor hammers
+// one line of its range until its counter block has overflowed several
+// times; the victim's range begins at the next block, so every victim line's
+// stored ciphertext and MAC are what they were, and read back as written.
+func TestOverflowStaysInsideItsTenant(t *testing.T) {
+	m := withTenants(t, 1<<15,
+		TenantRange{ID: "aggressor", Lo: 0, Hi: block},
+		TenantRange{ID: "victim", Lo: block, Hi: 2 * block})
+	const victimLines = block / 2 // half written, half never
+	for d := uint64(block); d < block+victimLines; d++ {
+		if err := m.Write(d*LineBytes, line(byte(d))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type sealed struct {
+		ct  []byte
+		tag uint64
+	}
+	snapshot := func() map[uint64]sealed {
+		st, out := m.Store(), make(map[uint64]sealed)
+		for d := uint64(block); d < 2*block; d++ {
+			ct, _ := st.DataLine(d)
+			tag, _ := st.DataMAC(d)
+			out[d] = sealed{ct, tag}
+		}
+		return out
+	}
+	before, stats := snapshot(), m.Stats()
+	for m.Stats().Overflows[0] < stats.Overflows[0]+4 {
+		if err := m.Write(LineBytes, line(0xEE)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := snapshot()
+	for d := uint64(block); d < 2*block; d++ {
+		if !bytes.Equal(before[d].ct, after[d].ct) || before[d].tag != after[d].tag {
+			t.Fatalf("victim line %d changed in store while the aggressor overflowed its own block", d)
+		}
+		want := make([]byte, LineBytes)
+		if d < block+victimLines {
+			want = line(byte(d))
+		}
+		if got, err := m.Read(d * LineBytes); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("victim line %d reads %x, %v", d, got, err)
+		}
+	}
+	if got := m.Stats().Reencryptions - stats.Reencryptions; got == 0 {
+		t.Fatal("the aggressor's overflows re-encrypted nothing")
+	}
+}
+
+// TestDomainOverflowReencrypt drives writes into alpha's range, beta's and
+// the engine's own hard enough to overflow counters in each, forcing block
+// re-encryption sweeps in every domain. Every line must read back afterwards
+// — each sweep resealed it under its own domain's keys — and the whole-tree
+// audit must pass.
+func TestDomainOverflowReencrypt(t *testing.T) {
+	m := withTenants(t, 1<<15,
+		TenantRange{ID: "alpha", Lo: 0, Hi: block},
+		TenantRange{ID: "beta", Lo: block, Hi: 2 * block})
+	lineFor := func(d, seq uint64) []byte {
+		l := bytes.Repeat([]byte{byte(d)}, LineBytes)
 		l[0] = byte(seq)
 		return l
 	}
-	const lines = 16
+	const perBlock = 16
+	var written []uint64 // in alpha's block, beta's and the engine's
+	for b := uint64(0); b < 3; b++ {
+		for i := uint64(0); i < perBlock; i++ {
+			written = append(written, b*block+i)
+		}
+	}
 	var seq uint64
-	for m.Stats().Reencryptions == 0 {
+	for m.Stats().Overflows[0] < 3 {
 		seq++
 		if seq > 100000 {
 			t.Fatal("no counter overflow after 100000 rounds")
 		}
-		for i := uint64(0); i < lines; i++ {
-			addr := i * LineBytes
-			var err error
-			if dom := owners(i); dom != nil {
-				err = m.WriteDomain(dom, addr, lineFor(i, seq))
-			} else {
-				err = m.Write(addr, lineFor(i, seq))
-			}
-			if err != nil {
-				t.Fatalf("round %d line %d: %v", seq, i, err)
+		for _, d := range written {
+			if err := m.Write(d*LineBytes, lineFor(d, seq)); err != nil {
+				t.Fatalf("round %d line %d: %v", seq, d, err)
 			}
 		}
 	}
-
-	for i := uint64(0); i < lines; i++ {
-		addr := i * LineBytes
-		dom := owners(i)
-		var got []byte
-		var err error
-		if dom != nil {
-			got, err = m.ReadDomain(nil, dom, addr)
-		} else {
-			got, err = m.Read(addr)
-		}
+	for _, d := range written {
+		got, err := m.Read(d * LineBytes)
 		if err != nil {
-			t.Fatalf("post-overflow read line %d (domain %v): %v", i, dom, err)
+			t.Fatalf("post-overflow read line %d: %v", d, err)
 		}
-		if !bytes.Equal(got, lineFor(i, seq)) {
-			t.Fatalf("post-overflow line %d has wrong contents", i)
-		}
-		// And cross-domain still fails.
-		if dom == a {
-			if _, err := m.ReadDomain(nil, b, addr); err == nil {
-				t.Fatalf("line %d readable cross-tenant after re-encryption", i)
-			}
+		if !bytes.Equal(got, lineFor(d, seq)) {
+			t.Fatalf("post-overflow line %d has wrong contents", d)
 		}
 	}
 	if err := m.VerifyAll(); err != nil {
 		t.Fatalf("VerifyAll after domain overflow: %v", err)
 	}
 	st := m.Stats()
-	if st.Tenants["alpha"].Writes == 0 || st.Tenants["beta"].Reads == 0 {
+	if st.Tenants["alpha"].Writes != perBlock*seq || st.Tenants["beta"].Reads == 0 {
 		t.Fatalf("per-tenant stats not accounted: %+v", st.Tenants)
 	}
 }
@@ -228,40 +272,35 @@ func TestStatsTenantsCloneMerge(t *testing.T) {
 }
 
 // TestStatsCloneMergeConcurrent exercises snapshotting under live
-// multi-domain traffic with the race detector: worker goroutines hammer
-// per-tenant reads and writes while an aggregator repeatedly does what the
-// shard layer does — Stats() (Clone under the engine lock) then Merge into
-// a local aggregate. The per-tenant map must never be shared with the
-// engine's live state.
+// multi-tenant traffic with the race detector: worker goroutines hammer
+// reads and writes in their own tenant's range while an aggregator
+// repeatedly does what the shard layer does — Stats() under the engine lock,
+// then Merge into a local aggregate. The per-tenant map must never be shared
+// with the engine's live state.
 func TestStatsCloneMergeConcurrent(t *testing.T) {
-	m := mustNew(t, morphConfig(1<<14))
-	doms := make([]*Domain, 4)
-	for i := range doms {
-		d, err := m.NewDomain(fmt.Sprintf("t%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		doms[i] = d
+	table := make([]TenantRange, 4)
+	for i := range table {
+		table[i] = TenantRange{ID: fmt.Sprintf("t%d", i), Lo: uint64(i) * block, Hi: uint64(i+1) * block}
 	}
+	m := withTenants(t, 1<<16, table...)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w, r := range table {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			dom := doms[w]
-			addr := uint64(w) * LineBytes
+			addr := r.Lo * LineBytes
 			line := bytes.Repeat([]byte{byte(w)}, LineBytes)
 			for i := 0; i < 300; i++ {
-				if err := m.WriteDomain(dom, addr, line); err != nil {
+				if err := m.Write(addr, line); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if _, err := m.ReadDomain(nil, dom, addr); err != nil {
+				if _, err := m.Read(addr); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -278,9 +317,9 @@ func TestStatsCloneMergeConcurrent(t *testing.T) {
 		agg.Merge(m.Stats())
 	}
 	final := m.Stats()
-	for _, d := range doms {
-		if final.Tenants[d.Name()].Reads == 0 || final.Tenants[d.Name()].Writes == 0 {
-			t.Fatalf("tenant %s has zero accounted traffic: %+v", d.Name(), final.Tenants)
+	for _, r := range table {
+		if final.Tenants[r.ID] != (TenantOps{Reads: 300, Writes: 300}) {
+			t.Fatalf("tenant %s's traffic is not 300 reads and 300 writes: %+v", r.ID, final.Tenants)
 		}
 	}
 }

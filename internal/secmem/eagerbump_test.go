@@ -90,10 +90,10 @@ func (m *Memory) eagerWrite(addr uint64, line []byte) error {
 	ctr := blk.Value(slot)
 	c, i := m.store.data.grow(d), d%chunkLines
 	ct := c.line[i][:]
-	if err := m.cipher.XOR(ct, line, addr, ctr); err != nil {
+	if err := m.own.cipher.XOR(ct, line, addr, ctr); err != nil {
 		return err
 	}
-	m.sealData(c, i, m.keyer.Data(ct, ctr, addr), nil)
+	m.sealData(c, i, m.keyer.Data(ct, ctr, addr))
 	m.stats.Writes++
 	return nil
 }

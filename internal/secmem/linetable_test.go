@@ -40,7 +40,7 @@ func newTablePair(t testing.TB) *tablePair {
 func (p *tablePair) putData(d uint64, fill byte, lineMAC uint64) {
 	c, i := p.m.store.data.grow(d), d%chunkLines
 	copy(c.line[i][:], line(fill))
-	p.m.sealData(c, i, lineMAC, nil)
+	p.m.sealData(c, i, lineMAC)
 	p.e.data[d], p.e.dataMAC[d], p.e.dirtyData[d] = line(fill), lineMAC, p.e.cur
 }
 

@@ -118,13 +118,12 @@ type Stats struct {
 	// VerifiedFetches counts counter lines fetched from untrusted
 	// storage and MAC-verified (the tree-traversal work).
 	VerifiedFetches uint64
-	// Tenants counts data-line traffic per tenant key domain, keyed by
-	// tenant id. Nil until the first domain-routed operation, so engines
-	// without tenants pay nothing.
+	// Tenants counts data-line traffic per tenant range, keyed by tenant
+	// id: a row for every tenant in the table (SetTenants), nil without one.
 	Tenants map[string]TenantOps
 }
 
-// TenantOps is one tenant key domain's data-line traffic on an engine.
+// TenantOps is the data-line traffic on one tenant's range of an engine.
 type TenantOps struct {
 	Reads, Writes uint64
 }
@@ -172,7 +171,6 @@ type Memory struct {
 	// Immutable after New.
 	cfg    Config
 	geom   *tree.Geometry
-	cipher *aesctr.Cipher
 	keyer  *mac.Keyer
 	walker *proof.Walker
 	store  *Store
@@ -180,6 +178,10 @@ type Memory struct {
 	mu    sync.Mutex
 	root  counters.Block
 	stats Stats
+	// own is the engine's key domain, and tenants the sorted tenant table
+	// (SetTenants); a data line is sealed under the one domainOf finds.
+	own     domain
+	tenants []domain
 	// spare[level] is a block of the level's organization that bump copies a
 	// line into before incrementing it, and preValues is where the copy's
 	// values are decoded if the increment overflowed. Organizations differ by
@@ -258,11 +260,11 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{
 		cfg:    cfg,
 		geom:   geom,
-		cipher: cipher,
 		keyer:  keyer,
 		walker: walker,
 		store:  newStore(geom),
 		root:   cfg.specAt(geom.RootLevel()).New(),
+		own:    domain{cipher: cipher, keyer: keyer},
 	}
 	levels := geom.RootLevel() + 1
 	m.stats.Increments = make([]uint64, levels)
@@ -369,7 +371,14 @@ func mergeLevels(dst, src []uint64) []uint64 {
 func (m *Memory) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.stats.Clone()
+	s := m.stats.Clone()
+	if len(m.tenants) > 0 {
+		s.Tenants = make(map[string]TenantOps, len(m.tenants))
+	}
+	for _, d := range m.tenants {
+		s.Tenants[d.ID] = d.ops
+	}
+	return s
 }
 
 // FlushMetadataCache writes back every dirty counter line and drops every
@@ -420,9 +429,13 @@ func (m *Memory) checkAddr(addr uint64) error {
 // Write encrypts and stores a 64-byte line at a line-aligned address,
 // incrementing its counter in the cache; the tree above it moves when the
 // counter line is written back.
-func (m *Memory) Write(addr uint64, line []byte) error { return m.WriteDomain(nil, addr, line) }
+func (m *Memory) Write(addr uint64, line []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.write(addr, line)
+}
 
-func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
+func (m *Memory) write(addr uint64, line []byte) error {
 	if err := m.checkAddr(addr); err != nil {
 		return err
 	}
@@ -446,36 +459,23 @@ func (m *Memory) write(addr uint64, line []byte, dom *Domain) error {
 	if m.cut != nil {
 		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
 	}
-	ct := c.line[i][:]
-	if err := m.dataCipher(dom).XOR(ct, line, addr, ctr); err != nil {
+	dom, ct := m.domainOf(d), c.line[i][:]
+	if err := dom.cipher.XOR(ct, line, addr, ctr); err != nil {
 		return err
 	}
-	m.sealData(c, i, m.dataKeyer(dom).Data(ct, ctr, addr), dom)
+	m.sealData(c, i, dom.keyer.Data(ct, ctr, addr))
 	m.stats.Writes++
+	dom.ops.Writes++
 	return nil
 }
 
-// sealData records the MAC and owner of data line i of c, whose ciphertext
-// was just built where it is stored: the engine hands out only copies of a
-// stored buffer, so nothing outside the lock can be looking at it.
-func (m *Memory) sealData(c *chunk[dataExt], i uint64, lineMAC uint64, dom *Domain) {
+// sealData records the MAC of data line i of c, whose ciphertext was just
+// built where it is stored: the engine hands out only copies of a stored
+// buffer, so nothing outside the lock can be looking at it.
+func (m *Memory) sealData(c *chunk[dataExt], i uint64, lineMAC uint64) {
 	c.has |= 1 << i
 	c.ext.mac[i] = lineMAC
 	c.mark(i, m.dirtyCur)
-	if dom != nil && c.ext.dom == nil {
-		c.ext.dom = new([chunkLines]*Domain)
-	}
-	if c.ext.dom != nil {
-		c.ext.dom[i] = dom
-	}
-}
-
-// lineDomain returns the key domain that last wrote data line i of c.
-func lineDomain(c *chunk[dataExt], i uint64) *Domain {
-	if c == nil || c.ext.dom == nil {
-		return nil
-	}
-	return c.ext.dom[i]
 }
 
 // Read fetches, verifies and decrypts the 64-byte line at a line-aligned
@@ -490,10 +490,12 @@ func (m *Memory) Read(addr uint64) ([]byte, error) { return m.AppendRead(nil, ad
 // tree walk and the MAC have verified the line, and on any error the result
 // is nil and dst[:len(dst)] is as it was.
 func (m *Memory) AppendRead(dst []byte, addr uint64) ([]byte, error) {
-	return m.ReadDomain(dst, nil, addr)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.read(dst, addr)
 }
 
-func (m *Memory) read(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
+func (m *Memory) read(dst []byte, addr uint64) ([]byte, error) {
 	if err := m.checkAddr(addr); err != nil {
 		return nil, err
 	}
@@ -507,24 +509,17 @@ func (m *Memory) read(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
 		return nil, err
 	}
 	ctr := blk.Value(slot)
-	c, i := m.store.data.at(d), d%chunkLines
+	c, i, dom := m.store.data.at(d), d%chunkLines, m.domainOf(d)
 	ct := c.get(i)
 	if ct == nil {
 		if ctr == 0 {
 			m.stats.Reads++
+			dom.ops.Reads++
 			return append(dst, zeroLine[:]...), nil
 		}
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "written line missing from memory"}
 	}
-	storedMAC := c.ext.mac[i]
-	// The MAC is checked under the *requester's* domain key, so a line
-	// last sealed by any other domain fails closed right here: the
-	// cross-tenant isolation guarantee is a MAC mismatch, not an ACL.
-	if dom == nil {
-		if err := m.walker.VerifyData(ct, ctr, addr, storedMAC); err != nil {
-			return nil, integrityFromMismatch(err)
-		}
-	} else if dom.keyer.Data(ct, ctr, addr) != storedMAC {
+	if dom.keyer.Data(ct, ctr, addr) != c.ext.mac[i] {
 		return nil, &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch"}
 	}
 	// Verified: only now is dst touched, and the plaintext is decrypted where
@@ -532,10 +527,11 @@ func (m *Memory) read(dst []byte, addr uint64, dom *Domain) ([]byte, error) {
 	// caller that passes its own buffer back pays none.
 	n := len(dst)
 	dst = slices.Grow(dst, LineBytes)[:n+LineBytes]
-	if err := m.dataCipher(dom).XOR(dst[n:], ct, addr, ctr); err != nil {
+	if err := dom.cipher.XOR(dst[n:], ct, addr, ctr); err != nil {
 		return nil, err
 	}
 	m.stats.Reads++
+	dom.ops.Reads++
 	return dst, nil
 }
 
@@ -691,22 +687,17 @@ func (m *Memory) refreshChildren(level int, idx uint64, blk counters.Block, snap
 
 // reencryptData re-encrypts one data line from its old counter value to the
 // new one, verifying its MAC on the way. Never-written lines materialize as
-// encrypted zeros so their non-zero counters stay consistent. The line's
-// recorded key domain — not the overflowing writer's — seals the new
-// ciphertext, so an overflow triggered by one tenant never silently
-// re-keys a neighbor's data.
+// encrypted zeros, under the keys of the line's domain, so their non-zero
+// counters stay consistent and they read as zeros.
 func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
-	c, i := m.store.data.at(d), d%chunkLines
-	dom := lineDomain(c, i)
-	cipher := m.dataCipher(dom)
-	keyer := m.dataKeyer(dom)
+	c, i, dom := m.store.data.at(d), d%chunkLines, m.domainOf(d)
 	addr := d * LineBytes
 	pt := m.plainBuf[:]
 	if ct := c.get(i); ct != nil {
-		if keyer.Data(ct, oldCtr, addr) != c.ext.mac[i] {
+		if dom.keyer.Data(ct, oldCtr, addr) != c.ext.mac[i] {
 			return &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch during re-encryption"}
 		}
-		if err := cipher.XOR(pt, ct, addr, oldCtr); err != nil {
+		if err := dom.cipher.XOR(pt, ct, addr, oldCtr); err != nil {
 			return err
 		}
 	} else if oldCtr != 0 {
@@ -719,10 +710,10 @@ func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
 	}
 	ct := c.line[i][:]
-	if err := cipher.XOR(ct, pt, addr, newCtr); err != nil {
+	if err := dom.cipher.XOR(ct, pt, addr, newCtr); err != nil {
 		return err
 	}
-	m.sealData(c, i, keyer.Data(ct, newCtr, addr), dom)
+	m.sealData(c, i, dom.keyer.Data(ct, newCtr, addr))
 	return nil
 }
 
@@ -834,7 +825,7 @@ func (m *Memory) ReadAt(p []byte, off uint64) error {
 	defer m.mu.Unlock()
 	for len(p) > 0 {
 		base := off &^ (LineBytes - 1)
-		line, err := m.read(nil, base, nil)
+		line, err := m.read(nil, base)
 		if err != nil {
 			return err
 		}
@@ -856,7 +847,7 @@ func (m *Memory) WriteAt(p []byte, off uint64) error {
 		if off == base && len(p) >= LineBytes {
 			line = p[:LineBytes]
 		} else {
-			cur, err := m.read(nil, base, nil)
+			cur, err := m.read(nil, base)
 			if err != nil {
 				return err
 			}
@@ -867,7 +858,7 @@ func (m *Memory) WriteAt(p []byte, off uint64) error {
 		if n > len(p) {
 			n = len(p)
 		}
-		if err := m.write(base, line, nil); err != nil {
+		if err := m.write(base, line); err != nil {
 			return err
 		}
 		p = p[n:]
@@ -923,10 +914,8 @@ func (m *Memory) VerifyAll() error {
 		return err
 	}
 	var line []byte // every line is decrypted into the one buffer
-	return m.store.data.stored(func(d uint64, c *chunk[dataExt], i uint64) (err error) {
-		// Verify each line under the domain that owns it, so a store
-		// holding several tenants' lines still verifies end to end.
-		line, err = m.readTenant(line[:0], d*LineBytes, lineDomain(c, i))
+	return m.store.data.stored(func(d uint64, _ *chunk[dataExt], _ uint64) (err error) {
+		line, err = m.read(line[:0], d*LineBytes)
 		return err
 	})
 }

@@ -33,12 +33,9 @@ type chunk[X any] struct {
 }
 
 // dataExt is what a data line has besides its ciphertext: its MAC (ECC-chip
-// resident, so there when the line is) and the key domain that last wrote it
-// (nil = the engine's default; the array exists only in pages a tenant has
-// written), so overflow re-encryption and VerifyAll reseal every line under
-// the keys that own it.
+// resident, so there when the line is). Its key domain is a function of its
+// address (domainOf), so nothing here records it.
 type dataExt struct {
-	dom *[chunkLines]*Domain
 	mac [chunkLines]uint64
 }
 

@@ -40,7 +40,7 @@ import (
 // (replicated) implement it. The method set may shrink, never grow: the
 // benchmark defines its own engines against it, so whatever else an engine
 // can do is an optional surface — AppendReader, Durable, Prover,
-// DomainEngine, ClusterNode — that New looks for once.
+// TenantRanger, ClusterNode — that New looks for once.
 type Engine interface {
 	Read(addr uint64) ([]byte, error)
 	Write(addr uint64, line []byte) error
@@ -94,14 +94,13 @@ type Prover interface {
 	RootDigests() []proof.Digest
 }
 
-// DomainEngine is the optional engine surface behind multi-tenant serving:
-// reads (appended to dst, as AppendReader's) and writes routed through a
-// tenant's key domain, so a line sealed by one tenant fails closed
-// (*secmem.IntegrityError) under any other tenant's keys. *shard.Sharded
-// implements it after RegisterTenants.
-type DomainEngine interface {
-	TenantRead(dst []byte, id string, addr uint64) ([]byte, error)
-	TenantWrite(id string, addr uint64, line []byte) error
+// TenantRanger is the optional engine surface behind multi-tenant serving:
+// the range of global addresses tenant id owns, [base, base+size) bytes,
+// whose lines the engine seals under that tenant's keys. *shard.Sharded
+// implements it after RegisterTenants. A HELLO for a tenant the engine has
+// no range for is refused.
+type TenantRanger interface {
+	TenantRange(id string) (base, size uint64, ok bool)
 }
 
 // Config tunes the listener's limits.
@@ -153,10 +152,11 @@ type Config struct {
 	// TenantBind/QuotaShed in tenant mode).
 	Tracer *obs.Tracer
 	// Tenants, when non-nil, turns on multi-tenant serving: connections
-	// must bind a tenant with HELLO before any data op, reads and writes
-	// route through the tenant's key domain (the engine must implement
-	// DomainEngine), and the admission gate enforces each tenant's quotas
-	// and weight inside the MaxInflight bound, answering StatusQuota.
+	// must bind a tenant with HELLO before any data op, a bound
+	// connection's addresses are relative to the tenant's range (the
+	// engine must implement TenantRanger), and the admission gate enforces
+	// each tenant's quotas and weight inside the MaxInflight bound,
+	// answering StatusQuota.
 	Tenants *tenant.Registry
 }
 
@@ -224,13 +224,13 @@ type Server struct {
 	inflight *obs.Gauge
 	// The engine's optional surfaces, resolved once in New; each is nil when
 	// the engine lacks it, except reader, which falls back to a copy of
-	// Engine.Read. prover is also nil without an Authority, and domEng
+	// Engine.Read. prover is also nil without an Authority, and ranger
 	// outside tenant mode.
 	reader  AppendReader
 	durable Durable
 	cluster ClusterNode
 	prover  Prover
-	domEng  DomainEngine
+	ranger  TenantRanger
 	// Proof-path instruments (nil-safe when Config.Obs is nil).
 	proofLat     *obs.Histogram // proof.build.latency
 	epochGauge   *obs.Gauge     // proof.epoch (current transparency-log size)
@@ -277,7 +277,7 @@ func New(eng Engine, cfg Config) *Server {
 	s.durable, _ = eng.(Durable)
 	s.cluster, _ = eng.(ClusterNode)
 	if cfg.Tenants != nil {
-		s.domEng, _ = eng.(DomainEngine)
+		s.ranger, _ = eng.(TenantRanger)
 		s.tenantIdx = make(map[string]uint64)
 		for i, id := range cfg.Tenants.IDs() {
 			s.tenantIdx[id] = uint64(i)
@@ -517,12 +517,28 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // connState is the per-connection protocol state: the tenant the
 // connection bound with HELLO (empty until then, which on a server without
-// tenants names the anonymous one) and the line a READ's response frame is
-// written from — the body handle returns aliases it until the connection's
-// next request. Only the connection's own goroutine touches it.
+// tenants names the anonymous one) and its range of global addresses, and
+// the line a READ's response frame is written from — the body handle returns
+// aliases it until the connection's next request. Only the connection's own
+// goroutine touches it.
 type connState struct {
-	tenant string
-	line   [secmem.LineBytes]byte
+	tenant     string
+	base, size uint64 // bytes; size 0: unbound, addresses are global
+	line       [secmem.LineBytes]byte
+}
+
+// global maps an address a connection sent to the engine's. A bound
+// tenant's addresses are relative to its range, and one at or past the
+// range's size is refused here, the one place a range is checked, with a
+// StatusError: nothing was tampered with, so it is never an integrity error.
+func (cs *connState) global(addr uint64) (uint64, error) {
+	if cs.size == 0 {
+		return addr, nil
+	}
+	if addr >= cs.size {
+		return 0, fmt.Errorf("tenant %q: address %#x is outside its range of %#x bytes", cs.tenant, addr, cs.size)
+	}
+	return cs.base + addr, nil
 }
 
 // dispatch applies admission control and routes to handle. Pings bypass
@@ -592,7 +608,15 @@ func (s *Server) hello(cs *connState, payload []byte) (byte, []byte) {
 	if !s.cfg.Tenants.Authenticate(id, token) {
 		return wire.StatusError, []byte("hello: unknown tenant or bad token")
 	}
-	cs.tenant = id
+	var base, size uint64
+	var ok bool
+	if s.ranger != nil {
+		base, size, ok = s.ranger.TenantRange(id)
+	}
+	if !ok || size == 0 {
+		return wire.StatusError, []byte("hello: the engine holds no address range for this tenant")
+	}
+	cs.tenant, cs.base, cs.size = id, base, size
 	s.cfg.Tracer.Emit(obs.KindTenantBind, -1, s.tenantIdx[id], 0, 0)
 	return wire.StatusOK, nil
 }
@@ -619,25 +643,20 @@ func (s *Server) shedReply(op byte) (byte, []byte) {
 // handle dispatches one request. Every path returns a response; unknown
 // or malformed requests are StatusError, integrity violations are
 // StatusIntegrity, and the connection stays usable (framing is intact).
-// In tenant mode (cs.tenant bound), reads and writes route through the
-// tenant's key domain, so a cross-tenant read fails closed with
-// StatusIntegrity — the same answer tampering gets.
+// A bound tenant's READ, WRITE, PROOF and TAMPER addresses are relative to
+// its range (connState.global) and then take the path an unbound
+// connection's do; the engine seals the tenant's lines under its keys.
 func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 	switch op {
 	case wire.OpRead:
 		addr, err := wire.DecodeAddr(payload)
+		if err == nil {
+			addr, err = cs.global(addr)
+		}
 		if err != nil {
 			return wire.EncodeError(err)
 		}
-		var line []byte
-		if cs.tenant != "" {
-			if s.domEng == nil {
-				return wire.StatusError, []byte("read: engine has no tenant key domains")
-			}
-			line, err = s.domEng.TenantRead(cs.line[:0], cs.tenant, addr)
-		} else {
-			line, err = s.reader.AppendRead(cs.line[:0], addr)
-		}
+		line, err := s.reader.AppendRead(cs.line[:0], addr)
 		if err != nil {
 			return wire.EncodeError(err)
 		}
@@ -645,15 +664,10 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 
 	case wire.OpWrite:
 		addr, line, err := wire.DecodeWrite(payload)
-		if err != nil {
-			return wire.EncodeError(err)
+		if err == nil {
+			addr, err = cs.global(addr)
 		}
-		if cs.tenant != "" {
-			if s.domEng == nil {
-				return wire.StatusError, []byte("write: engine has no tenant key domains")
-			}
-			err = s.domEng.TenantWrite(cs.tenant, addr, line)
-		} else {
+		if err == nil {
 			err = s.eng.Write(addr, line)
 		}
 		if err != nil {
@@ -685,6 +699,9 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 			return wire.StatusError, []byte("tamper op disabled (start server with tampering enabled)")
 		}
 		addr, err := wire.DecodeAddr(payload)
+		if err == nil {
+			addr, err = cs.global(addr)
+		}
 		if err != nil {
 			return wire.EncodeError(err)
 		}
@@ -707,6 +724,9 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 			return wire.StatusError, []byte("proof: server has no proving engine or signing authority")
 		}
 		addr, err := wire.DecodeAddr(payload)
+		if err == nil {
+			addr, err = cs.global(addr)
+		}
 		if err != nil {
 			return wire.EncodeError(err)
 		}

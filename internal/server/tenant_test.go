@@ -33,7 +33,7 @@ func tenantRegistry(t *testing.T, specs ...tenant.Spec) *tenant.Registry {
 }
 
 // startTenantServer spins up a multi-tenant server over sharded engines
-// with key domains registered for every tenant.
+// with a range registered for every tenant.
 func startTenantServer(t *testing.T, reg *tenant.Registry, cfg Config) (string, func()) {
 	t.Helper()
 	sh := testShards(t, 2, 1<<16)
@@ -84,10 +84,10 @@ func wantRemote(t *testing.T, err error, substr string) {
 	}
 }
 
-// TestTenantEndToEnd covers the HELLO protocol and key-domain isolation
-// over the wire: unbound connections are refused, authentication is
-// required and non-enumerable, bound tenants get isolated key domains,
-// and a cross-tenant read fails closed with a typed IntegrityError.
+// TestTenantEndToEnd covers the HELLO protocol and address isolation over
+// the wire: unbound connections are refused, authentication is required and
+// non-enumerable, and a bound tenant's addresses are its own — the same
+// address from another tenant names a line of that tenant's range.
 func TestTenantEndToEnd(t *testing.T) {
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
@@ -135,9 +135,8 @@ func TestTenantEndToEnd(t *testing.T) {
 		t.Fatal("tenant read returned wrong contents")
 	}
 
-	// Second connection, bound to beta, reads alpha's line: the MAC check
-	// runs under beta's key domain and must fail closed with the typed
-	// integrity error — over the wire, not just in-process.
+	// Second connection, bound to beta, reads address 0: beta's own line 0,
+	// never written, so zeros — not alpha's line, and not an error.
 	cl2, err := wire.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +145,8 @@ func TestTenantEndToEnd(t *testing.T) {
 	if err := cl2.Hello("beta", "beta-secret"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl2.Read(0)
-	var ie *secmem.IntegrityError
-	if !errors.As(err, &ie) {
-		t.Fatalf("cross-tenant read = %v (%T), want *secmem.IntegrityError", err, err)
+	if got, err := cl2.Read(0); err != nil || !bytes.Equal(got, make([]byte, secmem.LineBytes)) {
+		t.Fatalf("beta's untouched line 0 reads %x, %v; want zeros", got, err)
 	}
 	// beta's own traffic at another address is unaffected.
 	if err := cl2.Write(secmem.LineBytes, oracle.Fill(secmem.LineBytes, 7)); err != nil {
@@ -160,13 +157,12 @@ func TestTenantEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTenantCannotOverwrite is the other half of key-domain isolation: a
-// tenant that cannot read its neighbour's line must not be able to replace
-// it either. The victim writes a line and has the ack; the aggressor writes
-// the same address under its own key domain; the victim must read back its
-// own value, not an IntegrityError nobody tampered to cause.
+// TestTenantCannotOverwrite is the other half of isolation: a tenant that
+// cannot read its neighbour's line must not be able to replace it either.
+// The victim writes a line and has the ack; the aggressor writes the same
+// address; the victim must read back its own value, not an IntegrityError
+// nobody tampered to cause.
 func TestTenantCannotOverwrite(t *testing.T) {
-	t.Skip("ROADMAP 13(b): a key domain is a per-line tag, not an owned range")
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
 		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
@@ -201,6 +197,66 @@ func TestTenantCannotOverwrite(t *testing.T) {
 	}
 	if !bytes.Equal(got, mine) {
 		t.Fatal("victim reads back a line it did not write")
+	}
+}
+
+// TestTenantRangeRefused: a bound tenant's range ends at its size. The first
+// address past it is refused with a typed error that is not an integrity
+// error (nothing was tampered with), for READ, WRITE and PROOF alike, and the
+// connection goes on serving the tenant's last line. A proof for a bound
+// tenant's line names the line's global address.
+func TestTenantRangeRefused(t *testing.T) {
+	sh := testShards(t, 2, 1<<16)
+	reg := tenantRegistry(t)
+	if err := sh.RegisterTenants(reg.IDs()); err != nil {
+		t.Fatal(err)
+	}
+	_, size, _ := sh.TenantRange("alpha")
+	betaBase, _, _ := sh.TenantRange("beta")
+	addr, shutdown := startServer(t, sh, Config{
+		Tenants: reg, Authority: testAuthority(t),
+		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+	})
+	defer shutdown()
+	cl, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Hello("alpha", "alpha-secret"); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := cl.Read(size)
+	_, proofErr := cl.Proof(size)
+	for op, err := range map[string]error{
+		"read":  readErr,
+		"write": cl.Write(size, oracle.Fill(size, 1)),
+		"proof": proofErr,
+	} {
+		var ie *secmem.IntegrityError
+		if errors.As(err, &ie) {
+			t.Fatalf("%s past the range: %v, an integrity error", op, err)
+		}
+		wantRemote(t, err, "outside its range")
+	}
+	last := size - secmem.LineBytes
+	if err := cl.Write(last, oracle.Fill(last, 2)); err != nil {
+		t.Fatalf("write of the range's last line after the refusals: %v", err)
+	}
+	if got, err := cl.Read(last); err != nil || !bytes.Equal(got, oracle.Fill(last, 2)) {
+		t.Fatalf("read of the range's last line after the refusals: %x, %v", got, err)
+	}
+
+	beta, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer beta.Close()
+	if err := beta.Hello("beta", "beta-secret"); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := beta.Proof(secmem.LineBytes); err != nil || p.Addr != betaBase+secmem.LineBytes {
+		t.Fatalf("beta's proof of its line 1: %v, want one for global address %#x", err, betaBase+secmem.LineBytes)
 	}
 }
 

@@ -13,6 +13,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/obs"
@@ -35,16 +36,18 @@ type Config struct {
 }
 
 // Sharded interleaves line addresses across independent secmem engines.
-// All fields are immutable after New (tenants is populated once by
+// All fields are immutable after New (tenants and span are set once by
 // RegisterTenants before serving starts); concurrency control lives inside
 // each engine, so methods are safe for concurrent use.
 type Sharded struct {
 	cfg    Config
 	shards []*secmem.Memory
-	// tenants maps tenant id -> one key domain per shard (parallel to
-	// shards). Populated by RegisterTenants before the Sharded is shared
-	// between goroutines; read-only afterwards, so no lock is needed.
-	tenants map[string][]*secmem.Domain
+	// tenants maps tenant id -> the first global line of its range, and span
+	// is every range's length in lines. Set by RegisterTenants before the
+	// Sharded is shared between goroutines; read-only afterwards, so no lock
+	// is needed.
+	tenants map[string]uint64
+	span    uint64
 }
 
 // New constructs a sharded secure memory. Each shard serves
@@ -144,68 +147,52 @@ func (s *Sharded) Write(addr uint64, line []byte) error {
 	return s.shards[idx].Write(local, line)
 }
 
-// RegisterTenants derives a key domain for every (tenant, shard) pair, so
-// each tenant's data lines are sealed under keys layered over the shard
-// sub-keys (HMAC(shardKey, "morphtree/tenant/<id>")). It must be called
-// once, before the Sharded is shared between goroutines — the domain map
-// is read locklessly afterwards, preserving the immutable-after-New
-// contract. Calling it again replaces the previous registration.
+// RegisterTenants gives each tenant an equal range of the address space, in
+// sorted-id order from address 0, and each engine the matching tenant table,
+// so a line's key domain is a function of its address. A range is the largest
+// multiple of shards x the lines one encryption-counter block covers that
+// fits capacity / tenants: lines interleave round-robin across shards, so
+// that unit is a whole number of counter blocks on every shard, and no block
+// anywhere covers two tenants. Lines past the last range stay in each
+// engine's own domain. It must be called once, before the Sharded is shared
+// between goroutines and before anything is written; calling it again
+// replaces the previous registration.
 func (s *Sharded) RegisterTenants(ids []string) error {
-	tenants := make(map[string][]*secmem.Domain, len(ids))
-	for _, id := range ids {
-		if _, dup := tenants[id]; dup {
-			return fmt.Errorf("shard: duplicate tenant id %q", id)
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			return fmt.Errorf("shard: duplicate tenant id %q", ids[i])
 		}
-		doms := make([]*secmem.Domain, len(s.shards))
-		for i, m := range s.shards {
-			dom, err := m.NewDomain(id)
-			if err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
-			doms[i] = dom
-		}
-		tenants[id] = doms
 	}
-	s.tenants = tenants
+	n, lines := uint64(s.cfg.Shards), s.cfg.Mem.MemoryBytes/LineBytes
+	unit := n * uint64(s.shards[0].Geometry().EncArity)
+	if len(ids) == 0 || lines/uint64(len(ids)) < unit {
+		return fmt.Errorf("shard: %d lines hold no %d ranges of %d lines (%d shards x %d-line counter blocks)",
+			lines, len(ids), unit, n, unit/n)
+	}
+	span := lines / uint64(len(ids)) / unit * unit
+	tenants := make(map[string]uint64, len(ids))
+	table := make([]secmem.TenantRange, len(ids))
+	for i, id := range ids {
+		first := uint64(i) * span
+		tenants[id] = first
+		table[i] = secmem.TenantRange{ID: id, Lo: first / n, Hi: (first + span) / n}
+	}
+	for i, m := range s.shards {
+		if err := m.SetTenants(table); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	s.tenants, s.span = tenants, span
 	return nil
 }
 
-// tenantDomain resolves tenant id's key domain on shard idx.
-func (s *Sharded) tenantDomain(id string, idx int) (*secmem.Domain, error) {
-	doms, ok := s.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("shard: unknown tenant %q", id)
-	}
-	return doms[idx], nil
-}
-
-// TenantRead is AppendRead routed through tenant id's key domain. A line last
-// written by a different tenant (or via the default-domain Write) fails
-// closed with a *secmem.IntegrityError — cross-tenant isolation is
-// enforced by key separation, not access-control bookkeeping.
-func (s *Sharded) TenantRead(dst []byte, id string, addr uint64) ([]byte, error) {
-	idx, local, err := s.locate(addr)
-	if err != nil {
-		return nil, err
-	}
-	dom, err := s.tenantDomain(id, idx)
-	if err != nil {
-		return nil, err
-	}
-	return s.shards[idx].ReadDomain(dst, dom, local)
-}
-
-// TenantWrite is Write routed through tenant id's key domain.
-func (s *Sharded) TenantWrite(id string, addr uint64, line []byte) error {
-	idx, local, err := s.locate(addr)
-	if err != nil {
-		return err
-	}
-	dom, err := s.tenantDomain(id, idx)
-	if err != nil {
-		return err
-	}
-	return s.shards[idx].WriteDomain(dom, local, line)
+// TenantRange returns tenant id's range of global addresses, [base,
+// base+size) bytes.
+func (s *Sharded) TenantRange(id string) (base, size uint64, ok bool) {
+	first, ok := s.tenants[id]
+	return first * LineBytes, s.span * LineBytes, ok
 }
 
 // Stats returns the aggregate of every shard's engine stats (sums of the

@@ -6,11 +6,12 @@
 //
 // The design follows the paper's core lesson — metadata overhead must be
 // managed per workload — translated to serving: every tenant gets its own
-// key domain (internal/secmem.Domain, derived per (shard, tenant) via
-// internal/proof.DeriveTenantKey), its own token buckets and inflight cap,
-// and a deficit-weighted round-robin share of the server's global
-// concurrency, so one greedy tenant is shed with a typed *QuotaError while
-// small tenants keep making progress.
+// range of addresses, whose lines are sealed under its own key domain and
+// covered by its own counter blocks (laid out by shard.RegisterTenants, keys
+// derived per (shard, tenant) via internal/proof.DeriveTenantKey), its own
+// token buckets and inflight cap, and a deficit-weighted round-robin share of
+// the server's global concurrency, so one greedy tenant is shed with a typed
+// *QuotaError while small tenants keep making progress.
 package tenant
 
 import (
