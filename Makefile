@@ -68,7 +68,8 @@ perf-engine:
 # face attacker-controlled bytes, and the encoders are hand-packed words that
 # must agree with the bit-serial reference on every input — over the store's
 # line table against the map model it replaced, over the MAC against
-# crypto/hmac, over the WAL's two decoders, over the checkpoint stream and
+# crypto/hmac (Raw) and the textbook GHASH-then-AES (the line MAC), over the
+# WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
 # all, over the wire's frame reader, whose length prefix arrives before any
@@ -77,11 +78,13 @@ perf-engine:
 # between nodes, OpPromote and OpFollow), over the request decoders a
 # server runs before anything checks the request (FuzzRequestCodec: the
 # address, WRITE, ROOT_RANGE and HELLO payloads, and ROUTE's reply),
-# and over morphserve's admin request-head parser (FuzzAdminRequest), which
-# reads whatever reaches the -admin port before anything routes on it.
+# over morphserve's admin request-head parser (FuzzAdminRequest), which
+# reads whatever reaches the -admin port before anything routes on it, and
+# over the PROOF reply's decoder (FuzzProofDecode), which a thin client runs
+# on whatever the server sends before it verifies a MAC.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./cmd/morphserve; do \
+	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -161,10 +162,10 @@ func checkTyped(t *testing.T, err error, stream []byte) {
 	t.Helper()
 	var ie *secmem.IntegrityError
 	var ve *secmem.VersionError
-	switch ours := len(stream) >= secmem.HeaderBytes && secmem.CheckHeader(stream, streamMagic, streamVersion) == nil; {
+	switch ours := len(stream) >= container.HeaderBytes && container.CheckHeader(stream, streamMagic, streamVersion) == nil; {
 	case err == nil:
 	case errors.As(err, &ve):
-		if ours || len(stream) < secmem.HeaderBytes+2 {
+		if ours || len(stream) < container.HeaderBytes+2 {
 			t.Fatalf("a stream that opens with this container's header, or with none: %v", err)
 		}
 	case errors.As(err, &ie) == authentic(stream):

@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -37,8 +38,10 @@ import (
 // The context string binds the key to a role and a chain position — a delta
 // segment cannot be replayed as another even under the same master key.
 const (
-	streamMagic   = "MCST"
-	streamVersion = 1
+	streamMagic = "MCST"
+	// streamVersion 2: the line MAC became GHASH-then-AES (DESIGN §4), so
+	// every sealed line a stream carries moved.
+	streamVersion = 2
 	streamMACLen  = sha256.Size
 
 	// ChunkBytes is the frame payload size: large enough to amortize
@@ -87,7 +90,7 @@ func (sw *StreamWriter) Reset(w io.Writer, key []byte, context string) error {
 		return fmt.Errorf("ckpt: stream context must be 1..1024 bytes, got %d", len(context))
 	}
 	sw.w, sw.mac, sw.context, sw.n, sw.closed = w, hmac.New(sha256.New, key), context, 0, false
-	hdr := secmem.AppendHeader(sw.buf[:0], streamMagic, streamVersion)
+	hdr := container.AppendHeader(sw.buf[:0], streamMagic, streamVersion)
 	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(context)))
 	return sw.emit(append(hdr, context...))
 }
@@ -184,15 +187,15 @@ type StreamReader struct {
 // rejected as tampering.
 func NewStreamReader(r io.Reader, key []byte, context string) (*StreamReader, error) {
 	sr := &StreamReader{r: bufio.NewReader(r), mac: hmac.New(sha256.New, key), context: context}
-	hdr := make([]byte, secmem.HeaderBytes+2)
+	hdr := make([]byte, container.HeaderBytes+2)
 	if _, err := io.ReadFull(sr.r, hdr); err != nil {
 		return nil, tamper(context, "header truncated")
 	}
 	sr.mac.Write(hdr)
-	if err := secmem.CheckHeader(hdr, streamMagic, streamVersion); err != nil {
+	if err := container.CheckHeader(hdr, streamMagic, streamVersion); err != nil {
 		return nil, err
 	}
-	clen := int(binary.LittleEndian.Uint16(hdr[secmem.HeaderBytes:]))
+	clen := int(binary.LittleEndian.Uint16(hdr[container.HeaderBytes:]))
 	ctx := make([]byte, clen)
 	if _, err := io.ReadFull(sr.r, ctx); err != nil {
 		return nil, tamper(context, "context truncated")

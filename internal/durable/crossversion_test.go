@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,11 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
@@ -26,12 +29,15 @@ import (
 // all three file kinds, so it exercises every format the rewrite touched.
 //
 // Its snapshot is in the container ("MDSS", version 1) that went when every
-// serialisation of the engine became the state stream: Open answers it with a
-// *secmem.VersionError and leaves the directory alone. The sealed lines in it
-// are still this engine's lines, so v1Snapshot walks them out, they are
-// written back as a snapshot of today, and recovery — that snapshot, the
-// parent's own delta and WAL segments — goes on as it did. testdata/v2_dir is
-// the same history written whole by the commit that made the change.
+// serialisation of the engine became the state stream. testdata/v2_dir is
+// the same history written whole by the commit that made that change, its
+// snapshot and delta in "MCST" version 1, which went when the line MAC became
+// GHASH-then-AES. Open answers both with a *secmem.VersionError and leaves
+// the directory alone. testdata/cw_dir is the same history written by the
+// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt), and
+// recovers. The older directories' sealed lines are walked out by test-only
+// readers and held to cw_dir's: only their MACs may differ, and the WAL
+// segments, sealed by HMAC before and after, not at all.
 
 func parentDirLine(d uint64, v int) []byte {
 	line := make([]byte, LineBytes)
@@ -41,37 +47,24 @@ func parentDirLine(d uint64, v int) []byte {
 	return line
 }
 
-// recordShard is a ckpt.DeltaShard over lines already in hand.
-type recordShard []secmem.DirtyLine
-
-func (s recordShard) WriteRecords(w io.Writer) error {
-	out := binary.LittleEndian.AppendUint64(nil, uint64(len(s)))
-	for _, d := range s {
-		out = d.AppendRecord(out)
-	}
-	_, err := w.Write(out)
-	return err
-}
-
 // v1Snapshot walks a version-1 snapshot file — "MDSS" around a version-1
 // shard.Save ("MTSH") around one version-1 secmem.Save ("MTSM") a shard —
-// into its coverage and each shard's records. The fixture is trusted: nothing
-// is validated, and the file MAC that ends it is not looked at.
-func v1Snapshot(blob []byte) (hdr ckpt.DeltaHeader, shards []recordShard) {
+// into each shard's records. The fixture is trusted: nothing is validated,
+// and the file MAC that ends it is not looked at.
+func v1Snapshot(blob []byte) (shards [][]secmem.DirtyLine) {
 	u64 := func() uint64 { v := binary.LittleEndian.Uint64(blob); blob = blob[8:]; return v }
 	take := func(n uint64) []byte { b := blob[:n]; blob = blob[n:]; return b }
 	take(4 + 8) // "MDSS", 1
-	hdr.Seq = u64()
-	for n := u64(); n > 0; n-- {
-		hdr.CoveredLSN, hdr.CoveredWrites = append(hdr.CoveredLSN, u64()), append(hdr.CoveredWrites, u64())
-	}
+	u64()       // the sequence number
+	nsh := u64()
+	take(16 * nsh)      // coverage
 	take(4 + 8 + 8 + 8) // "MTSH", 1, shards, capacity
-	for range hdr.CoveredLSN {
+	for range nsh {
 		take(8 + 4 + 8 + 8) // the blob's length; "MTSM", 1, capacity
 		take(u64())         // the organization's fingerprint
 		root := take(LineBytes)
 		levels := u64()
-		lines := recordShard{{Level: int32(levels), Line: root}}
+		lines := []secmem.DirtyLine{{Level: int32(levels), Line: root}}
 		for lvl := uint64(0); lvl < levels; lvl++ {
 			for n := u64(); n > 0; n-- {
 				lines = append(lines, secmem.DirtyLine{Level: int32(lvl), Index: u64(), Line: take(LineBytes)})
@@ -82,7 +75,7 @@ func v1Snapshot(blob []byte) (hdr ckpt.DeltaHeader, shards []recordShard) {
 		}
 		shards = append(shards, lines)
 	}
-	return hdr, shards
+	return shards
 }
 
 type dirManifest struct {
@@ -126,36 +119,164 @@ func copyDir(t *testing.T, from string) string {
 	return dir
 }
 
-func TestParentDataDirectoryRecovers(t *testing.T) {
-	dir, man := copyFixtureDir(t, "testdata/parent_dir")
-	shcfg := testShardConfig(t, man.Shards, man.MemoryBytes)
+// checkRefused opens a copy of an older fixture directory and wants the
+// typed refusal naming the container it holds, with no file touched.
+func checkRefused(t *testing.T, fixture, magic string, version uint64) {
+	t.Helper()
+	dir, man := copyFixtureDir(t, fixture)
 	before, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = Open(shcfg, Config{Dir: dir, Sync: SyncAlways})
+	_, _, err = Open(testShardConfig(t, man.Shards, man.MemoryBytes), Config{Dir: dir, Sync: SyncAlways})
 	var ve *secmem.VersionError
-	if !errors.As(err, &ve) || ve.Magic != "MDSS" || ve.Version != 1 {
-		t.Fatalf("Open of a directory with a version-1 snapshot returned %v, want a *secmem.VersionError naming it", err)
+	if !errors.As(err, &ve) || ve.Magic != magic || ve.Version != version {
+		t.Fatalf("Open of %s returned %v, want a *secmem.VersionError naming %q version %d", fixture, err, magic, version)
 	}
 	if after, err := os.ReadDir(dir); err != nil || len(after) != len(before) {
 		t.Fatalf("a refused directory went from %d files to %d (%v)", len(before), len(after), err)
 	}
-	old, err := os.ReadFile(SnapshotPath(dir, 2))
+}
+
+// readV1Stream reads the lines out of an "MCST" version-1 file: the same
+// container as today's but for the version, which this rewrites (with the
+// stream MAC over it) before reading the file as today's. The fixture is
+// trusted.
+func readV1Stream(t *testing.T, path string, seq, base uint64) [][]secmem.DirtyLine {
+	t.Helper()
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, shards := v1Snapshot(old)
-	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), SnapshotPath(dir, 2), deltaKey(testKey), hdr, shards); err != nil {
-		t.Fatal(err)
+	if string(blob[:4]) != "MCST" || binary.LittleEndian.Uint64(blob[4:]) != 1 {
+		t.Fatalf("%s is not an MCST version-1 stream", path)
 	}
-	recoverFixtureDir(t, dir, man)
+	binary.LittleEndian.PutUint64(blob[4:], 2)
+	h := hmac.New(sha256.New, deltaKey(testKey))
+	h.Write(blob[:len(blob)-sha256.Size])
+	copy(blob[len(blob)-sha256.Size:], h.Sum(nil))
+	var lines [][]secmem.DirtyLine
+	if _, err := ckpt.ReadState(bytes.NewReader(blob), int64(len(blob)), deltaKey(testKey), seq, base, keepShards(&lines)); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return lines
 }
 
-// TestV2DataDirectoryRecovers holds the formats of a data directory to the
-// one the commit that introduced the state stream wrote.
+// checkOnlyMACsMoved holds an older fixture's lines, shard by shard, to the
+// current fixture's at every level compare admits: the same lines, each with
+// the same bytes but for its MAC (a data line's MAC field, a counter line's
+// MAC word).
+func checkOnlyMACsMoved(t *testing.T, what string, old, cw [][]secmem.DirtyLine, compare func(level int32) bool) {
+	t.Helper()
+	type at struct {
+		shard int
+		level int32
+		index uint64
+	}
+	masked := func(d secmem.DirtyLine) string {
+		line := bytes.Clone(d.Line)
+		if d.Level >= 0 {
+			counters.SetLineMAC(line, 0)
+		}
+		return string(line)
+	}
+	want := map[at]string{}
+	for sh, lines := range cw {
+		for _, d := range lines {
+			if compare(d.Level) {
+				want[at{sh, d.Level, d.Index}] = masked(d)
+			}
+		}
+	}
+	n, data := 0, 0
+	for sh, lines := range old {
+		for _, d := range lines {
+			if !compare(d.Level) {
+				continue
+			}
+			n++
+			if w, ok := want[at{sh, d.Level, d.Index}]; !ok || masked(d) != w {
+				t.Fatalf("%s: shard %d level %d line %d is not the current fixture's but for its MAC", what, sh, d.Level, d.Index)
+			}
+			if d.Level == -1 {
+				data++
+			}
+		}
+	}
+	if n != len(want) || data == 0 {
+		t.Fatalf("%s: %d lines compared (%d data), the current fixture holds %d", what, n, data, len(want))
+	}
+}
+
+// cwLines reads a state stream file of testdata/cw_dir.
+func cwLines(t *testing.T, name string, seq, base uint64) [][]secmem.DirtyLine {
+	t.Helper()
+	_, lines, err := readDeltaLines(filepath.Join("testdata/cw_dir", name), deltaKey(testKey), seq, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// checkWALUnmoved wants an older fixture's WAL segments byte-identical to
+// cw_dir's: the WAL's seal (mac.Keyer.Raw) is the HMAC it always was.
+func checkWALUnmoved(t *testing.T, fixture string) {
+	t.Helper()
+	entries, err := os.ReadDir("testdata/cw_dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "wal.") {
+			continue
+		}
+		theirs, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ours, err := os.ReadFile(filepath.Join("testdata/cw_dir", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(theirs, ours) {
+			t.Fatalf("%s/%s: not cw_dir's segment byte for byte", fixture, e.Name())
+		}
+		n++
+	}
+	if n == 0 {
+		t.Fatal("cw_dir holds no WAL segment")
+	}
+}
+
+func TestParentDataDirectoryRecovers(t *testing.T) {
+	checkRefused(t, "testdata/parent_dir", "MDSS", 1)
+	old, err := os.ReadFile("testdata/parent_dir/" + filepath.Base(SnapshotPath("", 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The parent's tree counted writes, not write-backs, so its lines above
+	// level 0 hold other counters (internal/counters/testdata/README.md).
+	checkOnlyMACsMoved(t, "parent snapshot 2", v1Snapshot(old), cwLines(t, filepath.Base(SnapshotPath("", 2)), 2, 0),
+		func(level int32) bool { return level <= 0 && level >= -1 })
+}
+
+// TestV2DataDirectoryRecovers: the directory the state stream's commit wrote
+// is refused whole, its snapshot and delta hold the current fixture's lines
+// but for their MACs, and its WAL is the current fixture's.
 func TestV2DataDirectoryRecovers(t *testing.T) {
-	dir, man := copyFixtureDir(t, "testdata/v2_dir")
+	checkRefused(t, "testdata/v2_dir", "MCST", 1)
+	every := func(level int32) bool { return level >= -1 }
+	snap, delta := filepath.Base(SnapshotPath("", 2)), ckpt.DeltaName(3, 2)
+	checkOnlyMACsMoved(t, "v2 snapshot 2", readV1Stream(t, filepath.Join("testdata/v2_dir", snap), 2, 0), cwLines(t, snap, 2, 0), every)
+	checkOnlyMACsMoved(t, "v2 delta 3", readV1Stream(t, filepath.Join("testdata/v2_dir", delta), 3, 2), cwLines(t, delta, 3, 2), every)
+	checkWALUnmoved(t, "testdata/v2_dir")
+}
+
+// TestCWDataDirectoryRecovers holds the formats of a data directory to the
+// one the commit that introduced the GHASH-then-AES line MAC wrote.
+func TestCWDataDirectoryRecovers(t *testing.T) {
+	dir, man := copyFixtureDir(t, "testdata/cw_dir")
 	recoverFixtureDir(t, dir, man)
 }
 
@@ -232,10 +353,12 @@ func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
 // testdata/golden_deltas holds three chained delta segments written by the
 // last commit whose delta checkpoint froze every shard and copied every dirty
 // line before writing any (testdata/goldengen.go.txt; how:
-// internal/counters/testdata/README.md). The cut that replaced the freeze
-// promised the same bytes whenever nothing writes while it drains, so the same
-// history played here must leave the same three files, and ReadDelta must read
-// the parent's.
+// internal/counters/testdata/README.md), in "MCST" version 1.
+// testdata/cw_deltas holds the same history's segments written by the commit
+// that made the line MAC GHASH-then-AES (cwgen.go.txt). The cut that replaced
+// the freeze promised the same bytes whenever nothing writes while it drains,
+// so the same history played here must leave cw_deltas' three files byte for
+// byte, and golden_deltas must hold the same lines but for their MACs.
 
 // goldenDeltaRound lists the data lines round r of the history writes, in
 // order, repeats included; each round ends in a delta checkpoint.
@@ -287,19 +410,6 @@ func keepShards(into *[][]secmem.DirtyLine) func(ckpt.DeltaHeader, int, io.Reade
 	}
 }
 
-// lineShare is one shard's share of a state stream, written back from the
-// lines read out of one.
-type lineShare []secmem.DirtyLine
-
-func (l lineShare) WriteRecords(w io.Writer) error {
-	out := binary.LittleEndian.AppendUint64(nil, uint64(len(l)))
-	for _, d := range l {
-		out = d.AppendRecord(out)
-	}
-	_, err := w.Write(out)
-	return err
-}
-
 // readDeltaLines reads a state stream file the way Open does and keeps the lines.
 func readDeltaLines(path string, key []byte, seq, base uint64) (ckpt.DeltaHeader, [][]secmem.DirtyLine, error) {
 	var lines [][]secmem.DirtyLine
@@ -325,37 +435,31 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 		}
 		seq := uint64(r + 2)
 		name := ckpt.DeltaName(seq, seq-1)
-		want, err := os.ReadFile(filepath.Join("testdata/golden_deltas", name))
+		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The parent journaled overflow/rebase audit records, so the LSNs in
-		// its coverage header run past its writes; this journal holds the
-		// writes only. Everything else — the header's other fields, the lines
-		// and their order, the container around them — is the parent's byte
-		// for byte: the lines written here, under the parent's header, are
-		// the parent's file.
-		hdr, lines, err := readDeltaLines(filepath.Join(dir, name), deltaKey(testKey), seq, seq-1)
+		want, err := os.ReadFile(filepath.Join("testdata/cw_deltas", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parent, _, err := readDeltaLines(filepath.Join("testdata/golden_deltas", name), deltaKey(testKey), seq, seq-1)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes written, not cw_deltas' %d byte for byte", name, len(got), len(want))
+		}
+		_, lines, err := readDeltaLines(filepath.Join(dir, name), deltaKey(testKey), seq, seq-1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parent.Seq != seq || parent.Base != seq-1 || len(lines) != 2 || len(lines[0]) < 2 || len(lines[1]) < 2 {
-			t.Fatalf("%s: read back as %+v with %d shards", name, parent, len(lines))
+		if len(lines) != 2 || len(lines[0]) < 2 || len(lines[1]) < 2 {
+			t.Fatalf("%s: read back with %d shards", name, len(lines))
 		}
-		if !slices.Equal(hdr.CoveredWrites, parent.CoveredWrites) || !slices.Equal(hdr.CoveredLSN, hdr.CoveredWrites) {
-			t.Fatalf("%s: covers LSNs %v and writes %v, want the parent's writes %v at as many LSNs", name, hdr.CoveredLSN, hdr.CoveredWrites, parent.CoveredWrites)
+		// The parent's file: refused by the reader, and the same lines.
+		parent := filepath.Join("testdata/golden_deltas", name)
+		var ve *secmem.VersionError
+		if _, _, err := readDeltaLines(parent, deltaKey(testKey), seq, seq-1); !errors.As(err, &ve) || ve.Version != 1 {
+			t.Fatalf("%s: ReadDelta returned %v, want a *secmem.VersionError naming version 1", parent, err)
 		}
-		var again bytes.Buffer
-		if err := ckpt.WriteState(new(ckpt.StreamWriter), &again, deltaKey(testKey), parent, []lineShare{lines[0], lines[1]}); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again.Bytes(), want) {
-			t.Fatalf("%s: %d bytes written under the parent's header, not the parent's %d byte for byte", name, again.Len(), len(want))
-		}
+		checkOnlyMACsMoved(t, parent, readV1Stream(t, parent, seq, seq-1), lines, func(level int32) bool { return level >= -1 })
 	}
 	if st := m.Stats(); st.Overflows[0] == 0 {
 		t.Fatal("the history did not overflow a counter")

@@ -1,25 +1,25 @@
 package mac
 
 import (
-	"bufio"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"math/rand"
-	"os"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/racedetect"
 )
 
-// testdata/golden_macs.jsonl holds Keyer.Data and Keyer.Counter outputs
-// computed with crypto/hmac at the commit before the pre-keyed evaluation
-// (internal/counters/testdata/README.md says how). Every MAC in every
-// snapshot, WAL segment and proof was made by that code, so this one must
-// agree with it on every bit.
+// testdata/golden_macs.jsonl holds line MACs computed with crypto/hmac at the
+// commit before the pre-keyed evaluation (internal/counters/testdata/README.md
+// says how): HMAC-SHA256(key, domain || addr || counter || content),
+// truncated. That was the line MAC of every version-2 save, version-1
+// checkpoint stream and header-less proof. The line MAC is GHASH-then-AES
+// now (reference_test.go), so the file checks two things that still hold:
+// Raw over the same message is that HMAC, bit for bit — Raw seals every WAL
+// record — and hmacLineMAC, the old line MAC this package's tests keep as
+// the oracle for the old fixtures, agrees with it.
 type goldenMAC struct {
 	Key     string `json:"key"`
 	Width   int    `json:"width"`
@@ -32,48 +32,29 @@ type goldenMAC struct {
 }
 
 func TestGoldenMACs(t *testing.T) {
-	f, err := os.Open("testdata/golden_macs.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	type cell struct{ keyLen, width int }
 	seen := map[cell]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var g goldenMAC
-		if err := json.Unmarshal(sc.Bytes(), &g); err != nil {
-			t.Fatal(err)
-		}
-		key, err := hex.DecodeString(g.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		content, err := hex.DecodeString(g.Content)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, g := range readGolden(t, "testdata/golden_macs.jsonl") {
+		key, content := unhex(t, g.Key), unhex(t, g.Content)
 		k, err := New(key, Width(g.Width))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got uint64
+		domain := uint64(0xFFFF)
 		switch g.Kind {
 		case "data":
-			got = k.Data(content, g.Counter, g.Addr)
 		case "counter":
-			got = k.Counter(content, g.Counter, g.Level, g.Addr)
+			domain = uint64(g.Level)
 		default:
 			t.Fatalf("golden kind %q", g.Kind)
 		}
-		if got != g.MAC {
-			t.Errorf("%s MAC, %d-byte key, width %d, %d-byte content: got %#x, golden %#x",
-				g.Kind, len(key), g.Width, len(content), got, g.MAC)
+		raw := k.Raw(lineMessage(domain, g.Addr, g.Counter, content))
+		oracle := hmacReference(key, Width(g.Width), domain, g.Addr, g.Counter, content)
+		if raw != g.MAC || oracle != g.MAC {
+			t.Errorf("%s MAC, %d-byte key, width %d, %d-byte content: Raw %#x, HMAC oracle %#x, golden %#x",
+				g.Kind, len(key), g.Width, len(content), raw, oracle, g.MAC)
 		}
 		seen[cell{len(key), g.Width}] = true
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	for _, keyLen := range []int{16, 24, 32} {
 		for _, width := range []int{54, 56, 64} {
@@ -84,7 +65,19 @@ func TestGoldenMACs(t *testing.T) {
 	}
 }
 
-// hmacReference is the construction compute replaced, verbatim.
+// lineMessage is a line MAC's message: domain || addr || counter || content,
+// the three words little-endian.
+func lineMessage(domain, addr, counter uint64, content []byte) []byte {
+	msg := make([]byte, headerBytes, headerBytes+len(content))
+	binary.LittleEndian.PutUint64(msg[0:], domain)
+	binary.LittleEndian.PutUint64(msg[8:], addr)
+	binary.LittleEndian.PutUint64(msg[16:], counter)
+	return append(msg, content...)
+}
+
+// hmacReference is the line MAC before GHASH-then-AES replaced it, verbatim:
+// crypto/hmac over the line message, truncated. It survives as the oracle for
+// fixtures written under it.
 func hmacReference(key []byte, width Width, domain, addr, counter uint64, content []byte) uint64 {
 	h := hmac.New(sha256.New, key)
 	var hdr [24]byte
@@ -102,7 +95,7 @@ func hmacReference(key []byte, width Width, domain, addr, counter uint64, conten
 }
 
 // Every key length New accepts, every width, content from empty to several
-// SHA-256 blocks: the pre-keyed evaluation is crypto/hmac's.
+// SHA-256 blocks: Raw's pre-keyed evaluation is crypto/hmac's.
 func TestMatchesCryptoHMAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for keyLen := 1; keyLen <= sha256.BlockSize; keyLen++ {
@@ -117,7 +110,7 @@ func TestMatchesCryptoHMAC(t *testing.T) {
 			content := make([]byte, n)
 			rng.Read(content)
 			domain, addr, counter := rng.Uint64(), rng.Uint64(), rng.Uint64()
-			got := k.compute(domain, addr, counter, content)
+			got := k.Raw(lineMessage(domain, addr, counter, content))
 			if want := hmacReference(key, width, domain, addr, counter, content); got != want {
 				t.Fatalf("%d-byte key, width %d, %d-byte content: got %#x, crypto/hmac %#x", keyLen, width, n, got, want)
 			}

@@ -1,33 +1,49 @@
 // Package mac computes the truncated keyed message authentication codes
-// used by the secure-memory engine. The paper's designs use Carter-Wegman
-// (SGX) or AES-GCM (Yan et al.) hardware MACs truncated to 54-64 bits; we
-// substitute HMAC-SHA256 with the same interface and truncation, which
-// preserves the forgery-resistance property the system depends on
-// (DESIGN.md, substitutions).
+// used by the secure-memory engine. The paper's designs MAC each line with
+// Carter-Wegman (SGX) or AES-GCM (Yan et al.) hardware truncated to 54-64
+// bits; Data and Counter are a Carter-Wegman MAC of that family, with no
+// nonce (DESIGN.md §4):
 //
-// The construction is textbook HMAC; only its evaluation is specialised. The
-// key never changes after New, so neither do the two 64-byte key blocks HMAC
-// hashes in front of the message and of the inner digest: New hashes each
-// once and keeps the SHA-256 state that results, in the form crypto/sha256
-// documents for saving and resuming a hash. A MAC resumes the inner hash from
-// the first state, hashes the message, resumes the outer hash from the second
-// and hashes the inner digest — three compressions for a cacheline's 88-byte
-// message where hashing the key blocks each time takes five. It is what
-// crypto/hmac does itself when one of its objects is Reset and reused.
+//	tag = AES_K2(GHASH_H(domain || addr || counter || line) XOR E_K1(J0))
 //
-// The saved states are immutable, and they are all a Keyer is. The two hash
-// objects a MAC resumes them into, and the buffer it builds the message in,
-// are mutable and live in one sync.Pool for the package: a MAC takes a set,
-// uses it and puts it back, so a Keyer stays safe for concurrent use with no
-// lock — which proof.Walker in a thin client and a tenant's Domain need, and
-// shared reads in the engine would — a short-lived Keyer (one per proof
-// verified, one per replication batch) brings no scratch of its own into
-// being, and a caller's buffer is only ever copied from, so it stays on the
-// caller's stack. Output is bit-for-bit what crypto/hmac produces (the tests
+// truncated to the Keyer's width, where H = E_K1(0^128) and J0 is GCM's
+// first counter block under the all-zero nonce. GHASH is a universal hash
+// and AES under an independent key is a PRF over its output, so the tag is
+// a PRF of the message and forging one takes about 2^-w a try plus
+// q^2·(l+1)/2^128 for q MACs of l blocks. Nothing in it depends on a nonce
+// or a counter being fresh: like HMAC, the MAC is a deterministic function
+// of its message, and a repeated {address, counter} says no more than the
+// repeated tag does. K1 and K2 are derived from the Keyer's key under two
+// labels, so neither reveals the other or the key.
+//
+// One evaluation is one Seal of an empty plaintext under K1's AES-GCM, with
+// the message as its additional data — GHASH over the message and its
+// lengths, XORed with E_K1(J0) — then one AES block under K2. The GCM
+// refuses to be built when Go runs FIPS 140-only (GODEBUG=fips140=only),
+// because its nonce is not random; New returns that error.
+//
+// Raw, the WAL's record seal, is HMAC-SHA256 and stays so. Its evaluation is
+// specialised: the key never changes after New, so neither do the two
+// 64-byte key blocks HMAC hashes in front of the message and of the inner
+// digest. New hashes each once and keeps the SHA-256 state that results, in
+// the form crypto/sha256 documents for saving and resuming a hash; Raw
+// resumes them. Output is bit-for-bit what crypto/hmac produces (the tests
 // hold it to that).
+//
+// Everything a Keyer holds is immutable after New. The hash objects a MAC
+// resumes HMAC into, the buffer it builds the message in and the block the
+// tag is made in are mutable and live in one sync.Pool for the package: a
+// MAC takes a set, uses it and puts it back, so a Keyer stays safe for
+// concurrent use with no lock — which proof.Walker in a thin client needs,
+// and shared reads in the engine would — a short-lived Keyer (one per proof
+// verified) brings no scratch of its own into being, and a caller's buffer
+// is only ever copied from, so it stays on the caller's stack.
 package mac
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
 	"crypto/sha256"
 	"encoding"
 	"encoding/binary"
@@ -63,7 +79,13 @@ const (
 	// MAC's message (headerBytes + lineBytes) or a WAL record's body, one
 	// byte longer. A longer message grows it once.
 	msgBytes = 2 * lineBytes
+	// subKeyBytes is the length of K1 and K2: AES-128 keys.
+	subKeyBytes = 16
 )
+
+// zeroNonce is the one GCM nonce the line MAC uses; see the package comment
+// for why a fixed one is safe here.
+var zeroNonce [12]byte
 
 // KeySizeError reports a key New cannot use: empty, or longer than the
 // SHA-256 block. HMAC would replace an over-long key by its hash; no caller
@@ -92,12 +114,21 @@ type resumable interface {
 type Keyer struct {
 	// inner and outer are the saved SHA-256 states after HMAC's two key
 	// blocks: the key zero-padded to the block size and XORed with 0x36 and
-	// 0x5c. Either forges MACs as well as the key does.
+	// 0x5c. Either forges Raw MACs as well as the key does.
 	//
 	//morph:secret
 	inner, outer []byte
-	width        Width
-	mask         uint64
+	// ghash is AES-GCM under K1: its Seal of an empty plaintext is
+	// GHASH_H(message) XOR E_K1(J0).
+	//
+	//morph:secret
+	ghash cipher.AEAD
+	// fin is AES under K2, the PRF that finishes a line MAC.
+	//
+	//morph:secret
+	fin   cipher.Block
+	width Width
+	mask  uint64
 }
 
 // scratch is the mutable state of one MAC evaluation, any Keyer's.
@@ -111,11 +142,13 @@ type scratch struct {
 	// buffer is not handed to an interface method, which would move it to
 	// the heap.
 	msg []byte
+	// sum is where a digest or a line MAC's tag is made.
 	sum [sha256.Size]byte
 }
 
 // New returns a Keyer for the given secret key and truncation width. The key
-// must be 1 to 64 bytes, else New returns a *KeySizeError.
+// must be 1 to 64 bytes, else New returns a *KeySizeError. It returns
+// crypto/cipher's error if the GCM cannot be built (FIPS 140-only mode).
 func New(key []byte, width Width) (*Keyer, error) {
 	if len(key) == 0 || len(key) > sha256.BlockSize {
 		return nil, &KeySizeError{Len: len(key)}
@@ -131,7 +164,27 @@ func New(key []byte, width Width) (*Keyer, error) {
 	if k.outer, err = keyBlockState(key, 0x5c); err != nil {
 		return nil, err
 	}
+	hashBlock, err := aes.NewCipher(subKey(key, "morphtree/mac/ghash"))
+	if err != nil {
+		return nil, fmt.Errorf("mac: %w", err)
+	}
+	if k.ghash, err = cipher.NewGCM(hashBlock); err != nil {
+		return nil, fmt.Errorf("mac: %w", err)
+	}
+	if k.fin, err = aes.NewCipher(subKey(key, "morphtree/mac/fin")); err != nil {
+		return nil, fmt.Errorf("mac: %w", err)
+	}
 	return k, nil
+}
+
+// subKey derives one of the line MAC's AES-128 keys from the Keyer's key:
+// HMAC-SHA256(key, label), truncated.
+//
+//morph:secret
+func subKey(key []byte, label string) []byte {
+	h := hmac.New(sha256.New, key)
+	h.Write([]byte(label)) //morph:sealed -- into a hash whose output is a key
+	return h.Sum(nil)[:subKeyBytes]
 }
 
 // scratches pools *scratch; see the package comment.
@@ -178,27 +231,29 @@ func (k *Keyer) Counter(encoded []byte, parentCounter uint64, level int, index u
 	return k.compute(uint64(level), index, parentCounter, encoded)
 }
 
-// Raw computes the MAC of msg alone, with no header in front of it: the WAL
-// seals each record with this one, at Width64.
-func (k *Keyer) Raw(msg []byte) uint64 { return k.hmac(nil, msg) }
-
-// compute is HMAC-SHA256(key, domain || addr || counter || content),
-// truncated.
+// compute is the line MAC over domain || addr || counter || content, the
+// three words little-endian: GHASH and the GCM mask under K1, AES under K2,
+// truncated to the first width bits of the block read little-endian.
 func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
-	var header [headerBytes]byte
-	binary.LittleEndian.PutUint64(header[0:], domain)
-	binary.LittleEndian.PutUint64(header[8:], addr)
-	binary.LittleEndian.PutUint64(header[16:], counter)
-	return k.hmac(header[:], content)
-}
-
-// hmac is HMAC-SHA256 over header || content from the saved states, truncated:
-// SHA-256(opad || SHA-256(ipad || message)) with both key blocks already
-// hashed.
-func (k *Keyer) hmac(header, content []byte) uint64 {
 	pooled := scratches.Get()
 	s := pooled.(*scratch)
-	s.msg = append(append(s.msg[:0], header...), content...)
+	s.msg = binary.LittleEndian.AppendUint64(s.msg[:0], domain)
+	s.msg = binary.LittleEndian.AppendUint64(s.msg, addr)
+	s.msg = binary.LittleEndian.AppendUint64(s.msg, counter)
+	s.msg = append(s.msg, content...)
+	tag := k.ghash.Seal(s.sum[:0], zeroNonce[:], nil, s.msg)
+	k.fin.Encrypt(tag, tag)
+	sum := binary.LittleEndian.Uint64(tag) & k.mask
+	scratches.Put(pooled) // only now: the sum was read out of the scratch
+	return sum
+}
+
+// Raw computes HMAC-SHA256 of msg alone, with no header in front of it,
+// truncated: the WAL seals each record with this one, at Width64.
+func (k *Keyer) Raw(msg []byte) uint64 {
+	pooled := scratches.Get()
+	s := pooled.(*scratch)
+	s.msg = append(s.msg[:0], msg...)
 	if err := s.inner.UnmarshalBinary(k.inner); err != nil {
 		panic(invariant.Violationf("mac: SHA-256 refused the inner state it saved: %v", err))
 	}

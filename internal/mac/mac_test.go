@@ -1,6 +1,9 @@
 package mac
 
 import (
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +98,23 @@ func TestQuickContentSensitivity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Go in FIPS 140-only mode (GODEBUG=fips140=only) refuses a GCM with a caller's
+// nonce, so it refuses the line MAC's: New must return crypto/cipher's error,
+// not panic and not hand back a Keyer that cannot MAC. The check runs in a
+// child process, because the setting is read once, at start-up.
+func TestNewReturnsTheGCMRefusal(t *testing.T) {
+	if os.Getenv("MAC_TEST_FIPS_ONLY") == "1" {
+		if k, err := New([]byte("test-key-0123456"), Width56); err == nil || k != nil || !strings.Contains(err.Error(), "crypto/cipher") {
+			t.Fatalf("New under fips140=only = %v, %v; want crypto/cipher's refusal", k, err)
+		}
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestNewReturnsTheGCMRefusal$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GODEBUG=fips140=only", "MAC_TEST_FIPS_ONLY=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child under fips140=only: %v\n%s", err, out)
 	}
 }

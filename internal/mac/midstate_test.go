@@ -43,8 +43,8 @@ func TestBlockEdgesMatchCryptoHMAC(t *testing.T) {
 				t.Errorf("width %d, Raw over %d bytes: got %#x, crypto/hmac %#x", width, n, got, want)
 			}
 			domain, addr, counter := rng.Uint64(), rng.Uint64(), rng.Uint64()
-			if got, want := k.compute(domain, addr, counter, msg), hmacReference(key, width, domain, addr, counter, msg); got != want {
-				t.Errorf("width %d, line MAC over %d content bytes: got %#x, crypto/hmac %#x", width, n, got, want)
+			if got, want := k.Raw(lineMessage(domain, addr, counter, msg)), hmacReference(key, width, domain, addr, counter, msg); got != want {
+				t.Errorf("width %d, Raw over a line message of %d content bytes: got %#x, crypto/hmac %#x", width, n, got, want)
 			}
 		}
 	}
@@ -64,8 +64,9 @@ func TestRawDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzKeyerMatchesCryptoHMAC holds both forms of the MAC to crypto/hmac for
-// any key New accepts, any message up to 4 KiB and the three widths in use.
+// FuzzKeyerMatchesCryptoHMAC holds Raw to crypto/hmac for any key New
+// accepts, any message up to 4 KiB and the three widths in use, alone and
+// behind a line MAC's header (the old line MAC, hmacReference).
 func FuzzKeyerMatchesCryptoHMAC(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), make([]byte, 64), uint64(0xFFFF), uint64(0x40), uint64(7))
 	f.Add([]byte("k"), []byte{}, uint64(0), uint64(0), uint64(0))
@@ -82,8 +83,8 @@ func FuzzKeyerMatchesCryptoHMAC(f *testing.F) {
 			// Twice each, alternating: the second evaluation runs on the
 			// scratch the first one left behind.
 			for i := 0; i < 2; i++ {
-				if got, want := k.compute(domain, addr, counter, msg), hmacReference(key, width, domain, addr, counter, msg); got != want {
-					t.Fatalf("%d-byte key, width %d, line MAC over %d bytes: got %#x, crypto/hmac %#x", len(key), width, len(msg), got, want)
+				if got, want := k.Raw(lineMessage(domain, addr, counter, msg)), hmacReference(key, width, domain, addr, counter, msg); got != want {
+					t.Fatalf("%d-byte key, width %d, Raw over a line message of %d bytes: got %#x, crypto/hmac %#x", len(key), width, len(msg), got, want)
 				}
 				if got, want := k.Raw(msg), rawReference(key, width, msg); got != want {
 					t.Fatalf("%d-byte key, width %d, Raw over %d bytes: got %#x, crypto/hmac %#x", len(key), width, len(msg), got, want)
@@ -112,8 +113,8 @@ func TestConcurrentMACsOnOneKeyer(t *testing.T) {
 				msg := make([]byte, rng.Intn(200))
 				rng.Read(msg)
 				addr, counter := rng.Uint64(), rng.Uint64()
-				if got, want := k.Data(msg, counter, addr), hmacReference(key, Width56, 0xFFFF, addr, counter, msg); got != want {
-					t.Errorf("goroutine %d: Data over %d bytes: got %#x, crypto/hmac %#x", g, len(msg), got, want)
+				if got, want := k.Data(msg, counter, addr), referenceMAC(key, Width56, 0xFFFF, addr, counter, msg); got != want {
+					t.Errorf("goroutine %d: Data over %d bytes: got %#x, reference %#x", g, len(msg), got, want)
 					return
 				}
 				if got, want := k.Raw(msg), rawReference(key, Width56, msg); got != want {

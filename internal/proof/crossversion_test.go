@@ -2,6 +2,7 @@ package proof_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -19,10 +20,15 @@ import (
 // internal/counters/testdata/README.md): 40 lines written three times each
 // into a 2-shard, 4 MiB morph128 store, then Prove on three of them and on
 // one never-written line. A proof carries sealed counter lines and MACs
-// across the trust boundary, so old proofs must verify under the new Walker
-// and new proofs must be what an old verifier expects: the same ciphertext,
-// data MAC and encryption-counter values, in a chain that verifies. The chain's
-// bytes are not compared — the tree counts write-backs now, not writes
+// across the trust boundary. Those MACs were HMAC's, and the body had no
+// header, so DecodeProof answers the parent's bytes with a
+// *secmem.VersionError. testdata/cw_proof_<line>.bin are the same four proofs
+// built by the commit that made the line MAC GHASH-then-AES (cwgen.go.txt):
+// they must verify under this Walker, and this commit must build them byte
+// for byte. Read behind a header, the parent's proofs must still carry the
+// same ciphertext and encryption-counter values as ours: only the MACs moved.
+// The chain's bytes above level 0 are not compared with the parent's — the
+// tree counts write-backs now, not writes
 // (internal/counters/testdata/README.md).
 
 const parentProofMem = 4 << 20
@@ -58,34 +64,61 @@ func parentProofEngine(t *testing.T) (*shard.Sharded, proof.Params) {
 func TestParentProofsVerify(t *testing.T) {
 	sh, params := parentProofEngine(t)
 	for _, d := range []uint64{0, 17, 39, 5000} {
-		raw, err := os.ReadFile(fmt.Sprintf("testdata/parent_proof_%d.bin", d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := proof.DecodeProof(raw)
-		if err != nil {
-			t.Fatalf("line %d: %v", d, err)
-		}
-		got, err := p.Verify(params, masterKey, nil)
-		if err != nil {
-			t.Fatalf("line %d: the parent's proof does not verify: %v", d, err)
-		}
 		want := make([]byte, secmem.LineBytes) // 5000 was never written
 		if d < 40 {
 			want = parentProofLine(d, 3)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("line %d: the parent's proof verifies to the wrong plaintext", d)
-		}
-
-		// The other direction: the same history on this commit proves the
-		// same line under the same counters.
 		mine, err := sh.Prove(d * secmem.LineBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(mine.Line, p.Line) || mine.LineMAC != p.LineMAC {
-			t.Fatalf("line %d: this commit's proof carries a different ciphertext or MAC than the parent's for the same history", d)
+		got, err := mine.Verify(params, masterKey, nil)
+		if err != nil {
+			t.Fatalf("line %d: this commit's proof does not verify: %v", d, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("line %d: this commit's proof verifies to the wrong plaintext", d)
+		}
+
+		// The fixture of this format: built byte for byte, and verifies.
+		cwRaw, err := os.ReadFile(fmt.Sprintf("testdata/cw_proof_%d.bin", d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mineRaw, err := mine.Encode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mineRaw, cwRaw) {
+			t.Fatalf("line %d: the same history proves to other bytes than cw_proof_%d.bin", d, d)
+		}
+		cw, err := proof.DecodeProof(cwRaw)
+		if err != nil {
+			t.Fatalf("line %d: %v", d, err)
+		}
+		if got, err = cw.Verify(params, masterKey, nil); err != nil {
+			t.Fatalf("line %d: cw_proof_%d.bin does not verify: %v", d, d, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("line %d: cw_proof_%d.bin verifies to the wrong plaintext", d, d)
+		}
+
+		// The parent's: refused, and, read behind a header, the same
+		// ciphertext and encryption counters under other MACs.
+		raw, err := os.ReadFile(fmt.Sprintf("testdata/parent_proof_%d.bin", d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ve *secmem.VersionError
+		if _, err := proof.DecodeProof(raw); !errors.As(err, &ve) {
+			t.Fatalf("line %d: DecodeProof of the parent's proof returned %v, want a *secmem.VersionError", d, err)
+		}
+		p, err := proof.DecodeProof(append(cwRaw[:secmem.HeaderBytes:secmem.HeaderBytes], raw...))
+		if err != nil {
+			t.Fatalf("line %d: the parent's body behind a header: %v", d, err)
+		}
+		if !bytes.Equal(mine.Line, p.Line) {
+			t.Fatalf("line %d: this commit's proof carries a different ciphertext than the parent's for the same history", d)
 		}
 		if (mine.Chain[0] == nil) != (p.Chain[0] == nil) {
 			t.Fatalf("line %d: encryption-counter line present in one proof only", d)
@@ -105,11 +138,9 @@ func TestParentProofsVerify(t *testing.T) {
 				}
 			}
 		}
-		if got, err = mine.Verify(params, masterKey, nil); err != nil {
-			t.Fatalf("line %d: this commit's proof does not verify: %v", d, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("line %d: this commit's proof verifies to the wrong plaintext", d)
+		var me *proof.MismatchError
+		if _, err := p.Verify(params, masterKey, nil); d < 40 && !errors.As(err, &me) {
+			t.Fatalf("line %d: the parent's HMAC-sealed proof verified under this MAC: %v", d, err)
 		}
 	}
 }

@@ -4,15 +4,27 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
+
+	"github.com/securemem/morphtree/internal/container"
 )
 
 // Wire codecs for proofs and transparency-log responses. All integers are
 // big-endian, matching the rest of the wire protocol. Decoders validate
-// every count against a hard cap before allocating and check remaining
-// length before every read, so truncated or hostile frames fail with a
-// typed error instead of a panic or an attacker-sized allocation.
+// every count against a hard cap, and against the bytes left, before
+// allocating and check remaining length before every read, so truncated or
+// hostile frames fail with a typed error instead of a panic or an
+// allocation larger than the input. A proof carries sealed lines and their
+// MACs, so its body opens with a container header (internal/container): a
+// proof from before the line MAC moved is a *container.VersionError, never a
+// MAC mismatch.
 
 const (
+	// proofMagic and proofVersion head a proof's wire form. Version 1 was
+	// the header-less body under the HMAC line MAC; 2 is the same body
+	// behind this header, under GHASH-then-AES.
+	proofMagic   = "MPRF"
+	proofVersion = 2
+
 	// MaxChainLines caps a proof's path length. An arity-2 tree over a
 	// 64-bit space has at most 64 levels; anything deeper is hostile.
 	MaxChainLines = 64
@@ -127,9 +139,30 @@ func (c *cursor) bytes(max uint64, what string) ([]byte, error) {
 	return append([]byte(nil), b...), nil
 }
 
+// TrailingError reports bytes left over after a complete payload.
+type TrailingError struct {
+	// What names the payload; N is the number of bytes after it.
+	What string
+	N    int
+}
+
+// Error implements error.
+func (e *TrailingError) Error() string {
+	return fmt.Sprintf("proof: %d trailing bytes after %s", e.N, e.What)
+}
+
 func (c *cursor) done(what string) error {
 	if len(c.buf) != 0 {
-		return fmt.Errorf("proof: %d trailing bytes after %s", len(c.buf), what)
+		return &TrailingError{What: what, N: len(c.buf)}
+	}
+	return nil
+}
+
+// need fails unless n records of size bytes each are left to read: a count
+// is checked against the input before anything is allocated for it.
+func (c *cursor) need(n, size int, what string) error {
+	if len(c.buf) < n*size {
+		return &TruncatedError{What: what}
 	}
 	return nil
 }
@@ -156,6 +189,7 @@ func (p *Proof) Encode(dst []byte) ([]byte, error) {
 	if len(p.Root) != LineBytes {
 		return nil, fmt.Errorf("proof: encode: root line is %d bytes, want %d", len(p.Root), LineBytes)
 	}
+	dst = container.AppendHeader(dst, proofMagic, proofVersion)
 	dst = binary.BigEndian.AppendUint64(dst, p.Addr)
 	dst = binary.BigEndian.AppendUint32(dst, p.Shards)
 	dst = binary.BigEndian.AppendUint32(dst, p.Shard)
@@ -188,11 +222,19 @@ func (p *Proof) Encode(dst []byte) ([]byte, error) {
 }
 
 // DecodeProof parses a proof from its wire form. Every slice in the result
-// is freshly allocated — the input buffer may be reused by the caller.
+// is freshly allocated — the input buffer may be reused by the caller. Input
+// that opens with another header, or none (a proof from before the header),
+// is a *container.VersionError.
 func DecodeProof(buf []byte) (*Proof, error) {
 	c := &cursor{buf: buf}
+	head, err := c.take(container.HeaderBytes, "header")
+	if err != nil {
+		return nil, err
+	}
+	if err := container.CheckHeader(head, proofMagic, proofVersion); err != nil {
+		return nil, err
+	}
 	p := &Proof{}
-	var err error
 	if p.Addr, err = c.u64("addr"); err != nil {
 		return nil, err
 	}
@@ -229,6 +271,9 @@ func DecodeProof(buf []byte) (*Proof, error) {
 	if chainLen > MaxChainLines {
 		return nil, &BoundsError{What: "chain length", Got: uint64(chainLen), Max: MaxChainLines}
 	}
+	if err := c.need(int(chainLen), 1, "chain line flag"); err != nil {
+		return nil, err
+	}
 	p.Chain = make([][]byte, chainLen)
 	for l := range p.Chain {
 		present, err := c.u8("chain line flag")
@@ -249,6 +294,9 @@ func DecodeProof(buf []byte) (*Proof, error) {
 		return nil, err
 	}
 	p.Root = append([]byte(nil), root...)
+	if err := c.need(int(p.Shards), len(Digest{}), "shard root digest"); err != nil {
+		return nil, err
+	}
 	p.ShardRoots = make([]Digest, p.Shards)
 	for i := range p.ShardRoots {
 		if p.ShardRoots[i], err = c.digest("shard root digest"); err != nil {
@@ -426,6 +474,9 @@ func DecodeRangeResult(buf []byte) (*RangeResult, error) {
 	if uint64(n) > MaxRangeEntries {
 		return nil, &BoundsError{What: "range entry count", Got: uint64(n), Max: MaxRangeEntries}
 	}
+	if err := c.need(int(n), 8+2*len(Digest{})+2, "range entry"); err != nil {
+		return nil, err
+	}
 	r.Entries = make([]Entry, 0, n)
 	for i := uint32(0); i < n; i++ {
 		e, err := c.entry()
@@ -440,6 +491,9 @@ func DecodeRangeResult(buf []byte) (*RangeResult, error) {
 	}
 	if uint64(pn) > MaxProofDigests {
 		return nil, &BoundsError{What: "consistency proof length", Got: uint64(pn), Max: MaxProofDigests}
+	}
+	if err := c.need(int(pn), len(Digest{}), "consistency proof node"); err != nil {
+		return nil, err
 	}
 	r.Proof = make([]Digest, 0, pn)
 	for i := uint16(0); i < pn; i++ {

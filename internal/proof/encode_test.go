@@ -6,6 +6,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"github.com/securemem/morphtree/internal/container"
 )
 
 func sampleProof() *Proof {
@@ -167,8 +169,8 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 	}
 
 	// Oversized path length: the u16 chain count lives right after the
-	// fixed header and the present data line.
-	chainOff := 8 + 4 + 4 + 8 + 1 + LineBytes + 8
+	// container header, the fixed fields and the present data line.
+	chainOff := container.HeaderBytes + 8 + 4 + 4 + 8 + 1 + LineBytes + 8
 	forged := append([]byte(nil), buf...)
 	binary.BigEndian.PutUint16(forged[chainOff:], MaxChainLines+1)
 	var be *BoundsError
@@ -178,14 +180,14 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 
 	// Oversized shard count.
 	forged = append([]byte(nil), buf...)
-	binary.BigEndian.PutUint32(forged[8:], MaxShards+1)
+	binary.BigEndian.PutUint32(forged[container.HeaderBytes+8:], MaxShards+1)
 	if _, err := DecodeProof(forged); !errors.As(err, &be) {
 		t.Fatalf("oversized shard count: got %v, want *BoundsError", err)
 	}
 
 	// Zero shards is as hostile as too many.
 	forged = append([]byte(nil), buf...)
-	binary.BigEndian.PutUint32(forged[8:], 0)
+	binary.BigEndian.PutUint32(forged[container.HeaderBytes+8:], 0)
 	if _, err := DecodeProof(forged); !errors.As(err, &be) {
 		t.Fatalf("zero shard count: got %v, want *BoundsError", err)
 	}

@@ -16,11 +16,13 @@ import (
 // word-wise codec, seal-once and the pre-keyed MAC (how:
 // internal/counters/testdata/README.md); parent_save.json says which lines
 // it holds and how often each was written. Its container, version 1 of "MTSM",
-// went when every serialisation of the engine became the state stream: Load
-// answers it with a *VersionError. The sealed lines in it are still this
-// engine's lines, so v1Records walks them out and they go in the way every
-// line now does. testdata/v2_save.bin is the same history saved by the commit
-// that made the change, and loads.
+// went when every serialisation of the engine became the state stream, and
+// testdata/v2_save.bin, the same history saved by the commit that made that
+// change, went when the line MAC became GHASH-then-AES: Load answers both with
+// a *VersionError. testdata/cw_save.bin is the same history saved by the
+// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt), and
+// loads. The older files' sealed lines are walked out by test-only readers and
+// held to cw_save.bin's: only their MACs may differ.
 
 type stateManifest struct {
 	MemoryBytes uint64         `json:"memory_bytes"`
@@ -125,6 +127,75 @@ func checkFixtureState(t *testing.T, m *Memory, man stateManifest) {
 	}
 }
 
+func readSave(t *testing.T, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// v2Records reads the full image out of a version-2 Save stream: the state
+// stream behind a header, as today.
+func v2Records(t *testing.T, blob []byte) []DirtyLine {
+	t.Helper()
+	var lines []DirtyLine
+	err := ReadRecords(bytes.NewReader(blob[HeaderBytes:]), func(batch []DirtyLine) error {
+		for _, d := range batch {
+			d.Line = bytes.Clone(d.Line)
+			lines = append(lines, d)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
+
+// checkOnlyMACsMoved holds an older fixture's lines to cw_save.bin's for the
+// same history at every level compare admits: the same lines, each with the
+// same bytes but for its MAC (a data line's MAC field, a counter line's MAC
+// word).
+func checkOnlyMACsMoved(t *testing.T, old []DirtyLine, compare func(level int32) bool) {
+	t.Helper()
+	type at struct {
+		level int32
+		index uint64
+	}
+	masked := func(d DirtyLine) string {
+		line := bytes.Clone(d.Line)
+		if d.Level >= 0 {
+			counters.SetLineMAC(line, 0)
+		}
+		return string(line)
+	}
+	cw := map[at]string{}
+	for _, d := range v2Records(t, readSave(t, "cw_save.bin")) {
+		if compare(d.Level) {
+			cw[at{d.Level, d.Index}] = masked(d)
+		}
+	}
+	n, macs := 0, 0
+	for _, d := range old {
+		if !compare(d.Level) {
+			continue
+		}
+		n++
+		want, ok := cw[at{d.Level, d.Index}]
+		if !ok || masked(d) != want {
+			t.Fatalf("level %d line %d: not cw_save.bin's line but for its MAC", d.Level, d.Index)
+		}
+		if d.Level == -1 {
+			macs++
+		}
+	}
+	if n != len(cw) || macs == 0 {
+		t.Fatalf("%d lines compared (%d data), cw_save.bin holds %d", n, macs, len(cw))
+	}
+}
+
 func TestParentSaveLoadsAndVerifies(t *testing.T) {
 	blob, man := readParentSave(t)
 	cfg := parentConfig(man.MemoryBytes)
@@ -133,20 +204,32 @@ func TestParentSaveLoadsAndVerifies(t *testing.T) {
 	if !errors.As(err, &ve) || ve.Magic != persistMagic || ve.Version != 1 {
 		t.Fatalf("Load of a version-1 Save stream returned %v, want a *VersionError naming it", err)
 	}
-	checkFixtureState(t, loadV1(t, cfg, blob), man)
+	// The parent's tree counted writes, not write-backs, so its lines above
+	// level 0 hold other counters (internal/counters/testdata/README.md).
+	checkOnlyMACsMoved(t, v1Records(blob), func(level int32) bool { return level <= 0 && level != configLevel })
 }
 
-// TestV2SaveLoadsAndVerifies holds this format to the fixture the commit that
-// introduced it wrote: it loads, verifies, takes writes, and Load then Save
-// is the identity.
+// TestV2SaveLoadsAndVerifies: the fixture of the format's second version is
+// refused whole, and its lines are the current fixture's at every level but
+// for their MACs.
 func TestV2SaveLoadsAndVerifies(t *testing.T) {
 	_, man := readParentSave(t) // the same history
-	blob, err := os.ReadFile("testdata/v2_save.bin")
-	if err != nil {
-		t.Fatal(err)
+	blob := readSave(t, "v2_save.bin")
+	_, err := Load(parentConfig(man.MemoryBytes), bytes.NewReader(blob))
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Magic != persistMagic || ve.Version != 2 {
+		t.Fatalf("Load of a version-2 Save stream returned %v, want a *VersionError naming it", err)
 	}
-	cfg := parentConfig(man.MemoryBytes)
-	m, err := Load(cfg, bytes.NewReader(blob))
+	checkOnlyMACsMoved(t, v2Records(t, blob), func(level int32) bool { return level != configLevel })
+}
+
+// TestCWSaveLoadsAndVerifies holds this format to the fixture the commit that
+// introduced it wrote: it loads, verifies, takes writes, and Load then Save
+// is the identity.
+func TestCWSaveLoadsAndVerifies(t *testing.T) {
+	_, man := readParentSave(t) // the same history
+	blob := readSave(t, "cw_save.bin")
+	m, err := Load(parentConfig(man.MemoryBytes), bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +244,11 @@ func TestV2SaveLoadsAndVerifies(t *testing.T) {
 }
 
 // The generator's write sequence, run on this commit, must leave what the
-// design fixes: every ciphertext, data MAC and encryption-counter value the
-// parent left, through the same level-0 events. Counter lines' MACs and the
-// levels above are not compared: the tree counts write-backs now, not writes,
-// so they legitimately differ (internal/counters/testdata/README.md).
+// design fixes: every ciphertext and encryption-counter value the parent
+// left, through the same level-0 events, and every data MAC cw_save.bin holds
+// (the parent's were HMAC's). Counter lines' MACs and the levels above are
+// not compared with the parent's: the tree counts write-backs now, not
+// writes, so they legitimately differ (internal/counters/testdata/README.md).
 func TestReplayedWritesMatchParentSave(t *testing.T) {
 	blob, man := readParentSave(t)
 	m, err := New(parentConfig(man.MemoryBytes))
@@ -202,9 +286,22 @@ func TestReplayedWritesMatchParentSave(t *testing.T) {
 			len(mine.data), len(mine.levels[0]), len(theirs.data), len(theirs.levels[0]))
 	}
 	for d, ct := range theirs.data {
-		if !bytes.Equal(mine.data[d], ct) || mine.dataMAC[d] != theirs.dataMAC[d] {
-			t.Fatalf("data line %d: the same writes leave a different ciphertext or MAC than on the parent commit", d)
+		if !bytes.Equal(mine.data[d], ct) {
+			t.Fatalf("data line %d: the same writes leave a different ciphertext than on the parent commit", d)
 		}
+	}
+	cw := 0
+	for _, d := range v2Records(t, readSave(t, "cw_save.bin")) {
+		if d.Level != -1 {
+			continue
+		}
+		cw++
+		if mine.dataMAC[d.Index] != d.MAC {
+			t.Fatalf("data line %d: the same writes leave MAC %#x, cw_save.bin holds %#x", d.Index, mine.dataMAC[d.Index], d.MAC)
+		}
+	}
+	if cw != len(mine.data) {
+		t.Fatalf("cw_save.bin holds %d data lines, the replay stored %d", cw, len(mine.data))
 	}
 	enc := parentConfig(man.MemoryBytes).Enc
 	for idx, raw := range theirs.levels[0] {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sort"
+
+	"github.com/securemem/morphtree/internal/container"
 )
 
 // mapStore is the store the engine had before the paged line table: every line
@@ -183,7 +185,7 @@ func (e *mapEngine) save(m *Memory, w *bytes.Buffer) {
 	for _, level := range e.levels {
 		n += len(level)
 	}
-	out := binary.LittleEndian.AppendUint64(AppendHeader(nil, persistMagic, persistVersion), uint64(n))
+	out := binary.LittleEndian.AppendUint64(container.AppendHeader(nil, persistMagic, persistVersion), uint64(n))
 	out = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(out)
 	out = m.rootRecord(out)
 	for lvl, level := range e.levels {

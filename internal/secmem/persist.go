@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"github.com/securemem/morphtree/internal/container"
 )
 
 // Persistence. Engine state leaves a process in one shape, the state stream
@@ -24,12 +26,14 @@ import (
 // internal/ckpt's authenticated container instead.
 
 const (
-	persistMagic   = "MTSM"
-	persistVersion = 2
+	persistMagic = "MTSM"
+	// persistVersion 3: the line MAC became GHASH-then-AES (DESIGN §4), so
+	// every sealed line's MAC moved.
+	persistVersion = 3
 
 	// HeaderBytes is the length of the header every container of this
 	// repository opens with: a four-byte magic and a u64 version.
-	HeaderBytes = 12
+	HeaderBytes = container.HeaderBytes
 
 	// configLevel is the level of a full image's first record: Index is the
 	// capacity in bytes and Line the organization's fingerprint.
@@ -37,41 +41,14 @@ const (
 )
 
 // VersionError reports input whose header names another container, or another
-// version of the one expected: nothing after the header can be read, so
-// nothing was. Files written before a format's version moved fail with it,
-// never with an *IntegrityError.
-type VersionError struct {
-	// Magic and Version are what the input's header says.
-	Magic   string
-	Version uint64
-	// Want and WantVersion are what the reader reads.
-	Want        string
-	WantVersion uint64
-}
-
-// Error implements error.
-func (e *VersionError) Error() string {
-	return fmt.Sprintf("secmem: input is %q version %d, this build reads %q version %d", e.Magic, e.Version, e.Want, e.WantVersion)
-}
-
-// AppendHeader appends a container header: magic, then the version.
-func AppendHeader(buf []byte, magic string, version uint64) []byte {
-	return binary.LittleEndian.AppendUint64(append(buf, magic...), version)
-}
-
-// CheckHeader checks HeaderBytes of input against the container expected and
-// returns a *VersionError if they name anything else.
-func CheckHeader(head []byte, magic string, version uint64) error {
-	if got, v := string(head[:len(magic)]), binary.LittleEndian.Uint64(head[len(magic):]); got != magic || v != version {
-		return &VersionError{Magic: got, Version: v, Want: magic, WantVersion: version}
-	}
-	return nil
-}
+// version of the one expected (container.VersionError). Files written before a
+// format's version moved fail with it, never with an *IntegrityError.
+type VersionError = container.VersionError
 
 // Save writes the memory's state to w: the header, then a full image.
 func (m *Memory) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(AppendHeader(nil, persistMagic, persistVersion)); err != nil {
+	if _, err := bw.Write(container.AppendHeader(nil, persistMagic, persistVersion)); err != nil {
 		return fmt.Errorf("secmem: save: %w", err)
 	}
 	if err := m.WriteRecords(bw); err != nil {
@@ -116,7 +93,7 @@ func Load(cfg Config, r io.Reader) (*Memory, error) {
 	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("secmem: load: header: %w", unexpectedEOF(err))
 	}
-	if err := CheckHeader(head[:], persistMagic, persistVersion); err != nil {
+	if err := container.CheckHeader(head[:], persistMagic, persistVersion); err != nil {
 		return nil, err
 	}
 	if err := ReadRecords(br, m.Apply); err != nil {

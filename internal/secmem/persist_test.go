@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/counters"
 )
 
@@ -181,9 +182,9 @@ func FuzzLoad(f *testing.F) {
 	if err := m.Save(&valid); err != nil {
 		f.Fatal(err)
 	}
-	bomb := binary.LittleEndian.AppendUint64(AppendHeader(nil, persistMagic, persistVersion), 1<<62)
+	bomb := binary.LittleEndian.AppendUint64(container.AppendHeader(nil, persistMagic, persistVersion), 1<<62)
 	f.Add(append(bomb, make([]byte, 24)...), uint8(0), uint32(0)) // 44 bytes: a count of 2^62 and room for no record
-	f.Add(append(AppendHeader(nil, persistMagic, 1), make([]byte, 32)...), uint8(0), uint32(0))
+	f.Add(append(container.AppendHeader(nil, persistMagic, 1), make([]byte, 32)...), uint8(0), uint32(0))
 	f.Add(valid.Bytes(), uint8(0), uint32(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f}, uint8(1), uint32(HeaderBytes+8+12)) // the first record's length
 	f.Add([]byte{0x40}, uint8(1), uint32(1000))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/proof"
 )
 
@@ -94,9 +95,9 @@ func TestProofTruncatedMidBody(t *testing.T) {
 // than any real tree is rejected by the cap before allocation.
 func TestProofOversizedPathLength(t *testing.T) {
 	body := proofBody(t)
-	// chain length u16 sits after addr(8) + shards(4) + shard(4) +
-	// epoch(8) + line flag(1) + line(64) + mac(8).
-	const chainOff = 8 + 4 + 4 + 8 + 1 + proof.LineBytes + 8
+	// chain length u16 sits after the container header(12) + addr(8) +
+	// shards(4) + shard(4) + epoch(8) + line flag(1) + line(64) + mac(8).
+	const chainOff = container.HeaderBytes + 8 + 4 + 4 + 8 + 1 + proof.LineBytes + 8
 	forged := append([]byte(nil), body...)
 	forged[chainOff] = 0xFF
 	forged[chainOff+1] = 0xFF
