@@ -74,14 +74,15 @@ perf-engine:
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
 # all, over the wire's frame reader, whose length prefix arrives before any
 # authentication does, over the cluster control payload codecs
-# (FuzzReplicateCodec: OpReplicate, the one path a shard's records take
-# between nodes, OpPromote and OpFollow), over the request decoders a
+# (FuzzReplicateCodec: OpReplicate's request and response, the one path a
+# shard's records take between nodes), over the request decoders a
 # server runs before anything checks the request (FuzzRequestCodec: the
 # address, WRITE, ROOT_RANGE and HELLO payloads, and ROUTE's reply),
 # over morphserve's admin request-head parser (FuzzAdminRequest), which
 # reads whatever reaches the -admin port before anything routes on it, and
-# over the PROOF reply's decoder (FuzzProofDecode), which a thin client runs
-# on whatever the server sends before it verifies a MAC.
+# over the PROOF, ROOT and ROOT_RANGE replies' decoders (FuzzProofDecode),
+# which a thin client and morphaudit run on whatever the server sends before
+# they verify a MAC or a signature.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \

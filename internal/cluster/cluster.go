@@ -19,11 +19,13 @@
 // Leadership is guarded by a monotonically increasing fencing epoch. A
 // node that sees a higher epoch than its own steps down fenced; batch
 // keys are derived from the epoch, so a deposed primary's stream is not
-// even decodable as the new epoch's. Promotion is control-plane driven:
-// the caller surveys survivors, computes the element-wise max durable
-// vector, and asks one replica to promote to epoch+1 — the replica
-// refuses while its leader lease is unexpired, catches its tail up from
-// donor peers, and only then assumes the role.
+// even decodable as the new epoch's. Promotion is a Go call made by the
+// process that embeds the nodes; no wire op promotes a node or points it
+// at a leader. That process surveys survivors, computes the element-wise
+// max durable vector, and calls one replica's Promote at epoch+1 and the
+// others' Follow. The candidate refuses while its leader lease is
+// unexpired, catches its tail up from donor peers, and only then assumes
+// the role.
 package cluster
 
 import (

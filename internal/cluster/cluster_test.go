@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -606,17 +610,21 @@ func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodesAreUnknown: the three retired opcodes — 0x12, which was
-// OpMigrate, 0x05, which was OpSnapshot, and 0x09, which was OpObs — are
-// unknown opcodes to a primary. A Cutover frame in their last layout, at the primary's own epoch
-// and naming an address nobody serves, neither changes the node's route nor
-// points the shard's writers anywhere: the next write to that shard
-// acknowledges on the primary.
+// TestRetiredOpcodesAreUnknown: the five retired opcodes — 0x12, which was
+// OpMigrate, 0x05, which was OpSnapshot, 0x09, which was OpObs, 0x10, which
+// was OpPromote, and 0x11, which was OpFollow — are unknown opcodes to a
+// primary. Each frame is in its op's last layout, aimed at the primary
+// itself: a Cutover at its own epoch naming an address nobody serves, a
+// PROMOTE and a FOLLOW (to that address) at the next epoch. None changes the
+// node's route or points the shard's writers anywhere: the next write to
+// shard 0 acknowledges on the primary.
 func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	const (
 		opMigrate  = 0x12 // retired OpMigrate
 		opSnapshot = 0x05 // retired OpSnapshot
 		opObs      = 0x09 // retired OpObs
+		opPromote  = 0x10 // retired OpPromote
+		opFollow   = 0x11 // retired OpFollow
 		cutover    = 4    // OpMigrate's Cutover phase
 		bogus      = "127.0.0.1:1"
 	)
@@ -632,6 +640,18 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	cut = append(cut, bogus...)
 	cut = binary.BigEndian.AppendUint16(cut, 0)
 
+	// | u64 newEpoch | u32 nshards | u64 minMarks… |
+	promote := binary.BigEndian.AppendUint64(nil, before.Epoch+1)
+	promote = binary.BigEndian.AppendUint32(promote, uint32(len(before.Marks)))
+	for _, m := range before.Marks {
+		promote = binary.BigEndian.AppendUint64(promote, m)
+	}
+
+	// | u64 epoch | u16 leaderLen | leader |
+	follow := binary.BigEndian.AppendUint64(nil, before.Epoch+1)
+	follow = binary.BigEndian.AppendUint16(follow, uint16(len(bogus)))
+	follow = append(follow, bogus...)
+
 	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -643,7 +663,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	for _, f := range []struct {
 		op      byte
 		payload []byte
-	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}} {
+	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}, {opPromote, promote}, {opFollow, follow}} {
 		if err := wire.WriteFrame(conn, f.op, f.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -653,7 +673,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 		}
 		var re *wire.RemoteError
 		if err := wire.DecodeError(status, body); !errors.As(err, &re) || !strings.Contains(re.Msg, fmt.Sprintf("unknown opcode %#x", f.op)) {
-			t.Fatalf("opcode %#x answered status %#x (%d bytes), want a remote error naming the unknown opcode", f.op, status, len(body))
+			t.Errorf("opcode %#x answered status %#x (%d bytes), want a remote error naming the unknown opcode", f.op, status, len(body))
 		}
 	}
 
@@ -667,7 +687,55 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	}
 	defer cl.Close()
 	if err := cl.Write(0, oracle.Fill(0, 1)); err != nil {
-		t.Fatalf("write to shard 0 after the retired cutover: %v", err)
+		t.Fatalf("write to shard 0 after the retired opcodes: %v", err)
+	}
+}
+
+// TestUnboundPollCannotFence: a poll from a connection that no peer binding
+// vouches for must not move a primary's epoch. One well-formed REPLICATE at
+// epoch 2^64-1 over a raw connection leaves the primary leading at its own
+// epoch, and its cluster.META byte for byte as it was. Today any connection
+// may poll, and a poll at a higher epoch fences the node (ROADMAP 4(d)).
+func TestUnboundPollCannotFence(t *testing.T) {
+	t.Skip("ROADMAP 4(a): REPLICATE has no peer binding yet")
+	shcfg := testShardCfg(t, 2, 1<<13)
+	dcfg := testDCfg(t)
+	p := startNode(t, shcfg, dcfg, func(c *Config) { c.Primary = true })
+	before := p.node.Route()
+	metaPath := filepath.Join(dcfg.Dir, metaFile)
+	metaBefore, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	poll, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: math.MaxUint64, Node: "127.0.0.1:1", Marks: before.Marks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialTimeout("tcp", p.addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, wire.OpReplicate, poll); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := wire.ReadFrame(conn); err != nil {
+		t.Fatal(err)
+	}
+
+	if after := p.node.Route(); after.Role != RolePrimary || after.Epoch != before.Epoch {
+		t.Errorf("an unbound poll moved the primary from %s/%d to %s/%d", before.Role, before.Epoch, after.Role, after.Epoch)
+	}
+	metaAfter, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(metaAfter, metaBefore) {
+		t.Errorf("an unbound poll rewrote %s: %s, was %s", metaFile, metaAfter, metaBefore)
 	}
 }
 

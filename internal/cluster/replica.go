@@ -376,7 +376,7 @@ func (n *Node) Follow(epoch uint64, leader string) error {
 	}
 	if leader == n.cfg.Self {
 		n.mu.Unlock()
-		return fmt.Errorf("cluster: refusing to follow myself; promotion is explicit (OpPromote)")
+		return fmt.Errorf("cluster: refusing to follow myself; promotion is an explicit Promote call")
 	}
 	if epoch == n.epoch && n.role == RoleReplica && leader == n.leader {
 		n.mu.Unlock()

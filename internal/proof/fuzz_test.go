@@ -14,13 +14,14 @@ import (
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
-// FuzzProofDecode feeds DecodeProof whatever a server, or a man in the middle,
-// could send as a PROOF reply. Every input decodes to a proof that encodes
-// and decodes back to itself, or fails with one of the decoder's typed errors
-// — truncation, a bound, trailing bytes, another header — never a panic and
-// never an *secmem.IntegrityError, which would call framing damage tampering.
-// What it allocates is bounded by the input's length: no count is believed
-// beyond the bytes there are to back it.
+// FuzzProofDecode feeds the proof-log decoders whatever a server, or a man in
+// the middle, could send as a PROOF, ROOT or ROOT_RANGE reply: DecodeProof,
+// DecodeRootInfo and DecodeRangeResult each get the same bytes. Every input
+// decodes to a value that encodes and decodes back to itself, or fails with
+// one of the decoders' typed errors — truncation, a bound, trailing bytes,
+// another header — never a panic and never an *secmem.IntegrityError, which
+// would call framing damage tampering. What each allocates is bounded by the
+// input's length: no count is believed beyond the bytes there are to back it.
 func FuzzProofDecode(f *testing.F) {
 	for _, name := range []string{"cw_proof_0.bin", "cw_proof_5000.bin", "parent_proof_17.bin"} {
 		raw, err := os.ReadFile("testdata/" + name)
@@ -43,40 +44,64 @@ func FuzzProofDecode(f *testing.F) {
 	f.Add(full)
 	f.Add(full[:container.HeaderBytes+8+4]) // ends after a shard count
 	f.Add([]byte{})
+	entry := proof.Entry{Epoch: 2, Root: proof.Digest{0x44}, Prev: proof.Digest{0x55}, Sig: []byte{6, 7}}
+	head := proof.SignedHead{Size: 2, Hash: proof.Digest{0x66}, Sig: []byte{8}}
+	for _, v := range []interface{ Encode([]byte) ([]byte, error) }{
+		&proof.RootInfo{Pub: []byte{1, 2, 3}, Head: head},
+		&proof.RootInfo{Pub: []byte{1, 2, 3}, Head: head, Latest: &entry},
+		&proof.RangeResult{From: 1, To: 3, Entries: []proof.Entry{entry, entry}, Proof: []proof.Digest{{0x77}}},
+	} {
+		b, err := v.Encode(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		p, err := proof.DecodeProof(in)
-		runtime.ReadMemStats(&after)
-		if grew := after.TotalAlloc - before.TotalAlloc; !racedetect.Enabled && grew > 32*uint64(len(in))+4096 {
-			t.Fatalf("decoding %d bytes allocated %d", len(in), grew)
-		}
-		if err == nil {
-			re, err := p.Encode(nil)
-			if err != nil {
-				t.Fatalf("a decoded proof does not encode: %v", err)
-			}
-			again, err := proof.DecodeProof(re)
-			if err != nil || !reflect.DeepEqual(again, p) {
-				t.Fatalf("a decoded proof does not survive encode and decode: %v", err)
-			}
-			return
-		}
-		var (
-			ie *secmem.IntegrityError
-			te *proof.TruncatedError
-			be *proof.BoundsError
-			xe *proof.TrailingError
-			ve *secmem.VersionError
-		)
-		if errors.As(err, &ie) {
-			t.Fatalf("malformed input reported as tampering: %v", err)
-		}
-		if !errors.As(err, &te) && !errors.As(err, &be) && !errors.As(err, &xe) && !errors.As(err, &ve) {
-			t.Fatalf("untyped error %T: %v", err, err)
-		}
-		if len(in) < container.HeaderBytes && !errors.As(err, &te) {
+		err := checkDecoder(t, in, proof.DecodeProof)
+		var te *proof.TruncatedError
+		if err != nil && len(in) < container.HeaderBytes && !errors.As(err, &te) {
 			t.Fatalf("%d bytes, shorter than a header: %v, want a *proof.TruncatedError", len(in), err)
 		}
+		checkDecoder(t, in, proof.DecodeRootInfo)
+		checkDecoder(t, in, proof.DecodeRangeResult)
 	})
+}
+
+// checkDecoder holds one decoder to FuzzProofDecode's rules on in and
+// returns the decoder's error.
+func checkDecoder[T interface{ Encode([]byte) ([]byte, error) }](t *testing.T, in []byte, decode func([]byte) (T, error)) error {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := decode(in)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; !racedetect.Enabled && grew > 32*uint64(len(in))+4096 {
+		t.Fatalf("decoding %d bytes as %T allocated %d", len(in), v, grew)
+	}
+	if err == nil {
+		re, err := v.Encode(nil)
+		if err != nil {
+			t.Fatalf("a decoded %T does not encode: %v", v, err)
+		}
+		again, err := decode(re)
+		if err != nil || !reflect.DeepEqual(again, v) {
+			t.Fatalf("a decoded %T does not survive encode and decode: %v", v, err)
+		}
+		return nil
+	}
+	var (
+		ie *secmem.IntegrityError
+		te *proof.TruncatedError
+		be *proof.BoundsError
+		xe *proof.TrailingError
+		ve *secmem.VersionError
+	)
+	if errors.As(err, &ie) {
+		t.Fatalf("malformed input reported as tampering: %v", err)
+	}
+	if !errors.As(err, &te) && !errors.As(err, &be) && !errors.As(err, &xe) && !errors.As(err, &ve) {
+		t.Fatalf("untyped error %T: %v", err, err)
+	}
+	return err
 }

@@ -6,8 +6,9 @@ import (
 	"fmt"
 )
 
-// Payload codecs for the cluster ops (OpReplicate / OpRoute / OpPromote /
-// OpFollow). The replication stream itself — the per-shard batches inside a
+// Payload codecs for the cluster ops (OpReplicate / OpRoute). Failover is
+// not a wire op: the process that embeds a node calls its Promote and
+// Follow. The replication stream itself — the per-shard batches inside a
 // ReplicateResponse — is opaque here: each batch is a run of sealed WAL
 // frames produced by wal.Codec under a key bound to the sender's fencing
 // epoch, so this layer only moves authenticated bytes around.
@@ -268,68 +269,4 @@ func DecodeReplicateResponse(p []byte) (*ReplicateResponse, error) {
 		return nil, fmt.Errorf("%w: replicate response has %d trailing bytes", ErrMalformed, len(p))
 	}
 	return r, nil
-}
-
-// EncodePromote encodes an OpPromote payload:
-// | u64 newEpoch | u32 nshards | u64 minMarks… |
-func EncodePromote(newEpoch uint64, minMarks []uint64) ([]byte, error) {
-	if len(minMarks) > maxClusterShards {
-		return nil, fmt.Errorf("wire: %d shard marks, max %d", len(minMarks), maxClusterShards)
-	}
-	p := make([]byte, 0, 12+8*len(minMarks))
-	p = binary.BigEndian.AppendUint64(p, newEpoch)
-	p = binary.BigEndian.AppendUint32(p, uint32(len(minMarks)))
-	for _, m := range minMarks {
-		p = binary.BigEndian.AppendUint64(p, m)
-	}
-	return p, nil
-}
-
-// DecodePromote decodes an OpPromote payload.
-func DecodePromote(p []byte) (newEpoch uint64, minMarks []uint64, err error) {
-	if len(p) < 12 {
-		return 0, nil, fmt.Errorf("%w: promote payload is %d bytes, want >= 12", ErrMalformed, len(p))
-	}
-	newEpoch = binary.BigEndian.Uint64(p)
-	n := binary.BigEndian.Uint32(p[8:])
-	if n > maxClusterShards {
-		return 0, nil, fmt.Errorf("%w: %d shard marks, max %d", ErrMalformed, n, maxClusterShards)
-	}
-	p = p[12:]
-	if uint64(len(p)) != uint64(n)*8 {
-		return 0, nil, fmt.Errorf("%w: promote marks are %d bytes, want %d", ErrMalformed, len(p), n*8)
-	}
-	minMarks = make([]uint64, n)
-	for i := range minMarks {
-		minMarks[i] = binary.BigEndian.Uint64(p[i*8:])
-	}
-	return newEpoch, minMarks, nil
-}
-
-// EncodeFollow encodes an OpFollow payload:
-// | u64 epoch | u16 leaderLen | leader |
-func EncodeFollow(epoch uint64, leader string) ([]byte, error) {
-	if len(leader) > maxNodeAddr {
-		return nil, fmt.Errorf("wire: leader address %d bytes, max %d", len(leader), maxNodeAddr)
-	}
-	p := make([]byte, 0, 10+len(leader))
-	p = binary.BigEndian.AppendUint64(p, epoch)
-	p = binary.BigEndian.AppendUint16(p, uint16(len(leader)))
-	return append(p, leader...), nil
-}
-
-// DecodeFollow decodes an OpFollow payload.
-func DecodeFollow(p []byte) (epoch uint64, leader string, err error) {
-	if len(p) < 10 {
-		return 0, "", fmt.Errorf("%w: follow payload is %d bytes, want >= 10", ErrMalformed, len(p))
-	}
-	epoch = binary.BigEndian.Uint64(p)
-	n := int(binary.BigEndian.Uint16(p[8:]))
-	if n > maxNodeAddr {
-		return 0, "", fmt.Errorf("%w: leader address %d bytes, max %d", ErrMalformed, n, maxNodeAddr)
-	}
-	if len(p) != 10+n {
-		return 0, "", fmt.Errorf("%w: follow payload is %d bytes, want %d", ErrMalformed, len(p), 10+n)
-	}
-	return epoch, string(p[10:]), nil
 }

@@ -93,22 +93,12 @@ func TestClusterCodecsTruncationRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prom, err := EncodePromote(2, []uint64{3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fol, err := EncodeFollow(2, "leader:1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, tc := range map[string]struct {
 		p      []byte
 		decode func([]byte) error
 	}{
 		"request":  {req, func(b []byte) error { _, err := DecodeReplicateRequest(b); return err }},
 		"response": {resp, func(b []byte) error { _, err := DecodeReplicateResponse(b); return err }},
-		"promote":  {prom, func(b []byte) error { _, _, err := DecodePromote(b); return err }},
-		"follow":   {fol, func(b []byte) error { _, _, err := DecodeFollow(b); return err }},
 	} {
 		for cut := 0; cut < len(tc.p); cut++ {
 			if err := tc.decode(tc.p[:cut]); err == nil {
@@ -190,8 +180,6 @@ func TestClusterOpNames(t *testing.T) {
 	for op, want := range map[byte]string{
 		OpReplicate: "replicate",
 		OpRoute:     "route",
-		OpPromote:   "promote",
-		OpFollow:    "follow",
 	} {
 		if got := OpName(op); got != want {
 			t.Fatalf("OpName(%#x) = %q, want %q", op, got, want)
@@ -223,27 +211,17 @@ func checkCodec[T any](t *testing.T, p []byte, decode func([]byte) (T, error), e
 	}
 }
 
-// promote and follow are the OpPromote and OpFollow payloads as one value,
-// so their decoders fit checkCodec.
-type promote struct {
-	epoch uint64
-	marks []uint64
-}
-
-type follow struct {
-	epoch  uint64
-	leader string
-}
-
-// FuzzReplicateCodec runs every cluster control decoder — both OpReplicate
-// ones, OpPromote's and OpFollow's — over the same bytes.
+// FuzzReplicateCodec runs both OpReplicate decoders, the request and the
+// response, over the same bytes.
 func FuzzReplicateCodec(f *testing.F) {
 	req, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 7, Node: "r:1", Marks: []uint64{0, 42}, Bootstrap: true})
 	batches, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 3, Marks: []uint64{10, 0}, Batches: [][]byte{[]byte("frames"), nil}})
 	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Snapshot: []byte("blob"), SnapMarks: []uint64{5}})
-	prom, _ := EncodePromote(4, []uint64{8, 9})
-	fol, _ := EncodeFollow(4, "a:1")
-	for _, p := range [][]byte{req, batches, snap, prom, fol} {
+	// The edge shapes: a plain poll with no node and no shards, and a
+	// response that carries no shards at all.
+	poll, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 1})
+	empty, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 2})
+	for _, p := range [][]byte{req, batches, snap, poll, empty} {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
 	}
@@ -253,14 +231,6 @@ func FuzzReplicateCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		checkCodec(t, p, DecodeReplicateRequest, EncodeReplicateRequest)
 		checkCodec(t, p, DecodeReplicateResponse, EncodeReplicateResponse)
-		checkCodec(t, p, func(p []byte) (promote, error) {
-			epoch, marks, err := DecodePromote(p)
-			return promote{epoch, marks}, err
-		}, func(v promote) ([]byte, error) { return EncodePromote(v.epoch, v.marks) })
-		checkCodec(t, p, func(p []byte) (follow, error) {
-			epoch, leader, err := DecodeFollow(p)
-			return follow{epoch, leader}, err
-		}, func(v follow) ([]byte, error) { return EncodeFollow(v.epoch, v.leader) })
 	})
 }
 

@@ -86,18 +86,8 @@ const (
 	// control plane uses it to pick a promotion candidate. Served without an
 	// admission slot.
 	OpRoute byte = 0x0F
-	// OpPromote asks a replica to become primary at a new fencing epoch:
-	// payload is the epoch plus the minimum per-shard LSN vector the
-	// candidate must be caught up to (element-wise max across surviving
-	// replicas). The replica refuses while its lease on the current primary
-	// is unexpired, catches its WAL tail up from donor peers if needed, and
-	// answers with its post-promotion RouteInfo. Served without an
-	// admission slot.
-	OpPromote byte = 0x10
-	// OpFollow redirects a node to follow a (new) leader at a given epoch:
-	// payload is the epoch and leader address. A primary receiving a higher
-	// epoch steps down (fencing). Served without an admission slot.
-	OpFollow byte = 0x11
+	// 0x10 was OpPromote (retired; never reuse it).
+	// 0x11 was OpFollow (retired; never reuse it).
 	// 0x12 was OpMigrate (retired; never reuse it).
 )
 
@@ -117,8 +107,6 @@ var opNames = map[byte]string{
 	OpHello:      "hello",
 	OpReplicate:  "replicate",
 	OpRoute:      "route",
-	OpPromote:    "promote",
-	OpFollow:     "follow",
 }
 
 // OpName returns the lowercase name of an opcode, or "op_%02x" for
