@@ -206,14 +206,30 @@ proof-smoke: bin/morphload bin/morphaudit
 # only if the victim's p99 stays under 2x its solo baseline while the
 # aggressor is shed, the victim reads back its line 0 after the aggressor
 # wrote its own line 0, and the aggressor's first address past its range is
-# refused with a typed error that is not an integrity error.
+# refused with a typed error that is not an integrity error. Then the durable
+# leg: the same mix against a store journaled under -data-dir with a delta a
+# second, drained with SIGTERM, restarted on that directory and mixed again —
+# the probes must hold on the recovered store — and a third start with a
+# one-tenant list must refuse the directory (exit non-zero, not serve).
 tenant-smoke: bin/morphload
 	$(GO) build -race -o bin/morphserve.race ./cmd/morphserve
 	printf '[{"id":"victim","secret":"vs","weight":4},{"id":"greedy","secret":"gs","weight":1,"ops_per_sec":400,"max_inflight":8}]\n' > bin/tenants.json
-	bin/morphserve.race -addr 127.0.0.1:7743 -shards 4 -org morph128 -tenants bin/tenants.json & \
-	SERVE_PID=$$!; sleep 1; \
-	bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json; \
-	STATUS=$$?; kill $$SERVE_PID; wait $$SERVE_PID 2>/dev/null; exit $$STATUS
+	printf '[{"id":"victim","secret":"vs"}]\n' > bin/tenants-one.json
+	@rm -rf bin/tenant-data; STATUS=0; \
+	mix() { \
+		bin/morphserve.race -addr 127.0.0.1:7743 -shards 4 -org morph128 -tenants $$1 $$2 & \
+		SERVE_PID=$$!; sleep 1; \
+		bin/morphload -addr 127.0.0.1:7743 -clients 4 -duration 3s -mix bin/tenants.json || STATUS=1; \
+		kill -TERM $$SERVE_PID; wait $$SERVE_PID || STATUS=1; \
+	}; \
+	DURABLE="-data-dir bin/tenant-data -fsync interval -delta-every 1s"; \
+	echo "tenant-smoke: volatile"; mix bin/tenants.json ""; \
+	echo "tenant-smoke: durable"; mix bin/tenants.json "$$DURABLE"; \
+	echo "tenant-smoke: durable, restarted"; mix bin/tenants.json "$$DURABLE"; \
+	echo "tenant-smoke: durable, restarted with one tenant"; \
+	timeout 10 bin/morphserve.race -addr 127.0.0.1:7743 -shards 4 -org morph128 -tenants bin/tenants-one.json $$DURABLE; RC=$$?; \
+	if [ $$RC -eq 0 ] || [ $$RC -eq 124 ]; then echo "tenant-smoke: a one-tenant list opened the two-tenant store"; STATUS=1; fi; \
+	exit $$STATUS
 
 verify: build fmt vet morphlint morphdebug race
 

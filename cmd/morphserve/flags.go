@@ -81,7 +81,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.snapEvery, "snapshot-every", time.Minute, "periodic checkpoint interval with -data-dir (0 disables)")
 	fs.DurationVar(&o.deltaEvery, "delta-every", 0, "background incremental-checkpoint interval with -data-dir (0 disables); deltas persist only dirty lines and compact to a full snapshot when the chain grows")
 	fs.IntVar(&o.keepEpochs, "keep-epochs", 0, "checkpoint epochs to retain past the newest with -data-dir (0 = newest only; delta chains always keep their base)")
-	fs.StringVar(&o.tenants, "tenants", "", "tenant config file (JSON array of specs); enables multi-tenant mode: HELLO-bound connections, per-tenant address ranges and key domains, weighted fair admission")
+	fs.StringVar(&o.tenants, "tenants", "", "tenant config file (JSON array of specs); enables multi-tenant mode: HELLO-bound connections, per-tenant address ranges and key domains, weighted fair admission. A -data-dir store keeps the tenant set it was created with and refuses another")
 	fs.StringVar(&o.admin, "admin", "", "admin telemetry listen address serving /metricz /tracez /healthz /rootz and pprof (empty = disabled)")
 	fs.IntVar(&o.traceBuf, "trace-buf", 4096, "event trace ring capacity with -admin")
 	fs.StringVar(&o.signSeed, "sign-seed", "", "transparency-log Ed25519 signing seed in hex (32 bytes; default derives one from the master key)")
@@ -154,20 +154,6 @@ func (o *options) validate() error {
 	}
 	if o.deltaEvery < 0 {
 		return fmt.Errorf("-delta-every must be >= 0 (got %v); 0 disables background delta checkpoints", o.deltaEvery)
-	}
-
-	if o.tenants != "" {
-		// A line's key domain is a function of its address, through the
-		// engine's tenant range table, which lives in the volatile engine
-		// only: snapshots and the replication bootstrap do not carry it, so a
-		// recovered or replicated store could not tell which keys seal which
-		// lines. Refuse the combination rather than serve it wrong.
-		if o.dataDir != "" {
-			return fmt.Errorf("-tenants is incompatible with -data-dir: the snapshot format does not record the tenant range table, so a restart could not tell which tenant's keys seal which lines; drop one of the two flags (a persisted range table is future work)")
-		}
-		if o.cluster {
-			return fmt.Errorf("-tenants is incompatible with -cluster: the replication bootstrap does not carry the tenant range table; drop one of the two flags")
-		}
 	}
 
 	if o.cluster {

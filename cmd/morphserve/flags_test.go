@@ -39,9 +39,6 @@ func TestFlagInvalidCombos(t *testing.T) {
 		args []string
 		want string // substring the error must contain
 	}{
-		{"tenants with data-dir", []string{"-tenants", "t.json", "-data-dir", "/tmp/d"}, "-tenants is incompatible with -data-dir"},
-		{"tenants with cluster", []string{"-tenants", "t.json", "-cluster", "-data-dir", "/tmp/d"}, "-tenants is incompatible with -data-dir"},
-		{"tenants with cluster only", []string{"-tenants", "t.json", "-cluster"}, "-tenants is incompatible with -cluster"},
 		{"cluster without data-dir", []string{"-cluster"}, "-cluster requires -data-dir"},
 		{"cluster follow self", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-self", "h:1", "-cluster-join", "h:1"}, "cannot follow itself"},
 		{"cluster zero lease", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-lease", "0s"}, "-cluster-lease must be positive"},

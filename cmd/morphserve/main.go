@@ -9,6 +9,7 @@
 //	morphserve -data-dir /var/lib/morphserve            # crash-consistent
 //	morphserve -data-dir d -fsync interval -snapshot-every 30s
 //	morphserve -tamper        # enable the wire-level tamper op for demos
+//	morphserve -tenants t.json -data-dir d  # d keeps t.json's tenant set
 //
 // Without -data-dir the store is volatile. With it, every write is
 // journaled to a write-ahead log before it is acknowledged, snapshots are
@@ -65,6 +66,8 @@ var (
 	_ server.Prover       = (*durable.Memory)(nil)
 	_ server.Prover       = (*cluster.Node)(nil)
 	_ server.TenantRanger = (*shard.Sharded)(nil)
+	_ server.TenantRanger = (*durable.Memory)(nil)
+	_ server.TenantRanger = (*cluster.Node)(nil)
 )
 
 // store is what morphserve asks of a durable engine besides serving it: the
@@ -115,6 +118,9 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	// Every mode builds its engine from this one config, so a volatile, a
+	// durable and a cluster store (and a replica's snapshot re-bootstrap)
+	// lay the same tenants out in the same key domains.
 	shcfg := shard.Config{
 		Shards: n,
 		Mem: secmem.Config{
@@ -123,6 +129,14 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 			Tree:        o.tree,
 			Key:         o.key,
 		},
+	}
+	var treg *tenant.Registry
+	if o.tenants != "" {
+		var err error
+		if treg, err = tenant.LoadConfig(o.tenants); err != nil {
+			return fmt.Errorf("-tenants: %w", err)
+		}
+		shcfg.Tenants = treg.IDs()
 	}
 
 	// One registry + tracer instruments the serving, durable and cluster
@@ -146,13 +160,6 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	authority, err := proof.NewAuthority(seed)
 	if err != nil {
 		return fmt.Errorf("-sign-seed: %w", err)
-	}
-
-	var treg *tenant.Registry
-	if o.tenants != "" {
-		if treg, err = tenant.LoadConfig(o.tenants); err != nil {
-			return fmt.Errorf("-tenants: %w", err)
-		}
 	}
 
 	// eng is the serving surface; st is the same value in durable mode, and
@@ -181,7 +188,7 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 			Tracer:      tracer,
 		})
 		if err != nil {
-			return fmt.Errorf("-cluster open %s: %w", o.dataDir, err)
+			return openError(o, "-cluster open", err)
 		}
 		cn.RegisterMetrics(reg)
 		ri := cn.Route()
@@ -198,7 +205,7 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 		if err != nil {
 			// A recovery-time integrity error means the files were
 			// tampered with, not torn: refuse to serve.
-			return fmt.Errorf("open %s: %w", o.dataDir, err)
+			return openError(o, "open", err)
 		}
 		if info.Fresh {
 			log.Printf("morphserve: %s: fresh store, snapshot seq %d", o.dataDir, info.SnapshotSeq)
@@ -214,11 +221,6 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 		sh, err := shard.New(shcfg)
 		if err != nil {
 			return err
-		}
-		if treg != nil {
-			if err := sh.RegisterTenants(treg.IDs()); err != nil {
-				return fmt.Errorf("-tenants: %w", err)
-			}
 		}
 		sh.RegisterMetrics(reg)
 		eng = sh
@@ -296,4 +298,14 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	fmt.Printf("morphserve: admission: %d conns accepted, %d rejected at the cap, %d requests shed, %d quota-shed, %d pings, %d slow-loris drops\n",
 		ns.Accepted, ns.Rejected, ns.Shed, ns.QuotaShed, ns.Pings, ns.SlowLoris)
 	return err
+}
+
+// openError wraps a store's refusal to open, naming -tenants when the store
+// was created with another tenant list than the one it was given.
+func openError(o *options, what string, err error) error {
+	var me *shard.MismatchError
+	if errors.As(err, &me) && me.Field == "tenants" {
+		return fmt.Errorf("-tenants %q: %s %s: %w", o.tenants, what, o.dataDir, err)
+	}
+	return fmt.Errorf("%s %s: %w", what, o.dataDir, err)
 }

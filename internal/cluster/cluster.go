@@ -87,9 +87,6 @@ type Config struct {
 	// PollRetry is how long a follower waits after a failed poll before
 	// retrying (default 50ms).
 	PollRetry time.Duration
-	// BatchRecords caps records per shard per replication response
-	// (default 512).
-	BatchRecords int
 	// DialTimeout bounds replication dials and round trips (default 5s).
 	DialTimeout time.Duration
 	// Logf, when set, observes role changes and replication errors.
@@ -117,14 +114,14 @@ func (c Config) withDefaults() Config {
 	if c.PollRetry <= 0 {
 		c.PollRetry = 50 * time.Millisecond
 	}
-	if c.BatchRecords <= 0 {
-		c.BatchRecords = 512
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
 	return c
 }
+
+// batchRecords caps records per shard per replication response.
+const batchRecords = 512
 
 // replicaState is what a primary tracks per polling follower.
 type replicaState struct {
@@ -141,6 +138,9 @@ type Node struct {
 	cfg   Config
 	shcfg shard.Config
 	dcfg  durable.Config
+	// tenants is the digest of shcfg's tenant list (nil for none), what this
+	// node's polls carry and what it holds every poll it answers to.
+	tenants []byte
 
 	cBatches    *obs.Counter
 	cRecords    *obs.Counter
@@ -200,6 +200,7 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		cfg:         cfg,
 		shcfg:       shcfg,
 		dcfg:        dcfg,
+		tenants:     durable.TenantDigest(shcfg),
 		cBatches:    cfg.Obs.Counter("cluster.repl.batches"),
 		cRecords:    cfg.Obs.Counter("cluster.repl.records"),
 		cAckTimeout: cfg.Obs.Counter("cluster.ack.timeouts"),
@@ -437,6 +438,12 @@ func (n *Node) Seq() uint64 { return n.memory().Seq() }
 
 // Flush forces buffered WAL appends durable.
 func (n *Node) Flush() error { return n.memory().Flush() }
+
+// TenantRange reports tenant id's range of global addresses; every node of
+// a cluster has the same ranges (a poll with another tenant list is refused).
+func (n *Node) TenantRange(id string) (base, size uint64, ok bool) {
+	return n.memory().TenantRange(id)
+}
 
 // Prove builds a verifiable-read witness from the local tree.
 func (n *Node) Prove(addr uint64) (*proof.Proof, error) { return n.memory().Prove(addr) }

@@ -86,8 +86,14 @@ func (n *Node) notifyAckLocked() {
 // epochs match — a replica answering makes it a catch-up donor during
 // promotion — but only a primary registers the poller for ack tracking.
 // A request at a higher epoch fences this node; at a lower epoch it is
-// refused with the redirect.
+// refused with the redirect. A poller with another tenant list is refused
+// first, with a *shard.MismatchError, and moves nothing: it would re-seal
+// this node's writes into other tenants' ranges and serve them after a
+// failover.
 func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, error) {
+	if !bytes.Equal(req.Tenants, n.tenants) {
+		return nil, durable.TenantMismatch(req.Tenants, n.tenants)
+	}
 	n.mu.Lock()
 	if req.Epoch > n.epoch {
 		n.fenceLocked(req.Epoch)
@@ -153,7 +159,7 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 	}
 	progress := false
 	for i := 0; i < mem.NumShards(); i++ {
-		recs, ok, err := mem.ReadRecords(i, marks[i], n.cfg.BatchRecords)
+		recs, ok, err := mem.ReadRecords(i, marks[i], batchRecords)
 		if err != nil {
 			return nil, false, err
 		}

@@ -25,10 +25,12 @@ func (e *LeaseError) Error() string {
 }
 
 // puller is the follower's replication loop: long-poll the leader, apply
-// what arrives, repeat. Errors back off PollRetry; non-replica roles
-// idle until a Follow (or Promote) changes the role.
+// what arrives, repeat. Errors back off PollRetry and are logged when they
+// change — a leader that refuses this node's tenant list refuses every poll;
+// non-replica roles idle until a Follow (or Promote) changes the role.
 func (n *Node) puller() {
 	defer n.wg.Done()
+	var lastErr string
 	for {
 		select {
 		case <-n.stopc:
@@ -42,12 +44,15 @@ func (n *Node) puller() {
 			n.sleep(n.cfg.PollRetry)
 			continue
 		}
-		progress, err := n.pollLeader()
-		switch {
-		case err != nil:
+		// An empty long poll is no error: the leader paced us, loop right away.
+		if _, err := n.pollLeader(); err == nil {
+			lastErr = ""
+		} else {
+			if msg := err.Error(); msg != lastErr {
+				n.logf("cluster: %s poll %s: %v", n.cfg.Self, leader, err)
+				lastErr = msg
+			}
 			n.sleep(n.cfg.PollRetry)
-		case !progress:
-			// Empty long poll: the leader paced us, loop right away.
 		}
 	}
 }
@@ -118,6 +123,7 @@ func (n *Node) pollLeader() (bool, error) {
 		Node:      n.cfg.Self,
 		Marks:     mem.SyncedLSNs(),
 		Bootstrap: bootstrap,
+		Tenants:   n.tenants,
 	}
 	resp, err := cl.Replicate(req)
 	if err != nil {
@@ -170,7 +176,7 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 		if err != nil {
 			return progress, err
 		}
-		recs := make([]wal.Record, 0, n.cfg.BatchRecords)
+		recs := make([]wal.Record, 0, batchRecords)
 		start := time.Now()
 		if _, err := codec.DecodeAll(batch, marks[i]+1, func(r wal.Record) error {
 			recs = append(recs, r)
@@ -338,7 +344,8 @@ func (n *Node) catchUp(mem *durable.Memory, epoch uint64, minMarks []uint64) err
 				Epoch: epoch,
 				// Node is empty: a donor poll must not register us as an
 				// ack-bearing replica of the peer.
-				Marks: mem.SyncedLSNs(),
+				Marks:   mem.SyncedLSNs(),
+				Tenants: n.tenants,
 			})
 			if err == nil && resp.Epoch == epoch && resp.Snapshot == nil {
 				marks := mem.SyncedLSNs()

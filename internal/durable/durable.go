@@ -11,6 +11,7 @@
 //	snapshot.<seq>        atomic full-state snapshot (temp-file + rename)
 //	delta.<seq>.<base>    the lines modified since epoch <base> (delta.go)
 //	wal.<seq>-<shard>     shard's journal of mutations since snapshot <seq>
+//	TENANTS               the sealed tenant list, in a store with tenants (tenants.go)
 //
 // A snapshot and a delta are the same file — a state stream in
 // internal/ckpt's authenticated container, of every stored line or of the
@@ -66,7 +67,7 @@ const (
 	// SyncAlways fsyncs before acknowledging every write; concurrent
 	// writers to a shard are group-committed under one fsync.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a background timer (Config.Interval);
+	// SyncInterval fsyncs on a background timer (every 2 ms);
 	// writes acknowledged between ticks can be lost to a crash.
 	SyncInterval
 	// SyncNone fsyncs only at checkpoints, Flush, and Close.
@@ -105,13 +106,6 @@ type Config struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// Interval is the SyncInterval flush period (default 2ms).
-	Interval time.Duration
-	// VerifySample caps how many replayed lines recovery re-reads through
-	// the integrity tree so at-rest tampering of WAL or snapshot surfaces
-	// as an *secmem.IntegrityError at startup. 0 means the default (16);
-	// negative disables sampling.
-	VerifySample int
 	// VerifyAll makes recovery re-verify every written line in every
 	// shard (bounded-recovery-time tradeoff: thorough but O(state)).
 	VerifyAll bool
@@ -135,15 +129,14 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
-	}
-	if c.VerifySample == 0 {
-		c.VerifySample = 16
-	}
-	return c
-}
+const (
+	// syncInterval is the SyncInterval flush period.
+	syncInterval = 2 * time.Millisecond
+	// verifySample caps how many replayed lines recovery re-reads through the
+	// integrity tree, so at-rest tampering of WAL or snapshot surfaces as an
+	// *secmem.IntegrityError at startup.
+	verifySample = 16
+)
 
 // Stats counts durability-layer activity.
 type Stats struct {
@@ -332,6 +325,10 @@ func (m *Memory) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 	return m.sh.FlipDataBit(addr, byteOff, bit)
 }
 
+// TenantRange forwards tenant id's range of global addresses
+// (shard.Sharded.TenantRange).
+func (m *Memory) TenantRange(id string) (base, size uint64, ok bool) { return m.sh.TenantRange(id) }
+
 // Prove forwards proof building to the engine (the wire PROOF op).
 func (m *Memory) Prove(addr uint64) (*proof.Proof, error) { return m.sh.Prove(addr) }
 
@@ -502,10 +499,10 @@ func (m *Memory) startFlusher() {
 	go m.flusher()
 }
 
-// flusher parks until a write rings wake, syncs Interval later — so a write
-// is durable within Interval plus one fsync, as under a ticker — and parks
-// again: an idle store costs no wake-ups. unsynced is cleared before the LSNs
-// are read, so a write that finds it still set was journaled before this
+// flusher parks until a write rings wake, syncs syncInterval later — so a
+// write is durable within syncInterval plus one fsync, as under a ticker — and
+// parks again: an idle store costs no wake-ups. unsynced is cleared before the
+// LSNs are read, so a write that finds it still set was journaled before this
 // cycle reads its shard and is covered by it; one that finds it clear rings.
 // The goroutine has one timer for its life — a new one per 2 ms cycle was most
 // of what a durable server under load left for the collector.
@@ -520,9 +517,9 @@ func (m *Memory) flusher() {
 		}
 		m.flushCycles.Add(1)
 		if t == nil {
-			t = time.NewTimer(m.cfg.Interval)
+			t = time.NewTimer(syncInterval)
 		} else {
-			t.Reset(m.cfg.Interval) // its last tick was received below: t.C is empty
+			t.Reset(syncInterval) // its last tick was received below: t.C is empty
 		}
 		select {
 		case <-m.stopc:

@@ -563,7 +563,7 @@ func TestSnapshotPathNames(t *testing.T) {
 // still becomes durable within the interval plus an fsync.
 func TestIntervalFlusherIdlesAndStillSyncs(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
-	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: 2 * time.Millisecond})
+	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -603,7 +603,7 @@ func TestIntervalFlusherCyclesDoNotAllocate(t *testing.T) {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
 	shcfg := testShardConfig(t, 2, 1<<13)
-	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval, Interval: time.Millisecond})
+	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncInterval})
 	defer m.Close()
 	line := oracle.Fill(3, 1)
 	cycle := func() {

@@ -275,6 +275,8 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 //  1. Delete leftover temp files; find the newest epoch, full or delta, and
 //     the chain from a full snapshot up to it (an empty directory is first
 //     given snapshot 1, an empty image, so recovery always starts from one).
+//     Hold the store's tenant list to shcfg.Tenants (checkTenants): another
+//     list is a *shard.MismatchError before anything is read.
 //  2. Authenticate and apply the snapshot and each delta of the chain, the
 //     same way (tampering → *secmem.IntegrityError, a file from before the
 //     state stream → *secmem.VersionError).
@@ -286,7 +288,6 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 //     not at first client read.
 //  5. Delete files from other epochs and reopen the segments for append.
 func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
-	cfg = cfg.withDefaults()
 	start := time.Now()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
@@ -321,6 +322,9 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 
 	sh, err := shard.New(shcfg)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkTenants(cfg.Dir, shcfg, head == 0); err != nil {
 		return nil, nil, err
 	}
 	m := &Memory{
@@ -445,9 +449,9 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	// line read here re-verifies its whole MAC chain up to the
 	// on-chip root, so a consistent-looking but tampered snapshot or
 	// WAL fails closed before the memory serves a single request.
-	if k := cfg.VerifySample; k > 0 && len(replayedAddrs) > 0 {
-		step := max(1, len(replayedAddrs)/k)
-		for i := 0; i < len(replayedAddrs) && info.SampleVerified < k; i += step {
+	if len(replayedAddrs) > 0 {
+		step := max(1, len(replayedAddrs)/verifySample)
+		for i := 0; i < len(replayedAddrs) && info.SampleVerified < verifySample; i += step {
 			if _, err := sh.Read(replayedAddrs[i]); err != nil {
 				return nil, nil, err
 			}

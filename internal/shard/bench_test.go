@@ -59,26 +59,51 @@ func BenchmarkShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefill is the morphbench set-up phase as a go-test row: 32 768
-// first writes into a fresh two-shard 64 MiB store from two goroutines, each
-// owning every other pair of lines as the benchmark's callers do. What it
-// times is the store growing — a chunk per 64 lines per shard — on top of the
-// one MAC and one pad a write costs anyway.
-func BenchmarkPrefill(b *testing.B) {
-	const span, callers, shards = 1 << 15, 2, 2
+type prefillLayout struct {
+	name    string
+	callers uint64
+	owns    func(c, d uint64) bool // caller c writes line d
+}
+
+// prefillLayouts deal the prefill's lines to its callers three ways: all to
+// one caller; to two, each owning every other pair of lines, so both
+// alternate between the two shards (the benchmark's callers); to two, each
+// owning one shard's lines.
+var prefillLayouts = []prefillLayout{
+	{"one_caller", 1, func(c, d uint64) bool { return true }},
+	{"alternating", 2, func(c, d uint64) bool { return d/2%2 == c }},
+	{"shard_disjoint", 2, func(c, d uint64) bool { return d%2 == c }},
+}
+
+// BenchmarkPrefillLayout is the morphbench set-up phase as a go-test row,
+// under each layout: 32 768 first writes into a fresh two-shard 64 MiB store.
+// What it times is the store growing — a chunk per 64 lines per shard — on
+// top of the one MAC and one pad a write costs anyway. alternating is the
+// benchmark's own layout (BenchmarkPrefill before it had the other two). On
+// a 2-vCPU VM two alternating callers finish no sooner than one, and two
+// that never share a shard take two thirds of the time: the callers meet on
+// the shard locks (EXPERIMENTS.md, "What setup_s is made of").
+func BenchmarkPrefillLayout(b *testing.B) {
+	for _, l := range prefillLayouts {
+		b.Run(l.name, func(b *testing.B) { benchPrefill(b, l) })
+	}
+}
+
+func benchPrefill(b *testing.B, layout prefillLayout) {
+	const span, shards = 1 << 15, 2
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := mustNew(b, testConfig(b, shards, 64<<20, "morph128"))
 		b.StartTimer()
 		var wg sync.WaitGroup
-		for c := uint64(0); c < callers; c++ {
+		for c := uint64(0); c < layout.callers; c++ {
 			wg.Add(1)
 			go func(c uint64) {
 				defer wg.Done()
 				line := oracle.Fill(c, 1)
 				for d := uint64(0); d < span; d++ {
-					if d/shards%callers != c {
+					if !layout.owns(c, d) {
 						continue
 					}
 					if err := s.Write(d*LineBytes, line); err != nil {

@@ -33,6 +33,10 @@ type Config struct {
 	// whole cachelines; Key is the master key each shard's sub-key is
 	// derived from.
 	Mem secmem.Config
+	// Tenants, when non-empty, lays out one key-domain range per tenant id
+	// (RegisterTenants). Their order does not matter; the set does: a store
+	// keeps the list it was created with.
+	Tenants []string
 }
 
 // Sharded interleaves line addresses across independent secmem engines.
@@ -44,8 +48,8 @@ type Sharded struct {
 	shards []*secmem.Memory
 	// tenants maps tenant id -> the first global line of its range, and span
 	// is every range's length in lines. Set by RegisterTenants before the
-	// Sharded is shared between goroutines; read-only afterwards, so no lock
-	// is needed.
+	// Sharded is shared between goroutines (New calls it for Config.Tenants);
+	// read-only afterwards, so no lock is needed.
 	tenants map[string]uint64
 	span    uint64
 }
@@ -76,6 +80,11 @@ func New(cfg Config) (*Sharded, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		s.shards[i] = m
+	}
+	if len(cfg.Tenants) > 0 {
+		if err := s.RegisterTenants(cfg.Tenants); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -326,22 +335,27 @@ func (s *Sharded) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
 	return s.shards[idx].Store().FlipBit(local/LineBytes, byteOff, bit)
 }
 
-// MismatchError reports a state stream whose shard layout disagrees with the
-// Config it is recovered under. Installing it anyway would deal lines to the
-// wrong shards (every address maps through d % Shards), so the mismatch is
-// rejected with this typed error before any state is built; callers
-// distinguish operator misconfiguration from stream corruption.
+// MismatchError reports stored or replicated state whose layout disagrees
+// with the Config it is recovered under. Installing it anyway would deal
+// lines to the wrong shards (every address maps through d % Shards), or seal
+// them under the wrong tenants' keys (every range moves with the tenant
+// list), so the mismatch is rejected with this typed error before any state
+// is built; callers distinguish operator misconfiguration from corruption.
 type MismatchError struct {
-	// Field names the disagreeing layout parameter ("shards").
+	// Field names the disagreeing layout parameter ("shards" or "tenants").
 	Field string
-	// Stream is the value the stream carries.
+	// Stream is the value the stored or replicated state carries, and Config
+	// the value the caller's Config describes. For "tenants" both are list
+	// digests (0 = no tenants), not counts.
 	Stream uint64
-	// Config is the value the caller's Config describes.
 	Config uint64
 }
 
 // Error implements error.
 func (e *MismatchError) Error() string {
+	if e.Field == "tenants" {
+		return fmt.Sprintf("shard: load: tenant list %#016x does not match config tenant list %#016x (0 = none); the tenant set is fixed when a store is created", e.Stream, e.Config)
+	}
 	return fmt.Sprintf("shard: load: stream %s %d does not match config %s %d", e.Field, e.Stream, e.Field, e.Config)
 }
 

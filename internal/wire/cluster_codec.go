@@ -80,12 +80,20 @@ type ReplicateRequest struct {
 	// Bootstrap forces a full snapshot response regardless of Marks — a
 	// deposed ex-primary rejoining must discard its possibly-divergent log.
 	Bootstrap bool
+	// Tenants is the digest of the follower's tenant list
+	// (durable.TenantDigest), nil when it has none; a node with another list
+	// refuses the poll.
+	Tenants []byte
 }
 
-const replReqFixed = 8 + 1 + 2 + 4 // epoch + flags + nodeLen + nshards
+const (
+	replReqFixed    = 8 + 1 + 2 + 4 // epoch + flags + nodeLen + nshards
+	tenantDigestLen = 32            // a ReplicateRequest's Tenants
+)
 
 // EncodeReplicateRequest encodes an OpReplicate request payload:
 // | u64 epoch | u8 flags | u16 nodeLen | node | u32 nshards | u64 marks… |
+// then, with a tenant list (flags bit1): | 32-byte digest |.
 func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 	if len(r.Node) > maxNodeAddr {
 		return nil, fmt.Errorf("wire: node address %d bytes, max %d", len(r.Node), maxNodeAddr)
@@ -93,11 +101,17 @@ func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 	if len(r.Marks) > maxClusterShards {
 		return nil, fmt.Errorf("wire: %d shard marks, max %d", len(r.Marks), maxClusterShards)
 	}
-	p := make([]byte, 0, replReqFixed+len(r.Node)+8*len(r.Marks))
+	if r.Tenants != nil && len(r.Tenants) != tenantDigestLen {
+		return nil, fmt.Errorf("wire: tenant digest %d bytes, want %d", len(r.Tenants), tenantDigestLen)
+	}
+	p := make([]byte, 0, replReqFixed+len(r.Node)+8*len(r.Marks)+len(r.Tenants))
 	p = binary.BigEndian.AppendUint64(p, r.Epoch)
 	var flags byte
 	if r.Bootstrap {
 		flags |= 1
+	}
+	if r.Tenants != nil {
+		flags |= 2
 	}
 	p = append(p, flags)
 	p = binary.BigEndian.AppendUint16(p, uint16(len(r.Node)))
@@ -106,7 +120,7 @@ func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 	for _, m := range r.Marks {
 		p = binary.BigEndian.AppendUint64(p, m)
 	}
-	return p, nil
+	return append(p, r.Tenants...), nil
 }
 
 // DecodeReplicateRequest decodes an OpReplicate request payload.
@@ -114,10 +128,11 @@ func DecodeReplicateRequest(p []byte) (*ReplicateRequest, error) {
 	if len(p) < replReqFixed {
 		return nil, fmt.Errorf("%w: replicate request is %d bytes, want >= %d", ErrMalformed, len(p), replReqFixed)
 	}
-	if p[8] > 1 {
-		return nil, fmt.Errorf("%w: replicate request flags %#x", ErrMalformed, p[8])
+	flags := p[8]
+	if flags > 3 {
+		return nil, fmt.Errorf("%w: replicate request flags %#x", ErrMalformed, flags)
 	}
-	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p), Bootstrap: p[8] == 1}
+	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p), Bootstrap: flags&1 != 0}
 	nodeLen := int(binary.BigEndian.Uint16(p[9:]))
 	if nodeLen > maxNodeAddr {
 		return nil, fmt.Errorf("%w: node address %d bytes, max %d", ErrMalformed, nodeLen, maxNodeAddr)
@@ -132,6 +147,13 @@ func DecodeReplicateRequest(p []byte) (*ReplicateRequest, error) {
 		return nil, fmt.Errorf("%w: %d shard marks, max %d", ErrMalformed, n, maxClusterShards)
 	}
 	p = p[nodeLen+4:]
+	if flags&2 != 0 {
+		if len(p) < tenantDigestLen {
+			return nil, fmt.Errorf("%w: replicate request cut short in tenant digest", ErrMalformed)
+		}
+		r.Tenants = append([]byte(nil), p[len(p)-tenantDigestLen:]...)
+		p = p[:len(p)-tenantDigestLen]
+	}
 	if uint64(len(p)) != uint64(n)*8 {
 		return nil, fmt.Errorf("%w: replicate request marks are %d bytes, want %d", ErrMalformed, len(p), n*8)
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"runtime"
@@ -29,6 +30,31 @@ func TestReplicateRequestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestReplicateRequestTenantDigest: a poll with a tenant list carries its
+// digest behind flags bit 1 and round-trips; a poll without one keeps the
+// layout it had before the field existed, byte for byte.
+func TestReplicateRequestTenantDigest(t *testing.T) {
+	want := &ReplicateRequest{Epoch: 2, Node: "r", Marks: []uint64{9}, Tenants: bytes.Repeat([]byte{0xA7}, tenantDigestLen)}
+	p, err := EncodeReplicateRequest(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeReplicateRequest(p); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v (%v), want %+v", got, err, want)
+	}
+	if _, err := EncodeReplicateRequest(&ReplicateRequest{Tenants: []byte{1}}); err == nil {
+		t.Fatal("a one-byte tenant digest encoded")
+	}
+	plain, err := EncodeReplicateRequest(&ReplicateRequest{Epoch: 2, Node: "r", Marks: []uint64{9}, Bootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// | epoch 2 | flags 1 | nodeLen 1 | "r" | 1 shard | mark 9 |
+	if want := "000000000000000201000172000000010000000000000009"; hex.EncodeToString(plain) != want {
+		t.Fatalf("a poll without tenants encodes as %x, want %s", plain, want)
 	}
 }
 
@@ -89,6 +115,10 @@ func TestClusterCodecsTruncationRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tenantReq, err := EncodeReplicateRequest(&ReplicateRequest{Epoch: 1, Node: "n1", Marks: []uint64{1, 2}, Tenants: make([]byte, tenantDigestLen)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp, err := EncodeReplicateResponse(&ReplicateResponse{Epoch: 1, Marks: []uint64{1}, Batches: [][]byte{[]byte("abc")}})
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +128,7 @@ func TestClusterCodecsTruncationRobust(t *testing.T) {
 		decode func([]byte) error
 	}{
 		"request":  {req, func(b []byte) error { _, err := DecodeReplicateRequest(b); return err }},
+		"tenants":  {tenantReq, func(b []byte) error { _, err := DecodeReplicateRequest(b); return err }},
 		"response": {resp, func(b []byte) error { _, err := DecodeReplicateResponse(b); return err }},
 	} {
 		for cut := 0; cut < len(tc.p); cut++ {
@@ -215,13 +246,14 @@ func checkCodec[T any](t *testing.T, p []byte, decode func([]byte) (T, error), e
 // response, over the same bytes.
 func FuzzReplicateCodec(f *testing.F) {
 	req, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 7, Node: "r:1", Marks: []uint64{0, 42}, Bootstrap: true})
+	tenants, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 4, Node: "r:2", Marks: []uint64{3}, Tenants: bytes.Repeat([]byte{0xC5}, tenantDigestLen)})
 	batches, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 3, Marks: []uint64{10, 0}, Batches: [][]byte{[]byte("frames"), nil}})
 	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Snapshot: []byte("blob"), SnapMarks: []uint64{5}})
 	// The edge shapes: a plain poll with no node and no shards, and a
 	// response that carries no shards at all.
 	poll, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 1})
 	empty, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 2})
-	for _, p := range [][]byte{req, batches, snap, poll, empty} {
+	for _, p := range [][]byte{req, tenants, batches, snap, poll, empty} {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
 	}
