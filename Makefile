@@ -77,7 +77,7 @@ perf-engine:
 # (FuzzReplicateCodec: OpReplicate's request and response, the one path a
 # shard's records take between nodes), over the request decoders a
 # server runs before anything checks the request (FuzzRequestCodec: the
-# address, WRITE, ROOT_RANGE and HELLO payloads, and ROUTE's reply),
+# address, WRITE, ROOT_RANGE and HELLO payloads),
 # over morphserve's admin request-head parser (FuzzAdminRequest), which
 # reads whatever reaches the -admin port before anything routes on it, and
 # over the PROOF, ROOT and ROOT_RANGE replies' decoders (FuzzProofDecode),
@@ -156,9 +156,11 @@ chaos-smoke: bin/morphcheck.race
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
 # cluster (primary + two replicas) with a node killed mid-load, followed
-# by a lease-expiry failover when the primary was the one killed. Asserts
-# zero lost acknowledged writes and zero spurious integrity errors, and
-# prints each run's failover latency. The full matrix is
+# by a lease-expiry failover when the primary was the one killed, and a
+# hostile-peer row that sprays every node with unbound REPLICATE polls at
+# epochs up to 2^64-1 mid-load. Asserts zero lost acknowledged writes, zero
+# spurious integrity errors and, under the spray, zero role or epoch
+# changes, and prints each run's failover latency. The full matrix is
 # `bin/morphcheck cluster` with defaults; this keeps CI fast.
 cluster-smoke: bin/morphcheck.race
 	bin/morphcheck.race cluster -smoke

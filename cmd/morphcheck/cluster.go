@@ -3,9 +3,12 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,11 +18,13 @@ import (
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/server"
 	"github.com/securemem/morphtree/internal/shard"
+	"github.com/securemem/morphtree/internal/tenant"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
 // The cluster subcommand: three replication nodes on loopback, a whole node
-// killed mid-load, and the same gate as the fault matrix.
+// killed mid-load — or, in the hostile_peer row, every node sprayed with
+// unbound REPLICATE polls — and the same gate as the fault matrix.
 //
 // The harness doubles as the failover control plane (it is the one doing the
 // killing, so "detecting" the death is not what is under test): after a
@@ -47,6 +52,7 @@ type clusterScenario struct {
 	seeds       int
 	killPrimary bool // false = kill a replica instead
 	latency     bool // route client traffic to the primary through a latency proxy
+	hostile     bool // kill nobody: spray unbound REPLICATE polls at every node
 }
 
 func clusterMatrix(smoke bool) []clusterScenario {
@@ -54,12 +60,14 @@ func clusterMatrix(smoke bool) []clusterScenario {
 		return []clusterScenario{
 			{name: "kill_replica", seeds: 1},
 			{name: "kill_primary", seeds: 2, killPrimary: true},
+			{name: "hostile_peer", seeds: 1, hostile: true},
 		}
 	}
 	return []clusterScenario{
 		{name: "kill_replica", seeds: 2},
 		{name: "kill_primary", seeds: 4, killPrimary: true},
 		{name: "kill_primary_latency", seeds: 2, killPrimary: true, latency: true},
+		{name: "hostile_peer", seeds: 2, hostile: true},
 	}
 }
 
@@ -231,21 +239,29 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 	}()
 	endLoad := func() { close(stop); wg.Wait() }
 
-	// The kill, and (for primary kills) the failover control plane.
-	target := replicas[1]
-	if sc.killPrimary {
-		target = p
-	}
+	// The kill, and (for primary kills) the failover control plane; or the
+	// hostile peer, for the rest of the load.
 	time.Sleep(killAt)
-	target.kill()
-	killT := time.Now() // the node is fully gone from here
-	if sc.killPrimary {
-		if err := failOver(nodes, 2); err != nil {
-			endLoad()
-			return "", nil, fmt.Errorf("failover: %w", err)
+	killT := time.Now()
+	var polls int
+	var hostile error
+	if sc.hostile {
+		polls, hostile = sprayPolls(nodes, rand.New(rand.NewSource(seed-3)), loadDuration-killAt)
+	} else {
+		target := replicas[1]
+		if sc.killPrimary {
+			target = p
 		}
+		target.kill()
+		killT = time.Now() // the node is fully gone from here
+		if sc.killPrimary {
+			if err := failOver(nodes, 2); err != nil {
+				endLoad()
+				return "", nil, fmt.Errorf("failover: %w", err)
+			}
+		}
+		time.Sleep(loadDuration - killAt)
 	}
-	time.Sleep(loadDuration - killAt)
 	endLoad()
 
 	load, absorbed := tally(histories, nets)
@@ -260,14 +276,61 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 	}
 	text = fmt.Sprintf("%5d ops, %4d acked, %3d retries, %2d reroutes, failover %6.1fms",
 		load.Ops(), load.Writes, absorbed.Retries, absorbed.Reroutes, failoverMS)
+	if sc.hostile {
+		text += fmt.Sprintf(", %d unbound polls", polls)
+	}
 
 	// Audit on the final primary over a clean connection.
 	final := currentPrimary(nodes)
 	if final == nil {
-		return text, errors.New("no primary survived the run"), nil
+		return text, errors.Join(hostile, errors.New("no primary survived the run")), nil
 	}
 	audit, verify := readBack(final.addr, seed-2, histories)
-	return text, gate(load, audit, verify), nil
+	return text, errors.Join(hostile, gate(load, audit, verify)), nil
+}
+
+// sprayPolls is the hostile peer: for d, over fresh connections that no
+// peer binding vouches for — half of them after a peer HELLO with a bad
+// token — it sends every node well-framed REPLICATE polls at its epoch, the
+// next, random ones and 2^64-1, each naming a node of its own. It fails if
+// anything it sends is answered OK, or any node changes its role or epoch
+// or keeps a hostile name in its ack table.
+func sprayPolls(nodes []*chaosNode, rng *rand.Rand, d time.Duration) (polls int, err error) {
+	before := make([]*cluster.RouteInfo, len(nodes))
+	for i, cn := range nodes {
+		before[i] = cn.node.Route()
+	}
+	var re *wire.RemoteError
+	for end := time.Now().Add(d); time.Now().Before(end) && err == nil; {
+		i := rng.Intn(len(nodes))
+		cl, derr := wire.Dial(nodes[i].addr, time.Second)
+		if derr != nil {
+			return polls, derr
+		}
+		if rng.Intn(2) == 0 && cl.Hello(tenant.PeerID, "not the master key") == nil {
+			err = fmt.Errorf("%s bound a peer with a bad token", nodes[i].addr)
+		}
+		for k := 0; k < 4 && err == nil; k, polls = k+1, polls+1 {
+			epoch := [...]uint64{before[i].Epoch, before[i].Epoch + 1, rng.Uint64(), math.MaxUint64}[rng.Intn(4)]
+			_, perr := cl.Replicate(&wire.ReplicateRequest{Epoch: epoch, Node: fmt.Sprintf("hostile:%d", polls),
+				Marks: before[i].Marks, Bootstrap: rng.Intn(4) == 0})
+			if !errors.As(perr, &re) {
+				err = fmt.Errorf("%s did not refuse an unbound poll at epoch %d: %v", nodes[i].addr, epoch, perr)
+			}
+		}
+		_ = cl.Close() //morphlint:allow errdiscard it wrote nothing a close could lose
+	}
+	for i, cn := range nodes {
+		after := cn.node.Route()
+		if after.Role != before[i].Role || after.Epoch != before[i].Epoch {
+			err = errors.Join(err, fmt.Errorf("unbound polls moved %s from %s/%d to %s/%d",
+				cn.addr, before[i].Role, before[i].Epoch, after.Role, after.Epoch))
+		}
+		if slices.ContainsFunc(after.Nodes, func(rn cluster.RouteNode) bool { return strings.HasPrefix(rn.Addr, "hostile:") }) {
+			err = errors.Join(err, fmt.Errorf("an unbound poll joined %s's ack table", cn.addr))
+		}
+	}
+	return polls, err
 }
 
 // prober writes its reserved line as fast as failures allow, one attempt per
@@ -306,7 +369,7 @@ func firstAfter(times []time.Time, t time.Time) time.Time {
 func failOver(nodes []*chaosNode, newEpoch uint64) error {
 	time.Sleep(clusterLease + 30*time.Millisecond)
 	var survivors []*chaosNode
-	var routes []*wire.RouteInfo
+	var routes []*cluster.RouteInfo
 	for _, cn := range nodes {
 		if cn.alive {
 			survivors = append(survivors, cn)

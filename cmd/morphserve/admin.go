@@ -19,24 +19,27 @@ import (
 	"sync"
 	"time"
 
+	"github.com/securemem/morphtree/internal/cluster"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
 )
 
 // adminPlane is the operator listener -admin opens: the registry
 // (/metricz), the tracer (/tracez), a liveness probe (/healthz), the
-// transparency log (/rootz, and POST /rootz/tamper with -tamper) and the
-// runtime profiles (/debug/pprof/). It is a second listener so telemetry
+// transparency log (/rootz, and POST /rootz/tamper with -tamper), a cluster
+// node's view of its cluster (/clusterz, with -cluster) and the runtime
+// profiles (/debug/pprof/). It is a second listener so telemetry
 // scrapes never compete with data-path admission control, and a bounded
 // HTTP/1.1 responder of its own rather than net/http: one request per
 // connection, at most maxAdminConns at once, the head capped at
 // maxAdminHead and read under adminTimeout, every reply sent whole with its
 // Content-Length and Connection: close.
 type adminPlane struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	auth   *proof.Authority
-	tamper bool
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	auth    *proof.Authority
+	tamper  bool
+	cluster *cluster.Node // nil outside -cluster
 }
 
 const (
@@ -217,6 +220,9 @@ func (p *adminPlane) route(ctx context.Context, req adminRequest) adminResponse 
 		return adminResponse{200, textPlain, []byte("ok\n")}
 	case path == "/rootz":
 		return jsonReply(rootz(p.auth))
+	case path == "/clusterz" && p.cluster != nil:
+		// Here, not on the client port: the cluster map is for operators.
+		return jsonReply(json.Marshal(p.cluster.Route()))
 	case path == "/rootz/tamper" && p.tamper:
 		// Adversary interface matching the wire TAMPER op: forge the log's
 		// first entry in place — the split-view attack morphaudit exists to

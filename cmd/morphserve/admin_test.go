@@ -13,8 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/cluster"
+	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
+	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/shard"
 )
 
 // startPlane serves a plane on a loopback port of the kernel's choosing and
@@ -150,6 +154,26 @@ func TestRootz(t *testing.T) {
 
 	off := startPlane(t, &adminPlane{auth: a})
 	expect(t, "POST", off+"/rootz/tamper", 404, textPlain)
+}
+
+// TestClusterz: a cluster node's view of its cluster, 404 without -cluster.
+func TestClusterz(t *testing.T) {
+	expect(t, "GET", startPlane(t, &adminPlane{})+"/clusterz", 404, textPlain)
+
+	enc, tree, err := shard.Organization("morph128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shcfg := shard.Config{Shards: 2, Mem: secmem.Config{MemoryBytes: 1 << 13, Enc: enc, Tree: tree, Key: []byte("0123456789abcdef")}}
+	n, err := cluster.Open(shcfg, durable.Config{Dir: t.TempDir()}, cluster.Config{Self: "self:1", Primary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	body := expect(t, "GET", startPlane(t, &adminPlane{cluster: n})+"/clusterz", 200, appJSON)
+	if want := `{"epoch":1,"self":"self:1","role":"primary","leader":"self:1","nodes":[{"addr":"self:1","role":"primary"}],"marks":[0,0],"lease_remaining_ms":-1}`; string(body) != want {
+		t.Fatalf("/clusterz: %s, want %s", body, want)
+	}
 }
 
 func TestPprofExposed(t *testing.T) {

@@ -18,9 +18,10 @@
 // on-disk files show tampering rather than a torn crash tail.
 //
 // With -cluster (which requires -data-dir) the node joins a replication
-// group: the primary streams sealed WAL records to followers, followers
-// answer ROUTE so clients can find the leader, and a deposed primary
-// fences itself. See DESIGN.md §16.
+// group: the primary streams sealed WAL records to followers that bind as
+// peers under the master key, data ops on a follower answer MOVED so
+// clients find the leader, and a deposed primary fences itself. With
+// -admin, /clusterz shows the node's view of the cluster. See DESIGN.md §16.
 //
 // Drive it with cmd/morphload; stop it with SIGINT/SIGTERM for a graceful
 // drain (which also flushes the WAL).
@@ -94,6 +95,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("morphserve: %v", err)
 	}
+	var aln net.Listener
+	if o.admin != "" {
+		if aln, err = net.Listen("tcp", o.admin); err != nil {
+			log.Fatalf("morphserve: admin listen: %v", err)
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
@@ -102,7 +109,7 @@ func main() {
 		log.Printf("morphserve: %v: draining", sig)
 		cancel()
 	}()
-	if err := serve(ctx, o, ln); err != nil {
+	if err := serve(ctx, o, ln, aln); err != nil {
 		log.Fatalf("morphserve: %v", err)
 	}
 }
@@ -110,10 +117,11 @@ func main() {
 // serve runs the service the validated options describe on ln until ctx is
 // cancelled, then drains: connections first, then the background
 // checkpointer, then the final checkpoint and the close — so nothing is
-// written to the data directory after the store is closed. The listener is
+// written to the data directory after the store is closed. The listeners are
 // the caller's because a cluster node must know its advertised address
-// before it opens, and a test wants a port of the kernel's choosing.
-func serve(ctx context.Context, o *options, ln net.Listener) error {
+// before it opens, and a test wants ports of the kernel's choosing; aln,
+// the admin plane's (-admin), may be nil.
+func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 	n := o.shards
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -144,7 +152,7 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 	// RegisterMetrics. A nil registry keeps the stack uninstrumented.
 	var reg *obs.Registry
 	var tracer *obs.Tracer
-	if o.admin != "" {
+	if aln != nil {
 		reg = obs.NewRegistry()
 		tracer = obs.NewTracer(o.traceBuf)
 	}
@@ -236,9 +244,8 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 		MaxConns:     o.maxConns,
 		MaxInflight:  o.maxInflight,
 		ShedWait:     o.shedWait,
-		ReadTimeout:  o.timeout,
+		Timeout:      o.timeout,
 		FrameTimeout: o.frameTimeout,
-		WriteTimeout: o.timeout,
 		AllowTamper:  o.tamper,
 		Logf:         log.Printf,
 		Authority:    authority,
@@ -246,13 +253,9 @@ func serve(ctx context.Context, o *options, ln net.Listener) error {
 		Tracer:       tracer,
 		Tenants:      treg,
 	})
-	if o.admin != "" {
-		aln, err := net.Listen("tcp", o.admin)
-		if err != nil {
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		fmt.Printf("morphserve: admin telemetry on http://%s (/metricz /tracez /healthz /rootz /debug/pprof)\n", aln.Addr())
-		plane := &adminPlane{reg: reg, tracer: tracer, auth: authority, tamper: o.tamper}
+	if aln != nil {
+		fmt.Printf("morphserve: admin telemetry on http://%s (/metricz /tracez /healthz /rootz /clusterz /debug/pprof)\n", aln.Addr())
+		plane := &adminPlane{reg: reg, tracer: tracer, auth: authority, tamper: o.tamper, cluster: cn}
 		go func() {
 			if err := plane.Serve(ctx, aln); err != nil {
 				log.Printf("morphserve: admin plane: %v", err)

@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/cluster"
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/proof"
@@ -83,7 +86,7 @@ func TestGracefulStopEndsOnTheFinalSnapshot(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- serve(ctx, o, ln); close(served) }()
+	go func() { served <- serve(ctx, o, ln, nil); close(served) }()
 	defer func() { cancel(); <-served }() // a failed test too waits serve out of its directory
 
 	cl, err := wire.Dial(ln.Addr().String(), 5*time.Second)
@@ -167,10 +170,11 @@ func tenantConfig(t *testing.T, dir string, ids ...string) string {
 	return path
 }
 
-// startServe runs serve with args on addr ("127.0.0.1:0" for a fresh port)
-// and returns the address it listens on and the graceful stop, which returns
-// serve's result. A failed test stops it too.
-func startServe(t *testing.T, addr string, args ...string) (string, func() error) {
+// startServe runs serve with args on addr ("127.0.0.1:0" for a fresh port),
+// with its admin plane, when args set -admin, on a listener of its own, and
+// returns the two addresses it listens on and the graceful stop, which
+// returns serve's result. A failed test stops it too.
+func startServe(t *testing.T, addr string, args ...string) (string, string, func() error) {
 	t.Helper()
 	o, err := parseAndValidate(t, args...)
 	if err != nil {
@@ -180,9 +184,17 @@ func startServe(t *testing.T, addr string, args ...string) (string, func() error
 	if err != nil {
 		t.Fatal(err)
 	}
+	var aln net.Listener
+	var admin string
+	if o.admin != "" {
+		if aln, err = net.Listen("tcp", o.admin); err != nil {
+			t.Fatal(err)
+		}
+		admin = aln.Addr().String()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	go func() { served <- serve(ctx, o, ln); close(served) }()
+	go func() { served <- serve(ctx, o, ln, aln); close(served) }()
 	var once sync.Once
 	var result error
 	stop := func() error {
@@ -190,6 +202,9 @@ func startServe(t *testing.T, addr string, args ...string) (string, func() error
 			cancel()
 			result = <-served
 			_ = ln.Close()
+			if aln != nil {
+				_ = aln.Close()
+			}
 		})
 		return result
 	}
@@ -198,7 +213,7 @@ func startServe(t *testing.T, addr string, args ...string) (string, func() error
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return ln.Addr().String(), stop
+	return ln.Addr().String(), admin, stop
 }
 
 // bound dials addr and binds the connection to tenant id.
@@ -312,7 +327,8 @@ func auditProof(t *testing.T, addr string) {
 // TestServeTenantsCompose: -tenants composes with -data-dir (with and without
 // background deltas), -admin and -cluster. Each row runs a seeded HELLO-bound
 // load per tenant, stops gracefully, restarts on the same directory (the
-// cluster row: both nodes on theirs, the replica re-bootstrapping from the
+// cluster row: both nodes on theirs, each with an admin plane whose /clusterz
+// says when the replica has caught up, the replica re-bootstrapping from the
 // primary's snapshot) and reads every tenant's lines back through the oracle.
 func TestServeTenantsCompose(t *testing.T) {
 	for _, row := range []struct {
@@ -329,21 +345,26 @@ func TestServeTenantsCompose(t *testing.T) {
 			dir := t.TempDir()
 			tenants := tenantConfig(t, dir, composeTenants...)
 			args := func(data string) []string {
-				return append(append([]string{"-tenants", tenants, "-data-dir", filepath.Join(dir, data)}, composeArgs...), row.args...)
+				a := append(append([]string{"-tenants", tenants, "-data-dir", filepath.Join(dir, data)}, composeArgs...), row.args...)
+				if row.cluster {
+					a = append(a, "-admin", "127.0.0.1:0")
+				}
+				return a
 			}
-			addr, stop := startServe(t, "127.0.0.1:0", args("primary")...)
-			var replica string
+			addr, primaryAdmin, stop := startServe(t, "127.0.0.1:0", args("primary")...)
+			var replica, replicaAdmin string
 			stopReplica := func() error { return nil }
 			if row.cluster {
-				replica, stopReplica = startServe(t, "127.0.0.1:0", append(args("replica"), "-cluster-join", addr)...)
+				replica, replicaAdmin, stopReplica = startServe(t, "127.0.0.1:0", append(args("replica"), "-cluster-join", addr)...)
 			}
+			caughtUp := func() { waitCaughtUp(t, primaryAdmin, replicaAdmin, replica) }
 			hists := map[string]*oracle.History{}
 			tenantLoad(t, addr, 37, hists)
 			if row.name == "admin" {
 				auditProof(t, addr)
 			}
 			if row.cluster {
-				caughtUp(t, addr, replica)
+				caughtUp()
 			}
 			if err := stopReplica(); err != nil {
 				t.Fatalf("replica stop: %v", err)
@@ -355,13 +376,13 @@ func TestServeTenantsCompose(t *testing.T) {
 			// The restarted replica rejoins through a snapshot of the
 			// primary's, so it has caught up once it holds the writes after
 			// the restart too.
-			addr, _ = startServe(t, addr, args("primary")...)
+			addr, primaryAdmin, _ = startServe(t, addr, args("primary")...)
 			if row.cluster {
-				replica, _ = startServe(t, replica, append(args("replica"), "-cluster-join", addr)...)
+				replica, replicaAdmin, _ = startServe(t, replica, append(args("replica"), "-cluster-join", addr)...)
 			}
 			tenantLoad(t, addr, 43, hists)
 			if row.cluster {
-				caughtUp(t, addr, replica)
+				caughtUp()
 			}
 			auditTenants(t, addr, hists)
 			if row.name == "admin" {
@@ -371,33 +392,40 @@ func TestServeTenantsCompose(t *testing.T) {
 	}
 }
 
-// caughtUp waits until replica's durable marks cover primary's, then has the
-// replica verify every line it holds.
-func caughtUp(t *testing.T, primary, replica string) {
-	t.Helper()
-	pc, err := wire.Dial(primary, 5*time.Second)
+// clusterz fetches a node's cluster view from its admin plane.
+func clusterz(admin string) (*cluster.RouteInfo, error) {
+	resp, err := http.Get("http://" + admin + "/clusterz")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	defer pc.Close()
-	rc := bound(t, replica, composeTenants[0])
-	defer rc.Close()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("/clusterz: %s", resp.Status)
+	}
+	var ri cluster.RouteInfo
+	return &ri, json.NewDecoder(resp.Body).Decode(&ri)
+}
+
+// waitCaughtUp waits until the replica's durable marks, as its admin plane
+// reports them, cover the primary's, then has the replica verify every line
+// it holds. A plane not yet listening is asked again.
+func waitCaughtUp(t *testing.T, primaryAdmin, replicaAdmin, replica string) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		pr, err := pc.Route()
-		if err != nil {
-			t.Fatal(err)
+		pr, err := clusterz(primaryAdmin)
+		var rr *cluster.RouteInfo
+		if err == nil {
+			rr, err = clusterz(replicaAdmin)
 		}
-		rr, err := rc.Route()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices.Equal(pr.Marks, rr.Marks) {
+		if err == nil && slices.Equal(pr.Marks, rr.Marks) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica marks %v never reached the primary's %v", rr.Marks, pr.Marks)
+			t.Fatalf("the replica never caught up: %v (%+v, %+v)", err, pr, rr)
 		}
 	}
+	rc := bound(t, replica, composeTenants[0])
+	defer rc.Close()
 	if err := rc.Verify(); err != nil {
 		t.Fatalf("replica verify: %v", err)
 	}
@@ -413,7 +441,7 @@ func TestServeTenantsRestartLists(t *testing.T) {
 	args := func(extra ...string) []string {
 		return append(append([]string{"-data-dir", data}, composeArgs...), extra...)
 	}
-	addr, stop := startServe(t, "127.0.0.1:0", args("-tenants", tenantConfig(t, dir, composeTenants...))...)
+	addr, _, stop := startServe(t, "127.0.0.1:0", args("-tenants", tenantConfig(t, dir, composeTenants...))...)
 	hists := map[string]*oracle.History{}
 	tenantLoad(t, addr, 41, hists)
 	if err := stop(); err != nil {
@@ -421,7 +449,7 @@ func TestServeTenantsRestartLists(t *testing.T) {
 	}
 
 	t.Run("reordered", func(t *testing.T) {
-		addr, stop := startServe(t, "127.0.0.1:0", args("-tenants", tenantConfig(t, dir, "gamma", "alpha", "beta"))...)
+		addr, _, stop := startServe(t, "127.0.0.1:0", args("-tenants", tenantConfig(t, dir, "gamma", "alpha", "beta"))...)
 		auditTenants(t, addr, hists)
 		if err := stop(); err != nil {
 			t.Fatal(err)
@@ -438,7 +466,7 @@ func TestServeTenantsRestartLists(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second) // serving it is the failure
-			err = serve(ctx, o, ln)
+			err = serve(ctx, o, ln, nil)
 			cancel()
 			ln.Close()
 			var me *shard.MismatchError

@@ -43,6 +43,7 @@ import (
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
+	"github.com/securemem/morphtree/internal/tenant"
 	"github.com/securemem/morphtree/internal/wal"
 	"github.com/securemem/morphtree/internal/wire"
 )
@@ -123,12 +124,6 @@ func (c Config) withDefaults() Config {
 // batchRecords caps records per shard per replication response.
 const batchRecords = 512
 
-// replicaState is what a primary tracks per polling follower.
-type replicaState struct {
-	marks    []uint64
-	lastPoll time.Time
-}
-
 // Node is one cluster member. It implements server.Engine (plus the
 // Checkpointer, Flusher, and Prover optional surfaces) by delegating to
 // its durable.Memory — except that data ops on a non-primary answer
@@ -156,11 +151,11 @@ type Node struct {
 	epoch       uint64
 	leader      string // advertised leader address ("" when unknown)
 	lastContact time.Time
-	bootstrap   bool // next poll must request a full snapshot
-	replicas    map[string]*replicaState
-	ackCh       chan struct{} // closed when replica marks advance
-	pullCl      *wire.Client  // replica's connection to the leader
-	pullAddr    string        // address pullCl is dialed to
+	bootstrap   bool                // next poll must request a full snapshot
+	replicas    map[string][]uint64 // the ack table: each poller's durable marks
+	ackCh       chan struct{}       // closed when replica marks advance
+	pullCl      *wire.Client        // replica's connection to the leader
+	pullAddr    string              // address pullCl is dialed to
 	onCkpt      func(seq uint64)
 
 	stopc  chan struct{}
@@ -213,7 +208,7 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		epoch:       cfg.Epoch,
 		leader:      cfg.Leader,
 		lastContact: time.Now(),
-		replicas:    map[string]*replicaState{},
+		replicas:    map[string][]uint64{},
 		stopc:       make(chan struct{}),
 	}
 	if cfg.Primary {
@@ -353,6 +348,37 @@ func replKey(master []byte, epoch uint64, shardIdx int) []byte {
 	h := hmac.New(sha256.New, master)
 	fmt.Fprintf(h, "morphtree/repl/%d/%d", epoch, shardIdx)
 	return h.Sum(nil)
+}
+
+// peerSecret derives the key a peer HELLO is made under, the master key's
+// "morphtree/cluster-control" domain: only a holder of the master key can
+// bind as a peer, and only a bound peer's poll is read.
+func peerSecret(master []byte) string {
+	h := hmac.New(sha256.New, master)
+	h.Write([]byte("morphtree/cluster-control"))
+	return string(h.Sum(nil))
+}
+
+// AuthenticatePeer reports whether token is the one a cluster peer binds
+// with, the HELLO token of tenant.PeerID under this node's peerSecret,
+// compared in constant time. It is server.ClusterNode's peer check.
+func (n *Node) AuthenticatePeer(token []byte) bool {
+	want := tenant.HelloToken(peerSecret(n.shcfg.Mem.Key), tenant.PeerID)
+	return hmac.Equal(token, want[:])
+}
+
+// dialPeer dials addr and binds the connection as a cluster peer, which a
+// node requires before it reads a poll.
+func (n *Node) dialPeer(addr string) (*wire.Client, error) {
+	cl, err := wire.Dial(addr, n.cfg.DialTimeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := cl.Hello(tenant.PeerID, peerSecret(n.shcfg.Mem.Key)); err != nil {
+		_ = cl.Close()
+		return nil, err
+	}
+	return cl, nil
 }
 
 func (n *Node) codec(epoch uint64, shardIdx int) (*wal.Codec, error) {

@@ -82,7 +82,7 @@ func startNode(t *testing.T, shcfg shard.Config, dcfg durable.Config, mutate fun
 		_ = ln.Close()
 		t.Fatal(err)
 	}
-	srv := server.New(n, server.Config{ReadTimeout: 2 * time.Second})
+	srv := server.New(n, server.Config{Timeout: 2 * time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -181,12 +181,8 @@ func TestClusterReplicationEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The route map from the primary names both pollers.
-	ri, err := cl.Route()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri.Role != RolePrimary || ri.Leader != p.addr || len(ri.Nodes) != 3 {
+	// The primary's route map names both pollers.
+	if ri := p.node.Route(); ri.Role != RolePrimary || ri.Leader != p.addr || len(ri.Nodes) != 3 {
 		t.Fatalf("primary route = %+v", ri)
 	}
 }
@@ -576,8 +572,8 @@ func TestPromoteIdempotent(t *testing.T) {
 	}
 }
 
-// TestServerRefusesClusterOpsWithoutCluster: the four control ops answer
-// a plain error on a non-cluster server instead of hanging or panicking.
+// TestServerRefusesClusterOpsWithoutCluster: REPLICATE answers a plain
+// error on a non-cluster server instead of hanging or panicking.
 func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 	shcfg := testShardCfg(t, 1, 1<<12)
 	sh, err := shard.New(shcfg)
@@ -599,25 +595,20 @@ func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Route(); err == nil {
-		t.Fatal("route on non-cluster server succeeded")
-	} else if wire.IsMoved(err) || wire.IsShed(err) {
-		t.Fatalf("route err misclassified: %v", err)
-	}
 	var re *wire.RemoteError
-	if _, err := cl.Replicate(&wire.ReplicateRequest{Epoch: 1, Marks: []uint64{0}}); !errors.As(err, &re) {
+	if _, err := cl.Replicate(&wire.ReplicateRequest{Epoch: 1, Marks: []uint64{0}}); !errors.As(err, &re) || wire.IsMoved(err) || wire.IsShed(err) {
 		t.Fatalf("replicate err = %v, want RemoteError", err)
 	}
 }
 
-// TestRetiredOpcodesAreUnknown: the five retired opcodes — 0x12, which was
+// TestRetiredOpcodesAreUnknown: the six retired opcodes — 0x12, which was
 // OpMigrate, 0x05, which was OpSnapshot, 0x09, which was OpObs, 0x10, which
-// was OpPromote, and 0x11, which was OpFollow — are unknown opcodes to a
-// primary. Each frame is in its op's last layout, aimed at the primary
-// itself: a Cutover at its own epoch naming an address nobody serves, a
-// PROMOTE and a FOLLOW (to that address) at the next epoch. None changes the
-// node's route or points the shard's writers anywhere: the next write to
-// shard 0 acknowledges on the primary.
+// was OpPromote, 0x11, which was OpFollow, and 0x0F, which was OpRoute — are
+// unknown opcodes to a primary. Each frame is in its op's last layout, aimed
+// at the primary itself: a Cutover at its own epoch naming an address nobody
+// serves, a PROMOTE and a FOLLOW (to that address) at the next epoch, an
+// empty ROUTE. None changes the node's route or points the shard's writers
+// anywhere: the next write to shard 0 acknowledges on the primary.
 func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	const (
 		opMigrate  = 0x12 // retired OpMigrate
@@ -625,6 +616,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 		opObs      = 0x09 // retired OpObs
 		opPromote  = 0x10 // retired OpPromote
 		opFollow   = 0x11 // retired OpFollow
+		opRoute    = 0x0F // retired OpRoute
 		cutover    = 4    // OpMigrate's Cutover phase
 		bogus      = "127.0.0.1:1"
 	)
@@ -663,7 +655,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	for _, f := range []struct {
 		op      byte
 		payload []byte
-	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}, {opPromote, promote}, {opFollow, follow}} {
+	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}, {opPromote, promote}, {opFollow, follow}, {opRoute, nil}} {
 		if err := wire.WriteFrame(conn, f.op, f.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -693,11 +685,9 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 
 // TestUnboundPollCannotFence: a poll from a connection that no peer binding
 // vouches for must not move a primary's epoch. One well-formed REPLICATE at
-// epoch 2^64-1 over a raw connection leaves the primary leading at its own
-// epoch, and its cluster.META byte for byte as it was. Today any connection
-// may poll, and a poll at a higher epoch fences the node (ROADMAP 4(d)).
+// epoch 2^64-1 over a raw connection is refused, and leaves the primary
+// leading at its own epoch and its cluster.META byte for byte as it was.
 func TestUnboundPollCannotFence(t *testing.T) {
-	t.Skip("ROADMAP 4(a): REPLICATE has no peer binding yet")
 	shcfg := testShardCfg(t, 2, 1<<13)
 	dcfg := testDCfg(t)
 	p := startNode(t, shcfg, dcfg, func(c *Config) { c.Primary = true })
@@ -723,8 +713,10 @@ func TestUnboundPollCannotFence(t *testing.T) {
 	if err := wire.WriteFrame(conn, wire.OpReplicate, poll); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := wire.ReadFrame(conn); err != nil {
+	if status, body, err := wire.ReadFrame(conn); err != nil {
 		t.Fatal(err)
+	} else if status != wire.StatusError {
+		t.Errorf("an unbound poll answered status %#x (%q), want a refusal", status, body)
 	}
 
 	if after := p.node.Route(); after.Role != RolePrimary || after.Epoch != before.Epoch {
@@ -776,7 +768,8 @@ func TestAckUnblocksOnPoll(t *testing.T) {
 }
 
 func ExampleNode_Route() {
-	// Route output is JSON over the wire; shown here for shape only.
+	// Route's JSON, as morphserve's admin /clusterz serves it; shown here
+	// for shape only.
 	fmt.Println("epoch, self, role, leader, nodes, marks, lease_remaining_ms")
 	// Output: epoch, self, role, leader, nodes, marks, lease_remaining_ms
 }

@@ -48,8 +48,8 @@ func (n *Node) waitAck(epoch uint64, shardIdx int, lsn uint64) error {
 			return err
 		}
 		have := 0
-		for _, rs := range n.replicas {
-			if shardIdx < len(rs.marks) && rs.marks[shardIdx] >= lsn {
+		for _, marks := range n.replicas {
+			if shardIdx < len(marks) && marks[shardIdx] >= lsn {
 				have++
 			}
 		}
@@ -109,16 +109,12 @@ func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, e
 	mem := n.mem
 	epoch := n.epoch
 	if n.role == RolePrimary && req.Node != "" {
-		rs := n.replicas[req.Node]
-		if rs == nil {
-			rs = &replicaState{}
-			n.replicas[req.Node] = rs
-		}
-		rs.lastPoll = time.Now()
+		marks := n.replicas[req.Node]
 		if !req.Bootstrap {
-			rs.marks = append(rs.marks[:0], req.Marks...)
+			marks = append(marks[:0], req.Marks...)
 			n.notifyAckLocked()
 		}
+		n.replicas[req.Node] = marks // a bootstrapping poller joins with no marks
 	}
 	n.mu.Unlock()
 
@@ -225,12 +221,35 @@ func (n *Node) fenceLocked(observed uint64) {
 	}
 }
 
+// RouteInfo is a node's view of the cluster: what Route returns, and what
+// morphserve's admin plane serves as JSON on /clusterz. Role is "primary",
+// "replica" or "fenced"; Leader is "" when unknown; Nodes lists the known
+// members (on a primary: itself and every follower that has polled it);
+// Marks is the node's own per-shard durable LSN vector; LeaseRemainingMS is
+// what a replica has left of its leader lease (-1 on a primary), and a
+// replica refuses promotion until it reaches 0.
+type RouteInfo struct {
+	Epoch            uint64      `json:"epoch"`
+	Self             string      `json:"self"`
+	Role             string      `json:"role"`
+	Leader           string      `json:"leader"`
+	Nodes            []RouteNode `json:"nodes"`
+	Marks            []uint64    `json:"marks"`
+	LeaseRemainingMS int64       `json:"lease_remaining_ms"`
+}
+
+// RouteNode is one cluster member in a RouteInfo.
+type RouteNode struct {
+	Addr string `json:"addr"`
+	Role string `json:"role"`
+}
+
 // Route reports this node's view of the cluster.
-func (n *Node) Route() *wire.RouteInfo {
+func (n *Node) Route() *RouteInfo {
 	marks := n.memory().SyncedLSNs()
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ri := &wire.RouteInfo{
+	ri := &RouteInfo{
 		Epoch:            n.epoch,
 		Self:             n.cfg.Self,
 		Role:             n.role,
@@ -239,20 +258,20 @@ func (n *Node) Route() *wire.RouteInfo {
 		LeaseRemainingMS: -1,
 	}
 	if n.role == RolePrimary {
-		ri.Nodes = append(ri.Nodes, wire.RouteNode{Addr: n.cfg.Self, Role: RolePrimary})
+		ri.Nodes = append(ri.Nodes, RouteNode{Addr: n.cfg.Self, Role: RolePrimary})
 		peers := make([]string, 0, len(n.replicas))
 		for addr := range n.replicas {
 			peers = append(peers, addr)
 		}
 		sort.Strings(peers)
 		for _, addr := range peers {
-			ri.Nodes = append(ri.Nodes, wire.RouteNode{Addr: addr, Role: RoleReplica})
+			ri.Nodes = append(ri.Nodes, RouteNode{Addr: addr, Role: RoleReplica})
 		}
 	} else {
 		if n.leader != "" {
-			ri.Nodes = append(ri.Nodes, wire.RouteNode{Addr: n.leader, Role: RolePrimary})
+			ri.Nodes = append(ri.Nodes, RouteNode{Addr: n.leader, Role: RolePrimary})
 		}
-		ri.Nodes = append(ri.Nodes, wire.RouteNode{Addr: n.cfg.Self, Role: n.role})
+		ri.Nodes = append(ri.Nodes, RouteNode{Addr: n.cfg.Self, Role: n.role})
 		remaining := n.cfg.Lease - time.Since(n.lastContact)
 		if remaining < 0 {
 			remaining = 0

@@ -81,7 +81,7 @@ func (n *Node) leaderConn(addr string) (*wire.Client, error) {
 	if stale != nil {
 		_ = stale.Close()
 	}
-	cl, err := wire.Dial(addr, n.cfg.DialTimeout)
+	cl, err := n.dialPeer(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +245,7 @@ func (n *Node) installSnapshot(old *durable.Memory, resp *wire.ReplicateResponse
 // (the element-wise max durable vector across survivors) by pulling from
 // donor peers. Idempotent: a re-sent Promote at the epoch this node
 // already leads returns its route.
-func (n *Node) Promote(newEpoch uint64, minMarks []uint64) (*wire.RouteInfo, error) {
+func (n *Node) Promote(newEpoch uint64, minMarks []uint64) (*RouteInfo, error) {
 	n.mu.Lock()
 	if n.role == RolePrimary && n.epoch >= newEpoch {
 		n.mu.Unlock()
@@ -286,7 +286,7 @@ func (n *Node) Promote(newEpoch uint64, minMarks []uint64) (*wire.RouteInfo, err
 	n.epoch = newEpoch
 	n.role = RolePrimary
 	n.leader = n.cfg.Self
-	n.replicas = map[string]*replicaState{}
+	n.replicas = map[string][]uint64{}
 	n.bootstrap = false
 	n.notifyAckLocked()
 	cl := n.pullCl
@@ -336,9 +336,9 @@ func (n *Node) catchUp(mem *durable.Memory, epoch uint64, minMarks []uint64) err
 			if peer == n.cfg.Self || covered() {
 				continue
 			}
-			cl, err := wire.Dial(peer, n.cfg.DialTimeout)
+			cl, err := n.dialPeer(peer)
 			if err != nil {
-				continue // dead donor; others may still cover us
+				continue // dead or refusing donor; others may still cover us
 			}
 			resp, err := cl.Replicate(&wire.ReplicateRequest{
 				Epoch: epoch,

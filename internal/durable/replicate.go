@@ -77,18 +77,6 @@ func (m *Memory) SyncedLSNs() []uint64 {
 	return out
 }
 
-// AppliedLSNs returns the per-shard last-assigned LSN vector (records
-// applied to the engine, durable or not).
-func (m *Memory) AppliedLSNs() []uint64 {
-	out := make([]uint64, len(m.commits))
-	for i, c := range m.commits {
-		c.mu.Lock()
-		out[i] = c.lsn
-		c.mu.Unlock()
-	}
-	return out
-}
-
 // errStopRange aborts a ReplayRange scan once the batch is full; it never
 // escapes ReadRecords.
 var errStopRange = errors.New("durable: stop range scan")

@@ -115,11 +115,11 @@ func startServerWith(t *testing.T, eng Engine, cfg Config, out **Server) (string
 
 // TestSlowLorisDisconnected: a peer that sends one byte and then
 // trickles nothing more is dropped after FrameTimeout, long before the
-// idle ReadTimeout — it cannot hold a connection slot by dribbling.
+// idle Timeout — it cannot hold a connection slot by dribbling.
 func TestSlowLorisDisconnected(t *testing.T) {
 	var srv *Server
 	addr, shutdown := startServerWith(t, testShards(t, 2, 1<<14),
-		Config{ReadTimeout: time.Hour, FrameTimeout: 100 * time.Millisecond}, &srv)
+		Config{Timeout: time.Hour, FrameTimeout: 100 * time.Millisecond}, &srv)
 	defer shutdown()
 
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -156,7 +156,7 @@ func TestSlowLorisDisconnected(t *testing.T) {
 // FrameTimeout between requests and still be served.
 func TestIdleConnOutlivesFrameTimeout(t *testing.T) {
 	addr, shutdown := startServer(t, testShards(t, 2, 1<<14),
-		Config{ReadTimeout: time.Hour, FrameTimeout: 50 * time.Millisecond})
+		Config{Timeout: time.Hour, FrameTimeout: 50 * time.Millisecond})
 	defer shutdown()
 	cl, err := wire.Dial(addr, 10*time.Second)
 	if err != nil {

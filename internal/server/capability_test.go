@@ -27,12 +27,8 @@ func (s *stubEngine) FlipDataBit(uint64, int, uint) bool { return false }
 // TestCapabilityAnswers pins what a server built with the zero Config answers
 // for each engine it is built over, per optional surface: the bytes were
 // recorded at the last commit that found the surfaces with six assertions in
-// three functions. One cell moved on purpose: ROUTE on a *cluster.Node then
-// needed Config.Cluster set to the same node — every caller did — and
-// answered "not a cluster node" without; the node is now found like every
-// other surface, and the zero Config answers what Config{Cluster: node} did.
-// Its body has since dropped "shard_nodes", a map that always named the
-// leader once live shard migration was gone.
+// three functions. REPLICATE, the one cluster op, answers only a bound peer
+// (TestUnboundReplicateIsRefusedUnread).
 func TestCapabilityAnswers(t *testing.T) {
 	dm, _ := openDurable(t, t.TempDir(), 2, 1<<13, durable.Config{})
 	defer dm.Close()
@@ -51,9 +47,7 @@ func TestCapabilityAnswers(t *testing.T) {
 		seq2         = "\x00\x00\x00\x00\x00\x00\x00\x02"
 		noDurable    = "checkpoint: server has no durable store (start with -data-dir)"
 		noProver     = "proof: server has no proving engine or signing authority"
-		noCluster    = "route: this server is not a cluster node (start with -cluster)"
 		singleTenant = "hello: this server is single-tenant"
-		route        = `{"epoch":1,"self":"self:1","role":"primary","leader":"self:1","nodes":[{"addr":"self:1","role":"primary"}],"marks":[0,0],"lease_remaining_ms":-1}`
 	)
 	ops := []struct {
 		op      byte
@@ -62,7 +56,6 @@ func TestCapabilityAnswers(t *testing.T) {
 		{wire.OpRead, wire.EncodeAddr(0)},
 		{wire.OpCheckpoint, nil},
 		{wire.OpProof, wire.EncodeAddr(0)},
-		{wire.OpRoute, nil},
 		{wire.OpHello, hello},
 	}
 	type answer struct {
@@ -73,12 +66,12 @@ func TestCapabilityAnswers(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		eng  Engine
-		want [5]answer // in ops' order
+		want [4]answer // in ops' order
 	}{
-		{"stub", &stubEngine{}, [5]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, noCluster}, {fail, singleTenant}}},
-		{"sharded", testShards(t, 2, 1<<13), [5]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, noCluster}, {fail, singleTenant}}},
-		{"durable", dm, [5]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {fail, noCluster}, {fail, singleTenant}}},
-		{"cluster", cn, [5]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {ok, route}, {fail, singleTenant}}},
+		{"stub", &stubEngine{}, [4]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, singleTenant}}},
+		{"sharded", testShards(t, 2, 1<<13), [4]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, singleTenant}}},
+		{"durable", dm, [4]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {fail, singleTenant}}},
+		{"cluster", cn, [4]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {fail, singleTenant}}},
 	} {
 		srv := New(e.eng, Config{})
 		for i, op := range ops {

@@ -103,6 +103,23 @@ type TenantRanger interface {
 	TenantRange(id string) (base, size uint64, ok bool)
 }
 
+// ClusterNode is the optional engine surface behind the one cluster control
+// op, OpReplicate; *cluster.Node implements it, in wire types, so the server
+// never imports the cluster package. Failover is a Go call made by the
+// process that embeds the node, and the cluster view is morphserve's admin
+// /clusterz. REPLICATE takes no admission slot, like OpPing — a primary too
+// busy to stream its WAL would stall every follower just when durability
+// matters most — and is served only to a connection bound as a cluster
+// peer: a HELLO under tenant.PeerID whose token AuthenticatePeer accepts.
+type ClusterNode interface {
+	// Replicate answers one follower poll (may hold the poll open while
+	// waiting for new durable records).
+	Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, error)
+	// AuthenticatePeer reports whether a peer HELLO's token proves its
+	// sender holds the node's master key.
+	AuthenticatePeer(token []byte) bool
+}
+
 // Config tunes the listener's limits.
 type Config struct {
 	// MaxConns caps concurrent connections (default 64). Excess
@@ -120,17 +137,16 @@ type Config struct {
 	// before being shed (default 10ms; negative sheds immediately). A
 	// small wait absorbs bursts without letting queues build.
 	ShedWait time.Duration
-	// ReadTimeout bounds waiting for the next request frame on a
-	// connection (default 30s); an idle peer is disconnected.
-	ReadTimeout time.Duration
+	// Timeout bounds waiting for the next request frame on a connection —
+	// an idle peer is disconnected — and writing one response frame
+	// (default 30s).
+	Timeout time.Duration
 	// FrameTimeout bounds reading the remainder of a request frame once
 	// its first byte has arrived (default 5s). This is the slow-loris
-	// defense: an idle connection may sit for ReadTimeout, but a peer
+	// defense: an idle connection may sit for Timeout, but a peer
 	// trickling one byte at a time cannot hold a goroutine beyond
 	// FrameTimeout per frame.
 	FrameTimeout time.Duration
-	// WriteTimeout bounds writing one response frame (default 30s).
-	WriteTimeout time.Duration
 	// AllowTamper enables the OpTamper adversary op. Off by default;
 	// only demos and tests that show fail-closed detection turn it on.
 	AllowTamper bool
@@ -170,14 +186,11 @@ func (c Config) withDefaults() Config {
 	if c.ShedWait == 0 {
 		c.ShedWait = 10 * time.Millisecond
 	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 30 * time.Second
+	if c.Timeout <= 0 {
+		c.Timeout = 30 * time.Second
 	}
 	if c.FrameTimeout <= 0 {
 		c.FrameTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -448,7 +461,7 @@ func (s *Server) closeAll() {
 // StatusBusy frame promises nothing was executed, so resilient clients
 // back off and redial instead of treating the cap as a hard failure.
 func (s *Server) reject(conn net.Conn) {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
 	_ = wire.WriteFrame(conn, wire.StatusBusy, []byte("connection limit reached; retry with backoff"))
 	_ = conn.Close()
 }
@@ -457,9 +470,9 @@ func (s *Server) reject(conn net.Conn) {
 // deadline fires, or the stream turns unframeable.
 //
 // Two read deadlines guard the loop: an idle peer may sit for
-// ReadTimeout between requests, but once a request's first byte arrives
+// Timeout between requests, but once a request's first byte arrives
 // the whole frame must follow within FrameTimeout. Without the split, a
-// slow-loris peer trickling one byte per ReadTimeout holds a goroutine
+// slow-loris peer trickling one byte per Timeout holds a goroutine
 // and a connection slot indefinitely while never completing a request.
 func (s *Server) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
@@ -473,7 +486,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	fw := wire.NewFrameWriter(bw)
 	cs := &connState{}
 	for {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
+		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.Timeout)); err != nil {
 			return
 		}
 		if _, err := br.Peek(1); err != nil {
@@ -496,14 +509,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			if errors.Is(err, wire.ErrTruncated) && time.Since(frameStart) >= s.cfg.FrameTimeout {
 				s.slowLoris.Add(1)
 			}
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.Timeout))
 			status, body := wire.EncodeError(err)
 			_ = fw.WriteFrame(status, body)
 			_ = bw.Flush()
 			return
 		}
 		status, body := s.dispatch(cs, op, payload)
-		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := conn.SetWriteDeadline(time.Now().Add(s.cfg.Timeout)); err != nil {
 			return
 		}
 		if err := fw.WriteFrame(status, body); err != nil {
@@ -517,13 +530,14 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // connState is the per-connection protocol state: the tenant the
 // connection bound with HELLO (empty until then, which on a server without
-// tenants names the anonymous one) and its range of global addresses, and
-// the line a READ's response frame is written from — the body handle returns
-// aliases it until the connection's next request. Only the connection's own
-// goroutine touches it.
+// tenants names the anonymous one) and its range of global addresses,
+// whether it bound as a cluster peer, and the line a READ's response frame
+// is written from — the body handle returns aliases it until the
+// connection's next request. Only the connection's own goroutine touches it.
 type connState struct {
 	tenant     string
 	base, size uint64 // bytes; size 0: unbound, addresses are global
+	peer       bool
 	line       [secmem.LineBytes]byte
 }
 
@@ -559,11 +573,10 @@ func (s *Server) dispatch(cs *connState, op byte, payload []byte) (byte, []byte)
 	if op == wire.OpHello {
 		return s.hello(cs, payload)
 	}
-	if isClusterOp(op) {
+	if op == wire.OpReplicate {
 		// Cluster control plane: no admission slot (replication must not
-		// be shed by client load) and no tenant binding (node-to-node
-		// traffic is not tenant traffic).
-		return s.handleCluster(op, payload)
+		// be shed by client load) and a peer binding, not a tenant's.
+		return s.replicate(cs, payload)
 	}
 	if s.cfg.Tenants != nil && cs.tenant == "" {
 		return wire.StatusError, []byte("hello required: this server is multi-tenant")
@@ -594,19 +607,28 @@ func (s *Server) execute(cs *connState, op byte, payload []byte) (byte, []byte) 
 	return status, body
 }
 
-// hello binds the connection to a tenant after checking the HMAC
-// proof-of-possession token. Unknown tenants and bad tokens get the same
-// answer, so probing cannot enumerate the tenant table.
+// hello binds the connection to a tenant, or under tenant.PeerID as a
+// cluster peer, after checking the HMAC proof-of-possession token. Unknown
+// tenants and bad tokens, a peer's too, get the same answer, so probing
+// cannot enumerate the tenant table.
 func (s *Server) hello(cs *connState, payload []byte) (byte, []byte) {
-	if s.cfg.Tenants == nil {
+	id, token, err := wire.DecodeHello(payload)
+	if id != tenant.PeerID && s.cfg.Tenants == nil {
 		return wire.StatusError, []byte("hello: this server is single-tenant")
 	}
-	id, token, err := wire.DecodeHello(payload)
 	if err != nil {
 		return wire.EncodeError(err)
 	}
+	refused := []byte("hello: unknown tenant or bad token")
+	if id == tenant.PeerID {
+		if s.cluster == nil || !s.cluster.AuthenticatePeer(token) {
+			return wire.StatusError, refused
+		}
+		cs.peer = true
+		return wire.StatusOK, nil
+	}
 	if !s.cfg.Tenants.Authenticate(id, token) {
-		return wire.StatusError, []byte("hello: unknown tenant or bad token")
+		return wire.StatusError, refused
 	}
 	var base, size uint64
 	var ok bool
@@ -619,6 +641,30 @@ func (s *Server) hello(cs *connState, payload []byte) (byte, []byte) {
 	cs.tenant, cs.base, cs.size = id, base, size
 	s.cfg.Tracer.Emit(obs.KindTenantBind, -1, s.tenantIdx[id], 0, 0)
 	return wire.StatusOK, nil
+}
+
+// replicate serves one REPLICATE. A poll from a connection no peer binding
+// vouches for — none tried, a bad token, or a server over no cluster node,
+// which binds no peer — gets one answer before its payload is decoded: it
+// cannot fence the node, join its ack table or cost it more than the frame,
+// and learns nothing about why.
+func (s *Server) replicate(cs *connState, payload []byte) (byte, []byte) {
+	if !cs.peer {
+		return wire.StatusError, []byte("replicate: connection is not bound to a cluster peer")
+	}
+	req, err := wire.DecodeReplicateRequest(payload)
+	if err != nil {
+		return wire.EncodeError(err)
+	}
+	resp, err := s.cluster.Replicate(req)
+	if err != nil {
+		return wire.EncodeError(err)
+	}
+	body, err := wire.EncodeReplicateResponse(resp)
+	if err != nil {
+		return wire.EncodeError(err)
+	}
+	return wire.StatusOK, body
 }
 
 // quotaReply counts and traces a scheduler shed and encodes the typed

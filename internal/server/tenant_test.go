@@ -91,7 +91,7 @@ func wantRemote(t *testing.T, err error, substr string) {
 func TestTenantEndToEnd(t *testing.T) {
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 
@@ -165,7 +165,7 @@ func TestTenantEndToEnd(t *testing.T) {
 func TestTenantCannotOverwrite(t *testing.T) {
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 
@@ -215,7 +215,7 @@ func TestTenantRangeRefused(t *testing.T) {
 	betaBase, _, _ := sh.TenantRange("beta")
 	addr, shutdown := startServer(t, sh, Config{
 		Tenants: reg, Authority: testAuthority(t),
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 	cl, err := wire.Dial(addr, 5*time.Second)
@@ -266,7 +266,7 @@ func TestHelloSingleTenant(t *testing.T) {
 	sh := testShards(t, 1, 1<<14)
 	addr, shutdown := startServer(t, sh, Config{
 		MaxConns: 4, MaxInflight: 2,
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 	cl, err := wire.Dial(addr, 5*time.Second)
@@ -296,7 +296,7 @@ func TestTenantQuotaShed(t *testing.T) {
 	}
 	cfg := Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 		Tenants: reg, Obs: oreg, Tracer: tracer,
 	}
 	ln, srv := mustListen(t), New(sh, cfg)
@@ -355,7 +355,7 @@ func TestTenantQuotaShed(t *testing.T) {
 func TestNetStatsLimits(t *testing.T) {
 	sh := testShards(t, 1, 1<<14)
 	srv := New(sh, Config{MaxConns: 7, ShedWait: 3 * time.Millisecond,
-		ReadTimeout: time.Second, FrameTimeout: time.Second, WriteTimeout: time.Second})
+		Timeout: time.Second, FrameTimeout: time.Second})
 	ns := srv.NetStats()
 	if ns.MaxConns != 7 {
 		t.Fatalf("MaxConns = %d, want 7", ns.MaxConns)
@@ -379,7 +379,7 @@ func TestResilientClientTenant(t *testing.T) {
 	)
 	addr, shutdown := startTenantServer(t, reg, Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 	cl := wire.NewResilient(wire.ResilientConfig{
@@ -423,7 +423,7 @@ func TestResilientClientTenant(t *testing.T) {
 // /metricz?tenant= scopes the counters it serves.
 func TestTenantStatsShowOnlyTheBoundTenant(t *testing.T) {
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 	bound := func(id, secret string) *wire.Client {
@@ -462,8 +462,8 @@ func TestTenantStatsShowOnlyTheBoundTenant(t *testing.T) {
 func TestRetiredObsOpcodeIsUnknown(t *testing.T) {
 	const opObs = 0x09 // retired OpObs
 	addr, shutdown := startTenantServer(t, tenantRegistry(t), Config{
-		Obs:         obs.NewRegistry(),
-		ReadTimeout: 5 * time.Second, FrameTimeout: 5 * time.Second, WriteTimeout: 5 * time.Second,
+		Obs:     obs.NewRegistry(),
+		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
 	})
 	defer shutdown()
 	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)

@@ -26,6 +26,12 @@ import (
 // TokenLen is the length of a HELLO authentication token.
 const TokenLen = sha256.Size
 
+// PeerID is the HELLO id a cluster peer binds under, with a token only a
+// holder of the master key can make (a cluster node checks it with
+// AuthenticatePeer). A peer binding is not a tenant binding: it admits
+// REPLICATE and no data op, so NewRegistry refuses the id to a tenant.
+const PeerID = "morphtree/cluster-peer"
+
 // Spec declares one tenant: identity, authentication secret, and quotas.
 // Zero quota fields mean unlimited; Weight zero means weight 1.
 type Spec struct {
@@ -87,6 +93,9 @@ func NewRegistry(specs []Spec) (*Registry, error) {
 		}
 		if len(s.ID) > 255 {
 			return nil, fmt.Errorf("tenant: tenant id %q exceeds 255 bytes", s.ID[:16]+"...")
+		}
+		if s.ID == PeerID {
+			return nil, fmt.Errorf("tenant: tenant id %q is the cluster peers'", s.ID)
 		}
 		if _, dup := r.specs[s.ID]; dup {
 			return nil, fmt.Errorf("tenant: duplicate tenant id %q", s.ID)

@@ -25,6 +25,7 @@ func TestNewRegistryValidation(t *testing.T) {
 		{"empty", nil, "at least one"},
 		{"no id", []Spec{{Secret: "s"}}, "non-empty"},
 		{"long id", []Spec{{ID: strings.Repeat("x", 256), Secret: "s"}}, "255"},
+		{"peer id", []Spec{{ID: PeerID, Secret: "s"}}, "cluster peers"},
 		{"dup id", []Spec{{ID: "a", Secret: "s"}, {ID: "a", Secret: "s"}}, "duplicate"},
 		{"no secret", []Spec{{ID: "a"}}, "secret"},
 		{"negative weight", []Spec{{ID: "a", Secret: "s", Weight: -1}}, "negative"},

@@ -314,16 +314,6 @@ func (c *Client) Tamper(addr uint64) error {
 	return c.do(OpTamper, c.req, false, nil)
 }
 
-// Route fetches the answering node's cluster view. Every role answers it,
-// replicas too, so it serves leader discovery and a control plane
-// surveying survivors after a node loss. Non-cluster servers answer
-// *RemoteError.
-func (c *Client) Route() (*RouteInfo, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return call(c, OpRoute, nil, DecodeRouteInfo)
-}
-
 // Replicate performs one replication poll. The response is fully decoded
 // into fresh allocations, safe to retain.
 func (c *Client) Replicate(req *ReplicateRequest) (*ReplicateResponse, error) {

@@ -2,12 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 )
 
-// Payload codecs for the cluster ops (OpReplicate / OpRoute). Failover is
-// not a wire op: the process that embeds a node calls its Promote and
+// Payload codecs for the one cluster op, OpReplicate. Failover is not a
+// wire op: the process that embeds a node calls its Promote and
 // Follow. The replication stream itself — the per-shard batches inside a
 // ReplicateResponse — is opaque here: each batch is a run of sealed WAL
 // frames produced by wal.Codec under a key bound to the sender's fencing
@@ -19,51 +18,6 @@ const (
 	maxClusterShards = 1 << 16
 	maxNodeAddr      = 1024
 )
-
-// RouteInfo is a node's view of the cluster, served as JSON by OpRoute.
-type RouteInfo struct {
-	// Epoch is the responder's fencing epoch.
-	Epoch uint64 `json:"epoch"`
-	// Self is the responder's advertised address.
-	Self string `json:"self"`
-	// Role is "primary", "replica", or "fenced".
-	Role string `json:"role"`
-	// Leader is the primary's advertised address ("" when unknown).
-	Leader string `json:"leader"`
-	// Nodes lists the known cluster members (on a primary: itself plus
-	// every follower currently polling it).
-	Nodes []RouteNode `json:"nodes"`
-	// Marks is the responder's own per-shard durable LSN vector.
-	Marks []uint64 `json:"marks"`
-	// LeaseRemainingMS is how much of the leader lease is left from this
-	// replica's perspective (-1 on a primary). A replica refuses promotion
-	// until it reaches 0.
-	LeaseRemainingMS int64 `json:"lease_remaining_ms"`
-}
-
-// RouteNode is one cluster member in a RouteInfo.
-type RouteNode struct {
-	Addr string `json:"addr"`
-	Role string `json:"role"`
-}
-
-// EncodeRouteInfo encodes an OpRoute OK payload.
-func EncodeRouteInfo(r *RouteInfo) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode route: %w", err)
-	}
-	return b, nil
-}
-
-// DecodeRouteInfo decodes an OpRoute OK payload.
-func DecodeRouteInfo(p []byte) (*RouteInfo, error) {
-	var r RouteInfo
-	if err := json.Unmarshal(p, &r); err != nil {
-		return nil, fmt.Errorf("%w: route: %v", ErrMalformed, err)
-	}
-	return &r, nil
-}
 
 // ReplicateRequest is a follower's replication poll.
 type ReplicateRequest struct {

@@ -184,33 +184,10 @@ func TestMovedErrorCrossesWire(t *testing.T) {
 	}
 }
 
-func TestRouteInfoRoundTrip(t *testing.T) {
-	want := &RouteInfo{
-		Epoch:            4,
-		Self:             "a:1",
-		Role:             "primary",
-		Leader:           "a:1",
-		Nodes:            []RouteNode{{Addr: "a:1", Role: "primary"}, {Addr: "b:2", Role: "replica"}},
-		Marks:            []uint64{11, 12},
-		LeaseRemainingMS: -1,
-	}
-	p, err := EncodeRouteInfo(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeRouteInfo(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %+v, want %+v", got, want)
-	}
-}
-
 func TestClusterOpNames(t *testing.T) {
 	for op, want := range map[byte]string{
 		OpReplicate: "replicate",
-		OpRoute:     "route",
+		0x0F:        "op_0f", // retired OpRoute
 	} {
 		if got := OpName(op); got != want {
 			t.Fatalf("OpName(%#x) = %q, want %q", op, got, want)
@@ -282,13 +259,12 @@ type hello struct {
 
 // FuzzRequestCodec runs the request decoders a server applies to bytes
 // from anyone — READ/TAMPER/PROOF's address, WRITE's, ROOT_RANGE's and
-// HELLO's — and ROUTE's reply decoder over the same bytes.
+// HELLO's, a tenant's or a cluster peer's — over the same bytes.
 func FuzzRequestCodec(f *testing.F) {
 	write, _ := AppendWrite(nil, 0x40, bytes.Repeat([]byte{0xAB}, secmem.LineBytes))
 	hi, _ := AppendHello(nil, "alpha", [tenant.TokenLen]byte{1, 2, 3})
-	route, _ := EncodeRouteInfo(&RouteInfo{Epoch: 2, Self: "a:1", Role: "primary", Leader: "a:1",
-		Nodes: []RouteNode{{Addr: "a:1", Role: "primary"}}, Marks: []uint64{7}, LeaseRemainingMS: -1})
-	for _, p := range [][]byte{EncodeAddr(0x40), write, AppendRootRange(nil, 1, 9), hi, route} {
+	peer, _ := AppendHello(nil, tenant.PeerID, [tenant.TokenLen]byte{4, 5, 6})
+	for _, p := range [][]byte{EncodeAddr(0x40), write, AppendRootRange(nil, 1, 9), hi, peer} {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
 	}
@@ -306,19 +282,5 @@ func FuzzRequestCodec(f *testing.F) {
 			id, token, err := DecodeHello(p)
 			return hello{id, token}, err
 		}, func(v hello) ([]byte, error) { return AppendHello(nil, v.id, [tenant.TokenLen]byte(v.token)) })
-		// JSON spells one value many ways, so ROUTE's decoder is held to
-		// the invariant on the spelling it encodes back to.
-		ri, err := DecodeRouteInfo(p)
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) {
-				t.Fatalf("untyped error: %v", err)
-			}
-			return
-		}
-		canon, err := EncodeRouteInfo(ri)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkCodec(t, canon, DecodeRouteInfo, EncodeRouteInfo)
 	})
 }

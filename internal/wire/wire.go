@@ -77,15 +77,11 @@ const (
 	// batches past those watermarks, or a snapshot bootstrap when the
 	// follower's cursor predates the retained log (an encoded
 	// ReplicateResponse). Served without an admission slot: replication
-	// must not be shed by client load. Non-cluster servers answer
-	// StatusError.
+	// must not be shed by client load. A connection must first bind as a
+	// cluster peer (a HELLO under tenant.PeerID); every other poll, and
+	// every poll to a non-cluster server, answers StatusError unread.
 	OpReplicate byte = 0x0E
-	// OpRoute returns the answering node's view of the cluster as JSON
-	// (RouteInfo): role, fencing epoch, leader address, known peers and the
-	// node's own durable watermarks. Clients use it to find the primary; the
-	// control plane uses it to pick a promotion candidate. Served without an
-	// admission slot.
-	OpRoute byte = 0x0F
+	// 0x0F was OpRoute (retired; never reuse it).
 	// 0x10 was OpPromote (retired; never reuse it).
 	// 0x11 was OpFollow (retired; never reuse it).
 	// 0x12 was OpMigrate (retired; never reuse it).
@@ -106,7 +102,6 @@ var opNames = map[byte]string{
 	OpRootRange:  "root_range",
 	OpHello:      "hello",
 	OpReplicate:  "replicate",
-	OpRoute:      "route",
 }
 
 // OpName returns the lowercase name of an opcode, or "op_%02x" for
