@@ -25,7 +25,7 @@ import (
 )
 
 // adminPlane is the operator listener -admin opens: the registry
-// (/metricz), the tracer (/tracez), a liveness probe (/healthz), the
+// (/metricz), its event ring (/tracez), a liveness probe (/healthz), the
 // transparency log (/rootz, and POST /rootz/tamper with -tamper), a cluster
 // node's view of its cluster (/clusterz, with -cluster) and the runtime
 // profiles (/debug/pprof/). It is a second listener so telemetry
@@ -36,7 +36,6 @@ import (
 // Content-Length and Connection: close.
 type adminPlane struct {
 	reg     *obs.Registry
-	tracer  *obs.Tracer
 	auth    *proof.Authority
 	tamper  bool
 	cluster *cluster.Node // nil outside -cluster
@@ -215,7 +214,7 @@ func (p *adminPlane) route(ctx context.Context, req adminRequest) adminResponse 
 		}
 		return jsonReply(snap.Encode())
 	case path == "/tracez":
-		return jsonReply(p.tracer.Snapshot().Encode())
+		return jsonReply(p.reg.Tracer().Snapshot().Encode())
 	case path == "/healthz":
 		return adminResponse{200, textPlain, []byte("ok\n")}
 	case path == "/rootz":

@@ -28,9 +28,6 @@ func startPlane(t *testing.T, p *adminPlane) string {
 	if p.reg == nil {
 		p.reg = obs.NewRegistry()
 	}
-	if p.tracer == nil {
-		p.tracer = obs.NewTracer(64)
-	}
 	if p.auth == nil {
 		a, err := proof.NewAuthority(make([]byte, 32))
 		if err != nil {
@@ -116,9 +113,9 @@ func TestMetricz(t *testing.T) {
 }
 
 func TestTracez(t *testing.T) {
-	tr := obs.NewTracer(64)
-	tr.Emit(obs.KindWALFsync, 2, 1, 0, 0)
-	base := startPlane(t, &adminPlane{tracer: tr})
+	reg := obs.NewRegistry()
+	reg.Tracer().Emit(obs.KindWALFsync, 2, 1, 0, 0)
+	base := startPlane(t, &adminPlane{reg: reg})
 	snap, err := obs.DecodeTraceSnapshot(expect(t, "GET", base+"/tracez", 200, appJSON))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -303,7 +300,7 @@ func TestAdminConnectionCap(t *testing.T) {
 // TestServeShutdown: cancellation ends Serve with nil, even with a client
 // connected that has sent nothing, and even mid-profile.
 func TestServeShutdown(t *testing.T) {
-	p := &adminPlane{reg: obs.NewRegistry(), tracer: obs.NewTracer(8)}
+	p := &adminPlane{reg: obs.NewRegistry()}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -33,10 +33,8 @@ type options struct {
 	fsyncMode    string
 	snapEvery    time.Duration
 	deltaEvery   time.Duration
-	keepEpochs   int
 	tenants      string
 	admin        string
-	traceBuf     int
 	signSeed     string
 
 	// Cluster flags. -cluster turns the node into a replication member;
@@ -49,7 +47,6 @@ type options struct {
 	clusterPeers string
 	clusterLease time.Duration
 	clusterAck   int
-	clusterEpoch uint64
 
 	// Resolved during validate.
 	key   []byte
@@ -80,10 +77,8 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.fsyncMode, "fsync", "always", "WAL fsync policy with -data-dir: always, interval, none")
 	fs.DurationVar(&o.snapEvery, "snapshot-every", time.Minute, "periodic checkpoint interval with -data-dir (0 disables)")
 	fs.DurationVar(&o.deltaEvery, "delta-every", 0, "background incremental-checkpoint interval with -data-dir (0 disables); deltas persist only dirty lines and compact to a full snapshot when the chain grows")
-	fs.IntVar(&o.keepEpochs, "keep-epochs", 0, "checkpoint epochs to retain past the newest with -data-dir (0 = newest only; delta chains always keep their base)")
 	fs.StringVar(&o.tenants, "tenants", "", "tenant config file (JSON array of specs); enables multi-tenant mode: HELLO-bound connections, per-tenant address ranges and key domains, weighted fair admission. A -data-dir store keeps the tenant set it was created with and refuses another")
 	fs.StringVar(&o.admin, "admin", "", "admin telemetry listen address serving /metricz /tracez /healthz /rootz and pprof (empty = disabled)")
-	fs.IntVar(&o.traceBuf, "trace-buf", 4096, "event trace ring capacity with -admin")
 	fs.StringVar(&o.signSeed, "sign-seed", "", "transparency-log Ed25519 signing seed in hex (32 bytes; default derives one from the master key)")
 	fs.BoolVar(&o.cluster, "cluster", false, "serve as a replication cluster node (requires -data-dir)")
 	fs.StringVar(&o.clusterSelf, "cluster-self", "", "address this node advertises to the cluster (default: the bound -addr)")
@@ -91,7 +86,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.clusterPeers, "cluster-peers", "", "comma-separated peer addresses used as catch-up donors during failover")
 	fs.DurationVar(&o.clusterLease, "cluster-lease", time.Second, "primary lease: a replica refuses promotion until this long after its last leader contact")
 	fs.IntVar(&o.clusterAck, "cluster-ack", 0, "replicas that must cover a write before it is acknowledged (0 = ack on local durability)")
-	fs.Uint64Var(&o.clusterEpoch, "cluster-epoch", 1, "initial fencing epoch (persisted epochs from a previous run take precedence)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -141,16 +135,11 @@ func (o *options) validate() error {
 		return fmt.Errorf("-fsync: %v", err)
 	}
 
-	if o.keepEpochs < 0 {
-		return fmt.Errorf("-keep-epochs must be >= 0 (got %d); 0 keeps only the newest epoch", o.keepEpochs)
+	if o.dataDir == "" && o.deltaEvery != 0 {
+		return fmt.Errorf("-delta-every has no effect without -data-dir: there is nothing to checkpoint; add -data-dir <dir> or drop it")
 	}
-	if o.dataDir == "" {
-		if o.keepEpochs != 0 {
-			return fmt.Errorf("-keep-epochs has no effect without -data-dir: there are no checkpoint epochs to retain; add -data-dir <dir> or drop it")
-		}
-		if o.deltaEvery != 0 {
-			return fmt.Errorf("-delta-every has no effect without -data-dir: there is nothing to checkpoint; add -data-dir <dir> or drop it")
-		}
+	if o.snapEvery < 0 {
+		return fmt.Errorf("-snapshot-every must be >= 0 (got %v); 0 disables periodic snapshots", o.snapEvery)
 	}
 	if o.deltaEvery < 0 {
 		return fmt.Errorf("-delta-every must be >= 0 (got %v); 0 disables background delta checkpoints", o.deltaEvery)
@@ -168,9 +157,6 @@ func (o *options) validate() error {
 		}
 		if o.clusterAck < 0 {
 			return fmt.Errorf("-cluster-ack must be >= 0 (got %d)", o.clusterAck)
-		}
-		if o.clusterEpoch == 0 {
-			return fmt.Errorf("-cluster-epoch must be >= 1: epoch 0 is below every fencing token")
 		}
 		for _, p := range strings.Split(o.clusterPeers, ",") {
 			if p = strings.TrimSpace(p); p != "" {

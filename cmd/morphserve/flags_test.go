@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -43,15 +44,17 @@ func TestFlagInvalidCombos(t *testing.T) {
 		{"cluster follow self", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-self", "h:1", "-cluster-join", "h:1"}, "cannot follow itself"},
 		{"cluster zero lease", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-lease", "0s"}, "-cluster-lease must be positive"},
 		{"cluster negative ack", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-ack", "-1"}, "-cluster-ack must be >= 0"},
-		{"cluster epoch zero", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-epoch", "0"}, "-cluster-epoch must be >= 1"},
+		{"cluster epoch zero", []string{"-cluster", "-data-dir", "/tmp/d", "-cluster-epoch", "0"}, "not defined: -cluster-epoch"},
 		{"cluster-join without cluster", []string{"-cluster-join", "h:1"}, "no effect without -cluster"},
 		{"cluster-self without cluster", []string{"-cluster-self", "h:1"}, "no effect without -cluster"},
 		{"cluster-peers without cluster", []string{"-cluster-peers", "h:1,h:2"}, "no effect without -cluster"},
 		{"cluster-ack without cluster", []string{"-cluster-ack", "1"}, "no effect without -cluster"},
-		{"keep-epochs without data-dir", []string{"-keep-epochs", "3"}, "-keep-epochs has no effect without -data-dir"},
-		{"negative keep-epochs", []string{"-data-dir", "/tmp/d", "-keep-epochs", "-1"}, "-keep-epochs must be >= 0"},
+		{"keep-epochs without data-dir", []string{"-keep-epochs", "3"}, "not defined: -keep-epochs"},
+		{"negative keep-epochs", []string{"-data-dir", "/tmp/d", "-keep-epochs", "-1"}, "not defined: -keep-epochs"},
 		{"delta-every without data-dir", []string{"-delta-every", "5s"}, "-delta-every has no effect without -data-dir"},
 		{"negative delta-every", []string{"-data-dir", "/tmp/d", "-delta-every", "-1s"}, "-delta-every must be >= 0"},
+		{"negative snapshot-every", []string{"-data-dir", "/tmp/d", "-snapshot-every", "-1s"}, "-snapshot-every must be >= 0"},
+		{"retired trace-buf", []string{"-admin", "127.0.0.1:0", "-trace-buf", "64"}, "not defined: -trace-buf"},
 		{"bad key hex", []string{"-key", "zz"}, "-key"},
 		{"short key", []string{"-key", "0011"}, "16, 24, or 32 bytes"},
 		{"bad org", []string{"-org", "nonesuch"}, "-org"},
@@ -114,5 +117,35 @@ func TestFlagKeyAndSeedResolution(t *testing.T) {
 	}
 	if len(o.seed) != 32 || o.seed[0] != 0xab {
 		t.Fatalf("seed = %x", o.seed)
+	}
+}
+
+// TestREADMEInvocationsParse: every `go run ./cmd/morphserve ...` in a fenced
+// block of README.md, its backslash-continued lines joined, parses and
+// validates, so the README cannot show a flag morphserve no longer has.
+func TestREADMEInvocationsParse(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cmd = "go run ./cmd/morphserve"
+	fenced, n := false, 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(readme), "\\\n", " "), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		_, rest, ok := strings.Cut(line, cmd)
+		if !fenced || !ok {
+			continue
+		}
+		rest, _, _ = strings.Cut(rest, " #")
+		n++
+		if _, err := parseAndValidate(t, strings.Fields(strings.TrimSuffix(strings.TrimSpace(rest), "&"))...); err != nil {
+			t.Errorf("README: %s%s: %v", cmd, rest, err)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("README.md has no %q in a fenced block", cmd)
 	}
 }

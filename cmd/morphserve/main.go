@@ -1,7 +1,7 @@
 // Command morphserve runs a sharded secure-memory service: N independent
 // secmem engines behind a TCP wire protocol (READ / WRITE / VERIFY / STATS
-// / CHECKPOINT frames, among others), with the counter organization
-// selectable among the designs the paper evaluates.
+// / PROOF frames, among others), with the counter organization selectable
+// among the designs the paper evaluates.
 //
 // Usage:
 //
@@ -13,8 +13,8 @@
 //
 // Without -data-dir the store is volatile. With it, every write is
 // journaled to a write-ahead log before it is acknowledged, snapshots are
-// cut atomically (on the -snapshot-every timer and on CHECKPOINT frames),
-// and a restart recovers the pre-crash state — refusing to start if the
+// cut atomically (on the -snapshot-every timer and at shutdown), and a
+// restart recovers the pre-crash state — refusing to start if the
 // on-disk files show tampering rather than a torn crash tail.
 //
 // With -cluster (which requires -data-dir) the node joins a replication
@@ -147,14 +147,12 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 		shcfg.Tenants = treg.IDs()
 	}
 
-	// One registry + tracer instruments the serving, durable and cluster
-	// layers when -admin is set; the engine's Stats reach the registry through
-	// RegisterMetrics. A nil registry keeps the stack uninstrumented.
+	// One registry, event ring included, instruments the serving, durable
+	// and cluster layers when -admin is set; the engine's Stats reach it
+	// through RegisterMetrics. A nil registry keeps the stack uninstrumented.
 	var reg *obs.Registry
-	var tracer *obs.Tracer
 	if aln != nil {
 		reg = obs.NewRegistry()
-		tracer = obs.NewTracer(o.traceBuf)
 	}
 
 	// The signing authority behind OpProof attestations and the epoch-root
@@ -175,7 +173,7 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 	var eng server.Engine
 	var st store
 	var cn *cluster.Node
-	dcfg := durable.Config{Dir: o.dataDir, Sync: o.sync, KeepEpochs: o.keepEpochs, Obs: reg, Tracer: tracer}
+	dcfg := durable.Config{Dir: o.dataDir, Sync: o.sync, Obs: reg}
 	durability := "volatile"
 	switch {
 	case o.cluster:
@@ -188,12 +186,10 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 			Peers:       o.peers,
 			Primary:     o.clusterJoin == "",
 			Leader:      o.clusterJoin,
-			Epoch:       o.clusterEpoch,
 			Lease:       o.clusterLease,
 			AckReplicas: o.clusterAck,
 			Logf:        log.Printf,
 			Obs:         reg,
-			Tracer:      tracer,
 		})
 		if err != nil {
 			return openError(o, "-cluster open", err)
@@ -250,12 +246,11 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 		Logf:         log.Printf,
 		Authority:    authority,
 		Obs:          reg,
-		Tracer:       tracer,
 		Tenants:      treg,
 	})
 	if aln != nil {
 		fmt.Printf("morphserve: admin telemetry on http://%s (/metricz /tracez /healthz /rootz /clusterz /debug/pprof)\n", aln.Addr())
-		plane := &adminPlane{reg: reg, tracer: tracer, auth: authority, tamper: o.tamper, cluster: cn}
+		plane := &adminPlane{reg: reg, auth: authority, tamper: o.tamper, cluster: cn}
 		go func() {
 			if err := plane.Serve(ctx, aln); err != nil {
 				log.Printf("morphserve: admin plane: %v", err)

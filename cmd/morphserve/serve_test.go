@@ -20,6 +20,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/cluster"
 	"github.com/securemem/morphtree/internal/counters"
+	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
@@ -330,6 +331,8 @@ func auditProof(t *testing.T, addr string) {
 // cluster row: both nodes on theirs, each with an admin plane whose /clusterz
 // says when the replica has caught up, the replica re-bootstrapping from the
 // primary's snapshot) and reads every tenant's lines back through the oracle.
+// The cluster row also reads each node's /tracez: one registry carries the
+// events of the server, cluster and durable layers alike.
 func TestServeTenantsCompose(t *testing.T) {
 	for _, row := range []struct {
 		name    string
@@ -365,6 +368,17 @@ func TestServeTenantsCompose(t *testing.T) {
 			}
 			if row.cluster {
 				caughtUp()
+				for admin, kinds := range map[string][]string{
+					primaryAdmin: {"tenant_bind"},             // server layer
+					replicaAdmin: {"repl_batch", "wal_fsync"}, // cluster and durable layers
+				} {
+					counts := tracez(t, admin)
+					for _, kind := range kinds {
+						if counts[kind] == 0 {
+							t.Errorf("%s/tracez holds no %s event: %v", admin, kind, counts)
+						}
+					}
+				}
 			}
 			if err := stopReplica(); err != nil {
 				t.Fatalf("replica stop: %v", err)
@@ -404,6 +418,22 @@ func clusterz(admin string) (*cluster.RouteInfo, error) {
 	}
 	var ri cluster.RouteInfo
 	return &ri, json.NewDecoder(resp.Body).Decode(&ri)
+}
+
+// tracez fetches the per-kind event counts of a node's trace ring from its
+// admin plane.
+func tracez(t *testing.T, admin string) map[string]uint64 {
+	t.Helper()
+	resp, err := http.Get("http://" + admin + "/tracez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.TraceSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Counts
 }
 
 // waitCaughtUp waits until the replica's durable marks, as its admin plane

@@ -83,22 +83,3 @@ func ResolveChain(head uint64, snaps map[uint64]bool, deltas map[uint64]Entry) (
 	}
 	return cur, chain, nil
 }
-
-// Required returns the set of epochs a retained head transitively needs:
-// the head itself, every link delta, and the base snapshot. Unresolvable
-// heads contribute nothing (their files are orphans the sweep removes).
-func Required(heads []uint64, snaps map[uint64]bool, deltas map[uint64]Entry) map[uint64]bool {
-	req := make(map[uint64]bool)
-	for _, h := range heads {
-		base, chain, err := ResolveChain(h, snaps, deltas)
-		if err != nil {
-			continue
-		}
-		req[h] = true
-		req[base] = true
-		for _, d := range chain {
-			req[d.Seq] = true
-		}
-	}
-	return req
-}

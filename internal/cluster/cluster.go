@@ -63,13 +63,11 @@ type Config struct {
 	// Peers lists the other cluster members' advertised addresses. Static
 	// membership: promotion uses it to find donor replicas for catch-up.
 	Peers []string
-	// Primary starts this node as the leader (epoch Epoch); otherwise it
-	// starts as a replica following Leader.
+	// Primary starts this node as the leader (at epoch 1, or the epoch its
+	// cluster.META holds); otherwise it starts as a replica following Leader.
 	Primary bool
 	// Leader is the address a replica starts pulling from.
 	Leader string
-	// Epoch is the starting fencing epoch (default 1).
-	Epoch uint64
 	// Lease is how long a replica keeps trusting a silent leader. A
 	// replica refuses promotion until Lease has elapsed since its last
 	// successful poll, so a slow-but-alive primary is not usurped while
@@ -93,16 +91,12 @@ type Config struct {
 	// Logf, when set, observes role changes and replication errors.
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, records cluster counters and the replication-lag
-	// gauge (cluster.repl.lag, in records behind the leader).
+	// gauge (cluster.repl.lag, in records behind the leader), and traces
+	// ReplBatch, Promote and Fence events.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives ReplBatch, Promote, and Fence events.
-	Tracer *obs.Tracer
 }
 
 func (c Config) withDefaults() Config {
-	if c.Epoch == 0 {
-		c.Epoch = 1
-	}
 	if c.Lease <= 0 {
 		c.Lease = time.Second
 	}
@@ -125,10 +119,10 @@ func (c Config) withDefaults() Config {
 const batchRecords = 512
 
 // Node is one cluster member. It implements server.Engine (plus the
-// Checkpointer, Flusher, and Prover optional surfaces) by delegating to
-// its durable.Memory — except that data ops on a non-primary answer
-// *wire.MovedError, the refused-before-execution redirect clients follow
-// to the leader.
+// Durable, Prover, TenantRanger and ClusterNode optional surfaces) by
+// delegating to its durable.Memory — except that data ops on a non-primary
+// answer *wire.MovedError, the refused-before-execution redirect clients
+// follow to the leader.
 type Node struct {
 	cfg   Config
 	shcfg shard.Config
@@ -205,7 +199,7 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		gLag:        cfg.Obs.Gauge("cluster.repl.lag"),
 		mem:         mem,
 		role:        RoleReplica,
-		epoch:       cfg.Epoch,
+		epoch:       1,
 		leader:      cfg.Leader,
 		lastContact: time.Now(),
 		replicas:    map[string][]uint64{},
@@ -222,9 +216,7 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		// The persisted identity wins over the startup flags: a deposed
 		// primary that crashed and restarted must not come back leading
 		// at its old epoch.
-		if m.Epoch > n.epoch {
-			n.epoch = m.Epoch
-		}
+		n.epoch = max(n.epoch, m.Epoch)
 		if m.Role != "" {
 			n.role = m.Role
 		}
@@ -458,9 +450,6 @@ func (n *Node) CheckpointDelta() error { return n.memory().CheckpointDelta() }
 
 // DeltaChainLen reports the local delta chain length (ckpt.Target).
 func (n *Node) DeltaChainLen() int { return n.memory().DeltaChainLen() }
-
-// Seq returns the local snapshot sequence number.
-func (n *Node) Seq() uint64 { return n.memory().Seq() }
 
 // Flush forces buffered WAL appends durable.
 func (n *Node) Flush() error { return n.memory().Flush() }

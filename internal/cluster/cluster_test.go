@@ -471,7 +471,12 @@ func TestHigherEpochPollFences(t *testing.T) {
 
 func TestStaleEpochPollRefused(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
-	n := openBare(t, shcfg, t.TempDir(), func(c *Config) { c.Primary = true; c.Epoch = 5 })
+	// A primary restarted at the epoch its cluster.META holds.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"epoch":5,"role":"primary"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })
 	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "x", Marks: []uint64{0, 0}})
 	var me *wire.MovedError
 	if !errors.As(err, &me) || me.Epoch != 5 {
@@ -601,13 +606,14 @@ func TestServerRefusesClusterOpsWithoutCluster(t *testing.T) {
 	}
 }
 
-// TestRetiredOpcodesAreUnknown: the six retired opcodes — 0x12, which was
+// TestRetiredOpcodesAreUnknown: the seven retired opcodes — 0x12, which was
 // OpMigrate, 0x05, which was OpSnapshot, 0x09, which was OpObs, 0x10, which
-// was OpPromote, 0x11, which was OpFollow, and 0x0F, which was OpRoute — are
-// unknown opcodes to a primary. Each frame is in its op's last layout, aimed
-// at the primary itself: a Cutover at its own epoch naming an address nobody
-// serves, a PROMOTE and a FOLLOW (to that address) at the next epoch, an
-// empty ROUTE. None changes the node's route or points the shard's writers
+// was OpPromote, 0x11, which was OpFollow, 0x0F, which was OpRoute, and 0x07,
+// which was OpCheckpoint — are unknown opcodes to a primary. Each frame is in
+// its op's last layout, aimed at the primary itself: a Cutover at its own
+// epoch naming an address nobody serves, a PROMOTE and a FOLLOW (to that
+// address) at the next epoch, an empty ROUTE, an empty CHECKPOINT. None
+// changes the node's route, cuts a checkpoint or points the shard's writers
 // anywhere: the next write to shard 0 acknowledges on the primary.
 func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	const (
@@ -617,12 +623,13 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 		opPromote  = 0x10 // retired OpPromote
 		opFollow   = 0x11 // retired OpFollow
 		opRoute    = 0x0F // retired OpRoute
+		opCkpt     = 0x07 // retired OpCheckpoint
 		cutover    = 4    // OpMigrate's Cutover phase
 		bogus      = "127.0.0.1:1"
 	)
 	shcfg := testShardCfg(t, 2, 1<<13)
 	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
-	before := p.node.Route()
+	before, ckpts := p.node.Route(), p.node.Durability().Checkpoints
 
 	// | u8 phase | u64 epoch | u32 shard | u16 nodeLen | node | u16 donorLen |
 	cut := []byte{cutover}
@@ -655,7 +662,7 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	for _, f := range []struct {
 		op      byte
 		payload []byte
-	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}, {opPromote, promote}, {opFollow, follow}, {opRoute, nil}} {
+	}{{opMigrate, cut}, {opSnapshot, nil}, {opObs, nil}, {opPromote, promote}, {opFollow, follow}, {opRoute, nil}, {opCkpt, nil}} {
 		if err := wire.WriteFrame(conn, f.op, f.payload); err != nil {
 			t.Fatal(err)
 		}
@@ -672,6 +679,9 @@ func TestRetiredOpcodesAreUnknown(t *testing.T) {
 	after := p.node.Route()
 	if after.Role != before.Role || after.Epoch != before.Epoch || after.Leader != before.Leader {
 		t.Fatalf("route moved from %s/%d/%s to %s/%d/%s", before.Role, before.Epoch, before.Leader, after.Role, after.Epoch, after.Leader)
+	}
+	if got := p.node.Durability().Checkpoints; got != ckpts {
+		t.Fatalf("checkpoints went from %d to %d", ckpts, got)
 	}
 	cl, err := wire.Dial(p.addr, 2*time.Second)
 	if err != nil {

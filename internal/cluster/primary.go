@@ -207,7 +207,7 @@ func (n *Node) snapshotResponse(mem *durable.Memory, epoch uint64) (*wire.Replic
 // rejoin is forced through a snapshot bootstrap. Called with n.mu held.
 func (n *Node) fenceLocked(observed uint64) {
 	n.cFences.Inc()
-	n.cfg.Tracer.Emit(obs.KindFence, -1, observed, n.epoch, 0)
+	n.cfg.Obs.Tracer().Emit(obs.KindFence, -1, observed, n.epoch, 0)
 	n.logf("cluster: %s fenced: observed epoch %d > local %d (was %s)", n.cfg.Self, observed, n.epoch, n.role)
 	if n.role == RolePrimary {
 		n.bootstrap = true

@@ -189,7 +189,7 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 		}
 		n.cBatches.Inc()
 		n.cRecords.Add(uint64(len(recs)))
-		n.cfg.Tracer.Emit(obs.KindReplBatch, int32(i), uint64(len(recs)), 0, time.Since(start))
+		n.cfg.Obs.Tracer().Emit(obs.KindReplBatch, int32(i), uint64(len(recs)), 0, time.Since(start))
 		progress = true
 	}
 	n.touchLease(resp)
@@ -303,7 +303,7 @@ func (n *Node) Promote(newEpoch uint64, minMarks []uint64) (*RouteInfo, error) {
 		_ = cl.Close()
 	}
 	n.cPromotes.Inc()
-	n.cfg.Tracer.Emit(obs.KindPromote, -1, newEpoch, 0, time.Since(start))
+	n.cfg.Obs.Tracer().Emit(obs.KindPromote, -1, newEpoch, 0, time.Since(start))
 	n.logf("cluster: %s promoted to primary at epoch %d (catch-up %v)", n.cfg.Self, newEpoch, time.Since(start))
 	return n.Route(), nil
 }
@@ -392,7 +392,7 @@ func (n *Node) Follow(epoch uint64, leader string) error {
 	wasPrimary := n.role == RolePrimary
 	if wasPrimary {
 		n.cFences.Inc()
-		n.cfg.Tracer.Emit(obs.KindFence, -1, epoch, n.epoch, 0)
+		n.cfg.Obs.Tracer().Emit(obs.KindFence, -1, epoch, n.epoch, 0)
 		n.bootstrap = true
 	}
 	n.epoch = epoch

@@ -286,7 +286,10 @@ func TestCWDataDirectoryRecovers(t *testing.T) {
 func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
 	t.Helper()
 	shcfg := testShardConfig(t, man.Shards, man.MemoryBytes)
-	m, info := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone, VerifyAll: true})
+	m, info := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncNone})
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 	if info.Fresh || info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedWrites == 0 {
 		t.Fatalf("recovery = %+v, want snapshot 2 + one delta + a replayed WAL tail", info)
 	}
@@ -343,7 +346,10 @@ func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways, VerifyAll: true})
+	m2, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
+	if err := m2.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 	check(m2)
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)

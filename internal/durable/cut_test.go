@@ -89,11 +89,14 @@ func TestDeltaCutUnderWriters(t *testing.T) {
 	}
 
 	// Crash: m is dropped as it is. Its files stay open until the test ends.
-	re, info, err := Open(shcfg, Config{Dir: dir, Sync: SyncAlways, VerifyAll: true})
+	re, info, err := Open(shcfg, Config{Dir: dir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if err := re.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 	if info.DeltasApplied != cuts {
 		t.Fatalf("recovery applied %d deltas, %d were cut", info.DeltasApplied, cuts)
 	}
@@ -223,11 +226,14 @@ func TestImagesUnderWritersAndCuts(t *testing.T) {
 		return
 	}
 	// Crash: m is dropped as it is. Its files stay open until the test ends.
-	re, info, err := Open(shcfg, Config{Dir: dir, Sync: SyncAlways, VerifyAll: true})
+	re, info, err := Open(shcfg, Config{Dir: dir, Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if err := re.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 	if info.SnapshotSeq < 6 {
 		t.Fatalf("recovery started from snapshot %d, not from the full checkpoint cut under the writers", info.SnapshotSeq)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -269,58 +270,48 @@ func TestMissingBaseFailsRecoveryTyped(t *testing.T) {
 	}
 }
 
-func TestKeepEpochsRetainsChains(t *testing.T) {
+// TestSweepKeepsExactlyTheHeadChain: after a delta cut the directory holds
+// the head's chain — its base snapshot, the base's WAL segments and every
+// link delta — and nothing else: not the chain a compaction superseded, not
+// an orphan delta, not a next-epoch leftover.
+func TestSweepKeepsExactlyTheHeadChain(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 1<<13)
-	cfg := Config{Dir: dir, Sync: SyncAlways, KeepEpochs: 3}
-	m, _ := mustOpen(t, shcfg, cfg)
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
 	defer m.Close()
-	writeSome(t, m, 1, 10)
-	if err := m.CheckpointDelta(); err != nil { // 2 (chain on 1)
-		t.Fatal(err)
-	}
-	writeSome(t, m, 2, 10)
-	if err := m.Checkpoint(); err != nil { // 3 (compaction)
-		t.Fatal(err)
-	}
-	writeSome(t, m, 3, 10)
-	if err := m.Checkpoint(); err != nil { // 4
-		t.Fatal(err)
-	}
-	// Floor is 4-3=1: every epoch is retained, and crucially snapshot 1
-	// stays because retained delta 2 chains to it.
-	have := map[string]bool{}
-	for _, name := range listEpochFiles(t, dir) {
-		have[name] = true
-	}
-	for _, want := range []string{
-		filepath.Base(SnapshotPath(dir, 1)),
-		ckpt.DeltaName(2, 1),
-		filepath.Base(SnapshotPath(dir, 3)),
-		filepath.Base(SnapshotPath(dir, 4)),
+	for i, cut := range []func() error{
+		m.CheckpointDelta, // 2 (chain on 1)
+		m.Checkpoint,      // 3 (compaction)
+		m.CheckpointDelta, // 4 (chain on 3)
 	} {
-		if !have[want] {
-			t.Fatalf("retention dropped %s; have %v", want, listEpochFiles(t, dir))
+		writeSome(t, m, uint64(i+1), 10)
+		if err := cut(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stale := range []string{ckpt.DeltaPath(dir, 2, 1), SegmentPath(dir, 7, 0)} {
+		if err := os.WriteFile(stale, nil, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 	writeSome(t, m, 4, 10)
-	if err := m.Checkpoint(); err != nil { // 5: floor 2 → snapshot 1 still needed by delta 2
+	if err := m.CheckpointDelta(); err != nil { // 5 (chain on 3), and its sweep
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(SnapshotPath(dir, 1)); err != nil {
-		t.Fatalf("retention orphaned delta 2 by dropping its base: %v", err)
+	want := []string{
+		ckpt.DeltaName(4, 3), ckpt.DeltaName(5, 4),
+		filepath.Base(SnapshotPath(dir, 3)),
+		filepath.Base(SegmentPath(dir, 3, 0)), filepath.Base(SegmentPath(dir, 3, 1)),
 	}
-	writeSome(t, m, 5, 10)
-	if err := m.Checkpoint(); err != nil { // 6: floor 3 → delta 2 ages out, base 1 with it
-		t.Fatal(err)
-	}
-	for _, gone := range []string{filepath.Base(SnapshotPath(dir, 1)), ckpt.DeltaName(2, 1)} {
-		if _, err := os.Stat(filepath.Join(dir, gone)); !os.IsNotExist(err) {
-			t.Fatalf("%s should have aged out: %v", gone, err)
+	var got []string
+	for _, name := range listEpochFiles(t, dir) {
+		if _, _, _, ok := parseSeq(name); ok {
+			got = append(got, name)
 		}
 	}
-	if _, err := os.Stat(SnapshotPath(dir, 3)); err != nil {
-		t.Fatalf("retained epoch 3 missing: %v", err)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("after the sweep: %v, want %v", got, want)
 	}
 }
 

@@ -106,27 +106,16 @@ type Config struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// VerifyAll makes recovery re-verify every written line in every
-	// shard (bounded-recovery-time tradeoff: thorough but O(state)).
-	VerifyAll bool
 	// ReplHistory, when positive, keeps an in-memory ring of the last N
 	// records per shard so a replication cursor can be served without
 	// re-reading the segment file. 0 disables the ring (ReadRecords then
 	// always falls back to the on-disk segment).
 	ReplHistory int
-	// KeepEpochs retains that many additional past epochs beyond the
-	// live base+delta chain, so operators can recover to earlier points
-	// in time. 0 (the default) keeps only what the current chain needs.
-	// Retention is chain-aware: a retained delta always keeps its whole
-	// ancestry down to a full snapshot, never leaving orphans.
-	KeepEpochs int
 	// Obs, when non-nil, records wal.fsync.latency, wal.group_commit.batch
 	// (records made durable per fsync) and durable.checkpoint.latency
-	// histograms.
+	// histograms, and traces WALFsync (per group commit), Snapshot and
+	// DeltaCkpt (per checkpoint) events.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives WALFsync (per group commit) and
-	// Snapshot (per checkpoint) events.
-	Tracer *obs.Tracer
 }
 
 const (

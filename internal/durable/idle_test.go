@@ -50,11 +50,14 @@ func TestIdleStoreCutsNoDelta(t *testing.T) {
 			t.Fatalf("%s: %d delta files in %v, want %d", what, got, after, deltas)
 		}
 		// Crash here: a copy of the directory recovers every write so far.
-		re, info, err := Open(shcfg, Config{Dir: copyDir(t, dir), Sync: SyncAlways, VerifyAll: true})
+		re, info, err := Open(shcfg, Config{Dir: copyDir(t, dir), Sync: SyncAlways})
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", what, err)
 		}
 		defer re.Close()
+		if err := re.VerifyAll(); err != nil {
+			t.Fatalf("%s: recovery: %v", what, err)
+		}
 		if info.DeltasApplied != deltas {
 			t.Fatalf("%s: recovery applied %d deltas, want %d", what, info.DeltasApplied, deltas)
 		}
@@ -131,7 +134,10 @@ func TestCloseRacesCheckpoints(t *testing.T) {
 	if strings.Contains(closed, ".tmp") {
 		t.Fatalf("Close left a temp file:\n%s", closed)
 	}
-	re, _, err := Open(shcfg, Config{Dir: dir, Sync: SyncNone, VerifyAll: true})
+	re, _, err := Open(shcfg, Config{Dir: dir, Sync: SyncNone})
+	if err == nil {
+		err = re.VerifyAll()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,7 @@ import (
 func TestObsInstrumentation(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(1024)
-	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: dir, Sync: SyncAlways, Obs: reg, Tracer: tr})
+	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: dir, Sync: SyncAlways, Obs: reg})
 	defer func() {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
@@ -48,7 +47,7 @@ func TestObsInstrumentation(t *testing.T) {
 	if bh.Sum != st.Appends {
 		t.Fatalf("batch sum = %d, want appends %d", bh.Sum, st.Appends)
 	}
-	if got := tr.Count(obs.KindWALFsync); got != st.Fsyncs {
+	if got := reg.Tracer().Count(obs.KindWALFsync); got != st.Fsyncs {
 		t.Fatalf("WALFsync events = %d, want %d", got, st.Fsyncs)
 	}
 	if snap.Counters["durable.appends"] != writes {
@@ -71,11 +70,11 @@ func TestObsInstrumentation(t *testing.T) {
 	if ch.Count != 1 || ch.Max == 0 {
 		t.Fatalf("checkpoint latency histogram = %+v, want 1 nonzero sample", ch)
 	}
-	if got := tr.Count(obs.KindSnapshot); got != 1 {
+	if got := reg.Tracer().Count(obs.KindSnapshot); got != 1 {
 		t.Fatalf("Snapshot events = %d, want 1", got)
 	}
 	var saw bool
-	for _, ev := range tr.Events() {
+	for _, ev := range reg.Tracer().Events() {
 		if ev.Kind == obs.KindSnapshot {
 			saw = true
 			if ev.A != m.Seq() {

@@ -193,19 +193,13 @@ func (m *Memory) checkpoint() error {
 	return firstErr
 }
 
-// removeEpochsBelow is the chain-aware stale-epoch sweep: given the
-// current head epoch it deletes everything not worth keeping —
-//
-//   - files from epochs beyond head (stale next-epoch leftovers a crash
-//     mid-checkpoint abandoned),
-//   - orphan deltas whose ancestry cannot reach a full snapshot (their
-//     base was compacted away, or a link is missing),
-//   - files older than the retention floor (head − KeepEpochs) that no
-//     retained chain requires.
-//
-// A retained delta always keeps its whole ancestry: the required-epoch
-// set is computed by walking every resolvable chain whose head is at or
-// above the floor, so retention can never create the orphans it sweeps.
+// removeEpochsBelow is the stale-epoch sweep: it keeps exactly the head
+// epoch's chain — its base snapshot, the base's WAL segments and every
+// link delta — and deletes every other epoch's file: next-epoch leftovers
+// a crash mid-checkpoint abandoned, orphan deltas, and superseded chains.
+// Recovery only ever reads the head's chain (Open never falls back), so
+// nothing else on disk has a reader. A head whose chain does not resolve
+// is an error and deletes nothing.
 func (m *Memory) removeEpochsBelow(head uint64) error {
 	entries, err := os.ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -214,47 +208,26 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 	snaps := make(map[uint64]bool)
 	deltas := make(map[uint64]ckpt.Entry)
 	for _, e := range entries {
-		name := e.Name()
-		if s, b, ok := ckpt.ParseDeltaName(name); ok {
-			if s <= head {
-				deltas[s] = ckpt.Entry{Seq: s, Base: b}
-			}
-			continue
-		}
-		if seq, _, isSnap, ok := parseSeq(name); ok && isSnap && seq <= head {
+		if s, b, ok := ckpt.ParseDeltaName(e.Name()); ok {
+			deltas[s] = ckpt.Entry{Seq: s, Base: b}
+		} else if seq, _, isSnap, ok := parseSeq(e.Name()); ok && isSnap {
 			snaps[seq] = true
 		}
 	}
-	floor := uint64(1)
-	if head > uint64(m.cfg.KeepEpochs) {
-		floor = head - uint64(m.cfg.KeepEpochs)
+	base, chain, err := ckpt.ResolveChain(head, snaps, deltas)
+	if err != nil {
+		return err
 	}
-	var heads []uint64
-	for s := range snaps {
-		if s >= floor {
-			heads = append(heads, s)
-		}
+	keep := map[uint64]bool{base: true}
+	for _, d := range chain {
+		keep[d.Seq] = true
 	}
-	for s := range deltas {
-		if s >= floor {
-			heads = append(heads, s)
-		}
-	}
-	required := ckpt.Required(heads, snaps, deltas)
 
 	var firstErr error
 	removed := false
 	for _, e := range entries {
 		name := e.Name()
-		seq, _, _, ok := parseSeq(name)
-		if !ok {
-			continue
-		}
-		_, _, isDelta := ckpt.ParseDeltaName(name)
-		drop := seq > head ||
-			(isDelta && !required[seq]) ||
-			(seq < floor && !required[seq])
-		if !drop {
+		if seq, _, _, ok := parseSeq(name); !ok || keep[seq] {
 			continue
 		}
 		if err := os.Remove(filepath.Join(m.cfg.Dir, name)); err != nil && firstErr == nil {
@@ -337,7 +310,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		batchHist: cfg.Obs.Histogram("wal.group_commit.batch"),
 		ckptLat:   cfg.Obs.Histogram("durable.checkpoint.latency"),
 		deltaLat:  cfg.Obs.Histogram("durable.delta.latency"),
-		tracer:    cfg.Tracer,
+		tracer:    cfg.Obs.Tracer(),
 	}
 	info := &RecoveryInfo{Fresh: head == 0}
 	if info.Fresh {
@@ -458,17 +431,12 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 			info.SampleVerified++
 		}
 	}
-	if cfg.VerifyAll {
-		if err := sh.VerifyAll(); err != nil {
-			return nil, nil, err
-		}
-	}
 
-	// Retire stale files (next-epoch segments a crash mid-checkpoint
-	// abandoned, orphan deltas whose base was compacted away, epochs
-	// past the retention floor), then reopen the base epoch's
-	// segments for append — creating them in a directory that has only its
-	// snapshot yet, which is why the directory is synced after.
+	// Retire every file outside the head's chain (next-epoch segments a
+	// crash mid-checkpoint abandoned, orphan deltas, superseded epochs),
+	// then reopen the base epoch's segments for append — creating them in
+	// a directory that has only its snapshot yet, which is why the
+	// directory is synced after.
 	if err := m.removeEpochsBelow(head); err != nil {
 		return nil, nil, err
 	}

@@ -141,13 +141,16 @@ func (g *Gauge) Value() int64 {
 // collector per subsystem keeps a scrape to one stats call per subsystem.
 type Collector func(emit func(name string, value uint64))
 
-// Registry is a named collection of instruments. Get-or-create accessors
-// hand out shared instruments by name, so independent subsystems recording
-// under the same name merge into one stream. Registration takes a mutex;
-// recording on the returned instruments is lock-free. All methods are
-// safe for concurrent use; on a nil *Registry every accessor returns a nil
-// (inert) instrument, so "observability off" needs no call-site branches.
+// Registry is a named collection of instruments plus the event ring every
+// layer traces into. Get-or-create accessors hand out shared instruments
+// by name, so independent subsystems recording under the same name merge
+// into one stream. Registration takes a mutex; recording on the returned
+// instruments is lock-free. All methods are safe for concurrent use; on a
+// nil *Registry every accessor returns a nil (inert) instrument, so
+// "observability off" needs no call-site branches.
 type Registry struct {
+	tracer *Tracer // immutable after NewRegistry
+
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
@@ -155,13 +158,25 @@ type Registry struct {
 	collectors []Collector
 }
 
-// NewRegistry returns an empty registry.
+// traceRing is the number of events a registry's tracer keeps.
+const traceRing = 4096
+
+// NewRegistry returns an empty registry with a fresh event ring.
 func NewRegistry() *Registry {
 	return &Registry{
+		tracer:   NewTracer(traceRing),
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
+}
+
+// Tracer returns the registry's event ring (nil on a nil registry).
+func (r *Registry) Tracer() *Tracer {
+	if r == nil {
+		return nil
+	}
+	return r.tracer
 }
 
 // Counter returns the named counter, creating it on first use.

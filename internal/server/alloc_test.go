@@ -49,7 +49,7 @@ func TestServedOpsDoNotAllocate(t *testing.T) {
 			}
 			return sh
 		}},
-		{name: "obs and tracer", cfg: Config{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(1024)},
+		{name: "obs and tracer", cfg: Config{Obs: obs.NewRegistry()},
 			engine: func(t *testing.T) Engine { return testShards(t, 2, 1<<16) }},
 	}
 	for _, tc := range cases {

@@ -44,8 +44,6 @@ func TestCapabilityAnswers(t *testing.T) {
 
 	const (
 		zeros        = "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
-		seq2         = "\x00\x00\x00\x00\x00\x00\x00\x02"
-		noDurable    = "checkpoint: server has no durable store (start with -data-dir)"
 		noProver     = "proof: server has no proving engine or signing authority"
 		singleTenant = "hello: this server is single-tenant"
 	)
@@ -54,7 +52,6 @@ func TestCapabilityAnswers(t *testing.T) {
 		payload []byte
 	}{
 		{wire.OpRead, wire.EncodeAddr(0)},
-		{wire.OpCheckpoint, nil},
 		{wire.OpProof, wire.EncodeAddr(0)},
 		{wire.OpHello, hello},
 	}
@@ -66,12 +63,12 @@ func TestCapabilityAnswers(t *testing.T) {
 	for _, e := range []struct {
 		name string
 		eng  Engine
-		want [4]answer // in ops' order
+		want [3]answer // in ops' order
 	}{
-		{"stub", &stubEngine{}, [4]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, singleTenant}}},
-		{"sharded", testShards(t, 2, 1<<13), [4]answer{{ok, zeros}, {fail, noDurable}, {fail, noProver}, {fail, singleTenant}}},
-		{"durable", dm, [4]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {fail, singleTenant}}},
-		{"cluster", cn, [4]answer{{ok, zeros}, {ok, seq2}, {fail, noProver}, {fail, singleTenant}}},
+		{"stub", &stubEngine{}, [3]answer{{ok, zeros}, {fail, noProver}, {fail, singleTenant}}},
+		{"sharded", testShards(t, 2, 1<<13), [3]answer{{ok, zeros}, {fail, noProver}, {fail, singleTenant}}},
+		{"durable", dm, [3]answer{{ok, zeros}, {fail, noProver}, {fail, singleTenant}}},
+		{"cluster", cn, [3]answer{{ok, zeros}, {fail, noProver}, {fail, singleTenant}}},
 	} {
 		srv := New(e.eng, Config{})
 		for i, op := range ops {

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,80 +39,6 @@ func openDurable(t *testing.T, dir string, shards int, memBytes uint64, cfg dura
 		t.Fatal(err)
 	}
 	return m, info
-}
-
-// TestCheckpointOpRequiresDurableEngine: a volatile server answers
-// OpCheckpoint with a StatusError that tells the operator what to do.
-func TestCheckpointOpRequiresDurableEngine(t *testing.T) {
-	sh := testShards(t, 2, 1<<13)
-	addr, shutdown := startServer(t, sh, Config{})
-	defer shutdown()
-	c, err := wire.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.Checkpoint()
-	var re *wire.RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("checkpoint on volatile server returned %v, want *wire.RemoteError", err)
-	}
-	if !strings.Contains(re.Msg, "data-dir") {
-		t.Fatalf("error %q does not tell the operator about -data-dir", re.Msg)
-	}
-}
-
-// TestCheckpointOpEndToEnd forces a checkpoint over the wire, keeps
-// writing, and proves a post-crash reopen recovers from the forced
-// snapshot plus the short WAL tail.
-func TestCheckpointOpEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	m, _ := openDurable(t, dir, 2, 1<<13, durable.Config{Sync: durable.SyncAlways})
-	addr, shutdown := startServer(t, m, Config{})
-	c, err := wire.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 16; i++ {
-		if err := c.Write(i*durable.LineBytes, oracle.Fill(i, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seq, err := c.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 2 {
-		t.Fatalf("forced checkpoint seq = %d, want 2", seq)
-	}
-	for i := uint64(16); i < 24; i++ {
-		if err := c.Write(i*durable.LineBytes, oracle.Fill(i, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Close()
-	shutdown()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, info := openDurable(t, dir, 2, 1<<13, durable.Config{})
-	defer m2.Close()
-	if info.SnapshotSeq != 2 {
-		t.Fatalf("recovered from snapshot %d, want the forced one (2)", info.SnapshotSeq)
-	}
-	if info.ReplayedWrites != 8 {
-		t.Fatalf("replayed %d writes, want only the 8 after the forced checkpoint", info.ReplayedWrites)
-	}
-	for i := uint64(0); i < 24; i++ {
-		got, err := m2.Read(i * durable.LineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, oracle.Fill(i, 3)) {
-			t.Fatalf("line %d mismatch after recovery", i)
-		}
-	}
 }
 
 // TestGracefulShutdownFlushes: with fsync disabled entirely (SyncNone),

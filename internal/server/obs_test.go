@@ -16,9 +16,9 @@ import (
 // events in the registry's snapshot, the body /metricz serves.
 func TestObsInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := obs.NewTracer(1024)
+	tr := reg.Tracer()
 	sh := testShards(t, 2, 1<<16)
-	addr, shutdown := startServer(t, sh, Config{Obs: reg, Tracer: tr})
+	addr, shutdown := startServer(t, sh, Config{Obs: reg})
 	defer shutdown()
 
 	cl, err := wire.Dial(addr, 5*time.Second)
@@ -103,8 +103,8 @@ func TestObsDisabled(t *testing.T) {
 // BenchmarkServedOp is the instrumentation overhead budget (≤5 %) measured
 // where instrumentation runs: one served READ and one WRITE per iteration
 // over net.Pipe, driven with a bare FrameWriter/FrameReader as in
-// TestServedOpsDoNotAllocate, uninstrumented (bare) against a registry and a
-// tracer (obs). Compare the two ns/op figures:
+// TestServedOpsDoNotAllocate, uninstrumented (bare) against a registry and its
+// event ring (obs). Compare the two ns/op figures:
 //
 //	go test -run '^$' -bench ServedOp -count 10 ./internal/server/
 func BenchmarkServedOp(b *testing.B) {
@@ -113,7 +113,7 @@ func BenchmarkServedOp(b *testing.B) {
 		cfg  func() Config
 	}{
 		{"bare", func() Config { return Config{} }},
-		{"obs", func() Config { return Config{Obs: obs.NewRegistry(), Tracer: obs.NewTracer(4096)} }},
+		{"obs", func() Config { return Config{Obs: obs.NewRegistry()} }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			srv := New(testShards(b, 2, 1<<16), mode.cfg())

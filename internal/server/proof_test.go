@@ -176,7 +176,7 @@ func TestCheckpointPublishesEpoch(t *testing.T) {
 		if err := c.Write(i*secmem.LineBytes, oracle.Fill(i, i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Checkpoint(); err != nil {
+		if err := dm.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,8 +5,8 @@
 // slow-loris hardening, a gate-bypassing PING health check, and graceful
 // shutdown driven by a context. The engine is an interface so the same
 // server runs over a bare shard.Sharded, a durable.Memory or a
-// cluster.Node; when the engine is Durable the server also cuts
-// checkpoints on request and flushes its journal as it drains.
+// cluster.Node; when the engine is Durable the server also flushes its
+// journal as it drains and publishes a root after every checkpoint.
 //
 // The server is deliberately fail-closed and crash-free: every malformed
 // frame, unknown opcode, or engine error becomes a typed response frame
@@ -71,15 +71,12 @@ func (r readCopier) AppendRead(dst []byte, addr uint64) ([]byte, error) {
 }
 
 // Durable is the optional surface of an engine with a journal and
-// checkpoints. OpCheckpoint cuts a snapshot and reports its sequence number;
-// Serve forces buffered WAL appends to stable storage after the last
-// connection drains; and OnCheckpoint tells the server when a checkpoint was
-// cut, by whomever, so each epoch's root lands in the transparency log.
-// *durable.Memory and *cluster.Node implement it; *shard.Sharded does not,
-// and checkpoint requests against it fail with a StatusError.
+// checkpoints. Serve forces buffered WAL appends to stable storage after
+// the last connection drains, and OnCheckpoint tells the server when a
+// checkpoint was cut, so each epoch's root lands in the transparency log.
+// *durable.Memory and *cluster.Node implement it; *shard.Sharded does not.
+// No wire op cuts a checkpoint: that is the embedding process's call.
 type Durable interface {
-	Checkpoint() error
-	Seq() uint64
 	Flush() error
 	OnCheckpoint(fn func(seq uint64))
 }
@@ -162,11 +159,9 @@ type Config struct {
 	// Obs, when non-nil, turns on request instrumentation: per-op latency
 	// histograms (server.op.<name>.latency), a server.inflight gauge,
 	// effective admission-limit gauges (server.limit.*), a pull-time
-	// collector for the admission counters.
+	// collector for the admission counters, and ReqEnd/Shed events (plus
+	// TenantBind/QuotaShed in tenant mode) in its tracer.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives ReqStart/ReqEnd/Shed events (plus
-	// TenantBind/QuotaShed in tenant mode).
-	Tracer *obs.Tracer
 	// Tenants, when non-nil, turns on multi-tenant serving: connections
 	// must bind a tenant with HELLO before any data op, a bound
 	// connection's addresses are relative to the tenant's range (the
@@ -299,8 +294,7 @@ func New(eng Engine, cfg Config) *Server {
 	if cfg.Obs != nil {
 		for _, op := range []byte{
 			wire.OpRead, wire.OpWrite, wire.OpVerify, wire.OpStats,
-			wire.OpTamper, wire.OpCheckpoint,
-			wire.OpProof, wire.OpRoot, wire.OpRootRange, wire.OpHello,
+			wire.OpTamper, wire.OpProof, wire.OpRoot, wire.OpRootRange, wire.OpHello,
 		} {
 			s.opLat[op] = cfg.Obs.Histogram("server.op." + wire.OpName(op) + ".latency")
 		}
@@ -326,12 +320,10 @@ func New(eng Engine, cfg Config) *Server {
 	}
 	if cfg.Authority != nil {
 		if s.prover, _ = eng.(Prover); s.prover != nil {
-			if cfg.Obs != nil {
-				s.proofLat = cfg.Obs.Histogram("proof.build.latency")
-				s.epochGauge = cfg.Obs.Gauge("proof.epoch")
-				s.proofsServed = cfg.Obs.Counter("proof.served")
-				s.proofsFailed = cfg.Obs.Counter("proof.failed")
-			}
+			s.proofLat = cfg.Obs.Histogram("proof.build.latency")
+			s.epochGauge = cfg.Obs.Gauge("proof.epoch")
+			s.proofsServed = cfg.Obs.Counter("proof.served")
+			s.proofsFailed = cfg.Obs.Counter("proof.failed")
 			// The log's first entry pins the engine's recovered (or empty)
 			// state, so an auditor has a root to verify against before the
 			// first checkpoint ever fires.
@@ -350,7 +342,7 @@ func New(eng Engine, cfg Config) *Server {
 func (s *Server) publishRoot() {
 	e := s.cfg.Authority.Publish(proof.CombineRoots(s.prover.RootDigests()))
 	s.epochGauge.Set(int64(e.Epoch))
-	s.cfg.Tracer.Emit(obs.KindRootPublish, -1, e.Epoch, s.cfg.Authority.Size(), 0)
+	s.cfg.Obs.Tracer().Emit(obs.KindRootPublish, -1, e.Epoch, s.cfg.Authority.Size(), 0)
 	s.logf("server: published epoch %d root to transparency log", e.Epoch)
 }
 
@@ -594,7 +586,7 @@ func (s *Server) dispatch(cs *connState, op byte, payload []byte) (byte, []byte)
 // execute runs an admitted request through handle, with instrumentation
 // when observability is on.
 func (s *Server) execute(cs *connState, op byte, payload []byte) (byte, []byte) {
-	if s.cfg.Obs == nil && s.cfg.Tracer == nil {
+	if s.cfg.Obs == nil {
 		return s.handle(cs, op, payload)
 	}
 	s.inflight.Add(1)
@@ -603,7 +595,7 @@ func (s *Server) execute(cs *connState, op byte, payload []byte) (byte, []byte) 
 	dur := time.Since(start)
 	s.inflight.Add(-1)
 	s.opLat[op].Record(dur)
-	s.cfg.Tracer.Emit(obs.KindReqEnd, -1, uint64(op), uint64(status), dur)
+	s.cfg.Obs.Tracer().Emit(obs.KindReqEnd, -1, uint64(op), uint64(status), dur)
 	return status, body
 }
 
@@ -639,7 +631,7 @@ func (s *Server) hello(cs *connState, payload []byte) (byte, []byte) {
 		return wire.StatusError, []byte("hello: the engine holds no address range for this tenant")
 	}
 	cs.tenant, cs.base, cs.size = id, base, size
-	s.cfg.Tracer.Emit(obs.KindTenantBind, -1, s.tenantIdx[id], 0, 0)
+	s.cfg.Obs.Tracer().Emit(obs.KindTenantBind, -1, s.tenantIdx[id], 0, 0)
 	return wire.StatusOK, nil
 }
 
@@ -673,7 +665,7 @@ func (s *Server) quotaReply(cs *connState, op byte, err error) (byte, []byte) {
 	var qe *tenant.QuotaError
 	if errors.As(err, &qe) {
 		s.quotaShed.Add(1)
-		s.cfg.Tracer.Emit(obs.KindQuotaShed, -1, uint64(op), s.tenantIdx[cs.tenant], 0)
+		s.cfg.Obs.Tracer().Emit(obs.KindQuotaShed, -1, uint64(op), s.tenantIdx[cs.tenant], 0)
 	}
 	return wire.EncodeError(err)
 }
@@ -682,7 +674,7 @@ func (s *Server) quotaReply(cs *connState, op byte, err error) (byte, []byte) {
 // StatusBusy answer.
 func (s *Server) shedReply(op byte) (byte, []byte) {
 	s.shed.Add(1)
-	s.cfg.Tracer.Emit(obs.KindShed, -1, uint64(op), 0, 0)
+	s.cfg.Obs.Tracer().Emit(obs.KindShed, -1, uint64(op), 0, 0)
 	return wire.StatusBusy, []byte("server at capacity; retry with backoff")
 }
 
@@ -756,15 +748,6 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 		}
 		return wire.StatusOK, nil
 
-	case wire.OpCheckpoint:
-		if s.durable == nil {
-			return wire.StatusError, []byte("checkpoint: server has no durable store (start with -data-dir)")
-		}
-		if err := s.durable.Checkpoint(); err != nil {
-			return wire.EncodeError(err)
-		}
-		return wire.StatusOK, wire.EncodeAddr(s.durable.Seq())
-
 	case wire.OpProof:
 		if s.prover == nil {
 			return wire.StatusError, []byte("proof: server has no proving engine or signing authority")
@@ -796,7 +779,7 @@ func (s *Server) handle(cs *connState, op byte, payload []byte) (byte, []byte) {
 				present++
 			}
 		}
-		s.cfg.Tracer.Emit(obs.KindProofBuild, int32(p.Shard), addr, present, dur)
+		s.cfg.Obs.Tracer().Emit(obs.KindProofBuild, int32(p.Shard), addr, present, dur)
 		s.proofsServed.Inc()
 		return wire.StatusOK, body
 

@@ -289,7 +289,7 @@ func TestTenantQuotaShed(t *testing.T) {
 		tenant.Spec{ID: "limited", Secret: "ls", OpsPerSec: 1},
 	)
 	oreg := obs.NewRegistry()
-	tracer := obs.NewTracer(64)
+	tracer := oreg.Tracer()
 	sh := testShards(t, 2, 1<<16)
 	if err := sh.RegisterTenants(reg.IDs()); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestTenantQuotaShed(t *testing.T) {
 	cfg := Config{
 		MaxConns: 8, MaxInflight: 4, ShedWait: 50 * time.Millisecond,
 		Timeout: 5 * time.Second, FrameTimeout: 5 * time.Second,
-		Tenants: reg, Obs: oreg, Tracer: tracer,
+		Tenants: reg, Obs: oreg,
 	}
 	ln, srv := mustListen(t), New(sh, cfg)
 	addr, shutdown := serveOn(t, srv, ln)

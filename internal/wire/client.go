@@ -233,17 +233,6 @@ func (c *Client) Stats() (secmem.Stats, error) {
 	return call(c, OpStats, nil, DecodeStats)
 }
 
-// Checkpoint forces the server to cut a durable checkpoint (atomic
-// snapshot + WAL truncation) and returns the new snapshot sequence
-// number. Servers running without a data directory answer *RemoteError.
-// Idempotent: an extra checkpoint after an ambiguous outcome only
-// shortens replay.
-func (c *Client) Checkpoint() (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return call(c, OpCheckpoint, nil, DecodeAddr)
-}
-
 // helloRequest encodes the HELLO that binds a stream to tenant id, proving
 // possession of its secret with an HMAC token (the secret never crosses
 // the wire). It gets a buffer of its own: a redial sends one while c.req

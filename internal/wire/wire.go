@@ -37,12 +37,7 @@ const (
 	// interface; servers only honor it when started with tampering
 	// enabled). Used to demonstrate fail-closed detection end to end.
 	OpTamper byte = 0x06
-	// OpCheckpoint forces the server to cut a durable checkpoint: an
-	// atomic on-disk snapshot that truncates the write-ahead log. Only
-	// servers started with a data directory honor it; others answer
-	// StatusError. The OK response carries the new u64 snapshot sequence
-	// number.
-	OpCheckpoint byte = 0x07
+	// 0x07 was OpCheckpoint (retired; never reuse it).
 	// OpPing is the health check: empty payload, empty OK response. The
 	// server answers it without taking an admission slot, so a loaded
 	// (shedding) server still proves it is alive — liveness and capacity
@@ -90,18 +85,17 @@ const (
 // opNames maps opcodes to the names used in per-op metric keys
 // (server.op.<name>.latency) and human-readable output.
 var opNames = map[byte]string{
-	OpRead:       "read",
-	OpWrite:      "write",
-	OpVerify:     "verify",
-	OpStats:      "stats",
-	OpTamper:     "tamper",
-	OpCheckpoint: "checkpoint",
-	OpPing:       "ping",
-	OpProof:      "proof",
-	OpRoot:       "root",
-	OpRootRange:  "root_range",
-	OpHello:      "hello",
-	OpReplicate:  "replicate",
+	OpRead:      "read",
+	OpWrite:     "write",
+	OpVerify:    "verify",
+	OpStats:     "stats",
+	OpTamper:    "tamper",
+	OpPing:      "ping",
+	OpProof:     "proof",
+	OpRoot:      "root",
+	OpRootRange: "root_range",
+	OpHello:     "hello",
+	OpReplicate: "replicate",
 }
 
 // OpName returns the lowercase name of an opcode, or "op_%02x" for

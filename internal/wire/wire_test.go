@@ -231,60 +231,3 @@ func TestStatsCodec(t *testing.T) {
 		t.Fatal("bad stats payload accepted")
 	}
 }
-
-// respondOnce serves exactly one request on the server half of a pipe with
-// a fixed status + body, then keeps the connection open.
-func respondOnce(t *testing.T, srv net.Conn, wantOp byte, status byte, body []byte) {
-	t.Helper()
-	go func() {
-		op, _, err := ReadFrame(srv)
-		if err != nil {
-			t.Errorf("server read: %v", err)
-			return
-		}
-		if op != wantOp {
-			t.Errorf("server got op %#x, want %#x", op, wantOp)
-		}
-		if err := WriteFrame(srv, status, body); err != nil {
-			t.Errorf("server write: %v", err)
-		}
-	}()
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	c := NewClient(cli, time.Second)
-	respondOnce(t, srv, OpCheckpoint, StatusOK, EncodeAddr(7))
-	seq, err := c.Checkpoint()
-	if err != nil || seq != 7 {
-		t.Fatalf("Checkpoint() = %d, %v, want 7, nil", seq, err)
-	}
-}
-
-func TestCheckpointMalformedResponse(t *testing.T) {
-	// A short OK body must be a decode error, never a panic or a bogus
-	// sequence number.
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	c := NewClient(cli, time.Second)
-	respondOnce(t, srv, OpCheckpoint, StatusOK, []byte{1, 2, 3})
-	if seq, err := c.Checkpoint(); err == nil {
-		t.Fatalf("short checkpoint body accepted, seq=%d", seq)
-	}
-}
-
-func TestCheckpointRemoteError(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	c := NewClient(cli, time.Second)
-	respondOnce(t, srv, OpCheckpoint, StatusError, []byte("checkpoint: server has no durable store (start with -data-dir)"))
-	_, err := c.Checkpoint()
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("got %v, want *RemoteError", err)
-	}
-}
