@@ -53,7 +53,8 @@ bench:
 # The engine's three kernels — counter-line codec, line MAC, secmem
 # read/write — its store (a sharded prefill, a sparse dirty cut, a cache
 # flush), the WAL that journals it (a record sealed and appended, a segment
-# replayed) and the delta checkpoint cut from it under a writer as go-test
+# replayed, a lagging replica's batch read from the middle of a segment) and
+# the delta checkpoint cut from it under a writer as go-test
 # benchmarks, and the store's resident bytes per stored line
 # (TestStoreFootprint) beside the prefill's B/op: the before/after rows of a
 # change to any of them are this command on each commit.
@@ -62,13 +63,14 @@ perf-engine:
 		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
+	$(GO) test -run '^$$' -bench 'ReadRecordsPastRing' -benchmem -count 5 ./internal/durable
 	$(GO) test -run 'TestStoreFootprint' -v ./internal/secmem | grep 'resident bytes'
 
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that
 # must agree with the bit-serial reference on every input — over the store's
-# line table against the map model it replaced, over the MAC against
-# crypto/hmac (Raw) and the textbook GHASH-then-AES (the line MAC), over the
+# line table against the map model it replaced, over the MAC against the
+# textbook GHASH-then-AES (the line MAC and the WAL's record seal), over the
 # WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
@@ -82,15 +84,17 @@ perf-engine:
 # reads whatever reaches the -admin port before anything routes on it, and
 # over the PROOF, ROOT and ROOT_RANGE replies' decoders (FuzzProofDecode),
 # which a thin client and morphaudit run on whatever the server sends before
-# they verify a MAC or a signature.
+# they verify a MAC or a signature. The targets are whatever Fuzz functions
+# those packages hold, and the loop ends by saying how many it ran.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
+	@n=0; for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+			n=$$((n + 1)); \
 		done; \
-	done
+	done; echo "fuzz-smoke: $$n targets, $(FUZZTIME) each"
 
 # Loopback smoke test of the serving layer: morphload drives a local
 # morphserve and verifies integrity end to end (including an injected

@@ -141,6 +141,21 @@ func (o *options) validate() error {
 	if o.snapEvery < 0 {
 		return fmt.Errorf("-snapshot-every must be >= 0 (got %v); 0 disables periodic snapshots", o.snapEvery)
 	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+		value    any
+	}{
+		{"-max-conns", o.maxConns < 0, o.maxConns},
+		{"-max-inflight", o.maxInflight < 0, o.maxInflight},
+		{"-shed-wait", o.shedWait < 0, o.shedWait},
+		{"-timeout", o.timeout < 0, o.timeout},
+		{"-frame-timeout", o.frameTimeout < 0, o.frameTimeout},
+	} {
+		if f.negative {
+			return fmt.Errorf("%s must be >= 0 (got %v); 0 takes the default", f.name, f.value)
+		}
+	}
 	if o.deltaEvery < 0 {
 		return fmt.Errorf("-delta-every must be >= 0 (got %v); 0 disables background delta checkpoints", o.deltaEvery)
 	}

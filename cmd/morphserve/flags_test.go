@@ -54,6 +54,11 @@ func TestFlagInvalidCombos(t *testing.T) {
 		{"delta-every without data-dir", []string{"-delta-every", "5s"}, "-delta-every has no effect without -data-dir"},
 		{"negative delta-every", []string{"-data-dir", "/tmp/d", "-delta-every", "-1s"}, "-delta-every must be >= 0"},
 		{"negative snapshot-every", []string{"-data-dir", "/tmp/d", "-snapshot-every", "-1s"}, "-snapshot-every must be >= 0"},
+		{"negative max-conns", []string{"-max-conns", "-1"}, "-max-conns must be >= 0"},
+		{"negative max-inflight", []string{"-max-inflight", "-4"}, "-max-inflight must be >= 0"},
+		{"negative shed-wait", []string{"-shed-wait", "-1ms"}, "-shed-wait must be >= 0"},
+		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must be >= 0"},
+		{"negative frame-timeout", []string{"-frame-timeout", "-5s"}, "-frame-timeout must be >= 0"},
 		{"retired trace-buf", []string{"-admin", "127.0.0.1:0", "-trace-buf", "64"}, "not defined: -trace-buf"},
 		{"bad key hex", []string{"-key", "zz"}, "-key"},
 		{"short key", []string{"-key", "0011"}, "16, 24, or 32 bytes"},

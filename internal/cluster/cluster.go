@@ -30,7 +30,6 @@ package cluster
 
 import (
 	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -39,6 +38,7 @@ import (
 	"time"
 
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
@@ -337,18 +337,14 @@ func (n *Node) movedLocked() error {
 // sealed by a deposed primary fails MAC verification at the new epoch
 // before any record is applied.
 func replKey(master []byte, epoch uint64, shardIdx int) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/repl/%d/%d", epoch, shardIdx)
-	return h.Sum(nil)
+	return mac.Derive(master, fmt.Sprintf("morphtree/repl/%d/%d", epoch, shardIdx))
 }
 
 // peerSecret derives the key a peer HELLO is made under, the master key's
 // "morphtree/cluster-control" domain: only a holder of the master key can
 // bind as a peer, and only a bound peer's poll is read.
 func peerSecret(master []byte) string {
-	h := hmac.New(sha256.New, master)
-	h.Write([]byte("morphtree/cluster-control"))
-	return string(h.Sum(nil))
+	return string(mac.Derive(master, "morphtree/cluster-control"))
 }
 
 // AuthenticatePeer reports whether token is the one a cluster peer binds

@@ -20,6 +20,7 @@ import (
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/server"
 	"github.com/securemem/morphtree/internal/shard"
+	"github.com/securemem/morphtree/internal/wal"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
@@ -455,7 +456,7 @@ func TestAckTimeoutIsTyped(t *testing.T) {
 func TestHigherEpochPollFences(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	n := openBare(t, shcfg, t.TempDir(), func(c *Config) { c.Primary = true })
-	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 5, Node: "x", Marks: []uint64{0, 0}})
+	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 5, Node: "x", Marks: []uint64{0, 0}, CWRecords: true})
 	if !wire.IsMoved(err) {
 		t.Fatalf("higher-epoch poll answered %v, want moved", err)
 	}
@@ -477,7 +478,7 @@ func TestStaleEpochPollRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })
-	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "x", Marks: []uint64{0, 0}})
+	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "x", Marks: []uint64{0, 0}, CWRecords: true})
 	var me *wire.MovedError
 	if !errors.As(err, &me) || me.Epoch != 5 {
 		t.Fatalf("stale poll err = %v, want moved at epoch 5", err)
@@ -532,7 +533,7 @@ func TestMetaPersistsDeposedEpoch(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	dir := t.TempDir()
 	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })
-	if _, err := n.Replicate(&wire.ReplicateRequest{Epoch: 7, Node: "x", Marks: []uint64{0, 0}}); !wire.IsMoved(err) {
+	if _, err := n.Replicate(&wire.ReplicateRequest{Epoch: 7, Node: "x", Marks: []uint64{0, 0}, CWRecords: true}); !wire.IsMoved(err) {
 		t.Fatal("fencing poll must answer moved")
 	}
 	if err := n.Close(); err != nil {
@@ -708,7 +709,7 @@ func TestUnboundPollCannotFence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	poll, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: math.MaxUint64, Node: "127.0.0.1:1", Marks: before.Marks})
+	poll, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: math.MaxUint64, Node: "127.0.0.1:1", Marks: before.Marks, CWRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -767,7 +768,7 @@ func TestAckUnblocksOnPoll(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("write never acked despite follower polls")
 		}
-		resp, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "follower", Marks: marks})
+		resp, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "follower", Marks: marks, CWRecords: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -782,4 +783,51 @@ func ExampleNode_Route() {
 	// for shape only.
 	fmt.Println("epoch, self, role, leader, nodes, marks, lease_remaining_ms")
 	// Output: epoch, self, role, leader, nodes, marks, lease_remaining_ms
+}
+
+// TestPollOfAnOlderRecordGenerationIsRefused: a poll that does not say it
+// reads WAL records sealed by the line MAC — no poll of a build before them
+// does — is refused with a *secmem.VersionError naming the older write kind,
+// before anything else is looked at: at a higher epoch it fences nothing, the
+// poller joins no ack table, and no batch is sealed for it to misread. Over
+// a bound peer connection the refusal arrives as its text, never as an
+// integrity error.
+func TestPollOfAnOlderRecordGenerationIsRefused(t *testing.T) {
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+	cl, err := wire.Dial(p.addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := uint64(0); i < 8; i++ {
+		if err := cl.Write(i*secmem.LineBytes, oracle.Fill(i*secmem.LineBytes, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ve *secmem.VersionError
+	var ie *secmem.IntegrityError
+	for _, epoch := range []uint64{1, 9} {
+		resp, err := p.node.Replicate(&wire.ReplicateRequest{Epoch: epoch, Node: "old:1", Marks: []uint64{0, 0}})
+		if resp != nil || !errors.As(err, &ve) || ve.Version != 0x01 || ve.WantVersion != uint64(wal.KindWrite) || errors.As(err, &ie) {
+			t.Fatalf("epoch-%d poll without CWRecords: %+v, %v; want a *secmem.VersionError naming kind 0x01", epoch, resp, err)
+		}
+	}
+	peer, err := p.node.dialPeer(p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	resp, err := peer.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "old:1", Marks: []uint64{0, 0}})
+	var re *wire.RemoteError
+	if resp != nil || !errors.As(err, &re) || !strings.Contains(err.Error(), `"wal frame" version 1`) || errors.As(err, &ie) {
+		t.Fatalf("a peer's poll without CWRecords answered %+v, %v; want the version refusal", resp, err)
+	}
+	if ri := p.node.Route(); ri.Role != RolePrimary || ri.Epoch != 1 || len(ri.Nodes) != 1 {
+		t.Fatalf("primary after refused polls: %+v, want the only node, primary at epoch 1", ri)
+	}
+	// The same poll with the bit is served: the refusal was the bit's.
+	if resp, err := peer.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "new:1", Marks: []uint64{0, 0}, CWRecords: true}); err != nil || len(resp.Batches[0])+len(resp.Batches[1]) != 8*wal.WriteFrameBytes {
+		t.Fatalf("the poll with CWRecords: %+v, %v; want both shards' eight records", resp, err)
+	}
 }

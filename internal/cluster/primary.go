@@ -8,6 +8,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/obs"
+	"github.com/securemem/morphtree/internal/wal"
 	"github.com/securemem/morphtree/internal/wire"
 )
 
@@ -86,11 +87,17 @@ func (n *Node) notifyAckLocked() {
 // epochs match — a replica answering makes it a catch-up donor during
 // promotion — but only a primary registers the poller for ack tracking.
 // A request at a higher epoch fences this node; at a lower epoch it is
-// refused with the redirect. A poller with another tenant list is refused
-// first, with a *shard.MismatchError, and moves nothing: it would re-seal
-// this node's writes into other tenants' ranges and serve them after a
-// failover.
+// refused with the redirect. Before anything else, a poller that does not
+// read the WAL records every batch is made of (no CWRecords: a build of the
+// record generation before) is refused with a *secmem.VersionError naming
+// that generation's write, kind 0x01, and one with another tenant list with
+// a *shard.MismatchError; either moves nothing. The first would take its
+// first batch for tampering, the second would re-seal this node's writes
+// into other tenants' ranges and serve them after a failover.
 func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, error) {
+	if !req.CWRecords {
+		return nil, wal.KindError(0x01) // the HMAC-sealed write
+	}
 	if !bytes.Equal(req.Tenants, n.tenants) {
 		return nil, durable.TenantMismatch(req.Tenants, n.tenants)
 	}

@@ -124,6 +124,7 @@ func (n *Node) pollLeader() (bool, error) {
 		Marks:     mem.SyncedLSNs(),
 		Bootstrap: bootstrap,
 		Tenants:   n.tenants,
+		CWRecords: true,
 	}
 	resp, err := cl.Replicate(req)
 	if err != nil {
@@ -344,8 +345,9 @@ func (n *Node) catchUp(mem *durable.Memory, epoch uint64, minMarks []uint64) err
 				Epoch: epoch,
 				// Node is empty: a donor poll must not register us as an
 				// ack-bearing replica of the peer.
-				Marks:   mem.SyncedLSNs(),
-				Tenants: n.tenants,
+				Marks:     mem.SyncedLSNs(),
+				Tenants:   n.tenants,
+				CWRecords: true,
 			})
 			if err == nil && resp.Epoch == epoch && resp.Snapshot == nil {
 				marks := mem.SyncedLSNs()

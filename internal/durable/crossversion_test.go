@@ -18,6 +18,7 @@ import (
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/wal"
 )
 
 // testdata/parent_dir is a data directory written by the commit before the
@@ -34,10 +35,14 @@ import (
 // snapshot and delta in "MCST" version 1, which went when the line MAC became
 // GHASH-then-AES. Open answers both with a *secmem.VersionError and leaves
 // the directory alone. testdata/cw_dir is the same history written by the
-// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt), and
-// recovers. The older directories' sealed lines are walked out by test-only
-// readers and held to cw_dir's: only their MACs may differ, and the WAL
-// segments, sealed by HMAC before and after, not at all.
+// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt): its
+// snapshot and delta are read as they are, but its WAL tail is of the record
+// generation sealed by HMAC-SHA256, so Open refuses it too, by the kind byte
+// of its first frame. testdata/cwwal_dir is the same history once more, with
+// the WAL sealed by the line MAC (testdata/cwwalgen.go.txt), and recovers.
+// The older directories' sealed lines are walked out by test-only readers
+// and held to cw_dir's: only their MACs may differ, and the WAL segments,
+// sealed by HMAC in all three, not at all.
 
 func parentDirLine(d uint64, v int) []byte {
 	line := make([]byte, LineBytes)
@@ -219,7 +224,7 @@ func cwLines(t *testing.T, name string, seq, base uint64) [][]secmem.DirtyLine {
 }
 
 // checkWALUnmoved wants an older fixture's WAL segments byte-identical to
-// cw_dir's: the WAL's seal (mac.Keyer.Raw) is the HMAC it always was.
+// cw_dir's: until cwwal_dir, every WAL was sealed by the same HMAC.
 func checkWALUnmoved(t *testing.T, fixture string) {
 	t.Helper()
 	entries, err := os.ReadDir("testdata/cw_dir")
@@ -273,11 +278,128 @@ func TestV2DataDirectoryRecovers(t *testing.T) {
 	checkWALUnmoved(t, "testdata/v2_dir")
 }
 
-// TestCWDataDirectoryRecovers holds the formats of a data directory to the
-// one the commit that introduced the GHASH-then-AES line MAC wrote.
+// TestCWDataDirectoryRecovers: the directory the GHASH-then-AES line MAC's
+// commit wrote is refused whole — Open, and Replay and DecodeAll of each of
+// its segments, name the WAL frame's older kind in a *secmem.VersionError,
+// never an *secmem.IntegrityError — and its snapshot and delta are
+// cwwal_dir's byte for byte: only the WAL moved. Without a WAL tail, it
+// recovers.
 func TestCWDataDirectoryRecovers(t *testing.T) {
+	checkRefused(t, "testdata/cw_dir", "wal frame", 1)
+	entries, err := os.ReadDir("testdata/cw_dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segments := 0
+	for _, e := range entries {
+		path := filepath.Join("testdata/cw_dir", e.Name())
+		ours, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, shardIdx, _, _ := parseSeq(e.Name())
+		if !strings.HasPrefix(e.Name(), "wal.") {
+			if theirs, err := os.ReadFile(filepath.Join("testdata/cwwal_dir", e.Name())); err != nil || !bytes.Equal(ours, theirs) {
+				t.Fatalf("cw_dir/%s: not cwwal_dir's file byte for byte (%v)", e.Name(), err)
+			}
+			continue
+		}
+		segments++
+		opt := wal.Options{Key: walKey(testKey, shardIdx, 2)}
+		refuse := func(r wal.Record) error {
+			t.Fatalf("%s: record %d of the generation before delivered", e.Name(), r.LSN)
+			return nil
+		}
+		var ve *secmem.VersionError
+		var ie *secmem.IntegrityError
+		if _, err := wal.Replay(path, opt, 1, false, refuse); !errors.As(err, &ve) || ve.Version != 1 || errors.As(err, &ie) {
+			t.Errorf("Replay of cw_dir/%s: %v, want a *secmem.VersionError", e.Name(), err)
+		}
+		codec, err := wal.NewCodec(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codec.DecodeAll(ours, 1, refuse); !errors.As(err, &ve) || ve.Version != 1 || errors.As(err, &ie) {
+			t.Errorf("DecodeAll of cw_dir/%s: %v, want a *secmem.VersionError", e.Name(), err)
+		}
+	}
+	if segments == 0 {
+		t.Fatal("cw_dir holds no WAL segment")
+	}
+
+	// A store that build shut down cleanly ends on a checkpoint, whose
+	// segments are empty: with cw_dir's emptied so, it opens, and every line
+	// the checkpoints hold verifies.
 	dir, man := copyFixtureDir(t, "testdata/cw_dir")
+	for i := 0; i < man.Shards; i++ {
+		if err := os.Truncate(SegmentPath(dir, 2, i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, info := mustOpen(t, testShardConfig(t, man.Shards, man.MemoryBytes), Config{Dir: dir, Sync: SyncNone})
+	defer m.Close()
+	if info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedRecords != 0 {
+		t.Fatalf("recovery of cw_dir with empty segments = %+v, want snapshot 2 + one delta and nothing replayed", info)
+	}
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCWWALDataDirectoryRecovers holds the formats of a data directory to
+// the one the commit that moved the WAL's seal onto the line MAC wrote: the
+// history replayed here leaves its files byte for byte, and a copy of it
+// recovers and goes on being used.
+func TestCWWALDataDirectoryRecovers(t *testing.T) {
+	dir, man := copyFixtureDir(t, "testdata/cwwal_dir")
 	recoverFixtureDir(t, dir, man)
+
+	fresh := t.TempDir()
+	m, _ := mustOpen(t, testShardConfig(t, man.Shards, man.MemoryBytes), Config{Dir: fresh, Sync: SyncAlways})
+	versions := map[uint64]int{}
+	write := func(d uint64) {
+		versions[d]++
+		if err := m.Write(d*LineBytes, parentDirLine(d, versions[d])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for d := uint64(0); d < 12; d++ {
+		write(d)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for d := uint64(6); d < 18; d++ {
+		write(d)
+	}
+	if err := m.CheckpointDelta(); err != nil {
+		t.Fatal(err)
+	}
+	for d := uint64(10); d < 24; d++ {
+		write(d)
+	}
+	for i := 0; i < 12; i++ {
+		write(7)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir("testdata/cwwal_dir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadDir(fresh); err != nil || len(got) != len(entries) {
+		t.Fatalf("the history left %d files (%v), the fixture holds %d", len(got), err, len(entries))
+	}
+	for _, e := range entries {
+		want, err := os.ReadFile(filepath.Join("testdata/cwwal_dir", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(filepath.Join(fresh, e.Name())); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the history wrote other bytes than the fixture holds (%v)", e.Name(), err)
+		}
+	}
 }
 
 // recoverFixtureDir recovers a copy of a fixture directory — full snapshot 2,

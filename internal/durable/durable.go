@@ -42,14 +42,13 @@
 package durable
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
@@ -192,7 +191,7 @@ type committer struct {
 	writes uint64 // cumulative write records (journal prefix index)
 	// baseLSN is the LSN the current segment starts after (the covered LSN
 	// of the snapshot that opened this epoch); the replication cursor's
-	// file fallback anchors ReplayRange at baseLSN+1.
+	// file fallback finds record baseLSN+1 at the segment's start.
 	baseLSN uint64
 	// ring buffers recent records for the replication cursor (ringStart is
 	// ring[0]'s LSN; LSNs in the ring are contiguous). Guarded by mu.
@@ -266,18 +265,14 @@ type Memory struct {
 // engine master key. A segment or snapshot moved, renamed, or replayed from
 // another epoch therefore fails authentication.
 func walKey(master []byte, shardIdx int, seq uint64) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/wal/%d/%d", shardIdx, seq)
-	return h.Sum(nil)
+	return mac.Derive(master, fmt.Sprintf("morphtree/wal/%d/%d", shardIdx, seq))
 }
 
 // deltaKey authenticates state streams at rest and on their way to a replica
 // — snapshots, delta segments, bootstrap blobs; the ckpt stream context binds
 // each to its exact chain position on top of this role key.
 func deltaKey(master []byte) []byte {
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/delta")
-	return h.Sum(nil)
+	return mac.Derive(master, "morphtree/delta")
 }
 
 // Sharded exposes the underlying engine (tests and the crash harness reach

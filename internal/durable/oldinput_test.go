@@ -15,7 +15,8 @@ import (
 )
 
 // TestOldInputIsAVersionError opens every fixture written before the line
-// MAC became GHASH-then-AES through the public entry point that reads it: a
+// MAC became GHASH-then-AES, and the data directory written before the WAL
+// took it up, through the public entry point that reads it: a
 // Save stream through secmem.Load, a data directory through Open, a snapshot
 // or delta file through ckpt.ReadDelta, a replica's bootstrap through
 // InstallSnapshot, a proof through proof.DecodeProof. Every one is refused by
@@ -79,6 +80,7 @@ func TestOldInputIsAVersionError(t *testing.T) {
 		{"secmem.Load v2_save.bin", load("../secmem/testdata/v2_save.bin")},
 		{"Open parent_dir", open("testdata/parent_dir")},
 		{"Open v2_dir", open("testdata/v2_dir")},
+		{"Open cw_dir", open("testdata/cw_dir")},
 		{"ReadDelta parent_dir delta 3", readDelta("testdata/parent_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
 		{"ReadDelta v2_dir snapshot 2", readDelta("testdata/v2_dir/"+snap, 2, 0)},
 		{"ReadDelta v2_dir delta 3", readDelta("testdata/v2_dir/"+ckpt.DeltaName(3, 2), 3, 2)},

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,7 +16,8 @@ import (
 
 // This file is the durability layer's replication tap: the primary side
 // reads durable records from a per-shard cursor (in-memory ring, falling
-// back to the live segment via wal.ReplayRange), and the replica side
+// back to a positional read of the live segment, wal.ReadRange), and the
+// replica side
 // journals + applies a received batch so its own recovered LSN vector IS
 // its replication watermark — a replica crash resumes streaming from
 // whatever its local WAL proves durable, with no extra cursor state.
@@ -77,10 +77,6 @@ func (m *Memory) SyncedLSNs() []uint64 {
 	return out
 }
 
-// errStopRange aborts a ReplayRange scan once the batch is full; it never
-// escapes ReadRecords.
-var errStopRange = errors.New("durable: stop range scan")
-
 // ReadRecords returns up to max durable records for shardIdx with LSN >
 // afterLSN, in order. The second result reports whether the cursor could
 // be served at all: false means the history before afterLSN+1 has been
@@ -124,26 +120,19 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 		// cursor; the records are gone from the log.
 		return nil, false, nil
 	}
-	// File fallback: scan the live segment from the cursor. Records at or
-	// below the durable watermark occupy a complete, fully-flushed prefix,
-	// so a torn tail can only appear past what we deliver.
+	// File fallback: read the records past the cursor where they lie in
+	// the live segment. Records at or below the durable watermark occupy a
+	// complete, fully-flushed prefix of whole frames.
 	path := SegmentPath(m.cfg.Dir, seqBefore, shardIdx)
 	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seqBefore)}
-	out := make([]wal.Record, 0, max)
-	_, err := wal.ReplayRange(path, opt, base+1, afterLSN+1, func(r wal.Record) error {
-		if r.LSN > durable || len(out) >= max {
-			return errStopRange
-		}
-		out = append(out, r)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopRange) {
-		return nil, false, err
-	}
+	out, err := wal.ReadRange(path, opt, base+1, afterLSN+1, int(min(durable-afterLSN, uint64(max))))
 	if m.segSeq.Load() != seqBefore {
-		// A checkpoint swapped segments mid-scan; the file we read may have
-		// been truncated or removed. Ask the follower to retry.
+		// A checkpoint swapped segments mid-read; the file we read may have
+		// been removed. Ask the follower to retry.
 		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	return out, true, nil
 }
@@ -170,18 +159,16 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 			c.mu.Unlock()
 			return fmt.Errorf("durable: replicated record LSN %d for shard %d, want %d (replication gap)", r.LSN, shardIdx, c.lsn+1)
 		}
-		if r.Kind == wal.KindWrite {
-			j, _, err := m.sh.Locate(r.Addr)
-			if err != nil {
-				c.mu.Unlock()
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("replicated record address %#x invalid: %v", r.Addr, err)}
-			}
-			if j != shardIdx {
-				c.mu.Unlock()
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("replicated record for shard %d delivered to shard %d", j, shardIdx)}
-			}
+		j, _, err := m.sh.Locate(r.Addr)
+		if err != nil {
+			c.mu.Unlock()
+			return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+				Reason: fmt.Sprintf("replicated record address %#x invalid: %v", r.Addr, err)}
+		}
+		if j != shardIdx {
+			c.mu.Unlock()
+			return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+				Reason: fmt.Sprintf("replicated record for shard %d delivered to shard %d", j, shardIdx)}
 		}
 		if err := c.log.Append(r); err != nil {
 			c.mu.Unlock()
@@ -189,16 +176,12 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 		}
 		c.lsn = r.LSN
 		c.pushRingLocked(r, m.cfg.ReplHistory)
-		// The overflow/rebase audit records a primary of an earlier version
-		// journaled ride along verbatim and apply as no-ops, as in recovery.
-		if r.Kind == wal.KindWrite {
-			c.writes++
-			if err := m.sh.Write(r.Addr, r.Line); err != nil {
-				c.mu.Unlock()
-				return err
-			}
-			m.appends.Add(1)
+		c.writes++
+		if err := m.sh.Write(r.Addr, r.Line); err != nil {
+			c.mu.Unlock()
+			return err
 		}
+		m.appends.Add(1)
 	}
 	last := c.lsn
 	c.mu.Unlock()

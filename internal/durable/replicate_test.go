@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"runtime"
@@ -93,7 +94,7 @@ func TestReplicationRoundTripViaRing(t *testing.T) {
 }
 
 // TestReplicationFileFallback disables the ring so every cursor read takes
-// the wal.ReplayRange path over the live segment.
+// the wal.ReadRange path over the live segment.
 func TestReplicationFileFallback(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
 	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
@@ -324,20 +325,27 @@ func TestDurableSignalFires(t *testing.T) {
 	}
 }
 
-// TestApplyReplicatedAuditRecords: audit records in the stream journal as
-// no-ops and advance the watermark.
+// TestApplyReplicatedAuditRecords: the overflow and rebase audit records of
+// the record generation before (kinds 0x02 and 0x03) have no kind in this
+// one, so ApplyReplicated refuses them rather than journaling them: the write
+// before one lands, the record itself moves no watermark.
 func TestApplyReplicatedAuditRecords(t *testing.T) {
 	_, r := replPair(t, 1, 64)
-	recs := []wal.Record{
-		{Kind: wal.KindWrite, LSN: 1, Addr: 0, Line: oracle.Fill(0, 9)},
-		{Kind: wal.KindOverflow, LSN: 2, Count: 3},
-		{Kind: wal.KindRebase, LSN: 3, Count: 1},
-	}
-	if err := r.ApplyReplicated(0, recs); err != nil {
-		t.Fatal(err)
-	}
-	if marks := r.SyncedLSNs(); marks[0] != 3 {
-		t.Fatalf("watermark %d, want 3", marks[0])
+	for i, kind := range []byte{0x02, 0x03} {
+		lsn := uint64(i) + 1
+		recs := []wal.Record{
+			{Kind: wal.KindWrite, LSN: lsn, Addr: 0, Line: oracle.Fill(0, lsn)},
+			{Kind: kind, LSN: lsn + 1},
+		}
+		if err := r.ApplyReplicated(0, recs); err == nil {
+			t.Fatalf("an audit record of kind %#x applied", kind)
+		}
+		if err := r.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if marks := r.SyncedLSNs(); marks[0] != lsn {
+			t.Fatalf("kind %#x: watermark %d, want %d, the write before the audit record", kind, marks[0], lsn)
+		}
 	}
 }
 
@@ -461,5 +469,37 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	}
 	if err := fresh.VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkReadRecordsPastRing is the poll of a replica further behind than
+// the ring holds: a full batch read from the middle of the live segment. Its
+// cost is the batch's, whatever the segment's length, so the two sizes
+// should cost the same.
+func BenchmarkReadRecordsPastRing(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			m, _ := mustOpen(b, testShardConfig(b, 1, 64<<10), Config{Dir: b.TempDir(), Sync: SyncNone})
+			defer func() { _ = m.Close() }()
+			for i := 0; i < n; i++ {
+				addr := uint64(i%1024) * LineBytes
+				if err := m.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := m.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			const batch = 512
+			b.SetBytes(batch * wal.WriteFrameBytes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				recs, ok, err := m.ReadRecords(0, uint64(n/2), batch)
+				if err != nil || !ok || len(recs) != batch {
+					b.Fatalf("ReadRecords = %d records, ok=%v, %v", len(recs), ok, err)
+				}
+			}
+		})
 	}
 }

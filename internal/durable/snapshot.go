@@ -385,9 +385,6 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		// validated-but-skipped prefix the deltas already cover.
 		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)}, baseCovered[i]+1, covered[i]+1, true, func(r wal.Record) error {
 			info.ReplayedRecords++
-			if r.Kind != wal.KindWrite {
-				return nil
-			}
 			j, _, err := sh.Locate(r.Addr)
 			if err != nil {
 				return &secmem.IntegrityError{Level: -1, Index: r.LSN,

@@ -12,6 +12,7 @@ import (
 	"slices"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 )
@@ -48,9 +49,7 @@ func sealTenants(master []byte, ids []string) []byte {
 
 // tenantsTag is the tag of a TENANTS file's body.
 func tenantsTag(master, body []byte) []byte {
-	kh := hmac.New(sha256.New, master)
-	kh.Write([]byte("morphtree/tenants"))
-	h := hmac.New(sha256.New, kh.Sum(nil))
+	h := hmac.New(sha256.New, mac.Derive(master, "morphtree/tenants"))
 	h.Write(body)
 	return h.Sum(nil)
 }

@@ -22,22 +22,19 @@
 // refuses to be built when Go runs FIPS 140-only (GODEBUG=fips140=only),
 // because its nonce is not random; New returns that error.
 //
-// Raw, the WAL's record seal, is HMAC-SHA256 and stays so. Its evaluation is
-// specialised: the key never changes after New, so neither do the two
-// 64-byte key blocks HMAC hashes in front of the message and of the inner
-// digest. New hashes each once and keeps the SHA-256 state that results, in
-// the form crypto/sha256 documents for saving and resuming a hash; Raw
-// resumes them. Output is bit-for-bit what crypto/hmac produces (the tests
-// hold it to that).
+// Record, the WAL's record seal, is the same construction under a domain word
+// of its own, over the record's body (DESIGN.md §10). Derive is the one key
+// derivation of the repository: HMAC-SHA256(key, label), which every role
+// key and sub-key is made with.
 //
-// Everything a Keyer holds is immutable after New. The hash objects a MAC
-// resumes HMAC into, the buffer it builds the message in and the block the
-// tag is made in are mutable and live in one sync.Pool for the package: a
-// MAC takes a set, uses it and puts it back, so a Keyer stays safe for
-// concurrent use with no lock — which proof.Walker in a thin client needs,
-// and shared reads in the engine would — a short-lived Keyer (one per proof
-// verified) brings no scratch of its own into being, and a caller's buffer
-// is only ever copied from, so it stays on the caller's stack.
+// Everything a Keyer holds is immutable after New. The buffer a MAC builds
+// its message in and the block the tag is made in are mutable and live in
+// one sync.Pool for the package: a MAC takes a pair, uses it and puts it
+// back, so a Keyer stays safe for concurrent use with no lock — which
+// proof.Walker in a thin client needs, and shared reads in the engine would —
+// a short-lived Keyer (one per proof verified) brings no scratch of its own
+// into being, and a caller's buffer is only ever copied from, so it stays on
+// the caller's stack.
 package mac
 
 import (
@@ -45,13 +42,9 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"sync"
-
-	"github.com/securemem/morphtree/internal/invariant"
 )
 
 // Width is a MAC truncation width in bits.
@@ -69,18 +62,24 @@ const (
 )
 
 const (
-	// headerBytes is the {domain, address, counter} prefix of every line
-	// MAC's message: three little-endian 64-bit words.
+	// headerBytes is the {domain, address, counter} prefix of every MAC's
+	// message: three little-endian 64-bit words.
 	headerBytes = 3 * 8
 	// lineBytes is the content length the engine MACs, a data or counter
 	// cacheline.
 	lineBytes = 64
 	// msgBytes is what a pooled message buffer starts with: room for a line
-	// MAC's message (headerBytes + lineBytes) or a WAL record's body, one
-	// byte longer. A longer message grows it once.
+	// MAC's message (headerBytes + lineBytes) or a WAL record's, its body
+	// behind the header. A longer message grows it once.
 	msgBytes = 2 * lineBytes
 	// subKeyBytes is the length of K1 and K2: AES-128 keys.
 	subKeyBytes = 16
+	// dataDomain is the domain word of a data line's MAC; a counter line's
+	// is its tree level, a small number.
+	dataDomain = 0xFFFF
+	// recordDomain is the domain word of a WAL record's MAC, which no line
+	// MAC uses.
+	recordDomain = 0xFFFE
 )
 
 // zeroNonce is the one GCM nonce the line MAC uses; see the package comment
@@ -88,9 +87,9 @@ const (
 var zeroNonce [12]byte
 
 // KeySizeError reports a key New cannot use: empty, or longer than the
-// SHA-256 block. HMAC would replace an over-long key by its hash; no caller
-// has such a key (the engine's are AES keys), so it is refused rather than
-// given a second way through the code.
+// SHA-256 block. HMAC, which derives K1 and K2, would replace an over-long
+// key by its hash; no caller has such a key (the engine's are AES keys), so
+// it is refused rather than given a second way through the code.
 type KeySizeError struct {
 	// Len is the rejected key length in bytes.
 	Len int
@@ -101,29 +100,15 @@ func (e *KeySizeError) Error() string {
 	return fmt.Sprintf("mac: key is %d bytes, want 1 to %d", e.Len, sha256.BlockSize)
 }
 
-// resumable is what crypto/sha256 documents its hash to be besides a
-// hash.Hash: its state can be saved and a hash resumed from it.
-type resumable interface {
-	hash.Hash
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
-
 // Keyer computes truncated MACs under a fixed secret key. It is immutable
 // after New and safe for concurrent use.
 type Keyer struct {
-	// inner and outer are the saved SHA-256 states after HMAC's two key
-	// blocks: the key zero-padded to the block size and XORed with 0x36 and
-	// 0x5c. Either forges Raw MACs as well as the key does.
-	//
-	//morph:secret
-	inner, outer []byte
 	// ghash is AES-GCM under K1: its Seal of an empty plaintext is
 	// GHASH_H(message) XOR E_K1(J0).
 	//
 	//morph:secret
 	ghash cipher.AEAD
-	// fin is AES under K2, the PRF that finishes a line MAC.
+	// fin is AES under K2, the PRF that finishes a MAC.
 	//
 	//morph:secret
 	fin   cipher.Block
@@ -133,17 +118,12 @@ type Keyer struct {
 
 // scratch is the mutable state of one MAC evaluation, any Keyer's.
 type scratch struct {
-	// inner and outer hold the last Keyer's saved states until the next
-	// MAC resumes its own, so they are as secret as those.
-	//
-	//morph:secret
-	inner, outer resumable
 	// msg is the message being MACed, copied here so that the caller's
 	// buffer is not handed to an interface method, which would move it to
 	// the heap.
 	msg []byte
-	// sum is where a digest or a line MAC's tag is made.
-	sum [sha256.Size]byte
+	// sum is where a tag is made.
+	sum [aes.BlockSize]byte
 }
 
 // New returns a Keyer for the given secret key and truncation width. The key
@@ -157,60 +137,34 @@ func New(key []byte, width Width) (*Keyer, error) {
 		return nil, fmt.Errorf("mac: width %d out of range [1,64]", width)
 	}
 	k := &Keyer{width: width, mask: ^uint64(0) >> (64 - uint(width))}
-	var err error
-	if k.inner, err = keyBlockState(key, 0x36); err != nil {
-		return nil, err
-	}
-	if k.outer, err = keyBlockState(key, 0x5c); err != nil {
-		return nil, err
-	}
-	hashBlock, err := aes.NewCipher(subKey(key, "morphtree/mac/ghash"))
+	hashBlock, err := aes.NewCipher(Derive(key, "morphtree/mac/ghash")[:subKeyBytes])
 	if err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
 	}
 	if k.ghash, err = cipher.NewGCM(hashBlock); err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
 	}
-	if k.fin, err = aes.NewCipher(subKey(key, "morphtree/mac/fin")); err != nil {
+	if k.fin, err = aes.NewCipher(Derive(key, "morphtree/mac/fin")[:subKeyBytes]); err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
 	}
 	return k, nil
 }
 
-// subKey derives one of the line MAC's AES-128 keys from the Keyer's key:
-// HMAC-SHA256(key, label), truncated.
+// Derive returns HMAC-SHA256(key, label): the key of the role label names,
+// made from key and revealing neither key nor any other label's. Callers
+// truncate it to the length their cipher takes.
 //
 //morph:secret
-func subKey(key []byte, label string) []byte {
+func Derive(key []byte, label string) []byte {
 	h := hmac.New(sha256.New, key)
 	h.Write([]byte(label)) //morph:sealed -- into a hash whose output is a key
-	return h.Sum(nil)[:subKeyBytes]
+	return h.Sum(nil)
 }
 
 // scratches pools *scratch; see the package comment.
 var scratches = sync.Pool{New: func() any {
-	return &scratch{
-		inner: sha256.New().(resumable),
-		outer: sha256.New().(resumable),
-		msg:   make([]byte, 0, msgBytes),
-	}
+	return &scratch{msg: make([]byte, 0, msgBytes)}
 }}
-
-// keyBlockState returns SHA-256's saved state after one HMAC key block.
-func keyBlockState(key []byte, pad byte) ([]byte, error) {
-	var block [sha256.BlockSize]byte
-	copy(block[:], key)
-	for i := range block {
-		block[i] ^= pad
-	}
-	h := sha256.New().(resumable)
-	h.Write(block[:]) //morph:sealed -- into a hash, whose state the Keyer keeps
-	state, err := h.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("mac: save SHA-256 state: %w", err)
-	}
-	return state, nil
-}
 
 // Width returns the truncation width in bits.
 func (k *Keyer) Width() Width { return k.width }
@@ -218,11 +172,11 @@ func (k *Keyer) Width() Width { return k.width }
 // Line MACs bind {content, counter, address, domain}: the counter defeats
 // replay of stale tuples once the counter itself is protected by the tree,
 // the address defeats splicing lines across locations, and the domain
-// separates data MACs from each tree level's MACs.
+// separates data MACs from each tree level's MACs and from WAL records'.
 
 // Data computes the MAC protecting a data cacheline.
 func (k *Keyer) Data(ciphertext []byte, counter uint64, addr uint64) uint64 {
-	return k.compute(0xFFFF, addr, counter, ciphertext)
+	return k.compute(dataDomain, addr, counter, ciphertext)
 }
 
 // Counter computes the MAC protecting a counter cacheline at a tree level
@@ -231,8 +185,15 @@ func (k *Keyer) Counter(encoded []byte, parentCounter uint64, level int, index u
 	return k.compute(uint64(level), index, parentCounter, encoded)
 }
 
-// compute is the line MAC over domain || addr || counter || content, the
-// three words little-endian: GHASH and the GCM mask under K1, AES under K2,
+// Record computes the MAC sealing a WAL record: the line MAC's construction
+// over body — which carries the record's LSN and address itself — under the
+// record domain, with zero address and counter words.
+func (k *Keyer) Record(body []byte) uint64 {
+	return k.compute(recordDomain, 0, 0, body)
+}
+
+// compute is the MAC over domain || addr || counter || content, the three
+// words little-endian: GHASH and the GCM mask under K1, AES under K2,
 // truncated to the first width bits of the block read little-endian.
 func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
 	pooled := scratches.Get()
@@ -244,26 +205,6 @@ func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
 	tag := k.ghash.Seal(s.sum[:0], zeroNonce[:], nil, s.msg)
 	k.fin.Encrypt(tag, tag)
 	sum := binary.LittleEndian.Uint64(tag) & k.mask
-	scratches.Put(pooled) // only now: the sum was read out of the scratch
-	return sum
-}
-
-// Raw computes HMAC-SHA256 of msg alone, with no header in front of it,
-// truncated: the WAL seals each record with this one, at Width64.
-func (k *Keyer) Raw(msg []byte) uint64 {
-	pooled := scratches.Get()
-	s := pooled.(*scratch)
-	s.msg = append(s.msg[:0], msg...)
-	if err := s.inner.UnmarshalBinary(k.inner); err != nil {
-		panic(invariant.Violationf("mac: SHA-256 refused the inner state it saved: %v", err))
-	}
-	s.inner.Write(s.msg)
-	digest := s.inner.Sum(s.sum[:0])
-	if err := s.outer.UnmarshalBinary(k.outer); err != nil {
-		panic(invariant.Violationf("mac: SHA-256 refused the outer state it saved: %v", err))
-	}
-	s.outer.Write(digest)
-	sum := binary.LittleEndian.Uint64(s.outer.Sum(s.sum[:0])) & k.mask
 	scratches.Put(pooled) // only now: the sum was read out of the scratch
 	return sum
 }

@@ -1,9 +1,11 @@
 package mac
 
 import (
+	"math/rand"
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -86,6 +88,12 @@ func TestDomainSeparation(t *testing.T) {
 	if d == c0 || d == c1 || c0 == c1 {
 		t.Fatalf("domains collide: data=%#x l0=%#x l1=%#x", d, c0, c1)
 	}
+	// A record's MAC has zero address and counter words: only its domain
+	// keeps it from a line's with those words.
+	r := k.Record(content)
+	if r == k.Data(content, 0, 0) || r == k.Counter(content, 0, 0, 0) || r == k.Counter(content, 0, 1, 0) {
+		t.Fatalf("the record domain collides with a line's: record=%#x", r)
+	}
 }
 
 // Property: flipping any single content byte changes the MAC.
@@ -117,4 +125,37 @@ func TestNewReturnsTheGCMRefusal(t *testing.T) {
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("child under fips140=only: %v\n%s", err, out)
 	}
+}
+
+// Sixteen goroutines share one Keyer, each over its own messages of its own
+// lengths: under -race this is the check that the pooled scratch is the only
+// mutable state and is never in two hands.
+func TestConcurrentMACsOnOneKeyer(t *testing.T) {
+	key := []byte("0123456789abcdef0123456789abcdef")
+	k, err := New(key, Width56)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				msg := make([]byte, rng.Intn(200))
+				rng.Read(msg)
+				addr, counter := rng.Uint64(), rng.Uint64()
+				if got, want := k.Data(msg, counter, addr), referenceMAC(key, Width56, dataDomain, addr, counter, msg); got != want {
+					t.Errorf("goroutine %d: Data over %d bytes: got %#x, reference %#x", g, len(msg), got, want)
+					return
+				}
+				if got, want := k.Record(msg), referenceMAC(key, Width56, recordDomain, 0, 0, msg); got != want {
+					t.Errorf("goroutine %d: Record over %d bytes: got %#x, reference %#x", g, len(msg), got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -250,8 +250,9 @@ func readGolden(t *testing.T, path string) []goldenMAC {
 	return rows
 }
 
-// FuzzKeyerMatchesReference holds Data and Counter to the textbook for any
-// key New accepts, any content up to 4 KiB and the three widths in use.
+// FuzzKeyerMatchesReference holds Data, Counter and Record to the textbook
+// for any key New accepts, any content up to 4 KiB and the three widths in
+// use.
 func FuzzKeyerMatchesReference(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), make([]byte, 64), uint64(0xFFFF), uint64(0x40), uint64(7))
 	f.Add([]byte("k"), []byte{}, uint64(0), uint64(0), uint64(0))
@@ -277,6 +278,9 @@ func FuzzKeyerMatchesReference(f *testing.F) {
 				}
 			} else if got := k.Counter(content, counter, int(domain), addr); got != want {
 				t.Fatalf("%d-byte key, width %d, Counter over %d bytes: got %#x, reference %#x", len(key), width, len(content), got, want)
+			}
+			if got, want := k.Record(content), referenceMAC(key, width, recordDomain, 0, 0, content); got != want {
+				t.Fatalf("%d-byte key, width %d, Record over %d bytes: got %#x, reference %#x", len(key), width, len(content), got, want)
 			}
 		}
 	})

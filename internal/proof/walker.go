@@ -24,8 +24,6 @@
 package proof
 
 import (
-	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 
 	"github.com/securemem/morphtree/internal/counters"
@@ -145,9 +143,7 @@ func DeriveShardKey(master []byte, i int) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("proof: master key must be 16, 24, or 32 bytes, got %d", len(master))
 	}
-	h := hmac.New(sha256.New, master)
-	fmt.Fprintf(h, "morphtree/shard/%d", i)
-	return h.Sum(nil)[:len(master)], nil
+	return mac.Derive(master, fmt.Sprintf("morphtree/shard/%d", i))[:len(master)], nil
 }
 
 // DeriveTenantKey derives tenant id's key-domain sub-key from an engine
@@ -171,9 +167,7 @@ func DeriveTenantKey(engineKey []byte, id string) ([]byte, error) {
 	if id == "" {
 		return nil, fmt.Errorf("proof: tenant id must be non-empty")
 	}
-	h := hmac.New(sha256.New, engineKey)
-	fmt.Fprintf(h, "morphtree/tenant/%s", id)
-	return h.Sum(nil)[:len(engineKey)], nil
+	return mac.Derive(engineKey, "morphtree/tenant/"+id)[:len(engineKey)], nil
 }
 
 // Locate maps a line-aligned global address to (shard, local address)

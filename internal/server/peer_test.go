@@ -31,7 +31,7 @@ func TestUnboundReplicateIsRefusedUnread(t *testing.T) {
 	defer cn.Close()
 	srv := New(cn, Config{})
 
-	poll, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: math.MaxUint64, Node: "evil:1", Marks: []uint64{0, 0}})
+	poll, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: math.MaxUint64, Node: "evil:1", Marks: []uint64{0, 0}, CWRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestUnboundReplicateIsRefusedUnread(t *testing.T) {
 	if status, body := srv.dispatch(peer, wire.OpHello, badHello); status != wire.StatusOK {
 		t.Fatalf("peer HELLO answered %#x %q", status, body)
 	}
-	good, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: 1, Node: "peer:1", Marks: []uint64{0, 0}})
+	good, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: 1, Node: "peer:1", Marks: []uint64{0, 0}, CWRecords: true})
 	if err != nil {
 		t.Fatal(err)
 	}

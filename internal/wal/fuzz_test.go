@@ -15,16 +15,21 @@ import (
 // on bytes from the network, and file replay, which recovery runs on bytes
 // from disk — first the input as it is and then a stream sealed from it and
 // cut at an offset it chooses. Whatever the bytes: no panic; the error is nil,
-// a *FrameError or a *secmem.IntegrityError (a torn tail is not an error at
-// all in a file); every record delivered re-seals to exactly the bytes it was
-// read from; and cutting a valid stream short, which is what a crash does and
-// needs no key to do, is never reported as tampering.
+// a *FrameError, a *secmem.IntegrityError or a *secmem.VersionError (a torn
+// tail is not an error at all in a file); every record delivered re-seals to
+// exactly the bytes it was read from; and cutting a valid stream short, which
+// is what a crash does and needs no key to do, is never reported as
+// tampering. The seeds are both fixtures' segments, this generation's and the
+// one before.
 func FuzzWALDecode(f *testing.F) {
-	for _, run := range loadGolden(f) {
-		f.Add(run.segment(), run.first, uint32(0x1b1), uint16(WriteFrameBytes+AuditFrameBytes/2))
+	for _, run := range loadGolden(f, oldGenFrames) {
+		f.Add(run.segment(), run.first, uint32(0x1b1), uint16(WriteFrameBytes+WriteFrameBytes/2))
 	}
 	f.Add([]byte{}, uint64(1), uint32(0), uint16(0))
 	f.Add(bytes.Repeat([]byte{0xff}, 300), ^uint64(0), ^uint32(0), uint16(77))
+	for _, run := range loadGolden(f, goldenFrames) {
+		f.Add(run.segment(), run.first, uint32(0x1b1), uint16(2*WriteFrameBytes+11))
+	}
 	codec, err := NewCodec(testOpts())
 	if err != nil {
 		f.Fatal(err)
@@ -37,25 +42,20 @@ func FuzzWALDecode(f *testing.F) {
 		checkDecoders(t, codec, path, raw, firstLSN, -1)
 
 		// A valid stream of up to six records: two bits of shape pick each
-		// kind (and end the stream early), raw supplies the payloads.
+		// one's address (or end the stream early), raw supplies the lines.
 		var stream []byte
 		var bounds []int // offsets at which a frame ends
 		var want []Record
 	build:
 		for i := 0; i < 6; i++ {
-			rec := Record{LSN: firstLSN + uint64(i)}
-			switch shape >> (2 * i) & 3 {
-			case 0:
-				rec.Kind, rec.Addr, rec.Line = KindWrite, uint64(i)*secmem.LineBytes, make([]byte, secmem.LineBytes)
-				if len(raw) > 0 {
-					copy(rec.Line, raw[i*7%len(raw):])
-				}
-			case 1:
-				rec.Kind, rec.Count = KindOverflow, uint64(cut)+uint64(i)
-			case 2:
-				rec.Kind, rec.Count = KindRebase, uint64(shape)
-			default:
+			pick := shape >> (2 * i) & 3
+			if pick == 3 {
 				break build
+			}
+			rec := Record{Kind: KindWrite, LSN: firstLSN + uint64(i), Line: make([]byte, secmem.LineBytes)}
+			rec.Addr = [3]uint64{uint64(i) * secmem.LineBytes, uint64(cut) * secmem.LineBytes, uint64(shape)}[pick]
+			if len(raw) > 0 {
+				copy(rec.Line, raw[i*7%len(raw):])
 			}
 			var err error
 			if stream, err = codec.AppendRecord(stream, rec); err != nil {
@@ -97,8 +97,9 @@ func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN u
 	}
 	var fe *FrameError
 	var ie *secmem.IntegrityError
+	var ve *secmem.VersionError
 	n, err := codec.DecodeAll(p, firstLSN, reseal)
-	if err != nil && !errors.As(err, &fe) && !errors.As(err, &ie) {
+	if err != nil && !errors.As(err, &fe) && !errors.As(err, &ie) && !errors.As(err, &ve) {
 		t.Fatalf("DecodeAll: error of no declared type: %v", err)
 	}
 	if !bytes.HasPrefix(p, resealed) {
@@ -106,7 +107,7 @@ func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN u
 	}
 	if whole >= 0 {
 		cutMidFrame := len(resealed) != len(p)
-		if n != whole || cutMidFrame != errors.As(err, &fe) || errors.As(err, &ie) {
+		if n != whole || cutMidFrame != errors.As(err, &fe) || errors.As(err, &ie) || errors.As(err, &ve) {
 			t.Fatalf("DecodeAll of a stream cut at %d with %d whole frames: %d records, %v", len(p), whole, n, err)
 		}
 	}
@@ -116,7 +117,7 @@ func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN u
 	}
 	resealed = resealed[:0]
 	info, err := Replay(path, testOpts(), firstLSN, false, reseal)
-	if err != nil && !errors.As(err, &ie) {
+	if err != nil && !errors.As(err, &ie) && !errors.As(err, &ve) {
 		t.Fatalf("Replay: error of no declared type: %v", err)
 	}
 	if !bytes.HasPrefix(p, resealed) || (err == nil && info.ValidBytes != int64(len(resealed))) {

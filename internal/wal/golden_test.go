@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -16,20 +17,25 @@ import (
 
 	"github.com/securemem/morphtree/internal/aesctr"
 	"github.com/securemem/morphtree/internal/racedetect"
+	"github.com/securemem/morphtree/internal/secmem"
 )
 
-// testdata/golden_frames.jsonl holds frames of all three record kinds as the
-// commit before the pre-keyed sealer wrote them (testdata/goldengen.go.txt
-// says how): every segment on disk and every batch a replica of that version
-// sends or accepts is made of these bytes, so this sealer must write them and
-// this decoder must read them. Rows of one key are LSN-contiguous in file
-// order: concatenated they are a segment.
+// Two fixtures hold WAL frames, one LSN-contiguous run of rows per key, so
+// that the frames of a key concatenated in file order are a segment:
+//
+//   - testdata/golden_cw_frames.jsonl holds frames of this generation, writes
+//     sealed by the line MAC (testdata/cwgen.go.txt says how): every segment
+//     on disk and every batch a replica sends or accepts is made of these
+//     bytes, so this sealer must write them and this decoder must read them.
+//   - testdata/golden_frames.jsonl holds frames of all three kinds of the
+//     generation before, sealed by HMAC-SHA256, as commit 78bb01b wrote them
+//     (testdata/goldengen.go.txt): every reader refuses them with a
+//     *secmem.VersionError, never an *secmem.IntegrityError.
 type goldenFrame struct {
 	Key   string `json:"key"`
 	Kind  byte   `json:"kind"`
 	LSN   uint64 `json:"lsn"`
 	Addr  uint64 `json:"addr"`
-	Count uint64 `json:"count"`
 	Line  string `json:"line"`
 	Frame string `json:"frame"`
 }
@@ -44,9 +50,9 @@ type goldenRun struct {
 
 func (g *goldenRun) segment() []byte { return bytes.Join(g.frames, nil) }
 
-func loadGolden(tb testing.TB) []*goldenRun {
+func loadGolden(tb testing.TB, path string) []*goldenRun {
 	tb.Helper()
-	f, err := os.Open("testdata/golden_frames.jsonl")
+	f, err := os.Open(path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,11 +76,7 @@ func loadGolden(tb testing.TB) []*goldenRun {
 			runs = append(runs, &goldenRun{key: key, first: g.LSN})
 		}
 		run := runs[len(runs)-1]
-		rec := Record{Kind: g.Kind, LSN: g.LSN, Addr: g.Addr, Count: g.Count}
-		if g.Kind == KindWrite {
-			rec.Line = unhex(g.Line)
-		}
-		run.records = append(run.records, rec)
+		run.records = append(run.records, Record{Kind: g.Kind, LSN: g.LSN, Addr: g.Addr, Line: unhex(g.Line)})
 		run.frames = append(run.frames, unhex(g.Frame))
 	}
 	if err := sc.Err(); err != nil {
@@ -83,29 +85,31 @@ func loadGolden(tb testing.TB) []*goldenRun {
 	return runs
 }
 
+const (
+	goldenFrames = "testdata/golden_cw_frames.jsonl"
+	oldGenFrames = "testdata/golden_frames.jsonl"
+)
+
 func sameRecord(a, b Record) bool {
-	return a.Kind == b.Kind && a.LSN == b.LSN && a.Addr == b.Addr && a.Count == b.Count && bytes.Equal(a.Line, b.Line)
+	return a.Kind == b.Kind && a.LSN == b.LSN && a.Addr == b.Addr && bytes.Equal(a.Line, b.Line)
 }
 
 func TestGoldenFrames(t *testing.T) {
-	runs := loadGolden(t)
-	kinds := map[byte]bool{}
-	for _, run := range runs {
+	for _, run := range loadGolden(t, goldenFrames) {
 		codec, err := NewCodec(Options{Key: run.key})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The sealer writes the parent's bytes, alone and appended to a
+		// The sealer writes the fixture's bytes, alone and appended to a
 		// batch, and through a Log onto disk.
 		var batch []byte
 		for i, rec := range run.records {
-			kinds[rec.Kind] = true
 			frame, err := codec.AppendRecord(nil, rec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(frame, run.frames[i]) {
-				t.Errorf("%d-byte key, LSN %d, kind %#x: sealed\n%x\ngolden\n%x", len(run.key), rec.LSN, rec.Kind, frame, run.frames[i])
+				t.Errorf("%d-byte key, LSN %d: sealed\n%x\ngolden\n%x", len(run.key), rec.LSN, frame, run.frames[i])
 			}
 			if batch, err = codec.AppendRecord(batch, rec); err != nil {
 				t.Fatal(err)
@@ -131,14 +135,12 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%d-byte key: the segment Log wrote differs from the golden frames (read error %v)", len(run.key), err)
 		}
 
-		// The decoder reads the parent's bytes, as a batch and as a file.
+		// The decoder reads the fixture's bytes, as a batch, as a file and
+		// at every cursor of the file.
 		var got []Record
 		keep := func(r Record) error { got = append(got, r); return nil }
 		if n, err := codec.DecodeAll(run.segment(), run.first, keep); err != nil || n != len(run.records) {
 			t.Fatalf("%d-byte key: DecodeAll of the golden frames: %d records, %v", len(run.key), n, err)
-		}
-		if err := os.WriteFile(path, run.segment(), 0o644); err != nil {
-			t.Fatal(err)
 		}
 		info, err := Replay(path, Options{Key: run.key}, run.first, false, keep)
 		if err != nil || info.TornTail != nil || info.Records != len(run.records) {
@@ -149,18 +151,70 @@ func TestGoldenFrames(t *testing.T) {
 				t.Errorf("%d-byte key: decoded %+v, golden record %+v", len(run.key), r, want)
 			}
 		}
+		last, err := ReadRange(path, Options{Key: run.key}, run.first, run.first+5, 1)
+		if err != nil || len(last) != 1 || !sameRecord(last[0], run.records[5]) {
+			t.Fatalf("%d-byte key: ReadRange of the sixth golden frame: %+v, %v", len(run.key), last, err)
+		}
 	}
-	for _, kind := range []byte{KindWrite, KindOverflow, KindRebase} {
+}
+
+// isVersionError reports whether err is a *secmem.VersionError naming an
+// older frame of the given kind, and no *secmem.IntegrityError.
+func isVersionError(err error, kind byte) bool {
+	var ve *secmem.VersionError
+	var ie *secmem.IntegrityError
+	return errors.As(err, &ve) && ve.Version == uint64(kind) && ve.WantVersion == uint64(KindWrite) && !errors.As(err, &ie)
+}
+
+// Every frame of the generation before, alone and as the segment and batch
+// its run makes, is refused by each reader by its kind byte, before its MAC
+// is looked at: an older build's journal is another version, never
+// tampering, and replay leaves the file as it found it.
+func TestOldFramesAreAVersionError(t *testing.T) {
+	kinds := map[byte]bool{}
+	for _, run := range loadGolden(t, oldGenFrames) {
+		codec, err := NewCodec(Options{Key: run.key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "wal.old")
+		refuse := func(r Record) error {
+			t.Fatalf("%d-byte key: record %+v of the generation before delivered", len(run.key), r)
+			return nil
+		}
+		check := func(p []byte, lsn uint64) {
+			t.Helper()
+			kind := p[frameHdrBytes]
+			if _, err := codec.DecodeAll(p, lsn, refuse); !isVersionError(err, kind) {
+				t.Errorf("%d-byte key, LSN %d, kind %#x: DecodeAll returned %v, want a *secmem.VersionError", len(run.key), lsn, kind, err)
+			}
+			if err := os.WriteFile(path, p, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			info, err := Replay(path, Options{Key: run.key}, lsn, true, refuse)
+			if !isVersionError(err, kind) || info.Truncated {
+				t.Errorf("%d-byte key, LSN %d, kind %#x: Replay returned %+v, %v, want a *secmem.VersionError", len(run.key), lsn, kind, info, err)
+			}
+		}
+		for i, frame := range run.frames {
+			kinds[frame[frameHdrBytes]] = true
+			check(frame, run.records[i].LSN)
+		}
+		check(run.segment(), run.first)
+	}
+	for _, kind := range []byte{0x01, 0x02, 0x03} {
 		if !kinds[kind] {
 			t.Errorf("no golden frame of kind %#x", kind)
 		}
 	}
 }
 
-// parentDecode is the parent commit's decoder, kept as the stand-in for a
-// replica still running it: subkeys from crypto/hmac, and a fresh hmac.New
-// under every record. It returns the records of a batch or the first error.
+// parentDecode is the decoder of the generation before, kept as the
+// stand-in for a replica still running it: its frame layout (a u64 count
+// behind the address), subkeys from crypto/hmac, and HMAC-SHA256 over every
+// body. It returns the records of a batch or the first error.
 func parentDecode(key, batch []byte, firstLSN uint64) ([]Record, error) {
+	const fixed, tag = 25, 8 // kind + lsn + addr + count; the MAC
 	sub := func(label string) []byte {
 		h := hmac.New(sha256.New, key)
 		h.Write([]byte(label))
@@ -177,7 +231,7 @@ func parentDecode(key, batch []byte, firstLSN uint64) ([]Record, error) {
 			return recs, fmt.Errorf("header cut short")
 		}
 		n := int(binary.LittleEndian.Uint32(batch))
-		if n < recFixedBytes+macBytes || len(batch) < frameHdrBytes+n {
+		if n < fixed+tag || len(batch) < frameHdrBytes+n {
 			return recs, fmt.Errorf("frame length %d", n)
 		}
 		body := batch[frameHdrBytes : frameHdrBytes+n]
@@ -185,20 +239,15 @@ func parentDecode(key, batch []byte, firstLSN uint64) ([]Record, error) {
 			return recs, fmt.Errorf("CRC mismatch")
 		}
 		h := hmac.New(sha256.New, macKey)
-		h.Write(body[:n-macBytes])
-		if !hmac.Equal(h.Sum(nil)[:macBytes], body[n-macBytes:]) {
+		h.Write(body[:n-tag])
+		if !hmac.Equal(h.Sum(nil)[:tag], body[n-tag:]) {
 			return recs, fmt.Errorf("MAC mismatch at LSN %d", next)
 		}
-		rec := Record{
-			Kind:  body[0],
-			LSN:   binary.LittleEndian.Uint64(body[1:]),
-			Addr:  binary.LittleEndian.Uint64(body[9:]),
-			Count: binary.LittleEndian.Uint64(body[17:]),
-		}
+		rec := Record{Kind: body[0], LSN: binary.LittleEndian.Uint64(body[1:]), Addr: binary.LittleEndian.Uint64(body[9:])}
 		if rec.LSN != next {
 			return recs, fmt.Errorf("LSN %d, want %d", rec.LSN, next)
 		}
-		if payload := body[recFixedBytes : n-macBytes]; len(payload) > 0 {
+		if payload := body[fixed : n-tag]; len(payload) > 0 {
 			rec.Line = make([]byte, len(payload))
 			if err := cipher.XOR(rec.Line, payload, rec.LSN, 0); err != nil {
 				return recs, err
@@ -210,45 +259,32 @@ func parentDecode(key, batch []byte, firstLSN uint64) ([]Record, error) {
 	return recs, nil
 }
 
-// A replica running the parent's wal.Codec accepts this commit's batches:
-// records it never saw in a fixture, sealed here, verified there.
-func TestParentDecoderAcceptsNewBatches(t *testing.T) {
+// A replica running the generation before cannot read this one's batches:
+// it takes the first frame for tampering. That is why a poll carries the
+// bit that says its sender reads this generation, and a primary refuses one
+// without it (wire.ReplicateRequest's CurrentWAL) before it seals a batch.
+func TestParentDecoderRejectsNewBatches(t *testing.T) {
 	key := []byte("an epoch-bound replication key..")
 	codec, err := NewCodec(Options{Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const first = 7001
-	var want []Record
 	var batch []byte
 	for i := 0; i < 40; i++ {
 		rec := Record{Kind: KindWrite, LSN: first + uint64(i), Addr: uint64(i*i) * 64, Line: line(byte(3 * i))}
-		switch i % 7 {
-		case 3:
-			rec = Record{Kind: KindOverflow, LSN: rec.LSN, Count: uint64(i)}
-		case 5:
-			rec = Record{Kind: KindRebase, LSN: rec.LSN, Count: uint64(i) << 33}
-		}
-		want = append(want, rec)
 		if batch, err = codec.AppendRecord(batch, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := parentDecode(key, batch, first)
-	if err != nil {
-		t.Fatalf("the parent's decoder refused the batch after %d records: %v", len(got), err)
+	if got, err := parentDecode(key, batch, first); err == nil || len(got) != 0 {
+		t.Fatalf("the parent's decoder read %d records of a current batch (%v), want a refusal of the first", len(got), err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("the parent's decoder read %d records of %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameRecord(got[i], want[i]) {
-			t.Errorf("record %d: the parent's decoder read %+v, sealed %+v", i, got[i], want[i])
+	// And the stand-in is the parent's decoder: it reads the parent's frames.
+	for _, run := range loadGolden(t, oldGenFrames) {
+		if got, err := parentDecode(run.key, run.segment(), run.first); err != nil || len(got) != len(run.frames) {
+			t.Fatalf("%d-byte key: the parent's decoder read %d of its own %d frames: %v", len(run.key), len(got), len(run.frames), err)
 		}
-	}
-	batch[len(batch)-macBytes-3] ^= 1 // and it is not accepting everything
-	if _, err := parentDecode(key, batch, first); err == nil {
-		t.Error("the parent's decoder accepted a flipped payload bit")
 	}
 }
 
@@ -267,18 +303,15 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 	payload := line(9)
 	lsn := uint64(0)
 	write := func() Record { lsn++; return Record{Kind: KindWrite, LSN: lsn, Addr: lsn * 64, Line: payload} }
-	audit := func() Record { lsn++; return Record{Kind: KindOverflow, LSN: lsn, Count: 2} }
 	if err := l.Append(write()); err != nil { // warm: the MAC's pooled scratch exists
 		t.Fatal(err)
 	}
-	for name, next := range map[string]func() Record{"write": write, "audit": audit} {
-		if n := testing.AllocsPerRun(500, func() {
-			if err := l.Append(next()); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("Log.Append of a %s record allocates %v times, want 0", name, n)
+	if n := testing.AllocsPerRun(500, func() {
+		if err := l.Append(write()); err != nil {
+			t.Fatal(err)
 		}
+	}); n != 0 {
+		t.Errorf("Log.Append of a write record allocates %v times, want 0", n)
 	}
 
 	codec, err := NewCodec(testOpts())
@@ -286,17 +319,15 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]byte, 0, 64*WriteFrameBytes)
-	for name, next := range map[string]func() Record{"write": write, "audit": audit} {
-		if n := testing.AllocsPerRun(500, func() {
-			dst = dst[:0]
-			for i := 0; i < 8; i++ {
-				if dst, err = codec.AppendRecord(dst, next()); err != nil {
-					t.Fatal(err)
-				}
+	if n := testing.AllocsPerRun(500, func() {
+		dst = dst[:0]
+		for i := 0; i < 8; i++ {
+			if dst, err = codec.AppendRecord(dst, write()); err != nil {
+				t.Fatal(err)
 			}
-		}); n != 0 {
-			t.Errorf("Codec.AppendRecord of %s records into a reused dst allocates %v times per 8, want 0", name, n)
 		}
+	}); n != 0 {
+		t.Errorf("Codec.AppendRecord of write records into a reused dst allocates %v times per 8, want 0", n)
 	}
 }
 

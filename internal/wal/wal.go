@@ -1,8 +1,8 @@
 // Package wal is morphdur's write-ahead log: an append-only file of
 // length-prefixed, CRC-framed, MAC-authenticated records journaling every
-// mutation applied to a secure-memory shard. A record is durable once its
+// write applied to a secure-memory shard. A record is durable once its
 // frame is fsynced; recovery replays the valid prefix and distinguishes the
-// two ways a file can be bad:
+// ways a file can be bad:
 //
 //   - A torn tail — a frame cut short or CRC-corrupted by a crash mid-append
 //     — ends replay with a typed *TornTailError. Callers truncate the file
@@ -10,8 +10,11 @@
 //   - Tampering — a frame whose bytes are intact (CRC matches) but whose
 //     keyed MAC does not, or whose LSN breaks the expected sequence — fails
 //     replay with a *secmem.IntegrityError. A CRC is trivially recomputable
-//     by an adversary with file access; the truncated HMAC-SHA256 under a
-//     key derived from the master key is not.
+//     by an adversary with file access; the engine's line MAC (mac.Keyer's
+//     Record) under a key derived from the master key is not.
+//   - Another generation — a frame whose kind byte is not KindWrite, as every
+//     frame of a build that sealed records with HMAC is — fails with a
+//     *secmem.VersionError before its MAC is looked at.
 //
 // Write-record payloads are sealed (AES-CTR under a second derived key,
 // pad bound to the record's LSN) so plaintext cachelines never touch disk:
@@ -21,7 +24,7 @@
 // format):
 //
 //	| u32 body length | u32 CRC-32C(body) | body |
-//	body = | kind u8 | lsn u64 | addr u64 | count u64 | payload | mac u64 |
+//	body = | kind u8 | lsn u64 | addr u64 | sealed line (64) | mac u64 |
 //
 // The MAC covers everything in the body before it. LSNs are assigned by the
 // caller and must increase by exactly one per record within a segment, so a
@@ -31,8 +34,7 @@ package wal
 
 import (
 	"bufio"
-	"crypto/hmac"
-	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,51 +48,50 @@ import (
 	"github.com/securemem/morphtree/internal/secmem"
 )
 
-// Record kinds.
-const (
-	// KindWrite journals one data-line write: Addr is the global
-	// line-aligned address, Line the 64-byte plaintext (sealed on disk).
-	KindWrite byte = 0x01
-	// KindOverflow is an audit record: Count counter-overflow
-	// re-encryption events occurred since the previous audit record. The
-	// store journals writes only — replaying them regenerates every such
-	// event — but segments of earlier versions hold audit records, so the
-	// decoder still reads them and replay skips them.
-	KindOverflow byte = 0x02
-	// KindRebase is an audit record, read like KindOverflow: Count
-	// morphable-counter rebase events since the previous audit record.
-	KindRebase byte = 0x03
-)
+// KindWrite is the kind byte of every record: one data-line write, Addr the
+// global line-aligned address, Line the 64-byte plaintext (sealed on disk).
+// It names the record's generation too. Kinds 0x01 to 0x03 were a write
+// sealed by HMAC-SHA256 and two audit records; a frame of any kind but this
+// one is refused with a *secmem.VersionError.
+const KindWrite byte = 0x04
 
 // Sizes of the on-disk encoding.
 const (
 	frameHdrBytes = 8  // u32 length + u32 CRC
-	recFixedBytes = 25 // kind + lsn + addr + count
+	recFixedBytes = 17 // kind + lsn + addr
 	macBytes      = 8
-	// WriteFrameBytes is the exact on-disk size of a KindWrite frame.
-	// Crash harnesses use it to predict how many whole records survive a
-	// truncation at a given byte offset.
-	WriteFrameBytes = frameHdrBytes + recFixedBytes + secmem.LineBytes + macBytes
-	// AuditFrameBytes is the on-disk size of a payload-less audit frame.
-	AuditFrameBytes = frameHdrBytes + recFixedBytes + macBytes
+	// bodyBytes is the length of every record's body.
+	bodyBytes = recFixedBytes + secmem.LineBytes + macBytes
+	// WriteFrameBytes is the exact on-disk size of a frame. Crash harnesses
+	// use it to predict how many whole records survive a truncation at a
+	// given byte offset, and the replication cursor to find a record.
+	WriteFrameBytes = frameHdrBytes + bodyBytes
 	// maxBody bounds a frame body; anything larger is crash garbage (or
 	// hostile) and is treated as a torn tail before allocation.
 	maxBody = 4096
+	// frameFormat names the WAL frame in a *secmem.VersionError, whose
+	// version is the frame's kind byte.
+	frameFormat = "wal frame"
 )
+
+// KindError is the *secmem.VersionError for input of WAL records of kind, a
+// generation this build does not read.
+func KindError(kind byte) error {
+	return &secmem.VersionError{Magic: frameFormat, Version: uint64(kind), Want: frameFormat, WantVersion: uint64(KindWrite)}
+}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is one journaled mutation.
+// Record is one journaled write.
 type Record struct {
+	// Kind is KindWrite.
 	Kind byte
 	// LSN is the record's log sequence number, contiguous within a
 	// segment.
 	LSN uint64
-	// Addr is the global line-aligned address (KindWrite only).
+	// Addr is the global line-aligned address.
 	Addr uint64
-	// Count is the event count carried by audit records.
-	Count uint64
-	// Line is the 64-byte plaintext line (KindWrite only).
+	// Line is the 64-byte plaintext line.
 	Line []byte
 }
 
@@ -136,8 +137,7 @@ type Options struct {
 
 // keys are the independent encryption and authentication subkeys derived
 // from an Options key (never using one key for both primitives). The record
-// MAC is the engine's pre-keyed mac.Keyer at full width: the first eight
-// bytes of HMAC-SHA256 over the body prefix, as every segment on disk has it.
+// MAC is the engine's line MAC at full width.
 type keys struct {
 	cipher *aesctr.Cipher
 	mac    *mac.Keyer
@@ -147,64 +147,51 @@ func deriveKeys(opt Options) (keys, error) {
 	if len(opt.Key) == 0 {
 		return keys{}, errors.New("wal: sealing key is required")
 	}
-	sub := func(label string) []byte {
-		h := hmac.New(sha256.New, opt.Key)
-		h.Write([]byte(label))
-		return h.Sum(nil)
-	}
-	cipher, err := aesctr.New(sub("morphtree/wal/enc"))
+	cipher, err := aesctr.New(mac.Derive(opt.Key, "morphtree/wal/enc"))
 	if err != nil {
 		return keys{}, fmt.Errorf("wal: derive enc key: %w", err)
 	}
-	keyer, err := mac.New(sub("morphtree/wal/mac"), mac.Width64)
+	keyer, err := mac.New(mac.Derive(opt.Key, "morphtree/wal/mac"), mac.Width64)
 	if err != nil {
 		return keys{}, fmt.Errorf("wal: derive mac key: %w", err)
 	}
 	return keys{cipher: cipher, mac: keyer}, nil
 }
 
-// frameBytes returns the size of r's frame, or an error if r cannot be
-// journaled.
-func frameBytes(r Record) (int, error) {
-	switch r.Kind {
-	case KindWrite:
-		if len(r.Line) != secmem.LineBytes {
-			return 0, fmt.Errorf("wal: write record line is %d bytes, want %d", len(r.Line), secmem.LineBytes)
-		}
-		return WriteFrameBytes, nil
-	case KindOverflow, KindRebase:
-		return AuditFrameBytes, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown record kind %#x", r.Kind)
+// check returns why r cannot be journaled, or nil.
+func check(r Record) error {
+	if r.Kind != KindWrite {
+		return fmt.Errorf("wal: record kind %#x, want %#x", r.Kind, KindWrite)
 	}
+	if len(r.Line) != secmem.LineBytes {
+		return fmt.Errorf("wal: write record line is %d bytes, want %d", len(r.Line), secmem.LineBytes)
+	}
+	return nil
 }
 
-// seal builds r's frame where it lies: frame is exactly frameBytes(r) long,
-// and the header, the fields, the sealed payload, the MAC and the CRC are
+// seal builds r's frame where it lies: frame is exactly WriteFrameBytes
+// long, and the header, the fields, the sealed line, the MAC and the CRC are
 // each written to their place in it.
 func (k keys) seal(frame []byte, r Record) error {
 	body := frame[frameHdrBytes:]
-	macOff := len(body) - macBytes
+	macOff := bodyBytes - macBytes
 	body[0] = r.Kind
 	binary.LittleEndian.PutUint64(body[1:], r.LSN)
 	binary.LittleEndian.PutUint64(body[9:], r.Addr)
-	binary.LittleEndian.PutUint64(body[17:], r.Count)
-	if r.Kind == KindWrite {
-		// Seal the line: the pad is bound to the LSN, unique within the
-		// segment key's lifetime.
-		if err := k.cipher.XOR(body[recFixedBytes:macOff], r.Line, r.LSN, 0); err != nil {
-			return fmt.Errorf("wal: seal record %d: %w", r.LSN, err)
-		}
+	// Seal the line: the pad is bound to the LSN, unique within the
+	// segment key's lifetime.
+	if err := k.cipher.XOR(body[recFixedBytes:macOff], r.Line, r.LSN, 0); err != nil {
+		return fmt.Errorf("wal: seal record %d: %w", r.LSN, err)
 	}
-	binary.LittleEndian.PutUint64(body[macOff:], k.mac.Raw(body[:macOff]))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
+	binary.LittleEndian.PutUint64(body[macOff:], k.mac.Record(body[:macOff]))
+	binary.LittleEndian.PutUint32(frame[0:], bodyBytes)
 	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
 	return nil
 }
 
 // Codec seals and opens records in the WAL frame format without a backing
 // file. The cluster layer uses it to ship batches of records over the wire
-// in exactly the on-disk encoding — CRC-framed, HMAC'd, AES-CTR-sealed —
+// in exactly the on-disk encoding — CRC-framed, MAC'd, AES-CTR-sealed —
 // under a key bound to the sender's fencing epoch, so a batch from a
 // deposed primary fails authentication instead of corrupting a replica.
 type Codec struct {
@@ -224,12 +211,11 @@ func NewCodec(opt Options) (*Codec, error) {
 // the extended slice. The frame is sealed in dst itself, so appending to a
 // slice with room allocates nothing.
 func (c *Codec) AppendRecord(dst []byte, r Record) ([]byte, error) {
-	n, err := frameBytes(r)
-	if err != nil {
+	if err := check(r); err != nil {
 		return dst, err
 	}
 	off := len(dst)
-	dst = slices.Grow(dst, n)[:off+n]
+	dst = slices.Grow(dst, WriteFrameBytes)[:off+WriteFrameBytes]
 	if err := c.keys.seal(dst[off:], r); err != nil {
 		return dst[:off], err
 	}
@@ -243,26 +229,19 @@ func (c *Codec) AppendRecord(dst []byte, r Record) ([]byte, error) {
 // returns a *FrameError rather than a tolerated tail. Returns the number of
 // records decoded.
 func (c *Codec) DecodeAll(p []byte, firstLSN uint64, fn func(Record) error) (int, error) {
+	return decodeFrames(c.keys, p, "replication batch", firstLSN, fn)
+}
+
+// decodeFrames is DecodeAll under k; what names p in an error.
+func decodeFrames(k keys, p []byte, what string, firstLSN uint64, fn func(Record) error) (int, error) {
 	next := firstLSN
 	n := 0
-	off := 0
-	for off < len(p) {
-		rest := p[off:]
-		if len(rest) < frameHdrBytes {
-			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("header cut short: %d trailing bytes", len(rest))}
+	for off := 0; off < len(p); off += WriteFrameBytes {
+		body, reason := splitFrame(p[off:])
+		if reason != "" {
+			return n, &FrameError{Offset: off, Reason: reason}
 		}
-		bl := binary.LittleEndian.Uint32(rest[0:])
-		if bl < recFixedBytes+macBytes || bl > maxBody {
-			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("length %d outside [%d, %d]", bl, recFixedBytes+macBytes, maxBody)}
-		}
-		if len(rest) < frameHdrBytes+int(bl) {
-			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("body cut short: %d of %d bytes", len(rest)-frameHdrBytes, bl)}
-		}
-		body := rest[frameHdrBytes : frameHdrBytes+int(bl)]
-		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(rest[4:]); got != want {
-			return n, &FrameError{Offset: off, Reason: fmt.Sprintf("CRC %#x, want %#x", got, want)}
-		}
-		rec, err := decodeBody(c.keys, body, "replication batch", next)
+		rec, err := decodeBody(k, body, what, next)
 		if err != nil {
 			return n, err
 		}
@@ -271,9 +250,30 @@ func (c *Codec) DecodeAll(p []byte, firstLSN uint64, fn func(Record) error) (int
 		}
 		n++
 		next = rec.LSN + 1
-		off += frameHdrBytes + int(bl)
 	}
 	return n, nil
+}
+
+// splitFrame returns the body of the frame p starts with, or why p does not
+// start with a whole frame whose CRC matches. A body of any length up to
+// maxBody is returned, so that an older generation's frame reaches the kind
+// check; decodeBody holds a current one to its length.
+func splitFrame(p []byte) (body []byte, reason string) {
+	if len(p) < frameHdrBytes {
+		return nil, fmt.Sprintf("%d trailing bytes, want a %d-byte frame header", len(p), frameHdrBytes)
+	}
+	n := binary.LittleEndian.Uint32(p)
+	if n < 1 || n > maxBody {
+		return nil, fmt.Sprintf("frame length %d outside [1, %d]", n, maxBody)
+	}
+	if len(p) < frameHdrBytes+int(n) {
+		return nil, fmt.Sprintf("frame body cut short: %d of %d bytes", len(p)-frameHdrBytes, n)
+	}
+	body = p[frameHdrBytes : frameHdrBytes+int(n)]
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(p[4:]); got != want {
+		return nil, fmt.Sprintf("frame CRC %#x, want %#x", got, want)
+	}
+	return body, ""
 }
 
 // Log is an append-only WAL segment writer. It is not safe for concurrent
@@ -285,7 +285,7 @@ type Log struct {
 	f    *os.File
 	bw   *bufio.Writer
 	// frame is where Append seals a record before handing it to bw in one
-	// write; the largest frame is a write record's.
+	// write.
 	frame [WriteFrameBytes]byte
 }
 
@@ -324,15 +324,13 @@ func (l *Log) Path() string { return l.path }
 // Append buffers one record's frame. The record is NOT durable until Sync
 // returns; it is not even visible to a re-open until Flush.
 func (l *Log) Append(r Record) error {
-	n, err := frameBytes(r)
-	if err != nil {
+	if err := check(r); err != nil {
 		return err
 	}
-	frame := l.frame[:n]
-	if err := l.keys.seal(frame, r); err != nil {
+	if err := l.keys.seal(l.frame[:], r); err != nil {
 		return err
 	}
-	if _, err := l.bw.Write(frame); err != nil {
+	if _, err := l.bw.Write(l.frame[:]); err != nil {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
 	return nil
@@ -380,14 +378,12 @@ func (l *Log) Close() error {
 
 // ReplayInfo summarizes one segment's replay.
 type ReplayInfo struct {
-	// Records is the number of valid records decoded (all kinds).
+	// Records is the number of valid records decoded.
 	Records int
 	// Delivered is the number of records passed to the callback. Equal to
-	// Records for Replay; ReplayRange validates the whole prefix but only
+	// Records for Replay; ReplayTail validates the whole prefix but only
 	// delivers records at or past the cursor.
 	Delivered int
-	// Writes is the number of KindWrite records decoded.
-	Writes int
 	// LastLSN is the LSN of the final valid record (firstLSN-1 if none).
 	LastLSN uint64
 	// ValidBytes is the length of the valid prefix.
@@ -407,41 +403,19 @@ type ReplayInfo struct {
 //
 // A torn tail ends replay without error (recorded in the info); if repair
 // is true the file is truncated to its valid prefix so appends can resume.
-// MAC or sequence violations return a *secmem.IntegrityError and replay no
-// further records.
+// MAC or sequence violations return a *secmem.IntegrityError, and a frame of
+// another generation a *secmem.VersionError; either replays no further
+// records.
 func Replay(path string, opt Options, firstLSN uint64, repair bool, fn func(Record) error) (ReplayInfo, error) {
-	return replayRange(path, opt, firstLSN, firstLSN, repair, fn)
-}
-
-// ReplayRange decodes the segment at path exactly like Replay — the whole
-// prefix is CRC-, MAC-, and sequence-validated starting at firstLSN — but
-// only records with LSN >= fromLSN are delivered to fn. This is the
-// replication cursor path: a replica whose durable watermark is mid-segment
-// receives just the suffix it is missing, while the primary still refuses
-// to serve from a tampered or spliced log. A torn tail ends delivery
-// without error (recorded in the info; never repaired — the cursor read
-// must not mutate the live segment the committer is appending to).
-func ReplayRange(path string, opt Options, firstLSN, fromLSN uint64, fn func(Record) error) (ReplayInfo, error) {
-	if fromLSN < firstLSN {
-		fromLSN = firstLSN
-	}
-	return replayRange(path, opt, firstLSN, fromLSN, false, fn)
+	return ReplayTail(path, opt, firstLSN, firstLSN, repair, fn)
 }
 
 // ReplayTail is Replay restricted to records with LSN >= fromLSN: the
 // whole segment prefix is still CRC-, MAC-, and sequence-validated from
-// firstLSN, but only the suffix is delivered. Unlike ReplayRange it may
-// repair a torn tail — this is the recovery path for delta checkpoints,
-// where the segment starts at the base snapshot's watermark but the delta
-// chain already covers everything below fromLSN.
+// firstLSN, but only the suffix is delivered. This is the recovery path for
+// delta checkpoints, where the segment starts at the base snapshot's
+// watermark but the delta chain already covers everything below fromLSN.
 func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, repair bool, fn func(Record) error) (ReplayInfo, error) {
-	if fromLSN < firstLSN {
-		fromLSN = firstLSN
-	}
-	return replayRange(path, opt, firstLSN, fromLSN, repair, fn)
-}
-
-func replayRange(path string, opt Options, firstLSN, fromLSN uint64, repair bool, fn func(Record) error) (ReplayInfo, error) {
 	info := ReplayInfo{LastLSN: firstLSN - 1}
 	k, err := deriveKeys(opt)
 	if err != nil {
@@ -456,27 +430,10 @@ func replayRange(path string, opt Options, firstLSN, fromLSN uint64, repair bool
 	}
 	next := firstLSN
 	off := int64(0)
-	torn := func(reason string) {
-		info.TornTail = &TornTailError{Path: path, Offset: off, Reason: reason}
-	}
 	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < frameHdrBytes {
-			torn(fmt.Sprintf("%d trailing bytes, want a %d-byte frame header", len(rest), frameHdrBytes))
-			break
-		}
-		n := binary.LittleEndian.Uint32(rest[0:])
-		if n < recFixedBytes+macBytes || n > maxBody {
-			torn(fmt.Sprintf("frame length %d outside [%d, %d]", n, recFixedBytes+macBytes, maxBody))
-			break
-		}
-		if len(rest) < frameHdrBytes+int(n) {
-			torn(fmt.Sprintf("frame body cut short: %d of %d bytes", len(rest)-frameHdrBytes, n))
-			break
-		}
-		body := rest[frameHdrBytes : frameHdrBytes+int(n)]
-		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(rest[4:]); got != want {
-			torn(fmt.Sprintf("frame CRC %#x, want %#x", got, want))
+		body, reason := splitFrame(data[off:])
+		if reason != "" {
+			info.TornTail = &TornTailError{Path: path, Offset: off, Reason: reason}
 			break
 		}
 		rec, err := decodeBody(k, body, path, next)
@@ -490,12 +447,9 @@ func replayRange(path string, opt Options, firstLSN, fromLSN uint64, repair bool
 			info.Delivered++
 		}
 		info.Records++
-		if rec.Kind == KindWrite {
-			info.Writes++
-		}
 		info.LastLSN = rec.LSN
 		next = rec.LSN + 1
-		off += frameHdrBytes + int64(n)
+		off += WriteFrameBytes
 	}
 	info.ValidBytes = off
 	if info.TornTail != nil && repair {
@@ -507,55 +461,70 @@ func replayRange(path string, opt Options, firstLSN, fromLSN uint64, repair bool
 	return info, nil
 }
 
-// decodeBody authenticates and unseals one CRC-valid body. The CRC having
-// matched, any failure here means deliberate modification, not a crash —
-// so failures are *secmem.IntegrityError, the same fail-closed type the
-// engine raises for tampered memory.
-func decodeBody(k keys, body []byte, path string, wantLSN uint64) (Record, error) {
-	macOff := len(body) - macBytes
-	got := binary.LittleEndian.Uint64(body[macOff:])
-	want := k.mac.Raw(body[:macOff])
-	rec := Record{
-		Kind:  body[0],
-		LSN:   binary.LittleEndian.Uint64(body[1:]),
-		Addr:  binary.LittleEndian.Uint64(body[9:]),
-		Count: binary.LittleEndian.Uint64(body[17:]),
+// ReadRange returns the n records from LSN from on of the segment at path,
+// whose first record is firstLSN. Every frame is WriteFrameBytes long, so
+// they are read with one ReadAt at their offset and nothing before them is
+// read; each is CRC-, MAC- and LSN-checked as DecodeAll checks a batch. It
+// is the replication cursor's read of the live segment, and the records it
+// asks for are durable: a segment that ends before them is an error (an
+// io.ErrUnexpectedEOF or io.EOF), and damaged framing a *FrameError whose
+// offset counts from record from.
+func ReadRange(path string, opt Options, firstLSN, from uint64, n int) ([]Record, error) {
+	if from < firstLSN || n < 0 {
+		return nil, fmt.Errorf("wal: read %d records from LSN %d of a segment starting at %d", n, from, firstLSN)
 	}
-	if !hmac.Equal(u64le(got), u64le(want)) {
+	k, err := deriveKeys(opt)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read %s: %w", path, err)
+	}
+	defer f.Close()
+	buf := make([]byte, n*WriteFrameBytes)
+	if _, err := f.ReadAt(buf, int64(from-firstLSN)*WriteFrameBytes); err != nil {
+		return nil, fmt.Errorf("wal: read records %d to %d of %s: %w", from, from+uint64(n)-1, path, err)
+	}
+	recs := make([]Record, 0, n)
+	_, err = decodeFrames(k, buf, path, from, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, err
+}
+
+// decodeBody authenticates and unseals one CRC-valid body. The CRC having
+// matched, a failure here means deliberate modification or a frame of
+// another generation, not a crash: the kind byte is read first, and any but
+// KindWrite is a *secmem.VersionError, so an older build's frames are never
+// reported as tampered; anything else is a *secmem.IntegrityError, the same
+// fail-closed type the engine raises for tampered memory.
+func decodeBody(k keys, body []byte, what string, wantLSN uint64) (Record, error) {
+	if body[0] != KindWrite {
+		return Record{}, KindError(body[0])
+	}
+	if len(body) != bodyBytes {
+		return Record{}, &secmem.IntegrityError{Level: -1, Index: wantLSN,
+			Reason: fmt.Sprintf("wal record body in %s is %d bytes, want %d", what, len(body), bodyBytes)}
+	}
+	rec := Record{Kind: KindWrite, LSN: binary.LittleEndian.Uint64(body[1:]), Addr: binary.LittleEndian.Uint64(body[9:])}
+	macOff := bodyBytes - macBytes
+	var want [macBytes]byte
+	binary.LittleEndian.PutUint64(want[:], k.mac.Record(body[:macOff]))
+	if subtle.ConstantTimeCompare(body[macOff:], want[:]) != 1 {
 		return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
-			Reason: fmt.Sprintf("wal record MAC mismatch in %s (at-rest tampering)", path)}
+			Reason: fmt.Sprintf("wal record MAC mismatch in %s (at-rest tampering)", what)}
 	}
 	if rec.LSN != wantLSN {
 		return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
-			Reason: fmt.Sprintf("wal record LSN %d in %s, want %d (spliced or replayed log)", rec.LSN, path, wantLSN)}
+			Reason: fmt.Sprintf("wal record LSN %d in %s, want %d (spliced or replayed log)", rec.LSN, what, wantLSN)}
 	}
-	payload := body[recFixedBytes:macOff]
-	switch rec.Kind {
-	case KindWrite:
-		if len(payload) != secmem.LineBytes {
-			return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
-				Reason: fmt.Sprintf("wal write record payload is %d bytes, want %d", len(payload), secmem.LineBytes)}
-		}
-		rec.Line = make([]byte, secmem.LineBytes)
-		if err := k.cipher.XOR(rec.Line, payload, rec.LSN, 0); err != nil {
-			return Record{}, fmt.Errorf("wal: unseal record %d: %w", rec.LSN, err)
-		}
-	case KindOverflow, KindRebase:
-		if len(payload) != 0 {
-			return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
-				Reason: fmt.Sprintf("wal audit record carries %d payload bytes, want 0", len(payload))}
-		}
-	default:
-		return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
-			Reason: fmt.Sprintf("wal record kind %#x unknown", rec.Kind)}
+	rec.Line = make([]byte, secmem.LineBytes)
+	if err := k.cipher.XOR(rec.Line, body[recFixedBytes:macOff], rec.LSN, 0); err != nil {
+		return Record{}, fmt.Errorf("wal: unseal record %d: %w", rec.LSN, err)
 	}
 	return rec, nil
-}
-
-func u64le(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
 }
 
 // SyncDir fsyncs a directory so renames and creates within it are durable.

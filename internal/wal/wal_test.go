@@ -24,9 +24,8 @@ func line(seed byte) []byte {
 	return l
 }
 
-// writeLog writes n KindWrite records (LSN 1..n) plus, if audits is true, a
-// trailing audit pair, returning the path.
-func writeLog(t *testing.T, dir string, n int, audits bool) string {
+// writeLog writes n records (LSN 1..n), returning the path.
+func writeLog(t *testing.T, dir string, n int) string {
 	t.Helper()
 	path := filepath.Join(dir, "wal.test")
 	l, err := Create(path, testOpts())
@@ -40,16 +39,6 @@ func writeLog(t *testing.T, dir string, n int, audits bool) string {
 			t.Fatal(err)
 		}
 	}
-	if audits {
-		lsn++
-		if err := l.Append(Record{Kind: KindOverflow, LSN: lsn, Count: 3}); err != nil {
-			t.Fatal(err)
-		}
-		lsn++
-		if err := l.Append(Record{Kind: KindRebase, LSN: lsn, Count: 7}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +46,7 @@ func writeLog(t *testing.T, dir string, n int, audits bool) string {
 }
 
 func TestRoundTrip(t *testing.T) {
-	path := writeLog(t, t.TempDir(), 5, true)
+	path := writeLog(t, t.TempDir(), 5)
 	var recs []Record
 	info, err := Replay(path, testOpts(), 1, false, func(r Record) error {
 		recs = append(recs, r)
@@ -66,8 +55,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != 7 || info.Writes != 5 || info.LastLSN != 7 || info.TornTail != nil {
-		t.Fatalf("info = %+v, want 7 records / 5 writes / lastLSN 7 / no torn tail", info)
+	if info.Records != 5 || info.LastLSN != 5 || info.TornTail != nil {
+		t.Fatalf("info = %+v, want 5 records / lastLSN 5 / no torn tail", info)
 	}
 	for i := 0; i < 5; i++ {
 		r := recs[i]
@@ -75,16 +64,10 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = %+v, want write of line(%d) at %d", i, r, i, i*64)
 		}
 	}
-	if recs[5].Kind != KindOverflow || recs[5].Count != 3 {
-		t.Fatalf("audit record = %+v, want overflow count 3", recs[5])
-	}
-	if recs[6].Kind != KindRebase || recs[6].Count != 7 {
-		t.Fatalf("audit record = %+v, want rebase count 7", recs[6])
-	}
 }
 
 func TestLinesAreSealedAtRest(t *testing.T) {
-	path := writeLog(t, t.TempDir(), 3, false)
+	path := writeLog(t, t.TempDir(), 3)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +81,13 @@ func TestLinesAreSealedAtRest(t *testing.T) {
 
 func TestWriteFrameBytesMatchesDisk(t *testing.T) {
 	dir := t.TempDir()
-	path := writeLog(t, dir, 4, false)
+	path := writeLog(t, dir, 4)
 	fi, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != 4*WriteFrameBytes {
-		t.Fatalf("4 write records occupy %d bytes, want %d", fi.Size(), 4*WriteFrameBytes)
-	}
-	path = writeLog(t, t.TempDir(), 0, true)
-	fi, err = os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != 2*AuditFrameBytes {
-		t.Fatalf("2 audit records occupy %d bytes, want %d", fi.Size(), 2*AuditFrameBytes)
+	if WriteFrameBytes != 97 || fi.Size() != 4*WriteFrameBytes {
+		t.Fatalf("4 write records occupy %d bytes, want 4 frames of 97 (WriteFrameBytes = %d)", fi.Size(), WriteFrameBytes)
 	}
 }
 
@@ -121,7 +96,7 @@ func TestWriteFrameBytesMatchesDisk(t *testing.T) {
 // torn tail for partial cuts, and never errors or panics.
 func TestTornTailEveryOffset(t *testing.T) {
 	const n = 4
-	master := writeLog(t, t.TempDir(), n, false)
+	master := writeLog(t, t.TempDir(), n)
 	data, err := os.ReadFile(master)
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +108,8 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := 0
-		info, err := Replay(path, testOpts(), 1, true, func(r Record) error {
-			if r.Kind == KindWrite {
-				got++
-			}
+		info, err := Replay(path, testOpts(), 1, true, func(Record) error {
+			got++
 			return nil
 		})
 		if err != nil {
@@ -173,33 +146,16 @@ func TestTornTailEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 			info2, err := Replay(path, testOpts(), 1, false, func(Record) error { return nil })
-			if err != nil || info2.TornTail != nil || info2.Writes != wantWhole+1 {
+			if err != nil || info2.TornTail != nil || info2.Records != wantWhole+1 {
 				t.Fatalf("cut %d: after repair+append replay = %+v, %v", cut, info2, err)
 			}
 		}
 	}
 }
 
-// flipWithCRCFix flips one payload byte of frame k and recomputes the CRC,
-// modeling an adversary (not a crash) editing the file.
-func flipWithCRCFix(t *testing.T, path string, frame int) {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := frame * WriteFrameBytes
-	body := data[off+frameHdrBytes : off+WriteFrameBytes]
-	body[recFixedBytes+5] ^= 0x40
-	binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTamperingIsIntegrityErrorNotTornTail(t *testing.T) {
-	path := writeLog(t, t.TempDir(), 4, false)
-	flipWithCRCFix(t, path, 1)
+	path := writeLog(t, t.TempDir(), 4)
+	rewriteWithCRCFix(t, path, 1, func(body []byte) { body[recFixedBytes+5] ^= 0x40 }) // one payload bit
 	applied := 0
 	_, err := Replay(path, testOpts(), 1, false, func(Record) error { applied++; return nil })
 	var ie *secmem.IntegrityError
@@ -212,7 +168,7 @@ func TestTamperingIsIntegrityErrorNotTornTail(t *testing.T) {
 }
 
 func TestWrongKeyIsIntegrityError(t *testing.T) {
-	path := writeLog(t, t.TempDir(), 2, false)
+	path := writeLog(t, t.TempDir(), 2)
 	_, err := Replay(path, Options{Key: []byte("fedcba9876543210")}, 1, false, func(Record) error { return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
@@ -222,7 +178,7 @@ func TestWrongKeyIsIntegrityError(t *testing.T) {
 
 func TestLSNDiscontinuityIsIntegrityError(t *testing.T) {
 	dir := t.TempDir()
-	path := writeLog(t, dir, 3, false)
+	path := writeLog(t, dir, 3)
 	// Drop the middle frame and splice the file back together: every
 	// frame still CRCs and MACs, but the sequence skips an LSN.
 	data, err := os.ReadFile(path)
@@ -256,7 +212,7 @@ func TestMissingFileReplaysEmpty(t *testing.T) {
 func TestFirstLSNMismatchRejectsForeignSegment(t *testing.T) {
 	// A segment legitimately starting at LSN 1 must not be accepted where
 	// LSN 100 is expected (e.g. an old segment renamed into place).
-	path := writeLog(t, t.TempDir(), 2, false)
+	path := writeLog(t, t.TempDir(), 2)
 	_, err := Replay(path, testOpts(), 100, false, func(Record) error { return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
@@ -265,7 +221,7 @@ func TestFirstLSNMismatchRejectsForeignSegment(t *testing.T) {
 }
 
 func TestCreateRefusesExisting(t *testing.T) {
-	path := writeLog(t, t.TempDir(), 1, false)
+	path := writeLog(t, t.TempDir(), 1)
 	if _, err := Create(path, testOpts()); err == nil {
 		t.Fatal("Create over an existing segment succeeded, want error")
 	}
@@ -284,10 +240,60 @@ func TestAppendRejectsBadRecords(t *testing.T) {
 	if err := l.Append(Record{Kind: KindWrite, LSN: 1, Line: make([]byte, 12)}); err == nil {
 		t.Fatal("short line accepted")
 	}
-	if err := l.Append(Record{Kind: 0x7F, LSN: 1}); err == nil {
-		t.Fatal("unknown kind accepted")
+	for _, kind := range []byte{0x01, 0x02, 0x03, 0x7F} {
+		if err := l.Append(Record{Kind: kind, LSN: 1, Line: line(0)}); err == nil {
+			t.Fatalf("kind %#x accepted", kind)
+		}
 	}
 	if n := l.bw.Buffered(); n != 0 {
 		t.Fatalf("rejected records left %d bytes in the log's buffer", n)
+	}
+}
+
+// rewriteWithCRCFix applies edit to frame k's body and recomputes the CRC,
+// modeling an adversary (not a crash) editing the file.
+func rewriteWithCRCFix(t *testing.T, path string, frame int, edit func(body []byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := frame * WriteFrameBytes
+	body := data[off+frameHdrBytes : off+WriteFrameBytes]
+	edit(body)
+	binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A current frame whose kind byte is rewritten to the generation before's
+// write, its CRC recomputed, is refused by its kind before its MAC is
+// checked, so it reads as another version rather than as tampering — the
+// same exception as an edited container header — and is never applied; the
+// frames before it are.
+func TestRewrittenKindIsRefusedUnapplied(t *testing.T) {
+	path := writeLog(t, t.TempDir(), 4)
+	rewriteWithCRCFix(t, path, 2, func(body []byte) { body[0] = 0x01 })
+	var applied []uint64
+	_, err := Replay(path, testOpts(), 1, true, func(r Record) error { applied = append(applied, r.LSN); return nil })
+	var ve *secmem.VersionError
+	var ie *secmem.IntegrityError
+	if !errors.As(err, &ve) || ve.Version != 0x01 || errors.As(err, &ie) {
+		t.Fatalf("replay of a frame rewritten to kind 0x01 returned %v, want a *secmem.VersionError", err)
+	}
+	if len(applied) != 2 {
+		t.Fatalf("replay applied LSNs %v, want the two before the rewritten frame", applied)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec, err := NewCodec(testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := codec.DecodeAll(data, 1, func(Record) error { return nil }); n != 2 || !errors.As(err, &ve) {
+		t.Fatalf("DecodeAll of the rewritten segment: %d records, %v; want 2 and a *secmem.VersionError", n, err)
 	}
 }

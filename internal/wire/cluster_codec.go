@@ -38,6 +38,11 @@ type ReplicateRequest struct {
 	// (durable.TenantDigest), nil when it has none; a node with another list
 	// refuses the poll.
 	Tenants []byte
+	// CWRecords says the follower reads WAL records sealed by the line MAC
+	// (wal.KindWrite, 0x04), which every batch is made of. A primary refuses
+	// a poll without it: the poller is of a build that reads only the
+	// generation before, and would take the first batch for tampering.
+	CWRecords bool
 }
 
 const (
@@ -47,7 +52,8 @@ const (
 
 // EncodeReplicateRequest encodes an OpReplicate request payload:
 // | u64 epoch | u8 flags | u16 nodeLen | node | u32 nshards | u64 marks… |
-// then, with a tenant list (flags bit1): | 32-byte digest |.
+// then, with a tenant list (flags bit1): | 32-byte digest |. Flags bit0 is
+// Bootstrap, bit2 CWRecords.
 func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 	if len(r.Node) > maxNodeAddr {
 		return nil, fmt.Errorf("wire: node address %d bytes, max %d", len(r.Node), maxNodeAddr)
@@ -67,6 +73,9 @@ func EncodeReplicateRequest(r *ReplicateRequest) ([]byte, error) {
 	if r.Tenants != nil {
 		flags |= 2
 	}
+	if r.CWRecords {
+		flags |= 4
+	}
 	p = append(p, flags)
 	p = binary.BigEndian.AppendUint16(p, uint16(len(r.Node)))
 	p = append(p, r.Node...)
@@ -83,10 +92,10 @@ func DecodeReplicateRequest(p []byte) (*ReplicateRequest, error) {
 		return nil, fmt.Errorf("%w: replicate request is %d bytes, want >= %d", ErrMalformed, len(p), replReqFixed)
 	}
 	flags := p[8]
-	if flags > 3 {
+	if flags > 7 {
 		return nil, fmt.Errorf("%w: replicate request flags %#x", ErrMalformed, flags)
 	}
-	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p), Bootstrap: flags&1 != 0}
+	r := &ReplicateRequest{Epoch: binary.BigEndian.Uint64(p), Bootstrap: flags&1 != 0, CWRecords: flags&4 != 0}
 	nodeLen := int(binary.BigEndian.Uint16(p[9:]))
 	if nodeLen > maxNodeAddr {
 		return nil, fmt.Errorf("%w: node address %d bytes, max %d", ErrMalformed, nodeLen, maxNodeAddr)

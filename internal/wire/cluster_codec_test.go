@@ -19,6 +19,7 @@ func TestReplicateRequestRoundTrip(t *testing.T) {
 		Node:      "127.0.0.1:9999",
 		Marks:     []uint64{0, 42, 1 << 40},
 		Bootstrap: true,
+		CWRecords: true,
 	}
 	p, err := EncodeReplicateRequest(want)
 	if err != nil {
@@ -55,6 +56,20 @@ func TestReplicateRequestTenantDigest(t *testing.T) {
 	// | epoch 2 | flags 1 | nodeLen 1 | "r" | 1 shard | mark 9 |
 	if want := "000000000000000201000172000000010000000000000009"; hex.EncodeToString(plain) != want {
 		t.Fatalf("a poll without tenants encodes as %x, want %s", plain, want)
+	}
+	// A poll that reads this WAL generation sets flags bit 2, which the
+	// decoder of the build before refuses as malformed (its flags stop at 3).
+	cw, err := EncodeReplicateRequest(&ReplicateRequest{Epoch: 2, Node: "r", Marks: []uint64{9}, Bootstrap: true, CWRecords: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "000000000000000205000172000000010000000000000009"; hex.EncodeToString(cw) != want {
+		t.Fatalf("a poll reading line-MAC records encodes as %x, want %s", cw, want)
+	}
+	bad := bytes.Clone(cw)
+	bad[8] = 8
+	if _, err := DecodeReplicateRequest(bad); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("flags 0x08 decoded: %v, want ErrMalformed", err)
 	}
 }
 
@@ -237,6 +252,9 @@ func FuzzReplicateCodec(f *testing.F) {
 	hostile := bytes.Clone(batches)
 	binary.BigEndian.PutUint32(hostile[9:], maxClusterShards) // a shard count nothing backs
 	f.Add(hostile)
+	cw, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 5, Node: "r:3", Marks: []uint64{8, 1}, Tenants: bytes.Repeat([]byte{0x3C}, tenantDigestLen), CWRecords: true})
+	f.Add(cw)
+	f.Add(append(bytes.Clone(cw[:8]), 0x08)) // the first flag no build defines
 	f.Fuzz(func(t *testing.T, p []byte) {
 		checkCodec(t, p, DecodeReplicateRequest, EncodeReplicateRequest)
 		checkCodec(t, p, DecodeReplicateResponse, EncodeReplicateResponse)
