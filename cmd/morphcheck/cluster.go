@@ -313,7 +313,7 @@ func sprayPolls(nodes []*chaosNode, rng *rand.Rand, d time.Duration) (polls int,
 		for k := 0; k < 4 && err == nil; k, polls = k+1, polls+1 {
 			epoch := [...]uint64{before[i].Epoch, before[i].Epoch + 1, rng.Uint64(), math.MaxUint64}[rng.Intn(4)]
 			_, perr := cl.Replicate(&wire.ReplicateRequest{Epoch: epoch, Node: fmt.Sprintf("hostile:%d", polls),
-				Marks: before[i].Marks, Bootstrap: rng.Intn(4) == 0, CWRecords: true})
+				Marks: before[i].Marks, Bootstrap: rng.Intn(4) == 0, CWRecords: true, PagedBootstrap: true})
 			if !errors.As(perr, &re) {
 				err = fmt.Errorf("%s did not refuse an unbound poll at epoch %d: %v", nodes[i].addr, epoch, perr)
 			}

@@ -289,3 +289,59 @@ func TestRunnerSnapshotCadence(t *testing.T) {
 		}
 	}
 }
+
+// synthShard is a DeltaShard of n data-line records made up as they are
+// written, so a benchmark's stream can be large without its lines in memory.
+type synthShard struct{ n int }
+
+func (s synthShard) WriteRecords(w io.Writer) error {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(s.n))
+	line := bytes.Repeat([]byte{0xA5}, secmem.LineBytes)
+	for i := 0; i < s.n; i++ {
+		out = secmem.DirtyLine{Level: -1, Index: uint64(i), Line: line, MAC: uint64(i)}.AppendRecord(out)
+		if len(out) >= ChunkBytes || i == s.n-1 {
+			if _, err := w.Write(out); err != nil {
+				return err
+			}
+			out = out[:0]
+		}
+	}
+	return nil
+}
+
+// BenchmarkStream writes and reads a 2-shard state stream of 64 MiB the way a
+// full checkpoint and a recovery do: WriteDelta to a file, temp file to fsync
+// to rename, and ReadDelta through secmem.ReadRecords, its MAC checked.
+func BenchmarkStream(b *testing.B) {
+	perShard := (64 << 20) / 88 / 2 // a data line's record is 88 bytes
+	shards := []synthShard{{perShard}, {perShard}}
+	hdr := DeltaHeader{Seq: 2, CoveredLSN: make([]uint64, 2), CoveredWrites: make([]uint64, 2)}
+	path := filepath.Join(b.TempDir(), "snapshot")
+	write := func() {
+		if err := WriteDelta(new(StreamWriter), path, testKey, hdr, shards); err != nil {
+			b.Fatal(err)
+		}
+	}
+	write()
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		b.SetBytes(st.Size())
+		for i := 0; i < b.N; i++ {
+			write()
+		}
+	})
+	b.Run("read", func(b *testing.B) {
+		b.SetBytes(st.Size())
+		for i := 0; i < b.N; i++ {
+			n := 0
+			if _, err := ReadDelta(path, testKey, 2, 0, func(_ DeltaHeader, _ int, r io.Reader) error {
+				return secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error { n += len(batch); return nil })
+			}); err != nil || n != 2*perShard {
+				b.Fatalf("read %d records (%v), want %d", n, err, 2*perShard)
+			}
+		}
+	})
+}

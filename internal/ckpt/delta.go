@@ -10,9 +10,9 @@ import (
 
 // State stream: the one shape engine state crosses a disk or a network in
 // (DESIGN.md, "State stream"). A delta segment — one incremental checkpoint,
-// chained to the epoch it was cut against — a full snapshot (a delta against
-// nothing: base 0) and a replica's bootstrap blob (snapshot 1, its coverage
-// the marks it resumes at) are all this payload inside the authenticated
+// chained to the epoch it was cut against — and a full snapshot (a delta
+// against nothing: base 0, which a replica also bootstraps from, resuming at
+// the marks its coverage holds) are both this payload inside the authenticated
 // stream codec (CRC-framed, whole-stream HMAC'd) under a context string that
 // embeds both its own epoch and its base — a file renamed to a different
 // position in the chain fails authentication, exactly like a WAL segment
@@ -51,35 +51,6 @@ func deltaContext(seq, base uint64) string {
 	return fmt.Sprintf("morphtree/ckpt/delta/%d/%d", seq, base)
 }
 
-// WriteState writes a state stream to w through sw, which it resets (pass
-// new(StreamWriter), or the one kept from the last stream): the header, then
-// each shard's share in turn, streamed from its WriteRecords so the state is
-// never in memory twice; key should be a role-derived key.
-func WriteState[S DeltaShard](sw *StreamWriter, w io.Writer, key []byte, hdr DeltaHeader, shards []S) error {
-	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
-		return fmt.Errorf("ckpt: state header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
-	}
-	if err := sw.Reset(w, key, deltaContext(hdr.Seq, hdr.Base)); err != nil {
-		return err
-	}
-	head := binary.LittleEndian.AppendUint64(nil, hdr.Seq)
-	head = binary.LittleEndian.AppendUint64(head, hdr.Base)
-	head = binary.LittleEndian.AppendUint64(head, uint64(len(shards)))
-	for i := range shards {
-		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
-		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredWrites[i])
-	}
-	if _, err := sw.Write(head); err != nil {
-		return err
-	}
-	for _, sh := range shards {
-		if err := sh.WriteRecords(sw); err != nil {
-			return err
-		}
-	}
-	return sw.Close()
-}
-
 // WriteFile lands what write writes at path via temp file, fsync, and atomic
 // rename (the caller fsyncs the directory): a crash leaves the whole file
 // under its name, or a .tmp recovery sweeps.
@@ -106,22 +77,50 @@ func WriteFile(path string, write func(w io.Writer) error) error {
 	return nil
 }
 
-// WriteDelta persists a state stream at path: WriteState through WriteFile.
+// WriteDelta persists a state stream at path through WriteFile, writing it
+// through sw, which it resets (pass new(StreamWriter), or the one kept from
+// the last stream): the header, then each shard's share in turn, streamed
+// from its WriteRecords so the state is never in memory twice; key should be
+// a role-derived key.
 func WriteDelta[S DeltaShard](sw *StreamWriter, path string, key []byte, hdr DeltaHeader, shards []S) error {
-	return WriteFile(path, func(w io.Writer) error { return WriteState(sw, w, key, hdr, shards) })
+	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
+		return fmt.Errorf("ckpt: state header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
+	}
+	head := binary.LittleEndian.AppendUint64(nil, hdr.Seq)
+	head = binary.LittleEndian.AppendUint64(head, hdr.Base)
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(shards)))
+	for i := range shards {
+		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
+		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredWrites[i])
+	}
+	return WriteFile(path, func(w io.Writer) error {
+		if err := sw.Reset(w, key, deltaContext(hdr.Seq, hdr.Base)); err != nil {
+			return err
+		}
+		if _, err := sw.Write(head); err != nil {
+			return err
+		}
+		for _, sh := range shards {
+			if err := sh.WriteRecords(sw); err != nil {
+				return err
+			}
+		}
+		return sw.Close()
+	})
 }
 
 // ReadState authenticates the state stream in r, size bytes long, and hands
 // apply each shard's share in turn: a reader placed at the shard's count,
 // which apply must read to the end of the shard's records
 // (secmem.ReadRecords). seq and base are where the caller found the stream —
-// a file's name, a bootstrap's fixed position; the stream context binds them
-// into the MAC, and the payload must embed the same values. The MAC trailer
-// comes last, so apply sees bytes nothing has authenticated yet: what it
-// builds may be served only once ReadState has returned nil. A payload that
-// does not decode, or an error of apply's, is reported as it is if the stream
-// then authenticates — it is sound and does not fit — and as the stream's
-// *secmem.IntegrityError if not: damage explains it.
+// a file's name, or the base a replica asked its primary for; the stream
+// context binds them into the MAC, and the payload must embed the same
+// values. The MAC trailer comes last, so apply sees bytes nothing has
+// authenticated yet: what it builds may be served only once ReadState has
+// returned nil. A payload that does not decode, or an error of apply's, is
+// reported as it is if the stream then authenticates — it is sound and does
+// not fit — and as the stream's *secmem.IntegrityError if not: damage
+// explains it.
 func ReadState(r io.Reader, size int64, key []byte, seq, base uint64, apply func(hdr DeltaHeader, shard int, records io.Reader) error) (DeltaHeader, error) {
 	var hdr DeltaHeader
 	sr, err := NewStreamReader(r, key, deltaContext(seq, base))

@@ -1,6 +1,7 @@
 // Package ckpt (morphckpt) is the checkpoint layer under internal/durable: a
 // streaming authenticated codec, the state stream that travels in it (full
-// snapshots, the delta segments chained to them, a replica's bootstrap),
+// snapshots, which a replica also bootstraps from, and the delta segments
+// chained to them),
 // chain resolution for recovery
 // and the stale-epoch sweep, and a background checkpoint runner. It knows
 // nothing about WALs or committers — durable composes it.

@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/securemem/morphtree/internal/durable"
@@ -138,6 +139,9 @@ type Node struct {
 	cPromotes   *obs.Counter
 	cBootstraps *obs.Counter
 	gLag        *obs.Gauge
+	// Bootstrap pages and bytes spooled, and transfers started over
+	// (RegisterMetrics' cluster.bootstrap.*).
+	bootPages, bootBytes, bootRestarts atomic.Uint64
 
 	mu          sync.Mutex
 	mem         *durable.Memory
@@ -145,7 +149,8 @@ type Node struct {
 	epoch       uint64
 	leader      string // advertised leader address ("" when unknown)
 	lastContact time.Time
-	bootstrap   bool                // next poll must request a full snapshot
+	bootstrap   bool                // next poll must start a bootstrap
+	spool       spool               // the bootstrap in progress; the puller's alone
 	replicas    map[string][]uint64 // the ack table: each poller's durable marks
 	ackCh       chan struct{}       // closed when replica marks advance
 	pullCl      *wire.Client        // replica's connection to the leader
@@ -156,6 +161,13 @@ type Node struct {
 	wg     sync.WaitGroup
 	closed bool
 	halted bool
+}
+
+// spool is where a replica's bootstrap transfer stands: the leader's base
+// snapshot it is spooling, that file's size, and the bytes spooled so far.
+// The zero spool is no transfer.
+type spool struct {
+	seq, size, off uint64
 }
 
 // meta is the node's durable cluster identity, persisted in the data
@@ -474,8 +486,17 @@ func (n *Node) OnCheckpoint(fn func(seq uint64)) {
 // Durability returns the local durability stats.
 func (n *Node) Durability() durable.Stats { return n.memory().Durability() }
 
-// RegisterMetrics exports the underlying store's gauges into reg.
-func (n *Node) RegisterMetrics(reg *obs.Registry) { n.memory().RegisterMetrics(reg) }
+// RegisterMetrics exports the underlying store's gauges into reg, and the
+// bootstrap counters: cluster.bootstrap.pages and .bytes spooled, and
+// .restarts, the transfers started over.
+func (n *Node) RegisterMetrics(reg *obs.Registry) {
+	n.memory().RegisterMetrics(reg)
+	reg.RegisterCollector(func(emit func(string, uint64)) {
+		emit("cluster.bootstrap.pages", n.bootPages.Load())
+		emit("cluster.bootstrap.bytes", n.bootBytes.Load())
+		emit("cluster.bootstrap.restarts", n.bootRestarts.Load())
+	})
+}
 
 // SetPeers replaces the static membership used for catch-up donor pulls.
 // Useful when peer addresses are only known after every node has bound

@@ -456,7 +456,7 @@ func TestAckTimeoutIsTyped(t *testing.T) {
 func TestHigherEpochPollFences(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	n := openBare(t, shcfg, t.TempDir(), func(c *Config) { c.Primary = true })
-	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 5, Node: "x", Marks: []uint64{0, 0}, CWRecords: true})
+	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 5, Node: "x", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true})
 	if !wire.IsMoved(err) {
 		t.Fatalf("higher-epoch poll answered %v, want moved", err)
 	}
@@ -478,7 +478,7 @@ func TestStaleEpochPollRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })
-	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "x", Marks: []uint64{0, 0}, CWRecords: true})
+	_, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "x", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true})
 	var me *wire.MovedError
 	if !errors.As(err, &me) || me.Epoch != 5 {
 		t.Fatalf("stale poll err = %v, want moved at epoch 5", err)
@@ -533,7 +533,7 @@ func TestMetaPersistsDeposedEpoch(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	dir := t.TempDir()
 	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })
-	if _, err := n.Replicate(&wire.ReplicateRequest{Epoch: 7, Node: "x", Marks: []uint64{0, 0}, CWRecords: true}); !wire.IsMoved(err) {
+	if _, err := n.Replicate(&wire.ReplicateRequest{Epoch: 7, Node: "x", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true}); !wire.IsMoved(err) {
 		t.Fatal("fencing poll must answer moved")
 	}
 	if err := n.Close(); err != nil {
@@ -768,7 +768,7 @@ func TestAckUnblocksOnPoll(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("write never acked despite follower polls")
 		}
-		resp, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "follower", Marks: marks, CWRecords: true})
+		resp, err := n.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "follower", Marks: marks, CWRecords: true, PagedBootstrap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -788,10 +788,12 @@ func ExampleNode_Route() {
 // TestPollOfAnOlderRecordGenerationIsRefused: a poll that does not say it
 // reads WAL records sealed by the line MAC — no poll of a build before them
 // does — is refused with a *secmem.VersionError naming the older write kind,
-// before anything else is looked at: at a higher epoch it fences nothing, the
-// poller joins no ack table, and no batch is sealed for it to misread. Over
-// a bound peer connection the refusal arrives as its text, never as an
-// integrity error.
+// and one that reads them but does not say it bootstraps from base pages — a
+// build that takes a bootstrap as one whole-stream answer — with one naming
+// that bootstrap, before anything else is looked at: at a higher epoch
+// neither fences anything, the poller joins no ack table, and nothing is
+// sealed or read for it to misread. Over a bound peer connection the refusal
+// arrives as its text, never as an integrity error.
 func TestPollOfAnOlderRecordGenerationIsRefused(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
@@ -812,6 +814,12 @@ func TestPollOfAnOlderRecordGenerationIsRefused(t *testing.T) {
 		if resp != nil || !errors.As(err, &ve) || ve.Version != 0x01 || ve.WantVersion != uint64(wal.KindWrite) || errors.As(err, &ie) {
 			t.Fatalf("epoch-%d poll without CWRecords: %+v, %v; want a *secmem.VersionError naming kind 0x01", epoch, resp, err)
 		}
+		for _, boot := range []bool{false, true} {
+			resp, err = p.node.Replicate(&wire.ReplicateRequest{Epoch: epoch, Node: "whole:1", Marks: []uint64{0, 0}, Bootstrap: boot, CWRecords: true})
+			if resp != nil || !errors.As(err, &ve) || ve.Magic != "bootstrap" || ve.Version != 1 || ve.WantVersion != 2 || errors.As(err, &ie) {
+				t.Fatalf("epoch-%d poll without PagedBootstrap (Bootstrap %v): %+v, %v; want a *secmem.VersionError naming the whole-stream bootstrap", epoch, boot, resp, err)
+			}
+		}
 	}
 	peer, err := p.node.dialPeer(p.addr)
 	if err != nil {
@@ -823,11 +831,15 @@ func TestPollOfAnOlderRecordGenerationIsRefused(t *testing.T) {
 	if resp != nil || !errors.As(err, &re) || !strings.Contains(err.Error(), `"wal frame" version 1`) || errors.As(err, &ie) {
 		t.Fatalf("a peer's poll without CWRecords answered %+v, %v; want the version refusal", resp, err)
 	}
+	resp, err = peer.Replicate(&wire.ReplicateRequest{Epoch: 9, Node: "whole:1", Marks: []uint64{0, 0}, Bootstrap: true, CWRecords: true})
+	if resp != nil || !errors.As(err, &re) || !strings.Contains(err.Error(), `"bootstrap" version 1`) || errors.As(err, &ie) {
+		t.Fatalf("a peer's poll without PagedBootstrap answered %+v, %v; want the version refusal", resp, err)
+	}
 	if ri := p.node.Route(); ri.Role != RolePrimary || ri.Epoch != 1 || len(ri.Nodes) != 1 {
 		t.Fatalf("primary after refused polls: %+v, want the only node, primary at epoch 1", ri)
 	}
-	// The same poll with the bit is served: the refusal was the bit's.
-	if resp, err := peer.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "new:1", Marks: []uint64{0, 0}, CWRecords: true}); err != nil || len(resp.Batches[0])+len(resp.Batches[1]) != 8*wal.WriteFrameBytes {
-		t.Fatalf("the poll with CWRecords: %+v, %v; want both shards' eight records", resp, err)
+	// The same poll with both bits is served: the refusals were the bits'.
+	if resp, err := peer.Replicate(&wire.ReplicateRequest{Epoch: 1, Node: "new:1", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true}); err != nil || len(resp.Batches[0])+len(resp.Batches[1]) != 8*wal.WriteFrameBytes {
+		t.Fatalf("the poll with CWRecords and PagedBootstrap: %+v, %v; want both shards' eight records", resp, err)
 	}
 }

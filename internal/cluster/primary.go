@@ -8,6 +8,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/obs"
+	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/wal"
 	"github.com/securemem/morphtree/internal/wire"
 )
@@ -90,13 +91,18 @@ func (n *Node) notifyAckLocked() {
 // refused with the redirect. Before anything else, a poller that does not
 // read the WAL records every batch is made of (no CWRecords: a build of the
 // record generation before) is refused with a *secmem.VersionError naming
-// that generation's write, kind 0x01, and one with another tenant list with
-// a *shard.MismatchError; either moves nothing. The first would take its
-// first batch for tampering, the second would re-seal this node's writes
-// into other tenants' ranges and serve them after a failover.
+// that generation's write, kind 0x01, one that does not bootstrap from base
+// pages (no PagedBootstrap) with one naming the whole-stream bootstrap, and
+// one with another tenant list with a *shard.MismatchError; each moves
+// nothing. The first would take its first batch for tampering, the second
+// could not decode a bootstrap page, the third would re-seal this node's
+// writes into other tenants' ranges and serve them after a failover.
 func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, error) {
 	if !req.CWRecords {
 		return nil, wal.KindError(0x01) // the HMAC-sealed write
+	}
+	if !req.PagedBootstrap {
+		return nil, &secmem.VersionError{Magic: "bootstrap", Version: 1, Want: "bootstrap", WantVersion: 2}
 	}
 	if !bytes.Equal(req.Tenants, n.tenants) {
 		return nil, durable.TenantMismatch(req.Tenants, n.tenants)
@@ -129,7 +135,7 @@ func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, e
 		return nil, fmt.Errorf("cluster: poll carries %d shard marks, this node has %d shards", len(req.Marks), mem.NumShards())
 	}
 	if req.Bootstrap {
-		return n.snapshotResponse(mem, epoch)
+		return n.pageResponse(mem, epoch, req.Base, req.Offset)
 	}
 	resp, progress, err := n.gatherBatches(mem, epoch, req.Marks)
 	if err != nil || progress || n.cfg.PollWait <= 0 {
@@ -151,26 +157,37 @@ func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, e
 	return resp, err
 }
 
+// batchBudget bounds the record bytes of one batch answer whatever the
+// shard count: each shard ships up to batchRecords, fewer when shards of
+// batchRecords would pass the budget, and never none, so no shard starves.
+const batchBudget = 4 << 20
+
+// batchLimit is the records per shard an answer over shards carries.
+func batchLimit(shards int) int {
+	return max(1, min(batchRecords, batchBudget/(shards*wal.WriteFrameBytes)))
+}
+
 // gatherBatches collects sealed per-shard record runs past the
 // follower's marks. The second result reports whether anything (or a
-// snapshot demand) was produced.
+// bootstrap page) was produced.
 func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) (*wire.ReplicateResponse, bool, error) {
 	resp := &wire.ReplicateResponse{
 		Epoch:   epoch,
 		Marks:   mem.SyncedLSNs(),
 		Batches: make([][]byte, mem.NumShards()),
 	}
+	limit := batchLimit(mem.NumShards())
 	progress := false
 	for i := 0; i < mem.NumShards(); i++ {
-		recs, ok, err := mem.ReadRecords(i, marks[i], batchRecords)
+		recs, ok, err := mem.ReadRecords(i, marks[i], limit)
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
 			// The history behind this cursor is gone (checkpoint
-			// truncation); only a snapshot can help.
-			snap, err := n.snapshotResponse(mem, epoch)
-			return snap, true, err
+			// truncation); only a bootstrap can help.
+			page, err := n.pageResponse(mem, epoch, 0, 0)
+			return page, true, err
 		}
 		if len(recs) == 0 {
 			continue
@@ -191,20 +208,16 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 	return resp, progress, nil
 }
 
-// snapshotResponse freezes the memory and ships its full state: the
-// authenticated state stream the follower lands as its snapshot 1.
-func (n *Node) snapshotResponse(mem *durable.Memory, epoch uint64) (*wire.ReplicateResponse, error) {
-	var buf bytes.Buffer
-	snapMarks, err := mem.SaveMarks(&buf)
+// pageResponse answers a bootstrapping follower with the page of the base
+// snapshot it asked for — or offset 0 of the current base, when base is no
+// longer it (durable.ReadBasePage). Serving one reads a page of a file that
+// never changes: it freezes nothing and keeps nothing between polls.
+func (n *Node) pageResponse(mem *durable.Memory, epoch, base, off uint64) (*wire.ReplicateResponse, error) {
+	pg, err := mem.ReadBasePage(base, off, make([]byte, wire.PageBytes))
 	if err != nil {
 		return nil, err
 	}
-	return &wire.ReplicateResponse{
-		Epoch:     epoch,
-		Marks:     mem.SyncedLSNs(),
-		Snapshot:  buf.Bytes(),
-		SnapMarks: snapMarks,
-	}, nil
+	return &wire.ReplicateResponse{Epoch: epoch, Marks: mem.SyncedLSNs(), Page: (*wire.BasePage)(&pg)}, nil
 }
 
 // fenceLocked steps the node down after observing a higher epoch. The

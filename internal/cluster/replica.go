@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -111,21 +110,14 @@ func (n *Node) dropLeaderConn(cl *wire.Client) {
 // applies the result. It reports whether anything was applied.
 func (n *Node) pollLeader() (bool, error) {
 	n.mu.Lock()
-	leader, epoch, bootstrap := n.leader, n.epoch, n.bootstrap
-	mem := n.mem
+	leader := n.leader
 	n.mu.Unlock()
 	cl, err := n.leaderConn(leader)
 	if err != nil {
 		return false, err
 	}
-	req := &wire.ReplicateRequest{
-		Epoch:     epoch,
-		Node:      n.cfg.Self,
-		Marks:     mem.SyncedLSNs(),
-		Bootstrap: bootstrap,
-		Tenants:   n.tenants,
-		CWRecords: true,
-	}
+	req, mem := n.pollRequest()
+	epoch := req.Epoch
 	resp, err := cl.Replicate(req)
 	if err != nil {
 		var me *wire.MovedError
@@ -159,10 +151,30 @@ func (n *Node) pollLeader() (bool, error) {
 	return n.applyResponse(mem, epoch, req.Marks, resp)
 }
 
-// applyResponse installs a snapshot or applies the per-shard batches.
+// pollRequest is the node's next poll of its leader, and the memory it is
+// made from: a bootstrap transfer in progress asks for its next page.
+func (n *Node) pollRequest() (*wire.ReplicateRequest, *durable.Memory) {
+	n.mu.Lock()
+	mem := n.mem
+	req := &wire.ReplicateRequest{
+		Epoch:          n.epoch,
+		Node:           n.cfg.Self,
+		Bootstrap:      n.bootstrap || n.spool.size > 0,
+		Base:           n.spool.seq,
+		Offset:         n.spool.off,
+		Tenants:        n.tenants,
+		CWRecords:      true,
+		PagedBootstrap: true,
+	}
+	n.mu.Unlock()
+	req.Marks = mem.SyncedLSNs()
+	return req, mem
+}
+
+// applyResponse spools a bootstrap page or applies the per-shard batches.
 func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, resp *wire.ReplicateResponse) (bool, error) {
-	if resp.Snapshot != nil {
-		if err := n.installSnapshot(mem, resp); err != nil {
+	if resp.Page != nil {
+		if err := n.spoolPage(mem, resp.Page); err != nil {
 			return false, err
 		}
 		n.touchLease(resp)
@@ -219,15 +231,41 @@ func (n *Node) touchLease(resp *wire.ReplicateResponse) {
 	n.mu.Unlock()
 }
 
-// installSnapshot replaces the node's durable state with the leader's
-// full-state blob: once the blob authenticates and covers the marks it came
-// with, the old memory is closed, the data directory is re-bootstrapped, and
-// replication resumes at exactly the snapshot's marks. A blob that is refused
-// changes nothing.
-func (n *Node) installSnapshot(old *durable.Memory, resp *wire.ReplicateResponse) error {
-	n.logf("cluster: %s bootstrapping from snapshot (%d bytes, marks %v)", n.cfg.Self, len(resp.Snapshot), resp.SnapMarks)
-	fresh, err := old.InstallSnapshot(bytes.NewReader(resp.Snapshot), resp.SnapMarks)
+// spoolPage lands one page of the leader's base snapshot in the data
+// directory's spool. A page at offset 0 starts the spool over — a transfer
+// that held bytes is then a restart: the leader's base moved under it — and
+// any other page must continue the spool where it stands. The last page
+// installs the spool (durable.InstallSnapshot): it is authenticated whole
+// while the old memory serves, then becomes the node's state, and
+// replication resumes at the marks its coverage header holds. A refused
+// spool is gone, and the next poll starts the transfer over.
+func (n *Node) spoolPage(mem *durable.Memory, pg *wire.BasePage) error {
+	sp := n.spool
+	n.spool = spool{} // put back below only if the page continues it
+	if pg.Offset == 0 {
+		if sp.off > 0 {
+			n.bootRestarts.Add(1)
+		}
+		sp = spool{seq: pg.Seq, size: pg.Size}
+	} else if pg.Seq != sp.seq || pg.Size != sp.size || pg.Offset != sp.off {
+		n.bootRestarts.Add(1)
+		return fmt.Errorf("cluster: a page at %d of base %d (%d bytes) does not continue the spool at %d of base %d (%d bytes)",
+			pg.Offset, pg.Seq, pg.Size, sp.off, sp.seq, sp.size)
+	}
+	if err := mem.SpoolPage(pg.Offset, pg.Data); err != nil {
+		return err
+	}
+	sp.off += uint64(len(pg.Data))
+	n.bootPages.Add(1)
+	n.bootBytes.Add(uint64(len(pg.Data)))
+	if sp.off < sp.size {
+		n.spool = sp
+		return nil
+	}
+	n.logf("cluster: %s bootstrapping from base snapshot %d (%d bytes)", n.cfg.Self, sp.seq, sp.size)
+	fresh, err := mem.InstallSnapshot(sp.seq)
 	if err != nil {
+		n.bootRestarts.Add(1)
 		return fmt.Errorf("cluster: install snapshot: %w", err)
 	}
 	n.mu.Lock()
@@ -345,11 +383,12 @@ func (n *Node) catchUp(mem *durable.Memory, epoch uint64, minMarks []uint64) err
 				Epoch: epoch,
 				// Node is empty: a donor poll must not register us as an
 				// ack-bearing replica of the peer.
-				Marks:     mem.SyncedLSNs(),
-				Tenants:   n.tenants,
-				CWRecords: true,
+				Marks:          mem.SyncedLSNs(),
+				Tenants:        n.tenants,
+				CWRecords:      true,
+				PagedBootstrap: true,
 			})
-			if err == nil && resp.Epoch == epoch && resp.Snapshot == nil {
+			if err == nil && resp.Epoch == epoch && resp.Page == nil {
 				marks := mem.SyncedLSNs()
 				applied, applyErr := n.applyResponse(mem, epoch, marks, resp)
 				progress = progress || applied

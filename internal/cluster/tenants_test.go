@@ -140,7 +140,7 @@ func TestReplicaWithOtherTenantsIsRefused(t *testing.T) {
 	}
 
 	for _, digest := range [][]byte{durable.TenantDigest(tenantCfg(t, "alpha", "gamma")), nil} {
-		_, err := p.node.Replicate(&wire.ReplicateRequest{Epoch: 9, Node: "x", Marks: []uint64{0, 0}, Tenants: digest, CWRecords: true})
+		_, err := p.node.Replicate(&wire.ReplicateRequest{Epoch: 9, Node: "x", Marks: []uint64{0, 0}, Tenants: digest, CWRecords: true, PagedBootstrap: true})
 		var me *shard.MismatchError
 		if !errors.As(err, &me) || me.Field != "tenants" {
 			t.Fatalf("poll with tenant digest %x: %v, want a tenants *shard.MismatchError", digest, err)

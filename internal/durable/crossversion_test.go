@@ -597,8 +597,8 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 // TestOneDecoderReadsEveryImage: engine state used to leave a process five
 // ways, each with a decoder of its own. It is one record stream now, so one
 // function — secmem.ReadRecords — must read an engine's share out of every
-// full image, and read the same lines: secmem.Save, a snapshot file and a
-// replica's bootstrap blob.
+// full image, and read the same lines: secmem.Save and a snapshot file, which
+// is also what a replica bootstraps from.
 func TestOneDecoderReadsEveryImage(t *testing.T) {
 	dir := t.TempDir()
 	shcfg := testShardConfig(t, 2, 1<<20)
@@ -643,16 +643,6 @@ func TestOneDecoderReadsEveryImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	images["secmem.Save"] = [][]secmem.DirtyLine{decode(skip(&save, secmem.HeaderBytes)), want[1]}
-
-	var blob bytes.Buffer
-	if _, err := m.SaveMarks(&blob); err != nil {
-		t.Fatal(err)
-	}
-	var boot [][]secmem.DirtyLine
-	if _, err := ckpt.ReadState(bytes.NewReader(blob.Bytes()), int64(blob.Len()), deltaKey(testKey), 1, 0, keepShards(&boot)); err != nil {
-		t.Fatal(err)
-	}
-	images["bootstrap blob"] = boot
 
 	for name, got := range images {
 		if !reflect.DeepEqual(got, want) {

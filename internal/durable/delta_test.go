@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -377,30 +376,6 @@ func TestDirtyFloorSurvivesFailedDelta(t *testing.T) {
 		t.Fatalf("recovered %d deltas, want 1", info.DeltasApplied)
 	}
 	verifyAddrs(t, m, re, addrs)
-}
-
-// TestSaveMarksSignalsDurable: the bootstrap blob's fsync moves the durable
-// mark, so it must wake a follower's long poll the way a group commit does,
-// not leave it waiting for the poll to time out.
-func TestSaveMarksSignalsDurable(t *testing.T) {
-	m, _ := mustOpen(t, testShardConfig(t, 2, 1<<13), Config{Dir: t.TempDir(), Sync: SyncNone})
-	defer m.Close()
-	if err := m.Write(0, oracle.Fill(0, 1)); err != nil {
-		t.Fatal(err)
-	}
-	sig := m.DurableSignal()
-	marks, err := m.SaveMarks(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sig:
-	default:
-		t.Fatal("SaveMarks made a record durable without closing the DurableSignal channel")
-	}
-	if got := m.SyncedLSNs()[0]; got != marks[0] || got == 0 {
-		t.Fatalf("synced mark %d after SaveMarks, want its mark %d", got, marks[0])
-	}
 }
 
 func isIntegrityError(err error) bool {

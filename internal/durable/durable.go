@@ -16,7 +16,8 @@
 // A snapshot and a delta are the same file — a state stream in
 // internal/ckpt's authenticated container, of every stored line or of the
 // lines stamped since the base — written and read by the same calls; a
-// replica's bootstrap blob is a snapshot 1 that has not landed yet
+// replica bootstraps from its primary's base snapshot file, shipped page by
+// page into bootstrap.tmp and landed under the base's own name
 // (replicate.go).
 //
 // Invariants the checkpoint sequence maintains:
@@ -269,8 +270,9 @@ func walKey(master []byte, shardIdx int, seq uint64) []byte {
 }
 
 // deltaKey authenticates state streams at rest and on their way to a replica
-// — snapshots, delta segments, bootstrap blobs; the ckpt stream context binds
-// each to its exact chain position on top of this role key.
+// — snapshots and delta segments, a replica's bootstrap being a snapshot
+// file; the ckpt stream context binds each to its exact chain position on top
+// of this role key.
 func deltaKey(master []byte) []byte {
 	return mac.Derive(master, "morphtree/delta")
 }
@@ -455,24 +457,6 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 	m.fsyncs.Add(1)
 	m.signalDurable()
 	return batch, fsyncDur, nil
-}
-
-// fsyncLocked makes the shard's whole journal durable where it stands, outside
-// the group-commit path, and wakes DurableSignal's waiters when that moved
-// the mark. Called with c.syncMu and c.mu held.
-func (c *committer) fsyncLocked(m *Memory) error {
-	if err := c.log.Flush(); err != nil {
-		return err
-	}
-	if err := c.log.Fsync(); err != nil {
-		return err
-	}
-	if c.lsn > c.synced {
-		c.synced = c.lsn
-		m.fsyncs.Add(1)
-		m.signalDurable()
-	}
-	return nil
 }
 
 // startFlusher starts the SyncInterval background goroutine.

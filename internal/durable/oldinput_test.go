@@ -48,7 +48,7 @@ func TestOldInputIsAVersionError(t *testing.T) {
 			return err
 		}
 	}
-	install := func(path string) func(*testing.T) error {
+	install := func(path string, seq uint64) func(*testing.T) error {
 		return func(t *testing.T) error {
 			blob, err := os.ReadFile(path)
 			if err != nil {
@@ -56,7 +56,10 @@ func TestOldInputIsAVersionError(t *testing.T) {
 			}
 			m, _ := mustOpen(t, testShardConfig(t, 2, 4<<20), Config{Dir: t.TempDir(), Sync: SyncNone})
 			defer m.Close()
-			_, err = m.InstallSnapshot(bytes.NewReader(blob), []uint64{0, 0})
+			if err := m.SpoolPage(0, blob); err != nil {
+				t.Fatal(err)
+			}
+			_, err = m.InstallSnapshot(seq)
 			return err
 		}
 	}
@@ -84,7 +87,7 @@ func TestOldInputIsAVersionError(t *testing.T) {
 		{"ReadDelta parent_dir delta 3", readDelta("testdata/parent_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
 		{"ReadDelta v2_dir snapshot 2", readDelta("testdata/v2_dir/"+snap, 2, 0)},
 		{"ReadDelta v2_dir delta 3", readDelta("testdata/v2_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
-		{"InstallSnapshot v2_dir snapshot 2", install("testdata/v2_dir/" + snap)},
+		{"InstallSnapshot v2_dir snapshot 2", install("testdata/v2_dir/"+snap, 2)},
 	}
 	for seq := uint64(2); seq <= 4; seq++ {
 		name := ckpt.DeltaName(seq, seq-1)

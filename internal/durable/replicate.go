@@ -1,16 +1,17 @@
 package durable
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
 )
 
@@ -20,7 +21,10 @@ import (
 // replica side
 // journals + applies a received batch so its own recovered LSN vector IS
 // its replication watermark — a replica crash resumes streaming from
-// whatever its local WAL proves durable, with no extra cursor state.
+// whatever its local WAL proves durable, with no extra cursor state. A
+// replica with no usable cursor bootstraps from the primary's base snapshot
+// file, read a page at a time, and resumes at the marks its coverage header
+// holds: the base epoch's segments hold every record past them.
 
 // pushRingLocked appends rec to the replication ring, dropping the oldest
 // half-capacity chunk when the backing slice reaches twice the configured
@@ -188,53 +192,108 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 	return c.syncTo(m, last)
 }
 
-// SaveMarks freezes the memory, flushes every journaled record durable, and
-// streams the full state to w as the state stream a follower lands as its
-// snapshot 1 — authenticated like a snapshot file, its coverage header the
-// per-shard LSN vector it covers, which is also returned. A cold or diverged
-// follower bootstraps from exactly this pair via InstallSnapshot.
-func (m *Memory) SaveMarks(w io.Writer) ([]uint64, error) {
-	if m.closed.Load() {
-		return nil, fmt.Errorf("durable: save after Close")
-	}
-	m.ckptMu.Lock()
-	defer m.ckptMu.Unlock()
-	defer m.freeze()()
-	marks := make([]uint64, len(m.commits))
-	for i, c := range m.commits {
-		if err := c.fsyncLocked(m); err != nil {
-			return nil, err
-		}
-		marks[i] = c.lsn
-	}
-	hdr := ckpt.DeltaHeader{Seq: 1, CoveredLSN: marks, CoveredWrites: make([]uint64, len(marks))}
-	if err := ckpt.WriteState(new(ckpt.StreamWriter), w, deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
-		return nil, err
-	}
-	return marks, nil
+// Page is one page of a base snapshot file, as ReadBasePage reads it: the
+// base's epoch and size, where the page starts in it, and its bytes.
+type Page struct {
+	Seq, Size uint64
+	Offset    uint64
+	Data      []byte
 }
 
-// InstallSnapshot replaces m, state and data directory, with a SaveMarks pair,
-// and returns the memory recovered from it. The blob is authenticated and
-// decoded whole, and its coverage header held to marks (which came beside it,
-// unauthenticated), before anything is touched: a refused blob leaves m open
-// and serving. Then m is closed, its directory's durable state discarded, the
-// blob landed as snapshot 1 and Open recovers from it like from any other, so
-// replication resumes at exactly marks. The per-shard write counters restart
-// at zero (they feed stats, not recovery).
-func (m *Memory) InstallSnapshot(blob io.Reader, marks []uint64) (*Memory, error) {
-	raw, err := io.ReadAll(blob)
-	if err != nil {
-		return nil, fmt.Errorf("durable: install snapshot: %w", err)
+// ReadBasePage reads the page at off of the base snapshot of epoch seq into
+// buf — the base is the full image the live WAL segments start after, the
+// file a follower bootstraps from. A renamed snapshot never changes, so the
+// page is read where the file stands: under no commit lock, not ckptMu, and
+// no cut, and nothing is kept between pages. When seq is no longer the base
+// (0, or one a full checkpoint has since replaced), or off is past its end,
+// the page is offset 0 of the current base: the follower starts its spool
+// over.
+func (m *Memory) ReadBasePage(seq, off uint64, buf []byte) (Page, error) {
+	for {
+		base := m.segSeq.Load()
+		if base != seq {
+			off = 0
+		}
+		f, err := os.Open(SnapshotPath(m.cfg.Dir, base))
+		if errors.Is(err, fs.ErrNotExist) && m.segSeq.Load() != base {
+			continue // a full checkpoint retired the base between the load and the open
+		}
+		if err != nil {
+			return Page{}, fmt.Errorf("durable: base page: %w", err)
+		}
+		pg, err := readPage(f, base, off, buf)
+		_ = f.Close() // opened read-only: a close loses nothing
+		return pg, err
 	}
-	hdr, err := ckpt.ReadState(bytes.NewReader(raw), int64(len(raw)), deltaKey(m.shcfg.Mem.Key), 1, 0, func(_ ckpt.DeltaHeader, _ int, r io.Reader) error {
+}
+
+func readPage(f *os.File, seq, off uint64, buf []byte) (Page, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return Page{}, fmt.Errorf("durable: base page: %w", err)
+	}
+	size := uint64(st.Size())
+	if off >= size {
+		off = 0
+	}
+	data := buf[:min(uint64(len(buf)), size-off)]
+	if _, err := f.ReadAt(data, int64(off)); err != nil {
+		return Page{}, fmt.Errorf("durable: base page at %d of %s: %w", off, f.Name(), err)
+	}
+	return Page{Seq: seq, Size: size, Offset: off, Data: data}, nil
+}
+
+// spoolName is the file a replica lands a bootstrap's pages in: a .tmp name
+// no checkpoint writes, so Open sweeps one a crash left.
+const spoolName = "bootstrap.tmp"
+
+// SpoolPage writes one page of the primary's base snapshot at off into the
+// data directory's spool; the page at offset 0 starts the spool over.
+func (m *Memory) SpoolPage(off uint64, data []byte) error {
+	flag := os.O_CREATE | os.O_WRONLY
+	if off == 0 {
+		flag |= os.O_TRUNC
+	}
+	return withSpool(m.cfg.Dir, flag, func(f *os.File) error {
+		_, err := f.WriteAt(data, int64(off))
+		return err
+	})
+}
+
+// withSpool opens dir's spool with flag, runs fn on it and closes it.
+func withSpool(dir string, flag int, fn func(f *os.File) error) error {
+	f, err := os.OpenFile(filepath.Join(dir, spoolName), flag, 0o644)
+	if err == nil {
+		err = fn(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("durable: spool: %w", err)
+	}
+	return nil
+}
+
+// InstallSnapshot replaces m, state and data directory, with the base
+// snapshot of epoch seq that SpoolPage has landed whole, and returns the
+// memory recovered from it. The spool is authenticated and decoded first,
+// under the context Open will read it in, while m goes on serving: a spool
+// that is refused is deleted and leaves m open and serving. Then m is closed,
+// every other file of its durable state discarded, the spool made durable as
+// snapshot seq and Open recovers from it like from any other, so replication
+// resumes at exactly the marks its coverage header holds.
+func (m *Memory) InstallSnapshot(seq uint64) (*Memory, error) {
+	spool := filepath.Join(m.cfg.Dir, spoolName)
+	_, err := ckpt.ReadDelta(spool, deltaKey(m.shcfg.Mem.Key), seq, 0, func(hdr ckpt.DeltaHeader, _ int, r io.Reader) error {
+		if n := len(hdr.CoveredLSN); n != m.shcfg.Shards {
+			return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(m.shcfg.Shards)}
+		}
 		return secmem.ReadRecords(r, func([]secmem.DirtyLine) error { return nil })
 	})
 	if err != nil {
+		_ = os.Remove(spool) // the next transfer starts a new one
 		return nil, fmt.Errorf("durable: install snapshot: %w", err)
-	}
-	if len(marks) != len(m.commits) || !slices.Equal(hdr.CoveredLSN, marks) {
-		return nil, fmt.Errorf("durable: install snapshot: the blob covers %v, it came with marks %v for %d shards", hdr.CoveredLSN, marks, len(m.commits))
 	}
 	_ = m.Close() // what a failed flush loses is being discarded
 	entries, err := os.ReadDir(m.cfg.Dir)
@@ -244,17 +303,20 @@ func (m *Memory) InstallSnapshot(blob io.Reader, marks []uint64) (*Memory, error
 	for _, e := range entries {
 		name := e.Name()
 		_, _, _, known := parseSeq(name)
-		if !known && !strings.HasSuffix(name, ".tmp") {
+		if name == spoolName || !known && !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		if err := os.Remove(filepath.Join(m.cfg.Dir, name)); err != nil {
 			return nil, fmt.Errorf("durable: discard %s: %w", name, err)
 		}
 	}
-	if err := ckpt.WriteFile(SnapshotPath(m.cfg.Dir, 1), func(w io.Writer) error {
-		_, err := w.Write(raw)
-		return err
-	}); err != nil {
+	if err := withSpool(m.cfg.Dir, os.O_WRONLY, (*os.File).Sync); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(spool, SnapshotPath(m.cfg.Dir, seq)); err != nil {
+		return nil, fmt.Errorf("durable: install snapshot: %w", err)
+	}
+	if err := wal.SyncDir(m.cfg.Dir); err != nil {
 		return nil, err
 	}
 	fresh, _, err := Open(m.shcfg, m.cfg)

@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/oracle"
@@ -216,56 +219,93 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestSaveMarksInstallSnapshotBootstrap: a cold follower bootstraps from a
-// SaveMarks blob and then streams the suffix.
-func TestSaveMarksInstallSnapshotBootstrap(t *testing.T) {
-	shcfg := testShardConfig(t, 2, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 8})
-	defer func() { _ = p.Close() }()
-	const n = 30
-	for i := 0; i < n; i++ {
-		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, oracle.Fill(addr, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var blob bytes.Buffer
-	marks, err := p.SaveMarks(&blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
-	r, err := cold.InstallSnapshot(&blob, marks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = r.Close() }()
-	got := r.SyncedLSNs()
-	for i := range marks {
-		if got[i] != marks[i] {
-			t.Fatalf("shard %d: bootstrap watermark %d, want %d", i, got[i], marks[i])
-		}
-	}
-	// Suffix after the snapshot streams incrementally.
-	for i := n; i < n+10; i++ {
-		addr := uint64(i) * LineBytes
-		if err := p.Write(addr, oracle.Fill(addr, 4)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pump(t, p, r)
-	for i := 0; i < n+10; i++ {
-		addr := uint64(i) * LineBytes
-		got, err := r.Read(addr)
+// basePages reads every page of p's base snapshot, pageBytes at a time, the
+// way a bootstrapping follower asks for them: from base 0, then each page at
+// the offset the last one ended.
+func basePages(p *Memory, pageBytes int) (seq uint64, pages [][]byte, err error) {
+	var off uint64
+	for {
+		pg, err := p.ReadBasePage(seq, off, make([]byte, pageBytes))
 		if err != nil {
-			t.Fatal(err)
+			return 0, nil, err
 		}
-		if !bytes.Equal(got, oracle.Fill(addr, 4)) {
-			t.Fatalf("line %#x diverged after bootstrap+stream", addr)
+		if pg.Offset != off || (seq != 0 && pg.Seq != seq) || len(pg.Data) == 0 {
+			return 0, nil, fmt.Errorf("asked for %d of base %d, read %d bytes at %d of base %d", off, seq, len(pg.Data), pg.Offset, pg.Seq)
+		}
+		seq, off = pg.Seq, pg.Offset+uint64(len(pg.Data))
+		pages = append(pages, pg.Data)
+		if off == pg.Size {
+			return seq, pages, nil
 		}
 	}
-	if err := r.VerifyAll(); err != nil {
+}
+
+// spoolAll lands blob in r's spool, a page of pageBytes at a time.
+func spoolAll(t *testing.T, r *Memory, blob []byte, pageBytes int) {
+	t.Helper()
+	for off := 0; off < len(blob); off += pageBytes {
+		if err := r.SpoolPage(uint64(off), blob[off:min(off+pageBytes, len(blob))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestBasePagesTakeNoLock: every page of a written store's base snapshot is
+// served while the test itself holds every shard's commit locks, the freeze a
+// bootstrap used to encode its whole stream under; the pages put back together
+// are the base file byte for byte. A base that a full checkpoint then replaces
+// is answered with offset 0 of the new one.
+func TestBasePagesTakeNoLock(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 1<<20)
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer func() { _ = p.Close() }()
+	for i := uint64(0); i < 1<<14; i++ {
+		if err := p.Write(i*LineBytes, oracle.Fill(i*LineBytes, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	if err := p.Write(0, oracle.Fill(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	const page = 64 << 10
+	type result struct {
+		seq   uint64
+		pages [][]byte
+		err   error
+	}
+	done := make(chan result, 1)
+	thaw := p.freeze()
+	go func() {
+		seq, pages, err := basePages(p, page)
+		done <- result{seq, pages, err}
+	}()
+	var got result
+	select {
+	case got = <-done:
+		thaw()
+	case <-time.After(10 * time.Second):
+		thaw()
+		t.Fatal("a base page waited on a lock the freeze holds")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	want, err := os.ReadFile(SnapshotPath(p.cfg.Dir, got.seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.pages) < 4 || !bytes.Equal(bytes.Join(got.pages, nil), want) {
+		t.Fatalf("%d pages of base %d are not its %d-byte file", len(got.pages), got.seq, len(want))
+	}
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := p.ReadBasePage(got.seq, 2*page, make([]byte, page))
+	if err != nil || pg.Seq != got.seq+1 || pg.Offset != 0 {
+		t.Fatalf("page at %d of the replaced base %d: %d of base %d (%v), want 0 of base %d", 2*page, got.seq, pg.Offset, pg.Seq, err, got.seq+1)
 	}
 }
 
@@ -376,12 +416,14 @@ func repairCRCs(stream []byte) {
 	}
 }
 
-// TestInstallSnapshotRefusesWhatDoesNotAuthenticate: a bootstrap blob is the
+// TestInstallSnapshotRefusesWhatDoesNotAuthenticate: a bootstrap spool is the
 // one thing a replica takes from whatever answers as its leader and lands on
 // its own disk. Whatever is wrong with one — it is not a state stream at all,
-// it is cut short, edited, made for another role, or does not cover the marks
-// it came with — the replica says so with the right type, allocates nothing to
-// speak of, and goes on serving from a directory nothing has touched.
+// it is cut short, a page was flipped in flight, it was made for another role
+// or another chain position, or for another shard count — the replica says so
+// with the right type, allocates nothing to speak of, deletes the spool, and
+// goes on serving from a directory nothing has touched; the transfer then
+// starts over and installs.
 func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
 	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
@@ -391,20 +433,35 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var blob, other bytes.Buffer
-	marks, err := p.SaveMarks(&blob)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	const page = 1 << 10
+	seq, pages, err := basePages(p, page)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := ckpt.DeltaHeader{Seq: 2, Base: 1, CoveredLSN: marks, CoveredWrites: make([]uint64, len(marks))}
-	if err := ckpt.WriteState(new(ckpt.StreamWriter), &other, walKey(testKey, 0, 1), hdr, p.engines()); err != nil {
+	blob := bytes.Join(pages, nil)
+	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: make([]uint64, 2), CoveredWrites: make([]uint64, 2)}
+	otherPath := filepath.Join(t.TempDir(), "other")
+	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), otherPath, walKey(testKey, 0, 1), hdr, p.engines()); err != nil {
 		t.Fatal(err)
 	}
-	flipped := bytes.Clone(blob.Bytes())
-	flipped[len(flipped)/2] ^= 0x10
+	other, err := os.ReadFile(otherPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, _ := mustOpen(t, testShardConfig(t, 1, 64<<10), Config{Dir: t.TempDir(), Sync: SyncNone})
+	_, onePages, err := basePages(one, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Close(); err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(blob)
+	flipped[page+page/2] ^= 0x10 // in the second page
 	repairCRCs(flipped)
-	ahead := append([]uint64(nil), marks...)
-	ahead[1]++
 
 	dir := t.TempDir()
 	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
@@ -425,47 +482,54 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	}
 	before := listing()
 	for _, tc := range []struct {
-		name    string
-		blob    []byte
-		marks   []uint64
-		version bool // want *secmem.VersionError
-		tamper  bool // want *secmem.IntegrityError
+		name     string
+		spool    []byte
+		seq      uint64
+		version  bool // want *secmem.VersionError
+		tamper   bool // want *secmem.IntegrityError
+		mismatch bool // want *shard.MismatchError
 	}{
-		{name: "the 44-byte version-1 stream", blob: lengthBomb(shcfg), marks: marks, version: true},
-		{name: "truncated", blob: blob.Bytes()[:blob.Len()-40], marks: marks, tamper: true},
-		{name: "bit-flipped, CRCs repaired", blob: flipped, marks: marks, tamper: true},
-		{name: "a delta stream: another role's key and context", blob: other.Bytes(), marks: marks, tamper: true},
-		{name: "marks ahead of the coverage header", blob: blob.Bytes(), marks: ahead},
-		{name: "marks for another shard count", blob: blob.Bytes(), marks: marks[:1]},
+		{name: "the 44-byte version-1 stream", spool: lengthBomb(shcfg), seq: seq, version: true},
+		{name: "truncated", spool: blob[:len(blob)-40], seq: seq, tamper: true},
+		{name: "a page flipped in flight, CRCs repaired", spool: flipped, seq: seq, tamper: true},
+		{name: "a delta stream: another role's key", spool: other, seq: seq, tamper: true},
+		{name: "another chain position", spool: blob, seq: seq + 1, tamper: true},
+		{name: "another shard count", spool: bytes.Join(onePages, nil), seq: 1, mismatch: true},
 	} {
+		spoolAll(t, r, tc.spool, page)
 		var was, is runtime.MemStats
 		runtime.ReadMemStats(&was)
-		_, err := r.InstallSnapshot(bytes.NewReader(tc.blob), tc.marks)
+		_, err := r.InstallSnapshot(tc.seq)
 		runtime.ReadMemStats(&is)
-		if got := is.TotalAlloc - was.TotalAlloc; got > 1<<20+16*uint64(len(tc.blob)) {
-			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.blob), got)
+		if got := is.TotalAlloc - was.TotalAlloc; got > 1<<20+16*uint64(len(tc.spool)) {
+			t.Errorf("%s: refusing %d bytes allocated %d", tc.name, len(tc.spool), got)
 		}
 		var ve *secmem.VersionError
-		if err == nil || errors.As(err, &ve) != tc.version || isIntegrityError(err) != tc.tamper {
+		var me *shard.MismatchError
+		if err == nil || errors.As(err, &ve) != tc.version || isIntegrityError(err) != tc.tamper || errors.As(err, &me) != tc.mismatch {
 			t.Fatalf("%s: InstallSnapshot returned %v", tc.name, err)
 		}
 		if got, err := r.Read(0); err != nil || !bytes.Equal(got, oracle.Fill(0, 77)) {
 			t.Fatalf("%s: the replica no longer serves what it held: %v", tc.name, err)
 		}
+		if after := listing(); after != before {
+			t.Fatalf("%s: a refused spool left the data directory [%s], was [%s]", tc.name, after, before)
+		}
 	}
 	if err := r.Write(LineBytes, oracle.Fill(LineBytes, 78)); err != nil {
 		t.Fatalf("the replica takes no write after refusing: %v", err)
 	}
-	if after := listing(); after != before {
-		t.Fatalf("refused blobs changed the data directory from [%s] to [%s]", before, after)
-	}
-	fresh, err := r.InstallSnapshot(&blob, marks)
+	spoolAll(t, r, blob, page)
+	fresh, err := r.InstallSnapshot(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = fresh.Close() }()
 	if got, err := fresh.Read(39 * LineBytes); err != nil || !bytes.Equal(got, oracle.Fill(39*LineBytes, 5)) {
-		t.Fatalf("the blob that authenticates did not install: %v", err)
+		t.Fatalf("the spool that authenticates did not install: %v", err)
+	}
+	if got, want := fresh.SyncedLSNs(), p.SyncedLSNs(); !slices.Equal(got, want) {
+		t.Fatalf("installed at marks %v, want the base's coverage %v", got, want)
 	}
 	if err := fresh.VerifyAll(); err != nil {
 		t.Fatal(err)

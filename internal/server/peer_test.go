@@ -70,7 +70,7 @@ func TestUnboundReplicateIsRefusedUnread(t *testing.T) {
 	if status, body := srv.dispatch(peer, wire.OpHello, badHello); status != wire.StatusOK {
 		t.Fatalf("peer HELLO answered %#x %q", status, body)
 	}
-	good, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: 1, Node: "peer:1", Marks: []uint64{0, 0}, CWRecords: true})
+	good, err := wire.EncodeReplicateRequest(&wire.ReplicateRequest{Epoch: 1, Node: "peer:1", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true})
 	if err != nil {
 		t.Fatal(err)
 	}

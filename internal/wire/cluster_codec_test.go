@@ -15,11 +15,14 @@ import (
 
 func TestReplicateRequestRoundTrip(t *testing.T) {
 	want := &ReplicateRequest{
-		Epoch:     7,
-		Node:      "127.0.0.1:9999",
-		Marks:     []uint64{0, 42, 1 << 40},
-		Bootstrap: true,
-		CWRecords: true,
+		Epoch:          7,
+		Node:           "127.0.0.1:9999",
+		Marks:          []uint64{0, 42, 1 << 40},
+		Bootstrap:      true,
+		Base:           3,
+		Offset:         5 * PageBytes,
+		CWRecords:      true,
+		PagedBootstrap: true,
 	}
 	p, err := EncodeReplicateRequest(want)
 	if err != nil {
@@ -66,10 +69,24 @@ func TestReplicateRequestTenantDigest(t *testing.T) {
 	if want := "000000000000000205000172000000010000000000000009"; hex.EncodeToString(cw) != want {
 		t.Fatalf("a poll reading line-MAC records encodes as %x, want %s", cw, want)
 	}
+	// A poll that bootstraps from base pages sets flags bit 3 and carries
+	// the page it wants after its marks; the decoder of the build before
+	// refuses it as malformed (its flags stop at 7).
+	paged, err := EncodeReplicateRequest(&ReplicateRequest{Epoch: 2, Node: "r", Marks: []uint64{9}, Bootstrap: true, Base: 4, Offset: 0x100000, CWRecords: true, PagedBootstrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "00000000000000020d000172000000010000000000000009" + "0000000000000004" + "0000000000100000"; hex.EncodeToString(paged) != want {
+		t.Fatalf("a paged poll encodes as %x, want %s", paged, want)
+	}
 	bad := bytes.Clone(cw)
-	bad[8] = 8
+	bad[8] = 0x10
 	if _, err := DecodeReplicateRequest(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("flags 0x08 decoded: %v, want ErrMalformed", err)
+		t.Fatalf("flags 0x10 decoded: %v, want ErrMalformed", err)
+	}
+	bad[8] = 0x0D // says it carries a page position it does not
+	if _, err := DecodeReplicateRequest(bad); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a paged poll without its position decoded: %v, want ErrMalformed", err)
 	}
 }
 
@@ -90,8 +107,8 @@ func TestReplicateResponseBatchesRoundTrip(t *testing.T) {
 	if got.Epoch != want.Epoch || !reflect.DeepEqual(got.Marks, want.Marks) {
 		t.Fatalf("header mismatch: %+v", got)
 	}
-	if got.Snapshot != nil || got.SnapMarks != nil {
-		t.Fatalf("unexpected snapshot fields: %+v", got)
+	if got.Page != nil {
+		t.Fatalf("unexpected page: %+v", got.Page)
 	}
 	for i := range want.Batches {
 		if !bytes.Equal(got.Batches[i], want.Batches[i]) {
@@ -100,12 +117,15 @@ func TestReplicateResponseBatchesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplicateResponseSnapshotRoundTrip: a page of a base snapshot
+// round-trips behind flags bit 1; the whole-stream snapshot answer's bit 0 is
+// malformed, and so is a page a follower could not spool — empty, over
+// PageBytes, or past the file's end.
 func TestReplicateResponseSnapshotRoundTrip(t *testing.T) {
 	want := &ReplicateResponse{
-		Epoch:     9,
-		Marks:     []uint64{5, 6},
-		Snapshot:  []byte("full-state-blob"),
-		SnapMarks: []uint64{5, 6},
+		Epoch: 9,
+		Marks: []uint64{5, 6},
+		Page:  &BasePage{Seq: 4, Size: 3*PageBytes + 7, Offset: 3 * PageBytes, Data: []byte("7 bytes")},
 	}
 	p, err := EncodeReplicateResponse(want)
 	if err != nil {
@@ -115,11 +135,29 @@ func TestReplicateResponseSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Snapshot, want.Snapshot) || !reflect.DeepEqual(got.SnapMarks, want.SnapMarks) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
-	if got.Batches != nil {
-		t.Fatalf("unexpected batches: %+v", got.Batches)
+	whole := bytes.Clone(p)
+	whole[8] = 1
+	if _, err := DecodeReplicateResponse(whole); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("the whole-stream snapshot flag decoded: %v, want ErrMalformed", err)
+	}
+	for name, pg := range map[string]BasePage{
+		"empty":           {Seq: 4, Size: 10, Offset: 10},
+		"over PageBytes":  {Seq: 4, Size: 2 * PageBytes, Data: make([]byte, PageBytes+1)},
+		"past the end":    {Seq: 4, Size: 10, Offset: 8, Data: []byte("abc")},
+		"offset past end": {Seq: 4, Size: 10, Offset: 11, Data: []byte("a")},
+	} {
+		if _, err := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Page: &pg}); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: encoded: %v, want ErrMalformed", name, err)
+		}
+		bad := binary.BigEndian.AppendUint64(append(bytes.Clone(p[:replRespFixed-4]), 0, 0, 0, 0), pg.Seq)
+		bad = binary.BigEndian.AppendUint64(bad, pg.Size)
+		bad = append(binary.BigEndian.AppendUint64(bad, pg.Offset), pg.Data...)
+		if _, err := DecodeReplicateResponse(bad); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: decoded: %v, want ErrMalformed", name, err)
+		}
 	}
 }
 
@@ -240,7 +278,7 @@ func FuzzReplicateCodec(f *testing.F) {
 	req, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 7, Node: "r:1", Marks: []uint64{0, 42}, Bootstrap: true})
 	tenants, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 4, Node: "r:2", Marks: []uint64{3}, Tenants: bytes.Repeat([]byte{0xC5}, tenantDigestLen)})
 	batches, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 3, Marks: []uint64{10, 0}, Batches: [][]byte{[]byte("frames"), nil}})
-	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Snapshot: []byte("blob"), SnapMarks: []uint64{5}})
+	snap, _ := EncodeReplicateResponse(&ReplicateResponse{Epoch: 9, Marks: []uint64{5}, Page: &BasePage{Seq: 2, Size: PageBytes + 4, Offset: PageBytes, Data: []byte("page")}})
 	// The edge shapes: a plain poll with no node and no shards, and a
 	// response that carries no shards at all.
 	poll, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 1})
@@ -250,11 +288,16 @@ func FuzzReplicateCodec(f *testing.F) {
 		f.Add(p[:len(p)-1])
 	}
 	hostile := bytes.Clone(batches)
-	binary.BigEndian.PutUint32(hostile[9:], maxClusterShards) // a shard count nothing backs
+	binary.BigEndian.PutUint32(hostile[9:], MaxClusterShards) // a shard count nothing backs
 	f.Add(hostile)
 	cw, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 5, Node: "r:3", Marks: []uint64{8, 1}, Tenants: bytes.Repeat([]byte{0x3C}, tenantDigestLen), CWRecords: true})
 	f.Add(cw)
-	f.Add(append(bytes.Clone(cw[:8]), 0x08)) // the first flag no build defines
+	paged, _ := EncodeReplicateRequest(&ReplicateRequest{Epoch: 6, Node: "r:4", Marks: []uint64{2, 0}, Bootstrap: true, Base: 3, Offset: 2 * PageBytes, CWRecords: true, PagedBootstrap: true})
+	f.Add(paged)
+	whole := bytes.Clone(snap)
+	whole[8] = 1 // the whole-stream snapshot answer of the build before
+	f.Add(whole)
+	f.Add(append(bytes.Clone(cw[:8]), 0x10)) // the first flag no build defines
 	f.Fuzz(func(t *testing.T, p []byte) {
 		checkCodec(t, p, DecodeReplicateRequest, EncodeReplicateRequest)
 		checkCodec(t, p, DecodeReplicateResponse, EncodeReplicateResponse)

@@ -69,9 +69,9 @@ const (
 	// OpReplicate is the cluster replication long-poll: a follower sends
 	// its fencing epoch and per-shard durable watermark vector (an encoded
 	// ReplicateRequest) and the primary answers with sealed WAL record
-	// batches past those watermarks, or a snapshot bootstrap when the
-	// follower's cursor predates the retained log (an encoded
-	// ReplicateResponse). Served without an admission slot: replication
+	// batches past those watermarks, or a page of its base snapshot when the
+	// follower bootstraps or its cursor predates the retained log (an
+	// encoded ReplicateResponse). Served without an admission slot: replication
 	// must not be shed by client load. A connection must first bind as a
 	// cluster peer (a HELLO under tenant.PeerID); every other poll, and
 	// every poll to a non-cluster server, answers StatusError unread.
@@ -139,12 +139,14 @@ const (
 	StatusMoved byte = 0x05
 )
 
-// MaxBody caps a frame's body length. A replica's snapshot bootstrap of a
-// large memory is the biggest legitimate frame; anything over this is
-// treated as a hostile or corrupt length prefix before any allocation
-// happens, and anything under it is allocated only as its bytes arrive
-// (FrameReader.ReadFrame).
-const MaxBody = 64 << 20
+// MaxBody caps a frame's body length: above the largest frame any encoder
+// makes, whatever the store's size — a ROOT_RANGE answer of
+// proof.MaxRangeEntries entries, a REPLICATE answer of a PageBytes page or
+// of its byte-budgeted batches, a PROOF at proof.MaxShards
+// (TestMaxBodyCoversEveryFrame). Anything over it is treated as a hostile
+// or corrupt length prefix before any allocation happens, and anything
+// under it is allocated only as its bytes arrive (FrameReader.ReadFrame).
+const MaxBody = 16 << 20
 
 // lenBytes is the size of the frame length prefix.
 const lenBytes = 4
@@ -173,8 +175,8 @@ func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
 // scratchKeep is the largest scratch buffer a FrameWriter or FrameReader holds
 // on to between frames. Requests and line responses are under a hundred
-// bytes; the one large frame of a connection's life (a replica's snapshot
-// bootstrap) must not pin its megabytes until the connection closes.
+// bytes; a large frame (a replica's bootstrap page, a long ROOT_RANGE) must
+// not pin its megabytes until the connection closes.
 const scratchKeep = 64 << 10
 
 // growFloor is the least a FrameReader's body buffer grows to when the frame
