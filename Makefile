@@ -137,17 +137,20 @@ gc-smoke: bin/morphserve bin/morphload
 # that is not race-built: it is the command line's own smoke.
 
 # Reduced crash-injection matrix: kill-point surgery on the WAL, the
-# snapshot rename, and the epoch truncation, each recovered and audited
-# against the journal prefix that survived. The full matrix is
-# `bin/morphcheck crash` with defaults; this keeps CI fast.
+# snapshot rename, the epoch truncation and the rotate window (every shard
+# journaling into its next-epoch segment before the snapshot renamed), each
+# recovered and audited against the journal prefix that survived. The full
+# matrix is `bin/morphcheck crash` with defaults; this keeps CI fast.
 crash-smoke: bin/morphcheck
 	bin/morphcheck crash -points 9 -writes 300
 
-# Incremental-checkpoint smoke test, race-built: the delta/compaction
-# crash windows and delta tamper probe, crash recovery at two state sizes
-# (failing if the delta path's replay scales with total history instead of
-# the dirty tail, or is slower than full replay at a small dirty fraction),
-# and the background-checkpointer write-p99 stall gate.
+# Incremental-checkpoint smoke test, race-built: the delta, compaction and
+# rotate crash windows and the delta and next-epoch-segment tamper probes,
+# crash recovery at two state sizes (failing if the delta path's replay
+# scales with total history instead of the dirty tail, or is slower than full
+# replay at a small dirty fraction), and the background-checkpointer
+# write-p99 stall gate in both arms: deltas, and the compaction arm's full
+# checkpoints.
 ckpt-smoke: bin/morphcheck.race
 	bin/morphcheck.race crash -points 16 -writes 300
 

@@ -27,9 +27,10 @@ import (
 //   - append:   the WAL tail is cut at a random byte offset; exactly the whole
 //     frames before the cut survive, and recovery reports a torn tail rather
 //     than an integrity violation.
-//   - snapshot: the crash lands mid-checkpoint — next-epoch segments exist and
-//     at most a partial snapshot temp file; recovery falls back to the
-//     previous epoch with nothing lost and sweeps the stale files.
+//   - snapshot: the crash lands mid-checkpoint, before any shard journaled a
+//     write into the next-epoch segment it rotated to — empty next-epoch
+//     segments and at most a partial snapshot temp file; recovery falls back
+//     to the previous epoch with nothing lost and sweeps the stale files.
 //   - truncate: the crash lands after the snapshot rename but before the old
 //     epoch's files are unlinked; recovery prefers the new epoch and finishes
 //     the sweep.
@@ -37,16 +38,22 @@ import (
 //     delta temp file beside a committed chain; recovery uses the chain head,
 //     replays only the post-delta tail, and sweeps the temp.
 //   - compact:  the crash lands mid-compaction, before the full snapshot
-//     renamed (stale next-epoch segments and a partial temp beside a live
+//     renamed (empty next-epoch segments and a partial temp beside a live
 //     delta chain) or after (the old chain's files resurrected beside the
 //     committed epoch); recovery picks the right head both times.
+//   - rotate:   the crash lands mid-checkpoint after every shard rotated and
+//     writes were journaled into the next-epoch segments, beside a partial
+//     snapshot temp; recovery stays on the old head, replays both segments
+//     of every shard, and a full checkpoint and a reopen then succeed.
 //
-// Three tamper probes ride along — a flipped snapshot byte, a flipped delta
-// byte, a flipped WAL payload byte with the CRC recomputed: an adversary, not
-// a crash — and each must surface as an integrity error at recovery, never as
-// a silent repair. Two gates complete the matrix: the recovery curve (a delta
-// chain makes recovery replay the dirty tail, not the history, and not more
-// slowly) and the checkpointer stall gate.
+// Five tamper probes ride along — a flipped snapshot byte, a flipped delta
+// byte, a flipped WAL payload byte with the CRC recomputed, the same in a
+// next-epoch segment, and an old segment cut mid-frame before a next-epoch
+// segment that holds records: an adversary, not a crash — and each must
+// surface as an integrity error at recovery, never as a silent repair or a
+// torn tail. Two gates complete the matrix: the recovery curve (a delta chain
+// makes recovery replay the dirty tail, not the history, and not more slowly)
+// and the checkpointer stall gate, with deltas and with full checkpoints.
 
 // Every stage that needs a delta chain builds one from the master: deltaExtra
 // writes, a delta checkpoint (epoch 2 on base snapshot 1), deltaTail writes.
@@ -73,14 +80,17 @@ type recovery struct {
 	torn     int    // shards whose tail was truncated
 	swept    []string
 	kept     []string // files the sweep must leave
+	// then, if not 0, is the epoch a full checkpoint of the recovered store
+	// must cut, after which it must recover and audit the same again.
+	then uint64
 }
 
 // surgery is one crash window: what a kill at that instant leaves in dir.
 type surgery struct {
 	stage string
-	// delta starts the point from a store with a committed delta chain and a
-	// dirty tail instead of a clone of the master.
-	delta bool
+	// build stages the store the point starts from in dir and returns its
+	// journal; nil clones the master.
+	build func(c *crashRun, dir string) (*oracle.Journal, error)
 	cut   func(c *crashRun, dir string, j *oracle.Journal, i int) (recovery, error)
 }
 
@@ -88,16 +98,18 @@ var surgeries = []surgery{
 	{stage: "append", cut: cutAppend},
 	{stage: "snapshot", cut: cutSnapshot},
 	{stage: "truncate", cut: cutTruncate},
-	{stage: "delta", delta: true, cut: cutDelta},
-	{stage: "compact", delta: true, cut: cutCompact},
+	{stage: "delta", build: deltaStore, cut: cutDelta},
+	{stage: "compact", build: deltaStore, cut: cutCompact},
+	{stage: "rotate", build: rotatedStore, cut: cutRotate},
 }
 
-// crashPoints splits the points over the stages: half cut the WAL tail, the
-// rest divide between the four checkpoint windows, compact taking the
+// crashPoints splits the points over the stages: half cut the WAL tail —
+// less an eighth, at least one, that the rotate window takes — and the rest
+// divide between the other four checkpoint windows, compact taking the
 // remainder.
 func crashPoints(points int) []int {
-	rest := points - points/2
-	return []int{points / 2, rest / 4, rest / 4, rest / 4, rest - 3*(rest/4)}
+	rotate, rest := max(1, points/8), points-points/2
+	return []int{max(0, points/2-rotate), rest / 4, rest / 4, rest / 4, rest - 3*(rest/4), rotate}
 }
 
 // newCrashRun builds the reference store: writes acknowledged writes from
@@ -163,9 +175,7 @@ func crash(rows *rows, shcfg shard.Config, points, writes int, seed int64) error
 	if err := c.recoveryCurve(rows, seed); err != nil {
 		return err
 	}
-	text, fail = c.stallGate(seed)
-	rows.add("stall", text, fail)
-	return nil
+	return c.stallGate(rows, seed)
 }
 
 // write extends the workload by n acknowledged writes, journaled in the order
@@ -191,8 +201,8 @@ func (c *crashRun) point(s surgery, i int) (text string, fail error) {
 	dir := filepath.Join(c.work, fmt.Sprintf("%s-%03d", s.stage, i))
 	j := c.journal
 	var err error
-	if s.delta {
-		j, err = c.buildDeltaStore(dir, deltaExtra, deltaTail)
+	if s.build != nil {
+		j, err = s.build(c, dir)
 	} else {
 		err = cloneDir(c.master, dir)
 	}
@@ -244,7 +254,18 @@ func (c *crashRun) recoverAndAudit(dir string, j *oracle.Journal, want recovery)
 			return text, fmt.Errorf("the sweep removed %s, which the store still depends on", filepath.Base(path))
 		}
 	}
-	return text, nil
+	if want.then == 0 {
+		return text, nil
+	}
+	text += fmt.Sprintf(", then checkpointed to epoch %d", want.then)
+	if err := m.Close(); err != nil {
+		return text, err
+	}
+	if err := c.checkpoint(dir, nil); err != nil {
+		return text, fmt.Errorf("a full checkpoint after recovery: %w", err)
+	}
+	_, fail = c.recoverAndAudit(dir, j, recovery{keep: want.keep, seq: want.then})
+	return text, fail
 }
 
 // cutAppend kills the store mid-WAL-append: the victim shard's segment is
@@ -292,7 +313,7 @@ func cutTruncate(c *crashRun, dir string, j *oracle.Journal, _ int) (recovery, e
 	return recovery{
 		detail: "epoch-1 snapshot and segments resurrected beside committed epoch 2",
 		keep:   j.Lens(), seq: 2, swept: old,
-	}, c.checkpointThenResurrect(dir, old)
+	}, c.checkpointThenResurrect(dir, old, nil)
 }
 
 // cutDelta kills the store mid-delta-checkpoint: a next-epoch delta temp file
@@ -331,7 +352,48 @@ func cutCompact(c *crashRun, dir string, j *oracle.Journal, i int) (recovery, er
 	return recovery{
 		detail: "epoch-1 snapshot, delta 2←1 and segments resurrected beside committed epoch 3",
 		keep:   j.Lens(), seq: 3, swept: old,
-	}, c.checkpointThenResurrect(dir, old)
+	}, c.checkpointThenResurrect(dir, old, nil)
+}
+
+// cutRotate kills the store in the window the full checkpoint's freeze once
+// made impossible: every shard has rotated to an epoch-2 segment and
+// journaled writes there, and the snapshot is a partial temp (rotatedStore
+// leaves all that). Recovery must stay on epoch 1, replay both segments of
+// every shard, keep the epoch-2 ones, and checkpoint and reopen after.
+func cutRotate(_ *crashRun, dir string, j *oracle.Journal, _ int) (recovery, error) {
+	want := recovery{
+		detail: "epoch-2 segments journaled past the rotation beside a partial snapshot temp",
+		keep:   j.Lens(), seq: 1, replayed: sum(j.Lens()), then: 3,
+		swept: []string{durable.SnapshotPath(dir, 2) + ".tmp"},
+	}
+	for s := range want.keep {
+		want.kept = append(want.kept, durable.SegmentPath(dir, 2, s))
+	}
+	return want, nil
+}
+
+// rotatedStore clones the master into dir and runs a real full checkpoint
+// (epoch 2) with writes journaled after it, then resurrects epoch 1's files
+// and turns snapshot 2 back into a partial temp: what a crash after every
+// shard's rotation, before the rename, leaves. It returns the journal.
+func rotatedStore(c *crashRun, dir string) (*oracle.Journal, error) {
+	j := c.journal.Clone()
+	err := cloneDir(c.master, dir)
+	if err == nil {
+		err = c.checkpointThenResurrect(dir, epochFiles(dir, c.shcfg.Shards), j)
+	}
+	snap := durable.SnapshotPath(dir, 2)
+	var data []byte
+	if err == nil {
+		data, err = os.ReadFile(snap)
+	}
+	if err == nil {
+		err = os.WriteFile(snap+".tmp", data[:c.rng.Intn(len(data))], 0o644)
+	}
+	if err == nil {
+		err = os.Remove(snap)
+	}
+	return j, err
 }
 
 // epochFiles names epoch 1's snapshot and WAL segments in dir.
@@ -360,9 +422,9 @@ func (c *crashRun) litter(paths []string) error {
 }
 
 // checkpointThenResurrect runs a real checkpoint (which unlinks the files of
-// the epoch it retires), then writes those files back — exactly what a crash
-// between the rename and the unlinks leaves on disk.
-func (c *crashRun) checkpointThenResurrect(dir string, files []string) error {
+// the epoch it retires; see checkpoint for j), then writes those files back —
+// exactly what a crash between the rename and the unlinks leaves on disk.
+func (c *crashRun) checkpointThenResurrect(dir string, files []string, j *oracle.Journal) error {
 	saved := make([][]byte, len(files))
 	for i, path := range files {
 		data, err := os.ReadFile(path)
@@ -371,7 +433,7 @@ func (c *crashRun) checkpointThenResurrect(dir string, files []string) error {
 		}
 		saved[i] = data
 	}
-	if err := c.checkpoint(dir); err != nil {
+	if err := c.checkpoint(dir, j); err != nil {
 		return err
 	}
 	for i, path := range files {
@@ -382,17 +444,32 @@ func (c *crashRun) checkpointThenResurrect(dir string, files []string) error {
 	return nil
 }
 
-// checkpoint opens dir, cuts a full checkpoint and closes.
-func (c *crashRun) checkpoint(dir string) error {
-	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir})
+// checkpoint opens dir, cuts a full checkpoint and closes. With a journal it
+// journals a write on every shard and deltaTail more into the new epoch's
+// segments first.
+func (c *crashRun) checkpoint(dir string, j *oracle.Journal) error {
+	m, _, err := durable.Open(c.shcfg, durable.Config{Dir: dir, Sync: durable.SyncAlways})
 	if err != nil {
 		return err
 	}
-	if err := m.Checkpoint(); err != nil {
-		_ = m.Close() //morphlint:allow errdiscard the checkpoint error is the one to report
-		return err
+	err = m.Checkpoint()
+	for s := 0; j != nil && s < c.shcfg.Shards && err == nil; s++ {
+		addr := uint64(s) * lineBytes // lines interleave: line s is shard s's
+		err = m.Write(addr, j.Append(s, addr))
 	}
-	return m.Close()
+	if j != nil && err == nil {
+		err = c.write(m, j, deltaTail)
+	}
+	if cerr := m.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// deltaStore is the delta and compact windows' store: buildDeltaStore with
+// deltaExtra writes before its delta and deltaTail after.
+func deltaStore(c *crashRun, dir string) (*oracle.Journal, error) {
+	return c.buildDeltaStore(dir, deltaExtra, deltaTail)
 }
 
 // buildDeltaStore clones the master into dir, reopens it, extends the
@@ -425,32 +502,44 @@ func (c *crashRun) buildDeltaStore(dir string, extra, tail int) (*oracle.Journal
 }
 
 // tamperProbe is one adversarial edit: stage a store in dir, name the file to
-// damage, and damage its bytes.
+// damage, and return its bytes damaged.
 type tamperProbe struct {
 	target string
 	stage  func(c *crashRun, dir string) (path string, err error)
-	flip   func(c *crashRun, data []byte) error
+	flip   func(c *crashRun, data []byte) ([]byte, error)
+}
+
+// flipWALPayload flips a payload bit of a random frame and recomputes its
+// CRC: indistinguishable from a crash to a checksum, so only the keyed record
+// MAC can catch it.
+func flipWALPayload(c *crashRun, data []byte) ([]byte, error) {
+	frames := len(data) / wal.WriteFrameBytes
+	if frames == 0 {
+		return nil, errors.New("shard 0 WAL empty")
+	}
+	off := c.rng.Intn(frames) * wal.WriteFrameBytes
+	body := data[off+8 : off+wal.WriteFrameBytes]
+	body[30] ^= 0x40
+	binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return data, nil
+}
+
+// rotatedSegment stages the rotate window's store and names shard 0's
+// segment of epoch seq.
+func rotatedSegment(seq uint64) func(c *crashRun, dir string) (string, error) {
+	return func(c *crashRun, dir string) (string, error) {
+		_, err := rotatedStore(c, dir)
+		return durable.SegmentPath(dir, seq, 0), err
+	}
 }
 
 var probes = []tamperProbe{
 	{
-		// Indistinguishable from a crash to a checksum, so only the keyed
-		// record MAC can catch it.
 		target: "wal payload byte flip + CRC recompute",
 		stage: func(c *crashRun, dir string) (string, error) {
 			return durable.SegmentPath(dir, 1, 0), cloneDir(c.master, dir)
 		},
-		flip: func(c *crashRun, data []byte) error {
-			frames := len(data) / wal.WriteFrameBytes
-			if frames == 0 {
-				return errors.New("shard 0 WAL empty")
-			}
-			off := c.rng.Intn(frames) * wal.WriteFrameBytes
-			body := data[off+8 : off+wal.WriteFrameBytes]
-			body[30] ^= 0x40
-			binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-			return nil
-		},
+		flip: flipWALPayload,
 	},
 	{
 		target: "snapshot byte flip",
@@ -459,9 +548,9 @@ var probes = []tamperProbe{
 			if err := cloneDir(c.master, dir); err != nil {
 				return "", err
 			}
-			return durable.SnapshotPath(dir, 2), c.checkpoint(dir)
+			return durable.SnapshotPath(dir, 2), c.checkpoint(dir, nil)
 		},
-		flip: func(_ *crashRun, data []byte) error { data[len(data)/3] ^= 0x02; return nil },
+		flip: func(_ *crashRun, data []byte) ([]byte, error) { data[len(data)/3] ^= 0x02; return data, nil },
 	},
 	{
 		target: "delta segment byte flip",
@@ -469,7 +558,25 @@ var probes = []tamperProbe{
 			_, err := c.buildDeltaStore(dir, deltaExtra, 0)
 			return ckpt.DeltaPath(dir, 2, 1), err
 		},
-		flip: func(_ *crashRun, data []byte) error { data[len(data)/2] ^= 0x10; return nil },
+		flip: func(_ *crashRun, data []byte) ([]byte, error) { data[len(data)/2] ^= 0x10; return data, nil },
+	},
+	{
+		target: "next-epoch wal payload byte flip + CRC recompute",
+		stage:  rotatedSegment(2),
+		flip:   flipWALPayload,
+	},
+	{
+		// A crash tears only a journal's end: a shard flushes its old
+		// segment before its first frame of the next.
+		target: "old segment cut mid-frame before a next-epoch segment's records",
+		stage:  rotatedSegment(1),
+		flip: func(c *crashRun, data []byte) ([]byte, error) {
+			frames := len(data) / wal.WriteFrameBytes
+			if frames == 0 {
+				return nil, errors.New("shard 0 WAL empty")
+			}
+			return data[:c.rng.Intn(frames)*wal.WriteFrameBytes+1+c.rng.Intn(wal.WriteFrameBytes-1)], nil
+		},
 	},
 }
 
@@ -482,7 +589,7 @@ func (c *crashRun) probe(p tamperProbe, dir string) (text string, fail error) {
 	}
 	data, err := os.ReadFile(path)
 	if err == nil {
-		err = p.flip(c, data)
+		data, err = p.flip(c, data)
 	}
 	if err == nil {
 		err = os.WriteFile(path, data, 0o644)
@@ -569,18 +676,24 @@ func (c *crashRun) recoveryCurve(rows *rows, seed int64) error {
 	return nil
 }
 
-// stallGate times each write of one workload with and without the background
-// delta checkpointer, gating on the p99 ratio with an additive fallback: a
-// write may briefly wait out a cut's chunk, so a sub-millisecond bump is
-// within the design's stall budget even when instrumentation (the race
-// detector) inflates it past the 1.5x ratio. What the gate must catch is
+// stallGate times each write of one workload without a background
+// checkpointer and then with one in two arms — deltas every 2 ms, and deltas
+// every 2 ms with a full checkpoint every 5 ms, compacting the chain — gating
+// each arm's p99 on the ratio with an additive fallback: a write may briefly
+// wait out a cut's chunk or a full cut's journal swap, so a sub-millisecond
+// bump is within the design's stall budget even when instrumentation (the
+// race detector) inflates it past the 1.5x ratio. What the gate must catch is
 // checkpoint file I/O leaking under the engine lock — that stalls writes for
 // the multi-millisecond duration of a segment write + fsync and fails both
-// arms.
-func (c *crashRun) stallGate(seed int64) (text string, fail error) {
+// rules. An arm that cut no checkpoint of its kind in the timed run fails.
+func (c *crashRun) stallGate(rows *rows, seed int64) error {
 	const writes = 5000
 	const stallBudget = time.Millisecond
-	run := func(name string, withCkpt bool) (p99 time.Duration, deltas uint64, err error) {
+	// run returns the write p99 and the checkpoints cut while it ran:
+	// deltas, or with snapshotEvery full ones, Open's bootstrap snapshot not
+	// counted. If the runner has not fired by halfway (a very fast run), one
+	// is cut directly, so an arm always covers a live one.
+	run := func(name string, deltaEvery, snapshotEvery time.Duration) (p99 time.Duration, cuts uint64, err error) {
 		m, _, err := durable.Open(c.shcfg, durable.Config{
 			Dir: filepath.Join(c.work, "stall-"+name), Sync: durable.SyncInterval})
 		if err != nil {
@@ -591,8 +704,12 @@ func (c *crashRun) stallGate(seed int64) (text string, fail error) {
 				err = cerr
 			}
 		}()
-		if withCkpt {
-			r := ckpt.NewRunner(m, 2*time.Millisecond, 0, 0, func(error) {})
+		count, cut := func() uint64 { return m.Durability().DeltaCheckpoints }, m.CheckpointDelta
+		if snapshotEvery > 0 {
+			count, cut = func() uint64 { return m.Durability().Checkpoints - 1 }, m.Checkpoint
+		}
+		if deltaEvery > 0 {
+			r := ckpt.NewRunner(m, deltaEvery, snapshotEvery, 0, func(error) {})
 			defer r.Stop()
 		}
 		rng := rand.New(rand.NewSource(seed + 13))
@@ -606,33 +723,38 @@ func (c *crashRun) stallGate(seed int64) (text string, fail error) {
 				return 0, 0, err
 			}
 			lat[i] = time.Since(t0)
-			if withCkpt && i == writes/2 && m.Durability().DeltaCheckpoints == 0 {
-				// The runner has not fired yet (a very fast run): cut one
-				// directly so the comparison always covers a live delta.
-				if err := m.CheckpointDelta(); err != nil {
+			if deltaEvery > 0 && i == writes/2 && count() == 0 {
+				if err := cut(); err != nil {
 					return 0, 0, err
 				}
 			}
 		}
 		slices.Sort(lat)
-		return lat[writes*99/100], m.Durability().DeltaCheckpoints, nil
+		return lat[writes*99/100], count(), nil
 	}
-	base, _, err := run("base", false)
+	base, _, err := run("base", 0, 0)
 	if err != nil {
-		return "", err
+		return err
 	}
-	with, deltas, err := run("ckpt", true)
-	if err != nil {
-		return "", err
+	for _, arm := range []struct {
+		name, kind    string
+		snapshotEvery time.Duration
+	}{{"ckpt", "deltas", 0}, {"compact", "full checkpoints", 5 * time.Millisecond}} {
+		with, cuts, err := run(arm.name, 2*time.Millisecond, arm.snapshotEvery)
+		if err != nil {
+			return err
+		}
+		text := fmt.Sprintf("write p99 %v without checkpoints, %v with %d %s cut", base, with, cuts, arm.kind)
+		var fail error
+		switch {
+		case cuts == 0:
+			fail = fmt.Errorf("no %s were cut during the timed run", arm.kind)
+		case with > base+base/2 && with-base > stallBudget:
+			fail = fmt.Errorf("past both the 1.5x ratio and the %v stall budget", stallBudget)
+		}
+		rows.add("stall", text, fail)
 	}
-	text = fmt.Sprintf("write p99 %v without checkpoints, %v with %d deltas cut", base, with, deltas)
-	switch {
-	case deltas == 0:
-		return text, errors.New("no delta checkpoints were cut during the timed run")
-	case with > base+base/2 && with-base > stallBudget:
-		return text, fmt.Errorf("past both the 1.5x ratio and the %v stall budget", stallBudget)
-	}
-	return text, nil
+	return nil
 }
 
 func cloneDir(src, dst string) error {

@@ -31,7 +31,8 @@ import (
 
 // DeltaShard is one shard's share of a state stream being written: the count
 // of its line records, then the records. *secmem.Cut is one (the lines stamped
-// since the last checkpoint), *secmem.Memory another (every stored line).
+// since the last checkpoint or, from floor 0, every stored line), and
+// *secmem.Memory another (every stored line, under one hold of its lock).
 type DeltaShard interface {
 	WriteRecords(w io.Writer) error
 }

@@ -21,8 +21,9 @@ type Target interface {
 // a delta checkpoint every deltaEvery, compacting the chain into a full
 // snapshot once it grows past maxChain, and a full snapshot every
 // snapshotEvery regardless — bounding recovery work (base + short chain +
-// WAL tail) and disk amplification. A delta cut stalls no writer; all file
-// I/O happens outside the engine locks (see durable.CheckpointDelta).
+// WAL tail) and disk amplification. No checkpoint stalls a writer: full or
+// delta, each is a cut begun a shard at a time, and all file I/O happens
+// outside the engine locks (see durable.Memory.Checkpoint).
 //
 // Whoever owns the store brackets the Runner's life: start it once the
 // target's checkpoint hook is registered (durable.Memory.OnCheckpoint is set

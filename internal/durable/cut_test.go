@@ -160,7 +160,8 @@ func checkShadow(t *testing.T, m *Memory, shadow []map[uint64]uint64) {
 // TestImagesUnderWritersAndCuts takes full images while the writers write and
 // deltas are cut back to back: an engine's full image (WriteRecords, what
 // secmem.Save writes) holds no checkpoint lock and meets cuts open and
-// draining; a full Checkpoint freezes the shards in the middle of it all.
+// draining; a full Checkpoint, a cut from floor 0 that rotates every shard's
+// segment, drains in the middle of it all.
 // Every image must load and verify; then the Memory is abandoned, not closed,
 // and recovery — from the full checkpoint, whatever deltas followed it and the
 // WAL tail — must read every acknowledged write back.
@@ -250,17 +251,27 @@ func BenchmarkDeltaCut(b *testing.B) {
 	const span, shards = 1 << 15, 2
 	m, _ := mustOpen(b, testShardConfig(b, shards, 64<<20), Config{Dir: b.TempDir(), Sync: SyncNone})
 	defer m.Close()
-	line := oracle.Fill(0, 1)
-	stalls := make([]time.Duration, 0, b.N)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	benchStall(b, m, span, func() {
 		for d := uint64(0); d < span; d++ {
-			if err := m.Write(d*LineBytes, line); err != nil {
+			if err := m.Write(d*LineBytes, oracle.Fill(0, 1)); err != nil {
 				b.Fatal(err)
 			}
 		}
-		if err := m.Flush(); err != nil { // the cut syncs the journal it covers: not 32 768 records of set-up
+	}, m.CheckpointDelta)
+}
+
+// benchStall times cut b.N times, each after an untimed dirty() and a Flush
+// (a cut syncs the journal it covers: not the set-up's records), while one
+// writer keeps writing the first span lines, and reports as stall-ns/op the
+// median over the cuts of the longest any one write took while cut ran.
+func benchStall(b *testing.B, m *Memory, span uint64, dirty func(), cut func() error) {
+	line := oracle.Fill(0, 1)
+	stalls := make([]time.Duration, 0, b.N)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dirty()
+		if err := m.Flush(); err != nil {
 			b.Fatal(err)
 		}
 		stop, longest := make(chan struct{}), make(chan time.Duration)
@@ -281,7 +292,7 @@ func BenchmarkDeltaCut(b *testing.B) {
 			}
 		}()
 		b.StartTimer()
-		err := m.CheckpointDelta()
+		err := cut()
 		b.StopTimer()
 		close(stop)
 		stalls = append(stalls, <-longest)

@@ -67,8 +67,8 @@ func TestDeltaCheckpointRecovery(t *testing.T) {
 	if err := m.CheckpointDelta(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Seq() != 2 || m.SegSeq() != 1 || m.DeltaChainLen() != 1 {
-		t.Fatalf("after delta: seq=%d segSeq=%d chain=%d", m.Seq(), m.SegSeq(), m.DeltaChainLen())
+	if m.Seq() != 2 || m.BaseSeq() != 1 || m.DeltaChainLen() != 1 {
+		t.Fatalf("after delta: seq=%d baseSeq=%d chain=%d", m.Seq(), m.BaseSeq(), m.DeltaChainLen())
 	}
 	addrs = append(addrs, writeSome(t, m, 2, 30)...)
 	if err := m.CheckpointDelta(); err != nil {
@@ -91,8 +91,8 @@ func TestDeltaCheckpointRecovery(t *testing.T) {
 	if info.SnapshotSeq != 1 {
 		t.Fatalf("recovered from snapshot %d, want base 1", info.SnapshotSeq)
 	}
-	if re.Seq() != 3 || re.SegSeq() != 1 {
-		t.Fatalf("reopened seq=%d segSeq=%d, want 3/1", re.Seq(), re.SegSeq())
+	if re.Seq() != 3 || re.BaseSeq() != 1 {
+		t.Fatalf("reopened seq=%d baseSeq=%d, want 3/1", re.Seq(), re.BaseSeq())
 	}
 	verifyAddrs(t, m, re, addrs)
 	if err := re.VerifyAll(); err != nil {

@@ -9,8 +9,8 @@
 // Layout of a data directory (seq is a monotonically increasing epoch):
 //
 //	snapshot.<seq>        atomic full-state snapshot (temp-file + rename)
-//	delta.<seq>.<base>    the lines modified since epoch <base> (delta.go)
-//	wal.<seq>-<shard>     shard's journal of mutations since snapshot <seq>
+//	delta.<seq>.<base>    the lines modified since epoch <base> (checkpoint.go)
+//	wal.<seq>-<shard>     shard's journal from its cut of full checkpoint <seq> on
 //	TENANTS               the sealed tenant list, in a store with tenants (tenants.go)
 //
 // A snapshot and a delta are the same file — a state stream in
@@ -28,7 +28,9 @@
 //  2. Snapshot-before-truncate: old segments and snapshots are deleted
 //     only after the snapshot that covers them has been fsynced and
 //     atomically renamed into place. A crash at any byte of the sequence
-//     leaves either the old epoch fully intact or the new one.
+//     leaves either the old epoch fully intact, with the segments a shard
+//     rotated to since, which recovery replays after the old ones, or the
+//     new one.
 //  3. Durability point: a write is durable when its WAL frame is fsynced.
 //     SyncAlways acks after a group-commit fsync (concurrent writers on a
 //     shard share one fsync); SyncInterval fsyncs on a timer; SyncNone
@@ -149,10 +151,9 @@ type RecoveryInfo struct {
 	Fresh bool
 	// SnapshotSeq is the epoch recovered from.
 	SnapshotSeq uint64
-	// CoveredLSN / CoveredWrites are the per-shard positions the snapshot
-	// covers; AppliedLSN / AppliedWrites the positions after WAL replay.
+	// CoveredLSN / CoveredWrites are the per-shard positions the chain
+	// covers.
 	CoveredLSN, CoveredWrites []uint64
-	AppliedLSN, AppliedWrites []uint64
 	// ReplayedRecords / ReplayedWrites total the WAL records replayed.
 	ReplayedRecords, ReplayedWrites int
 	// DeltasApplied is how many delta segments the recovery chain held;
@@ -190,10 +191,11 @@ type committer struct {
 	log    *wal.Log
 	lsn    uint64 // last assigned LSN (cumulative across segments)
 	writes uint64 // cumulative write records (journal prefix index)
-	// baseLSN is the LSN the current segment starts after (the covered LSN
-	// of the snapshot that opened this epoch); the replication cursor's
-	// file fallback finds record baseLSN+1 at the segment's start.
-	baseLSN uint64
+	// seq is the live segment's epoch and baseLSN the LSN it starts after
+	// (the shard's covered LSN at the full cut that rotated to it); the
+	// replication cursor's file fallback finds record baseLSN+1 at the
+	// segment's start. Written under ckptMu, syncMu and mu.
+	seq, baseLSN uint64
 	// ring buffers recent records for the replication cursor (ringStart is
 	// ring[0]'s LSN; LSNs in the ring are contiguous). Guarded by mu.
 	ring      []wal.Record
@@ -205,8 +207,8 @@ type committer struct {
 
 // Memory is a crash-consistent secure memory: a shard.Sharded engine whose
 // every mutation is WAL-journaled and periodically snapshotted. Reads and
-// writes are safe for concurrent use; Checkpoint serializes against writers
-// per shard.
+// writes are safe for concurrent use; a checkpoint holds a shard's writers
+// only while that shard's cut begins.
 type Memory struct {
 	cfg   Config
 	shcfg shard.Config
@@ -220,16 +222,14 @@ type Memory struct {
 	tracer    *obs.Tracer
 
 	ckptMu sync.Mutex // serializes Checkpoint / CheckpointDelta / Flush / Close
-	// deltaSW is the stream writer every delta is cut through, under ckptMu:
-	// a cut every few seconds reuses its frame buffer. Snapshots are rare
-	// and take a new one.
-	deltaSW ckpt.StreamWriter
-	seq     atomic.Uint64
-	// segSeq is the epoch of the live WAL segments — the full snapshot
-	// the current delta chain is based on. seq == segSeq means no deltas
-	// are outstanding.
-	segSeq atomic.Uint64
-	onCkpt func(seq uint64) // set before concurrent use via OnCheckpoint
+	// sw is the stream writer every checkpoint is cut through, under
+	// ckptMu: a cut every few seconds reuses its frame buffer.
+	sw  ckpt.StreamWriter
+	seq atomic.Uint64
+	// baseSeq is the epoch of the full snapshot the current delta chain is
+	// based on. seq == baseSeq means no deltas are outstanding.
+	baseSeq atomic.Uint64
+	onCkpt  func(seq uint64) // set before concurrent use via OnCheckpoint
 
 	commits []*committer
 
@@ -287,7 +287,7 @@ func (m *Memory) Seq() uint64 { return m.seq.Load() }
 
 // DeltaChainLen reports how many delta checkpoints sit atop the current
 // base snapshot (the ckpt.Runner compacts once this passes its threshold).
-func (m *Memory) DeltaChainLen() int { return int(m.seq.Load() - m.segSeq.Load()) }
+func (m *Memory) DeltaChainLen() int { return int(m.seq.Load() - m.baseSeq.Load()) }
 
 // NumShards returns the shard count.
 func (m *Memory) NumShards() int { return len(m.commits) }
@@ -341,7 +341,7 @@ func (m *Memory) RegisterMetrics(reg *obs.Registry) {
 		emit("durable.ckpt.deltas", m.deltaCkpts.Load())
 		emit("durable.ckpt.delta_bytes", m.deltaBytes.Load())
 		emit("durable.ckpt.compactions", m.compactions.Load())
-		emit("durable.ckpt.chain", m.seq.Load()-m.segSeq.Load())
+		emit("durable.ckpt.chain", m.seq.Load()-m.baseSeq.Load())
 		emit("durable.recovery_us", m.recoveryUS.Load())
 	})
 }

@@ -101,9 +101,6 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 	if afterLSN >= durable {
 		return nil, true, nil
 	}
-	// Segments belong to the base epoch (delta checkpoints advance seq
-	// without rotating segments), so the file fallback reads at segSeq.
-	seqBefore := m.segSeq.Load()
 	c.mu.Lock()
 	if len(c.ring) > 0 && afterLSN+1 >= c.ringStart {
 		start := int(afterLSN + 1 - c.ringStart)
@@ -117,20 +114,24 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 		c.mu.Unlock()
 		return out, true, nil
 	}
-	base := c.baseLSN
+	// The live segment, which a full checkpoint swaps at the shard's cut,
+	// before its snapshot is renamed.
+	seq, base := c.seq, c.baseLSN
 	c.mu.Unlock()
 	if afterLSN < base {
-		// The snapshot that opened this epoch already covers LSNs past the
-		// cursor; the records are gone from the log.
+		// The records past the cursor start in an older segment: a
+		// checkpoint covers them, or is about to.
 		return nil, false, nil
 	}
 	// File fallback: read the records past the cursor where they lie in
 	// the live segment. Records at or below the durable watermark occupy a
 	// complete, fully-flushed prefix of whole frames.
-	path := SegmentPath(m.cfg.Dir, seqBefore, shardIdx)
-	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seqBefore)}
-	out, err := wal.ReadRange(path, opt, base+1, afterLSN+1, int(min(durable-afterLSN, uint64(max))))
-	if m.segSeq.Load() != seqBefore {
+	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seq)}
+	out, err := wal.ReadRange(SegmentPath(m.cfg.Dir, seq, shardIdx), opt, base+1, afterLSN+1, int(min(durable-afterLSN, uint64(max))))
+	c.mu.Lock()
+	swapped := c.seq != seq
+	c.mu.Unlock()
+	if swapped {
 		// A checkpoint swapped segments mid-read; the file we read may have
 		// been removed. Ask the follower to retry.
 		return nil, false, nil
@@ -210,12 +211,12 @@ type Page struct {
 // over.
 func (m *Memory) ReadBasePage(seq, off uint64, buf []byte) (Page, error) {
 	for {
-		base := m.segSeq.Load()
+		base := m.baseSeq.Load()
 		if base != seq {
 			off = 0
 		}
 		f, err := os.Open(SnapshotPath(m.cfg.Dir, base))
-		if errors.Is(err, fs.ErrNotExist) && m.segSeq.Load() != base {
+		if errors.Is(err, fs.ErrNotExist) && m.baseSeq.Load() != base {
 			continue // a full checkpoint retired the base between the load and the open
 		}
 		if err != nil {

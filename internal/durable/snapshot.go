@@ -1,16 +1,17 @@
 package durable
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/securemem/morphtree/internal/ckpt"
-	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
@@ -59,147 +60,14 @@ func parseSeq(name string) (seq uint64, shardIdx int, isSnap bool, ok bool) {
 // {snapshot, WAL} directory is rollback, which needs the root anchored in
 // trusted storage and is documented out of scope; see DESIGN.md §10.)
 
-// engines lists the shards' engines, each a ckpt.DeltaShard: its full image.
-func (m *Memory) engines() []*secmem.Memory {
-	engs := make([]*secmem.Memory, m.sh.NumShards())
-	for i := range engs {
-		engs[i] = m.sh.Shard(i)
-	}
-	return engs
-}
-
-// writeImage captures the engine state as snapshot.<seq> via temp file,
-// fsync, atomic rename, and directory fsync. Callers hold every shard's
-// locks, so the state is frozen for the duration.
-func (m *Memory) writeImage(seq uint64, covered, coveredWrites []uint64) error {
-	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: covered, CoveredWrites: coveredWrites}
-	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), SnapshotPath(m.cfg.Dir, seq), deltaKey(m.shcfg.Mem.Key), hdr, m.engines()); err != nil {
-		return err
-	}
-	return wal.SyncDir(m.cfg.Dir)
-}
-
-// Checkpoint freezes writers, captures an atomic snapshot of the full
-// state, starts fresh WAL segments, and only then deletes the files of
-// prior epochs (the snapshot-before-truncate invariant). On return the WAL
-// is empty and everything acknowledged is durable regardless of policy.
-// Any OnCheckpoint hook fires once the new epoch is committed (even if
-// retiring old files reported an error — the epoch stands either way).
-func (m *Memory) Checkpoint() error {
-	before := m.seq.Load()
-	err := m.checkpoint()
-	if after := m.seq.Load(); after > before && m.onCkpt != nil {
-		m.onCkpt(after)
-	}
-	return err
-}
-
-// freeze takes every shard's locks — sync locks first, then append locks,
-// matching syncTo's ordering — and returns what releases them: the state and
-// the journals stand still in between.
-func (m *Memory) freeze() (thaw func()) {
-	for _, c := range m.commits {
-		c.syncMu.Lock()
-	}
-	for _, c := range m.commits {
-		c.mu.Lock()
-	}
-	return func() {
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].mu.Unlock()
-		}
-		for i := len(m.commits) - 1; i >= 0; i-- {
-			m.commits[i].syncMu.Unlock()
-		}
-	}
-}
-
-func (m *Memory) checkpoint() error {
-	start := time.Now()
-	m.ckptMu.Lock()
-	defer m.ckptMu.Unlock()
-	// Under ckptMu, as in CheckpointDelta.
-	if m.closed.Load() {
-		return fmt.Errorf("durable: checkpoint after Close")
-	}
-
-	defer m.freeze()()
-
-	covered := make([]uint64, len(m.commits))
-	coveredWrites := make([]uint64, len(m.commits))
-	for i, c := range m.commits {
-		covered[i] = c.lsn
-		coveredWrites[i] = c.writes
-	}
-
-	oldSeq := m.seq.Load()
-	newSeq := oldSeq + 1
-
-	// New segments are created BEFORE the snapshot rename: a crash here
-	// leaves stale next-epoch segments that recovery deletes, while the
-	// reverse order could commit a snapshot whose epoch has unjournaled
-	// writers.
-	newLogs := make([]*wal.Log, len(m.commits))
-	master := m.shcfg.Mem.Key
-	for i := range m.commits {
-		nl, err := wal.Create(SegmentPath(m.cfg.Dir, newSeq, i), wal.Options{Key: walKey(master, i, newSeq)})
-		if err != nil {
-			for _, l := range newLogs[:i] {
-				_ = l.Close()
-				_ = os.Remove(l.Path())
-			}
-			return err
-		}
-		newLogs[i] = nl
-	}
-
-	if err := m.writeImage(newSeq, covered, coveredWrites); err != nil {
-		for _, l := range newLogs {
-			_ = l.Close()
-			_ = os.Remove(l.Path())
-		}
-		return err
-	}
-
-	// The new epoch is committed: swap in the fresh segments, then retire
-	// the old epoch's files. Failures past this point must not unwind the
-	// epoch — old files are already-covered garbage, so removal errors are
-	// reported but the checkpoint stands.
-	var firstErr error
-	for i, c := range m.commits {
-		if err := c.log.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.log = newLogs[i]
-		c.synced = c.lsn
-		c.baseLSN = c.lsn
-		// The snapshot captured everything; the next delta starts empty.
-		c.eng.ResetDirty()
-	}
-	m.signalDurable()
-	if m.seq.Load() > m.segSeq.Load() {
-		// This full checkpoint collapsed a non-empty delta chain.
-		m.compactions.Add(1)
-	}
-	m.seq.Store(newSeq)
-	m.segSeq.Store(newSeq)
-	m.checkpoints.Add(1)
-	if err := m.removeEpochsBelow(newSeq); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	dur := time.Since(start)
-	m.ckptLat.Record(dur)
-	m.tracer.Emit(obs.KindSnapshot, -1, newSeq, 0, dur)
-	return firstErr
-}
-
 // removeEpochsBelow is the stale-epoch sweep: it keeps exactly the head
-// epoch's chain — its base snapshot, the base's WAL segments and every
-// link delta — and deletes every other epoch's file: next-epoch leftovers
-// a crash mid-checkpoint abandoned, orphan deltas, and superseded chains.
-// Recovery only ever reads the head's chain (Open never falls back), so
-// nothing else on disk has a reader. A head whose chain does not resolve
-// is an error and deletes nothing.
+// epoch's chain — its base snapshot and every link delta — and each shard's
+// WAL segments from the base's epoch to its live one, and deletes every other
+// file of an epoch: orphan deltas, superseded chains and their segments,
+// next-epoch leftovers. Recovery only ever reads those (Open never falls
+// back), so nothing else on disk has a reader. A head whose chain does not
+// resolve is an error and deletes nothing. The caller holds ckptMu, or is
+// Open.
 func (m *Memory) removeEpochsBelow(head uint64) error {
 	entries, err := os.ReadDir(m.cfg.Dir)
 	if err != nil {
@@ -227,7 +95,17 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 	removed := false
 	for _, e := range entries {
 		name := e.Name()
-		if seq, _, _, ok := parseSeq(name); !ok || keep[seq] {
+		seq, i, _, ok := parseSeq(name)
+		switch {
+		case !ok:
+			continue
+		case strings.HasPrefix(name, "wal."):
+			// Recovery replays a shard's segments from the base's epoch
+			// to its live one.
+			if i < len(m.commits) && seq >= base && seq <= m.commits[i].seq {
+				continue
+			}
+		case keep[seq]:
 			continue
 		}
 		if err := os.Remove(filepath.Join(m.cfg.Dir, name)); err != nil && firstErr == nil {
@@ -253,13 +131,15 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 //  2. Authenticate and apply the snapshot and each delta of the chain, the
 //     same way (tampering → *secmem.IntegrityError, a file from before the
 //     state stream → *secmem.VersionError).
-//  3. Replay each shard's WAL segment on top, truncating crash-torn tails
-//     (recorded as typed TornTailErrors in the RecoveryInfo) and failing
-//     closed on MAC or sequence violations.
+//  3. Replay each shard's WAL segments on top, the base epoch's and then
+//     any a later full checkpoint rotated the shard to before a crash took
+//     it, truncating a crash-torn tail (recorded as a typed TornTailError in
+//     the RecoveryInfo) and failing closed on MAC or sequence violations.
 //  4. Re-read a sample of the replayed lines through the integrity tree,
 //     so tampered at-rest state surfaces as *secmem.IntegrityError now,
 //     not at first client read.
-//  5. Delete files from other epochs and reopen the segments for append.
+//  5. Delete files from other epochs and the next-epoch segments past each
+//     shard's last record, and reopen each shard's last segment for append.
 func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	start := time.Now()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -271,6 +151,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	}
 	snaps := make(map[uint64]bool)
 	deltaEntries := make(map[uint64]ckpt.Entry)
+	segs := make([][]uint64, shcfg.Shards) // each shard's segment epochs
 	var head uint64
 	for _, e := range entries {
 		name := e.Name()
@@ -287,9 +168,11 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 			head = max(head, s)
 			continue
 		}
-		if seq, _, isSnap, ok := parseSeq(name); ok && isSnap {
+		if seq, i, isSnap, ok := parseSeq(name); ok && isSnap {
 			snaps[seq] = true
 			head = max(head, seq)
+		} else if ok && i < shcfg.Shards {
+			segs[i] = append(segs[i], seq)
 		}
 	}
 
@@ -314,9 +197,17 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	}
 	info := &RecoveryInfo{Fresh: head == 0}
 	if info.Fresh {
-		// Fresh directory: bootstrap epoch 1 so recovery always starts
-		// from a snapshot — this one, read back like any other.
-		if err := m.writeImage(1, make([]uint64, shcfg.Shards), make([]uint64, shcfg.Shards)); err != nil {
+		// Fresh directory: bootstrap epoch 1, a full cut of the empty
+		// engines, so recovery always starts from a snapshot — this one,
+		// read back like any other.
+		cuts := make([]*secmem.Cut, shcfg.Shards)
+		for i := range cuts {
+			if cuts[i], err = sh.Shard(i).BeginFullCut(); err != nil {
+				return nil, nil, err
+			}
+		}
+		zeros := make([]uint64, shcfg.Shards)
+		if _, err := m.persist(ckpt.DeltaHeader{Seq: 1, CoveredLSN: zeros, CoveredWrites: zeros}, cuts); err != nil {
 			return nil, nil, err
 		}
 		snaps[1], head = true, 1
@@ -370,49 +261,20 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 	}
 	m.seq.Store(head)
-	m.segSeq.Store(baseSeq)
-	m.initCommitters(covered, coveredWrites)
+	m.baseSeq.Store(baseSeq)
 	info.SnapshotSeq = baseSeq
 	info.CoveredLSN = append([]uint64(nil), covered...)
 	info.CoveredWrites = append([]uint64(nil), coveredWrites...)
 	info.TornTails = make([]*wal.TornTailError, shcfg.Shards)
 
-	for i, c := range m.commits {
-		c.baseLSN = baseCovered[i]
-		path := SegmentPath(cfg.Dir, baseSeq, i)
-		// ReplayedRecords/Writes count only the delivered tail past the
-		// chain's watermark — the work recovery actually redid — not the
-		// validated-but-skipped prefix the deltas already cover.
-		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)}, baseCovered[i]+1, covered[i]+1, true, func(r wal.Record) error {
-			info.ReplayedRecords++
-			j, _, err := sh.Locate(r.Addr)
-			if err != nil {
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("wal record address %#x invalid: %v", r.Addr, err)}
-			}
-			if j != i {
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("wal record for shard %d found in shard %d's segment", j, i)}
-			}
-			if err := sh.Write(r.Addr, r.Line); err != nil {
-				return err
-			}
-			c.writes++
-			info.ReplayedWrites++
-			replayedAddrs = append(replayedAddrs, r.Addr)
-			return nil
-		})
+	m.commits = make([]*committer, shcfg.Shards)
+	for i := range m.commits {
+		m.commits[i] = &committer{shard: i, eng: sh.Shard(i), writes: coveredWrites[i]}
+		addrs, err := m.commits[i].replay(m, baseSeq, baseCovered[i], covered[i], segs[i], info)
 		if err != nil {
 			return nil, nil, err
 		}
-		// The delta cut fsyncs its covered prefix, so a surviving
-		// segment never ends below the chain's watermark; the max
-		// guards an empty tail all the same.
-		c.lsn = max(winfo.LastLSN, covered[i])
-		c.synced = c.lsn
-		info.TornTails[i] = winfo.TornTail
-		info.AppliedLSN = append(info.AppliedLSN, c.lsn)
-		info.AppliedWrites = append(info.AppliedWrites, c.writes)
+		replayedAddrs = append(replayedAddrs, addrs...)
 	}
 
 	// Sample-verify replayed lines through the integrity tree: every
@@ -429,16 +291,16 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 	}
 
-	// Retire every file outside the head's chain (next-epoch segments a
-	// crash mid-checkpoint abandoned, orphan deltas, superseded epochs),
-	// then reopen the base epoch's segments for append — creating them in
-	// a directory that has only its snapshot yet, which is why the
-	// directory is synced after.
+	// Retire every file outside the head's chain (orphan deltas, superseded
+	// epochs) and the next-epoch segments past each shard's last record — a
+	// crash mid-checkpoint's litter — then reopen each shard's last segment
+	// for append: creating it in a directory that has only its snapshot yet,
+	// which is why the directory is synced after.
 	if err := m.removeEpochsBelow(head); err != nil {
 		return nil, nil, err
 	}
 	for i, c := range m.commits {
-		l, err := wal.Open(SegmentPath(cfg.Dir, baseSeq, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, baseSeq)})
+		l, err := wal.Open(SegmentPath(cfg.Dir, c.seq, i), wal.Options{Key: walKey(shcfg.Mem.Key, i, c.seq)})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -456,19 +318,76 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	return m, info, nil
 }
 
-// initCommitters builds the per-shard committers (logs attached later).
-func (m *Memory) initCommitters(covered, coveredWrites []uint64) {
-	m.commits = make([]*committer, m.shcfg.Shards)
-	for i := range m.commits {
-		c := &committer{shard: i, eng: m.sh.Shard(i)}
-		if covered != nil {
-			c.lsn = covered[i]
-			c.synced = covered[i]
-			c.baseLSN = covered[i]
+// replay replays the shard's segments from the base epoch's on, in epoch
+// order, each from where the one before it ended: record coveredBase+1 opens
+// the base's, and records past covered are applied. A gap or an overlap
+// between two is the LSN check's *secmem.IntegrityError, and so is a record
+// behind a torn tail: a crash tears only the end of the journal, since a
+// shard flushes its old segment before its first frame of the next. The last
+// segment that holds a record (the base's, if none does) is the live one, and
+// a torn tail of it is truncated, and the sweep deletes the next-epoch
+// segments past it, which hold no record. It returns the addresses it
+// replayed.
+func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo) (addrs []uint64, err error) {
+	epochs := []uint64{base}
+	for _, seq := range segs {
+		if seq > base {
+			epochs = append(epochs, seq)
 		}
-		if coveredWrites != nil {
-			c.writes = coveredWrites[i]
-		}
-		m.commits[i] = c
 	}
+	slices.Sort(epochs)
+	c.seq, c.baseLSN = base, coveredBase
+	var live wal.ReplayInfo
+	var torn *wal.TornTailError
+	next := coveredBase + 1
+	for _, seq := range epochs {
+		path := SegmentPath(m.cfg.Dir, seq, c.shard)
+		// ReplayedRecords/Writes count only the delivered tail past the
+		// chain's watermark — the work recovery actually redid — not the
+		// validated-but-skipped prefix the deltas already cover.
+		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, seq)}, next, covered+1, false, func(r wal.Record) error {
+			info.ReplayedRecords++
+			j, _, err := m.sh.Locate(r.Addr)
+			if err != nil {
+				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+					Reason: fmt.Sprintf("wal record address %#x invalid: %v", r.Addr, err)}
+			}
+			if j != c.shard {
+				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+					Reason: fmt.Sprintf("wal record for shard %d found in shard %d's segment", j, c.shard)}
+			}
+			if err := m.sh.Write(r.Addr, r.Line); err != nil {
+				return err
+			}
+			c.writes++
+			info.ReplayedWrites++
+			addrs = append(addrs, r.Addr)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if torn != nil && winfo.Records > 0 {
+			return nil, &secmem.IntegrityError{Level: -1, Index: next,
+				Reason: fmt.Sprintf("wal segment %s holds records past a torn tail of %s", path, torn.Path)}
+		}
+		torn = cmp.Or(torn, winfo.TornTail)
+		if winfo.Records == 0 && seq > base {
+			continue
+		}
+		c.seq, c.baseLSN, live = seq, next-1, winfo
+		next = winfo.LastLSN + 1
+	}
+	if live.TornTail != nil {
+		if err := os.Truncate(live.TornTail.Path, live.ValidBytes); err != nil {
+			return nil, fmt.Errorf("durable: truncate torn tail of %s: %w", live.TornTail.Path, err)
+		}
+	}
+	// The delta cut fsyncs its covered prefix, so a surviving segment never
+	// ends below the chain's watermark; the max guards an empty tail all the
+	// same.
+	c.lsn = max(next-1, covered)
+	c.synced = c.lsn
+	info.TornTails[c.shard] = torn
+	return addrs, nil
 }

@@ -245,7 +245,7 @@ func TestRawDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	k := keyer(t, Width64)
-	k.Record(make([]byte, 4096)) // the pooled buffer has grown to the largest message
+	k.Record(make([]byte, 4096))               // the pooled buffer has grown to the largest message
 	for _, n := range []int{0, 33, 89, 4096} { // 89: a write record's body
 		body := make([]byte, n)
 		if a := testing.AllocsPerRun(200, func() { sink += k.Record(body) }); a != 0 {

@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -59,6 +60,16 @@ func (t table[X]) dirty(floor uint32, fn func(idx uint64, c *chunk[X], i uint64)
 	})
 }
 
+// DirtyCount returns how many lines the next cut would take, excluding the
+// always-included root line (the tests assert the O(dirty) claim with
+// it).
+func (m *Memory) DirtyCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_ = m.settle(0) // as BeginCut will
+	return m.store.count(stamped(m.dirtyFloor, m.dirtyCur))
+}
+
 // decodeRecords reads a run of records back with the stream's own decoder.
 func decodeRecords(t testing.TB, rec []byte) []DirtyLine {
 	t.Helper()
@@ -93,6 +104,20 @@ func drainCut(t testing.TB, m *Memory) (*Cut, []DirtyLine) {
 	return cut, lines
 }
 
+// commitFullCut drains a full cut of m with nothing else running and commits
+// it: every line m holds is clean from then on, as a full checkpoint leaves it.
+func commitFullCut(t testing.TB, m *Memory) {
+	t.Helper()
+	c, err := m.BeginFullCut()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteRecords(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	c.Commit()
+}
+
 // TestCutMatchesFreeze feeds two engines one seeded history. At every round
 // the oracle is frozen while the other engine is cut at the same instant and
 // then written to from inside emit, which is as concurrent as a writer can be
@@ -100,6 +125,10 @@ func drainCut(t testing.TB, m *Memory) (*Cut, []DirtyLine) {
 // write-backs (the dirty bound is 4), lines ahead of the walker and behind it,
 // first writes into pages that did not exist. The cut must hold what the
 // freeze holds. Commits alternate with aborts, so the floor is exercised too.
+// Four rounds are full cuts, with and without a writer, committed and
+// aborted: the frozen image is WriteRecords under one hold of the lock, with
+// the dirty epoch moved at the same instant, and with no writer the cut's
+// bytes are the image's.
 func TestCutMatchesFreeze(t *testing.T) {
 	const memBytes = 4 << 20
 	for name, cfg := range configs(memBytes) {
@@ -131,15 +160,28 @@ func TestCutMatchesFreeze(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for round := 0; round < 9; round++ {
+			fullRounds := map[int]bool{2: true, 4: true, 7: true, 11: true}
+			for round := 0; round < 13; round++ {
 				for i := 0; i < 400; i++ {
 					o := next()
 					apply(frozen, o)
 					apply(cut, o)
 				}
 				var want []DirtyLine
-				epoch := frozen.CollectDirty(func(d DirtyLine) { want = append(want, d) })
-				c, err := cut.BeginCut()
+				var image bytes.Buffer
+				var epoch uint32
+				begin := cut.BeginCut
+				if fullRounds[round] {
+					if err := frozen.WriteRecords(&image); err != nil {
+						t.Fatal(err)
+					}
+					want = decodeRecords(t, image.Bytes()[8:])
+					epoch = frozen.CollectDirty(func(DirtyLine) {})
+					begin = cut.BeginFullCut
+				} else {
+					epoch = frozen.CollectDirty(func(d DirtyLine) { want = append(want, d) })
+				}
+				c, err := begin()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,6 +215,9 @@ func TestCutMatchesFreeze(t *testing.T) {
 				}
 				for _, o := range during {
 					apply(cut, o)
+				}
+				if fullRounds[round] && round%3 == 2 && !bytes.Equal(got, image.Bytes()[8:]) {
+					t.Fatalf("round %d: a full cut with no writer is not, byte for byte, the frozen image", round)
 				}
 				lines := decodeRecords(t, got)
 				if round%3 != 2 {
@@ -235,20 +280,27 @@ func TestCutLifecycle(t *testing.T) {
 	if _, err := m.BeginCut(); err == nil {
 		t.Fatal("a second cut opened while the first was open")
 	}
-	// A full snapshot's reset closes the cut under its drain.
+	if _, err := m.BeginFullCut(); err == nil {
+		t.Fatal("a full cut opened while a cut was open")
+	}
+	// A cut closed under its drain ends the drain.
 	emits := 0
 	err = c.Drain(func([]byte) error {
 		if emits++; emits == 2 {
-			m.ResetDirty()
+			c.Abort()
 		}
 		return nil
 	})
 	if err == nil {
 		t.Fatal("a cut closed while it drained reported success")
 	}
-	c.Commit() // closed already: must not move the floor back under the reset
+	c.Commit() // closed already: must not move the floor
+	if n := m.DirtyCount(); n != c.N()-1 {
+		t.Fatalf("%d lines dirty after an aborted cut and a stale commit, want its %d", n, c.N()-1)
+	}
+	commitFullCut(t, m)
 	if n := m.DirtyCount(); n != 0 {
-		t.Fatalf("%d lines dirty after a reset and a stale commit", n)
+		t.Fatalf("%d lines dirty after a committed full cut", n)
 	}
 	// An emit error ends the drain; Abort leaves the lines for the next cut.
 	if err := m.Write(0, line(9)); err != nil {

@@ -24,9 +24,13 @@ import (
 // the count taken first is the count emitted, and a cut holds in memory only
 // the lines overwritten while it drains. The floor moves only at Commit.
 //
-// The walk and the record it emits are also how a full image leaves the
-// engine (WriteRecords in persist.go): the same walker over the stored lines
-// instead of the stamped ones, to completion under one hold of the lock.
+// A full checkpoint is the same cut from floor 0 (BeginFullCut): every stored
+// line stamped at or below the epoch, behind the record naming the
+// organization, and its Commit raises the floor past the epoch like a delta's,
+// so what was written while it drained is the next delta's. The walk and the
+// record are also how Save's image leaves a standalone engine (WriteRecords in
+// persist.go): the same walker over the stored lines, to completion under one
+// hold of the lock.
 
 // firstEpoch is a new engine's dirty epoch: a line stamped 0 is always clean.
 const firstEpoch uint32 = 1
@@ -128,12 +132,11 @@ func ReadRecords(r io.Reader, fn func(batch []DirtyLine) error) error {
 // chunk's stored bits, its newest stamp and its stamps.
 type picker func(has uint64, newest uint32, stamp *[chunkLines]uint32) uint64
 
-// stored picks the lines a chunk holds: a full image.
-func stored(has uint64, _ uint32, _ *[chunkLines]uint32) uint64 { return has }
-
 // stamped picks the lines stamped in [floor, epoch], stored or not: a delta.
+// From floor 0 it picks the stored ones only (a line never written is stamped
+// 0 too): a full image.
 func stamped(floor, epoch uint32) picker {
-	return func(_ uint64, newest uint32, stamp *[chunkLines]uint32) (take uint64) {
+	return func(has uint64, newest uint32, stamp *[chunkLines]uint32) (take uint64) {
 		if newest < floor {
 			return 0
 		}
@@ -141,6 +144,9 @@ func stamped(floor, epoch uint32) picker {
 			if s >= floor && s <= epoch {
 				take |= 1 << i
 			}
+		}
+		if floor == 0 {
+			take &= has
 		}
 		return take
 	}
@@ -220,14 +226,14 @@ func takeNext[X any](w *walker, pick picker, out []byte, level int32, t table[X]
 	return out, 0
 }
 
-// Cut is an incremental checkpoint of one engine in progress; see BeginCut.
+// Cut is a checkpoint of one engine in progress; see BeginCut.
 type Cut struct {
 	m            *Memory
 	floor, epoch uint32 // the cut is the lines stamped in [floor, epoch] when it began
 	pick         picker // stamped(floor, epoch)
-	n            int    // how many that was, the root included
+	n            int    // how many that was, the root (and a full cut's config record) included
 	walker              // where the drain has got to
-	saved        []byte // the side log: the root, then lines overwritten ahead of the walker
+	saved        []byte // the side log: the leading records, then lines overwritten ahead of the walker
 	out          []byte // what the drain last emitted; the two swap, and are the engine's again at close
 	taken        int    // records made so far, by the walker and into the side log
 }
@@ -236,7 +242,14 @@ type Cut struct {
 // plus the root: a consistent view of the instant it is called, for the cost
 // of looking at the chunks touched since — no line is copied. One cut is open
 // at a time; Commit or Abort closes it.
-func (m *Memory) BeginCut() (*Cut, error) {
+func (m *Memory) BeginCut() (*Cut, error) { return m.beginCut(false) }
+
+// BeginFullCut opens a cut of every stored line, from floor 0: a full image,
+// the organization's record and the root ahead of the lines (what WriteRecords
+// writes), which writers may go on overwriting while it drains.
+func (m *Memory) BeginFullCut() (*Cut, error) { return m.beginCut(true) }
+
+func (m *Memory) beginCut(full bool) (*Cut, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cut != nil {
@@ -246,8 +259,13 @@ func (m *Memory) BeginCut() (*Cut, error) {
 	if err := m.settle(0); err != nil {
 		return nil, err
 	}
-	pick := stamped(m.dirtyFloor, m.dirtyCur)
-	m.cut = &Cut{m: m, floor: m.dirtyFloor, epoch: m.dirtyCur, pick: pick, n: 1 + m.store.count(pick), saved: m.rootRecord(m.cutBufs[0][:0]), out: m.cutBufs[1], taken: 1}
+	floor, head, n := m.dirtyFloor, m.cutBufs[0][:0], 1
+	if full {
+		floor, n = 0, 2
+		head = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(head)
+	}
+	pick := stamped(floor, m.dirtyCur)
+	m.cut = &Cut{m: m, floor: floor, epoch: m.dirtyCur, pick: pick, n: n + m.store.count(pick), saved: m.rootRecord(head), out: m.cutBufs[1], taken: n}
 	m.cutBufs = [2][]byte{} // the cut's until close hands them back
 	m.dirtyCur++
 	return m.cut, nil
@@ -301,15 +319,16 @@ func (c *Cut) WriteRecords(w io.Writer) error {
 	})
 }
 
-// keep is called with a cut open before a stored line, last stamped stamp, is
-// overwritten where it lies: if it is the cut's and the walker has yet to
-// reach its chunk, the side log takes it as it is (see the top of this file).
+// keep is called with a cut open before a line, last stamped stamp, is
+// overwritten where it lies: if it is the cut's — a full cut's lines are the
+// stored ones — and the walker has yet to reach its chunk, the side log takes
+// it as it is (see the top of this file).
 func (c *Cut) keep(stamp uint32, line DirtyLine) {
 	tbl := int(line.Level)
 	if tbl < 0 {
 		tbl = c.m.geom.RootLevel() // the data comes after the counter levels
 	}
-	if stamp >= c.floor && stamp <= c.epoch && (tbl > c.tbl || tbl == c.tbl && line.Index/chunkLines >= c.next) {
+	if stamp >= c.floor && stamp <= c.epoch && (c.floor > 0 || line.Line != nil) && (tbl > c.tbl || tbl == c.tbl && line.Index/chunkLines >= c.next) {
 		c.taken++
 		c.saved = line.AppendRecord(c.saved)
 	}
@@ -329,24 +348,4 @@ func (c *Cut) close(floor uint32) {
 		c.m.cut, c.m.dirtyFloor = nil, max(c.m.dirtyFloor, floor)
 		c.m.cutBufs = [2][]byte{c.saved, c.out}
 	}
-}
-
-// ResetDirty marks the entire current state clean — a full snapshot has
-// captured everything, so the next cut starts empty, and an open one is closed.
-func (m *Memory) ResetDirty() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_ = m.settle(0) // a no-op after the snapshot's own write-back
-	m.dirtyCur++
-	m.dirtyFloor, m.cut = m.dirtyCur, nil
-}
-
-// DirtyCount returns how many lines the next cut would take, excluding the
-// always-included root line (tests and harnesses assert the O(dirty) claim
-// with it).
-func (m *Memory) DirtyCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_ = m.settle(0) // as BeginCut will
-	return m.store.count(stamped(m.dirtyFloor, m.dirtyCur))
 }

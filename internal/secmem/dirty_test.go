@@ -89,6 +89,7 @@ func TestDirtyWriteDuringCollectLandsInNextCut(t *testing.T) {
 	}
 }
 
+// TestDirtyResetClearsAll: a committed full cut leaves no line dirty.
 func TestDirtyResetClearsAll(t *testing.T) {
 	cfg := configs(1 << 20)["MorphCtr-128"]
 	m := mustNew(t, cfg)
@@ -97,9 +98,9 @@ func TestDirtyResetClearsAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.ResetDirty()
+	commitFullCut(t, m)
 	if n := m.DirtyCount(); n != 0 {
-		t.Fatalf("dirty count after reset = %d, want 0", n)
+		t.Fatalf("dirty count after a committed full cut = %d, want 0", n)
 	}
 }
 
@@ -121,7 +122,7 @@ func TestDirtyDeltaApplyRoundTrip(t *testing.T) {
 			if err := m.Save(&base); err != nil {
 				t.Fatal(err)
 			}
-			m.ResetDirty()
+			commitFullCut(t, m)
 			for i := uint64(64); i < 96; i++ {
 				if err := m.Write(i*64*3%(1<<20)&^63, line(byte(i))); err != nil {
 					t.Fatal(err)

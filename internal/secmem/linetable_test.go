@@ -71,6 +71,27 @@ func (p *tablePair) collect(commit bool) {
 	}
 }
 
+// full cuts a full image of the table, holds it to the map model's Save, and
+// commits it: every line is clean on both sides from then on.
+func (p *tablePair) full() {
+	p.t.Helper()
+	cut, err := p.m.BeginFullCut()
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if err := cut.WriteRecords(&got); err != nil {
+		p.t.Fatal(err)
+	}
+	p.e.save(p.m, &want)
+	if !bytes.Equal(got.Bytes(), want.Bytes()[HeaderBytes:]) {
+		p.t.Fatal("a full cut of the table is not, byte for byte, the map store's image")
+	}
+	cut.Commit()
+	p.e.cur++
+	p.e.floor = p.e.cur
+}
+
 // check compares everything both sides hold.
 func (p *tablePair) check() {
 	p.t.Helper()
@@ -176,9 +197,7 @@ func (p *tablePair) run(history []byte, engineOnly bool) {
 			p.collect(false)
 		case 14:
 			if fill < 32 {
-				p.m.ResetDirty()
-				p.e.cur++
-				p.e.floor = p.e.cur
+				p.full()
 			}
 		case 15:
 			if fill < 8 {

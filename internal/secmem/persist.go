@@ -12,11 +12,12 @@ import (
 // Persistence. Engine state leaves a process in one shape, the state stream
 // (DESIGN.md, "State stream"): per engine a u64 count and that many records
 // (DirtyLine.AppendRecord), the on-chip root among them as the record at the
-// root level. A delta checkpoint writes the records of the lines stamped since
-// the last one (Cut, dirty.go); everything else — Save here, the durable
-// layer's snapshot files, a replica's bootstrap — is a full image:
-// WriteRecords, every stored line behind a record naming the organization and
-// the root. ReadRecords and Apply are the one way back in.
+// root level. A checkpoint is a Cut (dirty.go): a delta's records are the
+// lines stamped since the last one, a full checkpoint's — the durable layer's
+// snapshot files, which a replica bootstraps from — every stored line behind a
+// record naming the organization and the root. Save here writes that full
+// image of a standalone engine by WriteRecords. ReadRecords and Apply are the
+// one way back in.
 //
 // Save is the bare image behind a twelve-byte header. The root it carries
 // must travel through a trusted channel in a real deployment (it is the
@@ -68,11 +69,12 @@ func (m *Memory) WriteRecords(w io.Writer) error {
 	if err := m.settle(0); err != nil {
 		return err
 	}
-	out := binary.LittleEndian.AppendUint64(nil, uint64(2+m.store.count(stored)))
+	all := stamped(0, m.dirtyCur)
+	out := binary.LittleEndian.AppendUint64(nil, uint64(2+m.store.count(all)))
 	out = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(out)
 	out = m.rootRecord(out)
 	var wk walker
-	for done := false; !done; out, _, done = wk.step(m.store, stored, out[:0]) {
+	for done := false; !done; out, _, done = wk.step(m.store, all, out[:0]) {
 		if _, err := w.Write(out); err != nil {
 			return fmt.Errorf("secmem: save: %w", err)
 		}
