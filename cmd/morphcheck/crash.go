@@ -53,7 +53,7 @@ import (
 // surface as an integrity error at recovery, never as a silent repair or a
 // torn tail. Two gates complete the matrix: the recovery curve (a delta chain
 // makes recovery replay the dirty tail, not the history, and not more slowly)
-// and the checkpointer stall gate, with deltas and with full checkpoints.
+// and the checkpointer stall gate.
 
 // Every stage that needs a delta chain builds one from the master: deltaExtra
 // writes, a delta checkpoint (epoch 2 on base snapshot 1), deltaTail writes.
@@ -103,13 +103,12 @@ var surgeries = []surgery{
 	{stage: "rotate", build: rotatedStore, cut: cutRotate},
 }
 
-// crashPoints splits the points over the stages: half cut the WAL tail —
-// less an eighth, at least one, that the rotate window takes — and the rest
-// divide between the other four checkpoint windows, compact taking the
-// remainder.
+// crashPoints splits the points over the stages: half cut the WAL tail, the
+// rest divide between the four checkpoint windows, compact taking the
+// remainder, and the rotate window takes an eighth more, at least one.
 func crashPoints(points int) []int {
-	rotate, rest := max(1, points/8), points-points/2
-	return []int{max(0, points/2-rotate), rest / 4, rest / 4, rest / 4, rest - 3*(rest/4), rotate}
+	rest := points - points/2
+	return []int{points / 2, rest / 4, rest / 4, rest / 4, rest - 3*(rest/4), max(1, points/8)}
 }
 
 // newCrashRun builds the reference store: writes acknowledged writes from
@@ -175,7 +174,9 @@ func crash(rows *rows, shcfg shard.Config, points, writes int, seed int64) error
 	if err := c.recoveryCurve(rows, seed); err != nil {
 		return err
 	}
-	return c.stallGate(rows, seed)
+	text, fail = c.stallGate(seed)
+	rows.add("stall", text, fail)
+	return nil
 }
 
 // write extends the workload by n acknowledged writes, journaled in the order
@@ -676,24 +677,18 @@ func (c *crashRun) recoveryCurve(rows *rows, seed int64) error {
 	return nil
 }
 
-// stallGate times each write of one workload without a background
-// checkpointer and then with one in two arms — deltas every 2 ms, and deltas
-// every 2 ms with a full checkpoint every 5 ms, compacting the chain — gating
-// each arm's p99 on the ratio with an additive fallback: a write may briefly
-// wait out a cut's chunk or a full cut's journal swap, so a sub-millisecond
-// bump is within the design's stall budget even when instrumentation (the
-// race detector) inflates it past the 1.5x ratio. What the gate must catch is
+// stallGate times each write of one workload with and without the background
+// delta checkpointer, gating on the p99 ratio with an additive fallback: a
+// write may briefly wait out a cut's chunk, so a sub-millisecond bump is
+// within the design's stall budget even when instrumentation (the race
+// detector) inflates it past the 1.5x ratio. What the gate must catch is
 // checkpoint file I/O leaking under the engine lock — that stalls writes for
 // the multi-millisecond duration of a segment write + fsync and fails both
-// rules. An arm that cut no checkpoint of its kind in the timed run fails.
-func (c *crashRun) stallGate(rows *rows, seed int64) error {
+// arms.
+func (c *crashRun) stallGate(seed int64) (text string, fail error) {
 	const writes = 5000
 	const stallBudget = time.Millisecond
-	// run returns the write p99 and the checkpoints cut while it ran:
-	// deltas, or with snapshotEvery full ones, Open's bootstrap snapshot not
-	// counted. If the runner has not fired by halfway (a very fast run), one
-	// is cut directly, so an arm always covers a live one.
-	run := func(name string, deltaEvery, snapshotEvery time.Duration) (p99 time.Duration, cuts uint64, err error) {
+	run := func(name string, withCkpt bool) (p99 time.Duration, deltas uint64, err error) {
 		m, _, err := durable.Open(c.shcfg, durable.Config{
 			Dir: filepath.Join(c.work, "stall-"+name), Sync: durable.SyncInterval})
 		if err != nil {
@@ -704,12 +699,8 @@ func (c *crashRun) stallGate(rows *rows, seed int64) error {
 				err = cerr
 			}
 		}()
-		count, cut := func() uint64 { return m.Durability().DeltaCheckpoints }, m.CheckpointDelta
-		if snapshotEvery > 0 {
-			count, cut = func() uint64 { return m.Durability().Checkpoints - 1 }, m.Checkpoint
-		}
-		if deltaEvery > 0 {
-			r := ckpt.NewRunner(m, deltaEvery, snapshotEvery, 0, func(error) {})
+		if withCkpt {
+			r := ckpt.NewRunner(m, 2*time.Millisecond, 0, 0, func(error) {})
 			defer r.Stop()
 		}
 		rng := rand.New(rand.NewSource(seed + 13))
@@ -723,38 +714,33 @@ func (c *crashRun) stallGate(rows *rows, seed int64) error {
 				return 0, 0, err
 			}
 			lat[i] = time.Since(t0)
-			if deltaEvery > 0 && i == writes/2 && count() == 0 {
-				if err := cut(); err != nil {
+			if withCkpt && i == writes/2 && m.Durability().DeltaCheckpoints == 0 {
+				// The runner has not fired yet (a very fast run): cut one
+				// directly so the comparison always covers a live delta.
+				if err := m.CheckpointDelta(); err != nil {
 					return 0, 0, err
 				}
 			}
 		}
 		slices.Sort(lat)
-		return lat[writes*99/100], count(), nil
+		return lat[writes*99/100], m.Durability().DeltaCheckpoints, nil
 	}
-	base, _, err := run("base", 0, 0)
+	base, _, err := run("base", false)
 	if err != nil {
-		return err
+		return "", err
 	}
-	for _, arm := range []struct {
-		name, kind    string
-		snapshotEvery time.Duration
-	}{{"ckpt", "deltas", 0}, {"compact", "full checkpoints", 5 * time.Millisecond}} {
-		with, cuts, err := run(arm.name, 2*time.Millisecond, arm.snapshotEvery)
-		if err != nil {
-			return err
-		}
-		text := fmt.Sprintf("write p99 %v without checkpoints, %v with %d %s cut", base, with, cuts, arm.kind)
-		var fail error
-		switch {
-		case cuts == 0:
-			fail = fmt.Errorf("no %s were cut during the timed run", arm.kind)
-		case with > base+base/2 && with-base > stallBudget:
-			fail = fmt.Errorf("past both the 1.5x ratio and the %v stall budget", stallBudget)
-		}
-		rows.add("stall", text, fail)
+	with, deltas, err := run("ckpt", true)
+	if err != nil {
+		return "", err
 	}
-	return nil
+	text = fmt.Sprintf("write p99 %v without checkpoints, %v with %d deltas cut", base, with, deltas)
+	switch {
+	case deltas == 0:
+		return text, errors.New("no delta checkpoints were cut during the timed run")
+	case with > base+base/2 && with-base > stallBudget:
+		return text, fmt.Errorf("past both the 1.5x ratio and the %v stall budget", stallBudget)
+	}
+	return text, nil
 }
 
 func cloneDir(src, dst string) error {

@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var err error
 	switch sub {
 	case "crash":
-		points := fs.Int("points", 24, "total crash points across the six stages")
+		points := fs.Int("points", 24, "crash points across the append and checkpoint windows (the rotate window adds an eighth)")
 		writes := fs.Int("writes", 600, "workload size in acknowledged writes")
 		shards := fs.Int("shards", 4, "shard count")
 		mem := fs.Uint64("mem", 256<<10, "protected capacity in bytes")

@@ -113,6 +113,11 @@ func (m *Memory) checkpoint(full bool) error {
 	m.seq.Store(hdr.Seq)
 	if full {
 		m.baseSeq.Store(hdr.Seq)
+		for _, c := range m.commits {
+			c.mu.Lock()
+			c.older = nil // removed next
+			c.mu.Unlock()
+		}
 		m.checkpoints.Add(1)
 		if compacted {
 			m.compactions.Add(1)
@@ -164,11 +169,15 @@ func (m *Memory) persist(hdr ckpt.DeltaHeader, cuts []*secmem.Cut) (string, erro
 // the same hold of mu swaps the journal to a fresh segment of epoch rotate;
 // syncMu is kept until the old segment is whole on disk and the new one's
 // directory entry durable, so no record of the new segment is acknowledged
-// before every record of the old one is. A cut is returned with an error only
+// before every record of the old one is, now or — should the fsync or the
+// directory sync fail — ever (c.failed). A cut is returned with an error only
 // when the swap has happened: the caller aborts it.
 func (c *committer) beginCut(m *Memory, rotate uint64) (cut *secmem.Cut, lsn, writes uint64, err error) {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
+	if c.failed != nil {
+		return nil, 0, 0, c.failed
+	}
 	if rotate == 0 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
@@ -194,15 +203,18 @@ func (c *committer) beginCut(m *Memory, rotate uint64) (cut *secmem.Cut, lsn, wr
 		_ = os.Remove(nl.Path())
 		return nil, 0, 0, err
 	}
+	c.older = append(c.older, segment{c.seq, c.baseLSN})
 	c.log, c.seq, c.baseLSN = nl, rotate, c.lsn
 	lsn, writes = c.lsn, c.writes
 	c.mu.Unlock()
 	if err = old.Close(); err == nil {
 		err = wal.SyncDir(m.cfg.Dir)
 	}
-	if err == nil {
-		c.synced = lsn
-		m.signalDurable()
+	if err != nil {
+		c.failed = fmt.Errorf("durable: shard %d rotated to epoch %d: %w", c.shard, rotate, err)
+		return cut, lsn, writes, c.failed
 	}
-	return cut, lsn, writes, err
+	c.synced = lsn
+	m.signalDurable()
+	return cut, lsn, writes, nil
 }

@@ -196,14 +196,27 @@ type committer struct {
 	// replication cursor's file fallback finds record baseLSN+1 at the
 	// segment's start. Written under ckptMu, syncMu and mu.
 	seq, baseLSN uint64
+	// older are the shard's segments below the live one, oldest first, that
+	// stay on disk until a full checkpoint renames: the base epoch's, and
+	// those a full checkpoint that failed rotated past. Guarded by mu.
+	older []segment
 	// ring buffers recent records for the replication cursor (ringStart is
 	// ring[0]'s LSN; LSNs in the ring are contiguous). Guarded by mu.
 	ring      []wal.Record
 	ringStart uint64
 
-	syncMu sync.Mutex // guards synced and the fsync itself
+	syncMu sync.Mutex // guards synced, failed and the fsync itself
 	synced uint64     // last LSN known durable
+	// failed is set when a rotation could not make its old segment whole on
+	// disk or the new one's directory entry durable: no record past synced
+	// is acknowledged from then on, since a later fsync of the new segment
+	// says nothing of the old one. Reopening the store recovers.
+	failed error
 }
+
+// segment is one of a shard's WAL segments: its epoch, and the LSN its first
+// record follows.
+type segment struct{ seq, base uint64 }
 
 // Memory is a crash-consistent secure memory: a shard.Sharded engine whose
 // every mutation is WAL-journaled and periodically snapshotted. Reads and
@@ -439,6 +452,9 @@ func (c *committer) sync(m *Memory, lsn uint64) (batch uint64, fsyncDur time.Dur
 	defer c.syncMu.Unlock()
 	if c.synced >= lsn {
 		return 0, 0, nil
+	}
+	if c.failed != nil {
+		return 0, 0, c.failed
 	}
 	c.mu.Lock()
 	target := c.lsn

@@ -17,14 +17,14 @@ import (
 
 // This file is the durability layer's replication tap: the primary side
 // reads durable records from a per-shard cursor (in-memory ring, falling
-// back to a positional read of the live segment, wal.ReadRange), and the
-// replica side
-// journals + applies a received batch so its own recovered LSN vector IS
-// its replication watermark — a replica crash resumes streaming from
-// whatever its local WAL proves durable, with no extra cursor state. A
-// replica with no usable cursor bootstraps from the primary's base snapshot
-// file, read a page at a time, and resumes at the marks its coverage header
-// holds: the base epoch's segments hold every record past them.
+// back to a positional read of the segment that holds them, wal.ReadRange),
+// and the replica side journals + applies a received batch so its own
+// recovered LSN vector IS its replication watermark — a replica crash
+// resumes streaming from whatever its local WAL proves durable, with no extra
+// cursor state. A replica with no usable cursor bootstraps from the primary's
+// base snapshot file, read a page at a time, and resumes at the marks its
+// coverage header holds: the base epoch's segments hold every record past
+// them.
 
 // pushRingLocked appends rec to the replication ring, dropping the oldest
 // half-capacity chunk when the backing slice reaches twice the configured
@@ -114,25 +114,28 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 		c.mu.Unlock()
 		return out, true, nil
 	}
-	// The live segment, which a full checkpoint swaps at the shard's cut,
-	// before its snapshot is renamed.
-	seq, base := c.seq, c.baseLSN
+	// The segment that holds record afterLSN+1, and the LSN it ends at: the
+	// live one, which a full checkpoint swaps at the shard's cut, or one
+	// below it that stays on disk until a full checkpoint renames.
+	seg, end := segment{c.seq, c.baseLSN}, durable
+	for i := len(c.older) - 1; i >= 0 && afterLSN < seg.base; i-- {
+		seg, end = c.older[i], min(durable, seg.base)
+	}
 	c.mu.Unlock()
-	if afterLSN < base {
-		// The records past the cursor start in an older segment: a
-		// checkpoint covers them, or is about to.
+	if afterLSN < seg.base {
+		// A checkpoint's snapshot covers the records past the cursor.
 		return nil, false, nil
 	}
 	// File fallback: read the records past the cursor where they lie in
-	// the live segment. Records at or below the durable watermark occupy a
+	// that segment. Records at or below the durable watermark occupy a
 	// complete, fully-flushed prefix of whole frames.
-	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seq)}
-	out, err := wal.ReadRange(SegmentPath(m.cfg.Dir, seq, shardIdx), opt, base+1, afterLSN+1, int(min(durable-afterLSN, uint64(max))))
+	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seg.seq)}
+	out, err := wal.ReadRange(SegmentPath(m.cfg.Dir, seg.seq, shardIdx), opt, seg.base+1, afterLSN+1, int(min(end-afterLSN, uint64(max))))
 	c.mu.Lock()
-	swapped := c.seq != seq
+	gone := seg.seq < c.seq && (len(c.older) == 0 || seg.seq < c.older[0].seq)
 	c.mu.Unlock()
-	if swapped {
-		// A checkpoint swapped segments mid-read; the file we read may have
+	if gone {
+		// A full checkpoint renamed mid-read; the file we read may have
 		// been removed. Ask the follower to retry.
 		return nil, false, nil
 	}

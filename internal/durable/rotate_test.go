@@ -222,6 +222,62 @@ func TestRotatedSegmentsReplayInOrder(t *testing.T) {
 	}
 }
 
+// TestFailedRotationAcknowledgesNothing: a rotation whose old segment cannot
+// be fsynced has already swapped the shard onto its new segment, and from
+// then on no write of that shard is acknowledged, nor a checkpoint cut: a
+// group commit of the new segment alone would vouch for records the old one
+// may have lost. Reopening recovers every write acknowledged before.
+func TestFailedRotationAcknowledgesNothing(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 64<<10)
+	cfg := Config{Dir: t.TempDir(), Sync: SyncAlways}
+	m, _ := mustOpen(t, shcfg, cfg)
+	addrs := writeSome(t, m, 1, 40)
+	want, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer want.Close()
+	writeSome(t, want, 1, 40)
+
+	// Shard 0's segment file is closed under it, so the rotation's fsync of
+	// the old segment fails after the swap.
+	if err := m.commits[0].log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint whose rotation could not fsync the old segment reported success")
+	}
+	if m.commits[0].seq != 2 {
+		t.Fatalf("shard 0 is on epoch %d's segment, want the rotated-to 2", m.commits[0].seq)
+	}
+	synced := m.SyncedLSNs()[0]
+	for a := uint64(0); a < 8*LineBytes; a += LineBytes {
+		if idx, _, _ := m.sh.Locate(a); idx == 0 {
+			if err := m.Write(a, oracle.Fill(a, 99)); err == nil {
+				t.Fatalf("a write to shard 0 at %#x was acknowledged after its rotation failed", a)
+			}
+		}
+	}
+	for _, cut := range []func() error{m.CheckpointDelta, m.Checkpoint} {
+		if err := cut(); err == nil {
+			t.Fatal("a checkpoint was cut after shard 0's rotation failed")
+		}
+	}
+	if got := m.SyncedLSNs()[0]; got != synced {
+		t.Fatalf("shard 0's durable LSN moved from %d to %d after its rotation failed", synced, got)
+	}
+	if err := m.Close(); err == nil {
+		t.Fatal("Close flushed shard 0 as if its rotation had not failed")
+	}
+
+	re, info := mustOpen(t, shcfg, cfg)
+	defer re.Close()
+	if info.SnapshotSeq != 1 {
+		t.Fatalf("recovered epoch %d, want 1", info.SnapshotSeq)
+	}
+	verifyAddrs(t, re, want, addrs)
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // editFile replaces the file at path with what edit makes of its bytes.
 func editFile(path string, edit func([]byte) []byte) error {
 	data, err := os.ReadFile(path)
@@ -235,7 +291,9 @@ func editFile(path string, edit func([]byte) []byte) error {
 // every poll reads a segment: between a shard's rotation and the snapshot's
 // rename — here a rename that fails, and then full checkpoints cut back to
 // back under a writer — a poll gets the records past its cursor, contiguous
-// and as written, or ok=false; never an error, never another segment's.
+// and as written, or ok=false; never an error, never another segment's. A
+// cursor in the segment a failed checkpoint rotated past is served from it,
+// up to its end, until a full checkpoint renames.
 func TestReadRecordsFollowsTheLiveSegment(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
 	m, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
@@ -270,8 +328,10 @@ func TestReadRecordsFollowsTheLiveSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := check(0); ok {
-		t.Fatal("a poll from before the rotation was served from the live segment")
+	for _, after := range []uint64{0, 30} {
+		if n, ok := check(after); !ok || n != int(40-after) {
+			t.Fatalf("a poll of the rotated-past segment after %d got %d records, ok=%v", after, n, ok)
+		}
 	}
 	for _, after := range []uint64{40, 60} {
 		if n, ok := check(after); !ok || n != int(80-after) {

@@ -375,6 +375,9 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 		if winfo.Records == 0 && seq > base {
 			continue
 		}
+		if seq > base {
+			c.older = append(c.older, segment{c.seq, c.baseLSN})
+		}
 		c.seq, c.baseLSN, live = seq, next-1, winfo
 		next = winfo.LastLSN + 1
 	}
