@@ -53,17 +53,20 @@ bench:
 # The engine's three kernels — counter-line codec, line MAC, secmem
 # read/write — its store (a sharded prefill, a sparse dirty cut, a cache
 # flush), the WAL that journals it (a record sealed and appended, a segment
-# replayed, a lagging replica's batch read from the middle of a segment) and
-# the delta checkpoint cut from it under a writer as go-test
-# benchmarks, and the store's resident bytes per stored line
-# (TestStoreFootprint) beside the prefill's B/op: the before/after rows of a
-# change to any of them are this command on each commit.
+# replayed, a journaled write on a store nobody polls and on a polled one, a
+# caught-up poll of 1, 16 and 512 records from a shard's tail, a lagging
+# replica's batch read from the middle of a segment), the delta checkpoint
+# cut from it under a writer and a proof of one line (and its signature
+# alone) as go-test benchmarks, and the store's resident bytes per stored
+# line (TestStoreFootprint) beside the prefill's B/op: the before/after rows
+# of a change to any of them are this command on each commit.
 perf-engine:
 	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
 		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
-	$(GO) test -run '^$$' -bench 'ReadRecordsPastRing' -benchmem -count 5 ./internal/durable
+	$(GO) test -run '^$$' -bench 'JournaledWrite|ReadRecords' -benchmem -count 5 ./internal/durable
+	$(GO) test -run '^$$' -bench 'Prove|Attest' -benchmem -count 5 -benchtime 1000x ./internal/shard ./internal/proof
 	$(GO) test -run 'TestStoreFootprint' -v ./internal/secmem | grep 'resident bytes'
 
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
@@ -212,8 +215,9 @@ proof-smoke: bin/morphload bin/morphaudit
 
 # Multi-tenant isolation smoke test: a race-built morphserve with per-tenant
 # address ranges, key domains and quotas, then morphload -mix runs the
-# protected victim solo and against a greedy rate-capped aggressor. Passes
-# only if the victim's p99 stays under 2x its solo baseline while the
+# protected victim solo, against a greedy rate-capped aggressor, and solo
+# again. Passes only if the victim's p99 against the aggressor stays under
+# 2x its p99 over both solo halves while the
 # aggressor is shed, the victim reads back its line 0 after the aggressor
 # wrote its own line 0, and the aggressor's first address past its range is
 # refused with a typed error that is not an integrity error. Then the durable

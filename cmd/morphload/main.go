@@ -89,7 +89,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Uint64Var(&o.mem, "mem", 4<<20, "server's protected capacity in bytes (used with -audit)")
 	fs.StringVar(&o.keyHex, "key", "", "AES master key in hex (used with -audit; default is the fixed demo key)")
 	fs.DurationVar(&o.reportEvery, "report", 0, "periodic one-line progress interval during the load phase (0 disables): qps, p50/p99, retries, sheds from live obs counters")
-	fs.StringVar(&o.mix, "mix", "", "adversarial multi-tenant mode: path to the server's -tenants config; runs a solo victim baseline then victim vs greedy aggressor concurrently, and reports the isolation verdict")
+	fs.StringVar(&o.mix, "mix", "", "adversarial multi-tenant mode: path to the server's -tenants config; runs a solo victim baseline in two halves around the victim vs a greedy aggressor concurrently, and reports the isolation verdict")
 	fs.StringVar(&o.victim, "victim", "victim", "with -mix: tenant id of the protected small tenant")
 	fs.StringVar(&o.aggressor, "aggressor", "greedy", "with -mix: tenant id of the greedy tenant")
 	if err := fs.Parse(args); err != nil {

@@ -15,10 +15,10 @@ import (
 	"github.com/securemem/morphtree/internal/wire"
 )
 
-// runMix drives the adversarial tenant mix (-mix): a solo victim baseline
-// phase, then the victim and a greedy aggressor concurrently, then a write
-// probe and a range probe (writeProbe, rangeProbe). It fails if isolation
-// did: the victim's p99 degraded 2x or more, the aggressor was never shed, the
+// runMix drives the adversarial tenant mix (-mix): the victim solo, then with a
+// greedy aggressor, then solo again, then a write probe and a range probe
+// (writeProbe, rangeProbe). It fails if isolation did: the victim's p99 with
+// the aggressor was 2x or more its solo p99, the aggressor was never shed, the
 // victim read anything its history does not admit, the aggressor's write to
 // its own line 0 changed the victim's line 0, or an address past the
 // aggressor's range was not refused with a typed, non-integrity error.
@@ -47,9 +47,11 @@ func runMix(o options, out io.Writer) error {
 		return fmt.Errorf("-mix: span %d too small for %d clients per tenant (need a line per client per quarter)", o.span, o.clients)
 	}
 
-	// Phase 1: victim alone.
-	fmt.Fprintf(out, "morphload: mix phase 1: tenant %q solo for %v\n", o.victim, o.duration)
-	solo := runTenantPhase(o, vSpec, 0, quarterLines/uint64(o.clients), time.Now().Add(o.duration), 0)
+	// Phases 1 and 3: the victim alone, half its solo time before the mix and
+	// half after, pooled, so one quiet moment of the host is not the baseline.
+	first := o.duration / 2
+	fmt.Fprintf(out, "morphload: mix phase 1: tenant %q solo for %v\n", o.victim, first)
+	solo := runTenantPhase(o, vSpec, 0, quarterLines/uint64(o.clients), time.Now().Add(first), 0)
 
 	// Phase 2: victim and aggressor concurrently, one deadline.
 	fmt.Fprintf(out, "morphload: mix phase 2: tenant %q vs %q for %v\n", o.victim, o.aggressor, o.duration)
@@ -67,7 +69,11 @@ func runMix(o options, out io.Writer) error {
 	}()
 	wg.Wait()
 
-	// The isolation headline: mixed-phase victim p99 over solo p99.
+	fmt.Fprintf(out, "morphload: mix phase 3: tenant %q solo for %v\n", o.victim, o.duration-first)
+	after := runTenantPhase(o, vSpec, 0, quarterLines/uint64(o.clients), time.Now().Add(o.duration-first), 3000)
+	solo.add(&after)
+
+	// The isolation headline: mixed-phase victim p99 over pooled solo p99.
 	soloP99, mixP99 := percentile(solo.latencies, 0.99), percentile(mixed.latencies, 0.99)
 	degradation := 0.0
 	if soloP99 > 0 {
@@ -76,7 +82,7 @@ func runMix(o options, out io.Writer) error {
 	victim := solo.Tally
 	victim.Add(mixed.Tally)
 
-	// Phase 3: the probes.
+	// Phase 4: the probes.
 	vc, ac := tenantClient(o, vSpec, -3), tenantClient(o, aSpec, -4)
 	defer vc.Close()
 	defer ac.Close()
@@ -92,8 +98,8 @@ func runMix(o options, out io.Writer) error {
 
 	mixOK := degradation < 2.0 && aggr.net.Sheds > 0 && held && refused &&
 		victim.Mismatches() == 0 && victim.SpuriousIntegrity == 0
-	fmt.Fprintf(out, "morphload: mix: victim p99 solo=%.0fus mixed=%.0fus (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, victim_line_held=%v, past_range_refused=%v (range %#x), mix_ok=%v\n",
-		us(soloP99), us(mixP99), degradation,
+	fmt.Fprintf(out, "morphload: mix: victim p99 solo=%.0fus (n=%d) mixed=%.0fus (n=%d) (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, victim_line_held=%v, past_range_refused=%v (range %#x), mix_ok=%v\n",
+		us(soloP99), len(solo.latencies), us(mixP99), len(mixed.latencies), degradation,
 		aggr.Reads+aggr.Writes, aggr.net.Sheds, mixed.net.Sheds, held, refused, size, mixOK)
 	if !mixOK {
 		return errors.New("tenant isolation gate failed")

@@ -21,11 +21,11 @@ import (
 
 // openUnserved opens a node over a SyncNone store in a fresh directory,
 // serving nothing: the tests below drive its polls by hand.
-func openUnserved(t *testing.T, shcfg shard.Config, replHistory int, mutate func(*Config)) *Node {
+func openUnserved(t *testing.T, shcfg shard.Config, mutate func(*Config)) *Node {
 	t.Helper()
 	cfg := tuned("127.0.0.1:9")
 	mutate(&cfg)
-	n, err := Open(shcfg, durable.Config{Dir: t.TempDir(), Sync: durable.SyncNone, ReplHistory: replHistory}, cfg)
+	n, err := Open(shcfg, durable.Config{Dir: t.TempDir(), Sync: durable.SyncNone}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +55,9 @@ func writeAll(t *testing.T, p *Node, h *oracle.History, memBytes uint64) {
 func TestBootstrapRestartsOnANewBase(t *testing.T) {
 	const memBytes = 4 << 20
 	shcfg := testShardCfg(t, 2, memBytes)
-	p := openUnserved(t, shcfg, 4, func(c *Config) { c.Primary = true })
+	p := openUnserved(t, shcfg, func(c *Config) { c.Primary = true })
 	reg := obs.NewRegistry()
-	r := openUnserved(t, shcfg, 0, func(c *Config) {
+	r := openUnserved(t, shcfg, func(c *Config) {
 		c.Leader = "127.0.0.1:9"
 		c.Obs = reg
 	})
@@ -141,7 +141,7 @@ func TestBootstrapLargeStore(t *testing.T) {
 	}
 	const memBytes = 64 << 20
 	shcfg := testShardCfg(t, 2, memBytes)
-	pd := durable.Config{Dir: t.TempDir(), Sync: durable.SyncNone, ReplHistory: 4}
+	pd := durable.Config{Dir: t.TempDir(), Sync: durable.SyncNone}
 	p := startNode(t, shcfg, pd, func(c *Config) { c.Primary = true })
 	for addr := uint64(0); addr < memBytes; addr += secmem.LineBytes {
 		if err := p.node.Write(addr, oracle.Fill(addr, 1)); err != nil {
@@ -200,7 +200,7 @@ func TestBatchAnswerStaysInBudget(t *testing.T) {
 		t.Fatalf("%d shards of %d records fit in a frame: the test shows nothing", shards, perShard)
 	}
 	const memBytes = shards * perShard * secmem.LineBytes
-	p := openUnserved(t, testShardCfg(t, shards, memBytes), 0, func(c *Config) { c.Primary = true })
+	p := openUnserved(t, testShardCfg(t, shards, memBytes), func(c *Config) { c.Primary = true })
 	writeAll(t, p, oracle.New(oracle.Zeros), memBytes)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)

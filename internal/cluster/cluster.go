@@ -78,17 +78,12 @@ type Config struct {
 	// before the primary acknowledges it (semi-synchronous replication).
 	// 0 acks on local durability alone.
 	AckReplicas int
-	// AckTimeout bounds how long a write waits for replication cover
-	// before failing with an AckTimeoutError (default 2s).
-	AckTimeout time.Duration
 	// PollWait is how long the primary holds an empty replication poll
 	// open waiting for new durable records (default 250ms).
 	PollWait time.Duration
 	// PollRetry is how long a follower waits after a failed poll before
 	// retrying (default 50ms).
 	PollRetry time.Duration
-	// DialTimeout bounds replication dials and round trips (default 5s).
-	DialTimeout time.Duration
 	// Logf, when set, observes role changes and replication errors.
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, records cluster counters and the replication-lag
@@ -101,20 +96,19 @@ func (c Config) withDefaults() Config {
 	if c.Lease <= 0 {
 		c.Lease = time.Second
 	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * time.Second
-	}
 	if c.PollWait <= 0 {
 		c.PollWait = 250 * time.Millisecond
 	}
 	if c.PollRetry <= 0 {
 		c.PollRetry = 50 * time.Millisecond
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	return c
 }
+
+// Replication's fixed timings: how long a write waits for replication cover
+// before failing with an AckTimeoutError, and the bound on a replication dial
+// and each of its round trips.
+const ackTimeout, dialTimeout = 2 * time.Second, 5 * time.Second
 
 // batchRecords caps records per shard per replication response.
 const batchRecords = 512
@@ -156,6 +150,9 @@ type Node struct {
 	pullCl      *wire.Client        // replica's connection to the leader
 	pullAddr    string              // address pullCl is dialed to
 	onCkpt      func(seq uint64)
+	codecEpoch  uint64        // the epoch codecs seal and open under
+	codecs      []*wal.Codec  // each shard's batch codec, built when first asked for
+	ackTimeout  time.Duration // ackTimeout, shortened only by this package's tests
 
 	stopc  chan struct{}
 	wg     sync.WaitGroup
@@ -181,7 +178,7 @@ type meta struct {
 const metaFile = "cluster.META"
 
 // Open recovers (or creates) the node's durable state and starts its
-// replication machinery. ReplHistory defaults to 4096 records per shard.
+// replication machinery.
 func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
@@ -189,9 +186,6 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 	}
 	if !cfg.Primary && cfg.Leader == "" {
 		return nil, fmt.Errorf("cluster: replica needs Config.Leader")
-	}
-	if dcfg.ReplHistory == 0 {
-		dcfg.ReplHistory = 4096
 	}
 	mem, _, err := durable.Open(shcfg, dcfg)
 	if err != nil {
@@ -215,6 +209,7 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		leader:      cfg.Leader,
 		lastContact: time.Now(),
 		replicas:    map[string][]uint64{},
+		ackTimeout:  ackTimeout,
 		stopc:       make(chan struct{}),
 	}
 	if cfg.Primary {
@@ -370,7 +365,7 @@ func (n *Node) AuthenticatePeer(token []byte) bool {
 // dialPeer dials addr and binds the connection as a cluster peer, which a
 // node requires before it reads a poll.
 func (n *Node) dialPeer(addr string) (*wire.Client, error) {
-	cl, err := wire.Dial(addr, n.cfg.DialTimeout)
+	cl, err := wire.Dial(addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -381,8 +376,19 @@ func (n *Node) dialPeer(addr string) (*wire.Client, error) {
 	return cl, nil
 }
 
-func (n *Node) codec(epoch uint64, shardIdx int) (*wal.Codec, error) {
-	return wal.NewCodec(wal.Options{Key: replKey(n.shcfg.Mem.Key, epoch, shardIdx)})
+// codec returns the codec that seals and opens shard shardIdx's batches at
+// epoch, built once for the latest epoch asked for and again when it moves. A
+// codec is read-only once built, so concurrent polls share it.
+func (n *Node) codec(epoch uint64, shardIdx int) (_ *wal.Codec, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.codecEpoch != epoch {
+		n.codecs, n.codecEpoch = make([]*wal.Codec, n.shcfg.Shards), epoch
+	}
+	if n.codecs[shardIdx] == nil {
+		n.codecs[shardIdx], err = wal.NewCodec(wal.Options{Key: replKey(n.shcfg.Mem.Key, epoch, shardIdx)})
+	}
+	return n.codecs[shardIdx], err
 }
 
 // --- server.Engine surface -------------------------------------------

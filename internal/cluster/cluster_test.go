@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,12 +55,10 @@ type testNode struct {
 // tuned returns the fast-timing Config shared by the loopback tests.
 func tuned(self string) Config {
 	return Config{
-		Self:        self,
-		Lease:       150 * time.Millisecond,
-		AckTimeout:  2 * time.Second,
-		PollWait:    30 * time.Millisecond,
-		PollRetry:   5 * time.Millisecond,
-		DialTimeout: time.Second,
+		Self:      self,
+		Lease:     150 * time.Millisecond,
+		PollWait:  30 * time.Millisecond,
+		PollRetry: 5 * time.Millisecond,
 	}
 }
 
@@ -346,13 +345,10 @@ func TestClusterPromoteCatchUpFromDonor(t *testing.T) {
 // primary's retained log gets a full snapshot, then streams normally.
 func TestClusterSnapshotBootstrap(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
-	// A tiny replication ring plus a checkpoint evicts the history a
-	// zero-cursor replica would need: the ring no longer reaches LSN 1 and
-	// the checkpoint truncated the on-disk segment, so only a snapshot can
-	// serve the cursor.
-	pd := testDCfg(t)
-	pd.ReplHistory = 4
-	p := startNode(t, shcfg, pd, func(c *Config) { c.Primary = true })
+	// Nobody polls the primary before its checkpoint, so it keeps no tail of
+	// the writes before it, and the checkpoint truncated the segment that
+	// held them: only a snapshot can serve a zero cursor.
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
 
 	cl, err := wire.Dial(p.addr, 2*time.Second)
 	if err != nil {
@@ -437,8 +433,8 @@ func TestAckTimeoutIsTyped(t *testing.T) {
 	n := openBare(t, shcfg, t.TempDir(), func(c *Config) {
 		c.Primary = true
 		c.AckReplicas = 1
-		c.AckTimeout = 50 * time.Millisecond
 	})
+	n.ackTimeout = 50 * time.Millisecond
 	err := n.Write(0, oracle.Fill(0, 1))
 	var ate *AckTimeoutError
 	if !errors.As(err, &ate) {
@@ -450,6 +446,55 @@ func TestAckTimeoutIsTyped(t *testing.T) {
 	// The write is still locally durable despite the failed ack.
 	if got, err := n.memory().Read(0); err != nil || string(got) != string(oracle.Fill(0, 1)) {
 		t.Fatalf("locally durable write unreadable: %v", err)
+	}
+}
+
+// TestCodecsAreSharedPerEpoch: polls answered and applied at once share each
+// shard's codec for their epoch, and the epoch moving back and forth under
+// them still seals every batch under its own epoch's key — a record sealed at
+// one epoch opens at it and fails authentication at the next.
+func TestCodecsAreSharedPerEpoch(t *testing.T) {
+	n := openBare(t, testShardCfg(t, 2, 1<<13), t.TempDir(), func(c *Config) { c.Primary = true })
+	rec := wal.Record{Kind: wal.KindWrite, LSN: 1, Line: oracle.Fill(0, 1)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				epoch, shard := uint64(1+(g+i)%3), (g+i)%2
+				seal, err := n.codec(epoch, shard)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				batch, err := seal.AppendRecord(nil, rec)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, open := range []struct {
+					epoch uint64
+					ok    bool
+				}{{epoch, true}, {epoch + 1, false}} {
+					c, err := n.codec(open.epoch, shard)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := c.DecodeAll(batch, 1, func(wal.Record) error { return nil }); (err == nil) != open.ok {
+						t.Errorf("a batch sealed at epoch %d opened at %d: %v", epoch, open.epoch, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if a, _ := n.codec(7, 1); a == nil {
+		t.Fatal("no codec at epoch 7")
+	} else if b, _ := n.codec(7, 1); a != b {
+		t.Fatal("two polls at one epoch built two codecs")
 	}
 }
 

@@ -40,7 +40,7 @@ func (n *Node) waitAck(epoch uint64, shardIdx int, lsn uint64) error {
 	if n.cfg.AckReplicas <= 0 {
 		return nil
 	}
-	timer := time.NewTimer(n.cfg.AckTimeout)
+	timer := time.NewTimer(n.ackTimeout)
 	defer timer.Stop()
 	for {
 		n.mu.Lock()
@@ -196,7 +196,7 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 		if err != nil {
 			return nil, false, err
 		}
-		var batch []byte
+		batch := make([]byte, 0, len(recs)*wal.WriteFrameBytes)
 		for _, rec := range recs {
 			if batch, err = codec.AppendRecord(batch, rec); err != nil {
 				return nil, false, err

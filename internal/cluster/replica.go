@@ -189,13 +189,13 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 		if err != nil {
 			return progress, err
 		}
-		recs := make([]wal.Record, 0, batchRecords)
+		recs := make([]wal.Record, 0, len(batch)/wal.WriteFrameBytes)
 		start := time.Now()
 		if _, err := codec.DecodeAll(batch, marks[i]+1, func(r wal.Record) error {
 			recs = append(recs, r)
 			return nil
 		}); err != nil {
-			return progress, fmt.Errorf("cluster: shard %d batch from %s: %w", i, n.pullAddrSnapshot(), err)
+			return progress, fmt.Errorf("cluster: shard %d batch: %w", i, err)
 		}
 		if err := mem.ApplyReplicated(i, recs); err != nil {
 			return progress, err
@@ -207,12 +207,6 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 	}
 	n.touchLease(resp)
 	return progress, nil
-}
-
-func (n *Node) pullAddrSnapshot() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.pullAddr
 }
 
 // touchLease refreshes the leader lease and the replication-lag gauge

@@ -108,11 +108,6 @@ type Config struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// ReplHistory, when positive, keeps an in-memory ring of the last N
-	// records per shard so a replication cursor can be served without
-	// re-reading the segment file. 0 disables the ring (ReadRecords then
-	// always falls back to the on-disk segment).
-	ReplHistory int
 	// Obs, when non-nil, records wal.fsync.latency, wal.group_commit.batch
 	// (records made durable per fsync) and durable.checkpoint.latency
 	// histograms, and traces WALFsync (per group commit), Snapshot and
@@ -200,10 +195,9 @@ type committer struct {
 	// stay on disk until a full checkpoint renames: the base epoch's, and
 	// those a full checkpoint that failed rotated past. Guarded by mu.
 	older []segment
-	// ring buffers recent records for the replication cursor (ringStart is
-	// ring[0]'s LSN; LSNs in the ring are contiguous). Guarded by mu.
-	ring      []wal.Record
-	ringStart uint64
+	// tail holds the shard's latest records for the replication cursor, lsn
+	// in slot lsn%tailRecords, from the cursor's first read on. Guarded by mu.
+	tail []tailSlot
 
 	syncMu sync.Mutex // guards synced, failed and the fsync itself
 	synced uint64     // last LSN known durable
@@ -401,11 +395,7 @@ func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 	}
 	c.lsn = lsn
 	c.writes++
-	if m.cfg.ReplHistory > 0 {
-		// The ring must own the payload: callers reuse line buffers.
-		rec.Line = append([]byte(nil), line...)
-		c.pushRingLocked(rec, m.cfg.ReplHistory)
-	}
+	c.pushTailLocked(lsn, addr, line)
 	applyErr := m.sh.Write(addr, line)
 	c.mu.Unlock()
 	if m.wake != nil && !m.unsynced.Load() && m.unsynced.CompareAndSwap(false, true) {

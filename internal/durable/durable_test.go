@@ -664,3 +664,34 @@ func TestSyncCycleWithoutAuditDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%d fsyncs over 201 writes: the cycles being counted were not sync cycles", after.Fsyncs-before.Fsyncs)
 	}
 }
+
+// A journaled write on a shard a follower polls copies its line into the
+// shard's tail, a slot made when the tail was: like a write nobody polls for,
+// it allocates nothing.
+func TestPolledWriteDoesNotAllocate(t *testing.T) {
+	if racedetect.Enabled || invariant.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
+	}
+	m, _ := mustOpen(t, testShardConfig(t, 1, 1<<16), Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer func() { _ = m.Close() }()
+	pollAll(t, m)
+	// Sixteen lines of one page, as in the sync-cycle pin above.
+	const lines = 16
+	line := oracle.Fill(1, 2)
+	var next uint64
+	write := func() {
+		if err := m.Write(next%lines*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for i := 0; i < lines; i++ {
+		write()
+	}
+	if n := testing.AllocsPerRun(200, write); n != 0 {
+		t.Errorf("a journaled write on a polled shard allocates %v times, want 0", n)
+	}
+	if tail := m.commits[0].tail; tail[next%tailRecords].lsn != next {
+		t.Fatalf("the tail does not hold the last write, LSN %d", next)
+	}
+}

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the durability layer's replication tap: the primary side
-// reads durable records from a per-shard cursor (in-memory ring, falling
+// reads durable records from a per-shard cursor (in-memory tail, falling
 // back to a positional read of the segment that holds them, wal.ReadRange),
 // and the replica side journals + applies a received batch so its own
 // recovered LSN vector IS its replication watermark — a replica crash
@@ -26,23 +26,23 @@ import (
 // coverage header holds: the base epoch's segments hold every record past
 // them.
 
-// pushRingLocked appends rec to the replication ring, dropping the oldest
-// half-capacity chunk when the backing slice reaches twice the configured
-// capacity (amortized O(1) per push). Called with c.mu held.
-func (c *committer) pushRingLocked(rec wal.Record, capRecords int) {
-	if capRecords <= 0 {
-		return
-	}
-	if len(c.ring) == 0 {
-		c.ringStart = rec.LSN
-	}
-	c.ring = append(c.ring, rec)
-	if len(c.ring) >= 2*capRecords {
-		drop := len(c.ring) - capRecords
-		fresh := make([]wal.Record, capRecords)
-		copy(fresh, c.ring[drop:])
-		c.ring = fresh
-		c.ringStart += uint64(drop)
+// tailRecords is how many of its latest records a shard keeps in memory once
+// its cursor has been read, to serve a follower no further behind.
+const tailRecords = 4096
+
+// tailSlot is one record of a shard's replication tail.
+type tailSlot struct {
+	lsn, addr uint64
+	line      [LineBytes]byte
+}
+
+// pushTailLocked copies record lsn over the one tailRecords before it, once a
+// poll has made the shard's tail. Called with c.mu held, in LSN order.
+func (c *committer) pushTailLocked(lsn, addr uint64, line []byte) {
+	if c.tail != nil {
+		s := &c.tail[lsn%tailRecords]
+		s.lsn, s.addr = lsn, addr
+		copy(s.line[:], line)
 	}
 }
 
@@ -81,8 +81,8 @@ func (m *Memory) SyncedLSNs() []uint64 {
 	return out
 }
 
-// ReadRecords returns up to max durable records for shardIdx with LSN >
-// afterLSN, in order. The second result reports whether the cursor could
+// ReadRecords returns up to max (> 0) durable records for shardIdx with LSN
+// > afterLSN, in order. The second result reports whether the cursor could
 // be served at all: false means the history before afterLSN+1 has been
 // truncated by a checkpoint (or the epoch changed mid-scan) and the
 // follower needs a snapshot bootstrap. An empty batch with ok=true means
@@ -91,25 +91,28 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 	if shardIdx < 0 || shardIdx >= len(m.commits) {
 		return nil, false, fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
-	if max <= 0 {
-		max = 512
-	}
 	c := m.commits[shardIdx]
 	c.syncMu.Lock()
 	durable := c.synced
 	c.syncMu.Unlock()
+	c.mu.Lock()
+	if c.tail == nil { // the first read: records journaled before are in the segments
+		c.tail = make([]tailSlot, tailRecords)
+	}
 	if afterLSN >= durable {
+		c.mu.Unlock()
 		return nil, true, nil
 	}
-	c.mu.Lock()
-	if len(c.ring) > 0 && afterLSN+1 >= c.ringStart {
-		start := int(afterLSN + 1 - c.ringStart)
-		out := make([]wal.Record, 0, max)
-		for _, r := range c.ring[start:] {
-			if r.LSN > durable || len(out) >= max {
-				break
-			}
-			out = append(out, r)
+	// The tail holds its records contiguously up to c.lsn, so it serves the
+	// cursor when it still holds the record past it.
+	if from := afterLSN + 1; c.tail[from%tailRecords].lsn == from {
+		out := make([]wal.Record, min(durable-afterLSN, uint64(max)))
+		lines := make([]byte, len(out)*LineBytes)
+		for i := range out {
+			s := &c.tail[(from+uint64(i))%tailRecords]
+			line := lines[i*LineBytes : (i+1)*LineBytes : (i+1)*LineBytes]
+			copy(line, s.line[:])
+			out[i] = wal.Record{Kind: wal.KindWrite, LSN: s.lsn, Addr: s.addr, Line: line}
 		}
 		c.mu.Unlock()
 		return out, true, nil
@@ -183,7 +186,7 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 			return err
 		}
 		c.lsn = r.LSN
-		c.pushRingLocked(r, m.cfg.ReplHistory)
+		c.pushTailLocked(r.LSN, r.Addr, r.Line)
 		c.writes++
 		if err := m.sh.Write(r.Addr, r.Line); err != nil {
 			c.mu.Unlock()

@@ -21,13 +21,13 @@ import (
 	"github.com/securemem/morphtree/internal/wal"
 )
 
-// replPair opens a primary (with a replication ring) and a cold replica
-// (own dir) over the same shard geometry.
-func replPair(t *testing.T, shards int, ringCap int) (*Memory, *Memory) {
+// replPair opens a primary and a cold replica (own dir) over the same shard
+// geometry.
+func replPair(t *testing.T, shards int) (*Memory, *Memory) {
 	t.Helper()
 	shcfg := testShardConfig(t, shards, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap})
-	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: ringCap})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
+	r, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	t.Cleanup(func() { _ = p.Close(); _ = r.Close() })
 	return p, r
 }
@@ -63,8 +63,25 @@ func pump(t *testing.T, src, dst *Memory) int {
 	}
 }
 
+// pollAll reads every shard's cursor at its durable mark, the caught-up poll
+// that makes each shard's tail.
+func pollAll(t testing.TB, m *Memory) {
+	t.Helper()
+	for i, mark := range m.SyncedLSNs() {
+		if recs, ok, err := m.ReadRecords(i, mark, 1); err != nil || !ok || len(recs) != 0 {
+			t.Fatalf("caught-up poll of shard %d: %d records, ok=%v, %v", i, len(recs), ok, err)
+		}
+		if m.commits[i].tail == nil {
+			t.Fatalf("shard %d has no tail after its first poll", i)
+		}
+	}
+}
+
+// TestReplicationRoundTripViaRing: the writes after a primary's first poll
+// reach the replica from the primary's tail, bit for bit.
 func TestReplicationRoundTripViaRing(t *testing.T) {
-	p, r := replPair(t, 2, 1024)
+	p, r := replPair(t, 2)
+	pollAll(t, p)
 	const n = 40
 	for i := 0; i < n; i++ {
 		addr := uint64(i) * LineBytes
@@ -96,8 +113,9 @@ func TestReplicationRoundTripViaRing(t *testing.T) {
 	}
 }
 
-// TestReplicationFileFallback disables the ring so every cursor read takes
-// the wal.ReadRange path over the live segment.
+// TestReplicationFileFallback: records journaled before a shard's first
+// poll are not in its tail, so every cursor read takes the wal.ReadRange path
+// over the live segment.
 func TestReplicationFileFallback(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
 	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
@@ -142,7 +160,8 @@ func TestReplicationCursorBehindCheckpoint(t *testing.T) {
 	if err := p.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Ring disabled → the file no longer holds LSNs 1..8.
+	// No tail held LSNs 1..8 (nothing polled before the checkpoint), and
+	// the file no longer does.
 	if _, ok, err := p.ReadRecords(0, 3, 16); err != nil || ok {
 		t.Fatalf("cursor behind checkpoint: ok=%v err=%v, want false, nil", ok, err)
 	}
@@ -155,7 +174,7 @@ func TestReplicationCursorBehindCheckpoint(t *testing.T) {
 // TestApplyReplicatedRejectsGap: a batch that does not continue the local
 // sequence must be refused before anything is journaled.
 func TestApplyReplicatedRejectsGap(t *testing.T) {
-	p, r := replPair(t, 1, 64)
+	p, r := replPair(t, 1)
 	for i := 0; i < 3; i++ {
 		addr := uint64(i) * LineBytes
 		if err := p.Write(addr, oracle.Fill(addr, 2)); err != nil {
@@ -179,7 +198,7 @@ func TestApplyReplicatedRejectsGap(t *testing.T) {
 // exactly where it stopped.
 func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 256})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways})
 	defer func() { _ = p.Close() }()
 	rdir := t.TempDir()
 	r, _ := mustOpen(t, shcfg, Config{Dir: rdir, Sync: SyncAlways})
@@ -309,43 +328,71 @@ func TestBasePagesTakeNoLock(t *testing.T) {
 	}
 }
 
-// TestRingEviction: a tiny ring forces eviction; cursors inside the ring
-// serve from memory, cursors behind it fall back to the segment file and
-// still deliver everything.
+// TestRingEviction: a shard's tail holds the last tailRecords records
+// journaled since its first poll, each copied from a line buffer the writer
+// reuses. Written past that capacity, a cursor inside the tail is served from
+// memory and one behind it from the segment file, which also holds the
+// records from before the first poll; a reader from 0 gets every record once,
+// in order, as written, and a batch read from the tail stays as read while
+// later writes overwrite the slots it came from.
 func TestRingEviction(t *testing.T) {
 	shcfg := testShardConfig(t, 1, 64<<10)
-	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncAlways, ReplHistory: 4})
+	p, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncNone})
 	defer func() { _ = p.Close() }()
-	const n = 25
-	for i := 0; i < n; i++ {
-		addr := uint64(i%8) * LineBytes
-		if err := p.Write(addr, oracle.Fill(addr, uint64(i))); err != nil {
+	buf := make([]byte, LineBytes)
+	fill := func(lsn uint64) (uint64, []byte) {
+		addr := lsn % 64 * LineBytes
+		return addr, oracle.Fill(addr, lsn)
+	}
+	write := func(from, to uint64) {
+		t.Helper()
+		for lsn := from; lsn <= to; lsn++ {
+			addr, line := fill(lsn)
+			copy(buf, line)
+			if err := p.Write(addr, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var lsns []uint64
-	cursor := uint64(0)
-	for {
-		recs, ok, err := p.ReadRecords(0, cursor, 3)
-		if err != nil || !ok {
-			t.Fatalf("cursor %d: ok=%v err=%v", cursor, ok, err)
-		}
-		if len(recs) == 0 {
-			break
-		}
+	const before, evicted = 25, 7
+	const last = before + tailRecords + evicted
+	write(1, before)
+	pollAll(t, p)
+	write(before+1, last)
+	held := func(lsn uint64) bool { return p.commits[0].tail[lsn%tailRecords].lsn == lsn }
+	if held(before+evicted) || !held(before+evicted+1) || !held(last) {
+		t.Fatalf("the tail does not hold exactly LSNs %d..%d", before+evicted+1, last)
+	}
+	check := func(recs []wal.Record) {
+		t.Helper()
 		for _, r := range recs {
-			lsns = append(lsns, r.LSN)
+			if addr, line := fill(r.LSN); r.Addr != addr || !bytes.Equal(r.Line, line) {
+				t.Fatalf("record %d is not the write it journaled", r.LSN)
+			}
+		}
+	}
+	var first []wal.Record
+	for cursor := uint64(0); cursor < last; {
+		recs, ok, err := p.ReadRecords(0, cursor, 512)
+		if err != nil || !ok || len(recs) == 0 {
+			t.Fatalf("cursor %d: %d records, ok=%v, %v", cursor, len(recs), ok, err)
+		}
+		for i, r := range recs {
+			if r.LSN != cursor+uint64(i)+1 {
+				t.Fatalf("record %d of the batch after %d has LSN %d", i, cursor, r.LSN)
+			}
+		}
+		check(recs)
+		if first == nil && held(cursor+1) {
+			first = recs
 		}
 		cursor = recs[len(recs)-1].LSN
 	}
-	if len(lsns) != n {
-		t.Fatalf("delivered %d records, want %d", len(lsns), n)
-	}
-	for i, lsn := range lsns {
-		if lsn != uint64(i+1) {
-			t.Fatalf("record %d has LSN %d, want %d", i, lsn, i+1)
-		}
-	}
+	write(last+1, last+tailRecords)
+	check(first)
 }
 
 // TestDurableSignalFires: the signal channel closes when a write becomes
@@ -370,7 +417,7 @@ func TestDurableSignalFires(t *testing.T) {
 // one, so ApplyReplicated refuses them rather than journaling them: the write
 // before one lands, the record itself moves no watermark.
 func TestApplyReplicatedAuditRecords(t *testing.T) {
-	_, r := replPair(t, 1, 64)
+	_, r := replPair(t, 1)
 	for i, kind := range []byte{0x02, 0x03} {
 		lsn := uint64(i) + 1
 		recs := []wal.Record{
@@ -537,7 +584,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 }
 
 // BenchmarkReadRecordsPastRing is the poll of a replica further behind than
-// the ring holds: a full batch read from the middle of the live segment. Its
+// the shard's tail holds: a full batch read from the middle of the live segment. Its
 // cost is the batch's, whatever the segment's length, so the two sizes
 // should cost the same.
 func BenchmarkReadRecordsPastRing(b *testing.B) {
@@ -562,6 +609,58 @@ func BenchmarkReadRecordsPastRing(b *testing.B) {
 				recs, ok, err := m.ReadRecords(0, uint64(n/2), batch)
 				if err != nil || !ok || len(recs) != batch {
 					b.Fatalf("ReadRecords = %d records, ok=%v, %v", len(recs), ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadRecordsFromTail is a caught-up follower's poll of a shard's
+// tail: the last 1, 16 or 512 records of a polled shard, copied out under its
+// commit lock.
+func BenchmarkReadRecordsFromTail(b *testing.B) {
+	m, _ := mustOpen(b, testShardConfig(b, 1, 64<<10), Config{Dir: b.TempDir(), Sync: SyncNone})
+	defer func() { _ = m.Close() }()
+	pollAll(b, m)
+	for i := uint64(1); i <= tailRecords; i++ {
+		addr := i % 1024 * LineBytes
+		if err := m.Write(addr, oracle.Fill(addr, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := m.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 16, 512} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				recs, ok, err := m.ReadRecords(0, uint64(tailRecords-n), 512)
+				if err != nil || !ok || len(recs) != n {
+					b.Fatalf("ReadRecords = %d records, ok=%v, %v", len(recs), ok, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJournaledWrite is one SyncNone write through the journal, on a
+// shard nobody has polled and on one whose tail a poll has made: the copy of
+// the line into the tail is the difference.
+func BenchmarkJournaledWrite(b *testing.B) {
+	for _, polled := range []bool{false, true} {
+		b.Run(fmt.Sprintf("polled=%v", polled), func(b *testing.B) {
+			m, _ := mustOpen(b, testShardConfig(b, 1, 64<<10), Config{Dir: b.TempDir(), Sync: SyncNone})
+			defer func() { _ = m.Close() }()
+			if polled {
+				pollAll(b, m)
+			}
+			line := oracle.Fill(0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Write(uint64(i%16)*LineBytes, line); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

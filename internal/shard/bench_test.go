@@ -116,3 +116,40 @@ func benchPrefill(b *testing.B, layout prefillLayout) {
 		wg.Wait()
 	}
 }
+
+// BenchmarkProve is one proof of a line on 1 and 4 shards: on a clean store,
+// and after 1 and 2 048 writes spread over the shards, whose dirty counter
+// blocks the proof first writes back (each iteration's writes are outside
+// the timer). It is the parent row of a proof that settles only its path.
+func BenchmarkProve(b *testing.B) {
+	const memBytes, written = 1 << 22, 2048
+	for _, shards := range []int{1, 4} {
+		for _, writes := range []uint64{0, 1, written} {
+			b.Run(fmt.Sprintf("shards=%d/writes=%d", shards, writes), func(b *testing.B) {
+				s := mustNew(b, testConfig(b, shards, memBytes, "morph128"))
+				for d := uint64(0); d < written; d++ {
+					if err := s.Write(d*LineBytes, oracle.Fill(d, 1)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := s.Prove(0); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for d := uint64(0); d < writes; d++ {
+						if err := s.Write(d*LineBytes, oracle.Fill(d, uint64(i)+2)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+					if _, err := s.Prove(uint64(i) % written * LineBytes); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
