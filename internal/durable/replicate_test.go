@@ -584,9 +584,9 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 }
 
 // BenchmarkReadRecordsPastRing is the poll of a replica further behind than
-// the shard's tail holds: a full batch read from the middle of the live segment. Its
-// cost is the batch's, whatever the segment's length, so the two sizes
-// should cost the same.
+// the shard's tail holds: a full batch read from the middle of the live
+// segment. Its cost is the batch's, whatever the segment's length, so the two
+// sizes should cost the same.
 func BenchmarkReadRecordsPastRing(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
