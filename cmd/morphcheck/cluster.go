@@ -105,7 +105,7 @@ func (cn *chaosNode) kill() {
 	}
 	cn.alive = false
 	// Halt first: handlers blocked waiting for replica acks must not ride
-	// out AckTimeout while the server drain waits for them.
+	// out the ack timeout while the server drain waits for them.
 	cn.node.Halt()
 	_ = cn.stop()       //morphlint:allow errdiscard a killed node owes nobody a clean shutdown
 	_ = cn.node.Close() //morphlint:allow errdiscard a killed node owes nobody a clean shutdown

@@ -199,7 +199,7 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 		log.Printf("morphserve: cluster node %s: role %s, epoch %d, leader %q, peers %v",
 			self, ri.Role, ri.Epoch, ri.Leader, o.peers)
 		// Unblock writes waiting for replica acks so the drain does not ride
-		// out AckTimeout.
+		// out the ack timeout.
 		stopHalt := context.AfterFunc(ctx, cn.Halt)
 		defer stopHalt()
 		eng, st = cn, cn

@@ -302,7 +302,7 @@ func (n *Node) Close() error {
 // Halt stops the puller and unblocks every in-flight ack wait without
 // closing the store. A serving stack should Halt before draining its
 // server — handlers blocked in waitAck exit promptly instead of riding
-// out AckTimeout with no replica left to poll — and Close after the
+// out the ack timeout with no replica left to poll — and Close after the
 // drain. Close implies Halt, and every call returns only once the puller has
 // exited, so a Close that overlaps a Halt does not close the store under it.
 func (n *Node) Halt() {
