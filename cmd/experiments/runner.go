@@ -77,14 +77,3 @@ func mean(vals []float64) float64 {
 	}
 	return sum / float64(len(vals))
 }
-
-// suiteOf groups workloads as the paper's figures do.
-func suiteNames(r *runner, suite string) []string {
-	var names []string
-	for _, w := range r.all {
-		if w.Suite == suite {
-			names = append(names, w.Name)
-		}
-	}
-	return names
-}

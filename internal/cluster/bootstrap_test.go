@@ -221,6 +221,19 @@ func TestBatchAnswerStaysInBudget(t *testing.T) {
 	}
 }
 
+// TestAnswerWithTooManyBatchesIsRefused: an answer that carries a batch for a
+// shard the follower does not have is refused with an error; it does not
+// panic the follower's puller.
+func TestAnswerWithTooManyBatchesIsRefused(t *testing.T) {
+	r := openUnserved(t, testShardCfg(t, 2, 2*4096), func(c *Config) { c.Leader = "127.0.0.1:9" })
+	r.Halt()
+	req, mem := r.pollRequest()
+	resp := &wire.ReplicateResponse{Epoch: req.Epoch, Marks: make([]uint64, 3), Batches: [][]byte{nil, nil, make([]byte, wal.WriteFrameBytes)}}
+	if _, err := r.applyResponse(mem, req.Epoch, req.Marks, resp); err == nil {
+		t.Fatal("a 2-shard follower applied an answer of 3 shard batches")
+	}
+}
+
 // TestMaxBodyCoversEveryFrame: every frame an encoder makes fits under
 // wire.MaxBody at the worst its named constants allow — the largest one with
 // less than half of it to spare, so the cap is no looser than it must be. A

@@ -180,6 +180,9 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 		n.touchLease(resp)
 		return true, nil
 	}
+	if len(resp.Batches) > len(marks) {
+		return false, fmt.Errorf("cluster: poll answered %d shard batches, this node has %d shards", len(resp.Batches), len(marks))
+	}
 	progress := false
 	for i, batch := range resp.Batches {
 		if len(batch) == 0 {

@@ -195,9 +195,10 @@ type committer struct {
 	// stay on disk until a full checkpoint renames: the base epoch's, and
 	// those a full checkpoint that failed rotated past. Guarded by mu.
 	older []segment
-	// tail holds the shard's latest records for the replication cursor, lsn
-	// in slot lsn%tailRecords, from the cursor's first read on. Guarded by mu.
-	tail []tailSlot
+	// tail holds the latest records for the replication cursor from its first
+	// read on (polled), lsn in slot lsn%tailRecords. Guarded by mu.
+	polled bool
+	tail   [tailRecords / tailChunk]*[tailChunk]tailSlot
 
 	syncMu sync.Mutex // guards synced, failed and the fsync itself
 	synced uint64     // last LSN known durable

@@ -27,8 +27,9 @@ import (
 // them.
 
 // tailRecords is how many of its latest records a shard keeps in memory once
-// its cursor has been read, to serve a follower no further behind.
-const tailRecords = 4096
+// its cursor has been read. The tail is made tailChunk slots at a time, as
+// records first land in them, so polling a shard nobody writes costs nothing.
+const tailRecords, tailChunk = 4096, 256
 
 // tailSlot is one record of a shard's replication tail.
 type tailSlot struct {
@@ -39,11 +40,24 @@ type tailSlot struct {
 // pushTailLocked copies record lsn over the one tailRecords before it, once a
 // poll has made the shard's tail. Called with c.mu held, in LSN order.
 func (c *committer) pushTailLocked(lsn, addr uint64, line []byte) {
-	if c.tail != nil {
-		s := &c.tail[lsn%tailRecords]
+	if c.polled {
+		chunk := &c.tail[lsn%tailRecords/tailChunk]
+		if *chunk == nil {
+			*chunk = new([tailChunk]tailSlot)
+		}
+		s := &(*chunk)[lsn%tailChunk]
 		s.lsn, s.addr = lsn, addr
 		copy(s.line[:], line)
 	}
+}
+
+// tailSlotLocked returns the slot that holds record lsn, or nil when the tail
+// does not hold it. Called with c.mu held.
+func (c *committer) tailSlotLocked(lsn uint64) *tailSlot {
+	if chunk := c.tail[lsn%tailRecords/tailChunk]; chunk != nil && chunk[lsn%tailChunk].lsn == lsn {
+		return &chunk[lsn%tailChunk]
+	}
+	return nil
 }
 
 // DurableSignal returns a channel closed the next time any record becomes
@@ -96,23 +110,20 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 	durable := c.synced
 	c.syncMu.Unlock()
 	c.mu.Lock()
-	if c.tail == nil { // the first read: records journaled before are in the segments
-		c.tail = make([]tailSlot, tailRecords)
-	}
+	c.polled = true // from the first read on; records journaled before are in the segments
 	if afterLSN >= durable {
 		c.mu.Unlock()
 		return nil, true, nil
 	}
 	// The tail holds its records contiguously up to c.lsn, so it serves the
 	// cursor when it still holds the record past it.
-	if from := afterLSN + 1; c.tail[from%tailRecords].lsn == from {
+	if from := afterLSN + 1; c.tailSlotLocked(from) != nil {
 		out := make([]wal.Record, min(durable-afterLSN, uint64(max)))
-		lines := make([]byte, len(out)*LineBytes)
+		lines := make([]byte, 0, len(out)*LineBytes)
 		for i := range out {
-			s := &c.tail[(from+uint64(i))%tailRecords]
-			line := lines[i*LineBytes : (i+1)*LineBytes : (i+1)*LineBytes]
-			copy(line, s.line[:])
-			out[i] = wal.Record{Kind: wal.KindWrite, LSN: s.lsn, Addr: s.addr, Line: line}
+			s := c.tailSlotLocked(from + uint64(i))
+			lines = append(lines, s.line[:]...)
+			out[i] = wal.Record{Kind: wal.KindWrite, LSN: s.lsn, Addr: s.addr, Line: lines[i*LineBytes : len(lines) : len(lines)]}
 		}
 		c.mu.Unlock()
 		return out, true, nil

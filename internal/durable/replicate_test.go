@@ -13,9 +13,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/invariant"
 	"github.com/securemem/morphtree/internal/oracle"
+	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
@@ -71,8 +74,52 @@ func pollAll(t testing.TB, m *Memory) {
 		if recs, ok, err := m.ReadRecords(i, mark, 1); err != nil || !ok || len(recs) != 0 {
 			t.Fatalf("caught-up poll of shard %d: %d records, ok=%v, %v", i, len(recs), ok, err)
 		}
-		if m.commits[i].tail == nil {
+		if !m.commits[i].polled {
 			t.Fatalf("shard %d has no tail after its first poll", i)
+		}
+	}
+}
+
+// TestFirstPollAllocatesNoTail: a poll makes every shard's tail, but the
+// memory of a tail comes with the records that land in it, a chunk of
+// tailChunk slots at a time. A first poll of each shard of a many-shard store
+// allocates next to nothing, and a write to each shard after it costs that
+// shard one chunk, not a whole tail of tailRecords slots.
+func TestFirstPollAllocatesNoTail(t *testing.T) {
+	if racedetect.Enabled || invariant.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
+	}
+	const shards = 256
+	m, _ := mustOpen(t, testShardConfig(t, shards, shards*4096), Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer func() { _ = m.Close() }()
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	line := oracle.Fill(0, 1)
+	writeEach := func() {
+		// Line j of the store lies in shard j.
+		for j := uint64(0); j < shards; j++ {
+			if err := m.Write(j*LineBytes, line); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	writeEach() // what a shard's first write allocates is not the tail's
+	if n := allocated(func() { pollAll(t, m) }); n > shards*256 {
+		t.Errorf("the first poll of %d shards allocated %d bytes, want at most 256 a shard", shards, n)
+	}
+	n := allocated(writeEach)
+	const chunk = tailChunk * uint64(unsafe.Sizeof(tailSlot{}))
+	if n < shards*chunk || n > shards*(chunk+chunk/4) {
+		t.Errorf("a write to each of %d polled shards allocated %d bytes, want a %d-byte chunk of tail a shard", shards, n, chunk)
+	}
+	for i := range m.commits {
+		if m.commits[i].tailSlotLocked(2) == nil {
+			t.Fatalf("shard %d's tail does not hold its write", i)
 		}
 	}
 }
@@ -362,7 +409,7 @@ func TestRingEviction(t *testing.T) {
 	write(1, before)
 	pollAll(t, p)
 	write(before+1, last)
-	held := func(lsn uint64) bool { return p.commits[0].tail[lsn%tailRecords].lsn == lsn }
+	held := func(lsn uint64) bool { return p.commits[0].tailSlotLocked(lsn) != nil }
 	if held(before+evicted) || !held(before+evicted+1) || !held(last) {
 		t.Fatalf("the tail does not hold exactly LSNs %d..%d", before+evicted+1, last)
 	}
@@ -645,17 +692,22 @@ func BenchmarkReadRecordsFromTail(b *testing.B) {
 }
 
 // BenchmarkJournaledWrite is one SyncNone write through the journal, on a
-// shard nobody has polled and on one whose tail a poll has made: the copy of
-// the line into the tail is the difference.
+// shard nobody has polled and on one whose tail a poll and tailRecords writes
+// have made: the copy of the line into the tail is the difference.
 func BenchmarkJournaledWrite(b *testing.B) {
 	for _, polled := range []bool{false, true} {
 		b.Run(fmt.Sprintf("polled=%v", polled), func(b *testing.B) {
 			m, _ := mustOpen(b, testShardConfig(b, 1, 64<<10), Config{Dir: b.TempDir(), Sync: SyncNone})
 			defer func() { _ = m.Close() }()
+			line := oracle.Fill(0, 1)
 			if polled {
 				pollAll(b, m)
+				for i := 0; i < tailRecords; i++ {
+					if err := m.Write(uint64(i%16)*LineBytes, line); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-			line := oracle.Fill(0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -287,8 +287,8 @@ func editFile(path string, edit func([]byte) []byte) error {
 	return os.WriteFile(path, edit(data), 0o644)
 }
 
-// TestReadRecordsFollowsTheLiveSegment polls a store that keeps no ring, so
-// every poll reads a segment: between a shard's rotation and the snapshot's
+// TestReadRecordsFollowsTheLiveSegment polls a shard whose tail it drops
+// before each poll, so every poll reads a segment: between a shard's rotation and the snapshot's
 // rename — here a rename that fails, and then full checkpoints cut back to
 // back under a writer — a poll gets the records past its cursor, contiguous
 // and as written, or ok=false; never an error, never another segment's. A
@@ -305,8 +305,13 @@ func TestReadRecordsFollowsTheLiveSegment(t *testing.T) {
 		return m.Write(at(seq), oracle.Fill(at(seq), seq))
 	}
 	// check polls past after and holds what comes back to what was written;
-	// n is how many records came.
+	// n is how many records came. It drops shard 0's tail first, and no write
+	// fills it again before the poll, so the poll is served from a segment.
 	check := func(after uint64) (n int, ok bool) {
+		c := m.commits[0]
+		c.mu.Lock()
+		c.polled, c.tail = false, [len(c.tail)]*[tailChunk]tailSlot{}
+		c.mu.Unlock()
 		recs, ok, err := m.ReadRecords(0, after, 64)
 		if err != nil {
 			t.Errorf("poll after %d: %v", after, err)

@@ -108,10 +108,6 @@ func deriveKey(master []byte, i int) ([]byte, error) {
 // shard d % N at local line d / N, so sequential traffic spreads evenly.
 // The durability layer uses it to route journal records to per-shard WALs.
 func (s *Sharded) Locate(addr uint64) (int, uint64, error) {
-	return s.locate(addr)
-}
-
-func (s *Sharded) locate(addr uint64) (int, uint64, error) {
 	if addr%LineBytes != 0 {
 		return 0, 0, fmt.Errorf("shard: address %#x is not line-aligned", addr)
 	}
@@ -140,7 +136,7 @@ func (s *Sharded) Read(addr uint64) ([]byte, error) { return s.AppendRead(nil, a
 // AppendRead is Read appended to dst (secmem.Memory.AppendRead): nothing is
 // written before the line has verified, and an error returns nil.
 func (s *Sharded) AppendRead(dst []byte, addr uint64) ([]byte, error) {
-	idx, local, err := s.locate(addr)
+	idx, local, err := s.Locate(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +145,7 @@ func (s *Sharded) AppendRead(dst []byte, addr uint64) ([]byte, error) {
 
 // Write encrypts and stores a 64-byte line at a line-aligned global address.
 func (s *Sharded) Write(addr uint64, line []byte) error {
-	idx, local, err := s.locate(addr)
+	idx, local, err := s.Locate(addr)
 	if err != nil {
 		return err
 	}
@@ -285,7 +281,7 @@ func (s *Sharded) VerifyAll() error {
 // Epoch and Attestation fields are left for the serving layer to fill —
 // the engine has no signing authority.
 func (s *Sharded) Prove(addr uint64) (*proof.Proof, error) {
-	idx, local, err := s.locate(addr)
+	idx, local, err := s.Locate(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +324,7 @@ func (s *Sharded) RootDigests() []proof.Digest {
 // address (adversary interface, used by the wire-level TAMPER op). It
 // reports whether the line existed.
 func (s *Sharded) FlipDataBit(addr uint64, byteOff int, bit uint) bool {
-	idx, local, err := s.locate(addr)
+	idx, local, err := s.Locate(addr)
 	if err != nil {
 		return false
 	}
