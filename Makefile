@@ -50,19 +50,20 @@ loc:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# The engine's three kernels — counter-line codec, line MAC, secmem
-# read/write — its store (a sharded prefill, a sparse dirty cut, a cache
-# flush), the WAL that journals it (a record sealed and appended, a segment
-# replayed, a journaled write on a store nobody polls and on a polled one, a
-# caught-up poll of 1, 16 and 512 records from a shard's tail, a lagging
-# replica's batch read from the middle of a segment), the delta checkpoint
-# cut from it under a writer and a proof of one line (and its signature
-# alone) as go-test benchmarks, and the store's resident bytes per stored
-# line (TestStoreFootprint) beside the prefill's B/op: the before/after rows
-# of a change to any of them are this command on each commit.
+# The engine's four kernels — counter-line codec, line pad (on the AES-NI
+# kernel and on the portable path), line MAC, secmem read/write — its store
+# (a sharded prefill, a sparse dirty cut, a cache flush), the WAL that
+# journals it (a record sealed and appended, a segment replayed, a journaled
+# write on a store nobody polls and on a polled one, a caught-up poll of 1,
+# 16 and 512 records from a shard's tail, a lagging replica's batch read
+# from the middle of a segment), the delta checkpoint cut from it under a
+# writer and a proof of one line (and its signature alone) as go-test
+# benchmarks, and the store's resident bytes per stored line
+# (TestStoreFootprint) beside the prefill's B/op: the before/after rows of a
+# change to any of them are this command on each commit.
 perf-engine:
-	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
-		./internal/secmem ./internal/counters ./internal/mac ./internal/wal
+	$(GO) test -run '^$$' -bench 'Write|ReadWarm|ReadColdVerify|Encode|Decode|Pad|MAC|CollectDirtySparse|FlushMetadataCache|Append|Replay' -benchmem -count 5 \
+		./internal/secmem ./internal/counters ./internal/aesctr ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
 	$(GO) test -run '^$$' -bench 'JournaledWrite|ReadRecords' -benchmem -count 5 ./internal/durable
@@ -72,8 +73,10 @@ perf-engine:
 # Ten seconds of each fuzz target over the counter-line codec — the decoders
 # face attacker-controlled bytes, and the encoders are hand-packed words that
 # must agree with the bit-serial reference on every input — over the store's
-# line table against the map model it replaced, over the MAC against the
-# textbook GHASH-then-AES (the line MAC and the WAL's record seal), over the
+# line table against the map model it replaced, over the line pad's AES-NI
+# kernel against crypto/aes, over the MAC against the textbook
+# GHASH-then-AES and its PCLMULQDQ kernel against crypto/cipher's GCM (the
+# line MAC and the WAL's record seal), over the
 # WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
 # MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
@@ -91,7 +94,7 @@ perf-engine:
 # those packages hold, and the loop ends by saying how many it ran.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@n=0; for pkg in ./internal/counters ./internal/secmem ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
+	@n=0; for pkg in ./internal/counters ./internal/secmem ./internal/aesctr ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -3,6 +3,14 @@
 // AES with a secret key, and the 64-byte line is XORed with the pad. The
 // counter increments on every write so pads never repeat; pad generation
 // can proceed in parallel with the data fetch, hiding its latency.
+//
+// Block i of a line's pad is AES_K(LE64(addr) ‖ LE64(counter<<4 | i)), for
+// i = 0 to 3. On amd64 with AES-NI one assembly call builds the four
+// blocks, encrypts them interleaved and XORs the line (kernel_amd64.s), in
+// time that depends on no key or data byte: AESENC is one instruction per
+// round and AESKEYGENASSIST expands the key, so no table is indexed by a
+// secret. Elsewhere the same bytes come from crypto/aes a block at a time,
+// the portable path the tests hold the kernel to.
 package aesctr
 
 import (
@@ -16,9 +24,19 @@ import (
 // LineBytes is the cacheline granularity of encryption.
 const LineBytes = 64
 
-// Cipher encrypts and decrypts 64-byte lines under counter mode.
+// maxRoundKeyBytes holds AES-256's fifteen round keys.
+const maxRoundKeyBytes = 15 * aes.BlockSize
+
+// Cipher encrypts and decrypts 64-byte lines under counter mode. It is
+// immutable after New and safe for concurrent use.
 type Cipher struct {
+	// block is the portable path's AES.
 	block cipher.Block
+	// enc is the kernel's round keys, nr+1 of them.
+	//
+	//morph:secret
+	enc [maxRoundKeyBytes]byte
+	nr  int
 }
 
 // New returns a Cipher keyed with an AES-128/192/256 key.
@@ -27,15 +45,11 @@ func New(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aesctr: %w", err)
 	}
-	return &Cipher{block: block}, nil
-}
-
-// Pad generates the 64-byte one-time pad for {addr, counter}: four AES
-// blocks seeded with the address, counter, and block ordinal.
-func (c *Cipher) Pad(addr, counter uint64) [LineBytes]byte {
-	var pad [LineBytes]byte
-	c.pad(pad[:], addr, counter)
-	return pad
+	c := &Cipher{block: block, nr: len(key)/4 + 6}
+	if useKernel {
+		expandKey(c.nr, &key[0], &c.enc)
+	}
+	return c, nil
 }
 
 // pad writes the pad into dst, seeding and encrypting each block in place.
@@ -56,6 +70,10 @@ func (c *Cipher) pad(dst []byte, addr, counter uint64) {
 func (c *Cipher) XOR(dst, src []byte, addr, counter uint64) error {
 	if len(dst) != LineBytes || len(src) != LineBytes {
 		return fmt.Errorf("aesctr: line must be %d bytes (dst %d, src %d)", LineBytes, len(dst), len(src))
+	}
+	if useKernel {
+		xorLine(c.nr, &c.enc, (*[LineBytes]byte)(dst), (*[LineBytes]byte)(src), addr, counter)
+		return nil
 	}
 	// dst doubles as the pad's workspace, so take src out of its way first.
 	var in [LineBytes]byte

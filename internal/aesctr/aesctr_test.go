@@ -2,9 +2,29 @@ package aesctr
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// Pad is the 64-byte one-time pad for {addr, counter}: four AES blocks
+// seeded with the address, counter, and block ordinal, read out as the XOR
+// of a zero line.
+func (c *Cipher) Pad(addr, counter uint64) [LineBytes]byte {
+	var pad [LineBytes]byte
+	if err := c.XOR(pad[:], pad[:], addr, counter); err != nil {
+		panic(err)
+	}
+	return pad
+}
+
+// portable runs f with the kernel off, so XOR takes crypto/aes's path.
+func portable(f func()) {
+	saved := useKernel
+	useKernel = false
+	defer func() { useKernel = saved }()
+	f()
+}
 
 func newCipher(t *testing.T) *Cipher {
 	t.Helper()
@@ -109,4 +129,97 @@ func TestQuickPadUniqueness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The kernel against the portable path for AES-128, -192 and -256 keys at
+// random addresses and counters, into a separate line and in place.
+func TestKernelMatchesPortable(t *testing.T) {
+	if !useKernel {
+		t.Skip("no line kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{16, 24, 32} {
+		for i := 0; i < 500; i++ {
+			key := make([]byte, n)
+			rng.Read(key)
+			var src [LineBytes]byte
+			rng.Read(src[:])
+			addr, counter := rng.Uint64(), rng.Uint64()
+			if i%4 == 0 {
+				counter >>= 4 // a counter whose shift loses no bits
+			}
+			checkPaths(t, key, src, addr, counter)
+		}
+	}
+}
+
+// checkPaths holds the kernel's XOR, out of place and in place, to the
+// portable path's.
+func checkPaths(t *testing.T, key []byte, src [LineBytes]byte, addr, counter uint64) {
+	t.Helper()
+	c, err := New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kernel, want [LineBytes]byte
+	inPlace := src
+	if err := c.XOR(kernel[:], src[:], addr, counter); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.XOR(inPlace[:], inPlace[:], addr, counter); err != nil {
+		t.Fatal(err)
+	}
+	portable(func() {
+		if err := c.XOR(want[:], src[:], addr, counter); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if kernel != want || inPlace != want {
+		t.Fatalf("AES-%d at {%#x, %#x}: kernel %x, in place %x, portable %x",
+			len(key)*8, addr, counter, kernel, inPlace, want)
+	}
+}
+
+// FuzzKernelMatchesPortable holds the kernel's XOR to the portable path for
+// any key New accepts, line, address and counter.
+func FuzzKernelMatchesPortable(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), make([]byte, LineBytes), uint64(0x40), uint64(7))
+	f.Add(make([]byte, 24), bytes.Repeat([]byte{0xff}, LineBytes), ^uint64(0), ^uint64(0))
+	f.Add(bytes.Repeat([]byte{0xa5}, 32), make([]byte, LineBytes), uint64(0), uint64(1)<<60)
+	f.Fuzz(func(t *testing.T, key, line []byte, addr, counter uint64) {
+		if !useKernel {
+			t.Skip("no line kernel on this CPU")
+		}
+		if (len(key) != 16 && len(key) != 24 && len(key) != 32) || len(line) != LineBytes {
+			t.Skip()
+		}
+		checkPaths(t, key, [LineBytes]byte(line), addr, counter)
+	})
+}
+
+var sink byte
+
+// BenchmarkPad is one line's pad and XOR, on each path this CPU has.
+func BenchmarkPad(b *testing.B) {
+	c, err := New([]byte("0123456789abcdef"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	line := make([]byte, LineBytes)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := c.XOR(line, line, 0x40, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sink += line[0]
+	}
+	b.Run("kernel", func(b *testing.B) {
+		if !useKernel {
+			b.Skip("no line kernel on this CPU")
+		}
+		run(b)
+	})
+	b.Run("portable", func(b *testing.B) { portable(func() { run(b) }) })
 }

@@ -1,0 +1,75 @@
+package mac
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// portable runs f with the kernel off, so every MAC takes crypto/cipher's
+// path.
+func portable(f func()) {
+	saved := useKernel
+	useKernel = false
+	defer func() { useKernel = saved }()
+	f()
+}
+
+// checkKernel holds the kernel's Data, Counter and Record to the portable
+// path's over one content.
+func checkKernel(t *testing.T, k *Keyer, content []byte, domain, addr, counter uint64) {
+	t.Helper()
+	level := int(domain % 16)
+	kd, kc, kr := k.Data(content, counter, addr), k.Counter(content, counter, level, addr), k.Record(content)
+	var pd, pc, pr uint64
+	portable(func() {
+		pd, pc, pr = k.Data(content, counter, addr), k.Counter(content, counter, level, addr), k.Record(content)
+	})
+	if kd != pd || kc != pc || kr != pr {
+		t.Fatalf("width %d, %d-byte content: kernel Data %#x Counter %#x Record %#x, portable %#x %#x %#x",
+			k.Width(), len(content), kd, kc, kr, pd, pc, pr)
+	}
+}
+
+// Every width and every content length from 0 to 300 bytes, which takes the
+// message from three blocks to twenty-two: one group of powers and several,
+// with and without a partial last block.
+func TestKernelMatchesPortable(t *testing.T) {
+	if !useKernel {
+		t.Skip("no line kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(44))
+	for width := Width(1); width <= 64; width++ {
+		key := make([]byte, 1+rng.Intn(64))
+		rng.Read(key)
+		k, err := New(key, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		content := make([]byte, 300)
+		rng.Read(content)
+		for n := 0; n <= len(content); n++ {
+			checkKernel(t, k, content[:n], rng.Uint64(), rng.Uint64(), rng.Uint64())
+		}
+	}
+}
+
+// FuzzKernelMatchesPortable holds the kernel to the portable path for any
+// key New accepts, any width, any content up to 4 KiB and any header words.
+func FuzzKernelMatchesPortable(f *testing.F) {
+	f.Add([]byte("0123456789abcdef"), uint8(56), make([]byte, lineBytes), uint64(0xFFFF), uint64(0x40), uint64(7))
+	f.Add([]byte("k"), uint8(1), []byte{}, uint64(0), uint64(0), uint64(0))
+	f.Add(make([]byte, 64), uint8(64), make([]byte, 4096), uint64(1), ^uint64(0), uint64(1)<<56)
+	f.Fuzz(func(t *testing.T, key []byte, width uint8, content []byte, domain, addr, counter uint64) {
+		if !useKernel {
+			t.Skip("no line kernel on this CPU")
+		}
+		if len(key) == 0 || len(key) > 64 || width < 1 || width > 64 || len(content) > 4096 {
+			t.Skip()
+		}
+		k, err := New(key, Width(width))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKernel(t, k, content, domain, addr, counter)
+	})
+}

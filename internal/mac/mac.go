@@ -16,25 +16,36 @@
 // repeated tag does. K1 and K2 are derived from the Keyer's key under two
 // labels, so neither reveals the other or the key.
 //
-// One evaluation is one Seal of an empty plaintext under K1's AES-GCM, with
-// the message as its additional data — GHASH over the message and its
-// lengths, XORed with E_K1(J0) — then one AES block under K2. The GCM
-// refuses to be built when Go runs FIPS 140-only (GODEBUG=fips140=only),
-// because its nonce is not random; New returns that error.
+// On amd64 with AES-NI and PCLMULQDQ one evaluation is one assembly call
+// (kernel_amd64.s): GHASH over the message and its length block in one
+// PCLMULQDQ pass, the products of up to eight blocks summed before a single
+// reduction, then the XOR with E_K1(J0), computed in New, and AES under K2
+// in AES-NI. Both instructions run in time that depends on no key or data
+// byte, K2's round keys are expanded with AESKEYGENASSIST, and the kernel
+// branches only on the message's length, so nothing secret indexes a table
+// or steers a branch. Elsewhere, and in the tests that hold the kernel to
+// it, the portable path computes the same bytes with crypto/cipher: one Seal
+// of an empty plaintext under K1's AES-GCM, with the message as its
+// additional data, then one AES block under K2. New builds that GCM on
+// every architecture, and the GCM refuses to be built when Go runs FIPS
+// 140-only (GODEBUG=fips140=only), because its nonce is not random; New
+// returns that error.
 //
 // Record, the WAL's record seal, is the same construction under a domain word
 // of its own, over the record's body (DESIGN.md §10). Derive is the one key
 // derivation of the repository: HMAC-SHA256(key, label), which every role
 // key and sub-key is made with.
 //
-// Everything a Keyer holds is immutable after New. The buffer a MAC builds
-// its message in and the block the tag is made in are mutable and live in
-// one sync.Pool for the package: a MAC takes a pair, uses it and puts it
-// back, so a Keyer stays safe for concurrent use with no lock — which
-// proof.Walker in a thin client needs, and shared reads in the engine would —
-// a short-lived Keyer (one per proof verified) brings no scratch of its own
-// into being, and a caller's buffer is only ever copied from, so it stays on
-// the caller's stack.
+// Everything a Keyer holds is immutable after New, so a Keyer is safe for
+// concurrent use with no lock — which proof.Walker in a thin client needs,
+// and shared reads in the engine would. The kernel works in registers and
+// in two blocks on its caller's stack, so it allocates nothing, ever, and a
+// caller's buffer stays on the caller's stack. The portable path assembles
+// the message in a buffer and makes the tag in a block that are mutable and
+// live in one sync.Pool for the package: a MAC takes a pair, uses it and
+// puts it back, so a short-lived Keyer (one per proof verified) brings no
+// scratch of its own into being, and a caller's buffer is only ever copied
+// from.
 package mac
 
 import (
@@ -74,6 +85,13 @@ const (
 	msgBytes = 2 * lineBytes
 	// subKeyBytes is the length of K1 and K2: AES-128 keys.
 	subKeyBytes = 16
+	// blockBytes is the AES and GHASH block.
+	blockBytes = aes.BlockSize
+	// roundKeyBytes holds AES-128's eleven round keys.
+	roundKeyBytes = 11 * blockBytes
+	// powerTableBytes holds H^8 down to H^1, each with its Karatsuba
+	// half-sum.
+	powerTableBytes = 8 * 2 * blockBytes
 	// dataDomain is the domain word of a data line's MAC; a counter line's
 	// is its tree level, a small number.
 	dataDomain = 0xFFFF
@@ -104,19 +122,33 @@ func (e *KeySizeError) Error() string {
 // after New and safe for concurrent use.
 type Keyer struct {
 	// ghash is AES-GCM under K1: its Seal of an empty plaintext is
-	// GHASH_H(message) XOR E_K1(J0).
+	// GHASH_H(message) XOR E_K1(J0). The portable path's.
 	//
 	//morph:secret
 	ghash cipher.AEAD
-	// fin is AES under K2, the PRF that finishes a MAC.
+	// fin is AES under K2, the PRF that finishes a MAC. The portable
+	// path's.
 	//
 	//morph:secret
-	fin   cipher.Block
-	width Width
-	mask  uint64
+	fin cipher.Block
+	// powers is H^8 down to H^1, as the kernel multiplies by them.
+	//
+	//morph:secret
+	powers [powerTableBytes]byte
+	// j0 is E_K1(J0), GCM's tag mask under the zero nonce.
+	//
+	//morph:secret
+	j0 [blockBytes]byte
+	// finKeys is K2's round keys, the kernel's AES.
+	//
+	//morph:secret
+	finKeys [roundKeyBytes]byte
+	width   Width
+	mask    uint64
 }
 
-// scratch is the mutable state of one MAC evaluation, any Keyer's.
+// scratch is the mutable state of one portable MAC evaluation, any
+// Keyer's.
 type scratch struct {
 	// msg is the message being MACed, copied here so that the caller's
 	// buffer is not handed to an interface method, which would move it to
@@ -144,8 +176,17 @@ func New(key []byte, width Width) (*Keyer, error) {
 	if k.ghash, err = cipher.NewGCM(hashBlock); err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
 	}
-	if k.fin, err = aes.NewCipher(Derive(key, "morphtree/mac/fin")[:subKeyBytes]); err != nil {
+	k2 := Derive(key, "morphtree/mac/fin")[:subKeyBytes]
+	if k.fin, err = aes.NewCipher(k2); err != nil {
 		return nil, fmt.Errorf("mac: %w", err)
+	}
+	if useKernel {
+		// j0 holds H = E_K1(0^128) until the powers are made from it.
+		hashBlock.Encrypt(k.j0[:], k.j0[:])
+		initPowers(&k.powers, &k.j0)
+		k.j0 = [blockBytes]byte{blockBytes - 1: 1}
+		hashBlock.Encrypt(k.j0[:], k.j0[:])
+		expandKey128((*[subKeyBytes]byte)(k2), &k.finKeys)
 	}
 	return k, nil
 }
@@ -196,6 +237,30 @@ func (k *Keyer) Record(body []byte) uint64 {
 // words little-endian: GHASH and the GCM mask under K1, AES under K2,
 // truncated to the first width bits of the block read little-endian.
 func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
+	if !useKernel {
+		return k.portable(domain, addr, counter, content)
+	}
+	// The message's blocks as lineMAC takes them: the header and up to
+	// eight bytes of content in head, the rest of the content's whole
+	// blocks where they lie, and its last partial block, if any, and the
+	// length block in tail.
+	var head, tail [2 * blockBytes]byte
+	binary.LittleEndian.PutUint64(head[0:], domain)
+	binary.LittleEndian.PutUint64(head[8:], addr)
+	binary.LittleEndian.PutUint64(head[16:], counter)
+	body := content[copy(head[headerBytes:], content):]
+	whole := len(body) &^ (blockBytes - 1)
+	ntail := 1
+	if copy(tail[:], body[whole:]) > 0 {
+		ntail = 2
+	}
+	binary.BigEndian.PutUint64(tail[(ntail-1)*blockBytes:], uint64(headerBytes+len(content))*8)
+	return lineMAC(&k.powers, &k.j0, &k.finKeys, &head, body[:whole], &tail, ntail) & k.mask
+}
+
+// portable is compute through crypto/cipher: a GCM Seal and an AES block,
+// on a pooled scratch.
+func (k *Keyer) portable(domain, addr, counter uint64, content []byte) uint64 {
 	pooled := scratches.Get()
 	s := pooled.(*scratch)
 	s.msg = binary.LittleEndian.AppendUint64(s.msg[:0], domain)
