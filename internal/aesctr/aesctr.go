@@ -36,7 +36,8 @@ type Cipher struct {
 	//
 	//morph:secret
 	enc [maxRoundKeyBytes]byte
-	nr  int
+	// nr is the number of AES rounds: 10, 12 or 14.
+	nr int
 }
 
 // New returns a Cipher keyed with an AES-128/192/256 key.
