@@ -57,7 +57,8 @@ bench:
 # write on a store nobody polls and on a polled one, a caught-up poll of 1,
 # 16 and 512 records from a shard's tail, a lagging replica's batch read
 # from the middle of a segment), the delta checkpoint cut from it under a
-# writer and a proof of one line (and its signature alone) as go-test
+# writer, a 64 MiB state stream written and read back, and a proof of one
+# line (and its signature alone) as go-test
 # benchmarks, and the store's resident bytes per stored line
 # (TestStoreFootprint) beside the prefill's B/op: the before/after rows of a
 # change to any of them are this command on each commit.
@@ -66,6 +67,7 @@ perf-engine:
 		./internal/secmem ./internal/counters ./internal/aesctr ./internal/mac ./internal/wal
 	$(GO) test -run '^$$' -bench 'Prefill' -benchmem -count 5 -cpu 2 ./internal/shard
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
+	$(GO) test -run '^$$' -bench 'Stream' -benchmem -count 5 ./internal/ckpt
 	$(GO) test -run '^$$' -bench 'JournaledWrite|ReadRecords' -benchmem -count 5 ./internal/durable
 	$(GO) test -run '^$$' -bench 'Prove|Attest' -benchmem -count 5 -benchtime 1000x ./internal/shard ./internal/proof
 	$(GO) test -run 'TestStoreFootprint' -v ./internal/secmem | grep 'resident bytes'

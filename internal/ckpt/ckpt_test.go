@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,8 +25,8 @@ func TestStreamRoundTrip(t *testing.T) {
 			payload[i] = byte(i * 31)
 		}
 		var buf bytes.Buffer
-		sw, err := NewStreamWriter(&buf, testKey, "test/roundtrip")
-		if err != nil {
+		var sw StreamWriter
+		if err := sw.Reset(&buf, testKey, "test/roundtrip"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sw.Write(payload); err != nil {
@@ -50,8 +52,8 @@ func TestStreamRoundTrip(t *testing.T) {
 func streamBytes(t testing.TB, context string, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, testKey, context)
-	if err != nil {
+	var sw StreamWriter
+	if err := sw.Reset(&buf, testKey, context); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sw.Write(payload); err != nil {
@@ -67,38 +69,170 @@ func TestStreamFailsClosed(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, ChunkBytes+100)
 	good := streamBytes(t, "test/tamper", payload)
 
-	wantIntegrity := func(name string, raw []byte, context string) {
+	// wantIntegrity reads raw to its end and wants released bytes of the
+	// payload, then an IntegrityError that contains says.
+	wantIntegrity := func(name string, raw, key []byte, context string, released int, says string) {
 		t.Helper()
-		sr, err := NewStreamReader(bytes.NewReader(raw), testKey, context)
-		if err == nil {
-			_, err = io.ReadAll(sr)
-		}
+		got, err := readUntilRefused(raw, key, context)
 		var ie *secmem.IntegrityError
-		if !errors.As(err, &ie) {
-			t.Fatalf("%s: got %v, want IntegrityError", name, err)
+		if !errors.As(err, &ie) || !bytes.Equal(got, payload[:released]) || !strings.Contains(err.Error(), says) {
+			t.Fatalf("%s: %d bytes released, then %v; want %d, then an IntegrityError saying %q", name, len(got), err, released, says)
 		}
 	}
 
-	// Flip one payload byte: the frame CRC catches it.
+	// Flip one payload byte: the frame's tag catches it.
 	flipped := append([]byte(nil), good...)
 	flipped[len(streamMagic)+10+len("test/tamper")+4+10] ^= 0x01
-	wantIntegrity("bit flip", flipped, "test/tamper")
+	wantIntegrity("bit flip", flipped, testKey, "test/tamper", 0, "frame 1:")
 
-	// Truncate before the trailer: never silently accepted.
-	wantIntegrity("truncated", good[:len(good)-1], "test/tamper")
-	wantIntegrity("no trailer", good[:len(good)-streamMACLen-4], "test/tamper")
+	// Truncate the end frame: never silently accepted.
+	wantIntegrity("truncated", good[:len(good)-1], testKey, "test/tamper", len(payload), "frame 3 truncated")
+	wantIntegrity("no end frame", good[:len(good)-lenBytes-tagBytes], testKey, "test/tamper", len(payload), "frame 3 truncated")
 
-	// Wrong role: a stream decoded under another context is rejected.
-	wantIntegrity("role confusion", good, "test/other")
+	// Wrong role: a stream decoded under another context is rejected with
+	// its header.
+	wantIntegrity("role confusion", good, testKey, "test/other", 0, "does not match role")
 
-	// Wrong key: trailer MAC mismatch.
-	sr, err := NewStreamReader(bytes.NewReader(good), bytes.Repeat([]byte{9}, 32), "test/tamper")
-	if err == nil {
-		_, err = io.ReadAll(sr)
+	// Wrong key: the first frame's tag does not check.
+	wantIntegrity("wrong key", good, bytes.Repeat([]byte{9}, 32), "test/tamper", 0, "frame 1:")
+}
+
+// frames splits a stream written under context into its header and its
+// frames, the end frame last, each with its length and tag.
+func frames(t *testing.T, stream []byte, context string) (header []byte, out [][]byte) {
+	t.Helper()
+	off := len(streamMagic) + 10 + len(context)
+	header = stream[:off]
+	for off < len(stream) {
+		n := int(binary.LittleEndian.Uint32(stream[off:]))
+		out = append(out, stream[off:off+lenBytes+n+tagBytes])
+		off += lenBytes + n + tagBytes
 	}
-	var ie *secmem.IntegrityError
-	if !errors.As(err, &ie) {
-		t.Fatalf("wrong key: got %v, want IntegrityError", err)
+	return header, out
+}
+
+// readUntilRefused reads stream to its end and returns what was released
+// and the error that stopped it.
+func readUntilRefused(stream []byte, key []byte, context string) ([]byte, error) {
+	sr, err := NewStreamReader(bytes.NewReader(stream), key, context)
+	if err != nil {
+		return nil, err
+	}
+	var got bytes.Buffer
+	_, err = io.Copy(&got, sr)
+	return got.Bytes(), err
+}
+
+// TestStreamReleasesOnlyAuthenticatedFrames: a byte changed anywhere in frame
+// k — its length, its payload or its tag — and Read has released exactly the
+// frames before k when it fails, typed.
+func TestStreamReleasesOnlyAuthenticatedFrames(t *testing.T) {
+	const context = "test/release"
+	payload := make([]byte, 4*ChunkBytes+100)
+	for i := range payload {
+		payload[i] = byte(i*7 + i>>16)
+	}
+	good := streamBytes(t, context, payload)
+	header, fs := frames(t, good, context)
+	if len(fs) != 6 {
+		t.Fatalf("%d frames, want 5 and the end frame", len(fs))
+	}
+	off := len(header)
+	for k, f := range fs {
+		for _, at := range []int{0, lenBytes, len(f) / 2, len(f) - 1} {
+			bad := bytes.Clone(good)
+			bad[off+at] ^= 0x20
+			got, err := readUntilRefused(bad, testKey, context)
+			var ie *secmem.IntegrityError
+			if !errors.As(err, &ie) || !bytes.Equal(got, payload[:min(k*ChunkBytes, len(payload))]) {
+				t.Fatalf("frame %d, byte %d flipped: %d bytes released, then %v; want the %d bytes before it, then an IntegrityError",
+					k+1, at, len(got), err, min(k*ChunkBytes, len(payload)))
+			}
+		}
+		off += len(f)
+	}
+}
+
+// TestReadStateAppliesOnlyAuthenticatedFrames: with frame k of a state stream
+// damaged, ReadState's callback has read every byte of the frames before k
+// and none of frame k's.
+func TestReadStateAppliesOnlyAuthenticatedFrames(t *testing.T) {
+	lines := make(lineShard, 3000) // 264 000 bytes of records: five frames
+	for i := range lines {
+		lines[i] = secmem.DirtyLine{Level: -1, Index: uint64(i), Line: bytes.Repeat([]byte{byte(i)}, secmem.LineBytes), MAC: uint64(i)}
+	}
+	hdr := DeltaHeader{Seq: 5, Base: 4, CoveredLSN: []uint64{1}, CoveredWrites: []uint64{1}}
+	good := deltaFile(t, hdr, []lineShard{lines})
+	payload := unframed(t, good)
+	header, fs := frames(t, good, fuzzContext)
+	off := len(header)
+	for k, f := range fs[:len(fs)-1] {
+		bad := bytes.Clone(good)
+		bad[off+lenBytes+len(f)/3] ^= 1
+		off += len(f)
+		var applied bytes.Buffer
+		_, err := ReadState(bytes.NewReader(bad), testKey, 5, 4, func(_ DeltaHeader, _ int, r io.Reader) error {
+			_, err := io.Copy(&applied, r)
+			return err
+		})
+		var ie *secmem.IntegrityError
+		if !errors.As(err, &ie) {
+			t.Fatalf("frame %d damaged: ReadState returned %v, want an IntegrityError", k+1, err)
+		}
+		if want := max(0, k*ChunkBytes-(3*8+16)); applied.Len() != want || !bytes.Equal(applied.Bytes(), payload[3*8+16:][:want]) {
+			t.Fatalf("frame %d damaged: the callback read %d bytes, want the %d before it", k+1, applied.Len(), want)
+		}
+	}
+}
+
+// TestStreamRefusesRearrangedFrames: the tags chain every frame to the one
+// before it and to its ordinal, so a frame moved, dropped or repeated, and a
+// stream cut at a frame boundary, fail as tampering.
+func TestStreamRefusesRearrangedFrames(t *testing.T) {
+	const context = "test/order"
+	payload := make([]byte, 3*ChunkBytes+5)
+	for i := range payload {
+		payload[i] = byte(i >> 8)
+	}
+	header, fs := frames(t, streamBytes(t, context, payload), context)
+	join := func(parts ...[]byte) []byte { return bytes.Join(append([][]byte{header}, parts...), nil) }
+	end := fs[4]
+	cases := map[string][]byte{
+		"frames 1 and 2 swapped": join(fs[1], fs[0], fs[2], fs[3], end),
+		"frame 2 dropped":        join(fs[0], fs[2], fs[3], end),
+		"frame 2 repeated":       join(fs[0], fs[1], fs[1], fs[2], fs[3], end),
+		"the last frame dropped": join(fs[0], fs[1], fs[2], end),
+		"the end frame first":    join(end, fs[0], fs[1], fs[2], fs[3], end),
+	}
+	for k := 0; k <= 4; k++ {
+		cases[fmt.Sprintf("cut after frame %d", k)] = join(fs[:k]...)
+	}
+	for name, stream := range cases {
+		got, err := readUntilRefused(stream, testKey, context)
+		var ie *secmem.IntegrityError
+		if !errors.As(err, &ie) || !bytes.HasPrefix(payload, got) {
+			t.Errorf("%s: %d bytes released, then %v; want a prefix of the payload, then an IntegrityError", name, len(got), err)
+		}
+	}
+}
+
+// TestStreamRefusesLongFrameUnallocated: a frame that says it is longer than
+// ChunkBytes is refused on its length, before a buffer is made for it.
+func TestStreamRefusesLongFrameUnallocated(t *testing.T) {
+	const context = "test/long"
+	header, _ := frames(t, streamBytes(t, context, nil), context)
+	for _, n := range []uint32{ChunkBytes + 1, 1 << 31, ^uint32(0)} {
+		stream := binary.LittleEndian.AppendUint32(bytes.Clone(header), n)
+		stream = append(stream, make([]byte, ChunkBytes+1+tagBytes)...)
+		var got []byte
+		var err error
+		if a := allocatedBy(func() { got, err = readUntilRefused(stream, testKey, context) }); a >= ChunkBytes {
+			t.Errorf("a frame of %d bytes: refusing it allocated %d bytes", n, a)
+		}
+		var ie *secmem.IntegrityError
+		if !errors.As(err, &ie) || len(got) != 0 || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("a frame of %d bytes: %d bytes released, then %v; want it refused on its length", n, len(got), err)
+		}
 	}
 }
 
@@ -311,7 +445,7 @@ func (s synthShard) WriteRecords(w io.Writer) error {
 
 // BenchmarkStream writes and reads a 2-shard state stream of 64 MiB the way a
 // full checkpoint and a recovery do: WriteDelta to a file, temp file to fsync
-// to rename, and ReadDelta through secmem.ReadRecords, its MAC checked.
+// to rename, and ReadDelta through secmem.ReadRecords, every frame's tag checked.
 func BenchmarkStream(b *testing.B) {
 	perShard := (64 << 20) / 88 / 2 // a data line's record is 88 bytes
 	shards := []synthShard{{perShard}, {perShard}}

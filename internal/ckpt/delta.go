@@ -13,7 +13,7 @@ import (
 // chained to the epoch it was cut against — and a full snapshot (a delta
 // against nothing: base 0, which a replica also bootstraps from, resuming at
 // the marks its coverage holds) are both this payload inside the authenticated
-// stream codec (CRC-framed, whole-stream HMAC'd) under a context string that
+// stream codec (each frame tagged by one MAC chain) under a context string that
 // embeds both its own epoch and its base — a file renamed to a different
 // position in the chain fails authentication, exactly like a WAL segment
 // moved across epochs.
@@ -110,19 +110,18 @@ func WriteDelta[S DeltaShard](sw *StreamWriter, path string, key []byte, hdr Del
 	})
 }
 
-// ReadState authenticates the state stream in r, size bytes long, and hands
-// apply each shard's share in turn: a reader placed at the shard's count,
-// which apply must read to the end of the shard's records
-// (secmem.ReadRecords). seq and base are where the caller found the stream —
-// a file's name, or the base a replica asked its primary for; the stream
-// context binds them into the MAC, and the payload must embed the same
-// values. The MAC trailer comes last, so apply sees bytes nothing has
-// authenticated yet: what it builds may be served only once ReadState has
-// returned nil. A payload that does not decode, or an error of apply's, is
-// reported as it is if the stream then authenticates — it is sound and does
-// not fit — and as the stream's *secmem.IntegrityError if not: damage
-// explains it.
-func ReadState(r io.Reader, size int64, key []byte, seq, base uint64, apply func(hdr DeltaHeader, shard int, records io.Reader) error) (DeltaHeader, error) {
+// ReadState authenticates the state stream in r and hands apply each shard's
+// share in turn: a reader placed at the shard's count, which apply must read
+// to the end of the shard's records (secmem.ReadRecords). seq and base are
+// where the caller found the stream — a file's name, or the base a replica
+// asked its primary for; the stream context binds them into the tags, and the
+// payload must embed the same values. apply only ever reads bytes whose frame
+// tag has checked, but only the end frame says the stream is whole: what it
+// builds may be served only once ReadState has returned nil. A stream that
+// fails authentication is reported as its *secmem.IntegrityError, whatever
+// apply made of it; any other error — a payload that does not decode, or one
+// of apply's — is reported as it is.
+func ReadState(r io.Reader, key []byte, seq, base uint64, apply func(hdr DeltaHeader, shard int, records io.Reader) error) (DeltaHeader, error) {
 	var hdr DeltaHeader
 	sr, err := NewStreamReader(r, key, deltaContext(seq, base))
 	if err != nil {
@@ -138,10 +137,8 @@ func ReadState(r io.Reader, size int64, key []byte, seq, base uint64, apply func
 		if hdr.Seq != seq || hdr.Base != base {
 			return fmt.Errorf("ckpt: state stream %d←%d embeds chain position %d←%d", seq, base, hdr.Seq, hdr.Base)
 		}
-		// Counts are not authenticated yet, so each is believed only as far
-		// as the input has room for what it announces.
 		nsh := binary.LittleEndian.Uint64(head[16:])
-		if nsh == 0 || nsh > 1<<16 || nsh > uint64(size)/16 {
+		if nsh == 0 || nsh > 1<<16 {
 			return fmt.Errorf("ckpt: state stream %d←%d: unreasonable shard count %d", seq, base, nsh)
 		}
 		hdr.CoveredLSN = make([]uint64, nsh)
@@ -159,10 +156,11 @@ func ReadState(r io.Reader, size int64, key []byte, seq, base uint64, apply func
 		}
 		return nil
 	}()
-	// The MAC trailer sits after the payload: verify it before the caller
-	// trusts anything decoded or applied above.
-	if derr := sr.Drain(); derr != nil {
-		return hdr, derr
+	if err == nil {
+		_, err = io.Copy(io.Discard, sr) // on to the end frame
+	}
+	if sr.err != nil && sr.err != io.EOF {
+		return hdr, sr.err // the stream failed under whatever err says
 	}
 	return hdr, err
 }
@@ -174,11 +172,7 @@ func ReadDelta(path string, key []byte, seq, base uint64, apply func(hdr DeltaHe
 		return DeltaHeader{}, fmt.Errorf("ckpt: read state: %w", err)
 	}
 	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return DeltaHeader{}, fmt.Errorf("ckpt: read state: %w", err)
-	}
-	hdr, err := ReadState(f, st.Size(), key, seq, base, apply)
+	hdr, err := ReadState(f, key, seq, base, apply)
 	if err != nil {
 		return hdr, fmt.Errorf("%s: %w", path, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,9 +15,10 @@ import (
 )
 
 // A delta segment and the stream it travels in are read back from disk, where
-// an adversary can have been. Each frame carries an unkeyed CRC and the keyed
-// MAC comes last, so every length and count a decoder meets on the way is
-// unauthenticated when it is used: the decoders must fail typed, and must not
+// an adversary can have been. A frame's bytes are released only once its tag
+// has checked, so every count the state decoder meets was written by the key's
+// holder; a frame's length is read before its tag can be, and a count, though
+// authentic, may be absurd. The decoders must fail typed, and must not
 // allocate on the say-so of a number in the file.
 
 const fuzzContext = "morphtree/ckpt/delta/5/4" // deltaContext(5, 4)
@@ -66,7 +66,7 @@ func deltaFile(t testing.TB, hdr DeltaHeader, shards []lineShard) []byte {
 	return raw
 }
 
-// framed wraps payload in a valid stream: frames, CRCs and the MAC trailer.
+// framed wraps payload in a valid stream: frames, their tags and the end frame.
 func framed(t testing.TB, payload []byte) []byte { return streamBytes(t, fuzzContext, payload) }
 
 // unframed is the payload of a valid stream.
@@ -83,23 +83,19 @@ func unframed(t testing.TB, stream []byte) []byte {
 	return payload
 }
 
-// repairCRCs recomputes the CRC of every frame of stream it can still find,
-// as an adversary would after an edit: only the MAC trailer is beyond them.
-func repairCRCs(stream []byte) {
-	off := len(streamMagic) + 10 + len(fuzzContext)
-	for off+4 <= len(stream) {
-		n := int(binary.LittleEndian.Uint32(stream[off:]))
-		if n == 0 || n > maxFrame || off+4+n+4 > len(stream) {
-			return
-		}
-		payload := stream[off+4 : off+4+n]
-		binary.LittleEndian.PutUint32(stream[off+4+n:], crc32.Checksum(payload, castagnoli))
-		off += 4 + n + 4
+// released is what a StreamReader hands out of stream before it stops: the
+// payload of the frames whose tags checked.
+func released(stream []byte) []byte {
+	sr, err := NewStreamReader(bytes.NewReader(stream), testKey, fuzzContext)
+	if err != nil {
+		return nil
 	}
+	payload, _ := io.ReadAll(sr)
+	return payload
 }
 
-// damaged cuts a valid stream short (at even) or flips one bit of it and
-// repairs the CRCs (at odd). Either way it no longer authenticates.
+// damaged cuts a valid stream short (at even) or flips one bit of it (at
+// odd). Either way it no longer authenticates.
 func damaged(stream []byte, at uint32) []byte {
 	if at%2 == 0 {
 		return stream[:int(at/2)%len(stream)]
@@ -107,27 +103,21 @@ func damaged(stream []byte, at uint32) []byte {
 	flipped := bytes.Clone(stream)
 	bit := int(at/2) % (8 * len(stream))
 	flipped[bit/8] ^= 1 << (bit % 8)
-	repaired := bytes.Clone(flipped)
-	repairCRCs(repaired)
-	if bytes.Equal(repaired, stream) {
-		return flipped // the bit was a CRC's: repairing it would undo the damage
-	}
-	return repaired
+	return flipped
 }
 
-// oomDelta is a valid delta with shard 0's line count set to 2^32 and its
-// frame's CRC recomputed: the file that made ReadDelta ask for 2^32 lines'
-// worth of memory — and the process die of it — before the MAC was looked at.
+// oomDelta is a valid delta with shard 0's line count set to 2^32: the file
+// that made ReadDelta ask for 2^32 lines' worth of memory — and the process
+// die of it — when the count was read before anything was authenticated.
 func oomDelta(t testing.TB) []byte {
 	t.Helper()
 	hdr, shards := goldenDelta(t)
 	raw := deltaFile(t, hdr, shards)
-	count := len(streamMagic) + 10 + len(fuzzContext) + 4 + 3*8 + len(shards)*16
+	count := len(streamMagic) + 10 + len(fuzzContext) + lenBytes + 3*8 + len(shards)*16
 	if got := binary.LittleEndian.Uint64(raw[count:]); got != uint64(len(shards[0])) {
 		t.Fatalf("shard 0's count is not at offset %d: %d there", count, got)
 	}
 	binary.LittleEndian.PutUint64(raw[count:], 1<<32)
-	repairCRCs(raw)
 	return raw
 }
 
@@ -147,29 +137,44 @@ func TestReadDeltaBoundsUnauthenticatedCounts(t *testing.T) {
 }
 
 // authentic reports whether stream is a whole stream under the test's key
-// and context: its frames check and its MAC verifies.
+// and context: every frame's tag checks, the end frame's too.
 func authentic(stream []byte) bool {
 	sr, err := NewStreamReader(bytes.NewReader(stream), testKey, fuzzContext)
-	return err == nil && sr.Drain() == nil
+	if err == nil {
+		_, err = io.Copy(io.Discard, sr)
+	}
+	return err == nil
 }
 
-// checkTyped holds err, what reading stream returned, to the error contract:
-// a stream that does not authenticate is an *secmem.IntegrityError, unless it
-// does not even open with this container's header, which is a
-// *secmem.VersionError; only a stream that authenticates may fail any other
-// way (its payload does not decode), and it never fails as tampering.
-func checkTyped(t *testing.T, err error, stream []byte) {
+// checkTyped holds err, what reading stream returned, to the error contract.
+// A stream that does not open with this container's header is a
+// *secmem.VersionError. A whole stream never fails as tampering, and a
+// stream that is not whole always fails: as an *secmem.IntegrityError, or —
+// where decodes, the payload's decoder, is given — as the error its payload
+// met in frames whose tags checked, which a whole stream of just those
+// frames' bytes meets too.
+func checkTyped(t *testing.T, err error, stream []byte, decodes func(payload []byte) error) {
 	t.Helper()
 	var ie *secmem.IntegrityError
 	var ve *secmem.VersionError
-	switch ours := len(stream) >= container.HeaderBytes && container.CheckHeader(stream, streamMagic, streamVersion) == nil; {
+	ours := len(stream) >= container.HeaderBytes && container.CheckHeader(stream, streamMagic, streamVersion) == nil
+	switch whole := authentic(stream); {
 	case err == nil:
+		if !whole {
+			t.Fatal("a stream that does not authenticate was read")
+		}
 	case errors.As(err, &ve):
 		if ours || len(stream) < container.HeaderBytes+2 {
 			t.Fatalf("a stream that opens with this container's header, or with none: %v", err)
 		}
-	case errors.As(err, &ie) == authentic(stream):
-		t.Fatalf("the stream authenticates: %v, and reading it failed with: %v", authentic(stream), err)
+	case errors.As(err, &ie):
+		if whole {
+			t.Fatalf("a whole stream failed as tampering: %v", err)
+		}
+	case !whole && decodes == nil:
+		t.Fatalf("a stream that does not authenticate failed untyped: %v", err)
+	case !whole && decodes(released(stream)) == nil:
+		t.Fatalf("a stream that does not authenticate failed with %v, though the bytes its tags released decode", err)
 	}
 }
 
@@ -202,7 +207,7 @@ func FuzzStreamReader(f *testing.F) {
 		}); got > allocBound(len(stream)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(stream), got)
 		}
-		checkTyped(t, err, stream)
+		checkTyped(t, err, stream, nil)
 		switch {
 		case mode%3 == 2 && err == nil:
 			t.Fatal("a damaged stream decoded")
@@ -238,7 +243,13 @@ func FuzzReadDelta(f *testing.F) {
 		if n := allocatedBy(func() { hdr, lines, err = readDelta(path, 5, 4) }); n > allocBound(len(file)) {
 			t.Fatalf("reading a delta of %d bytes allocated %d", len(file), n)
 		}
-		checkTyped(t, err, file)
+		checkTyped(t, err, file, func(payload []byte) error {
+			if err := os.WriteFile(again, framed(t, payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := readDelta(again, 5, 4)
+			return err
+		})
 		if mode%3 == 2 && err == nil {
 			t.Fatal("a damaged delta was read")
 		}

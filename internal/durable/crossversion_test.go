@@ -2,8 +2,6 @@ package durable
 
 import (
 	"bytes"
-	"crypto/hmac"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -35,14 +33,18 @@ import (
 // snapshot and delta in "MCST" version 1, which went when the line MAC became
 // GHASH-then-AES. Open answers both with a *secmem.VersionError and leaves
 // the directory alone. testdata/cw_dir is the same history written by the
-// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt): its
-// snapshot and delta are read as they are, but its WAL tail is of the record
-// generation sealed by HMAC-SHA256, so Open refuses it too, by the kind byte
-// of its first frame. testdata/cwwal_dir is the same history once more, with
-// the WAL sealed by the line MAC (testdata/cwwalgen.go.txt), and recovers.
-// The older directories' sealed lines are walked out by test-only readers
-// and held to cw_dir's: only their MACs may differ, and the WAL segments,
-// sealed by HMAC in all three, not at all.
+// commit that changed the MAC (internal/counters/testdata/cwgen.go.txt), its
+// WAL tail of the record generation sealed by HMAC-SHA256, and
+// testdata/cwwal_dir the same history once more, with the WAL sealed by the
+// line MAC (testdata/cwwalgen.go.txt). Both hold their snapshot and delta in
+// "MCST" version 2, whose frames a CRC-32C checked and whose stream one
+// HMAC-SHA256 trailer authenticated, so Open refuses both. testdata/st3_dir
+// is the same history as the current stream writes it (testdata/st3gen.go.txt)
+// and recovers. The older directories' sealed lines are walked out by
+// test-only readers (mcst2_test.go's is the version-2 stream reader) and
+// held to st3_dir's: only their MACs may differ, cw_dir's and cwwal_dir's
+// payloads not at all, and the WAL segments, sealed by HMAC in the first
+// three, not at all among those three.
 
 func parentDirLine(d uint64, v int) []byte {
 	line := make([]byte, LineBytes)
@@ -143,28 +145,11 @@ func checkRefused(t *testing.T, fixture, magic string, version uint64) {
 	}
 }
 
-// readV1Stream reads the lines out of an "MCST" version-1 file: the same
-// container as today's but for the version, which this rewrites (with the
-// stream MAC over it) before reading the file as today's. The fixture is
-// trusted.
+// readV1Stream reads the lines out of an "MCST" version-1 file: version 2's
+// container but for the version word. The fixture is trusted.
 func readV1Stream(t *testing.T, path string, seq, base uint64) [][]secmem.DirtyLine {
 	t.Helper()
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(blob[:4]) != "MCST" || binary.LittleEndian.Uint64(blob[4:]) != 1 {
-		t.Fatalf("%s is not an MCST version-1 stream", path)
-	}
-	binary.LittleEndian.PutUint64(blob[4:], 2)
-	h := hmac.New(sha256.New, deltaKey(testKey))
-	h.Write(blob[:len(blob)-sha256.Size])
-	copy(blob[len(blob)-sha256.Size:], h.Sum(nil))
-	var lines [][]secmem.DirtyLine
-	if _, err := ckpt.ReadState(bytes.NewReader(blob), int64(len(blob)), deltaKey(testKey), seq, base, keepShards(&lines)); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	return lines
+	return payloadShards(t, mcst2Payload(t, path, 1, seq, base))
 }
 
 // checkOnlyMACsMoved holds an older fixture's lines, shard by shard, to the
@@ -213,10 +198,10 @@ func checkOnlyMACsMoved(t *testing.T, what string, old, cw [][]secmem.DirtyLine,
 	}
 }
 
-// cwLines reads a state stream file of testdata/cw_dir.
-func cwLines(t *testing.T, name string, seq, base uint64) [][]secmem.DirtyLine {
+// st3Lines reads a state stream file of testdata/st3_dir.
+func st3Lines(t *testing.T, name string, seq, base uint64) [][]secmem.DirtyLine {
 	t.Helper()
-	_, lines, err := readDeltaLines(filepath.Join("testdata/cw_dir", name), deltaKey(testKey), seq, base)
+	_, lines, err := readDeltaLines(filepath.Join("testdata/st3_dir", name), deltaKey(testKey), seq, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +247,7 @@ func TestParentDataDirectoryRecovers(t *testing.T) {
 	}
 	// The parent's tree counted writes, not write-backs, so its lines above
 	// level 0 hold other counters (internal/counters/testdata/README.md).
-	checkOnlyMACsMoved(t, "parent snapshot 2", v1Snapshot(old), cwLines(t, filepath.Base(SnapshotPath("", 2)), 2, 0),
+	checkOnlyMACsMoved(t, "parent snapshot 2", v1Snapshot(old), st3Lines(t, filepath.Base(SnapshotPath("", 2)), 2, 0),
 		func(level int32) bool { return level <= 0 && level >= -1 })
 }
 
@@ -273,19 +258,19 @@ func TestV2DataDirectoryRecovers(t *testing.T) {
 	checkRefused(t, "testdata/v2_dir", "MCST", 1)
 	every := func(level int32) bool { return level >= -1 }
 	snap, delta := filepath.Base(SnapshotPath("", 2)), ckpt.DeltaName(3, 2)
-	checkOnlyMACsMoved(t, "v2 snapshot 2", readV1Stream(t, filepath.Join("testdata/v2_dir", snap), 2, 0), cwLines(t, snap, 2, 0), every)
-	checkOnlyMACsMoved(t, "v2 delta 3", readV1Stream(t, filepath.Join("testdata/v2_dir", delta), 3, 2), cwLines(t, delta, 3, 2), every)
+	checkOnlyMACsMoved(t, "v2 snapshot 2", readV1Stream(t, filepath.Join("testdata/v2_dir", snap), 2, 0), st3Lines(t, snap, 2, 0), every)
+	checkOnlyMACsMoved(t, "v2 delta 3", readV1Stream(t, filepath.Join("testdata/v2_dir", delta), 3, 2), st3Lines(t, delta, 3, 2), every)
 	checkWALUnmoved(t, "testdata/v2_dir")
 }
 
 // TestCWDataDirectoryRecovers: the directory the GHASH-then-AES line MAC's
-// commit wrote is refused whole — Open, and Replay and DecodeAll of each of
-// its segments, name the WAL frame's older kind in a *secmem.VersionError,
-// never an *secmem.IntegrityError — and its snapshot and delta are
-// cwwal_dir's byte for byte: only the WAL moved. Without a WAL tail, it
-// recovers.
+// commit wrote is refused whole — Open names its state stream's older
+// version, and Replay and DecodeAll of each of its segments the WAL frame's
+// older kind, in a *secmem.VersionError, never an *secmem.IntegrityError —
+// and its snapshot and delta are cwwal_dir's byte for byte: only the WAL
+// moved. Without a WAL tail, it is still refused, by its snapshot.
 func TestCWDataDirectoryRecovers(t *testing.T) {
-	checkRefused(t, "testdata/cw_dir", "wal frame", 1)
+	checkRefused(t, "testdata/cw_dir", "MCST", 2)
 	entries, err := os.ReadDir("testdata/cw_dir")
 	if err != nil {
 		t.Fatal(err)
@@ -328,30 +313,48 @@ func TestCWDataDirectoryRecovers(t *testing.T) {
 	}
 
 	// A store that build shut down cleanly ends on a checkpoint, whose
-	// segments are empty: with cw_dir's emptied so, it opens, and every line
-	// the checkpoints hold verifies.
+	// segments are empty: with cw_dir's emptied so, it is refused by its
+	// snapshot's version all the same, and left as it was.
 	dir, man := copyFixtureDir(t, "testdata/cw_dir")
 	for i := 0; i < man.Shards; i++ {
 		if err := os.Truncate(SegmentPath(dir, 2, i), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m, info := mustOpen(t, testShardConfig(t, man.Shards, man.MemoryBytes), Config{Dir: dir, Sync: SyncNone})
-	defer m.Close()
-	if info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedRecords != 0 {
-		t.Fatalf("recovery of cw_dir with empty segments = %+v, want snapshot 2 + one delta and nothing replayed", info)
+	checkRefused(t, dir, "MCST", 2)
+}
+
+// TestCWWALDataDirectoryRecovers: the directory the commit that moved the
+// WAL's seal onto the line MAC wrote is refused whole, by its snapshot's
+// "MCST" version 2; its WAL segments are st3_dir's byte for byte, and its
+// snapshot and delta carry st3_dir's payloads byte for byte: only the
+// stream's framing moved.
+func TestCWWALDataDirectoryRecovers(t *testing.T) {
+	checkRefused(t, "testdata/cwwal_dir", "MCST", 2)
+	for _, e := range []struct {
+		name      string
+		seq, base uint64
+	}{{filepath.Base(SnapshotPath("", 2)), 2, 0}, {ckpt.DeltaName(3, 2), 3, 2}} {
+		checkSamePayload(t, filepath.Join("testdata/cwwal_dir", e.name), filepath.Join("testdata/st3_dir", e.name), e.seq, e.base)
 	}
-	if err := m.VerifyAll(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		name := filepath.Base(SegmentPath("", 2, i))
+		ours, err := os.ReadFile(filepath.Join("testdata/cwwal_dir", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if theirs, err := os.ReadFile(filepath.Join("testdata/st3_dir", name)); err != nil || !bytes.Equal(ours, theirs) {
+			t.Fatalf("cwwal_dir/%s: not st3_dir's segment byte for byte (%v)", name, err)
+		}
 	}
 }
 
-// TestCWWALDataDirectoryRecovers holds the formats of a data directory to
-// the one the commit that moved the WAL's seal onto the line MAC wrote: the
-// history replayed here leaves its files byte for byte, and a copy of it
-// recovers and goes on being used.
-func TestCWWALDataDirectoryRecovers(t *testing.T) {
-	dir, man := copyFixtureDir(t, "testdata/cwwal_dir")
+// TestST3DataDirectoryRecovers holds the formats of a data directory to the
+// one the commit that tagged each state-stream frame with the line MAC's
+// chain wrote: the history replayed here leaves its files byte for byte, and
+// a copy of it recovers and goes on being used.
+func TestST3DataDirectoryRecovers(t *testing.T) {
+	dir, man := copyFixtureDir(t, "testdata/st3_dir")
 	recoverFixtureDir(t, dir, man)
 
 	fresh := t.TempDir()
@@ -384,7 +387,7 @@ func TestCWWALDataDirectoryRecovers(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir("testdata/cwwal_dir")
+	entries, err := os.ReadDir("testdata/st3_dir")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +395,7 @@ func TestCWWALDataDirectoryRecovers(t *testing.T) {
 		t.Fatalf("the history left %d files (%v), the fixture holds %d", len(got), err, len(entries))
 	}
 	for _, e := range entries {
-		want, err := os.ReadFile(filepath.Join("testdata/cwwal_dir", e.Name()))
+		want, err := os.ReadFile(filepath.Join("testdata/st3_dir", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,10 +486,13 @@ func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
 // line before writing any (testdata/goldengen.go.txt; how:
 // internal/counters/testdata/README.md), in "MCST" version 1.
 // testdata/cw_deltas holds the same history's segments written by the commit
-// that made the line MAC GHASH-then-AES (cwgen.go.txt). The cut that replaced
-// the freeze promised the same bytes whenever nothing writes while it drains,
-// so the same history played here must leave cw_deltas' three files byte for
-// byte, and golden_deltas must hold the same lines but for their MACs.
+// that made the line MAC GHASH-then-AES (cwgen.go.txt), in "MCST" version 2,
+// and testdata/st3_deltas as the current stream writes them (st3gen.go.txt).
+// The cut that replaced the freeze promised the same bytes whenever nothing
+// writes while it drains, so the same history played here must leave
+// st3_deltas' three files byte for byte, cw_deltas must carry their payloads
+// byte for byte, and golden_deltas must hold the same lines but for their
+// MACs.
 
 // goldenDeltaRound lists the data lines round r of the history writes, in
 // order, repeats included; each round ends in a delta checkpoint.
@@ -567,13 +573,14 @@ func TestGoldenDeltasReproduce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("testdata/cw_deltas", name))
+		want, err := os.ReadFile(filepath.Join("testdata/st3_deltas", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: %d bytes written, not cw_deltas' %d byte for byte", name, len(got), len(want))
+			t.Fatalf("%s: %d bytes written, not st3_deltas' %d byte for byte", name, len(got), len(want))
 		}
+		checkSamePayload(t, filepath.Join("testdata/cw_deltas", name), filepath.Join("testdata/st3_deltas", name), seq, seq-1)
 		_, lines, err := readDeltaLines(filepath.Join(dir, name), deltaKey(testKey), seq, seq-1)
 		if err != nil {
 			t.Fatal(err)

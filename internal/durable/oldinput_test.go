@@ -15,8 +15,10 @@ import (
 )
 
 // TestOldInputIsAVersionError opens every fixture written before the line
-// MAC became GHASH-then-AES, and the data directory written before the WAL
-// took it up, through the public entry point that reads it: a
+// MAC became GHASH-then-AES, the data directory written before the WAL took
+// it up, and every state stream written before its frames carried the line
+// MAC's tags ("MCST" version 2), through the public entry point that reads
+// it: a
 // Save stream through secmem.Load, a data directory through Open, a snapshot
 // or delta file through ckpt.ReadDelta, a replica's bootstrap through
 // InstallSnapshot, a proof through proof.DecodeProof. Every one is refused by
@@ -88,10 +90,15 @@ func TestOldInputIsAVersionError(t *testing.T) {
 		{"ReadDelta v2_dir snapshot 2", readDelta("testdata/v2_dir/"+snap, 2, 0)},
 		{"ReadDelta v2_dir delta 3", readDelta("testdata/v2_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
 		{"InstallSnapshot v2_dir snapshot 2", install("testdata/v2_dir/"+snap, 2)},
+		{"Open cwwal_dir", open("testdata/cwwal_dir")},
+		{"ReadDelta cw_dir snapshot 2", readDelta("testdata/cw_dir/"+snap, 2, 0)},
+		{"ReadDelta cwwal_dir delta 3", readDelta("testdata/cwwal_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
+		{"InstallSnapshot cwwal_dir snapshot 2", install("testdata/cwwal_dir/"+snap, 2)},
 	}
 	for seq := uint64(2); seq <= 4; seq++ {
 		name := ckpt.DeltaName(seq, seq-1)
 		rows = append(rows, row{"ReadDelta golden_deltas " + name, readDelta("testdata/golden_deltas/"+name, seq, seq-1)})
+		rows = append(rows, row{"ReadDelta cw_deltas " + name, readDelta("testdata/cw_deltas/"+name, seq, seq-1)})
 	}
 	for _, d := range []int{0, 17, 39, 5000} {
 		rows = append(rows, row{fmt.Sprintf("DecodeProof parent_proof_%d.bin", d), decodeProof(fmt.Sprintf("../proof/testdata/parent_proof_%d.bin", d))})

@@ -5,9 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -496,20 +496,6 @@ func lengthBomb(shcfg shard.Config) []byte {
 	return b
 }
 
-// repairCRCs recomputes the CRC of every frame of an authenticated stream,
-// as an adversary would after an edit: only the MAC trailer is beyond them.
-func repairCRCs(stream []byte) {
-	off := 14 + int(binary.LittleEndian.Uint16(stream[12:]))
-	for off+4 <= len(stream) {
-		n := int(binary.LittleEndian.Uint32(stream[off:]))
-		if n == 0 || off+4+n+4 > len(stream) {
-			return
-		}
-		binary.LittleEndian.PutUint32(stream[off+4+n:], crc32.Checksum(stream[off+4:off+4+n], crc32.MakeTable(crc32.Castagnoli)))
-		off += 4 + n + 4
-	}
-}
-
 // TestInstallSnapshotRefusesWhatDoesNotAuthenticate: a bootstrap spool is the
 // one thing a replica takes from whatever answers as its leader and lands on
 // its own disk. Whatever is wrong with one — it is not a state stream at all,
@@ -555,7 +541,6 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	}
 	flipped := bytes.Clone(blob)
 	flipped[page+page/2] ^= 0x10 // in the second page
-	repairCRCs(flipped)
 
 	dir := t.TempDir()
 	r, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
@@ -585,7 +570,7 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	}{
 		{name: "the 44-byte version-1 stream", spool: lengthBomb(shcfg), seq: seq, version: true},
 		{name: "truncated", spool: blob[:len(blob)-40], seq: seq, tamper: true},
-		{name: "a page flipped in flight, CRCs repaired", spool: flipped, seq: seq, tamper: true},
+		{name: "a page flipped in flight", spool: flipped, seq: seq, tamper: true},
 		{name: "a delta stream: another role's key", spool: other, seq: seq, tamper: true},
 		{name: "another chain position", spool: blob, seq: seq + 1, tamper: true},
 		{name: "another shard count", spool: bytes.Join(onePages, nil), seq: 1, mismatch: true},
@@ -627,6 +612,65 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 	}
 	if err := fresh.VerifyAll(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstallSnapshotRefusesAnOlderGeneration: a replica whose spool holds a
+// base written before each state-stream frame carried the line MAC's tag —
+// cwwal_dir's snapshot 2, "MCST" version 2, landed page by page — says so
+// with a *secmem.VersionError, not as tampering, and goes on serving from a
+// directory nothing has touched. The same base as the current stream writes
+// it (st3_dir's) then installs.
+func TestInstallSnapshotRefusesAnOlderGeneration(t *testing.T) {
+	snap := filepath.Base(SnapshotPath("", 2))
+	old, err := os.ReadFile(filepath.Join("testdata/cwwal_dir", snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := os.ReadFile(filepath.Join("testdata/st3_dir", snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	r, _ := mustOpen(t, testShardConfig(t, 2, 4<<20), Config{Dir: dir, Sync: SyncAlways})
+	defer func() { _ = r.Close() }()
+	if err := r.Write(0, oracle.Fill(0, 77)); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string][]byte {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, e := range entries {
+			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	before := listing()
+	spoolAll(t, r, old, 512)
+	_, err = r.InstallSnapshot(2)
+	var ve *secmem.VersionError
+	if !errors.As(err, &ve) || ve.Magic != "MCST" || ve.Version != 2 || isIntegrityError(err) {
+		t.Fatalf("InstallSnapshot of an MCST 2 base returned %v, want a *secmem.VersionError naming it", err)
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused spool changed the data directory: %d files, was %d", len(after), len(before))
+	}
+	if got, err := r.Read(0); err != nil || !bytes.Equal(got, oracle.Fill(0, 77)) {
+		t.Fatalf("the replica no longer serves what it held: %v", err)
+	}
+	spoolAll(t, r, current, 512)
+	fresh, err := r.InstallSnapshot(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = fresh.Close() }()
+	if got, err := fresh.Read(11 * LineBytes); err != nil || !bytes.Equal(got, parentDirLine(11, 1)) {
+		t.Fatalf("the current generation's base did not install: %v", err)
 	}
 }
 

@@ -54,9 +54,9 @@ func parseSeq(name string) (seq uint64, shardIdx int, isSnap bool, ok bool) {
 // cut against nothing: every shard's full image behind the coverage header
 // replay starts from, written and read by the calls that write and read a
 // delta segment, under the same role key and a context that binds its epoch
-// and base 0. The stream's keyed MAC authenticates the whole file — including
-// the on-chip roots it carries — so any at-rest edit fails recovery with an
-// *secmem.IntegrityError. (Substituting an entire older, self-consistent
+// and base 0. The stream's chain of frame tags authenticates the whole file —
+// including the on-chip roots it carries — so any at-rest edit fails recovery
+// with an *secmem.IntegrityError. (Substituting an entire older, self-consistent
 // {snapshot, WAL} directory is rollback, which needs the root anchored in
 // trusted storage and is documented out of scope; see DESIGN.md §10.)
 
@@ -234,7 +234,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 		hdr, err := ckpt.ReadDelta(path, deltaKey(shcfg.Mem.Key), ent.Seq, ent.Base, func(hdr ckpt.DeltaHeader, i int, r io.Reader) error {
 			if n := len(hdr.CoveredLSN); n != shcfg.Shards {
-				// Reported only if the stream authenticates, so this is an
+				// The header's frame has authenticated, so this is an
 				// operator config mismatch, not tampering.
 				return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(shcfg.Shards)}
 			}

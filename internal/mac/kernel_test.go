@@ -14,19 +14,22 @@ func portable(f func()) {
 	f()
 }
 
-// checkKernel holds the kernel's Data, Counter and Record to the portable
-// path's over one content.
+// chunkBytes is a state-stream frame's largest payload, ckpt.ChunkBytes.
+const chunkBytes = 64 << 10
+
+// checkKernel holds the kernel's Data, Counter, Record and Frame to the
+// portable path's over one content.
 func checkKernel(t *testing.T, k *Keyer, content []byte, domain, addr, counter uint64) {
 	t.Helper()
 	level := int(domain % 16)
-	kd, kc, kr := k.Data(content, counter, addr), k.Counter(content, counter, level, addr), k.Record(content)
-	var pd, pc, pr uint64
-	portable(func() {
-		pd, pc, pr = k.Data(content, counter, addr), k.Counter(content, counter, level, addr), k.Record(content)
-	})
-	if kd != pd || kc != pc || kr != pr {
-		t.Fatalf("width %d, %d-byte content: kernel Data %#x Counter %#x Record %#x, portable %#x %#x %#x",
-			k.Width(), len(content), kd, kc, kr, pd, pc, pr)
+	macs := func() [4]uint64 {
+		return [4]uint64{k.Data(content, counter, addr), k.Counter(content, counter, level, addr), k.Record(content), k.Frame(addr, counter, content)}
+	}
+	kernel := macs()
+	var port [4]uint64
+	portable(func() { port = macs() })
+	if kernel != port {
+		t.Fatalf("width %d, %d-byte content: kernel Data, Counter, Record, Frame %#x, portable %#x", k.Width(), len(content), kernel, port)
 	}
 }
 
@@ -51,19 +54,31 @@ func TestKernelMatchesPortable(t *testing.T) {
 			checkKernel(t, k, content[:n], rng.Uint64(), rng.Uint64(), rng.Uint64())
 		}
 	}
+	// A state stream's frame tag is a 64-bit MAC over up to a whole frame.
+	k, err := New([]byte("0123456789abcdef"), Width64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := make([]byte, chunkBytes)
+	rng.Read(content)
+	for _, n := range []int{0, 1, 15, 16, 17, 4096, chunkBytes - 1, chunkBytes} {
+		checkKernel(t, k, content[:n], rng.Uint64(), rng.Uint64(), rng.Uint64())
+	}
 }
 
 // FuzzKernelMatchesPortable holds the kernel to the portable path for any
-// key New accepts, any width, any content up to 4 KiB and any header words.
+// key New accepts, any width, any content up to a state-stream frame's and
+// any header words.
 func FuzzKernelMatchesPortable(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), uint8(56), make([]byte, lineBytes), uint64(0xFFFF), uint64(0x40), uint64(7))
 	f.Add([]byte("k"), uint8(1), []byte{}, uint64(0), uint64(0), uint64(0))
 	f.Add(make([]byte, 64), uint8(64), make([]byte, 4096), uint64(1), ^uint64(0), uint64(1)<<56)
+	f.Add([]byte("0123456789abcdef"), uint8(64), make([]byte, chunkBytes), uint64(0), uint64(3), uint64(0x9E3779B97F4A7C15))
 	f.Fuzz(func(t *testing.T, key []byte, width uint8, content []byte, domain, addr, counter uint64) {
 		if !useKernel {
 			t.Skip("no line kernel on this CPU")
 		}
-		if len(key) == 0 || len(key) > 64 || width < 1 || width > 64 || len(content) > 4096 {
+		if len(key) == 0 || len(key) > 64 || width < 1 || width > 64 || len(content) > chunkBytes {
 			t.Skip()
 		}
 		k, err := New(key, Width(width))

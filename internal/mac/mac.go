@@ -32,7 +32,10 @@
 // returns that error.
 //
 // Record, the WAL's record seal, is the same construction under a domain word
-// of its own, over the record's body (DESIGN.md §10). Derive is the one key
+// of its own, over the record's body (DESIGN.md §10), and Frame, the tag
+// of a state-stream frame, under another, over the frame's payload with its
+// ordinal and the tag before it in the address and counter words (DESIGN.md
+// §17). Derive is the one key
 // derivation of the repository: HMAC-SHA256(key, label), which every role
 // key and sub-key is made with.
 //
@@ -98,6 +101,9 @@ const (
 	// recordDomain is the domain word of a WAL record's MAC, which no line
 	// MAC uses.
 	recordDomain = 0xFFFE
+	// frameDomain is the domain word of a state-stream frame's tag, which
+	// no line or record MAC uses.
+	frameDomain = 0xFFFD
 )
 
 // zeroNonce is the one GCM nonce the line MAC uses; see the package comment
@@ -213,7 +219,8 @@ func (k *Keyer) Width() Width { return k.width }
 // Line MACs bind {content, counter, address, domain}: the counter defeats
 // replay of stale tuples once the counter itself is protected by the tree,
 // the address defeats splicing lines across locations, and the domain
-// separates data MACs from each tree level's MACs and from WAL records'.
+// separates data MACs from each tree level's MACs, from WAL records' and from
+// state-stream frames'.
 
 // Data computes the MAC protecting a data cacheline.
 func (k *Keyer) Data(ciphertext []byte, counter uint64, addr uint64) uint64 {
@@ -231,6 +238,14 @@ func (k *Keyer) Counter(encoded []byte, parentCounter uint64, level int, index u
 // record domain, with zero address and counter words.
 func (k *Keyer) Record(body []byte) uint64 {
 	return k.compute(recordDomain, 0, 0, body)
+}
+
+// Frame computes the tag of a state stream's frame: the line MAC's
+// construction over payload under the frame domain, with the frame's
+// ordinal in the address word and the tag of the frame before it in the
+// counter word, so that each tag binds every frame before it.
+func (k *Keyer) Frame(ordinal, prev uint64, payload []byte) uint64 {
+	return k.compute(frameDomain, ordinal, prev, payload)
 }
 
 // compute is the MAC over domain || addr || counter || content, the three

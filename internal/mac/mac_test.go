@@ -94,6 +94,10 @@ func TestDomainSeparation(t *testing.T) {
 	if r == k.Data(content, 0, 0) || r == k.Counter(content, 0, 0, 0) || r == k.Counter(content, 0, 1, 0) {
 		t.Fatalf("the record domain collides with a line's: record=%#x", r)
 	}
+	// Nor does a state-stream frame's tag, whatever its ordinal and chain.
+	if f := k.Frame(3, 5, content); f == d || f == k.Frame(0, 0, content) || k.Frame(0, 0, content) == r {
+		t.Fatalf("the frame domain collides with another: frame=%#x", f)
+	}
 }
 
 // Property: flipping any single content byte changes the MAC.

@@ -250,7 +250,7 @@ func readGolden(t *testing.T, path string) []goldenMAC {
 	return rows
 }
 
-// FuzzKeyerMatchesReference holds Data, Counter and Record to the textbook
+// FuzzKeyerMatchesReference holds Data, Counter, Record and Frame to the textbook
 // for any key New accepts, any content up to 4 KiB and the three widths in
 // use.
 func FuzzKeyerMatchesReference(f *testing.F) {
@@ -281,6 +281,9 @@ func FuzzKeyerMatchesReference(f *testing.F) {
 			}
 			if got, want := k.Record(content), referenceMAC(key, width, recordDomain, 0, 0, content); got != want {
 				t.Fatalf("%d-byte key, width %d, Record over %d bytes: got %#x, reference %#x", len(key), width, len(content), got, want)
+			}
+			if got, want := k.Frame(addr, counter, content), referenceMAC(key, width, frameDomain, addr, counter, content); got != want {
+				t.Fatalf("%d-byte key, width %d, Frame over %d bytes: got %#x, reference %#x", len(key), width, len(content), got, want)
 			}
 		}
 	})

@@ -22,6 +22,10 @@ import (
 // another header — never a panic and never an *secmem.IntegrityError, which
 // would call framing damage tampering. What each allocates is bounded by the
 // input's length: no count is believed beyond the bytes there are to back it.
+// The bound is read off the process-wide allocation counter, which the fuzz
+// worker's own allocations also move, so it is the least of three decodes of
+// the same input that is held to it: a decode is deterministic, and only what
+// runs beside it differs from one to the next.
 func FuzzProofDecode(f *testing.F) {
 	for _, name := range []string{"cw_proof_0.bin", "cw_proof_5000.bin", "parent_proof_17.bin"} {
 		raw, err := os.ReadFile("testdata/" + name)
@@ -72,11 +76,22 @@ func FuzzProofDecode(f *testing.F) {
 // returns the decoder's error.
 func checkDecoder[T interface{ Encode([]byte) ([]byte, error) }](t *testing.T, in []byte, decode func([]byte) (T, error)) error {
 	t.Helper()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	v, err := decode(in)
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; !racedetect.Enabled && grew > 32*uint64(len(in))+4096 {
+	bound := 32*uint64(len(in)) + 4096
+	var (
+		v    T
+		err  error
+		grew uint64
+	)
+	for try := 0; try < 3 && (try == 0 || grew > bound); try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err = decode(in)
+		runtime.ReadMemStats(&after)
+		if try == 0 || after.TotalAlloc-before.TotalAlloc < grew {
+			grew = after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if !racedetect.Enabled && grew > bound {
 		t.Fatalf("decoding %d bytes as %T allocated %d", len(in), v, grew)
 	}
 	if err == nil {

@@ -185,7 +185,7 @@ type ReplicateResponse struct {
 // BasePage is one page of a primary's base snapshot file — the full image
 // its live WAL segments start after, which never changes once renamed. The
 // page is nothing anyone has authenticated: the follower authenticates the
-// file whole, under the snapshot's MAC, before it lands.
+// file whole, under its state stream's frame tags, before it lands.
 type BasePage struct {
 	// Seq is the base snapshot's epoch and Size its length in bytes.
 	Seq, Size uint64
