@@ -10,7 +10,10 @@
 // time that depends on no key or data byte: AESENC is one instruction per
 // round and AESKEYGENASSIST expands the key, so no table is indexed by a
 // secret. Elsewhere the same bytes come from crypto/aes a block at a time,
-// the portable path the tests hold the kernel to.
+// the portable path the tests hold the kernel to, which makes each pad in
+// the Cipher's own 64 bytes under a mutex that only it takes. Neither path
+// hands a caller's line to an interface call, so a line on the caller's
+// stack stays there.
 package aesctr
 
 import (
@@ -19,6 +22,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // LineBytes is the cacheline granularity of encryption.
@@ -27,8 +31,8 @@ const LineBytes = 64
 // maxRoundKeyBytes holds AES-256's fifteen round keys.
 const maxRoundKeyBytes = 15 * aes.BlockSize
 
-// Cipher encrypts and decrypts 64-byte lines under counter mode. It is
-// immutable after New and safe for concurrent use.
+// Cipher encrypts and decrypts 64-byte lines under counter mode. It is safe
+// for concurrent use.
 type Cipher struct {
 	// block is the portable path's AES.
 	block cipher.Block
@@ -38,6 +42,10 @@ type Cipher struct {
 	enc [maxRoundKeyBytes]byte
 	// nr is the number of AES rounds: 10, 12 or 14.
 	nr int
+
+	// mu guards pad, where the portable path makes a line's pad.
+	mu  sync.Mutex
+	pad [LineBytes]byte
 }
 
 // New returns a Cipher keyed with an AES-128/192/256 key.
@@ -53,21 +61,9 @@ func New(key []byte) (*Cipher, error) {
 	return c, nil
 }
 
-// pad writes the pad into dst, seeding and encrypting each block in place.
-// The cipher is reached through an interface, so whatever it is handed
-// escapes: working in the caller's buffer is what keeps XOR off the heap.
-func (c *Cipher) pad(dst []byte, addr, counter uint64) {
-	for i := 0; i < LineBytes/aes.BlockSize; i++ {
-		blk := dst[i*aes.BlockSize : (i+1)*aes.BlockSize]
-		binary.LittleEndian.PutUint64(blk[0:], addr)
-		binary.LittleEndian.PutUint64(blk[8:], counter<<4|uint64(i))
-		c.block.Encrypt(blk, blk)
-	}
-}
-
 // XOR applies the pad for {addr, counter} to src, writing into dst; it both
-// encrypts and decrypts. dst and src must be 64 bytes and may alias. It
-// allocates nothing when dst is already on the heap.
+// encrypts and decrypts. dst and src must be 64 bytes and may alias. Apart
+// from its error, it allocates nothing.
 func (c *Cipher) XOR(dst, src []byte, addr, counter uint64) error {
 	if len(dst) != LineBytes || len(src) != LineBytes {
 		return fmt.Errorf("aesctr: line must be %d bytes (dst %d, src %d)", LineBytes, len(dst), len(src))
@@ -76,10 +72,20 @@ func (c *Cipher) XOR(dst, src []byte, addr, counter uint64) error {
 		xorLine(c.nr, &c.enc, (*[LineBytes]byte)(dst), (*[LineBytes]byte)(src), addr, counter)
 		return nil
 	}
-	// dst doubles as the pad's workspace, so take src out of its way first.
-	var in [LineBytes]byte
-	copy(in[:], src)
-	c.pad(dst, addr, counter)
-	subtle.XORBytes(dst, dst, in[:])
+	c.portable(dst, src, addr, counter)
 	return nil
+}
+
+// portable is XOR through crypto/aes, a block at a time, with the pad made
+// in the Cipher's own bytes.
+func (c *Cipher) portable(dst, src []byte, addr, counter uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := 0; i < LineBytes/aes.BlockSize; i++ {
+		blk := c.pad[i*aes.BlockSize : (i+1)*aes.BlockSize]
+		binary.LittleEndian.PutUint64(blk[0:], addr)
+		binary.LittleEndian.PutUint64(blk[8:], counter<<4|uint64(i))
+		c.block.Encrypt(blk, blk)
+	}
+	subtle.XORBytes(dst, src, c.pad[:])
 }

@@ -3,6 +3,8 @@ package aesctr
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -197,7 +199,91 @@ func FuzzKernelMatchesPortable(f *testing.F) {
 	})
 }
 
+// Sixteen goroutines share one Cipher, on each path this CPU has, each
+// holding its lines to a Cipher of its own: under -race this is the check
+// that the portable path's pad is never in two hands.
+func TestConcurrentXORsOnOneCipher(t *testing.T) {
+	if useKernel {
+		concurrentXORs(t)
+	}
+	portable(func() { concurrentXORs(t) })
+}
+
+func concurrentXORs(t *testing.T) {
+	shared := newCipher(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			own := newCipher(t)
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				var src, got, want [LineBytes]byte
+				rng.Read(src[:])
+				addr, counter := rng.Uint64(), rng.Uint64()
+				if err := shared.XOR(got[:], src[:], addr, counter); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := own.XOR(want[:], src[:], addr, counter); err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want {
+					t.Errorf("goroutine %d at {%#x, %#x}: shared Cipher %x, own %x", g, addr, counter, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 var sink byte
+
+// mallocs returns how many heap objects 1 000 calls of f allocate, after one
+// call to warm it up, read from the runtime's raw count: testing.AllocsPerRun
+// divides as integers, so it reads half an allocation a call as 0.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// XOR between two lines on its caller's stack allocates nothing on either
+// path, under the race detector too: neither path hands a line to anything
+// but assembly, and the portable path makes its pad in the Cipher's own
+// bytes.
+func TestXORRawMallocs(t *testing.T) {
+	c := newCipher(t)
+	var counter uint64
+	xor := func() {
+		var src, dst [LineBytes]byte
+		src[0] = sink
+		counter++
+		if err := c.XOR(dst[:], src[:], 0x40, counter); err != nil {
+			t.Fatal(err)
+		}
+		sink += dst[0]
+	}
+	if useKernel {
+		if n := mallocs(xor); n != 0 {
+			t.Errorf("kernel: 1 000 XORs over stack lines allocate %d times, want 0", n)
+		}
+	}
+	portable(func() {
+		if n := mallocs(xor); n != 0 {
+			t.Errorf("portable: 1 000 XORs over stack lines allocate %d times, want 0", n)
+		}
+	})
+}
 
 // BenchmarkPad is one line's pad and XOR, on each path this CPU has.
 func BenchmarkPad(b *testing.B) {

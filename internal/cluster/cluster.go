@@ -238,9 +238,9 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		_ = mem.Close()
 		return nil, err
 	}
-	n.wg.Add(1)
-	go n.puller()
 	n.logf("cluster: %s open as %s (epoch %d, leader %s)", cfg.Self, n.role, n.epoch, n.leader)
+	n.wg.Add(1)
+	go n.puller() // from here on n's fields are read under n.mu
 	return n, nil
 }
 

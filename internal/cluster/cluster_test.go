@@ -787,6 +787,95 @@ func TestUnboundPollCannotFence(t *testing.T) {
 	}
 }
 
+// TestKeylessLeaderCannotFence: a follower's Leader is a bare listener that
+// holds no key. It binds the follower's peer HELLO and answers its poll with
+// MOVED at epoch 2^62, naming the real primary as leader. None of that is
+// authenticated, so none of it may move anything: the follower's epoch, its
+// cluster.META and its lease stay as they were, and the primary still leads.
+func TestKeylessLeaderCannotFence(t *testing.T) {
+	t.Skip("ROADMAP 22: a listener with no key fences the cluster")
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	movedStatus, movedBody := wire.EncodeError(&wire.MovedError{Epoch: 1 << 62, Leader: p.addr})
+	// No poll is answered until the follower's state before it is read.
+	release, polled := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					op, _, err := wire.ReadFrame(conn)
+					if err != nil {
+						return
+					}
+					status, body := wire.StatusOK, []byte(nil)
+					if op == wire.OpReplicate {
+						<-release
+						status, body = movedStatus, movedBody
+					}
+					if err := wire.WriteFrame(conn, status, body); err != nil {
+						return
+					}
+					if op == wire.OpReplicate {
+						once.Do(func() { close(polled) })
+					}
+				}
+			}()
+		}
+	}()
+
+	dcfg := testDCfg(t)
+	f := startNode(t, shcfg, dcfg, func(c *Config) { c.Leader = ln.Addr().String() })
+	epochBefore := f.node.Route().Epoch
+	f.node.mu.Lock()
+	contactBefore := f.node.lastContact
+	f.node.mu.Unlock()
+	metaPath := filepath.Join(dcfg.Dir, metaFile)
+	metaBefore, err := os.ReadFile(metaPath)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	close(release)
+
+	select {
+	case <-polled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower never polled the listener")
+	}
+	time.Sleep(200 * time.Millisecond) // many polls' time to act on the answer
+
+	if epoch := f.node.Route().Epoch; epoch != epochBefore {
+		t.Errorf("the follower's epoch moved %d -> %d on an unauthenticated MOVED", epochBefore, epoch)
+	}
+	metaAfter, err := os.ReadFile(metaPath)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(metaAfter, metaBefore) {
+		t.Errorf("an unauthenticated MOVED rewrote %s: %s, was %s", metaFile, metaAfter, metaBefore)
+	}
+	f.node.mu.Lock()
+	contactAfter := f.node.lastContact
+	f.node.mu.Unlock()
+	if !contactAfter.Equal(contactBefore) {
+		t.Errorf("the follower's lease was refreshed after an unauthenticated answer")
+	}
+	if ri := p.node.Route(); ri.Role != RolePrimary {
+		t.Errorf("the primary is %s at epoch %d after the follower acted on the listener's MOVED, want %s", ri.Role, ri.Epoch, RolePrimary)
+	}
+}
+
 // TestAckUnblocksOnPoll: a write blocked on replication cover completes
 // the moment a follower's poll advances its marks past the LSN.
 func TestAckUnblocksOnPoll(t *testing.T) {

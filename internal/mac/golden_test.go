@@ -239,13 +239,13 @@ func TestMACsDoNotAllocate(t *testing.T) {
 
 // TestRawDoesNotAllocate pins the WAL's record seal, Keyer.Record (once
 // Keyer.Raw), to no allocation at any body length the WAL writes, once the
-// pooled buffer has grown to the largest.
+// Keyer's message buffer has grown to the largest.
 func TestRawDoesNotAllocate(t *testing.T) {
 	if racedetect.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	k := keyer(t, Width64)
-	k.Record(make([]byte, 4096))               // the pooled buffer has grown to the largest message
+	k.Record(make([]byte, 4096))               // the message buffer has grown to the largest message
 	for _, n := range []int{0, 33, 89, 4096} { // 89: a write record's body
 		body := make([]byte, n)
 		if a := testing.AllocsPerRun(200, func() { sink += k.Record(body) }); a != 0 {
@@ -254,14 +254,24 @@ func TestRawDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkCounterMAC is one counter line's MAC, on each path this CPU has.
 func BenchmarkCounterMAC(b *testing.B) {
 	k, err := New([]byte("test-key-0123456"), Width56)
 	if err != nil {
 		b.Fatal(err)
 	}
 	line := make([]byte, lineBytes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink += k.Counter(line, uint64(i), 1, 3)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += k.Counter(line, uint64(i), 1, 3)
+		}
 	}
+	b.Run("kernel", func(b *testing.B) {
+		if !useKernel {
+			b.Skip("no line kernel on this CPU")
+		}
+		run(b)
+	})
+	b.Run("portable", func(b *testing.B) { portable(func() { run(b) }) })
 }

@@ -2,6 +2,7 @@ package mac
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -86,5 +87,45 @@ func FuzzKernelMatchesPortable(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkKernel(t, k, content, domain, addr, counter)
+	})
+}
+
+// mallocs returns how many heap objects 1 000 calls of f allocate, after one
+// call to warm it up, read from the runtime's raw count: testing.AllocsPerRun
+// divides as integers, so it reads half an allocation a call as 0.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// Data, Counter, Record and Frame over buffers on their caller's stack
+// allocate nothing on either path once a call has warmed the Keyer, under
+// the race detector too: the portable path assembles each message in the
+// Keyer's own buffer, grown by then to the longest, and makes the tag in
+// the Keyer's own block.
+func TestMACRawMallocs(t *testing.T) {
+	k := keyer(t, Width64)
+	macs := func() {
+		var line [lineBytes]byte
+		var body [89]byte // a WAL write record's
+		line[0], body[0] = byte(sink), byte(sink>>8)
+		sink += k.Data(line[:], 7, 0x40) + k.Counter(line[:], sink, 1, 3) + k.Record(body[:]) + k.Frame(1, sink, line[:])
+	}
+	if useKernel {
+		if n := mallocs(macs); n != 0 {
+			t.Errorf("kernel: 1 000 rounds of Data, Counter, Record and Frame allocate %d times, want 0", n)
+		}
+	}
+	portable(func() {
+		if n := mallocs(macs); n != 0 {
+			t.Errorf("portable: 1 000 rounds of Data, Counter, Record and Frame allocate %d times, want 0", n)
+		}
 	})
 }

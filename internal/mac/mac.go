@@ -39,16 +39,14 @@
 // derivation of the repository: HMAC-SHA256(key, label), which every role
 // key and sub-key is made with.
 //
-// Everything a Keyer holds is immutable after New, so a Keyer is safe for
-// concurrent use with no lock — which proof.Walker in a thin client needs,
-// and shared reads in the engine would. The kernel works in registers and
-// in two blocks on its caller's stack, so it allocates nothing, ever, and a
-// caller's buffer stays on the caller's stack. The portable path assembles
-// the message in a buffer and makes the tag in a block that are mutable and
-// live in one sync.Pool for the package: a MAC takes a pair, uses it and
-// puts it back, so a short-lived Keyer (one per proof verified) brings no
-// scratch of its own into being, and a caller's buffer is only ever copied
-// from.
+// A Keyer is safe for concurrent use — which proof.Walker in a thin client
+// needs, and shared reads in the engine would. The kernel reads only what
+// New wrote and works in registers and in two blocks on its caller's stack,
+// so it takes no lock and allocates nothing, ever, and a caller's buffer
+// stays on the caller's stack. The portable path assembles the message in
+// the Keyer's own buffer and makes the tag in its own block, under a mutex
+// only that path takes: a caller's buffer is only ever copied from, and the
+// buffer grows once, to the longest message the Keyer sees.
 package mac
 
 import (
@@ -82,10 +80,6 @@ const (
 	// lineBytes is the content length the engine MACs, a data or counter
 	// cacheline.
 	lineBytes = 64
-	// msgBytes is what a pooled message buffer starts with: room for a line
-	// MAC's message (headerBytes + lineBytes) or a WAL record's, its body
-	// behind the header. A longer message grows it once.
-	msgBytes = 2 * lineBytes
 	// subKeyBytes is the length of K1 and K2: AES-128 keys.
 	subKeyBytes = 16
 	// blockBytes is the AES and GHASH block.
@@ -124,8 +118,8 @@ func (e *KeySizeError) Error() string {
 	return fmt.Sprintf("mac: key is %d bytes, want 1 to %d", e.Len, sha256.BlockSize)
 }
 
-// Keyer computes truncated MACs under a fixed secret key. It is immutable
-// after New and safe for concurrent use.
+// Keyer computes truncated MACs under a fixed secret key. It is safe for
+// concurrent use.
 type Keyer struct {
 	// ghash is AES-GCM under K1: its Seal of an empty plaintext is
 	// GHASH_H(message) XOR E_K1(J0). The portable path's.
@@ -151,17 +145,15 @@ type Keyer struct {
 	finKeys [roundKeyBytes]byte
 	width   Width
 	mask    uint64
-}
 
-// scratch is the mutable state of one portable MAC evaluation, any
-// Keyer's.
-type scratch struct {
+	// mu guards the portable path's scratch, msg and sum.
+	mu sync.Mutex
 	// msg is the message being MACed, copied here so that the caller's
 	// buffer is not handed to an interface method, which would move it to
 	// the heap.
 	msg []byte
 	// sum is where a tag is made.
-	sum [aes.BlockSize]byte
+	sum [blockBytes]byte
 }
 
 // New returns a Keyer for the given secret key and truncation width. The key
@@ -207,11 +199,6 @@ func Derive(key []byte, label string) []byte {
 	h.Write([]byte(label)) //morph:sealed -- into a hash whose output is a key
 	return h.Sum(nil)
 }
-
-// scratches pools *scratch; see the package comment.
-var scratches = sync.Pool{New: func() any {
-	return &scratch{msg: make([]byte, 0, msgBytes)}
-}}
 
 // Width returns the truncation width in bits.
 func (k *Keyer) Width() Width { return k.width }
@@ -274,17 +261,15 @@ func (k *Keyer) compute(domain, addr, counter uint64, content []byte) uint64 {
 }
 
 // portable is compute through crypto/cipher: a GCM Seal and an AES block,
-// on a pooled scratch.
+// in the Keyer's scratch.
 func (k *Keyer) portable(domain, addr, counter uint64, content []byte) uint64 {
-	pooled := scratches.Get()
-	s := pooled.(*scratch)
-	s.msg = binary.LittleEndian.AppendUint64(s.msg[:0], domain)
-	s.msg = binary.LittleEndian.AppendUint64(s.msg, addr)
-	s.msg = binary.LittleEndian.AppendUint64(s.msg, counter)
-	s.msg = append(s.msg, content...)
-	tag := k.ghash.Seal(s.sum[:0], zeroNonce[:], nil, s.msg)
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.msg = binary.LittleEndian.AppendUint64(k.msg[:0], domain)
+	k.msg = binary.LittleEndian.AppendUint64(k.msg, addr)
+	k.msg = binary.LittleEndian.AppendUint64(k.msg, counter)
+	k.msg = append(k.msg, content...)
+	tag := k.ghash.Seal(k.sum[:0], zeroNonce[:], nil, k.msg)
 	k.fin.Encrypt(tag, tag)
-	sum := binary.LittleEndian.Uint64(tag) & k.mask
-	scratches.Put(pooled) // only now: the sum was read out of the scratch
-	return sum
+	return binary.LittleEndian.Uint64(tag) & k.mask
 }

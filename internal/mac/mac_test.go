@@ -132,9 +132,17 @@ func TestNewReturnsTheGCMRefusal(t *testing.T) {
 }
 
 // Sixteen goroutines share one Keyer, each over its own messages of its own
-// lengths: under -race this is the check that the pooled scratch is the only
-// mutable state and is never in two hands.
+// lengths, on each path this CPU has: under -race this is the check that the
+// portable path's scratch is the Keyer's only mutable state and is never in
+// two hands.
 func TestConcurrentMACsOnOneKeyer(t *testing.T) {
+	if useKernel {
+		concurrentMACs(t)
+	}
+	portable(func() { concurrentMACs(t) })
+}
+
+func concurrentMACs(t *testing.T) {
 	key := []byte("0123456789abcdef0123456789abcdef")
 	k, err := New(key, Width56)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 // One Walker shared by sixteen goroutines, as a thin client's verifiers would
 // share it: each walks every proof's chain from the root down and checks the
 // data MAC, and offers a replayed counter, which must be refused. The
-// Walker's only mutable state is its Keyer's pooled hash scratch; -race is
-// what looks at it.
+// Walker's only mutable state is its Keyer's hash scratch, under the Keyer's
+// lock; -race is what looks at it.
 func TestConcurrentWalksOnOneWalker(t *testing.T) {
 	sh, params := testEngine(t)
 	const lines = 24

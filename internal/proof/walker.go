@@ -60,10 +60,10 @@ func (e *MismatchError) Error() string {
 }
 
 // Walker verifies individual links of a counter-tree MAC chain. It is
-// pure: no storage, no caching, no locks — given a raw line and the
-// parent counter value that should authenticate it, DecodeVerify either
-// returns the decoded block or a typed *MismatchError. Both the secmem
-// engine and Proof.Verify drive their walks through one of these.
+// pure: no storage, no caching, no locks of its own — given a raw line
+// and the parent counter value that should authenticate it, DecodeVerify
+// either returns the decoded block or a typed *MismatchError. Both the
+// secmem engine and Proof.Verify drive their walks through one of these.
 type Walker struct {
 	enc   counters.Spec
 	tree  []counters.Spec

@@ -189,3 +189,39 @@ func TestHotPathAllocations(t *testing.T) {
 		t.Fatalf("alpha's row counts %+v: the runs did not land in its range", ops)
 	}
 }
+
+// A verified read into a buffer on its caller's stack leaves it there: no
+// layer between AppendRead and the pad lets dst reach the heap.
+func TestAppendReadIntoStackBufferDoesNotAllocate(t *testing.T) {
+	if racedetect.Enabled || invariant.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector or with morphdebug assertions compiled in")
+	}
+	morph := counters.MorphSpec(true)
+	m, err := New(Config{MemoryBytes: 1 << 20, Enc: morph, Tree: []counters.Spec{morph}, Key: testKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := make([]byte, LineBytes)
+	for d := uint64(0); d < 64; d++ {
+		line[0] = byte(d)
+		if err := m.Write(d*LineBytes, line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var d uint64
+	var sum byte
+	if n := testing.AllocsPerRun(500, func() {
+		var buf [LineBytes]byte
+		d = (d + 1) % 64
+		got, err := m.AppendRead(buf[:0], d*LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += got[0]
+	}); n != 0 {
+		t.Errorf("AppendRead into a stack buffer allocates %v times, want 0", n)
+	}
+	if sum == 0 {
+		t.Fatal("the reads returned no line's contents")
+	}
+}

@@ -190,10 +190,6 @@ type Memory struct {
 	// allocates nothing (TestHotPathAllocations).
 	spare     []counters.Block
 	preValues []uint64
-	// plainBuf is the plaintext an overflow re-encryption carries between
-	// its two pads; lines are otherwise built where the store keeps them, so
-	// the write path allocates only a page's chunk, on its first write.
-	plainBuf [LineBytes]byte
 	// Dirty epochs for incremental checkpoints (see dirty.go): a stored line
 	// is stamped dirtyCur; stamps >= dirtyFloor are dirty; cut is the open cut,
 	// and cutBufs its two record buffers, kept from the last one.
@@ -692,25 +688,24 @@ func (m *Memory) refreshChildren(level int, idx uint64, blk counters.Block, snap
 func (m *Memory) reencryptData(d uint64, oldCtr, newCtr uint64) error {
 	c, i, dom := m.store.data.at(d), d%chunkLines, m.domainOf(d)
 	addr := d * LineBytes
-	pt := m.plainBuf[:]
+	var pt [LineBytes]byte // the plaintext, between its two pads
 	if ct := c.get(i); ct != nil {
 		if dom.keyer.Data(ct, oldCtr, addr) != c.ext.mac[i] {
 			return &IntegrityError{Level: -1, Index: d, Reason: "MAC mismatch during re-encryption"}
 		}
-		if err := dom.cipher.XOR(pt, ct, addr, oldCtr); err != nil {
+		if err := dom.cipher.XOR(pt[:], ct, addr, oldCtr); err != nil {
 			return err
 		}
 	} else if oldCtr != 0 {
 		return &IntegrityError{Level: -1, Index: d, Reason: "written line missing during re-encryption"}
 	} else {
-		clear(pt)
 		c = m.store.data.grow(d)
 	}
 	if m.cut != nil {
 		m.cut.keep(c.stamp[i], DirtyLine{Level: -1, Index: d, Line: c.get(i), MAC: c.ext.mac[i]})
 	}
 	ct := c.line[i][:]
-	if err := dom.cipher.XOR(ct, pt, addr, newCtr); err != nil {
+	if err := dom.cipher.XOR(ct, pt[:], addr, newCtr); err != nil {
 		return err
 	}
 	m.sealData(c, i, dom.keyer.Data(ct, newCtr, addr))

@@ -303,7 +303,7 @@ func TestAppendDoesNotAllocate(t *testing.T) {
 	payload := line(9)
 	lsn := uint64(0)
 	write := func() Record { lsn++; return Record{Kind: KindWrite, LSN: lsn, Addr: lsn * 64, Line: payload} }
-	if err := l.Append(write()); err != nil { // warm: the MAC's pooled scratch exists
+	if err := l.Append(write()); err != nil { // warm: the Keyer's message buffer has grown
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(500, func() {
