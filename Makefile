@@ -81,7 +81,9 @@ perf-engine:
 # line MAC and the WAL's record seal), over the
 # WAL's two decoders, over the checkpoint stream and
 # the state streams inside it, whose counts and lengths are read before the
-# MAC that covers them, over secmem.Load, whose Save stream no MAC covers at
+# MAC that covers them, over the bodies of the two sealed files of a data
+# directory (FuzzTenantsBody: TENANTS' tenant list; FuzzMetaBody:
+# cluster.META's epoch and role), over secmem.Load, whose Save stream no MAC covers at
 # all, over the wire's frame reader, whose length prefix arrives before any
 # authentication does, over the cluster control payload codecs
 # (FuzzReplicateCodec: OpReplicate's request and response, the one path a
@@ -96,7 +98,7 @@ perf-engine:
 # those packages hold, and the loop ends by saying how many it ran.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@n=0; for pkg in ./internal/counters ./internal/secmem ./internal/aesctr ./internal/mac ./internal/wal ./internal/ckpt ./internal/wire ./internal/proof ./cmd/morphserve; do \
+	@n=0; for pkg in ./internal/counters ./internal/secmem ./internal/aesctr ./internal/mac ./internal/wal ./internal/ckpt ./internal/durable ./internal/cluster ./internal/wire ./internal/proof ./cmd/morphserve; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -109,3 +109,36 @@ func TestNoListenerOrProfilerInTheEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestOneFormatAtRest: every file of a data directory is a WAL segment or a
+// state stream, and both are tagged by the line MAC. internal/durable must not
+// import crypto/hmac, whose HMAC-SHA256 tagged the tenant list before it was a
+// state stream, and internal/cluster must not import encoding/json, which
+// cluster.META was written in. Only direct imports are checked: mac.Derive
+// keeps HMAC as its key derivation, so both packages link crypto/hmac.
+func TestOneFormatAtRest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go list in -short mode")
+	}
+	root := repoRoot(t)
+	for _, c := range []struct{ pkg, forbidden string }{
+		{"./internal/durable", "crypto/hmac"},
+		{"./internal/cluster", "encoding/json"},
+	} {
+		cmd := exec.Command("go", "list", "-f", `{{join .Imports " "}}`, c.pkg)
+		cmd.Dir = root
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %s: %v", c.pkg, err)
+		}
+		imports := strings.Fields(string(out))
+		if len(imports) == 0 {
+			t.Fatalf("go list %s named no imports", c.pkg)
+		}
+		for _, imp := range imports {
+			if imp == c.forbidden {
+				t.Errorf("%s imports %s", c.pkg, c.forbidden)
+			}
+		}
+	}
+}

@@ -178,3 +178,36 @@ func ReadDelta(path string, key []byte, seq, base uint64, apply func(hdr DeltaHe
 	}
 	return hdr, nil
 }
+
+// WriteSealed lands body at path through WriteFile as a stream of its own
+// under key and context: one frame, for a body up to ChunkBytes. A data
+// directory keeps the small facts a restart must trust this way.
+func WriteSealed(path string, key []byte, context string, body []byte) error {
+	return WriteFile(path, func(w io.Writer) error {
+		var sw StreamWriter
+		if err := sw.Reset(w, key, context); err != nil {
+			return err
+		}
+		if _, err := sw.Write(body); err != nil {
+			return err
+		}
+		return sw.Close()
+	})
+}
+
+// ReadSealed returns the body of the WriteSealed file at path once its end
+// tag has checked (NewStreamReader's errors), or nil if there is no file.
+func ReadSealed(path string, key []byte, context string) ([]byte, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	} else if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	sr, err := NewStreamReader(f, key, context)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(sr)
+}

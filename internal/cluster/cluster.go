@@ -6,8 +6,8 @@
 //
 // The design leans on two invariants the lower layers already provide:
 //
-//   - The WAL is a wire-safe replication format. Records are CRC-framed,
-//     HMAC'd, and counter-sealed, so a replication batch is just a run of
+//   - The WAL is a wire-safe replication format. Records are framed and
+//     sealed under the line MAC, so a replication batch is just a run of
 //     WAL frames re-sealed under an epoch-bound key — the follower's
 //     decoder enforces integrity and LSN contiguity exactly as crash
 //     recovery does.
@@ -30,14 +30,15 @@ package cluster
 
 import (
 	"crypto/hmac"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/mac"
 	"github.com/securemem/morphtree/internal/obs"
@@ -167,15 +168,34 @@ type spool struct {
 	seq, size, off uint64
 }
 
-// meta is the node's durable cluster identity, persisted in the data
-// directory so a restart cannot resurrect a deposed primary at its old
-// epoch.
-type meta struct {
-	Epoch uint64 `json:"epoch"`
-	Role  string `json:"role"`
+// The node's durable cluster identity, its epoch and role, is kept in the
+// data directory's cluster.META so a restart cannot resurrect a deposed
+// primary at its old epoch: a state stream of one frame (ckpt.WriteSealed)
+// under a key derived for it, whose body is
+//
+//	u64 epoch (little-endian) | u8 role (its index in roles)
+const (
+	metaFile    = "cluster.META"
+	metaContext = "morphtree/ckpt/cluster.META"
+)
+
+var roles = [...]string{RolePrimary, RoleReplica, RoleFenced}
+
+// appendMeta appends a cluster.META body.
+func appendMeta(b []byte, epoch uint64, role string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, epoch), byte(slices.Index(roles[:], role)))
 }
 
-const metaFile = "cluster.META"
+// parseMeta decodes a cluster.META body. One appendMeta would not write is an
+// *secmem.IntegrityError: it authenticated, so no build wrote it.
+func parseMeta(body []byte) (epoch uint64, role string, err error) {
+	if len(body) != 9 || int(body[8]) >= len(roles) {
+		return 0, "", &secmem.IntegrityError{Level: -1, Reason: metaFile + " holds a malformed epoch and role"}
+	}
+	return binary.LittleEndian.Uint64(body), roles[body[8]], nil
+}
+
+func metaKey(master []byte) []byte { return mac.Derive(master, "morphtree/cluster/meta") }
 
 // Open recovers (or creates) the node's durable state and starts its
 // replication machinery.
@@ -186,6 +206,17 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 	}
 	if !cfg.Primary && cfg.Leader == "" {
 		return nil, fmt.Errorf("cluster: replica needs Config.Leader")
+	}
+	// The persisted identity is read before the store is opened, so a
+	// refused one (tampered, or the JSON of a build before) touches nothing.
+	var epoch uint64
+	var role string
+	meta, err := ckpt.ReadSealed(filepath.Join(dcfg.Dir, metaFile), metaKey(shcfg.Mem.Key), metaContext)
+	if err == nil && meta != nil {
+		epoch, role, err = parseMeta(meta)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: read meta: %w", err)
 	}
 	mem, _, err := durable.Open(shcfg, dcfg)
 	if err != nil {
@@ -216,17 +247,12 @@ func Open(shcfg shard.Config, dcfg durable.Config, cfg Config) (*Node, error) {
 		n.role = RolePrimary
 		n.leader = cfg.Self
 	}
-	if m, ok, err := n.loadMeta(); err != nil {
-		_ = mem.Close()
-		return nil, err
-	} else if ok {
+	if meta != nil {
 		// The persisted identity wins over the startup flags: a deposed
 		// primary that crashed and restarted must not come back leading
 		// at its old epoch.
-		n.epoch = max(n.epoch, m.Epoch)
-		if m.Role != "" {
-			n.role = m.Role
-		}
+		n.epoch = max(n.epoch, epoch)
+		n.role = role
 		if n.role != RolePrimary {
 			n.leader = cfg.Leader
 			// Its journal may carry a divergent unacked suffix; rejoin
@@ -250,35 +276,13 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-func (n *Node) loadMeta() (meta, bool, error) {
-	b, err := os.ReadFile(filepath.Join(n.dcfg.Dir, metaFile))
-	if os.IsNotExist(err) {
-		return meta{}, false, nil
-	}
-	if err != nil {
-		return meta{}, false, fmt.Errorf("cluster: read meta: %w", err)
-	}
-	var m meta
-	if err := json.Unmarshal(b, &m); err != nil {
-		return meta{}, false, fmt.Errorf("cluster: decode meta: %w", err)
-	}
-	return m, true, nil
-}
-
-// saveMetaLocked persists the node's epoch and role (atomic rename).
-// Called with n.mu held (or before the node is shared).
+// saveMetaLocked persists the node's epoch and role (ckpt.WriteSealed, then
+// the directory fsynced). Called with n.mu held (or before the node is
+// shared).
 func (n *Node) saveMetaLocked() error {
-	b, err := json.Marshal(meta{Epoch: n.epoch, Role: n.role})
-	if err != nil {
-		return fmt.Errorf("cluster: encode meta: %w", err)
-	}
 	path := filepath.Join(n.dcfg.Dir, metaFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := ckpt.WriteSealed(path, metaKey(n.shcfg.Mem.Key), metaContext, appendMeta(nil, n.epoch, n.role)); err != nil {
 		return fmt.Errorf("cluster: write meta: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: install meta: %w", err)
 	}
 	return wal.SyncDir(n.dcfg.Dir)
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/obs"
 	"github.com/securemem/morphtree/internal/oracle"
@@ -515,11 +516,46 @@ func TestHigherEpochPollFences(t *testing.T) {
 	}
 }
 
+// TestFencedPrimaryDoesNotRefreshLease: a follower polls its primary, and a
+// poll at a higher epoch fences the primary. The follower adopts that epoch
+// from the primary's redirect and goes on polling it, but a fenced node answers
+// a follower's poll with the redirect too: the follower's lease is not
+// refreshed by a node that leads nothing, and once it runs out Promote
+// succeeds.
+func TestFencedPrimaryDoesNotRefreshLease(t *testing.T) {
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+	f := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Leader = p.addr })
+	lastContact := func() time.Time {
+		f.node.mu.Lock()
+		defer f.node.mu.Unlock()
+		return f.node.lastContact
+	}
+	opened := lastContact()
+	waitFor(t, "the follower's first poll", func() bool { return lastContact().After(opened) })
+
+	if _, err := p.node.Replicate(&wire.ReplicateRequest{Epoch: 2, Node: "127.0.0.1:1", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true}); !wire.IsMoved(err) {
+		t.Fatalf("higher-epoch poll answered %v, want moved", err)
+	}
+	waitFor(t, "the follower to adopt epoch 2", func() bool { return f.node.Route().Epoch == 2 })
+	fenced := lastContact()
+	time.Sleep(2 * f.node.cfg.Lease) // many polls of the fenced node
+	if got := lastContact(); !got.Equal(fenced) {
+		t.Fatalf("the fenced node refreshed the follower's lease %v after the fence", got.Sub(fenced))
+	}
+	if ri := p.node.Route(); ri.Role != RoleFenced {
+		t.Fatalf("the primary is %s, want %s", ri.Role, RoleFenced)
+	}
+	if _, err := f.node.Promote(3, f.node.memory().SyncedLSNs()); err != nil {
+		t.Fatalf("promote once the lease has run out: %v", err)
+	}
+}
+
 func TestStaleEpochPollRefused(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	// A primary restarted at the epoch its cluster.META holds.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(`{"epoch":5,"role":"primary"}`), 0o644); err != nil {
+	if err := ckpt.WriteSealed(filepath.Join(dir, metaFile), metaKey(testKey), metaContext, appendMeta(nil, 5, RolePrimary)); err != nil {
 		t.Fatal(err)
 	}
 	n := openBare(t, shcfg, dir, func(c *Config) { c.Primary = true })

@@ -84,10 +84,12 @@ func (n *Node) notifyAckLocked() {
 	}
 }
 
-// Replicate answers one follower poll. Any role serves it as long as the
-// epochs match — a replica answering makes it a catch-up donor during
-// promotion — but only a primary registers the poller for ack tracking.
-// A request at a higher epoch fences this node; at a lower epoch it is
+// Replicate answers one poll. A follower's poll (one naming its Node) is
+// served only by the primary, which registers the poller for ack tracking;
+// any other role answers it with the redirect, so a fenced or replica node
+// never refreshes a follower's lease. A donor poll (no Node: a candidate
+// catching up during promotion) is served by any role as long as the epochs
+// match. A request at a higher epoch fences this node; at a lower epoch it is
 // refused with the redirect. Before anything else, a poller that does not
 // read the WAL records every batch is made of (no CWRecords: a build of the
 // record generation before) is refused with a *secmem.VersionError naming
@@ -114,14 +116,14 @@ func (n *Node) Replicate(req *wire.ReplicateRequest) (*wire.ReplicateResponse, e
 		n.mu.Unlock()
 		return nil, err
 	}
-	if req.Epoch < n.epoch {
+	if req.Epoch < n.epoch || n.role != RolePrimary && req.Node != "" {
 		err := n.movedLocked()
 		n.mu.Unlock()
 		return nil, err
 	}
 	mem := n.mem
 	epoch := n.epoch
-	if n.role == RolePrimary && req.Node != "" {
+	if req.Node != "" {
 		marks := n.replicas[req.Node]
 		if !req.Bootstrap {
 			marks = append(marks[:0], req.Marks...)

@@ -11,11 +11,13 @@
 //	snapshot.<seq>        atomic full-state snapshot (temp-file + rename)
 //	delta.<seq>.<base>    the lines modified since epoch <base> (checkpoint.go)
 //	wal.<seq>-<shard>     shard's journal from its cut of full checkpoint <seq> on
-//	TENANTS               the sealed tenant list, in a store with tenants (tenants.go)
+//	TENANTS               the tenant list, in a store with tenants (tenants.go)
+//	cluster.META          a cluster node's epoch and role (internal/cluster)
 //
-// A snapshot and a delta are the same file — a state stream in
-// internal/ckpt's authenticated container, of every stored line or of the
-// lines stamped since the base — written and read by the same calls; a
+// Every file is a WAL segment or a state stream in internal/ckpt's
+// authenticated container: a snapshot and a delta are the same file — of
+// every stored line or of the lines stamped since the base — written and
+// read by the same calls, TENANTS and cluster.META one-frame streams; a
 // replica bootstraps from its primary's base snapshot file, shipped page by
 // page into bootstrap.tmp and landed under the base's own name
 // (replicate.go).

@@ -16,8 +16,9 @@ import (
 
 // TestOldInputIsAVersionError opens every fixture written before the line
 // MAC became GHASH-then-AES, the data directory written before the WAL took
-// it up, and every state stream written before its frames carried the line
-// MAC's tags ("MCST" version 2), through the public entry point that reads
+// it up, every state stream written before its frames carried the line
+// MAC's tags ("MCST" version 2), and the tenant list written before it was a
+// state stream ("MTTL" version 1), through the public entry point that reads
 // it: a
 // Save stream through secmem.Load, a data directory through Open, a snapshot
 // or delta file through ckpt.ReadDelta, a replica's bootstrap through
@@ -94,6 +95,10 @@ func TestOldInputIsAVersionError(t *testing.T) {
 		{"ReadDelta cw_dir snapshot 2", readDelta("testdata/cw_dir/"+snap, 2, 0)},
 		{"ReadDelta cwwal_dir delta 3", readDelta("testdata/cwwal_dir/"+ckpt.DeltaName(3, 2), 3, 2)},
 		{"InstallSnapshot cwwal_dir snapshot 2", install("testdata/cwwal_dir/"+snap, 2)},
+		{"Open mttl_dir", func(t *testing.T) error {
+			_, _, err := Open(tenantShardConfig(t, "alpha", "beta"), Config{Dir: copyDir(t, "testdata/mttl_dir"), Sync: SyncNone})
+			return err
+		}},
 	}
 	for seq := uint64(2); seq <= 4; seq++ {
 		name := ckpt.DeltaName(seq, seq-1)

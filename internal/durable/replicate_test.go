@@ -637,27 +637,14 @@ func TestInstallSnapshotRefusesAnOlderGeneration(t *testing.T) {
 	if err := r.Write(0, oracle.Fill(0, 77)); err != nil {
 		t.Fatal(err)
 	}
-	listing := func() map[string][]byte {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := map[string][]byte{}
-		for _, e := range entries {
-			if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
-	}
-	before := listing()
+	before := dirFiles(t, dir)
 	spoolAll(t, r, old, 512)
 	_, err = r.InstallSnapshot(2)
 	var ve *secmem.VersionError
 	if !errors.As(err, &ve) || ve.Magic != "MCST" || ve.Version != 2 || isIntegrityError(err) {
 		t.Fatalf("InstallSnapshot of an MCST 2 base returned %v, want a *secmem.VersionError naming it", err)
 	}
-	if after := listing(); !reflect.DeepEqual(after, before) {
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused spool changed the data directory: %d files, was %d", len(after), len(before))
 	}
 	if got, err := r.Read(0); err != nil || !bytes.Equal(got, oracle.Fill(0, 77)) {

@@ -2,11 +2,9 @@ package durable
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -21,51 +19,69 @@ import (
 // shard.RegisterTenants derives from the sorted tenant list, so a store is
 // readable only under the list it was written under: another list moves the
 // ranges and re-keys lines into false integrity errors. A store created with
-// tenants records its list once, in the file TENANTS:
+// tenants records its list once, in the file TENANTS, a state stream of one
+// frame (ckpt.WriteSealed) under a key derived for it, whose body is
 //
-//	| "MTTL" | u8 version 1 | uvarint count | count x (uvarint len | id) | tag |
+//	uvarint count | count x (uvarint len | id)
 //
-// with the ids sorted and tag the 32-byte HMAC-SHA256 of everything before
-// it under HMAC-SHA256(master, "morphtree/tenants"). The tag doubles as the
-// list's digest, which a replication poll carries. A store without tenants
-// has no such file.
-const tenantsFile = "TENANTS"
+// with the ids sorted. A store without tenants has no such file.
+const (
+	tenantsFile    = "TENANTS"
+	tenantsContext = "morphtree/ckpt/TENANTS"
+)
 
-// sealTenants encodes ids, sorted, as the TENANTS file; nil for no tenants.
-func sealTenants(master []byte, ids []string) []byte {
+func tenantsKey(master []byte) []byte { return mac.Derive(master, "morphtree/tenants/stream") }
+
+// tenantsBody encodes ids, sorted, as a TENANTS body; nil for no tenants.
+func tenantsBody(ids []string) []byte {
 	if len(ids) == 0 {
 		return nil
 	}
 	ids = slices.Clone(ids)
 	slices.Sort(ids)
-	b := append([]byte("MTTL"), 1)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
+	b := binary.AppendUvarint(nil, uint64(len(ids)))
 	for _, id := range ids {
 		b = binary.AppendUvarint(b, uint64(len(id)))
 		b = append(b, id...)
 	}
-	return append(b, tenantsTag(master, b)...)
+	return b
 }
 
-// tenantsTag is the tag of a TENANTS file's body.
-func tenantsTag(master, body []byte) []byte {
-	h := hmac.New(sha256.New, mac.Derive(master, "morphtree/tenants"))
-	h.Write(body)
-	return h.Sum(nil)
+// parseTenants decodes a TENANTS body. One that tenantsBody would not write —
+// cut short, trailing bytes, disorder, a padded varint — is an
+// *secmem.IntegrityError: it authenticated, so no build wrote it.
+func parseTenants(body []byte) ([]string, error) {
+	count, n := binary.Uvarint(body)
+	var ids []string
+	for rest := body[max(n, 0):]; n > 0 && len(rest) > 0 && uint64(len(ids)) < count; {
+		size, m := binary.Uvarint(rest)
+		if m <= 0 || size > uint64(len(rest)-m) {
+			break
+		}
+		ids = append(ids, string(rest[m:m+int(size)]))
+		rest = rest[m+int(size):]
+	}
+	if !bytes.Equal(tenantsBody(ids), body) {
+		return nil, &secmem.IntegrityError{Level: -1, Reason: tenantsFile + " holds a malformed tenant list"}
+	}
+	return ids, nil
 }
 
 // TenantDigest returns the digest of shcfg's tenant list, the order of the
-// ids aside, or nil when the list is empty.
+// ids aside, or nil when the list is empty: the SHA-256 of its TENANTS body,
+// which a replication poll carries. It needs no key; a poll is read only on a
+// connection bound as a cluster peer.
 func TenantDigest(shcfg shard.Config) []byte {
-	return digest(sealTenants(shcfg.Mem.Key, shcfg.Tenants))
+	return digest(tenantsBody(shcfg.Tenants))
 }
 
-// digest is a TENANTS file's tag, its list's digest; nil for no file.
-func digest(file []byte) []byte {
-	if len(file) < sha256.Size {
+// digest is a TENANTS body's digest; nil for none.
+func digest(body []byte) []byte {
+	if body == nil {
 		return nil
 	}
-	return file[len(file)-sha256.Size:]
+	d := sha256.Sum256(body)
+	return d[:]
 }
 
 // TenantMismatch is the *shard.MismatchError{Field: "tenants"} for state
@@ -86,11 +102,12 @@ func TenantMismatch(theirs, ours []byte) error {
 // WAL is read. A fresh store records the list (and drops one a crash left
 // from a creation it cut short). An existing one must have been created with
 // the same set, in any order: a tampered file is an *secmem.IntegrityError,
-// another list — tenants added, dropped or changed — a
-// *shard.MismatchError{Field: "tenants"}.
+// one of an earlier format a *secmem.VersionError, another list — tenants
+// added, dropped or changed — a *shard.MismatchError{Field: "tenants"}.
 func checkTenants(dir string, shcfg shard.Config, fresh bool) error {
 	path := filepath.Join(dir, tenantsFile)
-	want := sealTenants(shcfg.Mem.Key, shcfg.Tenants)
+	key := tenantsKey(shcfg.Mem.Key)
+	want := tenantsBody(shcfg.Tenants)
 	if fresh {
 		if want == nil {
 			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
@@ -98,19 +115,14 @@ func checkTenants(dir string, shcfg shard.Config, fresh bool) error {
 			}
 			return nil
 		}
-		return ckpt.WriteFile(path, func(w io.Writer) error {
-			_, err := w.Write(want)
-			return err
-		})
+		return ckpt.WriteSealed(path, key, tenantsContext, want)
 	}
-	got, err := os.ReadFile(path)
-	switch {
-	case os.IsNotExist(err):
-		got = nil
-	case err != nil:
+	got, err := ckpt.ReadSealed(path, key, tenantsContext)
+	if err == nil && got != nil {
+		_, err = parseTenants(got)
+	}
+	if err != nil {
 		return fmt.Errorf("durable: %w", err)
-	case len(got) < sha256.Size || !hmac.Equal(tenantsTag(shcfg.Mem.Key, got[:len(got)-sha256.Size]), digest(got)):
-		return &secmem.IntegrityError{Level: -1, Reason: tenantsFile + " fails authentication"}
 	}
 	if !bytes.Equal(got, want) {
 		return TenantMismatch(digest(got), digest(want))

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/ckpt"
+	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/secmem"
 	"github.com/securemem/morphtree/internal/shard"
@@ -107,7 +111,7 @@ func TestTenantListIsFixedAtCreation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file[6] ^= 1
+	file[len(file)-1] ^= 1 // the end frame's tag
 	if err := os.WriteFile(path, file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -150,5 +154,96 @@ func TestTenantDigestIgnoresOrder(t *testing.T) {
 	}
 	if d := TenantDigest(tenantShardConfig(t)); d != nil {
 		t.Fatalf("no tenants: digest %x, want nil", d)
+	}
+}
+
+// dirFiles reads every file of dir, by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestTenantsFileIsSealed: TENANTS is a one-frame state stream under the key
+// and context of its role, and its list survives Close and Open. A byte
+// flipped anywhere past the stream's 12-byte container header — the context,
+// the frame's length, the list, a tag, the end frame — is an
+// *secmem.IntegrityError at Open, a byte of the header a *secmem.VersionError,
+// and the list sealed under another key an *secmem.IntegrityError too.
+func TestTenantsFileIsSealed(t *testing.T) {
+	dir := t.TempDir()
+	shcfg := tenantShardConfig(t, "beta", "alpha")
+	m, _ := mustOpen(t, shcfg, Config{Dir: dir})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tenantsFile)
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := ckpt.ReadSealed(path, tenantsKey(testKey), tenantsContext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := parseTenants(body); err != nil || !slices.Equal(ids, []string{"alpha", "beta"}) {
+		t.Fatalf("TENANTS holds %q (%v), want the sorted list", ids, err)
+	}
+	for i := range file {
+		flipped := bytes.Clone(file)
+		flipped[i] ^= 0x10
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Open(shcfg, Config{Dir: dir})
+		var ve *secmem.VersionError
+		if i < container.HeaderBytes && (!errors.As(err, &ve) || isIntegrityError(err)) {
+			t.Fatalf("header byte %d flipped: %v, want a *secmem.VersionError", i, err)
+		} else if i >= container.HeaderBytes && !isIntegrityError(err) {
+			t.Fatalf("byte %d of %d flipped: %v, want a *secmem.IntegrityError", i, len(file), err)
+		}
+	}
+	if err := ckpt.WriteSealed(path, deltaKey(testKey), tenantsContext, body); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(shcfg, Config{Dir: dir}); !isIntegrityError(err) {
+		t.Fatalf("the list sealed under another key: %v, want a *secmem.IntegrityError", err)
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, _ = mustOpen(t, shcfg, Config{Dir: dir})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTenantsFileOfAnEarlierFormatIsAVersionError: mttl_dir's TENANTS is the
+// "MTTL" version 1 layout under its HMAC-SHA256 tag, as the generation before
+// the sealed stream wrote it (testdata/mttlgen.go.txt). Open refuses it with
+// a *secmem.VersionError naming that header — under the list it was made
+// with and under any other — and leaves every file of the directory as it
+// was.
+func TestTenantsFileOfAnEarlierFormatIsAVersionError(t *testing.T) {
+	dir := copyDir(t, "testdata/mttl_dir")
+	before := dirFiles(t, dir)
+	for _, ids := range [][]string{{"alpha", "beta"}, {"beta", "alpha"}, {"alpha"}, nil} {
+		_, _, err := Open(tenantShardConfig(t, ids...), Config{Dir: dir, Sync: SyncNone})
+		var ve *secmem.VersionError
+		if !errors.As(err, &ve) || ve.Magic != "MTTL" || isIntegrityError(err) {
+			t.Fatalf("tenants %q: %v, want a *secmem.VersionError naming MTTL", ids, err)
+		}
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused open changed the data directory: %d files, was %d", len(after), len(before))
 	}
 }
