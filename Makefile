@@ -165,16 +165,18 @@ crash-smoke: bin/morphcheck
 ckpt-smoke: bin/morphcheck.race
 	bin/morphcheck.race crash -points 16 -writes 300
 
-# Reduced seeded fault matrix under the race detector: client-proxy-server
-# through cuts, stalls, and admission sheds, asserting zero lost
-# acknowledged writes and zero spurious integrity errors. The full matrix
-# is `bin/morphcheck chaos` with defaults; this keeps CI fast.
+# Reduced seeded fault matrix under the race detector: clients against a
+# server whose listener injects cuts, stalls, and admission sheds, asserting
+# zero lost acknowledged writes and zero spurious integrity errors. The full
+# matrix is `bin/morphcheck chaos` with defaults; this keeps CI fast.
 chaos-smoke: bin/morphcheck.race
 	bin/morphcheck.race chaos -smoke
 
 # Reduced node-kill matrix under the race detector: a three-node loopback
-# cluster (primary + two replicas) with a node killed mid-load, followed
-# by a lease-expiry failover when the primary was the one killed, and a
+# cluster (primary + two replicas) with a node killed mid-load, followed by
+# a lease-expiry failover when the primary was the one killed — in one row
+# the clients' first seed is a second listener of the primary's that adds
+# latency to every read and write, and killing the node stops both — and a
 # hostile-peer row that sprays every node with unbound REPLICATE polls at
 # epochs up to 2^64-1 mid-load. Asserts zero lost acknowledged writes, zero
 # spurious integrity errors and, under the spray, zero role or epoch

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/securemem/morphtree/internal/fault"
@@ -15,11 +16,11 @@ import (
 	"github.com/securemem/morphtree/internal/wire"
 )
 
-// The chaos subcommand: a sharded engine behind the wire server, the
-// internal/fault proxy in front of it, resilient clients hammering through
-// the proxy, all in one process. Network faults — resets, mid-frame cuts,
-// stalls, partial writes, latency, admission sheds — may cost retries and
-// final failures; they may never cost an acknowledged write or raise an
+// The chaos subcommand: a sharded engine behind the wire server, served on a
+// listener internal/fault wraps, resilient clients hammering it through the
+// injected faults, all in one process. Network faults — resets, mid-frame
+// cuts, stalls, partial writes, latency, admission sheds — may cost retries
+// and final failures; they may never cost an acknowledged write or raise an
 // integrity alarm.
 
 const (
@@ -107,9 +108,10 @@ func chaos(rows *rows, matrix []scenario, seed int64) error {
 	return nil
 }
 
-// runScenario stands up engine, server and proxy, runs the closed-loop
-// workload through the faults, then audits the engine over a clean
-// connection. fail is the scenario's verdict; err means it could not run.
+// runScenario serves the engine on two listeners, one wrapped by the fault
+// profile and one clean, runs the closed-loop workload through the faulty
+// one, stops it, then audits the engine over the clean one. fail is the
+// scenario's verdict; err means it could not run.
 func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 	shcfg, err := shardConfig("morph128", chaosShards, chaosMem)
 	if err != nil {
@@ -127,13 +129,23 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	stopServer := serve(ln, serveEng, server.Config{MaxInflight: sc.maxInflight, ShedWait: sc.shedWait})
-	srvAddr := ln.Addr().String()
-	proxy, stopProxy, err := fault.Start(srvAddr, sc.prof)
+	faulty, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		_ = stopServer() //morphlint:allow errdiscard the proxy's error is the one to report
+		_ = ln.Close() //morphlint:allow errdiscard the listen error is the one to report
 		return "", nil, err
 	}
+	var cuts, stalls atomic.Uint64
+	count := func(kind string) {
+		switch kind {
+		case fault.EventCut:
+			cuts.Add(1)
+		case fault.EventStall:
+			stalls.Add(1)
+		}
+	}
+	cfg := server.Config{MaxInflight: sc.maxInflight, ShedWait: sc.shedWait}
+	stopServer := serve(ln, serveEng, cfg)
+	stopFaulty := serve(fault.WrapListener(faulty, sc.prof, count), serveEng, cfg)
 
 	timeout := sc.timeout
 	if timeout <= 0 {
@@ -148,7 +160,7 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 		go func(c int) {
 			defer wg.Done()
 			cl := wire.NewResilient(wire.ResilientConfig{
-				Addrs:       []string{proxy.Addr().String()},
+				Addrs:       []string{faulty.Addr().String()},
 				Timeout:     timeout,
 				MaxAttempts: 10,
 				BaseBackoff: 2 * time.Millisecond,
@@ -164,22 +176,21 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 		}(c)
 	}
 	wg.Wait()
-	stopProxy() // stop injecting before the audit
-	injected := proxy.Stats()
+	faultyErr := stopFaulty() // stop injecting before the audit
 
 	load, absorbed := tally(histories, nets)
-	audit, verify := readBack(srvAddr, seed-1, histories)
-	if err := stopServer(); err != nil {
+	audit, verify := readBack(ln.Addr().String(), seed-1, histories)
+	if err := errors.Join(faultyErr, stopServer()); err != nil {
 		return "", nil, err
 	}
 	text = fmt.Sprintf("%5d ops, %4d acked writes, %3d retries, %3d reconnects, %3d sheds, %3d cuts, %2d stalls",
-		load.Ops(), load.Writes, absorbed.Retries, absorbed.Reconnects, absorbed.Sheds, injected.Cuts, injected.Stalls)
+		load.Ops(), load.Writes, absorbed.Retries, absorbed.Reconnects, absorbed.Sheds, cuts.Load(), stalls.Load())
 	fail = gate(load, audit, verify)
 	switch {
 	case fail != nil:
-	case sc.wantCuts && injected.Cuts == 0:
+	case sc.wantCuts && cuts.Load() == 0:
 		fail = errors.New("injector misfire: expected cuts, saw none")
-	case sc.wantStalls && injected.Stalls == 0:
+	case sc.wantStalls && stalls.Load() == 0:
 		fail = errors.New("injector misfire: expected stalls, saw none")
 	case sc.wantSheds && absorbed.Sheds == 0:
 		fail = errors.New("injector misfire: expected sheds, saw none")
@@ -221,9 +232,9 @@ func tally(histories []*oracle.History, nets []wire.ResilientStats) (load oracle
 	return load, absorbed
 }
 
-// readBack audits every history over a clean connection straight to addr —
-// no proxy, no faults: what is actually in the secure memory? — and has the
-// server re-verify its whole tree.
+// readBack audits every history over a clean connection to addr — no
+// faults: what is actually in the secure memory? — and has the server
+// re-verify its whole tree.
 func readBack(addr string, seed int64, histories []*oracle.History) (audit oracle.Tally, verify error) {
 	direct := wire.NewResilient(wire.ResilientConfig{Addrs: []string{addr}, Timeout: 10 * time.Second, Seed: seed})
 	defer direct.Close()

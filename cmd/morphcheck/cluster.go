@@ -51,7 +51,7 @@ type clusterScenario struct {
 	name        string
 	seeds       int
 	killPrimary bool // false = kill a replica instead
-	latency     bool // route client traffic to the primary through a latency proxy
+	latency     bool // the clients' first seed serves the primary with added latency
 	hostile     bool // kill nobody: spray unbound REPLICATE polls at every node
 }
 
@@ -60,6 +60,7 @@ func clusterMatrix(smoke bool) []clusterScenario {
 		return []clusterScenario{
 			{name: "kill_replica", seeds: 1},
 			{name: "kill_primary", seeds: 2, killPrimary: true},
+			{name: "kill_primary_latency", seeds: 1, killPrimary: true, latency: true},
 			{name: "hostile_peer", seeds: 1, hostile: true},
 		}
 	}
@@ -175,19 +176,21 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 		cn.node.SetPeers(peers)
 	}
 
-	// Client seed addresses; the primary optionally sits behind a latency
-	// proxy (MOVED redirects carry real node addresses, so rerouted traffic
-	// legitimately bypasses it — the proxy perturbs the seed path).
+	// Client seed addresses; the primary is optionally served on a second
+	// listener that delays every read and write, its first seed (MOVED
+	// redirects carry real node addresses, so rerouted traffic legitimately
+	// bypasses it — the latency perturbs the seed path). Killing the node
+	// stops both listeners.
 	seedAddrs := []string{p.addr, replicas[0].addr, replicas[1].addr}
 	if sc.latency {
-		proxy, stopProxy, err := fault.Start(p.addr, fault.Profile{
-			Seed: seed, Latency: time.Millisecond, Jitter: time.Millisecond,
-		})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return "", nil, err
 		}
-		defer stopProxy()
-		seedAddrs[0] = proxy.Addr().String()
+		slow := fault.WrapListener(ln, fault.Profile{Seed: seed, Latency: time.Millisecond, Jitter: time.Millisecond}, nil)
+		stopSlow, stopClean := serve(slow, p.node, server.Config{}), p.stop
+		p.stop = func() error { return errors.Join(stopSlow(), stopClean()) }
+		seedAddrs[0] = ln.Addr().String()
 	}
 
 	// Load: the fault matrix's workers, time-bounded so the load spans the

@@ -6,9 +6,9 @@
 //	                    clone recovered and audited against the journal prefix
 //	                    that survived; tamper probes; the recovery curve; the
 //	                    checkpointer stall gate (crash.go)
-//	morphcheck chaos    client - fault proxy - server through a seeded fault
-//	                    matrix: cuts, stalls, chopped frames, admission sheds
-//	                    (chaos.go)
+//	morphcheck chaos    clients against a server whose listener injects a
+//	                    seeded fault matrix: cuts, stalls, chopped frames,
+//	                    admission sheds (chaos.go)
 //	morphcheck cluster  a three-node loopback cluster with a node killed
 //	                    mid-load and lease-expiry failover (cluster.go)
 //

@@ -518,10 +518,9 @@ func TestHigherEpochPollFences(t *testing.T) {
 
 // TestFencedPrimaryDoesNotRefreshLease: a follower polls its primary, and a
 // poll at a higher epoch fences the primary. The follower adopts that epoch
-// from the primary's redirect and goes on polling it, but a fenced node answers
-// a follower's poll with the redirect too: the follower's lease is not
-// refreshed by a node that leads nothing, and once it runs out Promote
-// succeeds.
+// from the primary's redirect, and a fenced node answers a follower's poll
+// with the redirect too: the follower's lease is not refreshed by a node that
+// leads nothing, and once it runs out Promote succeeds.
 func TestFencedPrimaryDoesNotRefreshLease(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
@@ -546,6 +545,35 @@ func TestFencedPrimaryDoesNotRefreshLease(t *testing.T) {
 	if ri := p.node.Route(); ri.Role != RoleFenced {
 		t.Fatalf("the primary is %s, want %s", ri.Role, RoleFenced)
 	}
+	if _, err := f.node.Promote(3, f.node.memory().SyncedLSNs()); err != nil {
+		t.Fatalf("promote once the lease has run out: %v", err)
+	}
+}
+
+// TestFollowerDropsFencedLeader: once its primary is fenced, the follower's
+// poll is answered with a redirect that names no leader. The follower drops
+// the fenced node as its leader, so its route names no primary and it stops
+// polling, and once its lease runs out Promote succeeds.
+func TestFollowerDropsFencedLeader(t *testing.T) {
+	shcfg := testShardCfg(t, 2, 1<<13)
+	p := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Primary = true })
+	f := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Leader = p.addr })
+	waitFor(t, "the follower to join the primary", func() bool { return len(p.node.Route().Nodes) == 2 })
+
+	if _, err := p.node.Replicate(&wire.ReplicateRequest{Epoch: 2, Node: "127.0.0.1:1", Marks: []uint64{0, 0}, CWRecords: true, PagedBootstrap: true}); !wire.IsMoved(err) {
+		t.Fatalf("higher-epoch poll answered %v, want moved", err)
+	}
+	waitFor(t, "the follower to drop the fenced leader", func() bool { return f.node.Route().Leader == "" })
+	ri := f.node.Route()
+	if ri.Epoch != 2 || ri.Role != RoleReplica {
+		t.Fatalf("follower route = %+v, want a replica at epoch 2", ri)
+	}
+	for _, rn := range ri.Nodes {
+		if rn.Role == RolePrimary {
+			t.Fatalf("the follower's route lists %s as primary after the fence: %+v", rn.Addr, ri)
+		}
+	}
+	time.Sleep(f.node.cfg.Lease)
 	if _, err := f.node.Promote(3, f.node.memory().SyncedLSNs()); err != nil {
 		t.Fatalf("promote once the lease has run out: %v", err)
 	}

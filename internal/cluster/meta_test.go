@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/container"
 	"github.com/securemem/morphtree/internal/durable"
 	"github.com/securemem/morphtree/internal/racedetect"
@@ -30,6 +34,19 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 		}
 	}
 	return files
+}
+
+// copyFixture copies the files of the fixture directory src into a fresh
+// directory, so a test may open it read-write.
+func copyFixture(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, b := range dirFiles(t, src) {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // reopen closes n and opens its directory again under cfg's flags.
@@ -116,13 +133,7 @@ func TestMetaIsSealed(t *testing.T) {
 // *secmem.VersionError, whatever the flags, and leaves every file of the
 // directory as it was: a deposed primary is not trusted back at epoch 1.
 func TestMetaOfAnEarlierFormatIsAVersionError(t *testing.T) {
-	src := "testdata/json_meta_dir"
-	dir := t.TempDir()
-	for name, b := range dirFiles(t, src) {
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyFixture(t, "testdata/json_meta_dir")
 	before := dirFiles(t, dir)
 	for _, primary := range []bool{true, false} {
 		cfg := tuned("127.0.0.1:9")
@@ -136,6 +147,57 @@ func TestMetaOfAnEarlierFormatIsAVersionError(t *testing.T) {
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
 		t.Fatalf("a refused open changed the data directory: %d files, was %d", len(after), len(before))
+	}
+}
+
+// TestForeignFormatNamesNoVersion: a file of another format is refused
+// naming its magic and what this build reads, never a version read off bytes
+// that hold none — not the JSON cluster.META, not the "MTTL" tenant list of
+// durable's mttl_dir. A sealed file of an older version of this format still
+// names both versions.
+func TestForeignFormatNamesNoVersion(t *testing.T) {
+	cfg := tuned("127.0.0.1:9")
+	cfg.Primary = true
+	_, metaErr := Open(testShardCfg(t, 2, 1<<13), durable.Config{Dir: copyFixture(t, "testdata/json_meta_dir"), Sync: durable.SyncAlways}, cfg)
+	tenants := testShardCfg(t, 2, 1<<16)
+	tenants.Tenants = []string{"alpha", "beta"}
+	_, _, tenantsErr := durable.Open(tenants, durable.Config{Dir: copyFixture(t, "../durable/testdata/mttl_dir"), Sync: durable.SyncNone})
+	for _, err := range []error{metaErr, tenantsErr} {
+		var ve *secmem.VersionError
+		if !errors.As(err, &ve) || ve.Magic == ve.Want {
+			t.Fatalf("%v, want a *secmem.VersionError naming another format", err)
+		}
+		// The two fixtures' bytes 4-11, read as a version.
+		for _, v := range []string{"7018983630043415041", "2462403819089716079"} {
+			if strings.Contains(err.Error(), v) {
+				t.Fatalf("%q prints a foreign format's bytes as version %s", err, v)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, metaFile)
+	if err := ckpt.WriteSealed(path, metaKey(testKey), metaContext, appendMeta(nil, 5, RolePrimary)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := binary.LittleEndian.Uint64(raw[4:container.HeaderBytes])
+	binary.LittleEndian.PutUint64(raw[4:container.HeaderBytes], version-1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(testShardCfg(t, 2, 1<<13), durable.Config{Dir: dir, Sync: durable.SyncAlways}, cfg)
+	var ve *secmem.VersionError
+	if !errors.As(err, &ve) || ve.Magic != ve.Want {
+		t.Fatalf("%v, want a *secmem.VersionError of this format", err)
+	}
+	for _, v := range []uint64{version - 1, version} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("%q does not name version %d", err, v)
+		}
 	}
 }
 

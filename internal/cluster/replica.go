@@ -123,7 +123,9 @@ func (n *Node) pollLeader() (bool, error) {
 		var me *wire.MovedError
 		if errors.As(err, &me) {
 			// The node we polled is not (or no longer) the leader at our
-			// epoch. Adopt anything newer it knows.
+			// epoch. Adopt anything newer it knows. One that names no
+			// leader (fenced) is no leader of ours: drop it, so the puller
+			// idles until a Follow and the lease runs out.
 			n.mu.Lock()
 			if me.Epoch > n.epoch {
 				n.epoch = me.Epoch
@@ -134,7 +136,14 @@ func (n *Node) pollLeader() (bool, error) {
 					n.logf("cluster: %s persist meta: %v", n.cfg.Self, err)
 				}
 			}
+			drop := me.Leader == "" && n.leader == leader
+			if drop {
+				n.leader = ""
+			}
 			n.mu.Unlock()
+			if drop {
+				n.dropLeaderConn(cl)
+			}
 			return false, err
 		}
 		if wire.IsTransport(err) {

@@ -28,8 +28,13 @@ type VersionError struct {
 	WantVersion uint64
 }
 
-// Error implements error.
+// Error implements error. Input of another format has no version of this
+// one, so only the magic of such input is named: whatever its bytes after
+// the magic hold, they are not a version.
 func (e *VersionError) Error() string {
+	if e.Magic != e.Want {
+		return fmt.Sprintf("container: input is %q, another format; this build reads %q version %d", e.Magic, e.Want, e.WantVersion)
+	}
 	return fmt.Sprintf("container: input is %q version %d, this build reads %q version %d", e.Magic, e.Version, e.Want, e.WantVersion)
 }
 

@@ -1,9 +1,10 @@
 // Package fault is a deterministic, seeded network fault-injection layer
-// for the serving stack: net.Conn and net.Listener wrappers plus an
-// in-process chaos proxy (proxy.go) that sit between a wire client and a
-// morphserve server and inject the failures real networks produce —
-// added latency and jitter, partial writes, read stalls, connection
-// resets, and mid-frame drops at chosen byte offsets.
+// for the serving stack: a net.Listener wrapper that a harness puts around
+// the listener its server already serves on, so every accepted connection
+// carries the failures real networks produce — added latency and jitter,
+// partial writes, read stalls, connection resets, and mid-frame drops at
+// chosen byte offsets. A wrapped server connection's Read side is the
+// client-to-server direction and its Write side carries the responses.
 //
 // Everything is driven by explicit per-connection plans derived from a
 // Profile's seed, never from ambient randomness, so a failing fault
@@ -103,13 +104,6 @@ func WrapConn(conn net.Conn, plan ConnPlan, onEvent func(kind string)) *Conn {
 		onEvent: onEvent,
 		rng:     rand.New(rand.NewSource(plan.Seed)),
 	}
-}
-
-// Counts returns how many bytes have passed in each direction.
-func (c *Conn) Counts() (read, written int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readN, c.writeN
 }
 
 func (c *Conn) event(kind string) {
@@ -224,6 +218,66 @@ func (c *Conn) Write(p []byte) (int, error) {
 		p = p[n:]
 	}
 	return total, nil
+}
+
+// Profile generates the per-connection fault plans of a whole run from
+// one seed. Plan(i) is a pure function of (Profile, i): replaying a
+// workload against the same profile replays the identical fault
+// schedule.
+type Profile struct {
+	// Seed drives every derived plan's jitter RNG.
+	Seed int64
+	// Latency/Jitter/ChunkBytes apply to every connection (see ConnPlan).
+	Latency    time.Duration
+	Jitter     time.Duration
+	ChunkBytes int
+	// CutEvery, when > 0, severs every CutEvery-th accepted connection
+	// (1-based). The k-th severed connection is cut after
+	// CutBase + (k mod CutCycle) bytes; the direction alternates every
+	// full cycle (client-to-server first), so 2*CutCycle severed
+	// connections deterministically sweep every intra-frame byte offset
+	// in both directions.
+	CutEvery int
+	CutBase  int64
+	CutCycle int64
+	// StallEvery, when > 0, freezes every StallEvery-th connection's
+	// client-to-server direction for StallFor once StallAfter bytes have
+	// passed, then severs it — the response the client is waiting on
+	// never comes, its deadline fires, and the frozen flow dies without
+	// delivering the withheld request.
+	StallEvery int
+	StallAfter int64
+	StallFor   time.Duration
+}
+
+// Plan derives the fault plan of the i-th (0-based) accepted connection.
+func (p Profile) Plan(i int) ConnPlan {
+	plan := PassPlan()
+	plan.ReadLatency = p.Latency
+	plan.WriteLatency = p.Latency
+	plan.Jitter = p.Jitter
+	plan.ChunkBytes = p.ChunkBytes
+	// Per-connection seed: mix the profile seed with the index through a
+	// 64-bit odd multiplier so adjacent connections get unrelated jitter.
+	plan.Seed = int64(uint64(p.Seed)*0x9e3779b97f4a7c15 + uint64(i)*0x2545f4914f6cdd1d + 1)
+	if p.CutEvery > 0 && (i+1)%p.CutEvery == 0 {
+		k := (i+1)/p.CutEvery - 1
+		cycle := p.CutCycle
+		if cycle <= 0 {
+			cycle = 1
+		}
+		off := p.CutBase + int64(k)%cycle
+		if (int64(k)/cycle)%2 == 0 {
+			plan.CutReadAfter = off
+		} else {
+			plan.CutWriteAfter = off
+		}
+	}
+	if p.StallEvery > 0 && (i+1)%p.StallEvery == 0 {
+		plan.StallReadAfter = p.StallAfter
+		plan.StallFor = p.StallFor
+	}
+	return plan
 }
 
 // Listener wraps a net.Listener, applying a Profile-derived plan to the

@@ -195,37 +195,59 @@ func TestConnStall(t *testing.T) {
 	}
 }
 
-// TestListenerWrapsAcceptedConns: a pass-through profile keeps traffic
-// intact end to end; a cutting profile severs the first connection at its
-// planned offset.
+// TestListenerWrapsAcceptedConns: the listener applies its profile's plan to
+// the connection it accepts and reports each injected fault to its observer.
+// A cutting profile severs the echo at its planned offset; a stalling one
+// freezes the echo's read side and then severs it.
 func TestListenerWrapsAcceptedConns(t *testing.T) {
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := WrapListener(inner, Profile{CutEvery: 1, CutBase: 4, CutCycle: 1}, nil)
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		// Echo until the injected cut kills the read side.
-		_, _ = io.Copy(conn, conn)
-		_ = conn.Close()
-	}()
-	cl, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Write([]byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	// The echo dies after 4 bytes: client sees at most 4 back then EOF/reset.
-	_ = cl.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, _ := io.ReadAll(cl)
-	if len(got) > 4 {
-		t.Fatalf("cut listener leaked %d bytes (%q), want <= 4", len(got), got)
+	for _, tc := range []struct {
+		name         string
+		prof         Profile
+		cuts, stalls int
+	}{
+		{"cut", Profile{CutEvery: 1, CutBase: 4, CutCycle: 1}, 1, 0},
+		{"stall", Profile{StallEvery: 1, StallAfter: 2, StallFor: 50 * time.Millisecond}, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			seen := map[string]int{}
+			ln := WrapListener(inner, tc.prof, func(kind string) { mu.Lock(); seen[kind]++; mu.Unlock() })
+			defer ln.Close()
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				// Echo until the injected fault kills the read side.
+				_, _ = io.Copy(conn, conn)
+				_ = conn.Close()
+			}()
+			cl, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if _, err := cl.Write([]byte("0123456789")); err != nil {
+				t.Fatal(err)
+			}
+			_ = cl.SetReadDeadline(time.Now().Add(5 * time.Second))
+			got, _ := io.ReadAll(cl)
+			<-served
+			// The cut echo dies after 4 bytes: at most 4 come back.
+			if tc.stalls == 0 && len(got) > 4 {
+				t.Fatalf("cut listener leaked %d bytes (%q), want <= 4", len(got), got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if seen[EventCut] != tc.cuts || seen[EventStall] != tc.stalls {
+				t.Fatalf("observed %v, want %d cut and %d stall", seen, tc.cuts, tc.stalls)
+			}
+		})
 	}
 }

@@ -180,11 +180,10 @@ func (c *Client) attempt(op byte, req []byte, retryTransport bool, decode func(b
 		return false, err
 	}
 	// Transport error: outcome unknown, connection dead. A target that
-	// keeps accepting dials but failing mid-connection (a proxy whose
-	// backend died, a half-broken node) must not absorb every attempt:
-	// after two consecutive transport errors, rotate. The streak spans
-	// ops, so even a no-retry client escapes a dead target on its next
-	// call.
+	// keeps accepting dials but failing mid-connection (a half-broken
+	// node) must not absorb every attempt: after two consecutive transport
+	// errors, rotate. The streak spans ops, so even a no-retry client
+	// escapes a dead target on its next call.
 	c.discard()
 	if p.tpFails++; p.tpFails >= 2 {
 		p.rotate()

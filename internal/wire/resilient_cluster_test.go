@@ -138,6 +138,48 @@ func TestResilientSeedRotationOnDialFailure(t *testing.T) {
 	}
 }
 
+// TestResilientEscapesATargetThatFailsEveryConnection: a first seed that
+// accepts every dial and resets the connection costs a no-retry client two
+// failed ops, not every op — the second consecutive transport error rotates
+// it to the live seed, and its third op succeeds there.
+func TestResilientEscapesATargetThatFailsEveryConnection(t *testing.T) {
+	resets, stopResets := flakyServer(t, func(i int, conn net.Conn) {
+		_, _, _ = ReadFrame(conn) // the dial succeeded; the request fails
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetLinger(0) // close with a reset
+		}
+	})
+	defer stopResets()
+	live, stopLive := flakyServer(t, func(i int, conn net.Conn) {
+		for {
+			if _, _, err := ReadFrame(conn); err != nil {
+				return
+			}
+			_ = WriteFrame(conn, StatusOK, nil)
+		}
+	})
+	defer stopLive()
+
+	r := NewResilient(ResilientConfig{
+		Addrs:       []string{resets, live},
+		Timeout:     2 * time.Second,
+		MaxAttempts: 1,
+		Seed:        1,
+	})
+	defer r.Close()
+	for op := 1; op <= 2; op++ {
+		if err := r.Ping(); err == nil {
+			t.Fatalf("op %d succeeded against a target that resets every connection", op)
+		}
+	}
+	if err := r.Ping(); err != nil {
+		t.Fatalf("third op, after two transport errors: %v", err)
+	}
+	if got := r.Target(); got != live {
+		t.Fatalf("target = %q, want rotation to %q", got, live)
+	}
+}
+
 // TestResilientRerouteEpochMonotonic: a stale-epoch redirect cannot drag
 // the client back to a deposed primary.
 func TestResilientRerouteEpochMonotonic(t *testing.T) {
