@@ -579,6 +579,34 @@ func TestFollowerDropsFencedLeader(t *testing.T) {
 	}
 }
 
+// TestFollowerJoinsAPrimaryAtAHigherEpoch: a fresh follower at epoch 1 is
+// pointed at a primary restarted at epoch 5. The primary's redirect names no
+// leader (it hides its own address from a stale poll), yet brings a newer
+// epoch: the follower adopts it, keeps its leader and is served at epoch 5.
+func TestFollowerJoinsAPrimaryAtAHigherEpoch(t *testing.T) {
+	shcfg := testShardCfg(t, 2, 1<<13)
+	dcfg := testDCfg(t)
+	if err := ckpt.WriteSealed(filepath.Join(dcfg.Dir, metaFile), metaKey(testKey), metaContext, appendMeta(nil, 5, RolePrimary)); err != nil {
+		t.Fatal(err)
+	}
+	p := startNode(t, shcfg, dcfg, func(c *Config) { c.Primary = true })
+	f := startNode(t, shcfg, testDCfg(t), func(c *Config) { c.Leader = p.addr })
+	if err := p.node.Write(0, oracle.Fill(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	want := p.node.memory().SyncedLSNs()
+	waitFor(t, "the follower to catch up with the primary at epoch 5", func() bool {
+		return covers(f.node.memory().SyncedLSNs(), want)
+	})
+	if ri := f.node.Route(); ri.Epoch != 5 || ri.Leader != p.addr {
+		t.Fatalf("follower route = %+v, want epoch 5 led by %s", ri, p.addr)
+	}
+	got, err := f.node.memory().Read(0)
+	if err != nil || string(got) != string(oracle.Fill(0, 1)) {
+		t.Fatalf("follower read = %v, want the primary's write", err)
+	}
+}
+
 func TestStaleEpochPollRefused(t *testing.T) {
 	shcfg := testShardCfg(t, 2, 1<<13)
 	// A primary restarted at the epoch its cluster.META holds.

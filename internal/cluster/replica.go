@@ -124,8 +124,11 @@ func (n *Node) pollLeader() (bool, error) {
 		if errors.As(err, &me) {
 			// The node we polled is not (or no longer) the leader at our
 			// epoch. Adopt anything newer it knows. One that names no
-			// leader (fenced) is no leader of ours: drop it, so the puller
-			// idles until a Follow and the lease runs out.
+			// leader at the epoch we polled at (fenced) is no leader of
+			// ours: drop it, so the puller idles until a Follow and the
+			// lease runs out. A newer epoch adopted from this answer is
+			// polled at first: a primary hides its own address from a
+			// stale poll, and serves the next one.
 			n.mu.Lock()
 			if me.Epoch > n.epoch {
 				n.epoch = me.Epoch
@@ -136,7 +139,7 @@ func (n *Node) pollLeader() (bool, error) {
 					n.logf("cluster: %s persist meta: %v", n.cfg.Self, err)
 				}
 			}
-			drop := me.Leader == "" && n.leader == leader
+			drop := me.Leader == "" && me.Epoch <= epoch && n.leader == leader
 			if drop {
 				n.leader = ""
 			}

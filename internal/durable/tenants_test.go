@@ -231,8 +231,9 @@ func TestTenantsFileIsSealed(t *testing.T) {
 // "MTTL" version 1 layout under its HMAC-SHA256 tag, as the generation before
 // the sealed stream wrote it (testdata/mttlgen.go.txt). Open refuses it with
 // a *secmem.VersionError naming that header — under the list it was made
-// with and under any other — and leaves every file of the directory as it
-// was.
+// with and under any other, and no version read off the bytes after it
+// (7018983630043415041, which hold none) — and leaves every file of the
+// directory as it was.
 func TestTenantsFileOfAnEarlierFormatIsAVersionError(t *testing.T) {
 	dir := copyDir(t, "testdata/mttl_dir")
 	before := dirFiles(t, dir)
@@ -241,6 +242,9 @@ func TestTenantsFileOfAnEarlierFormatIsAVersionError(t *testing.T) {
 		var ve *secmem.VersionError
 		if !errors.As(err, &ve) || ve.Magic != "MTTL" || isIntegrityError(err) {
 			t.Fatalf("tenants %q: %v, want a *secmem.VersionError naming MTTL", ids, err)
+		}
+		if strings.Contains(err.Error(), "7018983630043415041") {
+			t.Fatalf("tenants %q: %q prints MTTL's bytes as a version", ids, err)
 		}
 	}
 	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
