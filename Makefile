@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: FORCE build test race morphdebug vet fmt morphlint loc bench perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
+.PHONY: FORCE build test race morphdebug vet fmt morphlint loc bench experiments perf-engine fuzz-smoke serve-smoke gc-smoke crash-smoke ckpt-smoke chaos-smoke cluster-smoke obs-smoke proof-smoke tenant-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,19 @@ loc:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# The paper's whole evaluation at full scale — about 18 minutes on two vCPUs,
+# so no CI step runs it — written to results/experiments.txt behind '#' lines
+# that say what made it. The reduced run that go test checks is
+# cmd/experiments/testdata/figures.golden (TestFiguresGolden).
+experiments:
+	@mkdir -p bin
+	@{ echo "# commit: $$(git rev-parse HEAD 2>/dev/null || echo unknown)$$(git diff --quiet HEAD -- . ':!results' 2>/dev/null || echo ' (with uncommitted changes)')"; \
+	  echo "# go: $$($(GO) version)"; \
+	  echo "# cpus: $$(nproc)"; \
+	  echo "# command: go run ./cmd/experiments"; } > bin/experiments.txt
+	$(GO) run ./cmd/experiments >> bin/experiments.txt
+	mv bin/experiments.txt results/experiments.txt
 
 # The engine's four kernels — counter-line codec, line pad (on the AES-NI
 # kernel and on the portable path), line MAC, secmem read/write — its store

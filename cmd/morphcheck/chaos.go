@@ -99,41 +99,59 @@ func chaosMatrix(seed int64, smoke bool) []scenario {
 // chaos runs every scenario of the matrix and prints its row.
 func chaos(rows *rows, matrix []scenario, seed int64) error {
 	for _, sc := range matrix {
-		text, fail, err := runScenario(sc, seed)
+		o, err := runScenario(sc, seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
 		}
-		rows.add(sc.name, text, fail)
+		rows.add(sc.name, o.String(), o.fail)
 	}
 	return nil
 }
 
-// runScenario serves the engine on two listeners, one wrapped by the fault
-// profile and one clean, runs the closed-loop workload through the faulty
-// one, stops it, then audits the engine over the clean one. fail is the
-// scenario's verdict; err means it could not run.
-func runScenario(sc scenario, seed int64) (text string, fail, err error) {
+// outcome is what one scenario run saw: the workers' tally, what their
+// clients absorbed, the faults injected, and the verdict.
+type outcome struct {
+	load         oracle.Tally
+	absorbed     wire.ResilientStats
+	cuts, stalls uint64
+	fail         error
+}
+
+func (o outcome) String() string {
+	return fmt.Sprintf("%5d ops, %4d acked writes, %3d retries, %3d reconnects, %3d sheds, %3d cuts, %2d stalls",
+		o.load.Ops(), o.load.Writes, o.absorbed.Retries, o.absorbed.Reconnects, o.absorbed.Sheds, o.cuts, o.stalls)
+}
+
+// runScenario serves the engine on a clean listener and, through one server
+// that shares one admission gate, on one listener per client wrapped by the
+// fault profile. It runs the closed-loop workload with each client on its
+// own faulty listener, stops them, then audits the engine over the clean
+// one. A client's n-th connection is the n-th its listener accepts, so a
+// seed replays the same faults on the same client's same connections. err
+// means the scenario could not run.
+func runScenario(sc scenario, seed int64) (outcome, error) {
 	shcfg, err := shardConfig("morph128", chaosShards, chaosMem)
 	if err != nil {
-		return "", nil, err
+		return outcome{}, err
 	}
 	eng, err := shard.New(shcfg)
 	if err != nil {
-		return "", nil, err
+		return outcome{}, err
 	}
 	var serveEng server.Engine = eng
 	if sc.wrap != nil {
 		serveEng = sc.wrap(eng)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
+	lns := make([]net.Listener, 1+sc.clients) // the clean one, then one per client
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			for _, ln := range lns[:i] {
+				_ = ln.Close() //morphlint:allow errdiscard the listen error is the one to report
+			}
+			return outcome{}, err
+		}
 	}
-	faulty, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = ln.Close() //morphlint:allow errdiscard the listen error is the one to report
-		return "", nil, err
-	}
+	ln, faulty := lns[0], lns[1:]
 	var cuts, stalls atomic.Uint64
 	count := func(kind string) {
 		switch kind {
@@ -144,8 +162,14 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 		}
 	}
 	cfg := server.Config{MaxInflight: sc.maxInflight, ShedWait: sc.shedWait}
-	stopServer := serve(ln, serveEng, cfg)
-	stopFaulty := serve(fault.WrapListener(faulty, sc.prof, count), serveEng, cfg)
+	stopServer := serve(serveEng, cfg, ln)
+	for c, fl := range faulty {
+		// Client c's n-th connection takes the plan of accept index
+		// n*clients + c: the schedule a shared listener gives when the
+		// clients take turns, with no race for the turns.
+		faulty[c] = fault.WrapListener(fl, func(n int) fault.ConnPlan { return sc.prof.Plan(n*sc.clients + c) }, count)
+	}
+	stopFaulty := serve(serveEng, cfg, faulty...)
 
 	timeout := sc.timeout
 	if timeout <= 0 {
@@ -160,7 +184,7 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 		go func(c int) {
 			defer wg.Done()
 			cl := wire.NewResilient(wire.ResilientConfig{
-				Addrs:       []string{faulty.Addr().String()},
+				Addrs:       []string{faulty[c].Addr().String()},
 				Timeout:     timeout,
 				MaxAttempts: 10,
 				BaseBackoff: 2 * time.Millisecond,
@@ -178,24 +202,23 @@ func runScenario(sc scenario, seed int64) (text string, fail, err error) {
 	wg.Wait()
 	faultyErr := stopFaulty() // stop injecting before the audit
 
-	load, absorbed := tally(histories, nets)
+	o := outcome{cuts: cuts.Load(), stalls: stalls.Load()}
+	o.load, o.absorbed = tally(histories, nets)
 	audit, verify := readBack(ln.Addr().String(), seed-1, histories)
 	if err := errors.Join(faultyErr, stopServer()); err != nil {
-		return "", nil, err
+		return outcome{}, err
 	}
-	text = fmt.Sprintf("%5d ops, %4d acked writes, %3d retries, %3d reconnects, %3d sheds, %3d cuts, %2d stalls",
-		load.Ops(), load.Writes, absorbed.Retries, absorbed.Reconnects, absorbed.Sheds, cuts.Load(), stalls.Load())
-	fail = gate(load, audit, verify)
+	o.fail = gate(o.load, audit, verify)
 	switch {
-	case fail != nil:
-	case sc.wantCuts && cuts.Load() == 0:
-		fail = errors.New("injector misfire: expected cuts, saw none")
-	case sc.wantStalls && stalls.Load() == 0:
-		fail = errors.New("injector misfire: expected stalls, saw none")
-	case sc.wantSheds && absorbed.Sheds == 0:
-		fail = errors.New("injector misfire: expected sheds, saw none")
+	case o.fail != nil:
+	case sc.wantCuts && o.cuts == 0:
+		o.fail = errors.New("injector misfire: expected cuts, saw none")
+	case sc.wantStalls && o.stalls == 0:
+		o.fail = errors.New("injector misfire: expected stalls, saw none")
+	case sc.wantSheds && o.absorbed.Sheds == 0:
+		o.fail = errors.New("injector misfire: expected sheds, saw none")
 	}
-	return text, fail, nil
+	return o, nil
 }
 
 // worker is the closed loop both matrices run: reads and writes mixed 50/50

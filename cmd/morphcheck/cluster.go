@@ -129,7 +129,7 @@ func startChaosNode(shcfg shard.Config, dir string, mutate func(*cluster.Config)
 		_ = ln.Close() //morphlint:allow errdiscard the open error is the one to report
 		return nil, err
 	}
-	return &chaosNode{addr: cfg.Self, node: n, stop: serve(ln, n, server.Config{}), alive: true}, nil
+	return &chaosNode{addr: cfg.Self, node: n, stop: serve(n, server.Config{}, ln), alive: true}, nil
 }
 
 // runClusterRun executes one seeded kill: stand up a 3-node cluster, load it,
@@ -187,8 +187,8 @@ func runClusterRun(sc clusterScenario, seed int64) (text string, fail, err error
 		if err != nil {
 			return "", nil, err
 		}
-		slow := fault.WrapListener(ln, fault.Profile{Seed: seed, Latency: time.Millisecond, Jitter: time.Millisecond}, nil)
-		stopSlow, stopClean := serve(slow, p.node, server.Config{}), p.stop
+		slow := fault.WrapListener(ln, fault.Profile{Seed: seed, Latency: time.Millisecond, Jitter: time.Millisecond}.Plan, nil)
+		stopSlow, stopClean := serve(p.node, server.Config{}, slow), p.stop
 		p.stop = func() error { return errors.Join(stopSlow(), stopClean()) }
 		seedAddrs[0] = ln.Addr().String()
 	}

@@ -144,17 +144,24 @@ func shardConfig(org string, shards int, mem uint64) (shard.Config, error) {
 	}, nil
 }
 
-// serve runs the wire server over eng on ln. stop cancels it, waits for the
-// drain, and returns what ended it other than the cancellation.
-func serve(ln net.Listener, eng server.Engine, cfg server.Config) (stop func() error) {
+// serve runs one wire server over eng on every listener in lns, so they
+// share its connection cap and admission gate. stop cancels it, waits for
+// the drain, and returns what ended it other than the cancellation.
+func serve(eng server.Engine, cfg server.Config, lns ...net.Listener) (stop func() error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- server.New(eng, cfg).Serve(ctx, ln) }()
+	srv := server.New(eng, cfg)
+	done := make(chan error, len(lns))
+	for _, ln := range lns {
+		go func() { done <- srv.Serve(ctx, ln) }()
+	}
 	return func() error {
 		cancel()
-		if err := <-done; !errors.Is(err, context.Canceled) {
-			return fmt.Errorf("server shutdown: %w", err)
+		var errs []error
+		for range lns {
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				errs = append(errs, fmt.Errorf("server shutdown: %w", err))
+			}
 		}
-		return nil
+		return errors.Join(errs...)
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/fault"
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/server"
@@ -151,6 +153,52 @@ func TestChaosCatchesALossyEngine(t *testing.T) {
 		}
 		if !strings.Contains(errw.String(), " 0 spurious integrity errors") {
 			t.Fatalf("dropped writes were reported as integrity alarms:\n%s", errw.String())
+		}
+	}
+}
+
+// TestChaosReplaysFromItsSeed: each client dials a faulty listener of its
+// own, so the smoke matrix's cuts scenario injects the same cuts into the
+// same connections on every run of one seed — three runs, then a fourth at
+// GOMAXPROCS=4, see the same cut count and the same tally. And a scenario
+// whose injector is switched off still fails its misfire check.
+func TestChaosReplaysFromItsSeed(t *testing.T) {
+	named := func(name string) scenario {
+		for _, sc := range chaosMatrix(1, true) {
+			if sc.name == name {
+				return sc
+			}
+		}
+		t.Fatalf("no %s scenario in the smoke matrix", name)
+		return scenario{}
+	}
+	var first outcome
+	for run := 0; run < 4; run++ {
+		if run == 3 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		}
+		o, err := runScenario(named("cuts"), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.fail != nil || o.cuts == 0 {
+			t.Fatalf("run %d: %s: %v", run, o, o.fail)
+		}
+		if run == 0 {
+			first = o
+		} else if o.cuts != first.cuts || o.load != first.load {
+			t.Fatalf("run %d of seed 1: %s; run 0: %s", run, o, first)
+		}
+	}
+	for _, name := range []string{"cuts", "stalls"} {
+		sc := named(name)
+		sc.prof = fault.Profile{Seed: 1}
+		o, err := runScenario(sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.fail == nil || !strings.Contains(o.fail.Error(), "injector misfire: expected "+name) {
+			t.Errorf("%s with no faults injected: %s: %v, want an injector misfire", name, o, o.fail)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"github.com/securemem/morphtree/internal/counters"
 	"github.com/securemem/morphtree/internal/durable"
+	"github.com/securemem/morphtree/internal/server"
 	"github.com/securemem/morphtree/internal/shard"
 )
 
@@ -67,7 +68,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.shards, "shards", 0, "shard count (0 = GOMAXPROCS)")
 	fs.Uint64Var(&o.mem, "mem", 4<<20, "total protected capacity in bytes")
 	fs.StringVar(&o.keyHex, "key", "", "AES master key in hex (16/24/32 bytes; default is a fixed demo key)")
-	fs.IntVar(&o.maxConns, "max-conns", 256, "concurrent connection cap (excess sheds with BUSY)")
+	fs.IntVar(&o.maxConns, "max-conns", server.DefaultMaxConns, "concurrent connection cap (excess sheds with BUSY)")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "concurrently executing request cap (0 = 4x GOMAXPROCS); excess sheds with BUSY")
 	fs.DurationVar(&o.shedWait, "shed-wait", 10*time.Millisecond, "how long a request may wait for an in-flight slot before being shed")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "idle read / response write deadline")

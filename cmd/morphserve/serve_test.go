@@ -24,6 +24,7 @@ import (
 	"github.com/securemem/morphtree/internal/oracle"
 	"github.com/securemem/morphtree/internal/proof"
 	"github.com/securemem/morphtree/internal/secmem"
+	"github.com/securemem/morphtree/internal/server"
 	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wire"
 )
@@ -506,4 +507,24 @@ func TestServeTenantsRestartLists(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMaxConnsZeroTakesTheDefault: -max-conns 0 means "the default", so it
+// must serve with the cap no flag gives, and that cap is the server's own
+// default, read back as the effective limit the admin plane reports.
+func TestMaxConnsZeroTakesTheDefault(t *testing.T) {
+	for _, args := range [][]string{nil, {"-max-conns", "0"}} {
+		_, admin, stop := startServe(t, "127.0.0.1:0",
+			append(args, "-shards", "1", "-mem", "65536", "-admin", "127.0.0.1:0")...)
+		snap, err := obs.DecodeSnapshot(expect(t, "GET", "http://"+admin+"/metricz", 200, appJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Gauges["server.limit.max_conns"]; got != server.DefaultMaxConns {
+			t.Errorf("morphserve %s: effective connection cap %d, want %d", strings.Join(args, " "), got, server.DefaultMaxConns)
+		}
+		if err := stop(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

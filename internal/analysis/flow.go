@@ -100,14 +100,6 @@ func (fl *Flow) Tainted(e ast.Expr) bool { return fl.taintOf(e) }
 // TaintedObjects exposes the set of variables holding tainted values.
 func (fl *Flow) TaintedObjects() map[types.Object]bool { return fl.tainted }
 
-// TaintObject force-taints a variable (used to seed parameters for
-// summary runs).
-func (fl *Flow) TaintObject(obj types.Object) {
-	if obj != nil {
-		fl.tainted[obj] = true
-	}
-}
-
 // seed consults the policy's source definition.
 func (fl *Flow) seed(e ast.Expr) bool {
 	return fl.cfg.Seed != nil && fl.cfg.Seed(e)

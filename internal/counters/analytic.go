@@ -75,35 +75,3 @@ func PathologicalZCCWrites() uint64 {
 		}
 	}
 }
-
-// OverflowCurve samples writes-to-overflow across fractions of the line
-// used, for plotting Figures 6 and 10. Points are (fractionUsed,
-// writesToOverflow) at every integer counter count from 1 to arity.
-type CurvePoint struct {
-	FractionUsed     float64
-	WritesToOverflow uint64
-}
-
-// SplitOverflowCurve returns Figure 6's curve for a split-counter arity.
-func SplitOverflowCurve(arity int) []CurvePoint {
-	pts := make([]CurvePoint, 0, arity)
-	for u := 1; u <= arity; u++ {
-		pts = append(pts, CurvePoint{
-			FractionUsed:     float64(u) / float64(arity),
-			WritesToOverflow: SplitWritesToOverflow(arity, u),
-		})
-	}
-	return pts
-}
-
-// ZCCOverflowCurve returns Figure 10's curve for MorphCtr-128 (ZCC-only).
-func ZCCOverflowCurve() []CurvePoint {
-	pts := make([]CurvePoint, 0, MorphArity)
-	for u := 1; u <= MorphArity; u++ {
-		pts = append(pts, CurvePoint{
-			FractionUsed:     float64(u) / float64(MorphArity),
-			WritesToOverflow: ZCCWritesToOverflow(u),
-		})
-	}
-	return pts
-}

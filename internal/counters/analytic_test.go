@@ -93,25 +93,14 @@ func TestPathologicalPattern(t *testing.T) {
 }
 
 func TestOverflowCurvesShape(t *testing.T) {
-	sc64 := SplitOverflowCurve(64)
-	if len(sc64) != 64 {
-		t.Fatalf("SC-64 curve has %d points", len(sc64))
-	}
-	// Monotone non-decreasing in utilization for split counters.
-	for i := 1; i < len(sc64); i++ {
-		if sc64[i].WritesToOverflow < sc64[i-1].WritesToOverflow {
-			t.Fatalf("SC-64 curve decreases at %d", i)
+	// Figure 6's SC-64 curve is monotone non-decreasing in utilization.
+	for u := 2; u <= 64; u++ {
+		if SplitWritesToOverflow(64, u) < SplitWritesToOverflow(64, u-1) {
+			t.Fatalf("SC-64 curve decreases at %d counters", u)
 		}
 	}
-	zcc := ZCCOverflowCurve()
-	if len(zcc) != 128 {
-		t.Fatalf("ZCC curve has %d points", len(zcc))
-	}
-	if zcc[0].FractionUsed <= 0 || zcc[len(zcc)-1].FractionUsed != 1 {
-		t.Fatal("ZCC curve fraction range wrong")
-	}
-	// The ZCC curve steps down at each sizing boundary (16 -> 17 etc.).
-	if zcc[16].WritesToOverflow >= zcc[15].WritesToOverflow {
+	// Figure 10's ZCC curve steps down at each sizing boundary (16 -> 17 etc.).
+	if ZCCWritesToOverflow(17) >= ZCCWritesToOverflow(16) {
 		t.Error("expected sizing step between 16 and 17 counters")
 	}
 }

@@ -280,23 +280,24 @@ func (p Profile) Plan(i int) ConnPlan {
 	return plan
 }
 
-// Listener wraps a net.Listener, applying a Profile-derived plan to the
-// i-th accepted connection. Accept order therefore fully determines the
-// fault schedule for a given seed.
+// Listener wraps a net.Listener, applying plan(i) to the i-th accepted
+// connection. Accept order therefore fully determines the fault schedule:
+// a harness whose clients share a listener races them for the plans, so
+// each replayable client dials a listener of its own.
 type Listener struct {
 	net.Listener
-	prof    Profile
+	plan    func(i int) ConnPlan
 	onEvent func(kind string)
 
 	mu  sync.Mutex
 	idx int
 }
 
-// WrapListener wraps ln so every accepted connection carries prof's plan
-// for its accept index. onEvent observes injected faults across all
-// connections (may be nil).
-func WrapListener(ln net.Listener, prof Profile, onEvent func(kind string)) *Listener {
-	return &Listener{Listener: ln, prof: prof, onEvent: onEvent}
+// WrapListener wraps ln so every accepted connection carries plan(i) for
+// its accept index i, usually a Profile's Plan. onEvent observes injected
+// faults across all connections (may be nil).
+func WrapListener(ln net.Listener, plan func(i int) ConnPlan, onEvent func(kind string)) *Listener {
+	return &Listener{Listener: ln, plan: plan, onEvent: onEvent}
 }
 
 // Accept accepts the next connection and wraps it with its plan.
@@ -309,5 +310,5 @@ func (l *Listener) Accept() (net.Conn, error) {
 	i := l.idx
 	l.idx++
 	l.mu.Unlock()
-	return WrapConn(conn, l.prof.Plan(i), l.onEvent), nil
+	return WrapConn(conn, l.plan(i), l.onEvent), nil
 }

@@ -215,7 +215,7 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 			}
 			var mu sync.Mutex
 			seen := map[string]int{}
-			ln := WrapListener(inner, tc.prof, func(kind string) { mu.Lock(); seen[kind]++; mu.Unlock() })
+			ln := WrapListener(inner, tc.prof.Plan, func(kind string) { mu.Lock(); seen[kind]++; mu.Unlock() })
 			defer ln.Close()
 			served := make(chan struct{})
 			go func() {

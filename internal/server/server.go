@@ -117,9 +117,13 @@ type ClusterNode interface {
 	AuthenticatePeer(token []byte) bool
 }
 
+// DefaultMaxConns is the connection cap a zero Config.MaxConns takes, and
+// morphserve's -max-conns default.
+const DefaultMaxConns = 256
+
 // Config tunes the listener's limits.
 type Config struct {
-	// MaxConns caps concurrent connections (default 64). Excess
+	// MaxConns caps concurrent connections (default DefaultMaxConns). Excess
 	// connections receive a StatusBusy frame and are closed — a shed,
 	// not a failure, so resilient clients back off and redial.
 	MaxConns int
@@ -173,7 +177,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.MaxConns <= 0 {
-		c.MaxConns = 64
+		c.MaxConns = DefaultMaxConns
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4 * runtime.GOMAXPROCS(0)
