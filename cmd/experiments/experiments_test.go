@@ -78,9 +78,10 @@ func section(text, banner string) string {
 // TestFiguresGolden runs Figures 7, 11, 14 and 16 through the evaluation's
 // own runner at reduced scale — six workloads (two random-access, two
 // streaming, the paper's outlier and one mix), 60 k warm-up and 60 k
-// measured accesses per core, seed 1 — and holds every simulation's exact
-// event counts, and the analytic rows of Figures 1, 6, 10 and 17 and Table
-// III, to testdata/figures.golden byte for byte. It holds no IPC, latency or
+// measured accesses per core, seed 1 — and MorphCtr-128 with and without
+// rebasing over two workloads that reach ZCC's size steps, and holds every
+// simulation's exact event counts, and the analytic rows of Figures 1, 6, 10
+// and 17 and Table III, to testdata/figures.golden byte for byte. It holds no IPC, latency or
 // energy. A change that moves a count shows its diff here; go test
 // ./cmd/experiments -run FiguresGolden -update rewrites the file.
 func TestFiguresGolden(t *testing.T) {
@@ -99,15 +100,38 @@ func TestFiguresGolden(t *testing.T) {
 	r.all = append(r.all, workloads.Mixes()[0])
 	capture(t, r, fig7, fig11, fig14, fig16)
 
+	// ZCC's size steps, which none of the runs above reaches: the adversary
+	// of Section V beside three omnetpp victims crosses the 42- and the
+	// 51-counter step (its 52-counter warm-up sits just past the latter),
+	// and mix2, run to 100 k + 100 k accesses a core, the 16-counter one.
+	omnetpp, err := workloads.ByName("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	longOpt := opt
+	longOpt.WarmupAccesses, longOpt.MeasureAccesses = 100_000, 100_000
+	long := newRunner(longOpt)
+	for _, cfg := range []sim.Config{sim.MorphCtr128(), sim.MorphCtr128ZCC()} {
+		r.run(cfg, workloads.AttackMix(omnetpp, 4))
+		long.run(cfg, workloads.Mixes()[1])
+	}
+
 	var b strings.Builder
 	writeAnalyticRows(&b)
-	keys := make([]string, 0, len(r.cache))
-	for k := range r.cache {
+	rows := make(map[string]*sim.Stats, len(r.cache)+len(long.cache))
+	for k, res := range r.cache {
+		rows[k] = &res.Stats
+	}
+	for k, res := range long.cache {
+		rows[k+"/100k"] = &res.Stats
+	}
+	keys := make([]string, 0, len(rows))
+	for k := range rows {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		writeCountRows(&b, k, &r.cache[k].Stats)
+		writeCountRows(&b, k, rows[k])
 	}
 	got := b.String()
 

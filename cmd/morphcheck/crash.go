@@ -228,14 +228,14 @@ func (c *crashRun) recoverAndAudit(dir string, j *oracle.Journal, want recovery)
 	}
 	defer func() { _ = m.Close() }() //morphlint:allow errdiscard trial teardown
 	text = fmt.Sprintf("%s: epoch %d, %d deltas, %d/%d writes replayed, %d torn",
-		want.detail, info.SnapshotSeq, info.DeltasApplied, info.ReplayedWrites, want.replayed, info.TornTailCount())
+		want.detail, info.SnapshotSeq, info.DeltasApplied, info.ReplayedRecords, want.replayed, info.TornTailCount())
 	switch {
 	case info.SnapshotSeq != want.seq:
 		return text, fmt.Errorf("recovered from epoch %d, want %d", info.SnapshotSeq, want.seq)
 	case info.DeltasApplied != want.deltas:
 		return text, fmt.Errorf("applied %d deltas, want %d", info.DeltasApplied, want.deltas)
-	case info.ReplayedWrites != want.replayed:
-		return text, fmt.Errorf("replayed %d writes, want %d", info.ReplayedWrites, want.replayed)
+	case info.ReplayedRecords != want.replayed:
+		return text, fmt.Errorf("replayed %d writes, want %d", info.ReplayedRecords, want.replayed)
 	case info.TornTailCount() != want.torn:
 		return text, fmt.Errorf("%d torn tails, want %d", info.TornTailCount(), want.torn)
 	}
@@ -652,7 +652,7 @@ func (c *crashRun) recoveryCurve(rows *rows, seed int64) error {
 			if err != nil {
 				return 0, 0, fmt.Errorf("curve recovery (%s, %d bytes): %w", name, mem, err)
 			}
-			return info.ReplayedWrites, info.Elapsed, m2.Close()
+			return info.ReplayedRecords, info.Elapsed, m2.Close()
 		}
 		full, fullTime, err := run("full", false)
 		if err != nil {
@@ -700,7 +700,7 @@ func (c *crashRun) stallGate(seed int64) (text string, fail error) {
 			}
 		}()
 		if withCkpt {
-			r := ckpt.NewRunner(m, 2*time.Millisecond, 0, 0, func(error) {})
+			r := ckpt.NewRunner(m, 2*time.Millisecond, 0, func(error) {})
 			defer r.Stop()
 		}
 		rng := rand.New(rand.NewSource(seed + 13))

@@ -214,8 +214,8 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 		if info.Fresh {
 			log.Printf("morphserve: %s: fresh store, snapshot seq %d", o.dataDir, info.SnapshotSeq)
 		} else {
-			log.Printf("morphserve: %s: recovered snapshot seq %d + %d deltas + %d WAL records (%d writes, %d torn tails truncated, %d lines re-verified) in %v",
-				o.dataDir, info.SnapshotSeq, info.DeltasApplied, info.ReplayedRecords, info.ReplayedWrites,
+			log.Printf("morphserve: %s: recovered snapshot seq %d + %d deltas + %d WAL records (%d torn tails truncated, %d lines re-verified) in %v",
+				o.dataDir, info.SnapshotSeq, info.DeltasApplied, info.ReplayedRecords,
 				info.TornTailCount(), info.SampleVerified, info.Elapsed.Round(time.Millisecond))
 		}
 		dm.RegisterMetrics(reg)
@@ -265,7 +265,7 @@ func serve(ctx context.Context, o *options, ln, aln net.Listener) error {
 	// before the store's last checkpoint and its close.
 	var runner *ckpt.Runner
 	if st != nil {
-		runner = ckpt.NewRunner(st, o.deltaEvery, o.snapEvery, 0, func(err error) {
+		runner = ckpt.NewRunner(st, o.deltaEvery, o.snapEvery, func(err error) {
 			log.Printf("morphserve: background checkpoint: %v", err)
 		})
 	}

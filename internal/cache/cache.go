@@ -200,40 +200,6 @@ func (c *Cache) fill(addr uint64, dirty bool, lowPriority bool) (Victim, bool) {
 	return victim, evicted
 }
 
-// Invalidate drops addr if present, returning its dirty state.
-func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	base, tag := c.index(addr)
-	for i := 0; i < c.ways; i++ {
-		w := &c.sets[base+uint64(i)]
-		if w.valid && w.tag == tag {
-			wasDirty = w.dirty
-			w.valid = false
-			w.dirty = false
-			return wasDirty, true
-		}
-	}
-	return false, false
-}
-
-// WalkDirty visits every dirty line's address (used to flush metadata).
-// Addresses are snapshotted under the lock and fn is invoked outside it, so
-// fn may call back into the cache.
-func (c *Cache) WalkDirty(fn func(addr uint64)) {
-	c.mu.Lock()
-	var addrs []uint64
-	for i := range c.sets {
-		if c.sets[i].valid && c.sets[i].dirty {
-			addrs = append(addrs, c.sets[i].tag*c.lineBytes)
-		}
-	}
-	c.mu.Unlock()
-	for _, a := range addrs {
-		fn(a)
-	}
-}
-
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	c.mu.Lock()

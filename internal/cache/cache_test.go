@@ -111,33 +111,6 @@ func TestDoubleFillRefreshes(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNew(4*64, 4, 64)
-	c.Fill(0, true)
-	dirty, present := c.Invalidate(0)
-	if !present || !dirty {
-		t.Fatalf("invalidate = %v,%v", dirty, present)
-	}
-	if c.Contains(0) {
-		t.Fatal("line survived invalidation")
-	}
-	if _, present := c.Invalidate(999); present {
-		t.Fatal("phantom invalidation")
-	}
-}
-
-func TestWalkDirty(t *testing.T) {
-	c := MustNew(8*64, 8, 64)
-	c.Fill(0, true)
-	c.Fill(64*8, false)
-	c.Fill(64*16, true)
-	seen := map[uint64]bool{}
-	c.WalkDirty(func(a uint64) { seen[a] = true })
-	if len(seen) != 2 || !seen[0] || !seen[64*16] {
-		t.Fatalf("dirty walk = %v", seen)
-	}
-}
-
 func TestSetIsolation(t *testing.T) {
 	// Lines mapping to different sets must not evict each other.
 	c := MustNew(2*2*64, 2, 64) // 2 sets, 2 ways

@@ -161,7 +161,7 @@ func TestReadStateAppliesOnlyAuthenticatedFrames(t *testing.T) {
 	for i := range lines {
 		lines[i] = secmem.DirtyLine{Level: -1, Index: uint64(i), Line: bytes.Repeat([]byte{byte(i)}, secmem.LineBytes), MAC: uint64(i)}
 	}
-	hdr := DeltaHeader{Seq: 5, Base: 4, CoveredLSN: []uint64{1}, CoveredWrites: []uint64{1}}
+	hdr := DeltaHeader{Seq: 5, Base: 4, CoveredLSN: []uint64{1}}
 	good := deltaFile(t, hdr, []lineShard{lines})
 	payload := unframed(t, good)
 	header, fs := frames(t, good, fuzzContext)
@@ -265,12 +265,33 @@ func readDelta(path string, seq, base uint64) (DeltaHeader, [][]secmem.DirtyLine
 	return hdr, lines, err
 }
 
+// TestCoverageWrittenTwice: a shard's coverage is its LSN written twice, and
+// an authentic stream whose two differ is refused as tampering.
+func TestCoverageWrittenTwice(t *testing.T) {
+	hdr, shards := goldenDelta(t)
+	payload := unframed(t, deltaFile(t, hdr, shards))
+	for i, lsn := range hdr.CoveredLSN {
+		at := 3*8 + 16*i
+		if a, b := binary.LittleEndian.Uint64(payload[at:]), binary.LittleEndian.Uint64(payload[at+8:]); a != lsn || b != lsn {
+			t.Fatalf("shard %d's coverage reads %d, %d; want LSN %d twice", i, a, b, lsn)
+		}
+	}
+	binary.LittleEndian.PutUint64(payload[3*8+16+8:], hdr.CoveredLSN[1]-1)
+	path := DeltaPath(t.TempDir(), 5, 4)
+	if err := os.WriteFile(path, framed(t, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ie *secmem.IntegrityError
+	if _, _, err := readDelta(path, 5, 4); !errors.As(err, &ie) {
+		t.Fatalf("a stream whose shard 1 counts other than its LSN: %v, want a *secmem.IntegrityError", err)
+	}
+}
+
 func TestDeltaFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	hdr := DeltaHeader{
 		Seq: 5, Base: 4,
-		CoveredLSN:    []uint64{10, 20},
-		CoveredWrites: []uint64{9, 18},
+		CoveredLSN: []uint64{10, 20},
 	}
 	lines := []lineShard{
 		{
@@ -289,7 +310,7 @@ func TestDeltaFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 5 || got.Base != 4 || got.CoveredLSN[1] != 20 || got.CoveredWrites[0] != 9 {
+	if got.Seq != 5 || got.Base != 4 || got.CoveredLSN[0] != 10 || got.CoveredLSN[1] != 20 {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if len(gotLines) != 2 || len(gotLines[0]) != 2 || len(gotLines[1]) != 1 {
@@ -371,18 +392,27 @@ func TestResolveChain(t *testing.T) {
 	}
 }
 
+// fakeTarget counts the checkpoints it is asked for. Its chain grows by a delta
+// and empties at a full checkpoint; a short one never reports more than a
+// single delta, so the runner's compaction threshold is never reached.
 type fakeTarget struct {
 	deltas, fulls atomic.Int64
 	chain         atomic.Int64
+	short         bool
 }
 
 func (f *fakeTarget) CheckpointDelta() error { f.deltas.Add(1); f.chain.Add(1); return nil }
 func (f *fakeTarget) Checkpoint() error      { f.fulls.Add(1); f.chain.Store(0); return nil }
-func (f *fakeTarget) DeltaChainLen() int     { return int(f.chain.Load()) }
+func (f *fakeTarget) DeltaChainLen() int {
+	if f.short {
+		return min(int(f.chain.Load()), 1)
+	}
+	return int(f.chain.Load())
+}
 
 func TestRunnerCompactsChain(t *testing.T) {
 	ft := &fakeTarget{}
-	r := NewRunner(ft, time.Millisecond, 0, 3, nil)
+	r := NewRunner(ft, time.Millisecond, 0, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for ft.fulls.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -391,8 +421,8 @@ func TestRunnerCompactsChain(t *testing.T) {
 	if ft.fulls.Load() < 2 {
 		t.Fatalf("runner never compacted: %d deltas, %d fulls", ft.deltas.Load(), ft.fulls.Load())
 	}
-	if ft.deltas.Load() == 0 {
-		t.Fatal("runner cut no deltas")
+	if d, f := ft.deltas.Load(), ft.fulls.Load(); d < maxChain*f {
+		t.Fatalf("runner cut %d deltas for %d compactions, want %d before each", d, f, maxChain)
 	}
 	// Stop is idempotent.
 	r.Stop()
@@ -403,8 +433,8 @@ func TestRunnerCompactsChain(t *testing.T) {
 // a delta cadence whose chain never reaches the compaction threshold.
 func TestRunnerSnapshotCadence(t *testing.T) {
 	for _, deltaEvery := range []time.Duration{0, time.Millisecond} {
-		ft := &fakeTarget{}
-		r := NewRunner(ft, deltaEvery, 2*time.Millisecond, 1<<30, nil)
+		ft := &fakeTarget{short: true}
+		r := NewRunner(ft, deltaEvery, 2*time.Millisecond, nil)
 		deadline := time.Now().Add(5 * time.Second)
 		for (ft.fulls.Load() < 2 || (deltaEvery > 0 && ft.deltas.Load() == 0)) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
@@ -449,7 +479,7 @@ func (s synthShard) WriteRecords(w io.Writer) error {
 func BenchmarkStream(b *testing.B) {
 	perShard := (64 << 20) / 88 / 2 // a data line's record is 88 bytes
 	shards := []synthShard{{perShard}, {perShard}}
-	hdr := DeltaHeader{Seq: 2, CoveredLSN: make([]uint64, 2), CoveredWrites: make([]uint64, 2)}
+	hdr := DeltaHeader{Seq: 2, CoveredLSN: make([]uint64, 2)}
 	path := filepath.Join(b.TempDir(), "snapshot")
 	write := func() {
 		if err := WriteDelta(new(StreamWriter), path, testKey, hdr, shards); err != nil {

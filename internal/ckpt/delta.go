@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"github.com/securemem/morphtree/internal/secmem"
 )
 
 // State stream: the one shape engine state crosses a disk or a network in
@@ -21,18 +23,19 @@ import (
 // Payload layout (inside the stream, integers little-endian):
 //
 //	u64 seq | u64 base | u64 nshards |
-//	nshards × (u64 coveredLSN, u64 coveredWrites) |
+//	nshards × (u64 coveredLSN, u64 coveredLSN) |
 //	nshards × ( u64 nlines |
 //	            nlines × (i32 level | u64 index | u32 len | line | u64 mac) )
 //
-// A shard's share — count and records — is written by a DeltaShard and read by
-// secmem.ReadRecords; its records are in no particular order (applying them
-// commutes: a line is in a stream once).
+// A shard's covered LSN is written twice, so that no byte of the format moved
+// when the second word stopped being a write count of its own; a header whose
+// two differ is refused. A shard's share — count and records — is written by
+// a DeltaShard and read by secmem.ReadRecords; its records are in no
+// particular order (applying them commutes: a line is in a stream once).
 
 // DeltaShard is one shard's share of a state stream being written: the count
-// of its line records, then the records. *secmem.Cut is one (the lines stamped
-// since the last checkpoint or, from floor 0, every stored line), and
-// *secmem.Memory another (every stored line, under one hold of its lock).
+// of its line records, then the records. *secmem.Cut is one: the lines stamped
+// since the last checkpoint or, from floor 0, every stored line.
 type DeltaShard interface {
 	WriteRecords(w io.Writer) error
 }
@@ -42,10 +45,10 @@ type DeltaHeader struct {
 	// Seq is this stream's epoch; Base is the epoch it was cut against (the
 	// previous full snapshot or delta in the chain), 0 for a full image.
 	Seq, Base uint64
-	// CoveredLSN / CoveredWrites are the per-shard journal positions the
-	// chain up to and including this stream covers; recovery replays the
-	// WAL tail from CoveredLSN+1.
-	CoveredLSN, CoveredWrites []uint64
+	// CoveredLSN is the per-shard journal positions the chain up to and
+	// including this stream covers; recovery replays the WAL tail from
+	// CoveredLSN+1.
+	CoveredLSN []uint64
 }
 
 func deltaContext(seq, base uint64) string {
@@ -84,7 +87,7 @@ func WriteFile(path string, write func(w io.Writer) error) error {
 // from its WriteRecords so the state is never in memory twice; key should be
 // a role-derived key.
 func WriteDelta[S DeltaShard](sw *StreamWriter, path string, key []byte, hdr DeltaHeader, shards []S) error {
-	if len(hdr.CoveredLSN) != len(shards) || len(hdr.CoveredWrites) != len(shards) {
+	if len(hdr.CoveredLSN) != len(shards) {
 		return fmt.Errorf("ckpt: state header covers %d shards, have %d", len(hdr.CoveredLSN), len(shards))
 	}
 	head := binary.LittleEndian.AppendUint64(nil, hdr.Seq)
@@ -92,7 +95,7 @@ func WriteDelta[S DeltaShard](sw *StreamWriter, path string, key []byte, hdr Del
 	head = binary.LittleEndian.AppendUint64(head, uint64(len(shards)))
 	for i := range shards {
 		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
-		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredWrites[i])
+		head = binary.LittleEndian.AppendUint64(head, hdr.CoveredLSN[i])
 	}
 	return WriteFile(path, func(w io.Writer) error {
 		if err := sw.Reset(w, key, deltaContext(hdr.Seq, hdr.Base)); err != nil {
@@ -142,12 +145,16 @@ func ReadState(r io.Reader, key []byte, seq, base uint64, apply func(hdr DeltaHe
 			return fmt.Errorf("ckpt: state stream %d←%d: unreasonable shard count %d", seq, base, nsh)
 		}
 		hdr.CoveredLSN = make([]uint64, nsh)
-		hdr.CoveredWrites = make([]uint64, nsh)
 		for i := range hdr.CoveredLSN {
 			if _, err := io.ReadFull(br, head[:16]); err != nil {
 				return fmt.Errorf("ckpt: state stream %d←%d: coverage: %w", seq, base, err)
 			}
-			hdr.CoveredLSN[i], hdr.CoveredWrites[i] = binary.LittleEndian.Uint64(head[0:]), binary.LittleEndian.Uint64(head[8:])
+			lsn, again := binary.LittleEndian.Uint64(head[0:]), binary.LittleEndian.Uint64(head[8:])
+			if lsn != again {
+				return &secmem.IntegrityError{Level: -1, Index: uint64(i),
+					Reason: fmt.Sprintf("ckpt state stream %d←%d: shard %d covers LSN %d but counts %d writes", seq, base, i, lsn, again)}
+			}
+			hdr.CoveredLSN[i] = lsn
 		}
 		for i := 0; i < int(nsh); i++ {
 			if err := apply(hdr, i, br); err != nil {

@@ -40,7 +40,7 @@ func allocatedBy(fn func()) uint64 {
 // root, a counter line and a few data lines each.
 func goldenDelta(t testing.TB) (DeltaHeader, []lineShard) {
 	t.Helper()
-	hdr := DeltaHeader{Seq: 5, Base: 4, CoveredLSN: []uint64{10, 20}, CoveredWrites: []uint64{9, 18}}
+	hdr := DeltaHeader{Seq: 5, Base: 4, CoveredLSN: []uint64{10, 20}}
 	shards := make([]lineShard, 2)
 	for s := range shards {
 		shards[s] = append(shards[s], secmem.DirtyLine{Level: 2, Line: bytes.Repeat([]byte{0xA0 + byte(s)}, 64)})
@@ -134,6 +134,22 @@ func TestReadDeltaBoundsUnauthenticatedCounts(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("a delta announcing 2^32 lines: got %v, want IntegrityError", err)
 	}
+}
+
+// coverageDiffers reports whether a delta payload's header holds a shard
+// whose two coverage words differ.
+func coverageDiffers(payload []byte) bool {
+	if len(payload) < 3*8 {
+		return false
+	}
+	n := min(binary.LittleEndian.Uint64(payload[16:]), 1<<16)
+	for i := 0; uint64(i) < n && 3*8+16*(i+1) <= len(payload); i++ {
+		at := 3*8 + 16*i
+		if !bytes.Equal(payload[at:at+8], payload[at+8:at+16]) {
+			return true
+		}
+	}
+	return false
 }
 
 // authentic reports whether stream is a whole stream under the test's key
@@ -242,6 +258,10 @@ func FuzzReadDelta(f *testing.F) {
 		var err error
 		if n := allocatedBy(func() { hdr, lines, err = readDelta(path, 5, 4) }); n > allocBound(len(file)) {
 			t.Fatalf("reading a delta of %d bytes allocated %d", len(file), n)
+		}
+		var ie *secmem.IntegrityError
+		if errors.As(err, &ie) && authentic(file) && coverageDiffers(unframed(t, file)) {
+			return // an authentic header whose two coverage words differ is refused
 		}
 		checkTyped(t, err, file, func(payload []byte) error {
 			if err := os.WriteFile(again, framed(t, payload), 0o644); err != nil {

@@ -19,7 +19,7 @@ type Target interface {
 
 // Runner owns the durable layer's background work, in one goroutine: it cuts
 // a delta checkpoint every deltaEvery, compacting the chain into a full
-// snapshot once it grows past maxChain, and a full snapshot every
+// snapshot once it is maxChain (8) deltas long, and a full snapshot every
 // snapshotEvery regardless — bounding recovery work (base + short chain +
 // WAL tail) and disk amplification. No checkpoint stalls a writer: full or
 // delta, each is a cut begun a shard at a time, and all file I/O happens
@@ -29,24 +29,23 @@ type Target interface {
 // target's checkpoint hook is registered (durable.Memory.OnCheckpoint is set
 // before concurrent use) and Stop it before the final checkpoint and Close.
 type Runner struct {
-	t        Target
-	maxChain int
-	onErr    func(error)
+	t     Target
+	onErr func(error)
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
 }
 
+// maxChain is the delta chain length at which the next delta cadence tick
+// compacts into a full snapshot instead.
+const maxChain = 8
+
 // NewRunner starts the background checkpointer. A cadence of zero turns that
-// kind of checkpoint off; maxChain is the compaction threshold (values < 1
-// default to 8). onErr, when non-nil, receives checkpoint failures (the
-// runner keeps going — a transient disk error must not end checkpointing
+// kind of checkpoint off. onErr, when non-nil, receives checkpoint failures
+// (the runner keeps going — a transient disk error must not end checkpointing
 // forever, and the WAL still holds every acknowledged write).
-func NewRunner(t Target, deltaEvery, snapshotEvery time.Duration, maxChain int, onErr func(error)) *Runner {
-	if maxChain < 1 {
-		maxChain = 8
-	}
-	r := &Runner{t: t, maxChain: maxChain, onErr: onErr, stopc: make(chan struct{})}
+func NewRunner(t Target, deltaEvery, snapshotEvery time.Duration, onErr func(error)) *Runner {
+	r := &Runner{t: t, onErr: onErr, stopc: make(chan struct{})}
 	r.wg.Add(1)
 	go r.loop(deltaEvery, snapshotEvery)
 	return r
@@ -76,7 +75,7 @@ func (r *Runner) loop(deltaEvery, snapshotEvery time.Duration) {
 		case <-snapshot:
 			full = true
 		case <-delta:
-			full = r.t.DeltaChainLen() >= r.maxChain
+			full = r.t.DeltaChainLen() >= maxChain
 		}
 		var err error
 		if full {

@@ -61,8 +61,7 @@ func (m *Memory) checkpoint(full bool) error {
 		return fmt.Errorf("durable: checkpoint after Close")
 	}
 
-	hdr := ckpt.DeltaHeader{Seq: m.seq.Load() + 1, Base: m.seq.Load(),
-		CoveredLSN: make([]uint64, len(m.commits)), CoveredWrites: make([]uint64, len(m.commits))}
+	hdr := ckpt.DeltaHeader{Seq: m.seq.Load() + 1, Base: m.seq.Load(), CoveredLSN: make([]uint64, len(m.commits))}
 	var rotate uint64
 	if full {
 		// One past every segment on disk too: a full checkpoint that failed
@@ -80,14 +79,14 @@ func (m *Memory) checkpoint(full bool) error {
 		}
 	}()
 	for i, c := range m.commits {
-		cut, lsn, writes, err := c.beginCut(m, rotate)
+		cut, lsn, err := c.beginCut(m, rotate)
 		if cut != nil {
 			cuts = append(cuts, cut)
 		}
 		if err != nil {
 			return err
 		}
-		hdr.CoveredLSN[i], hdr.CoveredWrites[i] = lsn, writes
+		hdr.CoveredLSN[i] = lsn
 		idle = idle && cut.N() == 1
 	}
 	if idle {
@@ -172,21 +171,21 @@ func (m *Memory) persist(hdr ckpt.DeltaHeader, cuts []*secmem.Cut) (string, erro
 // before every record of the old one is, now or — should the fsync or the
 // directory sync fail — ever (c.failed). A cut is returned with an error only
 // when the swap has happened: the caller aborts it.
-func (c *committer) beginCut(m *Memory, rotate uint64) (cut *secmem.Cut, lsn, writes uint64, err error) {
+func (c *committer) beginCut(m *Memory, rotate uint64) (cut *secmem.Cut, lsn uint64, err error) {
 	c.syncMu.Lock()
 	defer c.syncMu.Unlock()
 	if c.failed != nil {
-		return nil, 0, 0, c.failed
+		return nil, 0, c.failed
 	}
 	if rotate == 0 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		cut, err = c.eng.BeginCut()
-		return cut, c.lsn, c.writes, err
+		return cut, c.lsn, err
 	}
 	nl, err := wal.Create(SegmentPath(m.cfg.Dir, rotate, c.shard), wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, rotate)})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	c.mu.Lock()
 	old := c.log
@@ -201,20 +200,20 @@ func (c *committer) beginCut(m *Memory, rotate uint64) (cut *secmem.Cut, lsn, wr
 		c.mu.Unlock()
 		_ = nl.Close()
 		_ = os.Remove(nl.Path())
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	c.older = append(c.older, segment{c.seq, c.baseLSN})
 	c.log, c.seq, c.baseLSN = nl, rotate, c.lsn
-	lsn, writes = c.lsn, c.writes
+	lsn = c.lsn
 	c.mu.Unlock()
 	if err = old.Close(); err == nil {
 		err = wal.SyncDir(m.cfg.Dir)
 	}
 	if err != nil {
 		c.failed = fmt.Errorf("durable: shard %d rotated to epoch %d: %w", c.shard, rotate, err)
-		return cut, lsn, writes, c.failed
+		return cut, lsn, c.failed
 	}
 	c.synced = lsn
 	m.signalDurable()
-	return cut, lsn, writes, nil
+	return cut, lsn, nil
 }

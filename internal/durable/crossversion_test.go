@@ -297,8 +297,8 @@ func TestCWDataDirectoryRecovers(t *testing.T) {
 		}
 		var ve *secmem.VersionError
 		var ie *secmem.IntegrityError
-		if _, err := wal.Replay(path, opt, 1, false, refuse); !errors.As(err, &ve) || ve.Version != 1 || errors.As(err, &ie) {
-			t.Errorf("Replay of cw_dir/%s: %v, want a *secmem.VersionError", e.Name(), err)
+		if _, err := wal.ReplayTail(path, opt, 1, 1, refuse); !errors.As(err, &ve) || ve.Version != 1 || errors.As(err, &ie) {
+			t.Errorf("ReplayTail of cw_dir/%s: %v, want a *secmem.VersionError", e.Name(), err)
 		}
 		codec, err := wal.NewCodec(opt)
 		if err != nil {
@@ -415,7 +415,7 @@ func recoverFixtureDir(t *testing.T, dir string, man dirManifest) {
 	if err := m.VerifyAll(); err != nil {
 		t.Fatal(err)
 	}
-	if info.Fresh || info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedWrites == 0 {
+	if info.Fresh || info.SnapshotSeq != 2 || info.DeltasApplied != 1 || info.ReplayedRecords == 0 {
 		t.Fatalf("recovery = %+v, want snapshot 2 + one delta + a replayed WAL tail", info)
 	}
 	if info.TornTailCount() != 0 {

@@ -164,12 +164,12 @@ func TestDeltaRecoveryMatchesFullReplay(t *testing.T) {
 	if ia.DeltasApplied != 3 {
 		t.Fatalf("delta path applied %d deltas, want 3", ia.DeltasApplied)
 	}
-	if ib.DeltasApplied != 0 || ib.ReplayedWrites != 75 {
-		t.Fatalf("replay path: %d deltas, %d writes", ib.DeltasApplied, ib.ReplayedWrites)
+	if ib.DeltasApplied != 0 || ib.ReplayedRecords != 75 {
+		t.Fatalf("replay path: %d deltas, %d writes", ib.DeltasApplied, ib.ReplayedRecords)
 	}
 	// Delta recovery replays only the tail past the chain.
-	if ia.ReplayedWrites != 0 {
-		t.Fatalf("delta path replayed %d WAL writes, want 0 (chain covers them)", ia.ReplayedWrites)
+	if ia.ReplayedRecords != 0 {
+		t.Fatalf("delta path replayed %d WAL writes, want 0 (chain covers them)", ia.ReplayedRecords)
 	}
 	verifyAddrs(t, ra, rb, addrs)
 }

@@ -148,11 +148,10 @@ type RecoveryInfo struct {
 	Fresh bool
 	// SnapshotSeq is the epoch recovered from.
 	SnapshotSeq uint64
-	// CoveredLSN / CoveredWrites are the per-shard positions the chain
-	// covers.
-	CoveredLSN, CoveredWrites []uint64
-	// ReplayedRecords / ReplayedWrites total the WAL records replayed.
-	ReplayedRecords, ReplayedWrites int
+	// CoveredLSN is the per-shard journal positions the chain covers.
+	CoveredLSN []uint64
+	// ReplayedRecords totals the WAL records replayed past them.
+	ReplayedRecords int
 	// DeltasApplied is how many delta segments the recovery chain held;
 	// DeltaLines the total lines installed from them.
 	DeltasApplied, DeltaLines int
@@ -184,10 +183,9 @@ type committer struct {
 	shard int
 	eng   *secmem.Memory
 
-	mu     sync.Mutex // guards log appends + engine apply order + lsn
-	log    *wal.Log
-	lsn    uint64 // last assigned LSN (cumulative across segments)
-	writes uint64 // cumulative write records (journal prefix index)
+	mu  sync.Mutex // guards log appends + engine apply order + lsn
+	log *wal.Log
+	lsn uint64 // last assigned LSN (cumulative across segments)
 	// seq is the live segment's epoch and baseLSN the LSN it starts after
 	// (the shard's covered LSN at the full cut that rotated to it); the
 	// replication cursor's file fallback finds record baseLSN+1 at the
@@ -397,7 +395,6 @@ func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 		return idx, 0, err
 	}
 	c.lsn = lsn
-	c.writes++
 	c.pushTailLocked(lsn, addr, line)
 	applyErr := m.sh.Write(addr, line)
 	c.mu.Unlock()

@@ -80,8 +80,8 @@ func TestFreshOpenWriteReopen(t *testing.T) {
 	if info2.Fresh {
 		t.Fatal("second open reported Fresh")
 	}
-	if info2.ReplayedWrites != writes {
-		t.Fatalf("replayed %d writes, want %d", info2.ReplayedWrites, writes)
+	if info2.ReplayedRecords != writes {
+		t.Fatalf("replayed %d writes, want %d", info2.ReplayedRecords, writes)
 	}
 	if info2.SampleVerified == 0 {
 		t.Fatal("recovery verified no replayed lines through the tree")
@@ -148,8 +148,8 @@ func TestCheckpointRotatesEpochs(t *testing.T) {
 	if info.SnapshotSeq != 2 {
 		t.Fatalf("recovered from seq %d, want 2", info.SnapshotSeq)
 	}
-	if info.ReplayedWrites != 16 {
-		t.Fatalf("replayed %d writes, want only the 16 post-checkpoint ones", info.ReplayedWrites)
+	if info.ReplayedRecords != 16 {
+		t.Fatalf("replayed %d writes, want only the 16 post-checkpoint ones", info.ReplayedRecords)
 	}
 	for i := uint64(0); i < 48; i++ {
 		got, err := m2.Read(i * LineBytes)
@@ -212,8 +212,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if info.ReplayedWrites != workers*writesPerWork {
-		t.Fatalf("replayed %d writes, want %d", info.ReplayedWrites, workers*writesPerWork)
+	if info.ReplayedRecords != workers*writesPerWork {
+		t.Fatalf("replayed %d writes, want %d", info.ReplayedRecords, workers*writesPerWork)
 	}
 	if err := m2.VerifyAll(); err != nil {
 		t.Fatal(err)
@@ -240,8 +240,8 @@ func TestSyncIntervalAndNoneFlushOnClose(t *testing.T) {
 					t.Fatal(err)
 				}
 			}()
-			if info.ReplayedWrites != 24 {
-				t.Fatalf("replayed %d writes, want 24", info.ReplayedWrites)
+			if info.ReplayedRecords != 24 {
+				t.Fatalf("replayed %d writes, want 24", info.ReplayedRecords)
 			}
 		})
 	}
@@ -275,8 +275,8 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	if info.TornTailCount() != 1 {
 		t.Fatalf("torn tails = %d, want 1", info.TornTailCount())
 	}
-	if info.ReplayedWrites != 7 {
-		t.Fatalf("replayed %d writes, want the 7 whole frames", info.ReplayedWrites)
+	if info.ReplayedRecords != 7 {
+		t.Fatalf("replayed %d writes, want the 7 whole frames", info.ReplayedRecords)
 	}
 	for i := uint64(0); i < 7; i++ {
 		got, err := m2.Read(i * LineBytes)
@@ -337,6 +337,12 @@ func TestTamperedSnapshotIsIntegrityError(t *testing.T) {
 // flipWalFrame flips a payload byte of frame k in a write-only segment and
 // recomputes the CRC, modeling an adversary rather than a crash.
 func flipWalFrame(t *testing.T, path string, frame int) {
+	editWalFrame(t, path, frame, func(body []byte) { body[30] ^= 0x20 })
+}
+
+// editWalFrame applies edit to the body of frame k in a write-only segment and
+// recomputes the CRC.
+func editWalFrame(t *testing.T, path string, frame int, edit func(body []byte)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -344,11 +350,115 @@ func flipWalFrame(t *testing.T, path string, frame int) {
 	}
 	off := frame * wal.WriteFrameBytes
 	body := data[off+8 : off+wal.WriteFrameBytes]
-	body[30] ^= 0x20
+	edit(body)
 	binary.LittleEndian.PutUint32(data[off+4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readDirFiles returns every file of dir by name.
+func readDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestRefusedRecoveryLeavesTheDirectory: recovery writes only once it stands.
+// Shard 0's live segment ends in a torn frame and shard 1's has a record
+// edited mid-segment, its CRC recomputed: a flipped MAC is a
+// *secmem.IntegrityError, a kind byte of the generation before a
+// *secmem.VersionError, and either leaves every file with its bytes and size,
+// the torn tail replayed ahead of the refusal included. With shard 1 left
+// whole, the torn tail is cut to exactly the offset its TornTailError names,
+// and nothing else moves.
+func TestRefusedRecoveryLeavesTheDirectory(t *testing.T) {
+	shcfg := testShardConfig(t, 2, 1<<13)
+	build := func(t *testing.T) string {
+		dir := t.TempDir()
+		m, _ := mustOpen(t, shcfg, Config{Dir: dir, Sync: SyncAlways})
+		for i := uint64(0); i < 16; i++ {
+			if err := m.Write(i*LineBytes, oracle.Fill(i, 3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(SegmentPath(dir, 1, 0), 6*wal.WriteFrameBytes+40); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(body []byte)
+		want func(error) bool
+	}{
+		{"record MAC flipped", func(body []byte) { body[len(body)-1] ^= 0x01 }, func(err error) bool {
+			var ie *secmem.IntegrityError
+			return errors.As(err, &ie)
+		}},
+		{"kind 0x01", func(body []byte) { body[0] = 0x01 }, func(err error) bool {
+			var ve *secmem.VersionError
+			var ie *secmem.IntegrityError
+			return errors.As(err, &ve) && ve.Version == 0x01 && !errors.As(err, &ie)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := build(t)
+			editWalFrame(t, SegmentPath(dir, 1, 1), 3, tc.edit)
+			before := readDirFiles(t, dir)
+			if _, _, err := Open(shcfg, Config{Dir: dir}); !tc.want(err) {
+				t.Fatalf("Open returned %v", err)
+			}
+			after := readDirFiles(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("a refused recovery went from %d files to %d", len(before), len(after))
+			}
+			for name, b := range before {
+				if !bytes.Equal(after[name], b) {
+					t.Errorf("%s: %d bytes before a refused recovery, %d after, or other bytes", name, len(b), len(after[name]))
+				}
+			}
+		})
+	}
+	t.Run("torn live tail", func(t *testing.T) {
+		dir := build(t)
+		before := readDirFiles(t, dir)
+		m, info := mustOpen(t, shcfg, Config{Dir: dir})
+		defer func() {
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		seg := SegmentPath(dir, 1, 0)
+		torn := info.TornTails[0]
+		if info.TornTailCount() != 1 || torn == nil || torn.Path != seg || torn.Offset != 6*wal.WriteFrameBytes {
+			t.Fatalf("torn tails %v, want shard 0's at offset %d", info.TornTails, 6*wal.WriteFrameBytes)
+		}
+		after := readDirFiles(t, dir)
+		if len(after) != len(before) {
+			t.Fatalf("recovery went from %d files to %d", len(before), len(after))
+		}
+		for name, b := range before {
+			if name == filepath.Base(seg) {
+				b = b[:torn.Offset]
+			}
+			if !bytes.Equal(after[name], b) {
+				t.Errorf("%s: %d bytes after recovery, want %d", name, len(after[name]), len(b))
+			}
+		}
+	})
 }
 
 func TestTamperedWALIsIntegrityError(t *testing.T) {
@@ -401,7 +511,7 @@ func TestRecoveryCleansStaleEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, info := mustOpen(t, shcfg, Config{Dir: dir})
-	if info.SnapshotSeq != 1 || info.ReplayedWrites != 16 {
+	if info.SnapshotSeq != 1 || info.ReplayedRecords != 16 {
 		t.Fatalf("info = %+v, want recovery from epoch 1 with 16 writes", info)
 	}
 	for i := 0; i < 2; i++ {
@@ -460,7 +570,7 @@ func TestSegmentJournalsWritesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[byte]int{}
-	if _, err := wal.Replay(SegmentPath(dir, 1, 0), wal.Options{Key: walKey(shcfg.Mem.Key, 0, 1)}, 1, false, func(r wal.Record) error {
+	if _, err := wal.ReplayTail(SegmentPath(dir, 1, 0), wal.Options{Key: walKey(shcfg.Mem.Key, 0, 1)}, 1, 1, func(r wal.Record) error {
 		kinds[r.Kind]++
 		return nil
 	}); err != nil {
@@ -475,8 +585,8 @@ func TestSegmentJournalsWritesOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if info.ReplayedWrites == 0 || info.ReplayedRecords != info.ReplayedWrites {
-		t.Fatalf("replayed %d records / %d writes past the delta, want the same non-zero count", info.ReplayedRecords, info.ReplayedWrites)
+	if info.ReplayedRecords == 0 {
+		t.Fatal("replayed no record past the delta")
 	}
 	for i := uint64(0); i < nlines; i++ {
 		got, err := m2.Read(i * LineBytes)

@@ -31,11 +31,15 @@ func (m *Memory) freeze() (thaw func()) {
 	}
 }
 
-// engines lists the shards' engines, each a ckpt.DeltaShard: its full image.
-func (m *Memory) engines() []*secmem.Memory {
-	engs := make([]*secmem.Memory, m.sh.NumShards())
-	for i := range engs {
-		engs[i] = m.sh.Shard(i)
+// fullCuts opens a full cut of every shard's engine, each a ckpt.DeltaShard:
+// its full image. The caller aborts them.
+func (m *Memory) fullCuts() ([]*secmem.Cut, error) {
+	cuts := make([]*secmem.Cut, m.sh.NumShards())
+	for i := range cuts {
+		var err error
+		if cuts[i], err = m.sh.Shard(i).BeginFullCut(); err != nil {
+			return nil, err
+		}
 	}
-	return engs
+	return cuts, nil
 }

@@ -198,7 +198,6 @@ func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
 		}
 		c.lsn = r.LSN
 		c.pushTailLocked(r.LSN, r.Addr, r.Line)
-		c.writes++
 		if err := m.sh.Write(r.Addr, r.Line); err != nil {
 			c.mu.Unlock()
 			return err

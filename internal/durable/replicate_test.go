@@ -269,7 +269,7 @@ func TestApplyReplicatedSurvivesRestart(t *testing.T) {
 			t.Fatalf("shard %d: recovered watermark %d, want %d", i, after[i], before[i])
 		}
 	}
-	if info.ReplayedWrites == 0 {
+	if info.ReplayedRecords == 0 {
 		t.Fatal("expected the replica's own WAL to replay on restart")
 	}
 	// More primary writes, then resume streaming into the restarted replica.
@@ -522,10 +522,17 @@ func TestInstallSnapshotRefusesWhatDoesNotAuthenticate(t *testing.T) {
 		t.Fatal(err)
 	}
 	blob := bytes.Join(pages, nil)
-	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: make([]uint64, 2), CoveredWrites: make([]uint64, 2)}
+	hdr := ckpt.DeltaHeader{Seq: seq, CoveredLSN: make([]uint64, 2)}
 	otherPath := filepath.Join(t.TempDir(), "other")
-	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), otherPath, walKey(testKey, 0, 1), hdr, p.engines()); err != nil {
+	cuts, err := p.fullCuts()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := ckpt.WriteDelta(new(ckpt.StreamWriter), otherPath, walKey(testKey, 0, 1), hdr, cuts); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range cuts {
+		cut.Abort()
 	}
 	other, err := os.ReadFile(otherPath)
 	if err != nil {

@@ -156,8 +156,8 @@ func TestRotatedSegmentsReplayInOrder(t *testing.T) {
 	writeSome(t, want, 50, 40)
 
 	m, info := mustOpen(t, shcfg, cfg)
-	if info.SnapshotSeq != 1 || info.ReplayedWrites != 80 || info.TornTailCount() != 0 {
-		t.Fatalf("recovered epoch %d, %d writes replayed, %d torn; want 1, 80, 0", info.SnapshotSeq, info.ReplayedWrites, info.TornTailCount())
+	if info.SnapshotSeq != 1 || info.ReplayedRecords != 80 || info.TornTailCount() != 0 {
+		t.Fatalf("recovered epoch %d, %d writes replayed, %d torn; want 1, 80, 0", info.SnapshotSeq, info.ReplayedRecords, info.TornTailCount())
 	}
 	verifyAddrs(t, m, want, addrs)
 	for s := 0; s < 2; s++ {
@@ -214,8 +214,8 @@ func TestRotatedSegmentsReplayInOrder(t *testing.T) {
 				t.Fatal(err)
 			case !tc.refuse:
 				defer m.Close()
-				if info.TornTailCount() != 1 || info.ReplayedWrites == 0 {
-					t.Fatalf("%d torn tails, %d writes replayed", info.TornTailCount(), info.ReplayedWrites)
+				if info.TornTailCount() != 1 || info.ReplayedRecords == 0 {
+					t.Fatalf("%d torn tails, %d writes replayed", info.TornTailCount(), info.ReplayedRecords)
 				}
 			}
 		})

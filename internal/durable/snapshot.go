@@ -133,13 +133,15 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 //     state stream → *secmem.VersionError).
 //  3. Replay each shard's WAL segments on top, the base epoch's and then
 //     any a later full checkpoint rotated the shard to before a crash took
-//     it, truncating a crash-torn tail (recorded as a typed TornTailError in
-//     the RecoveryInfo) and failing closed on MAC or sequence violations.
+//     it, noting a crash-torn tail (a typed TornTailError in the
+//     RecoveryInfo) and failing closed on MAC or sequence violations.
 //  4. Re-read a sample of the replayed lines through the integrity tree,
 //     so tampered at-rest state surfaces as *secmem.IntegrityError now,
 //     not at first client read.
-//  5. Delete files from other epochs and the next-epoch segments past each
-//     shard's last record, and reopen each shard's last segment for append.
+//  5. Only then write: truncate each live segment's torn tail, delete files
+//     from other epochs and the next-epoch segments past each shard's last
+//     record, and reopen each shard's last segment for append. A recovery
+//     refused at any step before this one leaves every file as it was.
 func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	start := time.Now()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -206,8 +208,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 				return nil, nil, err
 			}
 		}
-		zeros := make([]uint64, shcfg.Shards)
-		if _, err := m.persist(ckpt.DeltaHeader{Seq: 1, CoveredLSN: zeros, CoveredWrites: zeros}, cuts); err != nil {
+		if _, err := m.persist(ckpt.DeltaHeader{Seq: 1, CoveredLSN: make([]uint64, shcfg.Shards)}, cuts); err != nil {
 			return nil, nil, err
 		}
 		snaps[1], head = true, 1
@@ -226,7 +227,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	// The base is the chain's first link: a state stream cut against nothing.
 	// baseCovered anchors the segment replay (segments belong to the base
 	// epoch); covered advances to the chain head's watermark.
-	var baseCovered, covered, coveredWrites, replayedAddrs []uint64
+	var baseCovered, covered, replayedAddrs []uint64
 	for _, ent := range append([]ckpt.Entry{{Seq: baseSeq}}, chain...) {
 		path := SnapshotPath(cfg.Dir, ent.Seq)
 		if ent.Base != 0 {
@@ -254,7 +255,7 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("durable: %w", err)
 		}
-		if covered, coveredWrites = hdr.CoveredLSN, hdr.CoveredWrites; ent.Base == 0 {
+		if covered = hdr.CoveredLSN; ent.Base == 0 {
 			baseCovered = covered
 		} else {
 			info.DeltasApplied++
@@ -264,17 +265,20 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	m.baseSeq.Store(baseSeq)
 	info.SnapshotSeq = baseSeq
 	info.CoveredLSN = append([]uint64(nil), covered...)
-	info.CoveredWrites = append([]uint64(nil), coveredWrites...)
 	info.TornTails = make([]*wal.TornTailError, shcfg.Shards)
 
 	m.commits = make([]*committer, shcfg.Shards)
+	var torn []*wal.TornTailError // each live segment's, cut once recovery stands
 	for i := range m.commits {
-		m.commits[i] = &committer{shard: i, eng: sh.Shard(i), writes: coveredWrites[i]}
-		addrs, err := m.commits[i].replay(m, baseSeq, baseCovered[i], covered[i], segs[i], info)
+		m.commits[i] = &committer{shard: i, eng: sh.Shard(i)}
+		addrs, live, err := m.commits[i].replay(m, baseSeq, baseCovered[i], covered[i], segs[i], info)
 		if err != nil {
 			return nil, nil, err
 		}
 		replayedAddrs = append(replayedAddrs, addrs...)
+		if live != nil {
+			torn = append(torn, live)
+		}
 	}
 
 	// Sample-verify replayed lines through the integrity tree: every
@@ -291,6 +295,11 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 		}
 	}
 
+	for _, tail := range torn {
+		if err := os.Truncate(tail.Path, tail.Offset); err != nil {
+			return nil, nil, fmt.Errorf("durable: truncate torn tail of %s: %w", tail.Path, err)
+		}
+	}
 	// Retire every file outside the head's chain (orphan deltas, superseded
 	// epochs) and the next-epoch segments past each shard's last record — a
 	// crash mid-checkpoint's litter — then reopen each shard's last segment
@@ -325,10 +334,10 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 // behind a torn tail: a crash tears only the end of the journal, since a
 // shard flushes its old segment before its first frame of the next. The last
 // segment that holds a record (the base's, if none does) is the live one, and
-// a torn tail of it is truncated, and the sweep deletes the next-epoch
-// segments past it, which hold no record. It returns the addresses it
-// replayed.
-func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo) (addrs []uint64, err error) {
+// the sweep deletes the next-epoch segments past it, which hold no record.
+// replay writes nothing: it returns the live segment's torn tail, for Open to
+// truncate, and the addresses it replayed.
+func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo) (addrs []uint64, live *wal.TornTailError, err error) {
 	epochs := []uint64{base}
 	for _, seq := range segs {
 		if seq > base {
@@ -337,15 +346,14 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 	}
 	slices.Sort(epochs)
 	c.seq, c.baseLSN = base, coveredBase
-	var live wal.ReplayInfo
 	var torn *wal.TornTailError
 	next := coveredBase + 1
 	for _, seq := range epochs {
 		path := SegmentPath(m.cfg.Dir, seq, c.shard)
-		// ReplayedRecords/Writes count only the delivered tail past the
-		// chain's watermark — the work recovery actually redid — not the
+		// ReplayedRecords counts only the delivered tail past the chain's
+		// watermark — the work recovery actually redid — not the
 		// validated-but-skipped prefix the deltas already cover.
-		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, seq)}, next, covered+1, false, func(r wal.Record) error {
+		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, seq)}, next, covered+1, func(r wal.Record) error {
 			info.ReplayedRecords++
 			j, _, err := m.sh.Locate(r.Addr)
 			if err != nil {
@@ -359,16 +367,14 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 			if err := m.sh.Write(r.Addr, r.Line); err != nil {
 				return err
 			}
-			c.writes++
-			info.ReplayedWrites++
 			addrs = append(addrs, r.Addr)
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if torn != nil && winfo.Records > 0 {
-			return nil, &secmem.IntegrityError{Level: -1, Index: next,
+			return nil, nil, &secmem.IntegrityError{Level: -1, Index: next,
 				Reason: fmt.Sprintf("wal segment %s holds records past a torn tail of %s", path, torn.Path)}
 		}
 		torn = cmp.Or(torn, winfo.TornTail)
@@ -378,13 +384,8 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 		if seq > base {
 			c.older = append(c.older, segment{c.seq, c.baseLSN})
 		}
-		c.seq, c.baseLSN, live = seq, next-1, winfo
+		c.seq, c.baseLSN, live = seq, next-1, winfo.TornTail
 		next = winfo.LastLSN + 1
-	}
-	if live.TornTail != nil {
-		if err := os.Truncate(live.TornTail.Path, live.ValidBytes); err != nil {
-			return nil, fmt.Errorf("durable: truncate torn tail of %s: %w", live.TornTail.Path, err)
-		}
 	}
 	// The delta cut fsyncs its covered prefix, so a surviving segment never
 	// ends below the chain's watermark; the max guards an empty tail all the
@@ -392,5 +393,5 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 	c.lsn = max(next-1, covered)
 	c.synced = c.lsn
 	info.TornTails[c.shard] = torn
-	return addrs, nil
+	return addrs, live, nil
 }

@@ -72,8 +72,8 @@ func TestTenantListIsFixedAtCreation(t *testing.T) {
 
 	reordered := tenantShardConfig(t, "gamma", "alpha", "beta")
 	m, info := mustOpen(t, reordered, Config{Dir: dir})
-	if info.ReplayedWrites != 24 {
-		t.Fatalf("replayed %d writes, want the 24 of the WAL tail", info.ReplayedWrites)
+	if info.ReplayedRecords != 24 {
+		t.Fatalf("replayed %d writes, want the 24 of the WAL tail", info.ReplayedRecords)
 	}
 	for _, id := range []string{"alpha", "beta", "gamma"} {
 		base, _, _ := m.TenantRange(id)

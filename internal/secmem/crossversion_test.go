@@ -243,18 +243,11 @@ func TestCWSaveLoadsAndVerifies(t *testing.T) {
 	checkFixtureState(t, m, man)
 }
 
-// The generator's write sequence, run on this commit, must leave what the
-// design fixes: every ciphertext and encryption-counter value the parent
-// left, through the same level-0 events, and every data MAC cw_save.bin holds
-// (the parent's were HMAC's). Counter lines' MACs and the levels above are
-// not compared with the parent's: the tree counts write-backs now, not
-// writes, so they legitimately differ (internal/counters/testdata/README.md).
-func TestReplayedWritesMatchParentSave(t *testing.T) {
-	blob, man := readParentSave(t)
-	m, err := New(parentConfig(man.MemoryBytes))
-	if err != nil {
-		t.Fatal(err)
-	}
+// writeFixtureHistory writes the fixture generator's history into m
+// (internal/counters/testdata/cwgen.go.txt's genSecmem) and returns how often
+// it wrote each line.
+func writeFixtureHistory(t *testing.T, m *Memory) map[uint64]int {
+	t.Helper()
 	versions := map[uint64]int{}
 	write := func(d uint64, times int) {
 		t.Helper()
@@ -274,6 +267,43 @@ func TestReplayedWritesMatchParentSave(t *testing.T) {
 	write(129, 300)
 	write(128*200+5, 3)
 	write(128*255+127, 1)
+	return versions
+}
+
+// TestSaveWritesCWSave holds Save's bytes to the fixture: the generator's
+// history, written into a fresh engine, saves as cw_save.bin byte for byte.
+func TestSaveWritesCWSave(t *testing.T) {
+	_, man := readParentSave(t)
+	m, err := New(parentConfig(man.MemoryBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFixtureHistory(t, m)
+	if err := m.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := m.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want := readSave(t, "cw_save.bin"); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("Save wrote %d bytes, not cw_save.bin's %d byte for byte", got.Len(), len(want))
+	}
+}
+
+// The generator's write sequence, run on this commit, must leave what the
+// design fixes: every ciphertext and encryption-counter value the parent
+// left, through the same level-0 events, and every data MAC cw_save.bin holds
+// (the parent's were HMAC's). Counter lines' MACs and the levels above are
+// not compared with the parent's: the tree counts write-backs now, not
+// writes, so they legitimately differ (internal/counters/testdata/README.md).
+func TestReplayedWritesMatchParentSave(t *testing.T) {
+	blob, man := readParentSave(t)
+	m, err := New(parentConfig(man.MemoryBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := writeFixtureHistory(t, m)
 	for d, v := range versions {
 		if man.Versions[strconv.FormatUint(d, 10)] != v {
 			t.Fatalf("replay wrote line %d %d times, manifest says %d", d, v, man.Versions[strconv.FormatUint(d, 10)])

@@ -2,6 +2,8 @@ package secmem
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -126,9 +128,9 @@ func commitFullCut(t testing.TB, m *Memory) {
 // first writes into pages that did not exist. The cut must hold what the
 // freeze holds. Commits alternate with aborts, so the floor is exercised too.
 // Four rounds are full cuts, with and without a writer, committed and
-// aborted: the frozen image is WriteRecords under one hold of the lock, with
-// the dirty epoch moved at the same instant, and with no writer the cut's
-// bytes are the image's.
+// aborted: the frozen image is Save's, a full cut drained with nothing
+// writing, which moves the dirty epoch as the freeze does, and with no writer
+// the cut's bytes are the image's.
 func TestCutMatchesFreeze(t *testing.T) {
 	const memBytes = 4 << 20
 	for name, cfg := range configs(memBytes) {
@@ -172,11 +174,11 @@ func TestCutMatchesFreeze(t *testing.T) {
 				var epoch uint32
 				begin := cut.BeginCut
 				if fullRounds[round] {
-					if err := frozen.WriteRecords(&image); err != nil {
+					if err := frozen.Save(&image); err != nil {
 						t.Fatal(err)
 					}
-					want = decodeRecords(t, image.Bytes()[8:])
-					epoch = frozen.CollectDirty(func(DirtyLine) {})
+					want = decodeRecords(t, image.Bytes()[HeaderBytes+8:])
+					epoch = frozen.dirtyCur - 1 // the epoch Save's cut took
 					begin = cut.BeginFullCut
 				} else {
 					epoch = frozen.CollectDirty(func(d DirtyLine) { want = append(want, d) })
@@ -216,7 +218,7 @@ func TestCutMatchesFreeze(t *testing.T) {
 				for _, o := range during {
 					apply(cut, o)
 				}
-				if fullRounds[round] && round%3 == 2 && !bytes.Equal(got, image.Bytes()[8:]) {
+				if fullRounds[round] && round%3 == 2 && !bytes.Equal(got, image.Bytes()[HeaderBytes+8:]) {
 					t.Fatalf("round %d: a full cut with no writer is not, byte for byte, the frozen image", round)
 				}
 				lines := decodeRecords(t, got)
@@ -321,11 +323,12 @@ func TestCutLifecycle(t *testing.T) {
 	next.Commit()
 }
 
-// TestSaveDuringDrainingCut takes full images of an engine while a cut of it
-// is open and part drained and a writer keeps overwriting lines of both, hot
-// ones that overflow among them: Save shares the cut's walker and its record,
-// not its slot. Every image must load and verify, and the cut must still emit
-// exactly the lines it counted.
+// TestSaveDuringDrainingCut calls Save on an engine while a cut of it is open
+// and part drained and a writer keeps overwriting lines of both, hot ones that
+// overflow among them: Save is a full cut, so it is refused with ErrCutOpen,
+// writes nothing, and leaves the open cut alone — it still emits exactly the
+// lines it counted, and its Commit raises the floor past its epoch. Once that
+// cut is closed, Save's image loads and verifies.
 func TestSaveDuringDrainingCut(t *testing.T) {
 	cfg := morphConfig(4 << 20)
 	m := mustNew(t, cfg)
@@ -359,32 +362,43 @@ func TestSaveDuringDrainingCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	emits, emitted, images := 0, 0, 0
+	emits, emitted, refused := 0, 0, 0
 	err = cut.Drain(func(rec []byte) error {
 		emitted += len(decodeRecords(t, rec))
 		if emits++; emits%16 != 1 {
 			return nil
 		}
 		var image bytes.Buffer
-		if err := m.Save(&image); err != nil {
-			return err
+		if err := m.Save(&image); !errors.Is(err, ErrCutOpen) || image.Len() != 0 {
+			return fmt.Errorf("Save with a cut open wrote %d bytes and returned %v, want nothing and ErrCutOpen", image.Len(), err)
 		}
-		loaded, err := Load(cfg, &image)
-		if err != nil {
-			return err
-		}
-		images++
-		return loaded.VerifyAll()
+		refused++
+		return nil
 	})
 	close(stop)
 	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
-	if emitted != cut.N() || images < 3 {
-		t.Fatalf("the cut counted %d lines and emitted %d, with %d images taken while it drained", cut.N(), emitted, images)
+	if emitted != cut.N() || refused < 3 {
+		t.Fatalf("the cut counted %d lines and emitted %d, with %d Saves refused while it drained", cut.N(), emitted, refused)
 	}
+	epoch := cut.epoch
 	cut.Commit()
+	if m.dirtyFloor != epoch+1 {
+		t.Fatalf("the cut's Commit left the floor at %d, want %d", m.dirtyFloor, epoch+1)
+	}
+	var image bytes.Buffer
+	if err := m.Save(&image); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(cfg, &image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
 	if st := m.Stats(); st.Overflows[0] == 0 {
 		t.Fatal("the writer overflowed no counter")
 	}

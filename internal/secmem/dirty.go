@@ -2,6 +2,7 @@ package secmem
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -27,10 +28,8 @@ import (
 // A full checkpoint is the same cut from floor 0 (BeginFullCut): every stored
 // line stamped at or below the epoch, behind the record naming the
 // organization, and its Commit raises the floor past the epoch like a delta's,
-// so what was written while it drained is the next delta's. The walk and the
-// record are also how Save's image leaves a standalone engine (WriteRecords in
-// persist.go): the same walker over the stored lines, to completion under one
-// hold of the lock.
+// so what was written while it drained is the next delta's. Save's image of a
+// standalone engine is such a cut too, aborted once written (persist.go).
 
 // firstEpoch is a new engine's dirty epoch: a line stamped 0 is always clean.
 const firstEpoch uint32 = 1
@@ -39,7 +38,7 @@ const firstEpoch uint32 = 1
 // ciphertext, MAC set), levels 0..root-1 are stored counter lines, and Level
 // == root is the on-chip root's encoding (always there, and ahead of the
 // lines — it anchors verification). A full image opens with one more,
-// configLevel, naming the organization it was taken from (see WriteRecords).
+// configLevel, naming the organization it was taken from (see BeginFullCut).
 type DirtyLine struct {
 	Level int32
 	Index uint64
@@ -238,6 +237,10 @@ type Cut struct {
 	taken        int    // records made so far, by the walker and into the side log
 }
 
+// ErrCutOpen is BeginCut's, BeginFullCut's and Save's answer while another cut
+// of the engine is open.
+var ErrCutOpen = errors.New("secmem: a cut is already open")
+
 // BeginCut opens a cut of every line modified since the last committed cut,
 // plus the root: a consistent view of the instant it is called, for the cost
 // of looking at the chunks touched since — no line is copied. One cut is open
@@ -245,15 +248,15 @@ type Cut struct {
 func (m *Memory) BeginCut() (*Cut, error) { return m.beginCut(false) }
 
 // BeginFullCut opens a cut of every stored line, from floor 0: a full image,
-// the organization's record and the root ahead of the lines (what WriteRecords
-// writes), which writers may go on overwriting while it drains.
+// the organization's record and the root ahead of the lines, which writers may
+// go on overwriting while it drains.
 func (m *Memory) BeginFullCut() (*Cut, error) { return m.beginCut(true) }
 
 func (m *Memory) beginCut(full bool) (*Cut, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cut != nil {
-		return nil, fmt.Errorf("secmem: a cut is already open")
+		return nil, ErrCutOpen
 	}
 	// Write-back first (see Store): a cut holds sealed lines and their root.
 	if err := m.settle(0); err != nil {

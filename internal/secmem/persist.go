@@ -2,7 +2,6 @@ package secmem
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -16,8 +15,8 @@ import (
 // lines stamped since the last one, a full checkpoint's — the durable layer's
 // snapshot files, which a replica bootstraps from — every stored line behind a
 // record naming the organization and the root. Save here writes that full
-// image of a standalone engine by WriteRecords. ReadRecords and Apply are the
-// one way back in.
+// image of a standalone engine through a full cut. ReadRecords and Apply are
+// the one way back in.
 //
 // Save is the bare image behind a twelve-byte header. The root it carries
 // must travel through a trusted channel in a real deployment (it is the
@@ -46,40 +45,24 @@ const (
 // format's version moved fail with it, never with an *IntegrityError.
 type VersionError = container.VersionError
 
-// Save writes the memory's state to w: the header, then a full image.
+// Save writes the memory's state to w: the header, then a full image — a full
+// cut's records, the cut aborted once they are written, so the next delta
+// takes the same lines it would have. It fails while another cut is open,
+// leaving that one as it was.
 func (m *Memory) Save(w io.Writer) error {
+	cut, err := m.BeginFullCut()
+	if err != nil {
+		return err
+	}
+	defer cut.Abort()
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(container.AppendHeader(nil, persistMagic, persistVersion)); err != nil {
 		return fmt.Errorf("secmem: save: %w", err)
 	}
-	if err := m.WriteRecords(bw); err != nil {
+	if err := cut.WriteRecords(bw); err != nil {
 		return err
 	}
 	return bw.Flush()
-}
-
-// WriteRecords writes a full image of the engine as its share of a state
-// stream: the count, a record naming the capacity and the organization (so a
-// misconfigured reader fails on a comparison, not on a MAC), the root, and
-// every stored line in the order a cut walks them, all under one hold of the
-// lock. It neither needs nor disturbs an open cut.
-func (m *Memory) WriteRecords(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.settle(0); err != nil {
-		return err
-	}
-	all := stamped(0, m.dirtyCur)
-	out := binary.LittleEndian.AppendUint64(nil, uint64(2+m.store.count(all)))
-	out = DirtyLine{Level: configLevel, Index: m.cfg.MemoryBytes, Line: []byte(m.configFingerprint())}.AppendRecord(out)
-	out = m.rootRecord(out)
-	var wk walker
-	for done := false; !done; out, _, done = wk.step(m.store, all, out[:0]) {
-		if _, err := w.Write(out); err != nil {
-			return fmt.Errorf("secmem: save: %w", err)
-		}
-	}
-	return nil
 }
 
 // Load reconstructs a secure memory from r. cfg must describe the same

@@ -181,7 +181,7 @@ func TestShutdownRacesPeriodicCheckpoint(t *testing.T) {
 		dir := t.TempDir()
 		m, _ := openDurable(t, dir, 2, 1<<13, durable.Config{Sync: durable.SyncNone})
 		addr, shutdown := startServer(t, m, Config{Logf: t.Logf})
-		r := ckpt.NewRunner(m, 0, time.Millisecond, 0, func(err error) { t.Errorf("iter %d: periodic checkpoint: %v", iter, err) })
+		r := ckpt.NewRunner(m, 0, time.Millisecond, func(err error) { t.Errorf("iter %d: periodic checkpoint: %v", iter, err) })
 
 		cl, err := wire.Dial(addr, 5*time.Second)
 		if err != nil {

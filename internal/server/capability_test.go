@@ -51,8 +51,8 @@ func TestCapabilityAnswers(t *testing.T) {
 		op      byte
 		payload []byte
 	}{
-		{wire.OpRead, wire.EncodeAddr(0)},
-		{wire.OpProof, wire.EncodeAddr(0)},
+		{wire.OpRead, wire.AppendAddr(nil, 0)},
+		{wire.OpProof, wire.AppendAddr(nil, 0)},
 		{wire.OpHello, hello},
 	}
 	type answer struct {

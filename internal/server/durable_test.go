@@ -83,8 +83,8 @@ func TestGracefulShutdownFlushes(t *testing.T) {
 
 	m2, info := openDurable(t, clone, 2, 1<<13, durable.Config{})
 	defer m2.Close()
-	if info.ReplayedWrites != writes {
-		t.Fatalf("clone replayed %d writes, want %d: server shutdown did not flush", info.ReplayedWrites, writes)
+	if info.ReplayedRecords != writes {
+		t.Fatalf("clone replayed %d writes, want %d: server shutdown did not flush", info.ReplayedRecords, writes)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestPeriodicSnapshotTicker(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openDurable(t, dir, 2, 1<<13, durable.Config{Sync: durable.SyncAlways})
 	addr, shutdown := startServer(t, m, Config{Logf: t.Logf})
-	r := ckpt.NewRunner(m, 0, 20*time.Millisecond, 0, func(err error) { t.Errorf("periodic checkpoint: %v", err) })
+	r := ckpt.NewRunner(m, 0, 20*time.Millisecond, func(err error) { t.Errorf("periodic checkpoint: %v", err) })
 	defer func() {
 		shutdown()
 		r.Stop()

@@ -109,7 +109,7 @@ func TestPeerBindingGrantsNoDataOp(t *testing.T) {
 	if status, body := srv.dispatch(cs, wire.OpHello, hello); status != wire.StatusOK {
 		t.Fatalf("peer HELLO answered %#x %q", status, body)
 	}
-	if status, body := srv.dispatch(cs, wire.OpRead, wire.EncodeAddr(0)); status != wire.StatusError || string(body) != "hello required: this server is multi-tenant" {
+	if status, body := srv.dispatch(cs, wire.OpRead, wire.AppendAddr(nil, 0)); status != wire.StatusError || string(body) != "hello required: this server is multi-tenant" {
 		t.Fatalf("a peer's READ answered %#x %q, want the unbound refusal", status, body)
 	}
 	// A server over an engine that is no cluster node binds no peer.

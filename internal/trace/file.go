@@ -103,28 +103,8 @@ func NewReplay(accesses []Access) (*Replay, error) {
 	return &Replay{accesses: accesses}, nil
 }
 
-// ReadReplay parses a trace file and wraps it as a Generator.
-func ReadReplay(r io.Reader) (*Replay, error) {
-	acc, err := ParseFile(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewReplay(acc)
-}
-
 // Len returns the recorded trace length.
 func (g *Replay) Len() int { return len(g.accesses) }
-
-// MaxLine returns the largest line index in the trace (its footprint bound).
-func (g *Replay) MaxLine() uint64 {
-	var max uint64
-	for _, a := range g.accesses {
-		if a.Line > max {
-			max = a.Line
-		}
-	}
-	return max
-}
 
 // Next implements Generator.
 func (g *Replay) Next() Access {

@@ -142,9 +142,9 @@ func TestGoldenFrames(t *testing.T) {
 		if n, err := codec.DecodeAll(run.segment(), run.first, keep); err != nil || n != len(run.records) {
 			t.Fatalf("%d-byte key: DecodeAll of the golden frames: %d records, %v", len(run.key), n, err)
 		}
-		info, err := Replay(path, Options{Key: run.key}, run.first, false, keep)
+		info, err := ReplayTail(path, Options{Key: run.key}, run.first, run.first, keep)
 		if err != nil || info.TornTail != nil || info.Records != len(run.records) {
-			t.Fatalf("%d-byte key: Replay of the golden frames: %+v, %v", len(run.key), info, err)
+			t.Fatalf("%d-byte key: ReplayTail of the golden frames: %+v, %v", len(run.key), info, err)
 		}
 		for i, r := range got {
 			if want := run.records[i%len(run.records)]; !sameRecord(r, want) {
@@ -191,9 +191,9 @@ func TestOldFramesAreAVersionError(t *testing.T) {
 			if err := os.WriteFile(path, p, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			info, err := Replay(path, Options{Key: run.key}, lsn, true, refuse)
-			if !isVersionError(err, kind) || info.Truncated {
-				t.Errorf("%d-byte key, LSN %d, kind %#x: Replay returned %+v, %v, want a *secmem.VersionError", len(run.key), lsn, kind, info, err)
+			info, err := ReplayTail(path, Options{Key: run.key}, lsn, lsn, refuse)
+			if !isVersionError(err, kind) {
+				t.Errorf("%d-byte key, LSN %d, kind %#x: ReplayTail returned %+v, %v, want a *secmem.VersionError", len(run.key), lsn, kind, info, err)
 			}
 		}
 		for i, frame := range run.frames {
@@ -373,7 +373,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += records {
-		info, err := Replay(path, testOpts(), 1, false, func(Record) error { return nil })
+		info, err := ReplayTail(path, testOpts(), 1, 1, func(Record) error { return nil })
 		if err != nil || info.Records != records {
 			b.Fatalf("replay: %+v, %v", info, err)
 		}

@@ -5,8 +5,9 @@
 // ways a file can be bad:
 //
 //   - A torn tail — a frame cut short or CRC-corrupted by a crash mid-append
-//     — ends replay with a typed *TornTailError. Callers truncate the file
-//     to the valid prefix and continue (crashes must never brick recovery).
+//     — ends replay with a typed *TornTailError. The durability layer
+//     truncates the file to the valid prefix and continues (crashes must
+//     never brick recovery); this package never truncates.
 //   - Tampering — a frame whose bytes are intact (CRC matches) but whose
 //     keyed MAC does not, or whose LSN breaks the expected sequence — fails
 //     replay with a *secmem.IntegrityError. A CRC is trivially recomputable
@@ -304,8 +305,8 @@ func Create(path string, opt Options) (*Log, error) {
 	return &Log{path: path, keys: k, f: f, bw: bufio.NewWriter(f)}, nil
 }
 
-// Open opens an existing segment for appending. Callers replay (and repair)
-// the segment first; Open itself does not validate content.
+// Open opens an existing segment for appending. Callers replay (and
+// truncate) the segment first; Open itself does not validate content.
 func Open(path string, opt Options) (*Log, error) {
 	k, err := deriveKeys(opt)
 	if err != nil {
@@ -380,42 +381,26 @@ func (l *Log) Close() error {
 type ReplayInfo struct {
 	// Records is the number of valid records decoded.
 	Records int
-	// Delivered is the number of records passed to the callback. Equal to
-	// Records for Replay; ReplayTail validates the whole prefix but only
-	// delivers records at or past the cursor.
-	Delivered int
 	// LastLSN is the LSN of the final valid record (firstLSN-1 if none).
 	LastLSN uint64
-	// ValidBytes is the length of the valid prefix.
-	ValidBytes int64
 	// TornTail is non-nil if the file ended in a crash-torn record; the
 	// valid prefix up to TornTail.Offset was still replayed.
 	TornTail *TornTailError
-	// Truncated reports that repair cut the file back to ValidBytes.
-	Truncated bool
 }
 
-// Replay decodes records from the segment at path, calling fn for each in
-// order. firstLSN is the LSN the segment must start at (one past the
-// covering snapshot); any discontinuity is treated as tampering. A missing
-// file replays as empty — a crash between snapshot rename and segment
-// creation legitimately leaves no segment.
+// ReplayTail decodes the records of the segment at path, calling fn for each
+// in order whose LSN is fromLSN or past it. firstLSN is the LSN the segment
+// must start at, and the whole prefix is CRC-, MAC- and sequence-validated
+// from it, delivered or not: under delta checkpoints the segment starts at
+// the base snapshot's watermark while the chain already covers everything
+// below fromLSN. A missing file replays as empty — a crash between snapshot
+// rename and segment creation legitimately leaves no segment.
 //
-// A torn tail ends replay without error (recorded in the info); if repair
-// is true the file is truncated to its valid prefix so appends can resume.
-// MAC or sequence violations return a *secmem.IntegrityError, and a frame of
-// another generation a *secmem.VersionError; either replays no further
-// records.
-func Replay(path string, opt Options, firstLSN uint64, repair bool, fn func(Record) error) (ReplayInfo, error) {
-	return ReplayTail(path, opt, firstLSN, firstLSN, repair, fn)
-}
-
-// ReplayTail is Replay restricted to records with LSN >= fromLSN: the
-// whole segment prefix is still CRC-, MAC-, and sequence-validated from
-// firstLSN, but only the suffix is delivered. This is the recovery path for
-// delta checkpoints, where the segment starts at the base snapshot's
-// watermark but the delta chain already covers everything below fromLSN.
-func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, repair bool, fn func(Record) error) (ReplayInfo, error) {
+// ReplayTail reads and reports; it writes nothing. A torn tail ends replay
+// without error, recorded in the info for the caller to truncate. MAC or
+// sequence violations return a *secmem.IntegrityError, and a frame of another
+// generation a *secmem.VersionError; either replays no further records.
+func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, fn func(Record) error) (ReplayInfo, error) {
 	info := ReplayInfo{LastLSN: firstLSN - 1}
 	k, err := deriveKeys(opt)
 	if err != nil {
@@ -429,11 +414,10 @@ func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, repair bool,
 		return info, fmt.Errorf("wal: replay %s: %w", path, err)
 	}
 	next := firstLSN
-	off := int64(0)
-	for off < int64(len(data)) {
+	for off := 0; off < len(data); off += WriteFrameBytes {
 		body, reason := splitFrame(data[off:])
 		if reason != "" {
-			info.TornTail = &TornTailError{Path: path, Offset: off, Reason: reason}
+			info.TornTail = &TornTailError{Path: path, Offset: int64(off), Reason: reason}
 			break
 		}
 		rec, err := decodeBody(k, body, path, next)
@@ -444,19 +428,10 @@ func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, repair bool,
 			if err := fn(rec); err != nil {
 				return info, err
 			}
-			info.Delivered++
 		}
 		info.Records++
 		info.LastLSN = rec.LSN
 		next = rec.LSN + 1
-		off += WriteFrameBytes
-	}
-	info.ValidBytes = off
-	if info.TornTail != nil && repair {
-		if err := os.Truncate(path, off); err != nil {
-			return info, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
-		}
-		info.Truncated = true
 	}
 	return info, nil
 }

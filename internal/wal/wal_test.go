@@ -48,7 +48,7 @@ func writeLog(t *testing.T, dir string, n int) string {
 func TestRoundTrip(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 5)
 	var recs []Record
-	info, err := Replay(path, testOpts(), 1, false, func(r Record) error {
+	info, err := ReplayTail(path, testOpts(), 1, 1, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -93,7 +93,8 @@ func TestWriteFrameBytesMatchesDisk(t *testing.T) {
 
 // TestTornTailEveryOffset truncates a log at every possible byte offset and
 // checks replay recovers exactly the whole frames before the cut, reports a
-// torn tail for partial cuts, and never errors or panics.
+// torn tail at the end of them for partial cuts, leaves the file as it found
+// it, and never errors or panics.
 func TestTornTailEveryOffset(t *testing.T) {
 	const n = 4
 	master := writeLog(t, t.TempDir(), n)
@@ -108,7 +109,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := 0
-		info, err := Replay(path, testOpts(), 1, true, func(Record) error {
+		info, err := ReplayTail(path, testOpts(), 1, 1, func(Record) error {
 			got++
 			return nil
 		})
@@ -123,18 +124,18 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if (info.TornTail != nil) != wantTorn {
 			t.Fatalf("cut %d: torn tail %v, want torn=%v", cut, info.TornTail, wantTorn)
 		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(cut) {
+			t.Fatalf("cut %d: replay left the file at %v bytes (%v)", cut, fi.Size(), err)
+		}
 		if wantTorn {
-			if !info.Truncated {
-				t.Fatalf("cut %d: repair did not truncate", cut)
+			if info.TornTail.Offset != int64(wantWhole)*WriteFrameBytes {
+				t.Fatalf("cut %d: torn tail at %d, want %d", cut, info.TornTail.Offset, wantWhole*WriteFrameBytes)
 			}
-			fi, err := os.Stat(path)
-			if err != nil {
+			// Cut back to the offset, the log must replay cleanly and
+			// accept appends.
+			if err := os.Truncate(path, info.TornTail.Offset); err != nil {
 				t.Fatal(err)
 			}
-			if fi.Size() != int64(wantWhole)*WriteFrameBytes {
-				t.Fatalf("cut %d: repaired size %d, want %d", cut, fi.Size(), wantWhole*WriteFrameBytes)
-			}
-			// A repaired log must replay cleanly and accept appends.
 			l, err := Open(path, testOpts())
 			if err != nil {
 				t.Fatal(err)
@@ -145,9 +146,9 @@ func TestTornTailEveryOffset(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			info2, err := Replay(path, testOpts(), 1, false, func(Record) error { return nil })
+			info2, err := ReplayTail(path, testOpts(), 1, 1, func(Record) error { return nil })
 			if err != nil || info2.TornTail != nil || info2.Records != wantWhole+1 {
-				t.Fatalf("cut %d: after repair+append replay = %+v, %v", cut, info2, err)
+				t.Fatalf("cut %d: after truncation+append replay = %+v, %v", cut, info2, err)
 			}
 		}
 	}
@@ -157,7 +158,7 @@ func TestTamperingIsIntegrityErrorNotTornTail(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 4)
 	rewriteWithCRCFix(t, path, 1, func(body []byte) { body[recFixedBytes+5] ^= 0x40 }) // one payload bit
 	applied := 0
-	_, err := Replay(path, testOpts(), 1, false, func(Record) error { applied++; return nil })
+	_, err := ReplayTail(path, testOpts(), 1, 1, func(Record) error { applied++; return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("replay of CRC-consistent tampered log returned %v, want *secmem.IntegrityError", err)
@@ -169,7 +170,7 @@ func TestTamperingIsIntegrityErrorNotTornTail(t *testing.T) {
 
 func TestWrongKeyIsIntegrityError(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 2)
-	_, err := Replay(path, Options{Key: []byte("fedcba9876543210")}, 1, false, func(Record) error { return nil })
+	_, err := ReplayTail(path, Options{Key: []byte("fedcba9876543210")}, 1, 1, func(Record) error { return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("replay under wrong key returned %v, want *secmem.IntegrityError", err)
@@ -189,7 +190,7 @@ func TestLSNDiscontinuityIsIntegrityError(t *testing.T) {
 	if err := os.WriteFile(path, spliced, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Replay(path, testOpts(), 1, false, func(Record) error { return nil })
+	_, err = ReplayTail(path, testOpts(), 1, 1, func(Record) error { return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("replay of spliced log returned %v, want *secmem.IntegrityError", err)
@@ -197,7 +198,7 @@ func TestLSNDiscontinuityIsIntegrityError(t *testing.T) {
 }
 
 func TestMissingFileReplaysEmpty(t *testing.T) {
-	info, err := Replay(filepath.Join(t.TempDir(), "absent"), testOpts(), 7, true, func(Record) error {
+	info, err := ReplayTail(filepath.Join(t.TempDir(), "absent"), testOpts(), 7, 7, func(Record) error {
 		t.Fatal("fn called for a missing file")
 		return nil
 	})
@@ -213,7 +214,7 @@ func TestFirstLSNMismatchRejectsForeignSegment(t *testing.T) {
 	// A segment legitimately starting at LSN 1 must not be accepted where
 	// LSN 100 is expected (e.g. an old segment renamed into place).
 	path := writeLog(t, t.TempDir(), 2)
-	_, err := Replay(path, testOpts(), 100, false, func(Record) error { return nil })
+	_, err := ReplayTail(path, testOpts(), 100, 100, func(Record) error { return nil })
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("replay with firstLSN 100 returned %v, want *secmem.IntegrityError", err)
@@ -276,7 +277,7 @@ func TestRewrittenKindIsRefusedUnapplied(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 4)
 	rewriteWithCRCFix(t, path, 2, func(body []byte) { body[0] = 0x01 })
 	var applied []uint64
-	_, err := Replay(path, testOpts(), 1, true, func(r Record) error { applied = append(applied, r.LSN); return nil })
+	_, err := ReplayTail(path, testOpts(), 1, 1, func(r Record) error { applied = append(applied, r.LSN); return nil })
 	var ve *secmem.VersionError
 	var ie *secmem.IntegrityError
 	if !errors.As(err, &ve) || ve.Version != 0x01 || errors.As(err, &ie) {

@@ -325,12 +325,12 @@ func FuzzRequestCodec(f *testing.F) {
 	write, _ := AppendWrite(nil, 0x40, bytes.Repeat([]byte{0xAB}, secmem.LineBytes))
 	hi, _ := AppendHello(nil, "alpha", [tenant.TokenLen]byte{1, 2, 3})
 	peer, _ := AppendHello(nil, tenant.PeerID, [tenant.TokenLen]byte{4, 5, 6})
-	for _, p := range [][]byte{EncodeAddr(0x40), write, AppendRootRange(nil, 1, 9), hi, peer} {
+	for _, p := range [][]byte{AppendAddr(nil, 0x40), write, AppendRootRange(nil, 1, 9), hi, peer} {
 		f.Add(p)
 		f.Add(p[:len(p)-1])
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		checkCodec(t, p, DecodeAddr, func(a uint64) ([]byte, error) { return EncodeAddr(a), nil })
+		checkCodec(t, p, DecodeAddr, func(a uint64) ([]byte, error) { return AppendAddr(nil, a), nil })
 		checkCodec(t, p, func(p []byte) (writeReq, error) {
 			addr, line, err := DecodeWrite(p)
 			return writeReq{addr, line}, err

@@ -23,12 +23,6 @@ func AppendAddr(dst []byte, addr uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, addr)
 }
 
-// EncodeAddr encodes an OpRead / OpTamper payload into a fresh slice (the
-// one-shot form; hot paths use AppendAddr with a reused buffer).
-func EncodeAddr(addr uint64) []byte {
-	return AppendAddr(make([]byte, 0, addrBytes), addr)
-}
-
 // DecodeAddr decodes an OpRead / OpTamper payload.
 func DecodeAddr(p []byte) (uint64, error) {
 	if len(p) != addrBytes {

@@ -72,7 +72,7 @@ func TestLargeFrameRoundTripsAndReleasesScratch(t *testing.T) {
 // and never more memory than the stream's own length accounts for.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	_ = WriteFrame(&good, OpRead, EncodeAddr(0x40))
+	_ = WriteFrame(&good, OpRead, AppendAddr(nil, 0x40))
 	f.Add(good.Bytes())
 	f.Add(append(good.Bytes(), good.Bytes()...))
 	f.Add(good.Bytes()[:7])

@@ -48,7 +48,7 @@ func TestReadFrameCleanEOF(t *testing.T) {
 // never a clean EOF, never a panic.
 func TestReadFrameTruncated(t *testing.T) {
 	var full bytes.Buffer
-	if err := WriteFrame(&full, OpRead, EncodeAddr(0x1000)); err != nil {
+	if err := WriteFrame(&full, OpRead, AppendAddr(nil, 0x1000)); err != nil {
 		t.Fatal(err)
 	}
 	whole := full.Bytes()
@@ -143,7 +143,7 @@ func TestStalledPeerDeadline(t *testing.T) {
 }
 
 func TestAddrAndWriteCodecs(t *testing.T) {
-	addr, err := DecodeAddr(EncodeAddr(0xdeadbeef40))
+	addr, err := DecodeAddr(AppendAddr(nil, 0xdeadbeef40))
 	if err != nil || addr != 0xdeadbeef40 {
 		t.Fatalf("addr round trip: %#x, %v", addr, err)
 	}
