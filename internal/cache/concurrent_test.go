@@ -36,8 +36,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				rng ^= rng << 13
 				rng ^= rng >> 7
 				rng ^= rng << 17
+				// The op comes from bits the address does not use, so
+				// every set sees every op.
 				addr := addrs[rng%uint64(len(addrs))]
-				switch rng % 4 {
+				switch (rng >> 32) % 4 {
 				case 0:
 					c.Access(addr, rng%2 == 0)
 				case 1:

@@ -378,9 +378,9 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 // edited mid-segment, its CRC recomputed: a flipped MAC is a
 // *secmem.IntegrityError, a kind byte of the generation before a
 // *secmem.VersionError, and either leaves every file with its bytes and size,
-// the torn tail replayed ahead of the refusal included. With shard 1 left
-// whole, the torn tail is cut to exactly the offset its TornTailError names,
-// and nothing else moves.
+// the torn tail replayed ahead of the refusal and a crashed checkpoint's temp
+// file included. With shard 1 left whole, the torn tail is cut to exactly the
+// offset its TornTailError names, the temp file goes, and nothing else moves.
 func TestRefusedRecoveryLeavesTheDirectory(t *testing.T) {
 	shcfg := testShardConfig(t, 2, 1<<13)
 	build := func(t *testing.T) string {
@@ -397,8 +397,12 @@ func TestRefusedRecoveryLeavesTheDirectory(t *testing.T) {
 		if err := os.Truncate(SegmentPath(dir, 1, 0), 6*wal.WriteFrameBytes+40); err != nil {
 			t.Fatal(err)
 		}
+		if err := os.WriteFile(SnapshotPath(dir, 2)+".tmp", []byte("partial snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		return dir
 	}
+	tmp := filepath.Base(SnapshotPath("", 2) + ".tmp")
 	for _, tc := range []struct {
 		name string
 		edit func(body []byte)
@@ -447,11 +451,14 @@ func TestRefusedRecoveryLeavesTheDirectory(t *testing.T) {
 			t.Fatalf("torn tails %v, want shard 0's at offset %d", info.TornTails, 6*wal.WriteFrameBytes)
 		}
 		after := readDirFiles(t, dir)
-		if len(after) != len(before) {
-			t.Fatalf("recovery went from %d files to %d", len(before), len(after))
+		if _, ok := after[tmp]; ok || len(after) != len(before)-1 {
+			t.Fatalf("recovery went from %d files to %d, want the temp file %s gone", len(before), len(after), tmp)
 		}
 		for name, b := range before {
-			if name == filepath.Base(seg) {
+			switch name {
+			case tmp:
+				continue
+			case filepath.Base(seg):
 				b = b[:torn.Offset]
 			}
 			if !bytes.Equal(after[name], b) {
@@ -459,6 +466,26 @@ func TestRefusedRecoveryLeavesTheDirectory(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBootstrapCutByACrash: a crash during a fresh directory's first snapshot
+// leaves only that snapshot's temp file, and the next Open bootstraps anyway,
+// writing the same temp name before the stale sweep reaches it.
+func TestBootstrapCutByACrash(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(SnapshotPath(dir, 1)+".tmp", []byte("partial snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, info := mustOpen(t, testShardConfig(t, 1, 1<<12), Config{Dir: dir})
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !info.Fresh {
+		t.Fatalf("info = %+v, want a fresh bootstrap", info)
+	}
+	if _, err := os.Stat(SnapshotPath(dir, 1) + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("the bootstrap left its temp file")
+	}
 }
 
 func TestTamperedWALIsIntegrityError(t *testing.T) {

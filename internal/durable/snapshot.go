@@ -123,7 +123,7 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 
 // Open recovers (or bootstraps) a durable memory from cfg.Dir:
 //
-//  1. Delete leftover temp files; find the newest epoch, full or delta, and
+//  1. Set leftover temp files aside; find the newest epoch, full or delta, and
 //     the chain from a full snapshot up to it (an empty directory is first
 //     given snapshot 1, an empty image, so recovery always starts from one).
 //     Hold the store's tenant list to shcfg.Tenants (checkTenants): another
@@ -138,9 +138,10 @@ func (m *Memory) removeEpochsBelow(head uint64) error {
 //  4. Re-read a sample of the replayed lines through the integrity tree,
 //     so tampered at-rest state surfaces as *secmem.IntegrityError now,
 //     not at first client read.
-//  5. Only then write: truncate each live segment's torn tail, delete files
-//     from other epochs and the next-epoch segments past each shard's last
-//     record, and reopen each shard's last segment for append. A recovery
+//  5. Only then write: truncate each live segment's torn tail, delete the
+//     temp files, the files from other epochs and the next-epoch segments past
+//     each shard's last record, and reopen each shard's last segment for
+//     append. A recovery
 //     refused at any step before this one leaves every file as it was.
 func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	start := time.Now()
@@ -155,14 +156,13 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	deltaEntries := make(map[uint64]ckpt.Entry)
 	segs := make([][]uint64, shcfg.Shards) // each shard's segment epochs
 	var head uint64
+	var stale []string // temp files, deleted once recovery stands
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
 			// A temp file is a snapshot or delta whose write was cut by a
 			// crash before the atomic rename; it never became current.
-			if err := os.Remove(filepath.Join(cfg.Dir, name)); err != nil {
-				return nil, nil, fmt.Errorf("durable: remove stale %s: %w", name, err)
-			}
+			stale = append(stale, name)
 			continue
 		}
 		if s, b, ok := ckpt.ParseDeltaName(name); ok {
@@ -298,6 +298,12 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	for _, tail := range torn {
 		if err := os.Truncate(tail.Path, tail.Offset); err != nil {
 			return nil, nil, fmt.Errorf("durable: truncate torn tail of %s: %w", tail.Path, err)
+		}
+	}
+	for _, name := range stale {
+		// A fresh bootstrap may have reused and renamed the name already.
+		if err := os.Remove(filepath.Join(cfg.Dir, name)); err != nil && !os.IsNotExist(err) {
+			return nil, nil, fmt.Errorf("durable: remove stale %s: %w", name, err)
 		}
 	}
 	// Retire every file outside the head's chain (orphan deltas, superseded
