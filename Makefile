@@ -169,12 +169,12 @@ crash-smoke: bin/morphcheck
 
 # Incremental-checkpoint smoke test, race-built: the delta, compaction and
 # rotate crash windows and the delta and next-epoch-segment tamper probes,
-# crash recovery at two state sizes (failing if the delta path's replay
-# scales with total history instead of the dirty tail, or is slower than full
-# replay at a small dirty fraction), and the background-checkpointer
-# write-p99 stall gate. A full checkpoint's writer stall is gated by
-# TestFullCheckpointUnderWriters (internal/durable), not here: with one writer
-# the p99 cannot see a freeze.
+# and crash recovery at two state sizes, failing unless the delta path
+# replays, authenticates and reads exactly the dirty tail's WAL frames, not
+# the history's (the recovery times are printed, not gated). That no
+# checkpoint stalls a writer is a test, not a timing here:
+# TestWritesFinishWhileACutIsParked and TestFullCheckpointUnderWriters
+# (internal/durable).
 ckpt-smoke: bin/morphcheck.race
 	bin/morphcheck.race crash -points 16 -writes 300
 
@@ -238,11 +238,12 @@ proof-smoke: bin/morphload bin/morphaudit
 # Multi-tenant isolation smoke test: a race-built morphserve with per-tenant
 # address ranges, key domains and quotas, then morphload -mix runs the
 # protected victim solo, against a greedy rate-capped aggressor, and solo
-# again. Passes only if the victim's p99 against the aggressor stays under
-# 2x its p99 over both solo halves while the
-# aggressor is shed, the victim reads back its line 0 after the aggressor
-# wrote its own line 0, and the aggressor's first address past its range is
-# refused with a typed error that is not an integrity error. Then the durable
+# again. Passes only if the aggressor is shed, the victim reads back its line
+# 0 after the aggressor wrote its own line 0, and the aggressor's first
+# address past its range is refused with a typed error that is not an
+# integrity error. The victim's p99 against the aggressor over its solo p99 is
+# printed, not gated: the scheduler's per-tenant admitted and shed counts under
+# these two specs are (TestMixIsolationCounts, internal/tenant). Then the durable
 # leg: the same mix against a store journaled under -data-dir with a delta a
 # second, drained with SIGTERM, restarted on that directory and mixed again —
 # the probes must hold on the recovered store — and a third start with a

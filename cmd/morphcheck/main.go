@@ -4,8 +4,8 @@
 //
 //	morphcheck crash    kill-point surgery on a durable store's files, each
 //	                    clone recovered and audited against the journal prefix
-//	                    that survived; tamper probes; the recovery curve; the
-//	                    checkpointer stall gate (crash.go)
+//	                    that survived; tamper probes; the recovery curve
+//	                    (crash.go)
 //	morphcheck chaos    clients against a server whose listener injects a
 //	                    seeded fault matrix: cuts, stalls, chopped frames,
 //	                    admission sheds (chaos.go)

@@ -228,7 +228,7 @@ type clientResult struct {
 	oracle.Tally
 	proofReads    uint64          // reads done as client-verified PROOF fetches
 	proofFailures uint64          // proofs that failed client-side verification
-	latencies     []time.Duration // every op (-mix gates on the victim's p99)
+	latencies     []time.Duration // every op (-mix prints the victim's p99)
 	readLats      []time.Duration // plain READ only (overhead baseline)
 	proofLats     []time.Duration // PROOF fetch + client-side verify
 	firstErr      error

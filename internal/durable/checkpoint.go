@@ -150,6 +150,9 @@ func (m *Memory) persist(hdr ckpt.DeltaHeader, cuts []*secmem.Cut) (string, erro
 	if hdr.Base == 0 {
 		path = SnapshotPath(m.cfg.Dir, hdr.Seq)
 	}
+	if m.persisting != nil {
+		m.persisting()
+	}
 	if err := ckpt.WriteDelta(&m.sw, path, deltaKey(m.shcfg.Mem.Key), hdr, cuts); err != nil {
 		return "", err
 	}

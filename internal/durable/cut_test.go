@@ -315,3 +315,53 @@ func benchStall(b *testing.B, m *Memory, span uint64, dirty func(), cut func() e
 	sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
 	b.ReportMetric(float64(stalls[len(stalls)/2].Nanoseconds()), "stall-ns/op")
 }
+
+// TestWritesFinishWhileACutIsParked parks a checkpoint's file write — a full
+// Checkpoint's and a CheckpointDelta's — once every cut has begun, and
+// requires a Write to every shard, from other goroutines, to finish while the
+// write is parked: a cut holds a shard's locks only while it begins, never
+// across the file. A checkpoint that held any shard's commit or sync lock
+// across its write parks that shard's writer with it, however long the test
+// waits; parkBound is only how long a failing run waits before it says so.
+func TestWritesFinishWhileACutIsParked(t *testing.T) {
+	const shards, parkBound = 4, 10 * time.Second
+	for _, tc := range []struct {
+		name string
+		cut  func(*Memory) error
+	}{{"full", (*Memory).Checkpoint}, {"delta", (*Memory).CheckpointDelta}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := mustOpen(t, testShardConfig(t, shards, 64<<10), Config{Dir: t.TempDir(), Sync: SyncAlways})
+			defer m.Close()
+			writeSome(t, m, 1, 64) // lines on every shard for the delta to take
+			parked, release := m.parkPersist()
+			defer release() // before Close, so a failing run's cut and writes end
+			cut := make(chan error, 1)
+			go func() { cut <- tc.cut(m) }()
+			select {
+			case <-parked:
+			case err := <-cut:
+				t.Fatalf("the %s checkpoint returned %v without writing a file", tc.name, err)
+			}
+			wrote := make(chan error, shards)
+			for s := uint64(0); s < shards; s++ {
+				addr := s * LineBytes // lines interleave: line s is shard s's
+				go func() { wrote <- m.Write(addr, oracle.Fill(addr, 1000)) }()
+			}
+			timeout := time.After(parkBound)
+			for waiting := shards; waiting > 0; waiting-- {
+				select {
+				case err := <-wrote:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-timeout:
+					t.Fatalf("%d of %d writes still waiting %v into a parked %s checkpoint's file write", waiting, shards, parkBound, tc.name)
+				}
+			}
+			release()
+			if err := <-cut; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

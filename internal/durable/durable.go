@@ -152,6 +152,11 @@ type RecoveryInfo struct {
 	CoveredLSN []uint64
 	// ReplayedRecords totals the WAL records replayed past them.
 	ReplayedRecords int
+	// FramesAuthenticated totals the WAL frames whose MAC recovery checked,
+	// and BytesRead the segment bytes it read: the frames past the covered
+	// LSNs, never the covered prefix.
+	FramesAuthenticated int
+	BytesRead           int64
 	// DeltasApplied is how many delta segments the recovery chain held;
 	// DeltaLines the total lines installed from them.
 	DeltasApplied, DeltaLines int
@@ -238,6 +243,10 @@ type Memory struct {
 	// based on. seq == baseSeq means no deltas are outstanding.
 	baseSeq atomic.Uint64
 	onCkpt  func(seq uint64) // set before concurrent use via OnCheckpoint
+	// persisting, when set, runs under ckptMu as a checkpoint's file write
+	// begins, every cut begun and no shard's lock held: the one place a test
+	// parks that write.
+	persisting func()
 
 	commits []*committer
 

@@ -1,6 +1,10 @@
 package durable
 
-import "github.com/securemem/morphtree/internal/secmem"
+import (
+	"sync"
+
+	"github.com/securemem/morphtree/internal/secmem"
+)
 
 // Accessors only this package's tests want.
 
@@ -42,4 +46,18 @@ func (m *Memory) fullCuts() ([]*secmem.Cut, error) {
 		}
 	}
 	return cuts, nil
+}
+
+// parkPersist parks m's next checkpoint file write as it begins: parked is
+// closed once it is parked, and it goes on when release is called (which
+// may be called more than once). Set it before the checkpoint starts.
+func (m *Memory) parkPersist() (parked <-chan struct{}, release func()) {
+	p, r := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	m.persisting = func() {
+		m.persisting = nil // under ckptMu: the next cut is not parked
+		close(p)
+		<-r
+	}
+	return p, func() { once.Do(func() { close(r) }) }
 }

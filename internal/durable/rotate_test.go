@@ -222,6 +222,86 @@ func TestRotatedSegmentsReplayInOrder(t *testing.T) {
 	}
 }
 
+// TestDeltaCoversARotatedSegment: a delta cut after a full checkpoint that
+// failed covers all of each shard's base segment and part of the one it
+// rotated to. Recovery counts the base segment from its size and reads only
+// the tail past the delta. A partial frame inside that covered prefix, with
+// the next segment's records behind it, is still an integrity error, and a
+// last segment that ends inside the prefix a *wal.ShortSegmentError.
+func TestDeltaCoversARotatedSegment(t *testing.T) {
+	const tail = 10
+	shcfg := testShardConfig(t, 2, 64<<10)
+	build := func(t *testing.T, m *Memory) {
+		writeSome(t, m, 1, 40)
+		failRotation(t, m)
+		writeSome(t, m, 50, 40)
+		if err := m.CheckpointDelta(); err != nil {
+			t.Fatal(err)
+		}
+		writeSome(t, m, 90, tail)
+	}
+	want, _ := mustOpen(t, shcfg, Config{Dir: t.TempDir(), Sync: SyncNone})
+	defer want.Close()
+	writeSome(t, want, 1, 40)
+	writeSome(t, want, 50, 40)
+	writeSome(t, want, 90, tail)
+	dir := func(t *testing.T) Config {
+		cfg := Config{Dir: t.TempDir(), Sync: SyncAlways}
+		m, _ := mustOpen(t, shcfg, cfg)
+		build(t, m)
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+
+	cfg := dir(t)
+	m, info := mustOpen(t, shcfg, cfg)
+	if info.DeltasApplied != 1 || info.ReplayedRecords != tail || info.FramesAuthenticated != tail || info.BytesRead != tail*wal.WriteFrameBytes {
+		t.Fatalf("recovered %d deltas, %d writes replayed from %d frames authenticated in %d bytes; want 1 and the %d-write tail's",
+			info.DeltasApplied, info.ReplayedRecords, info.FramesAuthenticated, info.BytesRead, tail)
+	}
+	for s, covered := range info.CoveredLSN {
+		if st, err := os.Stat(SegmentPath(cfg.Dir, 1, s)); err != nil || uint64(st.Size()/wal.WriteFrameBytes) >= covered {
+			t.Fatalf("shard %d's base segment does not end inside the %d records the delta covers: %v", s, covered, err)
+		}
+	}
+	var all []uint64
+	for a := uint64(0); a < m.MemoryBytes(); a += LineBytes {
+		all = append(all, a)
+	}
+	verifyAddrs(t, want, m, all)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		surgery func(dir string) error
+		refused func(error) bool
+	}{
+		{"the base segment cut mid-frame inside the covered prefix", func(dir string) error {
+			return editFile(SegmentPath(dir, 1, 0), func(b []byte) []byte { return b[:len(b)-wal.WriteFrameBytes/2] })
+		}, isIntegrityError},
+		{"the next epoch's segment cut inside the covered prefix", func(dir string) error {
+			return editFile(SegmentPath(dir, 2, 0), func(b []byte) []byte { return b[:wal.WriteFrameBytes] })
+		}, func(err error) bool { var se *wal.ShortSegmentError; return errors.As(err, &se) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := dir(t)
+			if err := tc.surgery(cfg.Dir); err != nil {
+				t.Fatal(err)
+			}
+			if m, _, err := Open(shcfg, cfg); !tc.refused(err) {
+				if m != nil {
+					m.Close()
+				}
+				t.Fatalf("recovery returned %v", err)
+			}
+		})
+	}
+}
+
 // TestFailedRotationAcknowledgesNothing: a rotation whose old segment cannot
 // be fsynced has already swapped the shard onto its new segment, and from
 // then on no write of that shard is acknowledged, nor a checkpoint cut: a

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -335,14 +336,17 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 
 // replay replays the shard's segments from the base epoch's on, in epoch
 // order, each from where the one before it ended: record coveredBase+1 opens
-// the base's, and records past covered are applied. A gap or an overlap
-// between two is the LSN check's *secmem.IntegrityError, and so is a record
-// behind a torn tail: a crash tears only the end of the journal, since a
-// shard flushes its old segment before its first frame of the next. The last
-// segment that holds a record (the base's, if none does) is the live one, and
-// the sweep deletes the next-epoch segments past it, which hold no record.
-// replay writes nothing: it returns the live segment's torn tail, for Open to
-// truncate, and the addresses it replayed.
+// the base's, and records past covered are read and applied, those up to it
+// counted from each file's size. A segment that ends inside that covered
+// prefix (a *wal.ShortSegmentError) refuses recovery unless a later segment
+// follows it. A gap or an overlap between two is the LSN check's
+// *secmem.IntegrityError, and so is a record behind a torn tail: a crash
+// tears only the end of the journal, since a shard flushes its old segment
+// before its first frame of the next. The last segment that holds a record
+// (the base's, if none does) is the live one, and the sweep deletes the
+// next-epoch segments past it, which hold no record. replay writes nothing:
+// it returns the live segment's torn tail, for Open to truncate, and the
+// addresses it replayed.
 func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo) (addrs []uint64, live *wal.TornTailError, err error) {
 	epochs := []uint64{base}
 	for _, seq := range segs {
@@ -354,11 +358,8 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 	c.seq, c.baseLSN = base, coveredBase
 	var torn *wal.TornTailError
 	next := coveredBase + 1
-	for _, seq := range epochs {
+	for e, seq := range epochs {
 		path := SegmentPath(m.cfg.Dir, seq, c.shard)
-		// ReplayedRecords counts only the delivered tail past the chain's
-		// watermark — the work recovery actually redid — not the
-		// validated-but-skipped prefix the deltas already cover.
 		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, seq)}, next, covered+1, func(r wal.Record) error {
 			info.ReplayedRecords++
 			j, _, err := m.sh.Locate(r.Addr)
@@ -376,9 +377,17 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 			addrs = append(addrs, r.Addr)
 			return nil
 		})
+		var short *wal.ShortSegmentError
+		if errors.As(err, &short) && e < len(epochs)-1 {
+			// A full checkpoint that failed rotated the shard past this
+			// segment, and the chain covers records of the next one.
+			err = nil
+		}
 		if err != nil {
 			return nil, nil, err
 		}
+		info.FramesAuthenticated += winfo.Authenticated
+		info.BytesRead += winfo.BytesRead
 		if torn != nil && winfo.Records > 0 {
 			return nil, nil, &secmem.IntegrityError{Level: -1, Index: next,
 				Reason: fmt.Sprintf("wal segment %s holds records past a torn tail of %s", path, torn.Path)}

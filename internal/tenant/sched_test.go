@@ -328,6 +328,51 @@ func TestSchedulerConcurrent(t *testing.T) {
 	}
 }
 
+// TestMixIsolationCounts is make tenant-smoke's isolation gate as counts:
+// the smoke's two specs — victim weight 4; greedy weight 1, 400 ops/s, 8 in
+// flight — and four closed-loop clients a tenant, each issuing an op every
+// millisecond of a fake clock for a second and releasing it within that
+// millisecond, against the 8 slots the smoke's server has on two cores. The
+// victim is admitted every op. The greedy tenant is admitted its one-second
+// burst and its rate, and shed the rest: a scheduler that admits everything
+// sheds nothing and fails.
+func TestMixIsolationCounts(t *testing.T) {
+	const clients, ticks = 4, 1000
+	clk := newFakeClock()
+	s := mustScheduler(t, []Spec{
+		{ID: "victim", Secret: "vs", Weight: 4},
+		{ID: "greedy", Secret: "gs", Weight: 1, OpsPerSec: 400, MaxInflight: 8},
+	}, SchedConfig{Capacity: 2 * clients, Now: clk.Now})
+	ctx := context.Background()
+	for tick := 0; tick < ticks; tick++ {
+		var admitted []string
+		for c := 0; c < clients; c++ {
+			for _, id := range []string{"greedy", "victim"} {
+				err := s.Acquire(ctx, id, 64)
+				var qe *QuotaError
+				switch {
+				case err == nil:
+					admitted = append(admitted, id)
+				case !errors.As(err, &qe):
+					t.Fatalf("acquire %s: %v", id, err)
+				}
+			}
+		}
+		for _, id := range admitted {
+			s.Release(id)
+		}
+		clk.Advance(time.Millisecond)
+	}
+	// The greedy tenant's 799: its 400-op burst, then 0.4 ops a millisecond
+	// over the 999 that follow the first.
+	want := map[string][2]uint64{"greedy": {799, clients*ticks - 799}, "victim": {clients * ticks, 0}}
+	for _, ts := range s.Snapshot() {
+		if got := [2]uint64{ts.Granted, ts.Sheds()}; got != want[ts.ID] {
+			t.Errorf("tenant %s: %d admitted and %d shed, want %d and %d", ts.ID, got[0], got[1], want[ts.ID][0], want[ts.ID][1])
+		}
+	}
+}
+
 func TestRegisterMetrics(t *testing.T) {
 	s := mustScheduler(t, []Spec{{ID: "a", Secret: "s", OpsPerSec: 1}},
 		SchedConfig{Capacity: 3})

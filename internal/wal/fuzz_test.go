@@ -19,8 +19,10 @@ import (
 // tail is not an error at all in a file); every record delivered re-seals to
 // exactly the bytes it was read from; and cutting a valid stream short, which
 // is what a crash does and needs no key to do, is never reported as
-// tampering. The seeds are both fixtures' segments, this generation's and the
-// one before.
+// tampering. File replay starts past a covered prefix of 0 to 6 records
+// (shape's bits 12 and up), which it counts and never reads. The seeds are
+// both fixtures' segments, this generation's and the one before, and one
+// sealed stream replayed from past its third record.
 func FuzzWALDecode(f *testing.F) {
 	for _, run := range loadGolden(f, oldGenFrames) {
 		f.Add(run.segment(), run.first, uint32(0x1b1), uint16(WriteFrameBytes+WriteFrameBytes/2))
@@ -30,6 +32,7 @@ func FuzzWALDecode(f *testing.F) {
 	for _, run := range loadGolden(f, goldenFrames) {
 		f.Add(run.segment(), run.first, uint32(0x1b1), uint16(2*WriteFrameBytes+11))
 	}
+	f.Add([]byte("lines"), uint64(9), uint32(3<<12|0x124), uint16(5*WriteFrameBytes-3))
 	codec, err := NewCodec(testOpts())
 	if err != nil {
 		f.Fatal(err)
@@ -39,7 +42,8 @@ func FuzzWALDecode(f *testing.F) {
 		// An LSN counts records from the store's first: it does not wrap, and
 		// replay's "at or past the cursor" is not written as if it could.
 		firstLSN = min(firstLSN, math.MaxUint64-6)
-		checkDecoders(t, codec, path, raw, firstLSN, -1)
+		covered := int(shape>>12) % 7
+		checkDecoders(t, codec, path, raw, firstLSN, covered, -1)
 
 		// A valid stream of up to six records: two bits of shape pick each
 		// one's address (or end the stream early), raw supplies the lines.
@@ -80,14 +84,16 @@ func FuzzWALDecode(f *testing.F) {
 				whole++
 			}
 		}
-		checkDecoders(t, codec, path, stream[:at], firstLSN, whole)
+		checkDecoders(t, codec, path, stream[:at], firstLSN, covered, whole)
 	})
 }
 
-// checkDecoders runs both decoders over p. whole is -1 for arbitrary bytes;
-// otherwise p is a valid stream cut short with that many frames intact, and
-// both must deliver exactly those and call the rest damage, not tampering.
-func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN uint64, whole int) {
+// checkDecoders runs both decoders over p, file replay from past covered
+// records. whole is -1 for arbitrary bytes; otherwise p is a valid stream cut
+// short with that many frames intact, and both must deliver exactly those
+// (replay, those past the covered ones) and call the rest damage, not
+// tampering.
+func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN uint64, covered, whole int) {
 	t.Helper()
 	var resealed []byte
 	reseal := func(r Record) error {
@@ -98,6 +104,7 @@ func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN u
 	var fe *FrameError
 	var ie *secmem.IntegrityError
 	var ve *secmem.VersionError
+	var se *ShortSegmentError
 	n, err := codec.DecodeAll(p, firstLSN, reseal)
 	if err != nil && !errors.As(err, &fe) && !errors.As(err, &ie) && !errors.As(err, &ve) {
 		t.Fatalf("DecodeAll: error of no declared type: %v", err)
@@ -116,21 +123,33 @@ func checkDecoders(t *testing.T, codec *Codec, path string, p []byte, firstLSN u
 		t.Fatal(err)
 	}
 	resealed = resealed[:0]
-	info, err := ReplayTail(path, testOpts(), firstLSN, firstLSN, reseal)
-	if err != nil && !errors.As(err, &ie) && !errors.As(err, &ve) {
+	info, err := ReplayTail(path, testOpts(), firstLSN, firstLSN+uint64(covered), reseal)
+	if err != nil && !errors.As(err, &ie) && !errors.As(err, &ve) && !errors.As(err, &se) {
 		t.Fatalf("ReplayTail: error of no declared type: %v", err)
 	}
+	short := covered*WriteFrameBytes > len(p)
+	if short != errors.As(err, &se) {
+		t.Fatalf("ReplayTail of %d bytes past %d covered records: %+v, %v", len(p), covered, info, err)
+	}
+	if short {
+		if info.Records != len(p)/WriteFrameBytes || len(resealed) != 0 || info.BytesRead != 0 {
+			t.Fatalf("ReplayTail of %d bytes, short of its %d covered records: %+v, %d bytes delivered", len(p), covered, info, len(resealed))
+		}
+		return
+	}
+	past := p[covered*WriteFrameBytes:]
 	valid := int64(len(p))
 	if info.TornTail != nil {
 		valid = info.TornTail.Offset
 	}
-	if !bytes.HasPrefix(p, resealed) || (err == nil && valid != int64(len(resealed))) {
-		t.Fatalf("ReplayTail delivered %d records that do not re-seal to its %d valid bytes", info.Records, valid)
+	if !bytes.HasPrefix(past, resealed) || info.BytesRead != int64(len(past)) ||
+		(err == nil && valid != int64(covered*WriteFrameBytes+len(resealed))) {
+		t.Fatalf("ReplayTail delivered %d records that do not re-seal to its %d valid bytes", info.Authenticated, valid)
 	}
 	if whole >= 0 {
-		cutMidFrame := len(resealed) != len(p)
-		if err != nil || info.Records != whole || cutMidFrame != (info.TornTail != nil) {
-			t.Fatalf("ReplayTail of a stream cut at %d with %d whole frames: %+v, %v", len(p), whole, info, err)
+		cutMidFrame := len(resealed) != len(past)
+		if err != nil || info.Records != whole || info.Authenticated != whole-covered || cutMidFrame != (info.TornTail != nil) {
+			t.Fatalf("ReplayTail of a stream cut at %d with %d whole frames, %d covered: %+v, %v", len(p), whole, covered, info, err)
 		}
 	}
 }

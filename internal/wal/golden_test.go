@@ -158,6 +158,94 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
+// TestReplayTailFromACoveredPrefix replays each golden segment from a
+// covered prefix of its records, as recovery does past a delta chain: the
+// prefix is counted from the file's size and never read, so a tampered
+// covered frame replays cleanly (DESIGN.md §10 says why that is sound), while
+// a tampered first uncovered frame is tampering, a torn tail past the prefix
+// a torn tail, and a file that ends inside the prefix, whole or mid-frame, a
+// *ShortSegmentError.
+func TestReplayTailFromACoveredPrefix(t *testing.T) {
+	flip := func(frame int) func([]byte) []byte {
+		return func(seg []byte) []byte {
+			off := frame * WriteFrameBytes
+			body := seg[off+frameHdrBytes : off+WriteFrameBytes]
+			body[recFixedBytes+5] ^= 0x40
+			binary.LittleEndian.PutUint32(seg[off+4:], crc32.Checksum(body, castagnoli))
+			return seg
+		}
+	}
+	cut := func(n int) func([]byte) []byte { return func(seg []byte) []byte { return seg[:n] } }
+	const f = WriteFrameBytes
+	for _, tc := range []struct {
+		name    string
+		covered int
+		edit    func([]byte) []byte
+		err     func(error) bool // nil: no error
+		// The records delivered (and so authenticated), the records the file
+		// holds, the bytes read and the torn tail's offset (-1: none).
+		delivered, records int
+		read, torn         int64
+	}{
+		{name: "nothing covered", covered: 0, delivered: 6, records: 6, read: 6 * f, torn: -1},
+		{name: "two covered", covered: 2, delivered: 4, records: 6, read: 4 * f, torn: -1},
+		{name: "every record covered", covered: 6, delivered: 0, records: 6, read: 0, torn: -1},
+		{name: "a tampered covered frame", covered: 3, edit: flip(1), delivered: 3, records: 6, read: 3 * f, torn: -1},
+		{name: "a tampered first uncovered frame", covered: 3, edit: flip(3), err: isIntegrityError},
+		{name: "torn past the covered prefix", covered: 2, edit: cut(4*f + 10), delivered: 2, records: 4, read: 2*f + 10, torn: 4 * f},
+		{name: "ending inside the covered prefix", covered: 4, edit: cut(2 * f), err: isShortSegment, records: 2, torn: -1},
+		{name: "a partial frame inside the covered prefix", covered: 4, edit: cut(2*f + 40), err: isShortSegment, records: 2, torn: 2 * f},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, run := range loadGolden(t, goldenFrames) {
+				seg := run.segment()
+				if tc.edit != nil {
+					seg = tc.edit(seg)
+				}
+				path := filepath.Join(t.TempDir(), "wal.covered")
+				if err := os.WriteFile(path, seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var got []Record
+				info, err := ReplayTail(path, Options{Key: run.key}, run.first, run.first+uint64(tc.covered), func(r Record) error { got = append(got, r); return nil })
+				if (tc.err == nil) != (err == nil) || err != nil && !tc.err(err) {
+					t.Fatalf("%d-byte key: %v", len(run.key), err)
+				}
+				if isIntegrityError(err) {
+					if len(got) != 0 {
+						t.Fatalf("%d-byte key: %d records delivered before the tampered frame", len(run.key), len(got))
+					}
+					continue
+				}
+				torn := int64(-1)
+				if info.TornTail != nil {
+					torn = info.TornTail.Offset
+				}
+				if len(got) != tc.delivered || info.Authenticated != tc.delivered || info.Records != tc.records ||
+					info.LastLSN != run.first+uint64(tc.records)-1 || info.BytesRead != tc.read || torn != tc.torn {
+					t.Fatalf("%d-byte key: %d records delivered, %+v; want %d delivered and authenticated, %d records, %d bytes read, torn at %d",
+						len(run.key), len(got), info, tc.delivered, tc.records, tc.read, tc.torn)
+				}
+				for i, r := range got {
+					if want := run.records[tc.covered+i]; !sameRecord(r, want) {
+						t.Fatalf("%d-byte key: delivered %+v, golden record %+v", len(run.key), r, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+func isIntegrityError(err error) bool {
+	var ie *secmem.IntegrityError
+	return errors.As(err, &ie)
+}
+
+func isShortSegment(err error) bool {
+	var se *ShortSegmentError
+	return errors.As(err, &se)
+}
+
 // isVersionError reports whether err is a *secmem.VersionError naming an
 // older frame of the given kind, and no *secmem.IntegrityError.
 func isVersionError(err error, kind byte) bool {

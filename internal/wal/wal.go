@@ -379,61 +379,101 @@ func (l *Log) Close() error {
 
 // ReplayInfo summarizes one segment's replay.
 type ReplayInfo struct {
-	// Records is the number of valid records decoded.
+	// Records is the number of valid records the segment holds: its covered
+	// prefix, counted from the file's size, and the frames decoded past it.
 	Records int
 	// LastLSN is the LSN of the final valid record (firstLSN-1 if none).
 	LastLSN uint64
+	// Authenticated is how many frames were read and MAC-checked: the ones
+	// past the covered prefix. BytesRead is how many bytes of the file were
+	// read.
+	Authenticated int
+	BytesRead     int64
 	// TornTail is non-nil if the file ended in a crash-torn record; the
 	// valid prefix up to TornTail.Offset was still replayed.
 	TornTail *TornTailError
 }
 
-// ReplayTail decodes the records of the segment at path, calling fn for each
-// in order whose LSN is fromLSN or past it. firstLSN is the LSN the segment
-// must start at, and the whole prefix is CRC-, MAC- and sequence-validated
-// from it, delivered or not: under delta checkpoints the segment starts at
-// the base snapshot's watermark while the chain already covers everything
-// below fromLSN. A missing file replays as empty — a crash between snapshot
-// rename and segment creation legitimately leaves no segment.
+// ShortSegmentError reports a segment that ends inside its covered prefix:
+// it holds Records whole records where the checkpoint covering it claims
+// Covered. A checkpoint is cut only once its covered prefix is durable, so a
+// crash never leaves this; a later segment may carry the prefix on (a full
+// checkpoint that failed rotated the shard past this one), which only the
+// caller can tell.
+type ShortSegmentError struct {
+	Path             string
+	Records, Covered uint64
+}
+
+// Error implements error.
+func (e *ShortSegmentError) Error() string {
+	return fmt.Sprintf("wal: segment %s ends after %d records, inside its covered prefix of %d", e.Path, e.Records, e.Covered)
+}
+
+// ReplayTail decodes the records of the segment at path from LSN fromLSN on,
+// calling fn for each in order. firstLSN is the LSN the segment starts at;
+// the records below fromLSN are its covered prefix, which a checkpoint
+// already holds: every frame is WriteFrameBytes long, so the prefix is
+// counted from the file's size and the rest read with one ReadAt past it,
+// and only what is read is CRC-, MAC- and sequence-checked (DESIGN.md §10
+// says why the prefix need not be). A missing file replays as empty — a
+// crash between snapshot rename and segment creation legitimately leaves no
+// segment.
 //
 // ReplayTail reads and reports; it writes nothing. A torn tail ends replay
 // without error, recorded in the info for the caller to truncate. MAC or
 // sequence violations return a *secmem.IntegrityError, and a frame of another
-// generation a *secmem.VersionError; either replays no further records.
+// generation a *secmem.VersionError; either replays no further records. A
+// file that ends inside its covered prefix returns a *ShortSegmentError
+// beside the info its size gives: the records it holds, and a torn tail if
+// its last frame is partial.
 func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, fn func(Record) error) (ReplayInfo, error) {
 	info := ReplayInfo{LastLSN: firstLSN - 1}
 	k, err := deriveKeys(opt)
 	if err != nil {
 		return info, err
 	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return info, nil
+	var size int64
+	f, err := os.Open(path)
+	if err == nil {
+		defer f.Close()
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			size = st.Size()
+		}
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return info, fmt.Errorf("wal: replay %s: %w", path, err)
 	}
-	next := firstLSN
-	for off := 0; off < len(data); off += WriteFrameBytes {
-		body, reason := splitFrame(data[off:])
-		if reason != "" {
-			info.TornTail = &TornTailError{Path: path, Offset: int64(off), Reason: reason}
-			break
-		}
-		rec, err := decodeBody(k, body, path, next)
-		if err != nil {
-			return info, err
-		}
-		if rec.LSN >= fromLSN {
-			if err := fn(rec); err != nil {
-				return info, err
-			}
-		}
-		info.Records++
-		info.LastLSN = rec.LSN
-		next = rec.LSN + 1
+	whole := uint64(size / WriteFrameBytes)
+	var covered uint64
+	if fromLSN > firstLSN {
+		covered = fromLSN - firstLSN
 	}
-	return info, nil
+	if covered > whole {
+		info.Records, info.LastLSN = int(whole), firstLSN+whole-1
+		if size%WriteFrameBytes != 0 {
+			info.TornTail = &TornTailError{Path: path, Offset: int64(whole) * WriteFrameBytes, Reason: "partial frame inside the covered prefix"}
+		}
+		return info, &ShortSegmentError{Path: path, Records: whole, Covered: covered}
+	}
+	off := int64(covered) * WriteFrameBytes
+	data := make([]byte, size-off)
+	if len(data) > 0 {
+		if _, err := f.ReadAt(data, off); err != nil {
+			return info, fmt.Errorf("wal: replay %s: %w", path, err)
+		}
+	}
+	info.BytesRead = int64(len(data))
+	n, err := decodeFrames(k, data, path, firstLSN+covered, fn)
+	info.Authenticated, info.Records = n, int(covered)+n
+	info.LastLSN = firstLSN + uint64(info.Records) - 1
+	var fe *FrameError
+	if errors.As(err, &fe) {
+		info.TornTail = &TornTailError{Path: path, Offset: off + int64(fe.Offset), Reason: fe.Reason}
+		err = nil
+	}
+	return info, err
 }
 
 // ReadRange returns the n records from LSN from on of the segment at path,
