@@ -69,7 +69,8 @@ experiments:
 # journals it (a record sealed and appended, a segment replayed, a journaled
 # write on a store nobody polls and on a polled one, a caught-up poll of 1,
 # 16 and 512 records from a shard's tail, a lagging replica's batch read
-# from the middle of a segment), the delta checkpoint cut from it under a
+# from the middle of a segment, a store recovered by full replay and through
+# a delta chain), the delta checkpoint cut from it under a
 # writer, a 64 MiB state stream written and read back, and a proof of one
 # line (and its signature alone) as go-test
 # benchmarks, and the store's resident bytes per stored line
@@ -82,6 +83,7 @@ perf-engine:
 	$(GO) test -run '^$$' -bench 'DeltaCut' -benchmem -count 5 -benchtime 20x -cpu 2 ./internal/durable
 	$(GO) test -run '^$$' -bench 'Stream' -benchmem -count 5 ./internal/ckpt
 	$(GO) test -run '^$$' -bench 'JournaledWrite|ReadRecords' -benchmem -count 5 ./internal/durable
+	$(GO) test -run '^$$' -bench 'Recover' -benchmem -count 5 -benchtime 20x ./internal/durable
 	$(GO) test -run '^$$' -bench 'Prove|Attest' -benchmem -count 5 -benchtime 1000x ./internal/shard ./internal/proof
 	$(GO) test -run 'TestStoreFootprint' -v ./internal/secmem | grep 'resident bytes'
 

@@ -169,9 +169,9 @@ func batchLimit(shards int) int {
 	return max(1, min(batchRecords, batchBudget/(shards*wal.WriteFrameBytes)))
 }
 
-// gatherBatches collects sealed per-shard record runs past the
-// follower's marks. The second result reports whether anything (or a
-// bootstrap page) was produced.
+// gatherBatches seals per-shard record runs past the follower's marks, each
+// record into its shard's batch as the cursor hands it over. The second
+// result reports whether anything (or a bootstrap page) was produced.
 func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) (*wire.ReplicateResponse, bool, error) {
 	resp := &wire.ReplicateResponse{
 		Epoch:   epoch,
@@ -181,7 +181,15 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 	limit := batchLimit(mem.NumShards())
 	progress := false
 	for i := 0; i < mem.NumShards(); i++ {
-		recs, ok, err := mem.ReadRecords(i, marks[i], limit)
+		codec, err := n.codec(epoch, i)
+		if err != nil {
+			return nil, false, err
+		}
+		var batch []byte
+		ok, err := mem.ReadRecords(i, marks[i], limit, func(r wal.Record) (err error) {
+			batch, err = codec.AppendRecord(batch, r)
+			return err
+		})
 		if err != nil {
 			return nil, false, err
 		}
@@ -191,21 +199,8 @@ func (n *Node) gatherBatches(mem *durable.Memory, epoch uint64, marks []uint64) 
 			page, err := n.pageResponse(mem, epoch, 0, 0)
 			return page, true, err
 		}
-		if len(recs) == 0 {
-			continue
-		}
-		codec, err := n.codec(epoch, i)
-		if err != nil {
-			return nil, false, err
-		}
-		batch := make([]byte, 0, len(recs)*wal.WriteFrameBytes)
-		for _, rec := range recs {
-			if batch, err = codec.AppendRecord(batch, rec); err != nil {
-				return nil, false, err
-			}
-		}
 		resp.Batches[i] = batch
-		progress = true
+		progress = progress || len(batch) > 0
 	}
 	return resp, progress, nil
 }

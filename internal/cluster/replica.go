@@ -204,20 +204,14 @@ func (n *Node) applyResponse(mem *durable.Memory, epoch uint64, marks []uint64, 
 		if err != nil {
 			return progress, err
 		}
-		recs := make([]wal.Record, 0, len(batch)/wal.WriteFrameBytes)
 		start := time.Now()
-		if _, err := codec.DecodeAll(batch, marks[i]+1, func(r wal.Record) error {
-			recs = append(recs, r)
-			return nil
-		}); err != nil {
+		if err := mem.ApplyReplicated(i, codec, marks[i]+1, batch); err != nil {
 			return progress, fmt.Errorf("cluster: shard %d batch: %w", i, err)
 		}
-		if err := mem.ApplyReplicated(i, recs); err != nil {
-			return progress, err
-		}
+		recs := uint64(len(batch) / wal.WriteFrameBytes)
 		n.cBatches.Inc()
-		n.cRecords.Add(uint64(len(recs)))
-		n.cfg.Obs.Tracer().Emit(obs.KindReplBatch, int32(i), uint64(len(recs)), 0, time.Since(start))
+		n.cRecords.Add(recs)
+		n.cfg.Obs.Tracer().Emit(obs.KindReplBatch, int32(i), recs, 0, time.Since(start))
 		progress = true
 	}
 	n.touchLease(resp)

@@ -383,13 +383,11 @@ func (m *Memory) Write(addr uint64, line []byte) error {
 
 // WriteLSN is Write returning the shard index and LSN the record was
 // journaled at; the cluster layer uses the position to wait for replica
-// acknowledgement before acking the client.
+// acknowledgement before acking the client. The journal refuses a line of
+// another length, before anything is written.
 func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 	if m.closed.Load() {
 		return 0, 0, fmt.Errorf("durable: write after Close")
-	}
-	if len(line) != LineBytes {
-		return 0, 0, fmt.Errorf("durable: line must be %d bytes, got %d", LineBytes, len(line))
 	}
 	idx, _, err := m.sh.Locate(addr)
 	if err != nil {
@@ -397,34 +395,61 @@ func (m *Memory) WriteLSN(addr uint64, line []byte) (int, uint64, error) {
 	}
 	c := m.commits[idx]
 	c.mu.Lock()
-	lsn := c.lsn + 1
-	rec := wal.Record{Kind: wal.KindWrite, LSN: lsn, Addr: addr, Line: line}
-	if err := c.log.Append(rec); err != nil {
-		c.mu.Unlock()
+	lsn, err := c.applyLocked(m, addr, line)
+	c.mu.Unlock()
+	if lsn == 0 {
 		return idx, 0, err
 	}
-	c.lsn = lsn
-	c.pushTailLocked(lsn, addr, line)
-	applyErr := m.sh.Write(addr, line)
-	c.mu.Unlock()
 	if m.wake != nil && !m.unsynced.Load() && m.unsynced.CompareAndSwap(false, true) {
 		select {
 		case m.wake <- struct{}{}:
 		default:
 		}
 	}
-	if applyErr != nil {
+	if err != nil {
 		// The record is journaled but the engine refused it (which, with
-		// address and length validated above, means live-state tampering).
+		// address and length validated, means live-state tampering).
 		// Replay on restart applies it; the divergence is reported, not
 		// hidden.
-		return idx, lsn, applyErr
+		return idx, lsn, err
 	}
-	m.appends.Add(1)
 	if m.cfg.Sync == SyncAlways {
 		return idx, lsn, c.syncTo(m, lsn)
 	}
 	return idx, lsn, nil
+}
+
+// applyLocked journals a write of line at addr as the shard's next record and
+// applies it to the engine, for a write and a replicated record alike. It
+// returns the record's LSN, or 0 if the journal refused it; an error beside
+// an LSN is the engine refusing a journaled record. Called with c.mu held.
+func (c *committer) applyLocked(m *Memory, addr uint64, line []byte) (uint64, error) {
+	lsn := c.lsn + 1
+	if err := c.log.Append(wal.Record{Kind: wal.KindWrite, LSN: lsn, Addr: addr, Line: line}); err != nil {
+		return 0, err
+	}
+	c.lsn = lsn
+	c.pushTailLocked(lsn, addr, line)
+	if err := m.sh.Write(addr, line); err != nil {
+		return lsn, err
+	}
+	m.appends.Add(1)
+	return lsn, nil
+}
+
+// check returns nil for a record replayed or replicated into this shard's
+// journal whose address is one of the shard's lines, else the
+// *secmem.IntegrityError that refuses it.
+func (c *committer) check(m *Memory, r wal.Record) error {
+	j, _, err := m.sh.Locate(r.Addr)
+	if err == nil && j != c.shard {
+		err = fmt.Errorf("the line is shard %d's", j)
+	}
+	if err != nil {
+		return &secmem.IntegrityError{Level: -1, Index: r.LSN,
+			Reason: fmt.Sprintf("wal record address %#x in shard %d's journal: %v", r.Addr, c.shard, err)}
+	}
+	return nil
 }
 
 // syncTo makes every record up to at least lsn durable. The first caller

@@ -3,15 +3,12 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"github.com/securemem/morphtree/internal/ckpt"
 	"github.com/securemem/morphtree/internal/secmem"
-	"github.com/securemem/morphtree/internal/shard"
 	"github.com/securemem/morphtree/internal/wal"
 )
 
@@ -95,15 +92,15 @@ func (m *Memory) SyncedLSNs() []uint64 {
 	return out
 }
 
-// ReadRecords returns up to max (> 0) durable records for shardIdx with LSN
-// > afterLSN, in order. The second result reports whether the cursor could
-// be served at all: false means the history before afterLSN+1 has been
-// truncated by a checkpoint (or the epoch changed mid-scan) and the
-// follower needs a snapshot bootstrap. An empty batch with ok=true means
-// the follower is caught up.
-func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Record, bool, error) {
+// ReadRecords calls fn, under none of the shard's locks, for up to max (> 0)
+// durable records of shardIdx with LSN > afterLSN, in order; a record is valid
+// only until fn returns. It returns false when the history before afterLSN+1
+// has been truncated by a checkpoint (or the epoch changed mid-read): the
+// follower needs a snapshot bootstrap, and drops what fn was given. True and
+// no call to fn means the follower is caught up.
+func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int, fn func(wal.Record) error) (bool, error) {
 	if shardIdx < 0 || shardIdx >= len(m.commits) {
-		return nil, false, fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
+		return false, fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
 	c := m.commits[shardIdx]
 	c.syncMu.Lock()
@@ -113,20 +110,24 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 	c.polled = true // from the first read on; records journaled before are in the segments
 	if afterLSN >= durable {
 		c.mu.Unlock()
-		return nil, true, nil
+		return true, nil
 	}
 	// The tail holds its records contiguously up to c.lsn, so it serves the
-	// cursor when it still holds the record past it.
+	// cursor when it still holds the record past it. Its slots are copied
+	// under the lock and handed to fn after it.
 	if from := afterLSN + 1; c.tailSlotLocked(from) != nil {
-		out := make([]wal.Record, min(durable-afterLSN, uint64(max)))
-		lines := make([]byte, 0, len(out)*LineBytes)
-		for i := range out {
-			s := c.tailSlotLocked(from + uint64(i))
-			lines = append(lines, s.line[:]...)
-			out[i] = wal.Record{Kind: wal.KindWrite, LSN: s.lsn, Addr: s.addr, Line: lines[i*LineBytes : len(lines) : len(lines)]}
+		slots := make([]tailSlot, min(durable-afterLSN, uint64(max)))
+		for i := range slots {
+			slots[i] = *c.tailSlotLocked(from + uint64(i))
 		}
 		c.mu.Unlock()
-		return out, true, nil
+		for i := range slots {
+			s := &slots[i]
+			if err := fn(wal.Record{Kind: wal.KindWrite, LSN: s.lsn, Addr: s.addr, Line: s.line[:]}); err != nil {
+				return false, err
+			}
+		}
+		return true, nil
 	}
 	// The segment that holds record afterLSN+1, and the LSN it ends at: the
 	// live one, which a full checkpoint swaps at the shard's cut, or one
@@ -138,75 +139,58 @@ func (m *Memory) ReadRecords(shardIdx int, afterLSN uint64, max int) ([]wal.Reco
 	c.mu.Unlock()
 	if afterLSN < seg.base {
 		// A checkpoint's snapshot covers the records past the cursor.
-		return nil, false, nil
+		return false, nil
 	}
 	// File fallback: read the records past the cursor where they lie in
 	// that segment. Records at or below the durable watermark occupy a
 	// complete, fully-flushed prefix of whole frames.
 	opt := wal.Options{Key: walKey(m.shcfg.Mem.Key, shardIdx, seg.seq)}
-	out, err := wal.ReadRange(SegmentPath(m.cfg.Dir, seg.seq, shardIdx), opt, seg.base+1, afterLSN+1, int(min(end-afterLSN, uint64(max))))
+	err := wal.ReadRange(SegmentPath(m.cfg.Dir, seg.seq, shardIdx), opt, seg.base+1, afterLSN+1, int(min(end-afterLSN, uint64(max))), fn)
 	c.mu.Lock()
 	gone := seg.seq < c.seq && (len(c.older) == 0 || seg.seq < c.older[0].seq)
 	c.mu.Unlock()
 	if gone {
 		// A full checkpoint renamed mid-read; the file we read may have
 		// been removed. Ask the follower to retry.
-		return nil, false, nil
+		return false, nil
 	}
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
+	return err == nil, err
 }
 
-// ApplyReplicated journals a batch of replicated records into the local WAL
-// (re-sealed under this node's segment keys), applies the writes to the
-// engine, and group-commits the batch durable. Records must continue the
-// shard's LSN sequence exactly; a gap is a replication-protocol violation,
-// not tampering, and is reported as a plain error.
-func (m *Memory) ApplyReplicated(shardIdx int, recs []wal.Record) error {
+// ApplyReplicated decodes batch, frames sealed under codec from LSN firstLSN
+// on, and journals (re-sealed under this node's keys) and applies each record
+// as its frame authenticates, as a write is; then it group-commits them. A
+// batch that does not continue the shard's LSNs is a protocol error, not
+// tampering, refused before a frame is read. A frame refused mid-batch ends
+// it with its error, and the records before it are journaled, applied and
+// durable, as a shorter batch's would be.
+func (m *Memory) ApplyReplicated(shardIdx int, codec *wal.Codec, firstLSN uint64, batch []byte) error {
 	if m.closed.Load() {
 		return fmt.Errorf("durable: apply after Close")
 	}
 	if shardIdx < 0 || shardIdx >= len(m.commits) {
 		return fmt.Errorf("durable: shard %d out of range [0, %d)", shardIdx, len(m.commits))
 	}
-	if len(recs) == 0 {
-		return nil
-	}
 	c := m.commits[shardIdx]
 	c.mu.Lock()
-	for _, r := range recs {
-		if r.LSN != c.lsn+1 {
-			c.mu.Unlock()
-			return fmt.Errorf("durable: replicated record LSN %d for shard %d, want %d (replication gap)", r.LSN, shardIdx, c.lsn+1)
-		}
-		j, _, err := m.sh.Locate(r.Addr)
-		if err != nil {
-			c.mu.Unlock()
-			return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-				Reason: fmt.Sprintf("replicated record address %#x invalid: %v", r.Addr, err)}
-		}
-		if j != shardIdx {
-			c.mu.Unlock()
-			return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-				Reason: fmt.Sprintf("replicated record for shard %d delivered to shard %d", j, shardIdx)}
-		}
-		if err := c.log.Append(r); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		c.lsn = r.LSN
-		c.pushTailLocked(r.LSN, r.Addr, r.Line)
-		if err := m.sh.Write(r.Addr, r.Line); err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		m.appends.Add(1)
+	if firstLSN != c.lsn+1 {
+		c.mu.Unlock()
+		return fmt.Errorf("durable: replicated record LSN %d for shard %d, want %d (replication gap)", firstLSN, shardIdx, c.lsn+1)
 	}
+	_, err := codec.DecodeAll(batch, firstLSN, func(r wal.Record) error {
+		// The decoder held r.LSN to firstLSN on, so it is c.lsn+1.
+		if err := c.check(m, r); err != nil {
+			return err
+		}
+		_, err := c.applyLocked(m, r.Addr, r.Line)
+		return err
+	})
 	last := c.lsn
 	c.mu.Unlock()
-	return c.syncTo(m, last)
+	if serr := c.syncTo(m, last); err == nil {
+		err = serr
+	}
+	return err
 }
 
 // Page is one page of a base snapshot file, as ReadBasePage reads it: the
@@ -302,12 +286,7 @@ func withSpool(dir string, flag int, fn func(f *os.File) error) error {
 // resumes at exactly the marks its coverage header holds.
 func (m *Memory) InstallSnapshot(seq uint64) (*Memory, error) {
 	spool := filepath.Join(m.cfg.Dir, spoolName)
-	_, err := ckpt.ReadDelta(spool, deltaKey(m.shcfg.Mem.Key), seq, 0, func(hdr ckpt.DeltaHeader, _ int, r io.Reader) error {
-		if n := len(hdr.CoveredLSN); n != m.shcfg.Shards {
-			return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(m.shcfg.Shards)}
-		}
-		return secmem.ReadRecords(r, func([]secmem.DirtyLine) error { return nil })
-	})
+	_, err := readState(spool, m.shcfg, seq, 0, func(int, []secmem.DirtyLine) error { return nil })
 	if err != nil {
 		_ = os.Remove(spool) // the next transfer starts a new one
 		return nil, fmt.Errorf("durable: install snapshot: %w", err)

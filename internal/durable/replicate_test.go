@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +36,48 @@ func replPair(t *testing.T, shards int) (*Memory, *Memory) {
 	return p, r
 }
 
+// replCodec is the codec the tests seal replicated batches under.
+func replCodec(t testing.TB) *wal.Codec {
+	t.Helper()
+	c, err := wal.NewCodec(wal.Options{Key: []byte("replication-test")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// readRecords is m.ReadRecords collecting what it reads, each Line copied.
+func readRecords(m *Memory, shardIdx int, afterLSN uint64, max int) ([]wal.Record, bool, error) {
+	var recs []wal.Record
+	ok, err := m.ReadRecords(shardIdx, afterLSN, max, func(r wal.Record) error {
+		r.Line = slices.Clone(r.Line)
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, ok, err
+}
+
+// sealBatch seals recs into one batch under codec.
+func sealBatch(t testing.TB, codec *wal.Codec, recs []wal.Record) []byte {
+	t.Helper()
+	var batch []byte
+	for _, r := range recs {
+		var err error
+		if batch, err = codec.AppendRecord(batch, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return batch
+}
+
+// applyRecords seals recs (at least one) into a batch and applies it to
+// shard shardIdx of m from the first record's LSN on.
+func applyRecords(t testing.TB, m *Memory, shardIdx int, recs []wal.Record) error {
+	t.Helper()
+	codec := replCodec(t)
+	return m.ApplyReplicated(shardIdx, codec, recs[0].LSN, sealBatch(t, codec, recs))
+}
+
 // pump streams every shard of src to dst via the cursor API until dst's
 // watermarks match src's, returning the record count shipped.
 func pump(t *testing.T, src, dst *Memory) int {
@@ -44,7 +87,7 @@ func pump(t *testing.T, src, dst *Memory) int {
 		moved := false
 		marks := dst.SyncedLSNs()
 		for i := 0; i < src.NumShards(); i++ {
-			recs, ok, err := src.ReadRecords(i, marks[i], 64)
+			recs, ok, err := readRecords(src, i, marks[i], 64)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +97,7 @@ func pump(t *testing.T, src, dst *Memory) int {
 			if len(recs) == 0 {
 				continue
 			}
-			if err := dst.ApplyReplicated(i, recs); err != nil {
+			if err := applyRecords(t, dst, i, recs); err != nil {
 				t.Fatal(err)
 			}
 			shipped += len(recs)
@@ -71,7 +114,7 @@ func pump(t *testing.T, src, dst *Memory) int {
 func pollAll(t testing.TB, m *Memory) {
 	t.Helper()
 	for i, mark := range m.SyncedLSNs() {
-		if recs, ok, err := m.ReadRecords(i, mark, 1); err != nil || !ok || len(recs) != 0 {
+		if recs, ok, err := readRecords(m, i, mark, 1); err != nil || !ok || len(recs) != 0 {
 			t.Fatalf("caught-up poll of shard %d: %d records, ok=%v, %v", i, len(recs), ok, err)
 		}
 		if !m.commits[i].polled {
@@ -176,11 +219,11 @@ func TestReplicationFileFallback(t *testing.T) {
 		}
 	}
 	// Ship in two chunks to exercise a genuinely mid-log cursor.
-	recs, ok, err := p.ReadRecords(0, 0, 5)
+	recs, ok, err := readRecords(p, 0, 0, 5)
 	if err != nil || !ok || len(recs) != 5 {
 		t.Fatalf("ReadRecords = %d recs, ok=%v, err=%v; want 5, true, nil", len(recs), ok, err)
 	}
-	if err := r.ApplyReplicated(0, recs); err != nil {
+	if err := applyRecords(t, r, 0, recs); err != nil {
 		t.Fatal(err)
 	}
 	if got := pump(t, p, r); got != n-5 {
@@ -209,11 +252,11 @@ func TestReplicationCursorBehindCheckpoint(t *testing.T) {
 	}
 	// No tail held LSNs 1..8 (nothing polled before the checkpoint), and
 	// the file no longer does.
-	if _, ok, err := p.ReadRecords(0, 3, 16); err != nil || ok {
+	if _, ok, err := readRecords(p, 0, 3, 16); err != nil || ok {
 		t.Fatalf("cursor behind checkpoint: ok=%v err=%v, want false, nil", ok, err)
 	}
 	// At the watermark exactly: caught up, servable.
-	if recs, ok, err := p.ReadRecords(0, 8, 16); err != nil || !ok || len(recs) != 0 {
+	if recs, ok, err := readRecords(p, 0, 8, 16); err != nil || !ok || len(recs) != 0 {
 		t.Fatalf("cursor at watermark: %d recs, ok=%v, err=%v; want 0, true, nil", len(recs), ok, err)
 	}
 }
@@ -228,11 +271,11 @@ func TestApplyReplicatedRejectsGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recs, _, err := p.ReadRecords(0, 1, 16) // starts at LSN 2: gap for a cold replica
+	recs, _, err := readRecords(p, 0, 1, 16) // starts at LSN 2: gap for a cold replica
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("ReadRecords: %d recs, err=%v", len(recs), err)
 	}
-	if err := r.ApplyReplicated(0, recs); err == nil {
+	if err := applyRecords(t, r, 0, recs); err == nil {
 		t.Fatal("gap batch applied without error")
 	}
 	if marks := r.SyncedLSNs(); marks[0] != 0 {
@@ -421,9 +464,9 @@ func TestRingEviction(t *testing.T) {
 			}
 		}
 	}
-	var first []wal.Record
+	var first uint64 // the cursor of the first batch read from the tail
 	for cursor := uint64(0); cursor < last; {
-		recs, ok, err := p.ReadRecords(0, cursor, 512)
+		recs, ok, err := readRecords(p, 0, cursor, 512)
 		if err != nil || !ok || len(recs) == 0 {
 			t.Fatalf("cursor %d: %d records, ok=%v, %v", cursor, len(recs), ok, err)
 		}
@@ -433,13 +476,24 @@ func TestRingEviction(t *testing.T) {
 			}
 		}
 		check(recs)
-		if first == nil && held(cursor+1) {
-			first = recs
+		if first == 0 && held(cursor+1) {
+			first = cursor
 		}
 		cursor = recs[len(recs)-1].LSN
 	}
-	write(last+1, last+tailRecords)
-	check(first)
+	// Read that batch again and overwrite its slots as its first record is
+	// handed over: the poll copied them, and calls fn under no lock.
+	overwritten := false
+	if ok, err := p.ReadRecords(0, first, 512, func(r wal.Record) error {
+		if !overwritten {
+			write(last+1, last+tailRecords)
+			overwritten = true
+		}
+		check([]wal.Record{r})
+		return nil
+	}); err != nil || !ok || !overwritten {
+		t.Fatalf("cursor %d: ok=%v, %v", first, ok, err)
+	}
 }
 
 // TestDurableSignalFires: the signal channel closes when a write becomes
@@ -467,11 +521,17 @@ func TestApplyReplicatedAuditRecords(t *testing.T) {
 	_, r := replPair(t, 1)
 	for i, kind := range []byte{0x02, 0x03} {
 		lsn := uint64(i) + 1
-		recs := []wal.Record{
+		// The audit record is a write frame whose kind byte is rewritten and
+		// its CRC made to match: a frame of that generation.
+		codec := replCodec(t)
+		batch := sealBatch(t, codec, []wal.Record{
 			{Kind: wal.KindWrite, LSN: lsn, Addr: 0, Line: oracle.Fill(0, lsn)},
-			{Kind: kind, LSN: lsn + 1},
-		}
-		if err := r.ApplyReplicated(0, recs); err == nil {
+			{Kind: wal.KindWrite, LSN: lsn + 1, Addr: 0, Line: oracle.Fill(0, lsn+1)},
+		})
+		audit := batch[wal.WriteFrameBytes:]
+		audit[8] = kind
+		binary.LittleEndian.PutUint32(audit[4:], crc32.Checksum(audit[8:], crc32.MakeTable(crc32.Castagnoli)))
+		if err := r.ApplyReplicated(0, codec, lsn, batch); err == nil {
 			t.Fatalf("an audit record of kind %#x applied", kind)
 		}
 		if err := r.Flush(); err != nil {
@@ -480,6 +540,69 @@ func TestApplyReplicatedAuditRecords(t *testing.T) {
 		if marks := r.SyncedLSNs(); marks[0] != lsn {
 			t.Fatalf("kind %#x: watermark %d, want %d, the write before the audit record", kind, marks[0], lsn)
 		}
+	}
+}
+
+// TestRefusedRecordKeepsReplicationGoing: a batch whose record k is refused
+// — addressed to another shard's line, or sealed under a MAC that does not
+// hold — returns that error with records 1..k-1 journaled, applied and
+// durable, as a batch of k-1 records would have left them. The watermark a
+// poll is made from is then record k-1's, so the next batch, from record k,
+// applies: a refused frame does not leave a replication gap behind it.
+func TestRefusedRecordKeepsReplicationGoing(t *testing.T) {
+	const k, n = 4, 6
+	rec := func(lsn uint64) wal.Record {
+		addr := 2 * lsn * LineBytes // shard 0 of 2 holds the even lines
+		return wal.Record{Kind: wal.KindWrite, LSN: lsn, Addr: addr, Line: oracle.Fill(addr, lsn)}
+	}
+	for _, tc := range []struct {
+		name  string
+		spoil func(codec *wal.Codec) []byte // the batch of records 1..n, record k refused
+	}{
+		{"another shard's line", func(codec *wal.Codec) []byte {
+			recs := make([]wal.Record, n)
+			for i := range recs {
+				recs[i] = rec(uint64(i) + 1)
+			}
+			recs[k-1].Addr = LineBytes
+			return sealBatch(t, codec, recs)
+		}},
+		{"a MAC that does not hold", func(codec *wal.Codec) []byte {
+			recs := make([]wal.Record, n)
+			for i := range recs {
+				recs[i] = rec(uint64(i) + 1)
+			}
+			batch := sealBatch(t, codec, recs)
+			frame := batch[(k-1)*wal.WriteFrameBytes : k*wal.WriteFrameBytes]
+			frame[40] ^= 1 // a bit of the sealed line, the CRC made to match
+			binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)))
+			return batch
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, r := replPair(t, 2)
+			codec := replCodec(t)
+			var ie *secmem.IntegrityError
+			if err := r.ApplyReplicated(0, codec, 1, tc.spoil(codec)); !errors.As(err, &ie) {
+				t.Fatalf("the batch with record %d refused returned %v, want a *secmem.IntegrityError", k, err)
+			}
+			if marks := r.SyncedLSNs(); marks[0] != k-1 {
+				t.Fatalf("watermark %d after record %d was refused, want %d", marks[0], k, k-1)
+			}
+			for lsn := uint64(1); lsn < k; lsn++ {
+				want := rec(lsn)
+				if got, err := r.Read(want.Addr); err != nil || !bytes.Equal(got, want.Line) {
+					t.Fatalf("record %d, before the refused one, is not applied: %v", lsn, err)
+				}
+			}
+			next := []wal.Record{rec(k), rec(k + 1)}
+			if err := r.ApplyReplicated(0, codec, r.SyncedLSNs()[0]+1, sealBatch(t, codec, next)); err != nil {
+				t.Fatalf("the next batch, from the watermark: %v", err)
+			}
+			if marks := r.SyncedLSNs(); marks[0] != k+1 {
+				t.Fatalf("watermark %d after the next batch, want %d", marks[0], k+1)
+			}
+		})
 	}
 }
 
@@ -691,9 +814,10 @@ func BenchmarkReadRecordsPastRing(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recs, ok, err := m.ReadRecords(0, uint64(n/2), batch)
-				if err != nil || !ok || len(recs) != batch {
-					b.Fatalf("ReadRecords = %d records, ok=%v, %v", len(recs), ok, err)
+				recs := 0
+				ok, err := m.ReadRecords(0, uint64(n/2), batch, func(wal.Record) error { recs++; return nil })
+				if err != nil || !ok || recs != batch {
+					b.Fatalf("ReadRecords = %d records, ok=%v, %v", recs, ok, err)
 				}
 			}
 		})
@@ -720,9 +844,10 @@ func BenchmarkReadRecordsFromTail(b *testing.B) {
 		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				recs, ok, err := m.ReadRecords(0, uint64(tailRecords-n), 512)
-				if err != nil || !ok || len(recs) != n {
-					b.Fatalf("ReadRecords = %d records, ok=%v, %v", len(recs), ok, err)
+				recs := 0
+				ok, err := m.ReadRecords(0, uint64(tailRecords-n), 512, func(wal.Record) error { recs++; return nil })
+				if err != nil || !ok || recs != n {
+					b.Fatalf("ReadRecords = %d records, ok=%v, %v", recs, ok, err)
 				}
 			}
 		})

@@ -392,7 +392,7 @@ func TestReadRecordsFollowsTheLiveSegment(t *testing.T) {
 		c.mu.Lock()
 		c.polled, c.tail = false, [len(c.tail)]*[tailChunk]tailSlot{}
 		c.mu.Unlock()
-		recs, ok, err := m.ReadRecords(0, after, 64)
+		recs, ok, err := readRecords(m, 0, after, 64)
 		if err != nil {
 			t.Errorf("poll after %d: %v", after, err)
 		}

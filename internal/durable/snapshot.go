@@ -228,30 +228,24 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	// The base is the chain's first link: a state stream cut against nothing.
 	// baseCovered anchors the segment replay (segments belong to the base
 	// epoch); covered advances to the chain head's watermark.
-	var baseCovered, covered, replayedAddrs []uint64
+	var baseCovered, covered []uint64
+	replayed := sample{stride: 1}
 	for _, ent := range append([]ckpt.Entry{{Seq: baseSeq}}, chain...) {
 		path := SnapshotPath(cfg.Dir, ent.Seq)
 		if ent.Base != 0 {
 			path = ckpt.DeltaPath(cfg.Dir, ent.Seq, ent.Base)
 		}
-		hdr, err := ckpt.ReadDelta(path, deltaKey(shcfg.Mem.Key), ent.Seq, ent.Base, func(hdr ckpt.DeltaHeader, i int, r io.Reader) error {
-			if n := len(hdr.CoveredLSN); n != shcfg.Shards {
-				// The header's frame has authenticated, so this is an
-				// operator config mismatch, not tampering.
-				return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(shcfg.Shards)}
-			}
-			return secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error {
-				if ent.Base != 0 {
-					info.DeltaLines += len(batch)
-					for _, d := range batch {
-						if d.Level == -1 {
-							// A delta's data lines join the sample-verify pool below.
-							replayedAddrs = append(replayedAddrs, (d.Index*uint64(shcfg.Shards)+uint64(i))*LineBytes)
-						}
+		hdr, err := readState(path, shcfg, ent.Seq, ent.Base, func(i int, batch []secmem.DirtyLine) error {
+			if ent.Base != 0 {
+				info.DeltaLines += len(batch)
+				for _, d := range batch {
+					if d.Level == -1 {
+						// A delta's data lines join the sample verified below.
+						replayed.add((d.Index*uint64(shcfg.Shards) + uint64(i)) * LineBytes)
 					}
 				}
-				return sh.Shard(i).Apply(batch)
-			})
+			}
+			return sh.Shard(i).Apply(batch)
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("durable: %w", err)
@@ -272,11 +266,10 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	var torn []*wal.TornTailError // each live segment's, cut once recovery stands
 	for i := range m.commits {
 		m.commits[i] = &committer{shard: i, eng: sh.Shard(i)}
-		addrs, live, err := m.commits[i].replay(m, baseSeq, baseCovered[i], covered[i], segs[i], info)
+		live, err := m.commits[i].replay(m, baseSeq, baseCovered[i], covered[i], segs[i], info, &replayed)
 		if err != nil {
 			return nil, nil, err
 		}
-		replayedAddrs = append(replayedAddrs, addrs...)
 		if live != nil {
 			torn = append(torn, live)
 		}
@@ -286,15 +279,14 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	// line read here re-verifies its whole MAC chain up to the
 	// on-chip root, so a consistent-looking but tampered snapshot or
 	// WAL fails closed before the memory serves a single request.
-	if len(replayedAddrs) > 0 {
-		step := max(1, len(replayedAddrs)/verifySample)
-		for i := 0; i < len(replayedAddrs) && info.SampleVerified < verifySample; i += step {
-			if _, err := sh.Read(replayedAddrs[i]); err != nil {
-				return nil, nil, err
-			}
-			info.SampleVerified++
+	held := replayed.addrs
+	n := min(len(held), verifySample)
+	for i := range n {
+		if _, err := sh.Read(held[i*len(held)/n]); err != nil {
+			return nil, nil, err
 		}
 	}
+	info.SampleVerified = n
 
 	for _, tail := range torn {
 		if err := os.Truncate(tail.Path, tail.Offset); err != nil {
@@ -334,6 +326,19 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 	return m, info, nil
 }
 
+// readState reads the state stream at path, of epoch seq against base,
+// handing fn each shard's lines a batch at a time. A stream of another shard
+// count is a *shard.MismatchError: its header has authenticated, so this is
+// an operator config mismatch, not tampering.
+func readState(path string, shcfg shard.Config, seq, base uint64, fn func(i int, batch []secmem.DirtyLine) error) (ckpt.DeltaHeader, error) {
+	return ckpt.ReadDelta(path, deltaKey(shcfg.Mem.Key), seq, base, func(hdr ckpt.DeltaHeader, i int, r io.Reader) error {
+		if n := len(hdr.CoveredLSN); n != shcfg.Shards {
+			return &shard.MismatchError{Field: "shards", Stream: uint64(n), Config: uint64(shcfg.Shards)}
+		}
+		return secmem.ReadRecords(r, func(batch []secmem.DirtyLine) error { return fn(i, batch) })
+	})
+}
+
 // replay replays the shard's segments from the base epoch's on, in epoch
 // order, each from where the one before it ended: record coveredBase+1 opens
 // the base's, and records past covered are read and applied, those up to it
@@ -345,9 +350,9 @@ func Open(shcfg shard.Config, cfg Config) (*Memory, *RecoveryInfo, error) {
 // before its first frame of the next. The last segment that holds a record
 // (the base's, if none does) is the live one, and the sweep deletes the
 // next-epoch segments past it, which hold no record. replay writes nothing:
-// it returns the live segment's torn tail, for Open to truncate, and the
-// addresses it replayed.
-func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo) (addrs []uint64, live *wal.TornTailError, err error) {
+// it offers each address it replayed to the sample and returns the live
+// segment's torn tail, for Open to truncate.
+func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []uint64, info *RecoveryInfo, replayed *sample) (live *wal.TornTailError, err error) {
 	epochs := []uint64{base}
 	for _, seq := range segs {
 		if seq > base {
@@ -362,19 +367,13 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 		path := SegmentPath(m.cfg.Dir, seq, c.shard)
 		winfo, err := wal.ReplayTail(path, wal.Options{Key: walKey(m.shcfg.Mem.Key, c.shard, seq)}, next, covered+1, func(r wal.Record) error {
 			info.ReplayedRecords++
-			j, _, err := m.sh.Locate(r.Addr)
-			if err != nil {
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("wal record address %#x invalid: %v", r.Addr, err)}
-			}
-			if j != c.shard {
-				return &secmem.IntegrityError{Level: -1, Index: r.LSN,
-					Reason: fmt.Sprintf("wal record for shard %d found in shard %d's segment", j, c.shard)}
+			if err := c.check(m, r); err != nil {
+				return err
 			}
 			if err := m.sh.Write(r.Addr, r.Line); err != nil {
 				return err
 			}
-			addrs = append(addrs, r.Addr)
+			replayed.add(r.Addr)
 			return nil
 		})
 		var short *wal.ShortSegmentError
@@ -384,12 +383,12 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 			err = nil
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		info.FramesAuthenticated += winfo.Authenticated
 		info.BytesRead += winfo.BytesRead
 		if torn != nil && winfo.Records > 0 {
-			return nil, nil, &secmem.IntegrityError{Level: -1, Index: next,
+			return nil, &secmem.IntegrityError{Level: -1, Index: next,
 				Reason: fmt.Sprintf("wal segment %s holds records past a torn tail of %s", path, torn.Path)}
 		}
 		torn = cmp.Or(torn, winfo.TornTail)
@@ -408,5 +407,26 @@ func (c *committer) replay(m *Memory, base, coveredBase, covered uint64, segs []
 	c.lsn = max(next-1, covered)
 	c.synced = c.lsn
 	info.TornTails[c.shard] = torn
-	return addrs, live, nil
+	return live, nil
+}
+
+// sample holds every stride-th address recovery replayed; at 2×verifySample
+// it drops every other one and doubles the stride, so it stays spread over
+// the whole replay.
+type sample struct {
+	addrs        []uint64
+	stride, seen uint64
+}
+
+func (s *sample) add(addr uint64) {
+	if s.seen%s.stride == 0 {
+		s.addrs = append(s.addrs, addr)
+		if len(s.addrs) == 2*verifySample {
+			for i := range verifySample {
+				s.addrs[i] = s.addrs[2*i]
+			}
+			s.addrs, s.stride = s.addrs[:verifySample], 2*s.stride
+		}
+	}
+	s.seen++
 }

@@ -109,7 +109,7 @@ func (m *Memory) Apply(batch []DirtyLine) error {
 		case len(d.Line) != LineBytes:
 			return fmt.Errorf("secmem: load: level-%d line %d is %d bytes, want %d", d.Level, d.Index, len(d.Line), LineBytes)
 		case d.Level == root:
-			blk, err := m.cfg.specAt(int(root)).Decode(d.Line)
+			blk, err := m.walker.SpecAt(int(root)).Decode(d.Line)
 			if err != nil {
 				return fmt.Errorf("secmem: load root: %w", err)
 			}

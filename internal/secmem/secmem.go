@@ -259,7 +259,7 @@ func New(cfg Config) (*Memory, error) {
 		keyer:  keyer,
 		walker: walker,
 		store:  newStore(geom),
-		root:   cfg.specAt(geom.RootLevel()).New(),
+		root:   walker.SpecAt(geom.RootLevel()).New(),
 		own:    domain{cipher: cipher, keyer: keyer},
 	}
 	levels := geom.RootLevel() + 1
@@ -270,7 +270,7 @@ func New(cfg Config) (*Memory, error) {
 	m.stats.FormatSwitches = make([]uint64, levels)
 	m.spare = make([]counters.Block, levels)
 	for i := range m.spare {
-		spec := cfg.specAt(i)
+		spec := walker.SpecAt(i)
 		m.spare[i] = spec.New()
 		if spec.Arity > len(m.preValues) {
 			m.preValues = make([]uint64, spec.Arity)
@@ -280,18 +280,6 @@ func New(cfg Config) (*Memory, error) {
 	m.wbBound = dirtyBlockBound
 	m.wb.ring = make([]blockRef, dirtyBlockBound+1)
 	return m, nil
-}
-
-// specAt returns the counter organization at a level (0 = encryption).
-func (c Config) specAt(level int) counters.Spec {
-	if level == 0 {
-		return c.Enc
-	}
-	i := level - 1
-	if i >= len(c.Tree) {
-		i = len(c.Tree) - 1
-	}
-	return c.Tree[i]
 }
 
 // Geometry exposes the metadata layout.
@@ -737,7 +725,7 @@ func (m *Memory) fetchBlock(level int, idx uint64, raw []byte, parentValue uint6
 	case parentValue != 0:
 		return nil, &IntegrityError{Level: level, Index: idx, Reason: "counter line missing from memory"}
 	default:
-		blk = m.cfg.specAt(level).New()
+		blk = m.walker.SpecAt(level).New()
 	}
 	c := m.store.levels[level].grow(idx)
 	c.ext.blk[idx%chunkLines] = blk

@@ -40,7 +40,7 @@ func checkWriteBackInvariant(t *testing.T, m *Memory) {
 					// Not cached, so not dirty: its stored line is current
 					// (and was itself checked one level up).
 					var err error
-					if pblk, err = m.cfg.specAt(level + 1).Decode(pc.get(parent % chunkLines)); err != nil {
+					if pblk, err = m.walker.SpecAt(level + 1).Decode(pc.get(parent % chunkLines)); err != nil {
 						t.Fatalf("level-%d line %d: parent undecodable: %v", level, idx, err)
 					}
 				}

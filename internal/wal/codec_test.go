@@ -4,10 +4,29 @@ import (
 	"errors"
 	"io"
 	"os"
+	"slices"
 	"testing"
 
+	"github.com/securemem/morphtree/internal/racedetect"
 	"github.com/securemem/morphtree/internal/secmem"
 )
+
+// kept is r with a Line of its own, for a callback that keeps a record past
+// its return.
+func kept(r Record) Record {
+	r.Line = slices.Clone(r.Line)
+	return r
+}
+
+// readRange is ReadRange collecting the records it reads.
+func readRange(path string, opt Options, firstLSN, from uint64, n int) ([]Record, error) {
+	var recs []Record
+	err := ReadRange(path, opt, firstLSN, from, n, func(r Record) error {
+		recs = append(recs, kept(r))
+		return nil
+	})
+	return recs, err
+}
 
 // TestReadRangeEveryCursor reads a segment from every cursor, every count
 // that fits, and wants exactly those records with their lines; a range that
@@ -18,7 +37,7 @@ func TestReadRangeEveryCursor(t *testing.T) {
 	path := writeLog(t, t.TempDir(), n) // writeLog seals line(i) at LSN i+1
 	for from := uint64(1); from <= n+1; from++ {
 		for count := 0; from+uint64(count) <= n+1; count++ {
-			recs, err := ReadRange(path, testOpts(), 1, from, count)
+			recs, err := readRange(path, testOpts(), 1, from, count)
 			if err != nil || len(recs) != count {
 				t.Fatalf("from=%d count=%d: %d records, %v", from, count, len(recs), err)
 			}
@@ -29,11 +48,11 @@ func TestReadRangeEveryCursor(t *testing.T) {
 				}
 			}
 		}
-		if _, err := ReadRange(path, testOpts(), 1, from, n+2-int(from)); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, err := readRange(path, testOpts(), 1, from, n+2-int(from)); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("from=%d: a range one past the end returned %v, want EOF", from, err)
 		}
 	}
-	if _, err := ReadRange(path, testOpts(), 2, 1, 1); err == nil {
+	if _, err := readRange(path, testOpts(), 2, 1, 1); err == nil {
 		t.Fatal("a range before the segment's first LSN was read")
 	}
 }
@@ -46,10 +65,10 @@ func TestReadRangeDamageIsAnError(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 4)
 	rewriteWithCRCFix(t, path, 2, func(body []byte) { body[recFixedBytes] ^= 1 })
 	var ie *secmem.IntegrityError
-	if _, err := ReadRange(path, testOpts(), 1, 2, 2); !errors.As(err, &ie) {
+	if _, err := readRange(path, testOpts(), 1, 2, 2); !errors.As(err, &ie) {
 		t.Fatalf("a range over a tampered frame returned %v, want a *secmem.IntegrityError", err)
 	}
-	if recs, err := ReadRange(path, testOpts(), 1, 4, 1); err != nil || len(recs) != 1 {
+	if recs, err := readRange(path, testOpts(), 1, 4, 1); err != nil || len(recs) != 1 {
 		t.Fatalf("a range past the tampered frame: %d records, %v", len(recs), err)
 	}
 
@@ -63,10 +82,10 @@ func TestReadRangeDamageIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fe *FrameError
-	if _, err := ReadRange(path, testOpts(), 1, 1, 3); !errors.As(err, &fe) || fe.Offset != WriteFrameBytes {
+	if _, err := readRange(path, testOpts(), 1, 1, 3); !errors.As(err, &fe) || fe.Offset != WriteFrameBytes {
 		t.Fatalf("a range over a corrupt frame returned %v, want a *FrameError at its offset", err)
 	}
-	if recs, err := ReadRange(path, testOpts(), 1, 3, 2); err != nil || len(recs) != 2 {
+	if recs, err := readRange(path, testOpts(), 1, 3, 2); err != nil || len(recs) != 2 {
 		t.Fatalf("a range between the corrupt frame and the torn tail: %d records, %v", len(recs), err)
 	}
 }
@@ -90,7 +109,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	var got []Record
 	n, err := c.DecodeAll(batch, 7, func(r Record) error {
-		got = append(got, r)
+		got = append(got, kept(r))
 		return nil
 	})
 	if err != nil || n != len(recs) {
@@ -160,4 +179,52 @@ func TestCodecLSNGapFailsClosed(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want IntegrityError for LSN gap", err)
 	}
+}
+
+// TestDecodersAllocateByTheFrame: ReplayTail, ReadRange and DecodeAll read a
+// frame at a time into one buffer and unseal every line into one scratch, so
+// what they allocate is the same over 10 records as over 1 000.
+func TestDecodersAllocateByTheFrame(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	codec, err := NewCodec(testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(n int) (replay, readRange, decode float64) {
+		path := writeLog(t, t.TempDir(), n)
+		batch, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := 0
+		fn := func(Record) error { seen++; return nil }
+		replay = testing.AllocsPerRun(10, func() {
+			if _, err := ReplayTail(path, testOpts(), 1, 1, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		readRange = testing.AllocsPerRun(10, func() {
+			if err := ReadRange(path, testOpts(), 1, 1, n, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		decode = testing.AllocsPerRun(10, func() {
+			if _, err := codec.DecodeAll(batch, 1, fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := 3 * 11 * n; seen != want {
+			t.Fatalf("the decoders saw %d records of %d, want %d", seen, n, want)
+		}
+		return replay, readRange, decode
+	}
+	r10, rr10, d10 := count(10)
+	r1k, rr1k, d1k := count(1000)
+	if r10 != r1k || rr10 != rr1k || d10 != d1k {
+		t.Fatalf("allocations over 10 records and over 1 000: ReplayTail %v and %v, ReadRange %v and %v, DecodeAll %v and %v",
+			r10, r1k, rr10, rr1k, d10, d1k)
+	}
+	t.Logf("allocations a call: ReplayTail %v, ReadRange %v, DecodeAll %v", r10, rr10, d10)
 }

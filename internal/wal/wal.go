@@ -35,6 +35,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -68,8 +69,10 @@ const (
 	// given byte offset, and the replication cursor to find a record.
 	WriteFrameBytes = frameHdrBytes + bodyBytes
 	// maxBody bounds a frame body; anything larger is crash garbage (or
-	// hostile) and is treated as a torn tail before allocation.
+	// hostile) and is treated as a torn tail before it is read.
 	maxBody = 4096
+	// readBufBytes bounds the buffer a segment is read through.
+	readBufBytes = 64 << 10
 	// frameFormat names the WAL frame in a *secmem.VersionError, whose
 	// version is the frame's kind byte.
 	frameFormat = "wal frame"
@@ -83,7 +86,10 @@ func KindError(kind byte) error {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Record is one journaled write.
+// Record is one journaled write. A Record a decoder hands to its callback
+// (DecodeAll, ReplayTail, ReadRange) aliases the decoder's scratch: its Line
+// is valid only until the callback returns, so a callback that keeps a
+// record copies its Line.
 type Record struct {
 	// Kind is KindWrite.
 	Kind byte
@@ -159,21 +165,17 @@ func deriveKeys(opt Options) (keys, error) {
 	return keys{cipher: cipher, mac: keyer}, nil
 }
 
-// check returns why r cannot be journaled, or nil.
-func check(r Record) error {
+// seal builds r's frame where it lies, or returns why r cannot be
+// journaled: frame is exactly WriteFrameBytes long, and the header, the
+// fields, the sealed line, the MAC and the CRC are each written to their
+// place in it.
+func (k keys) seal(frame []byte, r Record) error {
 	if r.Kind != KindWrite {
 		return fmt.Errorf("wal: record kind %#x, want %#x", r.Kind, KindWrite)
 	}
 	if len(r.Line) != secmem.LineBytes {
 		return fmt.Errorf("wal: write record line is %d bytes, want %d", len(r.Line), secmem.LineBytes)
 	}
-	return nil
-}
-
-// seal builds r's frame where it lies: frame is exactly WriteFrameBytes
-// long, and the header, the fields, the sealed line, the MAC and the CRC are
-// each written to their place in it.
-func (k keys) seal(frame []byte, r Record) error {
 	body := frame[frameHdrBytes:]
 	macOff := bodyBytes - macBytes
 	body[0] = r.Kind
@@ -212,9 +214,6 @@ func NewCodec(opt Options) (*Codec, error) {
 // the extended slice. The frame is sealed in dst itself, so appending to a
 // slice with room allocates nothing.
 func (c *Codec) AppendRecord(dst []byte, r Record) ([]byte, error) {
-	if err := check(r); err != nil {
-		return dst, err
-	}
 	off := len(dst)
 	dst = slices.Grow(dst, WriteFrameBytes)[:off+WriteFrameBytes]
 	if err := c.keys.seal(dst[off:], r); err != nil {
@@ -223,58 +222,77 @@ func (c *Codec) AppendRecord(dst []byte, r Record) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeAll decodes every frame in p, calling fn for each record in order.
+// DecodeAll decodes every frame in p, calling fn for each record in order as
+// its frame authenticates.
 // firstLSN anchors the contiguity check exactly as in file replay. Unlike
 // file replay there is no torn-tail tolerance: p arrived length-delimited
 // over an authenticated transport, so any framing damage is corruption and
 // returns a *FrameError rather than a tolerated tail. Returns the number of
 // records decoded.
 func (c *Codec) DecodeAll(p []byte, firstLSN uint64, fn func(Record) error) (int, error) {
-	return decodeFrames(c.keys, p, "replication batch", firstLSN, fn)
+	return decodeFrames(c.keys, bytes.NewReader(p), "replication batch", firstLSN, fn)
 }
 
-// decodeFrames is DecodeAll under k; what names p in an error.
-func decodeFrames(k keys, p []byte, what string, firstLSN uint64, fn func(Record) error) (int, error) {
-	next := firstLSN
-	n := 0
-	for off := 0; off < len(p); off += WriteFrameBytes {
-		body, reason := splitFrame(p[off:])
-		if reason != "" {
-			return n, &FrameError{Offset: off, Reason: reason}
+// decodeFrames reads frames from r one at a time, the first of LSN firstLSN,
+// into one buffer, and calls fn for each record in order, its Line unsealed
+// into one scratch; what names r in an error. It returns the number of
+// records fn was given. Damaged framing is a *FrameError whose offset counts
+// from r's start; an error reading r is returned as it is.
+func decodeFrames(k keys, r io.Reader, what string, firstLSN uint64, fn func(Record) error) (int, error) {
+	buf := new(struct {
+		frame [frameHdrBytes + maxBody]byte
+		line  [secmem.LineBytes]byte
+	})
+	for n := 0; ; n++ {
+		// Every frame before this one decoded, so each was WriteFrameBytes.
+		body, err := readFrame(r, buf.frame[:], n*WriteFrameBytes)
+		if err == io.EOF {
+			return n, nil
 		}
-		rec, err := decodeBody(k, body, what, next)
+		if err != nil {
+			return n, err
+		}
+		rec, err := decodeBody(k, body, what, firstLSN+uint64(n), buf.line[:])
 		if err != nil {
 			return n, err
 		}
 		if err := fn(rec); err != nil {
 			return n, err
 		}
-		n++
-		next = rec.LSN + 1
 	}
-	return n, nil
 }
 
-// splitFrame returns the body of the frame p starts with, or why p does not
-// start with a whole frame whose CRC matches. A body of any length up to
-// maxBody is returned, so that an older generation's frame reaches the kind
-// check; decodeBody holds a current one to its length.
-func splitFrame(p []byte) (body []byte, reason string) {
-	if len(p) < frameHdrBytes {
-		return nil, fmt.Sprintf("%d trailing bytes, want a %d-byte frame header", len(p), frameHdrBytes)
+// readFrame reads the frame at offset off of r into buf and returns its body:
+// io.EOF when r ends before it, a *FrameError when what r holds is not a whole
+// frame whose CRC matches. A body of any length up to maxBody is returned, so
+// that an older generation's frame reaches the kind check; decodeBody holds a
+// current one to its length.
+func readFrame(r io.Reader, buf []byte, off int) ([]byte, error) {
+	hdr := buf[:frameHdrBytes]
+	if got, err := io.ReadFull(r, hdr); err == io.ErrUnexpectedEOF {
+		return nil, &FrameError{Offset: off, Reason: fmt.Sprintf("%d trailing bytes, want a %d-byte frame header", got, frameHdrBytes)}
+	} else if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(p)
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 1 || n > maxBody {
-		return nil, fmt.Sprintf("frame length %d outside [1, %d]", n, maxBody)
+		return nil, &FrameError{Offset: off, Reason: fmt.Sprintf("frame length %d outside [1, %d]", n, maxBody)}
 	}
-	if len(p) < frameHdrBytes+int(n) {
-		return nil, fmt.Sprintf("frame body cut short: %d of %d bytes", len(p)-frameHdrBytes, n)
+	body := buf[frameHdrBytes : frameHdrBytes+int(n)]
+	if got, err := io.ReadFull(r, body); err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil, &FrameError{Offset: off, Reason: fmt.Sprintf("frame body cut short: %d of %d bytes", got, n)}
+	} else if err != nil {
+		return nil, err
 	}
-	body = p[frameHdrBytes : frameHdrBytes+int(n)]
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(p[4:]); got != want {
-		return nil, fmt.Sprintf("frame CRC %#x, want %#x", got, want)
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+		return nil, &FrameError{Offset: off, Reason: fmt.Sprintf("frame CRC %#x, want %#x", got, want)}
 	}
-	return body, ""
+	return body, nil
+}
+
+// section is a buffered reader of the n bytes of f from off on.
+func section(f *os.File, off, n int64) io.Reader {
+	return bufio.NewReaderSize(io.NewSectionReader(f, off, n), int(min(n, readBufBytes)))
 }
 
 // Log is an append-only WAL segment writer. It is not safe for concurrent
@@ -293,26 +311,18 @@ type Log struct {
 // Create creates a fresh segment at path, failing if it already exists
 // (segments are immutable once superseded; an existing file means a
 // sequencing bug or a leftover the recovery scan should have handled).
-func Create(path string, opt Options) (*Log, error) {
-	k, err := deriveKeys(opt)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("wal: create %s: %w", path, err)
-	}
-	return &Log{path: path, keys: k, f: f, bw: bufio.NewWriter(f)}, nil
-}
+func Create(path string, opt Options) (*Log, error) { return openLog(path, opt, os.O_EXCL) }
 
 // Open opens an existing segment for appending. Callers replay (and
 // truncate) the segment first; Open itself does not validate content.
-func Open(path string, opt Options) (*Log, error) {
+func Open(path string, opt Options) (*Log, error) { return openLog(path, opt, 0) }
+
+func openLog(path string, opt Options, flag int) (*Log, error) {
 	k, err := deriveKeys(opt)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|flag, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
@@ -325,9 +335,6 @@ func (l *Log) Path() string { return l.path }
 // Append buffers one record's frame. The record is NOT durable until Sync
 // returns; it is not even visible to a re-open until Flush.
 func (l *Log) Append(r Record) error {
-	if err := check(r); err != nil {
-		return err
-	}
 	if err := l.keys.seal(l.frame[:], r); err != nil {
 		return err
 	}
@@ -385,8 +392,8 @@ type ReplayInfo struct {
 	// LastLSN is the LSN of the final valid record (firstLSN-1 if none).
 	LastLSN uint64
 	// Authenticated is how many frames were read and MAC-checked: the ones
-	// past the covered prefix. BytesRead is how many bytes of the file were
-	// read.
+	// past the covered prefix. BytesRead is the length of the file past that
+	// prefix, which replay reads a frame at a time.
 	Authenticated int
 	BytesRead     int64
 	// TornTail is non-nil if the file ended in a crash-torn record; the
@@ -414,8 +421,8 @@ func (e *ShortSegmentError) Error() string {
 // calling fn for each in order. firstLSN is the LSN the segment starts at;
 // the records below fromLSN are its covered prefix, which a checkpoint
 // already holds: every frame is WriteFrameBytes long, so the prefix is
-// counted from the file's size and the rest read with one ReadAt past it,
-// and only what is read is CRC-, MAC- and sequence-checked (DESIGN.md §10
+// counted from the file's size and the rest read one frame at a time from
+// its end, and only what is read is CRC-, MAC- and sequence-checked (DESIGN.md §10
 // says why the prefix need not be). A missing file replays as empty — a
 // crash between snapshot rename and segment creation legitimately leaves no
 // segment.
@@ -437,10 +444,7 @@ func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, fn func(Reco
 	f, err := os.Open(path)
 	if err == nil {
 		defer f.Close()
-		var st os.FileInfo
-		if st, err = f.Stat(); err == nil {
-			size = st.Size()
-		}
+		size, err = f.Seek(0, io.SeekEnd)
 	}
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return info, fmt.Errorf("wal: replay %s: %w", path, err)
@@ -458,14 +462,11 @@ func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, fn func(Reco
 		return info, &ShortSegmentError{Path: path, Records: whole, Covered: covered}
 	}
 	off := int64(covered) * WriteFrameBytes
-	data := make([]byte, size-off)
-	if len(data) > 0 {
-		if _, err := f.ReadAt(data, off); err != nil {
-			return info, fmt.Errorf("wal: replay %s: %w", path, err)
-		}
+	info.BytesRead = size - off
+	if f == nil {
+		return info, nil
 	}
-	info.BytesRead = int64(len(data))
-	n, err := decodeFrames(k, data, path, firstLSN+covered, fn)
+	n, err := decodeFrames(k, section(f, off, info.BytesRead), path, firstLSN+covered, fn)
 	info.Authenticated, info.Records = n, int(covered)+n
 	info.LastLSN = firstLSN + uint64(info.Records) - 1
 	var fe *FrameError
@@ -476,37 +477,32 @@ func ReplayTail(path string, opt Options, firstLSN, fromLSN uint64, fn func(Reco
 	return info, err
 }
 
-// ReadRange returns the n records from LSN from on of the segment at path,
-// whose first record is firstLSN. Every frame is WriteFrameBytes long, so
-// they are read with one ReadAt at their offset and nothing before them is
-// read; each is CRC-, MAC- and LSN-checked as DecodeAll checks a batch. It
-// is the replication cursor's read of the live segment, and the records it
-// asks for are durable: a segment that ends before them is an error (an
-// io.ErrUnexpectedEOF or io.EOF), and damaged framing a *FrameError whose
-// offset counts from record from.
-func ReadRange(path string, opt Options, firstLSN, from uint64, n int) ([]Record, error) {
+// ReadRange decodes the n records from LSN from on of the segment at path,
+// whose first record is firstLSN, calling fn for each in order. Every frame is
+// WriteFrameBytes long, so they are read from their offset and nothing before
+// them is read; each is CRC-, MAC- and LSN-checked as DecodeAll checks a
+// batch. It is the replication cursor's read of the live segment, and the
+// records it asks for are durable: a segment that ends before them is an
+// error wrapping io.ErrUnexpectedEOF, or a *FrameError if it ends mid-frame,
+// and damaged framing a *FrameError whose offset counts from record from.
+func ReadRange(path string, opt Options, firstLSN, from uint64, n int, fn func(Record) error) error {
 	if from < firstLSN || n < 0 {
-		return nil, fmt.Errorf("wal: read %d records from LSN %d of a segment starting at %d", n, from, firstLSN)
+		return fmt.Errorf("wal: read %d records from LSN %d of a segment starting at %d", n, from, firstLSN)
 	}
 	k, err := deriveKeys(opt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("wal: read %s: %w", path, err)
+		return fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	defer f.Close()
-	buf := make([]byte, n*WriteFrameBytes)
-	if _, err := f.ReadAt(buf, int64(from-firstLSN)*WriteFrameBytes); err != nil {
-		return nil, fmt.Errorf("wal: read records %d to %d of %s: %w", from, from+uint64(n)-1, path, err)
+	got, err := decodeFrames(k, section(f, int64(from-firstLSN)*WriteFrameBytes, int64(n)*WriteFrameBytes), path, from, fn)
+	if err == nil && got < n {
+		err = fmt.Errorf("wal: %s ends after %d of records %d to %d: %w", path, got, from, from+uint64(n)-1, io.ErrUnexpectedEOF)
 	}
-	recs := make([]Record, 0, n)
-	_, err = decodeFrames(k, buf, path, from, func(r Record) error {
-		recs = append(recs, r)
-		return nil
-	})
-	return recs, err
+	return err
 }
 
 // decodeBody authenticates and unseals one CRC-valid body. The CRC having
@@ -514,8 +510,9 @@ func ReadRange(path string, opt Options, firstLSN, from uint64, n int) ([]Record
 // another generation, not a crash: the kind byte is read first, and any but
 // KindWrite is a *secmem.VersionError, so an older build's frames are never
 // reported as tampered; anything else is a *secmem.IntegrityError, the same
-// fail-closed type the engine raises for tampered memory.
-func decodeBody(k keys, body []byte, what string, wantLSN uint64) (Record, error) {
+// fail-closed type the engine raises for tampered memory. The line is
+// unsealed into line, which the record's Line is.
+func decodeBody(k keys, body []byte, what string, wantLSN uint64, line []byte) (Record, error) {
 	if body[0] != KindWrite {
 		return Record{}, KindError(body[0])
 	}
@@ -535,7 +532,7 @@ func decodeBody(k keys, body []byte, what string, wantLSN uint64) (Record, error
 		return Record{}, &secmem.IntegrityError{Level: -1, Index: rec.LSN,
 			Reason: fmt.Sprintf("wal record LSN %d in %s, want %d (spliced or replayed log)", rec.LSN, what, wantLSN)}
 	}
-	rec.Line = make([]byte, secmem.LineBytes)
+	rec.Line = line
 	if err := k.cipher.XOR(rec.Line, body[recFixedBytes:macOff], rec.LSN, 0); err != nil {
 		return Record{}, fmt.Errorf("wal: unseal record %d: %w", rec.LSN, err)
 	}

@@ -49,7 +49,7 @@ func TestRoundTrip(t *testing.T) {
 	path := writeLog(t, t.TempDir(), 5)
 	var recs []Record
 	info, err := ReplayTail(path, testOpts(), 1, 1, func(r Record) error {
-		recs = append(recs, r)
+		recs = append(recs, kept(r))
 		return nil
 	})
 	if err != nil {
